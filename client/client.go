@@ -184,7 +184,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 		return resp, err
 	}
 	c.mu.Lock()
-	bo := c.retry.Backoff(rand.New(rand.NewSource(c.rng.Int63())))
+	bo := c.retry.Backoff(c.rng.Int63())
 	c.mu.Unlock()
 	for retryable(err) {
 		d, ok := bo.Next()

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -40,7 +39,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 		Jitter:      0.25,
 	}
 	for seed := int64(0); seed < 100; seed++ {
-		bo := p.Backoff(rand.New(rand.NewSource(seed)))
+		bo := p.Backoff(seed)
 		nominal := float64(p.BaseDelay)
 		steps := 0
 		for {

@@ -464,7 +464,13 @@ type GroupCommitRow struct {
 
 // GroupCommitTable measures physical log syncs for n transactions of
 // three forced writes each, across group sizes. It exercises the real
-// wal.GroupCommit batching with concurrent committers.
+// wal.GroupCommit batching with concurrent committers. All 3n forces
+// are released together, so batches pack fully — the packing the
+// paper's ceil(3n/m) assumes — and only a final partial batch waits
+// out the group timer. (With each transaction forcing its three
+// records in sequence, a transaction still forcing after the others
+// finished would sync alone on the timer, and the count would depend
+// on goroutine scheduling.)
 func GroupCommitTable(n int, sizes []int) ([]GroupCommitRow, error) {
 	var rows []GroupCommitRow
 	for _, m := range sizes {
@@ -473,22 +479,22 @@ func GroupCommitTable(n int, sizes []int) ([]GroupCommitRow, error) {
 		if m <= 1 {
 			log = wal.New(store)
 		} else {
-			log = wal.New(store).WithPolicy(wal.NewGroupCommit(m, 2*time.Millisecond))
+			log = wal.New(store).WithPolicy(wal.NewGroupCommit(m, 50*time.Millisecond))
 		}
-		done := make(chan error, n)
+		start := make(chan struct{})
+		done := make(chan error, 3*n)
 		for i := 0; i < n; i++ {
-			go func(i int) {
-				var err error
-				for j := 0; j < 3; j++ { // prepared, committed, end-equivalent forces
-					if _, e := log.Force(wal.Record{Tx: fmt.Sprintf("t%d", i), Kind: "Force"}); e != nil {
-						err = e
-						break
-					}
-				}
-				done <- err
-			}(i)
+			tx := fmt.Sprintf("t%d", i)
+			for j := 0; j < 3; j++ { // prepared, committed, end-equivalent forces
+				go func() {
+					<-start
+					_, err := log.Force(wal.Record{Tx: tx, Kind: "Force"})
+					done <- err
+				}()
+			}
 		}
-		for i := 0; i < n; i++ {
+		close(start)
+		for i := 0; i < 3*n; i++ {
 			if err := <-done; err != nil {
 				return nil, err
 			}

@@ -60,6 +60,7 @@ type pendingWrite struct {
 }
 
 type txState struct {
+	owner  string // tx rendered once: the lock owner and log record id
 	phase  txPhase
 	writes []pendingWrite
 	reads  int
@@ -137,17 +138,34 @@ func (s *Store) Locks() *lockmgr.Manager { return s.locks }
 func (s *Store) tx(id core.TxID) *txState {
 	st, ok := s.txs[id]
 	if !ok {
-		st = &txState{}
+		st = &txState{owner: id.String()}
 		s.txs[id] = st
 	}
 	return st
 }
 
-func (s *Store) lock(ctx context.Context, owner core.TxID, key string, mode lockmgr.Mode) error {
+// lock takes key in mode for tx. The transaction's entry is created
+// first so its owner string is rendered once, not on every lock call;
+// a first lock that fails leaves no entry behind.
+func (s *Store) lock(ctx context.Context, tx core.TxID, key string, mode lockmgr.Mode) error {
+	s.mu.Lock()
+	_, existed := s.txs[tx]
+	st := s.tx(tx)
+	s.mu.Unlock()
+	var err error
 	if s.blocking {
-		return s.locks.Acquire(ctx, owner.String(), key, mode)
+		err = s.locks.Acquire(ctx, st.owner, key, mode)
+	} else {
+		err = s.locks.TryAcquire(st.owner, key, mode)
 	}
-	return s.locks.TryAcquire(owner.String(), key, mode)
+	if err != nil && !existed {
+		s.mu.Lock()
+		if s.txs[tx] == st && st.phase == phaseActive && len(st.writes) == 0 && st.reads == 0 {
+			delete(s.txs, tx)
+		}
+		s.mu.Unlock()
+	}
+	return err
 }
 
 // Get reads key under a shared lock within tx.
@@ -224,14 +242,14 @@ func (s *Store) Prepare(tx core.TxID) (core.PrepareResult, error) {
 	if len(st.writes) == 0 && s.roVotes {
 		delete(s.txs, tx)
 		s.mu.Unlock()
-		s.locks.ReleaseAll(tx.String())
+		s.locks.ReleaseAll(st.owner)
 		return core.PrepareResult{
 			Vote:         core.VoteReadOnly,
 			Reliable:     s.reliable,
 			OKToLeaveOut: s.okToLeaveOut,
 		}, nil
 	}
-	writes := st.writes
+	writes, owner := st.writes, st.owner
 	st.phase = phasePrepared
 	s.mu.Unlock()
 
@@ -239,13 +257,13 @@ func (s *Store) Prepare(tx core.TxID) (core.PrepareResult, error) {
 	if err != nil {
 		return core.PrepareResult{}, fmt.Errorf("kvstore: encode update set: %w", err)
 	}
-	if err := s.writeLog(tx, recUpdate, payload, false); err != nil {
+	if err := s.writeLog(owner, recUpdate, payload, false); err != nil {
 		return core.PrepareResult{}, err
 	}
 	// In shared-log mode the prepared record is not forced: the TM's
 	// commit force will harden it, and if the system fails first the
 	// missing record simply aborts the transaction (§4 Sharing the Log).
-	if err := s.writeLog(tx, recPrepared, nil, !s.sharedLog); err != nil {
+	if err := s.writeLog(owner, recPrepared, nil, !s.sharedLog); err != nil {
 		return core.PrepareResult{}, err
 	}
 	return core.PrepareResult{
@@ -255,8 +273,9 @@ func (s *Store) Prepare(tx core.TxID) (core.PrepareResult, error) {
 	}, nil
 }
 
-func (s *Store) writeLog(tx core.TxID, kind string, data []byte, force bool) error {
-	rec := wal.Record{Tx: tx.String(), Node: s.name, Kind: kind, Data: data}
+// writeLog writes one record for the transaction rendered as tx.
+func (s *Store) writeLog(tx string, kind string, data []byte, force bool) error {
+	rec := wal.Record{Tx: tx, Node: s.name, Kind: kind, Data: data}
 	var err error
 	if force {
 		_, err = s.log.Force(rec)
@@ -318,7 +337,7 @@ func (s *Store) finish(tx core.TxID, commit, heuristic bool) error {
 			st.phase = phaseAborted
 		}
 	}
-	hadWrites := len(st.writes) > 0
+	hadWrites, owner := len(st.writes) > 0, st.owner
 	if !heuristic {
 		delete(s.txs, tx)
 	}
@@ -335,11 +354,11 @@ func (s *Store) finish(tx core.TxID, commit, heuristic bool) error {
 			kind = recHeuristic
 			force = true // heuristic decisions must be remembered
 		}
-		if err := s.writeLog(tx, kind, outcomePayload(commit), force); err != nil {
+		if err := s.writeLog(owner, kind, outcomePayload(commit), force); err != nil {
 			return err
 		}
 	}
-	s.locks.ReleaseAll(tx.String())
+	s.locks.ReleaseAll(owner)
 	return nil
 }
 
@@ -386,7 +405,7 @@ func (s *Store) ApplyRedo(tx core.TxID, payload []byte) error {
 		}
 	}
 	s.mu.Unlock()
-	return s.writeLog(tx, recCommitted, outcomePayload(true), !s.sharedLog)
+	return s.writeLog(tx.String(), recCommitted, outcomePayload(true), !s.sharedLog)
 }
 
 func outcomePayload(commit bool) []byte {

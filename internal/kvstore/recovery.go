@@ -109,11 +109,11 @@ func Recover(name string, log *wal.Log, clk clock.Clock, opts ...Option) (*Store
 			if tr.heuCommit {
 				phase = phaseHeuristicCommit
 			}
-			s.txs[txid] = &txState{phase: phase, writes: tr.writes}
+			s.txs[txid] = &txState{owner: id, phase: phase, writes: tr.writes}
 		case tr.outcome == "" && tr.prepared:
 			// In doubt: reinstate prepared state and relock the keys so
 			// other work blocks until the outcome arrives.
-			s.txs[txid] = &txState{phase: phasePrepared, writes: tr.writes}
+			s.txs[txid] = &txState{owner: id, phase: phasePrepared, writes: tr.writes}
 			for _, w := range tr.writes {
 				if err := s.locks.Acquire(context.Background(), id, w.Key, lockmgr.Exclusive); err != nil {
 					return nil, fmt.Errorf("kvstore recover %s: relock %q for %s: %w", name, w.Key, id, err)

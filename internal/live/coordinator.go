@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wal"
@@ -138,16 +137,13 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// Collect the remaining votes, retransmitting Prepare to silent
 	// subordinates on the retry policy's backoff schedule.
 	if votedN < len(others) {
-		deadline := p.sched.NewTimer(p.voteTimeout)
-		defer deadline.Stop()
-		bo := p.retry.Backoff(p.rng(txName))
-		retryT := p.nextRetryTimer(bo)
-		defer func() { retryT.Stop() }()
+		alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
+		defer alarm.stop()
 		for votedN < len(others) {
 			select {
-			case env := <-st.votes:
+			case env := <-st.replies:
 				i := indexOf(others, env.from)
-				if i < 0 || voted[i] {
+				if i < 0 || voted[i] || env.msg.Type != protocol.MsgVote {
 					continue
 				}
 				voted[i] = true
@@ -158,16 +154,16 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 				case protocol.VoteYes:
 					yes = append(yes, env.from)
 				}
-			case <-retryT.C():
+			case <-alarm.C():
+				if alarm.expired() {
+					return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
+				}
 				for i, s := range others {
 					if !voted[i] {
 						_ = p.sendExtra(s, prep)
 						p.countRetry()
 					}
 				}
-				retryT = p.nextRetryTimer(bo)
-			case <-deadline.C():
-				return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
 			case <-p.crashc:
 				return InDoubt, ErrCrashed
 			case <-ctx.Done():
@@ -227,11 +223,8 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, t
 		return p.abortTx(tx, txName, append(append([]string{}, yes...), agent), v), fmt.Errorf("live: delegate to %s: %w", agent, err)
 	}
 
-	deadline := p.sched.NewTimer(p.voteTimeout)
-	defer deadline.Stop()
-	bo := p.retry.Backoff(p.rng(txName))
-	retryT := p.nextRetryTimer(bo)
-	defer func() { retryT.Stop() }()
+	alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
+	defer alarm.stop()
 	for {
 		select {
 		case env := <-st.decision:
@@ -277,19 +270,19 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, t
 				return Committed, err
 			}
 			return Committed, collectErr
-		case <-retryT.C():
+		case <-alarm.C():
+			if alarm.expired() {
+				// The agent owns the decision and may have gone either
+				// way: we are genuinely in doubt until recovery reaches it.
+				if p.met != nil {
+					p.met.InDoubtEntry(p.name)
+				}
+				return InDoubt, fmt.Errorf("live: last agent %s silent for %s: %w", agent, txName, ErrInDoubt)
+			}
 			_ = p.sendExtra(agent, dm)
 			p.countRetry()
-			retryT = p.nextRetryTimer(bo)
 		case <-p.crashc:
 			return InDoubt, ErrCrashed
-		case <-deadline.C():
-			// The agent owns the decision and may have gone either way:
-			// we are genuinely in doubt until recovery reaches it.
-			if p.met != nil {
-				p.met.InDoubtEntry(p.name)
-			}
-			return InDoubt, fmt.Errorf("live: last agent %s silent for %s: %w", agent, txName, ErrInDoubt)
 		case <-ctx.Done():
 			if p.met != nil {
 				p.met.InDoubtEntry(p.name)
@@ -310,40 +303,37 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 	ackedN := 0
 	var heur []protocol.HeuristicReport
 
-	deadline := p.sched.NewTimer(p.ackTimeout)
-	defer deadline.Stop()
-	bo := p.retry.Backoff(p.rng(txName + "/acks"))
-	retryT := p.nextRetryTimer(bo)
-	defer func() { retryT.Stop() }()
+	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/acks")
+	defer alarm.stop()
 	for ackedN < len(targets) {
 		select {
-		case env := <-st.acks:
+		case env := <-st.replies:
 			i := indexOf(targets, env.from)
-			if i < 0 || acked[i] {
+			if i < 0 || acked[i] || env.msg.Type != protocol.MsgAck {
 				continue
 			}
 			acked[i] = true
 			ackedN++
 			heur = append(heur, env.msg.Heuristics...)
-		case <-retryT.C():
+		case <-alarm.C():
+			if alarm.expired() {
+				missing := 0
+				for i, s := range targets {
+					if !acked[i] {
+						missing++
+						if p.met != nil {
+							p.met.InDoubtEntry(s)
+						}
+					}
+				}
+				return heur, fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", missing, len(targets), txName, ErrInDoubt)
+			}
 			for i, s := range targets {
 				if !acked[i] {
 					_ = p.sendExtra(s, outMsg)
 					p.countRetry()
 				}
 			}
-			retryT = p.nextRetryTimer(bo)
-		case <-deadline.C():
-			missing := 0
-			for i, s := range targets {
-				if !acked[i] {
-					missing++
-					if p.met != nil {
-						p.met.InDoubtEntry(s)
-					}
-				}
-			}
-			return heur, fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", missing, len(targets), txName, ErrInDoubt)
 		case <-p.stopped:
 			// Shutdown mid-collection (e.g. a 1PC background collector
 			// when the participant stops): the outcome is decided and
@@ -414,17 +404,18 @@ func indexOf(peers []string, name string) int {
 }
 
 // registerCoord installs the coordinator-side collection channels for
-// one transaction. The delegation-answer channel exists only on
-// last-agent coordinators; everyone else drops stray outcome messages
-// exactly as a full channel would have.
+// one transaction. The reply channel holds one vote or ack per
+// subordinate; a duplicate that finds it full is dropped, which the
+// retransmission schedule already tolerates. The delegation-answer
+// channel exists only on last-agent coordinators; everyone else drops
+// stray outcome messages exactly as a full channel would have.
 func (p *Participant) registerCoord(txName string, n int) *txState {
 	sh := p.shardFor(txName)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.stateLocked(txName)
 	st.isCoord = true
-	st.votes = make(chan envelope, 2*n+4)
-	st.acks = make(chan envelope, 2*n+4)
+	st.replies = make(chan envelope, max(n, 1))
 	if p.lastAgent {
 		st.decision = make(chan envelope, 2)
 	}
@@ -455,7 +446,7 @@ func (p *Participant) unregisterCoord(txName string) {
 		// leaders learn different outcomes. Drop only the coordinator
 		// role and its collection channels.
 		st.isCoord = false
-		st.votes, st.acks, st.decision = nil, nil, nil
+		st.replies, st.decision = nil, nil
 		st.paxAccepts, st.paxPromise = nil, nil
 		return
 	}
@@ -463,19 +454,3 @@ func (p *Participant) unregisterCoord(txName string) {
 	// so the whole entry can go.
 	delete(sh.txs, txName)
 }
-
-// nextRetryTimer arms a timer for the backoff schedule's next delay,
-// or a never-firing timer once the schedule is exhausted (the overall
-// deadline then has the last word).
-func (p *Participant) nextRetryTimer(bo *Backoff) clock.Timer {
-	if d, ok := bo.Next(); ok {
-		return p.sched.NewTimer(d)
-	}
-	return nilTimer{}
-}
-
-// nilTimer never fires.
-type nilTimer struct{}
-
-func (nilTimer) C() <-chan struct{} { return nil }
-func (nilTimer) Stop()              {}

@@ -157,10 +157,11 @@ type txState struct {
 	id string
 
 	// Coordinator side: collection channels, registered by Commit and
-	// read under the participant's mutex by the router.
+	// read under the participant's mutex by the router. Votes and acks
+	// share replies: the coordinator collects them one phase after the
+	// other, each loop skipping the other kind.
 	isCoord  bool
-	votes    chan envelope
-	acks     chan envelope
+	replies  chan envelope
 	decision chan envelope                 // last-agent delegation answer
 	early    map[string]protocol.VoteValue // votes that preceded Commit (unsolicited)
 
@@ -273,10 +274,15 @@ func (p *Participant) CoalesceDepth() int {
 // with.
 func (p *Participant) Variant() core.Variant { return p.variant }
 
-func seedFromName(name string) int64 {
-	var h int64 = 1469598103934665603 // FNV offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= int64(name[i])
+func seedFromName(name string) int64 { return fnvMore(fnvOffset, name) }
+
+// fnvOffset is the basis seedFromName and retrySeedFor hash from.
+const fnvOffset int64 = 1469598103934665603
+
+// fnvMore continues an FNV-1a-style hash h over s.
+func fnvMore(h int64, s string) int64 {
+	for i := 0; i < len(s); i++ {
+		h ^= int64(s[i])
 		h *= 1099511628211
 	}
 	return h
@@ -573,7 +579,7 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 	if st == nil {
 		st = sh.stateLocked(m.Tx)
 	}
-	ch := st.votes
+	ch := st.replies
 	if ch == nil {
 		if st.early == nil {
 			st.early = make(map[string]protocol.VoteValue)
@@ -625,7 +631,7 @@ func (p *Participant) routeAck(from string, m protocol.Message) {
 	st, ok := sh.txs[m.Tx]
 	var ch chan envelope
 	if ok {
-		ch = st.acks
+		ch = st.replies
 	}
 	sh.mu.Unlock()
 	if ch != nil {

@@ -133,16 +133,13 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 	}
 
 	if votedN < len(subs) {
-		deadline := p.sched.NewTimer(p.voteTimeout)
-		defer deadline.Stop()
-		bo := p.retry.Backoff(p.rng(txName))
-		retryT := p.nextRetryTimer(bo)
-		defer func() { retryT.Stop() }()
+		alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
+		defer alarm.stop()
 		for votedN < len(subs) {
 			select {
-			case env := <-st.votes:
+			case env := <-st.replies:
 				i := indexOf(subs, env.from)
-				if i < 0 || voted[i] {
+				if i < 0 || voted[i] || env.msg.Type != protocol.MsgVote {
 					continue
 				}
 				voted[i] = true
@@ -154,16 +151,16 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 					yes = append(yes, env.from)
 					redos = append(redos, env.msg.Payload)
 				}
-			case <-retryT.C():
+			case <-alarm.C():
+				if alarm.expired() {
+					return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
+				}
 				for i, s := range subs {
 					if !voted[i] {
 						_ = p.sendExtra(s, prep)
 						p.countRetry()
 					}
 				}
-				retryT = p.nextRetryTimer(bo)
-			case <-deadline.C():
-				return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
 			case <-p.crashc:
 				return InDoubt, ErrCrashed
 			case <-ctx.Done():

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wal"
@@ -627,9 +626,10 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 	sh.mu.Unlock()
 
 	quorum := p.paxosQuorum(len(meta.Acceptors))
-	deadline := p.sched.NewTimer(p.ackTimeout)
-	defer deadline.Stop()
-	bo := p.retry.Backoff(p.rng(txName + "/paxos"))
+	// The alarm's retransmission points end stalled rounds; its
+	// deadline bounds the whole recovery.
+	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/paxos")
+	defer alarm.stop()
 
 	for attempt := 1; attempt <= 8; attempt++ {
 		ballot := attempt*len(meta.Participants) + idx + 1
@@ -646,7 +646,7 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 			}
 			_ = p.send(a, query) // sendFlow marks queries as extra flows
 		}
-		commit, decided, err := p.paxosCollectRound(ctx, st, txName, meta, ballot, quorum, decisionCh, deadline, p.nextRetryTimer(bo))
+		commit, decided, err := p.paxosCollectRound(ctx, st, txName, meta, ballot, quorum, decisionCh, &alarm)
 		if err != nil {
 			return false, err
 		}
@@ -665,8 +665,7 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 // acknowledgments until every instance has a quorum. decided=false
 // with nil error means the round stalled and a higher ballot should
 // retry.
-func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, txName string, meta *protocol.PaxosMeta, ballot, quorum int, decisionCh chan envelope, deadline, roundT clock.Timer) (bool, bool, error) {
-	defer roundT.Stop()
+func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, txName string, meta *protocol.PaxosMeta, ballot, quorum int, decisionCh chan envelope, alarm *retryAlarm) (bool, bool, error) {
 	promised := make(map[string]bool)
 	var states []protocol.PaxosInstanceState
 	proposed := false
@@ -770,10 +769,11 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, txName
 			commit := st.committed
 			st.mu.Unlock()
 			return commit, true, nil
-		case <-roundT.C():
+		case <-alarm.C():
+			if alarm.expired() {
+				return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", txName, ErrInDoubt)
+			}
 			return false, false, nil
-		case <-deadline.C():
-			return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", txName, ErrInDoubt)
 		case <-p.crashc:
 			return false, false, ErrCrashed
 		case <-ctx.Done():

@@ -272,21 +272,18 @@ func (p *Participant) resolveInDoubt(ctx context.Context, coordinator, txName st
 	if err := p.send(coordinator, inq); err != nil {
 		return fmt.Errorf("live: inquiry to %s: %w (%v)", coordinator, ErrInDoubt, err)
 	}
-	deadline := p.sched.NewTimer(p.ackTimeout)
-	defer deadline.Stop()
-	bo := p.retry.Backoff(p.rng(txName + "/inquire"))
-	retryT := p.nextRetryTimer(bo)
-	defer func() { retryT.Stop() }()
+	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/inquire")
+	defer alarm.stop()
 	for {
 		select {
 		case <-st.resolved:
 			return nil
-		case <-retryT.C():
+		case <-alarm.C():
+			if alarm.expired() {
+				return fmt.Errorf("live: %s unresolved: %w", txName, ErrInDoubt)
+			}
 			_ = p.send(coordinator, inq)
 			p.countRetry()
-			retryT = p.nextRetryTimer(bo)
-		case <-deadline.C():
-			return fmt.Errorf("live: %s unresolved: %w", txName, ErrInDoubt)
 		case <-p.crashc:
 			return ErrCrashed
 		case <-ctx.Done():

@@ -1,8 +1,9 @@
 package live
 
 import (
-	"math/rand"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // RetryPolicy governs retransmission of protocol messages whose
@@ -59,16 +60,17 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // Backoff returns an iterator over the policy's retransmission
-// delays, jittered by rng (which must not be shared across
-// goroutines).
-func (rp RetryPolicy) Backoff(rng *rand.Rand) *Backoff {
-	return &Backoff{policy: rp.withDefaults(), rng: rng}
+// delays, jittered by a generator seeded with seed. Equal seeds give
+// equal schedules; building and walking one allocates nothing.
+func (rp RetryPolicy) Backoff(seed int64) Backoff {
+	return Backoff{policy: rp.withDefaults(), rng: jitterRand(seed)}
 }
 
-// Backoff walks a RetryPolicy's delay schedule.
+// Backoff walks a RetryPolicy's delay schedule. It is a value with no
+// shared state, so it must not be used from more than one goroutine.
 type Backoff struct {
 	policy  RetryPolicy
-	rng     *rand.Rand
+	rng     jitterRand
 	attempt int // transmissions already made beyond the first
 }
 
@@ -91,8 +93,8 @@ func (b *Backoff) Next() (time.Duration, bool) {
 	if d > float64(b.policy.MaxDelay) {
 		d = float64(b.policy.MaxDelay)
 	}
-	if b.policy.Jitter > 0 && b.rng != nil {
-		d -= b.policy.Jitter * d * b.rng.Float64()
+	if b.policy.Jitter > 0 {
+		d -= b.policy.Jitter * d * b.rng.float64()
 	}
 	b.attempt++
 	return time.Duration(d), true
@@ -101,9 +103,72 @@ func (b *Backoff) Next() (time.Duration, bool) {
 // Attempts reports the transmissions made beyond the first.
 func (b *Backoff) Attempts() int { return b.attempt }
 
-// rng returns a fresh jitter source for one collection loop, seeded
-// from the participant seed and the transaction id so schedules are
-// reproducible but uncorrelated across transactions.
-func (p *Participant) rng(tx string) *rand.Rand {
-	return rand.New(rand.NewSource(p.retrySeed ^ seedFromName(tx)))
+// jitterRand is a splitmix64 generator: one word of state, so drawing
+// a collection loop's jitter allocates nothing.
+type jitterRand uint64
+
+// float64 returns a uniform value in [0, 1).
+func (r *jitterRand) float64() float64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }
+
+// retrySeedFor seeds one collection loop's jitter from the participant
+// seed and the transaction id, so schedules are reproducible but
+// uncorrelated across transactions. stream separates the loops of one
+// transaction (vote collection, acks, inquiries, Paxos rounds); the
+// hash runs over tx then stream, so no name is concatenated.
+func (p *Participant) retrySeedFor(tx, stream string) int64 {
+	return p.retrySeed ^ fnvMore(fnvMore(fnvOffset, tx), stream)
+}
+
+// retryAlarm is a collection loop's one timer: it fires at the next
+// retransmission on the loop's backoff schedule or at the loop's
+// deadline, whichever is sooner.
+type retryAlarm struct {
+	sched    clock.Scheduler
+	bo       Backoff
+	deadline time.Duration // scheduler time at which the loop gives up
+	t        clock.Timer
+}
+
+// newRetryAlarm arms the alarm of a collection loop that gives up
+// after timeout, retransmitting on the retry policy's schedule seeded
+// by (tx, stream).
+func (p *Participant) newRetryAlarm(timeout time.Duration, tx, stream string) retryAlarm {
+	now := p.sched.Now()
+	a := retryAlarm{sched: p.sched, bo: p.retry.Backoff(p.retrySeedFor(tx, stream)), deadline: now + timeout}
+	a.arm(now)
+	return a
+}
+
+func (a *retryAlarm) arm(now time.Duration) {
+	d := a.deadline - now
+	if r, ok := a.bo.Next(); ok && r < d {
+		d = r
+	}
+	a.t = a.sched.NewTimer(d)
+}
+
+// C fires when the alarm is due.
+func (a *retryAlarm) C() <-chan struct{} { return a.t.C() }
+
+// expired is called once C has fired. It reports whether the deadline
+// has passed; if not, the alarm re-arms for the next retransmission
+// (or for the deadline once the schedule is spent) and the caller
+// retransmits.
+func (a *retryAlarm) expired() bool {
+	now := a.sched.Now()
+	if now >= a.deadline {
+		return true
+	}
+	a.arm(now)
+	return false
+}
+
+// stop releases the armed timer.
+func (a *retryAlarm) stop() { a.t.Stop() }

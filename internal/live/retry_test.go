@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,7 +17,7 @@ import (
 
 func TestBackoffScheduleGrowsAndCaps(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Multiplier: 2, Jitter: -1}
-	bo := rp.Backoff(nil)
+	bo := rp.Backoff(0)
 	var got []time.Duration
 	for {
 		d, ok := bo.Next()
@@ -43,7 +42,7 @@ func TestBackoffScheduleGrowsAndCaps(t *testing.T) {
 
 func TestBackoffJitterOnlyShrinks(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 8, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5}
-	bo := rp.Backoff(rand.New(rand.NewSource(42)))
+	bo := rp.Backoff(42)
 	nominal := []time.Duration{100, 200, 400, 800, 1000, 1000, 1000}
 	for i := 0; ; i++ {
 		d, ok := bo.Next()
@@ -63,7 +62,7 @@ func TestBackoffJitterOnlyShrinks(t *testing.T) {
 func TestBackoffDeterministicPerSeed(t *testing.T) {
 	rp := DefaultRetryPolicy()
 	seq := func() []time.Duration {
-		bo := rp.Backoff(rand.New(rand.NewSource(7)))
+		bo := rp.Backoff(7)
 		var out []time.Duration
 		for {
 			d, ok := bo.Next()
@@ -78,6 +77,94 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// schedule walks a backoff to its end.
+func schedule(bo Backoff) []time.Duration {
+	var out []time.Duration
+	for {
+		d, ok := bo.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, d)
+	}
+}
+
+// TestJitterSeededByParticipantAndTx checks the per-loop jitter seed:
+// the same (participant seed, tx) pair replays the same schedule, and
+// other transactions or other loops of the same transaction draw
+// different ones.
+func TestJitterSeededByParticipantAndTx(t *testing.T) {
+	rp := RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.5}
+	newP := func(seed int64) *Participant {
+		return NewParticipant("C", netsim.NewChanNetwork().Endpoint("C"), wal.New(wal.NewMemStore()), nil,
+			WithRetry(rp), WithRetrySeed(seed))
+	}
+	p, twin, other := newP(11), newP(11), newP(12)
+	sched := func(p *Participant, tx, stream string) []time.Duration {
+		return schedule(p.retry.Backoff(p.retrySeedFor(tx, stream)))
+	}
+	same := func(a, b []time.Duration) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	base := sched(p, "C:1", "")
+	if len(base) != rp.MaxAttempts-1 {
+		t.Fatalf("schedule has %d delays, want %d", len(base), rp.MaxAttempts-1)
+	}
+	if !same(base, sched(twin, "C:1", "")) {
+		t.Fatal("same participant seed and tx gave different schedules")
+	}
+	for _, tx := range []string{"C:2", "C:10", "D:1", "C:1x"} {
+		if same(base, sched(p, tx, "")) {
+			t.Errorf("tx %s drew the same schedule as C:1", tx)
+		}
+	}
+	if same(base, sched(p, "C:1", "/acks")) {
+		t.Error("vote and ack loops of one tx drew the same schedule")
+	}
+	if same(base, sched(other, "C:1", "")) {
+		t.Error("different participant seeds drew the same schedule")
+	}
+}
+
+// TestJitterBoundsAndAllocs checks every jittered delay stays within
+// [d*(1-Jitter), d] of its nominal step d, and that building a schedule
+// and drawing all its delays stays within two allocations.
+func TestJitterBoundsAndAllocs(t *testing.T) {
+	rp := RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 300 * time.Millisecond, Jitter: 0.3}
+	for seed := int64(0); seed < 500; seed++ {
+		nominal := 10 * time.Millisecond
+		for i, d := range schedule(rp.Backoff(seed)) {
+			lo := time.Duration((1 - rp.Jitter) * float64(nominal))
+			if d < lo || d > nominal {
+				t.Fatalf("seed %d delay[%d] = %v outside [%v, %v]", seed, i, d, lo, nominal)
+			}
+			nominal = min(2*nominal, rp.MaxDelay)
+		}
+	}
+	var sum time.Duration
+	allocs := testing.AllocsPerRun(100, func() {
+		bo := rp.Backoff(sum.Nanoseconds())
+		for {
+			d, ok := bo.Next()
+			if !ok {
+				break
+			}
+			sum += d
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("building and drawing a schedule allocated %.1f times, want <= 2", allocs)
 	}
 }
 

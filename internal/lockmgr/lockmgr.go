@@ -24,9 +24,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,16 +87,68 @@ type lockState struct {
 }
 
 // lockShard is one hash bucket of the lock table: a self-contained
-// lock map with its owner index and hold-time accounting, all under
-// one mutex.
+// lock map and its hold-time total, under one mutex.
 type lockShard struct {
-	clk clock.Clock
+	clk    clock.Clock
+	idx    int
+	owners *ownerIndex
 
 	mu       sync.Mutex
 	locks    map[string]*lockState
-	byOwner  map[string]map[string]bool // owner -> set of keys held in this shard
-	holdSum  map[string]time.Duration   // cumulative released hold time per owner
 	totalSum time.Duration
+}
+
+// heldKey is one key an owner holds and the lock shard it lives in.
+type heldKey struct {
+	key   string
+	shard int
+}
+
+// ownerIndex records, per owner, every key the owner holds, so
+// ReleaseAll locks only the shards the owner touched. It is sharded by
+// owner hash like the lock table, and a lock shard's mutex is always
+// taken before an owner shard's (grants record themselves here).
+type ownerIndex struct {
+	shards []ownerShard
+	mask   uint32
+}
+
+type ownerShard struct {
+	mu      sync.Mutex
+	held    map[string][]heldKey     // owner -> keys held, in grant order
+	holdSum map[string]time.Duration // cumulative released hold time per owner
+}
+
+func (ix *ownerIndex) shard(owner string) *ownerShard {
+	return &ix.shards[fnv32a(owner)&ix.mask]
+}
+
+// add records that owner now holds key in lock shard shard.
+func (ix *ownerIndex) add(owner, key string, shard int) {
+	os := ix.shard(owner)
+	os.mu.Lock()
+	os.held[owner] = append(os.held[owner], heldKey{key: key, shard: shard})
+	os.mu.Unlock()
+}
+
+// take removes and returns owner's held keys.
+func (ix *ownerIndex) take(owner string) []heldKey {
+	os := ix.shard(owner)
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	keys := os.held[owner]
+	delete(os.held, owner)
+	return keys
+}
+
+// fnv32a is the 32-bit FNV-1a hash of s.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // Manager is a sharded lock manager. The zero value is unusable;
@@ -105,6 +157,7 @@ type Manager struct {
 	clk    clock.Clock
 	shards []*lockShard
 	mask   uint32
+	owners ownerIndex
 
 	// The waits-for graph is global (a cycle may span shards) but
 	// slow-path only: it is touched when a request blocks, never on a
@@ -167,13 +220,18 @@ func New(clk clock.Clock, opts ...Option) *Manager {
 		clk:     clk,
 		shards:  make([]*lockShard, n),
 		mask:    uint32(n - 1),
+		owners:  ownerIndex{shards: make([]ownerShard, n), mask: uint32(n - 1)},
 		waitsOn: make(map[string]string),
 	}
 	for i := range m.shards {
 		m.shards[i] = &lockShard{
-			clk:     clk,
-			locks:   make(map[string]*lockState),
-			byOwner: make(map[string]map[string]bool),
+			clk:    clk,
+			idx:    i,
+			owners: &m.owners,
+			locks:  make(map[string]*lockState),
+		}
+		m.owners.shards[i] = ownerShard{
+			held:    make(map[string][]heldKey),
 			holdSum: make(map[string]time.Duration),
 		}
 	}
@@ -186,16 +244,12 @@ func (m *Manager) ShardCount() int { return len(m.shards) }
 
 // shard maps a key to its shard by fnv-1a hash.
 func (m *Manager) shard(key string) *lockShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return m.shards[h.Sum32()&m.mask]
+	return m.shards[fnv32a(key)&m.mask]
 }
 
 // ShardIndex exposes the key-to-shard mapping for tests.
 func (m *Manager) ShardIndex(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() & m.mask)
+	return int(fnv32a(key) & m.mask)
 }
 
 func (sh *lockShard) state(key string) *lockState {
@@ -226,15 +280,10 @@ func (sh *lockShard) grantLocked(ls *lockState, key, owner string, mode Mode) {
 	h, ok := ls.holders[owner]
 	if !ok {
 		ls.holders[owner] = &holder{mode: mode, granted: sh.clk.Now()}
+		sh.owners.add(owner, key, sh.idx)
 	} else if mode == Exclusive && h.mode == Shared {
 		h.mode = Exclusive // upgrade keeps the original grant time
 	}
-	keys := sh.byOwner[owner]
-	if keys == nil {
-		keys = make(map[string]bool)
-		sh.byOwner[owner] = keys
-	}
-	keys[key] = true
 }
 
 // canGrantLocked applies the FIFO fairness rule: a request is
@@ -409,33 +458,44 @@ func (sh *lockShard) wakeLocked(key string) {
 // ReleaseAll releases every lock owner holds, returning the released
 // locks with their hold durations, and wakes eligible waiters. It is
 // the unlock step of strict 2PL: all locks drop together at commit or
-// abort (shard by shard; within a shard the release is atomic).
+// abort (shard by shard; within a shard the release is atomic). Only
+// the shards holding one of owner's keys are locked.
 func (m *Manager) ReleaseAll(owner string) []Held {
+	keys := m.owners.take(owner)
+	if len(keys) == 0 {
+		return nil
+	}
+	// Group the keys by shard so each shard is locked once.
+	slices.SortStableFunc(keys, func(a, b heldKey) int { return a.shard - b.shard })
 	now := m.clk.Now()
-	var out []Held
-	for _, sh := range m.shards {
+	out := make([]Held, 0, len(keys))
+	var sum time.Duration
+	for i := 0; i < len(keys); {
+		sh := m.shards[keys[i].shard]
+		var shardSum time.Duration
 		sh.mu.Lock()
-		keys := sh.byOwner[owner]
-		for key := range keys {
+		for ; i < len(keys) && m.shards[keys[i].shard] == sh; i++ {
+			key := keys[i].key
 			ls := sh.locks[key]
 			h, ok := ls.holders[owner]
 			if !ok {
 				continue
 			}
-			hold := now - h.granted
-			if hold < 0 {
-				hold = 0
-			}
+			hold := max(now-h.granted, 0)
 			out = append(out, Held{Key: key, Mode: h.mode, Hold: hold})
-			sh.holdSum[owner] += hold
-			sh.totalSum += hold
+			shardSum += hold
 			delete(ls.holders, owner)
 			sh.wakeLocked(key)
 		}
-		delete(sh.byOwner, owner)
+		sh.totalSum += shardSum
 		sh.mu.Unlock()
+		sum += shardSum
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	os := m.owners.shard(owner)
+	os.mu.Lock()
+	os.holdSum[owner] += sum
+	os.mu.Unlock()
+	slices.SortFunc(out, func(a, b Held) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -457,28 +517,24 @@ func (m *Manager) Holds(owner, key string, mode Mode) bool {
 
 // HeldKeys returns the sorted keys owner currently holds.
 func (m *Manager) HeldKeys(owner string) []string {
+	os := m.owners.shard(owner)
+	os.mu.Lock()
 	var out []string
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for k := range sh.byOwner[owner] {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
+	for _, k := range os.held[owner] {
+		out = append(out, k.key)
 	}
-	sort.Strings(out)
+	os.mu.Unlock()
+	slices.Sort(out)
 	return out
 }
 
 // HoldTime returns the cumulative hold time of locks owner has
 // released so far.
 func (m *Manager) HoldTime(owner string) time.Duration {
-	var sum time.Duration
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sum += sh.holdSum[owner]
-		sh.mu.Unlock()
-	}
-	return sum
+	os := m.owners.shard(owner)
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	return os.holdSum[owner]
 }
 
 // TotalHoldTime returns cumulative released hold time across all

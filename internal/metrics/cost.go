@@ -89,6 +89,7 @@ func (c CostCounters) Writes() int { return c.Forced + c.NonForced }
 
 // nodeCost is one node's ledger entry within a transaction.
 type nodeCost struct {
+	name string
 	role Role
 	done bool // the node finished its part (exact checks apply)
 	c    CostCounters
@@ -96,15 +97,24 @@ type nodeCost struct {
 
 // txCost is the ledger entry for one transaction.
 type txCost struct {
+	tx      string
 	variant string // coordinator's variant ("PA", "PN", ...); first writer wins
 	subs    int    // coordinator-declared subordinate count (-1: unknown)
 	// delivered is how many subordinates the coordinator actually sent
 	// the outcome to (read-only voters drop out); -1 until reported.
 	delivered int
 	outcome   string // "committed", "aborted", ...; "" while undecided
-	nodes     map[string]*nodeCost
-	seq       int // insertion order, for bounded eviction
+	// nodes is a handful of entries (the transaction's tree as seen by
+	// this registry), so lookup is a linear scan.
+	nodes  []nodeCost
+	undone int  // nodes not yet done
+	seq    int  // insertion order, for eviction when nothing is closed
+	queued bool // on the registry's close-order queue
 }
+
+// closed reports whether the entry's accounting is complete: an
+// outcome is recorded and every observed node has finished its part.
+func (tc *txCost) closed() bool { return tc.outcome != "" && tc.undone == 0 }
 
 // TxCostView is the exported, immutable form of one transaction's
 // ledger entry.
@@ -163,40 +173,56 @@ func (r *Registry) txCostLocked(tx string) *txCost {
 		if len(r.costs) >= costCap {
 			r.evictCostLocked()
 		}
-		tc = &txCost{subs: -1, delivered: -1, nodes: make(map[string]*nodeCost), seq: r.costSeq}
+		tc = &txCost{tx: tx, subs: -1, delivered: -1, seq: r.costSeq}
 		r.costSeq++
 		r.costs[tx] = tc
 	}
 	return tc
 }
 
-// evictCostLocked drops the oldest closed entry, or the oldest entry
-// of all when none is closed.
+// queueIfClosedLocked puts a just-closed entry on the close-order
+// queue. An entry a later node reopens stays queued; the drain skips
+// it and it is queued again when it closes again.
+func (r *Registry) queueIfClosedLocked(tc *txCost) {
+	if !tc.queued && tc.closed() {
+		tc.queued = true
+		r.costDone = append(r.costDone, tc)
+	}
+}
+
+// evictCostLocked drops the entry that closed first, or the oldest
+// entry of all when none is closed.
 func (r *Registry) evictCostLocked() {
-	victim, victimSeq := "", -1
-	closedVictim, closedSeq := "", -1
-	for tx, tc := range r.costs {
-		if victimSeq == -1 || tc.seq < victimSeq {
-			victim, victimSeq = tx, tc.seq
-		}
-		if tc.outcome != "" && (closedSeq == -1 || tc.seq < closedSeq) {
-			closedVictim, closedSeq = tx, tc.seq
+	for len(r.costDone) > 0 {
+		tc := r.costDone[0]
+		r.costDone[0] = nil
+		r.costDone = r.costDone[1:]
+		tc.queued = false
+		if tc.closed() && r.costs[tc.tx] == tc {
+			delete(r.costs, tc.tx)
+			return
 		}
 	}
-	if closedVictim != "" {
-		delete(r.costs, closedVictim)
-	} else if victim != "" {
-		delete(r.costs, victim)
+	var victim *txCost
+	for _, tc := range r.costs {
+		if victim == nil || tc.seq < victim.seq {
+			victim = tc
+		}
+	}
+	if victim != nil {
+		delete(r.costs, victim.tx)
 	}
 }
 
 func (tc *txCost) node(name string) *nodeCost {
-	nc, ok := tc.nodes[name]
-	if !ok {
-		nc = &nodeCost{}
-		tc.nodes[name] = nc
+	for i := range tc.nodes {
+		if tc.nodes[i].name == name {
+			return &tc.nodes[i]
+		}
 	}
-	return nc
+	tc.nodes = append(tc.nodes, nodeCost{name: name})
+	tc.undone++
+	return &tc.nodes[len(tc.nodes)-1]
 }
 
 // CostBegin registers node as tx's coordinator under the given
@@ -266,6 +292,7 @@ func (r *Registry) CostOutcome(tx, outcome string, delivered int) {
 	if delivered >= 0 {
 		tc.delivered = delivered
 	}
+	r.queueIfClosedLocked(tc)
 }
 
 // CostNodeDone marks node's part in tx finished: its counters are
@@ -273,7 +300,12 @@ func (r *Registry) CostOutcome(tx, outcome string, delivered int) {
 func (r *Registry) CostNodeDone(tx, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.txCostLocked(tx).node(node).done = true
+	tc := r.txCostLocked(tx)
+	if nc := tc.node(node); !nc.done {
+		nc.done = true
+		tc.undone--
+	}
+	r.queueIfClosedLocked(tc)
 }
 
 // FlowSent records one protocol message leaving node for tx, folding
@@ -342,17 +374,17 @@ func (r *Registry) TxLogWrite(node, tx string, forced bool) {
 	}
 }
 
-func (tc *txCost) view(tx string) TxCostView {
+func (tc *txCost) view() TxCostView {
 	v := TxCostView{
-		Tx:        tx,
+		Tx:        tc.tx,
 		Variant:   tc.variant,
 		Subs:      tc.subs,
 		Delivered: tc.delivered,
 		Outcome:   tc.outcome,
 		Nodes:     make(map[string]NodeCostView, len(tc.nodes)),
 	}
-	for n, nc := range tc.nodes {
-		v.Nodes[n] = NodeCostView{Role: nc.role, Done: nc.done, CostCounters: nc.c}
+	for _, nc := range tc.nodes {
+		v.Nodes[nc.name] = NodeCostView{Role: nc.role, Done: nc.done, CostCounters: nc.c}
 	}
 	return v
 }
@@ -362,35 +394,45 @@ func (tc *txCost) view(tx string) TxCostView {
 func (r *Registry) CostSnapshot() []TxCostView {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TxCostView, 0, len(r.costs))
-	seqs := make(map[string]int, len(r.costs))
-	for tx, tc := range r.costs {
-		out = append(out, tc.view(tx))
-		seqs[tx] = tc.seq
+	tcs := make([]*txCost, 0, len(r.costs))
+	for _, tc := range r.costs {
+		tcs = append(tcs, tc)
 	}
-	sort.Slice(out, func(i, j int) bool { return seqs[out[i].Tx] < seqs[out[j].Tx] })
+	sort.Slice(tcs, func(i, j int) bool { return tcs[i].seq < tcs[j].seq })
+	out := make([]TxCostView, len(tcs))
+	for i, tc := range tcs {
+		out[i] = tc.view()
+	}
 	return out
 }
 
 // CostDrainClosed removes and returns every closed transaction (see
-// TxCostView.Closed) from the ledger, in recording order. The
+// TxCostView.Closed) from the ledger, in the order they closed. The
 // conformance audit consumes the ledger through this so a
-// long-running process holds only in-flight transactions.
+// long-running process holds only in-flight transactions. Under the
+// registry lock it only takes over the close-order queue; the views
+// are built after, from entries no other caller can reach any more.
 func (r *Registry) CostDrainClosed() []TxCostView {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []TxCostView
-	seqs := make(map[string]int)
-	for tx, tc := range r.costs {
-		v := tc.view(tx)
-		if !v.Closed() {
+	queue := r.costDone
+	r.costDone = nil
+	n := 0
+	for _, tc := range queue {
+		tc.queued = false
+		// Skip entries a later node reopened (they queue again when
+		// they close) and entries eviction already dropped.
+		if !tc.closed() || r.costs[tc.tx] != tc {
 			continue
 		}
-		out = append(out, v)
-		seqs[tx] = tc.seq
-		delete(r.costs, tx)
+		delete(r.costs, tc.tx)
+		queue[n] = tc
+		n++
 	}
-	sort.Slice(out, func(i, j int) bool { return seqs[out[i].Tx] < seqs[out[j].Tx] })
+	r.mu.Unlock()
+	out := make([]TxCostView, n)
+	for i, tc := range queue[:n] {
+		out[i] = tc.view()
+	}
 	return out
 }
 

@@ -152,3 +152,103 @@ func TestExtraFlowForUntrackedTxDoesNotLeak(t *testing.T) {
 		t.Fatalf("tracked-tx extra not attributed: %+v", views)
 	}
 }
+
+// closeTx records a one-node transaction and closes it.
+func closeTx(r *Registry, tx string) {
+	r.CostBegin(tx, "C", "PA", 1)
+	r.CostOutcome(tx, "committed", 1)
+	r.CostNodeDone(tx, "C")
+}
+
+func drainedTxs(views []TxCostView) []string {
+	var out []string
+	for _, v := range views {
+		if !v.Closed() {
+			panic("drained an open entry: " + v.Tx)
+		}
+		out = append(out, v.Tx)
+	}
+	return out
+}
+
+// TestCostDrainClosedCloseOrder checks the drain hands entries over in
+// the order they closed, not the order they were recorded, and leaves
+// open entries (including one a late node reopened) in the ledger.
+func TestCostDrainClosedCloseOrder(t *testing.T) {
+	r := New()
+	for _, tx := range []string{"a", "b", "c", "d"} {
+		r.CostBegin(tx, "C", "PA", 1)
+	}
+	// Close in the order c, a, d; b stays open.
+	for _, tx := range []string{"c", "a", "d"} {
+		r.CostOutcome(tx, "committed", 1)
+		r.CostNodeDone(tx, "C")
+	}
+	// A subordinate's cost lands on d after it closed: d reopens.
+	r.FlowSent("S", "d", false, false, true)
+	got := drainedTxs(r.CostDrainClosed())
+	if fmt.Sprint(got) != "[c a]" {
+		t.Fatalf("drained %v, want [c a]", got)
+	}
+	if n := r.CostLedgerSize(); n != 2 {
+		t.Fatalf("ledger holds %d entries after drain, want 2 (b and d)", n)
+	}
+	// d closes again once S finishes; b closes after it.
+	r.CostNodeDone("d", "S")
+	r.CostOutcome("b", "aborted", -1)
+	r.CostNodeDone("b", "C")
+	views := r.CostDrainClosed()
+	if got := drainedTxs(views); fmt.Sprint(got) != "[d b]" {
+		t.Fatalf("second drain %v, want [d b]", got)
+	}
+	if d := views[0]; len(d.Nodes) != 2 || d.Nodes["S"].Flows != 1 || d.Nodes["C"].Role != RoleCoordinator {
+		t.Fatalf("view of d = %+v", d)
+	}
+	if n := r.CostLedgerSize(); n != 0 {
+		t.Fatalf("ledger holds %d entries, want 0", n)
+	}
+	if again := r.CostDrainClosed(); len(again) != 0 {
+		t.Fatalf("third drain returned %+v", again)
+	}
+}
+
+// TestCostDrainAfterEviction fills the ledger past costCap: eviction
+// takes the entries that closed first, and the drain returns exactly
+// the closed survivors, in close order, with open entries kept.
+func TestCostDrainAfterEviction(t *testing.T) {
+	r := New()
+	r.CostBegin("open", "C", "PA", 1)
+	for i := 0; i < costCap+10; i++ {
+		closeTx(r, fmt.Sprintf("t%d", i))
+	}
+	if n := r.CostLedgerSize(); n != costCap {
+		t.Fatalf("ledger holds %d entries, want %d", n, costCap)
+	}
+	got := drainedTxs(r.CostDrainClosed())
+	if len(got) != costCap-1 {
+		t.Fatalf("drained %d entries, want %d", len(got), costCap-1)
+	}
+	if got[0] != "t11" || got[len(got)-1] != fmt.Sprintf("t%d", costCap+9) {
+		t.Fatalf("drained %s..%s, want t11..t%d", got[0], got[len(got)-1], costCap+9)
+	}
+	for i := 1; i < len(got); i++ {
+		var a, b int
+		fmt.Sscanf(got[i-1], "t%d", &a)
+		fmt.Sscanf(got[i], "t%d", &b)
+		if b != a+1 {
+			t.Fatalf("drain out of close order at %d: %s then %s", i, got[i-1], got[i])
+		}
+	}
+	if n := r.CostLedgerSize(); n != 1 {
+		t.Fatalf("ledger holds %d entries after drain, want the open one", n)
+	}
+	// With nothing closed, eviction falls back to the oldest entry.
+	for i := 0; i < costCap; i++ {
+		r.CostBegin(fmt.Sprintf("o%d", i), "C", "PA", 1)
+	}
+	for _, v := range r.CostSnapshot() {
+		if v.Tx == "open" {
+			t.Fatal("oldest open entry survived eviction of an all-open ledger")
+		}
+	}
+}

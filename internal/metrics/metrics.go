@@ -63,6 +63,7 @@ type Registry struct {
 	txOutcome map[string]int           // outcome name -> count
 	costs     map[string]*txCost       // per-transaction cost ledger (cost.go)
 	costSeq   int
+	costDone  []*txCost // closed ledger entries in close order, for CostDrainClosed
 }
 
 // New returns an empty registry.

@@ -288,7 +288,7 @@ func New(cfg Config) (*Server, error) {
 		ep:         ep,
 		store:      store,
 		smap:       smap,
-		httpc:      &http.Client{},
+		httpc:      &http.Client{Transport: stageTransport(cfg.MaxInflight)},
 		httpLn:     httpLn,
 		sem:        make(chan struct{}, cfg.MaxInflight),
 		start:      time.Now(),
@@ -511,10 +511,23 @@ func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	_ = s.httpSrv.Shutdown(ctx)
+	s.httpc.CloseIdleConnections()
 	s.part.Stop()
 	_ = s.ep.Close()
 	s.wg.Wait()
 	return nil
+}
+
+// stageTransport is a daemon's own transport for /v1/stage. Every
+// admitted commit may stage on a peer at once, so each peer keeps up
+// to maxInflight idle connections: with http.DefaultTransport's two,
+// every stage beyond the second concurrent one to a peer would close
+// its connection after use and dial a new one next time.
+func stageTransport(maxInflight int) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no fleet-wide cap; the per-peer one bounds it
+	t.MaxIdleConnsPerHost = maxInflight
+	return t
 }
 
 // auditLoop periodically drains the cost ledger and conformance-checks

@@ -51,8 +51,9 @@ func (l *Log) Checkpoint(keep func(Record) bool) (kept, dropped int, err error) 
 func (s *MemStore) ReplaceAll(recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.durable = append([]Record(nil), recs...)
-	s.volatile = nil
+	s.durable, s.size = nil, 0
+	s.harden(recs)
+	s.dropVolatile()
 	return nil
 }
 

@@ -94,19 +94,23 @@ func (g *GroupCommit) ForceSync(l *Log) error {
 	b := g.cur
 	g.count++
 	full := g.count >= g.size
+	if full {
+		// Close the batch to joiners before releasing the lock, so a
+		// batch never grows past Size.
+		g.cur = nil
+		g.batches++
+	}
 	g.mu.Unlock()
 
 	if full {
-		g.fire(l, b)
+		g.sync(l, b)
 	}
 	<-b.done
 	return b.err
 }
 
-// fire closes batch b (if still current) and performs its sync. The
-// race between the size trigger and the timer is resolved by the
-// cur-pointer check: whoever gets there first wins, the other call is
-// a no-op.
+// fire closes batch b on its timer, unless the size trigger already
+// closed it: the cur-pointer check decides which one syncs.
 func (g *GroupCommit) fire(l *Log, b *groupBatch) {
 	g.mu.Lock()
 	if g.cur != b {
@@ -116,7 +120,12 @@ func (g *GroupCommit) fire(l *Log, b *groupBatch) {
 	g.cur = nil
 	g.batches++
 	g.mu.Unlock()
+	g.sync(l, b)
+}
 
+// sync performs closed batch b's physical sync and releases its
+// waiters.
+func (g *GroupCommit) sync(l *Log, b *groupBatch) {
 	b.err = l.flush()
 	close(b.done)
 }

@@ -12,13 +12,22 @@ import (
 // MemStore is an in-memory Store. It models a disk: records appended
 // but not yet synced live in a volatile tail that a simulated crash
 // (DropUnsynced) can discard; synced records are durable.
+//
+// Durable records sit in fixed-size chunks, so a Sync copies only the
+// tail it hardens: a log that grows every commit (a resource manager's
+// redo log) is never re-copied as a whole, and the volatile tail's
+// backing array is reused from one Sync to the next.
 type MemStore struct {
 	mu       sync.Mutex
-	durable  []Record
+	durable  [][]Record // full chunks of memChunk records, the last one possibly partial
+	size     int        // durable records across all chunks
 	volatile []Record
 	syncs    int
 	failNext error // injected fault for the next operation
 }
+
+// memChunk is the number of records per durable chunk.
+const memChunk = 256
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
@@ -55,18 +64,44 @@ func (s *MemStore) Sync() error {
 	if err := s.takeFault(); err != nil {
 		return err
 	}
-	s.durable = append(s.durable, s.volatile...)
-	s.volatile = nil
+	s.harden(s.volatile)
+	s.dropVolatile()
 	s.syncs++
 	return nil
+}
+
+// harden appends recs to the durable chunks. Caller holds s.mu.
+func (s *MemStore) harden(recs []Record) {
+	for len(recs) > 0 {
+		last := len(s.durable) - 1
+		if last < 0 || len(s.durable[last]) == memChunk {
+			s.durable = append(s.durable, make([]Record, 0, memChunk))
+			last++
+		}
+		n := min(len(recs), memChunk-len(s.durable[last]))
+		s.durable[last] = append(s.durable[last], recs[:n]...)
+		s.size += n
+		recs = recs[n:]
+	}
+}
+
+// dropVolatile empties the volatile tail, keeping its backing array.
+// Caller holds s.mu.
+func (s *MemStore) dropVolatile() int {
+	n := len(s.volatile)
+	clear(s.volatile)
+	s.volatile = s.volatile[:0]
+	return n
 }
 
 // Records returns the durable records only.
 func (s *MemStore) Records() ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Record, len(s.durable))
-	copy(out, s.durable)
+	out := make([]Record, 0, s.size)
+	for _, c := range s.durable {
+		out = append(out, c...)
+	}
 	return out, nil
 }
 
@@ -82,9 +117,7 @@ func (s *MemStore) Syncs() int {
 func (s *MemStore) DropUnsynced() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.volatile)
-	s.volatile = nil
-	return n
+	return s.dropVolatile()
 }
 
 // lineEncoder writes records as newline-delimited JSON, the

@@ -81,6 +81,7 @@ type Log struct {
 	mu        sync.Mutex
 	store     Store
 	buffered  []Record // records appended to the Log but not yet handed to the store (lost on Crash)
+	spare     []Record // the last flushed buffer, emptied, for buffered to reuse
 	nextLSN   int64
 	syncedLSN int64 // highest LSN the store has hardened (flush updates it)
 	closed    bool
@@ -211,8 +212,11 @@ func (l *Log) flush() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
+	// Writers keep appending while this flush hands buf to the store,
+	// so they get the other buffer; flushMu guarantees no second flush
+	// holds either one meanwhile.
 	buf := l.buffered
-	l.buffered = nil
+	l.buffered, l.spare = l.spare, nil
 	store := l.store
 	l.mu.Unlock()
 
@@ -220,6 +224,28 @@ func (l *Log) flush() error {
 	if len(buf) > 0 {
 		last = buf[len(buf)-1].LSN
 	}
+	err := harden(store, buf)
+	clear(buf) // the store has its copies; drop the payload references
+	l.mu.Lock()
+	if cap(buf) <= maxSpare {
+		l.spare = buf[:0]
+	}
+	if err == nil {
+		l.stats.Syncs++
+		if last > l.syncedLSN {
+			l.syncedLSN = last
+		}
+	}
+	l.mu.Unlock()
+	return err
+}
+
+// maxSpare bounds the buffer a flush keeps for reuse, so one burst of
+// appends does not pin its high-water mark for the log's lifetime.
+const maxSpare = 4096
+
+// harden appends buf to store and issues one physical sync.
+func harden(store Store, buf []Record) error {
 	for _, rec := range buf {
 		if err := store.Append(rec); err != nil {
 			return fmt.Errorf("wal: append to store: %w", err)
@@ -228,12 +254,6 @@ func (l *Log) flush() error {
 	if err := store.Sync(); err != nil {
 		return fmt.Errorf("wal: sync store: %w", err)
 	}
-	l.mu.Lock()
-	l.stats.Syncs++
-	if last > l.syncedLSN {
-		l.syncedLSN = last
-	}
-	l.mu.Unlock()
 	return nil
 }
 
