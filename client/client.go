@@ -13,8 +13,8 @@
 //
 // A transaction that runs and aborts is not an error: inspect
 // resp.Outcome. Errors carry the server's machine-readable taxonomy as
-// *client.APIError (400 bad_request, 409 codec_mismatch, 422
-// unknown_shard, 503 overloaded/draining).
+// *client.APIError (400 bad_request, 422 unknown_shard, 503
+// overloaded/draining).
 package client
 
 import (
@@ -67,7 +67,6 @@ type Client struct {
 	baseURL string
 	hc      *http.Client
 	variant string
-	codec   string
 	timeout time.Duration
 	retry   *live.RetryPolicy
 	route   bool
@@ -85,11 +84,6 @@ type Option func(*Client)
 // transaction ("basic", "pa", "pn", "pc"); empty uses the daemon's
 // default.
 func WithVariant(v string) Option { return func(c *Client) { c.variant = v } }
-
-// WithCodec pins the wire codec the fleet must be speaking ("binary",
-// "gob-stream", "gob-packet"); a daemon speaking anything else rejects
-// with 409, so measurements cannot be attributed to the wrong format.
-func WithCodec(codec string) Option { return func(c *Client) { c.codec = codec } }
 
 // WithTimeout bounds each HTTP request. Default 30s.
 func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
@@ -133,13 +127,10 @@ func (c *Client) Commit(ctx context.Context, tx string, ops []api.Op) (*api.Comm
 }
 
 // Do issues one fully-specified commit request. The client's
-// variant/codec options fill unset fields.
+// variant option fills an unset variant.
 func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResponse, error) {
 	if req.Variant == "" {
 		req.Variant = c.variant
-	}
-	if req.Codec == "" {
-		req.Codec = c.codec
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -204,7 +195,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 }
 
 // retryable: transport failures and load sheds; taxonomy rejections
-// (400/409/422) will fail identically again.
+// (400/422) will fail identically again.
 func retryable(err error) bool {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {

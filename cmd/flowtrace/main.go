@@ -84,7 +84,6 @@ func main() {
 	mermaid := flag.Bool("mermaid", false, "emit Mermaid sequenceDiagram instead of ASCII")
 	chaos := flag.Bool("chaos", false, "replay a chaos schedule (with -seed) instead of a figure")
 	seed := flag.Int64("seed", 0, "chaos schedule seed for -chaos")
-	codec := flag.String("codec", "", "pin a wire codec for -chaos replays on the live engine: binary, gob-stream, gob-packet (empty = in-memory delivery)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -93,13 +92,9 @@ func main() {
 	defer prof.stop()
 
 	if *chaos {
-		renderChaos(*seed, *mermaid, *codec)
+		renderChaos(*seed, *mermaid)
 		prof.stop()
 		return
-	}
-	if *codec != "" {
-		fmt.Fprintln(os.Stderr, "flowtrace: -codec only applies to -chaos replays (figures run on the simulator, which has no wire)")
-		exit(2)
 	}
 
 	figures := map[int]func() (string, *core.Engine, []core.NodeID){
@@ -145,18 +140,10 @@ func main() {
 // renderChaos replays one seeded chaos schedule on its engine,
 // renders the interleaving, and reports the safety oracle's verdict.
 // It exits nonzero on a violation, so it doubles as a shell-scriptable
-// checker. A non-empty codec pins the live engine's wire format so
-// replays (and their pprof profiles) can be compared codec against
-// codec.
-func renderChaos(seed int64, mermaid bool, codec string) {
+// checker. Live-engine replays round-trip every packet through the
+// wire codec, as every live chaos schedule does.
+func renderChaos(seed int64, mermaid bool) {
 	s := check.FromSeed(seed)
-	if codec != "" {
-		if s.Engine != "live" {
-			fmt.Fprintf(os.Stderr, "flowtrace: chaos %s: -codec needs a live-engine schedule (this seed runs on the simulator)\n", s)
-			exit(2)
-		}
-		s.Codec = codec
-	}
 	res, err := check.Execute(s)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flowtrace: chaos %s: %v\n", s, err)

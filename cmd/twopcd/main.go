@@ -5,7 +5,7 @@
 // SIGTERM/SIGINT.
 //
 // One binary serves both roles. A coordinator names its subordinates
-// and accepts POST /commit; a subordinate just runs the protocol.
+// and accepts POST /v1/commit; a subordinate just runs the protocol.
 // Peer addresses are static flags, so a three-node cluster is three
 // processes:
 //
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/live"
-	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -57,7 +56,6 @@ func main() {
 	httpAddr := flag.String("http", "127.0.0.1:0", "observability/admin listen address")
 	subs := flag.String("subs", "", "comma-separated default subordinate names (coordinator role)")
 	variantName := flag.String("variant", "pa", "default protocol variant: basic, pa, pn, pc, paxos, 1pc")
-	codecName := flag.String("codec", "binary", "outbound wire codec: binary, gob-stream, gob-packet")
 	shards := flag.Int("shards", 0, "state-table shard count (0 = derive from GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 256, "admission limit; excess commits are shed with 503")
 	admitRate := flag.Float64("admit-rate", 0, "admission token-bucket refill rate, tokens/sec (read-only = 1 token, read-write = 1/participant; 0 = inflight cap only)")
@@ -66,7 +64,7 @@ func main() {
 	backpressureInterval := flag.Duration("backpressure-interval", 100*time.Millisecond, "backpressure controller sample period")
 	auditEvery := flag.Duration("audit-interval", time.Second, "conformance-audit period (negative disables)")
 	traceRing := flag.Int("trace-ring", 4096, "/tracez ring capacity (negative disables tracing)")
-	walPath := flag.String("wal", "", "durable WAL segment directory (empty = in-memory; an existing plain file is opened as a legacy JSON log)")
+	walPath := flag.String("wal", "", "durable WAL segment directory (empty = in-memory)")
 	walFsync := flag.Bool("wal-fsync", true, "issue real fdatasync on WAL forces (off trades durability for speed)")
 	walGroupWindow := flag.Duration("wal-group-window", 2*time.Millisecond, "max adaptive group-commit window; 0 forces every sync immediately")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 4<<20, "preallocated WAL segment size")
@@ -86,17 +84,12 @@ func main() {
 	if !ok {
 		log.Fatalf("twopcd: unknown variant %q", *variantName)
 	}
-	codec, err := protocol.ParseCodecKind(*codecName)
-	if err != nil {
-		log.Fatalf("twopcd: %v", err)
-	}
 
 	cfg := server.Config{
 		Name:          *name,
 		ListenProto:   *listen,
 		ListenHTTP:    *httpAddr,
 		Peers:         peers,
-		Codec:         codec,
 		Variant:       variant,
 		Shards:        *shards,
 		MaxInflight:   *maxInflight,
@@ -120,22 +113,13 @@ func main() {
 		cfg.Subs = strings.Split(*subs, ",")
 	}
 	if *walPath != "" {
-		if st, err := os.Stat(*walPath); err == nil && !st.IsDir() {
-			// Legacy newline-JSON log file from earlier deployments.
-			store, err := wal.OpenFileStore(*walPath, wal.WithFsync(*walFsync))
-			if err != nil {
-				log.Fatalf("twopcd: open wal: %v", err)
-			}
-			cfg.Log = wal.New(store)
-		} else {
-			store, err := wal.OpenSegmentStore(*walPath,
-				wal.WithSegmentFsync(*walFsync),
-				wal.WithSegmentBytes(*walSegmentBytes))
-			if err != nil {
-				log.Fatalf("twopcd: open wal: %v", err)
-			}
-			cfg.Log = wal.New(store)
+		store, err := wal.OpenSegmentStore(*walPath,
+			wal.WithSegmentFsync(*walFsync),
+			wal.WithSegmentBytes(*walSegmentBytes))
+		if err != nil {
+			log.Fatalf("twopcd: open wal: %v", err)
 		}
+		cfg.Log = wal.New(store)
 		if *walGroupWindow > 0 {
 			// The adaptive pipeline batches concurrent forces into
 			// shared fdatasyncs; with a zero window every force pays
@@ -148,8 +132,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("twopcd: %v", err)
 	}
-	log.Printf("twopcd %s: protocol on %s, http on %s, variant %s, codec %s, subs %v",
-		*name, s.ProtoAddr(), s.HTTPAddr(), variant, codec, cfg.Subs)
+	log.Printf("twopcd %s: protocol on %s, http on %s, variant %s, subs %v",
+		*name, s.ProtoAddr(), s.HTTPAddr(), variant, cfg.Subs)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -42,7 +42,6 @@ func main() {
 	rate := flag.Float64("rate", 200, "open-loop arrival rate, transactions/second")
 	duration := flag.Duration("duration", 10*time.Second, "how long to offer load")
 	variant := flag.String("variant", "", "protocol variant override: basic, pa, pn, pc (empty = daemon default)")
-	codec := flag.String("codec", "", "pin the daemon's wire codec: binary, gob-stream, gob-packet (empty = don't check)")
 	subs := flag.String("subs", "", "comma-separated subordinate override, i.e. the transaction tree size")
 	workers := flag.Int("workers", 64, "max concurrently outstanding transactions")
 	jsonOut := flag.Bool("json", false, "emit a single JSON result object instead of the text report")
@@ -64,7 +63,6 @@ func main() {
 	committer := &loadgen.HTTPCommitter{
 		BaseURL: strings.TrimRight(*target, "/"),
 		Variant: *variant,
-		Codec:   *codec,
 		Client: &http.Client{
 			Timeout: 30 * time.Second,
 			Transport: &http.Transport{

@@ -2,7 +2,8 @@
 // three participants, each with its own listener, log, and
 // transactional key-value store, running concurrently in goroutines.
 // The same wire vocabulary (internal/protocol packets) that the
-// deterministic simulator counts is here framed with gob over TCP.
+// deterministic simulator counts is here framed by the binary wire
+// codec over TCP.
 //
 // Run with:
 //

@@ -4,7 +4,6 @@
 // shard-map document served by /v1/shards, and the machine-readable
 // error taxonomy.
 //
-// The v1 surface replaces the untyped query-string POST /commit plane.
 // A request carries a list of typed get/put/delete operations; the
 // receiving coordinator (or the router in front of the fleet) resolves
 // each key's owning shard, stages the operations on the owners, and
@@ -76,18 +75,12 @@ type CommitRequest struct {
 	// Variant optionally overrides the daemon's default protocol
 	// variant: "basic", "pa", "pn", "pc".
 	Variant string `json:"variant,omitempty"`
-	// Codec optionally pins the wire codec the daemon must be speaking
-	// ("binary", "gob-stream", "gob-packet"); a mismatch is rejected
-	// with 409 so A/B measurements cannot be attributed to the wrong
-	// format.
-	Codec string `json:"codec,omitempty"`
 	// Ops are the transaction's typed key operations. When present,
 	// participants are resolved from the fleet shard map (the keys'
 	// owners) and Participants is ignored.
 	Ops []Op `json:"ops,omitempty"`
 	// Participants names the subordinate set explicitly for
-	// protocol-only transactions that carry no ops (the legacy /commit
-	// shape).
+	// protocol-only transactions that carry no ops.
 	Participants []string `json:"participants,omitempty"`
 }
 
@@ -193,11 +186,8 @@ type ShardsResponse struct {
 // Error codes (machine-readable; the HTTP status carries the class).
 const (
 	// CodeBadRequest (400): malformed JSON, invalid op, unknown
-	// variant or codec name.
+	// variant name.
 	CodeBadRequest = "bad_request"
-	// CodeCodecMismatch (409): the request pinned a wire codec the
-	// daemon does not speak.
-	CodeCodecMismatch = "codec_mismatch"
 	// CodeUnknownShard (422): a key resolved to no owner, or a named
 	// participant is not a known fleet member.
 	CodeUnknownShard = "unknown_shard"

@@ -87,15 +87,9 @@ func RunLive(s Schedule) (*RunResult, error) {
 		}
 		return m, true
 	}
-	netOpts := []netsim.ChanOption{netsim.WithTransform(transform)}
-	if s.Codec != "" {
-		kind, err := protocol.ParseCodecKind(s.Codec)
-		if err != nil {
-			return nil, err
-		}
-		netOpts = append(netOpts, netsim.WithChanCodec(kind))
-	}
-	net := netsim.NewChanNetwork(netOpts...)
+	// Every packet crosses the real wire codec, so each schedule also
+	// exercises byte-level marshaling under its failure pattern.
+	net := netsim.NewChanNetwork(netsim.WithTransform(transform), netsim.WithChanCodec())
 
 	parts := make(map[string]*live.Participant)
 	counters := make(map[string]*failCounter)

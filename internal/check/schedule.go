@@ -50,14 +50,6 @@ type Schedule struct {
 	// so recovery inquiry retries cannot be starved forever).
 	LossPermil int
 	LossWindow int
-
-	// Codec, when non-empty, makes the live engine round-trip every
-	// packet through the named wire codec ("binary", "gob-stream",
-	// "gob-packet"), so a replay exercises byte-level marshaling under
-	// the schedule's failure pattern. Empty (the seeded default)
-	// delivers packets in memory; the sim engine has no wire and
-	// ignores the pin.
-	Codec string
 }
 
 // FromSeed expands a seed into a schedule. The mapping is pure: the
@@ -157,9 +149,6 @@ func (s Schedule) String() string {
 	}
 	if s.LossPermil > 0 {
 		out += fmt.Sprintf(" loss=%d‰(max %d)", s.LossPermil, s.LossWindow)
-	}
-	if s.Codec != "" {
-		out += " codec=" + s.Codec
 	}
 	return out
 }

@@ -174,9 +174,13 @@ func TestQuickCheckpointEquivalence(t *testing.T) {
 	}
 }
 
-func TestCheckpointFileStore(t *testing.T) {
-	path := t.TempDir() + "/ckpt.wal"
-	store, err := wal.OpenFileStore(path, wal.WithFsync(false))
+// TestCheckpointSegmentStore runs the kvstore's checkpoint on the
+// on-disk segment log: the truncated log recovers the committed value,
+// keeps taking writes, and recovers again from a fresh open of the
+// same directory.
+func TestCheckpointSegmentStore(t *testing.T) {
+	dir := t.TempDir()
+	store, err := wal.OpenSegmentStore(dir, wal.WithSegmentFsync(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +198,9 @@ func TestCheckpointFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dropped == 0 {
-		t.Fatal("nothing dropped from the file store")
+		t.Fatal("nothing dropped from the segment store")
 	}
-	// The truncated file still recovers correctly.
+	// The truncated log still recovers correctly.
 	r, err := Recover("db", log, clock.NewVirtual())
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +208,7 @@ func TestCheckpointFileStore(t *testing.T) {
 	if v, _ := r.ReadCommitted("k"); v != "v9" {
 		t.Fatalf("k = %q", v)
 	}
-	// And the store remains usable for new appends after the rename.
+	// And the store remains usable for new appends after the rewrite.
 	id := tx(99)
 	s.Put(bg, id, "k", "post-ckpt")
 	s.Prepare(id)
@@ -215,5 +219,24 @@ func TestCheckpointFileStore(t *testing.T) {
 	}
 	if v, _ := r2.ReadCommitted("k"); v != "post-ckpt" {
 		t.Fatalf("k after post-checkpoint write = %q", v)
+	}
+	// A restart reads the same state back from disk.
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := wal.OpenSegmentStore(dir, wal.WithSegmentFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	r3, err := Recover("db", wal.New(reopened), clock.NewVirtual())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := r3.ReadCommitted("k"); v != "post-ckpt" {
+		t.Fatalf("k after reopen = %q", v)
 	}
 }

@@ -167,10 +167,10 @@ func BenchmarkLiveThroughput(b *testing.B) {
 
 // benchParallelMultiSub drives the headline throughput scenario: many
 // worker goroutines pipelining commits from one coordinator to several
-// subordinates. baseline reverts every hot-path optimization in this
-// package at once — single-shard state table, no flow coalescing, and
-// (over TCP) the per-packet codec — so one run records the pre- and
-// post-optimization numbers side by side.
+// subordinates. baseline reverts the hot-path optimizations in this
+// package at once — single-shard state table and no flow coalescing —
+// so one run records the pre- and post-optimization numbers side by
+// side.
 func benchParallelMultiSub(b *testing.B, tcp, baseline bool) {
 	const (
 		workers = 16
@@ -179,10 +179,6 @@ func benchParallelMultiSub(b *testing.B, tcp, baseline bool) {
 	pOpts := []Option{WithGroupCommit(8, 200*time.Microsecond)}
 	if baseline {
 		pOpts = append(pOpts, WithShards(1), WithoutCoalescing())
-	}
-	var tcpOpts []netsim.TCPOption
-	if baseline {
-		tcpOpts = append(tcpOpts, netsim.WithPerPacketCodec())
 	}
 
 	names := make([]string, subs)
@@ -193,7 +189,7 @@ func benchParallelMultiSub(b *testing.B, tcp, baseline bool) {
 	if tcp {
 		eps := make(map[string]*netsim.TCPEndpoint, subs+1)
 		for _, name := range append([]string{"C"}, names...) {
-			ep, err := netsim.ListenTCP(name, "127.0.0.1:0", tcpOpts...)
+			ep, err := netsim.ListenTCP(name, "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -270,9 +266,7 @@ func BenchmarkLiveParallelMultiSub(b *testing.B) {
 }
 
 // BenchmarkLiveParallelMultiSubTCP is the same scenario over loopback
-// TCP, where the baseline additionally pays the per-packet gob codec
-// (a fresh type dictionary on every frame) and one syscall per
-// message.
+// TCP, where the baseline's uncoalesced flows each cost a frame.
 func BenchmarkLiveParallelMultiSubTCP(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) { benchParallelMultiSub(b, true, false) })
 	b.Run("baseline", func(b *testing.B) { benchParallelMultiSub(b, true, true) })

@@ -53,11 +53,6 @@ type HTTPCommitter struct {
 	// for protocol-only transactions (ignored when ops are supplied —
 	// participants then come from the shard map).
 	Subs []string
-	// Codec, when set, pins the wire codec the daemon must be
-	// speaking ("binary", "gob-stream", "gob-packet"); the daemon
-	// rejects the run with 409 on a mismatch, so A/B load numbers
-	// can't be attributed to the wrong codec.
-	Codec string
 	// Client defaults to a keep-alive client with a generous pool.
 	Client *http.Client
 	// Retry, when set, retries sheds and transport failures on the
@@ -71,7 +66,7 @@ type HTTPCommitter struct {
 
 func (h *HTTPCommitter) cli() *client.Client {
 	h.once.Do(func() {
-		opts := []client.Option{client.WithVariant(h.Variant), client.WithCodec(h.Codec)}
+		opts := []client.Option{client.WithVariant(h.Variant)}
 		if h.Client != nil {
 			opts = append(opts, client.WithHTTPClient(h.Client))
 		}

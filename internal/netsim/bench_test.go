@@ -17,13 +17,13 @@ func benchPacket(i int) protocol.Packet {
 
 // benchTCPPair builds a registered A<->B TCP pair and a drain goroutine
 // on B, returning A and a received-packet counter.
-func benchTCPPair(b *testing.B, opts ...TCPOption) (*TCPEndpoint, *atomic.Int64) {
+func benchTCPPair(b *testing.B) (*TCPEndpoint, *atomic.Int64) {
 	b.Helper()
-	a, err := ListenTCP("A", "127.0.0.1:0", opts...)
+	a, err := ListenTCP("A", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bb, err := ListenTCP("B", "127.0.0.1:0", opts...)
+	bb, err := ListenTCP("B", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,12 +47,11 @@ func benchTCPPair(b *testing.B, opts ...TCPOption) (*TCPEndpoint, *atomic.Int64)
 // BenchmarkTCPConcurrentSendsOnePeer is the regression benchmark for
 // the send path's critical section: many goroutines sending to the
 // same peer must overlap (senders only enqueue; one writer goroutine
-// owns encode + write). The streaming variant must beat the
-// per-packet baseline on both time and allocations — if encode ever
-// moves back under a per-sender lock, this benchmark regresses first.
+// owns encode + write). If encode ever moves back under a per-sender
+// lock, this benchmark regresses first.
 func BenchmarkTCPConcurrentSendsOnePeer(b *testing.B) {
-	run := func(b *testing.B, opts ...TCPOption) {
-		a, _ := benchTCPPair(b, opts...)
+	b.Run("binary", func(b *testing.B) {
+		a, _ := benchTCPPair(b)
 		var i atomic.Int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -65,17 +64,13 @@ func BenchmarkTCPConcurrentSendsOnePeer(b *testing.B) {
 				}
 			}
 		})
-	}
-	b.Run("binary", func(b *testing.B) { run(b) })
-	b.Run("streaming", func(b *testing.B) { run(b, WithCodec(protocol.CodecStreamGob)) })
-	b.Run("perPacket", func(b *testing.B) { run(b, WithPerPacketCodec()) })
+	})
 }
 
-// BenchmarkTCPSendRoundTrip measures single-sender send+deliver cost
-// under both codecs.
+// BenchmarkTCPSendRoundTrip measures single-sender send+deliver cost.
 func BenchmarkTCPSendRoundTrip(b *testing.B) {
-	run := func(b *testing.B, opts ...TCPOption) {
-		a, got := benchTCPPair(b, opts...)
+	b.Run("binary", func(b *testing.B) {
+		a, got := benchTCPPair(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -86,8 +81,5 @@ func BenchmarkTCPSendRoundTrip(b *testing.B) {
 		// Drain fully so delivery cost is inside the timed window.
 		for got.Load() < int64(b.N) {
 		}
-	}
-	b.Run("binary", func(b *testing.B) { run(b) })
-	b.Run("streaming", func(b *testing.B) { run(b, WithCodec(protocol.CodecStreamGob)) })
-	b.Run("perPacket", func(b *testing.B) { run(b, WithPerPacketCodec()) })
+	})
 }

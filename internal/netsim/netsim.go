@@ -1,10 +1,11 @@
 // Package netsim provides live (non-simulated) transports for the
 // commit protocol's wire packets: an in-process channel network with
 // injectable latency, loss, and partitions, and a real TCP network
-// using length-prefixed gob frames. The deterministic simulator in
-// internal/core has its own delivery machinery; these transports back
-// the live examples (examples/netcommit) and demonstrate that the
-// protocol vocabulary runs over a real network stack.
+// using length-prefixed protocol.BinaryCodec frames. The deterministic
+// simulator in internal/core has its own delivery machinery; these
+// transports back the live examples (examples/netcommit) and
+// demonstrate that the protocol vocabulary runs over a real network
+// stack.
 package netsim
 
 import (
@@ -62,16 +63,13 @@ type ChanNetwork struct {
 	closed     bool
 }
 
-// wireCodec round-trips every delivered packet through a real wire
-// codec (see WithChanCodec). One encoder/decoder pair serves the whole
-// network under a mutex: frames decode in exactly the order they were
-// encoded, which is the same ordering contract a TCP connection gives
-// the stateful stream codec.
+// wireCodec round-trips every delivered packet through the wire
+// format (see WithChanCodec). One codec serves the whole network
+// under a mutex, as it would serve one TCP connection.
 type wireCodec struct {
-	mu  sync.Mutex
-	enc protocol.Codec
-	dec protocol.Codec
-	buf []byte
+	mu    sync.Mutex
+	codec *protocol.BinaryCodec
+	buf   []byte
 }
 
 // roundTrip encodes pkt and decodes it back, returning what a real
@@ -79,14 +77,14 @@ type wireCodec struct {
 func (w *wireCodec) roundTrip(pkt protocol.Packet) (protocol.Packet, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf, err := w.enc.AppendFrame(w.buf[:0], pkt)
+	buf, err := w.codec.AppendFrame(w.buf[:0], pkt)
 	if err != nil {
 		return protocol.Packet{}, err
 	}
 	w.buf = buf
 	// AppendFrame emits a 4-byte length prefix; DecodeFrame wants the
 	// bare frame, as on the TCP read path.
-	return w.dec.DecodeFrame(buf[4:])
+	return w.codec.DecodeFrame(buf[4:])
 }
 
 // ChanOption configures a ChanNetwork.
@@ -117,13 +115,13 @@ func WithTransform(t Transform) ChanOption {
 }
 
 // WithChanCodec makes the network encode and decode every delivered
-// packet through the given wire codec, so an in-process run (chaos
+// packet through protocol.BinaryCodec, so an in-process run (chaos
 // replay, profiling) exercises the same byte-level marshaling a TCP
 // deployment would. A packet the codec cannot round-trip is dropped
 // and the error surfaces from Send.
-func WithChanCodec(kind protocol.CodecKind) ChanOption {
+func WithChanCodec() ChanOption {
 	return func(n *ChanNetwork) {
-		n.wire = &wireCodec{enc: kind.New(), dec: kind.New()}
+		n.wire = &wireCodec{codec: protocol.NewBinaryCodec()}
 	}
 }
 

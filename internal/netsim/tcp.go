@@ -13,21 +13,17 @@ import (
 )
 
 // TCPEndpoint is an Endpoint backed by a real TCP listener. Packets
-// are length-prefixed frames encoded by a per-connection codec —
-// the hand-rolled binary format (protocol.BinaryCodec) by default,
-// with the gob codecs selectable for A/B comparison. Each dialer
-// announces its codec with a one-byte negotiation prefix before its
-// first frame, and the accepting side adapts per connection, so peers
-// running different codecs interoperate. Connections are dialed
-// lazily per destination and reused; each has a dedicated writer
-// goroutine, so senders only enqueue — encoding happens outside any
-// caller-visible critical section, and frames queued while a write
+// are length-prefixed protocol.BinaryCodec frames; the version byte
+// that opens every frame payload is the format guard, so a peer
+// speaking anything else is condemned at its first frame. Connections
+// are dialed lazily per destination and reused; each has a dedicated
+// writer goroutine, so senders only enqueue — encoding happens outside
+// any caller-visible critical section, and frames queued while a write
 // syscall was in flight are flushed together in one syscall.
 type TCPEndpoint struct {
-	name  string
-	ln    net.Listener
-	in    chan protocol.Packet
-	codec protocol.CodecKind // outbound wire format (see WithCodec)
+	name string
+	ln   net.Listener
+	in   chan protocol.Packet
 
 	mu       sync.Mutex
 	peers    map[string]string // name -> address
@@ -36,31 +32,6 @@ type TCPEndpoint struct {
 	done     chan struct{}
 	once     sync.Once
 	wg       sync.WaitGroup // per-connection reader and writer goroutines
-}
-
-// TCPOption configures a TCPEndpoint.
-type TCPOption func(*TCPEndpoint)
-
-// WithCodec selects the endpoint's outbound wire format. The inbound
-// side always follows the peer's negotiation byte, so endpoints with
-// different codecs interoperate; the option only pins what this
-// endpoint speaks.
-func WithCodec(kind protocol.CodecKind) TCPOption {
-	return func(e *TCPEndpoint) { e.codec = kind }
-}
-
-// WithBinaryCodec selects the hand-rolled binary wire format. It is
-// the default; the option exists so call sites can say so explicitly.
-func WithBinaryCodec() TCPOption {
-	return WithCodec(protocol.CodecBinary)
-}
-
-// WithPerPacketCodec makes the endpoint frame every outbound packet as
-// a self-contained gob blob (protocol.PacketCodec) and write one frame
-// per syscall. This is the oldest wire format; benchmarks use it as
-// the baseline.
-func WithPerPacketCodec() TCPOption {
-	return WithCodec(protocol.CodecPacketGob)
 }
 
 // tcpConn is one cached outbound connection. Senders enqueue packets
@@ -92,7 +63,7 @@ var errCondemned = errors.New("netsim: cached connection condemned by concurrent
 
 // ListenTCP starts an endpoint named name on addr (e.g.
 // "127.0.0.1:0"). The OS-assigned address is available from Addr.
-func ListenTCP(name, addr string, opts ...TCPOption) (*TCPEndpoint, error) {
+func ListenTCP(name, addr string) (*TCPEndpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: listen %s: %w", addr, err)
@@ -105,9 +76,6 @@ func ListenTCP(name, addr string, opts ...TCPOption) (*TCPEndpoint, error) {
 		conns:    make(map[string]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(e)
 	}
 	go e.acceptLoop()
 	return e, nil
@@ -162,20 +130,8 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.mu.Unlock()
 	}()
-	// The dialer's first byte announces its codec for this direction;
-	// an unknown announcement condemns the connection before any frame
-	// is interpreted.
 	br := bufio.NewReaderSize(conn, readBufSize)
-	nb, err := br.ReadByte()
-	if err != nil {
-		return
-	}
-	kind, err := protocol.KindFromNegotiation(nb)
-	if err != nil {
-		return
-	}
-	codec := kind.New()
-	skippable := kind.Skippable()
+	codec := protocol.NewBinaryCodec()
 	var hdr [4]byte
 	var buf []byte
 	for {
@@ -195,10 +151,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		pkt, err := codec.DecodeFrame(buf)
 		if err != nil {
-			if !skippable {
-				return // codec state is unrecoverable; drop the connection
-			}
-			continue // self-contained frame: drop it, keep the connection
+			return // a corrupt frame leaves no trustworthy boundary; drop the connection
 		}
 		select {
 		case e.in <- pkt:
@@ -253,11 +206,9 @@ func (e *TCPEndpoint) writeLoop(c *tcpConn) {
 	defer e.wg.Done()
 	defer close(c.dead)
 	defer c.conn.Close()
-	codec := e.codec.New()
-	perPacket := e.codec == protocol.CodecPacketGob
+	codec := protocol.NewBinaryCodec()
 	bufp := protocol.FrameBufPool.Get().(*[]byte)
 	defer protocol.PutFrameBuf(bufp)
-	first := true
 	for {
 		var pkt protocol.Packet
 		select {
@@ -265,32 +216,24 @@ func (e *TCPEndpoint) writeLoop(c *tcpConn) {
 		case <-e.done:
 			return
 		}
-		buf := (*bufp)[:0]
-		if first {
-			// Announce this direction's codec before the first frame.
-			buf = append(buf, e.codec.NegotiationByte())
-			first = false
-		}
-		var err error
-		if buf, err = codec.AppendFrame(buf, pkt); err != nil {
+		buf, err := codec.AppendFrame((*bufp)[:0], pkt)
+		if err != nil {
 			return
 		}
 		// Send hands over ownership of pkt.Messages, so once a packet
 		// is on the wire its backing array goes back to the codec pool.
 		protocol.PutMsgSlice(pkt.Messages)
-		if !perPacket {
-			// Batch whatever queued while we were encoding or writing.
-		drain:
-			for len(buf) < maxWriteBatch {
-				select {
-				case pkt = <-c.q:
-					if buf, err = codec.AppendFrame(buf, pkt); err != nil {
-						return
-					}
-					protocol.PutMsgSlice(pkt.Messages)
-				default:
-					break drain
+		// Batch whatever queued while we were encoding or writing.
+	drain:
+		for len(buf) < maxWriteBatch {
+			select {
+			case pkt = <-c.q:
+				if buf, err = codec.AppendFrame(buf, pkt); err != nil {
+					return
 				}
+				protocol.PutMsgSlice(pkt.Messages)
+			default:
+				break drain
 			}
 		}
 		*bufp = buf[:0] // keep the grown capacity for the next iteration

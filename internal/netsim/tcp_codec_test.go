@@ -2,61 +2,12 @@ package netsim
 
 import (
 	"encoding/binary"
-	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/protocol"
 )
-
-// Mixed-codec interop: the accepting side follows each dialer's
-// negotiation byte, so endpoints pinned to different codecs exchange
-// packets in both directions.
-func TestTCPMixedCodecs(t *testing.T) {
-	kinds := []protocol.CodecKind{
-		protocol.CodecBinary,
-		protocol.CodecStreamGob,
-		protocol.CodecPacketGob,
-	}
-	for _, ka := range kinds {
-		for _, kb := range kinds {
-			if ka == kb {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s_vs_%s", ka, kb), func(t *testing.T) {
-				a, err := ListenTCP("A", "127.0.0.1:0", WithCodec(ka))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer a.Close()
-				b, err := ListenTCP("B", "127.0.0.1:0", WithCodec(kb))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer b.Close()
-				a.Register("B", b.Addr())
-				b.Register("A", a.Addr())
-				for i := 0; i < 3; i++ {
-					if err := a.Send("B", pkt("A", "B", fmt.Sprintf("ab%d", i))); err != nil {
-						t.Fatal(err)
-					}
-					got := recvOne(t, b)
-					if got.From != "A" || got.Messages[0].Tx != fmt.Sprintf("ab%d", i) {
-						t.Fatalf("b got %+v", got)
-					}
-					if err := b.Send("A", pkt("B", "A", fmt.Sprintf("ba%d", i))); err != nil {
-						t.Fatal(err)
-					}
-					got = recvOne(t, a)
-					if got.From != "B" || got.Messages[0].Tx != fmt.Sprintf("ba%d", i) {
-						t.Fatalf("a got %+v", got)
-					}
-				}
-			})
-		}
-	}
-}
 
 // rawDial opens a plain TCP connection to the endpoint and writes the
 // given bytes, returning the connection.
@@ -83,23 +34,39 @@ func waitClosed(t *testing.T, conn net.Conn) {
 	}
 }
 
-// A corrupt frame on a stateful codec must condemn only that
-// connection — without panicking — and leave the endpoint serving
-// fresh connections.
+// A corrupt frame must condemn only that connection — without
+// panicking — and leave the endpoint serving fresh connections. The
+// bad-version case is the per-frame format guard: a well-formed length
+// prefix and an otherwise valid payload whose first byte is not
+// binaryVersion.
 func TestTCPCorruptFrameCondemnsConnection(t *testing.T) {
-	for _, kind := range []protocol.CodecKind{protocol.CodecBinary, protocol.CodecStreamGob} {
-		t.Run(kind.String(), func(t *testing.T) {
+	good, err := protocol.NewBinaryCodec().AppendFrame(nil, pkt("X", "E", "bad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badVersion := append([]byte(nil), good...)
+	badVersion[4]++ // the version byte opens the payload, after the length prefix
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"binary", []byte{0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef}},
+		{"bad-version", badVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			e, err := ListenTCP("E", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			// Valid negotiation + length prefix, garbage payload.
-			wire := []byte{kind.NegotiationByte()}
-			wire = append(wire, 0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef)
-			conn := rawDial(t, e, wire)
+			conn := rawDial(t, e, tc.wire)
 			defer conn.Close()
 			waitClosed(t, conn)
+			select {
+			case p := <-e.Recv():
+				t.Fatalf("corrupt frame delivered %+v", p)
+			default:
+			}
 
 			// The endpoint must still accept and serve a healthy peer.
 			h, err := ListenTCP("H", "127.0.0.1:0")
@@ -126,26 +93,13 @@ func TestTCPTruncatedHeaderCondemnsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	conn := rawDial(t, e, []byte{protocol.NegotiateBinary, 0, 0}) // half a length prefix
+	conn := rawDial(t, e, []byte{0, 0}) // half a length prefix
 	conn.Close()
 	select {
 	case p := <-e.Recv():
 		t.Fatalf("unexpected packet %+v", p)
 	case <-time.After(100 * time.Millisecond):
 	}
-}
-
-// An unknown negotiation byte condemns the connection before any frame
-// is interpreted.
-func TestTCPUnknownNegotiationByte(t *testing.T) {
-	e, err := ListenTCP("E", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	conn := rawDial(t, e, []byte{0x00, 0, 0, 0, 1, 0xff})
-	defer conn.Close()
-	waitClosed(t, conn)
 }
 
 // A length prefix past maxFrame is refused rather than allocated.
@@ -157,7 +111,7 @@ func TestTCPOversizedFrameCondemnsConnection(t *testing.T) {
 	defer e.Close()
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
-	conn := rawDial(t, e, append([]byte{protocol.NegotiateBinary}, hdr[:]...))
+	conn := rawDial(t, e, hdr[:])
 	defer conn.Close()
 	waitClosed(t, conn)
 }

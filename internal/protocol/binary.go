@@ -6,18 +6,19 @@ import (
 	"sync"
 )
 
-// BinaryCodec is the hand-written wire format: a fixed little-endian
-// header, varint-length strings, and explicit per-field encoding for
-// every Message field. It exists because gob — even the streaming
-// variant that amortizes the type dictionary — pays a reflection walk
-// per frame (~1µs and 8 allocations to decode a two-message packet).
+// BinaryCodec is the wire format: a fixed little-endian header,
+// varint-length strings, and explicit per-field encoding for every
+// Message field. It is the only format on the wire. It replaced gob
+// because gob pays a reflection walk per frame: in BENCH_live.json a
+// two-message packet encodes in 63 ns here against 722 ns for a
+// persistent gob stream and 8161 ns for per-packet gob.
 // The commit hot path sends four flows per subordinate per
 // transaction, so the codec is multiplied into everything; the paper's
 // whole economy is making each flow cheap.
 //
 // Layout of one frame payload (after the transport's 4-byte big-endian
-// length prefix, which is shared by every codec so transports can
-// split, drop, and transform frames without understanding them):
+// length prefix, which lets transports split, drop, and transform
+// frames without understanding them):
 //
 //	byte    version (binaryVersion)
 //	string  From            (uvarint length + bytes)
@@ -44,11 +45,13 @@ import (
 // packet's []Message backing (taken from the shared message-slice
 // pool), so steady-state decode is at most one allocation per frame.
 //
-// A BinaryCodec is bound to one connection like StreamCodec — the
-// intern table is per-connection state — but unlike gob streams each
-// frame is self-delimiting: decoding never depends on having seen
-// earlier frames, so a decode error condemns only because corruption
-// of a length-prefixed stream is not locally recoverable.
+// A BinaryCodec is bound to one connection — the intern table is
+// per-connection state — but each frame is self-delimiting: decoding
+// never depends on having seen earlier frames. The version byte that
+// opens every frame is the format guard; a frame with any other first
+// byte fails to decode, and the transport condemns the connection
+// because corruption of a length-prefixed stream is not locally
+// recoverable.
 type BinaryCodec struct {
 	mu    sync.Mutex
 	names map[string]string
@@ -134,7 +137,7 @@ func CutLenBytes(buf []byte) (field, rest []byte, ok bool) {
 	return rest[:n], rest[n:], true
 }
 
-// AppendFrame implements Codec: one length-prefixed frame carrying
+// AppendFrame encodes one length-prefixed frame carrying
 // pkt, appended to dst with no allocations beyond dst's own growth.
 func (c *BinaryCodec) AppendFrame(dst []byte, pkt Packet) ([]byte, error) {
 	start := len(dst)
@@ -267,7 +270,8 @@ func (c *BinaryCodec) string(r *binReader) (string, error) {
 	return s, nil
 }
 
-// DecodeFrame implements Codec. The returned packet's strings are
+// DecodeFrame decodes the packet carried by one frame payload (the
+// bytes after the length prefix). The returned packet's strings are
 // interned per connection and its Messages slice comes from the shared
 // message pool; the frame's backing array may be reused by the caller
 // as soon as DecodeFrame returns.

@@ -7,6 +7,36 @@ import (
 	"testing"
 )
 
+func testPacket(i int) Packet {
+	return Packet{
+		From: "C", To: fmt.Sprintf("S%d", i%3),
+		Messages: []Message{
+			{Type: MsgPrepare, Tx: fmt.Sprintf("C:%d", i), Presume: PresumeAbort},
+			{Type: MsgCommit, Tx: fmt.Sprintf("C:%d", i+1)},
+		},
+	}
+}
+
+// splitFrames cuts a concatenation of length-prefixed frames back into
+// payloads, as a transport's read loop would.
+func splitFrames(t *testing.T, wire []byte) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for len(wire) > 0 {
+		if len(wire) < 4 {
+			t.Fatalf("truncated length prefix: %d bytes left", len(wire))
+		}
+		n := binary.BigEndian.Uint32(wire)
+		wire = wire[4:]
+		if uint32(len(wire)) < n {
+			t.Fatalf("truncated frame: want %d, have %d", n, len(wire))
+		}
+		frames = append(frames, wire[:n])
+		wire = wire[n:]
+	}
+	return frames
+}
+
 // fullPacket exercises every Message field the wire format carries.
 func fullPacket() Packet {
 	return Packet{
@@ -84,7 +114,7 @@ func TestBinaryCodecGobParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobWire, err := PacketCodec{}.AppendFrame(nil, pkt)
+	gobBlob, err := pkt.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +122,7 @@ func TestBinaryCodecGobParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobPkt, err := PacketCodec{}.DecodeFrame(splitFrames(t, gobWire)[0])
+	gobPkt, err := Decode(gobBlob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,35 +329,6 @@ func TestMsgSlicePoolClearsAndBounds(t *testing.T) {
 	PutMsgSlice(got)
 }
 
-func TestParseCodecKind(t *testing.T) {
-	cases := map[string]CodecKind{
-		"": CodecBinary, "binary": CodecBinary,
-		"gob-stream": CodecStreamGob, "stream": CodecStreamGob, "gob": CodecStreamGob,
-		"gob-packet": CodecPacketGob, "packet": CodecPacketGob,
-	}
-	for in, want := range cases {
-		got, err := ParseCodecKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseCodecKind(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseCodecKind("xml"); err == nil {
-		t.Error("ParseCodecKind(xml) succeeded")
-	}
-	for _, k := range []CodecKind{CodecBinary, CodecStreamGob, CodecPacketGob} {
-		back, err := KindFromNegotiation(k.NegotiationByte())
-		if err != nil || back != k {
-			t.Errorf("negotiation round trip for %v: got %v, %v", k, back, err)
-		}
-		if k.New() == nil {
-			t.Errorf("%v.New() = nil", k)
-		}
-	}
-	if _, err := KindFromNegotiation(0x00); err == nil {
-		t.Error("KindFromNegotiation(0) succeeded")
-	}
-}
-
 func BenchmarkBinaryCodecEncode(b *testing.B) {
 	enc := NewBinaryCodec()
 	pkt := testPacket(1)
@@ -343,8 +344,8 @@ func BenchmarkBinaryCodecEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkBinaryCodecDecode is the BinaryCodec equivalent of
-// BenchmarkStreamCodecDecode: same packet shape, same framing walk.
+// BenchmarkBinaryCodecDecode decodes the packet shape the encode
+// benchmark produces, walking the frames as a transport read loop does.
 func BenchmarkBinaryCodecDecode(b *testing.B) {
 	enc, dec := NewBinaryCodec(), NewBinaryCodec()
 	var wire []byte

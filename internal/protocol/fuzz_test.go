@@ -5,30 +5,40 @@ import (
 	"testing"
 )
 
-// FuzzDecode ensures arbitrary bytes never panic the packet decoder —
-// a corrupted TCP frame must be droppable, not fatal.
+// FuzzDecode feeds arbitrary bytes to the decoder that parses every
+// TCP frame payload. It must never panic — a corrupted frame condemns
+// its connection, not the process — and whatever it accepts must
+// survive a re-encode and decode unchanged, so the decoder cannot
+// accept a packet the encoder would write differently.
 func FuzzDecode(f *testing.F) {
-	good, _ := (Packet{From: "A", To: "B", Messages: []Message{{Type: MsgPrepare, Tx: "A:1"}}}).Encode()
-	f.Add(good)
+	good, _ := NewBinaryCodec().AppendFrame(nil, Packet{From: "A", To: "B", Messages: []Message{{Type: MsgPrepare, Tx: "A:1"}}})
+	f.Add(good[4:]) // the payload, as the read loop hands it over
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
+	f.Add([]byte{binaryVersion, 0x00, 0x13, 0x37})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pkt, err := Decode(data) // must not panic
+		pkt, err := NewBinaryCodec().DecodeFrame(data) // must not panic
 		if err != nil {
 			return
 		}
-		// Whatever decoded must re-encode.
-		if _, err := pkt.Encode(); err != nil {
+		frame, err := NewBinaryCodec().AppendFrame(nil, pkt)
+		if err != nil {
 			t.Fatalf("decoded packet failed to re-encode: %v", err)
+		}
+		again, err := NewBinaryCodec().DecodeFrame(frame[4:])
+		if err != nil {
+			t.Fatalf("re-encoded packet failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, pkt) {
+			t.Fatalf("re-encode drift:\n got %+v\nwant %+v", again, pkt)
 		}
 	})
 }
 
 // FuzzBinaryVsGobRoundTrip is the differential oracle for the
 // hand-rolled wire format: the same packet encoded with BinaryCodec
-// and with the self-describing gob PacketCodec must decode to
-// identical values, and both must equal the input (normalized for the
+// and with the self-describing gob encoding (gob_test.go) must decode
+// to identical values, and both must equal the input (normalized for the
 // one representational freedom both codecs share: empty strings and
 // slices decode to their zero value, never to a non-nil empty).
 func FuzzBinaryVsGobRoundTrip(f *testing.F) {
@@ -86,7 +96,7 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary encode: %v", err)
 		}
-		gobFrame, err := (PacketCodec{}).AppendFrame(nil, want)
+		gobBlob, err := want.Encode()
 		if err != nil {
 			t.Fatalf("gob encode: %v", err)
 		}
@@ -94,7 +104,7 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
-		gobPkt, err := (PacketCodec{}).DecodeFrame(gobFrame[4:])
+		gobPkt, err := Decode(gobBlob)
 		if err != nil {
 			t.Fatalf("gob decode: %v", err)
 		}

@@ -9,7 +9,7 @@ import (
 // One-phase commit (the logless "vote before decide" fast path)
 // metadata rides in Message.Payload, exactly like Paxos Commit's: the
 // Message struct and the binary codec's frame layout stay unchanged,
-// so old peers and new peers negotiate the same codec version and a
+// so old peers and new peers speak the same frame version and a
 // packet carrying 1PC metadata is simply one an old peer would never
 // be sent.
 //

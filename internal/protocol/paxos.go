@@ -8,7 +8,7 @@ import (
 
 // Paxos Commit metadata rides in Message.Payload so the Message struct
 // and the binary codec's frame layout stay unchanged — old peers and
-// new peers negotiate the same codec version, and a packet carrying a
+// new peers speak the same frame version, and a packet carrying a
 // Paxos message simply has a payload the old peer would never be sent.
 //
 // The encoding is a compact, deterministic text format (debuggable in

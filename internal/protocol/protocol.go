@@ -9,11 +9,7 @@
 // packet does not. Metrics count both.
 package protocol
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // MsgType enumerates the protocol messages.
 type MsgType int
@@ -181,7 +177,7 @@ func (o OutcomeKind) String() string {
 }
 
 // Message is one protocol message. A single struct (rather than one
-// type per message) keeps gob encoding simple and mirrors how the
+// type per message) keeps the wire encoding flat and mirrors how the
 // LU 6.2 presentation-services headers multiplex fields.
 type Message struct {
 	Type MsgType
@@ -279,22 +275,4 @@ func (p Packet) Label() string {
 		s += "|" + m.Label()
 	}
 	return s
-}
-
-// Encode serializes the packet with gob for the TCP transport.
-func (p Packet) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("protocol: encode packet: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a packet produced by Encode.
-func Decode(data []byte) (Packet, error) {
-	var p Packet
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return Packet{}, fmt.Errorf("protocol: decode packet: %w", err)
-	}
-	return p, nil
 }

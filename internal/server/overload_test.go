@@ -88,7 +88,7 @@ func TestServerOverloadPriorityShed(t *testing.T) {
 	}
 }
 
-// TestServerOverloadRetryAfterHeader checks both 503 planes carry the
+// TestServerOverloadRetryAfterHeader checks a shed carries the
 // machine-readable retry hint.
 func TestServerOverloadRetryAfterHeader(t *testing.T) {
 	s, err := New(Config{Name: "A", AuditInterval: -1, AdmitRate: 1e-9, AdmitBurst: 1})
@@ -109,15 +109,6 @@ func TestServerOverloadRetryAfterHeader(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("v1 shed: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	// The deprecated v0 plane sheds with the same header.
-	resp, err = http.Post("http://"+s.HTTPAddr()+"/commit?tx=v0", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("v0 shed: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 

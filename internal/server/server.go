@@ -5,7 +5,7 @@
 // graceful drain.
 //
 // The same binary serves both roles. A coordinator daemon accepts
-// commit requests over HTTP (POST /commit) and drives the protocol
+// commit requests over HTTP (POST /v1/commit) and drives the protocol
 // over TCP against subordinate daemons, which run the participant's
 // receive loop and need no HTTP surface beyond observability.
 //
@@ -21,14 +21,12 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +40,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/router"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -58,20 +55,15 @@ type Config struct {
 	ListenProto string
 	// ListenHTTP is the observability/admin listen address.
 	ListenHTTP string
-	// Codec is the outbound wire format the daemon speaks to peers
-	// (the inbound side always follows each peer's negotiation byte).
-	// The zero value is the hand-rolled binary codec; the gob codecs
-	// are selectable for A/B comparison.
-	Codec protocol.CodecKind
 	// Peers maps participant names to protocol addresses. More can be
 	// added after startup with RegisterPeer (ports are usually
 	// OS-assigned, so wiring happens once every daemon is listening).
 	Peers map[string]string
-	// Subs is the default subordinate set for /commit requests that
-	// don't name their own.
+	// Subs is the default subordinate set for protocol-only
+	// /v1/commit requests that don't name their own participants.
 	Subs []string
-	// Variant is the default protocol variant for /commit requests;
-	// requests may override it per transaction.
+	// Variant is the default protocol variant for /v1/commit
+	// requests; requests may override it per transaction.
 	Variant core.Variant
 	// Shards overrides the participant's state-table shard count.
 	Shards int
@@ -238,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	ep, err := netsim.ListenTCP(cfg.Name, cfg.ListenProto, netsim.WithCodec(cfg.Codec))
+	ep, err := netsim.ListenTCP(cfg.Name, cfg.ListenProto)
 	if err != nil {
 		return nil, err
 	}
@@ -425,8 +417,8 @@ func (s *Server) sampleSignals() func() admission.Signal {
 // Commit admits and runs one transaction as coordinator, under v,
 // against subs (nil means the configured default set). Admission
 // fails with a ShedError (matching ErrOverloaded) at either limit and
-// ErrDraining during drain. The v0 plane carries no ops, so the class
-// is read-write with the subordinate tree's width.
+// ErrDraining during drain. A protocol-only commit carries no ops, so
+// the class is read-write with the subordinate tree's width.
 func (s *Server) Commit(ctx context.Context, tx string, subs []string, v core.Variant) (live.Outcome, error) {
 	if subs == nil {
 		subs = s.cfg.Subs
@@ -607,7 +599,6 @@ func (s *Server) mux() *http.ServeMux {
 	m.HandleFunc("/metrics", s.handleMetrics)
 	m.HandleFunc("/auditz", s.handleAuditz)
 	m.HandleFunc("/tracez", s.handleTracez)
-	m.HandleFunc("/commit", s.handleCommit) // deprecated: use /v1/commit
 	m.HandleFunc("/v1/commit", s.handleV1Commit)
 	m.HandleFunc("/v1/shards", s.handleShards)
 	m.HandleFunc("/v1/stage", s.handleStage)
@@ -658,7 +649,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
 	v := map[string]any{
 		"name":             s.cfg.Name,
 		"variant":          s.cfg.Variant.String(),
-		"codec":            s.cfg.Codec.String(),
 		"shards":           s.cfg.Shards,
 		"subs":             s.cfg.Subs,
 		"shard_map":        shardMap,
@@ -730,66 +720,6 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "%d events (ring)\n", len(events))
 	for _, e := range events {
 		fmt.Fprintln(w, e.String())
-	}
-}
-
-// handleCommit runs one transaction: POST /commit?tx=NAME&variant=PA
-// &subs=S1,S2&codec=binary. Missing tx gets a generated name; missing
-// subs/variant fall back to the daemon's configuration. A codec
-// parameter pins the wire format the caller expects this daemon to
-// speak — an A/B driver naming the wrong codec gets 409 instead of a
-// mislabeled measurement.
-//
-// Deprecated: this is the v0 query-string plane, kept as a shim for
-// old drivers. New callers use POST /v1/commit (typed ops, shard
-// resolution, machine-readable errors); see internal/api.
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	q := r.URL.Query()
-	if want := q.Get("codec"); want != "" {
-		kind, err := protocol.ParseCodecKind(want)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if kind != s.cfg.Codec {
-			http.Error(w, fmt.Sprintf("codec mismatch: daemon speaks %s, request pinned %s",
-				s.cfg.Codec, kind), http.StatusConflict)
-			return
-		}
-	}
-	tx := q.Get("tx")
-	if tx == "" {
-		tx = fmt.Sprintf("%s:%d", s.cfg.Name, time.Now().UnixNano())
-	}
-	v := s.cfg.Variant
-	if name := q.Get("variant"); name != "" {
-		parsed, ok := ParseVariant(name)
-		if !ok {
-			http.Error(w, "unknown variant "+name, http.StatusBadRequest)
-			return
-		}
-		v = parsed
-	}
-	var subs []string
-	if raw := q.Get("subs"); raw != "" {
-		subs = strings.Split(raw, ",")
-	}
-	out, err := s.Commit(r.Context(), tx, subs, v)
-	switch {
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
-		var shed *ShedError
-		if errors.As(err, &shed) {
-			w.Header().Set("Retry-After", strconv.FormatFloat(shed.RetryAfter.Seconds(), 'f', 3, 64))
-		}
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case err != nil:
-		http.Error(w, fmt.Sprintf("%s: %v", out, err), http.StatusInternalServerError)
-	default:
-		fmt.Fprintf(w, "%s %s\n", tx, out)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/wal"
@@ -62,7 +63,8 @@ func TestServerCommitAllVariantsOverTCP(t *testing.T) {
 	coord, s1, s2 := newTrio(t, Config{AuditInterval: -1})
 	ctx := context.Background()
 	seq := 0
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos} {
+	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos}
+	for _, v := range variants {
 		seq++
 		tx := fmt.Sprintf("C:%d", seq)
 		out, err := coord.Commit(ctx, tx, nil, v)
@@ -83,7 +85,7 @@ func TestServerCommitAllVariantsOverTCP(t *testing.T) {
 			if !rep.OK() {
 				t.Fatalf("%s: %s", s.cfg.Name, rep)
 			}
-			if checked >= 5 {
+			if checked >= len(variants) {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -92,7 +94,7 @@ func TestServerCommitAllVariantsOverTCP(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		rep, _ := s.AuditReport()
-		if rep.Exact != rep.Checked || rep.Checked < 5 {
+		if rep.Exact != rep.Checked || rep.Checked < len(variants) {
 			t.Fatalf("%s: checked=%d exact=%d", s.cfg.Name, rep.Checked, rep.Exact)
 		}
 	}
@@ -137,7 +139,8 @@ func TestServerAuditExactWithDurableWAL(t *testing.T) {
 
 	ctx := context.Background()
 	seq := 0
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos} {
+	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos}
+	for _, v := range variants {
 		seq++
 		tx := fmt.Sprintf("C:%d", seq)
 		out, err := coord.Commit(ctx, tx, nil, v)
@@ -178,14 +181,8 @@ func TestServerAuditExactWithDurableWAL(t *testing.T) {
 
 func TestServerHTTPPlane(t *testing.T) {
 	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Variant: core.VariantPA})
-	resp, err := http.Post("http://"+coord.HTTPAddr()+"/commit?tx=C:1&variant=PC", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "committed") {
-		t.Fatalf("POST /commit = %d %q", resp.StatusCode, body)
+	if status, cr, _ := postV1(t, coord, `{"tx":"C:1","variant":"pc"}`); status != http.StatusOK || cr.Outcome != "committed" {
+		t.Fatalf("POST /v1/commit = %d %+v", status, cr)
 	}
 
 	if code, body := httpGet(t, coord.HTTPAddr(), "/healthz"); code != 200 || !strings.Contains(body, "ok") {
@@ -218,19 +215,6 @@ func TestServerHTTPPlane(t *testing.T) {
 	if code, _ := httpGet(t, coord.HTTPAddr(), "/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
-
-	// Method and argument validation.
-	if code, _ := httpGet(t, coord.HTTPAddr(), "/commit"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /commit = %d, want 405", code)
-	}
-	resp, err = http.Post("http://"+coord.HTTPAddr()+"/commit?variant=XX", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad variant = %d, want 400", resp.StatusCode)
-	}
 }
 
 func TestServerAdmissionShedsLoad(t *testing.T) {
@@ -245,13 +229,8 @@ func TestServerAdmissionShedsLoad(t *testing.T) {
 	if !errors.As(err, &shed) || shed.Reason != "inflight" {
 		t.Fatalf("err = %v, want inflight ShedError", err)
 	}
-	resp, herr := http.Post("http://"+coord.HTTPAddr()+"/commit", "", nil)
-	if herr != nil {
-		t.Fatal(herr)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded /commit = %d, want 503", resp.StatusCode)
+	if status, _, e := postV1(t, coord, `{}`); status != http.StatusServiceUnavailable || e.Code != api.CodeOverloaded {
+		t.Fatalf("overloaded /v1/commit = %d %+v, want 503 %s", status, e, api.CodeOverloaded)
 	}
 	<-coord.sem
 	if out, err := coord.Commit(context.Background(), "C:10", nil, core.VariantPA); err != nil || out != live.Committed {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/live"
-	"repro/internal/protocol"
 )
 
 // maxBody bounds v1 request bodies.
@@ -81,23 +80,13 @@ func (s *Server) handleV1Commit(w http.ResponseWriter, r *http.Request) {
 }
 
 // runV1 validates, stages, and runs one typed transaction. The error
-// taxonomy: 400 malformed request, 409 codec pin mismatch, 422 a key
+// taxonomy: 400 malformed request, 422 a key
 // or named participant resolves to no known shard, 503 shed or
 // draining. A transaction that runs and aborts is not an error — the
 // response reports outcome "aborted" with the reason.
 func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.CommitResponse, *httpError) {
 	if err := creq.Validate(); err != nil {
 		return nil, errBadRequest("%v", err)
-	}
-	if creq.Codec != "" {
-		kind, err := protocol.ParseCodecKind(creq.Codec)
-		if err != nil {
-			return nil, errBadRequest("%v", err)
-		}
-		if kind != s.cfg.Codec {
-			return nil, &httpError{status: http.StatusConflict, e: api.ErrorOf(api.CodeCodecMismatch,
-				"codec mismatch: daemon speaks %s, request pinned %s", s.cfg.Codec, kind)}
-		}
 	}
 	v := s.cfg.Variant
 	if creq.Variant != "" {

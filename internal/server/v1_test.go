@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/api"
-	"repro/internal/protocol"
 )
 
 // postV1 posts a raw body to a daemon's /v1/commit and decodes either
@@ -68,7 +67,6 @@ func TestV1Taxonomy400(t *testing.T) {
 		{"get with value", `{"ops":[{"key":"k","op":"get","value":"v"}]}`},
 		{"ops and participants", `{"ops":[{"key":"k","op":"put","value":"v"}],"participants":["B"]}`},
 		{"unknown variant", `{"variant":"3pc"}`},
-		{"unknown codec name", `{"codec":"xml"}`},
 		{"self as participant", `{"participants":["A"]}`},
 	}
 	for _, c := range cases {
@@ -93,32 +91,6 @@ func TestV1Taxonomy400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/commit: status %d, want 405", resp.StatusCode)
-	}
-}
-
-// TestV1Taxonomy409CodecPin: pinning a codec the daemon does not speak
-// is a conflict, so A/B measurements cannot land on the wrong format.
-func TestV1Taxonomy409CodecPin(t *testing.T) {
-	s, err := New(Config{Name: "A", Codec: protocol.CodecBinary, AuditInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	status, _, e := postV1(t, s, `{"codec":"gob-stream"}`)
-	if status != http.StatusConflict {
-		t.Fatalf("status %d, want 409", status)
-	}
-	if e.Code != api.CodeCodecMismatch {
-		t.Fatalf("code %q, want %q", e.Code, api.CodeCodecMismatch)
-	}
-	if !strings.Contains(e.Error, "binary") || !strings.Contains(e.Error, "gob-stream") {
-		t.Fatalf("message should name both codecs: %q", e.Error)
-	}
-
-	// The matching pin passes.
-	if status, cr, _ := postV1(t, s, `{"codec":"binary","tx":"pin-ok"}`); status != http.StatusOK || cr.Outcome != "committed" {
-		t.Fatalf("matching pin: status %d resp %+v", status, cr)
 	}
 }
 
@@ -316,41 +288,5 @@ func TestV1StageEndpoint(t *testing.T) {
 	}
 	if _, ok := cr.Reads["k"]; ok {
 		t.Fatalf("aborted staged write leaked: %+v", cr.Reads)
-	}
-}
-
-// TestLegacyCommitShim: the deprecated query-string plane keeps its
-// exact contract for old drivers.
-func TestLegacyCommitShim(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{Name: "C", Subs: []string{"S1", "S2"}, AuditInterval: -1})
-	base := "http://" + coord.HTTPAddr()
-
-	resp, err := http.Get(base + "/commit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /commit: status %d, want 405", resp.StatusCode)
-	}
-
-	post := func(q string) (int, string) {
-		resp, err := http.Post(base+"/commit"+q, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
-	}
-	if status, body := post("?tx=legacy1&variant=pa"); status != http.StatusOK || !strings.Contains(body, "committed") {
-		t.Fatalf("legacy commit: status %d body %q", status, body)
-	}
-	if status, _ := post("?variant=3pc"); status != http.StatusBadRequest {
-		t.Fatalf("legacy bad variant: status %d, want 400", status)
-	}
-	if status, body := post("?codec=gob-packet"); status != http.StatusConflict ||
-		!strings.Contains(body, "codec mismatch") {
-		t.Fatalf("legacy codec pin: status %d body %q", status, body)
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,8 +30,10 @@ func BenchmarkForceMem(b *testing.B) {
 	}
 }
 
+// BenchmarkForceFileNoFsync forces through the on-disk segment store
+// with fdatasync off: the write path's CPU cost without the device.
 func BenchmarkForceFileNoFsync(b *testing.B) {
-	s, err := OpenFileStore(filepath.Join(b.TempDir(), "bench.wal"), WithFsync(false))
+	s, err := OpenSegmentStore(b.TempDir(), WithSegmentFsync(false))
 	if err != nil {
 		b.Fatal(err)
 	}

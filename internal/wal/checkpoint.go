@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Rewriter is implemented by stores that support checkpoint
 // truncation: atomically replacing the durable record set.
@@ -54,61 +51,5 @@ func (s *MemStore) ReplaceAll(recs []Record) error {
 	s.durable, s.size = nil, 0
 	s.harden(recs)
 	s.dropVolatile()
-	return nil
-}
-
-// ReplaceAll implements Rewriter for FileStore: the file is rewritten
-// through a temporary file and renamed into place, so a crash during
-// checkpointing leaves either the old or the new log, never a torn
-// one.
-func (s *FileStore) ReplaceAll(recs []Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	tmp := s.path + ".ckpt"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	enc := newLineEncoder(f)
-	for _, r := range recs {
-		if err := enc.encode(r); err != nil {
-			return err
-		}
-	}
-	if err := enc.flush(); err != nil {
-		return err
-	}
-	if s.fsync {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	ok = true
-	if err := os.Rename(tmp, s.path); err != nil {
-		return err
-	}
-	// Reopen the live handle on the new file.
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	s.f = nf
-	s.w.Reset(nf)
 	return nil
 }

@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestCheckpointMemStore(t *testing.T) {
 	l := New(NewMemStore())
@@ -57,9 +54,12 @@ func TestCheckpointClosedLog(t *testing.T) {
 	}
 }
 
-func TestCheckpointFileStoreRewrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.wal")
-	s, err := OpenFileStore(path, WithFsync(false))
+// TestCheckpointSegmentStoreRewrite checkpoints a disk-backed log:
+// the rewrite lands in a new segment generation, which keeps accepting
+// appends and survives a reopen.
+func TestCheckpointSegmentStoreRewrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegmentStore(dir, WithSegmentFsync(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCheckpointFileStoreRewrite(t *testing.T) {
 	if kept != 4 || dropped != 4 {
 		t.Fatalf("kept=%d dropped=%d", kept, dropped)
 	}
-	// The rewritten file continues to accept appends.
+	// The rewritten log continues to accept appends.
 	if _, err := l.Force(Record{Tx: "t", Kind: "After"}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,5 +91,20 @@ func TestCheckpointFileStoreRewrite(t *testing.T) {
 	}
 	if len(recs) != 5 || recs[4].Kind != "After" {
 		t.Fatalf("records = %+v", recs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenSegmentStore(dir, WithSegmentFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	recs, err = s2.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 || recs[0].Kind != "Keep" || recs[4].Kind != "After" {
+		t.Fatalf("records after reopen = %+v", recs)
 	}
 }

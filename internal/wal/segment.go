@@ -692,8 +692,8 @@ func (s *SegmentStore) Sync() error {
 
 // Records scans the current generation and returns every whole
 // record, stopping cleanly at a torn tail. The staged buffer is
-// written first so the result includes everything appended, matching
-// FileStore's semantics (the Log layer models the volatile buffer).
+// written first so the result includes everything appended (the Log
+// layer models the volatile buffer).
 func (s *SegmentStore) Records() ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

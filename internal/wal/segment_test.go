@@ -54,6 +54,39 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLogOverSegmentStore: the Log's volatile-buffer model sits on the
+// segment store unchanged — an append rides the next force to disk.
+func TestLogOverSegmentStore(t *testing.T) {
+	s := openSegs(t, t.TempDir(), WithSegmentFsync(false))
+	defer s.Close()
+	l := New(s)
+	l.Append(rec("t1", "LRMUpdate"))
+	l.Force(rec("t1", "Prepared"))
+	got, err := l.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("records = %d, want 2", len(got))
+	}
+}
+
+// TestSegmentStoreRefusesRegularFile: a -wal path naming a plain file
+// (an old newline-JSON log, say) is refused, never reinterpreted.
+func TestSegmentStoreRefusesRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.wal")
+	if err := os.WriteFile(path, []byte("{\"LSN\":1}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenSegmentStore(path, WithSegmentFsync(false)); err == nil {
+		s.Close()
+		t.Fatal("opened a regular file as a segment directory")
+	}
+	if data, _ := os.ReadFile(path); string(data) != "{\"LSN\":1}\n" {
+		t.Fatalf("refused file was modified: %q", data)
+	}
+}
+
 func TestSegmentStoreReopenAcrossRollovers(t *testing.T) {
 	dir := t.TempDir()
 	s := openSegs(t, dir, WithSegmentFsync(false), WithSegmentBytes(256))

@@ -5,8 +5,9 @@
 # (package-qualified) to its ns/op, B/op, allocs/op, and any custom
 # metrics (commits/sec, p50_us, ...). The live ParallelMultiSub
 # benchmarks run an optimized and a baseline (single shard, no
-# coalescing, per-packet codec) variant, so one run records the
-# before/after pair the acceptance criteria compare.
+# coalescing) variant, so one run records the before/after pair the
+# acceptance criteria compare. The wire-codec benchmarks cover the one
+# TCP format, protocol.BinaryCodec.
 #
 # Each benchmark runs COUNT times (default 3) and the written value is
 # the per-metric MEDIAN across runs: a single noisy neighbor or cold

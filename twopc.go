@@ -46,7 +46,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mqueue"
 	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/txerr"
 	"repro/internal/wal"
 )
@@ -171,15 +170,6 @@ type (
 
 // NewMemLog returns a Log over in-memory stable storage.
 func NewMemLog() *Log { return wal.New(wal.NewMemStore()) }
-
-// NewFileLog returns a Log over a file-backed store at path.
-func NewFileLog(path string) (*Log, error) {
-	store, err := wal.OpenFileStore(path)
-	if err != nil {
-		return nil, err
-	}
-	return wal.New(store), nil
-}
 
 // NewSegmentLog returns a Log over a preallocated segment directory
 // with real fdatasync on every device flush.
@@ -332,8 +322,6 @@ type (
 	MetricsCounters = metrics.Counters
 	// ChanOption configures a ChanNetwork.
 	ChanOption = netsim.ChanOption
-	// TCPOption configures a TCP transport endpoint.
-	TCPOption = netsim.TCPOption
 )
 
 // NewMetrics returns an empty metrics registry.
@@ -352,33 +340,6 @@ var NewChanNetwork = netsim.NewChanNetwork
 
 // ListenTCP starts a TCP transport endpoint.
 var ListenTCP = netsim.ListenTCP
-
-// CodecKind names a wire codec for TCPWithCodec and A/B comparisons.
-type CodecKind = protocol.CodecKind
-
-// Wire codecs. CodecBinary is the default.
-const (
-	CodecBinary    = protocol.CodecBinary
-	CodecStreamGob = protocol.CodecStreamGob
-	CodecPacketGob = protocol.CodecPacketGob
-)
-
-// ParseCodecKind maps a flag-friendly name ("binary", "gob-stream",
-// "gob-packet") to its codec kind.
-var ParseCodecKind = protocol.ParseCodecKind
-
-// TCPWithCodec pins the endpoint's outbound wire format; inbound
-// connections always follow the peer's negotiation byte, so
-// mixed-codec peers interoperate.
-var TCPWithCodec = netsim.WithCodec
-
-// TCPWithBinaryCodec selects the hand-rolled binary wire format
-// (the default).
-var TCPWithBinaryCodec = netsim.WithBinaryCodec
-
-// TCPWithPerPacketCodec frames every outbound packet as a
-// self-contained gob blob instead of a persistent stream.
-var TCPWithPerPacketCodec = netsim.WithPerPacketCodec
 
 // NewLiveParticipant wires a live participant to a transport
 // endpoint.
@@ -432,8 +393,6 @@ var NewClient = client.New
 var (
 	// ClientWithVariant requests a protocol variant per transaction.
 	ClientWithVariant = client.WithVariant
-	// ClientWithCodec pins the fleet's wire codec (409 on mismatch).
-	ClientWithCodec = client.WithCodec
 	// ClientWithTimeout bounds each HTTP request.
 	ClientWithTimeout = client.WithTimeout
 	// ClientWithRetry retries sheds and transport failures on the live
