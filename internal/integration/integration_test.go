@@ -258,7 +258,9 @@ func TestCrashRecoveryWithRealStores(t *testing.T) {
 func TestLockHoldTimesShrinkWithReadOnly(t *testing.T) {
 	// Table 1's "early release of locks" row, measured: the read-only
 	// optimization releases Pa's locks at its vote rather than after
-	// phase two.
+	// phase two. The hold is the growth of Pa's total released hold
+	// time across the transaction: the seed's locks are released
+	// before the baseline is read, and nothing else locks at Pa.
 	hold := func(readOnly bool) time.Duration {
 		cfg := core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: readOnly}}
 		cl := newCluster(t, cfg, false, "C", "Pa")
@@ -268,6 +270,7 @@ func TestLockHoldTimesShrinkWithReadOnly(t *testing.T) {
 		if res := seed.Commit("Pa"); res.Outcome != core.OutcomeCommitted {
 			t.Fatalf("seed: %+v", res)
 		}
+		base := kv.Locks().TotalHoldTime()
 		tx := cl.eng.Begin("C")
 		tx.Send("C", "Pa", "read")
 		if _, err := kv.Get(bg, tx.ID(), "k"); err != nil {
@@ -277,7 +280,10 @@ func TestLockHoldTimesShrinkWithReadOnly(t *testing.T) {
 		if res := tx.Commit("C"); res.Outcome != core.OutcomeCommitted {
 			t.Fatalf("commit: %+v", res)
 		}
-		return kv.Locks().HoldTime(tx.ID().String())
+		if n := kv.Locks().TableSize(); n != 0 {
+			t.Fatalf("Pa's lock table holds %d keys after the commit", n)
+		}
+		return kv.Locks().TotalHoldTime() - base
 	}
 	withOpt := hold(true)
 	without := hold(false)

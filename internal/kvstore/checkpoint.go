@@ -1,43 +1,146 @@
 package kvstore
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
-// recSnapshot is a full-state checkpoint record: recovery starts from
-// the latest snapshot instead of replaying all history.
-const recSnapshot = "LRMSnapshot"
+// Snapshot record kinds. A compaction writes a mark, then a snapshot:
+//
+//   - recSnapshotMark is appended under the store's mutex at the
+//     instant the committed state is copied. Its payload names the
+//     transactions open at that instant. Every transaction that wrote
+//     a record before the mark and is not named in it had already
+//     finished, so its effects are inside the snapshot; everything
+//     after the mark is newer than the snapshot.
+//   - recSnapshot carries the copied state. It is forced before any
+//     record is truncated, so a crash between the two leaves a log
+//     that still recovers (the truncation simply did not happen).
+const (
+	recSnapshotMark = "LRMSnapshotMark"
+	recSnapshot     = "LRMSnapshot"
+)
+
+// minCompactBytes is the log size below which a store does not
+// compact itself. A compaction costs one forced write whatever the
+// snapshot's size, so a store with a handful of keys waits until its
+// log amounts to something before paying it.
+const minCompactBytes = 64 << 10
+
+// kv is one committed key-value pair copied out for a snapshot.
+type kv struct{ k, v string }
 
 // Checkpoint writes a snapshot of the committed state to the log
 // (forced) and truncates everything older, except records belonging
 // to transactions that are still open (in doubt or heuristically
 // completed) — their update sets are still needed to resolve them.
 // It returns the number of log records dropped.
+//
+// A store that owns its log (not shared-log mode) also checkpoints by
+// itself, whenever the bytes it has logged since the last snapshot
+// exceed the snapshot's own size; Checkpoint forces one now.
 func (s *Store) Checkpoint() (dropped int, err error) {
-	s.mu.Lock()
-	data, err := json.Marshal(s.data)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("kvstore checkpoint: encode snapshot: %w", err)
-	}
-	open := make(map[string]bool, len(s.txs))
-	for id := range s.txs {
-		open[id.String()] = true
-	}
-	s.mu.Unlock()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.compactLocked()
+}
 
-	lsn, err := s.log.Force(wal.Record{Node: s.name, Kind: recSnapshot, Data: data})
-	if err != nil {
-		return 0, fmt.Errorf("kvstore checkpoint: write snapshot: %w", err)
+// maybeCompact runs a checkpoint when the log has grown past the
+// trigger: more bytes logged since the last snapshot than the
+// snapshot holds. Each compaction then costs at most what the log
+// traffic since the previous one cost, so the log stays within about
+// twice the snapshot plus the open transactions' records. Shared-log
+// stores never compact: the log is the transaction manager's, and the
+// store does not force it (§4 Sharing the Log).
+func (s *Store) maybeCompact() {
+	if s.sharedLog {
+		return
 	}
-	_, dropped, err = s.log.Checkpoint(func(r wal.Record) bool {
-		if r.Node != s.name {
-			return true // never drop another component's records (shared logs)
+	if n := s.logBytes.Load(); n <= s.snapBytes.Load() || n <= minCompactBytes {
+		return
+	}
+	if !s.compactMu.TryLock() {
+		return // a compaction is running; it covers this growth
+	}
+	defer s.compactMu.Unlock()
+	// A failure (a crashed or closed log) leaves the log whole; the
+	// next trigger retries.
+	_, _ = s.compactLocked()
+}
+
+// compactLocked is one checkpoint. Caller holds compactMu.
+func (s *Store) compactLocked() (int, error) {
+	mark, open, pairs, err := s.markSnapshot()
+	if err != nil {
+		return 0, err
+	}
+	if err := s.writeSnapshot(pairs); err != nil {
+		return 0, err
+	}
+	return s.truncateBefore(mark, open)
+}
+
+// markSnapshot copies the committed state and the open-transaction set
+// under the store's mutex and appends the mark that dates the copy.
+// The copy reuses the previous compaction's buffer; encoding happens
+// outside the lock.
+func (s *Store) markSnapshot() (mark int64, open map[string]bool, pairs []kv, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pairs = s.snapBuf[:0]
+	for k, v := range s.data {
+		pairs = append(pairs, kv{k, v})
+	}
+	open = make(map[string]bool, len(s.txs))
+	names := protocol.AppendUvarint(nil, uint64(len(s.txs)))
+	for _, st := range s.txs {
+		open[st.owner] = true
+		names = protocol.AppendLenString(names, st.owner)
+	}
+	mark, err = s.log.Append(wal.Record{Node: s.name, Kind: recSnapshotMark, Data: names})
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("kvstore checkpoint: write mark: %w", err)
+	}
+	s.logBytes.Store(0)
+	return mark, open, pairs, nil
+}
+
+// writeSnapshot encodes pairs and forces the snapshot record, then
+// hands the emptied buffer back for the next compaction.
+func (s *Store) writeSnapshot(pairs []kv) error {
+	size := binary.MaxVarintLen64
+	for _, p := range pairs {
+		size += 2*binary.MaxVarintLen64 + len(p.k) + len(p.v)
+	}
+	data := protocol.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
+	for _, p := range pairs {
+		data = protocol.AppendLenString(protocol.AppendLenString(data, p.k), p.v)
+	}
+	clear(pairs)
+	s.snapBuf = pairs[:0]
+	if _, err := s.log.Force(wal.Record{Node: s.name, Kind: recSnapshot, Data: data}); err != nil {
+		return fmt.Errorf("kvstore checkpoint: write snapshot: %w", err)
+	}
+	s.snapBytes.Store(int64(len(data)))
+	return nil
+}
+
+// truncateBefore drops this store's records that precede the mark,
+// except those of transactions open when it was taken. Records after
+// the mark (the snapshot among them) and other components' records
+// (shared logs) stay.
+func (s *Store) truncateBefore(mark int64, open map[string]bool) (int, error) {
+	past := false
+	_, dropped, err := s.log.Checkpoint(func(r wal.Record) bool {
+		if past || r.Node != s.name {
+			return true
 		}
-		if r.LSN >= lsn {
+		if r.LSN == mark && r.Kind == recSnapshotMark {
+			past = true
 			return true
 		}
 		return open[r.Tx]
@@ -46,4 +149,48 @@ func (s *Store) Checkpoint() (dropped int, err error) {
 		return 0, fmt.Errorf("kvstore checkpoint: truncate: %w", err)
 	}
 	return dropped, nil
+}
+
+var errSnapshotCorrupt = errors.New("kvstore: corrupt snapshot record")
+
+// decodeStrings reads a mark's open-transaction list.
+func decodeStrings(b []byte) ([]string, error) {
+	n, b, ok := protocol.CutUvarint(b)
+	if !ok || n > uint64(len(b)) {
+		return nil, errSnapshotCorrupt
+	}
+	out := make([]string, 0, n)
+	for i := uint64(0); i < n; i++ {
+		var f []byte
+		if f, b, ok = protocol.CutLenBytes(b); !ok {
+			return nil, errSnapshotCorrupt
+		}
+		out = append(out, string(f))
+	}
+	if len(b) != 0 {
+		return nil, errSnapshotCorrupt
+	}
+	return out, nil
+}
+
+// decodeSnapshot reads a snapshot record into data.
+func decodeSnapshot(b []byte, data map[string]string) error {
+	n, b, ok := protocol.CutUvarint(b)
+	if !ok || n > uint64(len(b)) {
+		return errSnapshotCorrupt
+	}
+	for i := uint64(0); i < n; i++ {
+		var k, v []byte
+		if k, b, ok = protocol.CutLenBytes(b); !ok {
+			return errSnapshotCorrupt
+		}
+		if v, b, ok = protocol.CutLenBytes(b); !ok {
+			return errSnapshotCorrupt
+		}
+		data[string(k)] = string(v)
+	}
+	if len(b) != 0 {
+		return errSnapshotCorrupt
+	}
+	return nil
 }

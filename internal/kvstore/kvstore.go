@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -110,6 +111,15 @@ type Store struct {
 	mu   sync.Mutex
 	data map[string]string
 	txs  map[core.TxID]*txState
+
+	// Self-compaction state (see checkpoint.go). logBytes counts the
+	// payload bytes logged since the last snapshot mark, snapBytes is
+	// that snapshot's size; compactMu serializes compactions and
+	// guards snapBuf, the reused state copy.
+	logBytes  atomic.Int64
+	snapBytes atomic.Int64
+	compactMu sync.Mutex
+	snapBuf   []kv
 }
 
 // New returns an empty store named name, logging to log and locking
@@ -134,6 +144,10 @@ func (s *Store) Name() string { return s.name }
 
 // Locks exposes the lock manager for hold-time accounting.
 func (s *Store) Locks() *lockmgr.Manager { return s.locks }
+
+// Log exposes the store's write-ahead log; tests read its records to
+// check that compaction keeps it bounded.
+func (s *Store) Log() *wal.Log { return s.log }
 
 func (s *Store) tx(id core.TxID) *txState {
 	st, ok := s.txs[id]
@@ -285,6 +299,7 @@ func (s *Store) writeLog(tx string, kind string, data []byte, force bool) error 
 	if err != nil {
 		return fmt.Errorf("kvstore %s: log %s: %w", s.name, kind, err)
 	}
+	s.logBytes.Add(int64(len(tx) + len(kind) + len(data)))
 	return nil
 }
 
@@ -359,6 +374,9 @@ func (s *Store) finish(tx core.TxID, commit, heuristic bool) error {
 		}
 	}
 	s.locks.ReleaseAll(owner)
+	if hadWrites {
+		s.maybeCompact()
+	}
 	return nil
 }
 

@@ -12,7 +12,8 @@ import (
 )
 
 // Recover rebuilds a store from the durable records of log, as a
-// restart after a crash would: committed transactions are replayed in
+// restart after a crash would: the latest snapshot is loaded, then
+// committed transactions it does not already hold are replayed in
 // log order, in-doubt transactions (prepared, no outcome record) are
 // reinstated in prepared state with their locks re-acquired — so the
 // data they touched stays unavailable until the commit protocol's
@@ -30,27 +31,42 @@ func Recover(name string, log *wal.Log, clk clock.Clock, opts ...Option) (*Store
 		prepared  bool
 		outcome   string // "", recCommitted, recAborted, recHeuristic
 		heuCommit bool
-		order     int // LSN order of the decisive record, for replay
+		first     int // index of the transaction's first record
 	}
 	txs := make(map[string]*txRec)
 	var order []string // first-appearance order of transactions
+	// The latest snapshot and the mark that dates it: a transaction
+	// with a record before the mark that the mark does not name as open
+	// had finished when the state was copied, so the snapshot already
+	// holds its effects.
 	var snapshot []byte
-	snapshotIdx := -1
+	snapMark := -1
+	var snapOpen []string
+	lastMark := -1
+	var lastOpen []byte
 
 	for i, rec := range recs {
 		if rec.Node != name {
 			continue
 		}
-		if rec.Kind == recSnapshot {
-			// Recovery restarts from the latest snapshot; only
-			// transactions deciding after it need replay.
-			snapshot = rec.Data
-			snapshotIdx = i
+		switch rec.Kind {
+		case recSnapshotMark:
+			lastMark, lastOpen = i, rec.Data
+			continue
+		case recSnapshot:
+			if lastMark < 0 {
+				return nil, fmt.Errorf("kvstore recover %s: snapshot without a mark", name)
+			}
+			open, err := decodeStrings(lastOpen)
+			if err != nil {
+				return nil, fmt.Errorf("kvstore recover %s: decode snapshot mark: %w", name, err)
+			}
+			snapshot, snapMark, snapOpen = rec.Data, lastMark, open
 			continue
 		}
 		tr, ok := txs[rec.Tx]
 		if !ok {
-			tr = &txRec{}
+			tr = &txRec{first: i}
 			txs[rec.Tx] = tr
 			order = append(order, rec.Tx)
 		}
@@ -65,10 +81,8 @@ func Recover(name string, log *wal.Log, clk clock.Clock, opts ...Option) (*Store
 			tr.prepared = true
 		case recCommitted, recAborted:
 			tr.outcome = rec.Kind
-			tr.order = i
 		case recHeuristic:
 			tr.outcome = recHeuristic
-			tr.order = i
 			var p struct {
 				Commit bool `json:"commit"`
 			}
@@ -78,11 +92,20 @@ func Recover(name string, log *wal.Log, clk clock.Clock, opts ...Option) (*Store
 			tr.heuCommit = p.Commit
 		}
 	}
+	inSnapshot := make(map[string]bool)
+	for id, tr := range txs {
+		if tr.first < snapMark {
+			inSnapshot[id] = true
+		}
+	}
+	for _, id := range snapOpen {
+		delete(inSnapshot, id)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snapshot != nil {
-		if err := json.Unmarshal(snapshot, &s.data); err != nil {
+		if err := decodeSnapshot(snapshot, s.data); err != nil {
 			return nil, fmt.Errorf("kvstore recover %s: decode snapshot: %w", name, err)
 		}
 	}
@@ -90,11 +113,7 @@ func Recover(name string, log *wal.Log, clk clock.Clock, opts ...Option) (*Store
 		tr := txs[id]
 		txid := core.ParseTxID(id)
 		apply := tr.outcome == recCommitted || (tr.outcome == recHeuristic && tr.heuCommit)
-		// Effects decided before the snapshot are already inside it.
-		if apply && tr.order <= snapshotIdx {
-			apply = false
-		}
-		if apply {
+		if apply && !inSnapshot[id] {
 			for _, w := range tr.writes {
 				if w.Delete {
 					delete(s.data, w.Key)

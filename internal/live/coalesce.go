@@ -28,33 +28,41 @@ type coalescer struct {
 	p     *Participant
 	delay time.Duration
 
-	mu     sync.Mutex
-	peers  map[string]*peerQueue
-	wg     sync.WaitGroup // transient flusher goroutines
-	closed bool
+	mu        sync.Mutex
+	sent      sync.Cond // signalled whenever a batch reaches the endpoint
+	peers     map[string]*peerQueue
+	wg        sync.WaitGroup // transient flusher goroutines
+	closed    bool
+	discarded bool
 }
 
 // peerQueue is one peer's pending batch. active is true while a
 // flusher goroutine owns the queue; guarded by the coalescer's mutex
 // (batches are small slices and peers are few, so one lock is cheaper
-// than a lock per peer plus a map lock in front of it).
+// than a lock per peer plus a map lock in front of it). queued and
+// handed count the messages ever enqueued and ever passed to the
+// endpoint, so a sender can wait for its own message to leave.
 type peerQueue struct {
-	pending []protocol.Message
-	active  bool
+	pending        []protocol.Message
+	active         bool
+	queued, handed uint64
 }
 
 func newCoalescer(p *Participant, delay time.Duration) *coalescer {
-	return &coalescer{p: p, delay: delay, peers: make(map[string]*peerQueue)}
+	c := &coalescer{p: p, delay: delay, peers: make(map[string]*peerQueue)}
+	c.sent.L = &c.mu
+	return c
 }
 
 // enqueue appends m to the peer's batch, starting a flusher if none
 // is running. piggybacked reports whether m joined a packet another
-// message already opened (the batch was non-empty).
-func (c *coalescer) enqueue(to string, m protocol.Message) (piggybacked bool, err error) {
+// message already opened (the batch was non-empty); seq numbers m in
+// the peer's queue for waitHanded.
+func (c *coalescer) enqueue(to string, m protocol.Message) (piggybacked bool, seq uint64, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return false, netsim.ErrClosed
+		return false, 0, netsim.ErrClosed
 	}
 	q := c.peers[to]
 	if q == nil {
@@ -69,13 +77,26 @@ func (c *coalescer) enqueue(to string, m protocol.Message) (piggybacked bool, er
 		q.pending = protocol.GetMsgSlice(4)
 	}
 	q.pending = append(q.pending, m)
+	q.queued++
+	seq = q.queued
 	if !q.active {
 		q.active = true
 		c.wg.Add(1)
 		go c.flush(to, q)
 	}
 	c.mu.Unlock()
-	return piggybacked, nil
+	return piggybacked, seq, nil
+}
+
+// waitHanded blocks until the seq-th message enqueued for to has been
+// passed to the endpoint, or the queue was discarded (a crash).
+func (c *coalescer) waitHanded(to string, seq uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	q := c.peers[to]
+	for q != nil && q.handed < seq && !c.discarded {
+		c.sent.Wait()
+	}
 }
 
 // flush drains one peer's queue: swap the batch out under the lock,
@@ -105,7 +126,12 @@ func (c *coalescer) flush(to string, q *peerQueue) {
 		}
 		q.pending = nil
 		c.mu.Unlock()
+		n := uint64(len(batch))
 		_ = c.p.ep.Send(to, protocol.Packet{From: c.p.name, To: to, Messages: batch})
+		c.mu.Lock()
+		q.handed += n
+		c.sent.Broadcast()
+		c.mu.Unlock()
 	}
 }
 
@@ -144,9 +170,10 @@ func (c *coalescer) close() {
 // mid-Send finish on their own once the endpoint dies.
 func (c *coalescer) discard() {
 	c.mu.Lock()
-	c.closed = true
+	c.closed, c.discarded = true, true
 	for _, q := range c.peers {
 		q.pending = nil
 	}
+	c.sent.Broadcast()
 	c.mu.Unlock()
 }

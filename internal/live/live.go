@@ -520,28 +520,43 @@ func (p *Participant) spawn(from string, m protocol.Message, fn func(string, pro
 	}()
 }
 
-// recordDecision publishes tx's outcome for inquiries and duplicate
-// deliveries. The first recording of each outcome is traced as the
-// node's decision point (the event the oracle orders lock releases
-// against); crashed participants record nothing.
+// recordDecision publishes the outcome of a transaction this node
+// coordinates (or recovered from its log) for inquiries and duplicate
+// deliveries.
 func (p *Participant) recordDecision(tx string, committed bool) {
+	p.publishDecision(tx, coordDecision(committed))
+}
+
+// recordSubDecisionLocked is recordDecision for a transaction this
+// node subordinates: the entry also keeps the announced presumption,
+// which a duplicate outcome arriving after the entry retires is
+// answered under. Caller holds st.mu.
+func (p *Participant) recordSubDecisionLocked(st *txState, committed bool) {
+	p.publishDecision(st.id, subDecision(committed, st.presume))
+}
+
+// publishDecision writes tx's decided-table entry. The first recording
+// of each outcome is traced as the node's decision point (the event
+// the oracle orders lock releases against); crashed participants
+// record nothing.
+func (p *Participant) publishDecision(tx string, d decision) {
 	if p.Crashed() {
 		return
 	}
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
 	prev, known := sh.decided[tx]
-	sh.decided[tx] = committed
+	sh.decided[tx] = d
 	sh.mu.Unlock()
-	if known && prev == committed {
+	if known && prev.committed() == d.committed() {
 		return // duplicate (e.g. retransmitted outcome)
 	}
 	if p.traceOn {
-		d := "abort"
-		if committed {
-			d = "commit"
+		dt := "abort"
+		if d.committed() {
+			dt = "commit"
 		}
-		p.trc.Add(trace.Event{Node: p.name, Kind: trace.KindDecision, Tx: tx, Detail: d + "(" + tx + ")"})
+		p.trc.Add(trace.Event{Node: p.name, Kind: trace.KindDecision, Tx: tx, Detail: dt + "(" + tx + ")"})
 	}
 }
 
@@ -649,12 +664,14 @@ func (p *Participant) routeAck(from string, m protocol.Message) {
 //
 // With coalescing enabled (the default), "transmission" means handing
 // the message to the per-peer coalescing writer: messages bound for
-// the same peer that overlap in time ride one wire packet. The
-// failpoint, trace, and metric side effects all happen here at
-// enqueue, so chaos schedules and the safety oracle observe the same
-// per-message event order whether or not the wire batches; a message
-// that joined a packet another message opened is counted as
-// piggybacked, the paper's flow-coalescing accounting.
+// the same peer that overlap in time ride one wire packet. The trace
+// and metric side effects happen here at enqueue, so chaos schedules
+// and the safety oracle observe the same per-message event order
+// whether or not the wire batches; a message that joined a packet
+// another message opened is counted as piggybacked, the paper's
+// flow-coalescing accounting. An after-send failpoint waits until the
+// writer has handed the message to the transport before it crashes
+// the participant.
 func (p *Participant) send(to string, m protocol.Message) error {
 	return p.sendFlow(to, m, false)
 }
@@ -681,9 +698,10 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 		p.trc.Add(trace.Event{Node: p.name, Peer: to, Kind: trace.KindSend, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
 	}
 	var err error
+	var seq uint64
 	piggybacked := false
 	if p.out != nil {
-		piggybacked, err = p.out.enqueue(to, m)
+		piggybacked, seq, err = p.out.enqueue(to, m)
 	} else {
 		msgs := append(protocol.GetMsgSlice(1), m)
 		err = p.ep.Send(to, protocol.Packet{From: p.name, To: to, Messages: msgs})
@@ -696,7 +714,14 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 		}
 		p.met.FlowSent(p.name, m.Tx, piggybacked, extra, m.Type != protocol.MsgData)
 	}
-	if p.fp != nil && p.hitFailpoint("after-send:"+m.Type.String()) {
+	if p.fp != nil && p.fp("after-send:"+m.Type.String()) {
+		// After the send means handed to the transport, not just queued
+		// for it: a crash now would discard the coalescer's queue with
+		// the message still in it.
+		if p.out != nil && err == nil {
+			p.out.waitHanded(to, seq)
+		}
+		p.Crash()
 		return ErrCrashed
 	}
 	return err

@@ -159,7 +159,11 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx core.T
 			st.mu.Unlock()
 			continue
 		}
-		_ = p.send(a, acc) // a lost accept falls to the recovery round
+		// A lost accept falls to the recovery round; a crash ends the
+		// fast path here, before any reply can be collected.
+		if err := p.send(a, acc); err != nil && p.Crashed() {
+			return InDoubt, ErrCrashed
+		}
 	}
 
 	quorum := p.paxosQuorum(len(acceptors))
@@ -370,7 +374,7 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 	}
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	committed, known := sh.decided[m.Tx]
+	d, known := sh.decided[m.Tx]
 	st, exists := sh.txs[m.Tx]
 	if !known && !exists {
 		st = sh.stateLocked(m.Tx)
@@ -382,20 +386,31 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 		// resurrecting a blank entry — a lingering one would make a
 		// duplicate outcome reply re-apply the whole transaction here
 		// (double writes, a corrupted cost ledger).
-		p.paxosReplyOutcome(meta.Leader, from, m.Tx, committed)
+		p.paxosReplyOutcome(meta.Leader, from, m.Tx, d.committed())
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	// A subordinate entry kept for its pending bundle retires as soon
+	// as this accept completes it.
+	defer p.retireLocked(st)
 	p.paxosAdoptLocked(st, meta)
 	if known {
+		committed := d.committed()
 		pendingBundle := committed && meta.Ballot == 0 && !st.paxBundled && len(st.paxAccepted) > 0
 		if !pendingBundle {
 			p.paxosReplyOutcome(meta.Leader, from, m.Tx, committed)
 			return
 		}
 	}
+	pending := st.bundlePending()
 	p.paxosAcceptLocked(st, meta, m.Vote)
+	if pending && st.paxBundled && p.met != nil {
+		// The subordinate's phase two closed without its bundle
+		// (applyOutcome); now that it is forced and sent, so is the
+		// acceptor's spend.
+		p.met.CostNodeDone(m.Tx, p.name)
+	}
 }
 
 // paxosAcceptLocked is the acceptor's accept rule (caller holds
@@ -498,12 +513,12 @@ func (p *Participant) handlePaxosQuery(from string, m protocol.Message) {
 	}
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	committed, known := sh.decided[m.Tx]
+	d, known := sh.decided[m.Tx]
 	if known {
 		// Answer before touching the table: creating a blank entry
 		// for a retired transaction invites duplicate re-application.
 		sh.mu.Unlock()
-		p.paxosReplyOutcome(meta.Leader, from, m.Tx, committed)
+		p.paxosReplyOutcome(meta.Leader, from, m.Tx, d.committed())
 		return
 	}
 	st := sh.stateLocked(m.Tx)

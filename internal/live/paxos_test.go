@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -212,6 +214,12 @@ func TestLivePaxosCoordinatorCrashAfterAccepts(t *testing.T) {
 		t.Fatalf("coordinator returned %v, crashed=%v", out, parts["C"].Crashed())
 	}
 
+	// The surviving acceptors' ballot-0 bundles must be durable before
+	// any recovery round starts: a promise drops volatile ballot-0
+	// accepts, and a round that preempts them may rightly abort.
+	for _, name := range []string{"S1", "S2"} {
+		waitUntil(t, 5*time.Second, func() bool { return hasRecord(t, logs[name], "PaxAccept") })
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, name := range []string{"S1", "S2", "S3"} {
@@ -240,6 +248,21 @@ func TestLivePaxosCoordinatorCrashAfterAccepts(t *testing.T) {
 			t.Errorf("%s durable verdict = (committed=%v, decided=%v), want hardened commit", name, committed, decided)
 		}
 	}
+}
+
+// hasRecord reports whether log holds a durable record of kind.
+func hasRecord(t *testing.T, log *wal.Log, kind string) bool {
+	t.Helper()
+	recs, err := log.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Kind == kind {
+			return true
+		}
+	}
+	return false
 }
 
 // TestLivePaxosAcceptorRestartRecovers: an acceptor-subordinate
@@ -324,4 +347,72 @@ func TestLivePaxosPreparedRecordCarriesMembership(t *testing.T) {
 		return
 	}
 	t.Fatal("no Prepared record in S3's log")
+}
+
+// TestLivePaxosAcceptorLedgerWaitsForBundle holds back S3's ballot-0
+// accept to S2, so the commit decision reaches acceptor S2 before its
+// bundle is complete. S2 must keep its state entry and its cost-ledger
+// entry open until the late accept lets it force the bundle; then the
+// entry retires and every node's spend matches the closed form. (An
+// entry closed at the decision would audit S2 short by the bundle's
+// forced record and flow.)
+func TestLivePaxosAcceptorLedgerWaitsForBundle(t *testing.T) {
+	var mu sync.Mutex
+	var held []protocol.Message
+	net := netsim.NewChanNetwork(netsim.WithTransform(func(from, to string, m protocol.Message) (protocol.Message, bool) {
+		if from == "S3" && to == "S2" && m.Type == protocol.MsgPaxosAccept {
+			mu.Lock()
+			held = append(held, m)
+			mu.Unlock()
+			return m, false
+		}
+		return m, true
+	}))
+	reg := metrics.New()
+	parts := map[string]*Participant{}
+	for _, name := range []string{"C", "S1", "S2", "S3"} {
+		p := NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
+			[]core.Resource{core.NewStaticResource("r" + name)}, WithVariant(core.VariantPaxos), WithMetrics(reg))
+		parts[name] = p
+		p.Start()
+		defer p.Stop()
+	}
+	out, err := parts["C"].Commit(context.Background(), "C:1", []string{"S1", "S2", "S3"})
+	if err != nil || out != Committed {
+		t.Fatalf("commit = %v, %v", out, err)
+	}
+	waitUntil(t, 5*time.Second, func() bool { _, ok := parts["S2"].Decided()["C:1"]; return ok })
+	if n := parts["S2"].StateTableSize(); n != 1 {
+		t.Fatalf("S2 keeps %d state entries with its bundle pending, want 1", n)
+	}
+	for _, v := range reg.CostSnapshot() {
+		if v.Tx == "C:1" && v.Nodes["S2"].Done {
+			t.Fatal("S2's ledger entry closed before its bundle was forced")
+		}
+	}
+
+	mu.Lock()
+	late := held
+	mu.Unlock()
+	if len(late) != 1 {
+		t.Fatalf("held %d accepts from S3 to S2, want 1", len(late))
+	}
+	x := net.Endpoint("X")
+	if err := x.Send("S2", protocol.Packet{From: "S3", To: "S2", Messages: late}); err != nil {
+		t.Fatal(err)
+	}
+	var rep audit.Report
+	waitUntil(t, 5*time.Second, func() bool {
+		views := reg.CostSnapshot()
+		for _, v := range views {
+			if !v.Closed() {
+				return false
+			}
+		}
+		rep = audit.Conformance(views)
+		return parts["S2"].StateTableSize() == 0
+	})
+	if !rep.OK() || rep.Exact != 4 {
+		t.Fatalf("audit: %d exact of 4\n%s", rep.Exact, rep)
+	}
 }

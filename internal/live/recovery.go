@@ -29,6 +29,8 @@ func (p *Participant) replayLog() {
 		init, decided bool
 		committed     bool
 		onePhase      []byte // a 1PC decision record's opc1 payload
+		sub           bool   // this node prepared it as a subordinate
+		presume       protocol.Presumption
 	}
 	states := make(map[string]*coordState)
 	var order []string
@@ -48,6 +50,9 @@ func (p *Participant) replayLog() {
 			if len(r.Data) > 0 {
 				st.subs = strings.Split(string(r.Data), ",")
 			}
+		case "Prepared":
+			st.sub = true
+			st.presume, _ = presumeFromData(r.Data)
 		case "Committed":
 			st.decided, st.committed = true, true
 			if protocol.IsOnePhasePayload(r.Data) {
@@ -60,6 +65,10 @@ func (p *Participant) replayLog() {
 	for _, tx := range order {
 		st := states[tx]
 		switch {
+		case st.decided && st.sub:
+			// Keep the presumption, so a duplicate outcome after the
+			// restart is re-acked as the live entry would have been.
+			p.publishDecision(tx, subDecision(st.committed, st.presume))
 		case st.decided:
 			p.recordDecision(tx, st.committed)
 			if st.onePhase != nil {
@@ -185,7 +194,10 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 		// Prepared record's payload; a record without one (pre-payload
 		// logs) falls back to no-presumption, whose force/ack rules are
 		// safe under every variant.
-		st := p.state(txName)
+		st, _, decided := p.liveState(txName)
+		if decided {
+			continue // resolved (and retired) since the log scan
+		}
 		st.mu.Lock()
 		if !st.done && !st.prepared {
 			st.prepared = true
@@ -205,7 +217,7 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 		if paxos {
 			rerr = p.resolvePaxosInDoubt(ctx, st, txName)
 		} else {
-			rerr = p.resolveInDoubt(ctx, coordinator, txName)
+			rerr = p.resolveInDoubt(ctx, st, coordinator, txName)
 		}
 		if err := rerr; err != nil {
 			unresolved = append(unresolved, txName)
@@ -265,9 +277,9 @@ func (p *Participant) InDoubtTxs() ([]string, error) {
 }
 
 // resolveInDoubt drives inquiries for one transaction until its state
-// resolves or the deadline passes.
-func (p *Participant) resolveInDoubt(ctx context.Context, coordinator, txName string) error {
-	st := p.state(txName)
+// st resolves or the deadline passes. The answer retires st from the
+// table; waiting on st itself, not a fresh lookup, is what sees it.
+func (p *Participant) resolveInDoubt(ctx context.Context, st *txState, coordinator, txName string) error {
 	inq := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
 	if err := p.send(coordinator, inq); err != nil {
 		return fmt.Errorf("live: inquiry to %s: %w (%v)", coordinator, ErrInDoubt, err)

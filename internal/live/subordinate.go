@@ -15,24 +15,23 @@ import (
 // and answer. The presumption announced on the Prepare is remembered
 // so phase two and recovery follow the coordinator's variant.
 func (p *Participant) handlePrepare(from string, m protocol.Message) {
-	st := p.state(m.Tx)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	if m.Delegate {
-		p.handleDelegateLocked(st, from, m)
+	st, d, decided := p.liveState(m.Tx)
+	if decided {
+		// Decided here and retired: a late duplicate, or a Prepare an
+		// abort overtook. It must not prepare, lock or log again.
+		p.answerDecidedPrepare(from, m, d.committed())
 		return
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	defer p.retireLocked(st)
+
 	if st.done {
-		// The outcome is already known here — an abort overtook this
-		// Prepare, or it is a late duplicate. Voting no is always safe
-		// for an aborted transaction; a committed one can only see a
-		// duplicate Prepare, which needs no answer. Paxos Commit has no
-		// MsgVote at all: a decided transaction just goes silent (the
-		// coordinator resolves through the acceptors).
-		if !st.committed && m.Presume != protocol.PresumePaxos {
-			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: st.id, Vote: protocol.VoteNo})
-		}
+		p.answerDecidedPrepare(from, m, st.committed)
+		return
+	}
+	if m.Delegate {
+		p.handleDelegateLocked(st, from, m)
 		return
 	}
 	if m.Presume == protocol.PresumePaxos {
@@ -72,7 +71,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	}
 	switch vote {
 	case protocol.VoteNo:
-		p.recordDecision(st.id, false)
+		p.recordSubDecisionLocked(st, false)
 		p.completeResources(tx, false)
 		p.finishLocked(st, false)
 	case protocol.VoteYes:
@@ -95,21 +94,32 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	}
 }
 
+// answerDecidedPrepare answers a Prepare for a transaction already
+// decided here — an abort overtook it, or it is a late duplicate. A
+// duplicate delegation repeats the decision. Otherwise voting no is
+// always safe for an aborted transaction, and a committed one can only
+// see a duplicate Prepare, which needs no answer. Paxos Commit has no
+// MsgVote at all: a decided transaction just goes silent (the
+// coordinator resolves through the acceptors).
+func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, committed bool) {
+	switch {
+	case m.Delegate:
+		mt := protocol.MsgAbort
+		if committed {
+			mt = protocol.MsgCommit
+		}
+		_ = p.sendExtra(from, protocol.Message{Type: mt, Tx: m.Tx})
+	case !committed && m.Presume != protocol.PresumePaxos:
+		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
+	}
+}
+
 // handleDelegateLocked runs the last-agent path (§4): the combined
 // "prepare, then you decide" message. The agent prepares, decides
 // unilaterally, forces the decision, applies it, and answers with the
 // outcome — a single round trip, with the agent's End written
 // immediately (the reply doubles as its acknowledgment).
 func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.Message) {
-	if st.done {
-		// Duplicate delegation: repeat the decision.
-		mt := protocol.MsgAbort
-		if st.committed {
-			mt = protocol.MsgCommit
-		}
-		_ = p.sendExtra(from, protocol.Message{Type: mt, Tx: st.id})
-		return
-	}
 	st.presume = m.Presume
 	v := variantOf(m.Presume)
 	tx := core.ParseTxID(m.Tx)
@@ -130,7 +140,7 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 		} else {
 			_ = p.force(rec)
 		}
-		p.recordDecision(st.id, false)
+		p.recordSubDecisionLocked(st, false)
 		p.completeResources(tx, false)
 		p.finishLocked(st, false)
 		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
@@ -139,7 +149,7 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 	}
 	// Commit (a read-only prepare also answers commit, with nothing
 	// logged — there is nothing to redo).
-	p.recordDecision(st.id, true)
+	p.recordSubDecisionLocked(st, true)
 	p.completeResources(tx, true)
 	p.finishLocked(st, true)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
@@ -149,17 +159,20 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 // applyOutcome runs a subordinate's phase two when the decision
 // arrives (directly, via retransmission, or as a recovery answer):
 // log it per the transaction's presumption, complete resources, and
-// acknowledge if the variant expects it.
+// acknowledge if the variant expects it. The entry then retires.
 func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	_, known := sh.decided[m.Tx]
+	d, known := sh.decided[m.Tx]
 	st, exists := sh.txs[m.Tx]
 	if known && !exists {
-		// Decided and already retired from the table (e.g. a Paxos
-		// coordinator answered by several acceptors): a duplicate
-		// delivery, not a transaction to re-apply.
+		// Decided and retired: a duplicate delivery, not a transaction
+		// to re-apply. It is re-acked exactly as the live entry would
+		// have been, under the presumption the entry ran with.
 		sh.mu.Unlock()
+		if v, sub := d.subVariant(); sub {
+			p.reack(from, m.Tx, v, d.committed(), commit)
+		}
 		return
 	}
 	if !exists {
@@ -168,6 +181,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	sh.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	defer p.retireLocked(st)
 
 	if known && !st.done && !st.prepared && !st.isCoord {
 		// The outcome table says this transaction was decided and fully
@@ -178,20 +192,17 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 		return
 	}
 
+	if st.done {
+		p.reack(from, m.Tx, variantOf(st.presume), st.committed, commit)
+		return
+	}
+
 	// The variant rules come from the Prepare's announced presumption;
 	// for an outcome with no preceding Prepare (redelivery after this
 	// node forgot), fall back to our configured variant.
 	v := variantOf(st.presume)
-	if !st.prepared && !st.done {
+	if !st.prepared {
 		v = p.variant
-	}
-
-	if st.done {
-		if st.committed == commit && expectsAckFor(v, commit) {
-			// Duplicate outcome: the coordinator missed our ack.
-			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
-		}
-		return
 	}
 
 	tx := core.ParseTxID(m.Tx)
@@ -218,7 +229,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	} else {
 		_ = p.lazy(rec)
 	}
-	p.recordDecision(st.id, commit)
+	p.recordSubDecisionLocked(st, commit)
 	heur := p.completeResources(tx, commit)
 	p.finishLocked(st, commit)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
@@ -231,7 +242,22 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 			out = "aborted"
 		}
 		p.met.CostOutcome(m.Tx, out, -1)
-		p.met.CostNodeDone(m.Tx, p.name)
+		// An acceptor whose ballot-0 bundle is still incomplete has a
+		// forced record and a flow left to spend; its ledger entry
+		// closes when the bundle does (handlePaxosAccept).
+		if !st.bundlePending() {
+			p.met.CostNodeDone(m.Tx, p.name)
+		}
+	}
+}
+
+// reack answers a duplicate outcome for a transaction this node
+// has already applied with committed under variant v: the coordinator
+// missed our ack, so send it again if the variant acknowledges this
+// outcome at all.
+func (p *Participant) reack(from, tx string, v core.Variant, committed, commit bool) {
+	if committed == commit && expectsAckFor(v, commit) {
+		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: tx})
 	}
 }
 
@@ -246,12 +272,12 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 func (p *Participant) handleInquire(from string, m protocol.Message) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	committed, known := sh.decided[m.Tx]
+	d, known := sh.decided[m.Tx]
 	_, active := sh.txs[m.Tx]
 	sh.mu.Unlock()
 	var out protocol.OutcomeKind
 	switch {
-	case known && committed:
+	case known && d.committed():
 		out = protocol.OutcomeCommit
 	case known:
 		out = protocol.OutcomeAbort
@@ -317,9 +343,13 @@ func (p *Participant) handleOutcomeReply(from string, m protocol.Message) {
 // arrives (§4 Unsolicited Vote). The coordinator buffers the vote and
 // skips this subordinate's Prepare when Commit runs.
 func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
-	st := p.state(txName)
+	st, _, decided := p.liveState(txName)
+	if decided {
+		return fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	defer p.retireLocked(st)
 	if st.done {
 		return fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
 	}
@@ -339,7 +369,7 @@ func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
 	}
 	switch vote {
 	case protocol.VoteNo:
-		p.recordDecision(st.id, false)
+		p.recordSubDecisionLocked(st, false)
 		p.completeResources(tx, false)
 		p.finishLocked(st, false)
 	case protocol.VoteYes:
@@ -418,5 +448,5 @@ func (p *Participant) finishLocked(st *txState, commit bool) {
 	st.done = true
 	st.committed = commit
 	close(st.resolved)
-	p.recordDecision(st.id, commit)
+	p.recordSubDecisionLocked(st, commit)
 }

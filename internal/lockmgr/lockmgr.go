@@ -18,6 +18,11 @@
 // transactions touching unrelated keys never contend on one mutex.
 // Only the waits-for graph is global — it is consulted exclusively on
 // the slow path, when a request actually blocks.
+//
+// The table holds only keys that are in use: a key's state is freed
+// the moment it has no holder and no waiter, and freed states are
+// recycled, so the table's size follows the in-flight work rather
+// than the number of keys ever locked.
 package lockmgr
 
 import (
@@ -69,7 +74,9 @@ type Held struct {
 	Hold time.Duration
 }
 
+// holder is one owner's grant on a key.
 type holder struct {
+	owner   string
 	mode    Mode
 	granted time.Duration // clock time of grant
 }
@@ -81,13 +88,53 @@ type waiter struct {
 	err   error         // set before ready is closed on failure
 }
 
+// lockState is one in-use key: its holders (a writer, or a handful of
+// readers, so a slice beats a map) and its FIFO wait queue.
 type lockState struct {
-	holders map[string]*holder
+	holders []holder
 	queue   []*waiter
 }
 
+// holder returns owner's grant on the key, or nil.
+func (ls *lockState) holder(owner string) *holder {
+	for i := range ls.holders {
+		if ls.holders[i].owner == owner {
+			return &ls.holders[i]
+		}
+	}
+	return nil
+}
+
+// dropHolder removes owner's grant and returns it.
+func (ls *lockState) dropHolder(owner string) (holder, bool) {
+	for i, h := range ls.holders {
+		if h.owner == owner {
+			last := len(ls.holders) - 1
+			ls.holders[i] = ls.holders[last]
+			ls.holders[last] = holder{}
+			ls.holders = ls.holders[:last]
+			return h, true
+		}
+	}
+	return holder{}, false
+}
+
+// statePool recycles freed lock states with their slices' capacity,
+// so a key that comes back into use costs no allocation.
+var statePool = sync.Pool{New: func() any { return new(lockState) }}
+
+// freeState resets ls and returns it to the pool. The reset drops
+// every owner string and waiter, so a recycled state carries nothing
+// of its previous key.
+func freeState(ls *lockState) {
+	clear(ls.holders)
+	clear(ls.queue)
+	ls.holders, ls.queue = ls.holders[:0], ls.queue[:0]
+	statePool.Put(ls)
+}
+
 // lockShard is one hash bucket of the lock table: a self-contained
-// lock map and its hold-time total, under one mutex.
+// map of in-use keys and its hold-time total, under one mutex.
 type lockShard struct {
 	clk    clock.Clock
 	idx    int
@@ -114,9 +161,8 @@ type ownerIndex struct {
 }
 
 type ownerShard struct {
-	mu      sync.Mutex
-	held    map[string][]heldKey     // owner -> keys held, in grant order
-	holdSum map[string]time.Duration // cumulative released hold time per owner
+	mu   sync.Mutex
+	held map[string][]heldKey // owner -> keys held, in grant order
 }
 
 func (ix *ownerIndex) shard(owner string) *ownerShard {
@@ -230,10 +276,7 @@ func New(clk clock.Clock, opts ...Option) *Manager {
 			owners: &m.owners,
 			locks:  make(map[string]*lockState),
 		}
-		m.owners.shards[i] = ownerShard{
-			held:    make(map[string][]heldKey),
-			holdSum: make(map[string]time.Duration),
-		}
+		m.owners.shards[i] = ownerShard{held: make(map[string][]heldKey)}
 	}
 	return m
 }
@@ -252,20 +295,31 @@ func (m *Manager) ShardIndex(key string) int {
 	return int(fnv32a(key) & m.mask)
 }
 
+// state returns key's lock state, taking a recycled one into the
+// table if the key is not in use. Caller holds sh.mu.
 func (sh *lockShard) state(key string) *lockState {
 	ls, ok := sh.locks[key]
 	if !ok {
-		ls = &lockState{holders: make(map[string]*holder)}
+		ls = statePool.Get().(*lockState)
 		sh.locks[key] = ls
 	}
 	return ls
 }
 
+// freeIfIdleLocked drops key from the table once nobody holds or
+// waits for it. Caller holds sh.mu.
+func (sh *lockShard) freeIfIdleLocked(key string, ls *lockState) {
+	if len(ls.holders) == 0 && len(ls.queue) == 0 {
+		delete(sh.locks, key)
+		freeState(ls)
+	}
+}
+
 // compatible reports whether owner may hold key in mode given current
 // holders (ignoring the queue).
 func compatible(ls *lockState, owner string, mode Mode) bool {
-	for o, h := range ls.holders {
-		if o == owner {
+	for _, h := range ls.holders {
+		if h.owner == owner {
 			continue
 		}
 		if mode == Exclusive || h.mode == Exclusive {
@@ -277,9 +331,9 @@ func compatible(ls *lockState, owner string, mode Mode) bool {
 
 // grantLocked records the grant. Caller holds sh.mu.
 func (sh *lockShard) grantLocked(ls *lockState, key, owner string, mode Mode) {
-	h, ok := ls.holders[owner]
-	if !ok {
-		ls.holders[owner] = &holder{mode: mode, granted: sh.clk.Now()}
+	h := ls.holder(owner)
+	if h == nil {
+		ls.holders = append(ls.holders, holder{owner: owner, mode: mode, granted: sh.clk.Now()})
 		sh.owners.add(owner, key, sh.idx)
 	} else if mode == Exclusive && h.mode == Shared {
 		h.mode = Exclusive // upgrade keeps the original grant time
@@ -295,7 +349,7 @@ func canGrantLocked(ls *lockState, owner string, mode Mode) bool {
 	if !compatible(ls, owner, mode) {
 		return false
 	}
-	if _, holds := ls.holders[owner]; holds {
+	if ls.holder(owner) != nil {
 		return true
 	}
 	for _, w := range ls.queue {
@@ -314,7 +368,7 @@ func (m *Manager) TryAcquire(owner, key string, mode Mode) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ls := sh.state(key)
-	if h, ok := ls.holders[owner]; ok && (mode == Shared || h.mode == Exclusive) {
+	if h := ls.holder(owner); h != nil && (mode == Shared || h.mode == Exclusive) {
 		return nil // already held in a sufficient mode
 	}
 	if !canGrantLocked(ls, owner, mode) {
@@ -330,7 +384,7 @@ func (m *Manager) Acquire(ctx context.Context, owner, key string, mode Mode) err
 	sh := m.shard(key)
 	sh.mu.Lock()
 	ls := sh.state(key)
-	if h, ok := ls.holders[owner]; ok && (mode == Shared || h.mode == Exclusive) {
+	if h := ls.holder(owner); h != nil && (mode == Shared || h.mode == Exclusive) {
 		sh.mu.Unlock()
 		return nil
 	}
@@ -398,6 +452,7 @@ func (sh *lockShard) removeWaiterLocked(key string, w *waiter) {
 		}
 	}
 	sh.wakeLocked(key)
+	sh.freeIfIdleLocked(key, ls)
 }
 
 // cyclicLocked walks the waits-for graph: owner is waiting for the
@@ -415,8 +470,8 @@ func (m *Manager) cyclicLocked(owner, start string) bool {
 		sh.mu.Lock()
 		var level []string
 		if ls, ok := sh.locks[key]; ok {
-			for h := range ls.holders {
-				level = append(level, h)
+			for _, h := range ls.holders {
+				level = append(level, h.owner)
 			}
 		}
 		sh.mu.Unlock()
@@ -449,7 +504,9 @@ func (sh *lockShard) wakeLocked(key string) {
 		if !compatible(ls, w.owner, w.mode) {
 			return
 		}
-		ls.queue = ls.queue[1:]
+		copy(ls.queue, ls.queue[1:])
+		ls.queue[len(ls.queue)-1] = nil
+		ls.queue = ls.queue[:len(ls.queue)-1]
 		sh.grantLocked(ls, key, w.owner, w.mode)
 		close(w.ready)
 	}
@@ -469,32 +526,29 @@ func (m *Manager) ReleaseAll(owner string) []Held {
 	slices.SortStableFunc(keys, func(a, b heldKey) int { return a.shard - b.shard })
 	now := m.clk.Now()
 	out := make([]Held, 0, len(keys))
-	var sum time.Duration
 	for i := 0; i < len(keys); {
 		sh := m.shards[keys[i].shard]
 		var shardSum time.Duration
 		sh.mu.Lock()
 		for ; i < len(keys) && m.shards[keys[i].shard] == sh; i++ {
 			key := keys[i].key
-			ls := sh.locks[key]
-			h, ok := ls.holders[owner]
+			ls, ok := sh.locks[key]
+			if !ok {
+				continue
+			}
+			h, ok := ls.dropHolder(owner)
 			if !ok {
 				continue
 			}
 			hold := max(now-h.granted, 0)
 			out = append(out, Held{Key: key, Mode: h.mode, Hold: hold})
 			shardSum += hold
-			delete(ls.holders, owner)
 			sh.wakeLocked(key)
+			sh.freeIfIdleLocked(key, ls)
 		}
 		sh.totalSum += shardSum
 		sh.mu.Unlock()
-		sum += shardSum
 	}
-	os := m.owners.shard(owner)
-	os.mu.Lock()
-	os.holdSum[owner] += sum
-	os.mu.Unlock()
 	slices.SortFunc(out, func(a, b Held) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
@@ -508,11 +562,8 @@ func (m *Manager) Holds(owner, key string, mode Mode) bool {
 	if !ok {
 		return false
 	}
-	h, ok := ls.holders[owner]
-	if !ok {
-		return false
-	}
-	return mode == Shared || h.mode == Exclusive
+	h := ls.holder(owner)
+	return h != nil && (mode == Shared || h.mode == Exclusive)
 }
 
 // HeldKeys returns the sorted keys owner currently holds.
@@ -526,15 +577,6 @@ func (m *Manager) HeldKeys(owner string) []string {
 	os.mu.Unlock()
 	slices.Sort(out)
 	return out
-}
-
-// HoldTime returns the cumulative hold time of locks owner has
-// released so far.
-func (m *Manager) HoldTime(owner string) time.Duration {
-	os := m.owners.shard(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	return os.holdSum[owner]
 }
 
 // TotalHoldTime returns cumulative released hold time across all
@@ -565,6 +607,19 @@ func (m *Manager) TotalWaiters() int {
 		sh.mu.Unlock()
 	}
 	return total
+}
+
+// TableSize reports how many keys are in use — held or waited for —
+// across the whole manager. Idle keys are freed, so this is the lock
+// table's size, and it returns to 0 when no transaction holds a lock.
+func (m *Manager) TableSize() int {
+	n := 0
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		n += len(sh.locks)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // WaiterCount reports how many requests are queued on key; tests use

@@ -158,9 +158,6 @@ func TestHoldTimeAccounting(t *testing.T) {
 	if held[1].Key != "b" || held[1].Hold != 5*time.Millisecond {
 		t.Fatalf("b hold = %+v", held[1])
 	}
-	if got := m.HoldTime("t1"); got != 20*time.Millisecond {
-		t.Fatalf("HoldTime = %v, want 20ms", got)
-	}
 	if got := m.TotalHoldTime(); got != 20*time.Millisecond {
 		t.Fatalf("TotalHoldTime = %v", got)
 	}

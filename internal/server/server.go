@@ -264,13 +264,13 @@ func New(cfg Config) (*Server, error) {
 	// from the participant's observed protocol log: resource-manager
 	// record writes are database spend, not protocol spend, and must
 	// not enter the cost ledger the conformance audit checks against
-	// the paper's closed forms. The static resource stays alongside so
-	// every transaction — even one staging no local ops — votes yes
+	// the paper's closed forms. The always-yes resource stays alongside
+	// so every transaction — even one staging no local ops — votes yes
 	// and keeps the exact commit shape.
 	store := kvstore.New("kv@"+cfg.Name, wal.New(wal.NewMemStore()), clock.NewWall(),
 		kvstore.WithBlockingLocks(true))
 	part := live.NewParticipant(cfg.Name, ep, cfg.Log,
-		[]core.Resource{core.NewStaticResource("r@" + cfg.Name), store}, opts...)
+		[]core.Resource{yesResource("r@" + cfg.Name), store}, opts...)
 
 	s := &Server{
 		cfg:        cfg,
@@ -326,6 +326,21 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
+
+// yesResource is the always-yes resource a daemon installs beside its
+// kvstore. Unlike core.StaticResource, the scripted resource of tests
+// and the simulator, it remembers nothing about any transaction.
+type yesResource string
+
+func (r yesResource) Name() string { return string(r) }
+
+func (yesResource) Prepare(core.TxID) (core.PrepareResult, error) {
+	return core.PrepareResult{Vote: core.VoteYes}, nil
+}
+
+func (yesResource) Commit(core.TxID) error { return nil }
+
+func (yesResource) Abort(core.TxID) error { return nil }
 
 // ProtoAddr is the protocol listener's bound address.
 func (s *Server) ProtoAddr() string { return s.ep.Addr() }
@@ -894,6 +909,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "twopc_wal_force_latency_seconds{quantile=\"0.5\"} %g\n", wfl.P50.Seconds())
 	fmt.Fprintf(&b, "twopc_wal_force_latency_seconds{quantile=\"0.99\"} %g\n", wfl.P99.Seconds())
 	fmt.Fprintf(&b, "twopc_wal_force_latency_seconds_count %d\n", wfl.Count)
+
+	// Per-transaction memory. The state and lock tables hold in-flight
+	// work only and drain to 0 when the daemon idles; the decided table
+	// keeps one entry per transaction ever decided here.
+	gauge := func(name, help string, v int) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	}
+	gauge("twopc_state_entries", "Live protocol state entries (in-flight transactions).", s.part.StateTableSize())
+	gauge("twopc_decided_entries", "Decided-table entries: one per transaction decided at this node.", s.part.DecidedTableSize())
+	gauge("twopc_lock_table_keys", "Keys held or waited for in this shard's lock table.", s.store.Locks().TableSize())
 
 	lat := snap.Latency
 	fmt.Fprintf(&b, "# HELP twopc_commit_latency_seconds Commit latency distribution.\n# TYPE twopc_commit_latency_seconds summary\n")

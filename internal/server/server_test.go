@@ -201,6 +201,10 @@ func TestServerHTTPPlane(t *testing.T) {
 		"twopc_cost_total{variant=\"PC\",role=\"coordinator\",outcome=\"committed\",kind=\"flows\"} 4",
 		"twopc_cost_total{variant=\"PC\",role=\"coordinator\",outcome=\"committed\",kind=\"forced_writes\"} 2",
 		"twopc_commit_latency_seconds_count 1",
+		// The finished commit left only its decided-table entry.
+		"twopc_state_entries 0",
+		"twopc_decided_entries 1",
+		"twopc_lock_table_keys 0",
 	} {
 		if !strings.Contains(metricsBody, want) {
 			t.Errorf("/metrics missing %q\n%s", want, metricsBody)

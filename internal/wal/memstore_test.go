@@ -96,7 +96,7 @@ func TestMemStoreFailNextAcrossChunks(t *testing.T) {
 }
 
 // TestCheckpointAcrossChunks checkpoints a multi-chunk log through
-// Log.Checkpoint (MemStore.ReplaceAll) and keeps appending after it.
+// Log.Checkpoint (MemStore.Truncate) and keeps appending after it.
 func TestCheckpointAcrossChunks(t *testing.T) {
 	s := NewMemStore()
 	l := New(s)

@@ -738,10 +738,28 @@ func (s *SegmentStore) Rollovers() int {
 	return s.rollovers
 }
 
-// ReplaceAll implements Rewriter: the kept records are written to a
+// Truncate implements Truncater: the kept records are written to a
 // fresh segment of the next generation and the manifest swap commits
 // the checkpoint atomically. Old segments are recycled.
-func (s *SegmentStore) ReplaceAll(recs []Record) error {
+func (s *SegmentStore) Truncate(keep func(Record) bool) (kept, dropped int, err error) {
+	recs, err := s.Records()
+	if err != nil {
+		return 0, 0, err
+	}
+	keepers := recs[:0]
+	for _, r := range recs {
+		if keep(r) {
+			keepers = append(keepers, r)
+		}
+	}
+	if err := s.replaceAll(keepers); err != nil {
+		return 0, 0, err
+	}
+	return len(keepers), len(recs) - len(keepers), nil
+}
+
+// replaceAll rewrites the store as exactly recs.
+func (s *SegmentStore) replaceAll(recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

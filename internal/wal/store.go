@@ -13,6 +13,7 @@ import "sync"
 type MemStore struct {
 	mu       sync.Mutex
 	durable  [][]Record // full chunks of memChunk records, the last one possibly partial
+	spare    [][]Record // emptied chunks a Truncate released, reused before allocating
 	size     int        // durable records across all chunks
 	volatile []Record
 	syncs    int
@@ -68,7 +69,7 @@ func (s *MemStore) harden(recs []Record) {
 	for len(recs) > 0 {
 		last := len(s.durable) - 1
 		if last < 0 || len(s.durable[last]) == memChunk {
-			s.durable = append(s.durable, make([]Record, 0, memChunk))
+			s.durable = append(s.durable, s.newChunk())
 			last++
 		}
 		n := min(len(recs), memChunk-len(s.durable[last]))
@@ -76,6 +77,18 @@ func (s *MemStore) harden(recs []Record) {
 		s.size += n
 		recs = recs[n:]
 	}
+}
+
+// newChunk returns an empty chunk, a spare one if a truncation left
+// any. Caller holds s.mu.
+func (s *MemStore) newChunk() []Record {
+	if n := len(s.spare); n > 0 {
+		c := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return c
+	}
+	return make([]Record, 0, memChunk)
 }
 
 // dropVolatile empties the volatile tail, keeping its backing array.

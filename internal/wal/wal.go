@@ -207,6 +207,11 @@ func (l *Log) write(rec Record, force bool) (int64, error) {
 func (l *Log) flush() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
+	return l.flushLocked()
+}
+
+// flushLocked is flush for a caller already holding flushMu.
+func (l *Log) flushLocked() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
