@@ -112,8 +112,10 @@ func main() {
 	if *subs != "" {
 		cfg.Subs = strings.Split(*subs, ",")
 	}
+	var store *wal.SegmentStore
 	if *walPath != "" {
-		store, err := wal.OpenSegmentStore(*walPath,
+		var err error
+		store, err = wal.OpenSegmentStore(*walPath,
 			wal.WithSegmentFsync(*walFsync),
 			wal.WithSegmentBytes(*walSegmentBytes))
 		if err != nil {
@@ -148,6 +150,17 @@ func main() {
 	rep, txs := s.AuditReport()
 	log.Printf("twopcd %s: drained; audited %d transactions: %s", *name, txs, rep)
 	_ = s.Close()
+	if store != nil {
+		// A clean stop hardens the records still buffered — the lazy End
+		// records above all, without which a restart pins those
+		// decisions again.
+		if err := cfg.Log.Close(); err != nil {
+			log.Printf("twopcd %s: close wal: %v", *name, err)
+		}
+		if err := store.Close(); err != nil {
+			log.Printf("twopcd %s: close wal: %v", *name, err)
+		}
+	}
 	if !rep.OK() {
 		os.Exit(1)
 	}

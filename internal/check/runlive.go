@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,6 +133,15 @@ func RunLive(s Schedule) (*RunResult, error) {
 	parts["C"].Commit(ctx, "C:1", subs)
 	cancel()
 
+	// Every node still up checkpoints its protocol log, so schedules
+	// (and the crash-point sweep) also kill nodes inside a checkpoint:
+	// before its commit point and between the commit and the recycling.
+	for _, name := range s.Nodes() {
+		if p := parts[name]; !p.Crashed() {
+			_, _, _ = p.Checkpoint()
+		}
+	}
+
 	// The failure window is over: stop losing messages, heal every
 	// partition, and bring crashed nodes back in the schedule's order.
 	lossOn.Store(false)
@@ -183,10 +193,19 @@ func RunLive(s Schedule) (*RunResult, error) {
 	// before freezing the final state.
 	time.Sleep(20 * time.Millisecond)
 
+	// A node's decided table forgets aged entries, so the outcomes it
+	// traced in its current incarnation count as known too: a
+	// transaction decided here and then forgotten is not in doubt.
+	traced := tracedOutcomes(trc.Events())
 	final := make(map[string]Final)
 	for _, name := range s.Nodes() {
 		p := parts[name]
 		f := Final{Crashed: p.Crashed(), Outcomes: p.Decided(), InDoubt: make(map[string]bool)}
+		for tx, committed := range traced[name] {
+			if _, known := f.Outcomes[tx]; !known {
+				f.Outcomes[tx] = committed
+			}
+		}
 		if ids, err := p.InDoubtTxs(); err == nil {
 			// Union in the memory-only prepared set: a logless 1PC voter
 			// in doubt has no Prepared record for the durable scan to
@@ -219,4 +238,26 @@ func RunLive(s Schedule) (*RunResult, error) {
 		res.SubPoints = append(res.SubPoints, counters[SubName(i)].count())
 	}
 	return res, nil
+}
+
+// tracedOutcomes folds each node's traced decisions since its last
+// restart into transaction id -> committed. Decisions a node made
+// before it crashed are left out: only what its current incarnation
+// decided (or replayed from its log) is known to it.
+func tracedOutcomes(events []trace.Event) map[string]map[string]bool {
+	out := make(map[string]map[string]bool)
+	for _, e := range events {
+		switch {
+		case e.Kind == trace.KindError && e.Detail == "restart":
+			delete(out, e.Node)
+		case e.Kind == trace.KindDecision:
+			m := out[e.Node]
+			if m == nil {
+				m = make(map[string]bool)
+				out[e.Node] = m
+			}
+			m[e.Tx] = strings.HasPrefix(e.Detail, "commit")
+		}
+	}
+	return out
 }

@@ -33,14 +33,10 @@ func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []s
 	start := p.sched.Now()
 	out, err := p.runCommit(ctx, txName, subs, v)
 	if p.met != nil {
+		// The coordinator's cost-ledger entry closes with its End
+		// record (endCoord), once every acknowledgment is in.
 		p.met.Latency(p.sched.Now() - start)
 		p.met.Outcome(out.String())
-		if out != InDoubt {
-			// The coordinator's part is over; the cost ledger entry
-			// may close. In-doubt transactions stay open until
-			// recovery settles them.
-			p.met.CostNodeDone(txName, p.name)
-		}
 	}
 	return out, err
 }
@@ -184,13 +180,33 @@ func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxI
 	// A fully read-only transaction commits with nothing to log and
 	// nothing to propagate (§4 Read-Only).
 	if !(localVote == protocol.VoteReadOnly && len(yes) == 0) {
-		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: "Committed"}); err != nil {
+		if err := p.force(commitRecord(txName, p.name, yes, v)); err != nil {
 			// The yes-voters sit prepared holding locks; tell them the
 			// abort now rather than leaving them to recovery.
 			return p.abortTx(tx, txName, yes, v), fmt.Errorf("live: force commit record: %w", err)
 		}
 	}
-	p.recordDecision(txName, true)
+	return p.commitPhaseTwo(ctx, st, tx, txName, yes, v)
+}
+
+// commitRecord is a coordinator's forced commit record. When the
+// variant acknowledges commits it names the yes-voters, whose acks a
+// replay without End waits on again.
+func commitRecord(txName, node string, yes []string, v core.Variant) wal.Record {
+	rec := wal.Record{Tx: txName, Node: node, Kind: "Committed"}
+	if expectsAckFor(v, true) && len(yes) > 0 {
+		rec.Data = ackersData(yes)
+	}
+	return rec
+}
+
+// commitPhaseTwo publishes a logged commit decision, completes the
+// local resources, and delivers the outcome to the yes-voters. The
+// decided-table entry stays pinned while their acknowledgments are
+// outstanding; End is written only once they are all in.
+func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, v core.Variant) (Outcome, error) {
+	acks := expectsAckFor(v, true) && len(yes) > 0
+	p.recordDecision(txName, true, acks)
 	p.completeResources(tx, true)
 	if p.met != nil {
 		p.met.CostOutcome(txName, "committed", len(yes))
@@ -200,17 +216,18 @@ func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxI
 	for _, s := range yes {
 		_ = p.send(s, out)
 	}
-
-	var heur []protocol.HeuristicReport
-	var collectErr error
-	if expectsAckFor(v, true) && len(yes) > 0 {
-		heur, collectErr = p.collectAcks(ctx, st, txName, yes, out)
+	if !acks {
+		p.endCoord(txName, true)
+		return Committed, nil
 	}
-	_ = p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"})
-	if err := damageError(txName, heur); err != nil {
-		return Committed, err
+	heur, err := p.collectAcks(ctx, st, txName, yes, out)
+	if err == nil {
+		p.endCoord(txName, true)
 	}
-	return Committed, collectErr
+	if derr := damageError(txName, heur); derr != nil {
+		return Committed, derr
+	}
+	return Committed, err
 }
 
 // delegate sends the last agent its combined "prepare, you decide"
@@ -233,43 +250,18 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, t
 			}
 			if env.msg.Type != protocol.MsgCommit {
 				// The agent decided abort; it has already logged it.
-				p.logAbort(txName, v)
-				p.recordDecision(txName, false)
-				p.completeResources(tx, false)
-				if p.met != nil {
-					p.met.CostOutcome(txName, "aborted", -1)
-				}
-				ab := protocol.Message{Type: protocol.MsgAbort, Tx: txName}
-				for _, s := range yes {
-					_ = p.send(s, ab)
-				}
-				_ = p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"})
-				return Aborted, nil
+				return p.abortTx(tx, txName, yes, v), nil
 			}
-			if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: "Committed"}); err != nil {
+			if err := p.force(commitRecord(txName, p.name, yes, v)); err != nil {
 				// The global decision is commit regardless; record what
-				// we can and surface the log failure.
+				// we can and surface the log failure. No End will follow,
+				// so this node's part of the cost ledger closes here.
+				if p.met != nil {
+					p.met.CostNodeDone(txName, p.name)
+				}
 				return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
 			}
-			p.recordDecision(txName, true)
-			p.completeResources(tx, true)
-			if p.met != nil {
-				p.met.CostOutcome(txName, "committed", len(yes))
-			}
-			out := protocol.Message{Type: protocol.MsgCommit, Tx: txName}
-			for _, s := range yes {
-				_ = p.send(s, out)
-			}
-			var heur []protocol.HeuristicReport
-			var collectErr error
-			if expectsAckFor(v, true) && len(yes) > 0 {
-				heur, collectErr = p.collectAcks(ctx, st, txName, yes, out)
-			}
-			_ = p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"})
-			if err := damageError(txName, heur); err != nil {
-				return Committed, err
-			}
-			return Committed, collectErr
+			return p.commitPhaseTwo(ctx, st, tx, txName, yes, v)
 		case <-alarm.C():
 			if alarm.expired() {
 				// The agent owns the decision and may have gone either
@@ -295,7 +287,9 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, t
 // collectAcks waits for phase-two acknowledgments from targets,
 // retransmitting the outcome message on the backoff schedule, and
 // folds up any heuristic reports they carry. Subordinates that never
-// ack are counted in doubt; resolving them falls to recovery.
+// ack are counted in doubt; resolving them falls to recovery, and the
+// acks still owed pass to the pinned decided-table entry, which late
+// ones release (awaitLateAcks).
 func (p *Participant) collectAcks(ctx context.Context, st *txState, txName string, targets []string, outMsg protocol.Message) ([]protocol.HeuristicReport, error) {
 	// Ack bookkeeping mirrors vote collection: one tree-sized bool
 	// slice instead of two maps.
@@ -303,6 +297,15 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 	ackedN := 0
 	var heur []protocol.HeuristicReport
 
+	giveUp := func() {
+		missing := make([]string, 0, len(targets)-ackedN)
+		for i, s := range targets {
+			if !acked[i] {
+				missing = append(missing, s)
+			}
+		}
+		p.awaitLateAcks(st, txName, missing, true)
+	}
 	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/acks")
 	defer alarm.stop()
 	for ackedN < len(targets) {
@@ -326,6 +329,7 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 						}
 					}
 				}
+				giveUp()
 				return heur, fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", missing, len(targets), txName, ErrInDoubt)
 			}
 			for i, s := range targets {
@@ -338,10 +342,12 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 			// Shutdown mid-collection (e.g. a 1PC background collector
 			// when the participant stops): the outcome is decided and
 			// durable; outstanding deliveries fall to recovery.
+			giveUp()
 			return heur, fmt.Errorf("live: participant stopped with acks outstanding for %s: %w", txName, ErrInDoubt)
 		case <-p.crashc:
 			return heur, ErrCrashed
 		case <-ctx.Done():
+			giveUp()
 			return heur, ctx.Err()
 		}
 	}
@@ -352,10 +358,16 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 // log it per the variant's rules (PA aborts are presumed and need no
 // force), release local resources, and tell every subordinate
 // best-effort. Prepared subordinates that miss the message resolve
-// through inquiry and presumption.
+// through inquiry and presumption. Under a variant whose presumption
+// is not abort, the decided-table entry stays pinned — and End
+// unwritten — until every subordinate told has acknowledged.
 func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core.Variant) Outcome {
-	p.logAbort(txName, v)
-	p.recordDecision(txName, false)
+	p.logAbort(txName, v, subs)
+	acks := expectsAckFor(v, false) && len(subs) > 0
+	p.recordDecision(txName, false, acks)
+	if acks {
+		p.awaitLateAcks(nil, txName, append([]string(nil), subs...), true)
+	}
 	p.completeResources(tx, false)
 	if p.met != nil {
 		p.met.CostOutcome(txName, "aborted", -1)
@@ -364,21 +376,28 @@ func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core
 	for _, s := range subs {
 		_ = p.send(s, ab)
 	}
-	_ = p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"})
+	if !acks {
+		p.endCoord(txName, true)
+	}
 	return Aborted
 }
 
 // logAbort writes the coordinator's abort record: non-forced under
 // Presumed Abort (absence already means abort), under Paxos Commit
 // (the acceptor quorum holds the durable outcome), and under 1PC
-// (fully abort-presumptive), forced otherwise.
-func (p *Participant) logAbort(txName string, v core.Variant) {
+// (fully abort-presumptive), forced otherwise — exactly the variants
+// whose aborts are acknowledged, so the forced record names subs, the
+// subordinates the acks are owed by.
+func (p *Participant) logAbort(txName string, v core.Variant, subs []string) {
 	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Aborted"}
-	if v == core.VariantPA || v == core.VariantPaxos || v == core.Variant1PC {
+	if !expectsAckFor(v, false) {
 		_ = p.lazy(rec)
-	} else {
-		_ = p.force(rec)
+		return
 	}
+	if len(subs) > 0 {
+		rec.Data = ackersData(subs)
+	}
+	_ = p.force(rec)
 }
 
 // damageError folds heuristic reports into an error if any report
@@ -439,7 +458,7 @@ func (p *Participant) unregisterCoord(txName string) {
 	defer st.mu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, decided := sh.decided[txName]; !decided && len(st.paxAccepted) > 0 {
+	if _, decided := sh.decidedLocked(txName); !decided && len(st.paxAccepted) > 0 {
 		// An undecided Paxos transaction with acceptor state must keep
 		// it: this node promised its acceptances to recovery leaders,
 		// and forgetting them while the process lives would let two

@@ -33,6 +33,7 @@ package live
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -134,6 +135,20 @@ type Participant struct {
 	walGroupDelay time.Duration
 	walMaxWindow  time.Duration
 	pipe          *wal.Pipeline // set when walMode is adaptive; hinted on prepare bursts
+
+	// Forgetting (shard.go, checkpoint.go): scanning holds the decided
+	// table's generations still while a checkpoint scans the log;
+	// logged, keptBytes and ckptFloor drive the automatic checkpoint,
+	// whose floor is set once the restart replay is done.
+	scanning  atomic.Bool
+	ckptMu    sync.Mutex
+	ckptBusy  atomic.Bool
+	ckptFloor atomic.Int64
+	logged    atomic.Int64
+	keptBytes atomic.Int64
+	// peerHorizon is the longest retransmission horizon a peer has
+	// announced to this node (protocol.Message.Horizon), in ns.
+	peerHorizon atomic.Int64
 
 	stopped chan struct{}
 	wg      sync.WaitGroup
@@ -295,10 +310,13 @@ func fnvMore(h int64, s string) int64 {
 //
 // Before serving traffic, Start replays the durable log: decided
 // transactions repopulate the decided table (so inquiries after a
-// restart are answered from real state, not presumption), and a
+// restart are answered from real state, not presumption), prepared
+// transactions with no decision are reinstated in doubt, and a
 // PN Pending / PC Collecting record with no decision after it is
 // resolved to abort — the crashed coordinator had not committed, and
-// its presumption variants depend on it answering definitively.
+// its presumption variants depend on it answering definitively. Once
+// the replay is done, the participant checkpoints its own log as it
+// grows (see Checkpoint).
 func (p *Participant) Start() {
 	if p.met != nil || p.trc != nil {
 		node, reg, trc := p.name, p.met, p.trc
@@ -310,6 +328,7 @@ func (p *Participant) Start() {
 		})
 	}
 	p.replayLog()
+	p.ckptFloor.Store(checkpointFloor(p.log.Store()))
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -390,6 +409,9 @@ func (p *Participant) force(rec wal.Record) error {
 	if p.fp != nil && p.hitFailpoint("after-force:"+rec.Kind) {
 		return ErrCrashed
 	}
+	if err == nil {
+		p.noteLogged(rec)
+	}
 	return err
 }
 
@@ -400,6 +422,9 @@ func (p *Participant) lazy(rec wal.Record) error {
 		return ErrCrashed
 	}
 	_, err := p.log.Append(rec)
+	if err == nil {
+		p.noteLogged(rec)
+	}
 	return err
 }
 
@@ -415,7 +440,8 @@ func (p *Participant) Restarted(ep netsim.Endpoint, opts ...Option) *Participant
 		WithTimeout(p.voteTimeout, p.ackTimeout),
 		WithRetry(p.retry),
 		WithClock(p.sched),
-		WithRetrySeed(p.retrySeed))
+		WithRetrySeed(p.retrySeed),
+		WithShards(p.shardHint))
 	np.met = p.met
 	np.trc = p.trc
 	np.lastAgent = p.lastAgent
@@ -475,6 +501,9 @@ func (p *Participant) handle(pkt protocol.Packet) {
 	}
 	for i := range pkt.Messages {
 		m := pkt.Messages[i]
+		if m.Horizon > 0 {
+			p.notePeerHorizon(m.Horizon)
+		}
 		if p.met != nil {
 			p.met.MessageReceived(p.name)
 		}
@@ -522,32 +551,51 @@ func (p *Participant) spawn(from string, m protocol.Message, fn func(string, pro
 
 // recordDecision publishes the outcome of a transaction this node
 // coordinates (or recovered from its log) for inquiries and duplicate
-// deliveries.
-func (p *Participant) recordDecision(tx string, committed bool) {
-	p.publishDecision(tx, coordDecision(committed))
+// deliveries. pinned keeps the entry until releasePin: the outcome's
+// acknowledgments are outstanding, so a subordinate may still ask, and
+// the presumption could answer it wrongly.
+func (p *Participant) recordDecision(tx string, committed, pinned bool) {
+	p.publishDecision(tx, coordDecision(committed), pinned)
 }
 
 // recordSubDecisionLocked is recordDecision for a transaction this
 // node subordinates: the entry also keeps the announced presumption,
 // which a duplicate outcome arriving after the entry retires is
-// answered under. Caller holds st.mu.
+// answered under. Only a Paxos acceptor's entry is pinned — recovery
+// leaders query the acceptors, and an acceptor that forgot what it
+// accepted could let a leader choose a different outcome; nobody
+// inquires any other subordinate. Caller holds st.mu.
 func (p *Participant) recordSubDecisionLocked(st *txState, committed bool) {
-	p.publishDecision(st.id, subDecision(committed, st.presume))
+	acceptor := st.presume == protocol.PresumePaxos && st.paxMeta != nil &&
+		indexOf(st.paxMeta.Acceptors, p.name) >= 0
+	p.publishDecision(st.id, subDecision(committed, st.presume), acceptor)
 }
 
-// publishDecision writes tx's decided-table entry. The first recording
-// of each outcome is traced as the node's decision point (the event
-// the oracle orders lock releases against); crashed participants
-// record nothing.
-func (p *Participant) publishDecision(tx string, d decision) {
+// publishDecision writes tx's decided-table entry: pinned, or aging
+// (an entry already pinned stays pinned until released). The first
+// recording of each outcome is traced as the node's decision point
+// (the event the oracle orders lock releases against); crashed
+// participants record nothing.
+func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 	if p.Crashed() {
 		return
 	}
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
-	prev, known := sh.decided[tx]
-	sh.decided[tx] = d
+	prev, known := sh.decidedLocked(tx)
+	rotated := false
+	if pe, ok := sh.pinned[tx]; ok || pinned {
+		pe.d = d
+		sh.pinned[tx] = pe
+		delete(sh.young, tx)
+		delete(sh.old, tx)
+	} else {
+		rotated = p.ageLocked(sh, tx, d)
+	}
 	sh.mu.Unlock()
+	if rotated {
+		p.reannounce(sh)
+	}
 	if known && prev.committed() == d.committed() {
 		return // duplicate (e.g. retransmitted outcome)
 	}
@@ -568,7 +616,7 @@ func (p *Participant) publishDecision(tx string, d decision) {
 func (p *Participant) routeVote(from string, m protocol.Message) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	if _, done := sh.decided[m.Tx]; done {
+	if _, done := sh.decidedLocked(m.Tx); done {
 		sh.mu.Unlock()
 		return
 	}
@@ -579,15 +627,25 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 		// pending record. Nothing can have committed without a durable
 		// decision here, so abort — durably, so later inquiries get the
 		// same answer — rather than resurrecting the transaction as
-		// forever "in progress".
+		// forever "in progress". Unless this node's presumption is
+		// abort, the abort stays pinned until the voter acknowledges it:
+		// the transaction's own variant is unknown here.
 		sh.mu.Unlock()
 		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"}
-		if p.variant == core.VariantPA || p.variant == core.Variant1PC {
+		presumedAbort := p.variant == core.VariantPA || p.variant == core.Variant1PC
+		owed := []string{from}
+		if presumedAbort {
 			_ = p.lazy(rec)
-		} else if err := p.force(rec); err != nil {
-			return // crashed again; the next restart retries
+		} else {
+			rec.Data = ackersData(owed)
+			if err := p.force(rec); err != nil {
+				return // crashed again; the next restart retries
+			}
 		}
-		p.recordDecision(m.Tx, false)
+		p.recordDecision(m.Tx, false, !presumedAbort)
+		if !presumedAbort {
+			p.awaitLateAcks(nil, m.Tx, owed, false)
+		}
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAbort, Tx: m.Tx})
 		return
 	}
@@ -640,21 +698,37 @@ func (p *Participant) routeOutcome(from string, m protocol.Message, commit bool)
 	})
 }
 
+// routeAck delivers an acknowledgment to the coordinator collecting
+// it, or — when the coordinator stopped collecting and handed the
+// outstanding acks to its pinned decided-table entry — strikes the
+// sender from that entry, releasing it with the last one. The channel
+// send happens under the shard mutex, so an ack is never lost between
+// a collector giving up and the entry taking over.
 func (p *Participant) routeAck(from string, m protocol.Message) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	st, ok := sh.txs[m.Tx]
-	var ch chan envelope
-	if ok {
-		ch = st.replies
+	if pe, ok := sh.pinned[m.Tx]; ok && pe.waiting != nil {
+		if i := indexOf(pe.waiting, from); i >= 0 {
+			pe.waiting = append(pe.waiting[:i], pe.waiting[i+1:]...)
+		}
+		done := len(pe.waiting) == 0
+		if done {
+			pe.waiting = nil
+		}
+		sh.pinned[m.Tx] = pe
+		sh.mu.Unlock()
+		if done {
+			p.endCoord(m.Tx, pe.ledger)
+		}
+		return
 	}
-	sh.mu.Unlock()
-	if ch != nil {
+	if st, ok := sh.txs[m.Tx]; ok && st.replies != nil {
 		select {
-		case ch <- envelope{from: from, msg: m}:
+		case st.replies <- envelope{from: from, msg: m}:
 		default:
 		}
 	}
+	sh.mu.Unlock()
 }
 
 // send transmits a single protocol message, counting it in metrics
@@ -696,6 +770,12 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 	}
 	if p.traceOn {
 		p.trc.Add(trace.Event{Node: p.name, Peer: to, Kind: trace.KindSend, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
+	}
+	switch m.Type {
+	case protocol.MsgPrepare, protocol.MsgCommit, protocol.MsgAbort:
+		// The messages a coordinator resends until its deadline tell
+		// the receiver how long that is (see horizon).
+		m.Horizon = p.retransmitHorizon()
 	}
 	var err error
 	var seq uint64

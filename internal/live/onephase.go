@@ -172,8 +172,9 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 	// The decision. A fully read-only transaction commits with nothing
 	// to log (§4 Read-Only); otherwise the forced record below is the
 	// whole tree's durability.
+	var rec wal.Record
 	if !(localVote == protocol.VoteReadOnly && len(yes) == 0) {
-		rec := wal.Record{Tx: txName, Node: p.name, Kind: "Committed",
+		rec = wal.Record{Tx: txName, Node: p.name, Kind: "Committed",
 			Data: protocol.OnePhaseMeta{Subs: yes, Redos: redos}.Encode()}
 		if p.hooks.OnePhaseLazyDecision {
 			// Injected bug (TestHooks): writing the tree's only durable
@@ -185,7 +186,13 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 			return p.abortTx(tx, txName, yes, v), fmt.Errorf("live: force commit record: %w", err)
 		}
 	}
-	p.recordDecision(txName, true)
+	// The decision record must outlive every voter's ignorance of it:
+	// it is their only redo. The entry stays pinned, and End unwritten,
+	// until the acks are in.
+	p.recordDecision(txName, true, len(yes) > 0)
+	if len(yes) > 0 {
+		p.setPinRedo(txName, rec.Data)
+	}
 	p.completeResources(tx, true)
 	if p.met != nil {
 		p.met.CostOutcome(txName, "committed", len(yes))
@@ -194,9 +201,9 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 	for _, s := range yes {
 		_ = p.send(s, out)
 	}
-	_ = p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"})
 
 	if len(yes) == 0 {
+		p.endCoord(txName, true)
 		return Committed, nil
 	}
 	// Ack collection leaves the caller's critical path: the commit is
@@ -208,7 +215,9 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 	go func() {
 		defer p.wg.Done()
 		defer p.unregisterCoord(txName)
-		_, _ = p.collectAcks(context.Background(), st, txName, yes, out)
+		if _, err := p.collectAcks(context.Background(), st, txName, yes, out); err == nil {
+			p.endCoord(txName, true)
+		}
 	}()
 	return Committed, nil
 }

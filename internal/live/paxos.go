@@ -264,7 +264,9 @@ func (p *Participant) paxosCoordFinish(st *txState, tx core.TxID, txName string,
 		rec.Kind, out, delivered, mt = "Aborted", Aborted, -1, protocol.MsgAbort
 	}
 	_ = p.lazy(rec)
-	p.recordDecision(txName, commit)
+	// The coordinator is always one of the transaction's acceptors:
+	// its entry stays pinned for recovery leaders.
+	p.recordDecision(txName, commit, true)
 	p.completeResources(tx, commit)
 	if p.met != nil {
 		p.met.CostOutcome(txName, out.String(), delivered)
@@ -279,7 +281,9 @@ func (p *Participant) paxosCoordFinish(st *txState, tx core.TxID, txName string,
 			}
 		}
 	}
-	_ = p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"})
+	if p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"}) == nil && p.met != nil {
+		p.met.CostNodeDone(txName, p.name)
+	}
 	return out
 }
 
@@ -374,7 +378,7 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 	}
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	d, known := sh.decided[m.Tx]
+	d, known := sh.decidedLocked(m.Tx)
 	st, exists := sh.txs[m.Tx]
 	if !known && !exists {
 		st = sh.stateLocked(m.Tx)
@@ -513,7 +517,7 @@ func (p *Participant) handlePaxosQuery(from string, m protocol.Message) {
 	}
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	d, known := sh.decided[m.Tx]
+	d, known := sh.decidedLocked(m.Tx)
 	if known {
 		// Answer before touching the table: creating a blank entry
 		// for a retired transaction invites duplicate re-application.

@@ -12,13 +12,19 @@ import (
 // replayLog rebuilds this participant's durable commit state at Start.
 // Decided transactions (a Committed or Aborted record by this node)
 // repopulate the decided table so post-restart inquiries are answered
-// from real state rather than presumption. A PN Pending / PC
-// Collecting record with no decision after it means the coordinator
-// crashed mid-collection: no subordinate can have received a commit,
-// so the recovered coordinator decides abort now — forcing the record
-// so the decision survives a second crash — and tells the recorded
-// membership best-effort (subordinates that miss it resolve by
-// inquiry, which the fresh decided entry now answers correctly).
+// from real state rather than presumption. A coordinator's decision
+// with no End record is pinned again — its acknowledgments were never
+// all in — and so is any decision this node holds acceptor records
+// for; the rest age from the restart on. A prepared transaction with no
+// decision is reinstated in doubt, so the table (and the log
+// checkpoint) remember it until RecoverInDoubt resolves it. A
+// PN Pending / PC Collecting record with no decision after it means
+// the coordinator crashed mid-collection: no subordinate can have
+// received a commit, so the recovered coordinator decides abort now —
+// forcing the record so the decision survives a second crash — and
+// tells the recorded membership best-effort (subordinates that miss it
+// resolve by inquiry, which the fresh decided entry now answers
+// correctly; the entry stays pinned until they have all acknowledged).
 func (p *Participant) replayLog() {
 	recs, err := p.log.Records()
 	if err != nil || len(recs) == 0 {
@@ -28,8 +34,12 @@ func (p *Participant) replayLog() {
 		subs          []string
 		init, decided bool
 		committed     bool
-		onePhase      []byte // a 1PC decision record's opc1 payload
-		sub           bool   // this node prepared it as a subordinate
+		ended         bool     // an End record follows the decision
+		acceptor      bool     // this node logged Paxos acceptor state
+		owed          []string // the subordinates the decision record says owe acks
+		onePhase      []byte   // a 1PC decision record's opc1 payload
+		sub           bool     // this node prepared it as a subordinate
+		prepared      []byte   // the Prepared record's payload
 		presume       protocol.Presumption
 	}
 	states := make(map[string]*coordState)
@@ -52,14 +62,27 @@ func (p *Participant) replayLog() {
 			}
 		case "Prepared":
 			st.sub = true
+			st.prepared = r.Data
 			st.presume, _ = presumeFromData(r.Data)
 		case "Committed":
 			st.decided, st.committed = true, true
 			if protocol.IsOnePhasePayload(r.Data) {
 				st.onePhase = r.Data
+				if meta, err := protocol.DecodeOnePhaseMeta(r.Data); err == nil {
+					st.owed = meta.Subs
+				}
+			} else if len(r.Data) > 0 {
+				st.owed = strings.Split(string(r.Data), ",")
 			}
 		case "Aborted":
 			st.decided, st.committed = true, false
+			if len(r.Data) > 0 {
+				st.owed = strings.Split(string(r.Data), ",")
+			}
+		case "End":
+			st.ended = true
+		case "PaxAccept", "PaxPromise":
+			st.acceptor = true
 		}
 	}
 	for _, tx := range order {
@@ -68,36 +91,50 @@ func (p *Participant) replayLog() {
 		case st.decided && st.sub:
 			// Keep the presumption, so a duplicate outcome after the
 			// restart is re-acked as the live entry would have been.
-			p.publishDecision(tx, subDecision(st.committed, st.presume))
+			p.publishDecision(tx, subDecision(st.committed, st.presume), st.acceptor)
 		case st.decided:
-			p.recordDecision(tx, st.committed)
-			if st.onePhase != nil {
-				// A 1PC coordinator's decision record is the only stable
-				// copy of its voters' fates AND their redo payloads: a
-				// crash between the force and the Commit fan-out leaves
-				// voters that hold nothing durable. Re-announce to the
-				// recorded membership best-effort, redo attached, so even
-				// amnesiac voters complete; survivors treat it as a
-				// duplicate.
-				if meta, err := protocol.DecodeOnePhaseMeta(st.onePhase); err == nil {
-					for i, s := range meta.Subs {
-						m := protocol.Message{Type: protocol.MsgCommit, Tx: tx}
-						if i < len(meta.Redos) {
-							m.Payload = meta.Redos[i]
-						}
-						_ = p.sendExtra(s, m)
-					}
+			// A decision without End still waits on the acks its record
+			// names; re-announce it to them best-effort. A 1PC decision
+			// record is the only stable copy of its voters' fates AND
+			// their redo payloads — a crash between the force and the
+			// acks leaves voters that may hold nothing durable — so the
+			// redo rides along and even amnesiac voters complete;
+			// survivors treat it as a duplicate. The acks release the
+			// pin. A decision that owes no acks ages: nobody can ask.
+			awaiting := !st.ended && len(st.owed) > 0
+			p.recordDecision(tx, st.committed, awaiting || st.acceptor)
+			if awaiting {
+				p.awaitLateAcks(nil, tx, append([]string(nil), st.owed...), false)
+				p.setPinRedo(tx, st.onePhase)
+				for _, s := range st.owed {
+					_ = p.sendExtra(s, outcomeMsg(tx, st.committed, st.onePhase, s))
 				}
 			}
 		case st.init:
-			if err := p.force(wal.Record{Tx: tx, Node: p.name, Kind: "Aborted"}); err != nil {
+			if err := p.force(wal.Record{Tx: tx, Node: p.name, Kind: "Aborted", Data: ackersData(st.subs)}); err != nil {
 				continue // leave undecided; the next restart retries
 			}
-			p.recordDecision(tx, false)
+			p.recordDecision(tx, false, len(st.subs) > 0)
+			if len(st.subs) > 0 {
+				p.awaitLateAcks(nil, tx, append([]string(nil), st.subs...), false)
+			}
 			ab := protocol.Message{Type: protocol.MsgAbort, Tx: tx}
 			for _, s := range st.subs {
 				_ = p.sendExtra(s, ab)
 			}
+		case st.sub:
+			// Prepared, never decided: in doubt until RecoverInDoubt
+			// (or a retransmitted outcome) settles it.
+			ps := p.state(tx)
+			ps.mu.Lock()
+			ps.prepared = true
+			ps.presume = st.presume
+			if st.presume == protocol.PresumePaxos {
+				if meta, err := protocol.DecodePaxosMeta(st.prepared); err == nil {
+					p.paxosAdoptLocked(ps, meta)
+				}
+			}
+			ps.mu.Unlock()
 		}
 	}
 	decidedTxs := make(map[string]bool)
@@ -148,9 +185,18 @@ func (p *Participant) restorePaxosAcceptors(recs []wal.Record, decided map[strin
 
 // Inquire sends a single recovery inquiry for txName to the
 // coordinator. The answer (if any) is applied asynchronously by the
-// receive loop; RecoverInDoubt is the synchronous, retrying form.
+// receive loop; RecoverInDoubt is the synchronous, retrying form. The
+// inquiry carries the presumption the transaction's Prepare announced,
+// which the coordinator answers by once it has forgotten the
+// transaction.
 func (p *Participant) Inquire(coordinator, txName string) error {
-	return p.send(coordinator, protocol.Message{Type: protocol.MsgInquire, Tx: txName})
+	m := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
+	if st, ok := p.lookup(txName); ok {
+		st.mu.Lock()
+		m.Presume = st.presume
+		st.mu.Unlock()
+	}
+	return p.send(coordinator, m)
 }
 
 // RecoverInDoubt scans the durable log for transactions this
@@ -280,7 +326,9 @@ func (p *Participant) InDoubtTxs() ([]string, error) {
 // st resolves or the deadline passes. The answer retires st from the
 // table; waiting on st itself, not a fresh lookup, is what sees it.
 func (p *Participant) resolveInDoubt(ctx context.Context, st *txState, coordinator, txName string) error {
-	inq := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
+	st.mu.Lock()
+	inq := protocol.Message{Type: protocol.MsgInquire, Tx: txName, Presume: st.presume}
+	st.mu.Unlock()
 	if err := p.send(coordinator, inq); err != nil {
 		return fmt.Errorf("live: inquiry to %s: %w (%v)", coordinator, ErrInDoubt, err)
 	}

@@ -50,7 +50,7 @@ type retireFleet struct {
 	logs  map[string]*wal.Log
 }
 
-func newRetireFleet(t *testing.T, v core.Variant) *retireFleet {
+func newRetireFleet(t *testing.T, v core.Variant, opts ...Option) *retireFleet {
 	t.Helper()
 	f := &retireFleet{
 		net:   netsim.NewChanNetwork(),
@@ -65,7 +65,7 @@ func newRetireFleet(t *testing.T, v core.Variant) *retireFleet {
 		}
 		log := wal.New(wal.NewMemStore())
 		p := NewParticipant(name, f.net.Endpoint(name), log, []core.Resource{r},
-			WithVariant(v), WithTimeout(2*time.Second, 2*time.Second))
+			append([]Option{WithVariant(v), WithTimeout(2*time.Second, 2*time.Second)}, opts...)...)
 		f.parts[name], f.res[name], f.logs[name] = p, r, log
 		p.Start()
 	}
@@ -78,7 +78,11 @@ func newRetireFleet(t *testing.T, v core.Variant) *retireFleet {
 }
 
 // burst runs n concurrent transactions from C; every third aborts on
-// S2's veto. It returns one committed and one aborted transaction id.
+// S2's veto. It returns one committed and one aborted transaction id
+// once both subordinates have decided every transaction: Commit can
+// return before a subordinate has even handled its Prepare (an abort
+// decided on S2's veto), and tests that probe a subordinate afterwards
+// must not race that delivery.
 func (f *retireFleet) burst(t *testing.T, n int) (committed, aborted string) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -108,6 +112,17 @@ func (f *retireFleet) burst(t *testing.T, n int) (committed, aborted string) {
 			aborted = tx.String()
 		}
 	}
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, name := range []string{"S1", "S2"} {
+			decided := f.parts[name].Decided()
+			for i := 0; i < n; i++ {
+				if _, ok := decided[core.TxID{Origin: "C", Seq: uint64(i + 1)}.String()]; !ok {
+					return false
+				}
+			}
+		}
+		return true
+	})
 	return committed, aborted
 }
 

@@ -4,22 +4,154 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/protocol"
 )
 
 // txShard is one hash bucket of a participant's per-transaction state:
-// the live table and the decided map for the transactions hashing
-// here, under one mutex. Keeping both maps in the same shard preserves
-// the old single-mutex atomicity per transaction (routing decisions
-// look at "decided?" and "live entry?" in one critical section) while
+// the live table and the decided table for the transactions hashing
+// here, under one mutex. Keeping both in the same shard preserves the
+// old single-mutex atomicity per transaction (routing decisions look
+// at "decided?" and "live entry?" in one critical section) while
 // letting independent transactions proceed on different shards without
 // contention.
+//
+// The decided table forgets by presumption (DESIGN §17). An entry is
+// pinned while its transaction may still be asked for the outcome and
+// the presumption would answer wrongly; every other entry ages through
+// two generations and is dropped with its whole generation once the
+// retransmission horizon has passed — Go maps do not shrink on delete,
+// so dropping a map is the only way to give the memory back.
 type txShard struct {
-	mu      sync.Mutex
-	txs     map[string]*txState
-	decided map[string]decision // for inquiries and duplicates
+	mu     sync.Mutex
+	txs    map[string]*txState
+	pinned map[string]pin
+	young  map[string]decision
+	old    map[string]decision
+	opened time.Duration // scheduler time the young generation opened
+}
+
+// pin is a pinned decided-table entry. waiting, when non-nil, lists the
+// subordinates whose acknowledgments release the pin: the coordinator
+// gave up collecting them (or never collected them, for an abort), and
+// late ones still count; each rotation resends them the outcome
+// (reannounce). redo is a 1PC decision record's payload, whose
+// per-voter redo rides on the resent commit. ledger marks a pin whose
+// release also closes this node's cost-ledger entry.
+type pin struct {
+	d       decision
+	waiting []string
+	redo    []byte
+	ledger  bool
+}
+
+// decidedLocked returns tx's decided-table entry. Caller holds sh.mu.
+func (sh *txShard) decidedLocked(tx string) (decision, bool) {
+	if pe, ok := sh.pinned[tx]; ok {
+		return pe.d, true
+	}
+	if d, ok := sh.young[tx]; ok {
+		return d, true
+	}
+	d, ok := sh.old[tx]
+	return d, ok
+}
+
+// retransmitHorizon is how long this node, as coordinator, may resend
+// a Prepare or an outcome after first sending it: its vote or ack
+// deadline. Its Prepares and outcomes announce it.
+func (p *Participant) retransmitHorizon() time.Duration {
+	return max(p.voteTimeout, p.ackTimeout)
+}
+
+// notePeerHorizon raises the longest retransmission horizon a peer
+// has announced to h.
+func (p *Participant) notePeerHorizon(h time.Duration) {
+	for {
+		cur := p.peerHorizon.Load()
+		if int64(h) <= cur || p.peerHorizon.CompareAndSwap(cur, int64(h)) {
+			return
+		}
+	}
+}
+
+// horizon is the least time an unpinned decided-table entry is kept.
+// Every duplicate the entry exists to answer is a coordinator's
+// retransmission, and a coordinator stops resending at its own
+// deadline — which may be longer than this node's, since timeouts are
+// set per node. So the horizon covers the longest retransmission
+// horizon heard of, this node's own included, plus a quarter as much
+// again as a delivery margin (500 ms on the default 2 s timeouts): the
+// last retransmission, sent at the deadline, still finds the entry
+// when it arrives.
+func (p *Participant) horizon() time.Duration {
+	h := max(p.retransmitHorizon(), time.Duration(p.peerHorizon.Load()))
+	return h + h/4
+}
+
+// ageLocked writes tx's entry into the young generation, first
+// rotating the generations when the young one has been open for a
+// horizon: the old generation is dropped whole and the young one takes
+// its place. Rotation waits while a checkpoint scans the log, so no
+// transaction whose earlier records the scan kept is forgotten before
+// it reaches the later ones. It reports whether it rotated; the caller
+// then runs reannounce once it has released sh.mu. Caller holds sh.mu.
+func (p *Participant) ageLocked(sh *txShard, tx string, d decision) (rotated bool) {
+	if now := p.sched.Now(); now-sh.opened >= p.horizon() && !p.scanning.Load() {
+		sh.old = sh.young
+		sh.young = make(map[string]decision, len(sh.old))
+		sh.opened = now
+		rotated = true
+	}
+	delete(sh.old, tx)
+	sh.young[tx] = d
+	return rotated
+}
+
+// reannounce resends the outcome of every pinned entry in sh that
+// waits on acknowledgments its coordinator stopped collecting. A
+// subordinate that was down when the outcome went out, or whose ack
+// was lost, may never ask; the resent outcome reaches it once it is
+// back, and its ack — a re-ack, or the ack of a subordinate that never
+// prepared — releases the pin. It runs on rotation, so at most once a
+// horizon per shard, and only while the shard sees inserts.
+func (p *Participant) reannounce(sh *txShard) {
+	type resend struct {
+		to string
+		m  protocol.Message
+	}
+	var out []resend
+	sh.mu.Lock()
+	for tx, pe := range sh.pinned {
+		for _, s := range pe.waiting {
+			out = append(out, resend{s, outcomeMsg(tx, pe.d.committed(), pe.redo, s)})
+		}
+	}
+	sh.mu.Unlock()
+	for _, r := range out {
+		_ = p.sendExtra(r.to, r.m)
+		p.countRetry()
+	}
+}
+
+// outcomeMsg is the outcome message for subordinate sub of tx. A 1PC
+// commit carries sub's redo from the decision record's payload, so a
+// voter that lost its logless prepare completes from it.
+func outcomeMsg(tx string, committed bool, redo []byte, sub string) protocol.Message {
+	if !committed {
+		return protocol.Message{Type: protocol.MsgAbort, Tx: tx}
+	}
+	m := protocol.Message{Type: protocol.MsgCommit, Tx: tx}
+	if redo != nil {
+		if meta, err := protocol.DecodeOnePhaseMeta(redo); err == nil {
+			if i := indexOf(meta.Subs, sub); i >= 0 && i < len(meta.Redos) {
+				m.Payload = meta.Redos[i]
+			}
+		}
+	}
+	return m
 }
 
 // decision is one decided-table entry, packed into a byte: whether
@@ -84,8 +216,9 @@ func newTxShards(n int) []*txShard {
 	shards := make([]*txShard, p)
 	for i := range shards {
 		shards[i] = &txShard{
-			txs:     make(map[string]*txState),
-			decided: make(map[string]decision),
+			txs:    make(map[string]*txState),
+			pinned: make(map[string]pin),
+			young:  make(map[string]decision),
 		}
 	}
 	return shards
@@ -130,7 +263,7 @@ func (p *Participant) liveState(tx string) (st *txState, d decision, decided boo
 	if st, ok := sh.txs[tx]; ok {
 		return st, 0, false
 	}
-	if d, ok := sh.decided[tx]; ok {
+	if d, ok := sh.decidedLocked(tx); ok {
 		return nil, d, true
 	}
 	return sh.stateLocked(tx), 0, false
@@ -181,17 +314,23 @@ func (p *Participant) forget(tx string) {
 }
 
 // forEachDecided calls fn for every decided transaction across all
-// shards. Recovery, inquiry handling, and the chaos harness see a
-// single logical table through this and Decided — the sharding is
-// invisible above this file.
+// shards — pinned and aging entries alike. Recovery, inquiry handling,
+// and the chaos harness see a single logical table through this and
+// Decided — the sharding and the generations are invisible above this
+// file.
 //
 // fn runs under the shard's mutex: keep it fast and never call back
 // into the participant's state helpers from it.
 func (p *Participant) forEachDecided(fn func(tx string, committed bool)) {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		for tx, d := range sh.decided {
-			fn(tx, d.committed())
+		for tx, pe := range sh.pinned {
+			fn(tx, pe.d.committed())
+		}
+		for _, gen := range [...]map[string]decision{sh.young, sh.old} {
+			for tx, d := range gen {
+				fn(tx, d.committed())
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -210,13 +349,28 @@ func (p *Participant) forEachState(fn func(tx string, st *txState)) {
 }
 
 // DecidedTableSize reports how many transactions the decided table
-// remembers. Nothing forgets them yet, so it grows with every
-// transaction decided here.
+// remembers: the pinned entries plus both aging generations. Under
+// steady load it levels off at about one to two horizons' worth of
+// decisions plus the pinned ones.
 func (p *Participant) DecidedTableSize() int {
 	n := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		n += len(sh.decided)
+		n += len(sh.pinned) + len(sh.young) + len(sh.old)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// PinnedDecisions reports how many decided-table entries are pinned:
+// transactions whose acknowledgments are outstanding, aborts a
+// non-abort presumption would answer wrongly, and Paxos acceptor
+// state.
+func (p *Participant) PinnedDecisions() int {
+	n := 0
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		n += len(sh.pinned)
 		sh.mu.Unlock()
 	}
 	return n

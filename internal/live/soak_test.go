@@ -2,11 +2,14 @@ package live
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/wal"
 )
@@ -277,5 +280,57 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// commitFailStore fails every Sync once a Committed record by node has
+// been appended, so that node's force of its commit decision fails.
+type commitFailStore struct {
+	*wal.MemStore
+	node string
+	bad  atomic.Bool
+}
+
+func (s *commitFailStore) Append(rec wal.Record) error {
+	if rec.Kind == "Committed" && rec.Node == s.node {
+		s.bad.Store(true)
+	}
+	return s.MemStore.Append(rec)
+}
+
+func (s *commitFailStore) Sync() error {
+	if s.bad.Load() {
+		return errors.New("injected fdatasync failure")
+	}
+	return s.MemStore.Sync()
+}
+
+// TestLiveLastAgentForceFailureEndsLedgerPart: when the coordinator
+// cannot force its commit record after the last agent decided commit,
+// Commit still reports Committed (the agent's decision stands), and the
+// coordinator's part of the cost ledger is marked done: no End will
+// follow, so nothing else would mark it.
+func TestLiveLastAgentForceFailureEndsLedgerPart(t *testing.T) {
+	net := netsim.NewChanNetwork()
+	reg := metrics.New()
+	coord := NewParticipant("C", net.Endpoint("C"), wal.New(&commitFailStore{MemStore: wal.NewMemStore(), node: "C"}),
+		[]core.Resource{core.NewStaticResource("rc")}, WithLastAgent(), WithMetrics(reg))
+	agent := NewParticipant("A", net.Endpoint("A"), wal.New(wal.NewMemStore()),
+		[]core.Resource{core.NewStaticResource("ra")})
+	coord.Start()
+	agent.Start()
+	defer coord.Stop()
+	defer agent.Stop()
+
+	tx := core.TxID{Origin: "C", Seq: 14}.String()
+	out, err := coord.Commit(context.Background(), tx, []string{"A"})
+	if out != Committed || err == nil {
+		t.Fatalf("delegated commit with a failing log = %v, %v; want committed and the force error", out, err)
+	}
+	// This node's part is over, as after any Committed return: its
+	// counters are final.
+	snap := reg.CostSnapshot()
+	if len(snap) != 1 || snap[0].Tx != tx || !snap[0].Nodes["C"].Done {
+		t.Fatalf("cost ledger %+v, want %s with the coordinator's part done", snap, tx)
 	}
 }

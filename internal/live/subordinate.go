@@ -163,7 +163,7 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	d, known := sh.decided[m.Tx]
+	d, known := sh.decidedLocked(m.Tx)
 	st, exists := sh.txs[m.Tx]
 	if known && !exists {
 		// Decided and retired: a duplicate delivery, not a transaction
@@ -199,10 +199,13 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 
 	// The variant rules come from the Prepare's announced presumption;
 	// for an outcome with no preceding Prepare (redelivery after this
-	// node forgot), fall back to our configured variant.
+	// node forgot, or an abort that overtook the Prepare), fall back to
+	// our configured variant — and record it, so a duplicate of the
+	// outcome is later answered under the rules it was applied under.
 	v := variantOf(st.presume)
 	if !st.prepared {
 		v = p.variant
+		st.presume = presumptionOf(v)
 	}
 
 	tx := core.ParseTxID(m.Tx)
@@ -235,6 +238,13 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
 	if expectsAckFor(v, commit) {
 		_ = p.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: heur})
+	} else if !commit && !st.prepared {
+		// An abort reaching a subordinate that never prepared (a
+		// read-only voter, or one the Prepare never reached) is
+		// acknowledged whatever the variant: the coordinator of a
+		// non-abort presumption holds the abort until everyone it told
+		// has answered.
+		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 	}
 	if p.met != nil {
 		out := "committed"
@@ -266,13 +276,16 @@ func (p *Participant) reack(from, tx string, v core.Variant, committed, commit b
 // still live here (a coordinator mid-collection, or this node itself
 // prepared and in doubt — its fate may yet go either way, so a
 // presumption answer would race the real decision), and only for
-// transactions with no state at all by the configured variant's
-// presumption. Durable state survives restarts via the Start-time log
-// replay that rebuilds the decided table.
+// transactions with no state at all by presumption: the one the
+// inquirer's Prepare announced, which the inquiry carries, or this
+// node's configured variant's when it carries none. The decided table
+// forgets an entry only once that presumption answers it correctly
+// (or nobody can still ask); durable state survives restarts via the
+// Start-time log replay that rebuilds the decided table.
 func (p *Participant) handleInquire(from string, m protocol.Message) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
-	d, known := sh.decided[m.Tx]
+	d, known := sh.decidedLocked(m.Tx)
 	_, active := sh.txs[m.Tx]
 	sh.mu.Unlock()
 	var out protocol.OutcomeKind
@@ -284,7 +297,11 @@ func (p *Participant) handleInquire(from string, m protocol.Message) {
 	case active:
 		out = protocol.OutcomeInProgress
 	default:
-		switch p.variant {
+		v := p.variant
+		if m.Presume != protocol.PresumeNothingKnown {
+			v = variantOf(m.Presume)
+		}
+		switch v {
 		case core.VariantPA, core.Variant1PC:
 			// Under 1PC this is what makes the logless voter safe: had
 			// the coordinator decided commit, its forced decision record

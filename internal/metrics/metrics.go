@@ -59,7 +59,11 @@ type Registry struct {
 	mu        sync.Mutex
 	perNode   map[string]*Counters
 	lockHold  map[string]time.Duration // cumulative lock hold time per node
-	latency   []time.Duration          // per-transaction commit latency
+	latency   []time.Duration          // ring of the latencyRing most recent commit latencies
+	latNext   int                      // ring slot the next sample overwrites, once full
+	latCount  int                      // commit latencies ever recorded
+	latSum    time.Duration            // and their sum
+	latMax    time.Duration            // and their maximum
 	txOutcome map[string]int           // outcome name -> count
 	costs     map[string]*txCost       // per-transaction cost ledger (cost.go)
 	costSeq   int
@@ -175,11 +179,34 @@ func (r *Registry) LockHold(node string, d time.Duration) {
 	r.lockHold[node] += d
 }
 
+// latencyRing is how many recent commit latencies the registry keeps
+// for percentiles: enough for a stable p99, and a scrape copies and
+// sorts no more than this however long the process has run.
+const latencyRing = 8192
+
 // Latency records the commit latency of one completed transaction.
+// Count, mean and maximum cover every transaction; percentiles cover
+// the latencyRing most recent.
 func (r *Registry) Latency(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.latency = append(r.latency, d)
+	r.latCount++
+	r.latSum += d
+	r.latMax = max(r.latMax, d)
+	if len(r.latency) < latencyRing {
+		r.latency = append(r.latency, d)
+		return
+	}
+	r.latency[r.latNext] = d
+	r.latNext = (r.latNext + 1) % latencyRing
+}
+
+// recentLatenciesLocked copies the ring, oldest sample first. Caller
+// holds r.mu.
+func (r *Registry) recentLatenciesLocked() []time.Duration {
+	out := make([]time.Duration, 0, len(r.latency))
+	out = append(out, r.latency[r.latNext:]...)
+	return append(out, r.latency[:r.latNext]...)
 }
 
 // Outcome tallies a transaction outcome by name ("committed",
@@ -277,27 +304,23 @@ func (r *Registry) LockHoldTime(node string) time.Duration {
 	return sum
 }
 
-// Latencies returns a copy of the recorded per-transaction latencies.
+// Latencies returns a copy of the most recent commit latencies (up to
+// latencyRing of them), oldest first.
 func (r *Registry) Latencies() []time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]time.Duration, len(r.latency))
-	copy(out, r.latency)
-	return out
+	return r.recentLatenciesLocked()
 }
 
-// MeanLatency returns the average commit latency, or zero when no
-// transactions completed.
+// MeanLatency returns the average latency of every commit recorded, or
+// zero when no transactions completed.
 func (r *Registry) MeanLatency() time.Duration {
-	lats := r.Latencies()
-	if len(lats) == 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.latCount == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, d := range lats {
-		sum += d
-	}
-	return sum / time.Duration(len(lats))
+	return r.latSum / time.Duration(r.latCount)
 }
 
 // Outcomes returns a copy of the outcome tallies.
@@ -336,12 +359,17 @@ func (r *Registry) Summary() string {
 	fmt.Fprintf(&b, "%-14s %8d %8d %8d %8d %10s\n", "TOTAL",
 		t.Flows, r.TotalPackets(), t.Writes, t.Forced, r.LockHoldTime(""))
 	if lat := r.MeanLatency(); lat > 0 {
-		fmt.Fprintf(&b, "mean commit latency: %s over %d transaction(s)\n", lat, len(r.Latencies()))
+		r.mu.Lock()
+		n := r.latCount
+		r.mu.Unlock()
+		fmt.Fprintf(&b, "mean commit latency: %s over %d transaction(s)\n", lat, n)
 	}
 	return b.String()
 }
 
-// LatencySummary condenses the recorded commit-latency distribution.
+// LatencySummary condenses the recorded commit-latency distribution:
+// Count, Mean and Max over every commit, the percentiles over the most
+// recent latencyRing.
 type LatencySummary struct {
 	Count         int
 	Mean          time.Duration
@@ -390,21 +418,18 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.txOutcome {
 		s.Outcomes[k] = v
 	}
-	lats := make([]time.Duration, len(r.latency))
-	copy(lats, r.latency)
+	lats := r.recentLatenciesLocked()
+	s.Latency.Count = r.latCount
+	if r.latCount > 0 {
+		s.Latency.Mean = r.latSum / time.Duration(r.latCount)
+	}
+	s.Latency.Max = r.latMax
 	r.mu.Unlock()
 
-	s.Latency.Count = len(lats)
 	if len(lats) == 0 {
 		return s
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, d := range lats {
-		sum += d
-	}
-	s.Latency.Mean = sum / time.Duration(len(lats))
-	s.Latency.Max = lats[len(lats)-1]
 	pct := func(p float64) time.Duration {
 		idx := int(p / 100 * float64(len(lats)))
 		if idx >= len(lats) {
@@ -419,7 +444,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // LatencyPercentile returns the p-th percentile (0 < p <= 100) of the
-// recorded commit latencies, or zero when none were recorded.
+// most recent commit latencies (up to latencyRing), or zero when none
+// were recorded.
 func (r *Registry) LatencyPercentile(p float64) time.Duration {
 	lats := r.Latencies()
 	if len(lats) == 0 || p <= 0 {

@@ -198,3 +198,31 @@ func TestLatencyPercentile(t *testing.T) {
 		t.Fatalf("p0 = %v", got)
 	}
 }
+
+// TestLatencyRingKeepsRecent: past latencyRing samples the registry
+// keeps only the most recent ones for percentiles, while count, mean
+// and maximum still cover every sample.
+func TestLatencyRingKeepsRecent(t *testing.T) {
+	r := New()
+	const n = latencyRing + 1000
+	for i := 1; i <= n; i++ {
+		r.Latency(time.Duration(i) * time.Microsecond)
+	}
+	lats := r.Latencies()
+	if len(lats) != latencyRing {
+		t.Fatalf("kept %d samples, want %d", len(lats), latencyRing)
+	}
+	if lats[0] != 1001*time.Microsecond || lats[len(lats)-1] != n*time.Microsecond {
+		t.Fatalf("ring holds %v..%v, want the most recent, oldest first", lats[0], lats[len(lats)-1])
+	}
+	if got := r.LatencyPercentile(0.01); got != 1001*time.Microsecond {
+		t.Fatalf("lowest percentile = %v, want the oldest kept sample", got)
+	}
+	s := r.Snapshot().Latency
+	if s.Count != n || s.Max != n*time.Microsecond {
+		t.Fatalf("summary count %d max %v, want %d and %v", s.Count, s.Max, n, time.Duration(n)*time.Microsecond)
+	}
+	if want := time.Duration(n+1) * time.Microsecond / 2; s.Mean != want || r.MeanLatency() != want {
+		t.Fatalf("mean = %v / %v, want %v over every sample", s.Mean, r.MeanLatency(), want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // BinaryCodec is the wire format: a fixed little-endian header,
@@ -38,6 +39,7 @@ import (
 //	  per heuristic report:
 //	    string  Node
 //	    byte    flag bits: Committed, Damage
+//	  uvarint Horizon in milliseconds, rounded up
 //
 // AppendFrame appends into the caller's buffer and performs zero
 // allocations. DecodeFrame interns the small set of node and
@@ -59,7 +61,11 @@ type BinaryCodec struct {
 
 // binaryVersion is the format version stamped on every frame. Bump it
 // when the layout changes; decoders reject versions they don't know.
-const binaryVersion = 1
+const binaryVersion = 2
+
+// maxHorizonMs bounds a message's Horizon on the wire (about 49 days),
+// so a decoded horizon always fits a time.Duration.
+const maxHorizonMs = 1<<32 - 1
 
 // maxInternedNames bounds the per-connection intern table. Transaction
 // ids are unique, so a long-lived connection would otherwise grow the
@@ -190,6 +196,11 @@ func (c *BinaryCodec) AppendFrame(dst []byte, pkt Packet) ([]byte, error) {
 			}
 			dst = append(dst, hf)
 		}
+		hz := (m.Horizon + time.Millisecond - 1) / time.Millisecond
+		if m.Horizon < 0 || hz > maxHorizonMs {
+			return dst[:start], fmt.Errorf("protocol: binary encode: horizon %v out of range", m.Horizon)
+		}
+		dst = appendUvarint(dst, uint64(hz))
 	}
 	payload := len(dst) - start - 4
 	if payload > maxEncodedFrame {
@@ -357,11 +368,10 @@ func (c *BinaryCodec) decodeMessage(r *binReader, m *Message) error {
 	if hn > uint64(len(r.buf)) { // each report costs >= 2 bytes
 		return fmt.Errorf("protocol: binary decode: heuristic count %d exceeds frame", hn)
 	}
-	if hn == 0 {
-		m.Heuristics = nil
-		return nil
+	m.Heuristics = nil
+	if hn > 0 {
+		m.Heuristics = make([]HeuristicReport, hn)
 	}
-	m.Heuristics = make([]HeuristicReport, hn)
 	for i := range m.Heuristics {
 		h := &m.Heuristics[i]
 		if h.Node, err = c.string(r); err != nil {
@@ -374,5 +384,13 @@ func (c *BinaryCodec) decodeMessage(r *binReader, m *Message) error {
 		h.Committed = hf&flagHeurCommitted != 0
 		h.Damage = hf&flagHeurDamage != 0
 	}
+	hz, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if hz > maxHorizonMs {
+		return fmt.Errorf("protocol: binary decode: horizon %d ms out of range", hz)
+	}
+	m.Horizon = time.Duration(hz) * time.Millisecond
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func testPacket(i int) Packet {
@@ -187,6 +188,37 @@ func TestBinaryCodecEncodeRejectsWideEnums(t *testing.T) {
 	pkt := Packet{From: "a", To: "b", Messages: []Message{{Type: MsgType(300)}}}
 	if _, err := NewBinaryCodec().AppendFrame(nil, pkt); err == nil {
 		t.Fatal("encode accepted MsgType(300)")
+	}
+}
+
+// TestBinaryCodecHorizonMilliseconds: a message's Horizon travels in
+// whole milliseconds, rounded up, so a receiver never reads a shorter
+// retransmission horizon than the sender's; one that does not fit the
+// wire is rejected.
+func TestBinaryCodecHorizonMilliseconds(t *testing.T) {
+	c := NewBinaryCodec()
+	for _, tc := range []struct{ in, want time.Duration }{
+		{0, 0},
+		{time.Microsecond, time.Millisecond},
+		{1500 * time.Microsecond, 2 * time.Millisecond},
+		{2 * time.Second, 2 * time.Second},
+	} {
+		frame, err := c.AppendFrame(nil, Packet{From: "C", To: "S", Messages: []Message{{Type: MsgPrepare, Tx: "C:1", Horizon: tc.in}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt, err := c.DecodeFrame(frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pkt.Messages[0].Horizon; got != tc.want {
+			t.Errorf("horizon %v decoded as %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	for _, bad := range []time.Duration{-time.Millisecond, (maxHorizonMs + 1) * time.Millisecond} {
+		if _, err := c.AppendFrame(nil, Packet{Messages: []Message{{Type: MsgPrepare, Horizon: bad}}}); err == nil {
+			t.Errorf("horizon %v encoded, want an error", bad)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // FuzzDecode feeds arbitrary bytes to the decoder that parses every
@@ -46,20 +47,20 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 	// variants — the corners where explicit field encoding and gob's
 	// reflection walk could diverge.
 	for mt := MsgData; mt <= MsgOutcome; mt++ {
-		f.Add("C", "S1", "C:1", "", uint8(mt), uint8(1), uint8(0), uint8(0), uint8(0), []byte(nil), "", uint8(0))
+		f.Add("C", "S1", "C:1", "", uint8(mt), uint8(1), uint8(0), uint8(0), uint8(0), []byte(nil), "", uint8(0), uint16(2000))
 	}
-	f.Add("C", "S1", "C:2", "C:3", uint8(MsgData), uint8(0), uint8(0), uint8(0), uint8(0xff), []byte{}, "", uint8(0))
-	f.Add("C", "S1", "C:4", "", uint8(MsgAck), uint8(2), uint8(2), uint8(3), uint8(0x40), []byte{0, 1, 0xff}, "S2", uint8(3))
-	f.Add("", "", "", "", uint8(MsgVote), uint8(3), uint8(1), uint8(1), uint8(0xaa), []byte(nil), "node-with-a-long-name", uint8(1))
+	f.Add("C", "S1", "C:2", "C:3", uint8(MsgData), uint8(0), uint8(0), uint8(0), uint8(0xff), []byte{}, "", uint8(0), uint16(0))
+	f.Add("C", "S1", "C:4", "", uint8(MsgAck), uint8(2), uint8(2), uint8(3), uint8(0x40), []byte{0, 1, 0xff}, "S2", uint8(3), uint16(0))
+	f.Add("", "", "", "", uint8(MsgVote), uint8(3), uint8(1), uint8(1), uint8(0xaa), []byte(nil), "node-with-a-long-name", uint8(1), uint16(0))
 	// The one-phase vote: Presume1PC with an opc1 redo payload riding
 	// the Payload field — the fast path's whole durability story on
 	// the wire.
 	onePhase := OnePhaseMeta{Subs: []string{"S1", "S2"}, Redos: [][]byte{{0x01}, nil}}.Encode()
-	f.Add("S1", "C", "C:5", "", uint8(MsgVote), uint8(Presume1PC), uint8(VoteYes), uint8(0), uint8(16), onePhase, "", uint8(0))
+	f.Add("S1", "C", "C:5", "", uint8(MsgVote), uint8(Presume1PC), uint8(VoteYes), uint8(0), uint8(16), onePhase, "", uint8(0), uint16(0))
 
 	bin := NewBinaryCodec()
 	f.Fuzz(func(t *testing.T, from, to, tx, newTx string,
-		typ, presume, vote, outcome, flags uint8, payload []byte, hNode string, hFlags uint8) {
+		typ, presume, vote, outcome, flags uint8, payload []byte, hNode string, hFlags uint8, hz uint16) {
 		m := Message{
 			Type:            MsgType(typ) % (MsgOutcome + 1),
 			Tx:              tx,
@@ -74,6 +75,7 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 			RecoveryPending: flags&64 != 0,
 			Outcome:         OutcomeKind(outcome) % (OutcomeInProgress + 1),
 			NewTx:           newTx,
+			Horizon:         time.Duration(hz) * time.Millisecond,
 		}
 		if len(payload) > 0 {
 			m.Payload = payload

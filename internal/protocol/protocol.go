@@ -9,7 +9,10 @@
 // packet does not. Metrics count both.
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // MsgType enumerates the protocol messages.
 type MsgType int
@@ -205,6 +208,13 @@ type Message struct {
 	// MsgData fields.
 	Payload []byte
 	NewTx   string // non-empty: this data begins transaction NewTx (implied ack for Tx)
+
+	// Horizon is the sender's retransmission horizon: how long after
+	// first sending a Prepare or an outcome it may still resend it. A
+	// receiver keeps what it needs to answer a duplicate at least that
+	// long. Carried in whole milliseconds, rounded up; zero when the
+	// sender does not say.
+	Horizon time.Duration
 }
 
 // Label renders the message for traces, e.g. "VoteYes+Reliable" or

@@ -912,12 +912,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Per-transaction memory. The state and lock tables hold in-flight
 	// work only and drain to 0 when the daemon idles; the decided table
-	// keeps one entry per transaction ever decided here.
+	// keeps its pinned entries plus about one to two retransmission
+	// horizons of recent decisions.
 	gauge := func(name, help string, v int) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	gauge("twopc_state_entries", "Live protocol state entries (in-flight transactions).", s.part.StateTableSize())
-	gauge("twopc_decided_entries", "Decided-table entries: one per transaction decided at this node.", s.part.DecidedTableSize())
+	gauge("twopc_decided_entries", "Decided-table entries: pinned ones plus decisions younger than the retransmission horizon (up to twice it).", s.part.DecidedTableSize())
+	gauge("twopc_decided_pinned_entries", "Pinned decided-table entries: acknowledgments outstanding, aborts a non-abort presumption would answer wrongly, Paxos acceptor state.", s.part.PinnedDecisions())
 	gauge("twopc_lock_table_keys", "Keys held or waited for in this shard's lock table.", s.store.Locks().TableSize())
 
 	lat := snap.Latency

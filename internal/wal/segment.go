@@ -2,13 +2,17 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/protocol"
 )
@@ -40,20 +44,32 @@ import (
 // zero length, short record, or CRC mismatch — the torn tail of an
 // interrupted write — and Open truncates the tail away (re-extending
 // the file with zeros) so the garbage cannot resurface.
+//
+// A failed write or fdatasync poisons the store: the kernel may have
+// dropped the dirty pages, so a later sync that succeeds proves
+// nothing. Every later Append, Sync and Truncate returns the first
+// error.
 type SegmentStore struct {
 	dir      string
 	segBytes int64
 	fsync    bool
 	syncHook func() // called immediately before every physical sync (stall injection)
 
+	// ckptMu serializes checkpoints and guards their scan buffers; a
+	// checkpoint holds mu only to cut the log and to swap the manifest.
+	ckptMu  sync.Mutex
+	scanBuf []byte
+	outBuf  []byte
+
 	mu        sync.Mutex
 	dirf      *os.File
 	gen       uint64
+	start     uint64 // index of the first live segment (the manifest's)
 	nextIdx   uint64
 	nextSeq   uint64
 	freeCtr   uint64
 	cur       *segFile
-	sealed    []string // earlier segments of the current generation, in index order
+	sealed    []string // earlier live segments, in index order
 	wbuf      []byte   // staged appends, written at cur.woff on the next flush
 	enc       []byte   // scratch encode buffer
 	dirty     bool     // bytes written since the last physical sync
@@ -63,7 +79,9 @@ type SegmentStore struct {
 	free      []string // recycled segment files awaiting reuse
 	spare     *segFile // background-prepared next segment (temp name)
 	prepping  bool
+	prepWG    sync.WaitGroup // the background prep, which Close waits for
 	closed    bool
+	err       error // first write or sync failure: the store is poisoned
 }
 
 // segFile is one open segment.
@@ -77,13 +95,24 @@ type segFile struct {
 }
 
 const (
-	segHeaderSize   = 16
-	segMagic        = "WSEG"
-	segVersion      = 1
+	segHeaderSize = 16
+	segMagic      = "WSEG"
+	// segVersion 2 segments end in a zero frame header once sealed (see
+	// rolloverLocked), so a scan can tell the end of a sealed segment
+	// from damage; version 1 segments, written before, are still read.
+	segVersion      = 2
+	segTerminator   = 8 // a zero frame header
 	manifestName    = "MANIFEST"
 	defaultSegBytes = 4 << 20
 	minSegBytes     = 128
+
+	// scanChunk is the read size of the checkpoint's streaming scan and
+	// the write batch of its output.
+	scanChunk = 64 << 10
 )
+
+// zeroFrame is the terminator a sealed segment ends with.
+var zeroFrame [segTerminator]byte
 
 // SegmentOption configures a SegmentStore.
 type SegmentOption func(*SegmentStore)
@@ -110,7 +139,7 @@ func WithSyncHook(fn func()) SegmentOption {
 }
 
 // OpenSegmentStore opens (creating if needed) a segmented store in
-// dir, recovering to the last whole record of the current generation.
+// dir, recovering to the last whole record of the live segments.
 func OpenSegmentStore(dir string, opts ...SegmentOption) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: segment dir %s: %w", dir, err)
@@ -133,11 +162,11 @@ func OpenSegmentStore(dir string, opts ...SegmentOption) (*SegmentStore, error) 
 // recover reads the manifest, classifies existing files, and positions
 // the write point after the last whole record.
 func (s *SegmentStore) recover() error {
-	gen, err := s.readManifest()
+	gen, start, err := s.readManifest()
 	if err != nil {
 		return err
 	}
-	s.gen = gen
+	s.gen, s.start = gen, start
 
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -158,13 +187,28 @@ func (s *SegmentStore) recover() error {
 				continue
 			}
 			s.noteSeq(path)
-			if g == s.gen {
+			if g == s.gen && idx >= s.start {
 				live = append(live, liveSeg{idx: idx, path: path})
 			} else {
+				// Another generation, or a segment a committed
+				// checkpoint rewrote (a crash came before its recycling).
 				s.recyclePath(path)
 			}
 		case strings.HasPrefix(name, "prep-") && strings.HasSuffix(name, ".seg"):
 			s.noteSeq(path)
+			s.recyclePath(path)
+		case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".seg"):
+			// A checkpoint segment still under its temporary name: the
+			// manifest swap committed it only if the manifest's start
+			// names its index (a crash came before the rename).
+			s.noteSeq(path)
+			if _, err := fmt.Sscanf(name, "ckpt-%08d.seg", &idx); err == nil && idx == s.start && !hasSeg(entries, s.segName(idx)) {
+				if err := os.Rename(path, s.segPath(idx)); err != nil {
+					return err
+				}
+				live = append(live, liveSeg{idx: idx, path: s.segPath(idx)})
+				continue
+			}
 			s.recyclePath(path)
 		case strings.HasPrefix(name, "free-") && strings.HasSuffix(name, ".seg"):
 			s.noteSeq(path)
@@ -181,17 +225,26 @@ func (s *SegmentStore) recover() error {
 
 	// The active segment is the highest-indexed one holding records
 	// (an installed-but-empty successor is recycled; it will be
-	// recreated on the next rollover).
-	activeAt := -1
+	// recreated on the next rollover) — or the first segment whose scan
+	// broke off on a damaged record. A sealed segment was hardened
+	// before its successor received a byte, so damage there is not a
+	// torn tail: the log ends at it, and what follows is recycled
+	// rather than replayed across a gap.
+	var buf []byte
 	ends := make([]int64, len(live))
+	activeAt := -1
 	for i, ls := range live {
-		_, end, _, err := readSegment(ls.path)
+		sc, b, err := scanSegment(ls.path, buf, nil)
+		buf = b
 		if err != nil {
 			return err
 		}
-		ends[i] = end
-		if end > segHeaderSize {
+		ends[i] = sc.end
+		if sc.end > segHeaderSize || !sc.clean {
 			activeAt = i
+		}
+		if !sc.clean {
+			break
 		}
 	}
 	if activeAt == -1 && len(live) > 0 {
@@ -203,6 +256,7 @@ func (s *SegmentStore) recover() error {
 		}
 	}
 	if activeAt == -1 {
+		s.nextIdx = s.start
 		sf, err := s.prepareSegment(s.segBytes)
 		if err != nil {
 			return err
@@ -233,8 +287,19 @@ func (s *SegmentStore) recover() error {
 	}
 	hdr, err := readSegHeader(f)
 	if err != nil {
+		// A damaged header: rebuild the segment empty under a fresh seq.
 		f.Close()
-		return err
+		sf, err := buildSegment(s.dir, s.nextSeq, act.path, s.segBytes, s.fsync)
+		if err != nil {
+			return err
+		}
+		s.nextSeq++
+		if err := os.Rename(sf.path, act.path); err != nil {
+			return err
+		}
+		sf.path = act.path
+		s.cur = sf
+		return nil
 	}
 	// Chop the torn tail, then re-extend with zeros so stale bytes
 	// beyond the write point can never be scanned again.
@@ -258,14 +323,19 @@ func (s *SegmentStore) recover() error {
 
 // noteSeq folds path's header sequence number into the allocator so a
 // recycled file can never be re-stamped with a seq its stale records
-// were written under.
+// were written under. The seq bytes count even behind a damaged magic:
+// the records they seal may be intact.
 func (s *SegmentStore) noteSeq(path string) {
 	f, err := os.Open(path)
 	if err != nil {
 		return
 	}
 	defer f.Close()
-	if seq, err := readSegHeader(f); err == nil && seq >= s.nextSeq {
+	var b [segHeaderSize]byte
+	if _, err := f.ReadAt(b[:], 0); err != nil {
+		return
+	}
+	if seq := binary.LittleEndian.Uint64(b[8:]); seq >= s.nextSeq && seq < math.MaxUint64 {
 		s.nextSeq = seq + 1
 	}
 }
@@ -282,30 +352,32 @@ func (s *SegmentStore) recyclePath(path string) {
 	s.free = append(s.free, dst)
 }
 
-func (s *SegmentStore) readManifest() (uint64, error) {
+// readManifest returns the live generation and the index of its first
+// live segment. A manifest written before checkpoints recorded a start
+// index reads as start 0.
+func (s *SegmentStore) readManifest() (gen, start uint64, err error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	if os.IsNotExist(err) {
-		if err := s.writeManifest(1); err != nil {
-			return 0, err
+		if err := s.writeManifest(1, 0); err != nil {
+			return 0, 0, err
 		}
-		return 1, nil
+		return 1, 0, nil
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	var gen uint64
-	if _, err := fmt.Sscanf(string(data), "gen %d", &gen); err != nil || gen == 0 {
-		return 0, fmt.Errorf("wal: bad manifest %q", data)
+	if n, _ := fmt.Sscanf(string(data), "gen %d start %d", &gen, &start); n == 0 || gen == 0 {
+		return 0, 0, fmt.Errorf("wal: bad manifest %q", data)
 	}
-	return gen, nil
+	return gen, start, nil
 }
 
 // writeManifest atomically replaces the manifest (tmp + rename +
-// directory sync), the commit point of a checkpoint generation swap.
-func (s *SegmentStore) writeManifest(gen uint64) error {
+// directory sync), the commit point of a checkpoint.
+func (s *SegmentStore) writeManifest(gen, start uint64) error {
 	path := filepath.Join(s.dir, manifestName)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("gen %d\n", gen)), 0o644); err != nil {
+	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("gen %d start %d\n", gen, start)), 0o644); err != nil {
 		return err
 	}
 	if s.fsync {
@@ -341,15 +413,25 @@ func seqMix(seq uint64) uint32 {
 	return crc32.ChecksumIEEE(b[:])
 }
 
+// parseSegHeader returns the sequence number and format version a
+// segment header stamps.
+func parseSegHeader(b []byte) (seq uint64, version byte, ok bool) {
+	if len(b) < segHeaderSize || string(b[:4]) != segMagic || b[4] < 1 || b[4] > segVersion {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(b[8:]), b[4], true
+}
+
 func readSegHeader(f *os.File) (seq uint64, err error) {
-	var hdr [segHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	var b [segHeaderSize]byte
+	if _, err := f.ReadAt(b[:], 0); err != nil {
 		return 0, fmt.Errorf("wal: segment header: %w", err)
 	}
-	if string(hdr[:4]) != segMagic || hdr[4] != segVersion {
+	seq, _, ok := parseSegHeader(b[:])
+	if !ok {
 		return 0, fmt.Errorf("wal: %s: not a log segment", f.Name())
 	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
+	return seq, nil
 }
 
 // appendSegRecord encodes rec as one framed record: a 4-byte little-
@@ -368,15 +450,31 @@ func appendSegRecord(dst []byte, rec Record, mix uint32) []byte {
 	dst = protocol.AppendLenString(dst, rec.Node)
 	dst = protocol.AppendLenString(dst, rec.Kind)
 	dst = protocol.AppendLenBytes(dst, rec.Data)
-	payload := dst[start+8:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload)^mix)
+	sealFrame(dst[start:], mix)
 	return dst
 }
 
-// decodeSegPayload parses one record payload. ok is false on any
-// truncation or trailing garbage.
-func decodeSegPayload(p []byte) (Record, bool) {
+// appendFrame re-frames an already encoded payload for a segment with
+// CRC tweak mix (a checkpoint moving a record to its new segment).
+func appendFrame(dst, payload []byte, mix uint32) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = append(dst, payload...)
+	sealFrame(dst[start:], mix)
+	return dst
+}
+
+// sealFrame backfills a frame's length and seq-mixed CRC.
+func sealFrame(frame []byte, mix uint32) {
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload)^mix)
+}
+
+// viewSegPayload parses one record payload without copying: the
+// record's strings and Data alias p, so it is valid only while p is.
+// ok is false on any truncation or trailing garbage.
+func viewSegPayload(p []byte) (Record, bool) {
 	var rec Record
 	lsn, rest, ok := protocol.CutUvarint(p)
 	if !ok || len(rest) == 0 {
@@ -384,69 +482,166 @@ func decodeSegPayload(p []byte) (Record, bool) {
 	}
 	flags := rest[0]
 	rest = rest[1:]
-	tx, rest, ok := protocol.CutLenBytes(rest)
-	if !ok {
-		return rec, false
+	var fields [4][]byte
+	for i := range fields {
+		if fields[i], rest, ok = protocol.CutLenBytes(rest); !ok {
+			return rec, false
+		}
 	}
-	node, rest, ok := protocol.CutLenBytes(rest)
-	if !ok {
-		return rec, false
-	}
-	kind, rest, ok := protocol.CutLenBytes(rest)
-	if !ok {
-		return rec, false
-	}
-	data, rest, ok := protocol.CutLenBytes(rest)
-	if !ok || len(rest) != 0 {
+	if len(rest) != 0 {
 		return rec, false
 	}
 	rec.LSN = int64(lsn)
 	rec.Forced = flags&1 != 0
-	rec.Tx = string(tx)
-	rec.Node = string(node)
-	rec.Kind = string(kind)
-	if len(data) > 0 {
-		rec.Data = append([]byte(nil), data...)
+	rec.Tx = aliasString(fields[0])
+	rec.Node = aliasString(fields[1])
+	rec.Kind = aliasString(fields[2])
+	if len(fields[3]) > 0 {
+		rec.Data = fields[3]
 	}
 	return rec, true
 }
 
-// readSegment scans one segment file, returning its whole records and
-// the offset just past the last one. The scan stops — without error —
-// at the first zero length, short frame, CRC mismatch, or undecodable
-// payload: that is the torn tail (or the preallocated zero region).
+// aliasString views b as a string without copying.
+func aliasString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// decodeSegPayload parses one record payload into a record that owns
+// its memory.
+func decodeSegPayload(p []byte) (Record, bool) {
+	rec, ok := viewSegPayload(p)
+	if !ok {
+		return rec, false
+	}
+	rec.Tx = strings.Clone(rec.Tx)
+	rec.Node = strings.Clone(rec.Node)
+	rec.Kind = strings.Clone(rec.Kind)
+	if rec.Data != nil {
+		rec.Data = append([]byte(nil), rec.Data...)
+	}
+	return rec, true
+}
+
+// readSegment scans one segment file, returning its whole records, the
+// offset just past the last one, and the segment's sequence number.
 func readSegment(path string) (recs []Record, validEnd int64, seq uint64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if len(data) < segHeaderSize || string(data[:4]) != segMagic || data[4] != segVersion {
-		return nil, segHeaderSize, 0, nil
-	}
-	seq = binary.LittleEndian.Uint64(data[8:])
-	mix := seqMix(seq)
-	off := int64(segHeaderSize)
-	for {
-		if off+8 > int64(len(data)) {
-			break
-		}
-		ln := int64(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if ln == 0 || off+8+ln > int64(len(data)) {
-			break
-		}
-		payload := data[off+8 : off+8+ln]
-		if crc32.ChecksumIEEE(payload)^mix != crc {
-			break
-		}
-		rec, ok := decodeSegPayload(payload)
-		if !ok {
-			break
-		}
+	sc, _, err := scanSegment(path, nil, func(payload []byte) {
+		rec, _ := decodeSegPayload(payload)
 		recs = append(recs, rec)
-		off += 8 + ln
+	})
+	return recs, sc.end, sc.seq, err
+}
+
+// segScan is what a scan learned about one segment file.
+type segScan struct {
+	end   int64  // offset just past the last whole record
+	seq   uint64 // the header's sequence number
+	clean bool   // the records ended at zeros or at the end of the file
+}
+
+// scanSegment streams the whole records of one segment file to fn (nil
+// to only measure), reading through buf — grown only for a record
+// larger than it — which it returns for reuse. The payload handed to
+// fn aliases buf and is valid only during the call. The scan stops,
+// without error, at the first zero length, short frame, CRC mismatch,
+// or undecodable payload: a zero length (the preallocated region) or
+// the end of the file is a clean end; anything else is a torn tail or
+// damage. A file with no valid header scans as empty and not clean.
+func scanSegment(path string, buf []byte, fn func(payload []byte)) (sc segScan, _ []byte, err error) {
+	sc.end = segHeaderSize
+	f, err := os.Open(path)
+	if err != nil {
+		return sc, buf, err
 	}
-	return recs, off, seq, nil
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return sc, buf, err
+	}
+	size := st.Size()
+	var hb [segHeaderSize]byte
+	if _, err := f.ReadAt(hb[:], 0); err != nil {
+		return sc, buf, nil
+	}
+	seq, version, ok := parseSegHeader(hb[:])
+	if !ok {
+		return sc, buf, nil
+	}
+	sc.seq = seq
+	// A version 1 segment has no terminator: a recycled one's stale tail
+	// cannot be told from damage, so any stop counts as its end.
+	legacy := version < 2
+	mix := seqMix(seq)
+	if len(buf) < scanChunk {
+		buf = make([]byte, scanChunk)
+	}
+	pos := int64(segHeaderSize) // file offset of buf[0]
+	c, n := 0, 0                // buf[c:n] is read but not yet consumed
+	// fill makes buf[c:c+need] valid, reporting false at end of file.
+	fill := func(need int) (bool, error) {
+		if pos+int64(c)+int64(need) > size {
+			return false, nil
+		}
+		if n-c >= need {
+			return true, nil
+		}
+		copy(buf, buf[c:n])
+		n -= c
+		pos += int64(c)
+		c = 0
+		if need > len(buf) {
+			nb := make([]byte, need)
+			copy(nb, buf[:n])
+			buf = nb
+		}
+		want := int(min(int64(len(buf)), size-pos))
+		for n < want {
+			m, err := f.ReadAt(buf[n:want], pos+int64(n))
+			n += m
+			if errors.Is(err, io.EOF) {
+				size = pos + int64(n) // the file shrank under the scan
+				break
+			}
+			if err != nil {
+				return false, err
+			}
+		}
+		return n-c >= need, nil
+	}
+	for {
+		sc.end = pos + int64(c)
+		if ok, err := fill(8); err != nil || !ok {
+			// Fewer than a frame header's bytes left: no record can
+			// follow.
+			sc.clean = err == nil
+			return sc, buf, err
+		}
+		ln := int(binary.LittleEndian.Uint32(buf[c:]))
+		crc := binary.LittleEndian.Uint32(buf[c+4:])
+		if ln == 0 {
+			sc.clean = crc == 0 || legacy
+			return sc, buf, nil
+		}
+		sc.clean = legacy
+		if ok, err := fill(8 + ln); err != nil || !ok {
+			return sc, buf, err
+		}
+		payload := buf[c+8 : c+8+ln]
+		if crc32.ChecksumIEEE(payload)^mix != crc {
+			return sc, buf, nil
+		}
+		if _, ok := viewSegPayload(payload); !ok {
+			return sc, buf, nil
+		}
+		if fn != nil {
+			fn(payload)
+		}
+		c += 8 + ln
+	}
 }
 
 // prepareSegment creates (or recycles into) a preallocated segment
@@ -489,7 +684,9 @@ func buildSegment(dir string, seq uint64, src string, size int64, fsync bool) (*
 		f.Close()
 		return nil, err
 	}
-	var hdr [segHeaderSize]byte
+	// The header, then a terminator: a recycled file's stale bytes
+	// never read as the end of a sealed segment's records.
+	var hdr [segHeaderSize + segTerminator]byte
 	copy(hdr[:], segMagic)
 	hdr[4] = segVersion
 	binary.LittleEndian.PutUint64(hdr[8:], seq)
@@ -506,11 +703,28 @@ func buildSegment(dir string, seq uint64, src string, size int64, fsync bool) (*
 	return &segFile{f: f, path: path, seq: seq, mix: seqMix(seq), size: size, woff: segHeaderSize}, nil
 }
 
+// segName names the live segment at index idx.
+func (s *SegmentStore) segName(idx uint64) string {
+	return fmt.Sprintf("g%06d-%08d.seg", s.gen, idx)
+}
+
+func (s *SegmentStore) segPath(idx uint64) string { return filepath.Join(s.dir, s.segName(idx)) }
+
+// hasSeg reports whether the directory listing holds name.
+func hasSeg(entries []os.DirEntry, name string) bool {
+	for _, e := range entries {
+		if e.Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
 // install renames a prepared segment to its final indexed name and
 // makes it the current write target. The directory sync makes the
 // rename durable before any record lands in the file.
 func (s *SegmentStore) install(sf *segFile) error {
-	path := filepath.Join(s.dir, fmt.Sprintf("g%06d-%08d.seg", s.gen, s.nextIdx))
+	path := s.segPath(s.nextIdx)
 	s.nextIdx++
 	if err := os.Rename(sf.path, path); err != nil {
 		return err
@@ -526,13 +740,31 @@ func (s *SegmentStore) install(sf *segFile) error {
 	return nil
 }
 
+// usableLocked reports why the store refuses writes: closed, or
+// poisoned by an earlier failure. Caller holds s.mu.
+func (s *SegmentStore) usableLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.err
+}
+
+// poisonLocked records err as the store's first failure. Caller holds
+// s.mu.
+func (s *SegmentStore) poisonLocked(err error) error {
+	if s.err == nil {
+		s.err = fmt.Errorf("wal: segment store poisoned: %w", err)
+	}
+	return s.err
+}
+
 // Append stages rec in the write buffer, rolling to the next segment
 // when it does not fit.
 func (s *SegmentStore) Append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	s.enc = appendSegRecord(s.enc[:0], rec, s.cur.mix)
 	if s.cur.woff+int64(len(s.wbuf))+int64(len(s.enc)) > s.cur.size {
@@ -547,17 +779,29 @@ func (s *SegmentStore) Append(rec Record) error {
 	// is half consumed, so the eventual rollover finds it ready.
 	if s.spare == nil && !s.prepping && s.cur.woff+int64(len(s.wbuf)) > s.cur.size/2 {
 		s.prepping = true
-		go s.prepSpare()
+		s.prepWG.Add(1)
+		go func() {
+			defer s.prepWG.Done()
+			s.prepSpare()
+		}()
 	}
 	return nil
 }
 
 // rolloverLocked seals the current segment (flushing and hardening
-// its tail) and installs the next one, sized for a record of need
-// bytes.
+// its tail, ended by a terminator when it fits) and installs the next
+// one, sized for a record of need bytes.
 func (s *SegmentStore) rolloverLocked(need int64) error {
 	if err := s.flushBufLocked(); err != nil {
 		return err
+	}
+	// The write point stays before the terminator, so should the
+	// rollover fail, the next append overwrites it.
+	if s.cur.woff+segTerminator <= s.cur.size {
+		if _, err := s.cur.f.WriteAt(zeroFrame[:], s.cur.woff); err != nil {
+			return s.poisonLocked(err)
+		}
+		s.dirty = true
 	}
 	if err := s.deviceSyncLocked(); err != nil {
 		return err
@@ -623,16 +867,33 @@ func (s *SegmentStore) prepSpare() {
 }
 
 // flushBufLocked writes the staged buffer at the segment write point.
+// A failed write poisons the store.
 func (s *SegmentStore) flushBufLocked() error {
 	if len(s.wbuf) == 0 {
 		return nil
 	}
 	if _, err := s.cur.f.WriteAt(s.wbuf, s.cur.woff); err != nil {
-		return err
+		return s.poisonLocked(err)
 	}
 	s.cur.woff += int64(len(s.wbuf))
 	s.wbuf = s.wbuf[:0]
 	s.dirty = true
+	return nil
+}
+
+// fdatasyncLocked issues one device flush of the current segment; a
+// failure poisons the store.
+func (s *SegmentStore) fdatasyncLocked() error {
+	if s.syncHook != nil {
+		s.syncHook()
+	}
+	if s.fsync {
+		if err := fdatasync(s.cur.f); err != nil {
+			return s.poisonLocked(err)
+		}
+		s.physSyncs++
+	}
+	s.dirty = false
 	return nil
 }
 
@@ -645,17 +906,7 @@ func (s *SegmentStore) deviceSyncLocked() error {
 	if !s.dirty {
 		return nil
 	}
-	if s.syncHook != nil {
-		s.syncHook()
-	}
-	if s.fsync {
-		if err := fdatasync(s.cur.f); err != nil {
-			return err
-		}
-		s.physSyncs++
-	}
-	s.dirty = false
-	return nil
+	return s.fdatasyncLocked()
 }
 
 // Sync writes the staged buffer and issues one fdatasync. Records of
@@ -670,30 +921,23 @@ func (s *SegmentStore) deviceSyncLocked() error {
 func (s *SegmentStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if err := s.flushBufLocked(); err != nil {
 		return err
 	}
-	if s.syncHook != nil {
-		s.syncHook()
+	if err := s.fdatasyncLocked(); err != nil {
+		return err
 	}
-	if s.fsync {
-		if err := fdatasync(s.cur.f); err != nil {
-			return err
-		}
-		s.physSyncs++
-	}
-	s.dirty = false
 	s.syncs++
 	return nil
 }
 
-// Records scans the current generation and returns every whole
-// record, stopping cleanly at a torn tail. The staged buffer is
-// written first so the result includes everything appended (the Log
-// layer models the volatile buffer).
+// Records scans the live segments and returns every whole record,
+// stopping cleanly at a torn tail. The staged buffer is written first
+// so the result includes everything appended (the Log layer models the
+// volatile buffer).
 func (s *SegmentStore) Records() ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -738,102 +982,161 @@ func (s *SegmentStore) Rollovers() int {
 	return s.rollovers
 }
 
-// Truncate implements Truncater: the kept records are written to a
-// fresh segment of the next generation and the manifest swap commits
-// the checkpoint atomically. Old segments are recycled.
-func (s *SegmentStore) Truncate(keep func(Record) bool) (kept, dropped int, err error) {
-	recs, err := s.Records()
-	if err != nil {
-		return 0, 0, err
-	}
-	keepers := recs[:0]
-	for _, r := range recs {
-		if keep(r) {
-			keepers = append(keepers, r)
-		}
-	}
-	if err := s.replaceAll(keepers); err != nil {
-		return 0, 0, err
-	}
-	return len(keepers), len(recs) - len(keepers), nil
-}
+// TruncatesBesideForces implements Truncater: Truncate orders only its
+// manifest swap with concurrent syncs.
+func (s *SegmentStore) TruncatesBesideForces() bool { return true }
 
-// replaceAll rewrites the store as exactly recs.
-func (s *SegmentStore) replaceAll(recs []Record) error {
+// CheckpointFloor implements Truncater: one segment. A checkpoint seals
+// the current segment and recycles only whole ones.
+func (s *SegmentStore) CheckpointFloor() int64 { return s.segBytes }
+
+// Truncate implements Truncater. It checkpoints the store beside
+// concurrent appends and syncs, in three steps, holding the store
+// lock only for the first and the last:
+//
+//  1. Cut: reserve the next segment index for the checkpoint and roll
+//     over, so every record so far sits in a sealed segment and every
+//     later append lands in a segment after the reserved index.
+//  2. Rewrite: stream the sealed segments through a reused buffer and
+//     copy the records keep accepts, in order, into a new segment under
+//     a temporary name (ckpt-<index>.seg). keep sees a view of each
+//     record that is valid only during the call (its strings alias the
+//     scan buffer), so it must not retain them.
+//  3. Swap: the manifest's start index moves to the reserved index —
+//     the commit point — the checkpoint segment takes its final name,
+//     and the rewritten segments are recycled.
+//
+// A crash before the swap leaves the old start in force, and the next
+// open recycles the temporary file; a crash between the manifest write
+// and the rename leaves the temporary file that the new start names,
+// and the next open renames it; a crash before the recycling leaves
+// segments below the start, which the next open recycles. at, if
+// non-nil, is consulted at two crash points ("before-swap",
+// "after-swap"); when it reports true the checkpoint stops there with
+// ErrClosed, as a crash would.
+func (s *SegmentStore) Truncate(keep func(Record) bool, at func(stage string) bool) (kept, dropped int, err error) {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usableLocked(); err != nil {
+		s.mu.Unlock()
+		return 0, 0, err
 	}
-	if err := s.flushBufLocked(); err != nil {
-		return err
+	idx := s.nextIdx
+	s.nextIdx++
+	if err := s.rolloverLocked(0); err != nil {
+		s.mu.Unlock()
+		return 0, 0, err
 	}
-	newGen := s.gen + 1
+	rewrite := append([]string(nil), s.sealed...)
 	seq := s.nextSeq
 	s.nextSeq++
-	mix := seqMix(seq)
-	buf := make([]byte, 0, 64<<10)
-	for _, r := range recs {
-		buf = appendSegRecord(buf, r, mix)
+	var src string
+	if n := len(s.free); n > 0 {
+		src = s.free[n-1]
+		s.free = s.free[:n-1]
 	}
-	size := s.segBytes
-	if segHeaderSize+int64(len(buf)) > size {
-		size = segHeaderSize + int64(len(buf))
-	}
-	path := filepath.Join(s.dir, fmt.Sprintf("g%06d-%08d.seg", newGen, 0))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-			os.Remove(path)
-		}
-	}()
-	if err := f.Truncate(size); err != nil {
-		return err
-	}
-	var hdr [segHeaderSize]byte
-	copy(hdr[:], segMagic)
-	hdr[4] = segVersion
-	binary.LittleEndian.PutUint64(hdr[8:], seq)
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(buf, segHeaderSize); err != nil {
-		return err
-	}
-	if s.fsync {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := s.syncDir(); err != nil {
-		return err
-	}
-	// Commit point: readers of the new manifest see only the new
-	// generation; a crash before this line leaves the old one intact.
-	if err := s.writeManifest(newGen); err != nil {
-		return err
-	}
-	ok = true
+	s.mu.Unlock()
 
-	oldCur := s.cur
-	oldSealed := s.sealed
-	s.gen = newGen
-	s.nextIdx = 1
-	s.sealed = nil
-	s.cur = &segFile{f: f, path: path, seq: seq, mix: mix, size: size, woff: segHeaderSize + int64(len(buf))}
-	s.wbuf = s.wbuf[:0]
-	s.dirty = false
-	oldCur.f.Close()
-	for _, p := range oldSealed {
+	sf, err := buildSegment(s.dir, seq, src, s.segBytes, s.fsync)
+	if err != nil {
+		return 0, 0, err
+	}
+	tmp := filepath.Join(s.dir, fmt.Sprintf("ckpt-%08d.seg", idx))
+	if kept, dropped, err = s.rewriteInto(sf, rewrite, keep); err == nil {
+		err = os.Rename(sf.path, tmp)
+	}
+	sf.f.Close()
+	if err == nil && at != nil && at("before-swap") {
+		err = ErrClosed
+	}
+	if err != nil {
+		os.Remove(sf.path)
+		os.Remove(tmp)
+		return 0, 0, err
+	}
+
+	s.mu.Lock()
+	if err := s.usableLocked(); err != nil {
+		s.mu.Unlock()
+		os.Remove(tmp)
+		return 0, 0, err
+	}
+	path := s.segPath(idx)
+	err = s.writeManifest(s.gen, idx)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = s.syncDir()
+	}
+	if err != nil {
+		err = s.poisonLocked(err)
+		s.mu.Unlock()
+		return 0, 0, err
+	}
+	s.start = idx
+	s.sealed = append([]string{path}, s.sealed[len(rewrite):]...)
+	s.mu.Unlock()
+
+	if at != nil && at("after-swap") {
+		return kept, dropped, ErrClosed
+	}
+	s.mu.Lock()
+	for _, p := range rewrite {
 		s.recycleIfStandard(p)
 	}
-	s.recycleIfStandard(oldCur.path)
-	return nil
+	s.mu.Unlock()
+	return kept, dropped, nil
+}
+
+// rewriteInto streams the records of the given segments through keep
+// and writes the kept ones, re-sealed to sf's sequence number, into
+// sf, then hardens it. Caller holds s.ckptMu (the scan buffers).
+func (s *SegmentStore) rewriteInto(sf *segFile, paths []string, keep func(Record) bool) (kept, dropped int, err error) {
+	out := s.outBuf[:0]
+	woff := int64(segHeaderSize)
+	flush := func() error {
+		if _, err := sf.f.WriteAt(out, woff); err != nil {
+			return err
+		}
+		woff += int64(len(out))
+		out = out[:0]
+		return nil
+	}
+	defer func() { s.outBuf = out[:0] }()
+	for _, path := range paths {
+		var werr error
+		_, s.scanBuf, err = scanSegment(path, s.scanBuf, func(payload []byte) {
+			rec, _ := viewSegPayload(payload)
+			if !keep(rec) {
+				dropped++
+				return
+			}
+			kept++
+			out = appendFrame(out, payload, sf.mix)
+			if len(out) >= scanChunk && werr == nil {
+				werr = flush()
+			}
+		})
+		if err == nil {
+			err = werr
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	out = append(out, zeroFrame[:]...)
+	if err := flush(); err != nil {
+		return 0, 0, err
+	}
+	if s.fsync {
+		if err := sf.f.Sync(); err != nil {
+			return 0, 0, err
+		}
+	}
+	return kept, dropped, nil
 }
 
 // recycleIfStandard recycles standard-size retired segments and
@@ -846,25 +1149,31 @@ func (s *SegmentStore) recycleIfStandard(path string) {
 	os.Remove(path)
 }
 
-// Close flushes, hardens, and closes the store.
+// Close flushes, hardens, and closes the store, and waits for a
+// background segment preparation to finish. A poisoned store closes
+// its files and returns the poisoning error.
 func (s *SegmentStore) Close() error {
+	defer s.prepWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	if err := s.flushBufLocked(); err != nil {
-		return err
+	err := s.err
+	if err == nil {
+		err = s.flushBufLocked()
 	}
-	if err := s.deviceSyncLocked(); err != nil {
-		return err
+	if err == nil {
+		err = s.deviceSyncLocked()
 	}
 	s.closed = true
 	if s.spare != nil {
 		s.spare.f.Close()
 		s.spare = nil
 	}
-	err := s.cur.f.Close()
+	if cerr := s.cur.f.Close(); err == nil {
+		err = cerr
+	}
 	if derr := s.dirf.Close(); err == nil {
 		err = derr
 	}
