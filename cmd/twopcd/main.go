@@ -56,7 +56,6 @@ func main() {
 	httpAddr := flag.String("http", "127.0.0.1:0", "observability/admin listen address")
 	subs := flag.String("subs", "", "comma-separated default subordinate names (coordinator role)")
 	variantName := flag.String("variant", "pa", "default protocol variant: basic, pa, pn, pc, paxos, 1pc")
-	shards := flag.Int("shards", 0, "state-table shard count (0 = derive from GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 256, "admission limit; excess commits are shed with 503")
 	admitRate := flag.Float64("admit-rate", 0, "admission token-bucket refill rate, tokens/sec (read-only = 1 token, read-write = 1/participant; 0 = inflight cap only)")
 	admitBurst := flag.Int("admit-burst", 256, "admission token-bucket capacity")
@@ -91,7 +90,6 @@ func main() {
 		ListenHTTP:    *httpAddr,
 		Peers:         peers,
 		Variant:       variant,
-		Shards:        *shards,
 		MaxInflight:   *maxInflight,
 		AdmitRate:     *admitRate,
 		AdmitBurst:    *admitBurst,

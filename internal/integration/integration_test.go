@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/lockmgr"
-	"repro/internal/mqueue"
 	"repro/internal/wal"
 )
 
@@ -289,76 +288,5 @@ func TestLockHoldTimesShrinkWithReadOnly(t *testing.T) {
 	without := hold(false)
 	if withOpt >= without {
 		t.Errorf("read-only lock hold %v should be shorter than full-protocol %v", withOpt, without)
-	}
-}
-
-func TestMixedResourcesKVAndQueue(t *testing.T) {
-	// An order-processing transaction touching two resource types at
-	// once: reserve stock in a kvstore at the warehouse AND enqueue a
-	// shipment message at the dispatcher — atomically, and with the
-	// queue recovering its state across a crash.
-	eng := core.NewEngine(core.Config{Variant: core.VariantPN})
-	wh := eng.AddNode("warehouse")
-	dp := eng.AddNode("dispatch")
-	stockLog := wal.New(wal.NewMemStore())
-	wh.ObserveLog(stockLog)
-	stock := kvstore.New("stock", stockLog, eng.Clock())
-	wh.AttachResource(stock)
-	shipLog := wal.New(wal.NewMemStore())
-	dp.ObserveLog(shipLog)
-	ship := mqueue.New("shipments", shipLog)
-	dp.AttachResource(ship)
-
-	tx := eng.Begin("warehouse")
-	if err := tx.Send("warehouse", "dispatch", "order 1001"); err != nil {
-		t.Fatal(err)
-	}
-	if err := stock.Put(bg, tx.ID(), "widget", "reserved:3"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ship.Enqueue(tx.ID(), "ship 3 widgets"); err != nil {
-		t.Fatal(err)
-	}
-	if res := tx.Commit("warehouse"); res.Outcome != core.OutcomeCommitted {
-		t.Fatalf("outcome = %v (%v)", res.Outcome, res.Err)
-	}
-	if ship.Depth() != 1 {
-		t.Fatalf("shipment queue depth = %d", ship.Depth())
-	}
-	if v, _ := stock.ReadCommitted("widget"); v != "reserved:3" {
-		t.Fatalf("stock = %q", v)
-	}
-
-	// A second transaction aborts: neither resource keeps anything.
-	tx2 := eng.Begin("warehouse")
-	if err := tx2.Send("warehouse", "dispatch", "order 1002"); err != nil {
-		t.Fatal(err)
-	}
-	stock.Put(bg, tx2.ID(), "gizmo", "reserved:1")
-	ship.Enqueue(tx2.ID(), "ship 1 gizmo")
-	if res := tx2.Abort("warehouse"); res.Outcome != core.OutcomeAborted {
-		t.Fatalf("abort = %v", res.Outcome)
-	}
-	if ship.Depth() != 1 {
-		t.Fatalf("aborted enqueue visible: depth = %d", ship.Depth())
-	}
-	if _, ok := stock.ReadCommitted("gizmo"); ok {
-		t.Fatal("aborted stock reservation visible")
-	}
-
-	// Crash the dispatcher's LRM and recover the queue from its log.
-	shipLog.Crash()
-	store := wal.NewMemStore()
-	recs, _ := shipLog.Records()
-	for _, r := range recs {
-		store.Append(r)
-	}
-	store.Sync()
-	recovered, err := mqueue.Recover("shipments", wal.New(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered.Depth() != 1 {
-		t.Fatalf("recovered queue depth = %d", recovered.Depth())
 	}
 }

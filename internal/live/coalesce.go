@@ -2,7 +2,6 @@ package live
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -18,15 +17,10 @@ import (
 //
 // Flushers are transient: one starts when a peer's queue goes
 // non-empty and exits when it drains, so an idle participant holds no
-// goroutines. With delay == 0 (the default) a batch is whatever
-// accumulated while the previous ep.Send was in flight — latency is
-// never traded for batching. A positive delay holds each batch open
-// on the participant's scheduler for that window before flushing;
-// under a virtual clock the window only closes when a test advances
-// time, which is why 0 is the default.
+// goroutines. A batch is whatever accumulated while the previous
+// ep.Send was in flight — latency is never traded for batching.
 type coalescer struct {
-	p     *Participant
-	delay time.Duration
+	p *Participant
 
 	mu        sync.Mutex
 	sent      sync.Cond // signalled whenever a batch reaches the endpoint
@@ -41,28 +35,27 @@ type coalescer struct {
 // (batches are small slices and peers are few, so one lock is cheaper
 // than a lock per peer plus a map lock in front of it). queued and
 // handed count the messages ever enqueued and ever passed to the
-// endpoint, so a sender can wait for its own message to leave.
+// endpoint, so a crashing sender can wait for what it sent to leave.
 type peerQueue struct {
 	pending        []protocol.Message
 	active         bool
 	queued, handed uint64
 }
 
-func newCoalescer(p *Participant, delay time.Duration) *coalescer {
-	c := &coalescer{p: p, delay: delay, peers: make(map[string]*peerQueue)}
+func newCoalescer(p *Participant) *coalescer {
+	c := &coalescer{p: p, peers: make(map[string]*peerQueue)}
 	c.sent.L = &c.mu
 	return c
 }
 
 // enqueue appends m to the peer's batch, starting a flusher if none
 // is running. piggybacked reports whether m joined a packet another
-// message already opened (the batch was non-empty); seq numbers m in
-// the peer's queue for waitHanded.
-func (c *coalescer) enqueue(to string, m protocol.Message) (piggybacked bool, seq uint64, err error) {
+// message already opened (the batch was non-empty).
+func (c *coalescer) enqueue(to string, m protocol.Message) (piggybacked bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return false, 0, netsim.ErrClosed
+		return false, netsim.ErrClosed
 	}
 	q := c.peers[to]
 	if q == nil {
@@ -78,24 +71,34 @@ func (c *coalescer) enqueue(to string, m protocol.Message) (piggybacked bool, se
 	}
 	q.pending = append(q.pending, m)
 	q.queued++
-	seq = q.queued
 	if !q.active {
 		q.active = true
 		c.wg.Add(1)
 		go c.flush(to, q)
 	}
 	c.mu.Unlock()
-	return piggybacked, seq, nil
+	return piggybacked, nil
 }
 
-// waitHanded blocks until the seq-th message enqueued for to has been
-// passed to the endpoint, or the queue was discarded (a crash).
-func (c *coalescer) waitHanded(to string, seq uint64) {
+// barrier blocks until every message enqueued so far, to any peer, has
+// been passed to the endpoint, or the queues were discarded (a crash).
+// Messages enqueued while it waits are not waited for.
+func (c *coalescer) barrier() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	q := c.peers[to]
-	for q != nil && q.handed < seq && !c.discarded {
+	marks := make(map[*peerQueue]uint64, len(c.peers))
+	for _, q := range c.peers {
+		if q.handed < q.queued {
+			marks[q] = q.queued
+		}
+	}
+	for len(marks) > 0 && !c.discarded {
 		c.sent.Wait()
+		for q, mark := range marks {
+			if q.handed >= mark {
+				delete(marks, q)
+			}
+		}
 	}
 }
 
@@ -107,16 +110,6 @@ func (c *coalescer) waitHanded(to string, seq uint64) {
 func (c *coalescer) flush(to string, q *peerQueue) {
 	defer c.wg.Done()
 	for {
-		if c.delay > 0 && !c.isClosed() {
-			t := c.p.sched.NewTimer(c.delay)
-			select {
-			case <-t.C():
-			case <-c.p.stopped:
-				t.Stop()
-			case <-c.p.crashc:
-				t.Stop()
-			}
-		}
 		c.mu.Lock()
 		batch := q.pending
 		if len(batch) == 0 {
@@ -147,12 +140,6 @@ func (c *coalescer) depth() int {
 		total += len(q.pending)
 	}
 	return total
-}
-
-func (c *coalescer) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
 }
 
 // close stops accepting messages and waits for every queued batch to

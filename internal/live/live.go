@@ -15,7 +15,7 @@
 //     per-transaction table keyed by TxID, and every inbound message
 //     is handled on its own goroutine with per-transaction ordering
 //     guards, so concurrent commits never serialize on each other.
-//     Pair this with WithGroupCommit to coalesce the WAL forces of
+//     Pair this with WithAdaptiveCommit to coalesce the WAL forces of
 //     concurrent commits into shared syncs.
 //   - Vote collection, decision delivery, and in-doubt inquiry all
 //     retransmit under a RetryPolicy (exponential backoff + jitter),
@@ -121,20 +121,16 @@ type Participant struct {
 	shardMask uint32
 	shardHint int
 
-	// out coalesces outbound messages per peer (see coalesce.go); nil
-	// when WithoutCoalescing disabled it.
-	out           *coalescer
-	noCoalesce    bool
-	coalesceDelay time.Duration
+	// out coalesces outbound messages per peer (see coalesce.go).
+	out *coalescer
 
-	// Deferred WAL force-policy configuration: options only record the
-	// choice; the constructor applies it once the scheduler is final,
-	// and Restarted re-applies it to the successor's fresh log.
-	walMode       walPolicyMode
-	walGroupSize  int
-	walGroupDelay time.Duration
-	walMaxWindow  time.Duration
-	pipe          *wal.Pipeline // set when walMode is adaptive; hinted on prepare bursts
+	// Deferred WAL force-policy configuration: WithAdaptiveCommit only
+	// records the choice; the constructor applies it once the scheduler
+	// is final, and Restarted re-applies it to the successor's fresh
+	// log.
+	adaptive     bool
+	walMaxWindow time.Duration
+	pipe         *wal.Pipeline // set when adaptive; hinted on prepare bursts
 
 	// Forgetting (shard.go, checkpoint.go): scanning holds the decided
 	// table's generations still while a checkpoint scans the log;
@@ -235,29 +231,16 @@ func NewParticipant(name string, ep netsim.Endpoint, log *wal.Log, resources []c
 	p.traceOn = p.trc.Enabled()
 	p.shards = newTxShards(p.shardHint)
 	p.shardMask = uint32(len(p.shards) - 1)
-	if !p.noCoalesce {
-		p.out = newCoalescer(p, p.coalesceDelay)
-	}
+	p.out = newCoalescer(p)
 	p.applyWALPolicy()
 	return p
 }
 
-// walPolicyMode names the deferred WAL force-policy choice.
-type walPolicyMode int
-
-const (
-	walPolicyNone walPolicyMode = iota
-	walPolicyGroup
-	walPolicyAdaptive
-)
-
-// applyWALPolicy installs the configured force policy on the log with
-// the participant's (final) scheduler driving its timers.
+// applyWALPolicy installs the adaptive pipeline on the log, with the
+// participant's (final) scheduler driving its timers, when
+// WithAdaptiveCommit asked for it.
 func (p *Participant) applyWALPolicy() {
-	switch p.walMode {
-	case walPolicyGroup:
-		p.log.WithPolicy(wal.NewGroupCommit(p.walGroupSize, p.walGroupDelay).WithScheduler(p.sched))
-	case walPolicyAdaptive:
+	if p.adaptive {
 		p.pipe = wal.NewPipeline(p.sched, p.walMaxWindow)
 		p.log.WithPolicy(p.pipe)
 	}
@@ -275,15 +258,9 @@ func (p *Participant) Name() string { return p.name }
 func (p *Participant) Log() *wal.Log { return p.log }
 
 // CoalesceDepth reports how many outbound protocol messages are
-// queued in the flow coalescer awaiting the wire (0 when coalescing
-// is disabled). Admission backpressure samples it as a transport
-// congestion signal.
-func (p *Participant) CoalesceDepth() int {
-	if p.out == nil {
-		return 0
-	}
-	return p.out.depth()
-}
+// queued in the flow coalescer awaiting the wire. Admission
+// backpressure samples it as a transport congestion signal.
+func (p *Participant) CoalesceDepth() int { return p.out.depth() }
 
 // Variant returns the protocol variant this participant coordinates
 // with.
@@ -351,9 +328,7 @@ func (p *Participant) Start() {
 // the endpoint closes.
 func (p *Participant) Stop() {
 	close(p.stopped)
-	if p.out != nil {
-		p.out.close()
-	}
+	p.out.close()
 	p.ep.Close()
 	p.wg.Wait()
 }
@@ -366,9 +341,7 @@ func (p *Participant) Stop() {
 func (p *Participant) Crash() {
 	p.crashOnce.Do(func() {
 		close(p.crashc)
-		if p.out != nil {
-			p.out.discard()
-		}
+		p.out.discard()
 		p.log.Crash()
 		p.ep.Close()
 		p.trc.Add(trace.Event{Node: p.name, Kind: trace.KindError, Detail: "crash"})
@@ -446,9 +419,7 @@ func (p *Participant) Restarted(ep netsim.Endpoint, opts ...Option) *Participant
 	np.trc = p.trc
 	np.lastAgent = p.lastAgent
 	np.hooks = p.hooks
-	np.walMode = p.walMode
-	np.walGroupSize = p.walGroupSize
-	np.walGroupDelay = p.walGroupDelay
+	np.adaptive = p.adaptive
 	np.walMaxWindow = p.walMaxWindow
 	for _, o := range opts {
 		o(np)
@@ -736,15 +707,15 @@ func (p *Participant) routeAck(from string, m protocol.Message) {
 // transmission, so a schedule can kill the participant with the
 // message unsent or just sent.
 //
-// With coalescing enabled (the default), "transmission" means handing
-// the message to the per-peer coalescing writer: messages bound for
-// the same peer that overlap in time ride one wire packet. The trace
-// and metric side effects happen here at enqueue, so chaos schedules
-// and the safety oracle observe the same per-message event order
-// whether or not the wire batches; a message that joined a packet
-// another message opened is counted as piggybacked, the paper's
-// flow-coalescing accounting. An after-send failpoint waits until the
-// writer has handed the message to the transport before it crashes
+// "Transmission" means handing the message to the per-peer coalescing
+// writer: messages bound for the same peer that overlap in time ride
+// one wire packet. The trace and metric side effects happen here at
+// enqueue, so chaos schedules and the safety oracle observe the same
+// per-message event order however the wire batches; a message that
+// joined a packet another message opened is counted as piggybacked,
+// the paper's flow-coalescing accounting. An after-send failpoint
+// waits until the writer has handed this message, and every message
+// enqueued before it to any peer, to the transport before it crashes
 // the participant.
 func (p *Participant) send(to string, m protocol.Message) error {
 	return p.sendFlow(to, m, false)
@@ -777,15 +748,7 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 		// the receiver how long that is (see horizon).
 		m.Horizon = p.retransmitHorizon()
 	}
-	var err error
-	var seq uint64
-	piggybacked := false
-	if p.out != nil {
-		piggybacked, seq, err = p.out.enqueue(to, m)
-	} else {
-		msgs := append(protocol.GetMsgSlice(1), m)
-		err = p.ep.Send(to, protocol.Packet{From: p.name, To: to, Messages: msgs})
-	}
+	piggybacked, err := p.out.enqueue(to, m)
 	if p.met != nil {
 		// Recovery traffic is never a Table 1-4 flow, whoever sent it.
 		if m.Type == protocol.MsgInquire || m.Type == protocol.MsgOutcome ||
@@ -796,11 +759,10 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 	}
 	if p.fp != nil && p.fp("after-send:"+m.Type.String()) {
 		// After the send means handed to the transport, not just queued
-		// for it: a crash now would discard the coalescer's queue with
-		// the message still in it.
-		if p.out != nil && err == nil {
-			p.out.waitHanded(to, seq)
-		}
+		// for it, and so does every send before it: a crash now would
+		// discard the coalescer's queues with those messages still in
+		// them.
+		p.out.barrier()
 		p.Crash()
 		return ErrCrashed
 	}

@@ -105,7 +105,7 @@ func TestLiveVoteTimeoutAborts(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	kv := newKV("db")
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{kv}, WithTimeouts(50*time.Millisecond, 50*time.Millisecond))
+		[]core.Resource{kv}, WithTimeout(50*time.Millisecond, 50*time.Millisecond))
 	coord.Start()
 	defer coord.Stop()
 	// S1 exists on the network but never starts its receive loop.
@@ -123,7 +123,7 @@ func TestLiveVoteTimeoutAborts(t *testing.T) {
 }
 
 func TestLivePartitionedSubTimesOut(t *testing.T) {
-	coord, _, _, kv1, _, net := setupChanTrio(t, WithTimeouts(50*time.Millisecond, 50*time.Millisecond))
+	coord, _, _, kv1, _, net := setupChanTrio(t, WithTimeout(50*time.Millisecond, 50*time.Millisecond))
 	net.Partition("C", "S1")
 	ctx := context.Background()
 	tx := core.TxID{Origin: "C", Seq: 5}
@@ -250,7 +250,7 @@ func TestLiveRecoverInDoubt(t *testing.T) {
 
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
 		[]core.Resource{core.NewStaticResource("rc")},
-		WithTimeouts(100*time.Millisecond, 50*time.Millisecond))
+		WithTimeout(100*time.Millisecond, 50*time.Millisecond))
 	sub := NewParticipant("S", net.Endpoint("S"), subLog, []core.Resource{kv})
 	coord.Start()
 	sub.Start()

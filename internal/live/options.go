@@ -34,11 +34,6 @@ func WithTimeout(vote, ack time.Duration) Option {
 	}
 }
 
-// WithTimeouts is the previous name of WithTimeout.
-//
-// Deprecated: use WithTimeout.
-func WithTimeouts(vote, ack time.Duration) Option { return WithTimeout(vote, ack) }
-
 // WithRetry installs the retransmission policy for vote collection,
 // decision delivery, and in-doubt inquiry. Zero fields take the
 // documented defaults.
@@ -69,31 +64,16 @@ func WithLastAgent() Option {
 	return func(p *Participant) { p.lastAgent = true }
 }
 
-// WithGroupCommit installs a fixed-parameter group-commit sync policy
-// on the participant's log (§4 Group Commits): forced writes from
-// concurrent transactions coalesce into shared physical syncs — the
-// natural companion of pipelined commits. size is the batch size,
-// maxDelay the longest a force waits for company. The policy is
-// applied at construction so its timer runs on the participant's
-// scheduler (WithClock order does not matter). See WithAdaptiveCommit
-// for the load-adaptive variant.
-func WithGroupCommit(size int, maxDelay time.Duration) Option {
-	return func(p *Participant) {
-		p.walMode = walPolicyGroup
-		p.walGroupSize = size
-		p.walGroupDelay = maxDelay
-	}
-}
-
 // WithAdaptiveCommit installs the adaptive single-writer force
 // pipeline on the participant's log: all forces funnel through one
 // writer goroutine whose batching window widens toward maxWindow
 // under load and collapses to zero when idle, so one fdatasync covers
 // an entire burst without taxing idle-latency. This is the policy the
-// daemon runs with fsync on.
+// daemon runs with fsync on. Without this option the log keeps its
+// own policy (ImmediateSync unless the caller installed another).
 func WithAdaptiveCommit(maxWindow time.Duration) Option {
 	return func(p *Participant) {
-		p.walMode = walPolicyAdaptive
+		p.adaptive = true
 		p.walMaxWindow = maxWindow
 	}
 }
@@ -116,28 +96,10 @@ func WithTrace(t *trace.Tracer) Option {
 
 // WithShards overrides the shard count of the per-transaction state
 // table (rounded up to a power of two). The default derives from
-// GOMAXPROCS. Benchmarks use WithShards(1) to measure the pre-sharding
-// single-mutex layout; the table's behavior is identical at any count.
+// GOMAXPROCS. Tests use WithShards(1) to put every transaction in one
+// shard; the table's behavior is identical at any count.
 func WithShards(n int) Option {
 	return func(p *Participant) { p.shardHint = n }
-}
-
-// WithoutCoalescing disables the per-peer flow-coalescing writer:
-// every protocol message goes to the endpoint as its own packet, the
-// pre-coalescing behavior. Benchmarks use it as the baseline.
-func WithoutCoalescing() Option {
-	return func(p *Participant) { p.noCoalesce = true }
-}
-
-// WithCoalesceWindow holds each outbound batch open for d on the
-// participant's scheduler before flushing, trading latency for larger
-// batches (§4 flow coalescing, the wire analog of a group-commit
-// delay). The default window is zero: a batch is whatever accumulated
-// while the previous send was in flight, so latency is never traded
-// away. Under a virtual clock a positive window only closes when the
-// test advances time.
-func WithCoalesceWindow(d time.Duration) Option {
-	return func(p *Participant) { p.coalesceDelay = d }
 }
 
 // WithHooks installs protocol-conformance test hooks (deliberate,
@@ -154,6 +116,9 @@ func WithHooks(h core.TestHooks) Option {
 // "before-force:Prepared", "after-send:Commit" — and the participant
 // crashes (as if the process died) whenever the hook returns true.
 // Chaos schedules count points to kill a participant at an exact step.
+// A crash at "after-send:X" waits until X and every message the
+// participant enqueued before it, to any peer, have been handed to the
+// transport, so the crash loses none of them.
 func WithFailpoint(fn func(point string) bool) Option {
 	return func(p *Participant) { p.fp = fn }
 }

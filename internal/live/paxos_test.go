@@ -31,10 +31,6 @@ func paxosFleet(t *testing.T, perNode map[string][]Option) (parts map[string]*Pa
 			WithVariant(core.VariantPaxos),
 			WithMetrics(reg),
 			WithTimeout(2*time.Second, 2*time.Second),
-			// Synchronous sends: a crash failpoint "after-send" then
-			// deterministically means the message reached the wire
-			// (the coalescer's async flusher would discard it).
-			WithoutCoalescing(),
 		}, perNode[name]...)
 		p := NewParticipant(name, net.Endpoint(name), log,
 			[]core.Resource{core.NewStaticResource("r" + name)}, opts...)

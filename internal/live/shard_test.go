@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -250,31 +251,86 @@ func TestStopFlushesCoalescedMessages(t *testing.T) {
 	}
 }
 
-// TestWithoutCoalescingSendsOnePacketPerMessage pins the baseline
-// path benchmarks rely on.
-func TestWithoutCoalescingSendsOnePacketPerMessage(t *testing.T) {
+// peerGatedEndpoint holds every Send to one peer until the test
+// releases it or the endpoint closes, and logs completed sends and the
+// close in the order they happen.
+type peerGatedEndpoint struct {
+	netsim.Endpoint
+	gated     string
+	release   chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
+	mu        sync.Mutex
+	events    []string
+}
+
+func (e *peerGatedEndpoint) Send(to string, pkt protocol.Packet) error {
+	if to == e.gated {
+		select {
+		case <-e.release:
+		case <-e.closed:
+			return netsim.ErrClosed
+		}
+	}
+	e.note("send:" + to)
+	return e.Endpoint.Send(to, pkt)
+}
+
+func (e *peerGatedEndpoint) Close() error {
+	e.note("close")
+	e.closeOnce.Do(func() { close(e.closed) })
+	return e.Endpoint.Close()
+}
+
+func (e *peerGatedEndpoint) note(ev string) {
+	e.mu.Lock()
+	e.events = append(e.events, ev)
+	e.mu.Unlock()
+}
+
+func (e *peerGatedEndpoint) log() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]string(nil), e.events...)
+}
+
+// TestAfterSendFailpointWaitsForEveryPeer pins the after-send barrier:
+// a crash at after-send:X waits until every message enqueued before
+// it, to any peer, has reached the endpoint. A message to peer A is
+// stuck in Send when the participant crashes after sending to B; the
+// crash must wait for A's message instead of discarding it.
+func TestAfterSendFailpointWaitsForEveryPeer(t *testing.T) {
 	net := netsim.NewChanNetwork()
-	reg := metrics.New()
-	p := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), nil,
-		WithMetrics(reg), WithoutCoalescing())
-	if p.out != nil {
-		t.Fatal("WithoutCoalescing left a coalescer installed")
+	ep := &peerGatedEndpoint{Endpoint: net.Endpoint("C"), gated: "A",
+		release: make(chan struct{}), closed: make(chan struct{})}
+	net.Endpoint("A")
+	net.Endpoint("B")
+	p := NewParticipant("C", ep, wal.New(wal.NewMemStore()), nil,
+		WithFailpoint(func(point string) bool { return point == "after-send:Commit" }))
+
+	if err := p.send("A", protocol.Message{Type: protocol.MsgPrepare, Tx: "t1"}); err != nil {
+		t.Fatal(err)
 	}
-	s := net.Endpoint("S")
-	const n = 4
-	for i := 0; i < n; i++ {
-		if err := p.send("S", protocol.Message{Type: protocol.MsgPrepare, Tx: fmt.Sprintf("t%d", i)}); err != nil {
-			t.Fatal(err)
+	done := make(chan error, 1)
+	go func() { done <- p.send("B", protocol.Message{Type: protocol.MsgCommit, Tx: "t2"}) }()
+	// A crash that does not wait for A closes the endpoint at once; the
+	// barrier holds it until A's Send is released.
+	select {
+	case <-ep.closed:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(ep.release)
+	if err := <-done; !errors.Is(err, ErrCrashed) {
+		t.Fatalf("send at the failpoint = %v, want ErrCrashed", err)
+	}
+	events := ep.log()
+	for _, ev := range events {
+		if ev == "send:A" {
+			return
+		}
+		if ev == "close" {
+			break
 		}
 	}
-	for i := 0; i < n; i++ {
-		pkt := <-s.Recv()
-		if len(pkt.Messages) != 1 {
-			t.Fatalf("packet %d carried %d messages, want 1", i, len(pkt.Messages))
-		}
-	}
-	if nc := reg.Snapshot().Nodes["C"]; nc.PacketsSent != n {
-		t.Errorf("PacketsSent = %d, want %d", nc.PacketsSent, n)
-	}
-	p.Stop()
+	t.Fatalf("endpoint events %v: A's message did not reach the endpoint before the crash", events)
 }

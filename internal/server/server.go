@@ -65,8 +65,6 @@ type Config struct {
 	// Variant is the default protocol variant for /v1/commit
 	// requests; requests may override it per transaction.
 	Variant core.Variant
-	// Shards overrides the participant's state-table shard count.
-	Shards int
 	// MaxInflight bounds concurrently admitted commits; excess
 	// requests are shed with 503. Default 256.
 	MaxInflight int
@@ -254,9 +252,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if trc != nil {
 		opts = append(opts, live.WithTrace(trc))
-	}
-	if cfg.Shards > 0 {
-		opts = append(opts, live.WithShards(cfg.Shards))
 	}
 	opts = append(opts, cfg.LiveOptions...)
 
@@ -664,7 +659,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
 	v := map[string]any{
 		"name":             s.cfg.Name,
 		"variant":          s.cfg.Variant.String(),
-		"shards":           s.cfg.Shards,
 		"subs":             s.cfg.Subs,
 		"shard_map":        shardMap,
 		"staged_ops":       s.stagedOps.Load(),

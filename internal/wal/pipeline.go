@@ -32,7 +32,6 @@ type Pipeline struct {
 	sched     clock.Scheduler
 	maxWindow time.Duration
 	base      time.Duration // smallest non-zero window
-	batchCap  int
 
 	start sync.Once
 	reqs  chan forceReq
@@ -45,6 +44,9 @@ type Pipeline struct {
 	batches  int
 	expected int // forces announced via Hint but not yet absorbed
 }
+
+// batchCap bounds how many force requests one batch may absorb.
+const batchCap = 1024
 
 type forceReq struct {
 	lsn  int64
@@ -65,15 +67,6 @@ func WithBaseWindow(d time.Duration) PipelineOption {
 	}
 }
 
-// WithBatchCap bounds how many force requests one batch may absorb.
-func WithBatchCap(n int) PipelineOption {
-	return func(p *Pipeline) {
-		if n > 0 {
-			p.batchCap = n
-		}
-	}
-}
-
 // NewPipeline returns an adaptive single-writer policy whose batching
 // window grows under load up to maxWindow and collapses to zero when
 // idle. A nil scheduler defaults to wall time.
@@ -88,7 +81,6 @@ func NewPipeline(sched clock.Scheduler, maxWindow time.Duration, opts ...Pipelin
 		sched:     sched,
 		maxWindow: maxWindow,
 		base:      maxWindow / 16,
-		batchCap:  1024,
 		reqs:      make(chan forceReq, 1024),
 		stopc:     make(chan struct{}),
 	}
@@ -194,7 +186,7 @@ const rhythmMinSync = 20 * time.Microsecond
 
 // run is the single writer. It owns all physical syncing for l.
 func (p *Pipeline) run(l *Log) {
-	batch := make([]forceReq, 0, p.batchCap)
+	batch := make([]forceReq, 0, batchCap)
 	var (
 		lastSync  time.Duration // device time of the previous batch's flush
 		lastDone  time.Duration // sched.Now() when the previous batch completed
@@ -245,7 +237,7 @@ func (p *Pipeline) run(l *Log) {
 				w = p.maxWindow
 			}
 		}
-		if w > 0 && len(batch) < p.batchCap {
+		if w > 0 && len(batch) < batchCap {
 			joined := -len(batch)
 			var stopped bool
 			batch, stopped = p.gather(batch, w, hold)
@@ -308,7 +300,7 @@ const quietSpins = 128
 // stopped mid-gather.
 func (p *Pipeline) gather(batch []forceReq, w time.Duration, hold bool) ([]forceReq, bool) {
 	deadline := p.sched.Now() + w
-	for spins := 0; len(batch) < p.batchCap; {
+	for spins := 0; len(batch) < batchCap; {
 		select {
 		case r := <-p.reqs:
 			batch = append(batch, r)
@@ -345,7 +337,7 @@ func (p *Pipeline) hintOutstanding() bool {
 // absorb appends every request already sitting in the queue, up to
 // the batch cap, without blocking.
 func (p *Pipeline) absorb(batch []forceReq) []forceReq {
-	for len(batch) < p.batchCap {
+	for len(batch) < batchCap {
 		select {
 		case r := <-p.reqs:
 			batch = append(batch, r)

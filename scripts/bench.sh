@@ -4,10 +4,9 @@
 # -benchtime/-count and writes BENCH_live.json mapping each benchmark
 # (package-qualified) to its ns/op, B/op, allocs/op, and any custom
 # metrics (commits/sec, p50_us, ...). The live ParallelMultiSub
-# benchmarks run an optimized and a baseline (single shard, no
-# coalescing) variant, so one run records the before/after pair the
-# acceptance criteria compare. The wire-codec benchmarks cover the one
-# TCP format, protocol.BinaryCodec.
+# benchmarks keep their single "optimized" arm under that name, which
+# the default cmd/benchdiff gate keys on. The wire-codec benchmarks
+# cover the one TCP format, protocol.BinaryCodec.
 #
 # Each benchmark runs COUNT times (default 3) and the written value is
 # the per-metric MEDIAN across runs: a single noisy neighbor or cold

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # race-enabled test suite (including the chaos harness and its safety
-# oracle), and short fuzz smokes over the wire/identifier parsers.
+# oracle), and short fuzz smokes over the wire/identifier parsers and
+# segment-log recovery.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,5 +50,6 @@ echo "== fuzz smokes (10s each) =="
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzBinaryVsGobRoundTrip -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/core
+go test -run='^$' -fuzz=FuzzSegmentRecover -fuzztime=10s ./internal/wal
 
 echo "All checks passed."

@@ -35,8 +35,6 @@
 package twopc
 
 import (
-	"context"
-
 	"repro/client"
 	"repro/internal/api"
 	"repro/internal/clock"
@@ -44,7 +42,6 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/live"
 	"repro/internal/metrics"
-	"repro/internal/mqueue"
 	"repro/internal/netsim"
 	"repro/internal/txerr"
 	"repro/internal/wal"
@@ -290,9 +287,6 @@ var (
 	LiveWithClock = live.WithClock
 	// LiveWithLastAgent enables the §4 Last Agent delegation.
 	LiveWithLastAgent = live.WithLastAgent
-	// LiveWithGroupCommit coalesces concurrent WAL forces (§4 Group
-	// Commits).
-	LiveWithGroupCommit = live.WithGroupCommit
 	// LiveWithAdaptiveCommit installs the adaptive single-writer
 	// force pipeline on the participant's log (DESIGN.md §14): the
 	// batching window widens toward maxWindow under load and
@@ -301,12 +295,6 @@ var (
 	// LiveWithShards overrides the per-transaction state table's shard
 	// count (default: GOMAXPROCS-derived).
 	LiveWithShards = live.WithShards
-	// LiveWithoutCoalescing disables the per-peer flow-coalescing
-	// writer (one wire packet per message, the pre-coalescing path).
-	LiveWithoutCoalescing = live.WithoutCoalescing
-	// LiveWithCoalesceWindow holds outbound batches open for the given
-	// window, trading latency for larger coalesced packets.
-	LiveWithCoalesceWindow = live.WithCoalesceWindow
 )
 
 // Metrics instrumentation, re-exported so external callers can use
@@ -344,22 +332,6 @@ var ListenTCP = netsim.ListenTCP
 // NewLiveParticipant wires a live participant to a transport
 // endpoint.
 var NewLiveParticipant = live.NewParticipant
-
-// LiveCommit runs p as coordinator of tx with the named subordinates
-// under a background context.
-//
-// Deprecated: call p.Commit with a context directly.
-func LiveCommit(p *LiveParticipant, tx string, subs []string) (LiveOutcome, error) {
-	return p.Commit(context.Background(), tx, subs)
-}
-
-// LiveRecoverInDoubt recovers p's in-doubt transactions under a
-// background context.
-//
-// Deprecated: call p.RecoverInDoubt with a context directly.
-func LiveRecoverInDoubt(p *LiveParticipant, coordinator string) ([]string, error) {
-	return p.RecoverInDoubt(context.Background(), coordinator)
-}
 
 // Versioned HTTP transaction API (v1): the typed wire surface spoken
 // by twopcd fleets, twopcrouter, and the shard-aware client.
@@ -414,25 +386,3 @@ var (
 	// OpDel deletes a key at commit.
 	OpDel = client.Del
 )
-
-// Transactional message queue resource manager.
-type (
-	// MQueue is a transactional FIFO queue implementing Resource:
-	// enqueues become visible at commit, dequeues are provisional
-	// until then (CICS transient-data semantics).
-	MQueue = mqueue.Queue
-	// QueueMessage is one queued item.
-	QueueMessage = mqueue.Message
-)
-
-// NewMQueue returns a transactional queue named name logging to log
-// (nil gets a fresh in-memory log).
-func NewMQueue(name string, log *Log, opts ...mqueue.Option) *MQueue {
-	if log == nil {
-		log = NewMemLog()
-	}
-	return mqueue.New(name, log, opts...)
-}
-
-// RecoverMQueue rebuilds a queue from the durable records of log.
-var RecoverMQueue = mqueue.Recover
