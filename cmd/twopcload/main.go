@@ -41,7 +41,7 @@ func main() {
 	target := flag.String("target", "http://127.0.0.1:8100", "coordinator observability base URL")
 	rate := flag.Float64("rate", 200, "open-loop arrival rate, transactions/second")
 	duration := flag.Duration("duration", 10*time.Second, "how long to offer load")
-	variant := flag.String("variant", "", "protocol variant override: basic, pa, pn, pc (empty = daemon default)")
+	variant := flag.String("variant", "", "protocol variant override: basic, pa, pn, pc, paxos, 1pc (empty = daemon default)")
 	subs := flag.String("subs", "", "comma-separated subordinate override, i.e. the transaction tree size")
 	workers := flag.Int("workers", 64, "max concurrently outstanding transactions")
 	jsonOut := flag.Bool("json", false, "emit a single JSON result object instead of the text report")

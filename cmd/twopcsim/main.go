@@ -6,10 +6,10 @@
 //
 // Examples:
 //
-//	twopcsim -variant pa -n 4 -readonly
-//	twopcsim -variant pn -n 3 -crash S01 -restart 10ms
+//	twopcsim -variant pa -n 4 -readfrac 0.5
+//	twopcsim -variant pn -n 3 -crash N01 -restart 10ms
 //	twopcsim -variant pa -n 5 -readfrac 0.5 -opt readonly,lastagent -trace
-//	twopcsim -variant pn -n 3 -heuristic-abort 8ms -partition S01 -heal 30ms
+//	twopcsim -variant pn -n 3 -heuristic-abort 8ms -partition N01 -heal 30ms
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -40,26 +41,14 @@ func main() {
 	heurCommit := flag.Duration("heuristic-commit", 0, "in-doubt nodes heuristically commit after this delay")
 	flag.Parse()
 
-	cfg := core.Config{}
-	switch strings.ToLower(*variant) {
-	case "basic", "baseline":
-		cfg.Variant = core.VariantBaseline
-	case "pa":
-		cfg.Variant = core.VariantPA
-		cfg.Options.ReadOnly = true
-	case "pn":
-		cfg.Variant = core.VariantPN
-		cfg.Options.ReadOnly = true
-	case "pc":
-		cfg.Variant = core.VariantPC
-		cfg.Options.ReadOnly = true
-	case "paxos":
-		cfg.Variant = core.VariantPaxos
-	case "1pc", "onephase":
-		cfg.Variant = core.Variant1PC
-	default:
+	v, ok := protocol.ParseVariant(*variant)
+	if !ok {
 		fail("unknown variant %q", *variant)
 	}
+	cfg := core.Config{Variant: v}
+	// The presumed variants run with read-only votes on, as the paper's
+	// PA and PN rows do.
+	cfg.Options.ReadOnly = v == core.VariantPA || v == core.VariantPN || v == core.VariantPC
 	for _, o := range strings.Split(*opts, ",") {
 		switch strings.TrimSpace(strings.ToLower(o)) {
 		case "":

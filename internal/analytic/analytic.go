@@ -204,25 +204,30 @@ func PNLive(n int) Triplet {
 // role's measured spend against these, because over real TCP each
 // process only observes its own side of the protocol.
 //
-// Per variant, commit case, per the same derivations as the totals:
+// Per variant, commit case, per the same derivations as the totals
+// (a is the Paxos acceptor count, PaxosAcceptorCount(s)):
 //
-//	coordinator            one subordinate
-//	baseline  2s flows, 2 writes, 1 forced   2 flows, 3 writes, 2 forced
-//	PA        2s flows, 2 writes, 1 forced   2 flows, 3 writes, 2 forced
-//	PN        2s flows, 3 writes, 2 forced   2 flows, 3 writes, 2 forced
-//	PC        2s flows, 3 writes, 2 forced   1 flow,  3 writes, 1 forced
+//	           coordinator                        one subordinate
+//	baseline   2s flows,     2 writes, 1 forced   2 flows, 3 writes, 2 forced
+//	PA         2s flows,     2 writes, 1 forced   2 flows, 3 writes, 2 forced
+//	PN         2s flows,     3 writes, 2 forced   2 flows, 3 writes, 2 forced
+//	PC         2s flows,     3 writes, 2 forced   1 flow,  3 writes, 1 forced
+//	Paxos      2s+a-1 flows, 3 writes, 1 forced   a flows, 3 writes, 1 forced
+//	1PC        2s flows,     2 writes, 1 forced   2 flows, 2 writes, 0 forced
 //
-// Coordinator totals always recombine with subs subordinate shares to
-// the corresponding whole-tree form (Basic2PC, PACommit, PNLive, PC).
+// A Paxos acceptor-subordinate's share is PaxosAcceptorSubCost
+// instead. Coordinator totals always recombine with subs subordinate
+// shares to the corresponding whole-tree form (Basic2PC, PACommit,
+// PNLive, PC, OnePhase, PaxosCommitTotal).
 type RoleCost struct {
 	Coordinator Triplet // the coordinator's whole share
 	Subordinate Triplet // one subordinate's share
 }
 
 // CommitCostByRole returns the live runtime's per-role commit-case
-// costs for the named variant ("Basic2PC", "PA", "PN", "PC" — the
-// core.Variant String names) over subs subordinates. ok is false for
-// an unknown variant name.
+// costs for the named variant ("Basic2PC", "PA", "PN", "PC",
+// "PaxosCommit", "1PC" — the core.Variant String names) over subs
+// subordinates. ok is false for an unknown variant name.
 func CommitCostByRole(variant string, subs int) (RoleCost, bool) {
 	coord := Triplet{Flows: 2 * subs, Writes: 2, Forced: 1}
 	sub := Triplet{Flows: 2, Writes: 3, Forced: 2}

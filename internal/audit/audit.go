@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 )
 
 // Violation is one conformance failure: a node that spent more than
@@ -196,7 +197,7 @@ func expectation(v metrics.TxCostView, nc metrics.NodeCostView) (exp analytic.Tr
 		// determines — without it only the universal abort ceiling of a
 		// two-member tree would apply, so skip instead of guessing.
 		subs := 1
-		if v.Variant == "PaxosCommit" {
+		if v.Variant == protocol.VariantPaxos.String() {
 			if v.Subs < 0 {
 				return analytic.Triplet{}, false, false
 			}

@@ -1,81 +1,26 @@
 package core
 
 import (
-	"fmt"
 	"time"
+
+	"repro/internal/protocol"
 )
 
-// Variant selects the base commit protocol.
-type Variant int
+// Variant selects the base commit protocol. It is protocol.Variant:
+// each variant's presumption, forces and acks are its row in the
+// variant table there, which this engine and the live runtime both
+// read.
+type Variant = protocol.Variant
 
-// The three protocols of §2-3.
+// The protocols of §2-3 and their extensions; see protocol.Variant.
 const (
-	// VariantBaseline is the classic 2PC of Figure 1: no presumption,
-	// acks for both outcomes, no pending record — after a total
-	// coordinator amnesia the subordinates stay blocked.
-	VariantBaseline Variant = iota
-	// VariantPA is Presumed Abort (R*, §3): no information at the
-	// coordinator means abort; abort processing does no forced
-	// logging and is not acknowledged.
-	VariantPA
-	// VariantPN is IBM's Presumed Nothing (LU 6.2, §3): the
-	// coordinator forces a commit-pending record before the first
-	// Prepare so it can always drive recovery and learn of heuristic
-	// damage; subordinates force a pending record before voting for
-	// the same reason.
-	VariantPN
-	// VariantPC is Presumed Commit, the dual of PA (from the R*
-	// lineage the paper builds on; included here as the extension
-	// variant the commercial world also standardized). The
-	// coordinator forces a collecting record naming its subordinates
-	// before any Prepare; missing information then means COMMIT, so
-	// commits need neither subordinate commit-record forces nor
-	// acknowledgments, while aborts are fully logged and acked.
-	VariantPC
-	// VariantPaxos is Gray & Lamport's Paxos Commit (Consensus on
-	// Transaction Commit): each participant's vote is one Paxos
-	// instance replicated across 2f+1 acceptors colocated on the
-	// transaction's nodes, the coordinator is merely the initial
-	// leader, and any participant learns the outcome from an acceptor
-	// quorum after a coordinator crash — non-blocking for up to f
-	// acceptor failures at the cost of one extra message delay and
-	// the acceptor forces.
-	VariantPaxos
-	// Variant1PC is the logless one-phase fast path ("vote before
-	// decide"): a leaf subordinate's yes vote carries its redo payload
-	// and is NOT preceded by a forced prepare record — the vote's
-	// durability is delegated to the coordinator's single forced
-	// decision record, which names the participants and embeds their
-	// redos. The coordinator decides in one round and does not wait
-	// for commit acknowledgments on the caller's critical path, so a
-	// commit costs one forced write in the whole tree and roughly one
-	// network round trip less of latency. Absence of information means
-	// abort (PA-style), which is what makes the voter's amnesia safe:
-	// a restarted voter knows nothing, and either the presumption
-	// aborts it or the coordinator's retransmitted Commit (carrying
-	// the redo) completes it.
-	Variant1PC
+	VariantBaseline = protocol.VariantBaseline
+	VariantPA       = protocol.VariantPA
+	VariantPN       = protocol.VariantPN
+	VariantPC       = protocol.VariantPC
+	VariantPaxos    = protocol.VariantPaxos
+	Variant1PC      = protocol.Variant1PC
 )
-
-// String returns the paper's abbreviation for the variant.
-func (v Variant) String() string {
-	switch v {
-	case VariantBaseline:
-		return "Basic2PC"
-	case VariantPA:
-		return "PA"
-	case VariantPN:
-		return "PN"
-	case VariantPC:
-		return "PC"
-	case VariantPaxos:
-		return "PaxosCommit"
-	case Variant1PC:
-		return "1PC"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
 
 // Options toggles the §4 optimizations. All default to off, which
 // yields the textbook protocol the tables use as the baseline. The

@@ -104,9 +104,9 @@ func (n *Node) resolveHeuristic(c *txCtx, commit bool) {
 	// protocols always report damage to the immediate coordinator).
 	if c.haveCoord {
 		m := n.ackMessage(c)
-		if n.eng.cfg.Variant != VariantPN && rep.Damage {
-			// PA/baseline: ensure the immediate coordinator sees it
-			// even though general propagation is suppressed.
+		if !n.eng.cfg.Variant.Row().PropagateHeuristics && rep.Damage {
+			// Without propagation (all but PN), ensure the immediate
+			// coordinator sees it even so.
 			m.Heuristics = wireHeuristics([]HeuristicReport{rep})
 		}
 		n.send(c.coord, m)

@@ -120,7 +120,7 @@ func (n *Node) runPaxosPhase1(c *txCtx, members []*subInfo) {
 		n.send(s.id, protocol.Message{
 			Type:    protocol.MsgPrepare,
 			Tx:      c.id.String(),
-			Presume: protocol.PresumePaxos,
+			Presume: protocol.VariantPaxos,
 			Payload: payload,
 		})
 	}

@@ -74,7 +74,7 @@ func (n *Node) initiateCommit(tx TxID, done func(Result)) {
 		n.runPaxosPhase1(c, members)
 		return
 	}
-	if (variant == VariantPN || variant == VariantPC) && (len(members) > 0 || len(n.resources) > 0) {
+	if variant.Row().PrePrepare != "" && (len(members) > 0 || len(n.resources) > 0) {
 		// PN: the coordinator must remember its subordinates before
 		// any of them can become in-doubt (§3 Presumed Nothing).
 		// PC: the collecting record is what makes the commit
@@ -279,7 +279,7 @@ func (n *Node) handlePrepare(from NodeID, m protocol.Message) {
 	tx := ParseTxID(m.Tx)
 	c := n.ctx(tx)
 	c.sub(from) // the coordinator is a partner too
-	if m.Presume == protocol.PresumePaxos {
+	if m.Presume == protocol.VariantPaxos {
 		if meta, err := protocol.DecodePaxosMeta(m.Payload); err == nil {
 			n.paxosAdoptMeta(c, meta)
 		}
@@ -336,7 +336,7 @@ func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
 		n.paxosVoteUpstream(c)
 		return
 	}
-	if v := n.eng.cfg.Variant; (v == VariantPN || v == VariantPC) && len(members) > 0 {
+	if n.eng.cfg.Variant.Row().PrePrepare != "" && len(members) > 0 {
 		// A cascaded coordinator must remember its subordinates
 		// before they can be put in doubt (Figure 3; same for the
 		// PC collecting record).
@@ -499,18 +499,12 @@ func (n *Node) delegate(c *txCtx) {
 		c.votedReadOnly = true
 		wire.Vote = protocol.VoteReadOnly
 	} else {
-		switch cfg.Variant {
-		case VariantPN:
-			if !c.pnPendingLogged {
-				// Re-delegation below the root: remember the agent.
-				n.logTx(c, recPrepared, recPayload{Coord: c.coord, Agent: la.id, Subs: c.yesSubIDs(la.id)}, true)
-			} else if !c.pendingCoversAgent(la.id) {
-				// Multi-member PN delegation: the pending record did
-				// not name the agent; force a prepared record so
-				// recovery inquires instead of presuming.
-				n.logTx(c, recPrepared, recPayload{Coord: c.coord, Agent: la.id, Subs: c.yesSubIDs(la.id)}, true)
-			}
-		default:
+		// Under PN a pending record that already names the agent
+		// covers the delegation. Otherwise (a re-delegation below the
+		// root, or a multi-member PN delegation whose pending record
+		// did not name the agent) force a prepared record so recovery
+		// inquires instead of presuming.
+		if cfg.Variant != VariantPN || !c.pnPendingLogged || !c.pendingCoversAgent(la.id) {
 			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Agent: la.id, Subs: c.yesSubIDs(la.id)}, true)
 		}
 		wire.Vote = protocol.VoteYes
@@ -575,11 +569,11 @@ func (n *Node) voteUpstream(c *txCtx) {
 		}
 		return
 	default:
-		if cfg.Variant == VariantPN {
+		if cfg.Variant.Row().PropagateHeuristics {
 			if !c.pnPendingLogged {
 				// A PN leaf must stably record its coordinator before
-				// voting, so heuristic damage can be reported after a
-				// crash (§3).
+				// voting, so heuristic damage can be reported to the
+				// root after a crash (§3).
 				n.logTx(c, recAgentPending, recPayload{Coord: c.coord}, true)
 				c.pnPendingLogged = true
 			}

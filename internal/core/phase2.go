@@ -35,11 +35,10 @@ func (n *Node) ownDecision(c *txCtx, commit bool) {
 			n.logTx(c, recCommitted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, force)
 		}
 	} else {
-		// PA presumes abort: nothing is logged and recovery answers
-		// inquiries from the absence of information. 1PC inherits the
-		// abort presumption wholesale. Baseline and PN force the abort
-		// record.
-		if cfg.Variant != VariantPA && cfg.Variant != Variant1PC &&
+		// Under a presumption of abort (PA, and 1PC wholesale) nothing
+		// is logged: recovery answers inquiries from the absence of
+		// information. Every other variant writes the abort record.
+		if cfg.Variant.Row().NoInfo != protocol.OutcomeAbort &&
 			(c.loggedAny || len(c.yesSubIDs("")) > 0 || c.anyNo) {
 			n.logTx(c, recAborted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, force)
 		}
@@ -66,27 +65,19 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
-	cfg := n.eng.cfg
+	// Whether the subordinate forces its outcome record is the
+	// variant's row. Presumed commit: a lost commit record makes
+	// recovery inquire, and the presumption answers commit. PA: a lost
+	// abort record merely repeats recovery work that ends in abort
+	// anyway. Paxos: the acceptor quorum holds the decision durably.
+	// 1PC: the coordinator's forced decision record is the durable
+	// truth; the voter's own records are an optimization, never a
+	// promise.
+	forced := n.eng.cfg.Variant.Row().SubForces(commit)
 	if commit {
-		// Presumed commit: the subordinate's commit record need not
-		// be forced — if it is lost, recovery inquires and the
-		// presumption answers commit. Paxos: the acceptor quorum
-		// already holds the decision durably. 1PC: the coordinator's
-		// forced decision record is the durable truth; the voter's
-		// own commit record is an optimization, never a promise.
-		forced := cfg.Variant != VariantPC && cfg.Variant != VariantPaxos &&
-			cfg.Variant != Variant1PC
 		n.logTx(c, recCommitted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, forced)
-	} else {
-		// PA subordinates do not force abort records: a lost abort
-		// record merely repeats recovery work that ends in abort
-		// anyway. Same reasoning for Paxos, via the quorum, and for
-		// 1PC, via the abort presumption.
-		forced := cfg.Variant != VariantPA && cfg.Variant != VariantPaxos &&
-			cfg.Variant != Variant1PC
-		if c.loggedAny {
-			n.logTx(c, recAborted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, forced)
-		}
+	} else if c.loggedAny {
+		n.logTx(c, recAborted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, forced)
 	}
 	n.phase2(c)
 }
@@ -95,17 +86,11 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 // acknowledgment from sub for this outcome.
 func (n *Node) expectsAck(s *subInfo, commit bool) bool {
 	cfg := n.eng.cfg
-	if cfg.Variant == VariantPaxos {
-		// No acknowledgments in either direction: once an acceptor
-		// quorum has the decision, nobody needs to confirm receipt —
-		// any participant can always re-learn the outcome.
+	if !cfg.Variant.Row().Acks(commit) {
+		// Presumed abort (PA, 1PC) leaves aborts unacknowledged,
+		// presumed commit commits, and Paxos Commit both: once an
+		// acceptor quorum has the decision, anyone can re-learn it.
 		return false
-	}
-	if !commit && (cfg.Variant == VariantPA || cfg.Variant == Variant1PC) {
-		return false // presumed abort: aborts are not acknowledged
-	}
-	if commit && cfg.Variant == VariantPC {
-		return false // presumed commit: commits are not acknowledged
 	}
 	if commit && cfg.Options.VoteReliable && s.reliable {
 		// A reliable subtree cannot take heuristic decisions worth
@@ -165,8 +150,9 @@ func (n *Node) phase2(c *txCtx) {
 
 	// Early acknowledgment: a subordinate acks as soon as its own
 	// commit is logged, before its subtree has acknowledged (§4
-	// Commit Acknowledgment). Meaningless under Paxos (no acks).
-	if cfg.Options.EarlyAck && cfg.Variant != VariantPaxos && !c.isRoot && !c.lastAgentAsked && c.haveCoord && !c.votedReadOnly {
+	// Commit Acknowledgment). Meaningless under a variant with no acks
+	// at all (Paxos).
+	if cfg.Options.EarlyAck && cfg.Variant.Row().AcksAny() && !c.isRoot && !c.lastAgentAsked && c.haveCoord && !c.votedReadOnly {
 		n.sendAckUpstream(c)
 	}
 	if c.awaitsRetriableAcks() {
@@ -250,22 +236,6 @@ func (n *Node) noteResourceHeuristic(c *txCtx, r Resource, commit bool, err erro
 	}
 }
 
-// redeliveryAck reports whether the sender of a (possibly duplicate)
-// outcome message is waiting for an acknowledgment under the current
-// variant's presumption rules.
-func (n *Node) redeliveryAck(commit bool) bool {
-	switch n.eng.cfg.Variant {
-	case VariantPA, Variant1PC:
-		return commit
-	case VariantPC:
-		return !commit
-	case VariantPaxos:
-		return false
-	default:
-		return true
-	}
-}
-
 // handleOutcomeMsg processes a Commit or Abort arriving from the
 // network.
 func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
@@ -289,7 +259,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 			}
 		}
 		// Ack if the sender can be waiting for one.
-		if n.redeliveryAck(commit) {
+		if n.eng.cfg.Variant.Row().Acks(commit) {
 			n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 		}
 		return
@@ -322,7 +292,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 	case stCommitting, stCompleted:
 		// Duplicate outcome (coordinator recovery resend): re-ack.
 		if c.ackSent || c.state == stCompleted {
-			if n.redeliveryAck(commit) {
+			if n.eng.cfg.Variant.Row().Acks(commit) {
 				n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: wireHeuristics(c.status.Heuristics)})
 			}
 		}
@@ -411,7 +381,7 @@ func (n *Node) checkAcks(c *txCtx) {
 	// Subordinate: acknowledge upstream per the ack policy.
 	opts := n.eng.cfg.Options
 	switch {
-	case n.eng.cfg.Variant == VariantPaxos:
+	case !n.eng.cfg.Variant.Row().AcksAny():
 		// No acks under Paxos Commit; close out immediately.
 		n.writeEndAndForget(c)
 	case c.votedReadOnly:
@@ -433,11 +403,9 @@ func (n *Node) checkAcks(c *txCtx) {
 		n.defer_(c.coord, n.ackMessage(c))
 		n.trcState(c.id, "ack deferred (long locks)")
 		n.writeEndAndForget(c)
-	case !c.decisionCommit && (n.eng.cfg.Variant == VariantPA || n.eng.cfg.Variant == Variant1PC):
-		// Presumed abort: aborts are not acknowledged.
-		n.writeEndAndForget(c)
-	case c.decisionCommit && n.eng.cfg.Variant == VariantPC:
-		// Presumed commit: commits are not acknowledged.
+	case !n.eng.cfg.Variant.Row().Acks(c.decisionCommit):
+		// Presumed abort leaves aborts unacknowledged, presumed
+		// commit commits.
 		n.writeEndAndForget(c)
 	default:
 		n.sendAckUpstream(c)
@@ -446,9 +414,8 @@ func (n *Node) checkAcks(c *txCtx) {
 }
 
 func (n *Node) ackMessage(c *txCtx) protocol.Message {
-	cfg := n.eng.cfg
 	m := protocol.Message{Type: protocol.MsgAck, Tx: c.id.String()}
-	if cfg.Variant == VariantPN {
+	if n.eng.cfg.Variant.Row().PropagateHeuristics {
 		// PN propagates heuristic reports all the way to the root.
 		m.Heuristics = wireHeuristics(c.status.Heuristics)
 	} else if len(c.status.Heuristics) > 0 {

@@ -339,8 +339,9 @@ func (n *Node) resumeOutcome(tx TxID, p *recPayload, commit bool) {
 		}
 	}
 	n.trcUnlock(tx, "released")
-	if !c.isRoot && !c.ackSent && n.eng.cfg.Variant != VariantPaxos {
-		// Our coordinator may still be waiting for our ack.
+	if !c.isRoot && !c.ackSent && n.eng.cfg.Variant.Row().AcksAny() {
+		// Our coordinator may still be waiting for our ack. It goes
+		// out whichever the outcome, unless the variant acks neither.
 		n.sendAckUpstream(c)
 	}
 	if c.acksPending > 0 {
@@ -414,25 +415,22 @@ func (n *Node) handleInquire(from NodeID, m protocol.Message) {
 		}
 		return
 	}
-	// No information at all: presumption.
-	switch n.eng.cfg.Variant {
-	case VariantPA, Variant1PC:
-		// Presumed abort, by definition. Under 1PC this is what makes
-		// the logless voter safe: had the coordinator decided commit,
-		// its forced decision record would still be here.
-		reply(protocol.OutcomeAbort)
-	case VariantPC:
-		// Presumed commit: the collecting record precedes every
-		// prepare, so total amnesia for a prepared inquirer can only
-		// mean the transaction passed phase one everywhere and the
-		// End was written: commit.
-		reply(protocol.OutcomeCommit)
-	default:
-		// Baseline and PN presume nothing: the inquirer stays blocked
-		// (the baseline's classic weakness; PN avoids ever reaching
-		// this because pending records precede prepares).
-		reply(protocol.OutcomeUnknown)
+	// No information at all: the presumption. Presumed abort (PA,
+	// 1PC) is what makes the logless 1PC voter safe: had the
+	// coordinator decided commit, its forced decision record would
+	// still be here. Presumed commit: the collecting record precedes
+	// every prepare, so total amnesia for a prepared inquirer can only
+	// mean the transaction passed phase one everywhere and the End was
+	// written. Baseline and Paxos presume nothing: the inquirer stays
+	// blocked (the baseline's classic weakness). PN's presumption is
+	// "still in progress", but this engine answers Unknown: it never
+	// reaches here with a pending record, and the inquirer retries on
+	// either answer alike.
+	kind := n.eng.cfg.Variant.Row().NoInfo
+	if kind == protocol.OutcomeInProgress {
+		kind = protocol.OutcomeUnknown
 	}
+	reply(kind)
 }
 
 // handleOutcomeReply resolves an in-doubt transaction with the answer

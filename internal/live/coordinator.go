@@ -74,14 +74,9 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// PN forces a pending record, PC a collecting record, before any
 	// Prepare leaves: the stable membership list is what lets their
 	// presumptions hold through a coordinator crash.
-	switch v {
-	case core.VariantPN:
-		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: "Pending", Data: []byte(strings.Join(subs, ","))}); err != nil {
-			return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: force pending record: %w", err)
-		}
-	case core.VariantPC:
-		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: "Collecting", Data: []byte(strings.Join(subs, ","))}); err != nil {
-			return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: force collecting record: %w", err)
+	if kind := v.Row().PrePrepare; kind != "" {
+		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: kind, Data: []byte(strings.Join(subs, ","))}); err != nil {
+			return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: force %s record: %w", strings.ToLower(kind), err)
 		}
 	}
 
@@ -115,7 +110,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 
 	// Phase one: Prepares in parallel to everyone who has not already
 	// volunteered a vote, each announcing the variant's presumption.
-	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: presumptionOf(v)}
+	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: v}
 	for i, s := range others {
 		if voted[i] {
 			continue
@@ -194,7 +189,7 @@ func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxI
 // replay without End waits on again.
 func commitRecord(txName, node string, yes []string, v core.Variant) wal.Record {
 	rec := wal.Record{Tx: txName, Node: node, Kind: "Committed"}
-	if expectsAckFor(v, true) && len(yes) > 0 {
+	if v.Row().AckCommit && len(yes) > 0 {
 		rec.Data = ackersData(yes)
 	}
 	return rec
@@ -205,7 +200,7 @@ func commitRecord(txName, node string, yes []string, v core.Variant) wal.Record 
 // decided-table entry stays pinned while their acknowledgments are
 // outstanding; End is written only once they are all in.
 func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, v core.Variant) (Outcome, error) {
-	acks := expectsAckFor(v, true) && len(yes) > 0
+	acks := v.Row().AckCommit && len(yes) > 0
 	p.recordDecision(txName, true, acks)
 	p.completeResources(tx, true)
 	if p.met != nil {
@@ -234,7 +229,7 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.T
 // message and awaits the decision, then finishes phase two with the
 // other (already yes-voting) subordinates.
 func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, txName, agent string, yes []string, v core.Variant) (Outcome, error) {
-	dm := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: presumptionOf(v), Delegate: true}
+	dm := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: v, Delegate: true}
 	if err := p.send(agent, dm); err != nil {
 		// Nothing was delegated; the decision is still ours.
 		return p.abortTx(tx, txName, append(append([]string{}, yes...), agent), v), fmt.Errorf("live: delegate to %s: %w", agent, err)
@@ -363,7 +358,7 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 // unwritten — until every subordinate told has acknowledged.
 func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core.Variant) Outcome {
 	p.logAbort(txName, v, subs)
-	acks := expectsAckFor(v, false) && len(subs) > 0
+	acks := v.Row().AckAbort && len(subs) > 0
 	p.recordDecision(txName, false, acks)
 	if acks {
 		p.awaitLateAcks(nil, txName, append([]string(nil), subs...), true)
@@ -390,7 +385,7 @@ func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core
 // subordinates the acks are owed by.
 func (p *Participant) logAbort(txName string, v core.Variant, subs []string) {
 	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Aborted"}
-	if !expectsAckFor(v, false) {
+	if !v.Row().AckAbort {
 		_ = p.lazy(rec)
 		return
 	}

@@ -93,10 +93,10 @@ func TestForgetAgesOutByVariant(t *testing.T) {
 			x := f.net.Endpoint("X")
 			appends := f.logs["S1"].Stats().Appends
 			got := probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgCommit, Tx: committed})
-			if want := btoi(expectsAckFor(v, true)); len(got) != want {
+			if want := btoi(v.Row().Acks(true)); len(got) != want {
 				t.Fatalf("duplicate commit inside the horizon answered %v, want %d ack(s)", got, want)
 			}
-			got = probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgPrepare, Tx: aborted, Presume: presumptionOf(v)})
+			got = probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgPrepare, Tx: aborted, Presume: v})
 			if want := btoi(v != core.VariantPaxos); len(got) != want || (want == 1 && got[0].Vote != protocol.VoteNo) {
 				t.Fatalf("late Prepare for aborted %s inside the horizon answered %v, want %d no vote(s)", aborted, got, want)
 			}
@@ -129,7 +129,7 @@ func TestForgetAgesOutByVariant(t *testing.T) {
 				// Pinned acceptor state still answers past the horizon:
 				// a late Prepare neither prepares nor logs again.
 				appends := f.logs["S1"].Stats().Appends
-				if got := probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgPrepare, Tx: committed, Presume: presumptionOf(v)}); len(got) != 0 {
+				if got := probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgPrepare, Tx: committed, Presume: v}); len(got) != 0 {
 					t.Fatalf("late Prepare for pinned %s answered %v", committed, got)
 				}
 				if n := f.logs["S1"].Stats().Appends; n != appends {
@@ -141,7 +141,7 @@ func TestForgetAgesOutByVariant(t *testing.T) {
 				tx     string
 				commit bool
 			}{{committed, true}, {aborted, false}} {
-				got := probe(t, f.net, x, "C", protocol.Message{Type: protocol.MsgInquire, Tx: tc.tx, Presume: presumptionOf(v)})
+				got := probe(t, f.net, x, "C", protocol.Message{Type: protocol.MsgInquire, Tx: tc.tx, Presume: v})
 				if len(got) != 1 || got[0].Type != protocol.MsgOutcome {
 					t.Fatalf("inquiry for forgotten %s answered %v", tc.tx, got)
 				}
@@ -333,7 +333,7 @@ func TestForgetUnackedCommitSurvivesRestart(t *testing.T) {
 	if c2.PinnedDecisions() != 1 {
 		t.Fatalf("replayed decision without End: %d pinned, want 1", c2.PinnedDecisions())
 	}
-	got := probe(t, net, net.Endpoint("X"), "C", protocol.Message{Type: protocol.MsgInquire, Tx: tx, Presume: protocol.PresumeAbort})
+	got := probe(t, net, net.Endpoint("X"), "C", protocol.Message{Type: protocol.MsgInquire, Tx: tx, Presume: core.VariantPA})
 	if len(got) != 1 || got[0].Type != protocol.MsgOutcome || got[0].Outcome != protocol.OutcomeCommit {
 		t.Fatalf("inquiry after restart answered %v, want commit", got)
 	}
@@ -554,7 +554,7 @@ func TestForgetCoversCoordinatorHorizon(t *testing.T) {
 	defer s.Stop()
 	x := net.Endpoint("X")
 	tx := core.TxID{Origin: "X", Seq: 1}.String()
-	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: protocol.PresumePending, Horizon: coordTimeout}
+	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: core.VariantPN, Horizon: coordTimeout}
 	if got := probe(t, net, x, "S", prep); len(got) != 1 || got[0].Vote != protocol.VoteNo {
 		t.Fatalf("first Prepare answered %v, want a no vote", got)
 	}

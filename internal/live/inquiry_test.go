@@ -12,14 +12,26 @@ import (
 )
 
 func TestPresumeDataRoundTrip(t *testing.T) {
-	for _, pr := range []protocol.Presumption{
-		protocol.PresumeNothingKnown, protocol.PresumeAbort,
-		protocol.PresumePending, protocol.PresumeCommit,
-	} {
-		got, ok := presumeFromData(presumeData(pr))
-		if !ok || got != pr {
-			t.Errorf("round trip of %v = %v, %v", pr, got, ok)
+	// The payload bytes are on disk in existing logs: pin them exactly.
+	want := map[core.Variant]string{
+		core.VariantBaseline: "PresumeNothing",
+		core.VariantPA:       "PresumeAbort",
+		core.VariantPN:       "PresumePending",
+		core.VariantPC:       "PresumeCommit",
+		core.VariantPaxos:    "PresumePaxos",
+		core.Variant1PC:      "Presume1PC",
+	}
+	for v := core.VariantBaseline; v <= core.Variant1PC; v++ {
+		if got := string(presumeData(v)); got != want[v] {
+			t.Errorf("presumeData(%v) = %q, want %q", v, got, want[v])
 		}
+		got, ok := presumeFromData(presumeData(v))
+		if !ok || got != v {
+			t.Errorf("round trip of %v = %v, %v", v, got, ok)
+		}
+	}
+	if len(want) != int(core.Variant1PC)+1 {
+		t.Fatalf("pinned %d payloads for %d variants", len(want), int(core.Variant1PC)+1)
 	}
 	if _, ok := presumeFromData(nil); ok {
 		t.Error("empty payload decoded as a known presumption")
@@ -88,7 +100,7 @@ func TestLiveCoordinatorRestartAnswersFromLog(t *testing.T) {
 
 	subStore := wal.NewMemStore()
 	subStore.Append(wal.Record{Tx: tx, Node: "S", Kind: "Prepared",
-		Data: presumeData(protocol.PresumeCommit), Forced: true})
+		Data: presumeData(core.VariantPC), Forced: true})
 	subStore.Sync()
 	subLog := wal.New(subStore)
 	sub := NewParticipant("S", net.Endpoint("S"), subLog,
@@ -146,8 +158,8 @@ func TestLivePreparedRecordCarriesPresumption(t *testing.T) {
 		if r.Node != "S" || r.Kind != "Prepared" {
 			continue
 		}
-		if pr, ok := presumeFromData(r.Data); !ok || pr != protocol.PresumeCommit {
-			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PresumeCommit", pr, ok)
+		if pr, ok := presumeFromData(r.Data); !ok || pr != core.VariantPC {
+			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PC", pr, ok)
 		}
 		return
 	}

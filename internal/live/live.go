@@ -183,7 +183,7 @@ type txState struct {
 
 	// Subordinate side, guarded by mu.
 	mu        sync.Mutex
-	presume   protocol.Presumption
+	presume   core.Variant // the variant the Prepare announced
 	prepared  bool
 	voteMsg   protocol.Message // the vote we sent, for duplicate Prepares
 	done      bool
@@ -462,7 +462,7 @@ func (p *Participant) handle(pkt protocol.Packet) {
 	if p.pipe != nil {
 		prepares := 0
 		for i := range pkt.Messages {
-			if pkt.Messages[i].Type == protocol.MsgPrepare && pkt.Messages[i].Presume != protocol.Presume1PC {
+			if pkt.Messages[i].Type == protocol.MsgPrepare && pkt.Messages[i].Presume != core.Variant1PC {
 				prepares++
 			}
 		}
@@ -537,7 +537,7 @@ func (p *Participant) recordDecision(tx string, committed, pinned bool) {
 // accepted could let a leader choose a different outcome; nobody
 // inquires any other subordinate. Caller holds st.mu.
 func (p *Participant) recordSubDecisionLocked(st *txState, committed bool) {
-	acceptor := st.presume == protocol.PresumePaxos && st.paxMeta != nil &&
+	acceptor := st.presume == core.VariantPaxos && st.paxMeta != nil &&
 		indexOf(st.paxMeta.Acceptors, p.name) >= 0
 	p.publishDecision(st.id, subDecision(committed, st.presume), acceptor)
 }
@@ -603,7 +603,7 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 		// the transaction's own variant is unknown here.
 		sh.mu.Unlock()
 		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"}
-		presumedAbort := p.variant == core.VariantPA || p.variant == core.Variant1PC
+		presumedAbort := p.variant.Row().NoInfo == protocol.OutcomeAbort
 		owed := []string{from}
 		if presumedAbort {
 			_ = p.lazy(rec)
@@ -776,81 +776,23 @@ func (p *Participant) countRetry() {
 	}
 }
 
-// presumptionOf maps an engine variant to its wire presumption.
-func presumptionOf(v core.Variant) protocol.Presumption {
-	switch v {
-	case core.VariantPA:
-		return protocol.PresumeAbort
-	case core.VariantPN:
-		return protocol.PresumePending
-	case core.VariantPC:
-		return protocol.PresumeCommit
-	case core.VariantPaxos:
-		return protocol.PresumePaxos
-	case core.Variant1PC:
-		return protocol.Presume1PC
-	default:
-		return protocol.PresumeNothingKnown
-	}
-}
-
-// presumeData encodes a presumption for a Prepared record's payload,
-// so recovery restores the announced variant rather than guessing.
-func presumeData(pr protocol.Presumption) []byte { return []byte(pr.String()) }
+// presumeData encodes a variant for a Prepared record's payload, so
+// recovery restores the announced variant rather than guessing.
+func presumeData(v core.Variant) []byte { return []byte(v.Row().PresumeName) }
 
 // presumeFromData decodes a presumeData payload; ok is false for a
 // missing or unrecognized payload (e.g. a record written before
 // presumptions were persisted).
-func presumeFromData(b []byte) (protocol.Presumption, bool) {
+func presumeFromData(b []byte) (core.Variant, bool) {
 	// A Paxos Prepared record carries the transaction's Paxos membership
 	// rather than a presumption name: recovery needs the acceptor set.
 	if len(b) > 5 && string(b[:5]) == "pax1 " {
-		return protocol.PresumePaxos, true
+		return core.VariantPaxos, true
 	}
-	for _, pr := range []protocol.Presumption{
-		protocol.PresumeNothingKnown, protocol.PresumeAbort,
-		protocol.PresumePending, protocol.PresumeCommit, protocol.PresumePaxos,
-		protocol.Presume1PC,
-	} {
-		if string(b) == pr.String() {
-			return pr, true
+	for v := core.VariantBaseline; v <= core.Variant1PC; v++ {
+		if string(b) == v.Row().PresumeName {
+			return v, true
 		}
 	}
-	return protocol.PresumeNothingKnown, false
-}
-
-// variantOf is the inverse of presumptionOf: the subordinate recovers
-// the coordinator's variant from the Prepare it received.
-func variantOf(pr protocol.Presumption) core.Variant {
-	switch pr {
-	case protocol.PresumeAbort:
-		return core.VariantPA
-	case protocol.PresumePending:
-		return core.VariantPN
-	case protocol.PresumeCommit:
-		return core.VariantPC
-	case protocol.PresumePaxos:
-		return core.VariantPaxos
-	case protocol.Presume1PC:
-		return core.Variant1PC
-	default:
-		return core.VariantBaseline
-	}
-}
-
-// expectsAckFor reports whether the given outcome is acknowledged
-// under the given variant: PA skips abort acks, PC skips commit acks,
-// and Paxos Commit never acks — the acceptor quorum is the durable
-// record of the outcome, so delivery needs no per-subordinate receipt.
-// 1PC keeps commit acks (collected off the critical path; they bound
-// how long the coordinator must retain the redo-bearing decision
-// record) but skips abort acks like PA.
-func expectsAckFor(v core.Variant, commit bool) bool {
-	if v == core.VariantPaxos {
-		return false
-	}
-	if commit {
-		return v != core.VariantPC
-	}
-	return v != core.VariantPA && v != core.Variant1PC
+	return core.VariantBaseline, false
 }

@@ -117,7 +117,7 @@ func (p *Participant) runOnePhase(ctx context.Context, txName string, subs []str
 		}
 	}
 
-	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: protocol.Presume1PC}
+	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: core.Variant1PC}
 	for i, s := range subs {
 		if voted[i] {
 			continue

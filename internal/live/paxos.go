@@ -123,11 +123,11 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx core.T
 	}
 	sh.mu.Unlock()
 	st.mu.Lock()
-	st.presume = protocol.PresumePaxos
+	st.presume = core.VariantPaxos
 	p.paxosAdoptLocked(st, meta)
 	st.mu.Unlock()
 
-	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: protocol.PresumePaxos, Payload: meta.Encode()}
+	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: core.VariantPaxos, Payload: meta.Encode()}
 	for _, s := range subs {
 		if err := p.send(s, prep); err != nil {
 			if p.Crashed() {

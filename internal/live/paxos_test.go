@@ -337,8 +337,8 @@ func TestLivePaxosPreparedRecordCarriesMembership(t *testing.T) {
 			continue
 		}
 		pr, ok := presumeFromData(r.Data)
-		if !ok || pr.String() != "PresumePaxos" {
-			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PresumePaxos", pr, ok)
+		if !ok || pr != core.VariantPaxos {
+			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PaxosCommit", pr, ok)
 		}
 		return
 	}

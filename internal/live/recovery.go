@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
@@ -40,7 +41,7 @@ func (p *Participant) replayLog() {
 		onePhase      []byte   // a 1PC decision record's opc1 payload
 		sub           bool     // this node prepared it as a subordinate
 		prepared      []byte   // the Prepared record's payload
-		presume       protocol.Presumption
+		presume       core.Variant
 	}
 	states := make(map[string]*coordState)
 	var order []string
@@ -129,7 +130,7 @@ func (p *Participant) replayLog() {
 			ps.mu.Lock()
 			ps.prepared = true
 			ps.presume = st.presume
-			if st.presume == protocol.PresumePaxos {
+			if st.presume == core.VariantPaxos {
 				if meta, err := protocol.DecodePaxosMeta(st.prepared); err == nil {
 					p.paxosAdoptLocked(ps, meta)
 				}
@@ -249,7 +250,7 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 			st.prepared = true
 			st.presume, _ = presumeFromData(announced[txName])
 		}
-		paxos := st.presume == protocol.PresumePaxos
+		paxos := st.presume == core.VariantPaxos
 		if paxos && st.paxMeta == nil {
 			// The Prepared record's payload is the transaction's Paxos
 			// membership — the acceptor set is this node's recovery

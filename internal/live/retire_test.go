@@ -212,7 +212,7 @@ func TestDuplicatesAfterRetirement(t *testing.T) {
 				appends := f.logs["S1"].Stats().Appends
 				prepares := f.res["S1"].prepares.Load()
 
-				prep := protocol.Message{Type: protocol.MsgPrepare, Tx: tc.tx, Presume: presumptionOf(v)}
+				prep := protocol.Message{Type: protocol.MsgPrepare, Tx: tc.tx, Presume: v}
 				got := probe(t, f.net, x, "S1", prep)
 				wantNo := !tc.commit && v != core.VariantPaxos
 				if len(got) != btoi(wantNo) {
@@ -229,7 +229,7 @@ func TestDuplicatesAfterRetirement(t *testing.T) {
 					mt = protocol.MsgCommit
 				}
 				got = probe(t, f.net, x, "S1", protocol.Message{Type: mt, Tx: tc.tx})
-				wantAck := expectsAckFor(v, tc.commit)
+				wantAck := v.Row().Acks(tc.commit)
 				if len(got) != btoi(wantAck) || (wantAck && got[0].Type != protocol.MsgAck) {
 					t.Fatalf("duplicate %v for %s answered %v; want ack=%v", mt, tc.tx, got, wantAck)
 				}

@@ -172,9 +172,9 @@ func coordDecision(committed bool) decision {
 }
 
 // subDecision is the entry for a transaction this node subordinated
-// under presumption pr.
-func subDecision(committed bool, pr protocol.Presumption) decision {
-	return coordDecision(committed) | decision(pr+1)<<1
+// under variant v.
+func subDecision(committed bool, v core.Variant) decision {
+	return coordDecision(committed) | decision(v+1)<<1
 }
 
 func (d decision) committed() bool { return d&1 != 0 }
@@ -185,7 +185,7 @@ func (d decision) subVariant() (v core.Variant, ok bool) {
 	if d>>1 == 0 {
 		return 0, false
 	}
-	return variantOf(protocol.Presumption(d>>1 - 1)), true
+	return core.Variant(d>>1 - 1), true
 }
 
 // defaultTxShards is the GOMAXPROCS-derived shard count used when

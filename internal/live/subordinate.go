@@ -34,7 +34,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		p.handleDelegateLocked(st, from, m)
 		return
 	}
-	if m.Presume == protocol.PresumePaxos {
+	if m.Presume == core.VariantPaxos {
 		// Paxos Commit phase one: the vote is a ballot-0 accept sent to
 		// the acceptor set, not a MsgVote (handled wholly in paxos.go;
 		// duplicate Prepares are screened by the vote-sent flag there).
@@ -52,7 +52,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	st.presume = m.Presume
 	tx := core.ParseTxID(m.Tx)
 	vote := p.prepareLocal(tx)
-	if vote == protocol.VoteYes && m.Presume != protocol.Presume1PC {
+	if vote == protocol.VoteYes && m.Presume != core.Variant1PC {
 		// The announced presumption rides in the record's payload so a
 		// restart recovers this transaction under the coordinator's
 		// variant, not whatever this node happens to be configured with.
@@ -67,7 +67,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		}
 	}
 	if p.met != nil {
-		p.met.CostSub(m.Tx, p.name, variantOf(m.Presume).String(), vote == protocol.VoteReadOnly)
+		p.met.CostSub(m.Tx, p.name, m.Presume.Row().Name, vote == protocol.VoteReadOnly)
 	}
 	switch vote {
 	case protocol.VoteNo:
@@ -83,7 +83,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		defer p.forget(m.Tx)
 	}
 	st.voteMsg = protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: vote}
-	if vote == protocol.VoteYes && m.Presume == protocol.Presume1PC {
+	if vote == protocol.VoteYes && m.Presume == core.Variant1PC {
 		st.voteMsg.Payload = p.redoPayload(tx)
 	}
 	_ = p.send(from, st.voteMsg)
@@ -109,7 +109,7 @@ func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, comm
 			mt = protocol.MsgCommit
 		}
 		_ = p.sendExtra(from, protocol.Message{Type: mt, Tx: m.Tx})
-	case !committed && m.Presume != protocol.PresumePaxos:
+	case !committed && m.Presume != core.VariantPaxos:
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
 	}
 }
@@ -121,7 +121,6 @@ func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, comm
 // immediately (the reply doubles as its acknowledgment).
 func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.Message) {
 	st.presume = m.Presume
-	v := variantOf(m.Presume)
 	tx := core.ParseTxID(m.Tx)
 
 	vote := p.prepareLocal(tx)
@@ -134,8 +133,10 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 		}
 	}
 	if vote == protocol.VoteNo {
+		// A last agent's abort is lazy under PA only: unlike a plain
+		// subordinate's, it is forced under Paxos and 1PC too.
 		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"}
-		if v == core.VariantPA {
+		if m.Presume == core.VariantPA {
 			_ = p.lazy(rec)
 		} else {
 			_ = p.force(rec)
@@ -193,7 +194,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	}
 
 	if st.done {
-		p.reack(from, m.Tx, variantOf(st.presume), st.committed, commit)
+		p.reack(from, m.Tx, st.presume, st.committed, commit)
 		return
 	}
 
@@ -202,11 +203,10 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	// node forgot, or an abort that overtook the Prepare), fall back to
 	// our configured variant — and record it, so a duplicate of the
 	// outcome is later answered under the rules it was applied under.
-	v := variantOf(st.presume)
 	if !st.prepared {
-		v = p.variant
-		st.presume = presumptionOf(v)
+		st.presume = p.variant
 	}
+	row := st.presume.Row()
 
 	tx := core.ParseTxID(m.Tx)
 	if commit && len(m.Payload) > 0 && !st.prepared {
@@ -215,17 +215,16 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 		// coordinator's decision record carried our write-set here.
 		p.applyRedo(tx, m.Payload)
 	}
-	// PC subordinate commits are presumed: no force. Paxos outcomes are
-	// never forced anywhere — the acceptor quorum is the durable truth.
-	// A 1PC voter's outcome records are all lazy: the coordinator's
-	// forced decision record is the durable truth for the whole tree.
+	// Whether the record is forced is the variant's row. PC commits and
+	// PA aborts are presumed. Paxos outcomes are never forced anywhere —
+	// the acceptor quorum is the durable truth. A 1PC voter's outcome
+	// records are all lazy: the coordinator's forced decision record is
+	// the durable truth for the whole tree.
 	rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Committed"}
-	forced := v != core.VariantPC && v != core.VariantPaxos && v != core.Variant1PC
 	if !commit {
 		rec.Kind = "Aborted"
-		forced = v != core.VariantPA && v != core.VariantPaxos && v != core.Variant1PC // presumed-abort variants: no force
 	}
-	if forced {
+	if row.SubForces(commit) {
 		if err := p.force(rec); err != nil {
 			return // stay prepared; a retransmission retries
 		}
@@ -236,7 +235,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	heur := p.completeResources(tx, commit)
 	p.finishLocked(st, commit)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
-	if expectsAckFor(v, commit) {
+	if row.Acks(commit) {
 		_ = p.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: heur})
 	} else if !commit && !st.prepared {
 		// An abort reaching a subordinate that never prepared (a
@@ -266,7 +265,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 // missed our ack, so send it again if the variant acknowledges this
 // outcome at all.
 func (p *Participant) reack(from, tx string, v core.Variant, committed, commit bool) {
-	if committed == commit && expectsAckFor(v, commit) {
+	if committed == commit && v.Row().Acks(commit) {
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: tx})
 	}
 }
@@ -297,27 +296,18 @@ func (p *Participant) handleInquire(from string, m protocol.Message) {
 	case active:
 		out = protocol.OutcomeInProgress
 	default:
+		// The presumption answers. Under 1PC (abort) this is what
+		// makes the logless voter safe: had the coordinator decided
+		// commit, its forced decision record would still be here
+		// answering from the decided table. PN never forgets a pending
+		// transaction before its End, so no memory of it means commit
+		// processing hasn't decided yet: ask again later. The baseline
+		// presumes nothing; the inquirer stays blocked.
 		v := p.variant
-		if m.Presume != protocol.PresumeNothingKnown {
-			v = variantOf(m.Presume)
+		if m.Presume != core.VariantBaseline {
+			v = m.Presume
 		}
-		switch v {
-		case core.VariantPA, core.Variant1PC:
-			// Under 1PC this is what makes the logless voter safe: had
-			// the coordinator decided commit, its forced decision record
-			// would still be here answering from the decided table.
-			out = protocol.OutcomeAbort
-		case core.VariantPC:
-			out = protocol.OutcomeCommit
-		case core.VariantPN:
-			// PN never forgets a pending transaction before its End, so
-			// no memory of it means commit processing hasn't decided
-			// yet: ask again later.
-			out = protocol.OutcomeInProgress
-		default:
-			// Baseline: no presumption; the inquirer stays blocked.
-			out = protocol.OutcomeUnknown
-		}
+		out = v.Row().NoInfo
 	}
 	_ = p.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: out})
 }
@@ -377,8 +367,8 @@ func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
 	tx := core.ParseTxID(txName)
 	vote := p.prepareLocal(tx)
 	if vote == protocol.VoteYes {
-		// No Prepare has announced a presumption yet; st.presume's zero
-		// value (PresumeNothingKnown) is what phase two will run under,
+		// No Prepare has announced a variant yet; st.presume's zero
+		// value (VariantBaseline) is what phase two will run under,
 		// so it is also what recovery must restore.
 		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: "Prepared", Data: presumeData(st.presume)}); err != nil {
 			vote = protocol.VoteNo

@@ -11,7 +11,7 @@ import (
 func benchPacket(i int) protocol.Packet {
 	return protocol.Packet{
 		From: "A", To: "B",
-		Messages: []protocol.Message{{Type: protocol.MsgPrepare, Tx: fmt.Sprintf("A:%d", i), Presume: protocol.PresumeAbort}},
+		Messages: []protocol.Message{{Type: protocol.MsgPrepare, Tx: fmt.Sprintf("A:%d", i), Presume: protocol.VariantPA}},
 	}
 }
 

@@ -18,7 +18,7 @@ func chanCodecPacket() protocol.Packet {
 			{
 				Type:    protocol.MsgPrepare,
 				Tx:      "alpha:7",
-				Presume: protocol.PresumeAbort,
+				Presume: protocol.VariantPA,
 				Payload: []byte{0x00, 0xff, 0x10},
 			},
 			{

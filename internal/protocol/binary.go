@@ -332,7 +332,7 @@ func (c *BinaryCodec) decodeMessage(r *binReader, m *Message) error {
 	}
 	m.Type = MsgType(hdr[0])
 	flags := hdr[1]
-	m.Presume = Presumption(hdr[2])
+	m.Presume = Variant(hdr[2])
 	m.Vote = VoteValue(hdr[3])
 	m.Outcome = OutcomeKind(hdr[4])
 	m.LongLocks = flags&flagLongLocks != 0

@@ -12,7 +12,7 @@ func testPacket(i int) Packet {
 	return Packet{
 		From: "C", To: fmt.Sprintf("S%d", i%3),
 		Messages: []Message{
-			{Type: MsgPrepare, Tx: fmt.Sprintf("C:%d", i), Presume: PresumeAbort},
+			{Type: MsgPrepare, Tx: fmt.Sprintf("C:%d", i), Presume: VariantPA},
 			{Type: MsgCommit, Tx: fmt.Sprintf("C:%d", i+1)},
 		},
 	}
@@ -44,7 +44,7 @@ func fullPacket() Packet {
 		From: "C", To: "S1",
 		Messages: []Message{
 			{Type: MsgData, Tx: "C:1", Payload: []byte{1, 2, 3}, NewTx: "C:2"},
-			{Type: MsgPrepare, Tx: "C:1", LongLocks: true, Presume: PresumeCommit, Delegate: true},
+			{Type: MsgPrepare, Tx: "C:1", LongLocks: true, Presume: VariantPC, Delegate: true},
 			{Type: MsgVote, Tx: "C:1", Vote: VoteReadOnly, Reliable: true, OKToLeaveOut: true, Unsolicited: true, LastAgent: true},
 			{Type: MsgCommit, Tx: "C:1"},
 			{Type: MsgAbort, Tx: "C:1"},
@@ -54,7 +54,7 @@ func fullPacket() Packet {
 			}},
 			{Type: MsgInquire, Tx: "C:1"},
 			{Type: MsgOutcome, Tx: "C:1", Outcome: OutcomeInProgress},
-			{Type: MsgPaxosAccept, Tx: "C:1", Vote: VoteYes, Presume: PresumePaxos,
+			{Type: MsgPaxosAccept, Tx: "C:1", Vote: VoteYes, Presume: VariantPaxos,
 				Payload: PaxosMeta{Ballot: 0, Instance: "S1", Leader: "C",
 					Acceptors:    []string{"C", "S1", "S2"},
 					Participants: []string{"C", "S1", "S2", "S3"}}.Encode()},

@@ -52,11 +52,11 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 	f.Add("C", "S1", "C:2", "C:3", uint8(MsgData), uint8(0), uint8(0), uint8(0), uint8(0xff), []byte{}, "", uint8(0), uint16(0))
 	f.Add("C", "S1", "C:4", "", uint8(MsgAck), uint8(2), uint8(2), uint8(3), uint8(0x40), []byte{0, 1, 0xff}, "S2", uint8(3), uint16(0))
 	f.Add("", "", "", "", uint8(MsgVote), uint8(3), uint8(1), uint8(1), uint8(0xaa), []byte(nil), "node-with-a-long-name", uint8(1), uint16(0))
-	// The one-phase vote: Presume1PC with an opc1 redo payload riding
+	// The one-phase vote: Variant1PC with an opc1 redo payload riding
 	// the Payload field — the fast path's whole durability story on
 	// the wire.
 	onePhase := OnePhaseMeta{Subs: []string{"S1", "S2"}, Redos: [][]byte{{0x01}, nil}}.Encode()
-	f.Add("S1", "C", "C:5", "", uint8(MsgVote), uint8(Presume1PC), uint8(VoteYes), uint8(0), uint8(16), onePhase, "", uint8(0), uint16(0))
+	f.Add("S1", "C", "C:5", "", uint8(MsgVote), uint8(Variant1PC), uint8(VoteYes), uint8(0), uint8(16), onePhase, "", uint8(0), uint16(0))
 
 	bin := NewBinaryCodec()
 	f.Fuzz(func(t *testing.T, from, to, tx, newTx string,
@@ -65,7 +65,7 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 			Type:            MsgType(typ) % (MsgOutcome + 1),
 			Tx:              tx,
 			LongLocks:       flags&1 != 0,
-			Presume:         Presumption(presume) % (Presume1PC + 1),
+			Presume:         Variant(presume) % (Variant1PC + 1),
 			Delegate:        flags&2 != 0,
 			Vote:            VoteValue(vote) % (VoteReadOnly + 1),
 			Reliable:        flags&4 != 0,

@@ -85,63 +85,6 @@ func (v VoteValue) String() string {
 	}
 }
 
-// Presumption is the recovery presumption the coordinator announces
-// on its Prepare: what "no information" will mean if the subordinate
-// later inquires about a forgotten transaction. Carrying it on the
-// wire lets one live participant serve transactions under different
-// protocol variants concurrently — each subordinate learns per
-// transaction whether aborts must be forced and acknowledged.
-type Presumption int
-
-// Presumptions, one per protocol variant.
-const (
-	// PresumeNothingKnown is the baseline protocol: no presumption;
-	// a forgotten transaction leaves the inquirer blocked.
-	PresumeNothingKnown Presumption = iota
-	// PresumeAbort: absence of information means abort (PA / R*).
-	PresumeAbort
-	// PresumePending is IBM's Presumed Nothing: the coordinator forced
-	// a pending record before this Prepare, so it never forgets and
-	// always drives recovery; aborts are forced and acknowledged.
-	PresumePending
-	// PresumeCommit: absence of information means commit (PC);
-	// commits need no subordinate forces or acknowledgments.
-	PresumeCommit
-	// PresumePaxos is Paxos Commit: the decision is replicated across
-	// 2f+1 acceptors, so no single node's amnesia can block anyone —
-	// an in-doubt participant reads the outcome from an acceptor
-	// quorum instead of inquiring at the coordinator.
-	PresumePaxos
-	// Presume1PC is the logless one-phase fast path: the subordinate's
-	// yes vote carries its redo payload and is NOT preceded by a forced
-	// prepare record — durability of the vote is delegated to the
-	// coordinator's forced decision record. Absence of information
-	// means abort, exactly as under PresumeAbort; a restarted voter has
-	// no local state at all and relearns a commit (with its redo) from
-	// the coordinator's retransmission.
-	Presume1PC
-)
-
-// String returns the wire name of the presumption.
-func (p Presumption) String() string {
-	switch p {
-	case PresumeNothingKnown:
-		return "PresumeNothing"
-	case PresumeAbort:
-		return "PresumeAbort"
-	case PresumePending:
-		return "PresumePending"
-	case PresumeCommit:
-		return "PresumeCommit"
-	case PresumePaxos:
-		return "PresumePaxos"
-	case Presume1PC:
-		return "Presume1PC"
-	default:
-		return fmt.Sprintf("Presumption(%d)", int(p))
-	}
-}
-
 // HeuristicReport describes one heuristic decision in a subtree,
 // carried upstream on acknowledgments.
 type HeuristicReport struct {
@@ -187,9 +130,9 @@ type Message struct {
 	Tx   string // transaction id, "origin:seq"
 
 	// MsgPrepare fields.
-	LongLocks bool        // coordinator asks the subordinate to piggyback its ack (§4 Long Locks)
-	Presume   Presumption // the variant's recovery presumption, announced per transaction
-	Delegate  bool        // last-agent delegation: "prepare, then you decide" (§4 Last Agent)
+	LongLocks bool    // coordinator asks the subordinate to piggyback its ack (§4 Long Locks)
+	Presume   Variant // the coordinator's variant, announcing its recovery presumption per transaction
+	Delegate  bool    // last-agent delegation: "prepare, then you decide" (§4 Last Agent)
 
 	// MsgVote fields.
 	Vote         VoteValue

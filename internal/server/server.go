@@ -40,6 +40,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/router"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -732,25 +733,10 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ParseVariant maps a variant name (the core.Variant String forms,
-// case-insensitive, plus "baseline"/"2pc") to its value.
-func ParseVariant(name string) (core.Variant, bool) {
-	switch strings.ToLower(name) {
-	case "basic", "basic2pc", "baseline", "2pc":
-		return core.VariantBaseline, true
-	case "pa":
-		return core.VariantPA, true
-	case "pn":
-		return core.VariantPN, true
-	case "pc":
-		return core.VariantPC, true
-	case "paxos", "paxoscommit":
-		return core.VariantPaxos, true
-	case "1pc", "onephase":
-		return core.Variant1PC, true
-	}
-	return core.VariantBaseline, false
-}
+// ParseVariant maps a variant name (the core.Variant String forms and
+// their aliases, case-insensitive) to its value; see
+// protocol.ParseVariant.
+func ParseVariant(name string) (core.Variant, bool) { return protocol.ParseVariant(name) }
 
 // handleMetrics renders the registry in the Prometheus text exposition
 // format, hand-rolled — the repo takes no dependencies.

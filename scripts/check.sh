@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # race-enabled test suite (including the chaos harness and its safety
-# oracle), and short fuzz smokes over the wire/identifier parsers and
-# segment-log recovery.
+# oracle), the nested perfbench module, and short fuzz smokes over the
+# wire/identifier parsers and segment-log recovery.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,11 @@ fi
 
 echo "== go test -race ./... =="
 go test -race ./...
+
+echo "== perfbench module (vet + test) =="
+# perfbench is a nested module: the root go vet/test skip it, though
+# it imports internal packages (server, wal, live, router) directly.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== wal fsync smoke =="
 # Proves real fdatasyncs reach the device on this filesystem (and

@@ -63,7 +63,8 @@ type (
 	Config = core.Config
 	// Options toggles the paper's §4 optimizations.
 	Options = core.Options
-	// Variant selects basic 2PC, PA, or PN.
+	// Variant selects the commit protocol: basic 2PC, PA, PN, PC,
+	// Paxos Commit or the one-phase fast path.
 	Variant = core.Variant
 	// NodeID names a node.
 	NodeID = core.NodeID
