@@ -16,8 +16,8 @@ package analytic
 
 import "fmt"
 
-// Triplet mirrors metrics.Triplet without importing it (this package
-// is pure arithmetic).
+// Triplet is the (#messages, #log writes, #forced writes) notation of
+// the paper's Tables 3 and 4.
 type Triplet struct {
 	Flows  int
 	Writes int

@@ -170,13 +170,7 @@ func RunLive(s Schedule) (*RunResult, error) {
 		for _, name := range subs {
 			p := parts[name]
 			ids, err := p.InDoubtTxs()
-			if err != nil {
-				continue
-			}
-			// 1PC voters hold their prepared state only in memory; the
-			// durable scan above cannot see them.
-			ids = append(ids, p.PreparedUndecided()...)
-			if len(ids) == 0 {
+			if err != nil || len(ids) == 0 {
 				continue
 			}
 			dec := p.Decided()
@@ -207,10 +201,6 @@ func RunLive(s Schedule) (*RunResult, error) {
 			}
 		}
 		if ids, err := p.InDoubtTxs(); err == nil {
-			// Union in the memory-only prepared set: a logless 1PC voter
-			// in doubt has no Prepared record for the durable scan to
-			// find, but it is exactly as blocked.
-			ids = append(ids, p.PreparedUndecided()...)
 			for _, id := range ids {
 				// The durable log can hold "prepared, no outcome" for a
 				// transaction the node knows decided: the presumption

@@ -578,7 +578,7 @@ func (n *Node) voteUpstream(c *txCtx) {
 				c.pnPendingLogged = true
 			}
 			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, true)
-		} else if cfg.Variant == Variant1PC && len(c.yesSubIDs("")) == 0 {
+		} else if cfg.Variant.Row().LoglessVote && len(c.yesSubIDs("")) == 0 {
 			// 1PC leaf: the yes vote goes out with NOTHING forced — its
 			// durability is delegated to the coordinator's forced
 			// decision record. A crash here loses the prepared state

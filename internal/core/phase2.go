@@ -24,7 +24,7 @@ func (n *Node) ownDecision(c *txCtx, commit bool) {
 	// Paxos Commit never forces outcome records: the acceptor quorum is
 	// the durable decision, and recovery re-learns it from there.
 	force := cfg.Variant != VariantPaxos
-	if cfg.Variant == Variant1PC && cfg.Hooks.OnePhaseLazyDecision {
+	if cfg.Variant.Row().LoglessVote && cfg.Hooks.OnePhaseLazyDecision {
 		// Injected bug for the chaos oracle: under 1PC the decision
 		// record is the only stable state in the whole tree, so writing
 		// it lazily voids every voter's delegated durability (AC3).
@@ -251,7 +251,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 		// the coordinator's record, so AC3 demands the outcome be logged
 		// first. Completed-and-recovered nodes are in n.done (rebuilt
 		// from the log on restart) and keep the plain re-ack.
-		if n.eng.cfg.Variant == Variant1PC && commit {
+		if n.eng.cfg.Variant.Row().LoglessVote && commit {
 			if _, known := n.done[tx]; !known {
 				n.logRec(tx, recCommitted, recPayload{Coord: from}, false)
 				n.logRec(tx, recEnd, recPayload{}, false)

@@ -422,15 +422,9 @@ func (n *Node) handleInquire(from NodeID, m protocol.Message) {
 	// every prepare, so total amnesia for a prepared inquirer can only
 	// mean the transaction passed phase one everywhere and the End was
 	// written. Baseline and Paxos presume nothing: the inquirer stays
-	// blocked (the baseline's classic weakness). PN's presumption is
-	// "still in progress", but this engine answers Unknown: it never
-	// reaches here with a pending record, and the inquirer retries on
-	// either answer alike.
-	kind := n.eng.cfg.Variant.Row().NoInfo
-	if kind == protocol.OutcomeInProgress {
-		kind = protocol.OutcomeUnknown
-	}
-	reply(kind)
+	// blocked (the baseline's classic weakness). PN presumes "still in
+	// progress"; the inquirer asks again on that exactly as on Unknown.
+	reply(n.eng.cfg.Variant.Row().NoInfo)
 }
 
 // handleOutcomeReply resolves an in-doubt transaction with the answer

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
+	"repro/internal/trace"
 )
 
 // Additional recovery scenarios: cascaded trees, double faults,
@@ -239,5 +242,33 @@ func TestRecoveredHeuristicReportsToRestartedCoordinator(t *testing.T) {
 	}
 	if r.Outcome != OutcomeHeuristicMixed {
 		t.Fatalf("outcome = %v, want heuristic-mixed", r.Outcome)
+	}
+}
+
+// TestNoInformationInquiryAnswersFromRow asks a coordinator about a
+// transaction it has no trace of: under every variant the answer is
+// the row's presumption, PN's InProgress included — the same answer
+// the live runtime gives.
+func TestNoInformationInquiryAnswersFromRow(t *testing.T) {
+	for v := VariantBaseline; v <= Variant1PC; v++ {
+		eng := NewEngine(Config{Variant: v})
+		eng.AddNode("C")
+		eng.AddNode("S1")
+		const tx = "C:99"
+		eng.Node("C").handleInquire("S1", protocol.Message{Type: protocol.MsgInquire, Tx: tx, Presume: v})
+		eng.Drain()
+		want := protocol.Message{Type: protocol.MsgOutcome, Tx: tx, Outcome: v.Row().NoInfo}.Label() + "(" + tx + ")"
+		answered := false
+		for _, e := range eng.Trace().Events() {
+			if e.Kind == trace.KindSend && e.Node == "C" {
+				if e.Detail != want {
+					t.Errorf("%v: C sent %q, want %q", v, e.Detail, want)
+				}
+				answered = true
+			}
+		}
+		if !answered {
+			t.Errorf("%v: no answer to the inquiry", v)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
@@ -27,10 +26,6 @@ type Row struct {
 
 // Match reports whether measured equals paper exactly.
 func (r Row) Match() bool { return r.Paper == r.Measured }
-
-func fromMetrics(t metrics.Triplet) analytic.Triplet {
-	return analytic.Triplet{Flows: t.Flows, Writes: t.Writes, Forced: t.Forced}
-}
 
 // scenario describes one flat-tree protocol run.
 type scenario struct {
@@ -115,7 +110,7 @@ func (s scenario) run() (analytic.Triplet, error) {
 			return analytic.Triplet{}, fmt.Errorf("transaction %d outcome %v", i, r.Outcome)
 		}
 	}
-	t := fromMetrics(eng.Metrics().ProtocolTriplet())
+	t := eng.Metrics().ProtocolTriplet()
 	return t, nil
 }
 
@@ -268,7 +263,7 @@ func runExpectAbort(s scenario) (analytic.Triplet, error) {
 	if res.Outcome != core.OutcomeAborted {
 		return analytic.Triplet{}, fmt.Errorf("expected abort, got %v", res.Outcome)
 	}
-	return fromMetrics(eng.Metrics().ProtocolTriplet()), nil
+	return eng.Metrics().ProtocolTriplet(), nil
 }
 
 // Table3 reproduces Table 3: a flat tree of n members where m follow

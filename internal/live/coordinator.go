@@ -42,15 +42,16 @@ func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []s
 }
 
 func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v core.Variant) (Outcome, error) {
-	// The logless fast path manages its own registration: its ack
-	// collection outlives this call (acks leave the caller's critical
-	// path), so the deferred unregister below must not fire for it.
-	if v == core.Variant1PC {
-		return p.runOnePhase(ctx, txName, subs)
-	}
 	tx := core.ParseTxID(txName)
+	row := v.Row()
 	st := p.registerCoord(txName, len(subs))
-	defer p.unregisterCoord(txName)
+	defer func() {
+		// A background ack collector (commitPhaseTwo) outlives this
+		// call and unregisters when it is done.
+		if !st.ackCollector {
+			p.unregisterCoord(txName)
+		}
+	}()
 	if p.met != nil {
 		p.met.CostBegin(txName, p.name, v.String(), len(subs))
 	}
@@ -63,10 +64,12 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	}
 
 	// Last Agent (§4): hold the final subordinate out of phase one and
-	// delegate the decision to it once everyone else has voted yes.
+	// delegate the decision to it once everyone else has voted yes. A
+	// logless vote's durability is the coordinator's own decision
+	// record, so there is nothing to delegate.
 	agent := ""
 	others := subs
-	if p.lastAgent && len(subs) > 0 {
+	if p.lastAgent && len(subs) > 0 && !row.LoglessVote {
 		agent = subs[len(subs)-1]
 		others = subs[:len(subs)-1]
 	}
@@ -74,7 +77,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// PN forces a pending record, PC a collecting record, before any
 	// Prepare leaves: the stable membership list is what lets their
 	// presumptions hold through a coordinator crash.
-	if kind := v.Row().PrePrepare; kind != "" {
+	if kind := row.PrePrepare; kind != "" {
 		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: kind, Data: []byte(strings.Join(subs, ","))}); err != nil {
 			return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: force %s record: %w", strings.ToLower(kind), err)
 		}
@@ -89,10 +92,15 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 
 	// Vote bookkeeping is tree-sized slices, not maps: transaction
 	// trees are a handful of subordinates, so membership is a linear
-	// scan and the whole structure is two right-sized allocations.
+	// scan and the whole structure is two right-sized allocations. A
+	// logless vote's redo payload, kept beside its voter, is a third.
 	voted := make([]bool, len(others))
 	votedN := 0
 	yes := make([]string, 0, len(others))
+	var redos [][]byte
+	if row.LoglessVote {
+		redos = make([][]byte, 0, len(others))
+	}
 	for i, s := range others {
 		ev, ok := early[s]
 		if !ok {
@@ -104,7 +112,13 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		case protocol.VoteNo:
 			return p.abortTx(tx, txName, subs, v), nil
 		case protocol.VoteYes:
+			// An unsolicited volunteer forced its own Prepared record
+			// before any Prepare announced the variant, so it carries
+			// no redo and needs none.
 			yes = append(yes, s)
+			if redos != nil {
+				redos = append(redos, nil)
+			}
 		}
 	}
 
@@ -144,6 +158,9 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 					return p.abortTx(tx, txName, subs, v), nil
 				case protocol.VoteYes:
 					yes = append(yes, env.from)
+					if redos != nil {
+						redos = append(redos, env.msg.Payload)
+					}
 				}
 			case <-alarm.C():
 				if alarm.expired() {
@@ -166,30 +183,42 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	if agent != "" {
 		return p.delegate(ctx, st, tx, txName, agent, yes, v)
 	}
-	return p.decideCommit(ctx, st, tx, txName, yes, localVote, v)
+	return p.decideCommit(ctx, st, tx, txName, yes, redos, localVote, v)
 }
 
 // decideCommit takes the commit decision after unanimous yes votes
-// and drives phase two.
-func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, localVote protocol.VoteValue, v core.Variant) (Outcome, error) {
+// and drives phase two. redos are the logless voters' redo payloads,
+// one per yes-voter (nil unless the variant votes logless).
+func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, redos [][]byte, localVote protocol.VoteValue, v core.Variant) (Outcome, error) {
 	// A fully read-only transaction commits with nothing to log and
 	// nothing to propagate (§4 Read-Only).
+	var rec wal.Record
 	if !(localVote == protocol.VoteReadOnly && len(yes) == 0) {
-		if err := p.force(commitRecord(txName, p.name, yes, v)); err != nil {
+		rec = commitRecord(txName, p.name, yes, redos, v)
+		if v.Row().LoglessVote && p.hooks.OnePhaseLazyDecision {
+			// Injected bug (TestHooks): writing the tree's only durable
+			// record lazily silently voids every voter's delegated
+			// durability. The AC3 oracle must convict this.
+			_ = p.lazy(rec)
+		} else if err := p.force(rec); err != nil {
 			// The yes-voters sit prepared holding locks; tell them the
 			// abort now rather than leaving them to recovery.
 			return p.abortTx(tx, txName, yes, v), fmt.Errorf("live: force commit record: %w", err)
 		}
 	}
-	return p.commitPhaseTwo(ctx, st, tx, txName, yes, v)
+	return p.commitPhaseTwo(ctx, st, tx, txName, yes, rec.Data, v)
 }
 
 // commitRecord is a coordinator's forced commit record. When the
 // variant acknowledges commits it names the yes-voters, whose acks a
-// replay without End waits on again.
-func commitRecord(txName, node string, yes []string, v core.Variant) wal.Record {
+// replay without End waits on again. A logless vote's record also
+// embeds every voter's redo: it is the only stable state in the tree.
+func commitRecord(txName, node string, yes []string, redos [][]byte, v core.Variant) wal.Record {
 	rec := wal.Record{Tx: txName, Node: node, Kind: "Committed"}
-	if v.Row().AckCommit && len(yes) > 0 {
+	switch row := v.Row(); {
+	case row.LoglessVote:
+		rec.Data = protocol.OnePhaseMeta{Subs: yes, Redos: redos}.Encode()
+	case row.AckCommit && len(yes) > 0:
 		rec.Data = ackersData(yes)
 	}
 	return rec
@@ -198,10 +227,16 @@ func commitRecord(txName, node string, yes []string, v core.Variant) wal.Record 
 // commitPhaseTwo publishes a logged commit decision, completes the
 // local resources, and delivers the outcome to the yes-voters. The
 // decided-table entry stays pinned while their acknowledgments are
-// outstanding; End is written only once they are all in.
-func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, v core.Variant) (Outcome, error) {
-	acks := v.Row().AckCommit && len(yes) > 0
+// outstanding; End is written only once they are all in. data is the
+// commit record's payload: a logless vote's record is its voters' only
+// redo, so the pin keeps it for outcomes resent to them.
+func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, data []byte, v core.Variant) (Outcome, error) {
+	row := v.Row()
+	acks := row.AckCommit && len(yes) > 0
 	p.recordDecision(txName, true, acks)
+	if acks && row.LoglessVote {
+		p.setPinRedo(txName, data)
+	}
 	p.completeResources(tx, true)
 	if p.met != nil {
 		p.met.CostOutcome(txName, "committed", len(yes))
@@ -213,6 +248,24 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.T
 	}
 	if !acks {
 		p.endCoord(txName, true)
+		return Committed, nil
+	}
+	if row.LoglessVote {
+		// The commit is durable and announced, so ack collection leaves
+		// the caller's critical path: a background collector takes the
+		// registration over and retransmits to stragglers. Voters that
+		// never ack resolve through recovery against the decision
+		// record. The message goes by value, so only this path pays
+		// for the goroutine.
+		st.ackCollector = true
+		p.wg.Add(1)
+		go func(out protocol.Message) {
+			defer p.wg.Done()
+			defer p.unregisterCoord(txName)
+			if _, err := p.collectAcks(context.Background(), st, txName, yes, out); err == nil {
+				p.endCoord(txName, true)
+			}
+		}(out)
 		return Committed, nil
 	}
 	heur, err := p.collectAcks(ctx, st, txName, yes, out)
@@ -247,7 +300,7 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, t
 				// The agent decided abort; it has already logged it.
 				return p.abortTx(tx, txName, yes, v), nil
 			}
-			if err := p.force(commitRecord(txName, p.name, yes, v)); err != nil {
+			if err := p.force(commitRecord(txName, p.name, yes, nil, v)); err != nil {
 				// The global decision is commit regardless; record what
 				// we can and surface the log failure. No End will follow,
 				// so this node's part of the cost ledger closes here.
@@ -256,7 +309,7 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, t
 				}
 				return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
 			}
-			return p.commitPhaseTwo(ctx, st, tx, txName, yes, v)
+			return p.commitPhaseTwo(ctx, st, tx, txName, yes, nil, v)
 		case <-alarm.C():
 			if alarm.expired() {
 				// The agent owns the decision and may have gone either
@@ -334,7 +387,7 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 				}
 			}
 		case <-p.stopped:
-			// Shutdown mid-collection (e.g. a 1PC background collector
+			// Shutdown mid-collection (e.g. a background collector
 			// when the participant stops): the outcome is decided and
 			// durable; outstanding deliveries fall to recovery.
 			giveUp()

@@ -191,3 +191,46 @@ func TestLiveLateVoteAfterDecisionDropped(t *testing.T) {
 		t.Fatal("late vote for a decided transaction recreated its state entry")
 	}
 }
+
+// TestLiveLoglessVoterInDoubt pins the one in-doubt set: a subordinate
+// that voted yes under a logless-vote variant has no Prepared record
+// for the log scan to find, yet InDoubtTxs reports it until the
+// outcome lands.
+func TestLiveLoglessVoterInDoubt(t *testing.T) {
+	net := netsim.NewChanNetwork()
+	subLog := wal.New(wal.NewMemStore())
+	sub := NewParticipant("S", net.Endpoint("S"), subLog,
+		[]core.Resource{core.NewStaticResource("rs")})
+	sub.Start()
+	defer sub.Stop()
+	c := net.Endpoint("C")
+
+	tx := core.TxID{Origin: "C", Seq: 82}.String()
+	send := func(m protocol.Message) {
+		t.Helper()
+		if err := c.Send("S", protocol.Packet{From: "C", To: "S", Messages: []protocol.Message{m}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: core.Variant1PC})
+	select {
+	case pkt := <-c.Recv():
+		if m := pkt.Messages[0]; m.Type != protocol.MsgVote || m.Vote != protocol.VoteYes {
+			t.Fatalf("answer = %s, want a yes vote", m.Label())
+		}
+	case <-time.After(time.Second):
+		t.Fatal("no vote")
+	}
+	if hasRecord(t, subLog, "Prepared") {
+		t.Fatal("a logless voter forced a Prepared record")
+	}
+	if ids, err := sub.InDoubtTxs(); err != nil || len(ids) != 1 || ids[0] != tx {
+		t.Fatalf("InDoubtTxs = %v, %v; want [%s]", ids, err, tx)
+	}
+
+	send(protocol.Message{Type: protocol.MsgCommit, Tx: tx})
+	waitUntil(t, time.Second, func() bool {
+		ids, err := sub.InDoubtTxs()
+		return err == nil && len(ids) == 0
+	})
+}

@@ -175,6 +175,10 @@ type txState struct {
 	replies  chan envelope
 	decision chan envelope                 // last-agent delegation answer
 	early    map[string]protocol.VoteValue // votes that preceded Commit (unsolicited)
+	// ackCollector is set, by the committing goroutine only, when a
+	// background goroutine collects the commit acks (a logless vote's
+	// coordinator returns before them) and owns the registration.
+	ackCollector bool
 
 	// Paxos Commit leader collection channels, registered under the
 	// shard mutex like votes/acks.
@@ -457,12 +461,12 @@ func (p *Participant) handle(pkt protocol.Packet) {
 	// burst about to hit this log (one Prepared force per yes vote).
 	// Announce it so the adaptive pipeline groups the forces under one
 	// physical sync even when its window has collapsed to immediate
-	// mode between bursts. 1PC prepares are excluded: the logless fast
-	// path forces nothing on the voter.
+	// mode between bursts. Logless-vote prepares are excluded: they
+	// force nothing on the voter.
 	if p.pipe != nil {
 		prepares := 0
 		for i := range pkt.Messages {
-			if pkt.Messages[i].Type == protocol.MsgPrepare && pkt.Messages[i].Presume != core.Variant1PC {
+			if pkt.Messages[i].Type == protocol.MsgPrepare && !pkt.Messages[i].Presume.Row().LoglessVote {
 				prepares++
 			}
 		}
@@ -789,10 +793,5 @@ func presumeFromData(b []byte) (core.Variant, bool) {
 	if len(b) > 5 && string(b[:5]) == "pax1 " {
 		return core.VariantPaxos, true
 	}
-	for v := core.VariantBaseline; v <= core.Variant1PC; v++ {
-		if string(b) == v.Row().PresumeName {
-			return v, true
-		}
-	}
-	return core.VariantBaseline, false
+	return protocol.VariantByPresumeName(string(b))
 }

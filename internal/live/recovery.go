@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -200,12 +201,11 @@ func (p *Participant) Inquire(coordinator, txName string) error {
 	return p.send(coordinator, m)
 }
 
-// RecoverInDoubt scans the durable log for transactions this
-// participant prepared but never resolved, and drives recovery for
-// each: inquiries to the coordinator, retransmitted on the retry
-// policy's backoff, until an answer lands or the ack-timeout deadline
-// passes. It returns the in-doubt transaction ids found in the log;
-// the error (wrapping ErrInDoubt) reports any that remain unresolved —
+// RecoverInDoubt drives recovery for every transaction this
+// participant prepared but never resolved (InDoubtTxs): inquiries to
+// the coordinator, retransmitted on the retry policy's backoff, until
+// an answer lands or the ack-timeout deadline passes. It returns the
+// in-doubt transaction ids it found; the error (wrapping ErrInDoubt) reports any that remain unresolved —
 // under the baseline protocol a forgetful coordinator answers Unknown
 // and the transaction stays blocked, exactly the pathology the
 // presumption variants exist to remove.
@@ -216,19 +216,6 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	if err != nil {
 		return nil, err
 	}
-	// 1PC voters hold their prepared state only in memory — the log
-	// scan cannot see them. Union the in-memory set in (deduplicated:
-	// variants that force Prepared appear in both).
-	seen := make(map[string]bool, len(inDoubt))
-	for _, tx := range inDoubt {
-		seen[tx] = true
-	}
-	for _, tx := range p.PreparedUndecided() {
-		if !seen[tx] {
-			inDoubt = append(inDoubt, tx)
-		}
-	}
-
 	var unresolved []string
 	for _, txName := range inDoubt {
 		if p.met != nil {
@@ -279,9 +266,11 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	return inDoubt, nil
 }
 
-// scanInDoubt folds the durable log into the set of transactions this
-// participant prepared but never saw decided, with the presumption
-// payload each Prepared record announced.
+// scanInDoubt returns the transactions this participant prepared but
+// never saw decided, with the presumption payload each Prepared record
+// announced: the durable log's prepared-undecided set, then the voters
+// held prepared only in memory — a logless vote forces no Prepared
+// record, so the log cannot see them, but they are exactly as blocked.
 func (p *Participant) scanInDoubt() (inDoubt []string, announced map[string][]byte, err error) {
 	recs, err := p.log.Records()
 	if err != nil {
@@ -312,12 +301,39 @@ func (p *Participant) scanInDoubt() (inDoubt []string, announced map[string][]by
 			inDoubt = append(inDoubt, tx)
 		}
 	}
+	for _, tx := range p.preparedInMemory() {
+		if !prepared[tx] {
+			inDoubt = append(inDoubt, tx)
+		}
+	}
 	return inDoubt, announced, nil
 }
 
-// InDoubtTxs returns the transactions this participant's durable log
-// holds prepared with no decision — the set RecoverInDoubt would
-// drive. Chaos harnesses read it to build the oracle's final state.
+// preparedInMemory lists, sorted, the transactions this participant
+// holds prepared in its table as a subordinate with no decision.
+func (p *Participant) preparedInMemory() []string {
+	var sts []*txState
+	p.forEachState(func(_ string, st *txState) {
+		if !st.isCoord {
+			sts = append(sts, st)
+		}
+	})
+	var out []string
+	for _, st := range sts {
+		st.mu.Lock()
+		if st.prepared && !st.done {
+			out = append(out, st.id)
+		}
+		st.mu.Unlock()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// InDoubtTxs returns the transactions this participant prepared and
+// has seen no decision for, in its durable log or (for logless voters)
+// in memory only — the set RecoverInDoubt would drive. Chaos harnesses
+// read it to build the oracle's final state.
 func (p *Participant) InDoubtTxs() ([]string, error) {
 	inDoubt, _, err := p.scanInDoubt()
 	return inDoubt, err

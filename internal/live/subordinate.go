@@ -50,18 +50,19 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	}
 
 	st.presume = m.Presume
+	logless := m.Presume.Row().LoglessVote
 	tx := core.ParseTxID(m.Tx)
 	vote := p.prepareLocal(tx)
-	if vote == protocol.VoteYes && m.Presume != core.Variant1PC {
+	if vote == protocol.VoteYes && !logless {
 		// The announced presumption rides in the record's payload so a
 		// restart recovers this transaction under the coordinator's
 		// variant, not whatever this node happens to be configured with.
 		//
-		// Under 1PC nothing is forced before the yes vote — that is the
-		// whole point of the fast path. The vote carries the redo
-		// payload instead, and its durability is the coordinator's
-		// forced decision record; a crash here loses only in-memory
-		// state the abort presumption already covers.
+		// A logless vote forces nothing — that is the whole point of
+		// the 1PC fast path. The vote carries the redo payload instead,
+		// and its durability is the coordinator's forced decision
+		// record; a crash here loses only in-memory state the abort
+		// presumption already covers.
 		if err := p.force(wal.Record{Tx: m.Tx, Node: p.name, Kind: "Prepared", Data: presumeData(m.Presume)}); err != nil {
 			vote = protocol.VoteNo
 		}
@@ -83,7 +84,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		defer p.forget(m.Tx)
 	}
 	st.voteMsg = protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: vote}
-	if vote == protocol.VoteYes && m.Presume == core.Variant1PC {
+	if vote == protocol.VoteYes && logless {
 		st.voteMsg.Payload = p.redoPayload(tx)
 	}
 	_ = p.send(from, st.voteMsg)

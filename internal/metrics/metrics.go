@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/analytic"
 )
 
 // Counters is the per-participant tally. All fields are manipulated
@@ -36,22 +38,8 @@ type Counters struct {
 }
 
 // Triplet is the (#messages, #log writes, #forced writes) notation of
-// the paper's Tables 3 and 4.
-type Triplet struct {
-	Flows  int
-	Writes int
-	Forced int
-}
-
-// String renders the triplet as "f, w, fw" like the paper's columns.
-func (t Triplet) String() string {
-	return fmt.Sprintf("%d, %d, %d", t.Flows, t.Writes, t.Forced)
-}
-
-// Add returns the element-wise sum of two triplets.
-func (t Triplet) Add(o Triplet) Triplet {
-	return Triplet{t.Flows + o.Flows, t.Writes + o.Writes, t.Forced + o.Forced}
-}
+// the paper's Tables 3 and 4: one type shared with the closed forms.
+type Triplet = analytic.Triplet
 
 // Registry collects counters for a protocol run. The zero value is
 // unusable; construct with New.

@@ -71,9 +71,9 @@ func TestPacketTriplet(t *testing.T) {
 }
 
 func TestTripletAdd(t *testing.T) {
-	a := Triplet{1, 2, 3}
-	b := Triplet{10, 20, 30}
-	if got := a.Add(b); got != (Triplet{11, 22, 33}) {
+	a := Triplet{Flows: 1, Writes: 2, Forced: 3}
+	b := Triplet{Flows: 10, Writes: 20, Forced: 30}
+	if got := a.Add(b); got != (Triplet{Flows: 11, Writes: 22, Forced: 33}) {
 		t.Fatalf("Add = %+v", got)
 	}
 }

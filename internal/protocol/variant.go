@@ -17,7 +17,7 @@ type Variant int
 
 // The variants. What each forces and acknowledges is its row in the
 // variant table (see VariantRow); the round structure of Paxos Commit
-// and of the one-phase fast path lives in their own drivers.
+// lives in its own driver.
 const (
 	// VariantBaseline is the classic 2PC of Figure 1: no presumption,
 	// acks for both outcomes, no pending record — after a total
@@ -96,6 +96,13 @@ type VariantRow struct {
 	// acks all the way to the root rather than stopping at the
 	// immediate coordinator and the operator.
 	PropagateHeuristics bool
+	// LoglessVote moves a leaf subordinate's durability into the
+	// coordinator's decision record: the leaf forces no Prepared
+	// record, its yes vote carries its redo payload, the coordinator's
+	// forced Committed record embeds every voter's redo (OnePhaseMeta),
+	// and the coordinator returns after that force, collecting the
+	// commit acks in the background.
+	LoglessVote bool
 
 	aliases []string // further names ParseVariant accepts
 }
@@ -113,7 +120,7 @@ var variantTable = [...]VariantRow{
 	VariantPaxos: {Name: "PaxosCommit", PresumeName: "PresumePaxos", NoInfo: OutcomeUnknown,
 		aliases: []string{"paxos"}},
 	Variant1PC: {Name: "1PC", PresumeName: "Presume1PC", NoInfo: OutcomeAbort,
-		AckCommit: true, aliases: []string{"onephase"}},
+		AckCommit: true, LoglessVote: true, aliases: []string{"onephase"}},
 }
 
 // Row returns the variant's row. A value outside the table (a corrupt
@@ -155,6 +162,18 @@ func (r VariantRow) SubForces(commit bool) bool {
 		return r.SubForcesCommitted
 	}
 	return r.AckAbort
+}
+
+// VariantByPresumeName maps a Prepared record's payload name
+// (VariantRow.PresumeName) back to its variant; ok is false for a name
+// no row carries.
+func VariantByPresumeName(name string) (Variant, bool) {
+	for v, r := range variantTable {
+		if name == r.PresumeName {
+			return Variant(v), true
+		}
+	}
+	return VariantBaseline, false
 }
 
 // ParseVariant maps a variant name to its value, case-insensitively:

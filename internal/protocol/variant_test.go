@@ -41,6 +41,9 @@ func TestVariantWireBytesAndNames(t *testing.T) {
 		if err != nil || pkt.Messages[0].Presume != w.v {
 			t.Errorf("%v: decoded %+v, %v", w.v, pkt, err)
 		}
+		if got, ok := VariantByPresumeName(w.v.Row().PresumeName); !ok || got != w.v {
+			t.Errorf("%v: VariantByPresumeName(%q) = %v, %v", w.v, w.v.Row().PresumeName, got, ok)
+		}
 		if got := w.v.String(); got != w.name {
 			t.Errorf("%d: String() = %q, want %q", w.wire, got, w.name)
 		}
@@ -77,14 +80,15 @@ func TestVariantWireBytesAndNames(t *testing.T) {
 //
 //	commit, coordinator: forced 1 (commit record) + pre-prepare;
 //	  writes 2 (+ pre-prepare); flows 2 per subordinate.
-//	commit, subordinate: forced 1 (Prepared) + forces-Committed;
-//	  writes 3; flows 1 (vote) + ack-on-commit.
+//	commit, subordinate: forced (1 - logless) (Prepared) +
+//	  forces-Committed; writes 3 - logless; flows 1 (vote) +
+//	  ack-on-commit.
 //	abort ceilings: the same, with the coordinator's abort record
 //	  forced and the subordinate's Aborted forced and acknowledged
 //	  exactly when aborts are acknowledged.
 //
-// Paxos Commit and 1PC have their own round structure and closed
-// forms; the table states only what they force and acknowledge.
+// Paxos Commit has its own round structure and closed forms; the
+// table states only what it forces and acknowledges.
 func TestVariantTableMatchesClosedForms(t *testing.T) {
 	btoi := func(b bool) int {
 		if b {
@@ -92,9 +96,10 @@ func TestVariantTableMatchesClosedForms(t *testing.T) {
 		}
 		return 0
 	}
-	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN, VariantPC} {
+	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN, VariantPC, Variant1PC} {
 		r := v.Row()
 		pre := btoi(r.PrePrepare != "")
+		logless := btoi(r.LoglessVote)
 		for subs := 1; subs <= 4; subs++ {
 			commit, ok := analytic.CommitCostByRole(v.String(), subs)
 			if !ok {
@@ -102,7 +107,7 @@ func TestVariantTableMatchesClosedForms(t *testing.T) {
 			}
 			want := analytic.RoleCost{
 				Coordinator: analytic.Triplet{Flows: 2 * subs, Writes: 2 + pre, Forced: 1 + pre},
-				Subordinate: analytic.Triplet{Flows: 1 + btoi(r.AckCommit), Writes: 3, Forced: 1 + btoi(r.SubForcesCommitted)},
+				Subordinate: analytic.Triplet{Flows: 1 + btoi(r.AckCommit), Writes: 3 - logless, Forced: 1 - logless + btoi(r.SubForcesCommitted)},
 			}
 			if commit != want {
 				t.Errorf("%v subs=%d commit: table derives %+v, closed form %+v", v, subs, want, commit)
@@ -113,7 +118,7 @@ func TestVariantTableMatchesClosedForms(t *testing.T) {
 			}
 			want = analytic.RoleCost{
 				Coordinator: analytic.Triplet{Flows: 2 * subs, Writes: 2 + pre, Forced: btoi(r.AckAbort) + pre},
-				Subordinate: analytic.Triplet{Flows: 1 + btoi(r.AckAbort), Writes: 3, Forced: 1 + btoi(r.SubForces(false))},
+				Subordinate: analytic.Triplet{Flows: 1 + btoi(r.AckAbort), Writes: 3 - logless, Forced: 1 - logless + btoi(r.SubForces(false))},
 			}
 			if abort != want {
 				t.Errorf("%v subs=%d abort: table derives %+v, closed form %+v", v, subs, want, abort)
@@ -138,12 +143,8 @@ func TestVariantTableMatchesClosedForms(t *testing.T) {
 			t.Errorf("%v: NoInfo %v, PropagateHeuristics %v; want %v, %v", tc.v, r.NoInfo, r.PropagateHeuristics, tc.noInfo, tc.propagate)
 		}
 	}
-	// Paxos Commit acknowledges nothing; 1PC acks commits only and
-	// forces nothing at the voter.
-	if r := VariantPaxos.Row(); r.AcksAny() || r.SubForces(true) || r.SubForces(false) || r.PrePrepare != "" {
-		t.Errorf("Paxos row %+v: acks or forces an outcome", r)
-	}
-	if r := Variant1PC.Row(); !r.AckCommit || r.AckAbort || r.SubForces(true) || r.SubForces(false) {
-		t.Errorf("1PC row %+v", r)
+	// Paxos Commit acknowledges nothing, and its votes are forced.
+	if r := VariantPaxos.Row(); r.AcksAny() || r.SubForces(true) || r.SubForces(false) || r.PrePrepare != "" || r.LoglessVote {
+		t.Errorf("Paxos row %+v: acks or forces an outcome, or votes logless", r)
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # race-enabled test suite (including the chaos harness and its safety
-# oracle), the nested perfbench module, and short fuzz smokes over the
-# wire/identifier parsers and segment-log recovery.
+# oracle), the nested perfbench module, a one-iteration benchmark
+# smoke, and short fuzz smokes over the wire/identifier parsers and
+# segment-log recovery.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,12 @@ echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
 # it imports internal packages (server, wal, live, router) directly.
 (cd perfbench && go vet ./... && go test ./...)
+
+echo "== benchmark smoke (compile + one iteration each) =="
+# The same step CI runs: every benchmark builds and survives one
+# iteration, including BenchmarkLive1PCVsBasicTCP, whose p50/p99 keys
+# cmd/benchdiff gates.
+go test -run='^$' -bench=. -benchtime=1x ./...
 
 echo "== wal fsync smoke =="
 # Proves real fdatasyncs reach the device on this filesystem (and
