@@ -76,12 +76,12 @@ func drainClosed(t *testing.T, reg *metrics.Registry, want int) []metrics.TxCost
 }
 
 // TestLiveConformanceAllVariants is the tentpole's end-to-end check:
-// a real cluster of live participants runs all four variants and the
+// a real cluster of live participants runs all six variants and the
 // measured per-role costs must match the analytic closed forms
 // exactly — the paper's Tables 2-4 re-derived from a running system.
 func TestLiveConformanceAllVariants(t *testing.T) {
 	const perVariant = 5
-	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.Variant1PC}
+	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos, core.Variant1PC}
 	lc := newLiveCluster(t)
 	var seq uint64
 	for _, v := range variants {
@@ -158,7 +158,7 @@ func TestLiveConformanceCatchesMisCost(t *testing.T) {
 // variant and checks the measured spend stays under the abort
 // ceilings.
 func TestLiveConformanceAbortPath(t *testing.T) {
-	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.Variant1PC}
+	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos, core.Variant1PC}
 	for _, v := range variants {
 		t.Run(v.String(), func(t *testing.T) {
 			reg := metrics.New()

@@ -180,6 +180,51 @@ func TestInjectedAcceptorForceBugLive(t *testing.T) {
 	t.Logf("oracle convicted the unforced acceptance in %v (seed=%d): %v", time.Since(start), seed, vs)
 }
 
+// paxosInjectSim builds a simulated Paxos Commit tree of C and subs
+// with the given protocol-bug hooks, every node holding one resource.
+func paxosInjectSim(hooks core.TestHooks, subs []string) *core.Engine {
+	eng := core.NewEngine(core.Config{Variant: core.VariantPaxos, Hooks: hooks})
+	for _, name := range append([]string{"C"}, subs...) {
+		eng.AddNode(core.NodeID(name)).AttachResource(core.NewStaticResource(name + "-res"))
+	}
+	return eng
+}
+
+// paxosCommitSim commits one transaction from C across subs and runs
+// the simulation to quiescence.
+func paxosCommitSim(t *testing.T, eng *core.Engine, subs []string) *core.Tx {
+	t.Helper()
+	tx := eng.Begin("C")
+	for _, sub := range subs {
+		if err := tx.Send("C", core.NodeID(sub), "work"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.CommitAsync("C")
+	eng.Drain()
+	eng.FlushSessions()
+	eng.Drain()
+	return tx
+}
+
+// TestInjectedAcceptorForceBugSim plants the acceptor-force bug
+// (core.TestHooks.SkipAcceptorForce) in the simulator: the commit
+// succeeds, and the oracle must convict the hollow quorum under AC3
+// from the trace alone, as it does for the live runtime.
+func TestInjectedAcceptorForceBugSim(t *testing.T) {
+	const seed = int64(424244)
+	subs := []string{"S1", "S2"}
+	eng := paxosInjectSim(core.TestHooks{SkipAcceptorForce: true}, subs)
+	tx := paxosCommitSim(t, eng, subs)
+
+	if o, ok := eng.OutcomeAt("C", tx.ID()); !ok || o != core.OutcomeCommitted {
+		t.Fatalf("outcome at C = %v, %v (the bug must not block the happy path)", o, ok)
+	}
+	vs := Check(Run{Variant: core.VariantPaxos, Events: eng.Trace().Events()})
+	wantRule(t, vs, "AC3")
+	t.Logf("oracle convicted the unforced acceptance (seed=%d): %v", seed, vs)
+}
+
 // TestInjectedOnePhaseLazyDecisionSim plants the one-phase variant's
 // deliberate bug in the simulator: the coordinator writes its combined
 // decision record lazily (core.TestHooks.OnePhaseLazyDecision) instead
@@ -332,4 +377,42 @@ func TestInjectedQuorumBugLive(t *testing.T) {
 		t.Errorf("conviction took %v; the acceptance bar is under a minute", el)
 	}
 	t.Logf("oracle convicted the miscounted quorum in %v (seed=%d): %v", time.Since(start), seed, vs)
+}
+
+// TestInjectedQuorumBugSim plants the miscounted quorum
+// (core.TestHooks.QuorumOverride) in the simulator under the live
+// test's schedule: the coordinator's ballot-0 accepts and Commit are
+// swallowed, it commits on its own acceptance alone and crashes right
+// after, and the survivors' recovery finds its instance nowhere and
+// aborts. The oracle must convict the split (AC1) and the unjustified
+// commit (AC2).
+func TestInjectedQuorumBugSim(t *testing.T) {
+	const seed = int64(424245)
+	subs := []string{"S1", "S2", "S3"}
+	eng := paxosInjectSim(core.TestHooks{QuorumOverride: 1}, subs)
+	crashed := false
+	eng.SetMessageFilter(func(from, to core.NodeID, m protocol.Message) (protocol.Message, bool) {
+		if from != "C" || (m.Type != protocol.MsgPaxosAccept && m.Type != protocol.MsgCommit) {
+			return m, true
+		}
+		if m.Type == protocol.MsgCommit && !crashed {
+			crashed = true
+			eng.Schedule("C", 0, func() { eng.Crash("C") })
+		}
+		return m, false
+	})
+	tx := paxosCommitSim(t, eng, subs)
+
+	if !crashed {
+		t.Fatal("injection never fired: the coordinator never decided on its fake quorum")
+	}
+	for _, name := range subs {
+		if o, ok := eng.OutcomeAt(core.NodeID(name), tx.ID()); !ok || o != core.OutcomeAborted {
+			t.Fatalf("outcome at %s = %v, %v; want the survivors' abort", name, o, ok)
+		}
+	}
+	vs := Check(Run{Variant: core.VariantPaxos, Events: eng.Trace().Events()})
+	wantRule(t, vs, "AC1")
+	wantRule(t, vs, "AC2")
+	t.Logf("oracle convicted the miscounted quorum (seed=%d): %v", seed, vs)
 }

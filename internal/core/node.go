@@ -42,8 +42,8 @@ type recPayload struct {
 	Commit bool `json:"commit,omitempty"`
 
 	// Paxos Commit fields (VariantPaxos records only).
-	Acceptors    []NodeID  `json:"acceptors,omitempty"`    // 2f+1 acceptor membership
-	Participants []NodeID  `json:"participants,omitempty"` // one Paxos instance per participant
+	Acceptors    []string  `json:"acceptors,omitempty"`    // 2f+1 acceptor membership
+	Participants []string  `json:"participants,omitempty"` // one Paxos instance per participant
 	Ballot       int       `json:"ballot,omitempty"`       // promised/accepted ballot
 	Insts        []paxInst `json:"insts,omitempty"`        // accepted instance values
 }
@@ -51,7 +51,7 @@ type recPayload struct {
 // paxInst is one accepted (instance, ballot, value) triple in an
 // acceptor's durable state.
 type paxInst struct {
-	Inst   NodeID `json:"inst"`
+	Inst   string `json:"inst"`
 	Ballot int    `json:"ballot"`
 	No     bool   `json:"no,omitempty"` // accepted value: true = VoteNo, false = VoteYes
 }

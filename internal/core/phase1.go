@@ -280,10 +280,11 @@ func (n *Node) handlePrepare(from NodeID, m protocol.Message) {
 	c := n.ctx(tx)
 	c.sub(from) // the coordinator is a partner too
 	if m.Presume == protocol.VariantPaxos {
+		px := n.paxos(c)
 		if meta, err := protocol.DecodePaxosMeta(m.Payload); err == nil {
-			n.paxosAdoptMeta(c, meta)
+			px.Adopt(meta.Acceptors, meta.Participants)
 		}
-		if c.state == stPrepared && !c.paxVoteSent {
+		if c.state == stPrepared && !px.VoteSent {
 			// Prepared unsolicited before the acceptor membership was
 			// known: the late Prepare supplies it; vote now.
 			n.paxosSendAccept0(c)

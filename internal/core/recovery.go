@@ -226,63 +226,33 @@ func (n *Node) recoverPaxosTx(tx TxID, sc *txScan) {
 	c.loggedAny = true
 	c.state = stInDoubt
 
-	// Membership travels on every durable Paxos record.
-	src := sc.prepared
-	if src == nil || len(src.Acceptors) == 0 {
-		for _, p := range sc.paxAccepts {
-			if len(p.Acceptors) > 0 {
-				src = p
-				break
-			}
-		}
-	}
-	if (src == nil || len(src.Acceptors) == 0) && sc.paxPromise != nil {
-		src = sc.paxPromise
-	}
-	if src != nil {
-		c.paxAcceptors = src.Acceptors
-		c.paxParticipants = src.Participants
-	}
+	// Membership travels on every durable Paxos record; the first
+	// record carrying it sticks.
+	px := n.paxos(c)
 	if sc.prepared != nil {
+		px.Adopt(sc.prepared.Acceptors, sc.prepared.Participants)
 		c.coord = sc.prepared.Coord
 		c.haveCoord = c.coord != ""
-		c.paxVote = VoteYes // our Prepared record survived
+		px.Vote = protocol.VoteYes // our Prepared record survived
 	} else {
 		// Crashed before (or without) preparing: the local resources
 		// lost their prepared state, so our own instance can only be
 		// re-proposed as No — unless an acceptor already holds it.
-		c.paxVote = VoteNo
+		px.Vote = protocol.VoteNo
 	}
-	c.paxVoteSent = true
-	c.isRoot = len(c.paxParticipants) > 0 && c.paxParticipants[0] == n.id
-
-	// Acceptor state: fold the maximum-ballot accepted value per
-	// instance, remember whether the ballot-0 bundle was forced, and
-	// restore the promise floor.
+	px.VoteSent = true
 	for _, p := range sc.paxAccepts {
-		if p.Ballot == 0 {
-			c.paxBundled = true
-		}
-		if p.Ballot > c.paxPromised {
-			c.paxPromised = p.Ballot
-		}
-		for _, in := range p.Insts {
-			cp := in
-			if prev, ok := c.paxAccepted[cp.Inst]; ok && prev.Ballot > cp.Ballot {
-				continue
-			}
-			if c.paxAccepted == nil {
-				c.paxAccepted = make(map[NodeID]*paxInst)
-			}
-			c.paxAccepted[cp.Inst] = &cp
-		}
+		px.Adopt(p.Acceptors, p.Participants)
+		px.Restore(true, p.Ballot, instStates(p.Insts))
 	}
-	if sc.paxPromise != nil && sc.paxPromise.Ballot > c.paxPromised {
-		c.paxPromised = sc.paxPromise.Ballot
+	if p := sc.paxPromise; p != nil {
+		px.Adopt(p.Acceptors, p.Participants)
+		px.Restore(false, p.Ballot, instStates(p.Insts))
 	}
+	c.isRoot = len(px.Participants) > 0 && px.Participants[0] == px.Self
 
 	n.trcState(tx, "in doubt after restart (paxos)")
-	if len(c.paxAcceptors) == 0 {
+	if len(px.Acceptors) == 0 {
 		// Degenerate: no membership survived. Fall back to classic
 		// inquiry if a coordinator is known; otherwise an operator must
 		// resolve it.
@@ -291,7 +261,7 @@ func (n *Node) recoverPaxosTx(tx TxID, sc *txScan) {
 		}
 		return
 	}
-	n.schedulePaxosRecovery(c)
+	n.armPaxosTimer(c, n.eng.cfg.InquireRetry, "")
 }
 
 // resumeOutcome re-enters phase two for a transaction whose decision
@@ -459,7 +429,7 @@ func (n *Node) handleOutcomeReply(from NodeID, m protocol.Message) {
 	case protocol.OutcomeInProgress, protocol.OutcomeUnknown:
 		// Ask again later (bounded); heuristic policy may intervene.
 		if n.eng.cfg.Variant == VariantPaxos {
-			n.schedulePaxosRecovery(c)
+			n.armPaxosTimer(c, n.eng.cfg.InquireRetry, "")
 			return
 		}
 		n.scheduleInquiry(c, 1)

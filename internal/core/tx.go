@@ -127,24 +127,8 @@ type txCtx struct {
 	voteTimerGen    int
 	inquiryAttempts int
 
-	// Paxos Commit bookkeeping (VariantPaxos only).
-	paxAcceptors    []NodeID // 2f+1 acceptor membership for this transaction
-	paxParticipants []NodeID // instance set: coordinator first, then subordinates
-	paxVote         Vote     // this participant's own instance value
-	paxVoteSent     bool     // ballot-0 accept for our instance went out
-	// Leader side (fast-path coordinator or recovery leader).
-	paxLeading   bool
-	paxBallot    int                        // ballot this node is currently leading
-	paxProposal  map[NodeID]Vote            // recovery: value proposed per instance
-	paxAcks      map[NodeID]map[NodeID]bool // instance → acceptors accepted at paxBallot
-	paxPromises  map[NodeID]bool            // acceptors promised at paxBallot
-	paxPromState []protocol.PaxosInstanceState
-	paxAttempts  int // recovery rounds led from this node
-	paxTimerGen  int
-	// Acceptor side.
-	paxPromised int                 // highest promised ballot (0 = none)
-	paxAccepted map[NodeID]*paxInst // accepted value per instance
-	paxBundled  bool                // ballot-0 bundle forced durably
+	// Paxos Commit state (VariantPaxos only; nil otherwise).
+	pax *paxosCtx
 
 	// abortErr, when set, is the reason an abort decision was taken on
 	// the coordinator's own initiative (e.g. a vote timeout); it is

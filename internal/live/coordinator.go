@@ -27,7 +27,7 @@ func (p *Participant) Commit(ctx context.Context, txName string, subs []string) 
 // overriding the participant's configured one for this transaction
 // only. Subordinates follow the presumption announced on the Prepare,
 // so a single coordinator can serve mixed-variant traffic — the
-// serving daemon uses this to run all four variants over one
+// serving daemon uses this to run all six variants over one
 // endpoint.
 func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []string, v core.Variant) (Outcome, error) {
 	start := p.sched.Now()
@@ -506,7 +506,7 @@ func (p *Participant) unregisterCoord(txName string) {
 	defer st.mu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, decided := sh.decidedLocked(txName); !decided && len(st.paxAccepted) > 0 {
+	if _, decided := sh.decidedLocked(txName); !decided && st.pax != nil && st.pax.Holds() {
 		// An undecided Paxos transaction with acceptor state must keep
 		// it: this node promised its acceptances to recovery leaders,
 		// and forgetting them while the process lives would let two
@@ -514,7 +514,7 @@ func (p *Participant) unregisterCoord(txName string) {
 		// role and its collection channels.
 		st.isCoord = false
 		st.replies, st.decision = nil, nil
-		st.paxAccepts, st.paxPromise = nil, nil
+		st.pax.accepts, st.pax.promise = nil, nil
 		return
 	}
 	// A participant never subordinates a transaction it coordinates,

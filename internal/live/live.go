@@ -8,9 +8,9 @@
 //
 // The runtime is production-shaped:
 //
-//   - All four protocol variants (Baseline, PA, PN, PC) run over the
-//     wire; each Prepare announces its recovery presumption so one
-//     participant can serve mixed-variant traffic.
+//   - All six protocol variants (Baseline, PA, PN, PC, Paxos Commit
+//     and 1PC) run over the wire; each Prepare announces its variant
+//     so one participant can serve mixed-variant traffic.
 //   - Many transactions are pipelined per participant: state is a
 //     per-transaction table keyed by TxID, and every inbound message
 //     is handled on its own goroutine with per-transaction ordering
@@ -180,11 +180,6 @@ type txState struct {
 	// coordinator returns before them) and owns the registration.
 	ackCollector bool
 
-	// Paxos Commit leader collection channels, registered under the
-	// shard mutex like votes/acks.
-	paxAccepts chan envelope // PaxosAccepted bundles and acks
-	paxPromise chan envelope // PaxosPromise replies
-
 	// Subordinate side, guarded by mu.
 	mu        sync.Mutex
 	presume   core.Variant // the variant the Prepare announced
@@ -194,16 +189,9 @@ type txState struct {
 	committed bool
 	resolved  chan struct{} // closed when done flips true (recovery waiters)
 
-	// Paxos Commit state, guarded by mu. paxMeta is the transaction's
-	// membership (learned from the Prepare or any accept); the rest is
-	// this node's acceptor role: accepted values per instance, whether
-	// the ballot-0 bundle has been forced and acknowledged, and the
-	// highest promised ballot.
-	paxMeta     *protocol.PaxosMeta
-	paxVoteSent bool
-	paxAccepted map[string]protocol.PaxosInstanceState
-	paxBundled  bool
-	paxPromised int
+	// Paxos Commit state (nil for every other variant). Set holding
+	// both mu and the shard mutex, so either suffices to read it.
+	pax *paxosState
 }
 
 // NewParticipant wires a participant to its endpoint, log, and
@@ -541,8 +529,7 @@ func (p *Participant) recordDecision(tx string, committed, pinned bool) {
 // accepted could let a leader choose a different outcome; nobody
 // inquires any other subordinate. Caller holds st.mu.
 func (p *Participant) recordSubDecisionLocked(st *txState, committed bool) {
-	acceptor := st.presume == core.VariantPaxos && st.paxMeta != nil &&
-		indexOf(st.paxMeta.Acceptors, p.name) >= 0
+	acceptor := st.presume == core.VariantPaxos && st.pax != nil && st.pax.IsAcceptor()
 	p.publishDecision(st.id, subDecision(committed, st.presume), acceptor)
 }
 

@@ -25,6 +25,11 @@ package live
 // runs the same recovery round: PaxosQuery(b) to the acceptors, a
 // promise quorum, the Gray-Lamport value-choice rule, then ballot-b
 // accepts until every instance has an f+1 quorum.
+//
+// The rules themselves (acceptor set, quorum, ballots, accept and
+// promise, restore, tally, value choice) are protocol.PaxosTx and
+// protocol.PaxosRound, shared with the simulator; this file is the
+// runtime's driver: channels, retry alarms, records, the cost ledger.
 
 import (
 	"context"
@@ -35,38 +40,31 @@ import (
 	"repro/internal/wal"
 )
 
-// paxosAcceptorSet picks the 2f+1 acceptor membership for a flat tree
-// (mirroring the simulator): three nodes (f=1) whenever the tree has
-// at least two subordinates, otherwise just the coordinator (f=0 — a
-// two-node tree has no third node to colocate an acceptor on).
-func paxosAcceptorSet(coord string, subs []string) []string {
-	if len(subs) < 2 {
-		return []string{coord}
-	}
-	return []string{coord, subs[0], subs[1]}
+// paxosState is a Paxos Commit transaction's state at this node.
+type paxosState struct {
+	protocol.PaxosTx // guarded by the txState's mu
+	// Leader collection channels, registered under the shard mutex
+	// like votes and acks.
+	accepts chan envelope // PaxosAccepted bundles and acks
+	promise chan envelope // PaxosPromise replies
 }
 
-// paxosQuorum is f+1 of the 2f+1 acceptors — unless the harness
-// injected a miscounted quorum to prove the chaos oracle convicts it.
-func (p *Participant) paxosQuorum(acceptors int) int {
-	if q := p.hooks.QuorumOverride; q > 0 {
-		return q
+// paxosLocked returns st's Paxos state, creating it on first use. The
+// pointer is published under the shard mutex as well, since feedPaxos
+// reads it holding only that. Caller holds st.mu.
+func (p *Participant) paxosLocked(st *txState) *paxosState {
+	if st.pax == nil {
+		ps := &paxosState{PaxosTx: protocol.PaxosTx{
+			Self:              p.name,
+			SkipAcceptorForce: p.hooks.SkipAcceptorForce,
+			QuorumOverride:    p.hooks.QuorumOverride,
+		}}
+		sh := p.shardFor(st.id)
+		sh.mu.Lock()
+		st.pax = ps
+		sh.mu.Unlock()
 	}
-	return acceptors/2 + 1
-}
-
-// paxosAdoptLocked learns the transaction's acceptor and instance
-// membership from any Paxos message carrying it (an acceptor may hear
-// an accept before its own Prepare arrives). Caller holds st.mu.
-func (p *Participant) paxosAdoptLocked(st *txState, meta protocol.PaxosMeta) {
-	if st.paxMeta != nil || len(meta.Acceptors) == 0 || len(meta.Participants) == 0 {
-		return
-	}
-	st.paxMeta = &protocol.PaxosMeta{
-		Leader:       meta.Leader,
-		Acceptors:    append([]string(nil), meta.Acceptors...),
-		Participants: append([]string(nil), meta.Participants...),
-	}
+	return st.pax
 }
 
 // decisionOf extracts a commit/abort decision from a message that can
@@ -88,19 +86,6 @@ func decisionOf(m protocol.Message) (commit, ok bool) {
 	return false, false
 }
 
-// paxosRecordData renders an acceptor record's payload: the full meta
-// (membership plus accepted states) so a restart rebuilds acceptor
-// state from the log alone.
-func paxosRecordData(meta *protocol.PaxosMeta, ballot int, states []protocol.PaxosInstanceState) []byte {
-	d := protocol.PaxosMeta{
-		Ballot:       ballot,
-		Acceptors:    meta.Acceptors,
-		Participants: meta.Participants,
-		States:       states,
-	}
-	return d.Encode()
-}
-
 // ---- Coordinator fast path ----
 
 // runPaxosCommit is the coordinator's ballot-0 fast path: no pre-force
@@ -108,23 +93,23 @@ func paxosRecordData(meta *protocol.PaxosMeta, ballot int, states []protocol.Pax
 // acceptor membership, and the coordinator's own instance value goes
 // to the acceptors at ballot 0 alongside everyone else's.
 func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx core.TxID, txName string, subs []string) (Outcome, error) {
-	acceptors := paxosAcceptorSet(p.name, subs)
-	participants := append([]string{p.name}, subs...)
-	meta := protocol.PaxosMeta{Leader: p.name, Acceptors: acceptors, Participants: participants}
-
-	// Register the leader's collection channels and the membership
+	// Register the membership and the leader's collection channel
 	// before any reply can arrive. The decision channel doubles as the
 	// inlet for outcomes another leader (or a decided acceptor) sends us.
+	participants := append([]string{p.name}, subs...)
+	st.mu.Lock()
+	st.presume = core.VariantPaxos
+	ps := p.paxosLocked(st)
+	ps.Adopt(protocol.PaxosAcceptorSet(p.name, subs), participants)
+	meta := ps.Meta(0, p.name)
 	sh := p.shardFor(txName)
 	sh.mu.Lock()
-	st.paxAccepts = make(chan envelope, 4*len(participants)+8)
+	ps.accepts = make(chan envelope, 4*len(participants)+8)
 	if st.decision == nil {
 		st.decision = make(chan envelope, 4)
 	}
+	accepts := ps.accepts
 	sh.mu.Unlock()
-	st.mu.Lock()
-	st.presume = core.VariantPaxos
-	p.paxosAdoptLocked(st, meta)
 	st.mu.Unlock()
 
 	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: core.VariantPaxos, Payload: meta.Encode()}
@@ -145,77 +130,43 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx core.T
 		return p.paxosCoordFinish(st, tx, txName, subs, false, true, true), nil
 	}
 	// Read-only folds to yes under Paxos: instances carry only Yes/No
-	// and every participant sees phase two.
-
-	// Ballot-0 accept of the coordinator's own instance, to every
-	// acceptor (self-applied when the coordinator is itself one).
-	am := meta
-	am.Instance = p.name
-	acc := protocol.Message{Type: protocol.MsgPaxosAccept, Tx: txName, Vote: protocol.VoteYes, Payload: am.Encode()}
-	for _, a := range acceptors {
-		if a == p.name {
-			st.mu.Lock()
-			p.paxosAcceptLocked(st, am, protocol.VoteYes)
-			st.mu.Unlock()
-			continue
-		}
-		// A lost accept falls to the recovery round; a crash ends the
-		// fast path here, before any reply can be collected.
-		if err := p.send(a, acc); err != nil && p.Crashed() {
-			return InDoubt, ErrCrashed
-		}
+	// and every participant sees phase two. A lost accept falls to the
+	// recovery round; a crash ends the fast path here, before any reply
+	// can be collected.
+	st.mu.Lock()
+	ps.Vote = protocol.VoteYes
+	p.paxosSendAccept0Locked(st)
+	st.mu.Unlock()
+	if p.Crashed() {
+		return InDoubt, ErrCrashed
 	}
 
-	quorum := p.paxosQuorum(len(acceptors))
-	selfAcceptor := indexOf(acceptors, p.name) >= 0
-	acks := make(map[string]map[string]bool)
-	noVote := make(map[string]bool)
+	round := ps.NewRound(0)
+	selfAcceptor := ps.IsAcceptor()
 	deadline := p.sched.NewTimer(p.voteTimeout)
 	defer deadline.Stop()
 fast:
 	for {
 		select {
-		case env := <-st.paxAccepts:
+		case env := <-accepts:
 			bm, err := protocol.DecodePaxosMeta(env.msg.Payload)
-			if err != nil || bm.Ballot != 0 {
+			if err != nil {
 				continue
 			}
-			for _, is := range bm.States {
-				set := acks[is.Instance]
-				if set == nil {
-					set = make(map[string]bool)
-					acks[is.Instance] = set
-				}
-				set[env.from] = true
-				if is.Vote == protocol.VoteNo {
-					noVote[is.Instance] = true
-				}
-			}
-			full := true
-			for _, q := range participants {
-				if len(acks[q]) < quorum {
-					full = false
-					break
-				}
-			}
-			if !full {
+			commit, decided := round.Ack(env.from, bm.Ballot, bm.States)
+			if !decided {
 				continue
 			}
-			// The coordinator's own acceptor bundle must be durable
-			// before the decision leaves: this node is part of the
-			// quorum whose forced state IS the decision's durability.
+			// The coordinator's own acceptor bundle must be forced
+			// before the decision leaves: deciding retires this entry,
+			// after which a late accept is answered with the outcome
+			// and the bundle would never be forced (see DESIGN §13).
 			if selfAcceptor {
 				st.mu.Lock()
-				bundled := st.paxBundled
+				bundled := ps.Bundled()
 				st.mu.Unlock()
 				if !bundled {
 					continue
-				}
-			}
-			commit := true
-			for _, q := range participants {
-				if noVote[q] {
-					commit = false
 				}
 			}
 			return p.paxosCoordFinish(st, tx, txName, subs, commit, true, true), nil
@@ -259,9 +210,9 @@ fast:
 // path's Commit flows (recovery deliveries are extra flows).
 func (p *Participant) paxosCoordFinish(st *txState, tx core.TxID, txName string, subs []string, commit, broadcast, firstClass bool) Outcome {
 	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Committed"}
-	out, delivered, mt := Committed, len(subs), protocol.MsgCommit
+	out, delivered := Committed, len(subs)
 	if !commit {
-		rec.Kind, out, delivered, mt = "Aborted", Aborted, -1, protocol.MsgAbort
+		rec.Kind, out, delivered = "Aborted", Aborted, -1
 	}
 	_ = p.lazy(rec)
 	// The coordinator is always one of the transaction's acceptors:
@@ -272,7 +223,7 @@ func (p *Participant) paxosCoordFinish(st *txState, tx core.TxID, txName string,
 		p.met.CostOutcome(txName, out.String(), delivered)
 	}
 	if broadcast {
-		om := protocol.Message{Type: mt, Tx: txName}
+		om := outcomeMsg(txName, commit, nil, "")
 		for _, s := range subs {
 			if firstClass {
 				_ = p.send(s, om)
@@ -300,8 +251,9 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 	if err != nil {
 		return
 	}
-	p.paxosAdoptLocked(st, meta)
-	if st.paxVoteSent || st.paxMeta == nil {
+	ps := p.paxosLocked(st)
+	ps.Adopt(meta.Acceptors, meta.Participants)
+	if ps.VoteSent || len(ps.Acceptors) == 0 {
 		return // duplicate Prepare, or membership missing: recovery retries
 	}
 	tx := core.ParseTxID(m.Tx)
@@ -318,15 +270,16 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 	}
 	if p.met != nil {
 		p.met.CostSub(m.Tx, p.name, core.VariantPaxos.String(), false)
-		p.met.CostMembership(m.Tx, len(meta.Participants)-1)
-		if indexOf(meta.Acceptors, p.name) >= 0 {
+		p.met.CostMembership(m.Tx, len(ps.Participants)-1)
+		if ps.IsAcceptor() {
 			p.met.CostAcceptor(m.Tx, p.name)
 		}
 	}
 	if vote == protocol.VoteYes {
 		st.prepared = true
 	}
-	p.paxosSendAccept0Locked(st, vote)
+	ps.Vote = vote
+	p.paxosSendAccept0Locked(st)
 	if vote == protocol.VoteNo {
 		// A No voter may abort unilaterally: its instance value No is
 		// on its way to the acceptors, and recovery defaults a free
@@ -345,21 +298,31 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 // paxosSendAccept0Locked sends this participant's ballot-0 accept for
 // its own instance to every acceptor, self-applying when this node is
 // itself one. Caller holds st.mu.
-func (p *Participant) paxosSendAccept0Locked(st *txState, vote protocol.VoteValue) {
-	if st.paxVoteSent || st.paxMeta == nil {
+func (p *Participant) paxosSendAccept0Locked(st *txState) {
+	ps := st.pax
+	if ps.VoteSent || len(ps.Acceptors) == 0 {
 		return
 	}
-	st.paxVoteSent = true
-	am := *st.paxMeta
-	am.Ballot = 0
+	ps.VoteSent = true
+	am := ps.Meta(0, ps.Participants[0])
 	am.Instance = p.name
+	p.paxosBroadcastAcceptLocked(st, am, ps.Vote)
+}
+
+// paxosBroadcastAcceptLocked sends an accept of am.Instance's value
+// to every acceptor, applying it here when this node is one. A
+// recovery ballot's accepts are extra flows. Caller holds st.mu.
+func (p *Participant) paxosBroadcastAcceptLocked(st *txState, am protocol.PaxosMeta, vote protocol.VoteValue) {
 	msg := protocol.Message{Type: protocol.MsgPaxosAccept, Tx: st.id, Vote: vote, Payload: am.Encode()}
-	for _, a := range am.Acceptors {
-		if a == p.name {
+	for _, a := range st.pax.Acceptors {
+		switch {
+		case a == p.name:
 			p.paxosAcceptLocked(st, am, vote)
-			continue
+		case am.Ballot > 0:
+			_ = p.sendExtra(a, msg)
+		default:
+			_ = p.send(a, msg)
 		}
-		_ = p.send(a, msg)
 	}
 }
 
@@ -398,18 +361,18 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 	// A subordinate entry kept for its pending bundle retires as soon
 	// as this accept completes it.
 	defer p.retireLocked(st)
-	p.paxosAdoptLocked(st, meta)
+	ps := p.paxosLocked(st)
+	ps.Adopt(meta.Acceptors, meta.Participants)
 	if known {
 		committed := d.committed()
-		pendingBundle := committed && meta.Ballot == 0 && !st.paxBundled && len(st.paxAccepted) > 0
+		pendingBundle := committed && meta.Ballot == 0 && !ps.Bundled() && ps.Holds()
 		if !pendingBundle {
 			p.paxosReplyOutcome(meta.Leader, from, m.Tx, committed)
 			return
 		}
 	}
 	pending := st.bundlePending()
-	p.paxosAcceptLocked(st, meta, m.Vote)
-	if pending && st.paxBundled && p.met != nil {
+	if p.paxosAcceptLocked(st, meta, m.Vote) && pending && ps.Bundled() && p.met != nil {
 		// The subordinate's phase two closed without its bundle
 		// (applyOutcome); now that it is forced and sent, so is the
 		// acceptor's spend.
@@ -417,94 +380,17 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 	}
 }
 
-// paxosAcceptLocked is the acceptor's accept rule (caller holds
-// st.mu). Ballot-0 accepts accumulate in volatile state and become
-// durable in ONE bundled forced record once every instance has
-// reported; recovery-ballot accepts are forced and acknowledged
-// individually.
-func (p *Participant) paxosAcceptLocked(st *txState, meta protocol.PaxosMeta, vote protocol.VoteValue) {
-	if st.paxMeta == nil || indexOf(st.paxMeta.Acceptors, p.name) < 0 {
-		return // not an acceptor for this transaction
+// paxosAcceptLocked applies the acceptor's accept rule and does what
+// it asks: write the acceptance, then acknowledge it to the ballot's
+// leader. It reports whether an acknowledgment went out. Caller holds
+// st.mu.
+func (p *Participant) paxosAcceptLocked(st *txState, meta protocol.PaxosMeta, vote protocol.VoteValue) bool {
+	step, ok := st.pax.Accept(meta.Ballot, meta.Instance, vote)
+	if !ok || p.writePaxosLocked(st, "PaxAccept", step) != nil {
+		return false
 	}
-	b := meta.Ballot
-	if b < st.paxPromised || meta.Instance == "" {
-		return // promised a higher ballot: refuse silently
-	}
-	if prev, ok := st.paxAccepted[meta.Instance]; ok && prev.Ballot > b {
-		return
-	}
-	if st.paxAccepted == nil {
-		st.paxAccepted = make(map[string]protocol.PaxosInstanceState)
-	}
-	st.paxAccepted[meta.Instance] = protocol.PaxosInstanceState{Instance: meta.Instance, Ballot: b, Vote: vote}
-	if b == 0 {
-		if st.paxBundled || len(st.paxAccepted) < len(st.paxMeta.Participants) {
-			return // bundle already out, or still incomplete
-		}
-		insts := paxosInstList(st)
-		rec := wal.Record{Tx: st.id, Node: p.name, Kind: "PaxAccept", Data: paxosRecordData(st.paxMeta, 0, insts)}
-		// The acceptance MUST be durable before it is acknowledged: an
-		// acceptor that forgets what it acked lets two recovery leaders
-		// learn different outcomes. Hooks.SkipAcceptorForce injects
-		// exactly that bug for the chaos oracle to convict.
-		if p.hooks.SkipAcceptorForce {
-			_ = p.lazy(rec)
-		} else if err := p.force(rec); err != nil {
-			return
-		}
-		st.paxBundled = true
-		p.paxosSendAcceptedLocked(st, meta.Leader, 0, insts, false)
-		return
-	}
-	// Recovery ballot: accept individually, durably, ack the proposer.
-	st.paxPromised = b
-	one := []protocol.PaxosInstanceState{st.paxAccepted[meta.Instance]}
-	rec := wal.Record{Tx: st.id, Node: p.name, Kind: "PaxAccept", Data: paxosRecordData(st.paxMeta, b, one)}
-	if p.hooks.SkipAcceptorForce {
-		_ = p.lazy(rec)
-	} else if err := p.force(rec); err != nil {
-		return
-	}
-	p.paxosSendAcceptedLocked(st, meta.Leader, b, one, true)
-}
-
-// paxosInstList snapshots the acceptor's accepted state in instance
-// order (deterministic for records and promises). Caller holds st.mu.
-func paxosInstList(st *txState) []protocol.PaxosInstanceState {
-	out := make([]protocol.PaxosInstanceState, 0, len(st.paxAccepted))
-	for _, q := range st.paxMeta.Participants {
-		if is, ok := st.paxAccepted[q]; ok {
-			out = append(out, is)
-		}
-	}
-	return out
-}
-
-// paxosSendAcceptedLocked reports durable acceptance(s) to the
-// ballot's leader, feeding the local collection channel when the
-// leader is this node. Recovery-ballot acks are extra flows; the
-// ballot-0 bundle is a first-class flow of the fast path.
-func (p *Participant) paxosSendAcceptedLocked(st *txState, leader string, ballot int, insts []protocol.PaxosInstanceState, extra bool) {
-	am := *st.paxMeta
-	am.Ballot = ballot
-	am.Leader = leader
-	am.States = insts
-	wire := protocol.VoteYes
-	for _, is := range insts {
-		if is.Vote == protocol.VoteNo {
-			wire = protocol.VoteNo
-		}
-	}
-	msg := protocol.Message{Type: protocol.MsgPaxosAccepted, Tx: st.id, Vote: wire, Payload: am.Encode()}
-	if leader == p.name {
-		p.feedPaxos(st.id, envelope{from: p.name, msg: msg}, false)
-		return
-	}
-	if extra {
-		_ = p.sendExtra(leader, msg)
-	} else {
-		_ = p.send(leader, msg)
-	}
+	p.paxosReplyLocked(st, protocol.MsgPaxosAccepted, meta.Leader, step)
+	return true
 }
 
 // handlePaxosQuery processes a recovery leader's phase-1a request at
@@ -529,46 +415,56 @@ func (p *Participant) handlePaxosQuery(from string, m protocol.Message) {
 	sh.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	p.paxosAdoptLocked(st, meta)
+	p.paxosLocked(st).Adopt(meta.Acceptors, meta.Participants)
 	p.paxosPromiseLocked(st, meta)
 }
 
-// paxosPromiseLocked is the acceptor's promise rule (caller holds
-// st.mu): refuse stale ballots, force the promise with the durable
-// accepted state, report that state to the leader. Volatile
-// (never-acknowledged) ballot-0 accepts are dropped — equivalent to
-// the accept having been lost in flight.
+// paxosPromiseLocked applies the acceptor's promise rule and does what
+// it asks: force the promise with the accepted state, then report that
+// state to the leader. Caller holds st.mu.
 func (p *Participant) paxosPromiseLocked(st *txState, meta protocol.PaxosMeta) {
-	if st.paxMeta == nil || indexOf(st.paxMeta.Acceptors, p.name) < 0 {
+	step, ok := st.pax.Promise(meta.Ballot)
+	if !ok || p.writePaxosLocked(st, "PaxPromise", step) != nil {
 		return
 	}
-	b := meta.Ballot
-	if b <= st.paxPromised {
-		return // stale leader: it will retry with a higher ballot
+	p.paxosReplyLocked(st, protocol.MsgPaxosPromise, meta.Leader, step)
+}
+
+// writePaxosLocked writes an acceptor step's record: the membership and
+// the step's states, so a restart rebuilds acceptor state from the log
+// alone. An unforced step's write error is ignored, as for every lazy
+// record. Caller holds st.mu.
+func (p *Participant) writePaxosLocked(st *txState, kind string, step protocol.PaxosStep) error {
+	data := st.pax.Meta(step.Ballot, "")
+	data.States = step.States
+	rec := wal.Record{Tx: st.id, Node: p.name, Kind: kind, Data: data.Encode()}
+	if step.Force {
+		return p.force(rec)
 	}
-	st.paxPromised = b
-	if !st.paxBundled {
-		for inst, is := range st.paxAccepted {
-			if is.Ballot == 0 {
-				delete(st.paxAccepted, inst)
-			}
-		}
+	_ = p.lazy(rec)
+	return nil
+}
+
+// paxosReplyLocked reports an acceptor step to the ballot's leader,
+// feeding the local collection channel when the leader is this node.
+// The ballot-0 bundle is a first-class flow of the fast path;
+// recovery-ballot acks are extra flows, and so are promises (sendFlow
+// marks them). Caller holds st.mu.
+func (p *Participant) paxosReplyLocked(st *txState, mt protocol.MsgType, leader string, step protocol.PaxosStep) {
+	am := st.pax.Meta(step.Ballot, leader)
+	am.States = step.States
+	msg := protocol.Message{Type: mt, Tx: st.id, Payload: am.Encode()}
+	if mt == protocol.MsgPaxosAccepted {
+		msg.Vote = step.Vote()
 	}
-	insts := paxosInstList(st)
-	rec := wal.Record{Tx: st.id, Node: p.name, Kind: "PaxPromise", Data: paxosRecordData(st.paxMeta, b, insts)}
-	if err := p.force(rec); err != nil {
-		return
+	switch {
+	case leader == p.name:
+		p.feedPaxos(st.id, envelope{from: p.name, msg: msg}, mt == protocol.MsgPaxosPromise)
+	case mt == protocol.MsgPaxosAccepted && step.Ballot > 0:
+		_ = p.sendExtra(leader, msg)
+	default:
+		_ = p.send(leader, msg)
 	}
-	am := *st.paxMeta
-	am.Ballot = b
-	am.Leader = meta.Leader
-	am.States = insts
-	msg := protocol.Message{Type: protocol.MsgPaxosPromise, Tx: st.id, Payload: am.Encode()}
-	if meta.Leader == p.name {
-		p.feedPaxos(st.id, envelope{from: p.name, msg: msg}, true)
-		return
-	}
-	_ = p.send(meta.Leader, msg) // sendFlow marks promises as extra flows
 }
 
 // paxosReplyOutcome answers Paxos traffic for a transaction this node
@@ -594,13 +490,12 @@ func (p *Participant) paxosReplyOutcome(leader, from, tx string, committed bool)
 func (p *Participant) feedPaxos(tx string, env envelope, promise bool) {
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
-	st, ok := sh.txs[tx]
 	var ch chan envelope
-	if ok {
+	if st, ok := sh.txs[tx]; ok && st.pax != nil {
 		if promise {
-			ch = st.paxPromise
+			ch = st.pax.promise
 		} else {
-			ch = st.paxAccepts
+			ch = st.pax.accepts
 		}
 	}
 	sh.mu.Unlock()
@@ -615,48 +510,46 @@ func (p *Participant) feedPaxos(tx string, env envelope, promise bool) {
 // ---- Recovery leader ----
 
 // paxosLeadRounds leads recovery rounds for one transaction until a
-// decision is reached: PaxosQuery at a fresh, globally unique ballot
-// (attempt*N + own index + 1), a promise quorum, the Gray-Lamport
-// value-choice rule (re-propose the maximum-ballot accepted value; a
-// free instance defaults to No, except this node's own, whose value
-// it knows), then ballot-b accepts until every instance has an f+1
-// quorum. A reached decision is broadcast to every other participant
-// before returning; applying it locally is the caller's job.
+// decision is reached, each at this node's next ballot: PaxosQuery to
+// the acceptors, a promise quorum, the round's proposal, then ballot-b
+// accepts until every instance has a quorum. A reached decision is
+// broadcast to every other participant before returning; applying it
+// locally is the caller's job.
 func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName string) (bool, error) {
 	st.mu.Lock()
-	meta := st.paxMeta
-	st.mu.Unlock()
-	if meta == nil {
+	ps := st.pax
+	if ps == nil || len(ps.Acceptors) == 0 {
+		st.mu.Unlock()
 		return false, fmt.Errorf("live: no paxos membership recorded for %s", txName)
 	}
-	idx := indexOf(meta.Participants, p.name)
-	if idx < 0 {
-		return false, fmt.Errorf("live: %s is not a participant of %s", p.name, txName)
-	}
+	// Buffers hold every reply one round can draw (an ack per instance
+	// per acceptor, a promise per acceptor) plus stragglers.
 	sh := p.shardFor(txName)
 	sh.mu.Lock()
-	if st.paxAccepts == nil {
-		st.paxAccepts = make(chan envelope, 4*len(meta.Participants)*len(meta.Acceptors)+8)
+	if ps.accepts == nil {
+		ps.accepts = make(chan envelope, 4*len(ps.Participants)*len(ps.Acceptors)+8)
 	}
-	if st.paxPromise == nil {
-		st.paxPromise = make(chan envelope, 2*len(meta.Acceptors)+4)
+	if ps.promise == nil {
+		ps.promise = make(chan envelope, 2*len(ps.Acceptors)+4)
 	}
-	decisionCh := st.decision
+	accepts, promises, decisionCh := ps.accepts, ps.promise, st.decision
 	sh.mu.Unlock()
+	st.mu.Unlock()
 
-	quorum := p.paxosQuorum(len(meta.Acceptors))
 	// The alarm's retransmission points end stalled rounds; its
 	// deadline bounds the whole recovery.
 	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/paxos")
 	defer alarm.stop()
 
-	for attempt := 1; attempt <= 8; attempt++ {
-		ballot := attempt*len(meta.Participants) + idx + 1
-		qm := *meta
-		qm.Ballot = ballot
-		qm.Leader = p.name
+	for attempt := 1; ; attempt++ {
+		ballot, ok := ps.Ballot(attempt)
+		if !ok {
+			break
+		}
+		round := ps.NewRound(ballot)
+		qm := ps.Meta(ballot, p.name)
 		query := protocol.Message{Type: protocol.MsgPaxosQuery, Tx: txName, Payload: qm.Encode()}
-		for _, a := range meta.Acceptors {
+		for _, a := range ps.Acceptors {
 			if a == p.name {
 				st.mu.Lock()
 				p.paxosPromiseLocked(st, qm)
@@ -665,7 +558,7 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 			}
 			_ = p.send(a, query) // sendFlow marks queries as extra flows
 		}
-		commit, decided, err := p.paxosCollectRound(ctx, st, txName, meta, ballot, quorum, decisionCh, &alarm)
+		commit, decided, err := p.paxosCollectRound(ctx, st, round, accepts, promises, decisionCh, &alarm)
 		if err != nil {
 			return false, err
 		}
@@ -679,103 +572,40 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 	return false, fmt.Errorf("live: paxos recovery gave up on %s: %w", txName, ErrInDoubt)
 }
 
-// paxosCollectRound drives one ballot: collect promises to a quorum,
-// propose per the value-choice rule, then collect per-instance accept
-// acknowledgments until every instance has a quorum. decided=false
-// with nil error means the round stalled and a higher ballot should
-// retry.
-func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, txName string, meta *protocol.PaxosMeta, ballot, quorum int, decisionCh chan envelope, alarm *retryAlarm) (bool, bool, error) {
-	promised := make(map[string]bool)
-	var states []protocol.PaxosInstanceState
-	proposed := false
-	acks := make(map[string]map[string]bool)
-	proposal := make(map[string]protocol.VoteValue)
+// paxosCollectRound drives one ballot: feed promises to the round and
+// send its proposal, then feed acceptances until it decides.
+// decided=false with nil error means the round stalled and a higher
+// ballot should retry.
+func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round *protocol.PaxosRound, accepts, promises, decisionCh chan envelope, alarm *retryAlarm) (bool, bool, error) {
+	ps := st.pax
 	for {
 		select {
-		case env := <-st.paxPromise:
+		case env := <-promises:
 			pm, err := protocol.DecodePaxosMeta(env.msg.Payload)
-			if err != nil || pm.Ballot != ballot || promised[env.from] {
+			if err != nil {
 				continue
 			}
-			promised[env.from] = true
-			states = append(states, pm.States...)
-			if proposed || len(promised) < quorum {
-				continue
+			for _, is := range round.Promise(env.from, pm.Ballot, pm.States) {
+				am := ps.Meta(round.Ballot, p.name)
+				am.Instance = is.Instance
+				st.mu.Lock()
+				p.paxosBroadcastAcceptLocked(st, am, is.Vote)
+				st.mu.Unlock()
 			}
-			proposed = true
-			for _, q := range meta.Participants {
-				val, found, best := protocol.VoteNo, false, -1
-				for _, is := range states {
-					if is.Instance != q || is.Ballot <= best {
-						continue
-					}
-					best, found, val = is.Ballot, true, is.Vote
-				}
-				if !found && q == p.name {
-					// Our own instance is free: we lead rounds only
-					// prepared (or as a yes-voting coordinator), so the
-					// value we may propose freely is Yes.
-					val = protocol.VoteYes
-				}
-				proposal[q] = val
-			}
-			for _, q := range meta.Participants {
-				am := *meta
-				am.Ballot = ballot
-				am.Leader = p.name
-				am.Instance = q
-				msg := protocol.Message{Type: protocol.MsgPaxosAccept, Tx: txName, Vote: proposal[q], Payload: am.Encode()}
-				for _, a := range meta.Acceptors {
-					if a == p.name {
-						st.mu.Lock()
-						p.paxosAcceptLocked(st, am, proposal[q])
-						st.mu.Unlock()
-						continue
-					}
-					_ = p.sendExtra(a, msg)
-				}
-			}
-		case env := <-st.paxAccepts:
+		case env := <-accepts:
 			am, err := protocol.DecodePaxosMeta(env.msg.Payload)
-			if err != nil || am.Ballot != ballot {
+			if err != nil {
 				continue
 			}
-			for _, is := range am.States {
-				set := acks[is.Instance]
-				if set == nil {
-					set = make(map[string]bool)
-					acks[is.Instance] = set
-				}
-				set[env.from] = true
-			}
-			if !proposed {
+			commit, decided := round.Ack(env.from, am.Ballot, am.States)
+			if !decided {
 				continue
-			}
-			full := true
-			for _, q := range meta.Participants {
-				if len(acks[q]) < quorum {
-					full = false
-					break
-				}
-			}
-			if !full {
-				continue
-			}
-			commit := true
-			for _, q := range meta.Participants {
-				if proposal[q] == protocol.VoteNo {
-					commit = false
-				}
 			}
 			// Resolve the others too — the whole point of the acceptor
 			// quorum is that the outcome depends on no single node.
-			mt := protocol.MsgAbort
-			if commit {
-				mt = protocol.MsgCommit
-			}
-			for _, q := range meta.Participants {
+			for _, q := range ps.Participants {
 				if q != p.name {
-					_ = p.sendExtra(q, protocol.Message{Type: mt, Tx: txName})
+					_ = p.sendExtra(q, outcomeMsg(st.id, commit, nil, q))
 				}
 			}
 			return commit, true, nil
@@ -790,7 +620,7 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, txName
 			return commit, true, nil
 		case <-alarm.C():
 			if alarm.expired() {
-				return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", txName, ErrInDoubt)
+				return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", st.id, ErrInDoubt)
 			}
 			return false, false, nil
 		case <-p.crashc:
@@ -815,10 +645,6 @@ func (p *Participant) resolvePaxosInDoubt(ctx context.Context, st *txState, txNa
 	if err != nil {
 		return err
 	}
-	mt := protocol.MsgAbort
-	if commit {
-		mt = protocol.MsgCommit
-	}
-	p.applyOutcome(p.name, protocol.Message{Type: mt, Tx: txName}, commit)
+	p.applyOutcome(p.name, outcomeMsg(txName, commit, nil, ""), commit)
 	return nil
 }

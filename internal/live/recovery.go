@@ -133,7 +133,7 @@ func (p *Participant) replayLog() {
 			ps.presume = st.presume
 			if st.presume == core.VariantPaxos {
 				if meta, err := protocol.DecodePaxosMeta(st.prepared); err == nil {
-					p.paxosAdoptLocked(ps, meta)
+					p.paxosLocked(ps).Adopt(meta.Acceptors, meta.Participants)
 				}
 			}
 			ps.mu.Unlock()
@@ -166,21 +166,9 @@ func (p *Participant) restorePaxosAcceptors(recs []wal.Record, decided map[strin
 		}
 		st := p.state(r.Tx)
 		st.mu.Lock()
-		p.paxosAdoptLocked(st, meta)
-		if meta.Ballot > st.paxPromised {
-			st.paxPromised = meta.Ballot
-		}
-		if st.paxAccepted == nil {
-			st.paxAccepted = make(map[string]protocol.PaxosInstanceState)
-		}
-		for _, is := range meta.States {
-			if prev, ok := st.paxAccepted[is.Instance]; !ok || is.Ballot >= prev.Ballot {
-				st.paxAccepted[is.Instance] = is
-			}
-		}
-		if r.Kind == "PaxAccept" && meta.Ballot == 0 {
-			st.paxBundled = true
-		}
+		ps := p.paxosLocked(st)
+		ps.Adopt(meta.Acceptors, meta.Participants)
+		ps.Restore(r.Kind == "PaxAccept", meta.Ballot, meta.States)
 		st.mu.Unlock()
 	}
 }
@@ -238,12 +226,12 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 			st.presume, _ = presumeFromData(announced[txName])
 		}
 		paxos := st.presume == core.VariantPaxos
-		if paxos && st.paxMeta == nil {
+		if paxos {
 			// The Prepared record's payload is the transaction's Paxos
 			// membership — the acceptor set is this node's recovery
 			// coordinator, not whoever crashed.
 			if meta, derr := protocol.DecodePaxosMeta(announced[txName]); derr == nil {
-				p.paxosAdoptLocked(st, meta)
+				p.paxosLocked(st).Adopt(meta.Acceptors, meta.Participants)
 			}
 		}
 		st.mu.Unlock()

@@ -273,7 +273,7 @@ func (p *Participant) liveState(tx string) (st *txState, d decision, decided boo
 // ballot-0 acceptor bundle here is still incomplete: the decision
 // raced ahead of the slowest accept. Caller holds st.mu.
 func (st *txState) bundlePending() bool {
-	return st.done && st.committed && len(st.paxAccepted) > 0 && !st.paxBundled
+	return st.done && st.committed && st.pax != nil && st.pax.Holds() && !st.pax.Bundled()
 }
 
 // retireLocked drops a finished subordinate's table entry; the decided

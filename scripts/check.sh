@@ -2,8 +2,8 @@
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # race-enabled test suite (including the chaos harness and its safety
 # oracle), the nested perfbench module, a one-iteration benchmark
-# smoke, and short fuzz smokes over the wire/identifier parsers and
-# segment-log recovery.
+# smoke, and short fuzz smokes over the wire/identifier parsers, the
+# Paxos acceptor rules and segment-log recovery.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,6 +61,7 @@ fi
 echo "== fuzz smokes (10s each) =="
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzBinaryVsGobRoundTrip -fuzztime=10s ./internal/protocol
+go test -run='^$' -fuzz=FuzzPaxosAcceptor -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzSegmentRecover -fuzztime=10s ./internal/wal
 
