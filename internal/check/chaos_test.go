@@ -44,12 +44,17 @@ func sweepWidth(flagVal int, envKey string, def int) int {
 	return def
 }
 
-// runSeed executes one schedule and reports its violations through t,
-// returning whether the run was clean. It uses t.Errorf only (never
-// Fatal) so it is safe from worker goroutines.
+// runSeed executes FromSeed's schedule for seed; see runSchedule.
 func runSeed(t *testing.T, seed int64, withTrace bool) bool {
 	t.Helper()
-	s := FromSeed(seed)
+	return runSchedule(t, FromSeed(seed), withTrace)
+}
+
+// runSchedule executes one schedule and reports its violations through
+// t, returning whether the run was clean. It uses t.Errorf only (never
+// Fatal) so it is safe from worker goroutines.
+func runSchedule(t *testing.T, s Schedule, withTrace bool) bool {
+	t.Helper()
 	res, err := Execute(s)
 	if err != nil {
 		WriteFailureArtifact(s, nil, "")

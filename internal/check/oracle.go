@@ -114,6 +114,9 @@ var pendingKinds = map[string]bool{
 	"Pending": true, "Collecting": true,
 }
 
+// preparedKind is the record a yes vote, and a delegation, stands on.
+var preparedKind = map[string]bool{"Prepared": true}
+
 // tmKinds are the transaction-manager record kinds the force rules
 // govern; anything else in the log belongs to a resource manager.
 var tmKinds = map[string]bool{
@@ -193,6 +196,18 @@ func (v *txView) sentPrepareBefore(node string, seq int) bool {
 	return v.before(seq, func(e trace.Event) bool {
 		return e.Kind == trace.KindSend && e.Node == node && msgBase(e.Detail) == "Prepare"
 	})
+}
+
+// preNamesAgent reports whether node's delegation at seq stands on a
+// forced pre-prepare record that names the agent. Only an initiator
+// whose one partner is the agent writes one (the simulator's
+// single-partner case): it asked nobody to prepare and heard no Prepare
+// or vote before it delegated. A runtime pre-prepare record never
+// names the agent, and the runtime delegates with a Prepare, not a vote.
+func (v *txView) preNamesAgent(node string, seq int) bool {
+	return !v.sentPrepareBefore(node, seq) &&
+		!v.receivedBefore(node, seq, "Prepare", "VoteYes", "VoteNo", "VoteReadOnly") &&
+		v.logWriteBefore(node, seq, pendingKinds, true)
 }
 
 // receivedPlainPrepare reports whether node was asked to prepare as an
@@ -468,9 +483,22 @@ func (v *txView) ac3() []Violation {
 				// nowhere else, so it must still force Prepared below.
 				break
 			}
-			if !v.logWriteBefore(e.Node, e.Seq, map[string]bool{"Prepared": true}, true) {
+			if msgHasFlag(e.Detail, "LastAgent") && v.preNamesAgent(e.Node, e.Seq) {
+				break
+			}
+			if !v.logWriteBefore(e.Node, e.Seq, preparedKind, true) {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"yes vote sent without a forced Prepared record"))
+			}
+		case "Prepare":
+			// The runtime's delegation: once it leaves, the agent owns
+			// the outcome, and the yes-voters already heard from are in
+			// doubt with this node. A restart must ask the agent, not
+			// presume, so a record must say so.
+			if msgHasFlag(e.Detail, "Delegate") && v.receivedBefore(e.Node, e.Seq, "VoteYes") &&
+				!v.logWriteBefore(e.Node, e.Seq, preparedKind, true) {
+				out = append(out, v.vio("AC3", e.Node, e.Seq,
+					"decision delegated after collecting yes votes with no forced Prepared record"))
 			}
 		case "Commit":
 			if v.variant == core.VariantPaxos {

@@ -196,6 +196,47 @@ func TestOracleAC3MissingPendingRecord(t *testing.T) {
 	wantRule(t, check(core.VariantPN, b.evs, nil), "AC3")
 }
 
+// TestOracleAC3DelegationRecord pins what stands for a delegation: a
+// forced Prepared record, or — only for an initiator whose one partner
+// is the agent — its forced pre-prepare record.
+func TestOracleAC3DelegationRecord(t *testing.T) {
+	has := func(vs []Violation) bool { return strings.Contains(rules(vs), "AC3") }
+	// The simulator's single-partner case: the pending record names A.
+	b := &eb{}
+	b.force("C", "CommitPending")
+	b.msg("C", "A", "VoteYes+LastAgent")
+	if vs := check(core.VariantPN, b.evs, nil); has(vs) {
+		t.Errorf("single-partner delegation on the pending record: %v", vs)
+	}
+	// With a Prepare sent first, the pending record does not name the
+	// agent: a Prepared record must be forced.
+	multi := func(prepared bool) []trace.Event {
+		b := &eb{}
+		b.force("C", "CommitPending")
+		b.msg("C", "S1", "Prepare")
+		b.force("S1", "Prepared")
+		b.msg("S1", "C", "VoteYes")
+		if prepared {
+			b.force("C", "Prepared")
+		}
+		b.msg("C", "A", "VoteYes+LastAgent")
+		return b.evs
+	}
+	wantRule(t, check(core.VariantPN, multi(false), nil), "AC3")
+	if vs := check(core.VariantPN, multi(true), nil); has(vs) {
+		t.Errorf("delegation on a forced Prepared record: %v", vs)
+	}
+	// The runtime's delegation after yes votes: its collecting record
+	// never names the agent.
+	b = &eb{}
+	b.force("C", "Collecting")
+	b.msg("C", "S1", "Prepare")
+	b.force("S1", "Prepared")
+	b.msg("S1", "C", "VoteYes")
+	b.msg("C", "A", "Prepare+Delegate")
+	wantRule(t, check(core.VariantPC, b.evs, nil), "AC3")
+}
+
 func TestOracleAC3PAAbortNeedsNoForce(t *testing.T) {
 	b := &eb{}
 	b.msg("C", "S1", "Prepare")

@@ -71,10 +71,13 @@ func RunLive(s Schedule) (*RunResult, error) {
 	)
 	lossOn.Store(true)
 	transform := func(from, to string, m protocol.Message) (protocol.Message, bool) {
-		if s.LossPermil == 0 || spared(m.Type) {
+		if !lossOn.Load() {
 			return m, true
 		}
-		if !lossOn.Load() {
+		if s.lostAgentAnswer(from, to, m) {
+			return m, false
+		}
+		if s.LossPermil == 0 || spared(m.Type) {
 			return m, true
 		}
 		lossMu.Lock()
@@ -104,15 +107,19 @@ func RunLive(s Schedule) (*RunResult, error) {
 			fc.target = int64(s.CrashSubAt)
 		}
 		counters[name] = fc
-		p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{core.NewStaticResource(name + "-res")},
+		opts := []live.Option{
 			live.WithVariant(s.Variant),
 			live.WithTrace(trc),
 			live.WithTimeout(liveTimeout, liveTimeout),
 			live.WithRetry(liveRetry()),
-			live.WithRetrySeed(s.Seed+int64(i)),
+			live.WithRetrySeed(s.Seed + int64(i)),
 			live.WithFailpoint(fc.hook()),
-		)
+		}
+		if s.LastAgent {
+			opts = append(opts, live.WithLastAgent())
+		}
+		p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
+			[]core.Resource{core.NewStaticResource(name + "-res")}, opts...)
 		p.Start()
 		parts[name] = p
 		if name != "C" {
@@ -142,30 +149,33 @@ func RunLive(s Schedule) (*RunResult, error) {
 		}
 	}
 
-	// The failure window is over: stop losing messages, heal every
-	// partition, and bring crashed nodes back in the schedule's order.
+	// The failure window is over: stop losing messages and heal every
+	// partition.
 	lossOn.Store(false)
 	if s.PartitionSub >= 0 {
 		net.Heal("C", SubName(s.PartitionSub))
-	}
-	for _, name := range s.restartOrder() {
-		old := parts[name]
-		if !old.Crashed() {
-			continue
-		}
-		np := old.Restarted(net.Endpoint(name))
-		np.Start()
-		parts[name] = np
 	}
 
 	// Drive recovery for every subordinate in doubt. Commit returns
 	// the instant the coordinator crashes, so a subordinate may still
 	// be processing an in-flight Prepare — settle first, and scan
 	// twice so a straggler that prepared into doubt during the first
-	// pass is still recovered.
+	// pass is still recovered. Each pass first brings crashed nodes
+	// back in the schedule's order: a node's crash point may fall after
+	// the first pass's restarts (a last agent the restarted coordinator
+	// asks again, say), and a restarted node has no failpoint left.
 	rctx, rcancel := context.WithTimeout(context.Background(), liveRecovery)
 	defer rcancel()
 	for pass := 0; pass < 2; pass++ {
+		for _, name := range s.restartOrder() {
+			old := parts[name]
+			if !old.Crashed() {
+				continue
+			}
+			np := old.Restarted(net.Endpoint(name))
+			np.Start()
+			parts[name] = np
+		}
 		time.Sleep(20 * time.Millisecond)
 		for _, name := range subs {
 			p := parts[name]

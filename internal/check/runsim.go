@@ -43,6 +43,13 @@ func spared(t protocol.MsgType) bool {
 	return false
 }
 
+// lostAgentAnswer reports whether a LoseAgentAnswer schedule drops m:
+// an outcome the last agent sends its coordinator.
+func (s Schedule) lostAgentAnswer(from, to string, m protocol.Message) bool {
+	return s.LoseAgentAnswer && from == s.agent() && to == "C" &&
+		(m.Type == protocol.MsgCommit || m.Type == protocol.MsgAbort)
+}
+
 // simStep is the virtual-time granularity of simulator crash points:
 // with the default 1ms network delay and 0.5ms force delay, offsets of
 // 1..12 steps land crashes everywhere from before the first Prepare to
@@ -52,19 +59,25 @@ const simStep = 800 * time.Microsecond
 // RunSim executes a schedule on the deterministic simulator
 // (internal/core): same seed, same interleaving, bit for bit.
 func RunSim(s Schedule) (*RunResult, error) {
-	eng := core.NewEngine(core.Config{Variant: s.Variant})
+	eng := core.NewEngine(core.Config{Variant: s.Variant, Options: core.Options{LastAgent: s.LastAgent}})
 	for _, name := range s.Nodes() {
 		n := eng.AddNode(core.NodeID(name))
 		n.AttachResource(core.NewStaticResource(name + "-res"))
 	}
 
-	if s.LossPermil > 0 {
+	if s.LossPermil > 0 || s.LoseAgentAnswer {
 		// Bounded loss; recovery traffic is spared so the inquiry retry
 		// cap cannot be exhausted by the schedule itself.
 		rng := rand.New(rand.NewSource(s.Seed ^ 0x6c6f7373))
-		dropped := 0
+		dropped, answerLost := 0, false
 		eng.SetMessageFilter(func(from, to core.NodeID, m protocol.Message) (protocol.Message, bool) {
-			if spared(m.Type) {
+			if !answerLost && s.lostAgentAnswer(string(from), string(to), m) {
+				// The simulator has no end to the failure window, so only
+				// the agent's first answer is lost.
+				answerLost = true
+				return m, false
+			}
+			if spared(m.Type) || s.LossPermil == 0 {
 				return m, true
 			}
 			if dropped >= s.LossWindow {

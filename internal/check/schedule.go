@@ -50,6 +50,15 @@ type Schedule struct {
 	// so recovery inquiry retries cannot be starved forever).
 	LossPermil int
 	LossWindow int
+
+	// LastAgent turns the §4 Last Agent optimization on: the
+	// coordinator delegates the decision to its last subordinate.
+	// LoseAgentAnswer drops that agent's outcome messages to the
+	// coordinator during the failure window, so the coordinator must
+	// resolve its doubt by asking again. FromSeed leaves both off;
+	// LastAgentSchedule sets them.
+	LastAgent       bool
+	LoseAgentAnswer bool
 }
 
 // FromSeed expands a seed into a schedule. The mapping is pure: the
@@ -108,6 +117,18 @@ func FromSeed(seed int64) Schedule {
 	return s
 }
 
+// LastAgentSchedule is FromSeed's schedule with the last agent on;
+// bit 4 of the seed also loses the agent's answer.
+func LastAgentSchedule(seed int64) Schedule {
+	s := FromSeed(seed)
+	s.LastAgent = true
+	s.LoseAgentAnswer = (seed>>4)&1 == 1
+	return s
+}
+
+// agent names the subordinate a last-agent schedule delegates to.
+func (s Schedule) agent() string { return SubName(s.Subs - 1) }
+
 // SubName returns the i'th subordinate's node name.
 func SubName(i int) string { return fmt.Sprintf("S%d", i+1) }
 
@@ -123,6 +144,9 @@ func (s Schedule) Nodes() []string {
 // ReplayCommand returns the go test invocation that re-executes
 // exactly this schedule.
 func (s Schedule) ReplayCommand() string {
+	if s.LastAgent {
+		return fmt.Sprintf("go test ./internal/check -run TestLastAgentSweep -args -seed=%d", s.Seed)
+	}
 	return fmt.Sprintf("go test ./internal/check -run TestChaos -args -seed=%d", s.Seed)
 }
 
@@ -149,6 +173,12 @@ func (s Schedule) String() string {
 	}
 	if s.LossPermil > 0 {
 		out += fmt.Sprintf(" loss=%d‰(max %d)", s.LossPermil, s.LossWindow)
+	}
+	if s.LastAgent {
+		out += " last-agent=" + s.agent()
+		if s.LoseAgentAnswer {
+			out += "(answer lost)"
+		}
 	}
 	return out
 }

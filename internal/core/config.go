@@ -7,9 +7,8 @@ import (
 )
 
 // Variant selects the base commit protocol. It is protocol.Variant:
-// each variant's presumption, forces and acks are its row in the
-// variant table there, which this engine and the live runtime both
-// read.
+// what each variant writes, forces, acks and presumes is decided by
+// the rulebook there, which this engine and the live runtime both ask.
 type Variant = protocol.Variant
 
 // The protocols of §2-3 and their extensions; see protocol.Variant.

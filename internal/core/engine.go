@@ -312,7 +312,7 @@ func (e *Engine) InDoubtAt(id NodeID, tx TxID) bool {
 		return false
 	}
 	c, ok := n.txs[tx]
-	return ok && (c.state == stPrepared || c.state == stInDoubt)
+	return ok && (c.state == stPrepared || c.state == stInDoubt || c.state == stDelegated)
 }
 
 // LogRecords returns the durable log records of node.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/protocol"
 )
 
@@ -16,13 +18,8 @@ func (n *Node) armHeuristic(c *txCtx) {
 	}
 	c.heurTimerGen++
 	gen := c.heurTimerGen
-	at := n.localTime + n.heuristic.After
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
-		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c || c.heurTimerGen != gen {
+	n.afterTx(c, n.heuristic.After, func(at time.Duration) {
+		if c.heurTimerGen != gen {
 			return
 		}
 		switch c.state {
@@ -62,16 +59,13 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 	}
 	// Downstream partners are driven to the same unilateral outcome:
 	// this node owned their view of the transaction.
-	mt := protocol.MsgAbort
-	if commit {
-		mt = protocol.MsgCommit
-	}
+	out := protocol.OutcomeMessage(c.id.String(), commit)
 	for _, s := range c.orderedSubs() {
 		if c.haveCoord && s.id == c.coord {
 			continue
 		}
 		if s.voted && s.vote == VoteYes {
-			n.send(s.id, protocol.Message{Type: mt, Tx: c.id.String()})
+			n.send(s.id, out)
 		}
 	}
 	c.myHeuristic = &HeuristicReport{Node: n.id, Committed: commit}
@@ -104,7 +98,7 @@ func (n *Node) resolveHeuristic(c *txCtx, commit bool) {
 	// protocols always report damage to the immediate coordinator).
 	if c.haveCoord {
 		m := n.ackMessage(c)
-		if !n.eng.cfg.Variant.Row().PropagateHeuristics && rep.Damage {
+		if !n.eng.cfg.Variant.HeuristicsToRoot() && rep.Damage {
 			// Without propagation (all but PN), ensure the immediate
 			// coordinator sees it even so.
 			m.Heuristics = wireHeuristics([]HeuristicReport{rep})

@@ -141,6 +141,30 @@ func (n *Node) logTx(c *txCtx, kind string, p recPayload, force bool) {
 	n.logRec(c.id, kind, p, force)
 }
 
+// afterTx runs fn d from now for c, unless by then the node has
+// crashed or c is no longer its state for the transaction. fn gets the
+// firing time, to arrive at once it acts.
+func (n *Node) afterTx(c *txCtx, d time.Duration, fn func(at time.Duration)) {
+	at := n.localTime + d
+	n.eng.queue.pushTimer(at, n.id, func() {
+		if cur, ok := n.txs[c.id]; ok && cur == c && !n.crashed {
+			fn(at)
+		}
+	})
+}
+
+// logOutcome writes c's outcome record as a rule asks.
+func (n *Node) logOutcome(c *txCtx, commit bool, w protocol.Write, p recPayload) {
+	if w == protocol.NoWrite {
+		return
+	}
+	kind := recAborted
+	if commit {
+		kind = recCommitted
+	}
+	n.logTx(c, kind, p, w == protocol.Forced)
+}
+
 // logRec writes a TM record; forced writes stall (advance) the node's
 // virtual clock via the log observer.
 func (n *Node) logRec(tx TxID, kind string, p recPayload, force bool) {
@@ -204,7 +228,7 @@ func (n *Node) flushLinks() {
 	// session is deallocated).
 	for _, c := range n.snapshotTxs() {
 		if c.state == stCompleted && c.awaitingImplied {
-			n.finishCompleted(c)
+			n.writeEndAndForget(c)
 		}
 	}
 }

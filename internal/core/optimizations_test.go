@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/protocol"
 )
 
 // --- Read Only (§4, Figure 4) --------------------------------------------
@@ -227,6 +230,59 @@ func TestLastAgentWithOtherSubsPreparedFirst(t *testing.T) {
 			t.Errorf("%s outcome = %v,%v", node, o, ok)
 		}
 	}
+}
+
+// TestLastAgentRepeatAfterErasedAbort loses a presumed-abort agent's
+// Abort and crashes the agent, which never recorded the abort. Its
+// resource would now vote yes, so the coordinator's repeated delegation
+// must still be answered abort, and the other yes-voter must not commit.
+func TestLastAgentRepeatAfterErasedAbort(t *testing.T) {
+	eng := NewEngine(Config{Variant: VariantPA, Options: Options{LastAgent: true}})
+	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+	rs := NewStaticResource("rs")
+	eng.AddNode("S").AttachResource(rs)
+	eng.AddNode("A").AttachResource(&votesNoOnce{NewStaticResource("ra"), false})
+	tx := eng.Begin("C")
+	for _, to := range []NodeID{"S", "A"} {
+		if err := tx.Send("C", to, "w"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.SetLastAgent("C", "A")
+	lost := false
+	eng.SetMessageFilter(func(from, to NodeID, m protocol.Message) (protocol.Message, bool) {
+		if from == "A" && to == "C" && m.Type == protocol.MsgAbort && !lost {
+			lost = true
+			eng.CrashAt("A", time.Microsecond)
+			eng.Restart("A", time.Millisecond)
+			return m, false
+		}
+		return m, true
+	})
+	if res := tx.Commit("C"); res.Outcome != OutcomeAborted {
+		t.Fatalf("outcome = %v (%v), want aborted", res.Outcome, res.Err)
+	}
+	if !lost {
+		t.Fatal("the agent's abort was never sent")
+	}
+	if c, known := rs.Outcome(tx.ID()); !known || c {
+		t.Errorf("the other yes-voter completed committed=%v (known %v), want aborted", c, known)
+	}
+}
+
+// votesNoOnce votes no on its first Prepare and yes after, as a store
+// does whose rolled-back writes leave nothing to refuse.
+type votesNoOnce struct {
+	*StaticResource
+	asked bool
+}
+
+func (r *votesNoOnce) Prepare(tx TxID) (PrepareResult, error) {
+	if !r.asked {
+		r.asked = true
+		return PrepareResult{Vote: VoteNo}, nil
+	}
+	return r.StaticResource.Prepare(tx)
 }
 
 // --- Unsolicited Vote (§4) -------------------------------------------------

@@ -336,15 +336,12 @@ func (n *Node) paxosLeaderDecide(c *txCtx, commit bool) {
 	// Subordinate-led recovery: resolve the others too — the whole
 	// point of the acceptor quorum is that the outcome no longer
 	// depends on any one node.
-	mt := protocol.MsgAbort
-	if commit {
-		mt = protocol.MsgCommit
-	}
+	out := protocol.OutcomeMessage(c.id.String(), commit)
 	for _, p := range c.pax.Participants {
 		if NodeID(p) == n.id {
 			continue
 		}
-		n.send(NodeID(p), protocol.Message{Type: mt, Tx: c.id.String()})
+		n.send(NodeID(p), out)
 	}
 	n.receivedDecision(c, commit)
 }
@@ -409,13 +406,8 @@ func (n *Node) armPaxosTimer(c *txCtx, after time.Duration, note string) {
 	px := n.paxos(c)
 	px.timerGen++
 	gen := px.timerGen
-	at := n.localTime + after
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
-		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c || px.timerGen != gen || c.decided {
+	n.afterTx(c, after, func(at time.Duration) {
+		if px.timerGen != gen || c.decided {
 			return
 		}
 		n.eng.arriveAt(n, at)

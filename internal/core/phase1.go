@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/protocol"
 	"repro/internal/txerr"
@@ -47,7 +48,7 @@ func (n *Node) processImpliedAck(from NodeID) {
 	for _, c := range n.snapshotTxs() {
 		if c.state == stCompleted && c.awaitingImplied && c.impliedFrom == from {
 			n.trcApp("implied ack from " + string(from) + " (" + c.id.String() + ")")
-			n.finishCompleted(c)
+			n.writeEndAndForget(c)
 		}
 	}
 }
@@ -74,18 +75,11 @@ func (n *Node) initiateCommit(tx TxID, done func(Result)) {
 		n.runPaxosPhase1(c, members)
 		return
 	}
-	if variant.Row().PrePrepare != "" && (len(members) > 0 || len(n.resources) > 0) {
-		// PN: the coordinator must remember its subordinates before
-		// any of them can become in-doubt (§3 Presumed Nothing).
-		// PC: the collecting record is what makes the commit
-		// presumption safe — absence of information can only mean
-		// commit if every transaction that reached phase one is
-		// stably known.
+	if variant.PrePrepare() != "" && (len(members) > 0 || len(n.resources) > 0) {
 		p := recPayload{Subs: memberIDs(members)}
 		if agent := n.earlyLastAgent(c, members); agent != "" {
 			// Single-partner last-agent case: the pending record also
-			// covers the delegation, so recovery knows to inquire the
-			// agent rather than presume the transaction its own.
+			// covers the delegation (delegate forces no Prepared).
 			p.Agent = agent
 			c.pnPendingAgent = agent
 		}
@@ -182,16 +176,8 @@ func (n *Node) runPhase1(c *txCtx, members []*subInfo) {
 func (n *Node) armVoteTimer(c *txCtx) {
 	c.voteTimerGen++
 	gen := c.voteTimerGen
-	at := n.localTime + n.eng.cfg.VoteTimeout
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
-		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c || c.voteTimerGen != gen {
-			return
-		}
-		if c.state != stPreparing || c.votesPending == 0 {
+	n.afterTx(c, n.eng.cfg.VoteTimeout, func(at time.Duration) {
+		if c.voteTimerGen != gen || c.state != stPreparing || c.votesPending == 0 {
 			return
 		}
 		n.eng.arriveAt(n, at)
@@ -216,7 +202,7 @@ func (n *Node) armVoteTimer(c *txCtx) {
 // suggests preparing the close partners first and leaving the distant
 // one for the single round trip).
 func (n *Node) chooseLastAgent(c *txCtx, members []*subInfo) *subInfo {
-	if !n.eng.cfg.Options.LastAgent || len(members) == 0 {
+	if !n.eng.cfg.Options.LastAgent || !n.eng.cfg.Variant.Delegates() || len(members) == 0 {
 		return nil
 	}
 	if !c.isRoot && !c.lastAgentAsked {
@@ -253,25 +239,23 @@ func (n *Node) prepareLocal(c *txCtx) {
 		}
 		c.resources = append(c.resources, r)
 		c.resVotes = append(c.resVotes, res)
-		eff := res.Vote
-		if eff == VoteReadOnly && !opts.ReadOnly {
-			eff = VoteYes // read-only votes disabled: full participation
-		}
-		switch eff {
-		case VoteNo:
-			c.anyNo = true
-			c.allReadOnly = false
-		case VoteYes:
-			c.allReadOnly = false
-		}
-		if !res.Reliable {
-			c.allReliable = false
-		}
-		if !res.OKToLeaveOut {
-			c.allLeaveOut = false
-		}
+		c.foldVote(res.Vote, opts.ReadOnly, res.Reliable, res.OKToLeaveOut)
 	}
 	c.localPrepared = true
+}
+
+// foldVote folds one vote — a local resource's or a subordinate's —
+// into the transaction's aggregate. With read-only votes disabled a
+// read-only vote counts as yes: full participation.
+func (c *txCtx) foldVote(v Vote, readOnly, reliable, leaveOut bool) {
+	if v == VoteNo {
+		c.anyNo = true
+	}
+	if v == VoteNo || v == VoteYes || !readOnly {
+		c.allReadOnly = false
+	}
+	c.allReliable = c.allReliable && reliable
+	c.allLeaveOut = c.allLeaveOut && leaveOut
 }
 
 // handlePrepare begins phase one at a subordinate.
@@ -337,10 +321,8 @@ func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
 		n.paxosVoteUpstream(c)
 		return
 	}
-	if n.eng.cfg.Variant.Row().PrePrepare != "" && len(members) > 0 {
-		// A cascaded coordinator must remember its subordinates
-		// before they can be put in doubt (Figure 3; same for the
-		// PC collecting record).
+	if n.eng.cfg.Variant.PrePrepare() != "" && len(members) > 0 {
+		// A cascaded coordinator too (Figure 3).
 		n.logTx(c, recCommitPending, recPayload{Coord: c.coord, Subs: memberIDs(members)}, true)
 		c.pnPendingLogged = true
 	}
@@ -383,26 +365,9 @@ func (n *Node) handleVote(from NodeID, m protocol.Message) {
 	if c.state == stPreparing && s.prepareSent {
 		c.votesPending--
 	}
-	opts := n.eng.cfg.Options
-	eff := s.vote
-	if eff == VoteReadOnly && !opts.ReadOnly {
-		// Cannot happen in a homogeneous configuration (the sub would
-		// not have sent it), but downgrade defensively.
-		eff = VoteYes
-	}
-	switch eff {
-	case VoteNo:
-		c.anyNo = true
-		c.allReadOnly = false
-	case VoteYes:
-		c.allReadOnly = false
-	}
-	if !m.Reliable {
-		c.allReliable = false
-	}
-	if !m.OKToLeaveOut {
-		c.allLeaveOut = false
-	}
+	// A read-only vote with the option off cannot happen in a
+	// homogeneous configuration; it is downgraded defensively.
+	c.foldVote(s.vote, n.eng.cfg.Options.ReadOnly, m.Reliable, m.OKToLeaveOut)
 	if c.state == stPreparing {
 		n.checkVotes(c)
 	}
@@ -419,32 +384,30 @@ func voteFromWire(v protocol.VoteValue) Vote {
 	}
 }
 
-func voteToWire(v Vote) protocol.VoteValue {
-	switch v {
-	case VoteNo:
-		return protocol.VoteNo
-	case VoteReadOnly:
-		return protocol.VoteReadOnly
-	default:
-		return protocol.VoteYes
-	}
-}
-
 // handleDelegation makes this node the last agent: the sender has
 // prepared everything else and hands over the decision (§4 Last
 // Agent, Figure 6).
 func (n *Node) handleDelegation(from NodeID, m protocol.Message) {
 	tx := ParseTxID(m.Tx)
+	// A repeated delegation asks for the decision: an agent that took
+	// it answers from its state, or from the outcome it remembers.
+	if c, ok := n.txs[tx]; ok && c.decided {
+		n.send(from, protocol.OutcomeMessage(m.Tx, c.decisionCommit))
+		return
+	} else if o, done := n.done[tx]; !ok && done && o != OutcomeUnknown {
+		n.send(from, protocol.OutcomeMessage(m.Tx, o != OutcomeAborted))
+		return
+	}
 	c := n.ctx(tx)
 	if c.state != stActive {
 		return
 	}
 	c.haveCoord = true
 	c.coord = from
-	c.coordVotedReadOnly = m.Vote == protocol.VoteReadOnly
 	c.lastAgentAsked = true
-	if m.Vote == protocol.VoteNo {
-		// Degenerate: a delegation never carries No; treat as abort.
+	if m.Vote == protocol.VoteNo || m.Repeat && n.eng.cfg.Variant.AbortsRepeat() {
+		// A delegation never carries No; a repeat under presumed abort
+		// may be asking for an abort a restart erased here.
 		n.ownDecision(c, false)
 		return
 	}
@@ -489,37 +452,28 @@ func (n *Node) delegate(c *txCtx) {
 		n.ownDecision(c, true)
 		return
 	}
-	opts := n.eng.cfg.Options
-	cfg := n.eng.cfg
 	c.state = stDelegated
 	c.delegationPlanned = false
-	wire := protocol.Message{Type: protocol.MsgVote, Tx: c.id.String(), LastAgent: true, LongLocks: opts.LongLocks}
-	if c.allReadOnly && opts.ReadOnly {
-		// A read-only initiator may delegate without forcing a
-		// prepared record (§4 Last Agent).
-		c.votedReadOnly = true
-		wire.Vote = protocol.VoteReadOnly
-	} else {
-		// Under PN a pending record that already names the agent
-		// covers the delegation. Otherwise (a re-delegation below the
-		// root, or a multi-member PN delegation whose pending record
-		// did not name the agent) force a prepared record so recovery
-		// inquires instead of presuming.
-		if cfg.Variant != VariantPN || !c.pnPendingLogged || !c.pendingCoversAgent(la.id) {
-			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Agent: la.id, Subs: c.yesSubIDs(la.id)}, true)
-		}
-		wire.Vote = protocol.VoteYes
+	// A read-only initiator delegates with nothing to recover (§4).
+	c.votedReadOnly = c.allReadOnly && n.eng.cfg.Options.ReadOnly
+	// A pre-prepare record naming the agent already covers it.
+	if !c.votedReadOnly && c.pnPendingAgent != la.id {
+		n.logTx(c, recPrepared, recPayload{Coord: c.coord, Agent: la.id, Subs: c.yesSubIDs(la.id)}, true)
 	}
 	n.trcState(c.id, "delegated to "+string(la.id))
-	n.send(la.id, wire)
+	n.send(la.id, n.delegation(c, false))
 	n.armHeuristic(c) // a delegating coordinator is in doubt like any prepared node
 	n.armDelegationWatch(c, la.id)
 }
 
-// pendingCoversAgent reports whether the PN pending record already
-// names this agent (the single-partner fast path).
-func (c *txCtx) pendingCoversAgent(agent NodeID) bool {
-	return c.pnPendingAgent == agent
+// delegation is c's vote to its last agent, carrying the decision;
+// repeat marks one sent again because no answer came.
+func (n *Node) delegation(c *txCtx, repeat bool) protocol.Message {
+	m := protocol.Message{Type: protocol.MsgVote, Tx: c.id.String(), LastAgent: true, Repeat: repeat, LongLocks: n.eng.cfg.Options.LongLocks, Vote: protocol.VoteYes}
+	if c.votedReadOnly {
+		m.Vote = protocol.VoteReadOnly
+	}
+	return m
 }
 
 // yesSubIDs lists partners that voted yes (phase-two recipients),
@@ -570,26 +524,14 @@ func (n *Node) voteUpstream(c *txCtx) {
 		}
 		return
 	default:
-		if cfg.Variant.Row().PropagateHeuristics {
-			if !c.pnPendingLogged {
-				// A PN leaf must stably record its coordinator before
-				// voting, so heuristic damage can be reported to the
-				// root after a crash (§3).
-				n.logTx(c, recAgentPending, recPayload{Coord: c.coord}, true)
-				c.pnPendingLogged = true
-			}
-			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, true)
-		} else if cfg.Variant.Row().LoglessVote && len(c.yesSubIDs("")) == 0 {
-			// 1PC leaf: the yes vote goes out with NOTHING forced — its
-			// durability is delegated to the coordinator's forced
-			// decision record. A crash here loses the prepared state
-			// entirely, which is safe because absence of information
-			// means abort and a committed outcome is retransmitted
-			// (with the redo) by the coordinator. Only leaves elide the
-			// force: a cascaded intermediate's subtree votes are stable
-			// nowhere else, so it still writes Prepared below.
-		} else {
-			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, true)
+		yes := c.yesSubIDs("")
+		pr := cfg.Variant.SubPrepare(len(yes) == 0)
+		if pr.AgentPending && !c.pnPendingLogged {
+			n.logTx(c, recAgentPending, recPayload{Coord: c.coord}, true)
+			c.pnPendingLogged = true
+		}
+		if pr.Prepared {
+			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Subs: yes}, true)
 		}
 		c.state = stPrepared
 		msg.Vote = protocol.VoteYes
@@ -608,13 +550,8 @@ func (n *Node) voteUpstream(c *txCtx) {
 // prepares but before logging anything would leave never-crashed
 // subordinates blocked forever: nobody would ever contact them.
 func (n *Node) armOutcomeWatch(c *txCtx) {
-	at := n.localTime + 2*n.eng.cfg.AckTimeout
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
-		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c || c.state != stPrepared || c.decided {
+	n.afterTx(c, 2*n.eng.cfg.AckTimeout, func(at time.Duration) {
+		if c.state != stPrepared || c.decided {
 			return
 		}
 		n.eng.arriveAt(n, at)
@@ -631,26 +568,26 @@ func (n *Node) armOutcomeWatch(c *txCtx) {
 	})
 }
 
-// armDelegationWatch is the decision-owner analogue: a coordinator
-// that delegated to a last agent and hears nothing back eventually
-// inquires the agent, which owns the outcome.
+// armDelegationWatch is the decision-owner analogue of the outcome
+// watch: a delegating coordinator that hears nothing back asks its
+// agent again by repeating the delegation, the agent owning the
+// outcome. An agent that decided answers from its state; one the
+// delegation never reached decides now. Inquiring instead would leave
+// the latter answering InProgress for good.
 func (n *Node) armDelegationWatch(c *txCtx, agent NodeID) {
-	at := n.localTime + 2*n.eng.cfg.AckTimeout
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
-		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c || c.state != stDelegated || c.decided {
+	n.afterTx(c, 2*n.eng.cfg.AckTimeout, func(at time.Duration) {
+		if c.state != stDelegated || c.decided {
 			return
 		}
 		n.eng.arriveAt(n, at)
-		c.state = stInDoubt
-		c.lastAgentRecovery = true
-		c.coord = agent
-		c.haveCoord = true
-		n.trcState(c.id, "delegation answer overdue: inquiring agent")
-		n.scheduleInquiry(c, 0)
+		c.inquiryAttempts++
+		if c.inquiryAttempts > 8 {
+			n.trcApp("giving up on last agent " + string(agent) + " for " + c.id.String() + " (operator needed)")
+			return
+		}
+		n.trcState(c.id, "delegation answer overdue: asking agent again")
+		n.send(agent, n.delegation(c, true))
+		n.armDelegationWatch(c, agent)
 	})
 }
 

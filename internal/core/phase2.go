@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"strconv"
+	"time"
 
 	"repro/internal/protocol"
 	"repro/internal/trace"
@@ -20,29 +21,19 @@ func (n *Node) ownDecision(c *txCtx, commit bool) {
 	c.state = stDeciding
 	n.trcDecision(c, commit)
 
-	cfg := n.eng.cfg
-	// Paxos Commit never forces outcome records: the acceptor quorum is
-	// the durable decision, and recovery re-learns it from there.
-	force := cfg.Variant != VariantPaxos
-	if cfg.Variant.Row().LoglessVote && cfg.Hooks.OnePhaseLazyDecision {
+	yes := c.yesSubIDs("")
+	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{
+		ReadOnly: c.allReadOnly && n.eng.cfg.Options.ReadOnly,
+		Logged:   c.loggedAny,
+		Voted:    c.anyNo || len(yes) > 0,
+	})
+	if d.Redo && d.Write == protocol.Forced && n.eng.cfg.Hooks.OnePhaseLazyDecision {
 		// Injected bug for the chaos oracle: under 1PC the decision
 		// record is the only stable state in the whole tree, so writing
 		// it lazily voids every voter's delegated durability (AC3).
-		force = false
+		d.Write = protocol.Lazy
 	}
-	if commit {
-		if !(c.allReadOnly && cfg.Options.ReadOnly) {
-			n.logTx(c, recCommitted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, force)
-		}
-	} else {
-		// Under a presumption of abort (PA, and 1PC wholesale) nothing
-		// is logged: recovery answers inquiries from the absence of
-		// information. Every other variant writes the abort record.
-		if cfg.Variant.Row().NoInfo != protocol.OutcomeAbort &&
-			(c.loggedAny || len(c.yesSubIDs("")) > 0 || c.anyNo) {
-			n.logTx(c, recAborted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, force)
-		}
-	}
+	n.logOutcome(c, commit, d.Write, recPayload{Coord: c.coord, Subs: yes})
 	n.phase2(c)
 }
 
@@ -65,20 +56,8 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
-	// Whether the subordinate forces its outcome record is the
-	// variant's row. Presumed commit: a lost commit record makes
-	// recovery inquire, and the presumption answers commit. PA: a lost
-	// abort record merely repeats recovery work that ends in abort
-	// anyway. Paxos: the acceptor quorum holds the decision durably.
-	// 1PC: the coordinator's forced decision record is the durable
-	// truth; the voter's own records are an optimization, never a
-	// promise.
-	forced := n.eng.cfg.Variant.Row().SubForces(commit)
-	if commit {
-		n.logTx(c, recCommitted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, forced)
-	} else if c.loggedAny {
-		n.logTx(c, recAborted, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")}, forced)
-	}
+	a := n.eng.cfg.Variant.Apply(commit, c.loggedAny, true)
+	n.logOutcome(c, commit, a.Write, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")})
 	n.phase2(c)
 }
 
@@ -86,10 +65,7 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 // acknowledgment from sub for this outcome.
 func (n *Node) expectsAck(s *subInfo, commit bool) bool {
 	cfg := n.eng.cfg
-	if !cfg.Variant.Row().Acks(commit) {
-		// Presumed abort (PA, 1PC) leaves aborts unacknowledged,
-		// presumed commit commits, and Paxos Commit both: once an
-		// acceptor quorum has the decision, anyone can re-learn it.
+	if !cfg.Variant.Acks(commit) {
 		return false
 	}
 	if commit && cfg.Options.VoteReliable && s.reliable {
@@ -107,10 +83,7 @@ func (n *Node) phase2(c *txCtx) {
 	commit := c.decisionCommit
 	c.state = stCommitting
 	cfg := n.eng.cfg
-	mt := protocol.MsgAbort
-	if commit {
-		mt = protocol.MsgCommit
-	}
+	out := protocol.OutcomeMessage(c.id.String(), commit)
 	for _, s := range c.orderedSubs() {
 		if c.haveCoord && s.id == c.coord {
 			continue
@@ -127,7 +100,7 @@ func (n *Node) phase2(c *txCtx) {
 		if s.voted && s.vote == VoteNo {
 			continue // aborted itself when it voted no
 		}
-		n.send(s.id, protocol.Message{Type: mt, Tx: c.id.String()})
+		n.send(s.id, out)
 		if n.expectsAck(s, commit) {
 			s.ackExpected = true
 			// A long-locks subordinate acks on its own schedule (with
@@ -143,16 +116,15 @@ func (n *Node) phase2(c *txCtx) {
 		// Last agent: the decision travels upstream; no explicit ack
 		// will come back — the coordinator's next data is the implied
 		// acknowledgment (Figure 6).
-		n.send(c.coord, protocol.Message{Type: mt, Tx: c.id.String()})
+		n.send(c.coord, out)
 		c.awaitingImplied = true
 		c.impliedFrom = c.coord
 	}
 
 	// Early acknowledgment: a subordinate acks as soon as its own
-	// commit is logged, before its subtree has acknowledged (§4
-	// Commit Acknowledgment). Meaningless under a variant with no acks
-	// at all (Paxos).
-	if cfg.Options.EarlyAck && cfg.Variant.Row().AcksAny() && !c.isRoot && !c.lastAgentAsked && c.haveCoord && !c.votedReadOnly {
+	// outcome is logged, before its subtree has acknowledged (§4
+	// Commit Acknowledgment) — when the outcome is acknowledged at all.
+	if cfg.Options.EarlyAck && n.acksUpstream(c) && !c.isRoot && !c.lastAgentAsked && c.haveCoord && !c.votedReadOnly {
 		n.sendAckUpstream(c)
 	}
 	if c.awaitsRetriableAcks() {
@@ -177,25 +149,15 @@ func (c *txCtx) awaitsRetriableAcks() bool {
 // commit/abort and folds heuristic disagreements into the
 // transaction's status.
 func (n *Node) completeResources(c *txCtx, commit bool) {
-	if !c.localPrepared {
-		// Phase one never ran here — an abort overtook the voting
-		// phase. Drive the node's resources to the outcome directly.
-		for _, r := range n.resources {
-			var err error
-			if commit {
-				err = r.Commit(c.id)
-			} else {
-				err = r.Abort(c.id)
-			}
-			if err != nil {
-				n.noteResourceHeuristic(c, r, commit, err)
-			}
-		}
-		n.trcUnlock(c.id, "released")
-		return
+	// Where phase one never ran — an abort overtook the voting phase,
+	// or a restart resumes phase two — the node's resources are driven
+	// to the outcome directly.
+	rs := n.resources
+	if c.localPrepared {
+		rs = c.resources
 	}
-	for i, r := range c.resources {
-		if c.resVotes[i].Vote == VoteReadOnly && n.eng.cfg.Options.ReadOnly {
+	for i, r := range rs {
+		if c.localPrepared && c.resVotes[i].Vote == VoteReadOnly && n.eng.cfg.Options.ReadOnly {
 			continue // dropped out at its vote
 		}
 		var err error
@@ -242,16 +204,13 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 	tx := ParseTxID(m.Tx)
 	c, ok := n.txs[tx]
 	if !ok {
-		// Forgotten or never known: idempotent completion. Under 1PC
-		// "never known" includes the amnesiac logless voter — it forced
-		// nothing before crashing, so a restart leaves no trace of the
-		// transaction at all and the coordinator's retransmitted Commit
-		// IS its durability. Install the outcome (the redo replay the
-		// decision record carries) before acknowledging: an Ack releases
-		// the coordinator's record, so AC3 demands the outcome be logged
-		// first. Completed-and-recovered nodes are in n.done (rebuilt
-		// from the log on restart) and keep the plain re-ack.
-		if n.eng.cfg.Variant.Row().LoglessVote && commit {
+		// Forgotten or never known: idempotent completion. A logless
+		// voter that restarted knows nothing, and the coordinator's
+		// retransmitted Commit is its durability: it installs the
+		// outcome before acking, since the Ack releases the coordinator's
+		// record. Nodes in n.done (rebuilt from the log) just re-ack.
+		v := n.eng.cfg.Variant
+		if commit && !v.SubPrepare(true).Prepared {
 			if _, known := n.done[tx]; !known {
 				n.logRec(tx, recCommitted, recPayload{Coord: from}, false)
 				n.logRec(tx, recEnd, recPayload{}, false)
@@ -259,7 +218,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 			}
 		}
 		// Ack if the sender can be waiting for one.
-		if n.eng.cfg.Variant.Row().Acks(commit) {
+		if v.Acks(commit) {
 			n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 		}
 		return
@@ -292,7 +251,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 	case stCommitting, stCompleted:
 		// Duplicate outcome (coordinator recovery resend): re-ack.
 		if c.ackSent || c.state == stCompleted {
-			if n.eng.cfg.Variant.Row().Acks(commit) {
+			if n.eng.cfg.Variant.Acks(commit) {
 				n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: wireHeuristics(c.status.Heuristics)})
 			}
 		}
@@ -309,14 +268,8 @@ func (n *Node) coordinatorOutcome(c *txCtx, commit bool) {
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
-	cfg := n.eng.cfg
-	if c.votedReadOnly {
-		// Entirely read-only initiator: nothing to log or propagate.
-	} else if commit {
-		n.logTx(c, recCommitted, recPayload{Coord: c.coord, Subs: c.yesSubIDs(c.coord)}, true)
-	} else if cfg.Variant != VariantPA && c.loggedAny {
-		n.logTx(c, recAborted, recPayload{Coord: c.coord, Subs: c.yesSubIDs(c.coord)}, true)
-	}
+	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{ReadOnly: c.votedReadOnly, Logged: c.loggedAny})
+	n.logOutcome(c, commit, d.Write, recPayload{Coord: c.coord, Subs: c.yesSubIDs(c.coord)})
 	n.phase2(c)
 }
 
@@ -378,17 +331,13 @@ func (n *Node) checkAcks(c *txCtx) {
 		n.writeEndAndForget(c)
 		return
 	}
-	// Subordinate: acknowledge upstream per the ack policy.
+	// Subordinate: acknowledge upstream per the ack policy. Read-only
+	// voters are out of phase two entirely, an early ack has already
+	// gone out, and an outcome the variant does not acknowledge closes
+	// out at once.
 	opts := n.eng.cfg.Options
 	switch {
-	case !n.eng.cfg.Variant.Row().AcksAny():
-		// No acks under Paxos Commit; close out immediately.
-		n.writeEndAndForget(c)
-	case c.votedReadOnly:
-		// Read-only voters are out of phase two entirely.
-		n.writeEndAndForget(c)
-	case c.ackSent:
-		// Early ack already went out.
+	case c.votedReadOnly, c.ackSent, !n.acksUpstream(c):
 		n.writeEndAndForget(c)
 	case c.decisionCommit && opts.VoteReliable && c.votedReliable:
 		// Reliable subtree: no explicit ack; the implied ack (next
@@ -403,19 +352,21 @@ func (n *Node) checkAcks(c *txCtx) {
 		n.defer_(c.coord, n.ackMessage(c))
 		n.trcState(c.id, "ack deferred (long locks)")
 		n.writeEndAndForget(c)
-	case !n.eng.cfg.Variant.Row().Acks(c.decisionCommit):
-		// Presumed abort leaves aborts unacknowledged, presumed
-		// commit commits.
-		n.writeEndAndForget(c)
 	default:
 		n.sendAckUpstream(c)
 		n.writeEndAndForget(c)
 	}
 }
 
+// acksUpstream reports whether this subordinate acknowledges its
+// transaction's outcome.
+func (n *Node) acksUpstream(c *txCtx) bool {
+	return n.eng.cfg.Variant.Apply(c.decisionCommit, c.loggedAny, true).Ack
+}
+
 func (n *Node) ackMessage(c *txCtx) protocol.Message {
 	m := protocol.Message{Type: protocol.MsgAck, Tx: c.id.String()}
-	if n.eng.cfg.Variant.Row().PropagateHeuristics {
+	if n.eng.cfg.Variant.HeuristicsToRoot() {
 		// PN propagates heuristic reports all the way to the root.
 		m.Heuristics = wireHeuristics(c.status.Heuristics)
 	} else if len(c.status.Heuristics) > 0 {
@@ -516,28 +467,15 @@ func (n *Node) forget(c *txCtx, outcome Outcome, record bool) {
 	delete(n.txs, c.id)
 }
 
-// finishCompleted closes a transaction that was waiting in
-// stCompleted for an implied acknowledgment.
-func (n *Node) finishCompleted(c *txCtx) {
-	n.writeEndAndForget(c)
-}
-
 // armAckTimer schedules phase-two re-contact for unacked subs.
 func (n *Node) armAckTimer(c *txCtx) {
-	cfg := n.eng.cfg
 	c.ackTimerGen++
 	gen := c.ackTimerGen
-	at := n.localTime + cfg.AckTimeout
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
+	n.afterTx(c, n.eng.cfg.AckTimeout, func(at time.Duration) {
+		if c.ackTimerGen == gen && c.state == stCommitting && c.acksPending > 0 {
+			n.eng.arriveAt(n, at)
+			n.ackTimeout(c)
 		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c || c.ackTimerGen != gen || c.state != stCommitting || c.acksPending == 0 {
-			return
-		}
-		n.eng.arriveAt(n, at)
-		n.ackTimeout(c)
 	})
 }
 
@@ -546,10 +484,7 @@ func (n *Node) armAckTimer(c *txCtx) {
 // of attempts.
 func (n *Node) ackTimeout(c *txCtx) {
 	cfg := n.eng.cfg
-	mt := protocol.MsgAbort
-	if c.decisionCommit {
-		mt = protocol.MsgCommit
-	}
+	out := protocol.OutcomeMessage(c.id.String(), c.decisionCommit)
 	maxAttempts := cfg.MaxRecoveryAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 10
@@ -572,7 +507,7 @@ func (n *Node) ackTimeout(c *txCtx) {
 			continue
 		}
 		n.trcApp("re-contacting " + string(s.id) + " (attempt " + strconv.Itoa(s.attempts) + ")")
-		n.send(s.id, protocol.Message{Type: mt, Tx: c.id.String()})
+		n.send(s.id, out)
 	}
 	if cfg.Options.WaitForOutcome && failedOnce && c.acksPending > 0 {
 		// The single re-contact attempt has failed; give the

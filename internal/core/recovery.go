@@ -143,19 +143,7 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 
 	case sc.prepared != nil:
 		if sc.prepared.Agent != "" {
-			// We delegated to a last agent and crashed before
-			// learning the decision: the agent owns the outcome.
-			c := n.ctx(tx)
-			c.state = stInDoubt
-			c.loggedAny = true
-			c.coord = sc.prepared.Agent // inquire the decision owner
-			c.haveCoord = true
-			c.lastAgentRecovery = true
-			for _, s := range sc.prepared.Subs {
-				c.sub(s).voted = true
-				c.sub(s).vote = VoteYes
-			}
-			n.scheduleInquiry(c, 0)
+			n.resumeDelegation(tx, sc.prepared)
 			return
 		}
 		// In doubt: voted yes, outcome unknown. Reinstate and inquire
@@ -179,15 +167,8 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 		// PN coordinator (or leaf that crashed between its pending
 		// and prepared forces).
 		if sc.pending.Agent != "" {
-			// The pending record covers a delegation: the agent may
-			// have decided; inquire rather than presume.
-			c := n.ctx(tx)
-			c.state = stInDoubt
-			c.loggedAny = true
-			c.coord = sc.pending.Agent
-			c.haveCoord = true
-			c.lastAgentRecovery = true
-			n.scheduleInquiry(c, 0)
+			// The pending record covers a delegation.
+			n.resumeDelegation(tx, sc.pending)
 			return
 		}
 		if len(sc.pending.Subs) > 0 {
@@ -214,6 +195,29 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 		// never left, the coordinator will have aborted. Nothing to do.
 		n.done[tx] = OutcomeAborted
 	}
+}
+
+// resumeDelegation reinstates a coordinator that delegated to a last
+// agent and crashed before learning the decision: the agent owns the
+// outcome, so the coordinator is in doubt and asks it again by
+// repeating the delegation (armDelegationWatch).
+func (n *Node) resumeDelegation(tx TxID, p *recPayload) {
+	c := n.ctx(tx)
+	c.state = stDelegated
+	c.loggedAny = true
+	c.coord = p.Coord
+	c.haveCoord = c.coord != ""
+	c.isRoot = !c.haveCoord
+	for _, s := range p.Subs {
+		if s != p.Agent {
+			c.sub(s).voted = true
+			c.sub(s).vote = VoteYes
+		}
+	}
+	c.sub(p.Agent).isLastAgent = true
+	n.trcState(tx, "restart: delegated to "+string(p.Agent)+", asking again")
+	n.send(p.Agent, n.delegation(c, true))
+	n.armDelegationWatch(c, p.Agent)
 }
 
 // recoverPaxosTx reinstates an undecided Paxos Commit transaction from
@@ -279,15 +283,12 @@ func (n *Node) resumeOutcome(tx TxID, p *recPayload, commit bool) {
 	c.state = stCommitting
 	n.trcState(tx, "restart: resuming phase two")
 
-	mt := protocol.MsgAbort
-	if commit {
-		mt = protocol.MsgCommit
-	}
+	out := protocol.OutcomeMessage(tx.String(), commit)
 	for _, id := range p.Subs {
 		s := c.sub(id)
 		s.voted = true
 		s.vote = VoteYes
-		n.send(id, protocol.Message{Type: mt, Tx: tx.String()})
+		n.send(id, out)
 		if n.expectsAck(s, commit) {
 			s.ackExpected = true
 			c.acksPending++
@@ -295,23 +296,9 @@ func (n *Node) resumeOutcome(tx TxID, p *recPayload, commit bool) {
 	}
 	// Local resources are re-driven; completed ones treat this as a
 	// duplicate.
-	for _, r := range n.resources {
-		c.resources = append(c.resources, r)
-		c.resVotes = append(c.resVotes, PrepareResult{Vote: VoteYes})
-		var err error
-		if commit {
-			err = r.Commit(tx)
-		} else {
-			err = r.Abort(tx)
-		}
-		if err != nil {
-			n.noteResourceHeuristic(c, r, commit, err)
-		}
-	}
-	n.trcUnlock(tx, "released")
-	if !c.isRoot && !c.ackSent && n.eng.cfg.Variant.Row().AcksAny() {
-		// Our coordinator may still be waiting for our ack. It goes
-		// out whichever the outcome, unless the variant acks neither.
+	n.completeResources(c, commit)
+	if !c.isRoot && !c.ackSent && n.acksUpstream(c) {
+		// Our coordinator may still be waiting for our ack.
 		n.sendAckUpstream(c)
 	}
 	if c.acksPending > 0 {
@@ -329,16 +316,7 @@ func (n *Node) scheduleInquiry(c *txCtx, extraDelay int) {
 		n.trcApp("giving up inquiries for " + c.id.String() + " (operator needed)")
 		return
 	}
-	delay := cfg.InquireRetry * time.Duration(1+dur(extraDelay))
-	at := n.localTime + delay
-	n.eng.queue.pushTimer(at, n.id, func() {
-		if n.crashed {
-			return
-		}
-		cur, ok := n.txs[c.id]
-		if !ok || cur != c {
-			return
-		}
+	n.afterTx(c, cfg.InquireRetry*time.Duration(1+max(extraDelay, 0)), func(at time.Duration) {
 		switch c.state {
 		case stInDoubt, stPrepared, stHeurDone:
 			n.eng.arriveAt(n, at)
@@ -347,54 +325,29 @@ func (n *Node) scheduleInquiry(c *txCtx, extraDelay int) {
 	})
 }
 
-func dur(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// handleInquire answers a recovery inquiry using local state, the
-// recovered outcome table, or — failing those — the variant's
-// presumption.
+// handleInquire answers a recovery inquiry by the rulebook
+// (protocol.Answer) from local state or the recovered outcome table.
 func (n *Node) handleInquire(from NodeID, m protocol.Message) {
 	tx := ParseTxID(m.Tx)
-	reply := func(kind protocol.OutcomeKind) {
-		n.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: kind})
-	}
+	k := protocol.KnowsNothing
 	if c, ok := n.txs[tx]; ok {
-		if c.decided {
-			if c.decisionCommit {
-				reply(protocol.OutcomeCommit)
-			} else {
-				reply(protocol.OutcomeAbort)
-			}
-			return
-		}
-		reply(protocol.OutcomeInProgress)
-		return
-	}
-	if o, ok := n.done[tx]; ok {
-		switch o {
-		case OutcomeCommitted, OutcomeHeuristicMixed:
-			reply(protocol.OutcomeCommit)
-		case OutcomeAborted:
-			reply(protocol.OutcomeAbort)
+		switch {
+		case !c.decided:
+			k = protocol.KnowsUndecided
+		case c.decisionCommit:
+			k = protocol.KnowsCommit
 		default:
-			reply(protocol.OutcomeUnknown)
+			k = protocol.KnowsAbort
 		}
-		return
+	} else {
+		switch n.done[tx] {
+		case OutcomeCommitted, OutcomeHeuristicMixed:
+			k = protocol.KnowsCommit
+		case OutcomeAborted:
+			k = protocol.KnowsAbort
+		}
 	}
-	// No information at all: the presumption. Presumed abort (PA,
-	// 1PC) is what makes the logless 1PC voter safe: had the
-	// coordinator decided commit, its forced decision record would
-	// still be here. Presumed commit: the collecting record precedes
-	// every prepare, so total amnesia for a prepared inquirer can only
-	// mean the transaction passed phase one everywhere and the End was
-	// written. Baseline and Paxos presume nothing: the inquirer stays
-	// blocked (the baseline's classic weakness). PN presumes "still in
-	// progress"; the inquirer asks again on that exactly as on Unknown.
-	reply(n.eng.cfg.Variant.Row().NoInfo)
+	n.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: protocol.Answer(k, m.Presume, n.eng.cfg.Variant)})
 }
 
 // handleOutcomeReply resolves an in-doubt transaction with the answer
@@ -412,12 +365,6 @@ func (n *Node) handleOutcomeReply(from NodeID, m protocol.Message) {
 		case stHeurDone:
 			n.resolveHeuristic(c, commit)
 		case stInDoubt, stPrepared:
-			if c.lastAgentRecovery {
-				// We were the delegating coordinator: the agent's
-				// answer is the decision; resume as decision owner.
-				n.coordinatorOutcome(c, commit)
-				return
-			}
 			n.receivedDecision(c, commit)
 		case stPreparing:
 			// A Paxos coordinator still collecting acceptances can be

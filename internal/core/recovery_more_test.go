@@ -257,7 +257,7 @@ func TestNoInformationInquiryAnswersFromRow(t *testing.T) {
 		const tx = "C:99"
 		eng.Node("C").handleInquire("S1", protocol.Message{Type: protocol.MsgInquire, Tx: tx, Presume: v})
 		eng.Drain()
-		want := protocol.Message{Type: protocol.MsgOutcome, Tx: tx, Outcome: v.Row().NoInfo}.Label() + "(" + tx + ")"
+		want := protocol.Message{Type: protocol.MsgOutcome, Tx: tx, Outcome: protocol.Answer(protocol.KnowsNothing, v, v)}.Label() + "(" + tx + ")"
 		answered := false
 		for _, e := range eng.Trace().Events() {
 			if e.Kind == trace.KindSend && e.Node == "C" {

@@ -119,10 +119,6 @@ type txCtx struct {
 	pnPendingLogged bool
 	pnPendingAgent  NodeID
 
-	// Delegation bookkeeping.
-	coordVotedReadOnly bool
-	lastAgentRecovery  bool // recovering coordinator inquiring its agent
-
 	ackSent         bool
 	voteTimerGen    int
 	inquiryAttempts int

@@ -43,12 +43,12 @@ func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []s
 
 func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v core.Variant) (Outcome, error) {
 	tx := core.ParseTxID(txName)
-	row := v.Row()
-	st := p.registerCoord(txName, len(subs))
+	st := p.registerCoord(txName, len(subs), p.lastAgent)
 	defer func() {
-		// A background ack collector (commitPhaseTwo) outlives this
-		// call and unregisters when it is done.
-		if !st.ackCollector {
+		// A background ack collector (commitPhaseTwo) or last-agent
+		// resolver (delegate) outlives this call and unregisters when
+		// it is done.
+		if !st.detached {
 			p.unregisterCoord(txName)
 		}
 	}()
@@ -69,7 +69,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// record, so there is nothing to delegate.
 	agent := ""
 	others := subs
-	if p.lastAgent && len(subs) > 0 && !row.LoglessVote {
+	if p.lastAgent && len(subs) > 0 && v.Delegates() {
 		agent = subs[len(subs)-1]
 		others = subs[:len(subs)-1]
 	}
@@ -77,11 +77,15 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// PN forces a pending record, PC a collecting record, before any
 	// Prepare leaves: the stable membership list is what lets their
 	// presumptions hold through a coordinator crash.
-	if kind := row.PrePrepare; kind != "" {
+	kind := v.PrePrepare()
+	if kind != "" {
 		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: kind, Data: []byte(strings.Join(subs, ","))}); err != nil {
-			return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: force %s record: %w", strings.ToLower(kind), err)
+			return p.abortTx(tx, txName, subs, v, protocol.Round{}), fmt.Errorf("live: force %s record: %w", strings.ToLower(kind), err)
 		}
 	}
+	// An abort from here on counts as voted: once the Prepares leave,
+	// any subordinate may be prepared.
+	rd := protocol.Round{Logged: kind != "", Voted: true}
 
 	// Harvest unsolicited votes that arrived before Commit was called.
 	sh := p.shardFor(txName)
@@ -98,27 +102,26 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	votedN := 0
 	yes := make([]string, 0, len(others))
 	var redos [][]byte
-	if row.LoglessVote {
+	if !v.SubPrepare(true).Prepared {
 		redos = make([][]byte, 0, len(others))
 	}
-	for i, s := range others {
-		ev, ok := early[s]
-		if !ok {
-			continue
-		}
+	// tally counts others[i]'s vote and reports whether it is a no.
+	tally := func(i int, vote protocol.VoteValue, redo []byte) bool {
 		voted[i] = true
 		votedN++
-		switch ev {
-		case protocol.VoteNo:
-			return p.abortTx(tx, txName, subs, v), nil
-		case protocol.VoteYes:
-			// An unsolicited volunteer forced its own Prepared record
-			// before any Prepare announced the variant, so it carries
-			// no redo and needs none.
-			yes = append(yes, s)
+		if vote == protocol.VoteYes {
+			yes = append(yes, others[i])
 			if redos != nil {
-				redos = append(redos, nil)
+				redos = append(redos, redo)
 			}
+		}
+		return vote == protocol.VoteNo
+	}
+	// An unsolicited volunteer forced its own Prepared record before
+	// any Prepare announced the variant, so it carries no redo.
+	for i, s := range others {
+		if ev, ok := early[s]; ok && tally(i, ev, nil) {
+			return p.abortTx(tx, txName, subs, v, rd), nil
 		}
 	}
 
@@ -130,13 +133,13 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 			continue
 		}
 		if err := p.send(s, prep); err != nil {
-			return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: prepare %s: %w", s, err)
+			return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: prepare %s: %w", s, err)
 		}
 	}
 
 	localVote := p.prepareLocal(tx)
 	if localVote == protocol.VoteNo {
-		return p.abortTx(tx, txName, subs, v), nil
+		return p.abortTx(tx, txName, subs, v, rd), nil
 	}
 
 	// Collect the remaining votes, retransmitting Prepare to silent
@@ -151,20 +154,12 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 				if i < 0 || voted[i] || env.msg.Type != protocol.MsgVote {
 					continue
 				}
-				voted[i] = true
-				votedN++
-				switch env.msg.Vote {
-				case protocol.VoteNo:
-					return p.abortTx(tx, txName, subs, v), nil
-				case protocol.VoteYes:
-					yes = append(yes, env.from)
-					if redos != nil {
-						redos = append(redos, env.msg.Payload)
-					}
+				if tally(i, env.msg.Vote, env.msg.Payload) {
+					return p.abortTx(tx, txName, subs, v, rd), nil
 				}
 			case <-alarm.C():
 				if alarm.expired() {
-					return p.abortTx(tx, txName, subs, v), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
+					return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
 				}
 				for i, s := range others {
 					if !voted[i] {
@@ -175,13 +170,13 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 			case <-p.crashc:
 				return InDoubt, ErrCrashed
 			case <-ctx.Done():
-				return p.abortTx(tx, txName, subs, v), ctx.Err()
+				return p.abortTx(tx, txName, subs, v, rd), ctx.Err()
 			}
 		}
 	}
 
 	if agent != "" {
-		return p.delegate(ctx, st, tx, txName, agent, yes, v)
+		return p.delegate(ctx, st, tx, txName, agent, yes, localVote, v)
 	}
 	return p.decideCommit(ctx, st, tx, txName, yes, redos, localVote, v)
 }
@@ -190,35 +185,35 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 // and drives phase two. redos are the logless voters' redo payloads,
 // one per yes-voter (nil unless the variant votes logless).
 func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, redos [][]byte, localVote protocol.VoteValue, v core.Variant) (Outcome, error) {
-	// A fully read-only transaction commits with nothing to log and
-	// nothing to propagate (§4 Read-Only).
+	d := v.Decide(true, protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0})
 	var rec wal.Record
-	if !(localVote == protocol.VoteReadOnly && len(yes) == 0) {
-		rec = commitRecord(txName, p.name, yes, redos, v)
-		if v.Row().LoglessVote && p.hooks.OnePhaseLazyDecision {
-			// Injected bug (TestHooks): writing the tree's only durable
-			// record lazily silently voids every voter's delegated
-			// durability. The AC3 oracle must convict this.
-			_ = p.lazy(rec)
-		} else if err := p.force(rec); err != nil {
-			// The yes-voters sit prepared holding locks; tell them the
-			// abort now rather than leaving them to recovery.
-			return p.abortTx(tx, txName, yes, v), fmt.Errorf("live: force commit record: %w", err)
-		}
+	if d.Write != protocol.NoWrite {
+		rec = commitRecord(txName, p.name, yes, redos, d)
 	}
-	return p.commitPhaseTwo(ctx, st, tx, txName, yes, rec.Data, v)
+	if d.Write == protocol.Forced && d.Redo && p.hooks.OnePhaseLazyDecision {
+		// Injected bug (TestHooks): writing the tree's only durable
+		// record lazily silently voids every voter's delegated
+		// durability. The AC3 oracle must convict this.
+		d.Write = protocol.Lazy
+	}
+	if err := p.write(rec, d.Write); err != nil {
+		// The yes-voters sit prepared holding locks; tell them the
+		// abort now rather than leaving them to recovery.
+		return p.abortTx(tx, txName, yes, v, protocol.Round{Voted: true}), fmt.Errorf("live: force commit record: %w", err)
+	}
+	return p.commitPhaseTwo(ctx, st, tx, txName, yes, rec.Data, d)
 }
 
-// commitRecord is a coordinator's forced commit record. When the
-// variant acknowledges commits it names the yes-voters, whose acks a
-// replay without End waits on again. A logless vote's record also
+// commitRecord is a coordinator's commit record, as decision d has it.
+// When the outcome is acknowledged it names the yes-voters, whose acks
+// a replay without End waits on again. A logless vote's record also
 // embeds every voter's redo: it is the only stable state in the tree.
-func commitRecord(txName, node string, yes []string, redos [][]byte, v core.Variant) wal.Record {
+func commitRecord(txName, node string, yes []string, redos [][]byte, d protocol.Decision) wal.Record {
 	rec := wal.Record{Tx: txName, Node: node, Kind: "Committed"}
-	switch row := v.Row(); {
-	case row.LoglessVote:
+	switch {
+	case d.Redo:
 		rec.Data = protocol.OnePhaseMeta{Subs: yes, Redos: redos}.Encode()
-	case row.AckCommit && len(yes) > 0:
+	case d.Acked && len(yes) > 0:
 		rec.Data = ackersData(yes)
 	}
 	return rec
@@ -230,11 +225,10 @@ func commitRecord(txName, node string, yes []string, redos [][]byte, v core.Vari
 // outstanding; End is written only once they are all in. data is the
 // commit record's payload: a logless vote's record is its voters' only
 // redo, so the pin keeps it for outcomes resent to them.
-func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, data []byte, v core.Variant) (Outcome, error) {
-	row := v.Row()
-	acks := row.AckCommit && len(yes) > 0
+func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, data []byte, d protocol.Decision) (Outcome, error) {
+	acks := d.Acked && len(yes) > 0
 	p.recordDecision(txName, true, acks)
-	if acks && row.LoglessVote {
+	if acks && d.Redo {
 		p.setPinRedo(txName, data)
 	}
 	p.completeResources(tx, true)
@@ -250,14 +244,14 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.T
 		p.endCoord(txName, true)
 		return Committed, nil
 	}
-	if row.LoglessVote {
+	if d.Redo {
 		// The commit is durable and announced, so ack collection leaves
 		// the caller's critical path: a background collector takes the
 		// registration over and retransmits to stragglers. Voters that
 		// never ack resolve through recovery against the decision
 		// record. The message goes by value, so only this path pays
 		// for the goroutine.
-		st.ackCollector = true
+		st.detached = true
 		p.wg.Add(1)
 		go func(out protocol.Message) {
 			defer p.wg.Done()
@@ -278,58 +272,138 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.T
 	return Committed, err
 }
 
-// delegate sends the last agent its combined "prepare, you decide"
-// message and awaits the decision, then finishes phase two with the
-// other (already yes-voting) subordinates.
-func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, txName, agent string, yes []string, v core.Variant) (Outcome, error) {
-	dm := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: v, Delegate: true}
-	if err := p.send(agent, dm); err != nil {
-		// Nothing was delegated; the decision is still ours.
-		return p.abortTx(tx, txName, append(append([]string{}, yes...), agent), v), fmt.Errorf("live: delegate to %s: %w", agent, err)
-	}
+// delegation is what a delegating coordinator holds until its last
+// agent answers: the agent, the other yes-voters to tell the outcome,
+// the variant, and what it knows as the decision's owner.
+type delegation struct {
+	tx    core.TxID
+	agent string
+	yes   []string
+	v     core.Variant
+	rd    protocol.Round
+}
 
-	alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
-	defer alarm.stop()
+// delegate hands the decision to the last agent (§4): it forces the
+// delegation record, sends the combined "prepare, you decide" message,
+// and waits for the answer (awaitAgent).
+func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, txName, agent string, yes []string, localVote protocol.VoteValue, v core.Variant) (Outcome, error) {
+	dl := &delegation{tx: tx, agent: agent, yes: yes, v: v,
+		rd: protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0, Logged: v.PrePrepare() != "", Voted: true}}
+	// The live pre-prepare record names no agent, so it cannot stand
+	// for the delegation record.
+	if !dl.rd.ReadOnly {
+		rec := wal.Record{Tx: txName, Node: p.name, Kind: "Prepared", Data: delegationData(v, agent, yes)}
+		if err := p.force(rec); err != nil {
+			return p.abortTx(tx, txName, yes, v, dl.rd), fmt.Errorf("live: force delegation record: %w", err)
+		}
+		dl.rd.Logged = true
+	}
+	if err := p.send(agent, dl.message(txName, false)); err != nil {
+		if p.Crashed() {
+			// The delegation may be out: the restart asks the agent.
+			return InDoubt, ErrCrashed
+		}
+		// Nothing was delegated; the decision is still ours.
+		return p.abortTx(tx, txName, append(append([]string{}, yes...), agent), v, dl.rd), fmt.Errorf("live: delegate to %s: %w", agent, err)
+	}
+	return p.awaitAgent(ctx, st, txName, dl, false)
+}
+
+// message is the delegation: a Prepare that hands over the decision;
+// repeat marks one sent again because no answer came.
+func (dl *delegation) message(txName string, repeat bool) protocol.Message {
+	return protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: dl.v, Delegate: true, Repeat: repeat}
+}
+
+// awaitAgent waits for the last agent's decision, asking again by
+// repeating the delegation on the retry policy's backoff — an agent
+// that decided answers from its decided table, one the delegation
+// never reached decides now — and finishes phase two with it. A
+// delegating coordinator cannot presume: past the vote deadline, or
+// once ctx ends, it stays in doubt, answering inquiries InProgress,
+// while a background resolver that owns st's registration keeps
+// asking (resolveLater). The resolver is this loop with no deadline.
+func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string, dl *delegation, resolver bool) (Outcome, error) {
+	dm := dl.message(txName, true)
+	alarm := p.newRetryAlarm(p.voteTimeout, txName, "/agent")
+	defer func() { alarm.stop() }()
 	for {
+		var err error
 		select {
 		case env := <-st.decision:
-			if env.from != agent {
+			if commit, ok := decisionOf(env.msg); ok && env.from == dl.agent {
+				return p.finishDelegation(ctx, st, txName, dl, commit)
+			}
+			continue
+		case <-alarm.C():
+			if !alarm.expired() {
+				_ = p.sendExtra(dl.agent, dm)
+				p.countRetry()
 				continue
 			}
-			if env.msg.Type != protocol.MsgCommit {
-				// The agent decided abort; it has already logged it.
-				return p.abortTx(tx, txName, yes, v), nil
-			}
-			if err := p.force(commitRecord(txName, p.name, yes, nil, v)); err != nil {
-				// The global decision is commit regardless; record what
-				// we can and surface the log failure. No End will follow,
-				// so this node's part of the cost ledger closes here.
-				if p.met != nil {
-					p.met.CostNodeDone(txName, p.name)
-				}
-				return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
-			}
-			return p.commitPhaseTwo(ctx, st, tx, txName, yes, nil, v)
-		case <-alarm.C():
-			if alarm.expired() {
-				// The agent owns the decision and may have gone either
-				// way: we are genuinely in doubt until recovery reaches it.
-				if p.met != nil {
-					p.met.InDoubtEntry(p.name)
-				}
-				return InDoubt, fmt.Errorf("live: last agent %s silent for %s: %w", agent, txName, ErrInDoubt)
-			}
-			_ = p.sendExtra(agent, dm)
-			p.countRetry()
+			err = ErrTimeout
 		case <-p.crashc:
 			return InDoubt, ErrCrashed
+		case <-p.stopped:
+			return InDoubt, fmt.Errorf("live: stopped awaiting last agent %s for %s: %w", dl.agent, txName, ErrInDoubt)
 		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		if !resolver {
 			if p.met != nil {
 				p.met.InDoubtEntry(p.name)
 			}
-			return InDoubt, fmt.Errorf("live: awaiting last agent %s for %s: %w (%w)", agent, txName, ErrInDoubt, ctx.Err())
+			p.resolveLater(st, txName, dl)
+			return InDoubt, fmt.Errorf("live: awaiting last agent %s for %s: %w (%w)", dl.agent, txName, ErrInDoubt, err)
+		}
+		alarm.stop()
+		alarm = p.newRetryAlarm(p.ackTimeout, txName, "/agent")
+		_ = p.sendExtra(dl.agent, dm)
+	}
+}
+
+// resolveLater hands st's registration to a background resolver that
+// asks dl's agent until it answers. It runs when Commit stops waiting,
+// and at Start for a delegation record the replay found undecided.
+func (p *Participant) resolveLater(st *txState, txName string, dl *delegation) {
+	st.detached = true
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer p.unregisterCoord(txName)
+		_ = p.sendExtra(dl.agent, dl.message(txName, true))
+		_, _ = p.awaitAgent(context.Background(), st, txName, dl, true)
+	}()
+}
+
+// finishDelegation applies the last agent's decision as the decision
+// owner's: the record the rulebook asks for, the local resources, and
+// the outcome to the other yes-voters, whose acks it then collects.
+// Once the record is written it acknowledges the decision to the agent
+// if the variant acknowledges it, which lets the agent forget it.
+func (p *Participant) finishDelegation(ctx context.Context, st *txState, txName string, dl *delegation, commit bool) (Outcome, error) {
+	ack := func() {
+		if dl.v.Acks(commit) {
+			_ = p.sendExtra(dl.agent, protocol.Message{Type: protocol.MsgAck, Tx: txName})
 		}
 	}
+	if !commit {
+		out := p.abortTx(dl.tx, txName, dl.yes, dl.v, dl.rd)
+		ack()
+		return out, nil
+	}
+	d := dl.v.Decide(true, dl.rd)
+	if err := p.write(commitRecord(txName, p.name, dl.yes, nil, d), d.Write); err != nil {
+		// The global decision is commit regardless; record what we can
+		// and surface the log failure. No End will follow, so this
+		// node's part of the cost ledger closes here.
+		if p.met != nil {
+			p.met.CostNodeDone(txName, p.name)
+		}
+		return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
+	}
+	ack()
+	return p.commitPhaseTwo(ctx, st, dl.tx, txName, dl.yes, nil, d)
 }
 
 // collectAcks waits for phase-two acknowledgments from targets,
@@ -403,15 +477,20 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 }
 
 // abortTx takes an abort decision on the coordinator's own initiative:
-// log it per the variant's rules (PA aborts are presumed and need no
-// force), release local resources, and tell every subordinate
+// log it as the rulebook asks for round rd (nothing under a presumed
+// abort), release local resources, and tell every subordinate
 // best-effort. Prepared subordinates that miss the message resolve
-// through inquiry and presumption. Under a variant whose presumption
-// is not abort, the decided-table entry stays pinned — and End
+// through inquiry and presumption. When aborts are acknowledged the
+// record names subs, and the decided-table entry stays pinned — End
 // unwritten — until every subordinate told has acknowledged.
-func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core.Variant) Outcome {
-	p.logAbort(txName, v, subs)
-	acks := v.Row().AckAbort && len(subs) > 0
+func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core.Variant, rd protocol.Round) Outcome {
+	d := v.Decide(false, rd)
+	acks := d.Acked && len(subs) > 0
+	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Aborted"}
+	if acks {
+		rec.Data = ackersData(subs)
+	}
+	_ = p.write(rec, d.Write)
 	p.recordDecision(txName, false, acks)
 	if acks {
 		p.awaitLateAcks(nil, txName, append([]string(nil), subs...), true)
@@ -428,24 +507,6 @@ func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core
 		p.endCoord(txName, true)
 	}
 	return Aborted
-}
-
-// logAbort writes the coordinator's abort record: non-forced under
-// Presumed Abort (absence already means abort), under Paxos Commit
-// (the acceptor quorum holds the durable outcome), and under 1PC
-// (fully abort-presumptive), forced otherwise — exactly the variants
-// whose aborts are acknowledged, so the forced record names subs, the
-// subordinates the acks are owed by.
-func (p *Participant) logAbort(txName string, v core.Variant, subs []string) {
-	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Aborted"}
-	if !v.Row().AckAbort {
-		_ = p.lazy(rec)
-		return
-	}
-	if len(subs) > 0 {
-		rec.Data = ackersData(subs)
-	}
-	_ = p.force(rec)
 }
 
 // damageError folds heuristic reports into an error if any report
@@ -474,16 +535,16 @@ func indexOf(peers []string, name string) int {
 // one transaction. The reply channel holds one vote or ack per
 // subordinate; a duplicate that finds it full is dropped, which the
 // retransmission schedule already tolerates. The delegation-answer
-// channel exists only on last-agent coordinators; everyone else drops
-// stray outcome messages exactly as a full channel would have.
-func (p *Participant) registerCoord(txName string, n int) *txState {
+// channel exists only when the coordinator may delegate; everyone else
+// drops stray outcome messages exactly as a full channel would have.
+func (p *Participant) registerCoord(txName string, n int, delegating bool) *txState {
 	sh := p.shardFor(txName)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.stateLocked(txName)
 	st.isCoord = true
 	st.replies = make(chan envelope, max(n, 1))
-	if p.lastAgent {
+	if delegating {
 		st.decision = make(chan envelope, 2)
 	}
 	return st

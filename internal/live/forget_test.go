@@ -93,7 +93,7 @@ func TestForgetAgesOutByVariant(t *testing.T) {
 			x := f.net.Endpoint("X")
 			appends := f.logs["S1"].Stats().Appends
 			got := probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgCommit, Tx: committed})
-			if want := btoi(v.Row().Acks(true)); len(got) != want {
+			if want := btoi(v.Acks(true)); len(got) != want {
 				t.Fatalf("duplicate commit inside the horizon answered %v, want %d ack(s)", got, want)
 			}
 			got = probe(t, f.net, x, "S1", protocol.Message{Type: protocol.MsgPrepare, Tx: aborted, Presume: v})

@@ -32,6 +32,7 @@ package live
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,10 +176,11 @@ type txState struct {
 	replies  chan envelope
 	decision chan envelope                 // last-agent delegation answer
 	early    map[string]protocol.VoteValue // votes that preceded Commit (unsolicited)
-	// ackCollector is set, by the committing goroutine only, when a
-	// background goroutine collects the commit acks (a logless vote's
-	// coordinator returns before them) and owns the registration.
-	ackCollector bool
+	// detached is set, by the committing goroutine only, when a
+	// background goroutine owns the registration: one collecting the
+	// commit acks (a logless vote's coordinator returns before them),
+	// or a delegating coordinator's resolver asking its silent agent.
+	detached bool
 
 	// Subordinate side, guarded by mu.
 	mu        sync.Mutex
@@ -380,6 +382,17 @@ func (p *Participant) force(rec wal.Record) error {
 	return err
 }
 
+// write writes rec as a rule asks: not at all, appended, or forced.
+func (p *Participant) write(rec wal.Record, w protocol.Write) error {
+	switch w {
+	case protocol.Forced:
+		return p.force(rec)
+	case protocol.Lazy:
+		return p.lazy(rec)
+	}
+	return nil
+}
+
 // lazy writes a non-forced record (crash-guarded; lazy writes are not
 // failpoint sites — the protocol never depends on their timing).
 func (p *Participant) lazy(rec wal.Record) error {
@@ -454,7 +467,7 @@ func (p *Participant) handle(pkt protocol.Packet) {
 	if p.pipe != nil {
 		prepares := 0
 		for i := range pkt.Messages {
-			if pkt.Messages[i].Type == protocol.MsgPrepare && !pkt.Messages[i].Presume.Row().LoglessVote {
+			if pkt.Messages[i].Type == protocol.MsgPrepare && pkt.Messages[i].Presume.SubPrepare(true).Prepared {
 				prepares++
 			}
 		}
@@ -523,13 +536,12 @@ func (p *Participant) recordDecision(tx string, committed, pinned bool) {
 
 // recordSubDecisionLocked is recordDecision for a transaction this
 // node subordinates: the entry also keeps the announced presumption,
-// which a duplicate outcome arriving after the entry retires is
-// answered under. Only a Paxos acceptor's entry is pinned — recovery
-// leaders query the acceptors, and an acceptor that forgot what it
-// accepted could let a leader choose a different outcome; nobody
-// inquires any other subordinate. Caller holds st.mu.
+// which a duplicate outcome after the entry retires is answered under.
+// Only a Paxos acceptor's entry is pinned: an acceptor that forgot what
+// it accepted could let a recovery leader choose a different outcome.
+// Caller holds st.mu.
 func (p *Participant) recordSubDecisionLocked(st *txState, committed bool) {
-	acceptor := st.presume == core.VariantPaxos && st.pax != nil && st.pax.IsAcceptor()
+	acceptor := st.pax != nil && st.pax.IsAcceptor()
 	p.publishDecision(st.id, subDecision(committed, st.presume), acceptor)
 }
 
@@ -589,26 +601,10 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 		// pending record. Nothing can have committed without a durable
 		// decision here, so abort — durably, so later inquiries get the
 		// same answer — rather than resurrecting the transaction as
-		// forever "in progress". Unless this node's presumption is
-		// abort, the abort stays pinned until the voter acknowledges it:
-		// the transaction's own variant is unknown here.
+		// forever "in progress". The transaction's own variant is
+		// unknown here, so this node's variant's rules apply.
 		sh.mu.Unlock()
-		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"}
-		presumedAbort := p.variant.Row().NoInfo == protocol.OutcomeAbort
-		owed := []string{from}
-		if presumedAbort {
-			_ = p.lazy(rec)
-		} else {
-			rec.Data = ackersData(owed)
-			if err := p.force(rec); err != nil {
-				return // crashed again; the next restart retries
-			}
-		}
-		p.recordDecision(m.Tx, false, !presumedAbort)
-		if !presumedAbort {
-			p.awaitLateAcks(nil, m.Tx, owed, false)
-		}
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAbort, Tx: m.Tx})
+		p.abortForgotten(m.Tx, p.variant, protocol.Round{Voted: true}, []string{from})
 		return
 	}
 	if st == nil {
@@ -630,10 +626,33 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 	}
 }
 
-// routeOutcome sends a Commit/Abort either to a delegating
-// coordinator awaiting its last agent's decision, or down the
-// subordinate outcome path.
-func (p *Participant) routeOutcome(from string, m protocol.Message, commit bool) {
+// abortForgotten decides abort for a transaction whose coordination a
+// crash cut short — a restart found its pre-prepare record undecided,
+// or a vote came for it — under v's rules for round rd, and tells owed,
+// the subordinates that may be prepared.
+func (p *Participant) abortForgotten(tx string, v core.Variant, rd protocol.Round, owed []string) {
+	d := v.Decide(false, rd)
+	acked := d.Acked && len(owed) > 0
+	rec := wal.Record{Tx: tx, Node: p.name, Kind: "Aborted"}
+	if acked {
+		rec.Data = ackersData(owed)
+	}
+	if err := p.write(rec, d.Write); err != nil {
+		return // crashed again; the next restart retries
+	}
+	p.recordDecision(tx, false, acked)
+	if acked {
+		p.awaitLateAcks(nil, tx, append([]string(nil), owed...), false)
+	}
+	for _, s := range owed {
+		_ = p.sendExtra(s, protocol.OutcomeMessage(tx, false))
+	}
+}
+
+// toCoordinator hands an outcome for a transaction this node
+// coordinates to its decision channel (a delegating coordinator's or
+// a Paxos leader's; others drop it) and reports whether it is one.
+func (p *Participant) toCoordinator(from string, m protocol.Message) bool {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
 	st, ok := sh.txs[m.Tx]
@@ -643,16 +662,19 @@ func (p *Participant) routeOutcome(from string, m protocol.Message, commit bool)
 		ch = st.decision
 	}
 	sh.mu.Unlock()
-	if isCoord {
-		// Non-delegating coordinators have no decision channel; a stray
-		// outcome for a transaction we coordinate is dropped, never run
-		// through the subordinate path.
-		if ch != nil {
-			select {
-			case ch <- envelope{from: from, msg: m}:
-			default:
-			}
+	if ch != nil {
+		select {
+		case ch <- envelope{from: from, msg: m}:
+		default:
 		}
+	}
+	return isCoord
+}
+
+// routeOutcome sends a Commit/Abort to the coordinator collecting it,
+// or down the subordinate outcome path.
+func (p *Participant) routeOutcome(from string, m protocol.Message, commit bool) {
+	if p.toCoordinator(from, m) {
 		return
 	}
 	p.spawn(from, m, func(from string, m protocol.Message) {
@@ -769,16 +791,37 @@ func (p *Participant) countRetry() {
 
 // presumeData encodes a variant for a Prepared record's payload, so
 // recovery restores the announced variant rather than guessing.
-func presumeData(v core.Variant) []byte { return []byte(v.Row().PresumeName) }
+func presumeData(v core.Variant) []byte { return []byte(v.PresumeName()) }
 
-// presumeFromData decodes a presumeData payload; ok is false for a
-// missing or unrecognized payload (e.g. a record written before
-// presumptions were persisted).
+// delegationData is a delegating coordinator's Prepared payload, so a
+// restart asks the last agent and tells the other yes-voters:
+// "dlg1 <presumption> <agent> <yes-voter>...".
+func delegationData(v core.Variant, agent string, yes []string) []byte {
+	return []byte(strings.Join(append([]string{"dlg1", v.PresumeName(), agent}, yes...), " "))
+}
+
+// decodeDelegation reads a delegationData payload; ok is false for
+// any other Prepared payload.
+func decodeDelegation(b []byte) (v core.Variant, agent string, yes []string, ok bool) {
+	f := strings.Fields(string(b))
+	if len(f) < 3 || f[0] != "dlg1" {
+		return 0, "", nil, false
+	}
+	v, ok = protocol.VariantByPresumeName(f[1])
+	return v, f[2], f[3:], ok
+}
+
+// presumeFromData decodes a Prepared record's payload to the variant
+// it announces; ok is false for a missing or unrecognized payload
+// (e.g. a record written before presumptions were persisted).
 func presumeFromData(b []byte) (core.Variant, bool) {
 	// A Paxos Prepared record carries the transaction's Paxos membership
 	// rather than a presumption name: recovery needs the acceptor set.
 	if len(b) > 5 && string(b[:5]) == "pax1 " {
 		return core.VariantPaxos, true
+	}
+	if v, _, _, ok := decodeDelegation(b); ok {
+		return v, true
 	}
 	return protocol.VariantByPresumeName(string(b))
 }

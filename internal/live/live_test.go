@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -150,7 +151,7 @@ func TestLiveInquiryRecovery(t *testing.T) {
 	}
 	// S1 asks again (e.g. after restarting in doubt): the answer is a
 	// re-delivered Commit, which must be idempotent.
-	if err := s1.Inquire("C", tx.String()); err != nil {
+	if err := inquire(s1, "C", tx.String()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -159,10 +160,32 @@ func TestLiveInquiryRecovery(t *testing.T) {
 	}
 
 	// Unknown transaction: presumption answers abort.
-	if err := s1.Inquire("C", core.TxID{Origin: "C", Seq: 99}.String()); err != nil {
+	if err := inquire(s1, "C", core.TxID{Origin: "C", Seq: 99}.String()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // abort of unknown tx is a no-op; just ensure no panic
+}
+
+// lookup returns the live table entry for tx without creating one.
+func (p *Participant) lookup(tx string) (*txState, bool) {
+	sh := p.shardFor(tx)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.txs[tx]
+	return st, ok
+}
+
+// inquire sends p's single recovery inquiry for txName to the
+// coordinator, carrying the presumption the Prepare announced; p's
+// receive loop applies the answer (RecoverInDoubt is the retrying form).
+func inquire(p *Participant, coordinator, txName string) error {
+	m := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
+	if st, ok := p.lookup(txName); ok {
+		st.mu.Lock()
+		m.Presume = st.presume
+		st.mu.Unlock()
+	}
+	return p.send(coordinator, m)
 }
 
 func TestLiveCommitOverTCP(t *testing.T) {

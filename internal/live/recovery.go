@@ -22,27 +22,30 @@ import (
 // checkpoint) remember it until RecoverInDoubt resolves it. A
 // PN Pending / PC Collecting record with no decision after it means
 // the coordinator crashed mid-collection: no subordinate can have
-// received a commit, so the recovered coordinator decides abort now —
-// forcing the record so the decision survives a second crash — and
-// tells the recorded membership best-effort (subordinates that miss it
-// resolve by inquiry, which the fresh decided entry now answers
-// correctly; the entry stays pinned until they have all acknowledged).
+// received a commit, so the recovered coordinator decides abort now
+// and tells the recorded membership (abortForgotten). A delegation
+// record with no decision after it means the last agent owns the
+// outcome: the coordinator comes back in doubt and asks it
+// (resolveLater).
 func (p *Participant) replayLog() {
 	recs, err := p.log.Records()
 	if err != nil || len(recs) == 0 {
 		return
 	}
 	type coordState struct {
-		subs          []string
-		init, decided bool
-		committed     bool
-		ended         bool     // an End record follows the decision
-		acceptor      bool     // this node logged Paxos acceptor state
-		owed          []string // the subordinates the decision record says owe acks
-		onePhase      []byte   // a 1PC decision record's opc1 payload
-		sub           bool     // this node prepared it as a subordinate
-		prepared      []byte   // the Prepared record's payload
-		presume       core.Variant
+		subs      []string
+		pre       string // the pre-prepare record's kind
+		decided   bool
+		committed bool
+		ended     bool     // an End record follows the decision
+		acceptor  bool     // this node logged Paxos acceptor state
+		owed      []string // the subordinates the decision record says owe acks
+		onePhase  []byte   // a 1PC decision record's opc1 payload
+		sub       bool     // this node prepared it as a subordinate
+		prepared  []byte   // the Prepared record's payload
+		presume   core.Variant
+		agent     string   // the last agent a delegation record names
+		yes       []string // the yes-voters it names
 	}
 	states := make(map[string]*coordState)
 	var order []string
@@ -58,11 +61,15 @@ func (p *Participant) replayLog() {
 		}
 		switch r.Kind {
 		case "Pending", "Collecting":
-			st.init = true
+			st.pre = r.Kind
 			if len(r.Data) > 0 {
 				st.subs = strings.Split(string(r.Data), ",")
 			}
 		case "Prepared":
+			if v, agent, yes, ok := decodeDelegation(r.Data); ok {
+				st.presume, st.agent, st.yes = v, agent, yes
+				continue
+			}
 			st.sub = true
 			st.prepared = r.Data
 			st.presume, _ = presumeFromData(r.Data)
@@ -112,18 +119,12 @@ func (p *Participant) replayLog() {
 					_ = p.sendExtra(s, outcomeMsg(tx, st.committed, st.onePhase, s))
 				}
 			}
-		case st.init:
-			if err := p.force(wal.Record{Tx: tx, Node: p.name, Kind: "Aborted", Data: ackersData(st.subs)}); err != nil {
-				continue // leave undecided; the next restart retries
-			}
-			p.recordDecision(tx, false, len(st.subs) > 0)
-			if len(st.subs) > 0 {
-				p.awaitLateAcks(nil, tx, append([]string(nil), st.subs...), false)
-			}
-			ab := protocol.Message{Type: protocol.MsgAbort, Tx: tx}
-			for _, s := range st.subs {
-				_ = p.sendExtra(s, ab)
-			}
+		case st.agent != "" && !st.ended:
+			p.resolveLater(p.registerCoord(tx, len(st.yes), true), tx, &delegation{tx: core.ParseTxID(tx),
+				agent: st.agent, yes: st.yes, v: st.presume, rd: protocol.Round{Logged: true, Voted: true}})
+		case st.pre != "":
+			v, _ := protocol.VariantByPrePrepare(st.pre)
+			p.abortForgotten(tx, v, protocol.Round{Logged: true}, st.subs)
 		case st.sub:
 			// Prepared, never decided: in doubt until RecoverInDoubt
 			// (or a retransmitted outcome) settles it.
@@ -173,22 +174,6 @@ func (p *Participant) restorePaxosAcceptors(recs []wal.Record, decided map[strin
 	}
 }
 
-// Inquire sends a single recovery inquiry for txName to the
-// coordinator. The answer (if any) is applied asynchronously by the
-// receive loop; RecoverInDoubt is the synchronous, retrying form. The
-// inquiry carries the presumption the transaction's Prepare announced,
-// which the coordinator answers by once it has forgotten the
-// transaction.
-func (p *Participant) Inquire(coordinator, txName string) error {
-	m := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
-	if st, ok := p.lookup(txName); ok {
-		st.mu.Lock()
-		m.Presume = st.presume
-		st.mu.Unlock()
-	}
-	return p.send(coordinator, m)
-}
-
 // RecoverInDoubt drives recovery for every transaction this
 // participant prepared but never resolved (InDoubtTxs): inquiries to
 // the coordinator, retransmitted on the retry policy's backoff, until
@@ -206,6 +191,9 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	}
 	var unresolved []string
 	for _, txName := range inDoubt {
+		if _, _, _, ok := decodeDelegation(announced[txName]); ok {
+			continue // a delegating coordinator asks its last agent itself
+		}
 		if p.met != nil {
 			p.met.InDoubtEntry(p.name)
 		}

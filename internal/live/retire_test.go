@@ -229,7 +229,7 @@ func TestDuplicatesAfterRetirement(t *testing.T) {
 					mt = protocol.MsgCommit
 				}
 				got = probe(t, f.net, x, "S1", protocol.Message{Type: mt, Tx: tc.tx})
-				wantAck := v.Row().Acks(tc.commit)
+				wantAck := v.Acks(tc.commit)
 				if len(got) != btoi(wantAck) || (wantAck && got[0].Type != protocol.MsgAck) {
 					t.Fatalf("duplicate %v for %s answered %v; want ack=%v", mt, tc.tx, got, wantAck)
 				}

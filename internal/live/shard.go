@@ -140,11 +140,8 @@ func (p *Participant) reannounce(sh *txShard) {
 // commit carries sub's redo from the decision record's payload, so a
 // voter that lost its logless prepare completes from it.
 func outcomeMsg(tx string, committed bool, redo []byte, sub string) protocol.Message {
-	if !committed {
-		return protocol.Message{Type: protocol.MsgAbort, Tx: tx}
-	}
-	m := protocol.Message{Type: protocol.MsgCommit, Tx: tx}
-	if redo != nil {
+	m := protocol.OutcomeMessage(tx, committed)
+	if committed && redo != nil {
 		if meta, err := protocol.DecodeOnePhaseMeta(redo); err == nil {
 			if i := indexOf(meta.Subs, sub); i >= 0 && i < len(meta.Redos) {
 				m.Payload = meta.Redos[i]
@@ -294,16 +291,6 @@ func (p *Participant) retireLocked(st *txState) {
 	sh.mu.Unlock()
 }
 
-// lookup returns the live table entry for tx without creating one.
-// Tests and iteration-averse probes use it.
-func (p *Participant) lookup(tx string) (*txState, bool) {
-	sh := p.shardFor(tx)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.txs[tx]
-	return st, ok
-}
-
 // forget drops a transaction's table entry (its final outcome stays
 // in the decided map for duplicate and inquiry handling).
 func (p *Participant) forget(tx string) {
@@ -353,13 +340,7 @@ func (p *Participant) forEachState(fn func(tx string, st *txState)) {
 // steady load it levels off at about one to two horizons' worth of
 // decisions plus the pinned ones.
 func (p *Participant) DecidedTableSize() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += len(sh.pinned) + len(sh.young) + len(sh.old)
-		sh.mu.Unlock()
-	}
-	return n
+	return p.sumShards(func(sh *txShard) int { return len(sh.pinned) + len(sh.young) + len(sh.old) })
 }
 
 // PinnedDecisions reports how many decided-table entries are pinned:
@@ -367,13 +348,7 @@ func (p *Participant) DecidedTableSize() int {
 // non-abort presumption would answer wrongly, and Paxos acceptor
 // state.
 func (p *Participant) PinnedDecisions() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += len(sh.pinned)
-		sh.mu.Unlock()
-	}
-	return n
+	return p.sumShards(func(sh *txShard) int { return len(sh.pinned) })
 }
 
 // StateTableSize reports the number of live table entries across all
@@ -382,10 +357,15 @@ func (p *Participant) PinnedDecisions() int {
 // from the table, so it returns to 0 once the node is idle; soak tests
 // use it to assert the table drains.
 func (p *Participant) StateTableSize() int {
+	return p.sumShards(func(sh *txShard) int { return len(sh.txs) })
+}
+
+// sumShards adds up count over every shard, each under its mutex.
+func (p *Participant) sumShards(count func(sh *txShard) int) int {
 	n := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		n += len(sh.txs)
+		n += count(sh)
 		sh.mu.Unlock()
 	}
 	return n

@@ -50,42 +50,15 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	}
 
 	st.presume = m.Presume
-	logless := m.Presume.Row().LoglessVote
-	tx := core.ParseTxID(m.Tx)
-	vote := p.prepareLocal(tx)
-	if vote == protocol.VoteYes && !logless {
-		// The announced presumption rides in the record's payload so a
-		// restart recovers this transaction under the coordinator's
-		// variant, not whatever this node happens to be configured with.
-		//
-		// A logless vote forces nothing — that is the whole point of
-		// the 1PC fast path. The vote carries the redo payload instead,
-		// and its durability is the coordinator's forced decision
-		// record; a crash here loses only in-memory state the abort
-		// presumption already covers.
-		if err := p.force(wal.Record{Tx: m.Tx, Node: p.name, Kind: "Prepared", Data: presumeData(m.Presume)}); err != nil {
-			vote = protocol.VoteNo
-		}
-	}
+	vote := p.prepareVoteLocked(st, false)
 	if p.met != nil {
-		p.met.CostSub(m.Tx, p.name, m.Presume.Row().Name, vote == protocol.VoteReadOnly)
+		p.met.CostSub(m.Tx, p.name, m.Presume.String(), vote == protocol.VoteReadOnly)
 	}
-	switch vote {
-	case protocol.VoteNo:
-		p.recordSubDecisionLocked(st, false)
-		p.completeResources(tx, false)
-		p.finishLocked(st, false)
-	case protocol.VoteYes:
-		st.prepared = true
-	default:
+	if vote == protocol.VoteReadOnly {
 		// Read-only (§4): this subordinate is out of the transaction —
 		// no log record, no phase two. Drop the table entry once the
 		// vote is away.
 		defer p.forget(m.Tx)
-	}
-	st.voteMsg = protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: vote}
-	if vote == protocol.VoteYes && logless {
-		st.voteMsg.Payload = p.redoPayload(tx)
 	}
 	_ = p.send(from, st.voteMsg)
 	if p.met != nil && vote != protocol.VoteYes {
@@ -105,57 +78,51 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, committed bool) {
 	switch {
 	case m.Delegate:
-		mt := protocol.MsgAbort
-		if committed {
-			mt = protocol.MsgCommit
-		}
-		_ = p.sendExtra(from, protocol.Message{Type: mt, Tx: m.Tx})
+		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, committed))
 	case !committed && m.Presume != core.VariantPaxos:
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
 	}
 }
 
 // handleDelegateLocked runs the last-agent path (§4): the combined
-// "prepare, then you decide" message. The agent prepares, decides
-// unilaterally, forces the decision, applies it, and answers with the
-// outcome — a single round trip, with the agent's End written
-// immediately (the reply doubles as its acknowledgment).
+// "prepare, then you decide" message. The agent prepares (unless
+// AbortsRepeat answers a repeat), decides, writes the decision as the
+// rulebook asks of a decision owner, applies it, and answers with the
+// outcome. An acknowledged decision is held, End unwritten, until the
+// coordinator acks it: until then the coordinator may ask again.
 func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.Message) {
 	st.presume = m.Presume
 	tx := core.ParseTxID(m.Tx)
-
-	vote := p.prepareLocal(tx)
-	if vote == protocol.VoteYes {
-		// The decision is commit: force it before answering. Failure to
-		// log downgrades the decision to abort — nothing has been
-		// promised yet.
-		if err := p.force(wal.Record{Tx: m.Tx, Node: p.name, Kind: "Committed"}); err != nil {
-			vote = protocol.VoteNo
-		}
+	vote := protocol.VoteNo
+	if !m.Repeat || !m.Presume.AbortsRepeat() {
+		vote = p.prepareLocal(tx)
 	}
-	if vote == protocol.VoteNo {
-		// A last agent's abort is lazy under PA only: unlike a plain
-		// subordinate's, it is forced under Paxos and 1PC too.
+	rd := protocol.Round{ReadOnly: vote == protocol.VoteReadOnly, Voted: true}
+	commit := vote != protocol.VoteNo
+	for {
+		d := m.Presume.Decide(commit, rd)
 		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"}
-		if m.Presume == core.VariantPA {
-			_ = p.lazy(rec)
-		} else {
-			_ = p.force(rec)
+		if commit {
+			rec.Kind = "Committed"
 		}
-		p.recordSubDecisionLocked(st, false)
-		p.completeResources(tx, false)
-		p.finishLocked(st, false)
-		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
-		_ = p.send(from, protocol.Message{Type: protocol.MsgAbort, Tx: m.Tx})
+		if d.Acked {
+			rec.Data = ackersData([]string{from})
+		}
+		if err := p.write(rec, d.Write); err != nil && commit {
+			commit = false // nothing is promised yet: a failed commit force aborts
+			continue
+		}
+		p.publishDecision(m.Tx, subDecision(commit, st.presume), d.Acked)
+		p.completeResources(tx, commit)
+		p.finishLocked(st, commit)
+		if d.Acked {
+			p.awaitLateAcks(nil, m.Tx, []string{from}, false)
+		} else {
+			_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
+		}
+		_ = p.send(from, protocol.OutcomeMessage(m.Tx, commit))
 		return
 	}
-	// Commit (a read-only prepare also answers commit, with nothing
-	// logged — there is nothing to redo).
-	p.recordSubDecisionLocked(st, true)
-	p.completeResources(tx, true)
-	p.finishLocked(st, true)
-	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
-	_ = p.send(from, protocol.Message{Type: protocol.MsgCommit, Tx: m.Tx})
 }
 
 // applyOutcome runs a subordinate's phase two when the decision
@@ -174,6 +141,10 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 		sh.mu.Unlock()
 		if v, sub := d.subVariant(); sub {
 			p.reack(from, m.Tx, v, d.committed(), commit)
+		} else if d.committed() == commit {
+			// A coordinator's entry: the sender is the last agent it
+			// delegated to, holding its decision until this ack.
+			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 		}
 		return
 	}
@@ -207,7 +178,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	if !st.prepared {
 		st.presume = p.variant
 	}
-	row := st.presume.Row()
+	a := st.presume.Apply(commit, st.prepared, st.prepared)
 
 	tx := core.ParseTxID(m.Tx)
 	if commit && len(m.Payload) > 0 && !st.prepared {
@@ -216,35 +187,21 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 		// coordinator's decision record carried our write-set here.
 		p.applyRedo(tx, m.Payload)
 	}
-	// Whether the record is forced is the variant's row. PC commits and
-	// PA aborts are presumed. Paxos outcomes are never forced anywhere —
-	// the acceptor quorum is the durable truth. A 1PC voter's outcome
-	// records are all lazy: the coordinator's forced decision record is
-	// the durable truth for the whole tree.
 	rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Committed"}
 	if !commit {
 		rec.Kind = "Aborted"
 	}
-	if row.SubForces(commit) {
-		if err := p.force(rec); err != nil {
-			return // stay prepared; a retransmission retries
-		}
-	} else {
-		_ = p.lazy(rec)
+	if err := p.write(rec, a.Write); err != nil && a.Write == protocol.Forced {
+		return // stay prepared; a retransmission retries
 	}
 	p.recordSubDecisionLocked(st, commit)
 	heur := p.completeResources(tx, commit)
 	p.finishLocked(st, commit)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
-	if row.Acks(commit) {
-		_ = p.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: heur})
-	} else if !commit && !st.prepared {
-		// An abort reaching a subordinate that never prepared (a
-		// read-only voter, or one the Prepare never reached) is
-		// acknowledged whatever the variant: the coordinator of a
-		// non-abort presumption holds the abort until everyone it told
-		// has answered.
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
+	if a.Ack {
+		// An outcome reaching a subordinate that never prepared is
+		// recovery traffic, not one of the paper's flows.
+		_ = p.sendFlow(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: heur}, !st.prepared)
 	}
 	if p.met != nil {
 		out := "committed"
@@ -266,76 +223,44 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 // missed our ack, so send it again if the variant acknowledges this
 // outcome at all.
 func (p *Participant) reack(from, tx string, v core.Variant, committed, commit bool) {
-	if committed == commit && v.Row().Acks(commit) {
+	if committed == commit && v.Acks(commit) {
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: tx})
 	}
 }
 
-// handleInquire answers a recovery inquiry: from the decided table
-// when the outcome is known, with InProgress when the transaction is
-// still live here (a coordinator mid-collection, or this node itself
-// prepared and in doubt — its fate may yet go either way, so a
-// presumption answer would race the real decision), and only for
-// transactions with no state at all by presumption: the one the
-// inquirer's Prepare announced, which the inquiry carries, or this
-// node's configured variant's when it carries none. The decided table
-// forgets an entry only once that presumption answers it correctly
-// (or nobody can still ask); durable state survives restarts via the
-// Start-time log replay that rebuilds the decided table.
+// handleInquire answers a recovery inquiry by the rulebook
+// (protocol.Answer) from what this node holds: the decided table, or a
+// live entry (a coordinator mid-collection or awaiting its last agent,
+// or this node itself in doubt). The decided table forgets an entry
+// only once the presumption answers it correctly (or nobody can still
+// ask), and the Start-time log replay rebuilds it after a restart.
 func (p *Participant) handleInquire(from string, m protocol.Message) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
 	d, known := sh.decidedLocked(m.Tx)
 	_, active := sh.txs[m.Tx]
 	sh.mu.Unlock()
-	var out protocol.OutcomeKind
+	k := protocol.KnowsNothing
 	switch {
 	case known && d.committed():
-		out = protocol.OutcomeCommit
+		k = protocol.KnowsCommit
 	case known:
-		out = protocol.OutcomeAbort
+		k = protocol.KnowsAbort
 	case active:
-		out = protocol.OutcomeInProgress
-	default:
-		// The presumption answers. Under 1PC (abort) this is what
-		// makes the logless voter safe: had the coordinator decided
-		// commit, its forced decision record would still be here
-		// answering from the decided table. PN never forgets a pending
-		// transaction before its End, so no memory of it means commit
-		// processing hasn't decided yet: ask again later. The baseline
-		// presumes nothing; the inquirer stays blocked.
-		v := p.variant
-		if m.Presume != core.VariantBaseline {
-			v = m.Presume
-		}
-		out = v.Row().NoInfo
+		k = protocol.KnowsUndecided
 	}
-	_ = p.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: out})
+	_ = p.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: protocol.Answer(k, m.Presume, p.variant)})
 }
 
 // handleOutcomeReply consumes a recovery answer. Definite answers run
 // normal phase two; Unknown and InProgress leave the transaction in
 // doubt for the next inquiry round.
 func (p *Participant) handleOutcomeReply(from string, m protocol.Message) {
-	// An outcome answered to a collecting coordinator (a Paxos acceptor
-	// short-circuiting a decided transaction) resolves its fast-path
-	// select, never the subordinate path.
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	st, ok := sh.txs[m.Tx]
-	isCoord := ok && st.isCoord
-	var ch chan envelope
-	if isCoord {
-		ch = st.decision
-	}
-	sh.mu.Unlock()
-	if isCoord {
-		if ch != nil {
-			select {
-			case ch <- envelope{from: from, msg: m}:
-			default:
-			}
-		}
+	// An outcome answered to a coordinator (a Paxos acceptor
+	// short-circuiting a decided transaction, or a delegating
+	// coordinator's agent) resolves its wait, never the subordinate
+	// path.
+	if p.toCoordinator(from, m) {
 		return
 	}
 	switch m.Outcome {
@@ -365,13 +290,26 @@ func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
 		_ = p.sendExtra(coordinator, st.voteMsg)
 		return nil
 	}
-	tx := core.ParseTxID(txName)
+	// No Prepare has announced a variant yet; st.presume's zero value
+	// (VariantBaseline) is what phase two will run under, so it is also
+	// what recovery must restore.
+	p.prepareVoteLocked(st, true)
+	return p.send(coordinator, st.voteMsg)
+}
+
+// prepareVoteLocked prepares the local resources and sets st.voteMsg,
+// the vote to send. A yes writes the prepare record the rulebook asks
+// for under st.presume, its payload naming the presumption so a
+// restart recovers under the coordinator's variant, not this node's
+// (for PN it stands for AgentPending too); a logless yes carries its
+// redo instead. A failed force, like a no, aborts here. Caller holds
+// st.mu.
+func (p *Participant) prepareVoteLocked(st *txState, unsolicited bool) protocol.VoteValue {
+	tx := core.ParseTxID(st.id)
+	pr := st.presume.SubPrepare(true)
 	vote := p.prepareLocal(tx)
-	if vote == protocol.VoteYes {
-		// No Prepare has announced a variant yet; st.presume's zero
-		// value (VariantBaseline) is what phase two will run under,
-		// so it is also what recovery must restore.
-		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: "Prepared", Data: presumeData(st.presume)}); err != nil {
+	if vote == protocol.VoteYes && pr.Prepared {
+		if err := p.force(wal.Record{Tx: st.id, Node: p.name, Kind: "Prepared", Data: presumeData(st.presume)}); err != nil {
 			vote = protocol.VoteNo
 		}
 	}
@@ -383,8 +321,11 @@ func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
 	case protocol.VoteYes:
 		st.prepared = true
 	}
-	st.voteMsg = protocol.Message{Type: protocol.MsgVote, Tx: txName, Vote: vote, Unsolicited: true}
-	return p.send(coordinator, st.voteMsg)
+	st.voteMsg = protocol.Message{Type: protocol.MsgVote, Tx: st.id, Vote: vote, Unsolicited: unsolicited}
+	if vote == protocol.VoteYes && !pr.Prepared {
+		st.voteMsg.Payload = p.redoPayload(tx)
+	}
+	return vote
 }
 
 // prepareLocal prepares every local resource and folds their votes:

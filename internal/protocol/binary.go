@@ -28,7 +28,7 @@ import (
 //	per message:
 //	  byte    Type
 //	  byte    flag bits: LongLocks, Delegate, Reliable, OKToLeaveOut,
-//	          Unsolicited, LastAgent, RecoveryPending
+//	          Unsolicited, LastAgent, RecoveryPending, Repeat
 //	  byte    Presume
 //	  byte    Vote
 //	  byte    Outcome
@@ -82,6 +82,7 @@ const (
 	flagUnsolicited
 	flagLastAgent
 	flagRecoveryPending
+	flagRepeat
 )
 
 // Heuristic report flag bits.
@@ -178,6 +179,9 @@ func (c *BinaryCodec) AppendFrame(dst []byte, pkt Packet) ([]byte, error) {
 		}
 		if m.RecoveryPending {
 			flags |= flagRecoveryPending
+		}
+		if m.Repeat {
+			flags |= flagRepeat
 		}
 		dst = append(dst, byte(m.Type), flags, byte(m.Presume), byte(m.Vote), byte(m.Outcome))
 		dst = appendString(dst, m.Tx)
@@ -342,6 +346,7 @@ func (c *BinaryCodec) decodeMessage(r *binReader, m *Message) error {
 	m.Unsolicited = flags&flagUnsolicited != 0
 	m.LastAgent = flags&flagLastAgent != 0
 	m.RecoveryPending = flags&flagRecoveryPending != 0
+	m.Repeat = flags&flagRepeat != 0
 	if m.Tx, err = c.string(r); err != nil {
 		return err
 	}

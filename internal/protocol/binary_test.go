@@ -44,7 +44,7 @@ func fullPacket() Packet {
 		From: "C", To: "S1",
 		Messages: []Message{
 			{Type: MsgData, Tx: "C:1", Payload: []byte{1, 2, 3}, NewTx: "C:2"},
-			{Type: MsgPrepare, Tx: "C:1", LongLocks: true, Presume: VariantPC, Delegate: true},
+			{Type: MsgPrepare, Tx: "C:1", LongLocks: true, Presume: VariantPC, Delegate: true, Repeat: true},
 			{Type: MsgVote, Tx: "C:1", Vote: VoteReadOnly, Reliable: true, OKToLeaveOut: true, Unsolicited: true, LastAgent: true},
 			{Type: MsgCommit, Tx: "C:1"},
 			{Type: MsgAbort, Tx: "C:1"},

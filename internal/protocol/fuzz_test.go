@@ -73,6 +73,7 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 			Unsolicited:     flags&16 != 0,
 			LastAgent:       flags&32 != 0,
 			RecoveryPending: flags&64 != 0,
+			Repeat:          flags&128 != 0,
 			Outcome:         OutcomeKind(outcome) % (OutcomeInProgress + 1),
 			NewTx:           newTx,
 			Horizon:         time.Duration(hz) * time.Millisecond,

@@ -133,6 +133,7 @@ type Message struct {
 	LongLocks bool    // coordinator asks the subordinate to piggyback its ack (§4 Long Locks)
 	Presume   Variant // the coordinator's variant, announcing its recovery presumption per transaction
 	Delegate  bool    // last-agent delegation: "prepare, then you decide" (§4 Last Agent)
+	Repeat    bool    // a delegation (Prepare or vote) sent again: its coordinator heard no answer
 
 	// MsgVote fields.
 	Vote         VoteValue

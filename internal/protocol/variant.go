@@ -16,8 +16,8 @@ import (
 type Variant int
 
 // The variants. What each forces and acknowledges is its row in the
-// variant table (see VariantRow); the round structure of Paxos Commit
-// lives in its own driver.
+// variant table, which the classic-round rules (classic.go) read; the
+// round structure of Paxos Commit is its own module (paxoscommit.go).
 const (
 	// VariantBaseline is the classic 2PC of Figure 1: no presumption,
 	// acks for both outcomes, no pending record — after a total
@@ -65,71 +65,13 @@ const (
 	Variant1PC
 )
 
-// VariantRow is one variant's row of the variant table: the facts of
-// the paper's Tables 2-3 — per role, which records are forced and
-// which outcomes are acknowledged — as data both engines read.
-type VariantRow struct {
-	// Name is the paper's abbreviation: what /varz, the cost ledger
-	// and the conformance audit call the variant.
-	Name string
-	// PresumeName names the variant in a subordinate's Prepared record
-	// payload, so recovery restores the announced variant. Logs on
-	// disk carry it: these strings never change.
-	PresumeName string
-	// PrePrepare is the record kind the coordinator forces before its
-	// first Prepare, naming the subordinates ("" for none). PN's
-	// Pending record lets it always drive recovery; PC's Collecting
-	// record is what makes presuming commit safe.
-	PrePrepare string
-	// NoInfo answers an inquiry about a transaction the coordinator
-	// has no information about: the presumption itself.
-	NoInfo OutcomeKind
-	// AckCommit and AckAbort say whether subordinates acknowledge each
-	// outcome. On every row a subordinate forces its Aborted record
-	// exactly when aborts are acknowledged, so AckAbort is that column
-	// too.
-	AckCommit, AckAbort bool
-	// SubForcesCommitted says whether a subordinate forces its
-	// Committed record.
-	SubForcesCommitted bool
-	// PropagateHeuristics says whether heuristic reports travel on the
-	// acks all the way to the root rather than stopping at the
-	// immediate coordinator and the operator.
-	PropagateHeuristics bool
-	// LoglessVote moves a leaf subordinate's durability into the
-	// coordinator's decision record: the leaf forces no Prepared
-	// record, its yes vote carries its redo payload, the coordinator's
-	// forced Committed record embeds every voter's redo (OnePhaseMeta),
-	// and the coordinator returns after that force, collecting the
-	// commit acks in the background.
-	LoglessVote bool
-
-	aliases []string // further names ParseVariant accepts
-}
-
-var variantTable = [...]VariantRow{
-	VariantBaseline: {Name: "Basic2PC", PresumeName: "PresumeNothing", NoInfo: OutcomeUnknown,
-		AckCommit: true, AckAbort: true, SubForcesCommitted: true,
-		aliases: []string{"basic", "baseline", "2pc"}},
-	VariantPA: {Name: "PA", PresumeName: "PresumeAbort", NoInfo: OutcomeAbort,
-		AckCommit: true, SubForcesCommitted: true},
-	VariantPN: {Name: "PN", PresumeName: "PresumePending", PrePrepare: "Pending", NoInfo: OutcomeInProgress,
-		AckCommit: true, AckAbort: true, SubForcesCommitted: true, PropagateHeuristics: true},
-	VariantPC: {Name: "PC", PresumeName: "PresumeCommit", PrePrepare: "Collecting", NoInfo: OutcomeCommit,
-		AckAbort: true},
-	VariantPaxos: {Name: "PaxosCommit", PresumeName: "PresumePaxos", NoInfo: OutcomeUnknown,
-		aliases: []string{"paxos"}},
-	Variant1PC: {Name: "1PC", PresumeName: "Presume1PC", NoInfo: OutcomeAbort,
-		AckCommit: true, LoglessVote: true, aliases: []string{"onephase"}},
-}
-
-// Row returns the variant's row. A value outside the table (a corrupt
+// row returns the variant's row. A value outside the table (a corrupt
 // wire byte) gets the baseline's row, which presumes nothing.
-func (v Variant) Row() VariantRow {
+func (v Variant) row() *variantRow {
 	if v.valid() {
-		return variantTable[v]
+		return &variantTable[v]
 	}
-	return variantTable[VariantBaseline]
+	return &variantTable[VariantBaseline]
 }
 
 func (v Variant) valid() bool { return v >= 0 && int(v) < len(variantTable) }
@@ -137,39 +79,21 @@ func (v Variant) valid() bool { return v >= 0 && int(v) < len(variantTable) }
 // String returns the paper's abbreviation for the variant.
 func (v Variant) String() string {
 	if v.valid() {
-		return variantTable[v].Name
+		return variantTable[v].name
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
-// Acks reports whether subordinates acknowledge the given outcome.
-func (r VariantRow) Acks(commit bool) bool {
-	if commit {
-		return r.AckCommit
-	}
-	return r.AckAbort
-}
-
-// AcksAny reports whether subordinates acknowledge either outcome:
-// every variant but Paxos Commit, whose acceptor quorum makes receipts
-// unnecessary.
-func (r VariantRow) AcksAny() bool { return r.AckCommit || r.AckAbort }
-
-// SubForces reports whether a subordinate forces its record of the
-// given outcome.
-func (r VariantRow) SubForces(commit bool) bool {
-	if commit {
-		return r.SubForcesCommitted
-	}
-	return r.AckAbort
-}
+// PresumeName is the name a subordinate's Prepared record payload
+// carries for the variant (VariantByPresumeName reads it back).
+func (v Variant) PresumeName() string { return v.row().presumeName }
 
 // VariantByPresumeName maps a Prepared record's payload name
-// (VariantRow.PresumeName) back to its variant; ok is false for a name
+// (Variant.PresumeName) back to its variant; ok is false for a name
 // no row carries.
 func VariantByPresumeName(name string) (Variant, bool) {
 	for v, r := range variantTable {
-		if name == r.PresumeName {
+		if name == r.presumeName {
 			return Variant(v), true
 		}
 	}
@@ -181,7 +105,7 @@ func VariantByPresumeName(name string) (Variant, bool) {
 // "paxos", "onephase", ...).
 func ParseVariant(name string) (Variant, bool) {
 	for v, r := range variantTable {
-		if strings.EqualFold(name, r.Name) {
+		if strings.EqualFold(name, r.name) {
 			return Variant(v), true
 		}
 		for _, a := range r.aliases {

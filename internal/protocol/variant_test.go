@@ -41,8 +41,8 @@ func TestVariantWireBytesAndNames(t *testing.T) {
 		if err != nil || pkt.Messages[0].Presume != w.v {
 			t.Errorf("%v: decoded %+v, %v", w.v, pkt, err)
 		}
-		if got, ok := VariantByPresumeName(w.v.Row().PresumeName); !ok || got != w.v {
-			t.Errorf("%v: VariantByPresumeName(%q) = %v, %v", w.v, w.v.Row().PresumeName, got, ok)
+		if got, ok := VariantByPresumeName(w.v.PresumeName()); !ok || got != w.v {
+			t.Errorf("%v: VariantByPresumeName(%q) = %v, %v", w.v, w.v.PresumeName(), got, ok)
 		}
 		if got := w.v.String(); got != w.name {
 			t.Errorf("%d: String() = %q, want %q", w.wire, got, w.name)
@@ -68,64 +68,91 @@ func TestVariantWireBytesAndNames(t *testing.T) {
 	}
 	// A corrupt wire byte runs under the baseline's rules but keeps its
 	// own name in traces.
-	if bad := Variant(200); bad.Row().Name != "Basic2PC" || bad.String() != "Variant(200)" {
-		t.Errorf("out-of-range variant: Row %q, String %q", bad.Row().Name, bad.String())
+	if bad := Variant(200); bad.row().name != "Basic2PC" || bad.String() != "Variant(200)" {
+		t.Errorf("out-of-range variant: row %q, String %q", bad.row().name, bad.String())
 	}
 }
 
-// TestVariantTableMatchesClosedForms derives each role's forced writes
-// and flows from the table's columns and holds them to the analytic
-// package's hand-written closed forms, so the table the engines read
-// stays pinned to an independent statement of the paper's accounting.
+// TestVariantTableMatchesClosedForms runs each role's commit and
+// abort through the classic-round rulebook — the steps both engines
+// execute — and holds the flows, writes and forces those steps add up
+// to against the analytic package's hand-written closed forms, so the
+// rules stay pinned to an independent statement of the paper's
+// accounting. The closed forms are the runtime's (PN's subordinate
+// folds AgentPending into Prepared, analytic.PNLive), so the one
+// record only the simulator writes is not counted.
 //
-//	commit, coordinator: forced 1 (commit record) + pre-prepare;
-//	  writes 2 (+ pre-prepare); flows 2 per subordinate.
-//	commit, subordinate: forced (1 - logless) (Prepared) +
-//	  forces-Committed; writes 3 - logless; flows 1 (vote) +
-//	  ack-on-commit.
-//	abort ceilings: the same, with the coordinator's abort record
-//	  forced and the subordinate's Aborted forced and acknowledged
-//	  exactly when aborts are acknowledged.
+//	coordinator: the pre-prepare record, Prepares to every
+//	  subordinate, the decision record (Decide), the outcome to every
+//	  subordinate, and a lazy End;
+//	subordinate (a leaf): the prepare record (SubPrepare), the vote,
+//	  the outcome record and the ack (Apply), and a lazy End.
+//
+// Commits must match exactly, and so must aborts, less one write under
+// a presumed abort: the abort ceiling charges it the lazy record the
+// rules never write.
 //
 // Paxos Commit has its own round structure and closed forms; the
-// table states only what it forces and acknowledges.
+// rules state only what it forces and acknowledges.
 func TestVariantTableMatchesClosedForms(t *testing.T) {
+	count := func(tr *analytic.Triplet, w Write) {
+		if w != NoWrite {
+			tr.Writes++
+		}
+		if w == Forced {
+			tr.Forced++
+		}
+	}
 	btoi := func(b bool) int {
 		if b {
 			return 1
 		}
 		return 0
 	}
+	roles := func(v Variant, subs int, commit bool) analytic.RoleCost {
+		var rc analytic.RoleCost
+		c, s := &rc.Coordinator, &rc.Subordinate
+		if v.PrePrepare() != "" {
+			count(c, Forced)
+		}
+		c.Flows += subs // Prepares
+		count(c, v.Decide(commit, Round{Logged: v.PrePrepare() != "", Voted: true}).Write)
+		c.Flows += subs // outcomes
+		count(c, Lazy)  // End
+
+		if v.SubPrepare(true).Prepared {
+			count(s, Forced)
+		}
+		s.Flows++ // the yes vote
+		a := v.Apply(commit, true, true)
+		count(s, a.Write)
+		s.Flows += btoi(a.Ack)
+		count(s, Lazy) // End
+		return rc
+	}
 	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN, VariantPC, Variant1PC} {
-		r := v.Row()
-		pre := btoi(r.PrePrepare != "")
-		logless := btoi(r.LoglessVote)
 		for subs := 1; subs <= 4; subs++ {
 			commit, ok := analytic.CommitCostByRole(v.String(), subs)
 			if !ok {
 				t.Fatalf("%v: no commit closed form", v)
 			}
-			want := analytic.RoleCost{
-				Coordinator: analytic.Triplet{Flows: 2 * subs, Writes: 2 + pre, Forced: 1 + pre},
-				Subordinate: analytic.Triplet{Flows: 1 + btoi(r.AckCommit), Writes: 3 - logless, Forced: 1 - logless + btoi(r.SubForcesCommitted)},
+			if got := roles(v, subs, true); got != commit {
+				t.Errorf("%v subs=%d commit: the rules add up to %+v, closed form %+v", v, subs, got, commit)
 			}
-			if commit != want {
-				t.Errorf("%v subs=%d commit: table derives %+v, closed form %+v", v, subs, want, commit)
-			}
-			abort, ok := analytic.AbortCostBoundByRole(v.String(), subs)
+			ceil, ok := analytic.AbortCostBoundByRole(v.String(), subs)
 			if !ok {
 				t.Fatalf("%v: no abort closed form", v)
 			}
-			want = analytic.RoleCost{
-				Coordinator: analytic.Triplet{Flows: 2 * subs, Writes: 2 + pre, Forced: btoi(r.AckAbort) + pre},
-				Subordinate: analytic.Triplet{Flows: 1 + btoi(r.AckAbort), Writes: 3 - logless, Forced: 1 - logless + btoi(r.SubForces(false))},
-			}
-			if abort != want {
-				t.Errorf("%v subs=%d abort: table derives %+v, closed form %+v", v, subs, want, abort)
+			// The ceiling charges a presumed abort the lazy record the
+			// rules never write; every other row writes it.
+			want := ceil
+			want.Coordinator.Writes -= btoi(Answer(KnowsNothing, v, v) == OutcomeAbort)
+			if got := roles(v, subs, false); got != want {
+				t.Errorf("%v subs=%d abort: the rules add up to %+v, want %+v (ceiling %+v)", v, subs, got, want, ceil)
 			}
 		}
 	}
-	// The remaining columns, row by row: the presumption and where
+	// The remaining rules, variant by variant: the presumption and where
 	// heuristic reports stop.
 	for _, tc := range []struct {
 		v         Variant
@@ -139,12 +166,21 @@ func TestVariantTableMatchesClosedForms(t *testing.T) {
 		{VariantPaxos, OutcomeUnknown, false},
 		{Variant1PC, OutcomeAbort, false},
 	} {
-		if r := tc.v.Row(); r.NoInfo != tc.noInfo || r.PropagateHeuristics != tc.propagate {
-			t.Errorf("%v: NoInfo %v, PropagateHeuristics %v; want %v, %v", tc.v, r.NoInfo, r.PropagateHeuristics, tc.noInfo, tc.propagate)
+		if got := Answer(KnowsNothing, tc.v, tc.v); got != tc.noInfo || tc.v.HeuristicsToRoot() != tc.propagate {
+			t.Errorf("%v: presumption %v, heuristics to root %v; want %v, %v", tc.v, got, tc.v.HeuristicsToRoot(), tc.noInfo, tc.propagate)
 		}
 	}
-	// Paxos Commit acknowledges nothing, and its votes are forced.
-	if r := VariantPaxos.Row(); r.AcksAny() || r.SubForces(true) || r.SubForces(false) || r.PrePrepare != "" || r.LoglessVote {
-		t.Errorf("Paxos row %+v: acks or forces an outcome, or votes logless", r)
+	// Paxos Commit acknowledges nothing, forces no outcome record, and
+	// forces its votes.
+	for _, commit := range []bool{true, false} {
+		if a := VariantPaxos.Apply(commit, true, true); a.Ack || a.Write == Forced {
+			t.Errorf("Paxos applies commit=%v as %+v: acks or forces an outcome", commit, a)
+		}
+		if d := VariantPaxos.Decide(commit, Round{Logged: true, Voted: true}); d.Acked || d.Write == Forced {
+			t.Errorf("Paxos decides commit=%v as %+v: acks or forces an outcome", commit, d)
+		}
+	}
+	if VariantPaxos.PrePrepare() != "" || !VariantPaxos.SubPrepare(true).Prepared {
+		t.Error("Paxos forces a pre-prepare record, or votes logless")
 	}
 }

@@ -28,6 +28,11 @@ fi
 echo "== go test -race ./... =="
 go test -race ./...
 
+echo "== last-agent sweep (short tier) =="
+# The §4 Last Agent path under the chaos schedules on both engines,
+# judged by the safety oracle (the full tier runs in go test above).
+go test -count=1 -short -run '^TestLastAgentSweep$' ./internal/check
+
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
 # it imports internal packages (server, wal, live, router) directly.
