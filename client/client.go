@@ -154,8 +154,8 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 			return nil, err
 		}
 		defer hresp.Body.Close()
-		raw, _ := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
 		if hresp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(io.LimitReader(hresp.Body, api.MaxBody))
 			var e api.Error
 			if json.Unmarshal(raw, &e) == nil && e.Code != "" {
 				return nil, &APIError{Status: hresp.StatusCode, Code: e.Code, Message: e.Error}
@@ -164,7 +164,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 				Message: strings.TrimSpace(string(raw))}
 		}
 		var resp api.CommitResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
+		if err := api.DecodeBody(hresp.Body, &resp); err != nil {
 			return nil, fmt.Errorf("twopc: decode response: %w", err)
 		}
 		return &resp, nil

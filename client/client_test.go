@@ -3,8 +3,11 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,5 +158,43 @@ func TestNoRetryOn4xx(t *testing.T) {
 	}
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("server saw %d requests, want 1 (no retries on a request defect)", got)
+	}
+}
+
+// roundTripFunc is a RoundTripper double.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestCommitBodies: the request carries GetBody, so a transport can
+// re-send it on a fresh connection; a response over the 1 MiB body
+// limit is reported as such rather than truncated into broken JSON.
+func TestCommitBodies(t *testing.T) {
+	huge := `{"tx":"` + strings.Repeat("a", api.MaxBody) + `"}`
+	respond := `{"tx":"C:1","outcome":"committed"}`
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		sent, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.GetBody == nil {
+			t.Fatal("commit request has no GetBody")
+		}
+		again, err := r.GetBody()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resent, _ := io.ReadAll(again); len(sent) == 0 || string(resent) != string(sent) {
+			t.Fatalf("GetBody returned %q after sending %q", resent, sent)
+		}
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(respond))}, nil
+	})}
+	c := New("http://daemon.example", WithHTTPClient(hc))
+	resp, err := c.Commit(context.Background(), "C:1", []api.Op{Put("k", "v")})
+	if err != nil || resp.Outcome != "committed" {
+		t.Fatalf("commit: resp %+v err %v", resp, err)
+	}
+	respond = huge
+	if _, err := c.Commit(context.Background(), "C:1", []api.Op{Put("k", "v")}); !errors.Is(err, api.ErrBodyTooLarge) {
+		t.Fatalf("oversized response: err %v, want ErrBodyTooLarge", err)
 	}
 }

@@ -43,9 +43,9 @@ func main() {
 	}
 
 	// Each participant has a store and a log.
-	kvC := twopc.NewKVStore("orders", nil, nil, twopc.KVBlockingLocks(true))
-	kvW := twopc.NewKVStore("stock", nil, nil, twopc.KVBlockingLocks(true))
-	kvB := twopc.NewKVStore("invoices", nil, nil, twopc.KVBlockingLocks(true))
+	kvC := twopc.NewKVStore("orders", nil, nil, twopc.KVLockWait(5*time.Second))
+	kvW := twopc.NewKVStore("stock", nil, nil, twopc.KVLockWait(5*time.Second))
+	kvB := twopc.NewKVStore("invoices", nil, nil, twopc.KVLockWait(5*time.Second))
 
 	// One shared metrics registry watches all three participants; the
 	// functional options also pick the variant, timeouts, and retry

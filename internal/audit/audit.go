@@ -28,7 +28,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/analytic"
@@ -116,16 +115,11 @@ func Conformance(views []metrics.TxCostView) Report {
 	return rep
 }
 
-// auditTx audits every node entry of one transaction.
+// auditTx audits every node entry of one transaction, in the view's
+// name order.
 func auditTx(v metrics.TxCostView) Report {
 	var rep Report
-	nodes := make([]string, 0, len(v.Nodes))
-	for n := range v.Nodes {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, name := range nodes {
-		nc := v.Nodes[name]
+	for _, nc := range v.Nodes {
 		exp, exact, ok := expectation(v, nc)
 		if !ok {
 			rep.Skipped++
@@ -136,14 +130,14 @@ func auditTx(v metrics.TxCostView) Report {
 		switch {
 		case exact && nc.Done && v.Outcome != "":
 			if m != exp {
-				rep.Violations = append(rep.Violations, violation(v, name, nc, m, exp, true))
+				rep.Violations = append(rep.Violations, violation(v, nc, m, exp, true))
 			} else {
 				rep.Exact++
 			}
 		default:
 			// Open or abort-bounded entries: overruns only.
 			if exceeds(m, exp) {
-				rep.Violations = append(rep.Violations, violation(v, name, nc, m, exp, false))
+				rep.Violations = append(rep.Violations, violation(v, nc, m, exp, false))
 			}
 		}
 	}
@@ -224,14 +218,14 @@ func expectation(v metrics.TxCostView, nc metrics.NodeCostView) (exp analytic.Tr
 	}
 }
 
-func violation(v metrics.TxCostView, name string, nc metrics.NodeCostView, m, exp analytic.Triplet, exact bool) Violation {
+func violation(v metrics.TxCostView, nc metrics.NodeCostView, m, exp analytic.Triplet, exact bool) Violation {
 	detail := "runtime spent more than the analytic model allows"
 	if exact && !exceeds(m, exp) {
 		detail = "finished commit did not spend the full closed form (a flow or record is missing or misattributed)"
 	}
 	return Violation{
 		Tx:       v.Tx,
-		Node:     name,
+		Node:     nc.Name,
 		Role:     nc.Role,
 		Variant:  v.Variant,
 		Outcome:  v.Outcome,

@@ -12,6 +12,14 @@ import (
 // lazy; each sub 2 flows, 2 forced + 1 lazy.
 func feedCleanPA(tx string) *metrics.Registry {
 	r := metrics.New()
+	recordCleanPA(r, tx)
+	r.CostNodeDone(tx, "S2")
+	return r
+}
+
+// recordCleanPA records feedCleanPA's commit into r, all but S2's
+// CostNodeDone: the entry stays open until S2 is done.
+func recordCleanPA(r *metrics.Registry, tx string) {
 	r.CostBegin(tx, "C", "PA", 2)
 	for i := 0; i < 4; i++ {
 		r.FlowSent("C", tx, false, false, true)
@@ -27,10 +35,8 @@ func feedCleanPA(tx string) *metrics.Registry {
 		r.TxLogWrite(s, tx, false)
 	}
 	r.CostOutcome(tx, "committed", 2)
-	for _, n := range []string{"C", "S1", "S2"} {
-		r.CostNodeDone(tx, n)
-	}
-	return r
+	r.CostNodeDone(tx, "C")
+	r.CostNodeDone(tx, "S1")
 }
 
 func TestConformanceCleanCommit(t *testing.T) {

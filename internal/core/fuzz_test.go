@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseTxID checks that ParseTxID never panics and that whatever
 // id it returns is stable under its own String/Parse round trip. The
@@ -53,5 +56,24 @@ func TestParseTxIDClientNamesStayDistinct(t *testing.T) {
 	}
 	if got := ParseTxID("S1:42"); got != (TxID{Origin: "S1", Seq: 42}) {
 		t.Errorf("well-formed id parsed as %v", got)
+	}
+}
+
+var sinkTxString string
+
+// TestTxIDStringAllocs guards TxID.String on the staging path: the
+// rendered id is its one allocation. Seq is large, so formatting the
+// number on its own would show as a second allocation.
+func TestTxIDStringAllocs(t *testing.T) {
+	id := TxID{Origin: "A.1729000000000000000", Seq: 123456789}
+	if allocs := testing.AllocsPerRun(100, func() { sinkTxString = id.String() }); allocs != 1 {
+		t.Fatalf("TxID.String allocates %.0f times, want 1", allocs)
+	}
+	if sinkTxString != "A.1729000000000000000:123456789" {
+		t.Fatalf("TxID.String = %q", sinkTxString)
+	}
+	long := TxID{Origin: NodeID(strings.Repeat("o", 100)), Seq: 7}
+	if got := long.String(); got != strings.Repeat("o", 100)+":7" {
+		t.Fatalf("long origin renders as %q", got)
 	}
 }

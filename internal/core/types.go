@@ -31,8 +31,15 @@ type TxID struct {
 	Seq    uint64
 }
 
-// String renders the id as "origin:seq".
-func (t TxID) String() string { return fmt.Sprintf("%s:%d", t.Origin, t.Seq) }
+// String renders the id as "origin:seq". It runs for every staged
+// transaction (lock owners and log records are keyed by it), so it
+// builds the text in a stack buffer and allocates only the result.
+func (t TxID) String() string {
+	var buf [64]byte
+	b := append(buf[:0], t.Origin...)
+	b = append(b, ':')
+	return string(strconv.AppendUint(b, t.Seq, 10))
+}
 
 // ParseTxID is the inverse of String for well-formed "origin:seq"
 // ids. Names that don't parse — the v1 API lets a client pick any

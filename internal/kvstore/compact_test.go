@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -66,7 +67,7 @@ func TestSelfCompactionRecoversAndStaysBounded(t *testing.T) {
 	const keys, workers, perWorker = 4000, 4, 3000
 	mem := wal.NewMemStore()
 	log := wal.New(mem)
-	s := New("db", log, clock.NewWall(), WithBlockingLocks(true))
+	s := New("db", log, clock.NewWall(), WithLockWait(time.Minute))
 	// Every commit logs three records whose payload exceeds one
 	// snapshot pair, and a snapshot holds at most one pair per key, so
 	// the log since the last snapshot stays under three records per

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -61,7 +62,8 @@ type pendingWrite struct {
 }
 
 type txState struct {
-	owner  string // tx rendered once: the lock owner and log record id
+	owner  string    // tx rendered once: the lock owner and log record id
+	lockBy time.Time // when its lock waits give up (WithLockWait); zero: never
 	phase  txPhase
 	writes []pendingWrite
 	reads  int
@@ -84,10 +86,14 @@ func WithSharedLog(on bool) Option { return func(s *Store) { s.sharedLog = on } 
 // between requests, so its node may vote OK-to-leave-out.
 func WithOKToLeaveOut(on bool) Option { return func(s *Store) { s.okToLeaveOut = on } }
 
-// WithBlockingLocks selects between blocking lock acquisition (live
-// goroutine workloads) and immediate-conflict errors (the
-// deterministic simulator). Default is non-blocking.
-func WithBlockingLocks(on bool) Option { return func(s *Store) { s.blocking = on } }
+// WithLockWait makes lock requests block, for live goroutine
+// workloads: a transaction waits for its locks on this store at most d
+// in all, counted from its first lock request here, after which the
+// waiting request fails with an error matching
+// context.DeadlineExceeded. The caller's context may end a wait
+// sooner. Without it, or with d <= 0, a conflict fails at once with
+// lockmgr.ErrConflict, as the deterministic simulator needs.
+func WithLockWait(d time.Duration) Option { return func(s *Store) { s.lockWait = d } }
 
 // WithReadOnlyVotes controls whether a transaction with no updates
 // votes read-only (releasing locks at the vote, §4 Read Only) or runs
@@ -105,7 +111,7 @@ type Store struct {
 	reliable     bool
 	sharedLog    bool
 	okToLeaveOut bool
-	blocking     bool
+	lockWait     time.Duration // > 0: blocking locks with this bound per transaction
 	roVotes      bool
 
 	mu   sync.Mutex
@@ -159,16 +165,21 @@ func (s *Store) tx(id core.TxID) *txState {
 }
 
 // lock takes key in mode for tx. The transaction's entry is created
-// first so its owner string is rendered once, not on every lock call;
-// a first lock that fails leaves no entry behind.
+// first so its owner string is rendered once, not on every lock call,
+// and so is its lock-wait deadline; a first lock that fails leaves no
+// entry behind.
 func (s *Store) lock(ctx context.Context, tx core.TxID, key string, mode lockmgr.Mode) error {
 	s.mu.Lock()
 	_, existed := s.txs[tx]
 	st := s.tx(tx)
+	if !existed && s.lockWait > 0 {
+		st.lockBy = time.Now().Add(s.lockWait)
+	}
+	lockBy := st.lockBy
 	s.mu.Unlock()
 	var err error
-	if s.blocking {
-		err = s.locks.Acquire(ctx, st.owner, key, mode)
+	if s.lockWait > 0 {
+		err = s.locks.AcquireUntil(ctx, st.owner, key, mode, lockBy)
 	} else {
 		err = s.locks.TryAcquire(st.owner, key, mode)
 	}

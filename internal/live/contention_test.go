@@ -25,7 +25,7 @@ import (
 func runContention(b *testing.B, roVotes bool) (committed int64) {
 	net := netsim.NewChanNetwork()
 	hot := kvstore.New("hot", wal.New(wal.NewMemStore()), clock.NewWall(),
-		kvstore.WithBlockingLocks(true), kvstore.WithReadOnlyVotes(roVotes))
+		kvstore.WithLockWait(time.Minute), kvstore.WithReadOnlyVotes(roVotes))
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), nil)
 	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()), []core.Resource{hot})
 	coord.Start()

@@ -15,7 +15,7 @@ import (
 )
 
 func newKV(name string) *kvstore.Store {
-	return kvstore.New(name, wal.New(wal.NewMemStore()), clock.NewWall(), kvstore.WithBlockingLocks(true))
+	return kvstore.New(name, wal.New(wal.NewMemStore()), clock.NewWall(), kvstore.WithLockWait(time.Minute))
 }
 
 func setupChanTrio(t *testing.T, opts ...Option) (coord, s1, s2 *Participant, kv1, kv2 *kvstore.Store, net *netsim.ChanNetwork) {

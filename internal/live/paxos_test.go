@@ -382,7 +382,7 @@ func TestLivePaxosAcceptorLedgerWaitsForBundle(t *testing.T) {
 		t.Fatalf("S2 keeps %d state entries with its bundle pending, want 1", n)
 	}
 	for _, v := range reg.CostSnapshot() {
-		if v.Tx == "C:1" && v.Nodes["S2"].Done {
+		if v.Tx == "C:1" && v.Node("S2").Done {
 			t.Fatal("S2's ledger entry closed before its bundle was forced")
 		}
 	}

@@ -330,7 +330,7 @@ func TestLiveLastAgentForceFailureEndsLedgerPart(t *testing.T) {
 	// This node's part is over, as after any Committed return: its
 	// counters are final.
 	snap := reg.CostSnapshot()
-	if len(snap) != 1 || snap[0].Tx != tx || !snap[0].Nodes["C"].Done {
+	if len(snap) != 1 || snap[0].Tx != tx || !snap[0].Node("C").Done {
 		t.Fatalf("cost ledger %+v, want %s with the coordinator's part done", snap, tx)
 	}
 }

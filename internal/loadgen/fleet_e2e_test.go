@@ -93,8 +93,8 @@ func drainAndAudit(t *testing.T, fleet []*server.Server, names []string) {
 						continue
 					}
 					t.Logf("%s: open ledger entry tx=%s variant=%s subs=%d outcome=%q", names[i], v.Tx, v.Variant, v.Subs, v.Outcome)
-					for node, nc := range v.Nodes {
-						t.Logf("  node=%s role=%v done=%v counters=%+v", node, nc.Role, nc.Done, nc.CostCounters)
+					for _, nc := range v.Nodes {
+						t.Logf("  node=%s role=%v done=%v counters=%+v", nc.Name, nc.Role, nc.Done, nc.CostCounters)
 					}
 				}
 				t.Fatalf("%s: ledger still open (%d) or inexact (report %s)",

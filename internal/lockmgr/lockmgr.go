@@ -10,8 +10,9 @@
 // Both acquisition styles the engine needs are provided: TryAcquire
 // for the deterministic single-threaded simulator (a conflict is
 // surfaced immediately) and Acquire for live goroutine workloads
-// (FIFO blocking with context cancellation). Deadlocks among blocked
-// transactions are detected with a waits-for graph.
+// (FIFO blocking with context cancellation; AcquireUntil adds a
+// deadline). Deadlocks among blocked transactions are detected with a
+// waits-for graph.
 //
 // The lock table is sharded by fnv-hashed key (GOMAXPROCS-derived
 // shard count, overridable with WithShards), so independent
@@ -381,6 +382,14 @@ func (m *Manager) TryAcquire(owner, key string, mode Mode) error {
 // Acquire blocks until the lock is granted, ctx is done, or a
 // deadlock is detected (in which case the caller is the victim).
 func (m *Manager) Acquire(ctx context.Context, owner, key string, mode Mode) error {
+	return m.AcquireUntil(ctx, owner, key, mode, time.Time{})
+}
+
+// AcquireUntil is Acquire that also gives up at deadline, unless the
+// deadline is zero, with an error matching context.DeadlineExceeded.
+// The timer for the deadline is armed only when the request has to
+// wait, so a lock granted at once costs no timer.
+func (m *Manager) AcquireUntil(ctx context.Context, owner, key string, mode Mode, deadline time.Time) error {
 	sh := m.shard(key)
 	sh.mu.Lock()
 	ls := sh.state(key)
@@ -421,17 +430,31 @@ func (m *Manager) Acquire(ctx context.Context, owner, key string, mode Mode) err
 		return fmt.Errorf("%w: victim %s waiting for %q", ErrDeadlock, owner, key)
 	}
 
+	var expired <-chan time.Time // nil: no deadline, never fires
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
 	case <-w.ready:
 		m.clearWait(owner)
 		return w.err
 	case <-ctx.Done():
-		sh.mu.Lock()
-		sh.removeWaiterLocked(key, w)
-		sh.mu.Unlock()
-		m.clearWait(owner)
+		m.abandonWait(sh, key, w)
 		return ctx.Err()
+	case <-expired:
+		m.abandonWait(sh, key, w)
+		return fmt.Errorf("lockmgr: %s waited past its deadline for %q: %w", owner, key, context.DeadlineExceeded)
 	}
+}
+
+// abandonWait withdraws a waiter that gave up.
+func (m *Manager) abandonWait(sh *lockShard, key string, w *waiter) {
+	sh.mu.Lock()
+	sh.removeWaiterLocked(key, w)
+	sh.mu.Unlock()
+	m.clearWait(w.owner)
 }
 
 func (m *Manager) clearWait(owner string) {

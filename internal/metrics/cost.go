@@ -16,7 +16,11 @@
 // TxLogWrite) instead of taking the registry lock twice.
 package metrics
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // Role is the part a node played in one transaction.
 type Role int
@@ -87,14 +91,6 @@ func (c CostCounters) Add(o CostCounters) CostCounters {
 // Writes is the node's total log writes (forced + non-forced).
 func (c CostCounters) Writes() int { return c.Forced + c.NonForced }
 
-// nodeCost is one node's ledger entry within a transaction.
-type nodeCost struct {
-	name string
-	role Role
-	done bool // the node finished its part (exact checks apply)
-	c    CostCounters
-}
-
 // txCost is the ledger entry for one transaction.
 type txCost struct {
 	tx      string
@@ -105,8 +101,9 @@ type txCost struct {
 	delivered int
 	outcome   string // "committed", "aborted", ...; "" while undecided
 	// nodes is a handful of entries (the transaction's tree as seen by
-	// this registry), so lookup is a linear scan.
-	nodes  []nodeCost
+	// this registry), so lookup is a linear scan. A drained entry's
+	// views alias this slice.
+	nodes  []NodeCostView
 	undone int  // nodes not yet done
 	seq    int  // insertion order, for eviction when nothing is closed
 	queued bool // on the registry's close-order queue
@@ -116,22 +113,36 @@ type txCost struct {
 // outcome is recorded and every observed node has finished its part.
 func (tc *txCost) closed() bool { return tc.outcome != "" && tc.undone == 0 }
 
-// TxCostView is the exported, immutable form of one transaction's
-// ledger entry.
+// TxCostView is the exported form of one transaction's ledger entry.
+// Its Nodes are sorted by name. A view from CostDrainClosed aliases
+// the drained entry, which the ledger no longer holds; a view from
+// CostSnapshot is a copy.
 type TxCostView struct {
 	Tx        string
 	Variant   string
 	Subs      int // coordinator-declared subordinate count; -1 unknown
 	Delivered int // outcome deliveries from the coordinator; -1 unknown
 	Outcome   string
-	Nodes     map[string]NodeCostView
+	Nodes     []NodeCostView
 }
 
 // NodeCostView is one node's share of a TxCostView.
 type NodeCostView struct {
+	Name string
 	Role Role
-	Done bool
+	Done bool // the node finished its part (exact checks apply)
 	CostCounters
+}
+
+// Node returns the named node's share, or the zero view when the
+// transaction has no entry for it.
+func (v TxCostView) Node(name string) NodeCostView {
+	for _, n := range v.Nodes {
+		if n.Name == name {
+			return n
+		}
+	}
+	return NodeCostView{}
 }
 
 // Closed reports whether the transaction's accounting is complete in
@@ -214,13 +225,13 @@ func (r *Registry) evictCostLocked() {
 	}
 }
 
-func (tc *txCost) node(name string) *nodeCost {
+func (tc *txCost) node(name string) *NodeCostView {
 	for i := range tc.nodes {
-		if tc.nodes[i].name == name {
+		if tc.nodes[i].Name == name {
 			return &tc.nodes[i]
 		}
 	}
-	tc.nodes = append(tc.nodes, nodeCost{name: name})
+	tc.nodes = append(tc.nodes, NodeCostView{Name: name})
 	tc.undone++
 	return &tc.nodes[len(tc.nodes)-1]
 }
@@ -234,7 +245,7 @@ func (r *Registry) CostBegin(tx, node, variant string, subs int) {
 	tc := r.txCostLocked(tx)
 	tc.variant = variant
 	tc.subs = subs
-	tc.node(node).role = RoleCoordinator
+	tc.node(node).Role = RoleCoordinator
 }
 
 // CostSub registers node as a subordinate of tx. variant is the
@@ -249,9 +260,9 @@ func (r *Registry) CostSub(tx, node, variant string, readOnly bool) {
 	}
 	nc := tc.node(node)
 	if readOnly {
-		nc.role = RoleReadOnly
-	} else if nc.role != RoleCoordinator && nc.role != RoleAcceptorSub {
-		nc.role = RoleSubordinate
+		nc.Role = RoleReadOnly
+	} else if nc.Role != RoleCoordinator && nc.Role != RoleAcceptorSub {
+		nc.Role = RoleSubordinate
 	}
 }
 
@@ -276,8 +287,8 @@ func (r *Registry) CostAcceptor(tx, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	nc := r.txCostLocked(tx).node(node)
-	if nc.role != RoleCoordinator {
-		nc.role = RoleAcceptorSub
+	if nc.Role != RoleCoordinator {
+		nc.Role = RoleAcceptorSub
 	}
 }
 
@@ -301,8 +312,8 @@ func (r *Registry) CostNodeDone(tx, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	tc := r.txCostLocked(tx)
-	if nc := tc.node(node); !nc.done {
-		nc.done = true
+	if nc := tc.node(node); !nc.Done {
+		nc.Done = true
 		tc.undone--
 	}
 	r.queueIfClosedLocked(tc)
@@ -340,16 +351,16 @@ func (r *Registry) FlowSent(node, tx string, piggybacked, extra, protocolPkt boo
 			return
 		}
 		nc := tc.node(node)
-		nc.c.Extra++
+		nc.Extra++
 		if piggybacked {
-			nc.c.Piggybacked++
+			nc.Piggybacked++
 		}
 		return
 	}
 	nc := r.txCostLocked(tx).node(node)
-	nc.c.Flows++
+	nc.Flows++
 	if piggybacked {
-		nc.c.Piggybacked++
+		nc.Piggybacked++
 	}
 }
 
@@ -368,25 +379,23 @@ func (r *Registry) TxLogWrite(node, tx string, forced bool) {
 	}
 	nc := r.txCostLocked(tx).node(node)
 	if forced {
-		nc.c.Forced++
+		nc.Forced++
 	} else {
-		nc.c.NonForced++
+		nc.NonForced++
 	}
 }
 
-func (tc *txCost) view() TxCostView {
-	v := TxCostView{
+// view renders tc with the given nodes, sorted by name in place.
+func (tc *txCost) view(nodes []NodeCostView) TxCostView {
+	slices.SortFunc(nodes, func(a, b NodeCostView) int { return strings.Compare(a.Name, b.Name) })
+	return TxCostView{
 		Tx:        tc.tx,
 		Variant:   tc.variant,
 		Subs:      tc.subs,
 		Delivered: tc.delivered,
 		Outcome:   tc.outcome,
-		Nodes:     make(map[string]NodeCostView, len(tc.nodes)),
+		Nodes:     nodes,
 	}
-	for _, nc := range tc.nodes {
-		v.Nodes[nc.name] = NodeCostView{Role: nc.role, Done: nc.done, CostCounters: nc.c}
-	}
-	return v
 }
 
 // CostSnapshot returns a copy of every transaction in the cost
@@ -401,7 +410,7 @@ func (r *Registry) CostSnapshot() []TxCostView {
 	sort.Slice(tcs, func(i, j int) bool { return tcs[i].seq < tcs[j].seq })
 	out := make([]TxCostView, len(tcs))
 	for i, tc := range tcs {
-		out[i] = tc.view()
+		out[i] = tc.view(slices.Clone(tc.nodes))
 	}
 	return out
 }
@@ -410,12 +419,16 @@ func (r *Registry) CostSnapshot() []TxCostView {
 // TxCostView.Closed) from the ledger, in the order they closed. The
 // conformance audit consumes the ledger through this so a
 // long-running process holds only in-flight transactions. Under the
-// registry lock it only takes over the close-order queue; the views
-// are built after, from entries no other caller can reach any more.
+// registry lock it only takes over the close-order queue. The views
+// are built after, in place: each aliases its entry, which no other
+// caller can reach any more, so a drained batch costs one slice of
+// views however many nodes its entries hold.
 func (r *Registry) CostDrainClosed() []TxCostView {
 	r.mu.Lock()
 	queue := r.costDone
-	r.costDone = nil
+	// Size the next queue for a batch like this one, so the closes
+	// between two drains append without regrowing it.
+	r.costDone = make([]*txCost, 0, len(queue))
 	n := 0
 	for _, tc := range queue {
 		tc.queued = false
@@ -431,7 +444,7 @@ func (r *Registry) CostDrainClosed() []TxCostView {
 	r.mu.Unlock()
 	out := make([]TxCostView, n)
 	for i, tc := range queue[:n] {
-		out[i] = tc.view()
+		out[i] = tc.view(tc.nodes)
 	}
 	return out
 }

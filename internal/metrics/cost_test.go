@@ -44,11 +44,11 @@ func TestCostLedgerAttribution(t *testing.T) {
 	if !v.Closed() {
 		t.Fatalf("tx not closed: %+v", v)
 	}
-	c := v.Nodes["C"]
+	c := v.Node("C")
 	if c.Role != RoleCoordinator || c.Flows != 4 || c.Extra != 1 || c.Forced != 1 || c.NonForced != 1 {
 		t.Fatalf("coordinator counters: %+v", c)
 	}
-	s1 := v.Nodes["S1"]
+	s1 := v.Node("S1")
 	if s1.Role != RoleSubordinate || s1.Flows != 2 || s1.Piggybacked != 1 || s1.Forced != 2 || s1.NonForced != 1 {
 		t.Fatalf("subordinate counters: %+v", s1)
 	}
@@ -148,7 +148,7 @@ func TestExtraFlowForUntrackedTxDoesNotLeak(t *testing.T) {
 	r.CostSub("t1", "S1", "PA", false)
 	r.FlowSent("S1", "t1", false, true, true)
 	views := r.CostSnapshot()
-	if len(views) != 1 || views[0].Nodes["S1"].Extra != 1 {
+	if len(views) != 1 || views[0].Node("S1").Extra != 1 {
 		t.Fatalf("tracked-tx extra not attributed: %+v", views)
 	}
 }
@@ -201,7 +201,7 @@ func TestCostDrainClosedCloseOrder(t *testing.T) {
 	if got := drainedTxs(views); fmt.Sprint(got) != "[d b]" {
 		t.Fatalf("second drain %v, want [d b]", got)
 	}
-	if d := views[0]; len(d.Nodes) != 2 || d.Nodes["S"].Flows != 1 || d.Nodes["C"].Role != RoleCoordinator {
+	if d := views[0]; len(d.Nodes) != 2 || d.Node("S").Flows != 1 || d.Node("C").Role != RoleCoordinator {
 		t.Fatalf("view of d = %+v", d)
 	}
 	if n := r.CostLedgerSize(); n != 0 {

@@ -1,8 +1,12 @@
 package router
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,7 +113,7 @@ func TestResolveSortsParticipantsAndSplitsOps(t *testing.T) {
 		{Key: "mango", Op: api.OpGet},             // S2
 		{Key: "zoo", Op: api.OpDelete},            // S3
 	}
-	nodes, byNode := m.Resolve(ops)
+	nodes, groups := m.Resolve(ops)
 	// Sorted node order is the cross-shard deadlock-freedom invariant:
 	// every coordinator stages shards in this order.
 	if !sort.StringsAreSorted(nodes) {
@@ -118,8 +122,14 @@ func TestResolveSortsParticipantsAndSplitsOps(t *testing.T) {
 	if len(nodes) != 3 {
 		t.Fatalf("want 3 participants, got %v", nodes)
 	}
-	if len(byNode["S3"]) != 2 || byNode["S3"][0].Key != "zebra" || byNode["S3"][1].Key != "zoo" {
-		t.Fatalf("S3 ops lost request order: %v", byNode["S3"])
+	if len(groups) != len(nodes) || nodes[2] != "S3" {
+		t.Fatalf("groups %v do not line up with nodes %v", groups, nodes)
+	}
+	if len(groups[0]) != 1 || groups[0][0].Key != "apple" || len(groups[1]) != 1 || groups[1][0].Key != "mango" {
+		t.Fatalf("S1/S2 ops misplaced: %v", groups)
+	}
+	if len(groups[2]) != 2 || groups[2][0].Key != "zebra" || groups[2][1].Key != "zoo" {
+		t.Fatalf("S3 ops lost request order: %v", groups[2])
 	}
 	if first, ok := m.FirstOwner(ops); !ok || first != "S3" {
 		t.Fatalf("FirstOwner = %q, want S3", first)
@@ -215,5 +225,47 @@ func TestParsePick(t *testing.T) {
 	}
 	if _, err := ParsePick("round-robin"); err == nil {
 		t.Fatal("ParsePick(round-robin): want error")
+	}
+}
+
+var sinkNodes []string
+
+// TestResolveAllocs guards the per-request resolve: three ops on three
+// shards cost the participant list, the op groups and their one
+// backing array, and no map.
+func TestResolveAllocs(t *testing.T) {
+	m, err := Parse("range:S1=g,S2=t,S3=")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []api.Op{
+		{Key: "zebra", Op: api.OpPut, Value: "1"},
+		{Key: "apple", Op: api.OpPut, Value: "2"},
+		{Key: "mango", Op: api.OpPut, Value: "3"},
+	}
+	allocs := testing.AllocsPerRun(100, func() { sinkNodes, _ = m.Resolve(ops) })
+	if allocs > 3 {
+		t.Fatalf("Resolve of 3 ops on 3 shards allocates %.0f times, want at most 3", allocs)
+	}
+	if len(sinkNodes) != 3 {
+		t.Fatalf("Resolve found %v", sinkNodes)
+	}
+}
+
+// TestRouterRejectsOversizedBody: a body over the 1 MiB limit is
+// refused by name, not truncated and forwarded as broken JSON.
+func TestRouterRejectsOversizedBody(t *testing.T) {
+	m, _ := Parse("hash:S1")
+	r := &Router{pick: PickFirstShard}
+	r.adopt(m, map[string]string{"S1": "http://s1.example:1"})
+	body := `{"tx":"` + strings.Repeat("a", api.MaxBody) + `"}`
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.PathCommit, strings.NewReader(body)))
+	var e api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("status %d body %.200s: %v", rec.Code, rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusBadRequest || e.Code != api.CodeBadRequest || e.Error != "request body exceeds 1 MiB" {
+		t.Fatalf("oversized body: status %d error %+v", rec.Code, e)
 	}
 }

@@ -13,9 +13,6 @@ import (
 	"repro/internal/api"
 )
 
-// maxBody bounds request bodies the router will buffer.
-const maxBody = 1 << 20
-
 // Handler assembles the router's HTTP surface: POST /v1/commit
 // (resolve + pick + forward), GET /v1/shards (the adopted fleet
 // view), and /healthz.
@@ -62,9 +59,13 @@ func (r *Router) handleCommit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, api.ErrorOf(api.CodeBadRequest, "POST only"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody))
+	body, err := io.ReadAll(io.LimitReader(req.Body, api.MaxBody+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrorOf(api.CodeBadRequest, "read body: %v", err))
+		return
+	}
+	if len(body) > api.MaxBody {
+		writeError(w, http.StatusBadRequest, api.ErrorOf(api.CodeBadRequest, "request body exceeds 1 MiB"))
 		return
 	}
 	var creq api.CommitRequest

@@ -13,7 +13,7 @@ package router
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -161,9 +161,14 @@ func (m *ShardMap) Nodes() []string {
 // Owner resolves the node owning key.
 func (m *ShardMap) Owner(key string) string {
 	if m.kind == "hash" {
-		h := fnv.New32a()
-		_, _ = h.Write([]byte(key))
-		return m.nodes[h.Sum32()%uint32(len(m.nodes))]
+		// 32-bit FNV-1a, inline so that resolving a key allocates nothing.
+		const offset32, prime32 = 2166136261, 16777619
+		h := uint32(offset32)
+		for i := 0; i < len(key); i++ {
+			h ^= uint32(key[i])
+			h *= prime32
+		}
+		return m.nodes[h%uint32(len(m.nodes))]
 	}
 	for _, r := range m.ranges {
 		if r.Until == "" || key < r.Until {
@@ -173,24 +178,38 @@ func (m *ShardMap) Owner(key string) string {
 	return m.ranges[len(m.ranges)-1].Node // unreachable: tail bound is ""
 }
 
-// Resolve splits ops by owning node. Node order is sorted, which is
+// Resolve splits ops by owning node: groups[i] holds the ops nodes[i]
+// owns, in request order. Node order is sorted, which is
 // load-bearing: coordinators stage shards strictly in this order, so
 // two transactions can never acquire locks on two shards in opposite
 // orders — cross-shard deadlock cycles are impossible by construction,
 // and the only cycles left are within one shard's lock manager, where
-// its detector sees them. Within a node, ops keep request order.
-func (m *ShardMap) Resolve(ops []api.Op) ([]string, map[string][]api.Op) {
-	byNode := make(map[string][]api.Op)
+// its detector sees them. It runs once per request, so it builds no
+// map: the groups are windows of one reordered copy of ops.
+func (m *ShardMap) Resolve(ops []api.Op) (nodes []string, groups [][]api.Op) {
+	var ownerBuf [8]string
+	owners := ownerBuf[:0]
+	nodes = make([]string, 0, min(len(ops), len(m.nodes)+len(m.ranges)))
 	for _, op := range ops {
-		owner := m.Owner(op.Key)
-		byNode[owner] = append(byNode[owner], op)
+		o := m.Owner(op.Key)
+		owners = append(owners, o)
+		if !slices.Contains(nodes, o) {
+			nodes = append(nodes, o)
+		}
 	}
-	nodes := make([]string, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
+	slices.Sort(nodes)
+	grouped := make([]api.Op, 0, len(ops))
+	groups = make([][]api.Op, len(nodes))
+	for i, n := range nodes {
+		start := len(grouped)
+		for j, o := range owners {
+			if o == n {
+				grouped = append(grouped, ops[j])
+			}
+		}
+		groups[i] = grouped[start:len(grouped):len(grouped)]
 	}
-	sort.Strings(nodes)
-	return nodes, byNode
+	return nodes, groups
 }
 
 // FirstOwner resolves the owner of the first op's key — the

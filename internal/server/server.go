@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,9 @@ type Config struct {
 	// with RegisterPeerHTTP.
 	PeerHTTP map[string]string
 	// StageTimeout bounds lock acquisition while staging one shard's
-	// slice of a transaction's operations. Default 2s.
+	// slice of a transaction's operations, and with a second's slack
+	// each of the dial and the wait for the answer of a /v1/stage call.
+	// Default 2s.
 	StageTimeout time.Duration
 	// AdvertiseHTTP overrides the HTTP base URL this daemon reports
 	// for itself in /v1/shards (defaults to its bound listener).
@@ -166,6 +169,7 @@ type Server struct {
 	// limiter itself counts rate sheds.
 	shedInflight [admission.NumClasses]atomic.Uint64
 
+	txPrefix  string        // generated tx ids: name.startnanos.
 	txSeq     atomic.Uint64 // generated-tx-id counter
 	stagedOps atomic.Int64  // operations staged on this shard
 
@@ -264,10 +268,11 @@ func New(cfg Config) (*Server, error) {
 	// so every transaction — even one staging no local ops — votes yes
 	// and keeps the exact commit shape.
 	store := kvstore.New("kv@"+cfg.Name, wal.New(wal.NewMemStore()), clock.NewWall(),
-		kvstore.WithBlockingLocks(true))
+		kvstore.WithLockWait(cfg.StageTimeout))
 	part := live.NewParticipant(cfg.Name, ep, cfg.Log,
 		[]core.Resource{yesResource("r@" + cfg.Name), store}, opts...)
 
+	start := time.Now()
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
@@ -276,10 +281,11 @@ func New(cfg Config) (*Server, error) {
 		ep:         ep,
 		store:      store,
 		smap:       smap,
-		httpc:      &http.Client{Transport: stageTransport(cfg.MaxInflight)},
+		httpc:      &http.Client{Transport: stageTransport(cfg.MaxInflight, cfg.StageTimeout+time.Second)},
 		httpLn:     httpLn,
 		sem:        make(chan struct{}, cfg.MaxInflight),
-		start:      time.Now(),
+		start:      start,
+		txPrefix:   cfg.Name + "." + strconv.FormatInt(start.UnixNano(), 10) + ".",
 		idle:       make(chan struct{}),
 		costAgg:    make(map[metrics.AggregateCostKey]metrics.CostCounters),
 		costNodes:  make(map[metrics.AggregateCostKey]int),
@@ -365,9 +371,11 @@ func (s *Server) RegisterPeerHTTP(name, baseURL string) {
 // directly).
 func (s *Server) Store() *kvstore.Store { return s.store }
 
-// nextTxID generates a daemon-unique transaction id.
+// nextTxID generates a daemon-unique transaction id,
+// "name.startnanos.seq", allocating only the result.
 func (s *Server) nextTxID() string {
-	return fmt.Sprintf("%s.%d.%d", s.cfg.Name, s.start.UnixNano(), s.txSeq.Add(1))
+	var buf [64]byte
+	return string(strconv.AppendUint(append(buf[:0], s.txPrefix...), s.txSeq.Add(1), 10))
 }
 
 // peerHTTPURL resolves a fleet member's HTTP base URL.
@@ -525,11 +533,18 @@ func (s *Server) Close() error {
 // admitted commit may stage on a peer at once, so each peer keeps up
 // to maxInflight idle connections: with http.DefaultTransport's two,
 // every stage beyond the second concurrent one to a peer would close
-// its connection after use and dial a new one next time.
-func stageTransport(maxInflight int) *http.Transport {
+// its connection after use and dial a new one next time. bound caps
+// the dial and the wait for a peer's answer, so a call needs no
+// deadline context of its own. Stage bodies are small JSON on a
+// loopback or data-center link: compressing them buys nothing, and
+// asking for it costs a header per call.
+func stageTransport(maxInflight int, bound time.Duration) *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConns = 0 // no fleet-wide cap; the per-peer one bounds it
 	t.MaxIdleConnsPerHost = maxInflight
+	t.DialContext = (&net.Dialer{Timeout: bound, KeepAlive: 30 * time.Second}).DialContext
+	t.ResponseHeaderTimeout = bound
+	t.DisableCompression = true
 	return t
 }
 

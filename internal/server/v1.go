@@ -20,9 +20,6 @@ import (
 	"repro/internal/live"
 )
 
-// maxBody bounds v1 request bodies.
-const maxBody = 1 << 20
-
 // httpError pairs an HTTP status with the machine-readable error body
 // of the v1 taxonomy. retryAfter, when set, becomes the Retry-After
 // header (admission sheds tell clients when retrying is worthwhile).
@@ -58,17 +55,10 @@ func (s *Server) handleV1Commit(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, &httpError{status: http.StatusMethodNotAllowed, e: api.ErrorOf(api.CodeBadRequest, "POST only")})
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-	if err != nil {
-		writeAPIError(w, errBadRequest("read body: %v", err))
-		return
-	}
 	var creq api.CommitRequest
-	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &creq); err != nil {
-			writeAPIError(w, errBadRequest("decode request: %v", err))
-			return
-		}
+	if herr := decodeRequest(r, &creq); herr != nil {
+		writeAPIError(w, herr)
+		return
 	}
 	resp, herr := s.runV1(r.Context(), creq)
 	if herr != nil {
@@ -77,6 +67,19 @@ func (s *Server) handleV1Commit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// decodeRequest reads a v1 request body into v, the one body reader of
+// /v1/commit and /v1/stage. An empty body leaves v zero.
+func decodeRequest(r *http.Request, v any) *httpError {
+	switch err := api.DecodeBody(r.Body, v); {
+	case err == nil, errors.Is(err, io.EOF):
+		return nil
+	case errors.Is(err, api.ErrBodyTooLarge):
+		return errBadRequest("request body exceeds 1 MiB")
+	default:
+		return errBadRequest("decode request: %v", err)
+	}
 }
 
 // runV1 validates, stages, and runs one typed transaction. The error
@@ -104,18 +107,18 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	// Resolve the transaction's shape before admission so taxonomy
 	// errors never consume a slot.
 	var (
-		participants []string // every owning shard, self included
-		subs         []string // the subordinate set (participants minus self)
-		opsByNode    map[string][]api.Op
+		participants []string   // every owning shard, self included
+		subs         []string   // the subordinate set (participants minus self)
+		groups       [][]api.Op // groups[i]: the ops participants[i] owns
 	)
 	switch {
 	case len(creq.Ops) > 0:
 		if s.smap != nil {
-			participants, opsByNode = s.smap.Resolve(creq.Ops)
+			participants, groups = s.smap.Resolve(creq.Ops)
 		} else {
 			// No shard map: this daemon owns the whole keyspace.
 			participants = []string{s.cfg.Name}
-			opsByNode = map[string][]api.Op{s.cfg.Name: creq.Ops}
+			groups = [][]api.Op{creq.Ops}
 		}
 		for _, n := range participants {
 			if n == s.cfg.Name {
@@ -171,7 +174,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	defer s.release()
 
 	start := time.Now()
-	reads := make(map[string]string)
+	var reads map[string]string // made at the first read: writes need none
 
 	// Stage each owning shard's slice, strictly in the sorted order
 	// Resolve returns: with every coordinator acquiring shards in the
@@ -189,11 +192,8 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 			s.stageRemote(context.Background(), n, api.StageRequest{Tx: tx, Abort: true})
 		}
 	}
-	for _, n := range participants {
-		ops := opsByNode[n]
-		if len(ops) == 0 {
-			continue
-		}
+	for i, ops := range groups {
+		n := participants[i]
 		var (
 			nodeReads map[string]string
 			err       error
@@ -221,6 +221,9 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 		}
 		staged = append(staged, n)
 		for k, val := range nodeReads {
+			if reads == nil {
+				reads = make(map[string]string, len(nodeReads))
+			}
 			reads[k] = val
 		}
 	}
@@ -255,12 +258,12 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 // msSince is elapsed wall time in milliseconds.
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
 
-// stageLocal applies one shard slice to this daemon's own store.
+// stageLocal applies one shard slice to this daemon's own store. The
+// store bounds the slice's lock waits by StageTimeout in all, counted
+// from its first lock request (kvstore.WithLockWait).
 func (s *Server) stageLocal(ctx context.Context, tx string, ops []api.Op) (map[string]string, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.StageTimeout)
-	defer cancel()
 	id := core.ParseTxID(tx)
-	reads := make(map[string]string)
+	var reads map[string]string // made at the first read: writes need none
 	for _, op := range ops {
 		var err error
 		switch op.Op {
@@ -270,6 +273,9 @@ func (s *Server) stageLocal(ctx context.Context, tx string, ops []api.Op) (map[s
 			if errors.Is(err, kvstore.ErrNotFound) {
 				err = nil // absent keys read as no entry, not a failure
 			} else if err == nil {
+				if reads == nil {
+					reads = make(map[string]string)
+				}
 				reads[op.Key] = val
 			}
 		case api.OpPut:
@@ -288,7 +294,9 @@ func (s *Server) stageLocal(ctx context.Context, tx string, ops []api.Op) (map[s
 }
 
 // stageRemote posts one shard slice to the owning daemon's /v1/stage.
-// Abort requests are best-effort.
+// Abort requests are best-effort. The call goes straight to the stage
+// transport, which bounds it (see stageTransport): an http.Client
+// would copy the headers for redirects the stage plane never follows.
 func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageRequest) (map[string]string, error) {
 	baseURL, ok := s.peerHTTPURL(node)
 	if !ok {
@@ -298,15 +306,13 @@ func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageReq
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.StageTimeout+time.Second)
-	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		strings.TrimRight(baseURL, "/")+api.PathStage, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.httpc.Do(req)
+	resp, err := s.httpc.Transport.RoundTrip(req)
 	if err != nil {
 		return nil, fmt.Errorf("stage %s: %w", node, err)
 	}
@@ -320,7 +326,7 @@ func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageReq
 		return nil, fmt.Errorf("stage %s: %s: %s", node, resp.Status, strings.TrimSpace(string(raw)))
 	}
 	var sresp api.StageResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sresp); err != nil {
+	if err := api.DecodeBody(resp.Body, &sresp); err != nil {
 		return nil, fmt.Errorf("stage %s: decode response: %w", node, err)
 	}
 	return sresp.Reads, nil
@@ -338,8 +344,8 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sreq api.StageRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&sreq); err != nil {
-		writeAPIError(w, errBadRequest("decode request: %v", err))
+	if herr := decodeRequest(r, &sreq); herr != nil {
+		writeAPIError(w, herr)
 		return
 	}
 	if sreq.Tx == "" {

@@ -48,6 +48,11 @@ func commitJSON(t *testing.T, req api.CommitRequest) string {
 	return string(b)
 }
 
+// oversizedBody is a well-formed request one value past the 1 MiB
+// body limit: truncating it would leave broken JSON, not a smaller
+// request.
+var oversizedBody = `{"tx":"` + strings.Repeat("a", api.MaxBody) + `"}`
+
 // TestV1Taxonomy400 covers every malformed-request shape: broken
 // JSON, invalid ops, mutually exclusive fields, unknown names.
 func TestV1Taxonomy400(t *testing.T) {
@@ -68,6 +73,8 @@ func TestV1Taxonomy400(t *testing.T) {
 		{"ops and participants", `{"ops":[{"key":"k","op":"put","value":"v"}],"participants":["B"]}`},
 		{"unknown variant", `{"variant":"3pc"}`},
 		{"self as participant", `{"participants":["A"]}`},
+		{"trailing data", `{"tx":"t1"} {"tx":"t2"}`},
+		{"oversized", oversizedBody},
 	}
 	for _, c := range cases {
 		status, _, e := postV1(t, s, c.body)
@@ -80,6 +87,9 @@ func TestV1Taxonomy400(t *testing.T) {
 		}
 		if e.Error == "" {
 			t.Errorf("%s: empty error message", c.name)
+		}
+		if c.body == oversizedBody && e.Error != "request body exceeds 1 MiB" {
+			t.Errorf("%s: message %q, want the size limit named", c.name, e.Error)
 		}
 	}
 
@@ -273,6 +283,14 @@ func TestV1StageEndpoint(t *testing.T) {
 
 	if status, _ := post(`{"ops":[{"key":"k","op":"put","value":"v"}]}`); status != http.StatusBadRequest {
 		t.Fatalf("stage without tx: status %d, want 400", status)
+	}
+	// Stage bodies follow /v1/commit's rules: no trailing data, and a
+	// body over the limit is named as such, not misread as broken JSON.
+	if status, body := post(`{"tx":"st0"} garbage`); status != http.StatusBadRequest {
+		t.Fatalf("stage with trailing data: status %d body %s, want 400", status, body)
+	}
+	if status, body := post(oversizedBody); status != http.StatusBadRequest || !strings.Contains(body, "request body exceeds 1 MiB") {
+		t.Fatalf("oversized stage: status %d body %.200s, want 400 naming the limit", status, body)
 	}
 	if status, body := post(`{"tx":"st1","ops":[{"key":"k","op":"put","value":"v"}]}`); status != http.StatusOK {
 		t.Fatalf("stage: status %d body %s", status, body)

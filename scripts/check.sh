@@ -44,6 +44,11 @@ echo "== benchmark smoke (compile + one iteration each) =="
 # cmd/benchdiff gates.
 go test -run='^$' -bench=. -benchtime=1x ./...
 
+echo "== serving-path allocation rung =="
+# The rung below perfbench: three in-process daemons, 200 3-shard
+# commits through the client library, allocs/op and B/op printed.
+go test -run '^$' -bench BenchmarkV1CommitFanout -benchtime 200x -benchmem ./internal/server
+
 echo "== wal fsync smoke =="
 # Proves real fdatasyncs reach the device on this filesystem (and
 # that -wal-fsync=false really elides them) before anyone trusts a

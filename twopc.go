@@ -216,7 +216,7 @@ var (
 	KVReliable      = kvstore.WithReliable
 	KVSharedLog     = kvstore.WithSharedLog
 	KVOKToLeaveOut  = kvstore.WithOKToLeaveOut
-	KVBlockingLocks = kvstore.WithBlockingLocks
+	KVLockWait      = kvstore.WithLockWait
 	KVReadOnlyVotes = kvstore.WithReadOnlyVotes
 )
 
