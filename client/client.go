@@ -132,10 +132,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 	if req.Variant == "" {
 		req.Variant = c.variant
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+	body := api.MarshalCommitRequest(&req)
 	target, err := c.target(ctx, req.Ops)
 	if err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 		}
 		var resp api.CommitResponse
 		if err := api.DecodeBody(hresp.Body, &resp); err != nil {
-			return nil, fmt.Errorf("twopc: decode response: %w", err)
+			return nil, fmt.Errorf("%w: %w", errUndecodable, err)
 		}
 		return &resp, nil
 	}
@@ -194,9 +191,17 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 	return resp, err
 }
 
+// errUndecodable marks a 200 whose body did not decode, or did not
+// arrive whole: the transaction ran, so it must not be sent again.
+var errUndecodable = errors.New("twopc: decode response")
+
 // retryable: transport failures and load sheds; taxonomy rejections
-// (400/422) will fail identically again.
+// (400/422) will fail identically again, and a 200 is never retried,
+// whatever became of its body, since the transaction it answers ran.
 func retryable(err error) bool {
+	if errors.Is(err, errUndecodable) {
+		return false
+	}
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.Temporary()

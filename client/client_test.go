@@ -161,6 +161,34 @@ func TestNoRetryOn4xx(t *testing.T) {
 	}
 }
 
+// TestNoRetryOnUndecodable200: a 200 means the transaction ran, so a
+// body that does not decode, or is over the size limit, is reported
+// and never answered by sending the request again — an empty tx would
+// commit a second transaction under a fresh id.
+func TestNoRetryOnUndecodable200(t *testing.T) {
+	for name, body := range map[string]string{
+		"broken":    `{"tx":"C:1","outcome":`,
+		"oversized": `{"tx":"` + strings.Repeat("a", api.MaxBody) + `"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var hits atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				io.WriteString(w, body)
+			}))
+			defer srv.Close()
+			c := New(srv.URL, WithRetry(fastRetry()))
+			if _, err := c.Commit(context.Background(), "", []api.Op{Put("k", "v")}); err == nil ||
+				!strings.Contains(err.Error(), "decode response") {
+				t.Fatalf("err = %v, want a decode error", err)
+			}
+			if got := hits.Load(); got != 1 {
+				t.Fatalf("server saw %d requests, want 1 (a 200 is never retried)", got)
+			}
+		})
+	}
+}
+
 // roundTripFunc is a RoundTripper double.
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
@@ -196,5 +224,28 @@ func TestCommitBodies(t *testing.T) {
 	respond = huge
 	if _, err := c.Commit(context.Background(), "C:1", []api.Op{Put("k", "v")}); !errors.Is(err, api.ErrBodyTooLarge) {
 		t.Fatalf("oversized response: err %v, want ErrBodyTooLarge", err)
+	}
+}
+
+// TestCommitRequestBodyAsMarshal: the request body is json.Marshal's
+// bytes for the request, the client's variant filled in.
+func TestCommitRequestBodyAsMarshal(t *testing.T) {
+	var sent []byte
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		sent, _ = io.ReadAll(r.Body)
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(`{"tx":"C:1","outcome":"committed"}`))}, nil
+	})}
+	c := New("http://daemon.example", WithHTTPClient(hc), WithVariant("pa"))
+	ops := []api.Op{Put("<k>", "a&b\u2028"), Get("g"), Del("d")}
+	if _, err := c.Commit(context.Background(), "C:1", ops); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(api.CommitRequest{Tx: "C:1", Variant: "pa", Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sent) != string(want) {
+		t.Fatalf("sent %s, json.Marshal writes %s", sent, want)
 	}
 }

@@ -13,10 +13,7 @@
 // the paper's Tables 2-4 predict for that participant count.
 package api
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Version is the API version segment all v1 endpoints share.
 const Version = "v1"
@@ -215,33 +212,4 @@ type Error struct {
 // ErrorOf builds an Error with a formatted message.
 func ErrorOf(code, format string, args ...any) Error {
 	return Error{Code: code, Error: fmt.Sprintf(format, args...)}
-}
-
-// ReadKeys collects the keys of all get ops, in request order without
-// duplicates.
-func ReadKeys(ops []Op) []string {
-	var keys []string
-	seen := map[string]bool{}
-	for _, op := range ops {
-		if op.Op == OpGet && !seen[op.Key] {
-			seen[op.Key] = true
-			keys = append(keys, op.Key)
-		}
-	}
-	return keys
-}
-
-// OpsString renders ops compactly for logs and traces.
-func OpsString(ops []Op) string {
-	var b strings.Builder
-	for i, op := range ops {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(string(op.Op))
-		b.WriteByte('(')
-		b.WriteString(op.Key)
-		b.WriteByte(')')
-	}
-	return b.String()
 }

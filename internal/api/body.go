@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,18 +14,20 @@ const MaxBody = 1 << 20
 // ErrBodyTooLarge is DecodeBody's error for a body over MaxBody.
 var ErrBodyTooLarge = errors.New("body exceeds 1 MiB")
 
-// bodyPool recycles DecodeBody's read buffers. A buffer that grew past
-// maxPooledBody is dropped rather than kept alive for small bodies.
+// bodyPool recycles the buffers bodies are read and encoded in. A
+// buffer that grew past maxPooledBody is dropped rather than kept
+// alive for small bodies.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 64 << 10
 
 // DecodeBody reads all of r, at most MaxBody bytes, into a pooled
-// buffer and unmarshals it into v as one JSON value. Data after the
-// value is an error, and so is a body over MaxBody (ErrBodyTooLarge).
-// An empty or blank body returns io.EOF, as json.Decoder does, and
-// leaves v as it was. json.Unmarshal copies everything it keeps, so v
-// holds no reference to the buffer, which goes back to the pool.
+// buffer and unmarshals it into v as one JSON value, through
+// Unmarshal's fast paths for the v1 bodies. Data after the value is an
+// error, and so is a body over MaxBody (ErrBodyTooLarge). An empty or
+// blank body returns io.EOF, as json.Decoder does, and leaves v as it
+// was. Both decoders copy everything they keep, so v holds no
+// reference to the buffer, which goes back to the pool.
 func DecodeBody(r io.Reader, v any) error {
 	bp := bodyPool.Get().(*[]byte)
 	b, err := readBody(r, (*bp)[:0])
@@ -34,14 +35,19 @@ func DecodeBody(r io.Reader, v any) error {
 		if len(bytes.TrimSpace(b)) == 0 {
 			err = io.EOF
 		} else {
-			err = json.Unmarshal(b, v)
+			err = Unmarshal(b, v)
 		}
 	}
+	putBody(bp, b)
+	return err
+}
+
+// putBody returns a buffer to the pool unless it grew too large.
+func putBody(bp *[]byte, b []byte) {
 	if cap(b) <= maxPooledBody {
 		*bp = b
 		bodyPool.Put(bp)
 	}
-	return err
 }
 
 // readBody appends r's bytes to b until EOF, failing once they pass

@@ -29,15 +29,17 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 		name       string
 		variant    core.Variant
 		agentVote  core.Vote
-		loseAnswer bool // drop the agent's answers until the check below
-		crashCoord bool // crash the coordinator right after the delegation leaves, then restart it
-		crashAgent bool // crash and restart the agent while its answer is lost
-		outlast    bool // keep the answer lost until the agent's decided table has rotated past it
-		commit     bool // the agent's decision
+		loseAnswer bool          // drop the agent's answers until the check below
+		crashCoord bool          // crash the coordinator right after the delegation leaves, then restart it
+		crashAgent bool          // crash and restart the agent while its answer is lost
+		outlast    bool          // keep the answer lost until the agent's decided table has rotated past it
+		commit     bool          // the agent's decision
+		voteDelay  time.Duration // S1 votes this late, past the coordinator's first Prepare retransmission
 	}{
 		{name: "PA agent commits, answer lost", variant: core.VariantPA, agentVote: core.VoteYes, loseAnswer: true, commit: true},
 		{name: "PC agent votes no, answer lost", variant: core.VariantPC, agentVote: core.VoteNo, loseAnswer: true},
 		{name: "PA coordinator crashes after delegating", variant: core.VariantPA, agentVote: core.VoteYes, crashCoord: true, commit: true},
+		{name: "PA coordinator crashes after delegating, S1 votes late", variant: core.VariantPA, agentVote: core.VoteYes, crashCoord: true, commit: true, voteDelay: 20 * time.Millisecond},
 		{name: "PA agent votes no, answer lost, agent restarts", variant: core.VariantPA, agentVote: core.VoteNo, loseAnswer: true, crashAgent: true},
 		{name: "PA agent commits, answer lost past its horizon", variant: core.VariantPA, agentVote: core.VoteYes, loseAnswer: true, outlast: true, commit: true},
 	} {
@@ -53,19 +55,29 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 				WithTimeout(60*time.Millisecond, 60*time.Millisecond),
 				WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}),
 			}
-			var prepares atomic.Int32
+			tx := core.TxID{Origin: "C", Seq: 21}.String()
+			coordLog := wal.New(wal.NewMemStore())
 			coordOpts := append([]Option{WithLastAgent()}, opts...)
 			if tc.crashCoord {
-				// The second Prepare C sends is the delegation.
+				// The delegation is the first Prepare C sends once its
+				// log holds the forced delegation record; a Prepare
+				// retransmitted to a slow S1 comes before it.
+				var crashed atomic.Bool
 				coordOpts = append(coordOpts, WithFailpoint(func(point string) bool {
-					return point == "after-send:Prepare" && prepares.Add(1) == 2
+					if point != "after-send:Prepare" || crashed.Load() {
+						return false
+					}
+					forced, err := hasDelegation(coordLog, tx)
+					return err == nil && forced && crashed.CompareAndSwap(false, true)
 				}))
 			}
 			rc := core.NewStaticResource("rc")
-			coordLog := wal.New(wal.NewMemStore())
 			coord := NewParticipant("C", net.Endpoint("C"), coordLog, []core.Resource{rc}, coordOpts...)
-			s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()),
-				[]core.Resource{core.NewStaticResource("r1")}, opts...)
+			var r1 core.Resource = core.NewStaticResource("r1")
+			if tc.voteDelay > 0 {
+				r1 = &slowVote{StaticResource: core.NewStaticResource("r1"), delay: tc.voteDelay}
+			}
+			s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []core.Resource{r1}, opts...)
 			// One shard, so the agent's other transactions age this one.
 			agent := NewParticipant("A", net.Endpoint("A"), wal.New(wal.NewMemStore()),
 				[]core.Resource{&voteOnce{StaticResource: core.NewStaticResource("ra"), first: tc.agentVote}}, append(opts, WithShards(1))...)
@@ -74,7 +86,6 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 			}
 			defer func() { coord.Stop(); s1.Stop(); agent.Stop() }()
 
-			tx := core.TxID{Origin: "C", Seq: 21}.String()
 			out, err := coord.Commit(context.Background(), tx, []string{"S1", "A"})
 			if out != InDoubt {
 				t.Fatalf("Commit = %v, %v; want in-doubt: the agent's answer never arrived", out, err)
@@ -86,6 +97,15 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 				if !errors.Is(err, ErrCrashed) {
 					t.Fatalf("Commit err = %v, want ErrCrashed", err)
 				}
+				// The agent handles each Prepare on its own goroutine,
+				// so the restart's repeated delegation could overtake
+				// the first one there, and a repeat the agent has no
+				// record of is answered abort. This case is the restart
+				// learning the agent's decision: restart once it is made.
+				waitUntil(t, 5*time.Second, func() bool {
+					_, ok := agent.Decided()[tx]
+					return ok
+				})
 				coord = coord.Restarted(net.Endpoint("C"))
 				coord.Start()
 			}
@@ -155,21 +175,41 @@ func (r *voteOnce) Prepare(tx core.TxID) (core.PrepareResult, error) {
 	return r.StaticResource.Prepare(tx)
 }
 
-// delegationForced reports whether log holds a forced Prepared record
-// by C for tx that names agent A.
+// slowVote votes only after delay.
+type slowVote struct {
+	*core.StaticResource
+	delay time.Duration
+}
+
+func (r *slowVote) Prepare(tx core.TxID) (core.PrepareResult, error) {
+	time.Sleep(r.delay)
+	return r.StaticResource.Prepare(tx)
+}
+
+// delegationForced is hasDelegation failing the test on a log error.
 func delegationForced(t *testing.T, log *wal.Log, tx string) bool {
 	t.Helper()
-	recs, err := log.Records()
+	forced, err := hasDelegation(log, tx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return forced
+}
+
+// hasDelegation reports whether log holds a forced Prepared record by C
+// for tx that names agent A.
+func hasDelegation(log *wal.Log, tx string) (bool, error) {
+	recs, err := log.Records()
+	if err != nil {
+		return false, err
 	}
 	for _, r := range recs {
 		if r.Node == "C" && r.Tx == tx && r.Kind == "Prepared" && r.Forced {
 			_, agent, _, ok := decodeDelegation(r.Data)
-			return ok && agent == "A"
+			return ok && agent == "A", nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 func rcDone(r *core.StaticResource, tx string) bool {

@@ -69,7 +69,7 @@ func (r *Router) handleCommit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var creq api.CommitRequest
-	if err := json.Unmarshal(body, &creq); err != nil {
+	if err := api.Unmarshal(body, &creq); err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrorOf(api.CodeBadRequest, "decode request: %v", err))
 		return
 	}

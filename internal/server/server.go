@@ -181,8 +181,8 @@ type Server struct {
 	auditTxs   int           // transactions audited
 	costAgg    map[metrics.AggregateCostKey]metrics.CostCounters
 	costNodes  map[metrics.AggregateCostKey]int
-	peerHTTP   map[string]string // fleet member name -> HTTP base URL
-	knownPeers map[string]bool   // names registered on either plane
+	peerHTTP   map[string]httpPeer // fleet member name -> its HTTP surface
+	knownPeers map[string]bool     // names registered on either plane
 
 	stopc  chan struct{}
 	stopMu sync.Once
@@ -289,7 +289,7 @@ func New(cfg Config) (*Server, error) {
 		idle:       make(chan struct{}),
 		costAgg:    make(map[metrics.AggregateCostKey]metrics.CostCounters),
 		costNodes:  make(map[metrics.AggregateCostKey]int),
-		peerHTTP:   make(map[string]string),
+		peerHTTP:   make(map[string]httpPeer),
 		knownPeers: make(map[string]bool),
 		stopc:      make(chan struct{}),
 	}
@@ -305,7 +305,7 @@ func New(cfg Config) (*Server, error) {
 		s.knownPeers[name] = true
 	}
 	for name, u := range cfg.PeerHTTP {
-		s.peerHTTP[name] = u
+		s.peerHTTP[name] = newHTTPPeer(u)
 		s.knownPeers[name] = true
 	}
 	for _, name := range cfg.Subs {
@@ -361,8 +361,9 @@ func (s *Server) RegisterPeer(name, addr string) {
 // RegisterPeerHTTP tells the data plane where a fleet member's HTTP
 // surface (/v1/stage, /v1/commit) lives.
 func (s *Server) RegisterPeerHTTP(name, baseURL string) {
+	p := newHTTPPeer(baseURL)
 	s.mu.Lock()
-	s.peerHTTP[name] = baseURL
+	s.peerHTTP[name] = p
 	s.knownPeers[name] = true
 	s.mu.Unlock()
 }
@@ -378,12 +379,12 @@ func (s *Server) nextTxID() string {
 	return string(strconv.AppendUint(append(buf[:0], s.txPrefix...), s.txSeq.Add(1), 10))
 }
 
-// peerHTTPURL resolves a fleet member's HTTP base URL.
-func (s *Server) peerHTTPURL(name string) (string, bool) {
+// peerHTTPOf resolves a fleet member's HTTP surface.
+func (s *Server) peerHTTPOf(name string) (httpPeer, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	u, ok := s.peerHTTP[name]
-	return u, ok
+	p, ok := s.peerHTTP[name]
+	return p, ok
 }
 
 // knownPeer reports whether name is registered on either plane.

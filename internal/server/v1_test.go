@@ -308,3 +308,56 @@ func TestV1StageEndpoint(t *testing.T) {
 		t.Fatalf("aborted staged write leaked: %+v", cr.Reads)
 	}
 }
+
+// TestV1ResponseBodiesAsEncoder: /v1/commit and /v1/stage answer with
+// the bytes json.Encoder.Encode writes for the same value, reads and
+// cost included.
+func TestV1ResponseBodiesAsEncoder(t *testing.T) {
+	s, err := New(Config{Name: "A", AuditInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	post := func(path, body string) []byte {
+		resp, err := http.Post("http://"+s.HTTPAddr()+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", path, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	reencode := func(raw []byte, v any) string {
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	post(api.PathCommit, `{"tx":"w","ops":[{"key":"<k>","op":"put","value":"a&b\u2028"}]}`)
+	for _, body := range []string{
+		`{"tx":"r","ops":[{"key":"<k>","op":"get"},{"key":"missing","op":"get"}]}`,
+		`{"ops":[{"key":"x","op":"put","value":"1"}],"variant":"pc"}`,
+	} {
+		raw := post(api.PathCommit, body)
+		if want := reencode(raw, new(api.CommitResponse)); string(raw) != want {
+			t.Errorf("/v1/commit answered\n%s\njson.Encoder writes\n%s", raw, want)
+		}
+	}
+	for _, body := range []string{
+		`{"tx":"st","ops":[{"key":"<k>","op":"get"}]}`,
+		`{"tx":"st","abort":true}`,
+	} {
+		raw := post(api.PathStage, body)
+		if want := reencode(raw, new(api.StageResponse)); string(raw) != want {
+			t.Errorf("/v1/stage answered\n%s\njson.Encoder writes\n%s", raw, want)
+		}
+	}
+}

@@ -3,7 +3,7 @@
 # race-enabled test suite (including the chaos harness and its safety
 # oracle), the nested perfbench module, a one-iteration benchmark
 # smoke, and short fuzz smokes over the wire/identifier parsers, the
-# Paxos acceptor rules and segment-log recovery.
+# Paxos acceptor rules, segment-log recovery and the v1 body codecs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -74,5 +74,8 @@ go test -run='^$' -fuzz=FuzzBinaryVsGobRoundTrip -fuzztime=10s ./internal/protoc
 go test -run='^$' -fuzz=FuzzPaxosAcceptor -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzSegmentRecover -fuzztime=10s ./internal/wal
+# The v1 body codecs against encoding/json; minimizing a new input from
+# the 1 MiB seed would take the whole budget, so minimization is capped.
+go test -run='^$' -fuzz=FuzzV1Bodies -fuzztime=10s -fuzzminimizetime=2s ./internal/api
 
 echo "All checks passed."
