@@ -16,6 +16,7 @@ import (
 	twopc "repro"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func reportTriplet(b *testing.B, flows, logs, forced float64) {
 
 // runFlat builds a flat tree of n members under cfg and commits once
 // per iteration, reporting counts from the final iteration.
-func runFlat(b *testing.B, cfg core.Config, n int, resource func(i int) core.Resource) {
+func runFlat(b *testing.B, cfg core.Config, n int, resource func(i int) protocol.Resource) {
 	b.Helper()
 	var flows, logs, forced, vlat float64
 	for i := 0; i < b.N; i++ {
@@ -36,12 +37,12 @@ func runFlat(b *testing.B, cfg core.Config, n int, resource func(i int) core.Res
 		eng.DisableTrace()
 		eng.AddNode("C").AttachResource(resource(0))
 		for j := 1; j < n; j++ {
-			id := core.NodeID(fmt.Sprintf("S%02d", j))
+			id := protocol.NodeID(fmt.Sprintf("S%02d", j))
 			eng.AddNode(id).AttachResource(resource(j))
 		}
 		tx := eng.Begin("C")
 		for j := 1; j < n; j++ {
-			if err := tx.Send("C", core.NodeID(fmt.Sprintf("S%02d", j)), "w"); err != nil {
+			if err := tx.Send("C", protocol.NodeID(fmt.Sprintf("S%02d", j)), "w"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +59,7 @@ func runFlat(b *testing.B, cfg core.Config, n int, resource func(i int) core.Res
 	b.ReportMetric(vlat, "vlat_us")
 }
 
-func updater(name string) core.Resource { return core.NewStaticResource(name) }
+func updater(name string) protocol.Resource { return protocol.NewStaticResource(name) }
 
 // --- Table 2: two-participant costs per variant and optimization ---------
 
@@ -66,28 +67,28 @@ func BenchmarkTable2(b *testing.B) {
 	type rowCfg struct {
 		name string
 		cfg  core.Config
-		res  func(i int) core.Resource
+		res  func(i int) protocol.Resource
 	}
 	rows := []rowCfg{
-		{"Basic2PC", core.Config{Variant: core.VariantBaseline}, nil},
-		{"PN", core.Config{Variant: core.VariantPN}, nil},
-		{"PC", core.Config{Variant: core.VariantPC, Options: core.Options{ReadOnly: true}}, nil},
-		{"PA_Commit", core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, nil},
-		{"PA_ReadOnly", core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
-			func(i int) core.Resource {
-				return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticVote(core.VoteReadOnly))
+		{"Basic2PC", core.Config{Variant: protocol.VariantBaseline}, nil},
+		{"PN", core.Config{Variant: protocol.VariantPN}, nil},
+		{"PC", core.Config{Variant: protocol.VariantPC, Options: core.Options{ReadOnly: true}}, nil},
+		{"PA_Commit", core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, nil},
+		{"PA_ReadOnly", core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
+			func(i int) protocol.Resource {
+				return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticVote(protocol.VoteReadOnly))
 			}},
-		{"PA_LastAgent", core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}}, nil},
-		{"PA_VoteReliable", core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
-			func(i int) core.Resource {
-				return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticReliable())
+		{"PA_LastAgent", core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}}, nil},
+		{"PA_VoteReliable", core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
+			func(i int) protocol.Resource {
+				return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticReliable())
 			}},
-		{"PA_WaitForOutcome", core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}}, nil},
+		{"PA_WaitForOutcome", core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}}, nil},
 	}
 	for _, row := range rows {
 		res := row.res
 		if res == nil {
-			res = func(i int) core.Resource { return updater(fmt.Sprintf("r%d", i)) }
+			res = func(i int) protocol.Resource { return updater(fmt.Sprintf("r%d", i)) }
 		}
 		b.Run(row.name, func(b *testing.B) { runFlat(b, row.cfg, 2, res) })
 	}
@@ -98,7 +99,7 @@ func BenchmarkTable2(b *testing.B) {
 func benchUnsolicited(b *testing.B) {
 	var t float64
 	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(core.Config{Variant: core.VariantPA,
+		eng := core.NewEngine(core.Config{Variant: protocol.VariantPA,
 			Options: core.Options{ReadOnly: true, UnsolicitedVote: true}})
 		eng.DisableTrace()
 		eng.AddNode("C").AttachResource(updater("rc"))
@@ -121,7 +122,7 @@ func benchUnsolicited(b *testing.B) {
 func benchLongLocksPair(b *testing.B) {
 	var flowsPerTx float64
 	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(core.Config{Variant: core.VariantPA,
+		eng := core.NewEngine(core.Config{Variant: protocol.VariantPA,
 			Options: core.Options{ReadOnly: true, LongLocks: true}})
 		eng.DisableTrace()
 		eng.AddNode("C").AttachResource(updater("rc"))
@@ -170,23 +171,23 @@ func BenchmarkTable3(b *testing.B) {
 	// Individual rows as full protocol runs.
 	n, m := 11, 4
 	b.Run("Basic2PC", func(b *testing.B) {
-		runFlat(b, core.Config{Variant: core.VariantBaseline}, n,
-			func(i int) core.Resource { return updater(fmt.Sprintf("r%d", i)) })
+		runFlat(b, core.Config{Variant: protocol.VariantBaseline}, n,
+			func(i int) protocol.Resource { return updater(fmt.Sprintf("r%d", i)) })
 	})
 	b.Run("PA_ReadOnly", func(b *testing.B) {
-		runFlat(b, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, n,
-			func(i int) core.Resource {
+		runFlat(b, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, n,
+			func(i int) protocol.Resource {
 				if i >= 1 && i <= m {
-					return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticVote(core.VoteReadOnly))
+					return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticVote(protocol.VoteReadOnly))
 				}
 				return updater(fmt.Sprintf("r%d", i))
 			})
 	})
 	b.Run("PA_VoteReliable", func(b *testing.B) {
-		runFlat(b, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}}, n,
-			func(i int) core.Resource {
+		runFlat(b, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}}, n,
+			func(i int) protocol.Resource {
 				if i >= 1 && i <= m {
-					return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticReliable())
+					return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticReliable())
 				}
 				return updater(fmt.Sprintf("r%d", i))
 			})
@@ -222,7 +223,7 @@ func BenchmarkTable4(b *testing.B) {
 
 // --- Figures: virtual latency of each flow pattern ---------------------------
 
-func benchFigure(b *testing.B, cfg core.Config, build func(eng *core.Engine) *core.Tx, root core.NodeID) {
+func benchFigure(b *testing.B, cfg core.Config, build func(eng *core.Engine) *core.Tx, root protocol.NodeID) {
 	b.Helper()
 	var vlat, flows float64
 	for i := 0; i < b.N; i++ {
@@ -259,22 +260,22 @@ func chain3(eng *core.Engine) *core.Tx {
 }
 
 func BenchmarkFigure1_Basic2PC(b *testing.B) {
-	benchFigure(b, core.Config{Variant: core.VariantBaseline}, pair, "C")
+	benchFigure(b, core.Config{Variant: protocol.VariantBaseline}, pair, "C")
 }
 
 func BenchmarkFigure2_Cascaded(b *testing.B) {
-	benchFigure(b, core.Config{Variant: core.VariantBaseline}, chain3, "C")
+	benchFigure(b, core.Config{Variant: protocol.VariantBaseline}, chain3, "C")
 }
 
 func BenchmarkFigure3_PNCascaded(b *testing.B) {
-	benchFigure(b, core.Config{Variant: core.VariantPN}, chain3, "C")
+	benchFigure(b, core.Config{Variant: protocol.VariantPN}, chain3, "C")
 }
 
 func BenchmarkFigure4_PartialReadOnly(b *testing.B) {
-	benchFigure(b, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
+	benchFigure(b, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
 		func(eng *core.Engine) *core.Tx {
 			eng.AddNode("C").AttachResource(updater("rc"))
-			eng.AddNode("RO").AttachResource(core.NewStaticResource("ro", core.StaticVote(core.VoteReadOnly)))
+			eng.AddNode("RO").AttachResource(protocol.NewStaticResource("ro", protocol.StaticVote(protocol.VoteReadOnly)))
 			eng.AddNode("UP").AttachResource(updater("up"))
 			tx := eng.Begin("C")
 			tx.Send("C", "RO", "r")
@@ -284,17 +285,17 @@ func BenchmarkFigure4_PartialReadOnly(b *testing.B) {
 }
 
 func BenchmarkFigure6_LastAgent(b *testing.B) {
-	benchFigure(b, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}}, pair, "C")
+	benchFigure(b, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}}, pair, "C")
 }
 
 func BenchmarkFigure7_LongLocks(b *testing.B) { benchLongLocksPair(b) }
 
 func BenchmarkFigure8_VoteReliable(b *testing.B) {
-	benchFigure(b, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
+	benchFigure(b, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
 		func(eng *core.Engine) *core.Tx {
-			eng.AddNode("C").AttachResource(core.NewStaticResource("rc", core.StaticReliable()))
-			eng.AddNode("M").AttachResource(core.NewStaticResource("rm", core.StaticReliable()))
-			eng.AddNode("L").AttachResource(core.NewStaticResource("rl", core.StaticReliable()))
+			eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc", protocol.StaticReliable()))
+			eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm", protocol.StaticReliable()))
+			eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl", protocol.StaticReliable()))
 			tx := eng.Begin("C")
 			tx.Send("C", "M", "x")
 			tx.Send("M", "L", "y")
@@ -330,7 +331,7 @@ func BenchmarkLastAgentSatellite(b *testing.B) {
 				var vlat float64
 				for i := 0; i < b.N; i++ {
 					eng := core.NewEngine(core.Config{
-						Variant:     core.VariantPA,
+						Variant:     protocol.VariantPA,
 						Options:     core.Options{ReadOnly: true, LastAgent: lastAgent},
 						VoteTimeout: 10 * time.Second,
 						AckTimeout:  10 * time.Second,
@@ -362,12 +363,12 @@ func BenchmarkLastAgentSatellite(b *testing.B) {
 
 func BenchmarkWorkloadVariants(b *testing.B) {
 	spec := workload.Spec{N: 12, Depth: 2, ReadFraction: 0.5, Seed: 42}
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
 		b.Run(v.String(), func(b *testing.B) {
 			var flows, forced float64
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{}
-				if v != core.VariantBaseline {
+				if v != protocol.VariantBaseline {
 					opts.ReadOnly = true
 				}
 				tr := workload.Generate(spec)

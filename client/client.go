@@ -31,7 +31,7 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/live"
+	"repro/internal/clock"
 	"repro/internal/router"
 )
 
@@ -68,7 +68,7 @@ type Client struct {
 	hc      *http.Client
 	variant string
 	timeout time.Duration
-	retry   *live.RetryPolicy
+	retry   *clock.RetryPolicy
 	route   bool
 
 	mu      sync.Mutex
@@ -96,7 +96,7 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // policy's jittered exponential backoff schedule — the same machinery
 // the live runtime retransmits protocol messages with. Off by default:
 // an open-loop load driver wants to count sheds, not mask them.
-func WithRetry(p live.RetryPolicy) Option { return func(c *Client) { c.retry = &p } }
+func WithRetry(p clock.RetryPolicy) Option { return func(c *Client) { c.retry = &p } }
 
 // WithShardRouting fetches the fleet's /v1/shards map from the base
 // endpoint and routes each transaction client-side to the owner of its

@@ -13,13 +13,13 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/live"
+	"repro/internal/clock"
 )
 
 // fastRetry is a millisecond-scale policy so the retry tests finish
 // instantly while still walking the real backoff schedule.
-func fastRetry() live.RetryPolicy {
-	return live.RetryPolicy{
+func fastRetry() clock.RetryPolicy {
+	return clock.RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    4 * time.Millisecond,
@@ -34,7 +34,7 @@ func fastRetry() live.RetryPolicy {
 // caller's deadline), capped at MaxDelay, and the schedule ends after
 // MaxAttempts-1 retries.
 func TestBackoffJitterBounds(t *testing.T) {
-	p := live.RetryPolicy{
+	p := clock.RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    40 * time.Millisecond,

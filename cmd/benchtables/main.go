@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/protocol"
 )
 
 func main() {
@@ -138,11 +139,11 @@ func table1() {
 	}
 }
 
-func pairRun(cfg core.Config, resOpts ...core.StaticOption) (*core.Engine, core.Result) {
+func pairRun(cfg core.Config, resOpts ...protocol.StaticOption) (*core.Engine, core.Result) {
 	eng := core.NewEngine(cfg)
 	eng.DisableTrace()
-	eng.AddNode("C").AttachResource(core.NewStaticResource("rc", resOpts...))
-	eng.AddNode("S").AttachResource(core.NewStaticResource("rs", resOpts...))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc", resOpts...))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", resOpts...))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "w"); err != nil {
 		exitOn(err)
@@ -153,27 +154,27 @@ func pairRun(cfg core.Config, resOpts ...core.StaticOption) (*core.Engine, core.
 }
 
 func evidenceReadOnly() string {
-	base, _ := pairRun(core.Config{Variant: core.VariantBaseline})
-	ro, _ := pairRun(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
-		core.StaticVote(core.VoteReadOnly))
+	base, _ := pairRun(core.Config{Variant: protocol.VariantBaseline})
+	ro, _ := pairRun(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
+		protocol.StaticVote(protocol.VoteReadOnly))
 	b, o := base.Metrics().ProtocolTriplet(), ro.Metrics().ProtocolTriplet()
 	return fmt.Sprintf("flows %d→%d, forced %d→%d for an all-read-only pair", b.Flows, o.Flows, b.Forced, o.Forced)
 }
 
 func evidenceLastAgent() string {
-	base, rb := pairRun(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}})
-	la, rl := pairRun(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}})
+	base, rb := pairRun(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}})
+	la, rl := pairRun(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}})
 	b, l := base.Metrics().ProtocolTriplet(), la.Metrics().ProtocolTriplet()
 	return fmt.Sprintf("flows %d→%d, latency %v→%v, forced %d→%d",
 		b.Flows, l.Flows, rb.Latency, rl.Latency, b.Forced, l.Forced)
 }
 
 func evidenceUnsolicited() string {
-	eng := core.NewEngine(core.Config{Variant: core.VariantPA,
+	eng := core.NewEngine(core.Config{Variant: protocol.VariantPA,
 		Options: core.Options{ReadOnly: true, UnsolicitedVote: true}})
 	eng.DisableTrace()
-	eng.AddNode("C").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(core.NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	exitOn(tx.Send("C", "S", "w"))
 	exitOn(tx.UnsolicitedVote("S"))
@@ -183,11 +184,11 @@ func evidenceUnsolicited() string {
 }
 
 func evidenceLeaveOut() string {
-	eng := core.NewEngine(core.Config{Variant: core.VariantPN, Options: core.Options{ReadOnly: true, LeaveOut: true}})
+	eng := core.NewEngine(core.Config{Variant: protocol.VariantPN, Options: core.Options{ReadOnly: true, LeaveOut: true}})
 	eng.DisableTrace()
-	eng.AddNode("C").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(core.NewStaticResource("rs",
-		core.StaticVote(core.VoteReadOnly), core.StaticLeaveOut()))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs",
+		protocol.StaticVote(protocol.VoteReadOnly), protocol.StaticLeaveOut()))
 	tx1 := eng.Begin("C")
 	exitOn(tx1.Send("C", "S", "w"))
 	tx1.Commit("C")
@@ -199,18 +200,18 @@ func evidenceLeaveOut() string {
 }
 
 func evidenceVoteReliable() string {
-	vr, _ := pairRun(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
-		core.StaticReliable())
+	vr, _ := pairRun(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
+		protocol.StaticReliable())
 	t := vr.Metrics().ProtocolTriplet()
 	return fmt.Sprintf("flows %d (vs 4): the commit ack became implied", t.Flows)
 }
 
 func evidenceWaitForOutcome() string {
-	eng := core.NewEngine(core.Config{Variant: core.VariantPN,
+	eng := core.NewEngine(core.Config{Variant: protocol.VariantPN,
 		Options: core.Options{WaitForOutcome: true}, AckTimeout: 2 * time.Millisecond})
 	eng.DisableTrace()
-	eng.AddNode("C").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(core.NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	exitOn(tx.Send("C", "S", "w"))
 	p := tx.CommitAsync("C")

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // profiles holds the active pprof outputs so every exit path — normal
@@ -97,7 +98,7 @@ func main() {
 		return
 	}
 
-	figures := map[int]func() (string, *core.Engine, []core.NodeID){
+	figures := map[int]func() (string, *core.Engine, []protocol.NodeID){
 		1: figure1, 2: figure2, 3: figure3, 4: figure4,
 		6: figure6, 7: figure7, 8: figure8,
 	}
@@ -172,67 +173,67 @@ func renderChaos(seed int64, mermaid bool) {
 
 func pairEngine(cfg core.Config) (*core.Engine, *core.Tx) {
 	eng := core.NewEngine(cfg)
-	eng.AddNode("Coordinator").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("Subordinate").AttachResource(core.NewStaticResource("rs"))
+	eng.AddNode("Coordinator").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("Subordinate").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("Coordinator")
 	must(tx.Send("Coordinator", "Subordinate", "work"))
 	return eng, tx
 }
 
-func chainEngine(cfg core.Config, leafOpts ...core.StaticOption) (*core.Engine, *core.Tx) {
+func chainEngine(cfg core.Config, leafOpts ...protocol.StaticOption) (*core.Engine, *core.Tx) {
 	eng := core.NewEngine(cfg)
-	eng.AddNode("Coordinator").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("Cascaded").AttachResource(core.NewStaticResource("rm"))
-	eng.AddNode("Subordinate").AttachResource(core.NewStaticResource("rl", leafOpts...))
+	eng.AddNode("Coordinator").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("Cascaded").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("Subordinate").AttachResource(protocol.NewStaticResource("rl", leafOpts...))
 	tx := eng.Begin("Coordinator")
 	must(tx.Send("Coordinator", "Cascaded", "work"))
 	must(tx.Send("Cascaded", "Subordinate", "work"))
 	return eng, tx
 }
 
-func figure1() (string, *core.Engine, []core.NodeID) {
-	eng, tx := pairEngine(core.Config{Variant: core.VariantBaseline})
+func figure1() (string, *core.Engine, []protocol.NodeID) {
+	eng, tx := pairEngine(core.Config{Variant: protocol.VariantBaseline})
 	tx.Commit("Coordinator")
-	return "Simple Two-Phase Commit Processing", eng, []core.NodeID{"Coordinator", "Subordinate"}
+	return "Simple Two-Phase Commit Processing", eng, []protocol.NodeID{"Coordinator", "Subordinate"}
 }
 
-func figure2() (string, *core.Engine, []core.NodeID) {
-	eng, tx := chainEngine(core.Config{Variant: core.VariantBaseline})
+func figure2() (string, *core.Engine, []protocol.NodeID) {
+	eng, tx := chainEngine(core.Config{Variant: protocol.VariantBaseline})
 	tx.Commit("Coordinator")
-	return "2PC with a Cascaded Coordinator", eng, []core.NodeID{"Coordinator", "Cascaded", "Subordinate"}
+	return "2PC with a Cascaded Coordinator", eng, []protocol.NodeID{"Coordinator", "Cascaded", "Subordinate"}
 }
 
-func figure3() (string, *core.Engine, []core.NodeID) {
-	eng, tx := chainEngine(core.Config{Variant: core.VariantPN})
+func figure3() (string, *core.Engine, []protocol.NodeID) {
+	eng, tx := chainEngine(core.Config{Variant: protocol.VariantPN})
 	tx.Commit("Coordinator")
 	return "Presumed Nothing Commit Processing with Intermediate Coordinator", eng,
-		[]core.NodeID{"Coordinator", "Cascaded", "Subordinate"}
+		[]protocol.NodeID{"Coordinator", "Cascaded", "Subordinate"}
 }
 
-func figure4() (string, *core.Engine, []core.NodeID) {
-	eng := core.NewEngine(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}})
-	eng.AddNode("Coordinator").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("ReadOnly").AttachResource(core.NewStaticResource("ro", core.StaticVote(core.VoteReadOnly)))
-	eng.AddNode("Updater").AttachResource(core.NewStaticResource("up"))
+func figure4() (string, *core.Engine, []protocol.NodeID) {
+	eng := core.NewEngine(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}})
+	eng.AddNode("Coordinator").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("ReadOnly").AttachResource(protocol.NewStaticResource("ro", protocol.StaticVote(protocol.VoteReadOnly)))
+	eng.AddNode("Updater").AttachResource(protocol.NewStaticResource("up"))
 	tx := eng.Begin("Coordinator")
 	must(tx.Send("Coordinator", "ReadOnly", "read"))
 	must(tx.Send("Coordinator", "Updater", "write"))
 	tx.Commit("Coordinator")
 	return "Partial Read-Only Commit Processing", eng,
-		[]core.NodeID{"Coordinator", "ReadOnly", "Updater"}
+		[]protocol.NodeID{"Coordinator", "ReadOnly", "Updater"}
 }
 
-func figure6() (string, *core.Engine, []core.NodeID) {
-	eng, tx := pairEngine(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}})
+func figure6() (string, *core.Engine, []protocol.NodeID) {
+	eng, tx := pairEngine(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}})
 	tx.Commit("Coordinator")
 	eng.FlushSessions()
-	return "Last-Agent Commit Processing", eng, []core.NodeID{"Coordinator", "Subordinate"}
+	return "Last-Agent Commit Processing", eng, []protocol.NodeID{"Coordinator", "Subordinate"}
 }
 
-func figure7() (string, *core.Engine, []core.NodeID) {
-	eng := core.NewEngine(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LongLocks: true}})
-	eng.AddNode("Coordinator").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("Subordinate").AttachResource(core.NewStaticResource("rs"))
+func figure7() (string, *core.Engine, []protocol.NodeID) {
+	eng := core.NewEngine(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LongLocks: true}})
+	eng.AddNode("Coordinator").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("Subordinate").AttachResource(protocol.NewStaticResource("rs"))
 	tx1 := eng.Begin("Coordinator")
 	must(tx1.Send("Coordinator", "Subordinate", "tx1 work"))
 	p := tx1.CommitAsync("Coordinator")
@@ -245,23 +246,23 @@ func figure7() (string, *core.Engine, []core.NodeID) {
 	if r, done := p.Result(); !done || r.Err != nil {
 		fmt.Fprintln(os.Stderr, "flowtrace: figure 7 chain incomplete")
 	}
-	return "Long Locks Across Chained Transactions", eng, []core.NodeID{"Coordinator", "Subordinate"}
+	return "Long Locks Across Chained Transactions", eng, []protocol.NodeID{"Coordinator", "Subordinate"}
 }
 
-func figure8() (string, *core.Engine, []core.NodeID) {
-	eng, tx := chainEngine(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}})
+func figure8() (string, *core.Engine, []protocol.NodeID) {
+	eng, tx := chainEngine(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}})
 	// All three resources reliable: rebuild with reliable resources.
-	eng = core.NewEngine(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}})
-	eng.AddNode("Coordinator").AttachResource(core.NewStaticResource("rc", core.StaticReliable()))
-	eng.AddNode("Cascaded").AttachResource(core.NewStaticResource("rm", core.StaticReliable()))
-	eng.AddNode("Subordinate").AttachResource(core.NewStaticResource("rl", core.StaticReliable()))
+	eng = core.NewEngine(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}})
+	eng.AddNode("Coordinator").AttachResource(protocol.NewStaticResource("rc", protocol.StaticReliable()))
+	eng.AddNode("Cascaded").AttachResource(protocol.NewStaticResource("rm", protocol.StaticReliable()))
+	eng.AddNode("Subordinate").AttachResource(protocol.NewStaticResource("rl", protocol.StaticReliable()))
 	tx = eng.Begin("Coordinator")
 	must(tx.Send("Coordinator", "Cascaded", "work"))
 	must(tx.Send("Cascaded", "Subordinate", "work"))
 	tx.Commit("Coordinator")
 	eng.FlushSessions()
 	return "Two-Phase Commit Processing, All Resources Voted Reliable", eng,
-		[]core.NodeID{"Coordinator", "Cascaded", "Subordinate"}
+		[]protocol.NodeID{"Coordinator", "Cascaded", "Subordinate"}
 }
 
 func must(err error) {

@@ -48,7 +48,7 @@ func main() {
 	cfg := core.Config{Variant: v}
 	// The presumed variants run with read-only votes on, as the paper's
 	// PA and PN rows do.
-	cfg.Options.ReadOnly = v == core.VariantPA || v == core.VariantPN || v == core.VariantPC
+	cfg.Options.ReadOnly = v == protocol.VariantPA || v == protocol.VariantPN || v == protocol.VariantPC
 	for _, o := range strings.Split(*opts, ",") {
 		switch strings.TrimSpace(strings.ToLower(o)) {
 		case "":
@@ -85,24 +85,24 @@ func main() {
 	if *heurCommit > 0 {
 		heurPolicy = core.HeuristicPolicy{After: *heurCommit, Commit: true}
 	}
-	root.AttachResource(core.NewStaticResource("r@" + string(tree.Root)))
-	nodeParent := map[core.NodeID]core.NodeID{}
+	root.AttachResource(protocol.NewStaticResource("r@" + string(tree.Root)))
+	nodeParent := map[protocol.NodeID]protocol.NodeID{}
 	for _, m := range tree.Members {
 		var nopts []core.NodeOption
 		if heurPolicy.Enabled() {
 			nopts = append(nopts, core.WithHeuristic(heurPolicy))
 		}
 		node := eng.AddNode(m.ID, nopts...)
-		var ropts []core.StaticOption
+		var ropts []protocol.StaticOption
 		switch m.Kind {
 		case workload.Reader:
-			ropts = append(ropts, core.StaticVote(core.VoteReadOnly))
+			ropts = append(ropts, protocol.StaticVote(protocol.VoteReadOnly))
 		case workload.LeaveOutServer:
-			ropts = append(ropts, core.StaticVote(core.VoteReadOnly), core.StaticLeaveOut())
+			ropts = append(ropts, protocol.StaticVote(protocol.VoteReadOnly), protocol.StaticLeaveOut())
 		case workload.ReliableUpdater:
-			ropts = append(ropts, core.StaticReliable())
+			ropts = append(ropts, protocol.StaticReliable())
 		}
-		node.AttachResource(core.NewStaticResource("r@"+string(m.ID), ropts...))
+		node.AttachResource(protocol.NewStaticResource("r@"+string(m.ID), ropts...))
 		nodeParent[m.ID] = m.Parent
 	}
 
@@ -123,7 +123,7 @@ func main() {
 	}
 
 	if *crash != "" || *partition != "" {
-		target := core.NodeID(*crash + *partition)
+		target := protocol.NodeID(*crash + *partition)
 		// Step until the target prepares, then inject the failure.
 		for {
 			prepared := false

@@ -17,10 +17,11 @@ import (
 	"time"
 
 	twopc "repro"
-	"repro/internal/core"
+	"repro/internal/clock"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -52,14 +53,14 @@ func main() {
 	// policy (exponential backoff with jitter over TCP).
 	reg := metrics.New()
 	opts := []live.Option{
-		live.WithVariant(core.VariantPA),
+		live.WithVariant(protocol.VariantPA),
 		live.WithMetrics(reg),
 		live.WithTimeout(5*time.Second, 5*time.Second),
-		live.WithRetry(live.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond}),
+		live.WithRetry(clock.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond}),
 	}
-	coord := live.NewParticipant("coordinator", epC, wal.New(wal.NewMemStore()), []core.Resource{kvC}, opts...)
-	warehouse := live.NewParticipant("warehouse", epW, wal.New(wal.NewMemStore()), []core.Resource{kvW}, opts...)
-	billing := live.NewParticipant("billing", epB, wal.New(wal.NewMemStore()), []core.Resource{kvB}, opts...)
+	coord := live.NewParticipant("coordinator", epC, wal.New(wal.NewMemStore()), []protocol.Resource{kvC}, opts...)
+	warehouse := live.NewParticipant("warehouse", epW, wal.New(wal.NewMemStore()), []protocol.Resource{kvW}, opts...)
+	billing := live.NewParticipant("billing", epB, wal.New(wal.NewMemStore()), []protocol.Resource{kvB}, opts...)
 	coord.Start()
 	warehouse.Start()
 	billing.Start()
@@ -70,7 +71,7 @@ func main() {
 	ctx := context.Background()
 
 	// Order 1: everything in stock — commits across all three.
-	tx1 := core.TxID{Origin: "coordinator", Seq: 1}
+	tx1 := protocol.TxID{Origin: "coordinator", Seq: 1}
 	must(kvC.Put(ctx, tx1, "order-1001", "widget x3"))
 	must(kvW.Put(ctx, tx1, "widget", "stock 97"))
 	must(kvB.Put(ctx, tx1, "invoice-1001", "$29.97"))
@@ -87,7 +88,7 @@ func main() {
 
 	// Order 2: billing only reads (credit check) — it votes read-only
 	// and drops out of phase two.
-	tx2 := core.TxID{Origin: "coordinator", Seq: 2}
+	tx2 := protocol.TxID{Origin: "coordinator", Seq: 2}
 	must(kvC.Put(ctx, tx2, "order-1002", "gizmo x1"))
 	must(kvW.Put(ctx, tx2, "gizmo", "stock 41"))
 	if _, err := kvB.Get(ctx, tx2, "invoice-1001"); err != nil {
@@ -98,13 +99,13 @@ func main() {
 	fmt.Printf("order 1002: %v (billing voted read-only and skipped phase two)\n", out)
 
 	// Order 3: a veto — the warehouse refuses, everything aborts.
-	veto := core.NewStaticResource("out-of-stock", core.StaticVote(core.VoteNo))
+	veto := protocol.NewStaticResource("out-of-stock", protocol.StaticVote(protocol.VoteNo))
 	warehouseVeto := live.NewParticipant("warehouse2", mustEP("warehouse2", epC), wal.New(wal.NewMemStore()),
-		[]core.Resource{veto})
+		[]protocol.Resource{veto})
 	warehouseVeto.Start()
 	defer warehouseVeto.Stop()
 
-	tx3 := core.TxID{Origin: "coordinator", Seq: 3}
+	tx3 := protocol.TxID{Origin: "coordinator", Seq: 3}
 	must(kvC.Put(ctx, tx3, "order-1003", "doohickey x9"))
 	out, err = coord.Commit(ctx, tx3.String(), []string{"warehouse2"})
 	must(err)

@@ -47,7 +47,7 @@ func Basic2PC(n int) Triplet {
 }
 
 // PN is Presumed Nothing for a flat tree of n members, commit case:
-// the coordinator adds a forced CommitPending, each subordinate adds
+// the coordinator adds a forced Pending, each subordinate adds
 // a forced AgentPending.
 func PN(n int) Triplet {
 	b := Basic2PC(n)
@@ -226,7 +226,7 @@ type RoleCost struct {
 
 // CommitCostByRole returns the live runtime's per-role commit-case
 // costs for the named variant ("Basic2PC", "PA", "PN", "PC",
-// "PaxosCommit", "1PC" — the core.Variant String names) over subs
+// "PaxosCommit", "1PC" — the protocol.Variant String names) over subs
 // subordinates. ok is false for an unknown variant name.
 func CommitCostByRole(variant string, subs int) (RoleCost, bool) {
 	coord := Triplet{Flows: 2 * subs, Writes: 2, Forced: 1}

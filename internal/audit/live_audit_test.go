@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -28,7 +28,7 @@ func newLiveCluster(t *testing.T) *liveCluster {
 	coordLog := wal.New(wal.NewMemStore())
 	mk := func(name string, log *wal.Log) *live.Participant {
 		p := live.NewParticipant(name, net.Endpoint(name), log,
-			[]core.Resource{core.NewStaticResource("r@" + name)},
+			[]protocol.Resource{protocol.NewStaticResource("r@" + name)},
 			live.WithMetrics(reg))
 		p.Start()
 		t.Cleanup(p.Stop)
@@ -42,12 +42,12 @@ func newLiveCluster(t *testing.T) *liveCluster {
 
 // commit runs n transactions under variant v and fails the test on
 // any non-committed outcome.
-func (lc *liveCluster) commit(t *testing.T, v core.Variant, n int, seq *uint64) {
+func (lc *liveCluster) commit(t *testing.T, v protocol.Variant, n int, seq *uint64) {
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		*seq++
-		tx := core.TxID{Origin: "C", Seq: *seq}.String()
+		tx := protocol.TxID{Origin: "C", Seq: *seq}.String()
 		out, err := lc.coord.CommitVariant(ctx, tx, []string{"S1", "S2"}, v)
 		if err != nil || out != live.Committed {
 			t.Fatalf("%s commit %s = %v, %v", v, tx, out, err)
@@ -81,7 +81,7 @@ func drainClosed(t *testing.T, reg *metrics.Registry, want int) []metrics.TxCost
 // exactly — the paper's Tables 2-4 re-derived from a running system.
 func TestLiveConformanceAllVariants(t *testing.T) {
 	const perVariant = 5
-	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos, core.Variant1PC}
+	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC}
 	lc := newLiveCluster(t)
 	var seq uint64
 	for _, v := range variants {
@@ -115,12 +115,12 @@ func TestLiveConformanceAllVariants(t *testing.T) {
 func TestLiveConformanceCatchesMisCost(t *testing.T) {
 	lc := newLiveCluster(t)
 	var seq uint64
-	lc.commit(t, core.VariantPA, 1, &seq)
+	lc.commit(t, protocol.VariantPA, 1, &seq)
 
 	// Wait for closure but snapshot instead of draining, then damage
 	// the coordinator's accounting through its real WAL: the observer
 	// wired by live.Start attributes the write to the transaction.
-	tx := core.TxID{Origin: "C", Seq: 1}.String()
+	tx := protocol.TxID{Origin: "C", Seq: 1}.String()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		views := lc.reg.CostSnapshot()
@@ -158,21 +158,21 @@ func TestLiveConformanceCatchesMisCost(t *testing.T) {
 // variant and checks the measured spend stays under the abort
 // ceilings.
 func TestLiveConformanceAbortPath(t *testing.T) {
-	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos, core.Variant1PC}
+	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC}
 	for _, v := range variants {
 		t.Run(v.String(), func(t *testing.T) {
 			reg := metrics.New()
 			net := netsim.NewChanNetwork()
-			mk := func(name string, res core.Resource) *live.Participant {
+			mk := func(name string, res protocol.Resource) *live.Participant {
 				p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-					[]core.Resource{res}, live.WithMetrics(reg))
+					[]protocol.Resource{res}, live.WithMetrics(reg))
 				p.Start()
 				t.Cleanup(p.Stop)
 				return p
 			}
-			c := mk("C", core.NewStaticResource("rc"))
-			mk("S1", core.NewStaticResource("r1"))
-			mk("S2", core.NewStaticResource("r2", core.StaticVote(core.VoteNo)))
+			c := mk("C", protocol.NewStaticResource("rc"))
+			mk("S1", protocol.NewStaticResource("r1"))
+			mk("S2", protocol.NewStaticResource("r2", protocol.StaticVote(protocol.VoteNo)))
 
 			out, err := c.CommitVariant(context.Background(), "C:1", []string{"S1", "S2"}, v)
 			if err != nil || out != live.Aborted {

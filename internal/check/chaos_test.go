@@ -9,7 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // seedFlag replays one schedule: the failure message of a chaos run
@@ -99,7 +99,7 @@ func TestChaos(t *testing.T) {
 	}
 	simPerVariant := sweepWidth(*simSeedsFlag, "CHAOS_SIM_SEEDS", simDef)
 	livePerVariant := sweepWidth(*liveSeedsFlag, "CHAOS_LIVE_SEEDS", liveDef)
-	variants := int64(core.Variant1PC) + 1
+	variants := int64(protocol.Variant1PC) + 1
 
 	// Simulator runs: cheap, fully deterministic, sequential. The
 	// first failure gets the full mermaid trace; a run of failures
@@ -146,7 +146,7 @@ func TestScheduleDeterminism(t *testing.T) {
 			t.Fatalf("seed %d expanded to two different schedules:\n%+v\n%+v", seed, a, b)
 		}
 		wantVariant := seed & 7
-		if wantVariant > int64(core.Variant1PC) {
+		if wantVariant > int64(protocol.Variant1PC) {
 			wantVariant -= 6
 		}
 		if got := int64(a.Variant); got != wantVariant {
@@ -159,7 +159,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		if a.Engine != wantEngine {
 			t.Fatalf("seed %d: engine bit mapping broke: got %s", seed, a.Engine)
 		}
-		if a.CoordStaysDown && (a.Variant != core.VariantPaxos || !a.CrashCoord) {
+		if a.CoordStaysDown && (a.Variant != protocol.VariantPaxos || !a.CrashCoord) {
 			t.Fatalf("seed %d: CoordStaysDown outside a Paxos coordinator crash: %+v", seed, a)
 		}
 	}

@@ -23,17 +23,17 @@ func TestInjectedAtomicityBugSim(t *testing.T) {
 	const seed = int64(424242)
 	s := FromSeed(seed) // any schedule works; the flip alone must convict
 	s.Engine = "sim"
-	s.Variant = core.VariantPA
+	s.Variant = protocol.VariantPA
 	s.CrashCoord, s.CrashSub = false, false
 	s.PartitionSub, s.LossPermil = -1, 0
 	s.Subs = 2
 
 	eng := core.NewEngine(core.Config{Variant: s.Variant})
 	for _, name := range s.Nodes() {
-		eng.AddNode(core.NodeID(name)).AttachResource(core.NewStaticResource(name + "-res"))
+		eng.AddNode(protocol.NodeID(name)).AttachResource(protocol.NewStaticResource(name + "-res"))
 	}
 	flipped := false
-	eng.SetMessageFilter(func(from, to core.NodeID, m protocol.Message) (protocol.Message, bool) {
+	eng.SetMessageFilter(func(from, to protocol.NodeID, m protocol.Message) (protocol.Message, bool) {
 		if m.Type == protocol.MsgCommit && !flipped {
 			flipped = true
 			m.Type = protocol.MsgAbort
@@ -42,7 +42,7 @@ func TestInjectedAtomicityBugSim(t *testing.T) {
 	})
 	tx := eng.Begin("C")
 	for i := 0; i < s.Subs; i++ {
-		if err := tx.Send("C", core.NodeID(SubName(i)), "work"); err != nil {
+		if err := tx.Send("C", protocol.NodeID(SubName(i)), "work"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,8 +76,8 @@ func TestInjectedAtomicityBugLive(t *testing.T) {
 		}))
 	mk := func(name string) *live.Participant {
 		p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{core.NewStaticResource(name + "-res")},
-			live.WithVariant(core.VariantBaseline),
+			[]protocol.Resource{protocol.NewStaticResource(name + "-res")},
+			live.WithVariant(protocol.VariantBaseline),
 			live.WithTrace(trc),
 			live.WithTimeout(liveTimeout, liveTimeout),
 			live.WithRetry(liveRetry()),
@@ -102,7 +102,7 @@ func TestInjectedAtomicityBugLive(t *testing.T) {
 		"C":  {Outcomes: c.Decided()},
 		"S1": {Outcomes: s1.Decided()},
 	}
-	vs := Check(Run{Variant: core.VariantBaseline, Events: trc.Events(), Final: final})
+	vs := Check(Run{Variant: protocol.VariantBaseline, Events: trc.Events(), Final: final})
 	wantRule(t, vs, "AC1")
 	if el := time.Since(start); el > time.Minute {
 		t.Errorf("conviction took %v; the acceptance bar is under a minute", el)
@@ -113,7 +113,7 @@ func TestInjectedAtomicityBugLive(t *testing.T) {
 // paxosInjectFleet builds a live Paxos Commit fleet on a channel
 // network, with per-node protocol-bug hooks and an optional message
 // transform and coordinator failpoint.
-func paxosInjectFleet(t *testing.T, seed int64, subs []string, hooks map[string]core.TestHooks,
+func paxosInjectFleet(t *testing.T, seed int64, subs []string, hooks map[string]protocol.TestHooks,
 	transform netsim.Transform, coordFail func(string) bool) (map[string]*live.Participant, *trace.Tracer) {
 	t.Helper()
 	trc := trace.New()
@@ -125,7 +125,7 @@ func paxosInjectFleet(t *testing.T, seed int64, subs []string, hooks map[string]
 	parts := make(map[string]*live.Participant)
 	for i, name := range append([]string{"C"}, subs...) {
 		opts := []live.Option{
-			live.WithVariant(core.VariantPaxos),
+			live.WithVariant(protocol.VariantPaxos),
 			live.WithTrace(trc),
 			live.WithTimeout(liveTimeout, liveTimeout),
 			live.WithRetry(liveRetry()),
@@ -136,7 +136,7 @@ func paxosInjectFleet(t *testing.T, seed int64, subs []string, hooks map[string]
 			opts = append(opts, live.WithFailpoint(coordFail))
 		}
 		p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{core.NewStaticResource(name + "-res")}, opts...)
+			[]protocol.Resource{protocol.NewStaticResource(name + "-res")}, opts...)
 		p.Start()
 		t.Cleanup(p.Stop)
 		parts[name] = p
@@ -146,7 +146,7 @@ func paxosInjectFleet(t *testing.T, seed int64, subs []string, hooks map[string]
 
 // TestInjectedAcceptorForceBugLive plants the first deliberate Paxos
 // Commit bug — acceptors acknowledge their ballot-0 acceptance
-// without forcing it (core.TestHooks.SkipAcceptorForce) — and
+// without forcing it (protocol.TestHooks.SkipAcceptorForce) — and
 // requires the oracle to convict it under AC3. The commit itself
 // SUCCEEDS; only the trace betrays that the quorum's durability
 // promise was hollow.
@@ -154,7 +154,7 @@ func TestInjectedAcceptorForceBugLive(t *testing.T) {
 	start := time.Now()
 	const seed = int64(424244)
 	subs := []string{"S1", "S2"}
-	hooks := map[string]core.TestHooks{
+	hooks := map[string]protocol.TestHooks{
 		"C":  {SkipAcceptorForce: true},
 		"S1": {SkipAcceptorForce: true},
 		"S2": {SkipAcceptorForce: true},
@@ -172,7 +172,7 @@ func TestInjectedAcceptorForceBugLive(t *testing.T) {
 	for name, p := range parts {
 		final[name] = Final{Outcomes: p.Decided()}
 	}
-	vs := Check(Run{Variant: core.VariantPaxos, Events: trc.Events(), Final: final})
+	vs := Check(Run{Variant: protocol.VariantPaxos, Events: trc.Events(), Final: final})
 	wantRule(t, vs, "AC3")
 	if el := time.Since(start); el > time.Minute {
 		t.Errorf("conviction took %v; the acceptance bar is under a minute", el)
@@ -182,10 +182,10 @@ func TestInjectedAcceptorForceBugLive(t *testing.T) {
 
 // paxosInjectSim builds a simulated Paxos Commit tree of C and subs
 // with the given protocol-bug hooks, every node holding one resource.
-func paxosInjectSim(hooks core.TestHooks, subs []string) *core.Engine {
-	eng := core.NewEngine(core.Config{Variant: core.VariantPaxos, Hooks: hooks})
+func paxosInjectSim(hooks protocol.TestHooks, subs []string) *core.Engine {
+	eng := core.NewEngine(core.Config{Variant: protocol.VariantPaxos, Hooks: hooks})
 	for _, name := range append([]string{"C"}, subs...) {
-		eng.AddNode(core.NodeID(name)).AttachResource(core.NewStaticResource(name + "-res"))
+		eng.AddNode(protocol.NodeID(name)).AttachResource(protocol.NewStaticResource(name + "-res"))
 	}
 	return eng
 }
@@ -196,7 +196,7 @@ func paxosCommitSim(t *testing.T, eng *core.Engine, subs []string) *core.Tx {
 	t.Helper()
 	tx := eng.Begin("C")
 	for _, sub := range subs {
-		if err := tx.Send("C", core.NodeID(sub), "work"); err != nil {
+		if err := tx.Send("C", protocol.NodeID(sub), "work"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,42 +208,42 @@ func paxosCommitSim(t *testing.T, eng *core.Engine, subs []string) *core.Tx {
 }
 
 // TestInjectedAcceptorForceBugSim plants the acceptor-force bug
-// (core.TestHooks.SkipAcceptorForce) in the simulator: the commit
+// (protocol.TestHooks.SkipAcceptorForce) in the simulator: the commit
 // succeeds, and the oracle must convict the hollow quorum under AC3
 // from the trace alone, as it does for the live runtime.
 func TestInjectedAcceptorForceBugSim(t *testing.T) {
 	const seed = int64(424244)
 	subs := []string{"S1", "S2"}
-	eng := paxosInjectSim(core.TestHooks{SkipAcceptorForce: true}, subs)
+	eng := paxosInjectSim(protocol.TestHooks{SkipAcceptorForce: true}, subs)
 	tx := paxosCommitSim(t, eng, subs)
 
 	if o, ok := eng.OutcomeAt("C", tx.ID()); !ok || o != core.OutcomeCommitted {
 		t.Fatalf("outcome at C = %v, %v (the bug must not block the happy path)", o, ok)
 	}
-	vs := Check(Run{Variant: core.VariantPaxos, Events: eng.Trace().Events()})
+	vs := Check(Run{Variant: protocol.VariantPaxos, Events: eng.Trace().Events()})
 	wantRule(t, vs, "AC3")
 	t.Logf("oracle convicted the unforced acceptance (seed=%d): %v", seed, vs)
 }
 
 // TestInjectedOnePhaseLazyDecisionSim plants the one-phase variant's
 // deliberate bug in the simulator: the coordinator writes its combined
-// decision record lazily (core.TestHooks.OnePhaseLazyDecision) instead
+// decision record lazily (protocol.TestHooks.OnePhaseLazyDecision) instead
 // of forcing it. In 1PC that single force is the transaction's entire
 // durability — the voters logged nothing — so skipping it must convict
 // under AC3 even though the commit itself sails through.
 func TestInjectedOnePhaseLazyDecisionSim(t *testing.T) {
 	const seed = int64(424246)
 	eng := core.NewEngine(core.Config{
-		Variant: core.Variant1PC,
-		Hooks:   core.TestHooks{OnePhaseLazyDecision: true},
+		Variant: protocol.Variant1PC,
+		Hooks:   protocol.TestHooks{OnePhaseLazyDecision: true},
 	})
 	nodes := []string{"C", "S1", "S2"}
 	for _, name := range nodes {
-		eng.AddNode(core.NodeID(name)).AttachResource(core.NewStaticResource(name + "-res"))
+		eng.AddNode(protocol.NodeID(name)).AttachResource(protocol.NewStaticResource(name + "-res"))
 	}
 	tx := eng.Begin("C")
 	for _, sub := range nodes[1:] {
-		if err := tx.Send("C", core.NodeID(sub), "work"); err != nil {
+		if err := tx.Send("C", protocol.NodeID(sub), "work"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestInjectedOnePhaseLazyDecisionSim(t *testing.T) {
 	if o, ok := eng.OutcomeAt("C", tx.ID()); !ok || o != core.OutcomeCommitted {
 		t.Fatalf("outcome at C = %v, %v (the bug must not block the happy path)", o, ok)
 	}
-	vs := Check(Run{Variant: core.Variant1PC, Events: eng.Trace().Events()})
+	vs := Check(Run{Variant: protocol.Variant1PC, Events: eng.Trace().Events()})
 	wantRule(t, vs, "AC3")
 	t.Logf("oracle convicted the lazy 1PC decision (seed=%d): %v", seed, vs)
 }
@@ -269,10 +269,10 @@ func TestInjectedOnePhaseLazyDecisionLive(t *testing.T) {
 	const seed = int64(424247)
 	trc := trace.New()
 	net := netsim.NewChanNetwork()
-	mk := func(name string, hooks core.TestHooks) *live.Participant {
+	mk := func(name string, hooks protocol.TestHooks) *live.Participant {
 		p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{core.NewStaticResource(name + "-res")},
-			live.WithVariant(core.Variant1PC),
+			[]protocol.Resource{protocol.NewStaticResource(name + "-res")},
+			live.WithVariant(protocol.Variant1PC),
 			live.WithTrace(trc),
 			live.WithTimeout(liveTimeout, liveTimeout),
 			live.WithRetry(liveRetry()),
@@ -283,9 +283,9 @@ func TestInjectedOnePhaseLazyDecisionLive(t *testing.T) {
 		t.Cleanup(p.Stop)
 		return p
 	}
-	c := mk("C", core.TestHooks{OnePhaseLazyDecision: true})
-	s1 := mk("S1", core.TestHooks{})
-	s2 := mk("S2", core.TestHooks{})
+	c := mk("C", protocol.TestHooks{OnePhaseLazyDecision: true})
+	s1 := mk("S1", protocol.TestHooks{})
+	s2 := mk("S2", protocol.TestHooks{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), liveRecovery)
 	defer cancel()
@@ -299,7 +299,7 @@ func TestInjectedOnePhaseLazyDecisionLive(t *testing.T) {
 		"S1": {Outcomes: s1.Decided()},
 		"S2": {Outcomes: s2.Decided()},
 	}
-	vs := Check(Run{Variant: core.Variant1PC, Events: trc.Events(), Final: final})
+	vs := Check(Run{Variant: protocol.Variant1PC, Events: trc.Events(), Final: final})
 	wantRule(t, vs, "AC3")
 	if el := time.Since(start); el > time.Minute {
 		t.Errorf("conviction took %v; the acceptance bar is under a minute", el)
@@ -308,7 +308,7 @@ func TestInjectedOnePhaseLazyDecisionLive(t *testing.T) {
 }
 
 // TestInjectedQuorumBugLive plants the second bug — the coordinator
-// counts an acceptor "quorum" of one (core.TestHooks.QuorumOverride)
+// counts an acceptor "quorum" of one (protocol.TestHooks.QuorumOverride)
 // — and arranges the schedule that makes it lethal: the coordinator's
 // own-instance accepts never reach the other acceptors, it commits on
 // its own acceptance alone, and dies before any outcome escapes. The
@@ -319,7 +319,7 @@ func TestInjectedQuorumBugLive(t *testing.T) {
 	start := time.Now()
 	const seed = int64(424245)
 	subs := []string{"S1", "S2", "S3"}
-	hooks := map[string]core.TestHooks{"C": {QuorumOverride: 1}}
+	hooks := map[string]protocol.TestHooks{"C": {QuorumOverride: 1}}
 	// The coordinator's ballot-0 accepts and its Commit broadcast are
 	// swallowed by the network; everything else (the subordinates'
 	// accepts, the recovery round) flows.
@@ -370,7 +370,7 @@ func TestInjectedQuorumBugLive(t *testing.T) {
 	for name, p := range parts {
 		final[name] = Final{Crashed: p.Crashed(), Outcomes: p.Decided()}
 	}
-	vs := Check(Run{Variant: core.VariantPaxos, Events: trc.Events(), Final: final})
+	vs := Check(Run{Variant: protocol.VariantPaxos, Events: trc.Events(), Final: final})
 	wantRule(t, vs, "AC1")
 	wantRule(t, vs, "AC2")
 	if el := time.Since(start); el > time.Minute {
@@ -380,7 +380,7 @@ func TestInjectedQuorumBugLive(t *testing.T) {
 }
 
 // TestInjectedQuorumBugSim plants the miscounted quorum
-// (core.TestHooks.QuorumOverride) in the simulator under the live
+// (protocol.TestHooks.QuorumOverride) in the simulator under the live
 // test's schedule: the coordinator's ballot-0 accepts and Commit are
 // swallowed, it commits on its own acceptance alone and crashes right
 // after, and the survivors' recovery finds its instance nowhere and
@@ -389,9 +389,9 @@ func TestInjectedQuorumBugLive(t *testing.T) {
 func TestInjectedQuorumBugSim(t *testing.T) {
 	const seed = int64(424245)
 	subs := []string{"S1", "S2", "S3"}
-	eng := paxosInjectSim(core.TestHooks{QuorumOverride: 1}, subs)
+	eng := paxosInjectSim(protocol.TestHooks{QuorumOverride: 1}, subs)
 	crashed := false
-	eng.SetMessageFilter(func(from, to core.NodeID, m protocol.Message) (protocol.Message, bool) {
+	eng.SetMessageFilter(func(from, to protocol.NodeID, m protocol.Message) (protocol.Message, bool) {
 		if from != "C" || (m.Type != protocol.MsgPaxosAccept && m.Type != protocol.MsgCommit) {
 			return m, true
 		}
@@ -407,11 +407,11 @@ func TestInjectedQuorumBugSim(t *testing.T) {
 		t.Fatal("injection never fired: the coordinator never decided on its fake quorum")
 	}
 	for _, name := range subs {
-		if o, ok := eng.OutcomeAt(core.NodeID(name), tx.ID()); !ok || o != core.OutcomeAborted {
+		if o, ok := eng.OutcomeAt(protocol.NodeID(name), tx.ID()); !ok || o != core.OutcomeAborted {
 			t.Fatalf("outcome at %s = %v, %v; want the survivors' abort", name, o, ok)
 		}
 	}
-	vs := Check(Run{Variant: core.VariantPaxos, Events: eng.Trace().Events()})
+	vs := Check(Run{Variant: protocol.VariantPaxos, Events: eng.Trace().Events()})
 	wantRule(t, vs, "AC1")
 	wantRule(t, vs, "AC2")
 	t.Logf("oracle convicted the miscounted quorum (seed=%d): %v", seed, vs)

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // lastAgentSeeds is the last-agent sweep's fixed seed list: for each
@@ -15,7 +15,7 @@ import (
 // separate from TestChaos and leaves its 288 schedules as they are.
 func lastAgentSeeds(simPerVariant, livePerVariant int) []int64 {
 	var seeds []int64
-	for v := core.VariantBaseline; v <= core.VariantPC; v++ {
+	for v := protocol.VariantBaseline; v <= protocol.VariantPC; v++ {
 		for i := int64(0); i < int64(simPerVariant); i++ {
 			seeds = append(seeds, i<<4|int64(v))
 		}

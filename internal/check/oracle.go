@@ -24,7 +24,7 @@
 //	AC5  Locks release no earlier than the variant permits: never
 //	     before the local decision point.
 //
-// Paxos Commit (core.VariantPaxos) swaps AC4 for its strict form:
+// Paxos Commit (protocol.VariantPaxos) swaps AC4 for its strict form:
 //
 //	AC4Strict  While a majority of the acceptors survives, no live
 //	           node may end a run in doubt — not even when the
@@ -36,7 +36,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
@@ -59,7 +59,7 @@ type Final struct {
 // configured with, the full event trace, and (optionally) the final
 // per-node state.
 type Run struct {
-	Variant core.Variant
+	Variant protocol.Variant
 	Events  []trace.Event
 	Final   map[string]Final
 }
@@ -101,17 +101,17 @@ func Check(r Run) []Violation {
 
 // txView is the oracle's working state for one transaction.
 type txView struct {
-	variant core.Variant
+	variant protocol.Variant
 	tx      string
 	events  []trace.Event // in Seq order
 	final   map[string]Final
 }
 
-// pendingKinds are the stable pre-prepare records PN and PC stand on
-// (core and live spell them differently).
+// pendingKinds are the stable pre-prepare records PN and PC stand on:
+// the rulebook's coordinator records, and PN's AgentPending, which
+// only the simulator's subordinates write.
 var pendingKinds = map[string]bool{
-	"CommitPending": true, "AgentPending": true,
-	"Pending": true, "Collecting": true,
+	"Pending": true, "Collecting": true, "AgentPending": true,
 }
 
 // preparedKind is the record a yes vote, and a delegation, stands on.
@@ -120,9 +120,9 @@ var preparedKind = map[string]bool{"Prepared": true}
 // tmKinds are the transaction-manager record kinds the force rules
 // govern; anything else in the log belongs to a resource manager.
 var tmKinds = map[string]bool{
-	"CommitPending": true, "AgentPending": true, "Pending": true,
-	"Collecting": true, "Prepared": true, "Committed": true,
-	"Aborted": true, "End": true, "Heuristic": true,
+	"Pending": true, "Collecting": true, "AgentPending": true,
+	"Prepared": true, "Committed": true, "Aborted": true,
+	"End": true, "Heuristic": true,
 	"PaxAccept": true, "PaxPromise": true,
 }
 
@@ -401,7 +401,7 @@ func (v *txView) ac2() []Violation {
 		if v.receivedBefore(node, s, "Commit", "OutcomeCommit") {
 			continue // told by the decision owner
 		}
-		if v.variant == core.VariantPaxos {
+		if v.variant == protocol.VariantPaxos {
 			// Under Paxos Commit the decision owner is whoever assembled
 			// an acceptor quorum — the initial leader on the fast path, or
 			// any participant that led a recovery round. The justification
@@ -474,7 +474,7 @@ func (v *txView) ac3() []Violation {
 		}
 		switch base {
 		case "VoteYes":
-			if v.variant == core.Variant1PC && !v.sentPrepareBefore(e.Node, e.Seq) {
+			if v.variant == protocol.Variant1PC && !v.sentPrepareBefore(e.Node, e.Seq) {
 				// 1PC's one sanctioned vote-force elision: a LEAF voter
 				// (one that asked nobody else to prepare) may answer yes
 				// with nothing forced — its durability is delegated to the
@@ -501,7 +501,7 @@ func (v *txView) ac3() []Violation {
 					"decision delegated after collecting yes votes with no forced Prepared record"))
 			}
 		case "Commit":
-			if v.variant == core.VariantPaxos {
+			if v.variant == protocol.VariantPaxos {
 				// Paxos Commit's durable truth is the acceptor quorum's
 				// forced acceptances, not the sender's own outcome record
 				// (which stays lazy). The commit may only be announced
@@ -520,8 +520,8 @@ func (v *txView) ac3() []Violation {
 			// in the whole tree, which is exactly what the
 			// OnePhaseLazyDecision injected bug violates.
 			sub := v.receivedPlainPrepare(e.Node)
-			mustForce := !(v.variant == core.VariantPC && sub) &&
-				!(v.variant == core.Variant1PC && sub)
+			mustForce := !(v.variant == protocol.VariantPC && sub) &&
+				!(v.variant == protocol.Variant1PC && sub)
 			if !v.logWriteBefore(e.Node, e.Seq, map[string]bool{"Committed": true}, mustForce) {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"Commit sent without a preceding Committed record (forced=%v required)", mustForce))
@@ -535,7 +535,7 @@ func (v *txView) ac3() []Violation {
 					"acceptance acknowledged without a forced PaxAccept record"))
 			}
 		case "Abort":
-			if v.variant == core.VariantPA || v.variant == core.Variant1PC {
+			if v.variant == protocol.VariantPA || v.variant == protocol.Variant1PC {
 				break // presumed abort: aborts need no stable record
 			}
 			forcedAny := v.before(e.Seq, func(ev trace.Event) bool {
@@ -562,7 +562,7 @@ func (v *txView) ac3() []Violation {
 	// PN and PC hang their presumptions on a stable pre-prepare record:
 	// a coordinator (root or cascaded) must force it before its first
 	// Prepare leaves.
-	if v.variant == core.VariantPN || v.variant == core.VariantPC {
+	if v.variant == protocol.VariantPN || v.variant == protocol.VariantPC {
 		for node, seq := range firstPrepareSend {
 			if !v.logWriteBefore(node, seq, pendingKinds, true) {
 				out = append(out, v.vio("AC3", node, seq,
@@ -580,8 +580,8 @@ func (v *txView) ac3() []Violation {
 		case "End":
 			// Always lazy: its loss only costs redundant recovery work.
 		case "Aborted":
-			if v.variant != core.VariantPA && v.variant != core.VariantPaxos &&
-				v.variant != core.Variant1PC {
+			if v.variant != protocol.VariantPA && v.variant != protocol.VariantPaxos &&
+				v.variant != protocol.Variant1PC {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"lazy Aborted record outside a presumed-abort variant"))
 			}
@@ -593,9 +593,9 @@ func (v *txView) ac3() []Violation {
 			// coordinator's forced decision record is the tree's
 			// durability) — but a 1PC decision OWNER's lazy Committed is
 			// the injected OnePhaseLazyDecision bug, convicted here.
-			if v.variant != core.VariantPaxos &&
-				!(v.variant == core.VariantPC && v.receivedPlainPrepare(e.Node)) &&
-				!(v.variant == core.Variant1PC && v.receivedPlainPrepare(e.Node)) {
+			if v.variant != protocol.VariantPaxos &&
+				!(v.variant == protocol.VariantPC && v.receivedPlainPrepare(e.Node)) &&
+				!(v.variant == protocol.Variant1PC && v.receivedPlainPrepare(e.Node)) {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"lazy Committed record outside a subordinate whose variant presumes it"))
 			}
@@ -619,7 +619,7 @@ func (v *txView) ac3() []Violation {
 // of the acceptor quorum itself excuses doubt.
 func (v *txView) ac4() []Violation {
 	var out []Violation
-	if v.variant == core.VariantPaxos {
+	if v.variant == protocol.VariantPaxos {
 		survivors, q := 0, v.paxosQuorum()
 		for _, a := range v.paxosAcceptors() {
 			if f, ok := v.final[a]; ok && !f.Crashed {
@@ -643,13 +643,13 @@ func (v *txView) ac4() []Violation {
 		if !f.InDoubt[v.tx] || f.Crashed {
 			continue
 		}
-		if v.variant == core.VariantBaseline {
+		if v.variant == protocol.VariantBaseline {
 			continue // the known blocking case the presumptions remove
 		}
 		out = append(out, v.vio("AC4", node, 0,
 			"still in doubt after recovery under %s", v.variant))
 	}
-	if v.variant == core.VariantPN {
+	if v.variant == protocol.VariantPN {
 		for _, e := range v.events {
 			if e.Kind != trace.KindLogWrite || e.Detail != "Heuristic" {
 				continue

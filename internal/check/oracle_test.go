@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
@@ -94,32 +94,32 @@ func baselineCommit() *eb {
 	return b
 }
 
-func check(v core.Variant, evs []trace.Event, final map[string]Final) []Violation {
+func check(v protocol.Variant, evs []trace.Event, final map[string]Final) []Violation {
 	return Check(Run{Variant: v, Events: evs, Final: final})
 }
 
 func TestOracleCleanBaselineCommit(t *testing.T) {
-	wantClean(t, check(core.VariantBaseline, baselineCommit().evs, nil))
+	wantClean(t, check(protocol.VariantBaseline, baselineCommit().evs, nil))
 }
 
 func TestOracleAC1ConflictingOutcomes(t *testing.T) {
 	b := baselineCommit()
 	b.decide("S2", "abort") // a third participant applies the other outcome
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC1")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC1")
 
 	// The same divergence behind a forced Heuristic record is the
 	// sanctioned exception — AC1 stays quiet (AC4 owns the reporting).
 	b2 := baselineCommit()
 	b2.force("S2", "Heuristic")
 	b2.decide("S2", "abort")
-	wantClean(t, check(core.VariantBaseline, b2.evs, nil))
+	wantClean(t, check(protocol.VariantBaseline, b2.evs, nil))
 }
 
 func TestOracleAC1FinalStateDisagrees(t *testing.T) {
 	final := map[string]Final{
 		"S1": {Outcomes: map[string]bool{"C:1": false}}, // applied abort
 	}
-	wantRule(t, check(core.VariantBaseline, baselineCommit().evs, final), "AC1")
+	wantRule(t, check(protocol.VariantBaseline, baselineCommit().evs, final), "AC1")
 }
 
 func TestOracleAC2CommitWithoutVote(t *testing.T) {
@@ -127,7 +127,7 @@ func TestOracleAC2CommitWithoutVote(t *testing.T) {
 	b.msg("C", "S1", "Prepare")
 	b.force("C", "Committed")
 	b.decide("C", "commit") // no vote ever arrived
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC2")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC2")
 }
 
 func TestOracleAC2CommitAfterNoVote(t *testing.T) {
@@ -136,7 +136,7 @@ func TestOracleAC2CommitAfterNoVote(t *testing.T) {
 	b.msg("S1", "C", "VoteNo")
 	b.force("C", "Committed")
 	b.decide("C", "commit")
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC2")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC2")
 }
 
 func TestOracleAC2SubordinateInventsCommit(t *testing.T) {
@@ -146,14 +146,14 @@ func TestOracleAC2SubordinateInventsCommit(t *testing.T) {
 	b.msg("S1", "C", "VoteYes")
 	b.force("S1", "Committed")
 	b.decide("S1", "commit") // never told the outcome
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC2")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC2")
 }
 
 func TestOracleAC3VoteWithoutForce(t *testing.T) {
 	b := &eb{}
 	b.msg("C", "S1", "Prepare")
 	b.msg("S1", "C", "VoteYes") // no Prepared record forced
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC3")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC3")
 }
 
 func TestOracleAC3LazyRecords(t *testing.T) {
@@ -164,7 +164,7 @@ func TestOracleAC3LazyRecords(t *testing.T) {
 			b.evs[i].Forced = false
 		}
 	}
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC3")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC3")
 
 	// The same lazy write at a PC subordinate is the optimization.
 	b2 := &eb{}
@@ -181,7 +181,7 @@ func TestOracleAC3LazyRecords(t *testing.T) {
 	b2.unlock("S1")
 	b2.lazy("S1", "End")
 	b2.lazy("C", "End")
-	wantClean(t, check(core.VariantPC, b2.evs, nil))
+	wantClean(t, check(protocol.VariantPC, b2.evs, nil))
 }
 
 func TestOracleAC3MissingPendingRecord(t *testing.T) {
@@ -193,7 +193,7 @@ func TestOracleAC3MissingPendingRecord(t *testing.T) {
 	b.msg("S1", "C", "VoteYes")
 	b.force("C", "Committed")
 	b.decide("C", "commit")
-	wantRule(t, check(core.VariantPN, b.evs, nil), "AC3")
+	wantRule(t, check(protocol.VariantPN, b.evs, nil), "AC3")
 }
 
 // TestOracleAC3DelegationRecord pins what stands for a delegation: a
@@ -203,16 +203,16 @@ func TestOracleAC3DelegationRecord(t *testing.T) {
 	has := func(vs []Violation) bool { return strings.Contains(rules(vs), "AC3") }
 	// The simulator's single-partner case: the pending record names A.
 	b := &eb{}
-	b.force("C", "CommitPending")
+	b.force("C", "Pending")
 	b.msg("C", "A", "VoteYes+LastAgent")
-	if vs := check(core.VariantPN, b.evs, nil); has(vs) {
+	if vs := check(protocol.VariantPN, b.evs, nil); has(vs) {
 		t.Errorf("single-partner delegation on the pending record: %v", vs)
 	}
 	// With a Prepare sent first, the pending record does not name the
 	// agent: a Prepared record must be forced.
 	multi := func(prepared bool) []trace.Event {
 		b := &eb{}
-		b.force("C", "CommitPending")
+		b.force("C", "Pending")
 		b.msg("C", "S1", "Prepare")
 		b.force("S1", "Prepared")
 		b.msg("S1", "C", "VoteYes")
@@ -222,8 +222,8 @@ func TestOracleAC3DelegationRecord(t *testing.T) {
 		b.msg("C", "A", "VoteYes+LastAgent")
 		return b.evs
 	}
-	wantRule(t, check(core.VariantPN, multi(false), nil), "AC3")
-	if vs := check(core.VariantPN, multi(true), nil); has(vs) {
+	wantRule(t, check(protocol.VariantPN, multi(false), nil), "AC3")
+	if vs := check(protocol.VariantPN, multi(true), nil); has(vs) {
 		t.Errorf("delegation on a forced Prepared record: %v", vs)
 	}
 	// The runtime's delegation after yes votes: its collecting record
@@ -234,7 +234,7 @@ func TestOracleAC3DelegationRecord(t *testing.T) {
 	b.force("S1", "Prepared")
 	b.msg("S1", "C", "VoteYes")
 	b.msg("C", "A", "Prepare+Delegate")
-	wantRule(t, check(core.VariantPC, b.evs, nil), "AC3")
+	wantRule(t, check(protocol.VariantPC, b.evs, nil), "AC3")
 }
 
 func TestOracleAC3PAAbortNeedsNoForce(t *testing.T) {
@@ -248,10 +248,10 @@ func TestOracleAC3PAAbortNeedsNoForce(t *testing.T) {
 	b.lazy("S1", "Aborted")
 	b.decide("S1", "abort")
 	b.unlock("S1")
-	wantClean(t, check(core.VariantPA, b.evs, nil))
+	wantClean(t, check(protocol.VariantPA, b.evs, nil))
 
 	// The identical trace under baseline is a missed force.
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC3")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC3")
 }
 
 func TestOracleAC4InDoubtAfterRecovery(t *testing.T) {
@@ -261,20 +261,20 @@ func TestOracleAC4InDoubtAfterRecovery(t *testing.T) {
 	b.msg("S1", "C", "VoteYes")
 	final := map[string]Final{"S1": {InDoubt: map[string]bool{"C:1": true}}}
 
-	wantRule(t, check(core.VariantPA, b.evs, final), "AC4")
+	wantRule(t, check(protocol.VariantPA, b.evs, final), "AC4")
 
 	// Baseline blocking is the paper's known pathology, not a bug.
-	wantClean(t, check(core.VariantBaseline, b.evs, final))
+	wantClean(t, check(protocol.VariantBaseline, b.evs, final))
 
 	// A node that is still down is excused too.
 	crashed := map[string]Final{"S1": {Crashed: true, InDoubt: map[string]bool{"C:1": true}}}
-	wantClean(t, check(core.VariantPA, b.evs, crashed))
+	wantClean(t, check(protocol.VariantPA, b.evs, crashed))
 }
 
 func TestOracleAC4PNHeuristicReport(t *testing.T) {
 	mk := func(ackLabel string) []trace.Event {
 		b := &eb{}
-		b.force("C", "CommitPending")
+		b.force("C", "Pending")
 		b.msg("C", "S1", "Prepare")
 		b.force("S1", "Prepared")
 		b.msg("S1", "C", "VoteYes")
@@ -289,8 +289,8 @@ func TestOracleAC4PNHeuristicReport(t *testing.T) {
 		return b.evs
 	}
 	// PN demands the damage ride the acknowledgment to the root.
-	wantRule(t, check(core.VariantPN, mk("Ack"), nil), "AC4")
-	wantClean(t, check(core.VariantPN, mk("Ack+Heuristics"), nil))
+	wantRule(t, check(protocol.VariantPN, mk("Ack"), nil), "AC4")
+	wantClean(t, check(protocol.VariantPN, mk("Ack+Heuristics"), nil))
 }
 
 func TestOracleAC5EarlyUnlock(t *testing.T) {
@@ -299,7 +299,7 @@ func TestOracleAC5EarlyUnlock(t *testing.T) {
 	b.force("S1", "Prepared")
 	b.unlock("S1") // released while still in doubt
 	b.msg("S1", "C", "VoteYes")
-	wantRule(t, check(core.VariantBaseline, b.evs, nil), "AC5")
+	wantRule(t, check(protocol.VariantBaseline, b.evs, nil), "AC5")
 }
 
 func TestOracleAC5ReadOnlyUnlock(t *testing.T) {
@@ -309,5 +309,5 @@ func TestOracleAC5ReadOnlyUnlock(t *testing.T) {
 	b.msg("C", "S1", "Prepare")
 	b.msg("S1", "C", "VoteReadOnly")
 	b.unlock("S1")
-	wantClean(t, check(core.VariantPA, b.evs, nil))
+	wantClean(t, check(protocol.VariantPA, b.evs, nil))
 }

@@ -26,28 +26,28 @@ func TestPaxosFreeInstance(t *testing.T) {
 	lost := func(from string, m protocol.Message) bool {
 		return from == "S3" && m.Type == protocol.MsgPaxosAccept
 	}
-	resource := func(name string) core.Resource {
+	resource := func(name string) protocol.Resource {
 		if name == "S3" {
-			return core.NewStaticResource(name+"-res", core.StaticVote(core.VoteNo))
+			return protocol.NewStaticResource(name+"-res", protocol.StaticVote(protocol.VoteNo))
 		}
-		return core.NewStaticResource(name + "-res")
+		return protocol.NewStaticResource(name + "-res")
 	}
 	for _, engine := range []string{"sim", "live"} {
 		t.Run(engine, func(t *testing.T) {
 			var run Run
 			if engine == "sim" {
-				eng := core.NewEngine(core.Config{Variant: core.VariantPaxos})
+				eng := core.NewEngine(core.Config{Variant: protocol.VariantPaxos})
 				for _, name := range append([]string{"C"}, subs...) {
-					eng.AddNode(core.NodeID(name)).AttachResource(resource(name))
+					eng.AddNode(protocol.NodeID(name)).AttachResource(resource(name))
 				}
-				eng.SetMessageFilter(func(from, _ core.NodeID, m protocol.Message) (protocol.Message, bool) {
+				eng.SetMessageFilter(func(from, _ protocol.NodeID, m protocol.Message) (protocol.Message, bool) {
 					return m, !lost(string(from), m)
 				})
 				tx := paxosCommitSim(t, eng, subs)
-				run = Run{Variant: core.VariantPaxos, Events: eng.Trace().Events(), Final: make(map[string]Final)}
+				run = Run{Variant: protocol.VariantPaxos, Events: eng.Trace().Events(), Final: make(map[string]Final)}
 				for _, name := range append([]string{"C"}, subs...) {
 					f := Final{Outcomes: make(map[string]bool)}
-					if o, ok := eng.OutcomeAt(core.NodeID(name), tx.ID()); ok {
+					if o, ok := eng.OutcomeAt(protocol.NodeID(name), tx.ID()); ok {
 						f.Outcomes[tx.ID().String()] = o == core.OutcomeCommitted
 					}
 					run.Final[name] = f
@@ -60,8 +60,8 @@ func TestPaxosFreeInstance(t *testing.T) {
 				parts := make(map[string]*live.Participant)
 				for i, name := range append([]string{"C"}, subs...) {
 					p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-						[]core.Resource{resource(name)},
-						live.WithVariant(core.VariantPaxos), live.WithTrace(trc),
+						[]protocol.Resource{resource(name)},
+						live.WithVariant(protocol.VariantPaxos), live.WithTrace(trc),
 						live.WithTimeout(liveTimeout, liveTimeout), live.WithRetry(liveRetry()),
 						live.WithRetrySeed(424247+int64(i)))
 					p.Start()
@@ -74,7 +74,7 @@ func TestPaxosFreeInstance(t *testing.T) {
 				if out != live.Aborted {
 					t.Fatalf("commit = %v, %v; want aborted", out, err)
 				}
-				run = Run{Variant: core.VariantPaxos, Events: trc.Events(), Final: make(map[string]Final)}
+				run = Run{Variant: protocol.VariantPaxos, Events: trc.Events(), Final: make(map[string]Final)}
 				for name, p := range parts {
 					run.Final[name] = Final{Outcomes: p.Decided()}
 				}

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/clock"
 	"repro/internal/live"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -24,8 +24,8 @@ const (
 	liveRecovery = 2 * time.Second
 )
 
-func liveRetry() live.RetryPolicy {
-	return live.RetryPolicy{
+func liveRetry() clock.RetryPolicy {
+	return clock.RetryPolicy{
 		MaxAttempts: 6,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    40 * time.Millisecond,
@@ -119,7 +119,7 @@ func RunLive(s Schedule) (*RunResult, error) {
 			opts = append(opts, live.WithLastAgent())
 		}
 		p := live.NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{core.NewStaticResource(name + "-res")}, opts...)
+			[]protocol.Resource{protocol.NewStaticResource(name + "-res")}, opts...)
 		p.Start()
 		parts[name] = p
 		if name != "C" {

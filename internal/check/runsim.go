@@ -61,8 +61,8 @@ const simStep = 800 * time.Microsecond
 func RunSim(s Schedule) (*RunResult, error) {
 	eng := core.NewEngine(core.Config{Variant: s.Variant, Options: core.Options{LastAgent: s.LastAgent}})
 	for _, name := range s.Nodes() {
-		n := eng.AddNode(core.NodeID(name))
-		n.AttachResource(core.NewStaticResource(name + "-res"))
+		n := eng.AddNode(protocol.NodeID(name))
+		n.AttachResource(protocol.NewStaticResource(name + "-res"))
 	}
 
 	if s.LossPermil > 0 || s.LoseAgentAnswer {
@@ -70,7 +70,7 @@ func RunSim(s Schedule) (*RunResult, error) {
 		// cap cannot be exhausted by the schedule itself.
 		rng := rand.New(rand.NewSource(s.Seed ^ 0x6c6f7373))
 		dropped, answerLost := 0, false
-		eng.SetMessageFilter(func(from, to core.NodeID, m protocol.Message) (protocol.Message, bool) {
+		eng.SetMessageFilter(func(from, to protocol.NodeID, m protocol.Message) (protocol.Message, bool) {
 			if !answerLost && s.lostAgentAnswer(string(from), string(to), m) {
 				// The simulator has no end to the failure window, so only
 				// the agent's first answer is lost.
@@ -94,13 +94,13 @@ func RunSim(s Schedule) (*RunResult, error) {
 	// Build the commit tree: the root touches every subordinate.
 	tx := eng.Begin("C")
 	for i := 0; i < s.Subs; i++ {
-		if err := tx.Send("C", core.NodeID(SubName(i)), "work"); err != nil {
+		if err := tx.Send("C", protocol.NodeID(SubName(i)), "work"); err != nil {
 			return nil, err
 		}
 	}
 
 	if s.PartitionSub >= 0 {
-		sub := core.NodeID(SubName(s.PartitionSub))
+		sub := protocol.NodeID(SubName(s.PartitionSub))
 		eng.Partition("C", sub)
 		eng.Schedule("C", time.Duration(s.PartitionMS)*time.Millisecond, func() {
 			eng.Heal("C", sub)
@@ -110,14 +110,14 @@ func RunSim(s Schedule) (*RunResult, error) {
 		eng.CrashAt("C", time.Duration(s.CrashCoordAt)*simStep)
 	}
 	if s.CrashSub {
-		eng.CrashAt(core.NodeID(SubName(s.CrashSubIdx)), time.Duration(s.CrashSubAt)*simStep)
+		eng.CrashAt(protocol.NodeID(SubName(s.CrashSubIdx)), time.Duration(s.CrashSubAt)*simStep)
 	}
 	// Restarts are scheduled upfront, well after every crash point, in
 	// the schedule's order; restart() replays the log and drives the
 	// variant's recovery (outcome resends, inquiries).
 	delay := 30 * time.Millisecond
 	for _, name := range s.restartOrder() {
-		eng.Restart(core.NodeID(name), delay)
+		eng.Restart(protocol.NodeID(name), delay)
 		delay += 5 * time.Millisecond
 	}
 
@@ -129,7 +129,7 @@ func RunSim(s Schedule) (*RunResult, error) {
 	txID := tx.ID()
 	final := make(map[string]Final)
 	for _, name := range s.Nodes() {
-		id := core.NodeID(name)
+		id := protocol.NodeID(name)
 		f := Final{Outcomes: make(map[string]bool), InDoubt: make(map[string]bool)}
 		f.Crashed = name == "C" && s.CoordStaysDown
 		if o, ok := eng.OutcomeAt(id, txID); ok {

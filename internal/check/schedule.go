@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // Schedule is one chaos scenario, fully determined by its seed: which
@@ -13,7 +13,7 @@ import (
 // and the restart order). Printing the seed is printing the repro.
 type Schedule struct {
 	Seed    int64
-	Variant core.Variant
+	Variant protocol.Variant
 	Engine  string // "sim" (internal/core) or "live" (internal/live)
 	Subs    int    // subordinates under the root coordinator
 
@@ -71,10 +71,10 @@ type Schedule struct {
 func FromSeed(seed int64) Schedule {
 	s := Schedule{Seed: seed, PartitionSub: -1}
 	v := seed & 7
-	if v > int64(core.Variant1PC) {
+	if v > int64(protocol.Variant1PC) {
 		v -= 6
 	}
-	s.Variant = core.Variant(v)
+	s.Variant = protocol.Variant(v)
 	if (seed>>3)&1 == 0 {
 		s.Engine = "sim"
 	} else {
@@ -82,7 +82,7 @@ func FromSeed(seed int64) Schedule {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	s.Subs = 1 + rng.Intn(3)
-	if s.Variant == core.VariantPaxos {
+	if s.Variant == protocol.VariantPaxos {
 		// Bias toward real acceptor quorums: with two or three
 		// subordinates the acceptor set is {C, S1, S2}, so subordinate
 		// crashes double as acceptor crashes.
@@ -91,7 +91,7 @@ func FromSeed(seed int64) Schedule {
 	if rng.Intn(2) == 0 {
 		s.CrashCoord = true
 		s.CrashCoordAt = 1 + rng.Intn(12)
-		if s.Variant == core.VariantPaxos {
+		if s.Variant == protocol.VariantPaxos {
 			// The Paxos coordinator has more instrumented steps (its own
 			// acceptor forces and ballot-0 accepts): reach past every
 			// Prepare send so the classic blocking window — crash after

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // cleanLiveSchedule is a failure-free live schedule for one variant:
@@ -13,9 +13,9 @@ import (
 // Paxos Commit gets three subordinates so the acceptor set is the
 // real {C, S1, S2} majority topology — crashing subordinate S1 then
 // is an acceptor crash, the window the variant exists to survive.
-func cleanLiveSchedule(v core.Variant) Schedule {
+func cleanLiveSchedule(v protocol.Variant) Schedule {
 	subs := 1
-	if v == core.VariantPaxos {
+	if v == protocol.VariantPaxos {
 		subs = 3
 	}
 	return Schedule{
@@ -56,7 +56,7 @@ func checkSweepRun(t *testing.T, s Schedule, what string) {
 // probe run of the same schedule. For Paxos Commit the subordinate
 // sweep doubles as an acceptor-crash sweep (S1 sits in the quorum).
 func TestLiveCrashPointSweep(t *testing.T) {
-	for v := core.VariantBaseline; v <= core.Variant1PC; v++ {
+	for v := protocol.VariantBaseline; v <= protocol.Variant1PC; v++ {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()

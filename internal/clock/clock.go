@@ -6,6 +6,8 @@
 // log write) contributes a configurable cost, so commit latency and
 // lock-hold times are exact, reproducible quantities. Live runs (the
 // TCP transport, the examples that sleep for real) use a Wall clock.
+// RetryPolicy is the retransmission schedule timed by either clock; the
+// live runtime and the client library share it.
 package clock
 
 import (

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // Tests for optimization combinations and interaction edge cases —
@@ -11,9 +13,9 @@ import (
 func TestReadOnlyPlusUnsolicited(t *testing.T) {
 	// An unsolicited voter whose resources are all read-only sends a
 	// read-only vote spontaneously: one flow total for that member.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, UnsolicitedVote: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs", StaticVote(VoteReadOnly)))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, UnsolicitedVote: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly)))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "r"); err != nil {
 		t.Fatal(err)
@@ -31,10 +33,10 @@ func TestReadOnlyPlusUnsolicited(t *testing.T) {
 func TestUnsolicitedVotePreemptsDelegation(t *testing.T) {
 	// If the would-be last agent has already voted unsolicited, no
 	// delegation happens: the coordinator decides normally.
-	eng := NewEngine(Config{Variant: VariantPA,
+	eng := NewEngine(Config{Variant: protocol.VariantPA,
 		Options: Options{ReadOnly: true, UnsolicitedVote: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	if err := tx.UnsolicitedVote("S"); err != nil {
@@ -61,10 +63,10 @@ func TestLastAgentChain(t *testing.T) {
 	// Multiple last agents: the root delegates to A, which re-delegates
 	// to its own subordinate B ("each last agent may choose one of its
 	// subordinates to be a last agent").
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb"))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "x")
 	tx.Send("A", "B", "y")
@@ -73,7 +75,7 @@ func TestLastAgentChain(t *testing.T) {
 		t.Fatalf("outcome = %v (%v)", res.Outcome, res.Err)
 	}
 	eng.FlushSessions()
-	for _, node := range []NodeID{"C", "A", "B"} {
+	for _, node := range []protocol.NodeID{"C", "A", "B"} {
 		if o, ok := eng.OutcomeAt(node, tx.ID()); !ok || o != OutcomeCommitted {
 			t.Errorf("%s outcome = %v,%v", node, o, ok)
 		}
@@ -92,10 +94,10 @@ func TestLastAgentChain(t *testing.T) {
 func TestLastAgentChainAborts(t *testing.T) {
 	// The deepest agent vetoes; the abort must propagate back up the
 	// delegation chain to the root.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb", StaticVote(VoteNo)))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb", protocol.StaticVote(protocol.VoteNo)))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "x")
 	tx.Send("A", "B", "y")
@@ -103,7 +105,7 @@ func TestLastAgentChainAborts(t *testing.T) {
 	if res.Outcome != OutcomeAborted {
 		t.Fatalf("outcome = %v, want aborted", res.Outcome)
 	}
-	for _, node := range []NodeID{"C", "A"} {
+	for _, node := range []protocol.NodeID{"C", "A"} {
 		if o, ok := eng.OutcomeAt(node, tx.ID()); !ok || o != OutcomeAborted {
 			t.Errorf("%s outcome = %v,%v", node, o, ok)
 		}
@@ -111,10 +113,10 @@ func TestLastAgentChainAborts(t *testing.T) {
 }
 
 func TestVoteReliablePlusLastAgent(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA,
+	eng := NewEngine(Config{Variant: protocol.VariantPA,
 		Options: Options{ReadOnly: true, LastAgent: true, VoteReliable: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc", StaticReliable()))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra", StaticReliable()))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc", protocol.StaticReliable()))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra", protocol.StaticReliable()))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "w")
 	res := tx.Commit("C")
@@ -132,10 +134,10 @@ func TestVoteReliablePlusLastAgent(t *testing.T) {
 func TestEarlyAckStillCollectsDownstream(t *testing.T) {
 	// Early ack lets the intermediate answer upstream immediately, but
 	// it must still collect its own subtree's acks before forgetting.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, EarlyAck: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, EarlyAck: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -164,13 +166,13 @@ func TestEarlyAckHidesLateHeuristicDamageFromRoot(t *testing.T) {
 	// The §4 Commit Acknowledgment tradeoff: with early acks, damage
 	// discovered below the intermediate after it acked cannot reach
 	// the root's result even under PN.
-	eng := NewEngine(Config{Variant: VariantPN,
+	eng := NewEngine(Config{Variant: protocol.VariantPN,
 		Options:    Options{EarlyAck: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
 	eng.AddNode("L", WithHeuristic(HeuristicPolicy{After: 8 * time.Millisecond, Commit: false})).
-		AttachResource(NewStaticResource("rl"))
+		AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -199,10 +201,10 @@ func TestLongLocksPlusLeaveOut(t *testing.T) {
 	// A long-locks subordinate that also voted OK-to-leave-out: its
 	// deferred ack must still reach the coordinator (at session flush)
 	// even though the member then goes dormant.
-	eng := NewEngine(Config{Variant: VariantPN,
+	eng := NewEngine(Config{Variant: protocol.VariantPN,
 		Options: Options{ReadOnly: true, LongLocks: true, LeaveOut: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs", StaticLeaveOut()))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticLeaveOut()))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	p := tx.CommitAsync("C")
@@ -227,23 +229,23 @@ func TestAbortWithPreparedSubordinatesLogsPerVariant(t *testing.T) {
 	// receives an Abort while prepared. PA: non-forced abort record,
 	// no ack. Baseline/PN: forced + acked.
 	for _, tc := range []struct {
-		variant    Variant
+		variant    protocol.Variant
 		wantForced bool
 		wantAck    bool
 	}{
-		{VariantPA, false, false},
-		{VariantBaseline, true, true},
-		{VariantPN, true, true},
+		{protocol.VariantPA, false, false},
+		{protocol.VariantBaseline, true, true},
+		{protocol.VariantPN, true, true},
 	} {
 		t.Run(tc.variant.String(), func(t *testing.T) {
 			opts := Options{}
-			if tc.variant == VariantPA {
+			if tc.variant == protocol.VariantPA {
 				opts.ReadOnly = true
 			}
 			eng := NewEngine(Config{Variant: tc.variant, Options: opts})
-			eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-			eng.AddNode("YES").AttachResource(NewStaticResource("ry"))
-			eng.AddNode("NO").AttachResource(NewStaticResource("rn", StaticVote(VoteNo)))
+			eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+			eng.AddNode("YES").AttachResource(protocol.NewStaticResource("ry"))
+			eng.AddNode("NO").AttachResource(protocol.NewStaticResource("rn", protocol.StaticVote(protocol.VoteNo)))
 			// Make the NO vote arrive after YES has prepared: order of
 			// sends fixes delivery order deterministically.
 			tx := eng.Begin("C")
@@ -284,9 +286,9 @@ func TestAbortWithPreparedSubordinatesLogsPerVariant(t *testing.T) {
 func TestDuplicateOutcomeMessagesAreIdempotent(t *testing.T) {
 	// After recovery a coordinator may resend Commit; the subordinate
 	// must re-ack without re-logging or re-applying.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -334,9 +336,9 @@ func TestDuplicateOutcomeMessagesAreIdempotent(t *testing.T) {
 func TestStrayMessagesForUnknownTransactions(t *testing.T) {
 	// Votes/acks/outcomes for transactions a node has never heard of
 	// must not wedge the engine.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	// A normal transaction to establish links.
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -356,12 +358,12 @@ func TestWaitForOutcomeAtIntermediate(t *testing.T) {
 	// The intermediate cannot reach its leaf; under WaitForOutcome it
 	// acks upstream with recovery-pending, and the root's result
 	// carries the indication.
-	eng := NewEngine(Config{Variant: VariantPN,
+	eng := NewEngine(Config{Variant: protocol.VariantPN,
 		Options:    Options{WaitForOutcome: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -388,10 +390,10 @@ func TestWaitForOutcomeAtIntermediate(t *testing.T) {
 func TestHeuristicAtDelegatingCoordinator(t *testing.T) {
 	// The delegating coordinator is in doubt while awaiting the
 	// agent's decision; its heuristic policy may fire there too.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
 	c := eng.AddNode("C", WithHeuristic(HeuristicPolicy{After: 8 * time.Millisecond, Commit: false}))
-	c.AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "w")
 

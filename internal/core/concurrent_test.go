@@ -3,16 +3,18 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 // The simulator supports multiple in-flight transactions: contexts
 // are keyed by TxID at every node and protocol messages carry the id.
 
 func TestTwoOverlappingTransactions(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb"))
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 
 	// tx1: A -> B, tx2: C -> B. Both commit concurrently: interleave
 	// their initiations before draining.
@@ -46,10 +48,10 @@ func TestTwoOverlappingTransactions(t *testing.T) {
 }
 
 func TestManySequentialTransactionsAccumulateMetrics(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
 	eng.DisableTrace()
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb"))
 	const rounds = 25
 	for i := 0; i < rounds; i++ {
 		tx := eng.Begin("A")
@@ -76,9 +78,9 @@ func TestManySequentialTransactionsAccumulateMetrics(t *testing.T) {
 }
 
 func TestInterleavedCommitAndAbort(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPN})
-	rb := NewStaticResource("rb")
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN})
+	rb := protocol.NewStaticResource("rb")
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	eng.AddNode("B").AttachResource(rb)
 
 	tx1 := eng.Begin("A")
@@ -105,10 +107,10 @@ func TestInterleavedCommitAndAbort(t *testing.T) {
 
 func TestPerTransactionStateIsolationAfterFailure(t *testing.T) {
 	// A crashed transaction at B must not contaminate a following one.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true},
 		AckTimeout: 5_000_000, VoteTimeout: 5_000_000})
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb"))
 
 	tx1 := eng.Begin("A")
 	tx1.Send("A", "B", "w1")

@@ -6,21 +6,6 @@ import (
 	"repro/internal/protocol"
 )
 
-// Variant selects the base commit protocol. It is protocol.Variant:
-// what each variant writes, forces, acks and presumes is decided by
-// the rulebook there, which this engine and the live runtime both ask.
-type Variant = protocol.Variant
-
-// The protocols of §2-3 and their extensions; see protocol.Variant.
-const (
-	VariantBaseline = protocol.VariantBaseline
-	VariantPA       = protocol.VariantPA
-	VariantPN       = protocol.VariantPN
-	VariantPC       = protocol.VariantPC
-	VariantPaxos    = protocol.VariantPaxos
-	Variant1PC      = protocol.Variant1PC
-)
-
 // Options toggles the §4 optimizations. All default to off, which
 // yields the textbook protocol the tables use as the baseline. The
 // options compose; conflicts the paper calls out (e.g. Last Agent
@@ -83,35 +68,14 @@ type HeuristicPolicy struct {
 // Enabled reports whether the policy ever fires.
 func (p HeuristicPolicy) Enabled() bool { return p.After > 0 }
 
-// TestHooks are deliberate protocol-correctness bugs the chaos
-// harness injects to prove the safety oracle convicts them. They
-// exist only for tests; production configurations leave them zero.
-type TestHooks struct {
-	// SkipAcceptorForce makes Paxos acceptors acknowledge acceptance
-	// without forcing the acceptance record first — the classic
-	// lost-promise bug an oracle must catch (AC3).
-	SkipAcceptorForce bool
-	// QuorumOverride, when positive, replaces the correct f+1 acceptor
-	// quorum with the given size (e.g. 1 of 3 miscounted as a
-	// majority), letting two recovery leaders learn different
-	// outcomes (AC1/AC4Strict).
-	QuorumOverride int
-	// OnePhaseLazyDecision makes a 1PC coordinator write its decision
-	// record lazily instead of forced before announcing the commit.
-	// Under 1PC that record is the ONLY stable state in the whole
-	// tree, so skipping the force silently voids every voter's
-	// delegated durability — the bug AC3 must convict.
-	OnePhaseLazyDecision bool
-}
-
 // Config parameterizes an Engine.
 type Config struct {
-	Variant Variant
+	Variant protocol.Variant
 	Options Options
 
 	// Hooks injects protocol bugs for oracle-conviction tests; see
 	// TestHooks. Zero in any real configuration.
-	Hooks TestHooks
+	Hooks protocol.TestHooks
 
 	// NetDelay is the one-way latency applied to every link that has
 	// no per-link override. Default 1ms.

@@ -2,18 +2,20 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 // twoNode builds the canonical Table 2 configuration: a coordinator C
 // with one update resource, and one subordinate S with one update
 // resource.
-func twoNode(t *testing.T, cfg Config) (*Engine, *StaticResource, *StaticResource) {
+func twoNode(t *testing.T, cfg Config) (*Engine, *protocol.StaticResource, *protocol.StaticResource) {
 	t.Helper()
 	eng := NewEngine(cfg)
 	c := eng.AddNode("C")
 	s := eng.AddNode("S")
-	rc := NewStaticResource("rc")
-	rs := NewStaticResource("rs")
+	rc := protocol.NewStaticResource("rc")
+	rs := protocol.NewStaticResource("rs")
 	c.AttachResource(rc)
 	s.AttachResource(rs)
 	return eng, rc, rs
@@ -29,7 +31,7 @@ func counts(t *testing.T, eng *Engine, node string, flows, logs, forced int) {
 	}
 }
 
-func commitTwoNode(t *testing.T, cfg Config) (*Engine, Result, *StaticResource, *StaticResource) {
+func commitTwoNode(t *testing.T, cfg Config) (*Engine, Result, *protocol.StaticResource, *protocol.StaticResource) {
 	t.Helper()
 	eng, rc, rs := twoNode(t, cfg)
 	tx := eng.Begin("C")
@@ -43,7 +45,7 @@ func commitTwoNode(t *testing.T, cfg Config) (*Engine, Result, *StaticResource, 
 // --- Table 2: Basic 2PC -------------------------------------------------
 
 func TestTable2Basic2PCCommit(t *testing.T) {
-	eng, res, rc, rs := commitTwoNode(t, Config{Variant: VariantBaseline})
+	eng, res, rc, rs := commitTwoNode(t, Config{Variant: protocol.VariantBaseline})
 	if res.Err != nil || res.Outcome != OutcomeCommitted {
 		t.Fatalf("result = %+v", res)
 	}
@@ -53,21 +55,21 @@ func TestTable2Basic2PCCommit(t *testing.T) {
 	// Subordinate: 2 flows (VoteYes, Ack); 3 logs, 2 forced
 	// (Prepared*, Committed*, End).
 	counts(t, eng, "S", 2, 3, 2)
-	if c, ok := rc.Outcome(TxID{Origin: "C", Seq: 1}); !ok || !c {
+	if c, ok := rc.Outcome(protocol.TxID{Origin: "C", Seq: 1}); !ok || !c {
 		t.Fatal("coordinator resource did not commit")
 	}
-	if c, ok := rs.Outcome(TxID{Origin: "C", Seq: 1}); !ok || !c {
+	if c, ok := rs.Outcome(protocol.TxID{Origin: "C", Seq: 1}); !ok || !c {
 		t.Fatal("subordinate resource did not commit")
 	}
 }
 
 func TestTable2Basic2PCAbortByVote(t *testing.T) {
-	cfg := Config{Variant: VariantBaseline}
+	cfg := Config{Variant: protocol.VariantBaseline}
 	eng := NewEngine(cfg)
 	c := eng.AddNode("C")
 	s := eng.AddNode("S")
-	c.AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs", StaticVote(VoteNo))
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteNo))
 	s.AttachResource(rs)
 
 	tx := eng.Begin("C")
@@ -89,11 +91,11 @@ func TestTable2Basic2PCAbortByVote(t *testing.T) {
 // --- Table 2: Presumed Nothing ------------------------------------------
 
 func TestTable2PNCommit(t *testing.T) {
-	eng, res, _, _ := commitTwoNode(t, Config{Variant: VariantPN})
+	eng, res, _, _ := commitTwoNode(t, Config{Variant: protocol.VariantPN})
 	if res.Err != nil || res.Outcome != OutcomeCommitted {
 		t.Fatalf("result = %+v", res)
 	}
-	// Coordinator: 2 flows + data; 3 logs, 2 forced (CommitPending*,
+	// Coordinator: 2 flows + data; 3 logs, 2 forced (Pending*,
 	// Committed*, End).
 	counts(t, eng, "C", 2+1, 3, 2)
 	// Subordinate: 2 flows; 4 logs, 3 forced (AgentPending*,
@@ -104,7 +106,7 @@ func TestTable2PNCommit(t *testing.T) {
 // --- Table 2: Presumed Abort --------------------------------------------
 
 func TestTable2PACommit(t *testing.T) {
-	eng, res, _, _ := commitTwoNode(t, Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
+	eng, res, _, _ := commitTwoNode(t, Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
 	if res.Err != nil || res.Outcome != OutcomeCommitted {
 		t.Fatalf("result = %+v", res)
 	}
@@ -117,12 +119,12 @@ func TestTable2PAAbortCase(t *testing.T) {
 	// flows (Prepare, then nothing — the NO voter aborted itself; but
 	// abort initiation to others — none here), 0 logs. Subordinate: 1
 	// flow (VoteNo), 0 logs.
-	cfg := Config{Variant: VariantPA, Options: Options{ReadOnly: true}}
+	cfg := Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}}
 	eng := NewEngine(cfg)
 	c := eng.AddNode("C")
 	s := eng.AddNode("S")
-	c.AttachResource(NewStaticResource("rc"))
-	s.AttachResource(NewStaticResource("rs", StaticVote(VoteNo)))
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	s.AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteNo)))
 
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "work"); err != nil {
@@ -140,12 +142,12 @@ func TestTable2PAAbortCase(t *testing.T) {
 func TestTable2PAReadOnlyCase(t *testing.T) {
 	// Read-only case: 1 flow each (Prepare out, VoteReadOnly back),
 	// no logging anywhere.
-	cfg := Config{Variant: VariantPA, Options: Options{ReadOnly: true}}
+	cfg := Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}}
 	eng := NewEngine(cfg)
 	c := eng.AddNode("C")
 	s := eng.AddNode("S")
-	c.AttachResource(NewStaticResource("rc", StaticVote(VoteReadOnly)))
-	s.AttachResource(NewStaticResource("rs", StaticVote(VoteReadOnly)))
+	c.AttachResource(protocol.NewStaticResource("rc", protocol.StaticVote(protocol.VoteReadOnly)))
+	s.AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly)))
 
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "read"); err != nil {
@@ -162,12 +164,12 @@ func TestTable2PAReadOnlyCase(t *testing.T) {
 // --- Atomicity sanity ----------------------------------------------------
 
 func TestAllVariantsAgreeOnOutcome(t *testing.T) {
-	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN} {
 		t.Run(v.String(), func(t *testing.T) {
 			eng := NewEngine(Config{Variant: v})
-			eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-			eng.AddNode("S1").AttachResource(NewStaticResource("r1"))
-			eng.AddNode("S2").AttachResource(NewStaticResource("r2"))
+			eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+			eng.AddNode("S1").AttachResource(protocol.NewStaticResource("r1"))
+			eng.AddNode("S2").AttachResource(protocol.NewStaticResource("r2"))
 			tx := eng.Begin("C")
 			if err := tx.Send("C", "S1", "a"); err != nil {
 				t.Fatal(err)
@@ -179,7 +181,7 @@ func TestAllVariantsAgreeOnOutcome(t *testing.T) {
 			if res.Outcome != OutcomeCommitted {
 				t.Fatalf("outcome = %v (%v)", res.Outcome, res.Err)
 			}
-			for _, node := range []NodeID{"C", "S1", "S2"} {
+			for _, node := range []protocol.NodeID{"C", "S1", "S2"} {
 				if o, ok := eng.OutcomeAt(node, tx.ID()); !ok || o != OutcomeCommitted {
 					t.Errorf("%s outcome = %v,%v", node, o, ok)
 				}
@@ -189,9 +191,9 @@ func TestAllVariantsAgreeOnOutcome(t *testing.T) {
 }
 
 func TestExplicitAbort(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPN})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng := NewEngine(Config{Variant: protocol.VariantPN})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "w"); err != nil {
@@ -208,12 +210,12 @@ func TestExplicitAbort(t *testing.T) {
 
 func TestCascadedTreeCommit(t *testing.T) {
 	// C -> M -> L : cascaded coordinator in the middle (Figure 2).
-	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN} {
 		t.Run(v.String(), func(t *testing.T) {
 			eng := NewEngine(Config{Variant: v})
-			eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-			eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-			eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+			eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+			eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+			eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 			tx := eng.Begin("C")
 			if err := tx.Send("C", "M", "x"); err != nil {
 				t.Fatal(err)
@@ -225,7 +227,7 @@ func TestCascadedTreeCommit(t *testing.T) {
 			if res.Outcome != OutcomeCommitted {
 				t.Fatalf("outcome = %v (%v)", res.Outcome, res.Err)
 			}
-			for _, node := range []NodeID{"C", "M", "L"} {
+			for _, node := range []protocol.NodeID{"C", "M", "L"} {
 				if o, ok := eng.OutcomeAt(node, tx.ID()); !ok || o != OutcomeCommitted {
 					t.Errorf("%s outcome = %v,%v", node, o, ok)
 				}
@@ -237,9 +239,9 @@ func TestCascadedTreeCommit(t *testing.T) {
 func TestDualInitiationAborts(t *testing.T) {
 	// Two peers initiate commit for the same transaction: it aborts
 	// (§3 PN rules: two TMs may not own the decision).
-	eng := NewEngine(Config{Variant: VariantPN})
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN})
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb"))
 	tx := eng.Begin("A")
 	if err := tx.Send("A", "B", "x"); err != nil {
 		t.Fatal(err)
@@ -261,9 +263,9 @@ func TestDualInitiationAborts(t *testing.T) {
 }
 
 func TestSecondCommitAtSameNodeFails(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
-	eng.AddNode("B").AttachResource(NewStaticResource("rb"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
+	eng.AddNode("B").AttachResource(protocol.NewStaticResource("rb"))
 	tx := eng.Begin("A")
 	if err := tx.Send("A", "B", "x"); err != nil {
 		t.Fatal(err)

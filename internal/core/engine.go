@@ -33,8 +33,8 @@ type Engine struct {
 	met   *metrics.Registry
 	trc   *trace.Tracer
 	queue eventQueue
-	nodes map[NodeID]*Node
-	order []NodeID
+	nodes map[protocol.NodeID]*Node
+	order []protocol.NodeID
 
 	latency    map[linkKey]time.Duration
 	partitions map[linkKey]bool
@@ -49,7 +49,7 @@ type Engine struct {
 // MessageFilter inspects one in-flight message. It returns the
 // (possibly rewritten) message and whether to deliver it at all; a
 // false verdict drops the message like a lossy link would.
-type MessageFilter func(from, to NodeID, m protocol.Message) (protocol.Message, bool)
+type MessageFilter func(from, to protocol.NodeID, m protocol.Message) (protocol.Message, bool)
 
 // SetMessageFilter installs (or, with nil, removes) the delivery
 // filter. The filter runs after the send is traced and before the
@@ -57,9 +57,9 @@ type MessageFilter func(from, to NodeID, m protocol.Message) (protocol.Message, 
 // event rather than a phantom receive.
 func (e *Engine) SetMessageFilter(f MessageFilter) { e.filter = f }
 
-type linkKey struct{ a, b NodeID }
+type linkKey struct{ a, b protocol.NodeID }
 
-func normKey(a, b NodeID) linkKey {
+func normKey(a, b protocol.NodeID) linkKey {
 	if a > b {
 		a, b = b, a
 	}
@@ -74,7 +74,7 @@ func NewEngine(cfg Config) *Engine {
 		clk:        clock.NewVirtual(),
 		met:        metrics.New(),
 		trc:        trace.New(),
-		nodes:      make(map[NodeID]*Node),
+		nodes:      make(map[protocol.NodeID]*Node),
 		latency:    make(map[linkKey]time.Duration),
 		partitions: make(map[linkKey]bool),
 	}
@@ -98,7 +98,7 @@ func (e *Engine) Trace() *trace.Tracer { return e.trc }
 func (e *Engine) DisableTrace() { e.trc = trace.Disabled() }
 
 // AddNode creates a node with an in-memory log and registers it.
-func (e *Engine) AddNode(id NodeID, opts ...NodeOption) *Node {
+func (e *Engine) AddNode(id protocol.NodeID, opts ...NodeOption) *Node {
 	if _, dup := e.nodes[id]; dup {
 		panic(fmt.Sprintf("core: duplicate node %q", id))
 	}
@@ -108,9 +108,9 @@ func (e *Engine) AddNode(id NodeID, opts ...NodeOption) *Node {
 		eng:   e,
 		store: store,
 		log:   wal.New(store),
-		txs:   make(map[TxID]*txCtx),
-		links: make(map[NodeID]*link),
-		done:  make(map[TxID]Outcome),
+		txs:   make(map[protocol.TxID]*txCtx),
+		links: make(map[protocol.NodeID]*link),
+		done:  make(map[protocol.TxID]Outcome),
 	}
 	n.observeLog(n.log)
 	for _, o := range opts {
@@ -131,15 +131,15 @@ func WithHeuristic(p HeuristicPolicy) NodeOption {
 }
 
 // Node returns the node with the given id, or nil.
-func (e *Engine) Node(id NodeID) *Node { return e.nodes[id] }
+func (e *Engine) Node(id protocol.NodeID) *Node { return e.nodes[id] }
 
 // SetLatency overrides the one-way delay between a and b (both
 // directions).
-func (e *Engine) SetLatency(a, b NodeID, d time.Duration) {
+func (e *Engine) SetLatency(a, b protocol.NodeID, d time.Duration) {
 	e.latency[normKey(a, b)] = d
 }
 
-func (e *Engine) linkLatency(a, b NodeID) time.Duration {
+func (e *Engine) linkLatency(a, b protocol.NodeID) time.Duration {
 	if d, ok := e.latency[normKey(a, b)]; ok {
 		return d
 	}
@@ -148,25 +148,25 @@ func (e *Engine) linkLatency(a, b NodeID) time.Duration {
 
 // Partition severs the link between a and b: packets in either
 // direction are silently lost until Heal.
-func (e *Engine) Partition(a, b NodeID) {
+func (e *Engine) Partition(a, b protocol.NodeID) {
 	e.partitions[normKey(a, b)] = true
 	e.trc.Add(trace.Event{Node: string(a), Peer: string(b), Kind: trace.KindError, Detail: "partition"})
 }
 
 // Heal restores the link between a and b.
-func (e *Engine) Heal(a, b NodeID) {
+func (e *Engine) Heal(a, b protocol.NodeID) {
 	delete(e.partitions, normKey(a, b))
 	e.trc.Add(trace.Event{Node: string(a), Peer: string(b), Kind: trace.KindError, Detail: "heal"})
 }
 
-func (e *Engine) partitioned(a, b NodeID) bool {
+func (e *Engine) partitioned(a, b protocol.NodeID) bool {
 	return e.partitions[normKey(a, b)]
 }
 
 // Schedule runs fn on node's timeline after delay (relative to the
 // node's current local time). Scripts use it to inject failures or
 // chained work mid-protocol.
-func (e *Engine) Schedule(node NodeID, delay time.Duration, fn func()) {
+func (e *Engine) Schedule(node protocol.NodeID, delay time.Duration, fn func()) {
 	n := e.nodes[node]
 	if n == nil {
 		panic(fmt.Sprintf("core: Schedule on unknown node %q", node))
@@ -244,7 +244,7 @@ func (e *Engine) arriveAt(n *Node, at time.Duration) {
 // contexts, buffered log records) is lost; the durable log remains
 // for a later Restart. In-flight packets addressed to it are dropped
 // on delivery.
-func (e *Engine) Crash(id NodeID) {
+func (e *Engine) Crash(id protocol.NodeID) {
 	n := e.nodes[id]
 	if n == nil {
 		panic(fmt.Sprintf("core: Crash on unknown node %q", id))
@@ -253,7 +253,7 @@ func (e *Engine) Crash(id NodeID) {
 }
 
 // CrashAt schedules a crash after delay on the node's timeline.
-func (e *Engine) CrashAt(id NodeID, delay time.Duration) {
+func (e *Engine) CrashAt(id protocol.NodeID, delay time.Duration) {
 	e.Schedule(id, delay, func() { e.nodes[id].crash() })
 }
 
@@ -261,7 +261,7 @@ func (e *Engine) CrashAt(id NodeID, delay time.Duration) {
 // scans the log, reinstates transaction state, and initiates the
 // variant's recovery processing (resending outcomes it owes,
 // inquiring about in-doubt transactions).
-func (e *Engine) Restart(id NodeID, delay time.Duration) {
+func (e *Engine) Restart(id protocol.NodeID, delay time.Duration) {
 	n := e.nodes[id]
 	if n == nil {
 		panic(fmt.Sprintf("core: Restart of unknown node %q", id))
@@ -287,7 +287,7 @@ func (e *Engine) FlushSessions() {
 // OutcomeAt reports the locally known outcome of tx at node: what the
 // node decided or was told, whether or not it has forgotten the
 // transaction. Tests use it to assert atomicity across the tree.
-func (e *Engine) OutcomeAt(id NodeID, tx TxID) (Outcome, bool) {
+func (e *Engine) OutcomeAt(id protocol.NodeID, tx protocol.TxID) (Outcome, bool) {
 	n := e.nodes[id]
 	if n == nil {
 		return OutcomeUnknown, false
@@ -306,7 +306,7 @@ func (e *Engine) OutcomeAt(id NodeID, tx TxID) (Outcome, bool) {
 
 // InDoubtAt reports whether node currently holds tx prepared with no
 // outcome.
-func (e *Engine) InDoubtAt(id NodeID, tx TxID) bool {
+func (e *Engine) InDoubtAt(id protocol.NodeID, tx protocol.TxID) bool {
 	n := e.nodes[id]
 	if n == nil {
 		return false
@@ -316,7 +316,7 @@ func (e *Engine) InDoubtAt(id NodeID, tx TxID) bool {
 }
 
 // LogRecords returns the durable log records of node.
-func (e *Engine) LogRecords(id NodeID) []wal.Record {
+func (e *Engine) LogRecords(id protocol.NodeID) []wal.Record {
 	n := e.nodes[id]
 	if n == nil {
 		return nil
@@ -329,15 +329,15 @@ func (e *Engine) LogRecords(id NodeID) []wal.Record {
 }
 
 // nextTxID mints a transaction id originating at node.
-func (e *Engine) nextTxID(origin NodeID) TxID {
+func (e *Engine) nextTxID(origin protocol.NodeID) protocol.TxID {
 	e.txSeq++
-	return TxID{Origin: origin, Seq: e.txSeq}
+	return protocol.TxID{Origin: origin, Seq: e.txSeq}
 }
 
 // sendPacket routes pkt from n, applying latency, partitions, and
 // crash drops, and accounting each message as a flow (piggybacked
 // beyond the first).
-func (e *Engine) sendPacket(n *Node, to NodeID, msgs []protocol.Message) {
+func (e *Engine) sendPacket(n *Node, to protocol.NodeID, msgs []protocol.Message) {
 	dst := e.nodes[to]
 	if dst == nil {
 		panic(fmt.Sprintf("core: send to unknown node %q", to))

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 func TestEngineDefaults(t *testing.T) {
@@ -28,9 +30,9 @@ func TestDuplicateNodePanics(t *testing.T) {
 
 func TestSetLatencyAffectsCommitLatency(t *testing.T) {
 	run := func(d time.Duration) time.Duration {
-		eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-		eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-		eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+		eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+		eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+		eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 		eng.SetLatency("C", "S", d)
 		tx := eng.Begin("C")
 		tx.Send("C", "S", "w")
@@ -53,9 +55,9 @@ func TestSetLatencyAffectsCommitLatency(t *testing.T) {
 }
 
 func TestStepProcessesOneEvent(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	p := tx.CommitAsync("C")
@@ -75,10 +77,10 @@ func TestStepProcessesOneEvent(t *testing.T) {
 }
 
 func TestCrashAtSchedulesCrash(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	// Crash S 2ms into the commit: after receiving Prepare, before
@@ -97,10 +99,10 @@ func TestCrashAtSchedulesCrash(t *testing.T) {
 
 func TestOutcomeAtUnknownNode(t *testing.T) {
 	eng := NewEngine(Config{})
-	if _, ok := eng.OutcomeAt("nope", TxID{}); ok {
+	if _, ok := eng.OutcomeAt("nope", protocol.TxID{}); ok {
 		t.Fatal("unknown node reported an outcome")
 	}
-	if eng.InDoubtAt("nope", TxID{}) {
+	if eng.InDoubtAt("nope", protocol.TxID{}) {
 		t.Fatal("unknown node in doubt")
 	}
 	if eng.LogRecords("nope") != nil {
@@ -152,7 +154,7 @@ func TestSendFromCrashedNodeFails(t *testing.T) {
 
 func TestCommitAtCrashedNodeReturnsError(t *testing.T) {
 	eng := NewEngine(Config{})
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("A")
 	eng.Crash("A")
 	res := tx.Commit("A")
@@ -164,10 +166,10 @@ func TestCommitAtCrashedNodeReturnsError(t *testing.T) {
 func TestLocalOnlyCommit(t *testing.T) {
 	// A node with no partners commits its local resources alone: one
 	// forced commit record, no network traffic.
-	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN} {
 		t.Run(v.String(), func(t *testing.T) {
 			eng := NewEngine(Config{Variant: v})
-			r := NewStaticResource("ra")
+			r := protocol.NewStaticResource("ra")
 			eng.AddNode("A").AttachResource(r)
 			tx := eng.Begin("A")
 			res := tx.Commit("A")
@@ -205,9 +207,9 @@ func TestVirtualLatencyComposition(t *testing.T) {
 	// Commit latency = data-independent: two hops of phase one + two
 	// of phase two + forces. With D=1ms and F=0.5ms, the 2-node PA
 	// commit takes 4D + 3F(on the critical path) = 5.5ms.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	res := tx.Commit("C")
@@ -221,10 +223,10 @@ func TestEngineDeterminism(t *testing.T) {
 	// produce identical traces, event for event — the property the
 	// table reproductions and CI assertions stand on.
 	run := func() []string {
-		eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-		eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-		eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-		eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+		eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+		eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+		eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+		eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 		tx := eng.Begin("C")
 		tx.Send("C", "M", "x")
 		tx.Send("M", "L", "y")

@@ -3,6 +3,8 @@ package core
 import (
 	"container/heap"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // event is one scheduled occurrence in the discrete-event simulation:
@@ -14,7 +16,7 @@ import (
 type event struct {
 	at    time.Duration
 	seq   int64 // tie-breaker: FIFO among simultaneous events
-	node  NodeID
+	node  protocol.NodeID
 	timer bool
 	fn    func()
 }
@@ -49,14 +51,14 @@ func (q *eventQueue) Pop() any {
 
 // push schedules a message-delivery event at time at on node's
 // timeline.
-func (q *eventQueue) push(at time.Duration, node NodeID, fn func()) {
+func (q *eventQueue) push(at time.Duration, node protocol.NodeID, fn func()) {
 	q.seq++
 	heap.Push(q, &event{at: at, seq: q.seq, node: node, fn: fn})
 }
 
 // pushTimer schedules a timer event: it fires only in full drains,
 // never in script-time message settles.
-func (q *eventQueue) pushTimer(at time.Duration, node NodeID, fn func()) {
+func (q *eventQueue) pushTimer(at time.Duration, node protocol.NodeID, fn func()) {
 	q.seq++
 	heap.Push(q, &event{at: at, seq: q.seq, node: node, timer: true, fn: fn})
 }

@@ -3,16 +3,18 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // --- Coordinator crash between decision and propagation -------------------
 
 func TestCoordinatorCrashAfterCommitForceResendsOutcome(t *testing.T) {
-	for _, v := range []Variant{VariantBaseline, VariantPA, VariantPN} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN} {
 		t.Run(v.String(), func(t *testing.T) {
 			eng := NewEngine(Config{Variant: v})
-			eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-			rs := NewStaticResource("rs")
+			eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+			rs := protocol.NewStaticResource("rs")
 			eng.AddNode("S").AttachResource(rs)
 			tx := eng.Begin("C")
 			tx.Send("C", "S", "w")
@@ -55,7 +57,7 @@ func TestCoordinatorCrashAfterCommitForceResendsOutcome(t *testing.T) {
 
 // stepUntilSubPrepared drives the engine until S has sent its yes
 // vote (a Prepared record exists at S).
-func stepUntilPrepared(t *testing.T, eng *Engine, node NodeID) {
+func stepUntilPrepared(t *testing.T, eng *Engine, node protocol.NodeID) {
 	t.Helper()
 	for {
 		for _, r := range eng.LogRecords(node) {
@@ -70,9 +72,9 @@ func stepUntilPrepared(t *testing.T, eng *Engine, node NodeID) {
 }
 
 func TestPASubInDoubtInquiresAndLearnsCommit(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -96,9 +98,9 @@ func TestPASubInDoubtInquiresAndLearnsCommit(t *testing.T) {
 func TestPAPresumedAbortAfterCoordinatorAmnesia(t *testing.T) {
 	// Coordinator crashes before logging anything; the prepared
 	// subordinate inquires and the PA presumption answers: abort.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -125,9 +127,9 @@ func TestBaselineBlocksAfterCoordinatorAmnesia(t *testing.T) {
 	// Same scenario under basic 2PC: the coordinator has no record
 	// and no presumption exists — the subordinate stays blocked in
 	// doubt. This is the baseline weakness the variants fix.
-	eng := NewEngine(Config{Variant: VariantBaseline})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantBaseline})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -148,9 +150,9 @@ func TestPNCoordinatorDrivenRecoveryAbortsPhaseOne(t *testing.T) {
 	// PN coordinator crashes mid phase one (pending record forced,
 	// no decision): on restart it aborts and drives its subordinates
 	// out of doubt — no presumption needed.
-	eng := NewEngine(Config{Variant: VariantPN})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng := NewEngine(Config{Variant: protocol.VariantPN})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -176,11 +178,11 @@ func TestHeuristicDamageReportedToRootUnderPN(t *testing.T) {
 	// Root C — intermediate M — leaf L. The Commit to L is lost in a
 	// partition; L heuristically aborts while the rest commits. Under
 	// PN the damage report reaches the root.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
 	eng.AddNode("L", WithHeuristic(HeuristicPolicy{After: 8 * time.Millisecond, Commit: false})).
-		AttachResource(NewStaticResource("rl"))
+		AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -209,11 +211,11 @@ func TestHeuristicDamageReportedToRootUnderPN(t *testing.T) {
 func TestHeuristicDamageAbsorbedUnderPA(t *testing.T) {
 	// The same scenario under PA: R*-style reporting stops at the
 	// immediate coordinator; the root believes the commit was clean.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
 	eng.AddNode("L", WithHeuristic(HeuristicPolicy{After: 8 * time.Millisecond, Commit: false})).
-		AttachResource(NewStaticResource("rl"))
+		AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -240,10 +242,10 @@ func TestHeuristicDamageAbsorbedUnderPA(t *testing.T) {
 func TestHeuristicMatchingOutcomeIsNotDamage(t *testing.T) {
 	// L heuristically COMMITS and the outcome is commit: a heuristic
 	// decision was taken but no damage occurred.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	eng.AddNode("L", WithHeuristic(HeuristicPolicy{After: 8 * time.Millisecond, Commit: true})).
-		AttachResource(NewStaticResource("rl"))
+		AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "L", "y")
 
@@ -275,12 +277,12 @@ func TestHeuristicMatchingOutcomeIsNotDamage(t *testing.T) {
 
 func TestWaitForOutcomeReturnsPending(t *testing.T) {
 	eng := NewEngine(Config{
-		Variant:    VariantPN,
+		Variant:    protocol.VariantPN,
 		Options:    Options{WaitForOutcome: true},
 		AckTimeout: 5 * time.Millisecond,
 	})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -307,9 +309,9 @@ func TestWaitForOutcomeReturnsPending(t *testing.T) {
 func TestWithoutWaitForOutcomeApplicationWaits(t *testing.T) {
 	// Same failure without the option: the application does not get
 	// control until recovery actually completes.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -340,9 +342,9 @@ func TestWithoutWaitForOutcomeApplicationWaits(t *testing.T) {
 func TestSubCrashAfterCommitBeforeAck(t *testing.T) {
 	// S forces its Committed record, crashes before the ack leaves,
 	// restarts, and must re-ack so the coordinator can finish.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 8 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 8 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -374,9 +376,9 @@ func TestSubCrashAfterCommitBeforeAck(t *testing.T) {
 // --- Partition without crash ---------------------------------------------------
 
 func TestPartitionDuringVotingAborts(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}, VoteTimeout: 10 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}, VoteTimeout: 10 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	eng.Partition("C", "S")

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 // flowsOf returns the commit-protocol flows (excluding application
@@ -48,7 +50,7 @@ func assertSeq(t *testing.T, got, want []string) {
 
 // Figure 1: simple two-phase commit, one coordinator, one subordinate.
 func TestFigure1Flows(t *testing.T) {
-	eng, res, _, _ := commitTwoNode(t, Config{Variant: VariantBaseline})
+	eng, res, _, _ := commitTwoNode(t, Config{Variant: protocol.VariantBaseline})
 	if res.Outcome != OutcomeCommitted {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -69,10 +71,10 @@ func TestFigure1Flows(t *testing.T) {
 
 // Figure 2: 2PC with a cascaded (intermediate) coordinator.
 func TestFigure2CascadedFlows(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantBaseline})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng := NewEngine(Config{Variant: protocol.VariantBaseline})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -94,10 +96,10 @@ func TestFigure2CascadedFlows(t *testing.T) {
 // Figure 3: Presumed Nothing with an intermediate coordinator — the
 // pending records precede the prepares.
 func TestFigure3PNFlowsAndLogs(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPN})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -107,14 +109,14 @@ func TestFigure3PNFlowsAndLogs(t *testing.T) {
 	logs := logsOf(eng)
 	// The coordinator's commit-pending force is the very first log
 	// write, before any Prepare flows (§3).
-	if logs[0] != "C CommitPending*" {
-		t.Fatalf("first log = %q, want C CommitPending*", logs[0])
+	if logs[0] != "C Pending*" {
+		t.Fatalf("first log = %q, want C Pending*", logs[0])
 	}
 	// The intermediate also forces its pending record before
 	// propagating the prepare downstream.
 	idxMPending, idxLPrepared := -1, -1
 	for i, l := range logs {
-		if l == "M CommitPending*" {
+		if l == "M Pending*" {
 			idxMPending = i
 		}
 		if l == "L Prepared*" {
@@ -128,10 +130,10 @@ func TestFigure3PNFlowsAndLogs(t *testing.T) {
 
 // Figure 4: partial read-only commit processing.
 func TestFigure4ReadOnlyFlows(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("RO").AttachResource(NewStaticResource("ro", StaticVote(VoteReadOnly)))
-	eng.AddNode("UP").AttachResource(NewStaticResource("up"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("RO").AttachResource(protocol.NewStaticResource("ro", protocol.StaticVote(protocol.VoteReadOnly)))
+	eng.AddNode("UP").AttachResource(protocol.NewStaticResource("up"))
 	tx := eng.Begin("C")
 	tx.Send("C", "RO", "r")
 	tx.Send("C", "UP", "w")
@@ -164,10 +166,10 @@ func TestFigure5LeaveOutPartitionProtection(t *testing.T) {
 	// promises OK-to-leave-out; it is suspended after the commit, and
 	// the engine blocks its attempt to initiate independent work —
 	// the damage Figure 5 illustrates cannot occur.
-	eng := NewEngine(Config{Variant: VariantPN, Options: Options{ReadOnly: true, LeaveOut: true}})
-	eng.AddNode("Pb").AttachResource(NewStaticResource("rb"))
-	eng.AddNode("Pa").AttachResource(NewStaticResource("ra", StaticVote(VoteReadOnly), StaticLeaveOut()))
-	eng.AddNode("Pd").AttachResource(NewStaticResource("rd"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, Options: Options{ReadOnly: true, LeaveOut: true}})
+	eng.AddNode("Pb").AttachResource(protocol.NewStaticResource("rb"))
+	eng.AddNode("Pa").AttachResource(protocol.NewStaticResource("ra", protocol.StaticVote(protocol.VoteReadOnly), protocol.StaticLeaveOut()))
+	eng.AddNode("Pd").AttachResource(protocol.NewStaticResource("rd"))
 
 	tx1 := eng.Begin("Pb")
 	tx1.Send("Pb", "Pa", "w")
@@ -184,9 +186,9 @@ func TestFigure5LeaveOutPartitionProtection(t *testing.T) {
 
 // Figure 6: last-agent commit processing.
 func TestFigure6LastAgentFlows(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "w")
 	if res := tx.Commit("C"); res.Outcome != OutcomeCommitted {
@@ -206,9 +208,9 @@ func TestFigure6LastAgentFlows(t *testing.T) {
 // Figure 7: long locks — the subordinate's ack rides the next
 // transaction's data.
 func TestFigure7LongLocksFlows(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LongLocks: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LongLocks: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx1 := eng.Begin("C")
 	tx1.Send("C", "S", "w1")
 	p := tx1.CommitAsync("C")
@@ -237,10 +239,10 @@ func TestFigure7LongLocksFlows(t *testing.T) {
 
 // Figure 8: vote reliable — early completion with late-ack semantics.
 func TestFigure8VoteReliableFlows(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, VoteReliable: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc", StaticReliable()))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm", StaticReliable()))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl", StaticReliable()))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, VoteReliable: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc", protocol.StaticReliable()))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm", protocol.StaticReliable()))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl", protocol.StaticReliable()))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -261,7 +263,7 @@ func TestFigure8VoteReliableFlows(t *testing.T) {
 
 // The rendered chart of Figure 1 should read like the paper's.
 func TestFigureRendering(t *testing.T) {
-	eng, res, _, _ := commitTwoNode(t, Config{Variant: VariantBaseline})
+	eng, res, _, _ := commitTwoNode(t, Config{Variant: protocol.VariantBaseline})
 	if res.Outcome != OutcomeCommitted {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}

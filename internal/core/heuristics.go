@@ -44,10 +44,10 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 	n.logTx(c, recHeuristic, recPayload{Coord: c.coord, Commit: commit}, true)
 
 	for i, r := range c.resources {
-		if c.resVotes[i].Vote == VoteReadOnly && n.eng.cfg.Options.ReadOnly {
+		if c.resVotes[i].Vote == protocol.VoteReadOnly && n.eng.cfg.Options.ReadOnly {
 			continue
 		}
-		if hc, ok := r.(HeuristicCapable); ok {
+		if hc, ok := r.(protocol.HeuristicCapable); ok {
 			if err := hc.HeuristicDecide(c.id, commit); err != nil {
 				n.trcApp("heuristic decide on " + r.Name() + ": " + err.Error())
 			}
@@ -64,11 +64,11 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 		if c.haveCoord && s.id == c.coord {
 			continue
 		}
-		if s.voted && s.vote == VoteYes {
+		if s.voted && s.vote == protocol.VoteYes {
 			n.send(s.id, out)
 		}
 	}
-	c.myHeuristic = &HeuristicReport{Node: n.id, Committed: commit}
+	c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: commit}
 	c.state = stHeurDone
 	n.trcUnlock(c.id, "released")
 }
@@ -101,7 +101,7 @@ func (n *Node) resolveHeuristic(c *txCtx, commit bool) {
 		if !n.eng.cfg.Variant.HeuristicsToRoot() && rep.Damage {
 			// Without propagation (all but PN), ensure the immediate
 			// coordinator sees it even so.
-			m.Heuristics = wireHeuristics([]HeuristicReport{rep})
+			m.Heuristics = []protocol.HeuristicReport{rep}
 		}
 		n.send(c.coord, m)
 		c.ackSent = true

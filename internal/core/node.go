@@ -14,13 +14,12 @@ import (
 // resource managers such as kvstore) use their own kinds and are not
 // interpreted by the TM's recovery scan.
 const (
-	recCommitPending = "CommitPending" // PN coordinator, before first Prepare
-	recAgentPending  = "AgentPending"  // PN leaf subordinate, before voting yes
-	recPrepared      = "Prepared"
-	recCommitted     = "Committed"
-	recAborted       = "Aborted"
-	recEnd           = "End"
-	recHeuristic     = "Heuristic"
+	recAgentPending = "AgentPending" // PN leaf subordinate, before voting yes
+	recPrepared     = "Prepared"
+	recCommitted    = "Committed"
+	recAborted      = "Aborted"
+	recEnd          = "End"
+	recHeuristic    = "Heuristic"
 	// Paxos Commit acceptor records. PaxAccept is the acceptor's
 	// durable acceptance — at ballot 0 one bundled record covering
 	// every instance, at recovery ballots one per instance. PaxPromise
@@ -33,11 +32,11 @@ const (
 // recPayload is the JSON body of TM records: enough for recovery to
 // rebuild the commit tree around this node.
 type recPayload struct {
-	Coord NodeID   `json:"coord,omitempty"`
-	Subs  []NodeID `json:"subs,omitempty"`
+	Coord protocol.NodeID   `json:"coord,omitempty"`
+	Subs  []protocol.NodeID `json:"subs,omitempty"`
 	// Agent names the last agent a coordinator delegated the decision
 	// to; recovery must inquire it instead of presuming.
-	Agent NodeID `json:"agent,omitempty"`
+	Agent protocol.NodeID `json:"agent,omitempty"`
 	// Commit records the heuristic choice on Heuristic records.
 	Commit bool `json:"commit,omitempty"`
 
@@ -59,7 +58,7 @@ type paxInst struct {
 // link is the persistent conversation state with one partner,
 // surviving across transactions (sessions in LU 6.2 terms).
 type link struct {
-	peer        NodeID
+	peer        protocol.NodeID
 	established bool
 	// dormant: the partner subtree was left out (suspended); it wakes
 	// when data is next sent to it.
@@ -80,32 +79,32 @@ type link struct {
 // Node is one system in the simulation: a transaction manager, its
 // local resource managers, its log, and its sessions to partners.
 type Node struct {
-	id        NodeID
+	id        protocol.NodeID
 	eng       *Engine
 	store     *wal.MemStore
 	log       *wal.Log
-	resources []Resource
+	resources []protocol.Resource
 	heuristic HeuristicPolicy
 
 	localTime time.Duration
 	crashed   bool
 
-	txs   map[TxID]*txCtx
-	links map[NodeID]*link
+	txs   map[protocol.TxID]*txCtx
+	links map[protocol.NodeID]*link
 	// done remembers outcomes after local completion (until a
 	// restart) so duplicate deliveries and inquiries answer cheaply.
-	done map[TxID]Outcome
+	done map[protocol.TxID]Outcome
 
 	// onData, if set, receives application payloads.
-	onData func(tx TxID, from NodeID, payload []byte)
+	onData func(tx protocol.TxID, from protocol.NodeID, payload []byte)
 }
 
 // ID returns the node's identifier.
-func (n *Node) ID() NodeID { return n.id }
+func (n *Node) ID() protocol.NodeID { return n.id }
 
 // AttachResource enlists a local resource manager; every transaction
 // this node participates in will drive it through the 2PC contract.
-func (n *Node) AttachResource(r Resource) { n.resources = append(n.resources, r) }
+func (n *Node) AttachResource(r protocol.Resource) { n.resources = append(n.resources, r) }
 
 // ObserveLog wires a resource manager's separate log into the node's
 // accounting: every record costs metrics/trace entries, and forced
@@ -114,7 +113,7 @@ func (n *Node) AttachResource(r Resource) { n.resources = append(n.resources, r)
 func (n *Node) ObserveLog(l *wal.Log) { n.observeLog(l) }
 
 // OnData installs the application data handler.
-func (n *Node) OnData(fn func(tx TxID, from NodeID, payload []byte)) { n.onData = fn }
+func (n *Node) OnData(fn func(tx protocol.TxID, from protocol.NodeID, payload []byte)) { n.onData = fn }
 
 // Log returns the node's TM log (for sharing with LRMs under the
 // shared-log optimization).
@@ -167,7 +166,7 @@ func (n *Node) logOutcome(c *txCtx, commit bool, w protocol.Write, p recPayload)
 
 // logRec writes a TM record; forced writes stall (advance) the node's
 // virtual clock via the log observer.
-func (n *Node) logRec(tx TxID, kind string, p recPayload, force bool) {
+func (n *Node) logRec(tx protocol.TxID, kind string, p recPayload, force bool) {
 	data, err := json.Marshal(p)
 	if err != nil {
 		panic(fmt.Sprintf("core: encode %s payload: %v", kind, err))
@@ -183,7 +182,7 @@ func (n *Node) logRec(tx TxID, kind string, p recPayload, force bool) {
 	}
 }
 
-func (n *Node) link(peer NodeID) *link {
+func (n *Node) link(peer protocol.NodeID) *link {
 	l, ok := n.links[peer]
 	if !ok {
 		l = &link{peer: peer}
@@ -194,7 +193,7 @@ func (n *Node) link(peer NodeID) *link {
 
 // send transmits msgs to peer in one packet, attaching any deferred
 // messages waiting on the link.
-func (n *Node) send(to NodeID, msgs ...protocol.Message) {
+func (n *Node) send(to protocol.NodeID, msgs ...protocol.Message) {
 	l := n.link(to)
 	if len(l.pending) > 0 {
 		msgs = append(msgs, l.pending...)
@@ -204,7 +203,7 @@ func (n *Node) send(to NodeID, msgs ...protocol.Message) {
 }
 
 // defer_ queues msg for piggybacking on the next packet to peer.
-func (n *Node) defer_(to NodeID, msg protocol.Message) {
+func (n *Node) defer_(to protocol.NodeID, msg protocol.Message) {
 	l := n.link(to)
 	l.pending = append(l.pending, msg)
 }
@@ -253,7 +252,7 @@ func (n *Node) deliver(pkt protocol.Packet) {
 			At: n.localTime, Node: string(n.id), Peer: pkt.From,
 			Kind: trace.KindReceive, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")",
 		})
-		from := NodeID(pkt.From)
+		from := protocol.NodeID(pkt.From)
 		switch m.Type {
 		case protocol.MsgData:
 			n.handleData(from, m)
@@ -284,7 +283,7 @@ func (n *Node) deliver(pkt protocol.Packet) {
 }
 
 // trcState records a state transition in the trace.
-func (n *Node) trcState(tx TxID, detail string) {
+func (n *Node) trcState(tx protocol.TxID, detail string) {
 	n.eng.trc.Add(trace.Event{
 		At: n.localTime, Node: string(n.id), Tx: tx.String(),
 		Kind: trace.KindState, Detail: detail + "(" + tx.String() + ")",
@@ -294,7 +293,7 @@ func (n *Node) trcState(tx TxID, detail string) {
 // trcUnlock records that this node's resources released their locks
 // for tx — the event the safety oracle's lock-release rule (AC5)
 // checks against the decision point.
-func (n *Node) trcUnlock(tx TxID, detail string) {
+func (n *Node) trcUnlock(tx protocol.TxID, detail string) {
 	n.eng.trc.Add(trace.Event{
 		At: n.localTime, Node: string(n.id), Tx: tx.String(),
 		Kind: trace.KindUnlock, Detail: detail + "(" + tx.String() + ")",
@@ -314,8 +313,8 @@ func (n *Node) crash() {
 	}
 	n.crashed = true
 	n.log.Crash()
-	n.txs = make(map[TxID]*txCtx)
-	n.done = make(map[TxID]Outcome)
+	n.txs = make(map[protocol.TxID]*txCtx)
+	n.done = make(map[protocol.TxID]Outcome)
 	for _, l := range n.links {
 		l.pending = nil
 	}

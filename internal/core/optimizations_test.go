@@ -13,10 +13,10 @@ import (
 func TestReadOnlyPartial(t *testing.T) {
 	// Figure 4: one subordinate read-only, one updater. The read-only
 	// one is out of phase two: 1 flow, 0 logs.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("RO").AttachResource(NewStaticResource("ro", StaticVote(VoteReadOnly)))
-	eng.AddNode("UP").AttachResource(NewStaticResource("up"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("RO").AttachResource(protocol.NewStaticResource("ro", protocol.StaticVote(protocol.VoteReadOnly)))
+	eng.AddNode("UP").AttachResource(protocol.NewStaticResource("up"))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "RO", "r"); err != nil {
 		t.Fatal(err)
@@ -37,9 +37,9 @@ func TestReadOnlyPartial(t *testing.T) {
 func TestReadOnlyDisabledForcesFullParticipation(t *testing.T) {
 	// With the optimization off (basic 2PC), a participant that did
 	// nothing still runs the full protocol.
-	eng := NewEngine(Config{Variant: VariantBaseline})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("RO").AttachResource(NewStaticResource("ro", StaticVote(VoteReadOnly)))
+	eng := NewEngine(Config{Variant: protocol.VariantBaseline})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("RO").AttachResource(protocol.NewStaticResource("ro", protocol.StaticVote(protocol.VoteReadOnly)))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "RO", "r"); err != nil {
 		t.Fatal(err)
@@ -54,10 +54,10 @@ func TestReadOnlyDisabledForcesFullParticipation(t *testing.T) {
 func TestCascadedReadOnlyRollup(t *testing.T) {
 	// A cascaded coordinator may vote read-only iff all its
 	// subordinates did.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm", StaticVote(VoteReadOnly)))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl", StaticVote(VoteReadOnly)))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm", protocol.StaticVote(protocol.VoteReadOnly)))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl", protocol.StaticVote(protocol.VoteReadOnly)))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -72,10 +72,10 @@ func TestCascadedReadOnlyRollup(t *testing.T) {
 }
 
 func TestCascadedMixedRollupIsYes(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm", StaticVote(VoteReadOnly)))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl")) // updater below
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm", protocol.StaticVote(protocol.VoteReadOnly)))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl")) // updater below
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -97,9 +97,9 @@ func TestCascadedMixedRollupIsYes(t *testing.T) {
 // --- Last Agent (§4, Figure 6) --------------------------------------------
 
 func TestLastAgentPA(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "A", "w"); err != nil {
 		t.Fatal(err)
@@ -122,9 +122,9 @@ func TestLastAgentPA(t *testing.T) {
 }
 
 func TestLastAgentImpliedAckViaNextData(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx1 := eng.Begin("C")
 	tx1.Send("C", "A", "w")
 	if res := tx1.Commit("C"); res.Outcome != OutcomeCommitted {
@@ -159,24 +159,24 @@ func TestLastAgentImpliedAckViaNextData(t *testing.T) {
 func TestLastAgentPN(t *testing.T) {
 	// PN: the pending record covers the delegation; coordinator logs
 	// stay at 3/2 (no extra force vs normal PN).
-	eng := NewEngine(Config{Variant: VariantPN, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "w")
 	res := tx.Commit("C")
 	if res.Outcome != OutcomeCommitted {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
-	counts(t, eng, "C", 1+1, 3, 2) // CommitPending*, Committed*, End
+	counts(t, eng, "C", 1+1, 3, 2) // Pending*, Committed*, End
 }
 
 func TestLastAgentReadOnlyInitiator(t *testing.T) {
 	// A read-only initiator delegates without forcing a prepared
 	// record (§4 Last Agent): zero logs at the coordinator.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc", StaticVote(VoteReadOnly)))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc", protocol.StaticVote(protocol.VoteReadOnly)))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "w")
 	res := tx.Commit("C")
@@ -188,9 +188,9 @@ func TestLastAgentReadOnlyInitiator(t *testing.T) {
 
 func TestLastAgentAborts(t *testing.T) {
 	// The agent votes no: its Abort travels upstream.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("A").AttachResource(NewStaticResource("ra", StaticVote(VoteNo)))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra", protocol.StaticVote(protocol.VoteNo)))
 	tx := eng.Begin("C")
 	tx.Send("C", "A", "w")
 	res := tx.Commit("C")
@@ -205,10 +205,10 @@ func TestLastAgentAborts(t *testing.T) {
 func TestLastAgentWithOtherSubsPreparedFirst(t *testing.T) {
 	// Coordinator with two subs: one prepared normally, the other is
 	// the last agent (chosen explicitly).
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
-	eng.AddNode("FAR").AttachResource(NewStaticResource("rf"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
+	eng.AddNode("FAR").AttachResource(protocol.NewStaticResource("rf"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "a")
 	tx.Send("C", "FAR", "b")
@@ -225,7 +225,7 @@ func TestLastAgentWithOtherSubsPreparedFirst(t *testing.T) {
 	}
 	// S ran the normal path.
 	counts(t, eng, "S", 2, 3, 2)
-	for _, node := range []NodeID{"C", "S", "FAR"} {
+	for _, node := range []protocol.NodeID{"C", "S", "FAR"} {
 		if o, ok := eng.OutcomeAt(node, tx.ID()); !ok || o != OutcomeCommitted {
 			t.Errorf("%s outcome = %v,%v", node, o, ok)
 		}
@@ -237,20 +237,20 @@ func TestLastAgentWithOtherSubsPreparedFirst(t *testing.T) {
 // resource would now vote yes, so the coordinator's repeated delegation
 // must still be answered abort, and the other yes-voter must not commit.
 func TestLastAgentRepeatAfterErasedAbort(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{LastAgent: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{LastAgent: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
-	eng.AddNode("A").AttachResource(&votesNoOnce{NewStaticResource("ra"), false})
+	eng.AddNode("A").AttachResource(&votesNoOnce{protocol.NewStaticResource("ra"), false})
 	tx := eng.Begin("C")
-	for _, to := range []NodeID{"S", "A"} {
+	for _, to := range []protocol.NodeID{"S", "A"} {
 		if err := tx.Send("C", to, "w"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tx.SetLastAgent("C", "A")
 	lost := false
-	eng.SetMessageFilter(func(from, to NodeID, m protocol.Message) (protocol.Message, bool) {
+	eng.SetMessageFilter(func(from, to protocol.NodeID, m protocol.Message) (protocol.Message, bool) {
 		if from == "A" && to == "C" && m.Type == protocol.MsgAbort && !lost {
 			lost = true
 			eng.CrashAt("A", time.Microsecond)
@@ -273,14 +273,14 @@ func TestLastAgentRepeatAfterErasedAbort(t *testing.T) {
 // votesNoOnce votes no on its first Prepare and yes after, as a store
 // does whose rolled-back writes leave nothing to refuse.
 type votesNoOnce struct {
-	*StaticResource
+	*protocol.StaticResource
 	asked bool
 }
 
-func (r *votesNoOnce) Prepare(tx TxID) (PrepareResult, error) {
+func (r *votesNoOnce) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) {
 	if !r.asked {
 		r.asked = true
-		return PrepareResult{Vote: VoteNo}, nil
+		return protocol.PrepareResult{Vote: protocol.VoteNo}, nil
 	}
 	return r.StaticResource.Prepare(tx)
 }
@@ -288,9 +288,9 @@ func (r *votesNoOnce) Prepare(tx TxID) (PrepareResult, error) {
 // --- Unsolicited Vote (§4) -------------------------------------------------
 
 func TestUnsolicitedVote(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, UnsolicitedVote: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, UnsolicitedVote: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "w"); err != nil {
 		t.Fatal(err)
@@ -310,8 +310,8 @@ func TestUnsolicitedVote(t *testing.T) {
 }
 
 func TestUnsolicitedVoteRequiresCoordinator(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA})
-	eng.AddNode("A").AttachResource(NewStaticResource("ra"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA})
+	eng.AddNode("A").AttachResource(protocol.NewStaticResource("ra"))
 	tx := eng.Begin("A")
 	if err := tx.UnsolicitedVote("A"); err == nil {
 		t.Fatal("unsolicited vote without coordinator should fail")
@@ -321,9 +321,9 @@ func TestUnsolicitedVoteRequiresCoordinator(t *testing.T) {
 // --- Vote Reliable (§4, Figure 8) ------------------------------------------
 
 func TestVoteReliableSkipsAck(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, VoteReliable: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc", StaticReliable()))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs", StaticReliable()))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, VoteReliable: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc", protocol.StaticReliable()))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticReliable()))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	res := tx.Commit("C")
@@ -338,10 +338,10 @@ func TestVoteReliableSkipsAck(t *testing.T) {
 func TestVoteReliableMixedFallsBackToLateAck(t *testing.T) {
 	// One unreliable resource anywhere in the subtree forces the
 	// normal explicit-ack path.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, VoteReliable: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm", StaticReliable()))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl")) // not reliable
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, VoteReliable: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm", protocol.StaticReliable()))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl")) // not reliable
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -360,10 +360,10 @@ func TestVoteReliableMixedFallsBackToLateAck(t *testing.T) {
 // --- Early Acknowledgment (§4 Commit Acknowledgment) ------------------------
 
 func TestEarlyAckCompletesRootBeforeLeafAcks(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, EarlyAck: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, EarlyAck: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -392,9 +392,9 @@ func TestEarlyAckCompletesRootBeforeLeafAcks(t *testing.T) {
 // --- Long Locks (§4, Figure 7) ----------------------------------------------
 
 func TestLongLocksAckPiggybacksOnNextTransaction(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true, LongLocks: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, LongLocks: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 
 	tx1 := eng.Begin("C")
 	tx1.Send("C", "S", "w1")
@@ -430,9 +430,9 @@ func TestLongLocksAckPiggybacksOnNextTransaction(t *testing.T) {
 // --- Leave Out (§4) -----------------------------------------------------------
 
 func TestLeaveOutSkipsIdleServer(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPN, Options: Options{ReadOnly: true, LeaveOut: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs", StaticVote(VoteReadOnly), StaticLeaveOut()))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, Options: Options{ReadOnly: true, LeaveOut: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly), protocol.StaticLeaveOut()))
 
 	// tx1 uses S; S votes read-only + OK-to-leave-out.
 	tx1 := eng.Begin("C")
@@ -467,9 +467,9 @@ func TestLeaveOutSkipsIdleServer(t *testing.T) {
 func TestWithoutLeaveOutIdlePartnerStillPrepared(t *testing.T) {
 	// PN without the optimization: the idle session partner must be
 	// included in the next commit (it might have done independent work).
-	eng := NewEngine(Config{Variant: VariantPN, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs", StaticVote(VoteReadOnly)))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly)))
 
 	tx1 := eng.Begin("C")
 	tx1.Send("C", "S", "w1")
@@ -489,9 +489,9 @@ func TestWithoutLeaveOutIdlePartnerStillPrepared(t *testing.T) {
 func TestSuspendedNodeCannotInitiate(t *testing.T) {
 	// The Figure 5 protection: a left-out (suspended) node may not
 	// initiate commit processing until it is re-included.
-	eng := NewEngine(Config{Variant: VariantPN, Options: Options{ReadOnly: true, LeaveOut: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs", StaticVote(VoteReadOnly), StaticLeaveOut()))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, Options: Options{ReadOnly: true, LeaveOut: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly), protocol.StaticLeaveOut()))
 
 	tx1 := eng.Begin("C")
 	tx1.Send("C", "S", "w1")

@@ -163,7 +163,7 @@ func (n *Node) paxosBroadcastAccept(c *txCtx, meta protocol.PaxosMeta, vote prot
 			n.paxosAcceptLocal(c, meta, vote)
 			continue
 		}
-		n.send(NodeID(a), protocol.Message{
+		n.send(protocol.NodeID(a), protocol.Message{
 			Type: protocol.MsgPaxosAccept, Tx: c.id.String(),
 			Vote: vote, Payload: payload,
 		})
@@ -174,7 +174,7 @@ func (n *Node) paxosBroadcastAccept(c *txCtx, meta protocol.PaxosMeta, vote prot
 
 // handlePaxosAccept processes a ballot-b accept request at an
 // acceptor. A finished node short-circuits with the known outcome.
-func (n *Node) handlePaxosAccept(from NodeID, m protocol.Message) {
+func (n *Node) handlePaxosAccept(from protocol.NodeID, m protocol.Message) {
 	c, meta, ok := n.paxosAcceptorCtx(from, m)
 	if ok {
 		n.paxosAcceptLocal(c, meta, m.Vote)
@@ -182,7 +182,7 @@ func (n *Node) handlePaxosAccept(from NodeID, m protocol.Message) {
 }
 
 // handlePaxosQuery processes a recovery leader's phase-1a request.
-func (n *Node) handlePaxosQuery(from NodeID, m protocol.Message) {
+func (n *Node) handlePaxosQuery(from protocol.NodeID, m protocol.Message) {
 	c, meta, ok := n.paxosAcceptorCtx(from, m)
 	if ok {
 		n.paxosPromiseLocal(c, meta)
@@ -192,14 +192,14 @@ func (n *Node) handlePaxosQuery(from NodeID, m protocol.Message) {
 // paxosAcceptorCtx decodes an accept or query and finds its
 // transaction, learning the membership it carries; ok is false when
 // the request was malformed or a known outcome already answered it.
-func (n *Node) paxosAcceptorCtx(from NodeID, m protocol.Message) (*txCtx, protocol.PaxosMeta, bool) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) paxosAcceptorCtx(from protocol.NodeID, m protocol.Message) (*txCtx, protocol.PaxosMeta, bool) {
+	tx := protocol.ParseTxID(m.Tx)
 	meta, err := protocol.DecodePaxosMeta(m.Payload)
 	if err != nil {
 		return nil, meta, false
 	}
 	if o, ok := n.done[tx]; ok {
-		n.paxosReplyOutcome(NodeID(meta.Leader), from, tx, o)
+		n.paxosReplyOutcome(protocol.NodeID(meta.Leader), from, tx, o)
 		return nil, meta, false
 	}
 	c := n.ctx(tx)
@@ -209,7 +209,7 @@ func (n *Node) paxosAcceptorCtx(from NodeID, m protocol.Message) (*txCtx, protoc
 		if c.decisionCommit {
 			o = OutcomeCommitted
 		}
-		n.paxosReplyOutcome(NodeID(meta.Leader), from, tx, o)
+		n.paxosReplyOutcome(protocol.NodeID(meta.Leader), from, tx, o)
 		return nil, meta, false
 	}
 	return c, meta, true
@@ -219,19 +219,19 @@ func (n *Node) paxosAcceptorCtx(from NodeID, m protocol.Message) (*txCtx, protoc
 // and promise rules and do what they ask.
 func (n *Node) paxosAcceptLocal(c *txCtx, meta protocol.PaxosMeta, vote protocol.VoteValue) {
 	if step, ok := c.pax.Accept(meta.Ballot, meta.Instance, vote); ok {
-		n.paxosStep(c, recPaxAccept, NodeID(meta.Leader), step)
+		n.paxosStep(c, recPaxAccept, protocol.NodeID(meta.Leader), step)
 	}
 }
 
 func (n *Node) paxosPromiseLocal(c *txCtx, meta protocol.PaxosMeta) {
 	if step, ok := c.pax.Promise(meta.Ballot); ok {
-		n.paxosStep(c, recPaxPromise, NodeID(meta.Leader), step)
+		n.paxosStep(c, recPaxPromise, protocol.NodeID(meta.Leader), step)
 	}
 }
 
 // paxosStep writes an acceptor step's record (kind PaxAccept or
 // PaxPromise), then reports its states to the ballot's leader.
-func (n *Node) paxosStep(c *txCtx, kind string, leader NodeID, step protocol.PaxosStep) {
+func (n *Node) paxosStep(c *txCtx, kind string, leader protocol.NodeID, step protocol.PaxosStep) {
 	px := c.pax
 	n.logTx(c, kind, px.record(step), step.Force)
 	reply := px.Meta(step.Ballot, string(leader))
@@ -253,7 +253,7 @@ func (n *Node) paxosStep(c *txCtx, kind string, leader NodeID, step protocol.Pax
 
 // paxosReplyOutcome answers Paxos traffic for a transaction this node
 // already finished: the plain recovery outcome resolves the asker.
-func (n *Node) paxosReplyOutcome(leader, from NodeID, tx TxID, o Outcome) {
+func (n *Node) paxosReplyOutcome(leader, from protocol.NodeID, tx protocol.TxID, o Outcome) {
 	to := leader
 	if to == "" || to == n.id {
 		to = from
@@ -278,13 +278,13 @@ func (n *Node) paxosReplyOutcome(leader, from NodeID, tx TxID, o Outcome) {
 
 // handlePaxosAccepted and handlePaxosPromise deliver acceptor replies
 // to the ballot's leader.
-func (n *Node) handlePaxosAccepted(from NodeID, m protocol.Message) {
+func (n *Node) handlePaxosAccepted(from protocol.NodeID, m protocol.Message) {
 	if c, meta, ok := n.paxosLeaderCtx(m); ok {
 		n.paxosLeaderAcks(c, from, meta)
 	}
 }
 
-func (n *Node) handlePaxosPromise(from NodeID, m protocol.Message) {
+func (n *Node) handlePaxosPromise(from protocol.NodeID, m protocol.Message) {
 	if c, meta, ok := n.paxosLeaderCtx(m); ok {
 		n.paxosLeaderPromise(c, from, meta)
 	}
@@ -292,7 +292,7 @@ func (n *Node) handlePaxosPromise(from NodeID, m protocol.Message) {
 
 // paxosLeaderCtx decodes a reply for a transaction this node holds.
 func (n *Node) paxosLeaderCtx(m protocol.Message) (*txCtx, protocol.PaxosMeta, bool) {
-	c, ok := n.txs[ParseTxID(m.Tx)]
+	c, ok := n.txs[protocol.ParseTxID(m.Tx)]
 	if !ok {
 		return nil, protocol.PaxosMeta{}, false
 	}
@@ -302,7 +302,7 @@ func (n *Node) paxosLeaderCtx(m protocol.Message) (*txCtx, protocol.PaxosMeta, b
 
 // paxosLeaderAcks folds one acceptor's acknowledgment into the round
 // this node leads and decides once every instance has a quorum.
-func (n *Node) paxosLeaderAcks(c *txCtx, from NodeID, meta protocol.PaxosMeta) {
+func (n *Node) paxosLeaderAcks(c *txCtx, from protocol.NodeID, meta protocol.PaxosMeta) {
 	px := c.pax
 	if px == nil || px.round == nil || c.decided {
 		return
@@ -323,11 +323,11 @@ func (n *Node) paxosLeaderDecide(c *txCtx, commit bool) {
 	c.pax.timerGen++ // disarm pending fast-path/recovery timers
 	if c.isRoot {
 		for _, p := range c.pax.Participants[1:] {
-			s := c.sub(NodeID(p))
+			s := c.sub(protocol.NodeID(p))
 			s.prepareSent = true
 			if commit {
 				s.voted = true
-				s.vote = VoteYes
+				s.vote = protocol.VoteYes
 			}
 		}
 		n.ownDecision(c, commit)
@@ -338,10 +338,10 @@ func (n *Node) paxosLeaderDecide(c *txCtx, commit bool) {
 	// depends on any one node.
 	out := protocol.OutcomeMessage(c.id.String(), commit)
 	for _, p := range c.pax.Participants {
-		if NodeID(p) == n.id {
+		if protocol.NodeID(p) == n.id {
 			continue
 		}
-		n.send(NodeID(p), out)
+		n.send(protocol.NodeID(p), out)
 	}
 	n.receivedDecision(c, commit)
 }
@@ -349,7 +349,7 @@ func (n *Node) paxosLeaderDecide(c *txCtx, commit bool) {
 // paxosLeaderPromise collects promises; at a quorum it sends the
 // round's proposal — one ballot-b accept per instance to every
 // acceptor.
-func (n *Node) paxosLeaderPromise(c *txCtx, from NodeID, meta protocol.PaxosMeta) {
+func (n *Node) paxosLeaderPromise(c *txCtx, from protocol.NodeID, meta protocol.PaxosMeta) {
 	px := c.pax
 	if px == nil || px.round == nil || c.decided {
 		return
@@ -392,7 +392,7 @@ func (n *Node) startPaxosRecovery(c *txCtx) {
 			n.paxosPromiseLocal(c, meta)
 			continue
 		}
-		n.send(NodeID(a), protocol.Message{Type: protocol.MsgPaxosQuery, Tx: c.id.String(), Payload: payload})
+		n.send(protocol.NodeID(a), protocol.Message{Type: protocol.MsgPaxosQuery, Tx: c.id.String(), Payload: payload})
 	}
 	n.armPaxosTimer(c, 2*n.eng.cfg.InquireRetry, "")
 }

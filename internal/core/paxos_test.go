@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // --- Paxos Commit fast path costs (analytic closed forms) ---------------
@@ -10,7 +12,7 @@ import (
 // Two-node tree: the coordinator is the sole acceptor (f=0). Commit
 // costs: C {2 flows, 3 writes, 1 forced}, S {1, 3, 1}.
 func TestPaxosTwoNodeCommit(t *testing.T) {
-	eng, res, rc, rs := commitTwoNode(t, Config{Variant: VariantPaxos})
+	eng, res, rc, rs := commitTwoNode(t, Config{Variant: protocol.VariantPaxos})
 	if res.Err != nil || res.Outcome != OutcomeCommitted {
 		t.Fatalf("result = %+v", res)
 	}
@@ -19,7 +21,7 @@ func TestPaxosTwoNodeCommit(t *testing.T) {
 	// S: its ballot-0 accept to the one acceptor; Prepared*,
 	// Committed, End.
 	counts(t, eng, "S", 1, 3, 1)
-	tx := TxID{Origin: "C", Seq: 1}
+	tx := protocol.TxID{Origin: "C", Seq: 1}
 	if c, ok := rc.Outcome(tx); !ok || !c {
 		t.Fatal("coordinator resource did not commit")
 	}
@@ -30,16 +32,16 @@ func TestPaxosTwoNodeCommit(t *testing.T) {
 
 // fleet builds a flat Paxos tree with subs subordinates, each with one
 // update resource, and commits one transaction from C.
-func paxosFleet(t *testing.T, subs int) (*Engine, []NodeID, Result) {
+func paxosFleet(t *testing.T, subs int) (*Engine, []protocol.NodeID, Result) {
 	t.Helper()
-	eng := NewEngine(Config{Variant: VariantPaxos})
+	eng := NewEngine(Config{Variant: protocol.VariantPaxos})
 	c := eng.AddNode("C")
-	c.AttachResource(NewStaticResource("rc"))
-	var ids []NodeID
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	var ids []protocol.NodeID
 	for i := 0; i < subs; i++ {
-		id := NodeID("S" + string(rune('1'+i)))
+		id := protocol.NodeID("S" + string(rune('1'+i)))
 		n := eng.AddNode(id)
-		n.AttachResource(NewStaticResource("r" + string(id)))
+		n.AttachResource(protocol.NewStaticResource("r" + string(id)))
 		ids = append(ids, id)
 	}
 	tx := eng.Begin("C")
@@ -73,18 +75,18 @@ func TestPaxosFourNodeCommitCosts(t *testing.T) {
 // No is on its way to the acceptors, so the transaction cannot
 // commit).
 func TestPaxosAbortByVote(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPaxos})
+	eng := NewEngine(Config{Variant: protocol.VariantPaxos})
 	c := eng.AddNode("C")
-	c.AttachResource(NewStaticResource("rc"))
+	c.AttachResource(protocol.NewStaticResource("rc"))
 	s1 := eng.AddNode("S1")
-	s1.AttachResource(NewStaticResource("r1"))
+	s1.AttachResource(protocol.NewStaticResource("r1"))
 	s2 := eng.AddNode("S2")
-	s2.AttachResource(NewStaticResource("r2", StaticVote(VoteNo)))
+	s2.AttachResource(protocol.NewStaticResource("r2", protocol.StaticVote(protocol.VoteNo)))
 	s3 := eng.AddNode("S3")
-	s3.AttachResource(NewStaticResource("r3"))
+	s3.AttachResource(protocol.NewStaticResource("r3"))
 
 	tx := eng.Begin("C")
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		if err := tx.Send("C", id, "work"); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +95,7 @@ func TestPaxosAbortByVote(t *testing.T) {
 	if res.Outcome != OutcomeAborted {
 		t.Fatalf("outcome = %v, want aborted", res.Outcome)
 	}
-	for _, id := range []NodeID{"C", "S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"C", "S1", "S2", "S3"} {
 		if o, ok := eng.OutcomeAt(id, tx.ID()); !ok || o != OutcomeAborted {
 			t.Errorf("%s: outcome = %v (known=%v), want aborted", id, o, ok)
 		}
@@ -106,15 +108,15 @@ func TestPaxosAbortByVote(t *testing.T) {
 // Paxos Commit they learn the outcome from the surviving acceptor
 // quorum (S1, S2 — two of the three acceptors) and commit.
 func TestPaxosCoordinatorCrashNonBlocking(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPaxos})
+	eng := NewEngine(Config{Variant: protocol.VariantPaxos})
 	c := eng.AddNode("C")
-	c.AttachResource(NewStaticResource("rc"))
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		n := eng.AddNode(id)
-		n.AttachResource(NewStaticResource("r" + string(id)))
+		n.AttachResource(protocol.NewStaticResource("r" + string(id)))
 	}
 	tx := eng.Begin("C")
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		if err := tx.Send("C", id, "work"); err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +130,7 @@ func TestPaxosCoordinatorCrashNonBlocking(t *testing.T) {
 	if _, done := p.Result(); done {
 		t.Fatal("crashed coordinator should not have resumed the application")
 	}
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		if eng.InDoubtAt(id, tx.ID()) {
 			t.Errorf("%s still in doubt: Paxos Commit must not block on a dead coordinator", id)
 		}
@@ -144,15 +146,15 @@ func TestPaxosCoordinatorCrashNonBlocking(t *testing.T) {
 // is 1 of 3 and may not decide; once S1 restarts, the quorum heals
 // and everyone resolves.
 func TestPaxosQuorumLossThenHeal(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPaxos})
+	eng := NewEngine(Config{Variant: protocol.VariantPaxos})
 	c := eng.AddNode("C")
-	c.AttachResource(NewStaticResource("rc"))
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		n := eng.AddNode(id)
-		n.AttachResource(NewStaticResource("r" + string(id)))
+		n.AttachResource(protocol.NewStaticResource("r" + string(id)))
 	}
 	tx := eng.Begin("C")
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		if err := tx.Send("C", id, "work"); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +164,7 @@ func TestPaxosQuorumLossThenHeal(t *testing.T) {
 	eng.CrashAt("S1", 4*time.Millisecond)
 	eng.Restart("S1", 400*time.Millisecond)
 	eng.Drain()
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		if eng.InDoubtAt(id, tx.ID()) {
 			t.Errorf("%s still in doubt after the acceptor quorum healed", id)
 		}
@@ -188,15 +190,15 @@ func TestPaxosQuorumLossThenHeal(t *testing.T) {
 // restarts must come back in doubt, restore its acceptor state from
 // the log, and resolve through the quorum.
 func TestPaxosAcceptorRestartRecovers(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPaxos})
+	eng := NewEngine(Config{Variant: protocol.VariantPaxos})
 	c := eng.AddNode("C")
-	c.AttachResource(NewStaticResource("rc"))
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	c.AttachResource(protocol.NewStaticResource("rc"))
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		n := eng.AddNode(id)
-		n.AttachResource(NewStaticResource("r" + string(id)))
+		n.AttachResource(protocol.NewStaticResource("r" + string(id)))
 	}
 	tx := eng.Begin("C")
-	for _, id := range []NodeID{"S1", "S2", "S3"} {
+	for _, id := range []protocol.NodeID{"S1", "S2", "S3"} {
 		if err := tx.Send("C", id, "work"); err != nil {
 			t.Fatal(err)
 		}

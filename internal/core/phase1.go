@@ -20,8 +20,8 @@ const (
 // handleData processes application data: it establishes the
 // conversation edge, wakes dormant partners, and serves as the
 // implied acknowledgment for completed transactions awaiting one.
-func (n *Node) handleData(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handleData(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
 	c := n.ctx(tx)
 	s := c.sub(from)
 	s.activeInTx = true
@@ -44,7 +44,7 @@ func (n *Node) handleData(from NodeID, m protocol.Message) {
 // processImpliedAck completes transactions at this node that were
 // holding their END record until the given partner demonstrated, by
 // sending more data, that it received our last commit message.
-func (n *Node) processImpliedAck(from NodeID) {
+func (n *Node) processImpliedAck(from protocol.NodeID) {
 	for _, c := range n.snapshotTxs() {
 		if c.state == stCompleted && c.awaitingImplied && c.impliedFrom == from {
 			n.trcApp("implied ack from " + string(from) + " (" + c.id.String() + ")")
@@ -54,7 +54,7 @@ func (n *Node) processImpliedAck(from NodeID) {
 }
 
 // initiateCommit makes this node the root coordinator of tx's commit.
-func (n *Node) initiateCommit(tx TxID, done func(Result)) {
+func (n *Node) initiateCommit(tx protocol.TxID, done func(Result)) {
 	c := n.ctx(tx)
 	if c.state != stActive {
 		// A second initiation for the same transaction at the same
@@ -69,13 +69,13 @@ func (n *Node) initiateCommit(tx TxID, done func(Result)) {
 
 	members := n.phase1Members(c)
 	variant := n.eng.cfg.Variant
-	if variant == VariantPaxos {
+	if variant == protocol.VariantPaxos {
 		// Paxos Commit: no pre-force — the acceptor quorum, not this
 		// node's log, is the durable decision state.
 		n.runPaxosPhase1(c, members)
 		return
 	}
-	if variant.PrePrepare() != "" && (len(members) > 0 || len(n.resources) > 0) {
+	if pre := variant.PrePrepare(); pre != "" && (len(members) > 0 || len(n.resources) > 0) {
 		p := recPayload{Subs: memberIDs(members)}
 		if agent := n.earlyLastAgent(c, members); agent != "" {
 			// Single-partner last-agent case: the pending record also
@@ -83,7 +83,7 @@ func (n *Node) initiateCommit(tx TxID, done func(Result)) {
 			p.Agent = agent
 			c.pnPendingAgent = agent
 		}
-		n.logTx(c, recCommitPending, p, true)
+		n.logTx(c, pre, p, true)
 		c.pnPendingLogged = true
 	}
 	n.runPhase1(c, members)
@@ -92,7 +92,7 @@ func (n *Node) initiateCommit(tx TxID, done func(Result)) {
 // earlyLastAgent reports the agent that will receive the delegation
 // when it is already known at initiation time (the single-remote-
 // partner fast path the paper motivates Last Agent with).
-func (n *Node) earlyLastAgent(c *txCtx, members []*subInfo) NodeID {
+func (n *Node) earlyLastAgent(c *txCtx, members []*subInfo) protocol.NodeID {
 	if !n.eng.cfg.Options.LastAgent || len(members) != 1 {
 		return ""
 	}
@@ -104,7 +104,7 @@ func (n *Node) earlyLastAgent(c *txCtx, members []*subInfo) NodeID {
 
 // initiateAbort backs the Tx.Abort script call: the whole tree
 // discards the transaction. Abort initiation needs no voting phase.
-func (n *Node) initiateAbort(tx TxID, done func(Result)) {
+func (n *Node) initiateAbort(tx protocol.TxID, done func(Result)) {
 	c := n.ctx(tx)
 	c.isRoot = true
 	c.onComplete = done
@@ -186,7 +186,7 @@ func (n *Node) armVoteTimer(c *txCtx) {
 		for _, s := range c.orderedSubs() {
 			if s.prepareSent && !s.voted {
 				s.voted = true
-				s.vote = VoteNo
+				s.vote = protocol.VoteNo
 			}
 		}
 		c.votesPending = 0
@@ -234,7 +234,7 @@ func (n *Node) prepareLocal(c *txCtx) {
 	for _, r := range n.resources {
 		res, err := r.Prepare(c.id)
 		if err != nil {
-			res = PrepareResult{Vote: VoteNo}
+			res = protocol.PrepareResult{Vote: protocol.VoteNo}
 			n.trcApp("resource " + r.Name() + " prepare failed: " + err.Error())
 		}
 		c.resources = append(c.resources, r)
@@ -247,11 +247,11 @@ func (n *Node) prepareLocal(c *txCtx) {
 // foldVote folds one vote — a local resource's or a subordinate's —
 // into the transaction's aggregate. With read-only votes disabled a
 // read-only vote counts as yes: full participation.
-func (c *txCtx) foldVote(v Vote, readOnly, reliable, leaveOut bool) {
-	if v == VoteNo {
+func (c *txCtx) foldVote(v protocol.VoteValue, readOnly, reliable, leaveOut bool) {
+	if v == protocol.VoteNo {
 		c.anyNo = true
 	}
-	if v == VoteNo || v == VoteYes || !readOnly {
+	if v == protocol.VoteNo || v == protocol.VoteYes || !readOnly {
 		c.allReadOnly = false
 	}
 	c.allReliable = c.allReliable && reliable
@@ -259,8 +259,8 @@ func (c *txCtx) foldVote(v Vote, readOnly, reliable, leaveOut bool) {
 }
 
 // handlePrepare begins phase one at a subordinate.
-func (n *Node) handlePrepare(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
 	c := n.ctx(tx)
 	c.sub(from) // the coordinator is a partner too
 	if m.Presume == protocol.VariantPaxos {
@@ -276,7 +276,7 @@ func (n *Node) handlePrepare(from NodeID, m protocol.Message) {
 		}
 	}
 	if c.state == stPreparing && c.isRoot {
-		if n.eng.cfg.Variant == VariantPaxos {
+		if n.eng.cfg.Variant == protocol.VariantPaxos {
 			// Dual initiation under Paxos: neither side may abort
 			// unilaterally (accepts may exist); the quorum rounds
 			// resolve both.
@@ -313,7 +313,7 @@ func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
 		c.haveCoord = c.firstContactSet
 	}
 	members := n.phase1Members(c)
-	if n.eng.cfg.Variant == VariantPaxos {
+	if n.eng.cfg.Variant == protocol.VariantPaxos {
 		// Flat tree (coordinator plus leaves, as the live fleet runs):
 		// a subordinate prepares locally and makes its instance value
 		// known to the acceptors instead of voting to the coordinator.
@@ -321,9 +321,9 @@ func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
 		n.paxosVoteUpstream(c)
 		return
 	}
-	if n.eng.cfg.Variant.PrePrepare() != "" && len(members) > 0 {
+	if pre := n.eng.cfg.Variant.PrePrepare(); pre != "" && len(members) > 0 {
 		// A cascaded coordinator too (Figure 3).
-		n.logTx(c, recCommitPending, recPayload{Coord: c.coord, Subs: memberIDs(members)}, true)
+		n.logTx(c, pre, recPayload{Coord: c.coord, Subs: memberIDs(members)}, true)
 		c.pnPendingLogged = true
 	}
 	n.runPhase1(c, members)
@@ -331,9 +331,9 @@ func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
 
 // handleVote processes a vote arriving at a coordinator (or a
 // delegation arriving at a last agent).
-func (n *Node) handleVote(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
-	if n.eng.cfg.Variant == VariantPaxos {
+func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
+	if n.eng.cfg.Variant == protocol.VariantPaxos {
 		// Votes travel as Paxos accepts; a stray MsgVote must never
 		// trigger a unilateral (non-quorum) decision.
 		return
@@ -357,7 +357,7 @@ func (n *Node) handleVote(from NodeID, m protocol.Message) {
 		n.trcApp("unexpected unsolicited vote from " + string(from))
 	}
 	s.voted = true
-	s.vote = voteFromWire(m.Vote)
+	s.vote = m.Vote
 	s.reliable = m.Reliable
 	s.okToLeave = m.OKToLeaveOut
 	s.unsolicited = m.Unsolicited
@@ -373,22 +373,11 @@ func (n *Node) handleVote(from NodeID, m protocol.Message) {
 	}
 }
 
-func voteFromWire(v protocol.VoteValue) Vote {
-	switch v {
-	case protocol.VoteNo:
-		return VoteNo
-	case protocol.VoteReadOnly:
-		return VoteReadOnly
-	default:
-		return VoteYes
-	}
-}
-
 // handleDelegation makes this node the last agent: the sender has
 // prepared everything else and hands over the decision (§4 Last
 // Agent, Figure 6).
-func (n *Node) handleDelegation(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
 	// A repeated delegation asks for the decision: an agent that took
 	// it answers from its state, or from the outcome it remembers.
 	if c, ok := n.txs[tx]; ok && c.decided {
@@ -478,13 +467,13 @@ func (n *Node) delegation(c *txCtx, repeat bool) protocol.Message {
 
 // yesSubIDs lists partners that voted yes (phase-two recipients),
 // excluding the given agent and the coordinator.
-func (c *txCtx) yesSubIDs(exclude NodeID) []NodeID {
-	var out []NodeID
+func (c *txCtx) yesSubIDs(exclude protocol.NodeID) []protocol.NodeID {
+	var out []protocol.NodeID
 	for _, s := range c.orderedSubs() {
 		if s.id == exclude || (c.haveCoord && s.id == c.coord) {
 			continue
 		}
-		if s.voted && s.vote == VoteYes {
+		if s.voted && s.vote == protocol.VoteYes {
 			out = append(out, s.id)
 		}
 	}
@@ -556,7 +545,7 @@ func (n *Node) armOutcomeWatch(c *txCtx) {
 		}
 		n.eng.arriveAt(n, at)
 		c.state = stInDoubt
-		if n.eng.cfg.Variant == VariantPaxos {
+		if n.eng.cfg.Variant == protocol.VariantPaxos {
 			// Non-blocking: learn the outcome from the acceptor quorum
 			// instead of inquiring the (possibly dead) coordinator.
 			n.trcState(c.id, "outcome overdue: in doubt, leading paxos recovery")
@@ -574,7 +563,7 @@ func (n *Node) armOutcomeWatch(c *txCtx) {
 // outcome. An agent that decided answers from its state; one the
 // delegation never reached decides now. Inquiring instead would leave
 // the latter answering InProgress for good.
-func (n *Node) armDelegationWatch(c *txCtx, agent NodeID) {
+func (n *Node) armDelegationWatch(c *txCtx, agent protocol.NodeID) {
 	n.afterTx(c, 2*n.eng.cfg.AckTimeout, func(at time.Duration) {
 		if c.state != stDelegated || c.decided {
 			return
@@ -593,7 +582,7 @@ func (n *Node) armDelegationWatch(c *txCtx, agent NodeID) {
 
 // suspendTowards records that this node promised OK-to-leave-out to
 // its coordinator and is now suspended until it receives data again.
-func (n *Node) suspendTowards(coord NodeID) {
+func (n *Node) suspendTowards(coord protocol.NodeID) {
 	l := n.link(coord)
 	l.weAreSuspended = true
 	l.dormant = true
@@ -609,8 +598,8 @@ func (n *Node) abortLocally(c *txCtx) {
 	n.phase2(c)
 }
 
-func memberIDs(members []*subInfo) []NodeID {
-	out := make([]NodeID, len(members))
+func memberIDs(members []*subInfo) []protocol.NodeID {
+	out := make([]protocol.NodeID, len(members))
 	for i, s := range members {
 		out[i] = s.id
 	}

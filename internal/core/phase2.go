@@ -94,10 +94,10 @@ func (n *Node) phase2(c *txCtx) {
 		if !s.prepareSent && !s.voted {
 			continue // never part of this commit operation
 		}
-		if s.voted && s.vote == VoteReadOnly {
+		if s.voted && s.vote == protocol.VoteReadOnly {
 			continue // dropped out in phase one
 		}
-		if s.voted && s.vote == VoteNo {
+		if s.voted && s.vote == protocol.VoteNo {
 			continue // aborted itself when it voted no
 		}
 		n.send(s.id, out)
@@ -157,7 +157,7 @@ func (n *Node) completeResources(c *txCtx, commit bool) {
 		rs = c.resources
 	}
 	for i, r := range rs {
-		if c.localPrepared && c.resVotes[i].Vote == VoteReadOnly && n.eng.cfg.Options.ReadOnly {
+		if c.localPrepared && c.resVotes[i].Vote == protocol.VoteReadOnly && n.eng.cfg.Options.ReadOnly {
 			continue // dropped out at its vote
 		}
 		var err error
@@ -175,9 +175,9 @@ func (n *Node) completeResources(c *txCtx, commit bool) {
 
 // noteResourceHeuristic interprets a commit/abort failure as a
 // heuristic conflict when the resource reports one.
-func (n *Node) noteResourceHeuristic(c *txCtx, r Resource, commit bool, err error) {
-	hc, ok := r.(HeuristicCapable)
-	if !ok || !errors.Is(err, ErrHeuristicConflict) {
+func (n *Node) noteResourceHeuristic(c *txCtx, r protocol.Resource, commit bool, err error) {
+	hc, ok := r.(protocol.HeuristicCapable)
+	if !ok || !errors.Is(err, protocol.ErrHeuristicConflict) {
 		n.trcApp("resource " + r.Name() + " outcome error: " + err.Error())
 		return
 	}
@@ -186,22 +186,22 @@ func (n *Node) noteResourceHeuristic(c *txCtx, r Resource, commit bool, err erro
 		return
 	}
 	damage := tookCommit != commit
-	rep := HeuristicReport{Node: n.id, Committed: tookCommit, Damage: damage}
+	rep := protocol.HeuristicReport{Node: string(n.id), Committed: tookCommit, Damage: damage}
 	c.status.Heuristics = append(c.status.Heuristics, rep)
 	n.eng.met.Heuristic(string(n.id), tookCommit)
 	if damage {
 		n.eng.met.Damage(string(n.id))
 		n.trcApp("HEURISTIC DAMAGE at resource " + r.Name())
 	}
-	if f, ok := r.(interface{ Forget(TxID) }); ok {
+	if f, ok := r.(interface{ Forget(protocol.TxID) }); ok {
 		f.Forget(c.id)
 	}
 }
 
 // handleOutcomeMsg processes a Commit or Abort arriving from the
 // network.
-func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit bool) {
+	tx := protocol.ParseTxID(m.Tx)
 	c, ok := n.txs[tx]
 	if !ok {
 		// Forgotten or never known: idempotent completion. A logless
@@ -231,7 +231,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 	case stHeurDone:
 		n.resolveHeuristic(c, commit)
 	case stPreparing, stActive:
-		if n.eng.cfg.Variant == VariantPaxos {
+		if n.eng.cfg.Variant == protocol.VariantPaxos {
 			// A recovery leader resolved the transaction from the
 			// acceptor quorum while this node (possibly the ballot-0
 			// coordinator itself) was still collecting — either outcome
@@ -252,7 +252,7 @@ func (n *Node) handleOutcomeMsg(from NodeID, m protocol.Message, commit bool) {
 		// Duplicate outcome (coordinator recovery resend): re-ack.
 		if c.ackSent || c.state == stCompleted {
 			if n.eng.cfg.Variant.Acks(commit) {
-				n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: wireHeuristics(c.status.Heuristics)})
+				n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: c.status.Heuristics})
 			}
 		}
 	}
@@ -274,8 +274,8 @@ func (n *Node) coordinatorOutcome(c *txCtx, commit bool) {
 }
 
 // handleAck processes a subordinate's acknowledgment.
-func (n *Node) handleAck(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handleAck(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
 	c, ok := n.txs[tx]
 	if !ok {
 		return // already complete: stray or duplicate ack
@@ -294,9 +294,8 @@ func (n *Node) handleAck(from NodeID, m protocol.Message) {
 }
 
 func (n *Node) mergeAckStatus(c *txCtx, m protocol.Message) {
+	c.status.Heuristics = append(c.status.Heuristics, m.Heuristics...)
 	for _, h := range m.Heuristics {
-		rep := HeuristicReport{Node: NodeID(h.Node), Committed: h.Committed, Damage: h.Damage}
-		c.status.Heuristics = append(c.status.Heuristics, rep)
 		if h.Damage {
 			n.trcApp("heuristic damage reported by " + h.Node)
 		}
@@ -368,7 +367,7 @@ func (n *Node) ackMessage(c *txCtx) protocol.Message {
 	m := protocol.Message{Type: protocol.MsgAck, Tx: c.id.String()}
 	if n.eng.cfg.Variant.HeuristicsToRoot() {
 		// PN propagates heuristic reports all the way to the root.
-		m.Heuristics = wireHeuristics(c.status.Heuristics)
+		m.Heuristics = c.status.Heuristics
 	} else if len(c.status.Heuristics) > 0 {
 		// PA (as in R*): damage is reported to the immediate
 		// coordinator and the operator only; here it stops.
@@ -376,14 +375,6 @@ func (n *Node) ackMessage(c *txCtx) protocol.Message {
 	}
 	m.RecoveryPending = c.status.RecoveryPending
 	return m
-}
-
-func wireHeuristics(hs []HeuristicReport) []protocol.HeuristicReport {
-	out := make([]protocol.HeuristicReport, len(hs))
-	for i, h := range hs {
-		out[i] = protocol.HeuristicReport{Node: string(h.Node), Committed: h.Committed, Damage: h.Damage}
-	}
-	return out
 }
 
 func (n *Node) sendAckUpstream(c *txCtx) {
@@ -452,7 +443,7 @@ func (n *Node) forget(c *txCtx, outcome Outcome, record bool) {
 			if c.haveCoord && s.id == c.coord {
 				continue
 			}
-			if s.voted && s.okToLeave && s.vote != VoteNo {
+			if s.voted && s.okToLeave && s.vote != protocol.VoteNo {
 				l := n.link(s.id)
 				l.dormant = true
 				l.okToLeaveOut = true

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // Tests for the Presumed Commit extension variant: the dual of PA.
@@ -11,7 +13,7 @@ import (
 // made safe by the coordinator's collecting record.
 
 func TestPCCommitCounting(t *testing.T) {
-	eng, res, _, _ := commitTwoNode(t, Config{Variant: VariantPC, Options: Options{ReadOnly: true}})
+	eng, res, _, _ := commitTwoNode(t, Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true}})
 	if res.Err != nil || res.Outcome != OutcomeCommitted {
 		t.Fatalf("result = %+v", res)
 	}
@@ -27,14 +29,14 @@ func TestPCCommitSavingsVsPA(t *testing.T) {
 	// PC's advantage grows with fan-out: each subordinate saves one
 	// forced write and one flow in the commit case; the coordinator
 	// pays one extra force total.
-	run := func(v Variant, n int) (flows, forced int) {
+	run := func(v protocol.Variant, n int) (flows, forced int) {
 		eng := NewEngine(Config{Variant: v, Options: Options{ReadOnly: true}})
 		eng.DisableTrace()
-		eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+		eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 		tx := eng.Begin("C")
 		for i := 1; i < n; i++ {
-			id := NodeID(string(rune('a'+i)) + "sub")
-			eng.AddNode(id).AttachResource(NewStaticResource("r" + string(id)))
+			id := protocol.NodeID(string(rune('a'+i)) + "sub")
+			eng.AddNode(id).AttachResource(protocol.NewStaticResource("r" + string(id)))
 			if err := tx.Send("C", id, "w"); err != nil {
 				t.Fatal(err)
 			}
@@ -46,8 +48,8 @@ func TestPCCommitSavingsVsPA(t *testing.T) {
 		return tt.Flows, tt.Forced
 	}
 	const n = 8
-	paFlows, paForced := run(VariantPA, n)
-	pcFlows, pcForced := run(VariantPC, n)
+	paFlows, paForced := run(protocol.VariantPA, n)
+	pcFlows, pcForced := run(protocol.VariantPC, n)
 	if want := paFlows - (n - 1); pcFlows != want {
 		t.Errorf("PC flows = %d, want %d (PA %d minus one ack per sub)", pcFlows, want, paFlows)
 	}
@@ -57,10 +59,10 @@ func TestPCCommitSavingsVsPA(t *testing.T) {
 }
 
 func TestPCAbortIsAckedAndForced(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPC, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("YES").AttachResource(NewStaticResource("ry"))
-	eng.AddNode("NO").AttachResource(NewStaticResource("rn", StaticVote(VoteNo)))
+	eng := NewEngine(Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("YES").AttachResource(protocol.NewStaticResource("ry"))
+	eng.AddNode("NO").AttachResource(protocol.NewStaticResource("rn", protocol.StaticVote(protocol.VoteNo)))
 	tx := eng.Begin("C")
 	tx.Send("C", "YES", "a")
 	tx.Send("C", "NO", "b")
@@ -96,10 +98,10 @@ func TestPCPresumptionAnswersCommit(t *testing.T) {
 	// force the presumption path by giving the coordinator a truly
 	// empty post-End state via double crash after log truncation is
 	// not realistic — instead verify the presumption rule directly).
-	eng := NewEngine(Config{Variant: VariantPC, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -124,10 +126,10 @@ func TestPCPresumptionAnswersCommit(t *testing.T) {
 func TestPCTotalAmnesiaPresumesCommit(t *testing.T) {
 	// Force the pure-presumption path: S holds a prepared record for
 	// a transaction the coordinator genuinely has no memory of.
-	eng := NewEngine(Config{Variant: VariantPC, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+	eng := NewEngine(Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	s := eng.AddNode("S")
-	rs := NewStaticResource("rs")
+	rs := protocol.NewStaticResource("rs")
 	s.AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -155,10 +157,10 @@ func TestPCCoordinatorCrashInPhaseOneAborts(t *testing.T) {
 	// that crashes mid phase one finds the record on restart and
 	// explicitly aborts (with acks) — so no prepared subordinate can
 	// ever wrongly presume commit.
-	eng := NewEngine(Config{Variant: VariantPC, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -183,10 +185,10 @@ func TestPCSubCommitRecordLossIsHarmless(t *testing.T) {
 	// Crash it right after commit; restart finds only Prepared,
 	// inquires, gets commit again, and the resource re-commits
 	// idempotently.
-	eng := NewEngine(Config{Variant: VariantPC, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	rs := NewStaticResource("rs")
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	rs := protocol.NewStaticResource("rs")
 	eng.AddNode("S").AttachResource(rs)
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
@@ -211,10 +213,10 @@ func TestPCSubCommitRecordLossIsHarmless(t *testing.T) {
 }
 
 func TestPCCascadedTree(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPC, Options: Options{ReadOnly: true}})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng := NewEngine(Config{Variant: protocol.VariantPC, Options: Options{ReadOnly: true}})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -222,7 +224,7 @@ func TestPCCascadedTree(t *testing.T) {
 	if res.Outcome != OutcomeCommitted {
 		t.Fatalf("outcome = %v (%v)", res.Outcome, res.Err)
 	}
-	for _, node := range []NodeID{"C", "M", "L"} {
+	for _, node := range []protocol.NodeID{"C", "M", "L"} {
 		if o, ok := eng.OutcomeAt(node, tx.ID()); !ok || o != OutcomeCommitted {
 			t.Errorf("%s outcome = %v,%v", node, o, ok)
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // Property-based tests over randomized trees, option sets, and
@@ -22,17 +24,17 @@ import (
 //     PA and PN.
 
 // randomTree builds a random tree on eng, returning the edges.
-type edge struct{ parent, child NodeID }
+type edge struct{ parent, child protocol.NodeID }
 
 func buildRandomTree(eng *Engine, rng *rand.Rand, n int, readFrac float64) []edge {
-	ids := make([]NodeID, n)
+	ids := make([]protocol.NodeID, n)
 	for i := range ids {
-		ids[i] = NodeID(fmt.Sprintf("N%02d", i))
-		var opts []StaticOption
+		ids[i] = protocol.NodeID(fmt.Sprintf("N%02d", i))
+		var opts []protocol.StaticOption
 		if i > 0 && rng.Float64() < readFrac {
-			opts = append(opts, StaticVote(VoteReadOnly))
+			opts = append(opts, protocol.StaticVote(protocol.VoteReadOnly))
 		}
-		eng.AddNode(ids[i]).AttachResource(NewStaticResource("r@"+string(ids[i]), opts...))
+		eng.AddNode(ids[i]).AttachResource(protocol.NewStaticResource("r@"+string(ids[i]), opts...))
 	}
 	var edges []edge
 	for i := 1; i < n; i++ {
@@ -45,10 +47,10 @@ func buildRandomTree(eng *Engine, rng *rand.Rand, n int, readFrac float64) []edg
 func TestQuickAtomicityAcrossOptionMixes(t *testing.T) {
 	prop := func(seed int64, optBits uint8, variantRaw, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		variant := Variant(int(variantRaw) % 4)
+		variant := protocol.Variant(int(variantRaw) % 4)
 		n := 2 + int(nRaw%8)
 		opts := Options{
-			ReadOnly:        optBits&1 != 0 || variant != VariantBaseline,
+			ReadOnly:        optBits&1 != 0 || variant != protocol.VariantBaseline,
 			LastAgent:       optBits&2 != 0,
 			UnsolicitedVote: optBits&4 != 0,
 			VoteReliable:    optBits&8 != 0,
@@ -71,7 +73,7 @@ func TestQuickAtomicityAcrossOptionMixes(t *testing.T) {
 		}
 		// Atomicity: every participant with a known outcome agrees.
 		for i := 0; i < n; i++ {
-			id := NodeID(fmt.Sprintf("N%02d", i))
+			id := protocol.NodeID(fmt.Sprintf("N%02d", i))
 			if o, ok := eng.OutcomeAt(id, tx.ID()); ok && o != OutcomeCommitted {
 				return false
 			}
@@ -87,20 +89,20 @@ func TestQuickAbortAtomicity(t *testing.T) {
 	// One random participant votes NO: nobody may commit.
 	prop := func(seed int64, variantRaw, nRaw, vetoRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		variant := Variant(int(variantRaw) % 4)
+		variant := protocol.Variant(int(variantRaw) % 4)
 		n := 3 + int(nRaw%6)
 		veto := 1 + int(vetoRaw)%(n-1)
-		opts := Options{ReadOnly: variant != VariantBaseline}
+		opts := Options{ReadOnly: variant != protocol.VariantBaseline}
 		eng := NewEngine(Config{Variant: variant, Options: opts})
 		eng.DisableTrace()
-		ids := make([]NodeID, n)
+		ids := make([]protocol.NodeID, n)
 		for i := range ids {
-			ids[i] = NodeID(fmt.Sprintf("N%02d", i))
-			var sopts []StaticOption
+			ids[i] = protocol.NodeID(fmt.Sprintf("N%02d", i))
+			var sopts []protocol.StaticOption
 			if i == veto {
-				sopts = append(sopts, StaticVote(VoteNo))
+				sopts = append(sopts, protocol.StaticVote(protocol.VoteNo))
 			}
-			eng.AddNode(ids[i]).AttachResource(NewStaticResource("r", sopts...))
+			eng.AddNode(ids[i]).AttachResource(protocol.NewStaticResource("r", sopts...))
 		}
 		tx := eng.Begin("N00")
 		for i := 1; i < n; i++ {
@@ -131,19 +133,19 @@ func TestQuickFlatTreeCountsMatchFormulas(t *testing.T) {
 	// the closed-form table values for basic 2PC and PN at any size.
 	prop := func(nRaw uint8, pn bool) bool {
 		n := 2 + int(nRaw%14)
-		variant := VariantBaseline
+		variant := protocol.VariantBaseline
 		if pn {
-			variant = VariantPN
+			variant = protocol.VariantPN
 		}
 		eng := NewEngine(Config{Variant: variant})
 		eng.DisableTrace()
-		eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+		eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 		for i := 1; i < n; i++ {
-			eng.AddNode(NodeID(fmt.Sprintf("S%02d", i))).AttachResource(NewStaticResource("r"))
+			eng.AddNode(protocol.NodeID(fmt.Sprintf("S%02d", i))).AttachResource(protocol.NewStaticResource("r"))
 		}
 		tx := eng.Begin("C")
 		for i := 1; i < n; i++ {
-			if err := tx.Send("C", NodeID(fmt.Sprintf("S%02d", i)), "w"); err != nil {
+			if err := tx.Send("C", protocol.NodeID(fmt.Sprintf("S%02d", i)), "w"); err != nil {
 				return false
 			}
 		}
@@ -172,10 +174,10 @@ func TestQuickSingleCrashRecovery(t *testing.T) {
 	// view (or with the presumption if the root never completed).
 	prop := func(seed int64, stepRaw, victimRaw uint8, pn bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		variant := VariantPA
+		variant := protocol.VariantPA
 		opts := Options{ReadOnly: true}
 		if pn {
-			variant = VariantPN
+			variant = protocol.VariantPN
 			opts = Options{}
 		}
 		const n = 4
@@ -200,7 +202,7 @@ func TestQuickSingleCrashRecovery(t *testing.T) {
 				break
 			}
 		}
-		victim := NodeID(fmt.Sprintf("N%02d", int(victimRaw)%n))
+		victim := protocol.NodeID(fmt.Sprintf("N%02d", int(victimRaw)%n))
 		eng.Crash(victim)
 		eng.Restart(victim, 10*time.Millisecond)
 		eng.Drain()
@@ -209,7 +211,7 @@ func TestQuickSingleCrashRecovery(t *testing.T) {
 		// aborted must not coexist.
 		sawCommit, sawAbort := false, false
 		for i := 0; i < n; i++ {
-			id := NodeID(fmt.Sprintf("N%02d", i))
+			id := protocol.NodeID(fmt.Sprintf("N%02d", i))
 			if o, ok := eng.OutcomeAt(id, tx.ID()); ok {
 				switch o {
 				case OutcomeCommitted, OutcomeHeuristicMixed:
@@ -226,7 +228,7 @@ func TestQuickSingleCrashRecovery(t *testing.T) {
 		// (heuristics are disabled, so recovery must have resolved
 		// everything reachable).
 		for i := 0; i < n; i++ {
-			id := NodeID(fmt.Sprintf("N%02d", i))
+			id := protocol.NodeID(fmt.Sprintf("N%02d", i))
 			if eng.InDoubtAt(id, tx.ID()) {
 				// Baseline could block; PA/PN must not, except a sub
 				// whose coordinator's answer legitimately requires
@@ -249,10 +251,10 @@ func TestQuickPartitionConsistency(t *testing.T) {
 	// heuristics the tree must converge to one outcome.
 	prop := func(seed int64, stepRaw uint8, pn bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		variant := VariantPA
+		variant := protocol.VariantPA
 		opts := Options{ReadOnly: true}
 		if pn {
-			variant = VariantPN
+			variant = protocol.VariantPN
 			opts = Options{}
 		}
 		const n = 3
@@ -279,7 +281,7 @@ func TestQuickPartitionConsistency(t *testing.T) {
 
 		sawCommit, sawAbort := false, false
 		for i := 0; i < n; i++ {
-			id := NodeID(fmt.Sprintf("N%02d", i))
+			id := protocol.NodeID(fmt.Sprintf("N%02d", i))
 			if o, ok := eng.OutcomeAt(id, tx.ID()); ok {
 				switch o {
 				case OutcomeCommitted, OutcomeHeuristicMixed:
@@ -303,10 +305,10 @@ func TestQuickChainedTransactionsIndependent(t *testing.T) {
 	prop := func(rRaw uint8, longLocks bool) bool {
 		r := 1 + int(rRaw%6)
 		opts := Options{ReadOnly: true, LongLocks: longLocks}
-		eng := NewEngine(Config{Variant: VariantPA, Options: opts})
+		eng := NewEngine(Config{Variant: protocol.VariantPA, Options: opts})
 		eng.DisableTrace()
-		eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-		eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+		eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+		eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 		var pendings []*Pending
 		for i := 0; i < r; i++ {
 			tx := eng.Begin("C")

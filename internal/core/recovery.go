@@ -13,7 +13,7 @@ import (
 // node's durable log records.
 type txScan struct {
 	order     int
-	pending   *recPayload // CommitPending or AgentPending
+	pending   *recPayload // the pre-prepare record, or AgentPending
 	prepared  *recPayload
 	committed *recPayload
 	aborted   *recPayload
@@ -50,9 +50,15 @@ func (n *Node) restart() {
 		if rec.Node != string(n.id) {
 			continue // records written by co-located LRMs
 		}
+		kind := rec.Kind
+		if _, ok := protocol.VariantByPrePrepare(kind); ok {
+			// The coordinator's pre-prepare record, named by the
+			// rulebook: recovery reads it as it reads AgentPending.
+			kind = recAgentPending
+		}
 		var p recPayload
-		switch rec.Kind {
-		case recCommitPending, recAgentPending, recPrepared, recCommitted, recAborted, recHeuristic,
+		switch kind {
+		case recAgentPending, recPrepared, recCommitted, recAborted, recHeuristic,
 			recPaxAccept, recPaxPromise:
 			if err := json.Unmarshal(rec.Data, &p); err != nil {
 				n.trcApp("restart: bad record payload for " + rec.Tx)
@@ -69,8 +75,8 @@ func (n *Node) restart() {
 			scans[rec.Tx] = sc
 			order = append(order, rec.Tx)
 		}
-		switch rec.Kind {
-		case recCommitPending, recAgentPending:
+		switch kind {
+		case recAgentPending:
 			cp := p
 			sc.pending = &cp
 		case recPrepared:
@@ -98,12 +104,12 @@ func (n *Node) restart() {
 		}
 	}
 	for _, txs := range order {
-		n.recoverTx(ParseTxID(txs), scans[txs])
+		n.recoverTx(protocol.ParseTxID(txs), scans[txs])
 	}
 }
 
 // recoverTx reinstates one transaction from its scan.
-func (n *Node) recoverTx(tx TxID, sc *txScan) {
+func (n *Node) recoverTx(tx protocol.TxID, sc *txScan) {
 	switch {
 	case sc.end:
 		// Fully complete; remember the outcome for duplicate traffic.
@@ -123,7 +129,7 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 		c := n.ctx(tx)
 		c.state = stHeurDone
 		c.loggedAny = true
-		c.myHeuristic = &HeuristicReport{Node: n.id, Committed: sc.heuristic.Commit}
+		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: sc.heuristic.Commit}
 		c.coord = sc.heuristic.Coord
 		c.haveCoord = c.coord != ""
 		if c.haveCoord {
@@ -136,7 +142,7 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 	case sc.aborted != nil:
 		n.resumeOutcome(tx, sc.aborted, false)
 
-	case n.eng.cfg.Variant == VariantPaxos &&
+	case n.eng.cfg.Variant == protocol.VariantPaxos &&
 		(len(sc.paxAccepts) > 0 || sc.paxPromise != nil ||
 			(sc.prepared != nil && len(sc.prepared.Acceptors) > 0)):
 		n.recoverPaxosTx(tx, sc)
@@ -155,7 +161,7 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 		c.haveCoord = c.coord != ""
 		for _, s := range sc.prepared.Subs {
 			c.sub(s).voted = true
-			c.sub(s).vote = VoteYes
+			c.sub(s).vote = protocol.VoteYes
 		}
 		n.trcState(tx, "in doubt after restart")
 		if c.haveCoord {
@@ -185,7 +191,7 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 				si := c.sub(s)
 				si.prepareSent = true
 				si.voted = true
-				si.vote = VoteYes
+				si.vote = protocol.VoteYes
 			}
 			n.trcState(tx, "PN recovery: aborting phase-one transaction")
 			n.ownDecision(c, false)
@@ -201,7 +207,7 @@ func (n *Node) recoverTx(tx TxID, sc *txScan) {
 // agent and crashed before learning the decision: the agent owns the
 // outcome, so the coordinator is in doubt and asks it again by
 // repeating the delegation (armDelegationWatch).
-func (n *Node) resumeDelegation(tx TxID, p *recPayload) {
+func (n *Node) resumeDelegation(tx protocol.TxID, p *recPayload) {
 	c := n.ctx(tx)
 	c.state = stDelegated
 	c.loggedAny = true
@@ -211,7 +217,7 @@ func (n *Node) resumeDelegation(tx TxID, p *recPayload) {
 	for _, s := range p.Subs {
 		if s != p.Agent {
 			c.sub(s).voted = true
-			c.sub(s).vote = VoteYes
+			c.sub(s).vote = protocol.VoteYes
 		}
 	}
 	c.sub(p.Agent).isLastAgent = true
@@ -225,7 +231,7 @@ func (n *Node) resumeDelegation(tx TxID, p *recPayload) {
 // back in doubt, restores its acceptor state (promised ballot and
 // accepted instance values), and leads a staggered recovery round to
 // learn the outcome from the acceptor quorum.
-func (n *Node) recoverPaxosTx(tx TxID, sc *txScan) {
+func (n *Node) recoverPaxosTx(tx protocol.TxID, sc *txScan) {
 	c := n.ctx(tx)
 	c.loggedAny = true
 	c.state = stInDoubt
@@ -271,7 +277,7 @@ func (n *Node) recoverPaxosTx(tx TxID, sc *txScan) {
 // resumeOutcome re-enters phase two for a transaction whose decision
 // record survived: subordinates are re-notified (idempotently), acks
 // re-collected, and — for a subordinate — the ack upstream re-sent.
-func (n *Node) resumeOutcome(tx TxID, p *recPayload, commit bool) {
+func (n *Node) resumeOutcome(tx protocol.TxID, p *recPayload, commit bool) {
 	c := n.ctx(tx)
 	c.decided = true
 	c.decisionCommit = commit
@@ -287,7 +293,7 @@ func (n *Node) resumeOutcome(tx TxID, p *recPayload, commit bool) {
 	for _, id := range p.Subs {
 		s := c.sub(id)
 		s.voted = true
-		s.vote = VoteYes
+		s.vote = protocol.VoteYes
 		n.send(id, out)
 		if n.expectsAck(s, commit) {
 			s.ackExpected = true
@@ -327,8 +333,8 @@ func (n *Node) scheduleInquiry(c *txCtx, extraDelay int) {
 
 // handleInquire answers a recovery inquiry by the rulebook
 // (protocol.Answer) from local state or the recovered outcome table.
-func (n *Node) handleInquire(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handleInquire(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
 	k := protocol.KnowsNothing
 	if c, ok := n.txs[tx]; ok {
 		switch {
@@ -352,8 +358,8 @@ func (n *Node) handleInquire(from NodeID, m protocol.Message) {
 
 // handleOutcomeReply resolves an in-doubt transaction with the answer
 // to its inquiry.
-func (n *Node) handleOutcomeReply(from NodeID, m protocol.Message) {
-	tx := ParseTxID(m.Tx)
+func (n *Node) handleOutcomeReply(from protocol.NodeID, m protocol.Message) {
+	tx := protocol.ParseTxID(m.Tx)
 	c, ok := n.txs[tx]
 	if !ok {
 		return
@@ -369,13 +375,13 @@ func (n *Node) handleOutcomeReply(from NodeID, m protocol.Message) {
 		case stPreparing:
 			// A Paxos coordinator still collecting acceptances can be
 			// resolved by a done participant's outcome short-circuit.
-			if n.eng.cfg.Variant == VariantPaxos {
+			if n.eng.cfg.Variant == protocol.VariantPaxos {
 				n.receivedDecision(c, commit)
 			}
 		}
 	case protocol.OutcomeInProgress, protocol.OutcomeUnknown:
 		// Ask again later (bounded); heuristic policy may intervene.
-		if n.eng.cfg.Variant == VariantPaxos {
+		if n.eng.cfg.Variant == protocol.VariantPaxos {
 			n.armPaxosTimer(c, n.eng.cfg.InquireRetry, "")
 			return
 		}

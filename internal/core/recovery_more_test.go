@@ -13,16 +13,16 @@ import (
 // transactions.
 
 func TestPNCascadedCoordinatorCrashRecovery(t *testing.T) {
-	// The intermediate M crashes after forcing its CommitPending and
+	// The intermediate M crashes after forcing its Pending record and
 	// propagating prepares; L is prepared. On restart M finds the
 	// pending record, aborts its phase-one transaction, and drives L
 	// out of doubt; the root's vote timeout aborts independently —
 	// everyone converges on abort.
-	eng := NewEngine(Config{Variant: VariantPN,
+	eng := NewEngine(Config{Variant: protocol.VariantPN,
 		VoteTimeout: 15 * time.Millisecond, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("M").AttachResource(NewStaticResource("rm"))
-	eng.AddNode("L").AttachResource(NewStaticResource("rl"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("M").AttachResource(protocol.NewStaticResource("rm"))
+	eng.AddNode("L").AttachResource(protocol.NewStaticResource("rl"))
 	tx := eng.Begin("C")
 	tx.Send("C", "M", "x")
 	tx.Send("M", "L", "y")
@@ -52,9 +52,9 @@ func TestRootCrashAfterCommittedBeforeEndResumesAckCollection(t *testing.T) {
 	// The root forces Committed, sends Commit, then crashes before the
 	// acks arrive. On restart its committed record drives a resend;
 	// the already-committed sub re-acks; the root writes End.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -101,10 +101,10 @@ func TestDoubleFaultBothCrashPA(t *testing.T) {
 	// Coordinator and subordinate both crash after the commit record
 	// was forced at the coordinator but before the sub heard anything.
 	// PA: the sub restarts in doubt, inquires, and gets the commit.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -141,10 +141,10 @@ func TestInquiryAfterCoordinatorForgot(t *testing.T) {
 	// The coordinator completed and wrote End long ago; a duplicate
 	// inquiry arrives (e.g. a sub restarted twice). PA answers from
 	// the recovered done-table after its own restart.
-	eng := NewEngine(Config{Variant: VariantPA, Options: Options{ReadOnly: true},
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true},
 		AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	if res := tx.Commit("C"); res.Outcome != OutcomeCommitted {
@@ -168,9 +168,9 @@ func TestInquiryAfterCoordinatorForgot(t *testing.T) {
 }
 
 func TestRestartIsIdempotent(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 5 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(NewStaticResource("rs"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 5 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 	p := tx.CommitAsync("C")
@@ -195,10 +195,10 @@ func TestPNLeafCrashBetweenPendingAndPrepared(t *testing.T) {
 	// crashes before Prepared reaches the log... our implementation
 	// forces them back-to-back, so instead test the recovery scan rule
 	// directly: an AgentPending-only log resolves to aborted.
-	eng := NewEngine(Config{Variant: VariantPN, VoteTimeout: 10 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, VoteTimeout: 10 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	s := eng.AddNode("S")
-	s.AttachResource(NewStaticResource("rs"))
+	s.AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -217,10 +217,10 @@ func TestRecoveredHeuristicReportsToRestartedCoordinator(t *testing.T) {
 	// A sub takes a heuristic decision and crashes; after restart it
 	// still remembers (forced Heuristic record) and reports the damage
 	// when the outcome arrives.
-	eng := NewEngine(Config{Variant: VariantPN, AckTimeout: 4 * time.Millisecond})
-	eng.AddNode("C").AttachResource(NewStaticResource("rc"))
+	eng := NewEngine(Config{Variant: protocol.VariantPN, AckTimeout: 4 * time.Millisecond})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	eng.AddNode("S", WithHeuristic(HeuristicPolicy{After: 6 * time.Millisecond, Commit: false})).
-		AttachResource(NewStaticResource("rs"))
+		AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	tx.Send("C", "S", "w")
 
@@ -250,7 +250,7 @@ func TestRecoveredHeuristicReportsToRestartedCoordinator(t *testing.T) {
 // the row's presumption, PN's InProgress included — the same answer
 // the live runtime gives.
 func TestNoInformationInquiryAnswersFromRow(t *testing.T) {
-	for v := VariantBaseline; v <= Variant1PC; v++ {
+	for v := protocol.VariantBaseline; v <= protocol.Variant1PC; v++ {
 		eng := NewEngine(Config{Variant: v})
 		eng.AddNode("C")
 		eng.AddNode("S1")

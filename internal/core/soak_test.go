@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // TestSoakRandomizedLifetime runs one long-lived engine through
@@ -16,7 +18,7 @@ import (
 //   - the event queue always drains (liveness);
 //   - the engine stays usable after every failure (isolation).
 func TestSoakRandomizedLifetime(t *testing.T) {
-	for _, variant := range []Variant{VariantPA, VariantPN, VariantPC} {
+	for _, variant := range []protocol.Variant{protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
 		t.Run(variant.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xC0FFEE + int64(variant)))
 			opts := Options{ReadOnly: true}
@@ -28,16 +30,16 @@ func TestSoakRandomizedLifetime(t *testing.T) {
 			})
 			eng.DisableTrace()
 			const nodes = 6
-			ids := make([]NodeID, nodes)
+			ids := make([]protocol.NodeID, nodes)
 			for i := range ids {
-				ids[i] = NodeID(fmt.Sprintf("N%d", i))
-				eng.AddNode(ids[i]).AttachResource(NewStaticResource("r@" + string(ids[i])))
+				ids[i] = protocol.NodeID(fmt.Sprintf("N%d", i))
+				eng.AddNode(ids[i]).AttachResource(protocol.NewStaticResource("r@" + string(ids[i])))
 			}
 			// Sessions form a fixed spanning tree (the LU 6.2
 			// conversation topology): node i's session parent is a
 			// random earlier node. Any node may then initiate a commit;
 			// the commit tree is the session tree re-rooted there.
-			adj := make(map[NodeID][]NodeID)
+			adj := make(map[protocol.NodeID][]protocol.NodeID)
 			for i := 1; i < nodes; i++ {
 				p := ids[rng.Intn(i)]
 				adj[p] = append(adj[p], ids[i])
@@ -52,9 +54,9 @@ func TestSoakRandomizedLifetime(t *testing.T) {
 				tx := eng.Begin(root)
 				// Send data along the session tree, oriented away from
 				// this round's root (BFS), so the whole tree is active.
-				var used []NodeID
-				visited := map[NodeID]bool{root: true}
-				frontier := []NodeID{root}
+				var used []protocol.NodeID
+				visited := map[protocol.NodeID]bool{root: true}
+				frontier := []protocol.NodeID{root}
 				for len(frontier) > 0 {
 					cur := frontier[0]
 					frontier = frontier[1:]

@@ -44,11 +44,11 @@ func (s txState) String() string {
 // subInfo tracks one downstream partner of this node in one
 // transaction.
 type subInfo struct {
-	id          NodeID
+	id          protocol.NodeID
 	activeInTx  bool // data exchanged this transaction
 	prepareSent bool
 	voted       bool
-	vote        Vote
+	vote        protocol.VoteValue
 	reliable    bool
 	okToLeave   bool
 	unsolicited bool
@@ -61,17 +61,17 @@ type subInfo struct {
 
 // txCtx is the per-node protocol state of one transaction.
 type txCtx struct {
-	id    TxID
+	id    protocol.TxID
 	state txState
 
 	isRoot      bool
-	coord       NodeID // upstream partner ("" while root or unknown)
+	coord       protocol.NodeID // upstream partner ("" while root or unknown)
 	haveCoord   bool
-	subs        map[NodeID]*subInfo
-	subOrder    []NodeID
-	resources   []Resource
-	resVotes    []PrepareResult
-	myHeuristic *HeuristicReport // local unilateral decision, if any
+	subs        map[protocol.NodeID]*subInfo
+	subOrder    []protocol.NodeID
+	resources   []protocol.Resource
+	resVotes    []protocol.PrepareResult
+	myHeuristic *protocol.HeuristicReport // local unilateral decision, if any
 
 	votesPending int
 	acksPending  int
@@ -91,7 +91,7 @@ type txCtx struct {
 	lastAgentAsked  bool // we are the last agent: we own the decision
 	votedReadOnly   bool
 	awaitingImplied bool // END deferred until implied ack (or session close)
-	impliedFrom     NodeID
+	impliedFrom     protocol.NodeID
 
 	// Root bookkeeping.
 	onComplete   func(Result)
@@ -104,20 +104,20 @@ type txCtx struct {
 	ackTimerGen  int
 	heurTimerGen int
 
-	lastAgentChoice NodeID // script-designated last agent ("" = auto)
+	lastAgentChoice protocol.NodeID // script-designated last agent ("" = auto)
 
 	// Phase-one bookkeeping.
 	anyNo             bool
 	localPrepared     bool
 	delegationPlanned bool
 	trigger           trigger
-	firstContact      NodeID
+	firstContact      protocol.NodeID
 	firstContactSet   bool
 
 	// Logging bookkeeping.
 	loggedAny       bool
 	pnPendingLogged bool
-	pnPendingAgent  NodeID
+	pnPendingAgent  protocol.NodeID
 
 	ackSent         bool
 	voteTimerGen    int
@@ -133,16 +133,16 @@ type txCtx struct {
 	abortErr error
 }
 
-func (n *Node) ctx(id TxID) *txCtx {
+func (n *Node) ctx(id protocol.TxID) *txCtx {
 	c, ok := n.txs[id]
 	if !ok {
-		c = &txCtx{id: id, subs: make(map[NodeID]*subInfo), allReadOnly: true, allReliable: true, allLeaveOut: true}
+		c = &txCtx{id: id, subs: make(map[protocol.NodeID]*subInfo), allReadOnly: true, allReliable: true, allLeaveOut: true}
 		n.txs[id] = c
 	}
 	return c
 }
 
-func (c *txCtx) sub(id NodeID) *subInfo {
+func (c *txCtx) sub(id protocol.NodeID) *subInfo {
 	s, ok := c.subs[id]
 	if !ok {
 		s = &subInfo{id: id}
@@ -166,14 +166,14 @@ func (c *txCtx) orderedSubs() []*subInfo {
 // transaction on an engine.
 type Tx struct {
 	eng *Engine
-	id  TxID
+	id  protocol.TxID
 }
 
 // ID returns the transaction's identifier.
-func (t *Tx) ID() TxID { return t.id }
+func (t *Tx) ID() protocol.TxID { return t.id }
 
 // Begin starts a new transaction whose work originates at origin.
-func (e *Engine) Begin(origin NodeID) *Tx {
+func (e *Engine) Begin(origin protocol.NodeID) *Tx {
 	n := e.nodes[origin]
 	if n == nil {
 		panic(fmt.Sprintf("core: Begin at unknown node %q", origin))
@@ -190,7 +190,7 @@ func (e *Engine) Begin(origin NodeID) *Tx {
 // a coordinator for this transaction). A dormant (left-out) partner
 // is woken by the data. The call is synchronous: the engine drains
 // the delivery before returning.
-func (t *Tx) Send(from, to NodeID, payload string) error {
+func (t *Tx) Send(from, to protocol.NodeID, payload string) error {
 	n := t.eng.nodes[from]
 	dst := t.eng.nodes[to]
 	if n == nil || dst == nil {
@@ -214,7 +214,7 @@ func (t *Tx) Send(from, to NodeID, payload string) error {
 // its vote to its coordinator without waiting for a Prepare message
 // (§4 Unsolicited Vote). The node must already be in the transaction
 // and know its coordinator (it received data from it).
-func (t *Tx) UnsolicitedVote(node NodeID) error {
+func (t *Tx) UnsolicitedVote(node protocol.NodeID) error {
 	n := t.eng.nodes[node]
 	if n == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, node)
@@ -230,7 +230,7 @@ func (t *Tx) UnsolicitedVote(node NodeID) error {
 
 // SetLastAgent designates which subordinate of node should receive
 // the last-agent delegation when the LastAgent option is enabled.
-func (t *Tx) SetLastAgent(node, agent NodeID) {
+func (t *Tx) SetLastAgent(node, agent protocol.NodeID) {
 	n := t.eng.nodes[node]
 	if n == nil {
 		panic(fmt.Sprintf("core: unknown node %q", node))
@@ -253,7 +253,7 @@ func (p *Pending) Result() (Result, bool) { return p.res, p.done }
 // Step and read the Pending afterwards. Chained-transaction scripts
 // (Long Locks) need this form, because completion can depend on later
 // transactions' data.
-func (t *Tx) CommitAsync(at NodeID) *Pending {
+func (t *Tx) CommitAsync(at protocol.NodeID) *Pending {
 	n := t.eng.nodes[at]
 	if n == nil {
 		panic(fmt.Sprintf("core: CommitAsync at unknown node %q", at))
@@ -283,7 +283,7 @@ func (t *Tx) CommitAsync(at NodeID) *Pending {
 // application never regains control (a blocked protocol, e.g.
 // baseline 2PC with an amnesiac coordinator), the result carries
 // ErrIncomplete.
-func (t *Tx) Commit(at NodeID) Result {
+func (t *Tx) Commit(at protocol.NodeID) Result {
 	p := t.CommitAsync(at)
 	t.eng.Drain()
 	if !p.done {
@@ -294,7 +294,7 @@ func (t *Tx) Commit(at NodeID) Result {
 
 // Abort aborts the transaction from node: every participant discards
 // its effects.
-func (t *Tx) Abort(at NodeID) Result {
+func (t *Tx) Abort(at protocol.NodeID) Result {
 	n := t.eng.nodes[at]
 	if n == nil {
 		panic(fmt.Sprintf("core: Abort at unknown node %q", at))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/txerr"
 )
 
@@ -12,11 +13,11 @@ import (
 // sentinel on the application Result, so callers can errors.Is
 // uniformly across the simulator and the live runtime.
 func TestVoteTimeoutSurfacesSharedSentinel(t *testing.T) {
-	eng := NewEngine(Config{Variant: VariantPA})
+	eng := NewEngine(Config{Variant: protocol.VariantPA})
 	a := eng.AddNode("A")
 	b := eng.AddNode("B")
-	a.AttachResource(NewStaticResource("ra"))
-	b.AttachResource(NewStaticResource("rb"))
+	a.AttachResource(protocol.NewStaticResource("ra"))
+	b.AttachResource(protocol.NewStaticResource("rb"))
 
 	tx := eng.Begin("A")
 	if err := tx.Send("A", "B", "work"); err != nil {

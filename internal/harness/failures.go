@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // CrashPoint identifies where in the protocol a failure is injected.
@@ -47,7 +48,7 @@ func (p CrashPoint) String() string {
 
 // FailureOutcome records how one (variant, crash point) cell resolved.
 type FailureOutcome struct {
-	Variant    core.Variant
+	Variant    protocol.Variant
 	Point      CrashPoint
 	RootResult core.Outcome // what the application at the root saw
 	SubResult  core.Outcome // what the subordinate ended with
@@ -63,7 +64,7 @@ type FailureOutcome struct {
 // PN.
 func FailureMatrix() ([]FailureOutcome, error) {
 	var out []FailureOutcome
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
 		for p := CrashSubBeforeVote; p <= CrashSubAfterCommit; p++ {
 			cell, err := runFailureCell(v, p)
 			if err != nil {
@@ -75,9 +76,9 @@ func FailureMatrix() ([]FailureOutcome, error) {
 	return out, nil
 }
 
-func runFailureCell(v core.Variant, p CrashPoint) (FailureOutcome, error) {
+func runFailureCell(v protocol.Variant, p CrashPoint) (FailureOutcome, error) {
 	opts := core.Options{}
-	if v != core.VariantBaseline {
+	if v != protocol.VariantBaseline {
 		opts.ReadOnly = true
 	}
 	eng := core.NewEngine(core.Config{
@@ -87,8 +88,8 @@ func runFailureCell(v core.Variant, p CrashPoint) (FailureOutcome, error) {
 		VoteTimeout: 15 * time.Millisecond,
 	})
 	eng.DisableTrace()
-	eng.AddNode("C").AttachResource(core.NewStaticResource("rc"))
-	eng.AddNode("S").AttachResource(core.NewStaticResource("rs"))
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")
 	if err := tx.Send("C", "S", "w"); err != nil {
 		return FailureOutcome{}, err
@@ -96,7 +97,7 @@ func runFailureCell(v core.Variant, p CrashPoint) (FailureOutcome, error) {
 	pend := tx.CommitAsync("C")
 
 	// Step the simulation to the chosen point, then crash.
-	var victim core.NodeID
+	var victim protocol.NodeID
 	reached := func() bool {
 		switch p {
 		case CrashSubBeforeVote:
@@ -157,7 +158,7 @@ func isCommit(o core.Outcome) bool {
 	return o == core.OutcomeCommitted || o == core.OutcomeHeuristicMixed
 }
 
-func hasRecord(eng *core.Engine, node core.NodeID, kind string) bool {
+func hasRecord(eng *core.Engine, node protocol.NodeID, kind string) bool {
 	for _, r := range eng.LogRecords(node) {
 		if r.Kind == kind {
 			return true

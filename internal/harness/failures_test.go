@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 func TestFailureMatrixConsistency(t *testing.T) {
@@ -29,7 +29,7 @@ func TestFailureMatrixVariantDifferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	find := func(v core.Variant, p CrashPoint) FailureOutcome {
+	find := func(v protocol.Variant, p CrashPoint) FailureOutcome {
 		for _, c := range cells {
 			if c.Variant == v && c.Point == p {
 				return c
@@ -40,7 +40,7 @@ func TestFailureMatrixVariantDifferences(t *testing.T) {
 	}
 
 	// PA, PN, and PC never leave the subordinate blocked after recovery.
-	for _, v := range []core.Variant{core.VariantPA, core.VariantPN, core.VariantPC} {
+	for _, v := range []protocol.Variant{protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
 		for p := CrashSubBeforeVote; p <= CrashSubAfterCommit; p++ {
 			if c := find(v, p); c.SubBlocked {
 				t.Errorf("%v/%v: subordinate blocked despite presumption/pending recovery", v, p)
@@ -51,7 +51,7 @@ func TestFailureMatrixVariantDifferences(t *testing.T) {
 	// Baseline: the coordinator crash before its decision leaves no
 	// record; the restarted coordinator cannot answer and the prepared
 	// subordinate stays blocked — the classic weakness.
-	base := find(core.VariantBaseline, CrashCoordBeforeDecision)
+	base := find(protocol.VariantBaseline, CrashCoordBeforeDecision)
 	if !base.SubBlocked {
 		t.Errorf("baseline coord-amnesia cell: sub not blocked (blocked=%v, sub=%v)",
 			base.SubBlocked, base.SubResult)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -32,7 +33,7 @@ type scenario struct {
 	cfg core.Config
 	n   int // tree members including the coordinator
 	// resource returns the resource for member i (0 = coordinator).
-	resource func(i int) core.Resource
+	resource func(i int) protocol.Resource
 	// unsolicited members send their votes spontaneously.
 	unsolicited func(i int) bool
 
@@ -47,12 +48,12 @@ type scenario struct {
 func (s scenario) run() (analytic.Triplet, error) {
 	eng := core.NewEngine(s.cfg)
 	eng.DisableTrace()
-	names := make([]core.NodeID, s.n)
+	names := make([]protocol.NodeID, s.n)
 	for i := 0; i < s.n; i++ {
 		if i == 0 {
 			names[i] = "C"
 		} else {
-			names[i] = core.NodeID(fmt.Sprintf("S%02d", i))
+			names[i] = protocol.NodeID(fmt.Sprintf("S%02d", i))
 		}
 		node := eng.AddNode(names[i])
 		if s.resource != nil {
@@ -114,7 +115,7 @@ func (s scenario) run() (analytic.Triplet, error) {
 	return t, nil
 }
 
-func updating(name string) core.Resource { return core.NewStaticResource(name) }
+func updating(name string) protocol.Resource { return protocol.NewStaticResource(name) }
 
 // Table2 reproduces the paper's Table 2: per-variant and
 // per-optimization costs for a two-participant transaction. The
@@ -130,38 +131,38 @@ func Table2() ([]Row, error) {
 		rows = append(rows, Row{Name: name, Paper: paper, Measured: m, Note: note})
 		return nil
 	}
-	base := func(v core.Variant, o core.Options) scenario {
+	base := func(v protocol.Variant, o core.Options) scenario {
 		return scenario{
 			cfg:      core.Config{Variant: v, Options: o},
 			n:        2,
-			resource: func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+			resource: func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 		}
 	}
 
 	if err := add("Basic 2PC", analytic.Basic2PC(2),
-		base(core.VariantBaseline, core.Options{}), "Figure 1"); err != nil {
+		base(protocol.VariantBaseline, core.Options{}), "Figure 1"); err != nil {
 		return nil, err
 	}
 	if err := add("PN", analytic.PN(2),
-		base(core.VariantPN, core.Options{}), "pending records at both"); err != nil {
+		base(protocol.VariantPN, core.Options{}), "pending records at both"); err != nil {
 		return nil, err
 	}
 	if err := add("PC (extension)", analytic.PC(2),
-		base(core.VariantPC, core.Options{ReadOnly: true}), "presumed commit: no commit acks or sub commit forces"); err != nil {
+		base(protocol.VariantPC, core.Options{ReadOnly: true}), "presumed commit: no commit acks or sub commit forces"); err != nil {
 		return nil, err
 	}
 	if err := add("PA, commit", analytic.PACommit(2),
-		base(core.VariantPA, core.Options{ReadOnly: true}), ""); err != nil {
+		base(protocol.VariantPA, core.Options{ReadOnly: true}), ""); err != nil {
 		return nil, err
 	}
 
 	// PA abort case: subordinate votes NO; nothing logged, no ack.
-	abort := base(core.VariantPA, core.Options{ReadOnly: true})
-	abort.resource = func(i int) core.Resource {
+	abort := base(protocol.VariantPA, core.Options{ReadOnly: true})
+	abort.resource = func(i int) protocol.Resource {
 		if i == 0 {
 			return updating("r0")
 		}
-		return core.NewStaticResource("r1", core.StaticVote(core.VoteNo))
+		return protocol.NewStaticResource("r1", protocol.StaticVote(protocol.VoteNo))
 	}
 	mAbort, err := runExpectAbort(abort)
 	if err != nil {
@@ -172,9 +173,9 @@ func Table2() ([]Row, error) {
 		Measured: mAbort, Note: "Prepare out, VoteNo back"})
 
 	// PA read-only case.
-	ro := base(core.VariantPA, core.Options{ReadOnly: true})
-	ro.resource = func(i int) core.Resource {
-		return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticVote(core.VoteReadOnly))
+	ro := base(protocol.VariantPA, core.Options{ReadOnly: true})
+	ro.resource = func(i int) protocol.Resource {
+		return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticVote(protocol.VoteReadOnly))
 	}
 	if err := add("PA, read-only", analytic.PAReadOnlyAll(2), ro, "no logging at all"); err != nil {
 		return nil, err
@@ -182,18 +183,18 @@ func Table2() ([]Row, error) {
 
 	if err := add("PA + Last Agent", analytic.Triplet{Flows: 2, Writes: 5, Forced: 3},
 		scenario{
-			cfg:      core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}},
+			cfg:      core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}},
 			n:        2,
-			resource: func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+			resource: func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 		}, "coordinator pays one extra force under PA"); err != nil {
 		return nil, err
 	}
 
 	if err := add("PA + Unsolicited Vote", analytic.UnsolicitedVote(2, 1),
 		scenario{
-			cfg:         core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
+			cfg:         core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
 			n:           2,
-			resource:    func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+			resource:    func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 			unsolicited: func(i int) bool { return true },
 		}, "no Prepare flow"); err != nil {
 		return nil, err
@@ -201,10 +202,10 @@ func Table2() ([]Row, error) {
 
 	if err := add("PA + Vote Reliable", analytic.VoteReliable(2, 1),
 		scenario{
-			cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
+			cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
 			n:   2,
-			resource: func(i int) core.Resource {
-				return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticReliable())
+			resource: func(i int) protocol.Resource {
+				return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticReliable())
 			},
 		}, "ack implied"); err != nil {
 		return nil, err
@@ -212,9 +213,9 @@ func Table2() ([]Row, error) {
 
 	if err := add("PA + Long Locks", analytic.LongLocks(2, 1),
 		scenario{
-			cfg:       core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LongLocks: true}},
+			cfg:       core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LongLocks: true}},
 			n:         2,
-			resource:  func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+			resource:  func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 			chain:     2,
 			chainBack: true,
 		}, "per-transaction average over a warm chain"); err != nil {
@@ -227,9 +228,9 @@ func Table2() ([]Row, error) {
 
 	if err := add("PA + Wait For Outcome", analytic.WaitForOutcome(2, 1),
 		scenario{
-			cfg:      core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}},
+			cfg:      core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}},
 			n:        2,
-			resource: func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+			resource: func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 		}, "normal case unchanged"); err != nil {
 		return nil, err
 	}
@@ -241,12 +242,12 @@ func Table2() ([]Row, error) {
 func runExpectAbort(s scenario) (analytic.Triplet, error) {
 	eng := core.NewEngine(s.cfg)
 	eng.DisableTrace()
-	names := make([]core.NodeID, s.n)
+	names := make([]protocol.NodeID, s.n)
 	for i := 0; i < s.n; i++ {
 		if i == 0 {
 			names[i] = "C"
 		} else {
-			names[i] = core.NodeID(fmt.Sprintf("S%02d", i))
+			names[i] = protocol.NodeID(fmt.Sprintf("S%02d", i))
 		}
 		node := eng.AddNode(names[i])
 		if r := s.resource(i); r != nil {
@@ -273,7 +274,7 @@ func Table3(n, m int) ([]Row, error) {
 		return nil, fmt.Errorf("harness: need m < n, got n=%d m=%d", n, m)
 	}
 	opt := func(i int) bool { return i >= 1 && i <= m } // members 1..m optimized
-	upd := func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) }
+	upd := func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) }
 
 	var rows []Row
 	add := func(name string, paper analytic.Triplet, s scenario, note string) error {
@@ -286,17 +287,17 @@ func Table3(n, m int) ([]Row, error) {
 	}
 
 	if err := add("Basic 2PC", analytic.Basic2PC(n), scenario{
-		cfg: core.Config{Variant: core.VariantBaseline}, n: n, resource: upd,
+		cfg: core.Config{Variant: protocol.VariantBaseline}, n: n, resource: upd,
 	}, "no optimizations"); err != nil {
 		return nil, err
 	}
 
 	if err := add("PA & Read Only", analytic.ReadOnly(n, m), scenario{
-		cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
+		cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
 		n:   n,
-		resource: func(i int) core.Resource {
+		resource: func(i int) protocol.Resource {
 			if opt(i) {
-				return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticVote(core.VoteReadOnly))
+				return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticVote(protocol.VoteReadOnly))
 			}
 			return upd(i)
 		},
@@ -309,7 +310,7 @@ func Table3(n, m int) ([]Row, error) {
 		// this transaction at all — the steady state after they voted
 		// OK-to-leave-out (the optimizations tests exercise the
 		// transition itself).
-		cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LeaveOut: true}},
+		cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LeaveOut: true}},
 		n:   n - m, resource: upd,
 	}, fmt.Sprintf("%d members dormant", m)); err != nil {
 		return nil, err
@@ -319,7 +320,7 @@ func Table3(n, m int) ([]Row, error) {
 	rows[len(rows)-1].Paper = analytic.LeaveOut(n, m)
 
 	if err := add("PA & Unsolicited Vote", analytic.UnsolicitedVote(n, m), scenario{
-		cfg:         core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
+		cfg:         core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
 		n:           n,
 		resource:    upd,
 		unsolicited: opt,
@@ -328,11 +329,11 @@ func Table3(n, m int) ([]Row, error) {
 	}
 
 	if err := add("PA & Vote Reliable", analytic.VoteReliable(n, m), scenario{
-		cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
+		cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
 		n:   n,
-		resource: func(i int) core.Resource {
+		resource: func(i int) protocol.Resource {
 			if opt(i) {
-				return core.NewStaticResource(fmt.Sprintf("r%d", i), core.StaticReliable())
+				return protocol.NewStaticResource(fmt.Sprintf("r%d", i), protocol.StaticReliable())
 			}
 			return upd(i)
 		},
@@ -341,7 +342,7 @@ func Table3(n, m int) ([]Row, error) {
 	}
 
 	if err := add("PA & Wait For Outcome", analytic.WaitForOutcome(n, m), scenario{
-		cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}},
+		cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}},
 		n:   n, resource: upd,
 	}, "normal case unchanged"); err != nil {
 		return nil, err
@@ -352,7 +353,7 @@ func Table3(n, m int) ([]Row, error) {
 	// kvstore integration, so here we use the formula for paper and
 	// derive measured from a basic run minus the WAL-measured forces.
 	sharedPaper := analytic.SharedLogs(n, m)
-	basicRun, err := scenario{cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, n: n, resource: upd}.run()
+	basicRun, err := scenario{cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, n: n, resource: upd}.run()
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +367,7 @@ func Table3(n, m int) ([]Row, error) {
 	// delegation chain (each agent may pick its own last agent). We
 	// measure the single-delegation case and scale the saving.
 	la, err := scenario{
-		cfg:      core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}},
+		cfg:      core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}},
 		n:        n,
 		resource: upd,
 	}.run()
@@ -386,7 +387,7 @@ func Table3(n, m int) ([]Row, error) {
 	// Long locks over a chain, normalized per transaction and scaled
 	// to the tree.
 	ll, err := scenario{
-		cfg:       core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LongLocks: true}},
+		cfg:       core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LongLocks: true}},
 		n:         2,
 		resource:  upd,
 		chain:     4,
@@ -410,9 +411,9 @@ func Table4(r int) ([]Row, error) {
 	var rows []Row
 	run := func(opts core.Options) (analytic.Triplet, error) {
 		s := scenario{
-			cfg:       core.Config{Variant: core.VariantPA, Options: opts},
+			cfg:       core.Config{Variant: protocol.VariantPA, Options: opts},
 			n:         2,
-			resource:  func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+			resource:  func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 			chain:     r,
 			chainBack: opts.LongLocks,
 		}
@@ -420,9 +421,9 @@ func Table4(r int) ([]Row, error) {
 	}
 
 	basic, err := scenario{
-		cfg:      core.Config{Variant: core.VariantBaseline},
+		cfg:      core.Config{Variant: protocol.VariantBaseline},
 		n:        2,
-		resource: func(i int) core.Resource { return updating(fmt.Sprintf("r%d", i)) },
+		resource: func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 		chain:    r,
 	}.run()
 	if err != nil {

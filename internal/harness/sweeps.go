@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -56,9 +57,9 @@ func ReadFractionSweep(n int, fractions []float64) (Sweep, error) {
 	for _, f := range fractions {
 		point := SweepPoint{X: fmt.Sprintf("%.2f", f), Series: map[string]float64{}}
 		for _, pa := range []bool{false, true} {
-			cfg := core.Config{Variant: core.VariantBaseline}
+			cfg := core.Config{Variant: protocol.VariantBaseline}
 			if pa {
-				cfg = core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}
+				cfg = core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}
 			}
 			tr := workload.Generate(workload.Spec{N: n, Depth: 1, ReadFraction: f, Seed: 99})
 			eng, tx, err := tr.Build(cfg)
@@ -98,15 +99,15 @@ func SatelliteSweep(delays []time.Duration) (Sweep, error) {
 		point := SweepPoint{X: d.String(), Series: map[string]float64{}}
 		for _, la := range []bool{false, true} {
 			eng := core.NewEngine(core.Config{
-				Variant:     core.VariantPA,
+				Variant:     protocol.VariantPA,
 				Options:     core.Options{ReadOnly: true, LastAgent: la},
 				VoteTimeout: 100 * time.Second,
 				AckTimeout:  100 * time.Second,
 			})
 			eng.DisableTrace()
-			eng.AddNode("C").AttachResource(core.NewStaticResource("rc"))
-			eng.AddNode("NEAR").AttachResource(core.NewStaticResource("rn"))
-			eng.AddNode("FAR").AttachResource(core.NewStaticResource("rf"))
+			eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+			eng.AddNode("NEAR").AttachResource(protocol.NewStaticResource("rn"))
+			eng.AddNode("FAR").AttachResource(protocol.NewStaticResource("rf"))
 			eng.SetLatency("C", "FAR", d)
 			tx := eng.Begin("C")
 			if err := tx.Send("C", "NEAR", "a"); err != nil {
@@ -144,7 +145,7 @@ func TreeSizeSweep(sizes []int) (Sweep, error) {
 	}
 	for _, n := range sizes {
 		point := SweepPoint{X: fmt.Sprintf("%d", n), Series: map[string]float64{}}
-		for _, v := range []core.Variant{core.VariantBaseline, core.VariantPN} {
+		for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPN} {
 			tr := workload.Generate(workload.Spec{N: n, Depth: 1, Seed: 7})
 			eng, tx, err := tr.Build(core.Config{Variant: v})
 			if err != nil {
@@ -155,7 +156,7 @@ func TreeSizeSweep(sizes []int) (Sweep, error) {
 			}
 			t := eng.Metrics().ProtocolTriplet()
 			point.Series["flows"] = float64(t.Flows)
-			if v == core.VariantPN {
+			if v == protocol.VariantPN {
 				point.Series["PN forced"] = float64(t.Forced)
 			} else {
 				point.Series["basic forced"] = float64(t.Forced)

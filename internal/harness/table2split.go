@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // RoleCost is one side of a Table 2 row: flows sent and log writes
@@ -38,7 +39,7 @@ func (r SplitRow) Match() bool {
 // roleRun commits a two-node transaction and returns per-role costs.
 // The data flow from C to S is excluded from C's flow count (the
 // paper counts commit-protocol messages only).
-func roleRun(cfg core.Config, coordRes, subRes core.Resource, unsolicited bool, expectAbort bool) (RoleCost, RoleCost, error) {
+func roleRun(cfg core.Config, coordRes, subRes protocol.Resource, unsolicited bool, expectAbort bool) (RoleCost, RoleCost, error) {
 	eng := core.NewEngine(cfg)
 	eng.DisableTrace()
 	eng.AddNode("C").AttachResource(coordRes)
@@ -69,11 +70,11 @@ func roleRun(cfg core.Config, coordRes, subRes core.Resource, unsolicited bool, 
 
 // Table2Split regenerates Table 2 in the paper's per-role layout.
 func Table2Split() ([]SplitRow, error) {
-	upd := func(name string) core.Resource { return core.NewStaticResource(name) }
+	upd := func(name string) protocol.Resource { return protocol.NewStaticResource(name) }
 	type spec struct {
 		name        string
 		cfg         core.Config
-		coord, sub  core.Resource
+		coord, sub  protocol.Resource
 		unsolicited bool
 		abort       bool
 		paperC      RoleCost
@@ -82,56 +83,56 @@ func Table2Split() ([]SplitRow, error) {
 	}
 	specs := []spec{
 		{
-			name: "Basic 2PC", cfg: core.Config{Variant: core.VariantBaseline},
+			name: "Basic 2PC", cfg: core.Config{Variant: protocol.VariantBaseline},
 			coord: upd("rc"), sub: upd("rs"),
 			paperC: RoleCost{2, 2, 1}, paperS: RoleCost{2, 3, 2},
 			note: "Prepare/Commit out; Committed*+End vs Prepared*+Committed*+End",
 		},
 		{
-			name: "PN", cfg: core.Config{Variant: core.VariantPN},
+			name: "PN", cfg: core.Config{Variant: protocol.VariantPN},
 			coord: upd("rc"), sub: upd("rs"),
 			paperC: RoleCost{2, 3, 2}, paperS: RoleCost{2, 4, 3},
 			note: "pending records precede prepares",
 		},
 		{
-			name: "PA, commit", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
+			name: "PA, commit", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
 			coord: upd("rc"), sub: upd("rs"),
 			paperC: RoleCost{2, 2, 1}, paperS: RoleCost{2, 3, 2},
 		},
 		{
-			name: "PA, abort (vote no)", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
-			coord: upd("rc"), sub: core.NewStaticResource("rs", core.StaticVote(core.VoteNo)),
+			name: "PA, abort (vote no)", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
+			coord: upd("rc"), sub: protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteNo)),
 			abort:  true,
 			paperC: RoleCost{1, 0, 0}, paperS: RoleCost{1, 0, 0},
 			note: "nothing logged anywhere",
 		},
 		{
-			name: "PA, read-only", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}},
-			coord:  core.NewStaticResource("rc", core.StaticVote(core.VoteReadOnly)),
-			sub:    core.NewStaticResource("rs", core.StaticVote(core.VoteReadOnly)),
+			name: "PA, read-only", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
+			coord:  protocol.NewStaticResource("rc", protocol.StaticVote(protocol.VoteReadOnly)),
+			sub:    protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly)),
 			paperC: RoleCost{1, 0, 0}, paperS: RoleCost{1, 0, 0},
 		},
 		{
-			name: "PA + Last Agent", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}},
+			name: "PA + Last Agent", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, LastAgent: true}},
 			coord: upd("rc"), sub: upd("rs"),
 			paperC: RoleCost{1, 3, 2}, paperS: RoleCost{1, 2, 1},
 			note: "single round trip; coordinator pays the extra force",
 		},
 		{
-			name: "PA + Unsolicited Vote", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
+			name: "PA + Unsolicited Vote", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
 			coord: upd("rc"), sub: upd("rs"), unsolicited: true,
 			paperC: RoleCost{1, 2, 1}, paperS: RoleCost{2, 3, 2},
 			note: "no Prepare flow",
 		},
 		{
-			name: "PA + Vote Reliable", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
-			coord:  core.NewStaticResource("rc", core.StaticReliable()),
-			sub:    core.NewStaticResource("rs", core.StaticReliable()),
+			name: "PA + Vote Reliable", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, VoteReliable: true}},
+			coord:  protocol.NewStaticResource("rc", protocol.StaticReliable()),
+			sub:    protocol.NewStaticResource("rs", protocol.StaticReliable()),
 			paperC: RoleCost{2, 2, 1}, paperS: RoleCost{1, 3, 2},
 			note: "subordinate's ack implied",
 		},
 		{
-			name: "PA + Wait For Outcome", cfg: core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}},
+			name: "PA + Wait For Outcome", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, WaitForOutcome: true}},
 			coord: upd("rc"), sub: upd("rs"),
 			paperC: RoleCost{2, 2, 1}, paperS: RoleCost{2, 3, 2},
 			note: "normal case unchanged",

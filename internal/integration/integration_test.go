@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/lockmgr"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -22,14 +23,14 @@ var bg = context.Background()
 // cluster is a three-node engine with one kvstore per node.
 type cluster struct {
 	eng  *core.Engine
-	logs map[core.NodeID]*wal.Log
-	kvs  map[core.NodeID]*kvstore.Store
+	logs map[protocol.NodeID]*wal.Log
+	kvs  map[protocol.NodeID]*kvstore.Store
 }
 
-func newCluster(t *testing.T, cfg core.Config, sharedLog bool, nodes ...core.NodeID) *cluster {
+func newCluster(t *testing.T, cfg core.Config, sharedLog bool, nodes ...protocol.NodeID) *cluster {
 	t.Helper()
 	eng := core.NewEngine(cfg)
-	c := &cluster{eng: eng, logs: map[core.NodeID]*wal.Log{}, kvs: map[core.NodeID]*kvstore.Store{}}
+	c := &cluster{eng: eng, logs: map[protocol.NodeID]*wal.Log{}, kvs: map[protocol.NodeID]*kvstore.Store{}}
 	for _, id := range nodes {
 		n := eng.AddNode(id)
 		var log *wal.Log
@@ -50,7 +51,7 @@ func newCluster(t *testing.T, cfg core.Config, sharedLog bool, nodes ...core.Nod
 }
 
 func TestDistributedCommitAppliesEverywhere(t *testing.T) {
-	cl := newCluster(t, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B", "C")
+	cl := newCluster(t, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B", "C")
 	tx := cl.eng.Begin("A")
 	if err := tx.Send("A", "B", "w"); err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestDistributedCommitAppliesEverywhere(t *testing.T) {
 }
 
 func TestDistributedAbortDiscardsEverywhere(t *testing.T) {
-	cl := newCluster(t, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B")
+	cl := newCluster(t, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B")
 	tx := cl.eng.Begin("A")
 	tx.Send("A", "B", "w")
 	id := tx.ID()
@@ -100,7 +101,7 @@ func TestDistributedAbortDiscardsEverywhere(t *testing.T) {
 }
 
 func TestNoWritesVotesReadOnlyThroughEngine(t *testing.T) {
-	cl := newCluster(t, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B")
+	cl := newCluster(t, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B")
 	// Seed data at B.
 	seed := cl.eng.Begin("B")
 	cl.kvs["B"].Put(bg, seed.ID(), "k", "v")
@@ -132,7 +133,7 @@ func TestNoWritesVotesReadOnlyThroughEngine(t *testing.T) {
 
 func TestSharedLogSavesLRMForces(t *testing.T) {
 	run := func(shared bool) wal.Stats {
-		cl := newCluster(t, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, shared, "A", "B")
+		cl := newCluster(t, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, shared, "A", "B")
 		tx := cl.eng.Begin("A")
 		tx.Send("A", "B", "w")
 		id := tx.ID()
@@ -167,7 +168,7 @@ func TestSerializationAnomalyFromReadOnlyEarlyRelease(t *testing.T) {
 	// terminated; an unrelated transaction slips in and changes what
 	// Pa had read. We reproduce the observable anomaly at the lock
 	// layer.
-	cl := newCluster(t, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, false, "C", "Pa")
+	cl := newCluster(t, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, false, "C", "Pa")
 	kv := cl.kvs["Pa"]
 
 	seed := cl.eng.Begin("Pa")
@@ -189,7 +190,7 @@ func TestSerializationAnomalyFromReadOnlyEarlyRelease(t *testing.T) {
 	p := t1.CommitAsync("C")
 	// Step until Pa has voted (lock released) but before T1 completes.
 	for i := 0; i < 1000; i++ {
-		if err := kv.Put(bg, core.TxID{Origin: "Pa", Seq: 999}, "shared", "CHANGED"); err == nil {
+		if err := kv.Put(bg, protocol.TxID{Origin: "Pa", Seq: 999}, "shared", "CHANGED"); err == nil {
 			break
 		} else if !errors.Is(err, lockmgr.ErrConflict) {
 			t.Fatal(err)
@@ -216,7 +217,7 @@ func TestCrashRecoveryWithRealStores(t *testing.T) {
 	// Full-stack failure: subordinate B crashes after preparing; on
 	// restart the TM resolves via inquiry and the recovered kvstore
 	// applies the outcome.
-	cl := newCluster(t, core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B")
+	cl := newCluster(t, core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}}, false, "A", "B")
 	tx := cl.eng.Begin("A")
 	tx.Send("A", "B", "w")
 	id := tx.ID()
@@ -261,7 +262,7 @@ func TestLockHoldTimesShrinkWithReadOnly(t *testing.T) {
 	// time across the transaction: the seed's locks are released
 	// before the baseline is read, and nothing else locks at Pa.
 	hold := func(readOnly bool) time.Duration {
-		cfg := core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: readOnly}}
+		cfg := core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: readOnly}}
 		cl := newCluster(t, cfg, false, "C", "Pa")
 		kv := cl.kvs["Pa"]
 		seed := cl.eng.Begin("Pa")

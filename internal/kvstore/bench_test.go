@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -19,7 +19,7 @@ func BenchmarkTransactionCommit(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := core.TxID{Origin: "A", Seq: uint64(i + 1)}
+		tx := protocol.TxID{Origin: "A", Seq: uint64(i + 1)}
 		if err := s.Put(ctx, tx, fmt.Sprintf("k%d", i%1024), "v"); err != nil {
 			b.Fatal(err)
 		}
@@ -35,13 +35,13 @@ func BenchmarkTransactionCommit(b *testing.B) {
 func BenchmarkReadOnlyTransaction(b *testing.B) {
 	s := benchStore()
 	ctx := context.Background()
-	seed := core.TxID{Origin: "A", Seq: 1}
+	seed := protocol.TxID{Origin: "A", Seq: 1}
 	s.Put(ctx, seed, "k", "v")
 	s.Prepare(seed)
 	s.Commit(seed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := core.TxID{Origin: "A", Seq: uint64(i + 2)}
+		tx := protocol.TxID{Origin: "A", Seq: uint64(i + 2)}
 		if _, err := s.Get(ctx, tx, "k"); err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkRecover(b *testing.B) {
 	s := New("db", log, clock.NewVirtual())
 	ctx := context.Background()
 	for i := 0; i < 2000; i++ {
-		tx := core.TxID{Origin: "A", Seq: uint64(i + 1)}
+		tx := protocol.TxID{Origin: "A", Seq: uint64(i + 1)}
 		s.Put(ctx, tx, fmt.Sprintf("k%d", i%128), "v")
 		s.Prepare(tx)
 		s.Commit(tx)

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -134,7 +134,7 @@ func TestQuickCheckpointEquivalence(t *testing.T) {
 					return false
 				}
 			}
-			id := core.TxID{Origin: "A", Seq: uint64(i + 1)}
+			id := protocol.TxID{Origin: "A", Seq: uint64(i + 1)}
 			key := fmt.Sprintf("k%d", op%6)
 			if err := s.Put(bg, id, key, fmt.Sprintf("v%d", i)); err != nil {
 				return false

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/lockmgr"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -31,7 +31,7 @@ func countKind(t *testing.T, log *wal.Log, kind string) int {
 }
 
 // commitOne runs one single-write transaction to completion.
-func commitOne(t *testing.T, s *Store, id core.TxID, key, val string) {
+func commitOne(t *testing.T, s *Store, id protocol.TxID, key, val string) {
 	t.Helper()
 	if err := s.Put(bg, id, key, val); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSelfCompactionRecoversAndStaysBounded(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
-				id := core.TxID{Origin: core.NodeID(fmt.Sprintf("w%d", w)), Seq: uint64(i + 1)}
+				id := protocol.TxID{Origin: protocol.NodeID(fmt.Sprintf("w%d", w)), Seq: uint64(i + 1)}
 				k1 := fmt.Sprintf("key%05d", rng.Intn(keys))
 				k2 := fmt.Sprintf("key%05d", rng.Intn(keys))
 				err := s.Put(bg, id, k1, fmt.Sprintf("w%d-%d", w, i))

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/lockmgr"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -41,7 +41,7 @@ var (
 	ErrNotFound  = errors.New("kvstore: key not found")
 	ErrTxState   = errors.New("kvstore: operation invalid in this transaction state")
 	ErrNoSuchTx  = errors.New("kvstore: unknown transaction")
-	ErrHeuristic = core.ErrHeuristicConflict
+	ErrHeuristic = protocol.ErrHeuristicConflict
 )
 
 type txPhase int
@@ -116,7 +116,7 @@ type Store struct {
 
 	mu   sync.Mutex
 	data map[string]string
-	txs  map[core.TxID]*txState
+	txs  map[protocol.TxID]*txState
 
 	// Self-compaction state (see checkpoint.go). logBytes counts the
 	// payload bytes logged since the last snapshot mark, snapBytes is
@@ -136,7 +136,7 @@ func New(name string, log *wal.Log, clk clock.Clock, opts ...Option) *Store {
 		log:     log,
 		locks:   lockmgr.New(clk),
 		data:    make(map[string]string),
-		txs:     make(map[core.TxID]*txState),
+		txs:     make(map[protocol.TxID]*txState),
 		roVotes: true,
 	}
 	for _, o := range opts {
@@ -145,7 +145,7 @@ func New(name string, log *wal.Log, clk clock.Clock, opts ...Option) *Store {
 	return s
 }
 
-// Name implements core.Resource.
+// Name implements protocol.Resource.
 func (s *Store) Name() string { return s.name }
 
 // Locks exposes the lock manager for hold-time accounting.
@@ -155,7 +155,7 @@ func (s *Store) Locks() *lockmgr.Manager { return s.locks }
 // check that compaction keeps it bounded.
 func (s *Store) Log() *wal.Log { return s.log }
 
-func (s *Store) tx(id core.TxID) *txState {
+func (s *Store) tx(id protocol.TxID) *txState {
 	st, ok := s.txs[id]
 	if !ok {
 		st = &txState{owner: id.String()}
@@ -168,7 +168,7 @@ func (s *Store) tx(id core.TxID) *txState {
 // first so its owner string is rendered once, not on every lock call,
 // and so is its lock-wait deadline; a first lock that fails leaves no
 // entry behind.
-func (s *Store) lock(ctx context.Context, tx core.TxID, key string, mode lockmgr.Mode) error {
+func (s *Store) lock(ctx context.Context, tx protocol.TxID, key string, mode lockmgr.Mode) error {
 	s.mu.Lock()
 	_, existed := s.txs[tx]
 	st := s.tx(tx)
@@ -194,7 +194,7 @@ func (s *Store) lock(ctx context.Context, tx core.TxID, key string, mode lockmgr
 }
 
 // Get reads key under a shared lock within tx.
-func (s *Store) Get(ctx context.Context, tx core.TxID, key string) (string, error) {
+func (s *Store) Get(ctx context.Context, tx protocol.TxID, key string) (string, error) {
 	if err := s.lock(ctx, tx, key, lockmgr.Shared); err != nil {
 		return "", err
 	}
@@ -223,7 +223,7 @@ func (s *Store) Get(ctx context.Context, tx core.TxID, key string) (string, erro
 
 // Put buffers a write of key=value under an exclusive lock within tx.
 // The write is applied at commit.
-func (s *Store) Put(ctx context.Context, tx core.TxID, key, value string) error {
+func (s *Store) Put(ctx context.Context, tx protocol.TxID, key, value string) error {
 	if err := s.lock(ctx, tx, key, lockmgr.Exclusive); err != nil {
 		return err
 	}
@@ -238,7 +238,7 @@ func (s *Store) Put(ctx context.Context, tx core.TxID, key, value string) error 
 }
 
 // Delete buffers a deletion of key under an exclusive lock within tx.
-func (s *Store) Delete(ctx context.Context, tx core.TxID, key string) error {
+func (s *Store) Delete(ctx context.Context, tx protocol.TxID, key string) error {
 	if err := s.lock(ctx, tx, key, lockmgr.Exclusive); err != nil {
 		return err
 	}
@@ -252,24 +252,24 @@ func (s *Store) Delete(ctx context.Context, tx core.TxID, key string) error {
 	return nil
 }
 
-// Prepare implements core.Resource. A transaction with no writes
+// Prepare implements protocol.Resource. A transaction with no writes
 // votes read-only and releases its locks immediately (§4 Read Only);
 // otherwise the update set is logged and the prepared record forced
 // (non-forced in shared-log mode), after which the store guarantees
 // it can commit or abort across crashes.
-func (s *Store) Prepare(tx core.TxID) (core.PrepareResult, error) {
+func (s *Store) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) {
 	s.mu.Lock()
 	st := s.tx(tx)
 	if st.phase != phaseActive {
 		s.mu.Unlock()
-		return core.PrepareResult{}, fmt.Errorf("%w: prepare in phase %d", ErrTxState, st.phase)
+		return protocol.PrepareResult{}, fmt.Errorf("%w: prepare in phase %d", ErrTxState, st.phase)
 	}
 	if len(st.writes) == 0 && s.roVotes {
 		delete(s.txs, tx)
 		s.mu.Unlock()
 		s.locks.ReleaseAll(st.owner)
-		return core.PrepareResult{
-			Vote:         core.VoteReadOnly,
+		return protocol.PrepareResult{
+			Vote:         protocol.VoteReadOnly,
 			Reliable:     s.reliable,
 			OKToLeaveOut: s.okToLeaveOut,
 		}, nil
@@ -280,19 +280,19 @@ func (s *Store) Prepare(tx core.TxID) (core.PrepareResult, error) {
 
 	payload, err := json.Marshal(writes)
 	if err != nil {
-		return core.PrepareResult{}, fmt.Errorf("kvstore: encode update set: %w", err)
+		return protocol.PrepareResult{}, fmt.Errorf("kvstore: encode update set: %w", err)
 	}
 	if err := s.writeLog(owner, recUpdate, payload, false); err != nil {
-		return core.PrepareResult{}, err
+		return protocol.PrepareResult{}, err
 	}
 	// In shared-log mode the prepared record is not forced: the TM's
 	// commit force will harden it, and if the system fails first the
 	// missing record simply aborts the transaction (§4 Sharing the Log).
 	if err := s.writeLog(owner, recPrepared, nil, !s.sharedLog); err != nil {
-		return core.PrepareResult{}, err
+		return protocol.PrepareResult{}, err
 	}
-	return core.PrepareResult{
-		Vote:         core.VoteYes,
+	return protocol.PrepareResult{
+		Vote:         protocol.VoteYes,
 		Reliable:     s.reliable,
 		OKToLeaveOut: s.okToLeaveOut,
 	}, nil
@@ -314,18 +314,18 @@ func (s *Store) writeLog(tx string, kind string, data []byte, force bool) error 
 	return nil
 }
 
-// Commit implements core.Resource: applies buffered writes, logs the
+// Commit implements protocol.Resource: applies buffered writes, logs the
 // committed record (forced unless shared-log), and releases locks.
 // Committing an unknown transaction is a no-op so recovery can
 // re-deliver outcomes safely.
-func (s *Store) Commit(tx core.TxID) error { return s.finish(tx, true, false) }
+func (s *Store) Commit(tx protocol.TxID) error { return s.finish(tx, true, false) }
 
-// Abort implements core.Resource: discards buffered writes and
+// Abort implements protocol.Resource: discards buffered writes and
 // releases locks. Unknown transactions are a no-op (presumed abort
 // re-delivery).
-func (s *Store) Abort(tx core.TxID) error { return s.finish(tx, false, false) }
+func (s *Store) Abort(tx protocol.TxID) error { return s.finish(tx, false, false) }
 
-func (s *Store) finish(tx core.TxID, commit, heuristic bool) error {
+func (s *Store) finish(tx protocol.TxID, commit, heuristic bool) error {
 	s.mu.Lock()
 	st, ok := s.txs[tx]
 	if !ok {
@@ -396,7 +396,7 @@ func (s *Store) finish(tx core.TxID, commit, heuristic bool) error {
 // in the same encoding as the LRMUpdate record. Nil for unknown,
 // unprepared, or write-free transactions — a nil payload simply means
 // there is nothing the coordinator's decision record must carry.
-func (s *Store) RedoPayload(tx core.TxID) []byte {
+func (s *Store) RedoPayload(tx protocol.TxID) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.txs[tx]
@@ -416,7 +416,7 @@ func (s *Store) RedoPayload(tx core.TxID) []byte {
 // prepared write-set in a crash after a logless 1PC vote). A
 // transaction the store still remembers is left to the normal Commit
 // path — the redelivery is a duplicate there.
-func (s *Store) ApplyRedo(tx core.TxID, payload []byte) error {
+func (s *Store) ApplyRedo(tx protocol.TxID, payload []byte) error {
 	var writes []pendingWrite
 	if err := json.Unmarshal(payload, &writes); err != nil {
 		return fmt.Errorf("kvstore %s: decode redo payload: %w", s.name, err)
@@ -444,11 +444,11 @@ func outcomePayload(commit bool) []byte {
 	return []byte(`{"commit":false}`)
 }
 
-// HeuristicDecide implements core.HeuristicCapable: unilaterally
+// HeuristicDecide implements protocol.HeuristicCapable: unilaterally
 // completes a prepared transaction. The store logs the decision
 // (forced) and keeps the transaction's entry so a later outcome
 // delivery detects disagreement.
-func (s *Store) HeuristicDecide(tx core.TxID, commit bool) error {
+func (s *Store) HeuristicDecide(tx protocol.TxID, commit bool) error {
 	s.mu.Lock()
 	st, ok := s.txs[tx]
 	if !ok || st.phase != phasePrepared {
@@ -459,8 +459,8 @@ func (s *Store) HeuristicDecide(tx core.TxID, commit bool) error {
 	return s.finish(tx, commit, true)
 }
 
-// HeuristicTaken implements core.HeuristicCapable.
-func (s *Store) HeuristicTaken(tx core.TxID) (taken, committed bool) {
+// HeuristicTaken implements protocol.HeuristicCapable.
+func (s *Store) HeuristicTaken(tx protocol.TxID) (taken, committed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.txs[tx]
@@ -478,7 +478,7 @@ func (s *Store) HeuristicTaken(tx core.TxID) (taken, committed bool) {
 
 // Forget drops the record of a heuristically completed transaction
 // after its damage has been reported upstream.
-func (s *Store) Forget(tx core.TxID) {
+func (s *Store) Forget(tx protocol.TxID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.txs[tx]
@@ -510,10 +510,10 @@ func (s *Store) Keys() []string {
 
 // InDoubt returns transactions that are prepared but not completed —
 // after a crash these are the ones recovery must resolve.
-func (s *Store) InDoubt() []core.TxID {
+func (s *Store) InDoubt() []protocol.TxID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []core.TxID
+	var out []protocol.TxID
 	for id, st := range s.txs {
 		if st.phase == phasePrepared {
 			out = append(out, id)

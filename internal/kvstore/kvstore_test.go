@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/lockmgr"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -19,7 +19,7 @@ func newStore(t *testing.T, opts ...Option) (*Store, *wal.Log) {
 	return New("db", log, clock.NewVirtual(), opts...), log
 }
 
-func tx(n uint64) core.TxID { return core.TxID{Origin: "A", Seq: n} }
+func tx(n uint64) protocol.TxID { return protocol.TxID{Origin: "A", Seq: n} }
 
 func TestPutGetWithinTx(t *testing.T) {
 	s, _ := newStore(t)
@@ -44,7 +44,7 @@ func TestCommitAppliesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Vote != core.VoteYes {
+	if res.Vote != protocol.VoteYes {
 		t.Fatalf("vote = %v, want yes", res.Vote)
 	}
 	if err := s.Commit(tx(1)); err != nil {
@@ -110,7 +110,7 @@ func TestReadOnlyVoteReleasesLocksAndSkipsLogging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Vote != core.VoteReadOnly {
+	if res.Vote != protocol.VoteReadOnly {
 		t.Fatalf("vote = %v, want read-only", res.Vote)
 	}
 	if st := log.Stats(); st.Appends != base.Appends {

@@ -3,7 +3,7 @@ package kvstore
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 func TestReadOnlyVotesDisabledRunsFullProtocol(t *testing.T) {
@@ -22,7 +22,7 @@ func TestReadOnlyVotesDisabledRunsFullProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Vote != core.VoteYes {
+	if res.Vote != protocol.VoteYes {
 		t.Fatalf("vote = %v, want yes (read-only votes disabled)", res.Vote)
 	}
 	if st := log.Stats(); st.Forces == base.Forces {

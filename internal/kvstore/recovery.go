@@ -6,8 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/lockmgr"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -111,7 +111,7 @@ func Recover(name string, log *wal.Log, clk clock.Clock, opts ...Option) (*Store
 	}
 	for _, id := range order {
 		tr := txs[id]
-		txid := core.ParseTxID(id)
+		txid := protocol.ParseTxID(id)
 		apply := tr.outcome == recCommitted || (tr.outcome == recHeuristic && tr.heuCommit)
 		if apply && !inSnapshot[id] {
 			for _, w := range tr.writes {

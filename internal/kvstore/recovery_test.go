@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/lockmgr"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -198,7 +198,7 @@ func TestQuickRecoveryEquivalence(t *testing.T) {
 		s := New("db", log, clock.NewVirtual())
 		ctx := context.Background()
 		for i, o := range txOps {
-			id := core.TxID{Origin: "A", Seq: uint64(i + 1)}
+			id := protocol.TxID{Origin: "A", Seq: uint64(i + 1)}
 			key := string(rune('a' + o[0]%8))
 			op := op{Key: o[0], Value: o[1], Del: o[2]%4 == 0}
 			var err error

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -27,9 +27,9 @@ func groupCommitLog() *wal.Log {
 // forces + four messages per commit.
 func BenchmarkLiveCommitChannels(b *testing.B) {
 	net := netsim.NewChanNetwork()
-	kv := core.NewStaticResource("r")
-	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), []core.Resource{core.NewStaticResource("rc")})
-	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()), []core.Resource{kv})
+	kv := protocol.NewStaticResource("r")
+	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), []protocol.Resource{protocol.NewStaticResource("rc")})
+	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()), []protocol.Resource{kv})
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
@@ -38,7 +38,7 @@ func BenchmarkLiveCommitChannels(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := core.TxID{Origin: "C", Seq: uint64(i + 1)}
+		tx := protocol.TxID{Origin: "C", Seq: uint64(i + 1)}
 		out, err := coord.Commit(ctx, tx.String(), []string{"S"})
 		if err != nil || out != Committed {
 			b.Fatalf("commit %d: %v %v", i, out, err)
@@ -59,8 +59,8 @@ func BenchmarkLiveCommitTCP(b *testing.B) {
 	}
 	epC.Register("S", epS.Addr())
 	epS.Register("C", epC.Addr())
-	coord := NewParticipant("C", epC, wal.New(wal.NewMemStore()), []core.Resource{core.NewStaticResource("rc")})
-	sub := NewParticipant("S", epS, wal.New(wal.NewMemStore()), []core.Resource{core.NewStaticResource("rs")})
+	coord := NewParticipant("C", epC, wal.New(wal.NewMemStore()), []protocol.Resource{protocol.NewStaticResource("rc")})
+	sub := NewParticipant("S", epS, wal.New(wal.NewMemStore()), []protocol.Resource{protocol.NewStaticResource("rs")})
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
@@ -69,7 +69,7 @@ func BenchmarkLiveCommitTCP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := core.TxID{Origin: "C", Seq: uint64(i + 1)}
+		tx := protocol.TxID{Origin: "C", Seq: uint64(i + 1)}
 		out, err := coord.Commit(ctx, tx.String(), []string{"S"})
 		if err != nil || out != Committed {
 			b.Fatalf("commit %d: %v %v", i, out, err)
@@ -83,7 +83,7 @@ func BenchmarkLiveFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("subs%d", n), func(b *testing.B) {
 			net := netsim.NewChanNetwork()
 			coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-				[]core.Resource{core.NewStaticResource("rc")})
+				[]protocol.Resource{protocol.NewStaticResource("rc")})
 			coord.Start()
 			defer coord.Stop()
 			var names []string
@@ -91,7 +91,7 @@ func BenchmarkLiveFanout(b *testing.B) {
 				name := fmt.Sprintf("S%d", i)
 				names = append(names, name)
 				p := NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-					[]core.Resource{core.NewStaticResource("r" + name)})
+					[]protocol.Resource{protocol.NewStaticResource("r" + name)})
 				p.Start()
 				defer p.Stop()
 			}
@@ -99,7 +99,7 @@ func BenchmarkLiveFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tx := core.TxID{Origin: "C", Seq: uint64(i + 1)}
+				tx := protocol.TxID{Origin: "C", Seq: uint64(i + 1)}
 				out, err := coord.Commit(ctx, tx.String(), names)
 				if err != nil || out != Committed {
 					b.Fatalf("commit: %v %v", out, err)
@@ -120,11 +120,11 @@ func BenchmarkLiveThroughput(b *testing.B) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()
 	coord := NewParticipant("C", net.Endpoint("C"), groupCommitLog(),
-		[]core.Resource{core.NewStaticResource("rc")}, WithMetrics(reg))
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithMetrics(reg))
 	s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("r1")})
+		[]protocol.Resource{protocol.NewStaticResource("r1")})
 	s2 := NewParticipant("S2", net.Endpoint("S2"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("r2")})
+		[]protocol.Resource{protocol.NewStaticResource("r2")})
 	coord.Start()
 	s1.Start()
 	s2.Start()
@@ -147,7 +147,7 @@ func BenchmarkLiveThroughput(b *testing.B) {
 				if n > uint64(b.N) {
 					return
 				}
-				tx := core.TxID{Origin: "C", Seq: n}
+				tx := protocol.TxID{Origin: "C", Seq: n}
 				out, err := coord.Commit(ctx, tx.String(), []string{"S1", "S2"})
 				if err != nil || out != Committed {
 					b.Errorf("commit %d: %v %v", n, out, err)
@@ -200,13 +200,13 @@ func benchParallelMultiSub(b *testing.B, tcp bool) {
 		}
 		for name, ep := range eps {
 			parts = append(parts, NewParticipant(name, ep, groupCommitLog(),
-				[]core.Resource{core.NewStaticResource("r" + name)}))
+				[]protocol.Resource{protocol.NewStaticResource("r" + name)}))
 		}
 	} else {
 		net := netsim.NewChanNetwork()
 		for _, name := range append([]string{"C"}, names...) {
 			parts = append(parts, NewParticipant(name, net.Endpoint(name), groupCommitLog(),
-				[]core.Resource{core.NewStaticResource("r" + name)}))
+				[]protocol.Resource{protocol.NewStaticResource("r" + name)}))
 		}
 	}
 	var coord *Participant
@@ -237,7 +237,7 @@ func benchParallelMultiSub(b *testing.B, tcp bool) {
 				if n > uint64(b.N) {
 					return
 				}
-				tx := core.TxID{Origin: "C", Seq: n}
+				tx := protocol.TxID{Origin: "C", Seq: n}
 				out, err := coord.Commit(ctx, tx.String(), names)
 				if err != nil || out != Committed {
 					b.Errorf("commit %d: %v %v", n, out, err)
@@ -313,7 +313,7 @@ func benchParallelMultiSubFsync(b *testing.B, adaptive bool) {
 		defer store.Close()
 		stores = append(stores, store)
 		p := NewParticipant(name, ep, wal.New(store),
-			[]core.Resource{core.NewStaticResource("r" + name)}, pOpts...)
+			[]protocol.Resource{protocol.NewStaticResource("r" + name)}, pOpts...)
 		if name == "C" {
 			coord = p
 		}
@@ -343,7 +343,7 @@ func benchParallelMultiSubFsync(b *testing.B, adaptive bool) {
 				if n > uint64(b.N) {
 					return
 				}
-				tx := core.TxID{Origin: "C", Seq: n}
+				tx := protocol.TxID{Origin: "C", Seq: n}
 				out, err := coord.Commit(ctx, tx.String(), names)
 				if err != nil || out != Committed {
 					b.Errorf("commit %d: %v %v", n, out, err)
@@ -385,7 +385,7 @@ func BenchmarkLiveParallelMultiSubTCPFsync(b *testing.B) {
 // adaptive force pipeline, and the benchmark additionally reports
 // syncs/force — the physical price of each variant's forced-write
 // budget.
-func benchVariantTCP(b *testing.B, variant core.Variant, fsync bool) {
+func benchVariantTCP(b *testing.B, variant protocol.Variant, fsync bool) {
 	const (
 		workers = 16
 		subs    = 2 // acceptor set {C, S1, S2}: one failure tolerated
@@ -438,7 +438,7 @@ func benchVariantTCP(b *testing.B, variant core.Variant, fsync bool) {
 			log = groupCommitLog()
 		}
 		p := NewParticipant(name, ep, log,
-			[]core.Resource{core.NewStaticResource("r" + name)}, opts...)
+			[]protocol.Resource{protocol.NewStaticResource("r" + name)}, opts...)
 		if name == "C" {
 			coord = p
 		}
@@ -466,7 +466,7 @@ func benchVariantTCP(b *testing.B, variant core.Variant, fsync bool) {
 				if n > uint64(b.N) {
 					return
 				}
-				tx := core.TxID{Origin: "C", Seq: n}
+				tx := protocol.TxID{Origin: "C", Seq: n}
 				out, err := coord.Commit(ctx, tx.String(), names)
 				if err != nil || out != Committed {
 					b.Errorf("commit %d: %v %v", n, out, err)
@@ -504,8 +504,8 @@ func benchVariantTCP(b *testing.B, variant core.Variant, fsync bool) {
 // the coordinator's critical path for both — the benchmark records
 // what that costs end to end.
 func BenchmarkLivePaxosVsBasicTCP(b *testing.B) {
-	b.Run("Basic2PC", func(b *testing.B) { benchVariantTCP(b, core.VariantBaseline, false) })
-	b.Run("PaxosCommit", func(b *testing.B) { benchVariantTCP(b, core.VariantPaxos, false) })
+	b.Run("Basic2PC", func(b *testing.B) { benchVariantTCP(b, protocol.VariantBaseline, false) })
+	b.Run("PaxosCommit", func(b *testing.B) { benchVariantTCP(b, protocol.VariantPaxos, false) })
 }
 
 // BenchmarkLive1PCVsBasicTCP is the one-phase fast path's price tag:
@@ -517,8 +517,8 @@ func BenchmarkLivePaxosVsBasicTCP(b *testing.B) {
 // is the headline, and the fsync-honest pair shows the saved device
 // syncs directly (syncs/force collapses with only one log forcing).
 func BenchmarkLive1PCVsBasicTCP(b *testing.B) {
-	b.Run("Basic2PC", func(b *testing.B) { benchVariantTCP(b, core.VariantBaseline, false) })
-	b.Run("OnePhase", func(b *testing.B) { benchVariantTCP(b, core.Variant1PC, false) })
-	b.Run("Basic2PCFsync", func(b *testing.B) { benchVariantTCP(b, core.VariantBaseline, true) })
-	b.Run("OnePhaseFsync", func(b *testing.B) { benchVariantTCP(b, core.Variant1PC, true) })
+	b.Run("Basic2PC", func(b *testing.B) { benchVariantTCP(b, protocol.VariantBaseline, false) })
+	b.Run("OnePhase", func(b *testing.B) { benchVariantTCP(b, protocol.Variant1PC, false) })
+	b.Run("Basic2PCFsync", func(b *testing.B) { benchVariantTCP(b, protocol.VariantBaseline, true) })
+	b.Run("OnePhaseFsync", func(b *testing.B) { benchVariantTCP(b, protocol.Variant1PC, true) })
 }

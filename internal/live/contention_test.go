@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -27,7 +27,7 @@ func runContention(b *testing.B, roVotes bool) (committed int64) {
 	hot := kvstore.New("hot", wal.New(wal.NewMemStore()), clock.NewWall(),
 		kvstore.WithLockWait(time.Minute), kvstore.WithReadOnlyVotes(roVotes))
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), nil)
-	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()), []core.Resource{hot})
+	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()), []protocol.Resource{hot})
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
@@ -35,7 +35,7 @@ func runContention(b *testing.B, roVotes bool) (committed int64) {
 
 	ctx := context.Background()
 	// Seed the hot key.
-	seed := core.TxID{Origin: "C", Seq: 1}
+	seed := protocol.TxID{Origin: "C", Seq: 1}
 	if err := hot.Put(ctx, seed, "hot", "seed"); err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func runContention(b *testing.B, roVotes bool) (committed int64) {
 		go func(id int) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				tx := core.TxID{Origin: "C", Seq: uint64(atomic.AddInt64(&seq, 1))}
+				tx := protocol.TxID{Origin: "C", Seq: uint64(atomic.AddInt64(&seq, 1))}
 				tctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 				// Every transaction reads the hot key (shared lock)…
 				if _, err := hot.Get(tctx, tx, "hot"); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
@@ -29,7 +28,7 @@ func (p *Participant) Commit(ctx context.Context, txName string, subs []string) 
 // so a single coordinator can serve mixed-variant traffic — the
 // serving daemon uses this to run all six variants over one
 // endpoint.
-func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []string, v core.Variant) (Outcome, error) {
+func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []string, v protocol.Variant) (Outcome, error) {
 	start := p.sched.Now()
 	out, err := p.runCommit(ctx, txName, subs, v)
 	if p.met != nil {
@@ -41,8 +40,8 @@ func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []s
 	return out, err
 }
 
-func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v core.Variant) (Outcome, error) {
-	tx := core.ParseTxID(txName)
+func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v protocol.Variant) (Outcome, error) {
+	tx := protocol.ParseTxID(txName)
 	st := p.registerCoord(txName, len(subs), p.lastAgent)
 	defer func() {
 		// A background ack collector (commitPhaseTwo) or last-agent
@@ -59,7 +58,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// Paxos Commit replaces both phases: votes are ballot-0 accepts
 	// replicated across the acceptor set, and the decision needs only
 	// an acceptor quorum, never this node's log.
-	if v == core.VariantPaxos {
+	if v == protocol.VariantPaxos {
 		return p.runPaxosCommit(ctx, st, tx, txName, subs)
 	}
 
@@ -184,7 +183,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 // decideCommit takes the commit decision after unanimous yes votes
 // and drives phase two. redos are the logless voters' redo payloads,
 // one per yes-voter (nil unless the variant votes logless).
-func (p *Participant) decideCommit(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, redos [][]byte, localVote protocol.VoteValue, v core.Variant) (Outcome, error) {
+func (p *Participant) decideCommit(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, redos [][]byte, localVote protocol.VoteValue, v protocol.Variant) (Outcome, error) {
 	d := v.Decide(true, protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0})
 	var rec wal.Record
 	if d.Write != protocol.NoWrite {
@@ -225,7 +224,7 @@ func commitRecord(txName, node string, yes []string, redos [][]byte, d protocol.
 // outstanding; End is written only once they are all in. data is the
 // commit record's payload: a logless vote's record is its voters' only
 // redo, so the pin keeps it for outcomes resent to them.
-func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.TxID, txName string, yes []string, data []byte, d protocol.Decision) (Outcome, error) {
+func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, data []byte, d protocol.Decision) (Outcome, error) {
 	acks := d.Acked && len(yes) > 0
 	p.recordDecision(txName, true, acks)
 	if acks && d.Redo {
@@ -276,17 +275,17 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx core.T
 // agent answers: the agent, the other yes-voters to tell the outcome,
 // the variant, and what it knows as the decision's owner.
 type delegation struct {
-	tx    core.TxID
+	tx    protocol.TxID
 	agent string
 	yes   []string
-	v     core.Variant
+	v     protocol.Variant
 	rd    protocol.Round
 }
 
 // delegate hands the decision to the last agent (§4): it forces the
 // delegation record, sends the combined "prepare, you decide" message,
 // and waits for the answer (awaitAgent).
-func (p *Participant) delegate(ctx context.Context, st *txState, tx core.TxID, txName, agent string, yes []string, localVote protocol.VoteValue, v core.Variant) (Outcome, error) {
+func (p *Participant) delegate(ctx context.Context, st *txState, tx protocol.TxID, txName, agent string, yes []string, localVote protocol.VoteValue, v protocol.Variant) (Outcome, error) {
 	dl := &delegation{tx: tx, agent: agent, yes: yes, v: v,
 		rd: protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0, Logged: v.PrePrepare() != "", Voted: true}}
 	// The live pre-prepare record names no agent, so it cannot stand
@@ -483,7 +482,7 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 // through inquiry and presumption. When aborts are acknowledged the
 // record names subs, and the decided-table entry stays pinned — End
 // unwritten — until every subordinate told has acknowledged.
-func (p *Participant) abortTx(tx core.TxID, txName string, subs []string, v core.Variant, rd protocol.Round) Outcome {
+func (p *Participant) abortTx(tx protocol.TxID, txName string, subs []string, v protocol.Variant, rd protocol.Round) Outcome {
 	d := v.Decide(false, rd)
 	acks := d.Acked && len(subs) > 0
 	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Aborted"}

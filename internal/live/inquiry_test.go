@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
 	"repro/internal/wal"
@@ -13,15 +12,15 @@ import (
 
 func TestPresumeDataRoundTrip(t *testing.T) {
 	// The payload bytes are on disk in existing logs: pin them exactly.
-	want := map[core.Variant]string{
-		core.VariantBaseline: "PresumeNothing",
-		core.VariantPA:       "PresumeAbort",
-		core.VariantPN:       "PresumePending",
-		core.VariantPC:       "PresumeCommit",
-		core.VariantPaxos:    "PresumePaxos",
-		core.Variant1PC:      "Presume1PC",
+	want := map[protocol.Variant]string{
+		protocol.VariantBaseline: "PresumeNothing",
+		protocol.VariantPA:       "PresumeAbort",
+		protocol.VariantPN:       "PresumePending",
+		protocol.VariantPC:       "PresumeCommit",
+		protocol.VariantPaxos:    "PresumePaxos",
+		protocol.Variant1PC:      "Presume1PC",
 	}
-	for v := core.VariantBaseline; v <= core.Variant1PC; v++ {
+	for v := protocol.VariantBaseline; v <= protocol.Variant1PC; v++ {
 		if got := string(presumeData(v)); got != want[v] {
 			t.Errorf("presumeData(%v) = %q, want %q", v, got, want[v])
 		}
@@ -30,8 +29,8 @@ func TestPresumeDataRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %v = %v, %v", v, got, ok)
 		}
 	}
-	if len(want) != int(core.Variant1PC)+1 {
-		t.Fatalf("pinned %d payloads for %d variants", len(want), int(core.Variant1PC)+1)
+	if len(want) != int(protocol.Variant1PC)+1 {
+		t.Fatalf("pinned %d payloads for %d variants", len(want), int(protocol.Variant1PC)+1)
 	}
 	if _, ok := presumeFromData(nil); ok {
 		t.Error("empty payload decoded as a known presumption")
@@ -48,14 +47,14 @@ func TestPresumeDataRoundTrip(t *testing.T) {
 func TestLiveInquiryDuringCollectionAnswersInProgress(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")},
+		[]protocol.Resource{protocol.NewStaticResource("rc")},
 		WithTimeout(500*time.Millisecond, 100*time.Millisecond))
 	coord.Start()
 	defer coord.Stop()
 	// S exists but never answers: the commit stalls in vote collection.
 	net.Endpoint("S")
 
-	tx := core.TxID{Origin: "C", Seq: 60}
+	tx := protocol.TxID{Origin: "C", Seq: 60}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -90,21 +89,21 @@ func TestLiveInquiryDuringCollectionAnswersInProgress(t *testing.T) {
 // commit presumption would violate atomicity.
 func TestLiveCoordinatorRestartAnswersFromLog(t *testing.T) {
 	net := netsim.NewChanNetwork()
-	tx := core.TxID{Origin: "C", Seq: 80}.String()
+	tx := protocol.TxID{Origin: "C", Seq: 80}.String()
 
 	coordStore := wal.NewMemStore()
 	coordStore.Append(wal.Record{Tx: tx, Node: "C", Kind: "Collecting", Data: []byte("S"), Forced: true})
 	coordStore.Sync()
 	coordLog := wal.New(coordStore)
-	coord := NewParticipant("C", net.Endpoint("C"), coordLog, nil, WithVariant(core.VariantPC))
+	coord := NewParticipant("C", net.Endpoint("C"), coordLog, nil, WithVariant(protocol.VariantPC))
 
 	subStore := wal.NewMemStore()
 	subStore.Append(wal.Record{Tx: tx, Node: "S", Kind: "Prepared",
-		Data: presumeData(core.VariantPC), Forced: true})
+		Data: presumeData(protocol.VariantPC), Forced: true})
 	subStore.Sync()
 	subLog := wal.New(subStore)
 	sub := NewParticipant("S", net.Endpoint("S"), subLog,
-		[]core.Resource{core.NewStaticResource("rs")}, WithVariant(core.VariantPC))
+		[]protocol.Resource{protocol.NewStaticResource("rs")}, WithVariant(protocol.VariantPC))
 
 	coord.Start()
 	sub.Start()
@@ -138,15 +137,15 @@ func TestLivePreparedRecordCarriesPresumption(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	subLog := wal.New(wal.NewMemStore())
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")}, WithVariant(core.VariantPC))
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithVariant(protocol.VariantPC))
 	sub := NewParticipant("S", net.Endpoint("S"), subLog,
-		[]core.Resource{core.NewStaticResource("rs")}) // configured PA
+		[]protocol.Resource{protocol.NewStaticResource("rs")}) // configured PA
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
 	defer sub.Stop()
 
-	tx := core.TxID{Origin: "C", Seq: 81}
+	tx := protocol.TxID{Origin: "C", Seq: 81}
 	if out, err := coord.Commit(context.Background(), tx.String(), []string{"S"}); err != nil || out != Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}
@@ -158,7 +157,7 @@ func TestLivePreparedRecordCarriesPresumption(t *testing.T) {
 		if r.Node != "S" || r.Kind != "Prepared" {
 			continue
 		}
-		if pr, ok := presumeFromData(r.Data); !ok || pr != core.VariantPC {
+		if pr, ok := presumeFromData(r.Data); !ok || pr != protocol.VariantPC {
 			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PC", pr, ok)
 		}
 		return
@@ -172,7 +171,7 @@ func TestLivePreparedRecordCarriesPresumption(t *testing.T) {
 func TestLiveLateVoteAfterDecisionDropped(t *testing.T) {
 	coord, _, _, kv1, _, net := setupChanTrio(t)
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 70}
+	tx := protocol.TxID{Origin: "C", Seq: 70}
 	if err := kv1.Put(ctx, tx, "a", "1"); err != nil {
 		t.Fatal(err)
 	}
@@ -200,19 +199,19 @@ func TestLiveLoglessVoterInDoubt(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	subLog := wal.New(wal.NewMemStore())
 	sub := NewParticipant("S", net.Endpoint("S"), subLog,
-		[]core.Resource{core.NewStaticResource("rs")})
+		[]protocol.Resource{protocol.NewStaticResource("rs")})
 	sub.Start()
 	defer sub.Stop()
 	c := net.Endpoint("C")
 
-	tx := core.TxID{Origin: "C", Seq: 82}.String()
+	tx := protocol.TxID{Origin: "C", Seq: 82}.String()
 	send := func(m protocol.Message) {
 		t.Helper()
 		if err := c.Send("S", protocol.Packet{From: "C", To: "S", Messages: []protocol.Message{m}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: core.Variant1PC})
+	send(protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: protocol.Variant1PC})
 	select {
 	case pkt := <-c.Recv():
 		if m := pkt.Messages[0]; m.Type != protocol.MsgVote || m.Vote != protocol.VoteYes {

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
 	"repro/internal/wal"
@@ -27,8 +27,8 @@ import (
 func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		variant    core.Variant
-		agentVote  core.Vote
+		variant    protocol.Variant
+		agentVote  protocol.VoteValue
 		loseAnswer bool          // drop the agent's answers until the check below
 		crashCoord bool          // crash the coordinator right after the delegation leaves, then restart it
 		crashAgent bool          // crash and restart the agent while its answer is lost
@@ -36,12 +36,12 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 		commit     bool          // the agent's decision
 		voteDelay  time.Duration // S1 votes this late, past the coordinator's first Prepare retransmission
 	}{
-		{name: "PA agent commits, answer lost", variant: core.VariantPA, agentVote: core.VoteYes, loseAnswer: true, commit: true},
-		{name: "PC agent votes no, answer lost", variant: core.VariantPC, agentVote: core.VoteNo, loseAnswer: true},
-		{name: "PA coordinator crashes after delegating", variant: core.VariantPA, agentVote: core.VoteYes, crashCoord: true, commit: true},
-		{name: "PA coordinator crashes after delegating, S1 votes late", variant: core.VariantPA, agentVote: core.VoteYes, crashCoord: true, commit: true, voteDelay: 20 * time.Millisecond},
-		{name: "PA agent votes no, answer lost, agent restarts", variant: core.VariantPA, agentVote: core.VoteNo, loseAnswer: true, crashAgent: true},
-		{name: "PA agent commits, answer lost past its horizon", variant: core.VariantPA, agentVote: core.VoteYes, loseAnswer: true, outlast: true, commit: true},
+		{name: "PA agent commits, answer lost", variant: protocol.VariantPA, agentVote: protocol.VoteYes, loseAnswer: true, commit: true},
+		{name: "PC agent votes no, answer lost", variant: protocol.VariantPC, agentVote: protocol.VoteNo, loseAnswer: true},
+		{name: "PA coordinator crashes after delegating", variant: protocol.VariantPA, agentVote: protocol.VoteYes, crashCoord: true, commit: true},
+		{name: "PA coordinator crashes after delegating, S1 votes late", variant: protocol.VariantPA, agentVote: protocol.VoteYes, crashCoord: true, commit: true, voteDelay: 20 * time.Millisecond},
+		{name: "PA agent votes no, answer lost, agent restarts", variant: protocol.VariantPA, agentVote: protocol.VoteNo, loseAnswer: true, crashAgent: true},
+		{name: "PA agent commits, answer lost past its horizon", variant: protocol.VariantPA, agentVote: protocol.VoteYes, loseAnswer: true, outlast: true, commit: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var lose atomic.Bool
@@ -53,9 +53,9 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 			opts := []Option{
 				WithVariant(tc.variant),
 				WithTimeout(60*time.Millisecond, 60*time.Millisecond),
-				WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}),
+				WithRetry(clock.RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}),
 			}
-			tx := core.TxID{Origin: "C", Seq: 21}.String()
+			tx := protocol.TxID{Origin: "C", Seq: 21}.String()
 			coordLog := wal.New(wal.NewMemStore())
 			coordOpts := append([]Option{WithLastAgent()}, opts...)
 			if tc.crashCoord {
@@ -71,16 +71,16 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 					return err == nil && forced && crashed.CompareAndSwap(false, true)
 				}))
 			}
-			rc := core.NewStaticResource("rc")
-			coord := NewParticipant("C", net.Endpoint("C"), coordLog, []core.Resource{rc}, coordOpts...)
-			var r1 core.Resource = core.NewStaticResource("r1")
+			rc := protocol.NewStaticResource("rc")
+			coord := NewParticipant("C", net.Endpoint("C"), coordLog, []protocol.Resource{rc}, coordOpts...)
+			var r1 protocol.Resource = protocol.NewStaticResource("r1")
 			if tc.voteDelay > 0 {
-				r1 = &slowVote{StaticResource: core.NewStaticResource("r1"), delay: tc.voteDelay}
+				r1 = &slowVote{StaticResource: protocol.NewStaticResource("r1"), delay: tc.voteDelay}
 			}
-			s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []core.Resource{r1}, opts...)
+			s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []protocol.Resource{r1}, opts...)
 			// One shard, so the agent's other transactions age this one.
 			agent := NewParticipant("A", net.Endpoint("A"), wal.New(wal.NewMemStore()),
-				[]core.Resource{&voteOnce{StaticResource: core.NewStaticResource("ra"), first: tc.agentVote}}, append(opts, WithShards(1))...)
+				[]protocol.Resource{&voteOnce{StaticResource: protocol.NewStaticResource("ra"), first: tc.agentVote}}, append(opts, WithShards(1))...)
 			for _, p := range []*Participant{coord, s1, agent} {
 				p.Start()
 			}
@@ -125,7 +125,7 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 					// entry not held for the coordinator is gone.
 					for i := 0; i < 3; i++ {
 						time.Sleep(150 * time.Millisecond)
-						other := core.TxID{Origin: "S1", Seq: uint64(i + 1)}.String()
+						other := protocol.TxID{Origin: "S1", Seq: uint64(i + 1)}.String()
 						if out, err := s1.Commit(context.Background(), other, []string{"A"}); out != Committed {
 							t.Fatalf("S1's transaction with the agent = %v, %v", out, err)
 						}
@@ -148,7 +148,7 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 					t.Errorf("%s decided committed=%v (known %v), want %v", name, c, ok, tc.commit)
 				}
 			}
-			if c, _ := rc.Outcome(core.ParseTxID(tx)); c != tc.commit {
+			if c, _ := rc.Outcome(protocol.ParseTxID(tx)); c != tc.commit {
 				t.Errorf("the coordinator's resource completed committed=%v, want %v", c, tc.commit)
 			}
 			waitUntil(t, 5*time.Second, func() bool {
@@ -163,25 +163,25 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 // one, as a store does whose rolled-back writes leave nothing to
 // refuse.
 type voteOnce struct {
-	*core.StaticResource
-	first core.Vote
+	*protocol.StaticResource
+	first protocol.VoteValue
 	asked atomic.Bool
 }
 
-func (r *voteOnce) Prepare(tx core.TxID) (core.PrepareResult, error) {
-	if !r.asked.Swap(true) && r.first != core.VoteYes {
-		return core.PrepareResult{Vote: r.first}, nil
+func (r *voteOnce) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) {
+	if !r.asked.Swap(true) && r.first != protocol.VoteYes {
+		return protocol.PrepareResult{Vote: r.first}, nil
 	}
 	return r.StaticResource.Prepare(tx)
 }
 
 // slowVote votes only after delay.
 type slowVote struct {
-	*core.StaticResource
+	*protocol.StaticResource
 	delay time.Duration
 }
 
-func (r *slowVote) Prepare(tx core.TxID) (core.PrepareResult, error) {
+func (r *slowVote) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) {
 	time.Sleep(r.delay)
 	return r.StaticResource.Prepare(tx)
 }
@@ -212,26 +212,26 @@ func hasDelegation(log *wal.Log, tx string) (bool, error) {
 	return false, nil
 }
 
-func rcDone(r *core.StaticResource, tx string) bool {
-	_, known := r.Outcome(core.ParseTxID(tx))
+func rcDone(r *protocol.StaticResource, tx string) bool {
+	_, known := r.Outcome(protocol.ParseTxID(tx))
 	return known
 }
 
 // TestDelegationDataRoundTrip pins the delegation record's payload and
 // keeps the Prepared payloads already on disk decoding as before.
 func TestDelegationDataRoundTrip(t *testing.T) {
-	b := delegationData(core.VariantPN, "A", []string{"S1", "S2"})
+	b := delegationData(protocol.VariantPN, "A", []string{"S1", "S2"})
 	if got := string(b); got != "dlg1 PresumePending A S1 S2" {
 		t.Fatalf("delegationData = %q", got)
 	}
 	v, agent, yes, ok := decodeDelegation(b)
-	if !ok || v != core.VariantPN || agent != "A" || strings.Join(yes, ",") != "S1,S2" {
+	if !ok || v != protocol.VariantPN || agent != "A" || strings.Join(yes, ",") != "S1,S2" {
 		t.Fatalf("decodeDelegation = %v %q %v %v", v, agent, yes, ok)
 	}
-	if v, _, yes, ok := decodeDelegation(delegationData(core.VariantPA, "A", nil)); !ok || v != core.VariantPA || len(yes) != 0 {
+	if v, _, yes, ok := decodeDelegation(delegationData(protocol.VariantPA, "A", nil)); !ok || v != protocol.VariantPA || len(yes) != 0 {
 		t.Fatalf("no other yes-voters: %v %v %v", v, yes, ok)
 	}
-	if v, ok := presumeFromData(b); !ok || v != core.VariantPN {
+	if v, ok := presumeFromData(b); !ok || v != protocol.VariantPN {
 		t.Fatalf("presumeFromData(delegation) = %v, %v", v, ok)
 	}
 	for _, old := range []string{"PresumeAbort", "pax1 b=0", "", "dlg1 PresumeAbort", "dlg1 NoSuch A S1"} {

@@ -18,7 +18,7 @@
 //     Pair this with WithAdaptiveCommit to coalesce the WAL forces of
 //     concurrent commits into shared syncs.
 //   - Vote collection, decision delivery, and in-doubt inquiry all
-//     retransmit under a RetryPolicy (exponential backoff + jitter),
+//     retransmit under a clock.RetryPolicy (exponential backoff + jitter),
 //     driven by the internal/clock scheduler so tests run the retry
 //     machinery under virtual time with no sleeps.
 //   - WithMetrics wires an internal/metrics registry into the path:
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -100,12 +99,12 @@ type Participant struct {
 	name string
 	ep   netsim.Endpoint
 	log  *wal.Log
-	res  []core.Resource
+	res  []protocol.Resource
 
-	variant     core.Variant
+	variant     protocol.Variant
 	voteTimeout time.Duration
 	ackTimeout  time.Duration
-	retry       RetryPolicy
+	retry       clock.RetryPolicy
 	sched       clock.Scheduler
 	met         *metrics.Registry
 	trc         *trace.Tracer
@@ -113,7 +112,7 @@ type Participant struct {
 	fp          func(point string) bool
 	lastAgent   bool
 	retrySeed   int64
-	hooks       core.TestHooks
+	hooks       protocol.TestHooks
 
 	// Per-transaction state, sharded by fnv hash of the transaction id
 	// (see shard.go). shardHint is the WithShards override consumed at
@@ -184,7 +183,7 @@ type txState struct {
 
 	// Subordinate side, guarded by mu.
 	mu        sync.Mutex
-	presume   core.Variant // the variant the Prepare announced
+	presume   protocol.Variant // the variant the Prepare announced
 	prepared  bool
 	voteMsg   protocol.Message // the vote we sent, for duplicate Prepares
 	done      bool
@@ -200,16 +199,16 @@ type txState struct {
 // resources. The default configuration is Presumed Abort with 2s
 // vote/ack timeouts, the default retry policy, and a wall clock; see
 // the With* options. Call Start to begin serving protocol traffic.
-func NewParticipant(name string, ep netsim.Endpoint, log *wal.Log, resources []core.Resource, opts ...Option) *Participant {
+func NewParticipant(name string, ep netsim.Endpoint, log *wal.Log, resources []protocol.Resource, opts ...Option) *Participant {
 	p := &Participant{
 		name:        name,
 		ep:          ep,
 		log:         log,
 		res:         resources,
-		variant:     core.VariantPA,
+		variant:     protocol.VariantPA,
 		voteTimeout: 2 * time.Second,
 		ackTimeout:  2 * time.Second,
-		retry:       DefaultRetryPolicy(),
+		retry:       clock.DefaultRetryPolicy(),
 		sched:       clock.NewWall(),
 		retrySeed:   seedFromName(name),
 		stopped:     make(chan struct{}),
@@ -258,7 +257,7 @@ func (p *Participant) CoalesceDepth() int { return p.out.depth() }
 
 // Variant returns the protocol variant this participant coordinates
 // with.
-func (p *Participant) Variant() core.Variant { return p.variant }
+func (p *Participant) Variant() protocol.Variant { return p.variant }
 
 func seedFromName(name string) int64 { return fnvMore(fnvOffset, name) }
 
@@ -630,7 +629,7 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 // crash cut short — a restart found its pre-prepare record undecided,
 // or a vote came for it — under v's rules for round rd, and tells owed,
 // the subordinates that may be prepared.
-func (p *Participant) abortForgotten(tx string, v core.Variant, rd protocol.Round, owed []string) {
+func (p *Participant) abortForgotten(tx string, v protocol.Variant, rd protocol.Round, owed []string) {
 	d := v.Decide(false, rd)
 	acked := d.Acked && len(owed) > 0
 	rec := wal.Record{Tx: tx, Node: p.name, Kind: "Aborted"}
@@ -791,18 +790,18 @@ func (p *Participant) countRetry() {
 
 // presumeData encodes a variant for a Prepared record's payload, so
 // recovery restores the announced variant rather than guessing.
-func presumeData(v core.Variant) []byte { return []byte(v.PresumeName()) }
+func presumeData(v protocol.Variant) []byte { return []byte(v.PresumeName()) }
 
 // delegationData is a delegating coordinator's Prepared payload, so a
 // restart asks the last agent and tells the other yes-voters:
 // "dlg1 <presumption> <agent> <yes-voter>...".
-func delegationData(v core.Variant, agent string, yes []string) []byte {
+func delegationData(v protocol.Variant, agent string, yes []string) []byte {
 	return []byte(strings.Join(append([]string{"dlg1", v.PresumeName(), agent}, yes...), " "))
 }
 
 // decodeDelegation reads a delegationData payload; ok is false for
 // any other Prepared payload.
-func decodeDelegation(b []byte) (v core.Variant, agent string, yes []string, ok bool) {
+func decodeDelegation(b []byte) (v protocol.Variant, agent string, yes []string, ok bool) {
 	f := strings.Fields(string(b))
 	if len(f) < 3 || f[0] != "dlg1" {
 		return 0, "", nil, false
@@ -814,11 +813,11 @@ func decodeDelegation(b []byte) (v core.Variant, agent string, yes []string, ok 
 // presumeFromData decodes a Prepared record's payload to the variant
 // it announces; ok is false for a missing or unrecognized payload
 // (e.g. a record written before presumptions were persisted).
-func presumeFromData(b []byte) (core.Variant, bool) {
+func presumeFromData(b []byte) (protocol.Variant, bool) {
 	// A Paxos Prepared record carries the transaction's Paxos membership
 	// rather than a presumption name: recovery needs the acceptor set.
 	if len(b) > 5 && string(b[:5]) == "pax1 " {
-		return core.VariantPaxos, true
+		return protocol.VariantPaxos, true
 	}
 	if v, _, _, ok := decodeDelegation(b); ok {
 		return v, true

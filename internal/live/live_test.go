@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -23,9 +22,9 @@ func setupChanTrio(t *testing.T, opts ...Option) (coord, s1, s2 *Participant, kv
 	net = netsim.NewChanNetwork()
 	kv1, kv2 = newKV("db1"), newKV("db2")
 	kvC := newKV("dbc")
-	coord = NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), []core.Resource{kvC}, opts...)
-	s1 = NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []core.Resource{kv1}, opts...)
-	s2 = NewParticipant("S2", net.Endpoint("S2"), wal.New(wal.NewMemStore()), []core.Resource{kv2}, opts...)
+	coord = NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), []protocol.Resource{kvC}, opts...)
+	s1 = NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []protocol.Resource{kv1}, opts...)
+	s2 = NewParticipant("S2", net.Endpoint("S2"), wal.New(wal.NewMemStore()), []protocol.Resource{kv2}, opts...)
 	coord.Start()
 	s1.Start()
 	s2.Start()
@@ -40,7 +39,7 @@ func setupChanTrio(t *testing.T, opts ...Option) (coord, s1, s2 *Participant, kv
 func TestLiveCommitOverChannels(t *testing.T) {
 	coord, _, _, kv1, kv2, _ := setupChanTrio(t)
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 1}
+	tx := protocol.TxID{Origin: "C", Seq: 1}
 	if err := kv1.Put(ctx, tx, "a", "1"); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestLiveCommitOverChannels(t *testing.T) {
 func TestLiveReadOnlySubSkipsPhaseTwo(t *testing.T) {
 	coord, _, _, kv1, kv2, _ := setupChanTrio(t)
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 2}
+	tx := protocol.TxID{Origin: "C", Seq: 2}
 	// S1 updates; S2 only participates without writes (read-only).
 	if err := kv1.Put(ctx, tx, "a", "1"); err != nil {
 		t.Fatal(err)
@@ -76,17 +75,17 @@ func TestLiveReadOnlySubSkipsPhaseTwo(t *testing.T) {
 
 func TestLiveAbortOnNoVote(t *testing.T) {
 	net := netsim.NewChanNetwork()
-	bad := core.NewStaticResource("bad", core.StaticVote(core.VoteNo))
+	bad := protocol.NewStaticResource("bad", protocol.StaticVote(protocol.VoteNo))
 	kv := newKV("db")
-	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), []core.Resource{kv})
-	s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []core.Resource{bad})
+	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), []protocol.Resource{kv})
+	s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()), []protocol.Resource{bad})
 	coord.Start()
 	s1.Start()
 	defer coord.Stop()
 	defer s1.Stop()
 
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 3}
+	tx := protocol.TxID{Origin: "C", Seq: 3}
 	if err := kv.Put(ctx, tx, "x", "y"); err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +105,14 @@ func TestLiveVoteTimeoutAborts(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	kv := newKV("db")
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{kv}, WithTimeout(50*time.Millisecond, 50*time.Millisecond))
+		[]protocol.Resource{kv}, WithTimeout(50*time.Millisecond, 50*time.Millisecond))
 	coord.Start()
 	defer coord.Stop()
 	// S1 exists on the network but never starts its receive loop.
 	net.Endpoint("S1")
 
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 4}
+	tx := protocol.TxID{Origin: "C", Seq: 4}
 	out, err := coord.Commit(ctx, tx.String(), []string{"S1"})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
@@ -127,7 +126,7 @@ func TestLivePartitionedSubTimesOut(t *testing.T) {
 	coord, _, _, kv1, _, net := setupChanTrio(t, WithTimeout(50*time.Millisecond, 50*time.Millisecond))
 	net.Partition("C", "S1")
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 5}
+	tx := protocol.TxID{Origin: "C", Seq: 5}
 	if err := kv1.Put(ctx, tx, "a", "1"); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestLiveInquiryRecovery(t *testing.T) {
 	// answers from its decision table (or the PA presumption).
 	coord, s1, _, kv1, _, _ := setupChanTrio(t)
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 6}
+	tx := protocol.TxID{Origin: "C", Seq: 6}
 	if err := kv1.Put(ctx, tx, "a", "1"); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestLiveInquiryRecovery(t *testing.T) {
 	}
 
 	// Unknown transaction: presumption answers abort.
-	if err := inquire(s1, "C", core.TxID{Origin: "C", Seq: 99}.String()); err != nil {
+	if err := inquire(s1, "C", protocol.TxID{Origin: "C", Seq: 99}.String()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // abort of unknown tx is a no-op; just ensure no panic
@@ -202,15 +201,15 @@ func TestLiveCommitOverTCP(t *testing.T) {
 
 	kvS := newKV("dbs")
 	kvC := newKV("dbc")
-	coord := NewParticipant("C", epC, wal.New(wal.NewMemStore()), []core.Resource{kvC})
-	sub := NewParticipant("S", epS, wal.New(wal.NewMemStore()), []core.Resource{kvS})
+	coord := NewParticipant("C", epC, wal.New(wal.NewMemStore()), []protocol.Resource{kvC})
+	sub := NewParticipant("S", epS, wal.New(wal.NewMemStore()), []protocol.Resource{kvS})
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
 	defer sub.Stop()
 
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 7}
+	tx := protocol.TxID{Origin: "C", Seq: 7}
 	if err := kvS.Put(ctx, tx, "k", "over-tcp"); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestLiveManyConcurrentTransactions(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			tx := core.TxID{Origin: "C", Seq: uint64(100 + i)}
+			tx := protocol.TxID{Origin: "C", Seq: uint64(100 + i)}
 			key := tx.String()
 			if err := kv1.Put(ctx, tx, key, "v"); err != nil {
 				errs <- err
@@ -269,18 +268,18 @@ func TestLiveRecoverInDoubt(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	subStore := wal.NewMemStore()
 	subLog := wal.New(subStore)
-	kv := core.NewStaticResource("rs")
+	kv := protocol.NewStaticResource("rs")
 
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")},
+		[]protocol.Resource{protocol.NewStaticResource("rc")},
 		WithTimeout(100*time.Millisecond, 50*time.Millisecond))
-	sub := NewParticipant("S", net.Endpoint("S"), subLog, []core.Resource{kv})
+	sub := NewParticipant("S", net.Endpoint("S"), subLog, []protocol.Resource{kv})
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
 
 	ctx := context.Background()
-	tx := core.TxID{Origin: "C", Seq: 50}
+	tx := protocol.TxID{Origin: "C", Seq: 50}
 	// Commit; the sub's ack path runs normally so the coordinator has
 	// the decision recorded.
 	if out, err := coord.Commit(ctx, tx.String(), []string{"S"}); err != nil || out != Committed {
@@ -308,7 +307,7 @@ func TestLiveRecoverInDoubt(t *testing.T) {
 	store2.Sync()
 	log2 := wal.New(store2)
 
-	sub2 := NewParticipant("S2", net.Endpoint("S2"), log2, []core.Resource{core.NewStaticResource("rs2")})
+	sub2 := NewParticipant("S2", net.Endpoint("S2"), log2, []protocol.Resource{protocol.NewStaticResource("rs2")})
 	sub2.Start()
 	defer sub2.Stop()
 
@@ -343,7 +342,7 @@ func TestLiveRecoverInDoubtPresumedAbort(t *testing.T) {
 	// answered with the PA presumption (abort).
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")})
+		[]protocol.Resource{protocol.NewStaticResource("rc")})
 	coord.Start()
 	defer coord.Stop()
 
@@ -352,7 +351,7 @@ func TestLiveRecoverInDoubtPresumedAbort(t *testing.T) {
 	store.Sync()
 	log := wal.New(store)
 	kv := newKV("dbs")
-	sub := NewParticipant("S", net.Endpoint("S"), log, []core.Resource{kv})
+	sub := NewParticipant("S", net.Endpoint("S"), log, []protocol.Resource{kv})
 	sub.Start()
 	defer sub.Stop()
 

@@ -1,8 +1,8 @@
 package live
 
-import "repro/internal/core"
+import "repro/internal/protocol"
 
-// RedoCarrier is an optional core.Resource extension for the 1PC fast
+// RedoCarrier is an optional protocol.Resource extension for the 1PC fast
 // path: a resource that can externalize its prepared write-set as an
 // opaque redo payload. The payload rides the subordinate's yes vote
 // and is embedded in the coordinator's forced decision record, which
@@ -10,7 +10,7 @@ import "repro/internal/core"
 // crash the coordinator retransmits the outcome with the redo attached
 // and a RedoApplier re-installs it.
 type RedoCarrier interface {
-	RedoPayload(tx core.TxID) []byte
+	RedoPayload(tx protocol.TxID) []byte
 }
 
 // RedoApplier is the receiving half of RedoCarrier: it re-applies a
@@ -19,14 +19,14 @@ type RedoCarrier interface {
 // and the commit's arrival). Unrecognized payloads must be rejected,
 // not guessed at.
 type RedoApplier interface {
-	ApplyRedo(tx core.TxID, payload []byte) error
+	ApplyRedo(tx protocol.TxID, payload []byte) error
 }
 
 // redoPayload folds the redo payloads of every redo-capable local
 // resource into the vote's payload. With at most one carrier per node
 // (the configurations this repo runs) the concatenation is the
 // carrier's own encoding and round-trips through ApplyRedo.
-func (p *Participant) redoPayload(tx core.TxID) []byte {
+func (p *Participant) redoPayload(tx protocol.TxID) []byte {
 	var out []byte
 	for _, r := range p.res {
 		if rc, ok := r.(RedoCarrier); ok {
@@ -39,7 +39,7 @@ func (p *Participant) redoPayload(tx core.TxID) []byte {
 // applyRedo hands a commit-borne redo payload to every redo-capable
 // local resource (best effort: a resource that still remembers the
 // transaction ignores it via its own idempotence).
-func (p *Participant) applyRedo(tx core.TxID, payload []byte) {
+func (p *Participant) applyRedo(tx protocol.TxID, payload []byte) {
 	for _, r := range p.res {
 		if ra, ok := r.(RedoApplier); ok {
 			_ = ra.ApplyRedo(tx, payload)

@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
@@ -20,13 +20,13 @@ type Option func(*Participant)
 // Prepare, so participants with different variants interoperate. The
 // default is Presumed Abort, the variant the paper notes became the
 // industry standard.
-func WithVariant(v core.Variant) Option {
+func WithVariant(v protocol.Variant) Option {
 	return func(p *Participant) { p.variant = v }
 }
 
 // WithTimeout overrides the total vote-collection and
 // ack-collection deadlines (default 2s each). Retransmissions happen
-// inside these windows per the RetryPolicy.
+// inside these windows per the clock.RetryPolicy.
 func WithTimeout(vote, ack time.Duration) Option {
 	return func(p *Participant) {
 		p.voteTimeout = vote
@@ -37,8 +37,8 @@ func WithTimeout(vote, ack time.Duration) Option {
 // WithRetry installs the retransmission policy for vote collection,
 // decision delivery, and in-doubt inquiry. Zero fields take the
 // documented defaults.
-func WithRetry(rp RetryPolicy) Option {
-	return func(p *Participant) { p.retry = rp.withDefaults() }
+func WithRetry(rp clock.RetryPolicy) Option {
+	return func(p *Participant) { p.retry = rp }
 }
 
 // WithMetrics wires a metrics registry into the participant: message
@@ -107,7 +107,7 @@ func WithShards(n int) Option {
 // acknowledges, or overriding the acceptor quorum size. The chaos
 // harness uses them to prove its oracle catches real protocol
 // violations; production code never sets them.
-func WithHooks(h core.TestHooks) Option {
+func WithHooks(h protocol.TestHooks) Option {
 	return func(p *Participant) { p.hooks = h }
 }
 

@@ -35,7 +35,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
@@ -92,13 +91,13 @@ func decisionOf(m protocol.Message) (commit, ok bool) {
 // (the acceptor quorum is the durable truth), Prepares announce the
 // acceptor membership, and the coordinator's own instance value goes
 // to the acceptors at ballot 0 alongside everyone else's.
-func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx core.TxID, txName string, subs []string) (Outcome, error) {
+func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx protocol.TxID, txName string, subs []string) (Outcome, error) {
 	// Register the membership and the leader's collection channel
 	// before any reply can arrive. The decision channel doubles as the
 	// inlet for outcomes another leader (or a decided acceptor) sends us.
 	participants := append([]string{p.name}, subs...)
 	st.mu.Lock()
-	st.presume = core.VariantPaxos
+	st.presume = protocol.VariantPaxos
 	ps := p.paxosLocked(st)
 	ps.Adopt(protocol.PaxosAcceptorSet(p.name, subs), participants)
 	meta := ps.Meta(0, p.name)
@@ -112,7 +111,7 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx core.T
 	sh.mu.Unlock()
 	st.mu.Unlock()
 
-	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: core.VariantPaxos, Payload: meta.Encode()}
+	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: protocol.VariantPaxos, Payload: meta.Encode()}
 	for _, s := range subs {
 		if err := p.send(s, prep); err != nil {
 			if p.Crashed() {
@@ -208,7 +207,7 @@ fast:
 // node's log, is the durable truth. broadcast=false when a recovery
 // round already told every participant; firstClass marks the fast
 // path's Commit flows (recovery deliveries are extra flows).
-func (p *Participant) paxosCoordFinish(st *txState, tx core.TxID, txName string, subs []string, commit, broadcast, firstClass bool) Outcome {
+func (p *Participant) paxosCoordFinish(st *txState, tx protocol.TxID, txName string, subs []string, commit, broadcast, firstClass bool) Outcome {
 	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Committed"}
 	out, delivered := Committed, len(subs)
 	if !commit {
@@ -256,7 +255,7 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 	if ps.VoteSent || len(ps.Acceptors) == 0 {
 		return // duplicate Prepare, or membership missing: recovery retries
 	}
-	tx := core.ParseTxID(m.Tx)
+	tx := protocol.ParseTxID(m.Tx)
 	vote := p.prepareLocal(tx)
 	if vote == protocol.VoteReadOnly {
 		// Read-only folds to yes under Paxos: instances carry only
@@ -269,7 +268,7 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 		}
 	}
 	if p.met != nil {
-		p.met.CostSub(m.Tx, p.name, core.VariantPaxos.String(), false)
+		p.met.CostSub(m.Tx, p.name, protocol.VariantPaxos.String(), false)
 		p.met.CostMembership(m.Tx, len(ps.Participants)-1)
 		if ps.IsAcceptor() {
 			p.met.CostAcceptor(m.Tx, p.name)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -28,12 +27,12 @@ func paxosFleet(t *testing.T, perNode map[string][]Option) (parts map[string]*Pa
 		log := wal.New(wal.NewMemStore())
 		logs[name] = log
 		opts := append([]Option{
-			WithVariant(core.VariantPaxos),
+			WithVariant(protocol.VariantPaxos),
 			WithMetrics(reg),
 			WithTimeout(2*time.Second, 2*time.Second),
 		}, perNode[name]...)
 		p := NewParticipant(name, net.Endpoint(name), log,
-			[]core.Resource{core.NewStaticResource("r" + name)}, opts...)
+			[]protocol.Resource{protocol.NewStaticResource("r" + name)}, opts...)
 		parts[name] = p
 		p.Start()
 	}
@@ -96,16 +95,16 @@ func TestLivePaxosCommitExactCosts(t *testing.T) {
 func TestLivePaxosAbortOnNoVote(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()
-	mk := func(name string, res core.Resource) *Participant {
+	mk := func(name string, res protocol.Resource) *Participant {
 		p := NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{res}, WithVariant(core.VariantPaxos), WithMetrics(reg))
+			[]protocol.Resource{res}, WithVariant(protocol.VariantPaxos), WithMetrics(reg))
 		p.Start()
 		return p
 	}
-	coord := mk("C", core.NewStaticResource("rc"))
-	s1 := mk("S1", core.NewStaticResource("r1"))
-	s2 := mk("S2", core.NewStaticResource("r2", core.StaticVote(core.VoteNo)))
-	s3 := mk("S3", core.NewStaticResource("r3"))
+	coord := mk("C", protocol.NewStaticResource("rc"))
+	s1 := mk("S1", protocol.NewStaticResource("r1"))
+	s2 := mk("S2", protocol.NewStaticResource("r2", protocol.StaticVote(protocol.VoteNo)))
+	s3 := mk("S3", protocol.NewStaticResource("r3"))
 	defer coord.Stop()
 	defer s1.Stop()
 	defer s2.Stop()
@@ -337,7 +336,7 @@ func TestLivePaxosPreparedRecordCarriesMembership(t *testing.T) {
 			continue
 		}
 		pr, ok := presumeFromData(r.Data)
-		if !ok || pr != core.VariantPaxos {
+		if !ok || pr != protocol.VariantPaxos {
 			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PaxosCommit", pr, ok)
 		}
 		return
@@ -368,7 +367,7 @@ func TestLivePaxosAcceptorLedgerWaitsForBundle(t *testing.T) {
 	parts := map[string]*Participant{}
 	for _, name := range []string{"C", "S1", "S2", "S3"} {
 		p := NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
-			[]core.Resource{core.NewStaticResource("r" + name)}, WithVariant(core.VariantPaxos), WithMetrics(reg))
+			[]protocol.Resource{protocol.NewStaticResource("r" + name)}, WithVariant(protocol.VariantPaxos), WithMetrics(reg))
 		parts[name] = p
 		p.Start()
 		defer p.Stop()

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
@@ -43,7 +42,7 @@ func (p *Participant) replayLog() {
 		onePhase  []byte   // a 1PC decision record's opc1 payload
 		sub       bool     // this node prepared it as a subordinate
 		prepared  []byte   // the Prepared record's payload
-		presume   core.Variant
+		presume   protocol.Variant
 		agent     string   // the last agent a delegation record names
 		yes       []string // the yes-voters it names
 	}
@@ -120,7 +119,7 @@ func (p *Participant) replayLog() {
 				}
 			}
 		case st.agent != "" && !st.ended:
-			p.resolveLater(p.registerCoord(tx, len(st.yes), true), tx, &delegation{tx: core.ParseTxID(tx),
+			p.resolveLater(p.registerCoord(tx, len(st.yes), true), tx, &delegation{tx: protocol.ParseTxID(tx),
 				agent: st.agent, yes: st.yes, v: st.presume, rd: protocol.Round{Logged: true, Voted: true}})
 		case st.pre != "":
 			v, _ := protocol.VariantByPrePrepare(st.pre)
@@ -132,7 +131,7 @@ func (p *Participant) replayLog() {
 			ps.mu.Lock()
 			ps.prepared = true
 			ps.presume = st.presume
-			if st.presume == core.VariantPaxos {
+			if st.presume == protocol.VariantPaxos {
 				if meta, err := protocol.DecodePaxosMeta(st.prepared); err == nil {
 					p.paxosLocked(ps).Adopt(meta.Acceptors, meta.Participants)
 				}
@@ -213,7 +212,7 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 			st.prepared = true
 			st.presume, _ = presumeFromData(announced[txName])
 		}
-		paxos := st.presume == core.VariantPaxos
+		paxos := st.presume == protocol.VariantPaxos
 		if paxos {
 			// The Prepared record's payload is the transaction's Paxos
 			// membership — the acceptor set is this node's recovery

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/lockmgr"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -27,19 +26,19 @@ type lockingResource struct {
 
 func (r *lockingResource) Name() string { return r.name }
 
-func (r *lockingResource) Prepare(tx core.TxID) (core.PrepareResult, error) {
+func (r *lockingResource) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) {
 	r.prepares.Add(1)
 	if r.veto != nil && r.veto(tx.Seq) {
-		return core.PrepareResult{Vote: core.VoteNo}, nil
+		return protocol.PrepareResult{Vote: protocol.VoteNo}, nil
 	}
 	if err := r.locks.TryAcquire(tx.String(), "row:"+tx.String(), lockmgr.Exclusive); err != nil {
-		return core.PrepareResult{}, err
+		return protocol.PrepareResult{}, err
 	}
-	return core.PrepareResult{Vote: core.VoteYes}, nil
+	return protocol.PrepareResult{Vote: protocol.VoteYes}, nil
 }
 
-func (r *lockingResource) Commit(tx core.TxID) error { r.locks.ReleaseAll(tx.String()); return nil }
-func (r *lockingResource) Abort(tx core.TxID) error  { r.locks.ReleaseAll(tx.String()); return nil }
+func (r *lockingResource) Commit(tx protocol.TxID) error { r.locks.ReleaseAll(tx.String()); return nil }
+func (r *lockingResource) Abort(tx protocol.TxID) error  { r.locks.ReleaseAll(tx.String()); return nil }
 
 // retireFleet is a coordinator and two subordinates under one variant;
 // S2 votes no on every third transaction.
@@ -50,7 +49,7 @@ type retireFleet struct {
 	logs  map[string]*wal.Log
 }
 
-func newRetireFleet(t *testing.T, v core.Variant, opts ...Option) *retireFleet {
+func newRetireFleet(t *testing.T, v protocol.Variant, opts ...Option) *retireFleet {
 	t.Helper()
 	f := &retireFleet{
 		net:   netsim.NewChanNetwork(),
@@ -64,7 +63,7 @@ func newRetireFleet(t *testing.T, v core.Variant, opts ...Option) *retireFleet {
 			r.veto = func(seq uint64) bool { return seq%3 == 0 }
 		}
 		log := wal.New(wal.NewMemStore())
-		p := NewParticipant(name, f.net.Endpoint(name), log, []core.Resource{r},
+		p := NewParticipant(name, f.net.Endpoint(name), log, []protocol.Resource{r},
 			append([]Option{WithVariant(v), WithTimeout(2*time.Second, 2*time.Second)}, opts...)...)
 		f.parts[name], f.res[name], f.logs[name] = p, r, log
 		p.Start()
@@ -91,13 +90,13 @@ func (f *retireFleet) burst(t *testing.T, n int) (committed, aborted string) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tx := core.TxID{Origin: "C", Seq: uint64(i + 1)}
+			tx := protocol.TxID{Origin: "C", Seq: uint64(i + 1)}
 			outs[i], _ = f.parts["C"].Commit(context.Background(), tx.String(), []string{"S1", "S2"})
 		}(i)
 	}
 	wg.Wait()
 	for i, out := range outs {
-		tx := core.TxID{Origin: "C", Seq: uint64(i + 1)}
+		tx := protocol.TxID{Origin: "C", Seq: uint64(i + 1)}
 		want := Committed
 		if tx.Seq%3 == 0 {
 			want = Aborted
@@ -116,7 +115,7 @@ func (f *retireFleet) burst(t *testing.T, n int) (committed, aborted string) {
 		for _, name := range []string{"S1", "S2"} {
 			decided := f.parts[name].Decided()
 			for i := 0; i < n; i++ {
-				if _, ok := decided[core.TxID{Origin: "C", Seq: uint64(i + 1)}.String()]; !ok {
+				if _, ok := decided[protocol.TxID{Origin: "C", Seq: uint64(i + 1)}.String()]; !ok {
 					return false
 				}
 			}
@@ -159,9 +158,9 @@ func probe(t *testing.T, net *netsim.ChanNetwork, ep netsim.Endpoint, to string,
 	}
 }
 
-var allVariants = []core.Variant{
-	core.VariantBaseline, core.VariantPA, core.VariantPN,
-	core.VariantPC, core.VariantPaxos, core.Variant1PC,
+var allVariants = []protocol.Variant{
+	protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN,
+	protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC,
 }
 
 // TestRetirementDrainsStateTable: after a burst of concurrent commits
@@ -214,7 +213,7 @@ func TestDuplicatesAfterRetirement(t *testing.T) {
 
 				prep := protocol.Message{Type: protocol.MsgPrepare, Tx: tc.tx, Presume: v}
 				got := probe(t, f.net, x, "S1", prep)
-				wantNo := !tc.commit && v != core.VariantPaxos
+				wantNo := !tc.commit && v != protocol.VariantPaxos
 				if len(got) != btoi(wantNo) {
 					t.Fatalf("duplicate Prepare for %s answered %v, want %d no vote(s)", tc.tx, got, btoi(wantNo))
 				}
@@ -262,7 +261,7 @@ func btoi(b bool) int {
 // rebuilds from the log keeps the subordinate's presumption, so a
 // duplicate commit after the restart is re-acked as before it.
 func TestDuplicateOutcomeAfterRestartReacks(t *testing.T) {
-	f := newRetireFleet(t, core.VariantPN)
+	f := newRetireFleet(t, protocol.VariantPN)
 	committed, _ := f.burst(t, 2)
 	f.drained(t)
 	s1 := f.parts["S1"]

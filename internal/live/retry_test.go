@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
 func TestBackoffScheduleGrowsAndCaps(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Multiplier: 2, Jitter: -1}
+	rp := clock.RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Multiplier: 2, Jitter: -1}
 	bo := rp.Backoff(0)
 	var got []time.Duration
 	for {
@@ -41,7 +40,7 @@ func TestBackoffScheduleGrowsAndCaps(t *testing.T) {
 }
 
 func TestBackoffJitterOnlyShrinks(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 8, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5}
+	rp := clock.RetryPolicy{MaxAttempts: 8, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5}
 	bo := rp.Backoff(42)
 	nominal := []time.Duration{100, 200, 400, 800, 1000, 1000, 1000}
 	for i := 0; ; i++ {
@@ -60,7 +59,7 @@ func TestBackoffJitterOnlyShrinks(t *testing.T) {
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	rp := DefaultRetryPolicy()
+	rp := clock.DefaultRetryPolicy()
 	seq := func() []time.Duration {
 		bo := rp.Backoff(7)
 		var out []time.Duration
@@ -81,7 +80,7 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 }
 
 // schedule walks a backoff to its end.
-func schedule(bo Backoff) []time.Duration {
+func schedule(bo clock.Backoff) []time.Duration {
 	var out []time.Duration
 	for {
 		d, ok := bo.Next()
@@ -97,7 +96,7 @@ func schedule(bo Backoff) []time.Duration {
 // other transactions or other loops of the same transaction draw
 // different ones.
 func TestJitterSeededByParticipantAndTx(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.5}
+	rp := clock.RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.5}
 	newP := func(seed int64) *Participant {
 		return NewParticipant("C", netsim.NewChanNetwork().Endpoint("C"), wal.New(wal.NewMemStore()), nil,
 			WithRetry(rp), WithRetrySeed(seed))
@@ -141,7 +140,7 @@ func TestJitterSeededByParticipantAndTx(t *testing.T) {
 // [d*(1-Jitter), d] of its nominal step d, and that building a schedule
 // and drawing all its delays stays within two allocations.
 func TestJitterBoundsAndAllocs(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 300 * time.Millisecond, Jitter: 0.3}
+	rp := clock.RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 300 * time.Millisecond, Jitter: 0.3}
 	for seed := int64(0); seed < 500; seed++ {
 		nominal := 10 * time.Millisecond
 		for i, d := range schedule(rp.Backoff(seed)) {
@@ -178,18 +177,18 @@ func TestRetransmitUnderVirtualClock(t *testing.T) {
 	// afterwards is reliable.
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", dropFirst(net.Endpoint("C"), "S"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")},
+		[]protocol.Resource{protocol.NewStaticResource("rc")},
 		WithClock(vc),
 		WithTimeout(10*time.Second, 10*time.Second),
-		WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, Jitter: -1}))
+		WithRetry(clock.RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, Jitter: -1}))
 	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rs")}, WithClock(vc))
+		[]protocol.Resource{protocol.NewStaticResource("rs")}, WithClock(vc))
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
 	defer sub.Stop()
 
-	tx := core.TxID{Origin: "C", Seq: 1}
+	tx := protocol.TxID{Origin: "C", Seq: 1}
 	done := make(chan struct{})
 	var out Outcome
 	var err error
@@ -232,12 +231,12 @@ func TestVoteTimeoutUnderVirtualClock(t *testing.T) {
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()), nil,
 		WithClock(vc),
 		WithTimeout(2*time.Second, 2*time.Second),
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, Jitter: -1}))
+		WithRetry(clock.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, Jitter: -1}))
 	coord.Start()
 	defer coord.Stop()
 	net.Endpoint("S1") // exists, never serves
 
-	tx := core.TxID{Origin: "C", Seq: 2}
+	tx := protocol.TxID{Origin: "C", Seq: 2}
 	done := make(chan struct{})
 	var out Outcome
 	var err error
@@ -285,7 +284,7 @@ func TestCommitCancelledByContext(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	tx := core.TxID{Origin: "C", Seq: 3}
+	tx := protocol.TxID{Origin: "C", Seq: 3}
 	out, err := coord.Commit(ctx, tx.String(), []string{"S1"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 )
 
@@ -170,7 +169,7 @@ func coordDecision(committed bool) decision {
 
 // subDecision is the entry for a transaction this node subordinated
 // under variant v.
-func subDecision(committed bool, v core.Variant) decision {
+func subDecision(committed bool, v protocol.Variant) decision {
 	return coordDecision(committed) | decision(v+1)<<1
 }
 
@@ -178,11 +177,11 @@ func (d decision) committed() bool { return d&1 != 0 }
 
 // subVariant returns the variant this node applied the outcome under
 // as a subordinate; ok is false for a coordinator's entry.
-func (d decision) subVariant() (v core.Variant, ok bool) {
+func (d decision) subVariant() (v protocol.Variant, ok bool) {
 	if d>>1 == 0 {
 		return 0, false
 	}
-	return core.Variant(d>>1 - 1), true
+	return protocol.Variant(d>>1 - 1), true
 }
 
 // defaultTxShards is the GOMAXPROCS-derived shard count used when

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -20,7 +19,7 @@ import (
 func txInShard(t *testing.T, p *Participant, shard int) string {
 	t.Helper()
 	for seq := uint64(1); seq < 100000; seq++ {
-		tx := core.TxID{Origin: core.NodeID(p.name), Seq: seq}
+		tx := protocol.TxID{Origin: protocol.NodeID(p.name), Seq: seq}
 		if p.shardFor(tx.String()) == p.shards[shard] {
 			return tx.String()
 		}
@@ -52,9 +51,9 @@ func TestShardedTableSpansAllShards(t *testing.T) {
 	const shards = 8
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")}, WithShards(shards))
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithShards(shards))
 	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rs")}, WithShards(shards))
+		[]protocol.Resource{protocol.NewStaticResource("rs")}, WithShards(shards))
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
@@ -109,9 +108,9 @@ func TestShardedRecoveryReplaySpansAllShards(t *testing.T) {
 	const shards = 8
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")}, WithShards(shards))
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithShards(shards))
 	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rs")}, WithShards(shards))
+		[]protocol.Resource{protocol.NewStaticResource("rs")}, WithShards(shards))
 	coord.Start()
 	sub.Start()
 	defer sub.Stop()

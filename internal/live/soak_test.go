@@ -8,9 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -42,7 +43,7 @@ func outcomeAt(t *testing.T, log *wal.Log, node, tx string) (bool, bool) {
 // after retries and recovery, no transaction is committed at one node
 // and aborted at another.
 func TestLiveSoakUnderPacketLoss(t *testing.T) {
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
@@ -53,14 +54,14 @@ func TestLiveSoakUnderPacketLoss(t *testing.T) {
 			opts := []Option{
 				WithVariant(v),
 				WithTimeout(3*time.Second, 1*time.Second),
-				WithRetry(RetryPolicy{MaxAttempts: 8, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}),
+				WithRetry(clock.RetryPolicy{MaxAttempts: 8, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}),
 			}
 			coord := NewParticipant("C", net.Endpoint("C"), logC,
-				[]core.Resource{core.NewStaticResource("rc")}, opts...)
+				[]protocol.Resource{protocol.NewStaticResource("rc")}, opts...)
 			s1 := NewParticipant("S1", net.Endpoint("S1"), logS1,
-				[]core.Resource{core.NewStaticResource("r1")}, opts...)
+				[]protocol.Resource{protocol.NewStaticResource("r1")}, opts...)
 			s2 := NewParticipant("S2", net.Endpoint("S2"), logS2,
-				[]core.Resource{core.NewStaticResource("r2")}, opts...)
+				[]protocol.Resource{protocol.NewStaticResource("r2")}, opts...)
 			coord.Start()
 			s1.Start()
 			s2.Start()
@@ -76,7 +77,7 @@ func TestLiveSoakUnderPacketLoss(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					tx := core.TxID{Origin: "C", Seq: uint64(1 + i)}
+					tx := protocol.TxID{Origin: "C", Seq: uint64(1 + i)}
 					outs[i], errs[i] = coord.Commit(context.Background(), tx.String(), []string{"S1", "S2"})
 				}(i)
 			}
@@ -91,7 +92,7 @@ func TestLiveSoakUnderPacketLoss(t *testing.T) {
 			_, _ = s2.RecoverInDoubt(ctx, "C")
 
 			for i := 0; i < n; i++ {
-				tx := core.TxID{Origin: "C", Seq: uint64(1 + i)}.String()
+				tx := protocol.TxID{Origin: "C", Seq: uint64(1 + i)}.String()
 				coordCommitted := outs[i] == Committed
 				if outs[i] == InDoubt {
 					t.Errorf("%s: coordinator in doubt (err=%v)", tx, errs[i])
@@ -102,7 +103,7 @@ func TestLiveSoakUnderPacketLoss(t *testing.T) {
 					if !decided {
 						// Never-forced subordinates are fine for aborts
 						// (PA presumes them) and for PC commits.
-						if coordCommitted && v != core.VariantPC {
+						if coordCommitted && v != protocol.VariantPC {
 							t.Errorf("%s: committed at C but undecided at %s under %v", tx, node, v)
 						}
 						continue
@@ -121,22 +122,22 @@ func TestLiveSoakUnderPacketLoss(t *testing.T) {
 // each variant, checking the variant-specific log shapes: PN/PC force
 // an initiation record, PC subordinates do not force the commit.
 func TestLiveAllVariantsCommit(t *testing.T) {
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			net := netsim.NewChanNetwork()
 			logC := wal.New(wal.NewMemStore())
 			logS := wal.New(wal.NewMemStore())
 			coord := NewParticipant("C", net.Endpoint("C"), logC,
-				[]core.Resource{core.NewStaticResource("rc")}, WithVariant(v))
+				[]protocol.Resource{protocol.NewStaticResource("rc")}, WithVariant(v))
 			sub := NewParticipant("S", net.Endpoint("S"), logS,
-				[]core.Resource{core.NewStaticResource("rs")}, WithVariant(v))
+				[]protocol.Resource{protocol.NewStaticResource("rs")}, WithVariant(v))
 			coord.Start()
 			sub.Start()
 			defer coord.Stop()
 			defer sub.Stop()
 
-			tx := core.TxID{Origin: "C", Seq: 9}
+			tx := protocol.TxID{Origin: "C", Seq: 9}
 			out, err := coord.Commit(context.Background(), tx.String(), []string{"S"})
 			if err != nil || out != Committed {
 				t.Fatalf("commit = %v, %v", out, err)
@@ -144,7 +145,7 @@ func TestLiveAllVariantsCommit(t *testing.T) {
 			if committed, decided := outcomeAt(t, logS, "S", tx.String()); !decided || !committed {
 				// PC subordinates log the commit non-forced; it may sit in
 				// the log buffer. Force by syncing via a fresh record.
-				if v != core.VariantPC {
+				if v != protocol.VariantPC {
 					t.Fatalf("subordinate log misses the commit (decided=%v committed=%v)", decided, committed)
 				}
 			}
@@ -160,7 +161,7 @@ func TestLiveAllVariantsCommit(t *testing.T) {
 				}
 			}
 			switch v {
-			case core.VariantPN, core.VariantPC:
+			case protocol.VariantPN, protocol.VariantPC:
 				if !hasInit {
 					t.Errorf("%v coordinator log lacks its initiation record", v)
 				}
@@ -178,12 +179,12 @@ func TestLiveAllVariantsCommit(t *testing.T) {
 func TestLiveLastAgentDelegation(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")}, WithLastAgent())
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithLastAgent())
 	s1 := NewParticipant("S1", net.Endpoint("S1"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("r1")})
+		[]protocol.Resource{protocol.NewStaticResource("r1")})
 	agentLog := wal.New(wal.NewMemStore())
 	agent := NewParticipant("A", net.Endpoint("A"), agentLog,
-		[]core.Resource{core.NewStaticResource("ra")})
+		[]protocol.Resource{protocol.NewStaticResource("ra")})
 	coord.Start()
 	s1.Start()
 	agent.Start()
@@ -191,7 +192,7 @@ func TestLiveLastAgentDelegation(t *testing.T) {
 	defer s1.Stop()
 	defer agent.Stop()
 
-	tx := core.TxID{Origin: "C", Seq: 11}
+	tx := protocol.TxID{Origin: "C", Seq: 11}
 	out, err := coord.Commit(context.Background(), tx.String(), []string{"S1", "A"})
 	if err != nil || out != Committed {
 		t.Fatalf("delegated commit = %v, %v", out, err)
@@ -223,15 +224,15 @@ func TestLiveLastAgentDelegation(t *testing.T) {
 func TestLiveLastAgentVetoAborts(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")}, WithLastAgent())
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithLastAgent())
 	veto := NewParticipant("A", net.Endpoint("A"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("bad", core.StaticVote(core.VoteNo))})
+		[]protocol.Resource{protocol.NewStaticResource("bad", protocol.StaticVote(protocol.VoteNo))})
 	coord.Start()
 	veto.Start()
 	defer coord.Stop()
 	defer veto.Stop()
 
-	tx := core.TxID{Origin: "C", Seq: 12}
+	tx := protocol.TxID{Origin: "C", Seq: 12}
 	out, err := coord.Commit(context.Background(), tx.String(), []string{"A"})
 	if err != nil {
 		t.Fatalf("err = %v", err)
@@ -246,15 +247,15 @@ func TestLiveLastAgentVetoAborts(t *testing.T) {
 func TestLiveUnsolicitedVote(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rc")})
+		[]protocol.Resource{protocol.NewStaticResource("rc")})
 	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("rs")})
+		[]protocol.Resource{protocol.NewStaticResource("rs")})
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
 	defer sub.Stop()
 
-	tx := core.TxID{Origin: "C", Seq: 13}
+	tx := protocol.TxID{Origin: "C", Seq: 13}
 	if err := sub.UnsolicitedVote("C", tx.String()); err != nil {
 		t.Fatal(err)
 	}
@@ -314,15 +315,15 @@ func TestLiveLastAgentForceFailureEndsLedgerPart(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(&commitFailStore{MemStore: wal.NewMemStore(), node: "C"}),
-		[]core.Resource{core.NewStaticResource("rc")}, WithLastAgent(), WithMetrics(reg))
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithLastAgent(), WithMetrics(reg))
 	agent := NewParticipant("A", net.Endpoint("A"), wal.New(wal.NewMemStore()),
-		[]core.Resource{core.NewStaticResource("ra")})
+		[]protocol.Resource{protocol.NewStaticResource("ra")})
 	coord.Start()
 	agent.Start()
 	defer coord.Stop()
 	defer agent.Stop()
 
-	tx := core.TxID{Origin: "C", Seq: 14}.String()
+	tx := protocol.TxID{Origin: "C", Seq: 14}.String()
 	out, err := coord.Commit(context.Background(), tx, []string{"A"})
 	if out != Committed || err == nil {
 		t.Fatalf("delegated commit with a failing log = %v, %v; want committed and the force error", out, err)

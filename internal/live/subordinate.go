@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -34,7 +33,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		p.handleDelegateLocked(st, from, m)
 		return
 	}
-	if m.Presume == core.VariantPaxos {
+	if m.Presume == protocol.VariantPaxos {
 		// Paxos Commit phase one: the vote is a ballot-0 accept sent to
 		// the acceptor set, not a MsgVote (handled wholly in paxos.go;
 		// duplicate Prepares are screened by the vote-sent flag there).
@@ -79,7 +78,7 @@ func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, comm
 	switch {
 	case m.Delegate:
 		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, committed))
-	case !committed && m.Presume != core.VariantPaxos:
+	case !committed && m.Presume != protocol.VariantPaxos:
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
 	}
 }
@@ -92,7 +91,7 @@ func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, comm
 // coordinator acks it: until then the coordinator may ask again.
 func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.Message) {
 	st.presume = m.Presume
-	tx := core.ParseTxID(m.Tx)
+	tx := protocol.ParseTxID(m.Tx)
 	vote := protocol.VoteNo
 	if !m.Repeat || !m.Presume.AbortsRepeat() {
 		vote = p.prepareLocal(tx)
@@ -180,7 +179,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	}
 	a := st.presume.Apply(commit, st.prepared, st.prepared)
 
-	tx := core.ParseTxID(m.Tx)
+	tx := protocol.ParseTxID(m.Tx)
 	if commit && len(m.Payload) > 0 && !st.prepared {
 		// A redo-bearing Commit redelivered to a voter with no memory of
 		// the transaction (it crashed after its logless yes vote): the
@@ -222,7 +221,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 // has already applied with committed under variant v: the coordinator
 // missed our ack, so send it again if the variant acknowledges this
 // outcome at all.
-func (p *Participant) reack(from, tx string, v core.Variant, committed, commit bool) {
+func (p *Participant) reack(from, tx string, v protocol.Variant, committed, commit bool) {
 	if committed == commit && v.Acks(commit) {
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: tx})
 	}
@@ -305,7 +304,7 @@ func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
 // redo instead. A failed force, like a no, aborts here. Caller holds
 // st.mu.
 func (p *Participant) prepareVoteLocked(st *txState, unsolicited bool) protocol.VoteValue {
-	tx := core.ParseTxID(st.id)
+	tx := protocol.ParseTxID(st.id)
 	pr := st.presume.SubPrepare(true)
 	vote := p.prepareLocal(tx)
 	if vote == protocol.VoteYes && pr.Prepared {
@@ -330,14 +329,14 @@ func (p *Participant) prepareVoteLocked(st *txState, unsolicited bool) protocol.
 
 // prepareLocal prepares every local resource and folds their votes:
 // any failure or no means no; all read-only means read-only.
-func (p *Participant) prepareLocal(tx core.TxID) protocol.VoteValue {
+func (p *Participant) prepareLocal(tx protocol.TxID) protocol.VoteValue {
 	vote := protocol.VoteReadOnly
 	for _, r := range p.res {
 		pr, err := r.Prepare(tx)
-		if err != nil || pr.Vote == core.VoteNo {
+		if err != nil || pr.Vote == protocol.VoteNo {
 			return protocol.VoteNo
 		}
-		if pr.Vote == core.VoteYes {
+		if pr.Vote == protocol.VoteYes {
 			vote = protocol.VoteYes
 		}
 	}
@@ -348,7 +347,7 @@ func (p *Participant) prepareLocal(tx core.TxID) protocol.VoteValue {
 // collects heuristic reports from any that had already completed
 // unilaterally. A crashed participant touches nothing: its resources'
 // fate belongs to the restarted process image.
-func (p *Participant) completeResources(tx core.TxID, commit bool) []protocol.HeuristicReport {
+func (p *Participant) completeResources(tx protocol.TxID, commit bool) []protocol.HeuristicReport {
 	if p.Crashed() {
 		return nil
 	}
@@ -363,8 +362,8 @@ func (p *Participant) completeResources(tx core.TxID, commit bool) []protocol.He
 		if err == nil {
 			continue
 		}
-		hc, ok := r.(core.HeuristicCapable)
-		if !ok || !errors.Is(err, core.ErrHeuristicConflict) {
+		hc, ok := r.(protocol.HeuristicCapable)
+		if !ok || !errors.Is(err, protocol.ErrHeuristicConflict) {
 			continue
 		}
 		taken, tookCommit := hc.HeuristicTaken(tx)

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/loadgen"
+	"repro/internal/protocol"
 	"repro/internal/server"
 )
 
@@ -111,7 +111,7 @@ func TestLoadgenDaemonEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos, core.Variant1PC} {
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC} {
 		want := fmt.Sprintf("twopc_cost_total{variant=%q,role=\"coordinator\",outcome=\"committed\",kind=\"flows\"}", v)
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing coordinator cost series for %s", v)

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kvstore"
 	"repro/internal/loadgen"
+	"repro/internal/protocol"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -190,10 +192,11 @@ func TestFleetRouterEndToEnd(t *testing.T) {
 // conformance audit stays exact throughout — contention degrades
 // throughput, never protocol conformance.
 func TestFleetHotkeyContention(t *testing.T) {
+	const stageTimeout = 50 * time.Millisecond
 	fleet, names := newFleet(t, 3, func(i int, cfg *server.Config) {
 		// A short staging deadline turns long lock-queue waits into
 		// visible aborts instead of silent queueing.
-		cfg.StageTimeout = 50 * time.Millisecond
+		cfg.StageTimeout = stageTimeout
 	})
 	routerURL := startRouter(t, fleet, router.PickLeastLoaded)
 
@@ -204,6 +207,40 @@ func TestFleetHotkeyContention(t *testing.T) {
 		ZipfS:  2.5,
 		Seed:   11,
 	}
+	// A holder transaction stages the hottest key (zipf rank 0) before
+	// the storm and keeps it until a waiter has queued behind it for
+	// twice the stage deadline. That waiter's stage times out however
+	// fast the host serves, so the lock queue is certain to produce an
+	// abort, and the rest of the storm can still commit.
+	smap, err := router.Parse("hash:" + strings.Join(names, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hotKey = "k000000"
+	var hotStore *kvstore.Store
+	for i, name := range names {
+		if name == smap.Owner(hotKey) {
+			hotStore = fleet[i].Store()
+		}
+	}
+	holder := protocol.TxID{Origin: "holder", Seq: 1}
+	if err := hotStore.Put(context.Background(), holder, hotKey, "held"); err != nil {
+		t.Fatal(err)
+	}
+	stormDone := make(chan struct{})
+	holderDone := make(chan error, 1)
+	go func() {
+		for hotStore.Locks().WaiterCount(hotKey) == 0 {
+			select {
+			case <-stormDone:
+				holderDone <- hotStore.Abort(holder)
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		time.Sleep(2 * stageTimeout)
+		holderDone <- hotStore.Abort(holder)
+	}()
 	// The offered rate far exceeds what a serialized hot key can
 	// absorb, so the open loop piles arrivals onto the lock queue.
 	res := loadgen.Run(context.Background(), &loadgen.HTTPCommitter{
@@ -216,6 +253,10 @@ func TestFleetHotkeyContention(t *testing.T) {
 		TxPrefix: "hot",
 		Ops:      profile.Generator(),
 	})
+	close(stormDone)
+	if err := <-holderDone; err != nil {
+		t.Fatalf("aborting the holder: %v", err)
+	}
 	if res.Errors > 0 {
 		t.Fatalf("%d errors, first: %s (result %+v)", res.Errors, res.FirstErr, res)
 	}
@@ -229,8 +270,8 @@ func TestFleetHotkeyContention(t *testing.T) {
 
 	drainAndAudit(t, fleet, names)
 
-	// The hot keys' locks must all be free again: a fresh transaction
-	// can write every key in the keyspace.
+	// The hot keys' locks, the holder's included, must all be free
+	// again: a fresh transaction can write every key in the keyspace.
 	c := &loadgen.HTTPCommitter{BaseURL: routerURL, Variant: "pa"}
 	gen := workload.Profile{Kind: workload.KindUniform, Keys: 6, FanOut: 6}.Generator()
 	committed, shed, err := c.CommitOps(context.Background(), "post-storm", gen(1))

@@ -22,7 +22,7 @@ import (
 
 	"repro/client"
 	"repro/internal/api"
-	"repro/internal/live"
+	"repro/internal/clock"
 )
 
 // Committer submits one transaction and classifies the result.
@@ -58,7 +58,7 @@ type HTTPCommitter struct {
 	// Retry, when set, retries sheds and transport failures on the
 	// live runtime's backoff schedule. Off by default so the shed
 	// column stays honest.
-	Retry *live.RetryPolicy
+	Retry *clock.RetryPolicy
 
 	once sync.Once
 	c    *client.Client

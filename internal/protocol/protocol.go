@@ -61,10 +61,12 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("MsgType(%d)", int(t))
 }
 
-// VoteValue is the vote carried by a MsgVote.
+// VoteValue is a participant's reply to Prepare: the vote a resource
+// returns in its PrepareResult and a MsgVote carries.
 type VoteValue int
 
-// Vote values.
+// Vote values. ReadOnly means commit and abort are indistinguishable
+// for the voter, which drops out of phase two (§4 Read Only).
 const (
 	VoteYes VoteValue = iota
 	VoteNo

@@ -1,4 +1,4 @@
-package core
+package protocol
 
 import (
 	"sync"
@@ -11,7 +11,7 @@ import (
 // outcomes.
 type StaticResource struct {
 	name         string
-	vote         Vote
+	vote         VoteValue
 	reliable     bool
 	okToLeaveOut bool
 	prepareErr   error
@@ -26,7 +26,7 @@ type StaticResource struct {
 type StaticOption func(*StaticResource)
 
 // StaticVote fixes the resource's vote (default VoteYes).
-func StaticVote(v Vote) StaticOption { return func(r *StaticResource) { r.vote = v } }
+func StaticVote(v VoteValue) StaticOption { return func(r *StaticResource) { r.vote = v } }
 
 // StaticReliable marks the resource reliable (§4 Vote Reliable).
 func StaticReliable() StaticOption { return func(r *StaticResource) { r.reliable = true } }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/audit"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/live"
 	"repro/internal/metrics"
@@ -66,7 +65,7 @@ type Config struct {
 	Subs []string
 	// Variant is the default protocol variant for /v1/commit
 	// requests; requests may override it per transaction.
-	Variant core.Variant
+	Variant protocol.Variant
 	// MaxInflight bounds concurrently admitted commits; excess
 	// requests are shed with 503. Default 256.
 	MaxInflight int
@@ -270,7 +269,7 @@ func New(cfg Config) (*Server, error) {
 	store := kvstore.New("kv@"+cfg.Name, wal.New(wal.NewMemStore()), clock.NewWall(),
 		kvstore.WithLockWait(cfg.StageTimeout))
 	part := live.NewParticipant(cfg.Name, ep, cfg.Log,
-		[]core.Resource{yesResource("r@" + cfg.Name), store}, opts...)
+		[]protocol.Resource{yesResource("r@" + cfg.Name), store}, opts...)
 
 	start := time.Now()
 	s := &Server{
@@ -330,19 +329,19 @@ func New(cfg Config) (*Server, error) {
 }
 
 // yesResource is the always-yes resource a daemon installs beside its
-// kvstore. Unlike core.StaticResource, the scripted resource of tests
+// kvstore. Unlike protocol.StaticResource, the scripted resource of tests
 // and the simulator, it remembers nothing about any transaction.
 type yesResource string
 
 func (r yesResource) Name() string { return string(r) }
 
-func (yesResource) Prepare(core.TxID) (core.PrepareResult, error) {
-	return core.PrepareResult{Vote: core.VoteYes}, nil
+func (yesResource) Prepare(protocol.TxID) (protocol.PrepareResult, error) {
+	return protocol.PrepareResult{Vote: protocol.VoteYes}, nil
 }
 
-func (yesResource) Commit(core.TxID) error { return nil }
+func (yesResource) Commit(protocol.TxID) error { return nil }
 
-func (yesResource) Abort(core.TxID) error { return nil }
+func (yesResource) Abort(protocol.TxID) error { return nil }
 
 // ProtoAddr is the protocol listener's bound address.
 func (s *Server) ProtoAddr() string { return s.ep.Addr() }
@@ -439,7 +438,7 @@ func (s *Server) sampleSignals() func() admission.Signal {
 // fails with a ShedError (matching ErrOverloaded) at either limit and
 // ErrDraining during drain. A protocol-only commit carries no ops, so
 // the class is read-write with the subordinate tree's width.
-func (s *Server) Commit(ctx context.Context, tx string, subs []string, v core.Variant) (live.Outcome, error) {
+func (s *Server) Commit(ctx context.Context, tx string, subs []string, v protocol.Variant) (live.Outcome, error) {
 	if subs == nil {
 		subs = s.cfg.Subs
 	}
@@ -749,10 +748,10 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ParseVariant maps a variant name (the core.Variant String forms and
+// ParseVariant maps a variant name (the protocol.Variant String forms and
 // their aliases, case-insensitive) to its value; see
 // protocol.ParseVariant.
-func ParseVariant(name string) (core.Variant, bool) { return protocol.ParseVariant(name) }
+func ParseVariant(name string) (protocol.Variant, bool) { return protocol.ParseVariant(name) }
 
 // handleMetrics renders the registry in the Prometheus text exposition
 // format, hand-rolled — the repo takes no dependencies.

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/live"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -63,7 +63,7 @@ func TestServerCommitAllVariantsOverTCP(t *testing.T) {
 	coord, s1, s2 := newTrio(t, Config{AuditInterval: -1})
 	ctx := context.Background()
 	seq := 0
-	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos}
+	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos}
 	for _, v := range variants {
 		seq++
 		tx := fmt.Sprintf("C:%d", seq)
@@ -139,7 +139,7 @@ func TestServerAuditExactWithDurableWAL(t *testing.T) {
 
 	ctx := context.Background()
 	seq := 0
-	variants := []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN, core.VariantPC, core.VariantPaxos}
+	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos}
 	for _, v := range variants {
 		seq++
 		tx := fmt.Sprintf("C:%d", seq)
@@ -180,7 +180,7 @@ func TestServerAuditExactWithDurableWAL(t *testing.T) {
 }
 
 func TestServerHTTPPlane(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Variant: core.VariantPA})
+	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Variant: protocol.VariantPA})
 	if status, cr, _ := postV1(t, coord, `{"tx":"C:1","variant":"pc"}`); status != http.StatusOK || cr.Outcome != "committed" {
 		t.Fatalf("POST /v1/commit = %d %+v", status, cr)
 	}
@@ -227,7 +227,7 @@ func TestServerAdmissionShedsLoad(t *testing.T) {
 	coord, _, _ := newTrio(t, Config{AuditInterval: -1, MaxInflight: 1})
 	// Occupy the only admission slot, then watch the next request shed.
 	coord.sem <- struct{}{}
-	_, err := coord.Commit(context.Background(), "C:9", nil, core.VariantPA)
+	_, err := coord.Commit(context.Background(), "C:9", nil, protocol.VariantPA)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -239,14 +239,14 @@ func TestServerAdmissionShedsLoad(t *testing.T) {
 		t.Fatalf("overloaded /v1/commit = %d %+v, want 503 %s", status, e, api.CodeOverloaded)
 	}
 	<-coord.sem
-	if out, err := coord.Commit(context.Background(), "C:10", nil, core.VariantPA); err != nil || out != live.Committed {
+	if out, err := coord.Commit(context.Background(), "C:10", nil, protocol.VariantPA); err != nil || out != live.Committed {
 		t.Fatalf("after release: %v, %v", out, err)
 	}
 }
 
 func TestServerDrain(t *testing.T) {
 	coord, _, _ := newTrio(t, Config{AuditInterval: -1})
-	if out, err := coord.Commit(context.Background(), "C:1", nil, core.VariantPA); err != nil || out != live.Committed {
+	if out, err := coord.Commit(context.Background(), "C:1", nil, protocol.VariantPA); err != nil || out != live.Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -254,7 +254,7 @@ func TestServerDrain(t *testing.T) {
 	if err := coord.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Commit(context.Background(), "C:2", nil, core.VariantPA); err != ErrDraining {
+	if _, err := coord.Commit(context.Background(), "C:2", nil, protocol.VariantPA); err != ErrDraining {
 		t.Fatalf("post-drain commit err = %v, want ErrDraining", err)
 	}
 	if code, body := httpGet(t, coord.HTTPAddr(), "/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
@@ -311,7 +311,7 @@ func TestServerDrainWaitsForInflight(t *testing.T) {
 func TestServerAuditLatchesHealthRed(t *testing.T) {
 	log := wal.New(wal.NewMemStore())
 	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Log: log})
-	if out, err := coord.Commit(context.Background(), "C:1", nil, core.VariantPA); err != nil || out != live.Committed {
+	if out, err := coord.Commit(context.Background(), "C:1", nil, protocol.VariantPA); err != nil || out != live.Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}
 	// A mis-costed path: force a record the model has no budget for.
@@ -337,7 +337,7 @@ func TestServerTraceRing(t *testing.T) {
 	coord, _, _ := newTrio(t, Config{AuditInterval: -1, TraceRing: 8})
 	for i := 0; i < 5; i++ {
 		tx := fmt.Sprintf("C:%d", i+1)
-		if out, err := coord.Commit(context.Background(), tx, nil, core.VariantPA); err != nil || out != live.Committed {
+		if out, err := coord.Commit(context.Background(), tx, nil, protocol.VariantPA); err != nil || out != live.Committed {
 			t.Fatalf("commit = %v, %v", out, err)
 		}
 	}

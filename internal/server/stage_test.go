@@ -18,8 +18,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/kvstore"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -37,7 +37,7 @@ func TestStageLocalPutAllocs(t *testing.T) {
 	ref := kvstore.New("ref", wal.New(wal.NewMemStore()), clock.NewWall())
 	ctx := context.Background()
 	ops := []api.Op{{Key: "k", Op: api.OpPut, Value: "v"}}
-	id := core.ParseTxID("g:1")
+	id := protocol.ParseTxID("g:1")
 
 	staged := testing.AllocsPerRun(200, func() {
 		if _, err := s.stageLocal(ctx, "g:1", ops); err != nil {
@@ -81,7 +81,7 @@ func TestStageLockWaitBoundPerSlice(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("local slice failed with %v, want a deadline error", err)
 		}
-		_ = s.store.Abort(core.ParseTxID(tx)) // as runV1 does for a failed slice
+		_ = s.store.Abort(protocol.ParseTxID(tx)) // as runV1 does for a failed slice
 		return err
 	}
 	handler := func(tx string) error {
@@ -110,7 +110,7 @@ func TestStageLockWaitBoundPerSlice(t *testing.T) {
 	}{{"local", local}, {"handler", handler}} {
 		for _, firstHeld := range []time.Duration{0, 450 * time.Millisecond} {
 			tx := fmt.Sprintf("%s-%d", path.name, firstHeld.Milliseconds())
-			blockFirst, blockSecond := core.ParseTxID(tx+"-b1"), core.ParseTxID(tx+"-b2")
+			blockFirst, blockSecond := protocol.ParseTxID(tx+"-b1"), protocol.ParseTxID(tx+"-b2")
 			if firstHeld > 0 {
 				if err := s.store.Put(ctx, blockFirst, "first", "x"); err != nil {
 					t.Fatal(err)
@@ -131,7 +131,7 @@ func TestStageLockWaitBoundPerSlice(t *testing.T) {
 			}
 			_ = s.store.Abort(blockSecond)
 			// The failed slice left no lock behind.
-			if n := len(s.store.Locks().HeldKeys(core.ParseTxID(tx).String())); n != 0 {
+			if n := len(s.store.Locks().HeldKeys(protocol.ParseTxID(tx).String())); n != 0 {
 				t.Errorf("%s: failed slice still holds %d locks", tx, n)
 			}
 		}

@@ -15,9 +15,9 @@ import (
 	"repro/internal/admission"
 	"repro/internal/analytic"
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/live"
+	"repro/internal/protocol"
 )
 
 // httpError pairs an HTTP status with the machine-readable error body
@@ -186,7 +186,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	abortStaged := func() {
 		for _, n := range staged {
 			if n == s.cfg.Name {
-				_ = s.store.Abort(core.ParseTxID(tx))
+				_ = s.store.Abort(protocol.ParseTxID(tx))
 				continue
 			}
 			s.stageRemote(context.Background(), n, api.StageRequest{Tx: tx, Abort: true})
@@ -262,7 +262,7 @@ func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time
 // store bounds the slice's lock waits by StageTimeout in all, counted
 // from its first lock request (kvstore.WithLockWait).
 func (s *Server) stageLocal(ctx context.Context, tx string, ops []api.Op) (map[string]string, error) {
-	id := core.ParseTxID(tx)
+	id := protocol.ParseTxID(tx)
 	var reads map[string]string // made at the first read: writes need none
 	for _, op := range ops {
 		var err error
@@ -386,7 +386,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sreq.Abort {
-		_ = s.store.Abort(core.ParseTxID(sreq.Tx))
+		_ = s.store.Abort(protocol.ParseTxID(sreq.Tx))
 		w.Header().Set("Content-Type", "application/json")
 		_ = api.WriteStageResponse(w, &api.StageResponse{Tx: sreq.Tx})
 		return
@@ -402,7 +402,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		// Lock conflict, deadlock victim, or timeout: the shard could
 		// not take the transaction's locks. The staged remainder is
 		// discarded here; the coordinator aborts the transaction.
-		_ = s.store.Abort(core.ParseTxID(sreq.Tx))
+		_ = s.store.Abort(protocol.ParseTxID(sreq.Tx))
 		writeAPIError(w, &httpError{status: http.StatusConflict, e: api.ErrorOf("conflict", "%v", err)})
 		return
 	}

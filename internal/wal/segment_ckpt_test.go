@@ -8,7 +8,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSegmentStorePoisonedByFailedWrite: once a write fails, every
@@ -70,18 +72,38 @@ func TestSegmentStorePoisonedByFailedSync(t *testing.T) {
 
 // TestSegmentCheckpointBesideForces checkpoints repeatedly while
 // writers keep forcing: every kept record survives exactly once, in
-// LSN order, and a reopen reads the same log.
+// LSN order, and a reopen reads the same log. Each writer waits for
+// the first checkpoint halfway through and for the second before its
+// last force, so at least two run beside the forces however the
+// goroutines are scheduled.
 func TestSegmentCheckpointBesideForces(t *testing.T) {
 	dir := t.TempDir()
 	s := openSegs(t, dir, WithSegmentFsync(false), WithSegmentBytes(1024))
 	l := New(s)
 	const writers, each = 4, 300
+	var checkpoints atomic.Int64
+	done := make(chan struct{}) // closed when the checkpointer stops
+	awaitCheckpoints := func(n int64) {
+		for checkpoints.Load() < n {
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
+				switch i {
+				case each / 2:
+					awaitCheckpoints(1)
+				case each - 1:
+					awaitCheckpoints(2)
+				}
 				kind := "Drop"
 				if i%3 == 0 {
 					kind = "Keep"
@@ -93,8 +115,7 @@ func TestSegmentCheckpointBesideForces(t *testing.T) {
 			}
 		}(w)
 	}
-	done := make(chan struct{})
-	checkpoints := 0
+	finished := stop(&wg)
 	go func() {
 		defer close(done)
 		for {
@@ -102,9 +123,9 @@ func TestSegmentCheckpointBesideForces(t *testing.T) {
 				t.Errorf("checkpoint: %v", err)
 				return
 			}
-			checkpoints++
+			checkpoints.Add(1)
 			select {
-			case <-stop(&wg):
+			case <-finished:
 				return
 			default:
 			}
@@ -112,8 +133,8 @@ func TestSegmentCheckpointBesideForces(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if checkpoints < 2 {
-		t.Fatalf("only %d checkpoints ran beside the writers", checkpoints)
+	if n := checkpoints.Load(); n < 2 {
+		t.Fatalf("only %d checkpoints ran beside the writers", n)
 	}
 	check := func(recs []Record, when string) {
 		t.Helper()

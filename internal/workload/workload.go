@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // MemberKind classifies a generated tree member.
@@ -26,14 +27,14 @@ const (
 
 // Member describes one generated participant.
 type Member struct {
-	ID     core.NodeID
-	Parent core.NodeID // "" for the root
+	ID     protocol.NodeID
+	Parent protocol.NodeID // "" for the root
 	Kind   MemberKind
 }
 
 // Tree is a generated commit tree.
 type Tree struct {
-	Root    core.NodeID
+	Root    protocol.NodeID
 	Members []Member // excludes the root
 }
 
@@ -70,11 +71,11 @@ func Generate(s Spec) Tree {
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	t := Tree{Root: "N00"}
-	depth := map[core.NodeID]int{"N00": 0}
+	depth := map[protocol.NodeID]int{"N00": 0}
 	// eligible parents by depth
-	parents := []core.NodeID{"N00"}
+	parents := []protocol.NodeID{"N00"}
 	for i := 1; i < s.N; i++ {
-		id := core.NodeID(fmt.Sprintf("N%02d", i))
+		id := protocol.NodeID(fmt.Sprintf("N%02d", i))
 		p := parents[rng.Intn(len(parents))]
 		kind := Updater
 		switch {
@@ -103,19 +104,19 @@ func (t Tree) Build(cfg core.Config) (*core.Engine, *core.Tx, error) {
 	eng := core.NewEngine(cfg)
 	eng.DisableTrace()
 	root := eng.AddNode(t.Root)
-	root.AttachResource(core.NewStaticResource("r@" + string(t.Root)))
+	root.AttachResource(protocol.NewStaticResource("r@" + string(t.Root)))
 	for _, m := range t.Members {
 		n := eng.AddNode(m.ID)
-		var opts []core.StaticOption
+		var opts []protocol.StaticOption
 		switch m.Kind {
 		case Reader:
-			opts = append(opts, core.StaticVote(core.VoteReadOnly))
+			opts = append(opts, protocol.StaticVote(protocol.VoteReadOnly))
 		case ReliableUpdater:
-			opts = append(opts, core.StaticReliable())
+			opts = append(opts, protocol.StaticReliable())
 		case LeaveOutServer:
-			opts = append(opts, core.StaticVote(core.VoteReadOnly), core.StaticLeaveOut())
+			opts = append(opts, protocol.StaticVote(protocol.VoteReadOnly), protocol.StaticLeaveOut())
 		}
-		n.AttachResource(core.NewStaticResource("r@"+string(m.ID), opts...))
+		n.AttachResource(protocol.NewStaticResource("r@"+string(m.ID), opts...))
 	}
 	tx := eng.Begin(t.Root)
 	for _, m := range t.Members {
@@ -147,19 +148,19 @@ type TravelBooking struct {
 func (tb TravelBooking) Build(cfg core.Config) (*core.Engine, *core.Tx, error) {
 	eng := core.NewEngine(cfg)
 	agency := eng.AddNode("agency")
-	agency.AttachResource(core.NewStaticResource("itinerary"))
-	eng.AddNode("flight").AttachResource(core.NewStaticResource("seats"))
+	agency.AttachResource(protocol.NewStaticResource("itinerary"))
+	eng.AddNode("flight").AttachResource(protocol.NewStaticResource("seats"))
 	hotel := eng.AddNode("hotel")
-	hotel.AttachResource(core.NewStaticResource("rooms"))
-	eng.AddNode("payments").AttachResource(core.NewStaticResource("ledger"))
-	carOpts := []core.StaticOption{}
+	hotel.AttachResource(protocol.NewStaticResource("rooms"))
+	eng.AddNode("payments").AttachResource(protocol.NewStaticResource("ledger"))
+	carOpts := []protocol.StaticOption{}
 	if tb.ReadOnlyCar {
-		carOpts = append(carOpts, core.StaticVote(core.VoteReadOnly))
+		carOpts = append(carOpts, protocol.StaticVote(protocol.VoteReadOnly))
 	}
-	eng.AddNode("car").AttachResource(core.NewStaticResource("fleet", carOpts...))
+	eng.AddNode("car").AttachResource(protocol.NewStaticResource("fleet", carOpts...))
 
 	tx := eng.Begin("agency")
-	for _, edge := range [][2]core.NodeID{
+	for _, edge := range [][2]protocol.NodeID{
 		{"agency", "flight"}, {"agency", "hotel"}, {"hotel", "payments"}, {"agency", "car"},
 	} {
 		if err := tx.Send(edge[0], edge[1], "book"); err != nil {

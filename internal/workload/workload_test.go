@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -57,7 +58,7 @@ func TestGenerateDeepTreesCascade(t *testing.T) {
 
 func TestBuildAndCommit(t *testing.T) {
 	tr := Generate(Spec{N: 8, Depth: 2, ReadFraction: 0.5, Seed: 11})
-	eng, tx, err := tr.Build(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}})
+	eng, tx, err := tr.Build(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestBuildAndCommit(t *testing.T) {
 
 func TestTravelBookingCommit(t *testing.T) {
 	eng, tx, err := TravelBooking{ReadOnlyCar: true}.Build(
-		core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}})
+		core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +104,9 @@ func TestQuickGeneratedTreesCommitAtomically(t *testing.T) {
 			readF /= 2
 		}
 		tr := Generate(Spec{N: n, Depth: depth, ReadFraction: readF, Seed: seed})
-		for _, v := range []core.Variant{core.VariantBaseline, core.VariantPA, core.VariantPN} {
+		for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN} {
 			opts := core.Options{}
-			if v != core.VariantBaseline {
+			if v != protocol.VariantBaseline {
 				opts.ReadOnly = true
 			}
 			eng, tx, err := tr.Build(core.Config{Variant: v, Options: opts})
@@ -139,7 +140,7 @@ func TestQuickGeneratedTreesCommitAtomically(t *testing.T) {
 func TestQuickReadFractionMonotone(t *testing.T) {
 	flowsAt := func(readF float64, seed int64) int {
 		tr := Generate(Spec{N: 9, Depth: 1, ReadFraction: readF, Seed: seed})
-		eng, tx, err := tr.Build(core.Config{Variant: core.VariantPA, Options: core.Options{ReadOnly: true}})
+		eng, tx, err := tr.Build(core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}})
 		if err != nil {
 			return -1
 		}

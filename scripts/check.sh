@@ -25,6 +25,21 @@ else
     echo "SKIPPED: staticcheck not installed (CI runs it; go install honnef.co/go/tools/cmd/staticcheck@latest to run locally)"
 fi
 
+echo "== layering =="
+# The daemon, the router and the serving package do not link the
+# simulator, and the client library links neither the simulator nor
+# the live runtime.
+deps=$(go list -deps ./cmd/twopcd ./cmd/twopcrouter ./internal/server)
+if echo "$deps" | grep -qx 'repro/internal/core'; then
+    echo "twopcd, twopcrouter or internal/server links repro/internal/core" >&2
+    exit 1
+fi
+deps=$(go list -deps ./client)
+if echo "$deps" | grep -qx 'repro/internal/core\|repro/internal/live'; then
+    echo "the client library links repro/internal/core or repro/internal/live" >&2
+    exit 1
+fi
+
 echo "== go test -race ./... =="
 go test -race ./...
 
@@ -72,7 +87,7 @@ echo "== fuzz smokes (10s each) =="
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzBinaryVsGobRoundTrip -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzPaxosAcceptor -fuzztime=10s ./internal/protocol
-go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/core
+go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzSegmentRecover -fuzztime=10s ./internal/wal
 # The v1 body codecs against encoding/json; minimizing a new input from
 # the 1 MiB seed would take the whole budget, so minimization is capped.

@@ -43,6 +43,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/protocol"
 	"repro/internal/txerr"
 	"repro/internal/wal"
 )
@@ -65,13 +66,13 @@ type (
 	Options = core.Options
 	// Variant selects the commit protocol: basic 2PC, PA, PN, PC,
 	// Paxos Commit or the one-phase fast path.
-	Variant = core.Variant
+	Variant = protocol.Variant
 	// NodeID names a node.
-	NodeID = core.NodeID
+	NodeID = protocol.NodeID
 	// TxID identifies a distributed transaction.
-	TxID = core.TxID
+	TxID = protocol.TxID
 	// Vote is a participant's phase-one answer.
-	Vote = core.Vote
+	Vote = protocol.VoteValue
 	// Outcome is a transaction's fate.
 	Outcome = core.Outcome
 	// Result is what the commit initiator's application receives.
@@ -79,41 +80,41 @@ type (
 	// AckStatus carries heuristic reports and recovery indications.
 	AckStatus = core.AckStatus
 	// HeuristicReport describes one unilateral decision.
-	HeuristicReport = core.HeuristicReport
+	HeuristicReport = protocol.HeuristicReport
 	// HeuristicPolicy configures when a blocked participant decides
 	// unilaterally.
 	HeuristicPolicy = core.HeuristicPolicy
 	// Resource is the local-resource-manager participant contract.
-	Resource = core.Resource
+	Resource = protocol.Resource
 	// PrepareResult is a resource's vote plus attributes.
-	PrepareResult = core.PrepareResult
+	PrepareResult = protocol.PrepareResult
 	// StaticResource is a scriptable test/bench resource.
-	StaticResource = core.StaticResource
+	StaticResource = protocol.StaticResource
 	// NodeOption configures a node at creation.
 	NodeOption = core.NodeOption
 )
 
 // Protocol variants.
 const (
-	VariantBaseline = core.VariantBaseline
-	VariantPA       = core.VariantPA
-	VariantPN       = core.VariantPN
+	VariantBaseline = protocol.VariantBaseline
+	VariantPA       = protocol.VariantPA
+	VariantPN       = protocol.VariantPN
 	// VariantPC is the presumed-commit extension variant.
-	VariantPC = core.VariantPC
+	VariantPC = protocol.VariantPC
 	// VariantPaxos is the non-blocking Paxos Commit extension variant.
-	VariantPaxos = core.VariantPaxos
+	VariantPaxos = protocol.VariantPaxos
 	// Variant1PC is the logless one-phase fast path: the yes-vote
 	// carries the redo, subordinates force nothing, and the
 	// coordinator's single forced decision record is the whole tree's
 	// durable state.
-	Variant1PC = core.Variant1PC
+	Variant1PC = protocol.Variant1PC
 )
 
 // Votes.
 const (
-	VoteYes      = core.VoteYes
-	VoteNo       = core.VoteNo
-	VoteReadOnly = core.VoteReadOnly
+	VoteYes      = protocol.VoteYes
+	VoteNo       = protocol.VoteNo
+	VoteReadOnly = protocol.VoteReadOnly
 )
 
 // Outcomes.
@@ -134,15 +135,15 @@ func WithHeuristic(p HeuristicPolicy) NodeOption { return core.WithHeuristic(p) 
 
 // NewStaticResource returns a resource with a fixed vote; see the
 // StaticVote, StaticReliable, and StaticLeaveOut options.
-func NewStaticResource(name string, opts ...core.StaticOption) *StaticResource {
-	return core.NewStaticResource(name, opts...)
+func NewStaticResource(name string, opts ...protocol.StaticOption) *StaticResource {
+	return protocol.NewStaticResource(name, opts...)
 }
 
 // Static resource options, re-exported.
 var (
-	StaticVote     = core.StaticVote
-	StaticReliable = core.StaticReliable
-	StaticLeaveOut = core.StaticLeaveOut
+	StaticVote     = protocol.StaticVote
+	StaticReliable = protocol.StaticReliable
+	StaticLeaveOut = protocol.StaticLeaveOut
 )
 
 // Write-ahead log substrate.
@@ -242,7 +243,7 @@ type (
 	LiveOption = live.Option
 	// LiveRetryPolicy governs retransmission backoff for votes,
 	// outcome delivery, and recovery inquiries.
-	LiveRetryPolicy = live.RetryPolicy
+	LiveRetryPolicy = clock.RetryPolicy
 	// LiveOutcome is a live commit's result.
 	LiveOutcome = live.Outcome
 	// ChanNetwork is an in-process packet network with latency, loss,
