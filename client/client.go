@@ -68,7 +68,7 @@ type Client struct {
 	hc      *http.Client
 	variant string
 	timeout time.Duration
-	retry   *clock.RetryPolicy
+	retry   *RetryPolicy
 	route   bool
 
 	mu      sync.Mutex
@@ -92,11 +92,15 @@ func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = 
 // doubles).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
+// RetryPolicy is the jittered exponential backoff schedule WithRetry
+// retries on — the same machinery the live runtime retransmits
+// protocol messages with.
+type RetryPolicy = clock.RetryPolicy
+
 // WithRetry retries shed (503) and transport-failed requests on the
-// policy's jittered exponential backoff schedule — the same machinery
-// the live runtime retransmits protocol messages with. Off by default:
-// an open-loop load driver wants to count sheds, not mask them.
-func WithRetry(p clock.RetryPolicy) Option { return func(c *Client) { c.retry = &p } }
+// policy's backoff schedule. Off by default: an open-loop load driver
+// wants to count sheds, not mask them.
+func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = &p } }
 
 // WithShardRouting fetches the fleet's /v1/shards map from the base
 // endpoint and routes each transaction client-side to the owner of its

@@ -219,7 +219,7 @@ func evidenceWaitForOutcome() string {
 	for {
 		prepared := false
 		for _, rec := range eng.LogRecords("S") {
-			if rec.Kind == "Prepared" {
+			if rec.Kind == protocol.RecPrepared {
 				prepared = true
 			}
 		}

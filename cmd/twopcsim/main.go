@@ -128,7 +128,7 @@ func main() {
 		for {
 			prepared := false
 			for _, rec := range eng.LogRecords(target) {
-				if rec.Kind == "Prepared" || rec.Kind == "AgentPending" {
+				if rec.Kind == protocol.RecPrepared || rec.Kind == protocol.RecAgentPending {
 					prepared = true
 				}
 			}

@@ -106,7 +106,7 @@ func damageDemo(variant twopc.Variant) {
 	for {
 		prepared := false
 		for _, rec := range eng.LogRecords("payments") {
-			if rec.Kind == "Prepared" {
+			if rec.Kind == twopc.RecPrepared {
 				prepared = true
 			}
 		}

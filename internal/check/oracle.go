@@ -111,20 +111,11 @@ type txView struct {
 // the rulebook's coordinator records, and PN's AgentPending, which
 // only the simulator's subordinates write.
 var pendingKinds = map[string]bool{
-	"Pending": true, "Collecting": true, "AgentPending": true,
+	protocol.RecPending: true, protocol.RecCollecting: true, protocol.RecAgentPending: true,
 }
 
 // preparedKind is the record a yes vote, and a delegation, stands on.
-var preparedKind = map[string]bool{"Prepared": true}
-
-// tmKinds are the transaction-manager record kinds the force rules
-// govern; anything else in the log belongs to a resource manager.
-var tmKinds = map[string]bool{
-	"Pending": true, "Collecting": true, "AgentPending": true,
-	"Prepared": true, "Committed": true, "Aborted": true,
-	"End": true, "Heuristic": true,
-	"PaxAccept": true, "PaxPromise": true,
-}
+var preparedKind = map[string]bool{protocol.RecPrepared: true}
 
 // msgBase strips the transaction suffix and option flags from a traced
 // message detail: "VoteYes+Reliable(C:1)" -> "VoteYes".
@@ -229,7 +220,7 @@ func (v *txView) receivedPlainPrepare(node string) bool {
 // way to diverge from the global outcome.
 func (v *txView) heuristicAt(node string) bool {
 	for _, e := range v.events {
-		if e.Kind == trace.KindLogWrite && e.Node == node && e.Detail == "Heuristic" {
+		if e.Kind == trace.KindLogWrite && e.Node == node && e.Detail == protocol.RecHeuristic {
 			return true
 		}
 	}
@@ -272,7 +263,7 @@ func (v *txView) paxosForcedAcceptsBefore(seq int) int {
 		if e.Seq >= seq {
 			break
 		}
-		if e.Kind == trace.KindLogWrite && e.Forced && e.Detail == "PaxAccept" {
+		if e.Kind == trace.KindLogWrite && e.Forced && e.Detail == protocol.RecPaxAccept {
 			nodes[e.Node] = true
 		}
 	}
@@ -297,7 +288,7 @@ func (v *txView) paxosEvidenceBefore(node string, seq int) int {
 			}
 		}
 		if e.Kind == trace.KindLogWrite && e.Node == node && e.Forced &&
-			(e.Detail == "PaxAccept" || e.Detail == "PaxPromise") {
+			(e.Detail == protocol.RecPaxAccept || e.Detail == protocol.RecPaxPromise) {
 			self = 1
 		}
 	}
@@ -522,7 +513,7 @@ func (v *txView) ac3() []Violation {
 			sub := v.receivedPlainPrepare(e.Node)
 			mustForce := !(v.variant == protocol.VariantPC && sub) &&
 				!(v.variant == protocol.Variant1PC && sub)
-			if !v.logWriteBefore(e.Node, e.Seq, map[string]bool{"Committed": true}, mustForce) {
+			if !v.logWriteBefore(e.Node, e.Seq, map[string]bool{protocol.RecCommitted: true}, mustForce) {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"Commit sent without a preceding Committed record (forced=%v required)", mustForce))
 			}
@@ -530,7 +521,7 @@ func (v *txView) ac3() []Violation {
 			// An acceptor's acknowledgment is a durability promise: the
 			// accepted value must be on stable storage before the ack is
 			// on the wire, exactly like a yes vote's Prepared record.
-			if !v.logWriteBefore(e.Node, e.Seq, map[string]bool{"PaxAccept": true}, true) {
+			if !v.logWriteBefore(e.Node, e.Seq, map[string]bool{protocol.RecPaxAccept: true}, true) {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"acceptance acknowledged without a forced PaxAccept record"))
 			}
@@ -539,14 +530,14 @@ func (v *txView) ac3() []Violation {
 				break // presumed abort: aborts need no stable record
 			}
 			forcedAny := v.before(e.Seq, func(ev trace.Event) bool {
-				return ev.Kind == trace.KindLogWrite && ev.Node == e.Node && ev.Forced && tmKinds[ev.Detail]
+				return ev.Kind == trace.KindLogWrite && ev.Node == e.Node && ev.Forced && protocol.IsTMRecord(ev.Detail)
 			})
 			if !forcedAny && v.receivedBefore(e.Node, e.Seq, "VoteYes") {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"Abort sent after collecting yes votes with nothing forced"))
 			}
 		case "Ack":
-			done := map[string]bool{"Committed": true, "Aborted": true, "Heuristic": true}
+			done := map[string]bool{protocol.RecCommitted: true, protocol.RecAborted: true, protocol.RecHeuristic: true}
 			if v.logWriteBefore(e.Node, e.Seq, done, false) {
 				break
 			}
@@ -573,19 +564,19 @@ func (v *txView) ac3() []Violation {
 	// Lazy allowlist: PA's and PC's skipped forces are the ONLY
 	// skipped forces (plus End, which every variant writes lazily).
 	for _, e := range v.events {
-		if e.Kind != trace.KindLogWrite || e.Forced || !tmKinds[e.Detail] {
+		if e.Kind != trace.KindLogWrite || e.Forced || !protocol.IsTMRecord(e.Detail) {
 			continue
 		}
 		switch e.Detail {
-		case "End":
+		case protocol.RecEnd:
 			// Always lazy: its loss only costs redundant recovery work.
-		case "Aborted":
+		case protocol.RecAborted:
 			if v.variant != protocol.VariantPA && v.variant != protocol.VariantPaxos &&
 				v.variant != protocol.Variant1PC {
 				out = append(out, v.vio("AC3", e.Node, e.Seq,
 					"lazy Aborted record outside a presumed-abort variant"))
 			}
-		case "Committed":
+		case protocol.RecCommitted:
 			// Paxos Commit keeps every local outcome record lazy: the
 			// acceptor quorum, not the node's own log, is what survives a
 			// crash, so forcing here would buy nothing. Likewise a PC
@@ -651,7 +642,7 @@ func (v *txView) ac4() []Violation {
 	}
 	if v.variant == protocol.VariantPN {
 		for _, e := range v.events {
-			if e.Kind != trace.KindLogWrite || e.Detail != "Heuristic" {
+			if e.Kind != trace.KindLogWrite || e.Detail != protocol.RecHeuristic {
 				continue
 			}
 			node := e.Node
@@ -705,7 +696,7 @@ func (v *txView) ac5() []Violation {
 				}
 			case trace.KindLogWrite:
 				switch ev.Detail {
-				case "Committed", "Aborted", "Heuristic":
+				case protocol.RecCommitted, protocol.RecAborted, protocol.RecHeuristic:
 					return true
 				}
 			}

@@ -41,7 +41,7 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 	commit := n.heuristic.Commit
 	n.trcState(c.id, "HEURISTIC "+map[bool]string{true: "commit", false: "abort"}[commit])
 	n.eng.met.Heuristic(string(n.id), commit)
-	n.logTx(c, recHeuristic, recPayload{Coord: c.coord, Commit: commit}, true)
+	n.logTx(c, protocol.LogRecord{Kind: protocol.RecHeuristic, Coord: string(c.coord), Commit: commit}, true)
 
 	for i, r := range c.resources {
 		if c.resVotes[i].Vote == protocol.VoteReadOnly && n.eng.cfg.Options.ReadOnly {

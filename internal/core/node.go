@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -9,51 +8,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
-
-// Transaction-manager log record kinds. LRM records (written by
-// resource managers such as kvstore) use their own kinds and are not
-// interpreted by the TM's recovery scan.
-const (
-	recAgentPending = "AgentPending" // PN leaf subordinate, before voting yes
-	recPrepared     = "Prepared"
-	recCommitted    = "Committed"
-	recAborted      = "Aborted"
-	recEnd          = "End"
-	recHeuristic    = "Heuristic"
-	// Paxos Commit acceptor records. PaxAccept is the acceptor's
-	// durable acceptance — at ballot 0 one bundled record covering
-	// every instance, at recovery ballots one per instance. PaxPromise
-	// is the forced promise not to accept lower ballots, with the
-	// acceptor's prior accepted state.
-	recPaxAccept  = "PaxAccept"
-	recPaxPromise = "PaxPromise"
-)
-
-// recPayload is the JSON body of TM records: enough for recovery to
-// rebuild the commit tree around this node.
-type recPayload struct {
-	Coord protocol.NodeID   `json:"coord,omitempty"`
-	Subs  []protocol.NodeID `json:"subs,omitempty"`
-	// Agent names the last agent a coordinator delegated the decision
-	// to; recovery must inquire it instead of presuming.
-	Agent protocol.NodeID `json:"agent,omitempty"`
-	// Commit records the heuristic choice on Heuristic records.
-	Commit bool `json:"commit,omitempty"`
-
-	// Paxos Commit fields (VariantPaxos records only).
-	Acceptors    []string  `json:"acceptors,omitempty"`    // 2f+1 acceptor membership
-	Participants []string  `json:"participants,omitempty"` // one Paxos instance per participant
-	Ballot       int       `json:"ballot,omitempty"`       // promised/accepted ballot
-	Insts        []paxInst `json:"insts,omitempty"`        // accepted instance values
-}
-
-// paxInst is one accepted (instance, ballot, value) triple in an
-// acceptor's durable state.
-type paxInst struct {
-	Inst   string `json:"inst"`
-	Ballot int    `json:"ballot"`
-	No     bool   `json:"no,omitempty"` // accepted value: true = VoteNo, false = VoteYes
-}
 
 // link is the persistent conversation state with one partner,
 // surviving across transactions (sessions in LU 6.2 terms).
@@ -135,9 +89,9 @@ func (n *Node) observeLog(l *wal.Log) {
 // logTx writes a TM record for a live transaction context, tracking
 // that the transaction has log presence (so completion knows to write
 // an END record).
-func (n *Node) logTx(c *txCtx, kind string, p recPayload, force bool) {
+func (n *Node) logTx(c *txCtx, r protocol.LogRecord, force bool) {
 	c.loggedAny = true
-	n.logRec(c.id, kind, p, force)
+	n.logRec(c.id, r, force)
 }
 
 // afterTx runs fn d from now for c, unless by then the node has
@@ -153,32 +107,31 @@ func (n *Node) afterTx(c *txCtx, d time.Duration, fn func(at time.Duration)) {
 }
 
 // logOutcome writes c's outcome record as a rule asks.
-func (n *Node) logOutcome(c *txCtx, commit bool, w protocol.Write, p recPayload) {
+func (n *Node) logOutcome(c *txCtx, commit bool, w protocol.Write, r protocol.LogRecord) {
 	if w == protocol.NoWrite {
 		return
 	}
-	kind := recAborted
+	r.Kind = protocol.RecAborted
 	if commit {
-		kind = recCommitted
+		r.Kind = protocol.RecCommitted
 	}
-	n.logTx(c, kind, p, w == protocol.Forced)
+	n.logTx(c, r, w == protocol.Forced)
 }
 
 // logRec writes a TM record; forced writes stall (advance) the node's
-// virtual clock via the log observer.
-func (n *Node) logRec(tx protocol.TxID, kind string, p recPayload, force bool) {
-	data, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("core: encode %s payload: %v", kind, err))
-	}
-	rec := wal.Record{Tx: tx.String(), Node: string(n.id), Kind: kind, Data: data}
+// virtual clock via the log observer. The engine runs one variant, so
+// every record announces it.
+func (n *Node) logRec(tx protocol.TxID, r protocol.LogRecord, force bool) {
+	r.Presume = n.eng.cfg.Variant
+	rec := wal.Record{Tx: tx.String(), Node: string(n.id), Kind: r.Kind, Data: r.Encode()}
+	var err error
 	if force {
 		_, err = n.log.Force(rec)
 	} else {
 		_, err = n.log.Append(rec)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("core: node %s log %s: %v", n.id, kind, err))
+		panic(fmt.Sprintf("core: node %s log %s: %v", n.id, r.Kind, err))
 	}
 }
 

@@ -59,27 +59,6 @@ func (n *Node) paxos(c *txCtx) *paxosCtx {
 	return c.pax
 }
 
-// record renders an acceptor step as a record payload.
-func (px *paxosCtx) record(step protocol.PaxosStep) recPayload {
-	insts := make([]paxInst, len(step.States))
-	for i, st := range step.States {
-		insts[i] = paxInst{Inst: st.Instance, Ballot: st.Ballot, No: st.Vote == protocol.VoteNo}
-	}
-	return recPayload{Acceptors: px.Acceptors, Participants: px.Participants, Ballot: step.Ballot, Insts: insts}
-}
-
-func instStates(insts []paxInst) []protocol.PaxosInstanceState {
-	out := make([]protocol.PaxosInstanceState, len(insts))
-	for i, in := range insts {
-		v := protocol.VoteYes
-		if in.No {
-			v = protocol.VoteNo
-		}
-		out[i] = protocol.PaxosInstanceState{Instance: in.Inst, Ballot: in.Ballot, Vote: v}
-	}
-	return out
-}
-
 // runPaxosPhase1 is the coordinator's fast path: no pre-force (the
 // acceptor quorum is the durable truth), Prepares announce the
 // acceptor membership, and the coordinator's own instance value goes
@@ -128,11 +107,8 @@ func (n *Node) paxosVoteUpstream(c *txCtx) {
 	}
 	// Read-only folds to Yes under Paxos: instances carry only Yes/No
 	// and every participant sees phase two.
-	n.logTx(c, recPrepared, recPayload{
-		Coord:        c.coord,
-		Acceptors:    px.Acceptors,
-		Participants: px.Participants,
-	}, true)
+	membership := px.Meta(0, "")
+	n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Paxos: &membership}, true)
 	c.state = stPrepared
 	px.Vote = protocol.VoteYes
 	n.paxosSendAccept0(c)
@@ -219,13 +195,13 @@ func (n *Node) paxosAcceptorCtx(from protocol.NodeID, m protocol.Message) (*txCt
 // and promise rules and do what they ask.
 func (n *Node) paxosAcceptLocal(c *txCtx, meta protocol.PaxosMeta, vote protocol.VoteValue) {
 	if step, ok := c.pax.Accept(meta.Ballot, meta.Instance, vote); ok {
-		n.paxosStep(c, recPaxAccept, protocol.NodeID(meta.Leader), step)
+		n.paxosStep(c, protocol.RecPaxAccept, protocol.NodeID(meta.Leader), step)
 	}
 }
 
 func (n *Node) paxosPromiseLocal(c *txCtx, meta protocol.PaxosMeta) {
 	if step, ok := c.pax.Promise(meta.Ballot); ok {
-		n.paxosStep(c, recPaxPromise, protocol.NodeID(meta.Leader), step)
+		n.paxosStep(c, protocol.RecPaxPromise, protocol.NodeID(meta.Leader), step)
 	}
 }
 
@@ -233,15 +209,15 @@ func (n *Node) paxosPromiseLocal(c *txCtx, meta protocol.PaxosMeta) {
 // PaxPromise), then reports its states to the ballot's leader.
 func (n *Node) paxosStep(c *txCtx, kind string, leader protocol.NodeID, step protocol.PaxosStep) {
 	px := c.pax
-	n.logTx(c, kind, px.record(step), step.Force)
+	n.logTx(c, px.Record(kind, step), step.Force)
 	reply := px.Meta(step.Ballot, string(leader))
 	reply.States = step.States
 	switch {
-	case leader == n.id && kind == recPaxAccept:
+	case leader == n.id && kind == protocol.RecPaxAccept:
 		n.paxosLeaderAcks(c, n.id, reply)
 	case leader == n.id:
 		n.paxosLeaderPromise(c, n.id, reply)
-	case kind == recPaxAccept:
+	case kind == protocol.RecPaxAccept:
 		n.send(leader, protocol.Message{
 			Type: protocol.MsgPaxosAccepted, Tx: c.id.String(),
 			Vote: step.Vote(), Payload: reply.Encode(),

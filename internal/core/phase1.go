@@ -76,14 +76,14 @@ func (n *Node) initiateCommit(tx protocol.TxID, done func(Result)) {
 		return
 	}
 	if pre := variant.PrePrepare(); pre != "" && (len(members) > 0 || len(n.resources) > 0) {
-		p := recPayload{Subs: memberIDs(members)}
+		r := protocol.LogRecord{Kind: pre, Subs: memberIDs(members)}
 		if agent := n.earlyLastAgent(c, members); agent != "" {
 			// Single-partner last-agent case: the pending record also
 			// covers the delegation (delegate forces no Prepared).
-			p.Agent = agent
+			r.Agent = string(agent)
 			c.pnPendingAgent = agent
 		}
-		n.logTx(c, pre, p, true)
+		n.logTx(c, r, true)
 		c.pnPendingLogged = true
 	}
 	n.runPhase1(c, members)
@@ -323,7 +323,7 @@ func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
 	}
 	if pre := n.eng.cfg.Variant.PrePrepare(); pre != "" && len(members) > 0 {
 		// A cascaded coordinator too (Figure 3).
-		n.logTx(c, pre, recPayload{Coord: c.coord, Subs: memberIDs(members)}, true)
+		n.logTx(c, protocol.LogRecord{Kind: pre, Coord: string(c.coord), Subs: memberIDs(members)}, true)
 		c.pnPendingLogged = true
 	}
 	n.runPhase1(c, members)
@@ -447,7 +447,7 @@ func (n *Node) delegate(c *txCtx) {
 	c.votedReadOnly = c.allReadOnly && n.eng.cfg.Options.ReadOnly
 	// A pre-prepare record naming the agent already covers it.
 	if !c.votedReadOnly && c.pnPendingAgent != la.id {
-		n.logTx(c, recPrepared, recPayload{Coord: c.coord, Agent: la.id, Subs: c.yesSubIDs(la.id)}, true)
+		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Agent: string(la.id), Subs: c.yesSubIDs(la.id)}, true)
 	}
 	n.trcState(c.id, "delegated to "+string(la.id))
 	n.send(la.id, n.delegation(c, false))
@@ -467,14 +467,14 @@ func (n *Node) delegation(c *txCtx, repeat bool) protocol.Message {
 
 // yesSubIDs lists partners that voted yes (phase-two recipients),
 // excluding the given agent and the coordinator.
-func (c *txCtx) yesSubIDs(exclude protocol.NodeID) []protocol.NodeID {
-	var out []protocol.NodeID
+func (c *txCtx) yesSubIDs(exclude protocol.NodeID) []string {
+	var out []string
 	for _, s := range c.orderedSubs() {
 		if s.id == exclude || (c.haveCoord && s.id == c.coord) {
 			continue
 		}
 		if s.voted && s.vote == protocol.VoteYes {
-			out = append(out, s.id)
+			out = append(out, string(s.id))
 		}
 	}
 	return out
@@ -516,11 +516,11 @@ func (n *Node) voteUpstream(c *txCtx) {
 		yes := c.yesSubIDs("")
 		pr := cfg.Variant.SubPrepare(len(yes) == 0)
 		if pr.AgentPending && !c.pnPendingLogged {
-			n.logTx(c, recAgentPending, recPayload{Coord: c.coord}, true)
+			n.logTx(c, protocol.LogRecord{Kind: protocol.RecAgentPending, Coord: string(c.coord)}, true)
 			c.pnPendingLogged = true
 		}
 		if pr.Prepared {
-			n.logTx(c, recPrepared, recPayload{Coord: c.coord, Subs: yes}, true)
+			n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Subs: yes}, true)
 		}
 		c.state = stPrepared
 		msg.Vote = protocol.VoteYes
@@ -598,10 +598,10 @@ func (n *Node) abortLocally(c *txCtx) {
 	n.phase2(c)
 }
 
-func memberIDs(members []*subInfo) []protocol.NodeID {
-	out := make([]protocol.NodeID, len(members))
+func memberIDs(members []*subInfo) []string {
+	out := make([]string, len(members))
 	for i, s := range members {
-		out[i] = s.id
+		out[i] = string(s.id)
 	}
 	return out
 }

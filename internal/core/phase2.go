@@ -33,7 +33,7 @@ func (n *Node) ownDecision(c *txCtx, commit bool) {
 		// it lazily voids every voter's delegated durability (AC3).
 		d.Write = protocol.Lazy
 	}
-	n.logOutcome(c, commit, d.Write, recPayload{Coord: c.coord, Subs: yes})
+	n.logOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: yes})
 	n.phase2(c)
 }
 
@@ -57,7 +57,7 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
 	a := n.eng.cfg.Variant.Apply(commit, c.loggedAny, true)
-	n.logOutcome(c, commit, a.Write, recPayload{Coord: c.coord, Subs: c.yesSubIDs("")})
+	n.logOutcome(c, commit, a.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs("")})
 	n.phase2(c)
 }
 
@@ -212,8 +212,8 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 		v := n.eng.cfg.Variant
 		if commit && !v.SubPrepare(true).Prepared {
 			if _, known := n.done[tx]; !known {
-				n.logRec(tx, recCommitted, recPayload{Coord: from}, false)
-				n.logRec(tx, recEnd, recPayload{}, false)
+				n.logRec(tx, protocol.LogRecord{Kind: protocol.RecCommitted, Coord: string(from)}, false)
+				n.logRec(tx, protocol.LogRecord{Kind: protocol.RecEnd}, false)
 				n.done[tx] = OutcomeCommitted
 			}
 		}
@@ -269,7 +269,7 @@ func (n *Node) coordinatorOutcome(c *txCtx, commit bool) {
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
 	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{ReadOnly: c.votedReadOnly, Logged: c.loggedAny})
-	n.logOutcome(c, commit, d.Write, recPayload{Coord: c.coord, Subs: c.yesSubIDs(c.coord)})
+	n.logOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs(c.coord)})
 	n.phase2(c)
 }
 
@@ -422,7 +422,7 @@ func (n *Node) completeApp(c *txCtx, status AckStatus) {
 // effect here, on successful commit.
 func (n *Node) writeEndAndForget(c *txCtx) {
 	if c.loggedAny {
-		n.logRec(c.id, recEnd, recPayload{}, false)
+		n.logRec(c.id, protocol.LogRecord{Kind: protocol.RecEnd}, false)
 	}
 	outcome := OutcomeAborted
 	if c.decisionCommit {

@@ -137,7 +137,7 @@ func TestPCTotalAmnesiaPresumesCommit(t *testing.T) {
 	// Fabricate the in-doubt state: S logs Prepared (as if its vote
 	// and everything after were lost to history), then both nodes
 	// crash. C restarts with an empty log — total amnesia.
-	s.logRec(tx.ID(), recPrepared, recPayload{Coord: "C"}, true)
+	s.logRec(tx.ID(), protocol.LogRecord{Kind: protocol.RecPrepared, Coord: "C"}, true)
 	eng.Crash("C")
 	eng.Crash("S")
 	eng.Restart("C", 2*time.Millisecond)

@@ -1,29 +1,12 @@
 package core
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
-
-// txScan is the recovery view of one transaction, folded from this
-// node's durable log records.
-type txScan struct {
-	order     int
-	pending   *recPayload // the pre-prepare record, or AgentPending
-	prepared  *recPayload
-	committed *recPayload
-	aborted   *recPayload
-	heuristic *recPayload
-	end       bool
-
-	// Paxos Commit acceptor state (VariantPaxos).
-	paxAccepts []*recPayload // every PaxAccept record, in log order
-	paxPromise *recPayload   // highest-ballot PaxPromise
-}
 
 // restart recovers the node from its durable log: the variant's
 // presumption rules decide, for every unfinished transaction, whether
@@ -44,112 +27,50 @@ func (n *Node) restart() {
 		n.trcApp("restart: log scan failed: " + err.Error())
 		return
 	}
-	scans := make(map[string]*txScan)
-	var order []string
-	for i, rec := range recs {
-		if rec.Node != string(n.id) {
-			continue // records written by co-located LRMs
-		}
-		kind := rec.Kind
-		if _, ok := protocol.VariantByPrePrepare(kind); ok {
-			// The coordinator's pre-prepare record, named by the
-			// rulebook: recovery reads it as it reads AgentPending.
-			kind = recAgentPending
-		}
-		var p recPayload
-		switch kind {
-		case recAgentPending, recPrepared, recCommitted, recAborted, recHeuristic,
-			recPaxAccept, recPaxPromise:
-			if err := json.Unmarshal(rec.Data, &p); err != nil {
-				n.trcApp("restart: bad record payload for " + rec.Tx)
-				continue
-			}
-		case recEnd:
-			// no payload
-		default:
-			continue // LRM record kinds
-		}
-		sc, ok := scans[rec.Tx]
-		if !ok {
-			sc = &txScan{order: i}
-			scans[rec.Tx] = sc
-			order = append(order, rec.Tx)
-		}
-		switch kind {
-		case recAgentPending:
-			cp := p
-			sc.pending = &cp
-		case recPrepared:
-			cp := p
-			sc.prepared = &cp
-		case recCommitted:
-			cp := p
-			sc.committed = &cp
-		case recAborted:
-			cp := p
-			sc.aborted = &cp
-		case recHeuristic:
-			cp := p
-			sc.heuristic = &cp
-		case recPaxAccept:
-			cp := p
-			sc.paxAccepts = append(sc.paxAccepts, &cp)
-		case recPaxPromise:
-			cp := p
-			if sc.paxPromise == nil || cp.Ballot > sc.paxPromise.Ballot {
-				sc.paxPromise = &cp
-			}
-		case recEnd:
-			sc.end = true
-		}
-	}
-	for _, txs := range order {
-		n.recoverTx(protocol.ParseTxID(txs), scans[txs])
+	for _, l := range protocol.ReplayLog(recs, string(n.id)) {
+		n.recoverTx(protocol.ParseTxID(l.Tx), &l)
 	}
 }
 
-// recoverTx reinstates one transaction from its scan.
-func (n *Node) recoverTx(tx protocol.TxID, sc *txScan) {
+// recoverTx reinstates one transaction from what its log proves.
+func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
+	d := l.Decision
 	switch {
-	case sc.end:
+	case l.Ended:
 		// Fully complete; remember the outcome for duplicate traffic.
 		switch {
-		case sc.committed != nil:
-			n.done[tx] = OutcomeCommitted
-		case sc.aborted != nil:
-			n.done[tx] = OutcomeAborted
-		default:
+		case d == nil:
 			n.done[tx] = OutcomeUnknown
+		case d.Kind == protocol.RecCommitted:
+			n.done[tx] = OutcomeCommitted
+		default:
+			n.done[tx] = OutcomeAborted
 		}
 
-	case sc.heuristic != nil:
+	case l.Heuristic != nil:
 		// A unilateral decision was taken and the real outcome is
 		// still unknown: reinstate and inquire so damage can be
 		// detected and reported.
 		c := n.ctx(tx)
 		c.state = stHeurDone
 		c.loggedAny = true
-		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: sc.heuristic.Commit}
-		c.coord = sc.heuristic.Coord
+		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: l.Heuristic.Commit}
+		c.coord = protocol.NodeID(l.Heuristic.Coord)
 		c.haveCoord = c.coord != ""
 		if c.haveCoord {
 			n.scheduleInquiry(c, 0)
 		}
 
-	case sc.committed != nil:
-		n.resumeOutcome(tx, sc.committed, true)
-
-	case sc.aborted != nil:
-		n.resumeOutcome(tx, sc.aborted, false)
+	case d != nil:
+		n.resumeOutcome(tx, d, d.Kind == protocol.RecCommitted)
 
 	case n.eng.cfg.Variant == protocol.VariantPaxos &&
-		(len(sc.paxAccepts) > 0 || sc.paxPromise != nil ||
-			(sc.prepared != nil && len(sc.prepared.Acceptors) > 0)):
-		n.recoverPaxosTx(tx, sc)
+		(l.Acceptor || (l.Prepared != nil && l.Prepared.Paxos != nil && len(l.Prepared.Paxos.Acceptors) > 0)):
+		n.recoverPaxosTx(tx, l)
 
-	case sc.prepared != nil:
-		if sc.prepared.Agent != "" {
-			n.resumeDelegation(tx, sc.prepared)
+	case l.Prepared != nil:
+		if l.Prepared.Agent != "" {
+			n.resumeDelegation(tx, l.Prepared)
 			return
 		}
 		// In doubt: voted yes, outcome unknown. Reinstate and inquire
@@ -157,11 +78,11 @@ func (n *Node) recoverTx(tx protocol.TxID, sc *txScan) {
 		c := n.ctx(tx)
 		c.state = stInDoubt
 		c.loggedAny = true
-		c.coord = sc.prepared.Coord
+		c.coord = protocol.NodeID(l.Prepared.Coord)
 		c.haveCoord = c.coord != ""
-		for _, s := range sc.prepared.Subs {
-			c.sub(s).voted = true
-			c.sub(s).vote = protocol.VoteYes
+		for _, s := range l.Prepared.Subs {
+			c.sub(protocol.NodeID(s)).voted = true
+			c.sub(protocol.NodeID(s)).vote = protocol.VoteYes
 		}
 		n.trcState(tx, "in doubt after restart")
 		if c.haveCoord {
@@ -169,26 +90,26 @@ func (n *Node) recoverTx(tx protocol.TxID, sc *txScan) {
 		}
 		n.armHeuristic(c)
 
-	case sc.pending != nil:
+	case l.Pre != nil:
 		// PN coordinator (or leaf that crashed between its pending
 		// and prepared forces).
-		if sc.pending.Agent != "" {
+		if l.Pre.Agent != "" {
 			// The pending record covers a delegation.
-			n.resumeDelegation(tx, sc.pending)
+			n.resumeDelegation(tx, l.Pre)
 			return
 		}
-		if len(sc.pending.Subs) > 0 {
+		if len(l.Pre.Subs) > 0 {
 			// Coordinator crashed during phase one: no decision was
 			// made, so abort — and, presuming nothing, drive every
 			// subordinate to the abort and collect their
 			// acknowledgments (they may hold heuristic reports).
 			c := n.ctx(tx)
 			c.loggedAny = true
-			c.coord = sc.pending.Coord
+			c.coord = protocol.NodeID(l.Pre.Coord)
 			c.haveCoord = c.coord != ""
 			c.isRoot = !c.haveCoord
-			for _, s := range sc.pending.Subs {
-				si := c.sub(s)
+			for _, s := range l.Pre.Subs {
+				si := c.sub(protocol.NodeID(s))
 				si.prepareSent = true
 				si.voted = true
 				si.vote = protocol.VoteYes
@@ -207,23 +128,24 @@ func (n *Node) recoverTx(tx protocol.TxID, sc *txScan) {
 // agent and crashed before learning the decision: the agent owns the
 // outcome, so the coordinator is in doubt and asks it again by
 // repeating the delegation (armDelegationWatch).
-func (n *Node) resumeDelegation(tx protocol.TxID, p *recPayload) {
+func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
 	c := n.ctx(tx)
 	c.state = stDelegated
 	c.loggedAny = true
-	c.coord = p.Coord
+	c.coord = protocol.NodeID(p.Coord)
 	c.haveCoord = c.coord != ""
 	c.isRoot = !c.haveCoord
+	agent := protocol.NodeID(p.Agent)
 	for _, s := range p.Subs {
-		if s != p.Agent {
-			c.sub(s).voted = true
-			c.sub(s).vote = protocol.VoteYes
+		if id := protocol.NodeID(s); id != agent {
+			c.sub(id).voted = true
+			c.sub(id).vote = protocol.VoteYes
 		}
 	}
-	c.sub(p.Agent).isLastAgent = true
-	n.trcState(tx, "restart: delegated to "+string(p.Agent)+", asking again")
-	n.send(p.Agent, n.delegation(c, true))
-	n.armDelegationWatch(c, p.Agent)
+	c.sub(agent).isLastAgent = true
+	n.trcState(tx, "restart: delegated to "+p.Agent+", asking again")
+	n.send(agent, n.delegation(c, true))
+	n.armDelegationWatch(c, agent)
 }
 
 // recoverPaxosTx reinstates an undecided Paxos Commit transaction from
@@ -231,7 +153,7 @@ func (n *Node) resumeDelegation(tx protocol.TxID, p *recPayload) {
 // back in doubt, restores its acceptor state (promised ballot and
 // accepted instance values), and leads a staggered recovery round to
 // learn the outcome from the acceptor quorum.
-func (n *Node) recoverPaxosTx(tx protocol.TxID, sc *txScan) {
+func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 	c := n.ctx(tx)
 	c.loggedAny = true
 	c.state = stInDoubt
@@ -239,9 +161,11 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, sc *txScan) {
 	// Membership travels on every durable Paxos record; the first
 	// record carrying it sticks.
 	px := n.paxos(c)
-	if sc.prepared != nil {
-		px.Adopt(sc.prepared.Acceptors, sc.prepared.Participants)
-		c.coord = sc.prepared.Coord
+	if p := l.Prepared; p != nil {
+		if p.Paxos != nil {
+			px.Adopt(p.Paxos.Acceptors, p.Paxos.Participants)
+		}
+		c.coord = protocol.NodeID(p.Coord)
 		c.haveCoord = c.coord != ""
 		px.Vote = protocol.VoteYes // our Prepared record survived
 	} else {
@@ -251,14 +175,7 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, sc *txScan) {
 		px.Vote = protocol.VoteNo
 	}
 	px.VoteSent = true
-	for _, p := range sc.paxAccepts {
-		px.Adopt(p.Acceptors, p.Participants)
-		px.Restore(true, p.Ballot, instStates(p.Insts))
-	}
-	if p := sc.paxPromise; p != nil {
-		px.Adopt(p.Acceptors, p.Participants)
-		px.Restore(false, p.Ballot, instStates(p.Insts))
-	}
+	l.RestoreAcceptor(&px.PaxosTx)
 	c.isRoot = len(px.Participants) > 0 && px.Participants[0] == px.Self
 
 	n.trcState(tx, "in doubt after restart (paxos)")
@@ -277,20 +194,21 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, sc *txScan) {
 // resumeOutcome re-enters phase two for a transaction whose decision
 // record survived: subordinates are re-notified (idempotently), acks
 // re-collected, and — for a subordinate — the ack upstream re-sent.
-func (n *Node) resumeOutcome(tx protocol.TxID, p *recPayload, commit bool) {
+func (n *Node) resumeOutcome(tx protocol.TxID, p *protocol.LogRecord, commit bool) {
 	c := n.ctx(tx)
 	c.decided = true
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
 	c.loggedAny = true
-	c.coord = p.Coord
-	c.haveCoord = p.Coord != ""
+	c.coord = protocol.NodeID(p.Coord)
+	c.haveCoord = c.coord != ""
 	c.isRoot = !c.haveCoord
 	c.state = stCommitting
 	n.trcState(tx, "restart: resuming phase two")
 
 	out := protocol.OutcomeMessage(tx.String(), commit)
-	for _, id := range p.Subs {
+	for _, sub := range p.Subs {
+		id := protocol.NodeID(sub)
 		s := c.sub(id)
 		s.voted = true
 		s.vote = protocol.VoteYes

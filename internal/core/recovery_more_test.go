@@ -204,7 +204,7 @@ func TestPNLeafCrashBetweenPendingAndPrepared(t *testing.T) {
 
 	// Write an AgentPending record by hand, as if the crash had split
 	// the two forces, then crash and restart.
-	s.logRec(tx.ID(), recAgentPending, recPayload{Coord: "C"}, true)
+	s.logRec(tx.ID(), protocol.LogRecord{Kind: protocol.RecAgentPending, Coord: "C"}, true)
 	eng.Crash("S")
 	eng.Restart("S", 5*time.Millisecond)
 	eng.Drain()

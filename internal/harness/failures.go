@@ -111,20 +111,20 @@ func runFailureCell(v protocol.Variant, p CrashPoint) (FailureOutcome, error) {
 			return eng.Metrics().Node("S").MessagesReceived >= 2 // data + prepare
 		case CrashSubAfterPrepare:
 			victim = "S"
-			return hasRecord(eng, "S", "Prepared")
+			return hasRecord(eng, "S", protocol.RecPrepared)
 		case CrashCoordBeforeDecision:
 			victim = "C"
 			// The vote is in flight: S has forced Prepared but C has
 			// not yet processed the delivery (a decision would be
 			// taken in the same event). Crashing here loses the vote
 			// and leaves the coordinator without any decision record.
-			return hasRecord(eng, "S", "Prepared") && eng.Metrics().Node("C").MessagesReceived == 0
+			return hasRecord(eng, "S", protocol.RecPrepared) && eng.Metrics().Node("C").MessagesReceived == 0
 		case CrashCoordAfterCommit:
 			victim = "C"
-			return hasRecord(eng, "C", "Committed")
+			return hasRecord(eng, "C", protocol.RecCommitted)
 		case CrashSubAfterCommit:
 			victim = "S"
-			return hasRecord(eng, "S", "Committed")
+			return hasRecord(eng, "S", protocol.RecCommitted)
 		}
 		return false
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -96,10 +95,10 @@ func (s *Store) markSnapshot() (mark int64, open map[string]bool, pairs []kv, er
 		pairs = append(pairs, kv{k, v})
 	}
 	open = make(map[string]bool, len(s.txs))
-	names := protocol.AppendUvarint(nil, uint64(len(s.txs)))
+	names := wal.AppendUvarint(nil, uint64(len(s.txs)))
 	for _, st := range s.txs {
 		open[st.owner] = true
-		names = protocol.AppendLenString(names, st.owner)
+		names = wal.AppendLenString(names, st.owner)
 	}
 	mark, err = s.log.Append(wal.Record{Node: s.name, Kind: recSnapshotMark, Data: names})
 	if err != nil {
@@ -116,9 +115,9 @@ func (s *Store) writeSnapshot(pairs []kv) error {
 	for _, p := range pairs {
 		size += 2*binary.MaxVarintLen64 + len(p.k) + len(p.v)
 	}
-	data := protocol.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
+	data := wal.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
 	for _, p := range pairs {
-		data = protocol.AppendLenString(protocol.AppendLenString(data, p.k), p.v)
+		data = wal.AppendLenString(wal.AppendLenString(data, p.k), p.v)
 	}
 	clear(pairs)
 	s.snapBuf = pairs[:0]
@@ -155,14 +154,14 @@ var errSnapshotCorrupt = errors.New("kvstore: corrupt snapshot record")
 
 // decodeStrings reads a mark's open-transaction list.
 func decodeStrings(b []byte) ([]string, error) {
-	n, b, ok := protocol.CutUvarint(b)
+	n, b, ok := wal.CutUvarint(b)
 	if !ok || n > uint64(len(b)) {
 		return nil, errSnapshotCorrupt
 	}
 	out := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var f []byte
-		if f, b, ok = protocol.CutLenBytes(b); !ok {
+		if f, b, ok = wal.CutLenBytes(b); !ok {
 			return nil, errSnapshotCorrupt
 		}
 		out = append(out, string(f))
@@ -175,16 +174,16 @@ func decodeStrings(b []byte) ([]string, error) {
 
 // decodeSnapshot reads a snapshot record into data.
 func decodeSnapshot(b []byte, data map[string]string) error {
-	n, b, ok := protocol.CutUvarint(b)
+	n, b, ok := wal.CutUvarint(b)
 	if !ok || n > uint64(len(b)) {
 		return errSnapshotCorrupt
 	}
 	for i := uint64(0); i < n; i++ {
 		var k, v []byte
-		if k, b, ok = protocol.CutLenBytes(b); !ok {
+		if k, b, ok = wal.CutLenBytes(b); !ok {
 			return errSnapshotCorrupt
 		}
-		if v, b, ok = protocol.CutLenBytes(b); !ok {
+		if v, b, ok = wal.CutLenBytes(b); !ok {
 			return errSnapshotCorrupt
 		}
 		data[string(k)] = string(v)

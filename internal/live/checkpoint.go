@@ -23,7 +23,7 @@ func checkpointFloor(s wal.Store) int64 {
 // therefore means "all acks in": a replayed decision without one is
 // pinned again, waiting on the acks its record names.
 func (p *Participant) endCoord(tx string, ledger bool) {
-	if err := p.lazy(wal.Record{Tx: tx, Node: p.name, Kind: "End"}); err != nil {
+	if err := p.lazy(wal.Record{Tx: tx, Node: p.name, Kind: protocol.RecEnd}); err != nil {
 		return
 	}
 	p.releasePin(tx)
@@ -57,25 +57,6 @@ func (p *Participant) setPinRedo(tx string, redo []byte) {
 		sh.pinned[tx] = pe
 	}
 	sh.mu.Unlock()
-}
-
-// ackersData is a decision record's payload naming the subordinates
-// whose acknowledgments the decision is owed, comma-separated like the
-// membership of a Pending or Collecting record. A replayed decision
-// without End waits on them again.
-func ackersData(subs []string) []byte {
-	n := len(subs)
-	for _, s := range subs {
-		n += len(s)
-	}
-	b := make([]byte, 0, n)
-	for i, s := range subs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, s...)
-	}
-	return b
 }
 
 // awaitLateAcks hands the acknowledgments a coordinator is still owed

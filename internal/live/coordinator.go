@@ -78,7 +78,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// presumptions hold through a coordinator crash.
 	kind := v.PrePrepare()
 	if kind != "" {
-		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: kind, Data: []byte(strings.Join(subs, ","))}); err != nil {
+		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: kind, Data: protocol.LogRecord{Kind: kind, Subs: subs}.Encode()}); err != nil {
 			return p.abortTx(tx, txName, subs, v, protocol.Round{}), fmt.Errorf("live: force %s record: %w", strings.ToLower(kind), err)
 		}
 	}
@@ -208,14 +208,14 @@ func (p *Participant) decideCommit(ctx context.Context, st *txState, tx protocol
 // a replay without End waits on again. A logless vote's record also
 // embeds every voter's redo: it is the only stable state in the tree.
 func commitRecord(txName, node string, yes []string, redos [][]byte, d protocol.Decision) wal.Record {
-	rec := wal.Record{Tx: txName, Node: node, Kind: "Committed"}
+	r := protocol.LogRecord{Kind: protocol.RecCommitted}
 	switch {
 	case d.Redo:
-		rec.Data = protocol.OnePhaseMeta{Subs: yes, Redos: redos}.Encode()
-	case d.Acked && len(yes) > 0:
-		rec.Data = ackersData(yes)
+		r.OnePhase, r.Subs, r.Redos = true, yes, redos
+	case d.Acked:
+		r.Subs = yes
 	}
-	return rec
+	return wal.Record{Tx: txName, Node: node, Kind: r.Kind, Data: r.Encode()}
 }
 
 // commitPhaseTwo publishes a logged commit decision, completes the
@@ -291,7 +291,8 @@ func (p *Participant) delegate(ctx context.Context, st *txState, tx protocol.TxI
 	// The live pre-prepare record names no agent, so it cannot stand
 	// for the delegation record.
 	if !dl.rd.ReadOnly {
-		rec := wal.Record{Tx: txName, Node: p.name, Kind: "Prepared", Data: delegationData(v, agent, yes)}
+		r := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: v, Agent: agent, Subs: yes}
+		rec := wal.Record{Tx: txName, Node: p.name, Kind: r.Kind, Data: r.Encode()}
 		if err := p.force(rec); err != nil {
 			return p.abortTx(tx, txName, yes, v, dl.rd), fmt.Errorf("live: force delegation record: %w", err)
 		}
@@ -485,9 +486,9 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 func (p *Participant) abortTx(tx protocol.TxID, txName string, subs []string, v protocol.Variant, rd protocol.Round) Outcome {
 	d := v.Decide(false, rd)
 	acks := d.Acked && len(subs) > 0
-	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Aborted"}
+	rec := wal.Record{Tx: txName, Node: p.name, Kind: protocol.RecAborted}
 	if acks {
-		rec.Data = ackersData(subs)
+		rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: subs}.Encode()
 	}
 	_ = p.write(rec, d.Write)
 	p.recordDecision(txName, false, acks)

@@ -10,8 +10,11 @@ import (
 	"repro/internal/wal"
 )
 
+// TestPresumeDataRoundTrip pins the Prepared payload a subordinate
+// forces for each variant — the bytes are on disk in existing logs —
+// and checks a restart reads each back as the presumption it was
+// written with.
 func TestPresumeDataRoundTrip(t *testing.T) {
-	// The payload bytes are on disk in existing logs: pin them exactly.
 	want := map[protocol.Variant]string{
 		protocol.VariantBaseline: "PresumeNothing",
 		protocol.VariantPA:       "PresumeAbort",
@@ -20,24 +23,59 @@ func TestPresumeDataRoundTrip(t *testing.T) {
 		protocol.VariantPaxos:    "PresumePaxos",
 		protocol.Variant1PC:      "Presume1PC",
 	}
-	for v := protocol.VariantBaseline; v <= protocol.Variant1PC; v++ {
-		if got := string(presumeData(v)); got != want[v] {
-			t.Errorf("presumeData(%v) = %q, want %q", v, got, want[v])
-		}
-		got, ok := presumeFromData(presumeData(v))
-		if !ok || got != v {
-			t.Errorf("round trip of %v = %v, %v", v, got, ok)
-		}
-	}
 	if len(want) != int(protocol.Variant1PC)+1 {
 		t.Fatalf("pinned %d payloads for %d variants", len(want), int(protocol.Variant1PC)+1)
 	}
-	if _, ok := presumeFromData(nil); ok {
-		t.Error("empty payload decoded as a known presumption")
+	payloads := make(map[string][]byte)
+	for v := protocol.VariantBaseline; v <= protocol.Variant1PC; v++ {
+		// As the subordinate builds its yes vote's record.
+		b := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: v}.Encode()
+		if string(b) != want[v] {
+			t.Errorf("Prepared payload of %v = %q, want %q", v, b, want[v])
+		}
+		payloads[protocol.TxID{Origin: "C", Seq: uint64(v) + 1}.String()] = b
 	}
-	if _, ok := presumeFromData([]byte("garbage")); ok {
-		t.Error("garbage payload decoded as a known presumption")
+	empty := protocol.TxID{Origin: "C", Seq: 100}.String()
+	garbage := protocol.TxID{Origin: "C", Seq: 101}.String()
+	payloads[empty] = nil
+	payloads[garbage] = []byte("garbage")
+
+	prepared := restartPrepared(t, "S", payloads)
+	for v := protocol.VariantBaseline; v <= protocol.Variant1PC; v++ {
+		tx := protocol.TxID{Origin: "C", Seq: uint64(v) + 1}.String()
+		if r := prepared[tx]; r == nil || r.Presume != v {
+			t.Errorf("%s written as %v reads back as %+v", tx, v, r)
+		}
 	}
+	// A payload that names no presumption presumes nothing, and is
+	// still in doubt.
+	for _, tx := range []string{empty, garbage} {
+		if r := prepared[tx]; r == nil || r.Presume != protocol.VariantBaseline || r.Agent != "" {
+			t.Errorf("%s (%q) reads back as %+v", tx, payloads[tx], r)
+		}
+	}
+}
+
+// restartPrepared logs one forced Prepared record per transaction for
+// self, then reads the log as a restarting participant does and
+// returns the in-doubt transactions' Prepared records.
+func restartPrepared(t *testing.T, self string, payloads map[string][]byte) map[string]*protocol.LogRecord {
+	t.Helper()
+	store := wal.NewMemStore()
+	for tx, data := range payloads {
+		store.Append(wal.Record{Tx: tx, Node: self, Kind: protocol.RecPrepared, Data: data, Forced: true})
+	}
+	store.Sync()
+	net := netsim.NewChanNetwork()
+	p := NewParticipant(self, net.Endpoint(self), wal.New(store), nil)
+	inDoubt, prepared, err := p.scanInDoubt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inDoubt) != len(payloads) {
+		t.Fatalf("in doubt after restart: %v, want %d transactions", inDoubt, len(payloads))
+	}
+	return prepared
 }
 
 // TestLiveInquiryDuringCollectionAnswersInProgress pins the fix for
@@ -92,14 +130,14 @@ func TestLiveCoordinatorRestartAnswersFromLog(t *testing.T) {
 	tx := protocol.TxID{Origin: "C", Seq: 80}.String()
 
 	coordStore := wal.NewMemStore()
-	coordStore.Append(wal.Record{Tx: tx, Node: "C", Kind: "Collecting", Data: []byte("S"), Forced: true})
+	coordStore.Append(wal.Record{Tx: tx, Node: "C", Kind: protocol.RecCollecting, Data: []byte("S"), Forced: true})
 	coordStore.Sync()
 	coordLog := wal.New(coordStore)
 	coord := NewParticipant("C", net.Endpoint("C"), coordLog, nil, WithVariant(protocol.VariantPC))
 
 	subStore := wal.NewMemStore()
-	subStore.Append(wal.Record{Tx: tx, Node: "S", Kind: "Prepared",
-		Data: presumeData(protocol.VariantPC), Forced: true})
+	subStore.Append(wal.Record{Tx: tx, Node: "S", Kind: protocol.RecPrepared,
+		Data: []byte("PresumeCommit"), Forced: true})
 	subStore.Sync()
 	subLog := wal.New(subStore)
 	sub := NewParticipant("S", net.Endpoint("S"), subLog,
@@ -154,11 +192,11 @@ func TestLivePreparedRecordCarriesPresumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.Node != "S" || r.Kind != "Prepared" {
+		if r.Node != "S" || r.Kind != protocol.RecPrepared {
 			continue
 		}
-		if pr, ok := presumeFromData(r.Data); !ok || pr != protocol.VariantPC {
-			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PC", pr, ok)
+		if pr, err := protocol.DecodeLogRecord(r.Kind, r.Data); err != nil || pr.Presume != protocol.VariantPC {
+			t.Fatalf("Prepared payload decodes to %+v (%v), want PC", pr, err)
 		}
 		return
 	}

@@ -204,9 +204,9 @@ func hasDelegation(log *wal.Log, tx string) (bool, error) {
 		return false, err
 	}
 	for _, r := range recs {
-		if r.Node == "C" && r.Tx == tx && r.Kind == "Prepared" && r.Forced {
-			_, agent, _, ok := decodeDelegation(r.Data)
-			return ok && agent == "A", nil
+		if r.Node == "C" && r.Tx == tx && r.Kind == protocol.RecPrepared && r.Forced {
+			d, err := protocol.DecodeLogRecord(r.Kind, r.Data)
+			return err == nil && d.Agent == "A", nil
 		}
 	}
 	return false, nil
@@ -218,25 +218,35 @@ func rcDone(r *protocol.StaticResource, tx string) bool {
 }
 
 // TestDelegationDataRoundTrip pins the delegation record's payload and
-// keeps the Prepared payloads already on disk decoding as before.
+// checks a restart reads it back as a delegation, while the Prepared
+// payloads of plain yes votes already on disk still read as votes.
 func TestDelegationDataRoundTrip(t *testing.T) {
-	b := delegationData(protocol.VariantPN, "A", []string{"S1", "S2"})
+	// As the coordinator builds its delegation record.
+	b := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: protocol.VariantPN, Agent: "A", Subs: []string{"S1", "S2"}}.Encode()
 	if got := string(b); got != "dlg1 PresumePending A S1 S2" {
-		t.Fatalf("delegationData = %q", got)
+		t.Fatalf("delegation payload = %q", got)
 	}
-	v, agent, yes, ok := decodeDelegation(b)
-	if !ok || v != protocol.VariantPN || agent != "A" || strings.Join(yes, ",") != "S1,S2" {
-		t.Fatalf("decodeDelegation = %v %q %v %v", v, agent, yes, ok)
+	alone := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: protocol.VariantPA, Agent: "A"}.Encode()
+	if got := string(alone); got != "dlg1 PresumeAbort A" {
+		t.Fatalf("delegation payload with no other yes-voter = %q", got)
 	}
-	if v, _, yes, ok := decodeDelegation(delegationData(protocol.VariantPA, "A", nil)); !ok || v != protocol.VariantPA || len(yes) != 0 {
-		t.Fatalf("no other yes-voters: %v %v %v", v, yes, ok)
+	txName := func(seq uint64) string { return protocol.TxID{Origin: "C", Seq: seq}.String() }
+	payloads := map[string][]byte{txName(1): b, txName(2): alone}
+	notDelegations := []string{"PresumeAbort", "pax1 b=0", "", "dlg1 PresumeAbort", "dlg1 NoSuch A S1"}
+	for i, old := range notDelegations {
+		payloads[txName(uint64(10+i))] = []byte(old)
 	}
-	if v, ok := presumeFromData(b); !ok || v != protocol.VariantPN {
-		t.Fatalf("presumeFromData(delegation) = %v, %v", v, ok)
+
+	prepared := restartPrepared(t, "C", payloads)
+	if r := prepared[txName(1)]; r == nil || r.Presume != protocol.VariantPN || r.Agent != "A" || strings.Join(r.Subs, ",") != "S1,S2" {
+		t.Fatalf("delegation reads back as %+v", r)
 	}
-	for _, old := range []string{"PresumeAbort", "pax1 b=0", "", "dlg1 PresumeAbort", "dlg1 NoSuch A S1"} {
-		if _, _, _, ok := decodeDelegation([]byte(old)); ok {
-			t.Errorf("%q decoded as a delegation record", old)
+	if r := prepared[txName(2)]; r == nil || r.Presume != protocol.VariantPA || r.Agent != "A" || len(r.Subs) != 0 {
+		t.Fatalf("delegation with no other yes-voter reads back as %+v", r)
+	}
+	for i, old := range notDelegations {
+		if r := prepared[txName(uint64(10+i))]; r == nil || r.Agent != "" {
+			t.Errorf("%q reads back as %+v, a delegation", old, r)
 		}
 	}
 }

@@ -32,7 +32,6 @@ package live
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,7 +286,12 @@ func fnvMore(h int64, s string) int64 {
 // its presumption variants depend on it answering definitively. Once
 // the replay is done, the participant checkpoints its own log as it
 // grows (see Checkpoint).
-func (p *Participant) Start() {
+//
+// If the log cannot be read, Start returns the error and serves
+// nothing: a participant that lost its memory of decided transactions
+// would answer a prepared subordinate's inquiry by presumption, which
+// under presumed abort contradicts a commit on disk.
+func (p *Participant) Start() error {
 	if p.met != nil || p.trc != nil {
 		node, reg, trc := p.name, p.met, p.trc
 		p.log.SetObserver(func(rec wal.Record) {
@@ -297,7 +301,9 @@ func (p *Participant) Start() {
 			trc.Add(trace.Event{Node: node, Kind: trace.KindLogWrite, Tx: rec.Tx, Detail: rec.Kind, Forced: rec.Forced})
 		})
 	}
-	p.replayLog()
+	if err := p.replayLog(); err != nil {
+		return err
+	}
 	p.ckptFloor.Store(checkpointFloor(p.log.Store()))
 	p.wg.Add(1)
 	go func() {
@@ -314,6 +320,7 @@ func (p *Participant) Start() {
 			}
 		}
 	}()
+	return nil
 }
 
 // Stop shuts the participant down and waits for in-flight handlers.
@@ -632,9 +639,9 @@ func (p *Participant) routeVote(from string, m protocol.Message) {
 func (p *Participant) abortForgotten(tx string, v protocol.Variant, rd protocol.Round, owed []string) {
 	d := v.Decide(false, rd)
 	acked := d.Acked && len(owed) > 0
-	rec := wal.Record{Tx: tx, Node: p.name, Kind: "Aborted"}
+	rec := wal.Record{Tx: tx, Node: p.name, Kind: protocol.RecAborted}
 	if acked {
-		rec.Data = ackersData(owed)
+		rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: owed}.Encode()
 	}
 	if err := p.write(rec, d.Write); err != nil {
 		return // crashed again; the next restart retries
@@ -786,41 +793,4 @@ func (p *Participant) countRetry() {
 	if p.met != nil {
 		p.met.Retry(p.name)
 	}
-}
-
-// presumeData encodes a variant for a Prepared record's payload, so
-// recovery restores the announced variant rather than guessing.
-func presumeData(v protocol.Variant) []byte { return []byte(v.PresumeName()) }
-
-// delegationData is a delegating coordinator's Prepared payload, so a
-// restart asks the last agent and tells the other yes-voters:
-// "dlg1 <presumption> <agent> <yes-voter>...".
-func delegationData(v protocol.Variant, agent string, yes []string) []byte {
-	return []byte(strings.Join(append([]string{"dlg1", v.PresumeName(), agent}, yes...), " "))
-}
-
-// decodeDelegation reads a delegationData payload; ok is false for
-// any other Prepared payload.
-func decodeDelegation(b []byte) (v protocol.Variant, agent string, yes []string, ok bool) {
-	f := strings.Fields(string(b))
-	if len(f) < 3 || f[0] != "dlg1" {
-		return 0, "", nil, false
-	}
-	v, ok = protocol.VariantByPresumeName(f[1])
-	return v, f[2], f[3:], ok
-}
-
-// presumeFromData decodes a Prepared record's payload to the variant
-// it announces; ok is false for a missing or unrecognized payload
-// (e.g. a record written before presumptions were persisted).
-func presumeFromData(b []byte) (protocol.Variant, bool) {
-	// A Paxos Prepared record carries the transaction's Paxos membership
-	// rather than a presumption name: recovery needs the acceptor set.
-	if len(b) > 5 && string(b[:5]) == "pax1 " {
-		return protocol.VariantPaxos, true
-	}
-	if v, _, _, ok := decodeDelegation(b); ok {
-		return v, true
-	}
-	return protocol.VariantByPresumeName(string(b))
 }

@@ -208,10 +208,10 @@ fast:
 // round already told every participant; firstClass marks the fast
 // path's Commit flows (recovery deliveries are extra flows).
 func (p *Participant) paxosCoordFinish(st *txState, tx protocol.TxID, txName string, subs []string, commit, broadcast, firstClass bool) Outcome {
-	rec := wal.Record{Tx: txName, Node: p.name, Kind: "Committed"}
+	rec := wal.Record{Tx: txName, Node: p.name, Kind: protocol.RecCommitted}
 	out, delivered := Committed, len(subs)
 	if !commit {
-		rec.Kind, out, delivered = "Aborted", Aborted, -1
+		rec.Kind, out, delivered = protocol.RecAborted, Aborted, -1
 	}
 	_ = p.lazy(rec)
 	// The coordinator is always one of the transaction's acceptors:
@@ -231,7 +231,7 @@ func (p *Participant) paxosCoordFinish(st *txState, tx protocol.TxID, txName str
 			}
 		}
 	}
-	if p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: "End"}) == nil && p.met != nil {
+	if p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: protocol.RecEnd}) == nil && p.met != nil {
 		p.met.CostNodeDone(txName, p.name)
 	}
 	return out
@@ -263,7 +263,9 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 		vote = protocol.VoteYes
 	}
 	if vote == protocol.VoteYes {
-		if err := p.force(wal.Record{Tx: m.Tx, Node: p.name, Kind: "Prepared", Data: m.Payload}); err != nil {
+		// The Prepare's payload is the membership's pax1 encoding, which
+		// is what LogRecord{Paxos: &meta} encodes: logged as it came.
+		if err := p.force(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecPrepared, Data: m.Payload}); err != nil {
 			vote = protocol.VoteNo
 		}
 	}
@@ -283,10 +285,10 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 		// A No voter may abort unilaterally: its instance value No is
 		// on its way to the acceptors, and recovery defaults a free
 		// instance to No — either way the transaction cannot commit.
-		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"})
+		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecAborted})
 		p.completeResources(tx, false)
 		p.finishLocked(st, false)
-		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
+		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
 		if p.met != nil {
 			p.met.CostOutcome(m.Tx, "aborted", -1)
 			p.met.CostNodeDone(m.Tx, p.name)
@@ -385,7 +387,7 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 // st.mu.
 func (p *Participant) paxosAcceptLocked(st *txState, meta protocol.PaxosMeta, vote protocol.VoteValue) bool {
 	step, ok := st.pax.Accept(meta.Ballot, meta.Instance, vote)
-	if !ok || p.writePaxosLocked(st, "PaxAccept", step) != nil {
+	if !ok || p.writePaxosLocked(st, protocol.RecPaxAccept, step) != nil {
 		return false
 	}
 	p.paxosReplyLocked(st, protocol.MsgPaxosAccepted, meta.Leader, step)
@@ -423,20 +425,17 @@ func (p *Participant) handlePaxosQuery(from string, m protocol.Message) {
 // state to the leader. Caller holds st.mu.
 func (p *Participant) paxosPromiseLocked(st *txState, meta protocol.PaxosMeta) {
 	step, ok := st.pax.Promise(meta.Ballot)
-	if !ok || p.writePaxosLocked(st, "PaxPromise", step) != nil {
+	if !ok || p.writePaxosLocked(st, protocol.RecPaxPromise, step) != nil {
 		return
 	}
 	p.paxosReplyLocked(st, protocol.MsgPaxosPromise, meta.Leader, step)
 }
 
-// writePaxosLocked writes an acceptor step's record: the membership and
-// the step's states, so a restart rebuilds acceptor state from the log
-// alone. An unforced step's write error is ignored, as for every lazy
-// record. Caller holds st.mu.
+// writePaxosLocked writes an acceptor step's record (PaxosTx.Record).
+// An unforced step's write error is ignored, as for every lazy record.
+// Caller holds st.mu.
 func (p *Participant) writePaxosLocked(st *txState, kind string, step protocol.PaxosStep) error {
-	data := st.pax.Meta(step.Ballot, "")
-	data.States = step.States
-	rec := wal.Record{Tx: st.id, Node: p.name, Kind: kind, Data: data.Encode()}
+	rec := wal.Record{Tx: st.id, Node: p.name, Kind: kind, Data: st.pax.Record(kind, step).Encode()}
 	if step.Force {
 		return p.force(rec)
 	}

@@ -320,7 +320,7 @@ func TestLivePaxosAcceptorRestartRecovers(t *testing.T) {
 
 // TestLivePaxosPreparedRecordCarriesMembership asserts the Paxos
 // subordinate persists the transaction's membership (the pax1 payload)
-// in its Prepared record, and that presumeFromData recognizes it — the
+// in its Prepared record, and that the record decodes to it — the
 // acceptor set is what a restarted participant recovers against.
 func TestLivePaxosPreparedRecordCarriesMembership(t *testing.T) {
 	parts, logs, _, _ := paxosFleet(t, nil)
@@ -332,12 +332,12 @@ func TestLivePaxosPreparedRecordCarriesMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.Node != "S3" || r.Kind != "Prepared" {
+		if r.Node != "S3" || r.Kind != protocol.RecPrepared {
 			continue
 		}
-		pr, ok := presumeFromData(r.Data)
-		if !ok || pr != protocol.VariantPaxos {
-			t.Fatalf("Prepared payload decodes to %v (ok=%v), want PaxosCommit", pr, ok)
+		pr, err := protocol.DecodeLogRecord(r.Kind, r.Data)
+		if err != nil || pr.Presume != protocol.VariantPaxos || pr.Paxos == nil || len(pr.Paxos.Acceptors) == 0 {
+			t.Fatalf("Prepared payload decodes to %+v (%v), want PaxosCommit with its acceptors", pr, err)
 		}
 		return
 	}

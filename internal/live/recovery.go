@@ -4,171 +4,81 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/protocol"
-	"repro/internal/wal"
 )
 
-// replayLog rebuilds this participant's durable commit state at Start.
-// Decided transactions (a Committed or Aborted record by this node)
-// repopulate the decided table so post-restart inquiries are answered
-// from real state rather than presumption. A coordinator's decision
-// with no End record is pinned again — its acknowledgments were never
-// all in — and so is any decision this node holds acceptor records
-// for; the rest age from the restart on. A prepared transaction with no
-// decision is reinstated in doubt, so the table (and the log
-// checkpoint) remember it until RecoverInDoubt resolves it. A
-// PN Pending / PC Collecting record with no decision after it means
-// the coordinator crashed mid-collection: no subordinate can have
-// received a commit, so the recovered coordinator decides abort now
-// and tells the recorded membership (abortForgotten). A delegation
-// record with no decision after it means the last agent owns the
-// outcome: the coordinator comes back in doubt and asks it
-// (resolveLater).
-func (p *Participant) replayLog() {
+// replayLog rebuilds this participant's durable commit state at Start
+// from what its log proves (protocol.ReplayLog), or returns the error
+// that kept it from reading the log.
+func (p *Participant) replayLog() error {
 	recs, err := p.log.Records()
-	if err != nil || len(recs) == 0 {
-		return
+	if err != nil {
+		return fmt.Errorf("live: reading log: %w", err)
 	}
-	type coordState struct {
-		subs      []string
-		pre       string // the pre-prepare record's kind
-		decided   bool
-		committed bool
-		ended     bool     // an End record follows the decision
-		acceptor  bool     // this node logged Paxos acceptor state
-		owed      []string // the subordinates the decision record says owe acks
-		onePhase  []byte   // a 1PC decision record's opc1 payload
-		sub       bool     // this node prepared it as a subordinate
-		prepared  []byte   // the Prepared record's payload
-		presume   protocol.Variant
-		agent     string   // the last agent a delegation record names
-		yes       []string // the yes-voters it names
+	txs := protocol.ReplayLog(recs, p.name)
+	for i := range txs {
+		p.resume(&txs[i])
 	}
-	states := make(map[string]*coordState)
-	var order []string
-	for _, r := range recs {
-		if r.Node != p.name {
-			continue
-		}
-		st, ok := states[r.Tx]
-		if !ok {
-			st = &coordState{}
-			states[r.Tx] = st
-			order = append(order, r.Tx)
-		}
-		switch r.Kind {
-		case "Pending", "Collecting":
-			st.pre = r.Kind
-			if len(r.Data) > 0 {
-				st.subs = strings.Split(string(r.Data), ",")
-			}
-		case "Prepared":
-			if v, agent, yes, ok := decodeDelegation(r.Data); ok {
-				st.presume, st.agent, st.yes = v, agent, yes
-				continue
-			}
-			st.sub = true
-			st.prepared = r.Data
-			st.presume, _ = presumeFromData(r.Data)
-		case "Committed":
-			st.decided, st.committed = true, true
-			if protocol.IsOnePhasePayload(r.Data) {
-				st.onePhase = r.Data
-				if meta, err := protocol.DecodeOnePhaseMeta(r.Data); err == nil {
-					st.owed = meta.Subs
-				}
-			} else if len(r.Data) > 0 {
-				st.owed = strings.Split(string(r.Data), ",")
-			}
-		case "Aborted":
-			st.decided, st.committed = true, false
-			if len(r.Data) > 0 {
-				st.owed = strings.Split(string(r.Data), ",")
-			}
-		case "End":
-			st.ended = true
-		case "PaxAccept", "PaxPromise":
-			st.acceptor = true
-		}
-	}
-	for _, tx := range order {
-		st := states[tx]
-		switch {
-		case st.decided && st.sub:
-			// Keep the presumption, so a duplicate outcome after the
-			// restart is re-acked as the live entry would have been.
-			p.publishDecision(tx, subDecision(st.committed, st.presume), st.acceptor)
-		case st.decided:
-			// A decision without End still waits on the acks its record
-			// names; re-announce it to them best-effort. A 1PC decision
-			// record is the only stable copy of its voters' fates AND
-			// their redo payloads — a crash between the force and the
-			// acks leaves voters that may hold nothing durable — so the
-			// redo rides along and even amnesiac voters complete;
-			// survivors treat it as a duplicate. The acks release the
-			// pin. A decision that owes no acks ages: nobody can ask.
-			awaiting := !st.ended && len(st.owed) > 0
-			p.recordDecision(tx, st.committed, awaiting || st.acceptor)
-			if awaiting {
-				p.awaitLateAcks(nil, tx, append([]string(nil), st.owed...), false)
-				p.setPinRedo(tx, st.onePhase)
-				for _, s := range st.owed {
-					_ = p.sendExtra(s, outcomeMsg(tx, st.committed, st.onePhase, s))
-				}
-			}
-		case st.agent != "" && !st.ended:
-			p.resolveLater(p.registerCoord(tx, len(st.yes), true), tx, &delegation{tx: protocol.ParseTxID(tx),
-				agent: st.agent, yes: st.yes, v: st.presume, rd: protocol.Round{Logged: true, Voted: true}})
-		case st.pre != "":
-			v, _ := protocol.VariantByPrePrepare(st.pre)
-			p.abortForgotten(tx, v, protocol.Round{Logged: true}, st.subs)
-		case st.sub:
-			// Prepared, never decided: in doubt until RecoverInDoubt
-			// (or a retransmitted outcome) settles it.
-			ps := p.state(tx)
-			ps.mu.Lock()
-			ps.prepared = true
-			ps.presume = st.presume
-			if st.presume == protocol.VariantPaxos {
-				if meta, err := protocol.DecodePaxosMeta(st.prepared); err == nil {
-					p.paxosLocked(ps).Adopt(meta.Acceptors, meta.Participants)
-				}
-			}
-			ps.mu.Unlock()
-		}
-	}
-	decidedTxs := make(map[string]bool)
-	for tx, st := range states {
-		if st.decided {
-			decidedTxs[tx] = true
-		}
-	}
-	p.restorePaxosAcceptors(recs, decidedTxs)
+	return nil
 }
 
-// restorePaxosAcceptors folds durable PaxAccept/PaxPromise records
-// back into live acceptor state for transactions still undecided after
-// a restart: an acceptor's promises must survive the crash, or two
-// recovery leaders could learn different outcomes from it.
-func (p *Participant) restorePaxosAcceptors(recs []wal.Record, decided map[string]bool) {
-	for _, r := range recs {
-		if r.Node != p.name || (r.Kind != "PaxAccept" && r.Kind != "PaxPromise") {
-			continue
+// resume reinstates one transaction from its log. A decision
+// repopulates the decided table, so post-restart inquiries are answered
+// from real state rather than presumption; it is pinned again while it
+// waits on acks (no End) or this node holds acceptor records for it,
+// and ages from the restart otherwise. An undecided Paxos acceptor gets
+// its promises back: without them two recovery leaders could learn
+// different outcomes from it.
+func (p *Participant) resume(l *protocol.TxLog) {
+	tx, d, pr := l.Tx, l.Decision, l.Prepared
+	switch {
+	case d != nil && pr != nil && pr.Agent == "":
+		// Keep the presumption, so a duplicate outcome after the
+		// restart is re-acked as the live entry would have been.
+		p.publishDecision(tx, subDecision(d.Kind == protocol.RecCommitted, pr.Presume), l.Acceptor)
+	case d != nil:
+		// Re-announce a decision without End, best-effort, to the
+		// subordinates its record says owe acks; their acks release the
+		// pin. A 1PC decision record is the only stable copy of its
+		// voters' fates AND their redo — a crash between the force and
+		// the acks leaves voters that may hold nothing durable — so the
+		// redo rides along and even amnesiac voters complete.
+		committed := d.Kind == protocol.RecCommitted
+		awaiting := !l.Ended && len(d.Subs) > 0
+		p.recordDecision(tx, committed, awaiting || l.Acceptor)
+		if awaiting {
+			var redo []byte
+			if d.OnePhase {
+				redo = d.Encode()
+			}
+			p.awaitLateAcks(nil, tx, append([]string(nil), d.Subs...), false)
+			p.setPinRedo(tx, redo)
+			for _, s := range d.Subs {
+				_ = p.sendExtra(s, outcomeMsg(tx, committed, redo, s))
+			}
 		}
-		if decided[r.Tx] {
-			continue
-		}
-		meta, err := protocol.DecodePaxosMeta(r.Data)
-		if err != nil {
-			continue
-		}
-		st := p.state(r.Tx)
+	case pr != nil && pr.Agent != "" && !l.Ended:
+		// The last agent owns the outcome: come back in doubt and ask it.
+		p.resolveLater(p.registerCoord(tx, len(pr.Subs), true), tx, &delegation{tx: protocol.ParseTxID(tx),
+			agent: pr.Agent, yes: pr.Subs, v: pr.Presume, rd: protocol.Round{Logged: true, Voted: true}})
+	case l.Pre != nil:
+		// The coordinator crashed mid-collection, so no subordinate can
+		// have received a commit: abort now and tell the membership.
+		v, _ := protocol.VariantByPrePrepare(l.Pre.Kind)
+		p.abortForgotten(tx, v, protocol.Round{Logged: true}, l.Pre.Subs)
+	case l.InDoubt():
+		// Prepared, never decided: in doubt until RecoverInDoubt (or a
+		// retransmitted outcome) settles it, and remembered until then.
+		st := p.state(tx)
 		st.mu.Lock()
-		ps := p.paxosLocked(st)
-		ps.Adopt(meta.Acceptors, meta.Participants)
-		ps.Restore(r.Kind == "PaxAccept", meta.Ballot, meta.States)
+		p.reinstateLocked(st, pr)
+		st.mu.Unlock()
+	}
+	if d == nil && (len(l.Accepts) > 0 || l.Promise != nil) {
+		st := p.state(tx)
+		st.mu.Lock()
+		l.RestoreAcceptor(&p.paxosLocked(st).PaxosTx)
 		st.mu.Unlock()
 	}
 }
@@ -184,13 +94,14 @@ func (p *Participant) restorePaxosAcceptors(recs []wal.Record, decided map[strin
 //
 // ctx bounds the whole recovery pass.
 func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([]string, error) {
-	inDoubt, announced, err := p.scanInDoubt()
+	inDoubt, prepared, err := p.scanInDoubt()
 	if err != nil {
 		return nil, err
 	}
 	var unresolved []string
 	for _, txName := range inDoubt {
-		if _, _, _, ok := decodeDelegation(announced[txName]); ok {
+		rec := prepared[txName]
+		if rec != nil && rec.Agent != "" {
 			continue // a delegating coordinator asks its last agent itself
 		}
 		if p.met != nil {
@@ -198,29 +109,16 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 		}
 		// Reinstate the table entry: a restarted participant has an
 		// empty table, and applyOutcome needs the prepared flag and
-		// presumption to log the answer correctly. The presumption the
-		// coordinator announced on the original Prepare rides in the
-		// Prepared record's payload; a record without one (pre-payload
-		// logs) falls back to no-presumption, whose force/ack rules are
-		// safe under every variant.
+		// presumption to log the answer correctly.
 		st, _, decided := p.liveState(txName)
 		if decided {
 			continue // resolved (and retired) since the log scan
 		}
 		st.mu.Lock()
 		if !st.done && !st.prepared {
-			st.prepared = true
-			st.presume, _ = presumeFromData(announced[txName])
+			p.reinstateLocked(st, rec)
 		}
 		paxos := st.presume == protocol.VariantPaxos
-		if paxos {
-			// The Prepared record's payload is the transaction's Paxos
-			// membership — the acceptor set is this node's recovery
-			// coordinator, not whoever crashed.
-			if meta, derr := protocol.DecodePaxosMeta(announced[txName]); derr == nil {
-				p.paxosLocked(st).Adopt(meta.Acceptors, meta.Participants)
-			}
-		}
 		st.mu.Unlock()
 		var rerr error
 		if paxos {
@@ -241,47 +139,45 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	return inDoubt, nil
 }
 
+// reinstateLocked marks st prepared under the presumption its Prepared
+// record rec announced — none presumes nothing, whose force/ack rules
+// are safe under every variant — and, under Paxos Commit, with the
+// membership it names: the acceptor set is this node's recovery
+// coordinator, not whoever crashed. Caller holds st.mu.
+func (p *Participant) reinstateLocked(st *txState, rec *protocol.LogRecord) {
+	st.prepared = true
+	if rec == nil {
+		return
+	}
+	st.presume = rec.Presume
+	if rec.Paxos != nil {
+		p.paxosLocked(st).Adopt(rec.Paxos.Acceptors, rec.Paxos.Participants)
+	}
+}
+
 // scanInDoubt returns the transactions this participant prepared but
-// never saw decided, with the presumption payload each Prepared record
-// announced: the durable log's prepared-undecided set, then the voters
-// held prepared only in memory — a logless vote forces no Prepared
-// record, so the log cannot see them, but they are exactly as blocked.
-func (p *Participant) scanInDoubt() (inDoubt []string, announced map[string][]byte, err error) {
+// never saw decided, with the Prepared record of each its log holds:
+// the log's in-doubt set (protocol.TxLog.InDoubt), then the voters held
+// prepared only in memory — a logless vote forces no Prepared record,
+// so the log cannot see them, but they are exactly as blocked.
+func (p *Participant) scanInDoubt() (inDoubt []string, prepared map[string]*protocol.LogRecord, err error) {
 	recs, err := p.log.Records()
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: reading log: %w", err)
 	}
-	prepared := make(map[string]bool)
-	announced = make(map[string][]byte) // tx -> Prepared record payload
-	var order []string
-	for _, r := range recs {
-		if r.Node != p.name {
-			continue
-		}
-		switch r.Kind {
-		case "Prepared":
-			if !prepared[r.Tx] {
-				prepared[r.Tx] = true
-				order = append(order, r.Tx)
-			}
-			announced[r.Tx] = r.Data
-		case "Committed", "Aborted", "End":
-			if prepared[r.Tx] {
-				prepared[r.Tx] = false
-			}
-		}
-	}
-	for _, tx := range order {
-		if prepared[tx] {
-			inDoubt = append(inDoubt, tx)
+	prepared = make(map[string]*protocol.LogRecord)
+	for _, l := range protocol.ReplayLog(recs, p.name) {
+		if l.InDoubt() {
+			inDoubt = append(inDoubt, l.Tx)
+			prepared[l.Tx] = l.Prepared
 		}
 	}
 	for _, tx := range p.preparedInMemory() {
-		if !prepared[tx] {
+		if prepared[tx] == nil {
 			inDoubt = append(inDoubt, tx)
 		}
 	}
-	return inDoubt, announced, nil
+	return inDoubt, prepared, nil
 }
 
 // preparedInMemory lists, sorted, the transactions this participant

@@ -100,12 +100,12 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 	commit := vote != protocol.VoteNo
 	for {
 		d := m.Presume.Decide(commit, rd)
-		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Aborted"}
+		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecAborted}
 		if commit {
-			rec.Kind = "Committed"
+			rec.Kind = protocol.RecCommitted
 		}
 		if d.Acked {
-			rec.Data = ackersData([]string{from})
+			rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: []string{from}}.Encode()
 		}
 		if err := p.write(rec, d.Write); err != nil && commit {
 			commit = false // nothing is promised yet: a failed commit force aborts
@@ -117,7 +117,7 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 		if d.Acked {
 			p.awaitLateAcks(nil, m.Tx, []string{from}, false)
 		} else {
-			_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
+			_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
 		}
 		_ = p.send(from, protocol.OutcomeMessage(m.Tx, commit))
 		return
@@ -186,9 +186,9 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 		// coordinator's decision record carried our write-set here.
 		p.applyRedo(tx, m.Payload)
 	}
-	rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: "Committed"}
+	rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecCommitted}
 	if !commit {
-		rec.Kind = "Aborted"
+		rec.Kind = protocol.RecAborted
 	}
 	if err := p.write(rec, a.Write); err != nil && a.Write == protocol.Forced {
 		return // stay prepared; a retransmission retries
@@ -196,7 +196,7 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	p.recordSubDecisionLocked(st, commit)
 	heur := p.completeResources(tx, commit)
 	p.finishLocked(st, commit)
-	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: "End"})
+	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
 	if a.Ack {
 		// An outcome reaching a subordinate that never prepared is
 		// recovery traffic, not one of the paper's flows.
@@ -308,7 +308,8 @@ func (p *Participant) prepareVoteLocked(st *txState, unsolicited bool) protocol.
 	pr := st.presume.SubPrepare(true)
 	vote := p.prepareLocal(tx)
 	if vote == protocol.VoteYes && pr.Prepared {
-		if err := p.force(wal.Record{Tx: st.id, Node: p.name, Kind: "Prepared", Data: presumeData(st.presume)}); err != nil {
+		r := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: st.presume}
+		if err := p.force(wal.Record{Tx: st.id, Node: p.name, Kind: r.Kind, Data: r.Encode()}); err != nil {
 			vote = protocol.VoteNo
 		}
 	}

@@ -107,43 +107,6 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// The exported Append/Cut helpers below are the wire format's field
-// primitives, shared with other length-prefixed binary encoders in the
-// repo (the segmented WAL reuses them for its record payloads) so
-// every on-disk and on-wire format speaks the same uvarint dialect.
-
-// AppendUvarint appends v in unsigned varint form.
-func AppendUvarint(dst []byte, v uint64) []byte { return appendUvarint(dst, v) }
-
-// AppendLenString appends a uvarint-length-prefixed string.
-func AppendLenString(dst []byte, s string) []byte { return appendString(dst, s) }
-
-// AppendLenBytes appends a uvarint-length-prefixed byte field.
-func AppendLenBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// CutUvarint decodes a uvarint from the front of buf, returning the
-// value and the remaining bytes. ok is false on a truncated field.
-func CutUvarint(buf []byte) (v uint64, rest []byte, ok bool) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, buf, false
-	}
-	return v, buf[n:], true
-}
-
-// CutLenBytes decodes a uvarint-length-prefixed field from the front
-// of buf, returning the field (aliasing buf) and the remaining bytes.
-func CutLenBytes(buf []byte) (field, rest []byte, ok bool) {
-	n, rest, ok := CutUvarint(buf)
-	if !ok || n > uint64(len(rest)) {
-		return nil, buf, false
-	}
-	return rest[:n], rest[n:], true
-}
-
 // AppendFrame encodes one length-prefixed frame carrying
 // pkt, appended to dst with no allocations beyond dst's own growth.
 func (c *BinaryCodec) AppendFrame(dst []byte, pkt Packet) ([]byte, error) {

@@ -25,9 +25,9 @@ var variantTable = [...]variantRow{
 		aliases: []string{"basic", "baseline", "2pc"}},
 	VariantPA: {name: "PA", presumeName: "PresumeAbort", noInfo: OutcomeAbort,
 		ackCommit: true, subForcesCommitted: true},
-	VariantPN: {name: "PN", presumeName: "PresumePending", prePrepare: "Pending", noInfo: OutcomeInProgress,
+	VariantPN: {name: "PN", presumeName: "PresumePending", prePrepare: RecPending, noInfo: OutcomeInProgress,
 		ackCommit: true, ackAbort: true, subForcesCommitted: true, propagateHeuristics: true},
-	VariantPC: {name: "PC", presumeName: "PresumeCommit", prePrepare: "Collecting", noInfo: OutcomeCommit,
+	VariantPC: {name: "PC", presumeName: "PresumeCommit", prePrepare: RecCollecting, noInfo: OutcomeCommit,
 		ackAbort: true},
 	VariantPaxos: {name: "PaxosCommit", presumeName: "PresumePaxos", noInfo: OutcomeUnknown,
 		aliases: []string{"paxos"}},

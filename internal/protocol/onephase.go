@@ -68,13 +68,6 @@ func (om OnePhaseMeta) Encode() []byte {
 	return []byte(b.String())
 }
 
-// IsOnePhasePayload reports whether payload was produced by
-// OnePhaseMeta.Encode.
-func IsOnePhasePayload(payload []byte) bool {
-	s := string(payload)
-	return s == "opc1" || strings.HasPrefix(s, "opc1 ")
-}
-
 // DecodeOnePhaseMeta parses a payload produced by Encode.
 func DecodeOnePhaseMeta(payload []byte) (OnePhaseMeta, error) {
 	fields := strings.Fields(string(payload))

@@ -1,6 +1,8 @@
 // Package protocol defines the wire-level vocabulary of the commit
 // protocols: typed messages, and packets that may carry several
-// messages at once.
+// messages at once. It also holds what both engines share beyond the
+// wire: the variants' rules (classic.go, paxoscommit.go) and the
+// transaction manager's log records and restart fold (txlog.go).
 //
 // The packet/message distinction matters for the paper's accounting:
 // most optimizations reduce *flows* (protocol messages), but Long

@@ -194,7 +194,9 @@ const maxKeptViolations = 64
 
 // New builds and starts a daemon: both listeners bound, participant
 // receive loop running, audit loop ticking. Callers wire peers with
-// RegisterPeer once every daemon in the topology is up.
+// RegisterPeer once every daemon in the topology is up. New fails, and
+// nothing serves, if the participant cannot read its log back
+// (live.Participant.Start).
 func New(cfg Config) (*Server, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: config needs a Name")
@@ -312,7 +314,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.httpSrv = &http.Server{Handler: s.mux()}
 
-	part.Start()
+	if err := part.Start(); err != nil {
+		// A daemon that cannot read its log would answer inquiries by
+		// presumption against decisions on disk: refuse to serve.
+		part.Stop()
+		httpLn.Close()
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if s.ctrl != nil {
 		s.ctrl.Start()
 	}

@@ -179,6 +179,27 @@ func TestServerAuditExactWithDurableWAL(t *testing.T) {
 	}
 }
 
+// unreadableStore is stable storage whose recovery scan fails, as a
+// segment store's can when a segment cannot be re-read.
+type unreadableStore struct{ wal.Store }
+
+var errUnreadable = errors.New("segment unreadable")
+
+func (unreadableStore) Records() ([]wal.Record, error) { return nil, errUnreadable }
+
+// TestServerRefusesUnreadableLog: a daemon that cannot read its log
+// back does not start, rather than answer inquiries by presumption
+// against decisions on disk.
+func TestServerRefusesUnreadableLog(t *testing.T) {
+	s, err := New(Config{Name: "C", AuditInterval: -1, Log: wal.New(unreadableStore{wal.NewMemStore()})})
+	if !errors.Is(err, errUnreadable) || s != nil {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("New = %v, %v; want the log's error and no server", s, err)
+	}
+}
+
 func TestServerHTTPPlane(t *testing.T) {
 	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Variant: protocol.VariantPA})
 	if status, cr, _ := postV1(t, coord, `{"tx":"C:1","variant":"pc"}`); status != http.StatusOK || cr.Outcome != "committed" {

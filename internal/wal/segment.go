@@ -13,8 +13,6 @@ import (
 	"strings"
 	"sync"
 	"unsafe"
-
-	"repro/internal/protocol"
 )
 
 // SegmentStore is the production Store: a directory of fixed-size,
@@ -440,16 +438,16 @@ func readSegHeader(f *os.File) (seq uint64, err error) {
 func appendSegRecord(dst []byte, rec Record, mix uint32) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header, backfilled
-	dst = protocol.AppendUvarint(dst, uint64(rec.LSN))
+	dst = AppendUvarint(dst, uint64(rec.LSN))
 	var flags byte
 	if rec.Forced {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = protocol.AppendLenString(dst, rec.Tx)
-	dst = protocol.AppendLenString(dst, rec.Node)
-	dst = protocol.AppendLenString(dst, rec.Kind)
-	dst = protocol.AppendLenBytes(dst, rec.Data)
+	dst = AppendLenString(dst, rec.Tx)
+	dst = AppendLenString(dst, rec.Node)
+	dst = AppendLenString(dst, rec.Kind)
+	dst = AppendLenBytes(dst, rec.Data)
 	sealFrame(dst[start:], mix)
 	return dst
 }
@@ -476,7 +474,7 @@ func sealFrame(frame []byte, mix uint32) {
 // ok is false on any truncation or trailing garbage.
 func viewSegPayload(p []byte) (Record, bool) {
 	var rec Record
-	lsn, rest, ok := protocol.CutUvarint(p)
+	lsn, rest, ok := CutUvarint(p)
 	if !ok || len(rest) == 0 {
 		return rec, false
 	}
@@ -484,7 +482,7 @@ func viewSegPayload(p []byte) (Record, bool) {
 	rest = rest[1:]
 	var fields [4][]byte
 	for i := range fields {
-		if fields[i], rest, ok = protocol.CutLenBytes(rest); !ok {
+		if fields[i], rest, ok = CutLenBytes(rest); !ok {
 			return rec, false
 		}
 	}

@@ -3,7 +3,8 @@
 # race-enabled test suite (including the chaos harness and its safety
 # oracle), the nested perfbench module, a one-iteration benchmark
 # smoke, and short fuzz smokes over the wire/identifier parsers, the
-# Paxos acceptor rules, segment-log recovery and the v1 body codecs.
+# Paxos acceptor rules, the log record codec, segment-log recovery and
+# the v1 body codecs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -88,6 +89,7 @@ go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzBinaryVsGobRoundTrip -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzPaxosAcceptor -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/protocol
+go test -run='^$' -fuzz=FuzzLogRecord -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzSegmentRecover -fuzztime=10s ./internal/wal
 # The v1 body codecs against encoding/json; minimizing a new input from
 # the 1 MiB seed would take the whole budget, so minimization is capped.

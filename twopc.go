@@ -167,6 +167,10 @@ type (
 	SegmentLog = wal.SegmentStore
 )
 
+// RecPrepared is the LogRecord.Kind of the record a yes vote forces
+// (DESIGN.md §3 lists every kind and its payload).
+const RecPrepared = protocol.RecPrepared
+
 // NewMemLog returns a Log over in-memory stable storage.
 func NewMemLog() *Log { return wal.New(wal.NewMemStore()) }
 
