@@ -6,7 +6,7 @@
 // The zero-config path talks to one endpoint:
 //
 //	c := client.New("http://127.0.0.1:8100", client.WithVariant("pa"))
-//	resp, err := c.Commit(ctx, "", []twopc.Op{
+//	resp, err := c.Commit(ctx, "", []client.Op{
 //		client.Put("alice", "10"),
 //		client.Put("bob", "20"),
 //	})
@@ -35,16 +35,29 @@ import (
 	"repro/internal/router"
 )
 
+// The v1 wire types, named here so a program outside this module can
+// spell them: the internal package that defines them is closed to it.
+type (
+	// Op is one typed key operation of a transaction.
+	Op = api.Op
+	// CommitRequest is the POST /v1/commit body.
+	CommitRequest = api.CommitRequest
+	// CommitResponse is the /v1/commit answer.
+	CommitResponse = api.CommitResponse
+	// ShardsResponse is the GET /v1/shards fleet view.
+	ShardsResponse = api.ShardsResponse
+)
+
 // Op builders for readable call sites.
 
 // Get reads key within the transaction.
-func Get(key string) api.Op { return api.Op{Key: key, Op: api.OpGet} }
+func Get(key string) Op { return Op{Key: key, Op: api.OpGet} }
 
 // Put writes key=value at commit.
-func Put(key, value string) api.Op { return api.Op{Key: key, Op: api.OpPut, Value: value} }
+func Put(key, value string) Op { return Op{Key: key, Op: api.OpPut, Value: value} }
 
 // Del deletes key at commit.
-func Del(key string) api.Op { return api.Op{Key: key, Op: api.OpDelete} }
+func Del(key string) Op { return Op{Key: key, Op: api.OpDelete} }
 
 // APIError is a non-2xx v1 response: the HTTP status plus the
 // machine-readable taxonomy code and message from the body.
@@ -81,8 +94,8 @@ type Client struct {
 type Option func(*Client)
 
 // WithVariant sets the protocol variant requested for every
-// transaction ("basic", "pa", "pn", "pc"); empty uses the daemon's
-// default.
+// transaction ("basic", "pa", "pn", "pc", "paxos", "1pc"); empty uses
+// the daemon's default.
 func WithVariant(v string) Option { return func(c *Client) { c.variant = v } }
 
 // WithTimeout bounds each HTTP request. Default 30s.
@@ -126,13 +139,13 @@ func New(baseURL string, opts ...Option) *Client {
 // Commit runs one transaction of typed ops. An empty tx lets the
 // coordinator generate the id (returned in the response). The response
 // reports the outcome — "aborted" is a result, not an error.
-func (c *Client) Commit(ctx context.Context, tx string, ops []api.Op) (*api.CommitResponse, error) {
-	return c.Do(ctx, api.CommitRequest{Tx: tx, Ops: ops})
+func (c *Client) Commit(ctx context.Context, tx string, ops []Op) (*CommitResponse, error) {
+	return c.Do(ctx, CommitRequest{Tx: tx, Ops: ops})
 }
 
 // Do issues one fully-specified commit request. The client's
 // variant option fills an unset variant.
-func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResponse, error) {
+func (c *Client) Do(ctx context.Context, req CommitRequest) (*CommitResponse, error) {
 	if req.Variant == "" {
 		req.Variant = c.variant
 	}
@@ -142,7 +155,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 		return nil, err
 	}
 
-	attempt := func() (*api.CommitResponse, error) {
+	attempt := func() (*CommitResponse, error) {
 		rctx, cancel := context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 		hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, target+api.PathCommit, bytes.NewReader(body))
@@ -164,7 +177,7 @@ func (c *Client) Do(ctx context.Context, req api.CommitRequest) (*api.CommitResp
 			return nil, &APIError{Status: hresp.StatusCode, Code: api.CodeInternal,
 				Message: strings.TrimSpace(string(raw))}
 		}
-		var resp api.CommitResponse
+		var resp CommitResponse
 		if err := api.DecodeBody(hresp.Body, &resp); err != nil {
 			return nil, fmt.Errorf("%w: %w", errUndecodable, err)
 		}
@@ -215,7 +228,7 @@ func retryable(err error) bool {
 
 // target resolves where this transaction's request goes: the base
 // endpoint, or — under WithShardRouting — the first key's owning shard.
-func (c *Client) target(ctx context.Context, ops []api.Op) (string, error) {
+func (c *Client) target(ctx context.Context, ops []Op) (string, error) {
 	if !c.route || len(ops) == 0 {
 		return c.baseURL, nil
 	}
@@ -239,7 +252,7 @@ func (c *Client) target(ctx context.Context, ops []api.Op) (string, error) {
 
 // Shards fetches the fleet view (shard map + member URLs) from the
 // base endpoint.
-func (c *Client) Shards(ctx context.Context) (*api.ShardsResponse, error) {
+func (c *Client) Shards(ctx context.Context) (*ShardsResponse, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	return router.FetchShards(rctx, c.hc, c.baseURL)

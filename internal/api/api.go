@@ -70,7 +70,8 @@ type CommitRequest struct {
 	// a unique id (returned in the response).
 	Tx string `json:"tx,omitempty"`
 	// Variant optionally overrides the daemon's default protocol
-	// variant: "basic", "pa", "pn", "pc".
+	// variant: any name protocol.ParseVariant takes, such as "basic",
+	// "pa", "pn", "pc", "paxos" or "1pc".
 	Variant string `json:"variant,omitempty"`
 	// Ops are the transaction's typed key operations. When present,
 	// participants are resolved from the fleet shard map (the keys'

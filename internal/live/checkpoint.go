@@ -61,9 +61,9 @@ func (p *Participant) setPinRedo(tx string, redo []byte) {
 
 // awaitLateAcks hands the acknowledgments a coordinator is still owed
 // for tx to its pinned decided-table entry: each late ack strikes its
-// sender (routeAck), and the last one writes End and releases the pin.
-// Acks already queued on st's reply channel count too. missing must be
-// the caller's own copy.
+// sender (route), and the last one writes End and releases the pin.
+// Acks already queued in st's inbox count too, and leave it. missing
+// must be the caller's own copy.
 func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, ledger bool) {
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
@@ -72,18 +72,17 @@ func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, le
 		sh.mu.Unlock()
 		return
 	}
-	if st != nil && st.replies != nil {
-	drain:
-		for {
-			select {
-			case env := <-st.replies:
-				if i := indexOf(missing, env.from); i >= 0 && env.msg.Type == protocol.MsgAck {
-					missing = append(missing[:i], missing[i+1:]...)
-				}
-			default:
-				break drain
+	if st != nil {
+		kept := st.inbox[:st.head]
+		for _, env := range st.inbox[st.head:] {
+			if env.msg.Type != protocol.MsgAck {
+				kept = append(kept, env)
+			} else if i := indexOf(missing, env.from); i >= 0 {
+				missing = append(missing[:i], missing[i+1:]...)
 			}
 		}
+		clear(st.inbox[len(kept):])
+		st.inbox = kept
 	}
 	done := len(missing) == 0
 	pe.waiting, pe.ledger = missing, ledger
@@ -129,18 +128,12 @@ func (p *Participant) noteLogged(rec wal.Record) {
 	if !p.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
-	select {
-	case <-p.stopped:
-		p.ckptBusy.Store(false)
-		return
-	default:
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
+	if !p.background(func() {
 		defer p.ckptBusy.Store(false)
 		_, _, _ = p.Checkpoint()
-	}()
+	}) {
+		p.ckptBusy.Store(false)
+	}
 }
 
 // Checkpoint truncates this participant's protocol log to the records

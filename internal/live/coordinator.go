@@ -42,13 +42,13 @@ func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []s
 
 func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v protocol.Variant) (Outcome, error) {
 	tx := protocol.ParseTxID(txName)
-	st := p.registerCoord(txName, len(subs), p.lastAgent)
+	st := p.registerCoord(txName)
 	defer func() {
 		// A background ack collector (commitPhaseTwo) or last-agent
-		// resolver (delegate) outlives this call and unregisters when
-		// it is done.
+		// resolver (delegate) outlives this call as the consumer and
+		// unregisters when it is done.
 		if !st.detached {
-			p.unregisterCoord(txName)
+			p.unregisterCoord(st)
 		}
 	}()
 	if p.met != nil {
@@ -86,13 +86,6 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// any subordinate may be prepared.
 	rd := protocol.Round{Logged: kind != "", Voted: true}
 
-	// Harvest unsolicited votes that arrived before Commit was called.
-	sh := p.shardFor(txName)
-	sh.mu.Lock()
-	early := st.early
-	st.early = nil
-	sh.mu.Unlock()
-
 	// Vote bookkeeping is tree-sized slices, not maps: transaction
 	// trees are a handful of subordinates, so membership is a linear
 	// scan and the whole structure is two right-sized allocations. A
@@ -104,22 +97,30 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	if !v.SubPrepare(true).Prepared {
 		redos = make([][]byte, 0, len(others))
 	}
-	// tally counts others[i]'s vote and reports whether it is a no.
-	tally := func(i int, vote protocol.VoteValue, redo []byte) bool {
+	// tally counts a reply if it is a first vote from one of others,
+	// and reports whether it is a no.
+	tally := func(env envelope) bool {
+		i := indexOf(others, env.from)
+		if i < 0 || voted[i] || env.msg.Type != protocol.MsgVote {
+			return false
+		}
 		voted[i] = true
 		votedN++
-		if vote == protocol.VoteYes {
+		if env.msg.Vote == protocol.VoteYes {
 			yes = append(yes, others[i])
 			if redos != nil {
-				redos = append(redos, redo)
+				redos = append(redos, env.msg.Payload)
 			}
 		}
-		return vote == protocol.VoteNo
+		return env.msg.Vote == protocol.VoteNo
 	}
-	// An unsolicited volunteer forced its own Prepared record before
-	// any Prepare announced the variant, so it carries no redo.
-	for i, s := range others {
-		if ev, ok := early[s]; ok && tally(i, ev, nil) {
+	// Votes already in the inbox were volunteered before this call (§4
+	// Unsolicited Vote); an unsolicited volunteer forced its own
+	// Prepared record, so it carries no redo.
+	for env := (envelope{}); p.take(st, false, &env); {
+		if env.work {
+			p.dispatch(st, &env)
+		} else if tally(env) {
 			return p.abortTx(tx, txName, subs, v, rd), nil
 		}
 	}
@@ -147,16 +148,12 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
 		defer alarm.stop()
 		for votedN < len(others) {
-			select {
-			case env := <-st.replies:
-				i := indexOf(others, env.from)
-				if i < 0 || voted[i] || env.msg.Type != protocol.MsgVote {
-					continue
-				}
-				if tally(i, env.msg.Vote, env.msg.Payload) {
+			switch env, w := p.next(ctx, st, alarm.C()); w {
+			case gotReply:
+				if tally(env) {
 					return p.abortTx(tx, txName, subs, v, rd), nil
 				}
-			case <-alarm.C():
+			case rang:
 				if alarm.expired() {
 					return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
 				}
@@ -166,9 +163,11 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 						p.countRetry()
 					}
 				}
-			case <-p.crashc:
+			case crashed:
 				return InDoubt, ErrCrashed
-			case <-ctx.Done():
+			case stopping:
+				return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: collecting votes for %s: %w", txName, errStopped)
+			case cancelled:
 				return p.abortTx(tx, txName, subs, v, rd), ctx.Err()
 			}
 		}
@@ -248,17 +247,19 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 		// the caller's critical path: a background collector takes the
 		// registration over and retransmits to stragglers. Voters that
 		// never ack resolve through recovery against the decision
-		// record. The message goes by value, so only this path pays
-		// for the goroutine.
+		// record. The collector gets its own copy of the message, so
+		// only this path pays for the closure.
 		st.detached = true
-		p.wg.Add(1)
-		go func(out protocol.Message) {
-			defer p.wg.Done()
-			defer p.unregisterCoord(txName)
+		out := out
+		collect := func() {
+			defer p.unregisterCoord(st)
 			if _, err := p.collectAcks(context.Background(), st, txName, yes, out); err == nil {
 				p.endCoord(txName, true)
 			}
-		}(out)
+		}
+		if !p.background(collect) {
+			collect() // stopping: it gives up at once
+		}
 		return Committed, nil
 	}
 	heur, err := p.collectAcks(ctx, st, txName, yes, out)
@@ -321,7 +322,7 @@ func (dl *delegation) message(txName string, repeat bool) protocol.Message {
 // never reached decides now — and finishes phase two with it. A
 // delegating coordinator cannot presume: past the vote deadline, or
 // once ctx ends, it stays in doubt, answering inquiries InProgress,
-// while a background resolver that owns st's registration keeps
+// while a background resolver that takes st over keeps
 // asking (resolveLater). The resolver is this loop with no deadline.
 func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string, dl *delegation, resolver bool) (Outcome, error) {
 	dm := dl.message(txName, true)
@@ -329,24 +330,24 @@ func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string
 	defer func() { alarm.stop() }()
 	for {
 		var err error
-		select {
-		case env := <-st.decision:
-			if commit, ok := decisionOf(env.msg); ok && env.from == dl.agent {
+		switch env, w := p.next(ctx, st, alarm.C()); w {
+		case gotReply:
+			if commit, ok := decisionOf(&env.msg); ok && env.from == dl.agent {
 				return p.finishDelegation(ctx, st, txName, dl, commit)
 			}
 			continue
-		case <-alarm.C():
+		case rang:
 			if !alarm.expired() {
 				_ = p.sendExtra(dl.agent, dm)
 				p.countRetry()
 				continue
 			}
 			err = ErrTimeout
-		case <-p.crashc:
+		case crashed:
 			return InDoubt, ErrCrashed
-		case <-p.stopped:
+		case stopping:
 			return InDoubt, fmt.Errorf("live: stopped awaiting last agent %s for %s: %w", dl.agent, txName, ErrInDoubt)
-		case <-ctx.Done():
+		case cancelled:
 			err = ctx.Err()
 		}
 		if !resolver {
@@ -362,18 +363,20 @@ func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string
 	}
 }
 
-// resolveLater hands st's registration to a background resolver that
-// asks dl's agent until it answers. It runs when Commit stops waiting,
-// and at Start for a delegation record the replay found undecided.
+// resolveLater hands st, consumer role and registration, to a
+// background resolver that asks dl's agent until it answers. It runs
+// when Commit stops waiting, and at Start for a delegation record the
+// replay found undecided.
 func (p *Participant) resolveLater(st *txState, txName string, dl *delegation) {
 	st.detached = true
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer p.unregisterCoord(txName)
+	resolve := func() {
+		defer p.unregisterCoord(st)
 		_ = p.sendExtra(dl.agent, dl.message(txName, true))
 		_, _ = p.awaitAgent(context.Background(), st, txName, dl, true)
-	}()
+	}
+	if !p.background(resolve) {
+		resolve() // stopping: it gives up at once
+	}
 }
 
 // finishDelegation applies the last agent's decision as the decision
@@ -431,8 +434,8 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/acks")
 	defer alarm.stop()
 	for ackedN < len(targets) {
-		select {
-		case env := <-st.replies:
+		switch env, w := p.next(ctx, st, alarm.C()); w {
+		case gotReply:
 			i := indexOf(targets, env.from)
 			if i < 0 || acked[i] || env.msg.Type != protocol.MsgAck {
 				continue
@@ -440,7 +443,7 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 			acked[i] = true
 			ackedN++
 			heur = append(heur, env.msg.Heuristics...)
-		case <-alarm.C():
+		case rang:
 			if alarm.expired() {
 				missing := 0
 				for i, s := range targets {
@@ -460,15 +463,15 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 					p.countRetry()
 				}
 			}
-		case <-p.stopped:
+		case stopping:
 			// Shutdown mid-collection (e.g. a background collector
 			// when the participant stops): the outcome is decided and
 			// durable; outstanding deliveries fall to recovery.
 			giveUp()
 			return heur, fmt.Errorf("live: participant stopped with acks outstanding for %s: %w", txName, ErrInDoubt)
-		case <-p.crashc:
+		case crashed:
 			return heur, ErrCrashed
-		case <-ctx.Done():
+		case cancelled:
 			giveUp()
 			return heur, ctx.Err()
 		}
@@ -531,54 +534,39 @@ func indexOf(peers []string, name string) int {
 	return -1
 }
 
-// registerCoord installs the coordinator-side collection channels for
-// one transaction. The reply channel holds one vote or ack per
-// subordinate; a duplicate that finds it full is dropped, which the
-// retransmission schedule already tolerates. The delegation-answer
-// channel exists only when the coordinator may delegate; everyone else
-// drops stray outcome messages exactly as a full channel would have.
-func (p *Participant) registerCoord(txName string, n int, delegating bool) *txState {
+// registerCoord enters txName in the table as a transaction this node
+// coordinates, with the caller as its consumer. An unsolicited vote
+// may have entered it already, to wait in its inbox; no consumer can
+// hold it, since nothing but replies reaches a transaction before its
+// coordinator's Prepares leave (one id is coordinated once at a time).
+func (p *Participant) registerCoord(txName string) *txState {
 	sh := p.shardFor(txName)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.stateLocked(txName)
-	st.isCoord = true
-	st.replies = make(chan envelope, max(n, 1))
-	if delegating {
-		st.decision = make(chan envelope, 2)
-	}
+	st.isCoord, st.consuming = true, true
 	return st
 }
 
-// unregisterCoord tears the collection channels down once Commit
-// returns; the outcome lives on in the decided map.
-func (p *Participant) unregisterCoord(txName string) {
-	sh := p.shardFor(txName)
+// unregisterCoord drops the coordinator's entry once collection is
+// over — the outcome lives on in the decided table — and gives up the
+// consumer role. Caller is the consumer.
+func (p *Participant) unregisterCoord(st *txState) {
+	// An undecided Paxos transaction with acceptor state must keep it:
+	// this node promised its acceptances to recovery leaders, and
+	// forgetting them while the process lives would let two leaders
+	// learn different outcomes. Only the coordinator role goes.
+	keep := st.pax != nil && st.pax.Holds()
+	sh := st.sh
 	sh.mu.Lock()
-	st, ok := sh.txs[txName]
-	sh.mu.Unlock()
-	if !ok || !st.isCoord {
-		return
-	}
-	// Lock order everywhere in this package is st.mu before sh.mu
-	// (finishLocked -> recordDecision); holding st.mu also pins the
-	// acceptor-state check against a concurrently arriving accept.
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, decided := sh.decidedLocked(txName); !decided && st.pax != nil && st.pax.Holds() {
-		// An undecided Paxos transaction with acceptor state must keep
-		// it: this node promised its acceptances to recovery leaders,
-		// and forgetting them while the process lives would let two
-		// leaders learn different outcomes. Drop only the coordinator
-		// role and its collection channels.
+	if _, decided := sh.decidedLocked(st.id); keep && !decided {
 		st.isCoord = false
-		st.replies, st.decision = nil, nil
-		st.pax.accepts, st.pax.promise = nil, nil
-		return
+	} else {
+		// A participant never subordinates a transaction it
+		// coordinates, so the whole entry can go.
+		delete(sh.txs, st.id)
+		st.gone = true
 	}
-	// A participant never subordinates a transaction it coordinates,
-	// so the whole entry can go.
-	delete(sh.txs, txName)
+	sh.mu.Unlock()
+	p.release(st)
 }

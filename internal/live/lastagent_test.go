@@ -97,15 +97,8 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 				if !errors.Is(err, ErrCrashed) {
 					t.Fatalf("Commit err = %v, want ErrCrashed", err)
 				}
-				// The agent handles each Prepare on its own goroutine,
-				// so the restart's repeated delegation could overtake
-				// the first one there, and a repeat the agent has no
-				// record of is answered abort. This case is the restart
-				// learning the agent's decision: restart once it is made.
-				waitUntil(t, 5*time.Second, func() bool {
-					_, ok := agent.Decided()[tx]
-					return ok
-				})
+				// Restart at once: the repeated delegation may reach the
+				// agent while the first is still being handled there.
 				coord = coord.Restarted(net.Endpoint("C"))
 				coord.Start()
 			}
@@ -156,6 +149,53 @@ func TestLiveLastAgentResolvesDoubt(t *testing.T) {
 				return err == nil && len(ids) == 0
 			})
 		})
+	}
+}
+
+// TestLiveLastAgentBackToBackDelegation hands the last agent a
+// delegation and its repeat in one packet, in that order, as a
+// coordinator restarted right after delegating can. The agent must
+// answer the repeat from the decision the first one made: under
+// presumed abort a repeat it has no record of is answered abort, so
+// handling the two out of order would abort a transaction the agent
+// commits.
+func TestLiveLastAgentBackToBackDelegation(t *testing.T) {
+	net := netsim.NewChanNetwork()
+	agent := NewParticipant("A", net.Endpoint("A"), wal.New(wal.NewMemStore()),
+		[]protocol.Resource{protocol.NewStaticResource("ra")}, WithVariant(protocol.VariantPA))
+	if err := agent.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Stop()
+	coord := net.Endpoint("C")
+	defer coord.Close()
+
+	tx := protocol.TxID{Origin: "C", Seq: 7}.String()
+	dl := protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: protocol.VariantPA, Delegate: true}
+	repeat := dl
+	repeat.Repeat = true
+	if err := coord.Send("A", protocol.Packet{From: "C", To: "A", Messages: []protocol.Message{dl, repeat}}); err != nil {
+		t.Fatal(err)
+	}
+	for answers := 0; answers < 2; {
+		select {
+		case pkt := <-coord.Recv():
+			for _, m := range pkt.Messages {
+				commit, ok := decisionOf(&m)
+				if !ok {
+					continue
+				}
+				if !commit {
+					t.Fatalf("answer %d is abort, want commit", answers+1)
+				}
+				answers++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d answers after 5s, want 2", answers)
+		}
+	}
+	if c, ok := agent.Decided()[tx]; !ok || !c {
+		t.Fatalf("agent decided committed=%v (known %v), want committed", c, ok)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package live runs the commit protocols over real concurrent
-// participants — one goroutine per inbound protocol message, packets
-// over a netsim transport (in-process channels or TCP). It
+// participants — each transaction's input handled in arrival order by
+// one consumer at a time, packets over a netsim transport (in-process
+// channels or TCP). It
 // complements the deterministic simulator in internal/core: the
 // simulator produces the paper's exact counts; this package runs the
 // same wire protocol with true concurrency, real timeouts, retries,
@@ -12,9 +13,11 @@
 //     and 1PC) run over the wire; each Prepare announces its variant
 //     so one participant can serve mixed-variant traffic.
 //   - Many transactions are pipelined per participant: state is a
-//     per-transaction table keyed by TxID, and every inbound message
-//     is handled on its own goroutine with per-transaction ordering
-//     guards, so concurrent commits never serialize on each other.
+//     per-transaction table keyed by TxID, and each transaction has
+//     one inbox, consumed by the goroutine collecting for it or by a
+//     drainer that exits when the inbox is empty (inbox.go). A
+//     transaction's messages are handled one at a time, in the order
+//     they arrived; concurrent commits never serialize on each other.
 //     Pair this with WithAdaptiveCommit to coalesce the WAL forces of
 //     concurrent commits into shared syncs.
 //   - Vote collection, decision delivery, and in-doubt inquiry all
@@ -145,53 +148,53 @@ type Participant struct {
 	// announced to this node (protocol.Message.Horizon), in ns.
 	peerHorizon atomic.Int64
 
+	// stopped closes at Stop, under stopMu, which background holds to
+	// add to wg: nothing joins wg once Stop waits on it.
 	stopped chan struct{}
+	stopMu  sync.Mutex
 	wg      sync.WaitGroup
 
 	crashOnce sync.Once
 	crashc    chan struct{}
 }
 
-// envelope pairs a protocol message with its sender.
-type envelope struct {
-	from string
-	msg  protocol.Message
-}
-
 // txState is the per-transaction entry in a participant's state
-// table. The coordinator side feeds collection channels registered by
-// Commit; the subordinate side tracks prepare/outcome progress under
-// the state's own mutex, so transactions never serialize on each
-// other.
+// table. The inbox fields and isCoord are guarded by the shard mutex;
+// everything else belongs to the transaction's consumer (inbox.go), so
+// it needs no lock of its own, and transactions never serialize on
+// each other.
 type txState struct {
 	id string
+	sh *txShard // the shard the entry hashes to
 
-	// Coordinator side: collection channels, registered by Commit and
-	// read under the participant's mutex by the router. Votes and acks
-	// share replies: the coordinator collects them one phase after the
-	// other, each loop skipping the other kind.
+	// Input (inbox.go): inbox[head:] waits for the consumer, consuming
+	// says one owns it, and wake rouses a collector waiting in next.
+	inbox     []envelope
+	head      int
+	consuming bool
+	wake      chan struct{}
+
+	// isCoord marks a transaction this node coordinates: outcomes sent
+	// to it are replies to collect, not work to apply. detached is set,
+	// by the committing goroutine only, when a background goroutine
+	// takes the consumer role over: one collecting the commit acks (a
+	// logless vote's coordinator returns before them), or a delegating
+	// coordinator's resolver asking its silent agent.
 	isCoord  bool
-	replies  chan envelope
-	decision chan envelope                 // last-agent delegation answer
-	early    map[string]protocol.VoteValue // votes that preceded Commit (unsolicited)
-	// detached is set, by the committing goroutine only, when a
-	// background goroutine owns the registration: one collecting the
-	// commit acks (a logless vote's coordinator returns before them),
-	// or a delegating coordinator's resolver asking its silent agent.
 	detached bool
+	// gone is set, by the consumer, once it has removed the entry from
+	// the table.
+	gone bool
 
-	// Subordinate side, guarded by mu.
-	mu        sync.Mutex
+	// Subordinate side.
 	presume   protocol.Variant // the variant the Prepare announced
 	prepared  bool
 	voteMsg   protocol.Message // the vote we sent, for duplicate Prepares
 	done      bool
 	committed bool
-	resolved  chan struct{} // closed when done flips true (recovery waiters)
 
-	// Paxos Commit state (nil for every other variant). Set holding
-	// both mu and the shard mutex, so either suffices to read it.
-	pax *paxosState
+	// Paxos Commit state (nil for every other variant).
+	pax *protocol.PaxosTx
 }
 
 // NewParticipant wires a participant to its endpoint, log, and
@@ -272,10 +275,10 @@ func fnvMore(h int64, s string) int64 {
 	return h
 }
 
-// Start launches the participant's receive loop. Each protocol
-// message is dispatched to its own goroutine; per-transaction state
-// guards keep handling race-free without serializing across
-// transactions.
+// Start launches the participant's receive loop. The loop hands each
+// protocol message to its transaction's inbox (inbox.go), whose one
+// consumer handles that transaction's input in arrival order; distinct
+// transactions run concurrently and never serialize on each other.
 //
 // Before serving traffic, Start replays the durable log: decided
 // transactions repopulate the decided table (so inquiries after a
@@ -323,14 +326,37 @@ func (p *Participant) Start() error {
 	return nil
 }
 
-// Stop shuts the participant down and waits for in-flight handlers.
-// Coalesced messages already enqueued are flushed to the wire before
-// the endpoint closes.
+// Stop shuts the participant down and waits for its receive loop and
+// background collectors. Coalesced messages already enqueued are
+// flushed to the wire before the endpoint closes. A drainer still
+// working through a transaction's input (blocked in a force, say) is
+// not waited for: it finishes on its own, its sends refused, though
+// its log writes may still land.
 func (p *Participant) Stop() {
+	p.stopMu.Lock()
 	close(p.stopped)
+	p.stopMu.Unlock()
 	p.out.close()
 	p.ep.Close()
 	p.wg.Wait()
+}
+
+// background runs fn on a goroutine Stop waits for, and reports
+// whether it did: once Stop has begun, it does not run fn at all.
+func (p *Participant) background(fn func()) bool {
+	p.stopMu.Lock()
+	defer p.stopMu.Unlock()
+	select {
+	case <-p.stopped:
+		return false
+	default:
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		fn()
+	}()
+	return true
 }
 
 // Crash simulates a process failure: the log's volatile buffer is lost
@@ -455,11 +481,8 @@ func (p *Participant) Decided() map[string]bool {
 	return out
 }
 
-// handle dispatches one wire packet. Collection messages (votes,
-// acks, delegated decisions) are routed to the waiting coordinator
-// inline; work-carrying messages (prepare, outcome, inquiry) each get
-// a goroutine so a slow prepare at one transaction never blocks
-// another transaction's traffic.
+// handle routes one wire packet, message by message in the order it
+// carries them, to the transactions' inboxes (route).
 func (p *Participant) handle(pkt protocol.Packet) {
 	if p.Crashed() {
 		return
@@ -482,7 +505,7 @@ func (p *Participant) handle(pkt protocol.Packet) {
 		}
 	}
 	for i := range pkt.Messages {
-		m := pkt.Messages[i]
+		m := &pkt.Messages[i]
 		if m.Horizon > 0 {
 			p.notePeerHorizon(m.Horizon)
 		}
@@ -492,43 +515,12 @@ func (p *Participant) handle(pkt protocol.Packet) {
 		if p.traceOn {
 			p.trc.Add(trace.Event{Node: p.name, Peer: pkt.From, Kind: trace.KindReceive, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
 		}
-		switch m.Type {
-		case protocol.MsgPrepare:
-			p.spawn(pkt.From, m, p.handlePrepare)
-		case protocol.MsgVote:
-			p.routeVote(pkt.From, m)
-		case protocol.MsgCommit:
-			p.routeOutcome(pkt.From, m, true)
-		case protocol.MsgAbort:
-			p.routeOutcome(pkt.From, m, false)
-		case protocol.MsgAck:
-			p.routeAck(pkt.From, m)
-		case protocol.MsgInquire:
-			p.spawn(pkt.From, m, p.handleInquire)
-		case protocol.MsgOutcome:
-			p.spawn(pkt.From, m, p.handleOutcomeReply)
-		case protocol.MsgPaxosAccept:
-			p.spawn(pkt.From, m, p.handlePaxosAccept)
-		case protocol.MsgPaxosQuery:
-			p.spawn(pkt.From, m, p.handlePaxosQuery)
-		case protocol.MsgPaxosAccepted:
-			p.feedPaxos(m.Tx, envelope{from: pkt.From, msg: m}, false)
-		case protocol.MsgPaxosPromise:
-			p.feedPaxos(m.Tx, envelope{from: pkt.From, msg: m}, true)
-		}
+		p.route(pkt.From, m)
 	}
-	// Every dispatch path above copied its message value, so the
-	// packet's backing array can go back to the codec pool (transports
-	// hand over ownership on delivery).
+	// Every inbox holds its own copy of a message, so the packet's
+	// backing array can go back to the codec pool (transports hand over
+	// ownership on delivery).
 	protocol.PutMsgSlice(pkt.Messages)
-}
-
-func (p *Participant) spawn(from string, m protocol.Message, fn func(string, protocol.Message)) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		fn(from, m)
-	}()
 }
 
 // recordDecision publishes the outcome of a transaction this node
@@ -540,13 +532,12 @@ func (p *Participant) recordDecision(tx string, committed, pinned bool) {
 	p.publishDecision(tx, coordDecision(committed), pinned)
 }
 
-// recordSubDecisionLocked is recordDecision for a transaction this
+// recordSubDecision is recordDecision for a transaction this
 // node subordinates: the entry also keeps the announced presumption,
 // which a duplicate outcome after the entry retires is answered under.
 // Only a Paxos acceptor's entry is pinned: an acceptor that forgot what
 // it accepted could let a recovery leader choose a different outcome.
-// Caller holds st.mu.
-func (p *Participant) recordSubDecisionLocked(st *txState, committed bool) {
+func (p *Participant) recordSubDecision(st *txState, committed bool) {
 	acceptor := st.pax != nil && st.pax.IsAcceptor()
 	p.publishDecision(st.id, subDecision(committed, st.presume), acceptor)
 }
@@ -588,50 +579,6 @@ func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 	}
 }
 
-// routeVote delivers a vote to the coordinator collecting it, or
-// buffers it if the vote arrived before Commit registered (the §4
-// Unsolicited Vote optimization). Votes for already-decided
-// transactions are dropped outright — buffering them would recreate a
-// table entry nothing ever cleans up.
-func (p *Participant) routeVote(from string, m protocol.Message) {
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	if _, done := sh.decidedLocked(m.Tx); done {
-		sh.mu.Unlock()
-		return
-	}
-	st, exists := sh.txs[m.Tx]
-	if !exists && !m.Unsolicited {
-		// A solicited vote for a transaction this node has no memory
-		// of: it sent the Prepare, crashed, and restarted with no
-		// pending record. Nothing can have committed without a durable
-		// decision here, so abort — durably, so later inquiries get the
-		// same answer — rather than resurrecting the transaction as
-		// forever "in progress". The transaction's own variant is
-		// unknown here, so this node's variant's rules apply.
-		sh.mu.Unlock()
-		p.abortForgotten(m.Tx, p.variant, protocol.Round{Voted: true}, []string{from})
-		return
-	}
-	if st == nil {
-		st = sh.stateLocked(m.Tx)
-	}
-	ch := st.replies
-	if ch == nil {
-		if st.early == nil {
-			st.early = make(map[string]protocol.VoteValue)
-		}
-		st.early[from] = m.Vote
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.Unlock()
-	select {
-	case ch <- envelope{from: from, msg: m}:
-	default:
-	}
-}
-
 // abortForgotten decides abort for a transaction whose coordination a
 // crash cut short — a restart found its pre-prepare record undecided,
 // or a vote came for it — under v's rules for round rd, and tells owed,
@@ -653,72 +600,6 @@ func (p *Participant) abortForgotten(tx string, v protocol.Variant, rd protocol.
 	for _, s := range owed {
 		_ = p.sendExtra(s, protocol.OutcomeMessage(tx, false))
 	}
-}
-
-// toCoordinator hands an outcome for a transaction this node
-// coordinates to its decision channel (a delegating coordinator's or
-// a Paxos leader's; others drop it) and reports whether it is one.
-func (p *Participant) toCoordinator(from string, m protocol.Message) bool {
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	st, ok := sh.txs[m.Tx]
-	isCoord := ok && st.isCoord
-	var ch chan envelope
-	if isCoord {
-		ch = st.decision
-	}
-	sh.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- envelope{from: from, msg: m}:
-		default:
-		}
-	}
-	return isCoord
-}
-
-// routeOutcome sends a Commit/Abort to the coordinator collecting it,
-// or down the subordinate outcome path.
-func (p *Participant) routeOutcome(from string, m protocol.Message, commit bool) {
-	if p.toCoordinator(from, m) {
-		return
-	}
-	p.spawn(from, m, func(from string, m protocol.Message) {
-		p.applyOutcome(from, m, commit)
-	})
-}
-
-// routeAck delivers an acknowledgment to the coordinator collecting
-// it, or — when the coordinator stopped collecting and handed the
-// outstanding acks to its pinned decided-table entry — strikes the
-// sender from that entry, releasing it with the last one. The channel
-// send happens under the shard mutex, so an ack is never lost between
-// a collector giving up and the entry taking over.
-func (p *Participant) routeAck(from string, m protocol.Message) {
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	if pe, ok := sh.pinned[m.Tx]; ok && pe.waiting != nil {
-		if i := indexOf(pe.waiting, from); i >= 0 {
-			pe.waiting = append(pe.waiting[:i], pe.waiting[i+1:]...)
-		}
-		done := len(pe.waiting) == 0
-		if done {
-			pe.waiting = nil
-		}
-		sh.pinned[m.Tx] = pe
-		sh.mu.Unlock()
-		if done {
-			p.endCoord(m.Tx, pe.ledger)
-		}
-		return
-	}
-	if st, ok := sh.txs[m.Tx]; ok && st.replies != nil {
-		select {
-		case st.replies <- envelope{from: from, msg: m}:
-		default:
-		}
-	}
-	sh.mu.Unlock()
 }
 
 // send transmits a single protocol message, counting it in metrics

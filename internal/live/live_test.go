@@ -180,9 +180,7 @@ func (p *Participant) lookup(tx string) (*txState, bool) {
 func inquire(p *Participant, coordinator, txName string) error {
 	m := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
 	if st, ok := p.lookup(txName); ok {
-		st.mu.Lock()
-		m.Presume = st.presume
-		st.mu.Unlock()
+		p.call(st, func() { m.Presume = st.presume })
 	}
 	return p.send(coordinator, m)
 }

@@ -29,7 +29,7 @@ package live
 // The rules themselves (acceptor set, quorum, ballots, accept and
 // promise, restore, tally, value choice) are protocol.PaxosTx and
 // protocol.PaxosRound, shared with the simulator; this file is the
-// runtime's driver: channels, retry alarms, records, the cost ledger.
+// runtime's driver: the inbox, retry alarms, records, the cost ledger.
 
 import (
 	"context"
@@ -39,36 +39,21 @@ import (
 	"repro/internal/wal"
 )
 
-// paxosState is a Paxos Commit transaction's state at this node.
-type paxosState struct {
-	protocol.PaxosTx // guarded by the txState's mu
-	// Leader collection channels, registered under the shard mutex
-	// like votes and acks.
-	accepts chan envelope // PaxosAccepted bundles and acks
-	promise chan envelope // PaxosPromise replies
-}
-
-// paxosLocked returns st's Paxos state, creating it on first use. The
-// pointer is published under the shard mutex as well, since feedPaxos
-// reads it holding only that. Caller holds st.mu.
-func (p *Participant) paxosLocked(st *txState) *paxosState {
+// paxos returns st's Paxos state, creating it on first use.
+func (p *Participant) paxos(st *txState) *protocol.PaxosTx {
 	if st.pax == nil {
-		ps := &paxosState{PaxosTx: protocol.PaxosTx{
+		st.pax = &protocol.PaxosTx{
 			Self:              p.name,
 			SkipAcceptorForce: p.hooks.SkipAcceptorForce,
 			QuorumOverride:    p.hooks.QuorumOverride,
-		}}
-		sh := p.shardFor(st.id)
-		sh.mu.Lock()
-		st.pax = ps
-		sh.mu.Unlock()
+		}
 	}
 	return st.pax
 }
 
 // decisionOf extracts a commit/abort decision from a message that can
 // carry one (an outcome broadcast or a recovery answer).
-func decisionOf(m protocol.Message) (commit, ok bool) {
+func decisionOf(m *protocol.Message) (commit, ok bool) {
 	switch m.Type {
 	case protocol.MsgCommit:
 		return true, true
@@ -92,24 +77,11 @@ func decisionOf(m protocol.Message) (commit, ok bool) {
 // acceptor membership, and the coordinator's own instance value goes
 // to the acceptors at ballot 0 alongside everyone else's.
 func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx protocol.TxID, txName string, subs []string) (Outcome, error) {
-	// Register the membership and the leader's collection channel
-	// before any reply can arrive. The decision channel doubles as the
-	// inlet for outcomes another leader (or a decided acceptor) sends us.
 	participants := append([]string{p.name}, subs...)
-	st.mu.Lock()
 	st.presume = protocol.VariantPaxos
-	ps := p.paxosLocked(st)
+	ps := p.paxos(st)
 	ps.Adopt(protocol.PaxosAcceptorSet(p.name, subs), participants)
 	meta := ps.Meta(0, p.name)
-	sh := p.shardFor(txName)
-	sh.mu.Lock()
-	ps.accepts = make(chan envelope, 4*len(participants)+8)
-	if st.decision == nil {
-		st.decision = make(chan envelope, 4)
-	}
-	accepts := ps.accepts
-	sh.mu.Unlock()
-	st.mu.Unlock()
 
 	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: protocol.VariantPaxos, Payload: meta.Encode()}
 	for _, s := range subs {
@@ -132,10 +104,8 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx protoc
 	// and every participant sees phase two. A lost accept falls to the
 	// recovery round; a crash ends the fast path here, before any reply
 	// can be collected.
-	st.mu.Lock()
 	ps.Vote = protocol.VoteYes
-	p.paxosSendAccept0Locked(st)
-	st.mu.Unlock()
+	p.paxosSendAccept0(st)
 	if p.Crashed() {
 		return InDoubt, ErrCrashed
 	}
@@ -146,8 +116,16 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx protoc
 	defer deadline.Stop()
 fast:
 	for {
-		select {
-		case env := <-accepts:
+		switch env, w := p.next(ctx, st, deadline.C()); w {
+		case gotReply:
+			if commit, ok := decisionOf(&env.msg); ok {
+				// Another leader, or an acceptor that already knows the
+				// outcome, resolved the transaction for us.
+				return p.paxosCoordFinish(st, tx, txName, subs, commit, true, false), nil
+			}
+			if env.msg.Type != protocol.MsgPaxosAccepted {
+				continue
+			}
 			bm, err := protocol.DecodePaxosMeta(env.msg.Payload)
 			if err != nil {
 				continue
@@ -160,32 +138,25 @@ fast:
 			// before the decision leaves: deciding retires this entry,
 			// after which a late accept is answered with the outcome
 			// and the bundle would never be forced (see DESIGN §13).
-			if selfAcceptor {
-				st.mu.Lock()
-				bundled := ps.Bundled()
-				st.mu.Unlock()
-				if !bundled {
-					continue
-				}
+			if selfAcceptor && !ps.Bundled() {
+				continue
 			}
 			return p.paxosCoordFinish(st, tx, txName, subs, commit, true, true), nil
-		case env := <-st.decision:
-			// Another leader, or an acceptor that already knows the
-			// outcome, resolved the transaction for us.
-			if commit, ok := decisionOf(env.msg); ok {
-				return p.paxosCoordFinish(st, tx, txName, subs, commit, true, false), nil
-			}
-		case <-deadline.C():
+		case rang:
 			break fast
-		case <-p.crashc:
+		case crashed:
 			return InDoubt, ErrCrashed
-		case <-ctx.Done():
+		case stopping, cancelled:
 			// Accepts may exist: aborting unilaterally could split the
 			// outcome, so the transaction is genuinely in doubt here.
 			if p.met != nil {
 				p.met.InDoubtEntry(p.name)
 			}
-			return InDoubt, fmt.Errorf("live: awaiting paxos quorum for %s: %w (%w)", txName, ErrInDoubt, ctx.Err())
+			cause := ctx.Err()
+			if w == stopping {
+				cause = errStopped
+			}
+			return InDoubt, fmt.Errorf("live: awaiting paxos quorum for %s: %w (%w)", txName, ErrInDoubt, cause)
 		}
 	}
 
@@ -239,18 +210,18 @@ func (p *Participant) paxosCoordFinish(st *txState, tx protocol.TxID, txName str
 
 // ---- Subordinate phase one ----
 
-// handlePaxosPrepareLocked runs a subordinate's phase one under Paxos
+// handlePaxosPrepare runs a subordinate's phase one under Paxos
 // Commit: prepare, force the Prepared record with the announced
 // membership in its payload (a restarted participant recovers from
 // the acceptor quorum, not from the possibly-dead coordinator), then
 // make the vote known to every acceptor — the ballot-0 accept of this
-// participant's own instance replaces MsgVote. Caller holds st.mu.
-func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m protocol.Message) {
+// participant's own instance replaces MsgVote.
+func (p *Participant) handlePaxosPrepare(st *txState, from string, m *protocol.Message) {
 	meta, err := protocol.DecodePaxosMeta(m.Payload)
 	if err != nil {
 		return
 	}
-	ps := p.paxosLocked(st)
+	ps := p.paxos(st)
 	ps.Adopt(meta.Acceptors, meta.Participants)
 	if ps.VoteSent || len(ps.Acceptors) == 0 {
 		return // duplicate Prepare, or membership missing: recovery retries
@@ -280,14 +251,14 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 		st.prepared = true
 	}
 	ps.Vote = vote
-	p.paxosSendAccept0Locked(st)
+	p.paxosSendAccept0(st)
 	if vote == protocol.VoteNo {
 		// A No voter may abort unilaterally: its instance value No is
 		// on its way to the acceptors, and recovery defaults a free
 		// instance to No — either way the transaction cannot commit.
 		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecAborted})
 		p.completeResources(tx, false)
-		p.finishLocked(st, false)
+		p.finish(st, false)
 		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
 		if p.met != nil {
 			p.met.CostOutcome(m.Tx, "aborted", -1)
@@ -296,10 +267,10 @@ func (p *Participant) handlePaxosPrepareLocked(st *txState, from string, m proto
 	}
 }
 
-// paxosSendAccept0Locked sends this participant's ballot-0 accept for
+// paxosSendAccept0 sends this participant's ballot-0 accept for
 // its own instance to every acceptor, self-applying when this node is
-// itself one. Caller holds st.mu.
-func (p *Participant) paxosSendAccept0Locked(st *txState) {
+// itself one.
+func (p *Participant) paxosSendAccept0(st *txState) {
 	ps := st.pax
 	if ps.VoteSent || len(ps.Acceptors) == 0 {
 		return
@@ -307,18 +278,18 @@ func (p *Participant) paxosSendAccept0Locked(st *txState) {
 	ps.VoteSent = true
 	am := ps.Meta(0, ps.Participants[0])
 	am.Instance = p.name
-	p.paxosBroadcastAcceptLocked(st, am, ps.Vote)
+	p.paxosBroadcastAccept(st, am, ps.Vote)
 }
 
-// paxosBroadcastAcceptLocked sends an accept of am.Instance's value
+// paxosBroadcastAccept sends an accept of am.Instance's value
 // to every acceptor, applying it here when this node is one. A
-// recovery ballot's accepts are extra flows. Caller holds st.mu.
-func (p *Participant) paxosBroadcastAcceptLocked(st *txState, am protocol.PaxosMeta, vote protocol.VoteValue) {
+// recovery ballot's accepts are extra flows.
+func (p *Participant) paxosBroadcastAccept(st *txState, am protocol.PaxosMeta, vote protocol.VoteValue) {
 	msg := protocol.Message{Type: protocol.MsgPaxosAccept, Tx: st.id, Vote: vote, Payload: am.Encode()}
 	for _, a := range st.pax.Acceptors {
 		switch {
 		case a == p.name:
-			p.paxosAcceptLocked(st, am, vote)
+			p.paxosAccept(st, am, vote)
 		case am.Ballot > 0:
 			_ = p.sendExtra(a, msg)
 		default:
@@ -334,35 +305,17 @@ func (p *Participant) paxosBroadcastAcceptLocked(st *txState, am protocol.PaxosM
 // outcome — except a ballot-0 accept completing a committed
 // transaction's still-pending bundle, which runs to completion so the
 // acceptor's durable (and cost-audited) state finishes even when the
-// decision raced ahead of the slowest accept.
-func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
+// decision raced ahead of the slowest accept. d and known are the
+// decided table's entry for the transaction.
+func (p *Participant) handlePaxosAccept(st *txState, from string, m *protocol.Message, d decision, known bool) {
 	meta, err := protocol.DecodePaxosMeta(m.Payload)
 	if err != nil {
 		return
 	}
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	d, known := sh.decidedLocked(m.Tx)
-	st, exists := sh.txs[m.Tx]
-	if !known && !exists {
-		st = sh.stateLocked(m.Tx)
-		exists = true
-	}
-	sh.mu.Unlock()
-	if known && !exists {
-		// Decided and already retired from the table: answer without
-		// resurrecting a blank entry — a lingering one would make a
-		// duplicate outcome reply re-apply the whole transaction here
-		// (double writes, a corrupted cost ledger).
-		p.paxosReplyOutcome(meta.Leader, from, m.Tx, d.committed())
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	// A subordinate entry kept for its pending bundle retires as soon
 	// as this accept completes it.
-	defer p.retireLocked(st)
-	ps := p.paxosLocked(st)
+	defer p.retire(st)
+	ps := p.paxos(st)
 	ps.Adopt(meta.Acceptors, meta.Participants)
 	if known {
 		committed := d.committed()
@@ -373,7 +326,7 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 		}
 	}
 	pending := st.bundlePending()
-	if p.paxosAcceptLocked(st, meta, m.Vote) && pending && ps.Bundled() && p.met != nil {
+	if p.paxosAccept(st, meta, m.Vote) && pending && ps.Bundled() && p.met != nil {
 		// The subordinate's phase two closed without its bundle
 		// (applyOutcome); now that it is forced and sent, so is the
 		// acceptor's spend.
@@ -381,60 +334,45 @@ func (p *Participant) handlePaxosAccept(from string, m protocol.Message) {
 	}
 }
 
-// paxosAcceptLocked applies the acceptor's accept rule and does what
+// paxosAccept applies the acceptor's accept rule and does what
 // it asks: write the acceptance, then acknowledge it to the ballot's
-// leader. It reports whether an acknowledgment went out. Caller holds
-// st.mu.
-func (p *Participant) paxosAcceptLocked(st *txState, meta protocol.PaxosMeta, vote protocol.VoteValue) bool {
+// leader. It reports whether an acknowledgment went out.
+func (p *Participant) paxosAccept(st *txState, meta protocol.PaxosMeta, vote protocol.VoteValue) bool {
 	step, ok := st.pax.Accept(meta.Ballot, meta.Instance, vote)
-	if !ok || p.writePaxosLocked(st, protocol.RecPaxAccept, step) != nil {
+	if !ok || p.writePaxos(st, protocol.RecPaxAccept, step) != nil {
 		return false
 	}
-	p.paxosReplyLocked(st, protocol.MsgPaxosAccepted, meta.Leader, step)
+	p.paxosReply(st, protocol.MsgPaxosAccepted, meta.Leader, step)
 	return true
 }
 
 // handlePaxosQuery processes a recovery leader's phase-1a request at
-// an acceptor. A decided transaction short-circuits with the outcome —
-// faster than a round, and safe because decisions are quorum-backed.
-func (p *Participant) handlePaxosQuery(from string, m protocol.Message) {
+// an acceptor. A decided transaction never gets here: it is answered
+// with the outcome (answerDecided) — faster than a round, and safe
+// because decisions are quorum-backed.
+func (p *Participant) handlePaxosQuery(st *txState, m *protocol.Message) {
 	meta, err := protocol.DecodePaxosMeta(m.Payload)
 	if err != nil {
 		return
 	}
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	d, known := sh.decidedLocked(m.Tx)
-	if known {
-		// Answer before touching the table: creating a blank entry
-		// for a retired transaction invites duplicate re-application.
-		sh.mu.Unlock()
-		p.paxosReplyOutcome(meta.Leader, from, m.Tx, d.committed())
-		return
-	}
-	st := sh.stateLocked(m.Tx)
-	sh.mu.Unlock()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	p.paxosLocked(st).Adopt(meta.Acceptors, meta.Participants)
-	p.paxosPromiseLocked(st, meta)
+	p.paxos(st).Adopt(meta.Acceptors, meta.Participants)
+	p.paxosPromise(st, meta)
 }
 
-// paxosPromiseLocked applies the acceptor's promise rule and does what
+// paxosPromise applies the acceptor's promise rule and does what
 // it asks: force the promise with the accepted state, then report that
-// state to the leader. Caller holds st.mu.
-func (p *Participant) paxosPromiseLocked(st *txState, meta protocol.PaxosMeta) {
+// state to the leader.
+func (p *Participant) paxosPromise(st *txState, meta protocol.PaxosMeta) {
 	step, ok := st.pax.Promise(meta.Ballot)
-	if !ok || p.writePaxosLocked(st, protocol.RecPaxPromise, step) != nil {
+	if !ok || p.writePaxos(st, protocol.RecPaxPromise, step) != nil {
 		return
 	}
-	p.paxosReplyLocked(st, protocol.MsgPaxosPromise, meta.Leader, step)
+	p.paxosReply(st, protocol.MsgPaxosPromise, meta.Leader, step)
 }
 
-// writePaxosLocked writes an acceptor step's record (PaxosTx.Record).
+// writePaxos writes an acceptor step's record (PaxosTx.Record).
 // An unforced step's write error is ignored, as for every lazy record.
-// Caller holds st.mu.
-func (p *Participant) writePaxosLocked(st *txState, kind string, step protocol.PaxosStep) error {
+func (p *Participant) writePaxos(st *txState, kind string, step protocol.PaxosStep) error {
 	rec := wal.Record{Tx: st.id, Node: p.name, Kind: kind, Data: st.pax.Record(kind, step).Encode()}
 	if step.Force {
 		return p.force(rec)
@@ -443,12 +381,11 @@ func (p *Participant) writePaxosLocked(st *txState, kind string, step protocol.P
 	return nil
 }
 
-// paxosReplyLocked reports an acceptor step to the ballot's leader,
-// feeding the local collection channel when the leader is this node.
-// The ballot-0 bundle is a first-class flow of the fast path;
-// recovery-ballot acks are extra flows, and so are promises (sendFlow
-// marks them). Caller holds st.mu.
-func (p *Participant) paxosReplyLocked(st *txState, mt protocol.MsgType, leader string, step protocol.PaxosStep) {
+// paxosReply reports an acceptor step to the ballot's leader, posting
+// it to st's own inbox when the leader is this node. The ballot-0
+// bundle is a first-class flow of the fast path; recovery-ballot acks
+// are extra flows, and so are promises (sendFlow marks them).
+func (p *Participant) paxosReply(st *txState, mt protocol.MsgType, leader string, step protocol.PaxosStep) {
 	am := st.pax.Meta(step.Ballot, leader)
 	am.States = step.States
 	msg := protocol.Message{Type: mt, Tx: st.id, Payload: am.Encode()}
@@ -457,7 +394,9 @@ func (p *Participant) paxosReplyLocked(st *txState, mt protocol.MsgType, leader 
 	}
 	switch {
 	case leader == p.name:
-		p.feedPaxos(st.id, envelope{from: p.name, msg: msg}, mt == protocol.MsgPaxosPromise)
+		st.sh.mu.Lock()
+		p.postLocked(st, envelope{from: p.name, msg: msg})
+		st.sh.mu.Unlock()
 	case mt == protocol.MsgPaxosAccepted && step.Ballot > 0:
 		_ = p.sendExtra(leader, msg)
 	default:
@@ -482,29 +421,6 @@ func (p *Participant) paxosReplyOutcome(leader, from, tx string, committed bool)
 	_ = p.sendExtra(to, protocol.Message{Type: protocol.MsgOutcome, Tx: tx, Outcome: out})
 }
 
-// feedPaxos hands a Paxos reply to the transaction's collecting
-// leader, if one is waiting here; stray replies are dropped exactly
-// as a full channel would drop them.
-func (p *Participant) feedPaxos(tx string, env envelope, promise bool) {
-	sh := p.shardFor(tx)
-	sh.mu.Lock()
-	var ch chan envelope
-	if st, ok := sh.txs[tx]; ok && st.pax != nil {
-		if promise {
-			ch = st.pax.promise
-		} else {
-			ch = st.pax.accepts
-		}
-	}
-	sh.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- env:
-		default:
-		}
-	}
-}
-
 // ---- Recovery leader ----
 
 // paxosLeadRounds leads recovery rounds for one transaction until a
@@ -514,25 +430,10 @@ func (p *Participant) feedPaxos(tx string, env envelope, promise bool) {
 // broadcast to every other participant before returning; applying it
 // locally is the caller's job.
 func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName string) (bool, error) {
-	st.mu.Lock()
 	ps := st.pax
 	if ps == nil || len(ps.Acceptors) == 0 {
-		st.mu.Unlock()
 		return false, fmt.Errorf("live: no paxos membership recorded for %s", txName)
 	}
-	// Buffers hold every reply one round can draw (an ack per instance
-	// per acceptor, a promise per acceptor) plus stragglers.
-	sh := p.shardFor(txName)
-	sh.mu.Lock()
-	if ps.accepts == nil {
-		ps.accepts = make(chan envelope, 4*len(ps.Participants)*len(ps.Acceptors)+8)
-	}
-	if ps.promise == nil {
-		ps.promise = make(chan envelope, 2*len(ps.Acceptors)+4)
-	}
-	accepts, promises, decisionCh := ps.accepts, ps.promise, st.decision
-	sh.mu.Unlock()
-	st.mu.Unlock()
 
 	// The alarm's retransmission points end stalled rounds; its
 	// deadline bounds the whole recovery.
@@ -549,14 +450,12 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 		query := protocol.Message{Type: protocol.MsgPaxosQuery, Tx: txName, Payload: qm.Encode()}
 		for _, a := range ps.Acceptors {
 			if a == p.name {
-				st.mu.Lock()
-				p.paxosPromiseLocked(st, qm)
-				st.mu.Unlock()
+				p.paxosPromise(st, qm)
 				continue
 			}
 			_ = p.send(a, query) // sendFlow marks queries as extra flows
 		}
-		commit, decided, err := p.paxosCollectRound(ctx, st, round, accepts, promises, decisionCh, &alarm)
+		commit, decided, err := p.paxosCollectRound(ctx, st, round, &alarm)
 		if err != nil {
 			return false, err
 		}
@@ -574,11 +473,29 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 // send its proposal, then feed acceptances until it decides.
 // decided=false with nil error means the round stalled and a higher
 // ballot should retry.
-func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round *protocol.PaxosRound, accepts, promises, decisionCh chan envelope, alarm *retryAlarm) (bool, bool, error) {
+func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round *protocol.PaxosRound, alarm *retryAlarm) (bool, bool, error) {
 	ps := st.pax
 	for {
-		select {
-		case env := <-promises:
+		env, w := p.next(ctx, st, alarm.C())
+		switch w {
+		case resolved:
+			// An outcome reached this node as a subordinate and was
+			// applied on the way.
+			return st.committed, true, nil
+		case rang:
+			if alarm.expired() {
+				return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", st.id, ErrInDoubt)
+			}
+			return false, false, nil
+		case crashed:
+			return false, false, ErrCrashed
+		case stopping:
+			return false, false, errStopped
+		case cancelled:
+			return false, false, ctx.Err()
+		}
+		switch env.msg.Type {
+		case protocol.MsgPaxosPromise:
 			pm, err := protocol.DecodePaxosMeta(env.msg.Payload)
 			if err != nil {
 				continue
@@ -586,11 +503,9 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round 
 			for _, is := range round.Promise(env.from, pm.Ballot, pm.States) {
 				am := ps.Meta(round.Ballot, p.name)
 				am.Instance = is.Instance
-				st.mu.Lock()
-				p.paxosBroadcastAcceptLocked(st, am, is.Vote)
-				st.mu.Unlock()
+				p.paxosBroadcastAccept(st, am, is.Vote)
 			}
-		case env := <-accepts:
+		case protocol.MsgPaxosAccepted:
 			am, err := protocol.DecodePaxosMeta(env.msg.Payload)
 			if err != nil {
 				continue
@@ -607,24 +522,11 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round 
 				}
 			}
 			return commit, true, nil
-		case env := <-decisionCh:
-			if commit, ok := decisionOf(env.msg); ok {
+		default:
+			// An outcome answering the coordinator this node is.
+			if commit, ok := decisionOf(&env.msg); ok {
 				return commit, true, nil
 			}
-		case <-st.resolved:
-			st.mu.Lock()
-			commit := st.committed
-			st.mu.Unlock()
-			return commit, true, nil
-		case <-alarm.C():
-			if alarm.expired() {
-				return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", st.id, ErrInDoubt)
-			}
-			return false, false, nil
-		case <-p.crashc:
-			return false, false, ErrCrashed
-		case <-ctx.Done():
-			return false, false, ctx.Err()
 		}
 	}
 }
@@ -632,17 +534,15 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round 
 // resolvePaxosInDoubt resolves one in-doubt Paxos transaction from
 // the acceptor quorum recorded in its Prepared record — the
 // coordinator's fate is irrelevant, which is the non-blocking payoff
-// (AC4 without the classic blocking window).
+// (AC4 without the classic blocking window). It runs as st's consumer.
 func (p *Participant) resolvePaxosInDoubt(ctx context.Context, st *txState, txName string) error {
-	select {
-	case <-st.resolved:
-		return nil
-	default:
-	}
 	commit, err := p.paxosLeadRounds(ctx, st, txName)
 	if err != nil {
 		return err
 	}
-	p.applyOutcome(p.name, outcomeMsg(txName, commit, nil, ""), commit)
+	if !st.done {
+		m := outcomeMsg(txName, commit, nil, "")
+		p.applyOutcome(st, p.name, &m, commit)
+	}
 	return nil
 }

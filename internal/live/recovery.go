@@ -29,7 +29,8 @@ func (p *Participant) replayLog() error {
 // waits on acks (no End) or this node holds acceptor records for it,
 // and ages from the restart otherwise. An undecided Paxos acceptor gets
 // its promises back: without them two recovery leaders could learn
-// different outcomes from it.
+// different outcomes from it. It runs before the receive loop starts,
+// so no consumer holds the entries it touches.
 func (p *Participant) resume(l *protocol.TxLog) {
 	tx, d, pr := l.Tx, l.Decision, l.Prepared
 	switch {
@@ -60,7 +61,7 @@ func (p *Participant) resume(l *protocol.TxLog) {
 		}
 	case pr != nil && pr.Agent != "" && !l.Ended:
 		// The last agent owns the outcome: come back in doubt and ask it.
-		p.resolveLater(p.registerCoord(tx, len(pr.Subs), true), tx, &delegation{tx: protocol.ParseTxID(tx),
+		p.resolveLater(p.registerCoord(tx), tx, &delegation{tx: protocol.ParseTxID(tx),
 			agent: pr.Agent, yes: pr.Subs, v: pr.Presume, rd: protocol.Round{Logged: true, Voted: true}})
 	case l.Pre != nil:
 		// The coordinator crashed mid-collection, so no subordinate can
@@ -70,16 +71,10 @@ func (p *Participant) resume(l *protocol.TxLog) {
 	case l.InDoubt():
 		// Prepared, never decided: in doubt until RecoverInDoubt (or a
 		// retransmitted outcome) settles it, and remembered until then.
-		st := p.state(tx)
-		st.mu.Lock()
-		p.reinstateLocked(st, pr)
-		st.mu.Unlock()
+		p.reinstate(p.liveState(tx), pr)
 	}
 	if d == nil && (len(l.Accepts) > 0 || l.Promise != nil) {
-		st := p.state(tx)
-		st.mu.Lock()
-		l.RestoreAcceptor(&p.paxosLocked(st).PaxosTx)
-		st.mu.Unlock()
+		l.RestoreAcceptor(p.paxos(p.liveState(tx)))
 	}
 }
 
@@ -107,25 +102,29 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 		if p.met != nil {
 			p.met.InDoubtEntry(p.name)
 		}
-		// Reinstate the table entry: a restarted participant has an
-		// empty table, and applyOutcome needs the prepared flag and
-		// presumption to log the answer correctly.
-		st, _, decided := p.liveState(txName)
-		if decided {
+		st := p.liveState(txName)
+		if st == nil {
 			continue // resolved (and retired) since the log scan
 		}
-		st.mu.Lock()
-		if !st.done && !st.prepared {
-			p.reinstateLocked(st, rec)
-		}
-		paxos := st.presume == protocol.VariantPaxos
-		st.mu.Unlock()
+		// Recovery runs as the transaction's consumer, so the answer it
+		// waits for is applied in arrival order like any other input.
 		var rerr error
-		if paxos {
-			rerr = p.resolvePaxosInDoubt(ctx, st, txName)
-		} else {
-			rerr = p.resolveInDoubt(ctx, st, coordinator, txName)
-		}
+		p.call(st, func() {
+			if st.done {
+				return
+			}
+			// Reinstate the table entry: a restarted participant has an
+			// empty table, and applyOutcome needs the prepared flag and
+			// presumption to log the answer correctly.
+			if !st.prepared {
+				p.reinstate(st, rec)
+			}
+			if st.presume == protocol.VariantPaxos {
+				rerr = p.resolvePaxosInDoubt(ctx, st, txName)
+			} else {
+				rerr = p.resolveInDoubt(ctx, st, coordinator, txName)
+			}
+		})
 		if err := rerr; err != nil {
 			unresolved = append(unresolved, txName)
 			if ctx.Err() != nil {
@@ -139,19 +138,19 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	return inDoubt, nil
 }
 
-// reinstateLocked marks st prepared under the presumption its Prepared
+// reinstate marks st prepared under the presumption its Prepared
 // record rec announced — none presumes nothing, whose force/ack rules
 // are safe under every variant — and, under Paxos Commit, with the
 // membership it names: the acceptor set is this node's recovery
-// coordinator, not whoever crashed. Caller holds st.mu.
-func (p *Participant) reinstateLocked(st *txState, rec *protocol.LogRecord) {
+// coordinator, not whoever crashed.
+func (p *Participant) reinstate(st *txState, rec *protocol.LogRecord) {
 	st.prepared = true
 	if rec == nil {
 		return
 	}
 	st.presume = rec.Presume
 	if rec.Paxos != nil {
-		p.paxosLocked(st).Adopt(rec.Paxos.Acceptors, rec.Paxos.Participants)
+		p.paxos(st).Adopt(rec.Paxos.Acceptors, rec.Paxos.Participants)
 	}
 }
 
@@ -181,7 +180,8 @@ func (p *Participant) scanInDoubt() (inDoubt []string, prepared map[string]*prot
 }
 
 // preparedInMemory lists, sorted, the transactions this participant
-// holds prepared in its table as a subordinate with no decision.
+// holds prepared in its table as a subordinate with no decision. Each
+// entry is asked on its consumer.
 func (p *Participant) preparedInMemory() []string {
 	var sts []*txState
 	p.forEachState(func(_ string, st *txState) {
@@ -191,11 +191,11 @@ func (p *Participant) preparedInMemory() []string {
 	})
 	var out []string
 	for _, st := range sts {
-		st.mu.Lock()
-		if st.prepared && !st.done {
-			out = append(out, st.id)
-		}
-		st.mu.Unlock()
+		p.call(st, func() {
+			if st.prepared && !st.done {
+				out = append(out, st.id)
+			}
+		})
 	}
 	sort.Strings(out)
 	return out
@@ -210,31 +210,30 @@ func (p *Participant) InDoubtTxs() ([]string, error) {
 	return inDoubt, err
 }
 
-// resolveInDoubt drives inquiries for one transaction until its state
-// st resolves or the deadline passes. The answer retires st from the
-// table; waiting on st itself, not a fresh lookup, is what sees it.
+// resolveInDoubt drives inquiries for one transaction, as st's
+// consumer, until the answer is applied or the deadline passes.
 func (p *Participant) resolveInDoubt(ctx context.Context, st *txState, coordinator, txName string) error {
-	st.mu.Lock()
 	inq := protocol.Message{Type: protocol.MsgInquire, Tx: txName, Presume: st.presume}
-	st.mu.Unlock()
 	if err := p.send(coordinator, inq); err != nil {
 		return fmt.Errorf("live: inquiry to %s: %w (%v)", coordinator, ErrInDoubt, err)
 	}
 	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/inquire")
 	defer alarm.stop()
 	for {
-		select {
-		case <-st.resolved:
+		switch _, w := p.next(ctx, st, alarm.C()); w {
+		case resolved:
 			return nil
-		case <-alarm.C():
+		case rang:
 			if alarm.expired() {
 				return fmt.Errorf("live: %s unresolved: %w", txName, ErrInDoubt)
 			}
 			_ = p.send(coordinator, inq)
 			p.countRetry()
-		case <-p.crashc:
+		case crashed:
 			return ErrCrashed
-		case <-ctx.Done():
+		case stopping:
+			return errStopped
+		case cancelled:
 			return ctx.Err()
 		}
 	}

@@ -161,19 +161,21 @@ func TestReplayLegacyLog(t *testing.T) {
 	if !reflect.DeepEqual(inDoubt, []string{"C:2", "B:5"}) {
 		t.Errorf("InDoubtTxs = %v, want [C:2 B:5]", inDoubt)
 	}
-	sub := p.state("B:5")
-	sub.mu.Lock()
-	if !sub.prepared || sub.presume != protocol.VariantPA {
-		t.Errorf("B:5 reinstated prepared=%v presume=%v, want prepared under PA", sub.prepared, sub.presume)
-	}
-	sub.mu.Unlock()
+	sub := p.liveState("B:5")
+	p.call(sub, func() {
+		if !sub.prepared || sub.presume != protocol.VariantPA {
+			t.Errorf("B:5 reinstated prepared=%v presume=%v, want prepared under PA", sub.prepared, sub.presume)
+		}
+	})
 
-	acc := p.state("C:4")
-	acc.mu.Lock()
-	ps := p.paxosLocked(acc)
-	states, bundled := ps.States(), ps.Bundled()
-	_, promised := ps.Promise(3) // refused: the restored promise is 3
-	acc.mu.Unlock()
+	acc := p.liveState("C:4")
+	var states []protocol.PaxosInstanceState
+	var bundled, promised bool
+	p.call(acc, func() {
+		ps := p.paxos(acc)
+		states, bundled = ps.States(), ps.Bundled()
+		_, promised = ps.Promise(3) // refused: the restored promise is 3
+	})
 	if len(states) != 3 || states[2].Vote != protocol.VoteNo || !bundled || promised {
 		t.Errorf("C:4 acceptor restored states=%v bundled=%v, re-promised 3=%v", states, bundled, promised)
 	}

@@ -232,71 +232,52 @@ func (p *Participant) shardFor(tx string) *txShard {
 func (sh *txShard) stateLocked(tx string) *txState {
 	st, ok := sh.txs[tx]
 	if !ok {
-		st = &txState{id: tx, resolved: make(chan struct{})}
+		st = &txState{id: tx, sh: sh}
 		sh.txs[tx] = st
 	}
 	return st
 }
 
-// state returns the per-transaction state entry, creating it if
-// needed.
-func (p *Participant) state(tx string) *txState {
+// liveState returns tx's table entry, creating one unless tx is
+// decided here and its entry has retired (nil then): a decided
+// transaction is never re-run on a blank entry.
+func (p *Participant) liveState(tx string) *txState {
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if _, decided := sh.decidedLocked(tx); decided && sh.txs[tx] == nil {
+		return nil
+	}
 	return sh.stateLocked(tx)
-}
-
-// liveState returns tx's table entry, creating one only if tx is not
-// already decided here. A decided transaction whose entry has retired
-// comes back as (nil, its decision, true): a late message for it must
-// be answered from the decided table, never by re-running the
-// transaction on a blank entry.
-func (p *Participant) liveState(tx string) (st *txState, d decision, decided bool) {
-	sh := p.shardFor(tx)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if st, ok := sh.txs[tx]; ok {
-		return st, 0, false
-	}
-	if d, ok := sh.decidedLocked(tx); ok {
-		return nil, d, true
-	}
-	return sh.stateLocked(tx), 0, false
 }
 
 // bundlePending reports whether st is a committed transaction whose
 // ballot-0 acceptor bundle here is still incomplete: the decision
-// raced ahead of the slowest accept. Caller holds st.mu.
+// raced ahead of the slowest accept.
 func (st *txState) bundlePending() bool {
 	return st.done && st.committed && st.pax != nil && st.pax.Holds() && !st.pax.Bundled()
 }
 
-// retireLocked drops a finished subordinate's table entry; the decided
+// retire drops a finished subordinate's table entry; the decided
 // table answers for it from here on. Coordinator entries retire in
 // unregisterCoord. A committed transaction whose ballot-0 acceptor
 // bundle is still incomplete keeps its entry, so the last accept can
-// still force the bundle (handlePaxosAccept retires it then). Caller
-// holds st.mu.
-func (p *Participant) retireLocked(st *txState) {
-	if !st.done || st.isCoord || st.bundlePending() {
-		return
+// still force the bundle (handlePaxosAccept retires it then).
+func (p *Participant) retire(st *txState) {
+	if st.done && !st.isCoord && !st.bundlePending() {
+		p.drop(st)
 	}
-	sh := p.shardFor(st.id)
-	sh.mu.Lock()
-	if sh.txs[st.id] == st {
-		delete(sh.txs, st.id)
-	}
-	sh.mu.Unlock()
 }
 
-// forget drops a transaction's table entry (its final outcome stays
-// in the decided map for duplicate and inquiry handling).
-func (p *Participant) forget(tx string) {
-	sh := p.shardFor(tx)
-	sh.mu.Lock()
-	delete(sh.txs, tx)
-	sh.mu.Unlock()
+// drop removes st from the table, on its consumer. Input still queued
+// for it is answered from the decided table (dispatch).
+func (p *Participant) drop(st *txState) {
+	st.gone = true
+	st.sh.mu.Lock()
+	if st.sh.txs[st.id] == st {
+		delete(st.sh.txs, st.id)
+	}
+	st.sh.mu.Unlock()
 }
 
 // forEachDecided calls fn for every decided transaction across all

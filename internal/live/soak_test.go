@@ -259,13 +259,13 @@ func TestLiveUnsolicitedVote(t *testing.T) {
 	if err := sub.UnsolicitedVote("C", tx.String()); err != nil {
 		t.Fatal(err)
 	}
-	// Let the vote land in the coordinator's early buffer.
+	// Let the vote land in the coordinator's inbox for the transaction.
 	waitUntil(t, time.Second, func() bool {
 		sh := coord.shardFor(tx.String())
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		st, ok := sh.txs[tx.String()]
-		return ok && len(st.early) == 1
+		return ok && len(st.inbox) == 1
 	})
 	out, err := coord.Commit(context.Background(), tx.String(), []string{"S"})
 	if err != nil || out != Committed {

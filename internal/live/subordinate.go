@@ -13,24 +13,14 @@ import (
 // prepare local resources, force the prepared record on a yes vote,
 // and answer. The presumption announced on the Prepare is remembered
 // so phase two and recovery follow the coordinator's variant.
-func (p *Participant) handlePrepare(from string, m protocol.Message) {
-	st, d, decided := p.liveState(m.Tx)
-	if decided {
-		// Decided here and retired: a late duplicate, or a Prepare an
-		// abort overtook. It must not prepare, lock or log again.
-		p.answerDecidedPrepare(from, m, d.committed())
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer p.retireLocked(st)
-
+func (p *Participant) handlePrepare(st *txState, from string, m *protocol.Message) {
+	defer p.retire(st)
 	if st.done {
-		p.answerDecidedPrepare(from, m, st.committed)
+		p.answerDecided(from, m, subDecision(st.committed, st.presume))
 		return
 	}
 	if m.Delegate {
-		p.handleDelegateLocked(st, from, m)
+		p.handleDelegate(st, from, m)
 		return
 	}
 	if m.Presume == protocol.VariantPaxos {
@@ -38,7 +28,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		// the acceptor set, not a MsgVote (handled wholly in paxos.go;
 		// duplicate Prepares are screened by the vote-sent flag there).
 		st.presume = m.Presume
-		p.handlePaxosPrepareLocked(st, from, m)
+		p.handlePaxosPrepare(st, from, m)
 		return
 	}
 	if st.prepared {
@@ -49,7 +39,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	}
 
 	st.presume = m.Presume
-	vote := p.prepareVoteLocked(st, false)
+	vote := p.prepareVote(st, false)
 	if p.met != nil {
 		p.met.CostSub(m.Tx, p.name, m.Presume.String(), vote == protocol.VoteReadOnly)
 	}
@@ -57,7 +47,7 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 		// Read-only (§4): this subordinate is out of the transaction —
 		// no log record, no phase two. Drop the table entry once the
 		// vote is away.
-		defer p.forget(m.Tx)
+		defer p.drop(st)
 	}
 	_ = p.send(from, st.voteMsg)
 	if p.met != nil && vote != protocol.VoteYes {
@@ -67,29 +57,13 @@ func (p *Participant) handlePrepare(from string, m protocol.Message) {
 	}
 }
 
-// answerDecidedPrepare answers a Prepare for a transaction already
-// decided here — an abort overtook it, or it is a late duplicate. A
-// duplicate delegation repeats the decision. Otherwise voting no is
-// always safe for an aborted transaction, and a committed one can only
-// see a duplicate Prepare, which needs no answer. Paxos Commit has no
-// MsgVote at all: a decided transaction just goes silent (the
-// coordinator resolves through the acceptors).
-func (p *Participant) answerDecidedPrepare(from string, m protocol.Message, committed bool) {
-	switch {
-	case m.Delegate:
-		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, committed))
-	case !committed && m.Presume != protocol.VariantPaxos:
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
-	}
-}
-
-// handleDelegateLocked runs the last-agent path (§4): the combined
+// handleDelegate runs the last-agent path (§4): the combined
 // "prepare, then you decide" message. The agent prepares (unless
 // AbortsRepeat answers a repeat), decides, writes the decision as the
 // rulebook asks of a decision owner, applies it, and answers with the
 // outcome. An acknowledged decision is held, End unwritten, until the
 // coordinator acks it: until then the coordinator may ask again.
-func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.Message) {
+func (p *Participant) handleDelegate(st *txState, from string, m *protocol.Message) {
 	st.presume = m.Presume
 	tx := protocol.ParseTxID(m.Tx)
 	vote := protocol.VoteNo
@@ -113,7 +87,7 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 		}
 		p.publishDecision(m.Tx, subDecision(commit, st.presume), d.Acked)
 		p.completeResources(tx, commit)
-		p.finishLocked(st, commit)
+		p.finish(st, commit)
 		if d.Acked {
 			p.awaitLateAcks(nil, m.Tx, []string{from}, false)
 		} else {
@@ -128,40 +102,22 @@ func (p *Participant) handleDelegateLocked(st *txState, from string, m protocol.
 // arrives (directly, via retransmission, or as a recovery answer):
 // log it per the transaction's presumption, complete resources, and
 // acknowledge if the variant expects it. The entry then retires.
-func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool) {
-	sh := p.shardFor(m.Tx)
-	sh.mu.Lock()
-	d, known := sh.decidedLocked(m.Tx)
-	st, exists := sh.txs[m.Tx]
-	if known && !exists {
-		// Decided and retired: a duplicate delivery, not a transaction
-		// to re-apply. It is re-acked exactly as the live entry would
-		// have been, under the presumption the entry ran with.
-		sh.mu.Unlock()
-		if v, sub := d.subVariant(); sub {
-			p.reack(from, m.Tx, v, d.committed(), commit)
-		} else if d.committed() == commit {
-			// A coordinator's entry: the sender is the last agent it
-			// delegated to, holding its decision until this ack.
-			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
-		}
-		return
-	}
-	if !exists {
-		st = sh.stateLocked(m.Tx)
-	}
-	sh.mu.Unlock()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer p.retireLocked(st)
+func (p *Participant) applyOutcome(st *txState, from string, m *protocol.Message, commit bool) {
+	defer p.retire(st)
 
-	if known && !st.done && !st.prepared && !st.isCoord {
-		// The outcome table says this transaction was decided and fully
-		// applied here, yet the entry has seen none of it: a late
-		// message resurrected a blank state after retirement. Applying
-		// the outcome again would double the writes and re-open the
-		// cost ledger — a duplicate delivery, nothing to re-apply.
-		return
+	if !st.done && !st.prepared {
+		st.sh.mu.Lock()
+		_, known := st.sh.decidedLocked(st.id)
+		st.sh.mu.Unlock()
+		if known {
+			// The outcome table says this transaction was decided and
+			// fully applied here, yet the entry has seen none of it: a
+			// late message resurrected a blank state after retirement.
+			// Applying the outcome again would double the writes and
+			// re-open the cost ledger — a duplicate delivery, nothing to
+			// re-apply.
+			return
+		}
 	}
 
 	if st.done {
@@ -193,9 +149,9 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 	if err := p.write(rec, a.Write); err != nil && a.Write == protocol.Forced {
 		return // stay prepared; a retransmission retries
 	}
-	p.recordSubDecisionLocked(st, commit)
+	p.recordSubDecision(st, commit)
 	heur := p.completeResources(tx, commit)
-	p.finishLocked(st, commit)
+	p.finish(st, commit)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
 	if a.Ack {
 		// An outcome reaching a subordinate that never prepared is
@@ -233,7 +189,7 @@ func (p *Participant) reack(from, tx string, v protocol.Variant, committed, comm
 // or this node itself in doubt). The decided table forgets an entry
 // only once the presumption answers it correctly (or nobody can still
 // ask), and the Start-time log replay rebuilds it after a restart.
-func (p *Participant) handleInquire(from string, m protocol.Message) {
+func (p *Participant) handleInquire(from string, m *protocol.Message) {
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
 	d, known := sh.decidedLocked(m.Tx)
@@ -251,59 +207,41 @@ func (p *Participant) handleInquire(from string, m protocol.Message) {
 	_ = p.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: protocol.Answer(k, m.Presume, p.variant)})
 }
 
-// handleOutcomeReply consumes a recovery answer. Definite answers run
-// normal phase two; Unknown and InProgress leave the transaction in
-// doubt for the next inquiry round.
-func (p *Participant) handleOutcomeReply(from string, m protocol.Message) {
-	// An outcome answered to a coordinator (a Paxos acceptor
-	// short-circuiting a decided transaction, or a delegating
-	// coordinator's agent) resolves its wait, never the subordinate
-	// path.
-	if p.toCoordinator(from, m) {
-		return
-	}
-	switch m.Outcome {
-	case protocol.OutcomeCommit:
-		p.applyOutcome(from, protocol.Message{Type: protocol.MsgCommit, Tx: m.Tx}, true)
-	case protocol.OutcomeAbort:
-		p.applyOutcome(from, protocol.Message{Type: protocol.MsgAbort, Tx: m.Tx}, false)
-	}
-}
-
 // UnsolicitedVote prepares this participant's resources on its own
 // initiative and sends its vote to the coordinator before any Prepare
-// arrives (§4 Unsolicited Vote). The coordinator buffers the vote and
-// skips this subordinate's Prepare when Commit runs.
-func (p *Participant) UnsolicitedVote(coordinator, txName string) error {
-	st, _, decided := p.liveState(txName)
-	if decided {
+// arrives (§4 Unsolicited Vote). The vote waits in the transaction's
+// inbox at the coordinator, which skips this subordinate's Prepare
+// when Commit runs.
+func (p *Participant) UnsolicitedVote(coordinator, txName string) (err error) {
+	st := p.liveState(txName)
+	if st == nil {
 		return fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer p.retireLocked(st)
-	if st.done {
-		return fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
-	}
-	if st.prepared {
-		_ = p.sendExtra(coordinator, st.voteMsg)
-		return nil
-	}
-	// No Prepare has announced a variant yet; st.presume's zero value
-	// (VariantBaseline) is what phase two will run under, so it is also
-	// what recovery must restore.
-	p.prepareVoteLocked(st, true)
-	return p.send(coordinator, st.voteMsg)
+	p.call(st, func() {
+		defer p.retire(st)
+		switch {
+		case st.done:
+			err = fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
+		case st.prepared:
+			_ = p.sendExtra(coordinator, st.voteMsg)
+		default:
+			// No Prepare has announced a variant yet; st.presume's zero
+			// value (VariantBaseline) is what phase two will run under,
+			// so it is also what recovery must restore.
+			p.prepareVote(st, true)
+			err = p.send(coordinator, st.voteMsg)
+		}
+	})
+	return err
 }
 
-// prepareVoteLocked prepares the local resources and sets st.voteMsg,
+// prepareVote prepares the local resources and sets st.voteMsg,
 // the vote to send. A yes writes the prepare record the rulebook asks
 // for under st.presume, its payload naming the presumption so a
 // restart recovers under the coordinator's variant, not this node's
 // (for PN it stands for AgentPending too); a logless yes carries its
-// redo instead. A failed force, like a no, aborts here. Caller holds
-// st.mu.
-func (p *Participant) prepareVoteLocked(st *txState, unsolicited bool) protocol.VoteValue {
+// redo instead. A failed force, like a no, aborts here.
+func (p *Participant) prepareVote(st *txState, unsolicited bool) protocol.VoteValue {
 	tx := protocol.ParseTxID(st.id)
 	pr := st.presume.SubPrepare(true)
 	vote := p.prepareLocal(tx)
@@ -315,9 +253,9 @@ func (p *Participant) prepareVoteLocked(st *txState, unsolicited bool) protocol.
 	}
 	switch vote {
 	case protocol.VoteNo:
-		p.recordSubDecisionLocked(st, false)
+		p.recordSubDecision(st, false)
 		p.completeResources(tx, false)
-		p.finishLocked(st, false)
+		p.finish(st, false)
 	case protocol.VoteYes:
 		st.prepared = true
 	}
@@ -387,15 +325,14 @@ func (p *Participant) completeResources(tx protocol.TxID, commit bool) []protoco
 	return heur
 }
 
-// finishLocked marks a transaction decided at this node (caller holds
-// st.mu and has already completed resources), recording the outcome
-// for duplicates and inquiries and releasing any recovery waiter.
-func (p *Participant) finishLocked(st *txState, commit bool) {
+// finish marks a transaction decided at this node (the caller has
+// already completed resources), recording the outcome for duplicates
+// and inquiries.
+func (p *Participant) finish(st *txState, commit bool) {
 	if st.done {
 		return
 	}
 	st.done = true
 	st.committed = commit
-	close(st.resolved)
-	p.recordSubDecisionLocked(st, commit)
+	p.recordSubDecision(st, commit)
 }

@@ -49,6 +49,13 @@ echo "== last-agent sweep (short tier) =="
 # judged by the safety oracle (the full tier runs in go test above).
 go test -count=1 -short -run '^TestLastAgentSweep$' ./internal/check
 
+echo "== per-transaction input order (50 race runs) =="
+# A last agent must answer a repeated delegation from the decision the
+# first one made; handled out of order, a presumed-abort repeat aborts
+# a transaction everyone voted yes on. The order shows only under
+# scheduling, hence the repeats.
+go test -race -count=50 -run 'TestLiveLastAgentResolvesDoubt|TestLiveLastAgentBackToBackDelegation' ./internal/live
+
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
 # it imports internal packages (server, wal, live, router) directly.
