@@ -61,8 +61,10 @@ const (
 	ClassWide Class = iota
 	// ClassNormal is an ordinary read-write transaction.
 	ClassNormal
-	// ClassReadOnly is a transaction of only reads: no forced writes,
-	// no second phase under PA (paper Table 2), shed last.
+	// ClassReadOnly is a transaction of only reads: every node votes
+	// read-only, so no forced writes and no second phase under PA
+	// (paper Table 2; PN and PC force only the coordinator's
+	// pre-prepare record), shed last.
 	ClassReadOnly
 	// NumClasses bounds per-class arrays.
 	NumClasses

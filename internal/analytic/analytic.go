@@ -317,6 +317,61 @@ func AbortCostBoundByRole(variant string, subs int) (RoleCost, bool) {
 // Read-Only).
 func ReadOnlySubCost() Triplet { return Triplet{Flows: 1} }
 
+// CoordCommitCost is a committing coordinator's share over subs
+// subordinates when only delivered of them voted yes: the others voted
+// read-only and left at their vote, so the coordinator sends them no
+// outcome. ownReadOnly says the coordinator's own resources voted
+// read-only too. With no yes-voter that makes the round read-only: no
+// commit record is written, and End is written only to close a
+// pre-prepare record (PN's Pending, PC's Collecting). Under PA, Basic
+// 2PC and 1PC such a coordinator logs nothing at all (PAReadOnlyAll).
+// Paxos Commit folds read-only votes to yes, so delivered is always
+// subs there and its form is the write form.
+func CoordCommitCost(variant string, subs, delivered int, ownReadOnly bool) (Triplet, bool) {
+	rc, ok := CommitCostByRole(variant, subs)
+	if !ok {
+		return Triplet{}, false
+	}
+	c := rc.Coordinator
+	c.Flows -= subs - delivered
+	if delivered == 0 && ownReadOnly && variant != "PaxosCommit" {
+		c.Writes, c.Forced = 0, 0
+		if variant == "PN" || variant == "PC" {
+			c.Writes, c.Forced = 2, 1 // the forced pre-prepare record and End
+		}
+	}
+	return c, true
+}
+
+// CommitCostByVotes is a flat tree's whole commit-case spend when the
+// votes are known: subs subordinates of which readOnlySubs voted
+// read-only, and whether the coordinator's own resources did. It sums
+// CoordCommitCost with the subordinates' shares: ReadOnlySubCost for
+// each read-only voter, the variant's subordinate form for the others
+// (PaxosAcceptorSubCost on the acceptor-subordinates). Under Paxos
+// Commit every vote counts as yes.
+func CommitCostByVotes(variant string, subs, readOnlySubs int, ownReadOnly bool) (Triplet, bool) {
+	rc, ok := CommitCostByRole(variant, subs)
+	if !ok {
+		return Triplet{}, false
+	}
+	if variant == "PaxosCommit" {
+		readOnlySubs, ownReadOnly = 0, false
+	}
+	t, _ := CoordCommitCost(variant, subs, subs-readOnlySubs, ownReadOnly)
+	for i := 0; i < subs; i++ {
+		switch {
+		case i < readOnlySubs:
+			t = t.Add(ReadOnlySubCost())
+		case variant == "PaxosCommit" && i < PaxosAcceptorCount(subs)-1:
+			t = t.Add(PaxosAcceptorSubCost(PaxosAcceptorCount(subs)))
+		default:
+			t = t.Add(rc.Subordinate)
+		}
+	}
+	return t, true
+}
+
 // PaxosAcceptorCount is the acceptor-set size for a flat Paxos Commit
 // tree with subs leaf subordinates: the first 2f+1 of [coordinator,
 // S1, S2, ...]. With fewer than two subordinates there is no third

@@ -29,10 +29,12 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
-// appendString appends s as a JSON string, escaped as json.Marshal
+// AppendString appends s as a JSON string, escaped as json.Marshal
 // escapes it: HTML-sensitive characters and U+2028/U+2029 as \u
-// escapes, invalid UTF-8 as \ufffd.
-func appendString(b []byte, s string) []byte {
+// escapes, invalid UTF-8 as \ufffd. Other hand-written encoders that
+// must match json.Marshal byte for byte (kvstore's update sets) share
+// it.
+func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -97,12 +99,12 @@ func appendOps(b []byte, ops []Op) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `{"key":`...)
-		b = appendString(b, ops[i].Key)
+		b = AppendString(b, ops[i].Key)
 		b = append(b, `,"op":`...)
-		b = appendString(b, string(ops[i].Op))
+		b = AppendString(b, string(ops[i].Op))
 		if ops[i].Value != "" {
 			b = append(b, `,"value":`...)
-			b = appendString(b, ops[i].Value)
+			b = AppendString(b, ops[i].Value)
 		}
 		b = append(b, '}')
 	}
@@ -120,7 +122,7 @@ func appendStrings(b []byte, ss []string) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, s)
+		b = AppendString(b, s)
 	}
 	return append(b, ']')
 }
@@ -139,9 +141,9 @@ func appendReads(b []byte, m map[string]string) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, k)
+		b = AppendString(b, k)
 		b = append(b, ':')
-		b = appendString(b, m[k])
+		b = AppendString(b, m[k])
 	}
 	return append(b, '}')
 }
@@ -167,10 +169,10 @@ func appendFloat(b []byte, f float64) []byte {
 func appendCommitRequest(b []byte, r *CommitRequest) []byte {
 	b = append(b, '{')
 	if r.Tx != "" {
-		b = appendString(appendKey(b, `"tx":`), r.Tx)
+		b = AppendString(appendKey(b, `"tx":`), r.Tx)
 	}
 	if r.Variant != "" {
-		b = appendString(appendKey(b, `"variant":`), r.Variant)
+		b = AppendString(appendKey(b, `"variant":`), r.Variant)
 	}
 	if len(r.Ops) > 0 {
 		b = appendOps(appendKey(b, `"ops":`), r.Ops)
@@ -188,16 +190,16 @@ func appendCommitResponse(b []byte, r *CommitResponse) ([]byte, error) {
 		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(r.LatencyMS),
 			Str: strconv.FormatFloat(r.LatencyMS, 'g', -1, 64)}
 	}
-	b = appendString(append(b, `{"tx":`...), r.Tx)
-	b = appendString(append(b, `,"outcome":`...), r.Outcome)
-	b = appendString(append(b, `,"variant":`...), r.Variant)
-	b = appendString(append(b, `,"coordinator":`...), r.Coordinator)
+	b = AppendString(append(b, `{"tx":`...), r.Tx)
+	b = AppendString(append(b, `,"outcome":`...), r.Outcome)
+	b = AppendString(append(b, `,"variant":`...), r.Variant)
+	b = AppendString(append(b, `,"coordinator":`...), r.Coordinator)
 	b = appendStrings(append(b, `,"participants":`...), r.Participants)
 	if len(r.Reads) > 0 {
 		b = appendReads(append(b, `,"reads":`...), r.Reads)
 	}
 	if r.Abort != "" {
-		b = appendString(append(b, `,"abort":`...), r.Abort)
+		b = AppendString(append(b, `,"abort":`...), r.Abort)
 	}
 	b = appendFloat(append(b, `,"latency_ms":`...), r.LatencyMS)
 	if c := r.Cost; c != nil {
@@ -210,7 +212,7 @@ func appendCommitResponse(b []byte, r *CommitResponse) ([]byte, error) {
 }
 
 func appendStageRequest(b []byte, r *StageRequest) []byte {
-	b = appendString(append(b, `{"tx":`...), r.Tx)
+	b = AppendString(append(b, `{"tx":`...), r.Tx)
 	if len(r.Ops) > 0 {
 		b = appendOps(append(b, `,"ops":`...), r.Ops)
 	}
@@ -221,7 +223,7 @@ func appendStageRequest(b []byte, r *StageRequest) []byte {
 }
 
 func appendStageResponse(b []byte, r *StageResponse) []byte {
-	b = appendString(append(b, `{"tx":`...), r.Tx)
+	b = AppendString(append(b, `{"tx":`...), r.Tx)
 	if len(r.Reads) > 0 {
 		b = appendReads(append(b, `,"reads":`...), r.Reads)
 	}

@@ -9,7 +9,10 @@
 // compares each finished node against its role's closed form:
 //
 //   - a committed transaction must match the commit form exactly —
-//     every flow and every forced write accounted for;
+//     every flow and every forced write accounted for, read-only
+//     shapes included (analytic.CoordCommitCost);
+//   - a read-only voter must match its form exactly (one vote, nothing
+//     logged), though it never learns the outcome;
 //   - an aborted transaction must stay at or under the variant's
 //     abort ceiling (abort spend varies with when the abort struck);
 //   - an unfinished node is only checked for overruns, since its
@@ -128,7 +131,7 @@ func auditTx(v metrics.TxCostView) Report {
 		rep.Checked++
 		m := measured(nc.CostCounters)
 		switch {
-		case exact && nc.Done && v.Outcome != "":
+		case exact && nc.Done && (v.Outcome != "" || nc.Role == metrics.RoleReadOnly):
 			if m != exp {
 				rep.Violations = append(rep.Violations, violation(v, nc, m, exp, true))
 			} else {
@@ -160,24 +163,15 @@ func expectation(v metrics.TxCostView, nc metrics.NodeCostView) (exp analytic.Tr
 			return analytic.Triplet{}, false, false
 		}
 		if v.Outcome == "committed" {
-			rc, formOK := analytic.CommitCostByRole(v.Variant, v.Subs)
-			if !formOK {
-				return analytic.Triplet{}, false, false
-			}
-			exp = rc.Coordinator
 			// Read-only voters drop out of phase two: the coordinator
-			// delivers the outcome to fewer members than it prepared.
-			if v.Delivered >= 0 && v.Delivered < v.Subs {
-				exp.Flows -= v.Subs - v.Delivered
+			// delivers the outcome to fewer members than it prepared,
+			// and with no delivery its own vote decides what it logs.
+			delivered := v.Delivered
+			if delivered < 0 {
+				delivered = v.Subs
 			}
-			// A fully read-only commit (every subordinate voted
-			// read-only) may skip the coordinator's logging entirely
-			// when its own resources were read-only too; the form
-			// becomes a ceiling.
-			if v.Delivered == 0 && v.Subs > 0 {
-				return exp, false, true
-			}
-			return exp, true, true
+			exp, formOK := analytic.CoordCommitCost(v.Variant, v.Subs, delivered, v.CoordReadOnly)
+			return exp, formOK, formOK
 		}
 		rc, formOK := analytic.AbortCostBoundByRole(v.Variant, v.Subs)
 		if !formOK {

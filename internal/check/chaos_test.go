@@ -164,3 +164,18 @@ func TestScheduleDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosLivePaxosRecoveryBallots replays the live Paxos Commit
+// schedules in which a subordinate leads recovery in more than one
+// RecoverInDoubt pass with one acceptor down. Each pass must run at
+// ballots the earlier passes did not: a reused ballot is one this
+// node's own acceptor already promised and refuses, and with a second
+// acceptor down no promise quorum forms, leaving the subordinate in
+// doubt with a quorum alive.
+func TestChaosLivePaxosRecoveryBallots(t *testing.T) {
+	for _, seed := range []int64{2220, 2876} {
+		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
+			runSeed(t, seed, true)
+		})
+	}
+}

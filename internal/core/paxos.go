@@ -42,7 +42,6 @@ import (
 type paxosCtx struct {
 	protocol.PaxosTx
 	round    *protocol.PaxosRound // the ballot this node leads (nil: not leading)
-	attempts int                  // recovery rounds led from this node
 	timerGen int
 }
 
@@ -353,8 +352,7 @@ func (n *Node) startPaxosRecovery(c *txCtx) {
 	if c.decided || n.crashed || px == nil || len(px.Acceptors) == 0 {
 		return
 	}
-	px.attempts++
-	ballot, ok := px.Ballot(px.attempts)
+	ballot, ok := px.NextBallot()
 	if !ok {
 		n.trcApp("paxos: giving up recovery for " + c.id.String() + " (operator needed)")
 		return

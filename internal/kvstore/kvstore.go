@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/lockmgr"
 	"repro/internal/protocol"
@@ -278,11 +279,7 @@ func (s *Store) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) {
 	st.phase = phasePrepared
 	s.mu.Unlock()
 
-	payload, err := json.Marshal(writes)
-	if err != nil {
-		return protocol.PrepareResult{}, fmt.Errorf("kvstore: encode update set: %w", err)
-	}
-	if err := s.writeLog(owner, recUpdate, payload, false); err != nil {
+	if err := s.writeLog(owner, recUpdate, encodeUpdateSet(writes), false); err != nil {
 		return protocol.PrepareResult{}, err
 	}
 	// In shared-log mode the prepared record is not forced: the TM's
@@ -403,11 +400,45 @@ func (s *Store) RedoPayload(tx protocol.TxID) []byte {
 	if !ok || st.phase != phasePrepared || len(st.writes) == 0 {
 		return nil
 	}
-	b, err := json.Marshal(st.writes)
-	if err != nil {
-		return nil
+	return encodeUpdateSet(st.writes)
+}
+
+// encodeUpdateSet encodes an update set as json.Marshal does, the
+// bytes of the LRMUpdate record and of the redo payload, into a buffer
+// of its own, sized for them unless a string needs escaping. Recovery
+// and ApplyRedo read them back with json.Unmarshal.
+func encodeUpdateSet(ws []pendingWrite) []byte {
+	n := len("[]")
+	for _, w := range ws {
+		n += len(`,{"k":"","v":""}`) + len(w.Key) + len(w.Value)
+		if w.Delete {
+			n += len(`,"d":true`)
+		}
 	}
-	return b
+	return appendUpdateSet(make([]byte, 0, n), ws)
+}
+
+// appendUpdateSet appends ws as json.Marshal encodes a []pendingWrite,
+// without reflection: nil as null, Delete only when set.
+func appendUpdateSet(b []byte, ws []pendingWrite) []byte {
+	if ws == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, w := range ws {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"k":`...)
+		b = api.AppendString(b, w.Key)
+		b = append(b, `,"v":`...)
+		b = api.AppendString(b, w.Value)
+		if w.Delete {
+			b = append(b, `,"d":true`...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']')
 }
 
 // ApplyRedo implements the live runtime's RedoApplier extension: it

@@ -184,6 +184,9 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 // one per yes-voter (nil unless the variant votes logless).
 func (p *Participant) decideCommit(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, redos [][]byte, localVote protocol.VoteValue, v protocol.Variant) (Outcome, error) {
 	d := v.Decide(true, protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0})
+	if localVote == protocol.VoteReadOnly && p.met != nil {
+		p.met.CostCoordReadOnly(txName)
+	}
 	var rec wal.Record
 	if d.Write != protocol.NoWrite {
 		rec = commitRecord(txName, p.name, yes, redos, d)
@@ -199,7 +202,7 @@ func (p *Participant) decideCommit(ctx context.Context, st *txState, tx protocol
 		// abort now rather than leaving them to recovery.
 		return p.abortTx(tx, txName, yes, v, protocol.Round{Voted: true}), fmt.Errorf("live: force commit record: %w", err)
 	}
-	return p.commitPhaseTwo(ctx, st, tx, txName, yes, rec.Data, d)
+	return p.commitPhaseTwo(ctx, st, tx, txName, yes, rec.Data, d, v.PrePrepare() != "")
 }
 
 // commitRecord is a coordinator's commit record, as decision d has it.
@@ -217,13 +220,15 @@ func commitRecord(txName, node string, yes []string, redos [][]byte, d protocol.
 	return wal.Record{Tx: txName, Node: node, Kind: r.Kind, Data: r.Encode()}
 }
 
-// commitPhaseTwo publishes a logged commit decision, completes the
-// local resources, and delivers the outcome to the yes-voters. The
+// commitPhaseTwo publishes a commit decision, completes the local
+// resources, and delivers the outcome to the yes-voters. The
 // decided-table entry stays pinned while their acknowledgments are
-// outstanding; End is written only once they are all in. data is the
-// commit record's payload: a logless vote's record is its voters' only
-// redo, so the pin keeps it for outcomes resent to them.
-func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, data []byte, d protocol.Decision) (Outcome, error) {
+// outstanding; End is written only once they are all in, and only if
+// this node logged anything: logged says it forced a record before
+// deciding (pre-prepare or delegation). data is the commit record's
+// payload: a logless vote's record is its voters' only redo, so the pin
+// keeps it for outcomes resent to them.
+func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, data []byte, d protocol.Decision, logged bool) (Outcome, error) {
 	acks := d.Acked && len(yes) > 0
 	p.recordDecision(txName, true, acks)
 	if acks && d.Redo {
@@ -238,7 +243,16 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 	for _, s := range yes {
 		_ = p.send(s, out)
 	}
-	if !acks {
+	switch {
+	case !acks && d.Write == protocol.NoWrite && !logged:
+		// A read-only round with nothing forced before it leaves no
+		// record for End to close: it logs nothing at all (§4 Read
+		// Only, analytic.PAReadOnlyAll).
+		if p.met != nil {
+			p.met.CostNodeDone(txName, p.name)
+		}
+		return Committed, nil
+	case !acks:
 		p.endCoord(txName, true)
 		return Committed, nil
 	}
@@ -406,7 +420,7 @@ func (p *Participant) finishDelegation(ctx context.Context, st *txState, txName 
 		return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
 	}
 	ack()
-	return p.commitPhaseTwo(ctx, st, dl.tx, txName, dl.yes, nil, d)
+	return p.commitPhaseTwo(ctx, st, dl.tx, txName, dl.yes, nil, d, dl.rd.Logged)
 }
 
 // collectAcks waits for phase-two acknowledgments from targets,

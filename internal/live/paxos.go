@@ -424,7 +424,8 @@ func (p *Participant) paxosReplyOutcome(leader, from, tx string, committed bool)
 // ---- Recovery leader ----
 
 // paxosLeadRounds leads recovery rounds for one transaction until a
-// decision is reached, each at this node's next ballot: PaxosQuery to
+// decision is reached, each at this node's next ballot, counted across
+// every call for the transaction (PaxosTx.NextBallot): PaxosQuery to
 // the acceptors, a promise quorum, the round's proposal, then ballot-b
 // accepts until every instance has a quorum. A reached decision is
 // broadcast to every other participant before returning; applying it
@@ -440,8 +441,8 @@ func (p *Participant) paxosLeadRounds(ctx context.Context, st *txState, txName s
 	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/paxos")
 	defer alarm.stop()
 
-	for attempt := 1; ; attempt++ {
-		ballot, ok := ps.Ballot(attempt)
+	for {
+		ballot, ok := ps.NextBallot()
 		if !ok {
 			break
 		}

@@ -9,41 +9,48 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/loadgen"
 	"repro/internal/protocol"
-	"repro/internal/server"
+	"repro/internal/router"
 )
 
 // TestLoadgenDaemonEndToEnd is the full serving-path exercise: three
-// daemons on real TCP listeners, the open-loop generator driving the
-// coordinator's HTTP /commit for every protocol variant, and the
-// conformance audit — scraped over /metrics like an operator would —
-// staying green on all three nodes.
+// sharded daemons on real TCP listeners, the open-loop generator
+// driving the coordinator's /v1/commit for every protocol variant, and
+// the conformance audit — scraped over /metrics like an operator
+// would — staying green on all three nodes. Arrivals alternate two
+// shapes: a put on every shard, so every node votes yes, and a get on
+// every shard, so every node votes read-only.
 func TestLoadgenDaemonEndToEnd(t *testing.T) {
-	mk := func(cfg server.Config) *server.Server {
-		s, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
+	fleet, names := newFleet(t, 3, nil)
+	coord := fleet[0]
+	smap, err := router.Parse("hash:" + strings.Join(names, ","))
+	if err != nil {
+		t.Fatal(err)
 	}
-	coord := mk(server.Config{
-		Name:          "C",
-		Subs:          []string{"S1", "S2"},
-		AuditInterval: 50 * time.Millisecond,
-		MaxInflight:   128,
-	})
-	s1 := mk(server.Config{Name: "S1", AuditInterval: 50 * time.Millisecond})
-	s2 := mk(server.Config{Name: "S2", AuditInterval: 50 * time.Millisecond})
-	// Full mesh: Paxos Commit's acceptors ({C, S1, S2} here) exchange
-	// acceptances directly, not just through the coordinator.
-	coord.RegisterPeer("S1", s1.ProtoAddr())
-	coord.RegisterPeer("S2", s2.ProtoAddr())
-	s1.RegisterPeer("C", coord.ProtoAddr())
-	s1.RegisterPeer("S2", s2.ProtoAddr())
-	s2.RegisterPeer("C", coord.ProtoAddr())
-	s2.RegisterPeer("S1", s1.ProtoAddr())
+	const perShard = 256
+	keys := make(map[string][]string) // keys[n]: keys shard n owns
+	for k := 0; len(keys[names[0]]) < perShard || len(keys[names[1]]) < perShard || len(keys[names[2]]) < perShard; k++ {
+		key := fmt.Sprintf("k%d", k)
+		if o := smap.Owner(key); len(keys[o]) < perShard {
+			keys[o] = append(keys[o], key)
+		}
+	}
+	// Every key is used at most once per variant's run, so no arrival
+	// waits for another's locks.
+	ops := func(seq int) []api.Op {
+		out := make([]api.Op, len(names))
+		for i, n := range names {
+			key := keys[n][seq%perShard]
+			if seq%2 == 0 {
+				out[i] = api.Op{Key: key, Op: api.OpPut, Value: "v"}
+			} else {
+				out[i] = api.Op{Key: key, Op: api.OpGet}
+			}
+		}
+		return out
+	}
 
 	totalCommitted := 0
 	for _, variant := range []string{"basic", "pa", "pn", "pc", "paxos", "1pc"} {
@@ -55,6 +62,7 @@ func TestLoadgenDaemonEndToEnd(t *testing.T) {
 			Duration: 250 * time.Millisecond,
 			Workers:  32,
 			TxPrefix: "C:" + variant,
+			Ops:      ops,
 		})
 		if res.Errors > 0 {
 			t.Fatalf("%s: %d errors (result %+v)", variant, res.Errors, res)
@@ -73,7 +81,7 @@ func TestLoadgenDaemonEndToEnd(t *testing.T) {
 
 	// Every daemon must close its ledger entries and conform exactly;
 	// the subordinates lag the coordinator's response, so poll.
-	for _, s := range []*server.Server{coord, s1, s2} {
+	for _, s := range fleet {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			rep := s.AuditNow()
@@ -119,5 +127,23 @@ func TestLoadgenDaemonEndToEnd(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", metrics)
+	}
+
+	// The read-only arrivals left at their votes: each subordinate's
+	// scrape has read-only entries under every variant but Paxos
+	// Commit, which folds read-only votes to yes.
+	for _, s := range fleet[1:] {
+		resp, err := http.Get("http://" + s.HTTPAddr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC} {
+			series := fmt.Sprintf("twopc_cost_total{variant=%q,role=\"readonly\",outcome=\"unknown\",kind=\"flows\"}", v)
+			if got := strings.Contains(string(body), series); got != (v != protocol.VariantPaxos) {
+				t.Errorf("%s /metrics has read-only series for %s: %v", s.HTTPAddr(), v, got)
+			}
+		}
 	}
 }

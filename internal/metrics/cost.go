@@ -99,7 +99,9 @@ type txCost struct {
 	// delivered is how many subordinates the coordinator actually sent
 	// the outcome to (read-only voters drop out); -1 until reported.
 	delivered int
-	outcome   string // "committed", "aborted", ...; "" while undecided
+	// coordReadOnly: the coordinator's own resources voted read-only.
+	coordReadOnly bool
+	outcome       string // "committed", "aborted", ...; "" while undecided
 	// nodes is a handful of entries (the transaction's tree as seen by
 	// this registry), so lookup is a linear scan. A drained entry's
 	// views alias this slice.
@@ -109,9 +111,24 @@ type txCost struct {
 	queued bool // on the registry's close-order queue
 }
 
-// closed reports whether the entry's accounting is complete: an
-// outcome is recorded and every observed node has finished its part.
-func (tc *txCost) closed() bool { return tc.outcome != "" && tc.undone == 0 }
+// closed reports whether the entry's accounting is complete: every
+// observed node has finished its part, and an outcome is recorded or
+// needs none (readOnlyOnly).
+func (tc *txCost) closed() bool {
+	return tc.undone == 0 && (tc.outcome != "" || readOnlyOnly(tc.nodes))
+}
+
+// readOnlyOnly reports whether every node is a read-only voter: one
+// left the transaction at its vote and never learns the outcome, so an
+// entry of only such nodes closes without one (§4 Read Only).
+func readOnlyOnly(nodes []NodeCostView) bool {
+	for _, n := range nodes {
+		if n.Role != RoleReadOnly {
+			return false
+		}
+	}
+	return len(nodes) > 0
+}
 
 // TxCostView is the exported form of one transaction's ledger entry.
 // Its Nodes are sorted by name. A view from CostDrainClosed aliases
@@ -122,8 +139,11 @@ type TxCostView struct {
 	Variant   string
 	Subs      int // coordinator-declared subordinate count; -1 unknown
 	Delivered int // outcome deliveries from the coordinator; -1 unknown
-	Outcome   string
-	Nodes     []NodeCostView
+	// CoordReadOnly says the coordinator's own resources voted
+	// read-only: with no delivery it wrote no commit record.
+	CoordReadOnly bool
+	Outcome       string
+	Nodes         []NodeCostView
 }
 
 // NodeCostView is one node's share of a TxCostView.
@@ -146,18 +166,16 @@ func (v TxCostView) Node(name string) NodeCostView {
 }
 
 // Closed reports whether the transaction's accounting is complete in
-// this registry: an outcome is recorded and every observed node has
-// finished its part.
+// this registry: every observed node has finished its part, and an
+// outcome is recorded or, the nodes all being read-only voters, needs
+// none.
 func (v TxCostView) Closed() bool {
-	if v.Outcome == "" {
-		return false
-	}
 	for _, n := range v.Nodes {
 		if !n.Done {
 			return false
 		}
 	}
-	return true
+	return v.Outcome != "" || readOnlyOnly(v.Nodes)
 }
 
 // Total sums all nodes' counters.
@@ -306,6 +324,14 @@ func (r *Registry) CostOutcome(tx, outcome string, delivered int) {
 	r.queueIfClosedLocked(tc)
 }
 
+// CostCoordReadOnly records that tx's coordinator's own resources
+// voted read-only.
+func (r *Registry) CostCoordReadOnly(tx string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.txCostLocked(tx).coordReadOnly = true
+}
+
 // CostNodeDone marks node's part in tx finished: its counters are
 // final and the audit may apply exact conformance checks to them.
 func (r *Registry) CostNodeDone(tx, node string) {
@@ -358,7 +384,15 @@ func (r *Registry) FlowSent(node, tx string, piggybacked, extra, protocolPkt boo
 		return
 	}
 	nc := r.txCostLocked(tx).node(node)
-	nc.Flows++
+	if nc.Done && nc.Role == RoleReadOnly {
+		// A read-only voter's vote is its only flow (§4 Read Only). It
+		// forgot the transaction at its vote, so a retransmitted Prepare
+		// finds nothing there and is answered as new: the answer is a
+		// duplicate.
+		nc.Extra++
+	} else {
+		nc.Flows++
+	}
 	if piggybacked {
 		nc.Piggybacked++
 	}
@@ -389,12 +423,13 @@ func (r *Registry) TxLogWrite(node, tx string, forced bool) {
 func (tc *txCost) view(nodes []NodeCostView) TxCostView {
 	slices.SortFunc(nodes, func(a, b NodeCostView) int { return strings.Compare(a.Name, b.Name) })
 	return TxCostView{
-		Tx:        tc.tx,
-		Variant:   tc.variant,
-		Subs:      tc.subs,
-		Delivered: tc.delivered,
-		Outcome:   tc.outcome,
-		Nodes:     nodes,
+		Tx:            tc.tx,
+		Variant:       tc.variant,
+		Subs:          tc.subs,
+		Delivered:     tc.delivered,
+		CoordReadOnly: tc.coordReadOnly,
+		Outcome:       tc.outcome,
+		Nodes:         nodes,
 	}
 }
 
@@ -467,7 +502,8 @@ type AggregateCostKey struct {
 // AggregateCosts folds the ledger into per-(variant, role, outcome)
 // totals plus a transaction count per bucket — the shape the
 // /metrics endpoint exports. Transactions with no outcome yet
-// aggregate under Outcome "open".
+// aggregate under Outcome "open", and closed ones whose nodes never
+// learn it (read-only voters) under "unknown".
 func AggregateCosts(views []TxCostView) map[AggregateCostKey]struct {
 	Counters CostCounters
 	Nodes    int
@@ -478,7 +514,11 @@ func AggregateCosts(views []TxCostView) map[AggregateCostKey]struct {
 	})
 	for _, v := range views {
 		outcome := v.Outcome
-		if outcome == "" {
+		switch {
+		case outcome != "":
+		case v.Closed():
+			outcome = "unknown"
+		default:
 			outcome = "open"
 		}
 		for _, nc := range v.Nodes {

@@ -252,3 +252,37 @@ func TestCostDrainAfterEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOnlyVoteClosesWithoutOutcome: a daemon's entry holding only
+// its read-only vote closes at the vote, with no outcome, and a second
+// vote, the answer to a retransmitted Prepare its voter could not
+// recognize, is an extra flow. An entry holding any other role still
+// waits for the outcome.
+func TestReadOnlyVoteClosesWithoutOutcome(t *testing.T) {
+	r := New()
+	vote := func() {
+		r.CostSub("ro", "S", "PA", true)
+		r.FlowSent("S", "ro", false, false, true)
+		r.CostNodeDone("ro", "S")
+	}
+	vote()
+	vote()
+	r.CostSub("yes", "S", "PA", false)
+	r.FlowSent("S", "yes", false, false, true)
+	r.CostNodeDone("yes", "S")
+
+	drained := r.CostDrainClosed()
+	if len(drained) != 1 || drained[0].Tx != "ro" || drained[0].Outcome != "" || !drained[0].Closed() {
+		t.Fatalf("drained %+v, want the read-only entry alone, closed without an outcome", drained)
+	}
+	if n := drained[0].Node("S"); n.Flows != 1 || n.Extra != 1 || n.Role != RoleReadOnly {
+		t.Fatalf("read-only voter %+v, want 1 flow and 1 extra", n)
+	}
+	if n := r.CostLedgerSize(); n != 1 {
+		t.Fatalf("ledger holds %d entries, want the yes-voter's open one", n)
+	}
+	agg := AggregateCosts(drained)
+	if got := agg[AggregateCostKey{Variant: "PA", Role: RoleReadOnly, Outcome: "unknown"}]; got.Nodes != 1 {
+		t.Fatalf("read-only bucket %+v, want one node under outcome unknown", got)
+	}
+}

@@ -54,6 +54,7 @@ type PaxosTx struct {
 	promised int                  // highest ballot promised (0 = none)
 	accepted []PaxosInstanceState // per participant; Ballot -1 = nothing accepted
 	bundled  bool                 // the ballot-0 bundle has been emitted
+	attempts int                  // recovery rounds this node has led
 }
 
 // PaxosStep is what an acceptor asks of its driver: write States at
@@ -117,6 +118,16 @@ func (t *PaxosTx) Ballot(attempt int) (ballot int, ok bool) {
 		return 0, false
 	}
 	return attempt*len(t.Participants) + idx + 1, true
+}
+
+// NextBallot is the ballot of this node's next recovery round
+// (Ballot). The rounds are counted here, on the transaction, so a
+// leader that runs recovery again never reuses a ballot it ran
+// before, which its own acceptor, having promised it, would refuse.
+// ok is false once PaxosMaxAttempts rounds have run.
+func (t *PaxosTx) NextBallot() (ballot int, ok bool) {
+	t.attempts++
+	return t.Ballot(t.attempts)
 }
 
 // Bundled reports whether the ballot-0 bundle has been emitted.

@@ -194,20 +194,25 @@ func TestPaxosRestoreMatchesAcceptPath(t *testing.T) {
 	}
 }
 
+// TestPaxosBallotsUnique: no two leaders share a ballot, and one
+// leader's successive rounds, counted by NextBallot, never repeat one.
 func TestPaxosBallotsUnique(t *testing.T) {
 	parts := []string{"C", "S1", "S2", "S3"}
 	seen := map[int]string{}
 	for _, self := range parts {
 		tx := acceptorAt(self)
 		for a := 1; a <= PaxosMaxAttempts; a++ {
-			b, ok := tx.Ballot(a)
-			if !ok || b <= 0 {
-				t.Fatalf("%s attempt %d: ballot %d, %v", self, a, b, ok)
+			b, ok := tx.NextBallot()
+			if want, _ := tx.Ballot(a); !ok || b <= 0 || b != want {
+				t.Fatalf("%s attempt %d: ballot %d, %v; want %d", self, a, b, ok, want)
 			}
 			if prev, dup := seen[b]; dup {
 				t.Fatalf("ballot %d issued to %s and %s", b, prev, self)
 			}
 			seen[b] = self
+		}
+		if _, ok := tx.NextBallot(); ok {
+			t.Errorf("%s: attempt past the cap got a ballot", self)
 		}
 		if _, ok := tx.Ballot(PaxosMaxAttempts + 1); ok {
 			t.Errorf("%s: attempt past the cap got a ballot", self)

@@ -18,6 +18,29 @@ import (
 // process, daemons and client alike, including the audit of each
 // commit.
 func BenchmarkV1CommitFanout(b *testing.B) {
+	benchV1Commit(b, func(ops []api.Op, keys [3]string) {
+		ops[0], ops[1], ops[2] = client.Put(keys[0], "v"), client.Put(keys[1], "v"), client.Put(keys[2], "v")
+	})
+}
+
+// BenchmarkV1CommitReadMostly is the fanout rung's read-mostly twin:
+// the same three daemons, one put and two gets per transaction on the
+// three shards, so the two shards that only read vote read-only and
+// leave at their vote (§4 Read Only). Its forces and flows per commit
+// sit below the fanout rung's.
+func BenchmarkV1CommitReadMostly(b *testing.B) {
+	benchV1Commit(b, func(ops []api.Op, keys [3]string) {
+		ops[0], ops[1], ops[2] = client.Put(keys[0], "v"), client.Get(keys[1]), client.Get(keys[2])
+	})
+}
+
+// benchV1Commit runs the allocation rung: three daemons on a hash
+// shard map and one shard-routing client committing the three ops fill
+// writes per transaction, given a key on each shard starting from a
+// rotating first one (the coordinator rotates with it). It reports the
+// protocol logs' forced writes and the protocol messages per commit,
+// summed over the three daemons.
+func benchV1Commit(b *testing.B, fill func(ops []api.Op, keys [3]string)) {
 	const spec = "hash:A,B,C"
 	names := []string{"A", "B", "C"}
 	servers := make([]*Server, len(names))
@@ -63,16 +86,28 @@ func BenchmarkV1CommitFanout(b *testing.B) {
 			}
 		}
 	}
+	spent := func() (forced, msgs int) {
+		for _, s := range servers {
+			for _, nc := range s.reg.Snapshot().Nodes {
+				forced += nc.ForcedWrites
+				msgs += nc.MessagesSent
+			}
+		}
+		return forced, msgs
+	}
+
 	ops := make([]api.Op, len(names))
 
+	forced0, msgs0 := spent()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Rotate the first key, and with it the coordinator.
-		for j := range ops {
-			shard := (i + j) % len(names)
-			ops[j] = client.Put(keys[shard][i%perShard], "v")
+		var k [3]string
+		for j := range k {
+			k[j] = keys[(i+j)%len(names)][i%perShard]
 		}
+		fill(ops, k)
 		resp, err := c.Commit(ctx, "", ops)
 		if err != nil || resp.Outcome != "committed" {
 			b.Fatalf("commit %d: resp %+v err %v", i, resp, err)
@@ -82,4 +117,8 @@ func BenchmarkV1CommitFanout(b *testing.B) {
 		}
 	}
 	audit()
+	b.StopTimer()
+	forced, msgs := spent()
+	b.ReportMetric(float64(forced-forced0)/float64(b.N), "forces/commit")
+	b.ReportMetric(float64(msgs-msgs0)/float64(b.N), "flows/commit")
 }

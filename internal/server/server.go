@@ -265,13 +265,13 @@ func New(cfg Config) (*Server, error) {
 	// from the participant's observed protocol log: resource-manager
 	// record writes are database spend, not protocol spend, and must
 	// not enter the cost ledger the conformance audit checks against
-	// the paper's closed forms. The always-yes resource stays alongside
-	// so every transaction — even one staging no local ops — votes yes
-	// and keeps the exact commit shape.
+	// the paper's closed forms. The store is the daemon's only
+	// resource, so the daemon votes what it votes: a shard that staged
+	// no put or delete votes read-only, logs nothing and leaves phase
+	// two (§4 Read Only).
 	store := kvstore.New("kv@"+cfg.Name, wal.New(wal.NewMemStore()), clock.NewWall(),
 		kvstore.WithLockWait(cfg.StageTimeout))
-	part := live.NewParticipant(cfg.Name, ep, cfg.Log,
-		[]protocol.Resource{yesResource("r@" + cfg.Name), store}, opts...)
+	part := live.NewParticipant(cfg.Name, ep, cfg.Log, []protocol.Resource{store}, opts...)
 
 	start := time.Now()
 	s := &Server{
@@ -335,21 +335,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// yesResource is the always-yes resource a daemon installs beside its
-// kvstore. Unlike protocol.StaticResource, the scripted resource of tests
-// and the simulator, it remembers nothing about any transaction.
-type yesResource string
-
-func (r yesResource) Name() string { return string(r) }
-
-func (yesResource) Prepare(protocol.TxID) (protocol.PrepareResult, error) {
-	return protocol.PrepareResult{Vote: protocol.VoteYes}, nil
-}
-
-func (yesResource) Commit(protocol.TxID) error { return nil }
-
-func (yesResource) Abort(protocol.TxID) error { return nil }
 
 // ProtoAddr is the protocol listener's bound address.
 func (s *Server) ProtoAddr() string { return s.ep.Addr() }
@@ -445,7 +430,8 @@ func (s *Server) sampleSignals() func() admission.Signal {
 // against subs (nil means the configured default set). Admission
 // fails with a ShedError (matching ErrOverloaded) at either limit and
 // ErrDraining during drain. A protocol-only commit carries no ops, so
-// the class is read-write with the subordinate tree's width.
+// every node votes read-only; it is admitted as read-write with the
+// subordinate tree's width.
 func (s *Server) Commit(ctx context.Context, tx string, subs []string, v protocol.Variant) (live.Outcome, error) {
 	if subs == nil {
 		subs = s.cfg.Subs

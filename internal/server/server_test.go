@@ -11,9 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/api"
+	"repro/internal/audit"
 	"repro/internal/live"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/wal"
 )
 
@@ -59,45 +63,148 @@ func httpGet(t *testing.T, addr, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestServerCommitAllVariantsOverTCP(t *testing.T) {
-	coord, s1, s2 := newTrio(t, Config{AuditInterval: -1})
+// trioSpec is the shard map of the write-shape fleets: daemon C
+// coordinates, and a put on each shard makes every node vote yes.
+const trioSpec = "hash:C,S1,S2"
+
+// newShardedTrio starts daemons C, S1 and S2 on trioSpec, each from
+// cfg(name) with its name and shard map filled in, and wires them on
+// both planes. keys[n] is a key daemon n owns.
+func newShardedTrio(t testing.TB, cfg func(name string) Config) (fleet []*Server, keys map[string]string) {
+	t.Helper()
+	names := []string{"C", "S1", "S2"}
+	for _, n := range names {
+		c := cfg(n)
+		c.Name, c.ShardMap = n, trioSpec
+		s, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		fleet = append(fleet, s)
+	}
+	for i, s := range fleet {
+		for j, p := range fleet {
+			if i != j {
+				s.RegisterPeer(names[j], p.ProtoAddr())
+				s.RegisterPeerHTTP(names[j], "http://"+p.HTTPAddr())
+			}
+		}
+	}
+	smap, err := router.Parse(trioSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys = make(map[string]string)
+	for k := 0; len(keys) < len(names); k++ {
+		key := fmt.Sprintf("k%d", k)
+		if o := smap.Owner(key); keys[o] == "" {
+			keys[o] = key
+		}
+	}
+	return fleet, keys
+}
+
+// putOnEveryShard is the write shape: one put on each of the trio's
+// shards, so the coordinator and both subordinates vote yes.
+func putOnEveryShard(keys map[string]string) []api.Op {
+	return []api.Op{
+		{Key: keys["C"], Op: api.OpPut, Value: "v"},
+		{Key: keys["S1"], Op: api.OpPut, Value: "v"},
+		{Key: keys["S2"], Op: api.OpPut, Value: "v"},
+	}
+}
+
+// auditUntil audits s until it has audited at least txs transactions,
+// failing on any violation, and returns the final report: every entry
+// of it must match its closed form exactly.
+func auditUntil(t *testing.T, s *Server, txs int) audit.Report {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if rep := s.AuditNow(); !rep.OK() {
+			t.Fatalf("%s: %s", s.cfg.Name, rep)
+		}
+		rep, audited := s.AuditReport()
+		if audited >= txs {
+			if rep.Exact != rep.Checked || rep.Checked < txs {
+				t.Fatalf("%s: checked=%d exact=%d over %d transactions", s.cfg.Name, rep.Checked, rep.Exact, audited)
+			}
+			if n := s.reg.CostLedgerSize(); n != 0 {
+				t.Fatalf("%s: ledger still holds %d entries", s.cfg.Name, n)
+			}
+			return rep
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: only %d of %d transactions closed (ledger %+v)", s.cfg.Name, audited, txs, s.reg.CostSnapshot())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// aggregate is s's audited spend and node-entry count for one
+// (variant, role, outcome) bucket.
+func aggregate(s *Server, v protocol.Variant, role metrics.Role, outcome string) (metrics.CostCounters, int) {
+	k := metrics.AggregateCostKey{Variant: v.String(), Role: role, Outcome: outcome}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.costAgg[k], s.costNodes[k]
+}
+
+// commitBothShapes commits, under each of the five variants, the
+// write shape (a put on every shard: all three nodes vote yes) and a
+// protocol-only transaction (no ops: all three vote read-only), then
+// holds every daemon's audit exact over all of them and checks what
+// the read-only commits spent: each subordinate's entry is a read-only
+// vote, and the coordinator logs nothing under PA and Basic 2PC and
+// only its pre-prepare record and End under PN and PC. Paxos Commit
+// folds read-only votes to yes, so both of its commits take the write
+// form.
+func commitBothShapes(t *testing.T, fleet []*Server, keys map[string]string) {
+	t.Helper()
+	coord := fleet[0]
 	ctx := context.Background()
-	seq := 0
 	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos}
-	for _, v := range variants {
-		seq++
-		tx := fmt.Sprintf("C:%d", seq)
-		out, err := coord.Commit(ctx, tx, nil, v)
-		if err != nil || out != live.Committed {
-			t.Fatalf("%s commit = %v, %v", v, out, err)
+	for i, v := range variants {
+		resp, herr := coord.runV1(ctx, api.CommitRequest{Tx: fmt.Sprintf("C:w%d", i), Variant: v.String(), Ops: putOnEveryShard(keys)})
+		if herr != nil || resp.Outcome != "committed" {
+			t.Fatalf("%s write commit = %+v, %v", v, resp, herr)
+		}
+		if out, err := coord.Commit(ctx, fmt.Sprintf("C:r%d", i), []string{"S1", "S2"}, v); err != nil || out != live.Committed {
+			t.Fatalf("%s read-only commit = %v, %v", v, out, err)
 		}
 	}
 
-	// Each daemon audits its own side of the protocol; every side must
-	// conform exactly.
-	for _, s := range []*Server{coord, s1, s2} {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			rep := s.AuditNow()
-			s.mu.Lock()
-			checked := s.auditRep.Checked
-			s.mu.Unlock()
-			if !rep.OK() {
-				t.Fatalf("%s: %s", s.cfg.Name, rep)
-			}
-			if checked >= len(variants) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: only %d entries closed", s.cfg.Name, checked)
-			}
-			time.Sleep(5 * time.Millisecond)
+	// Each daemon audits its own side of both commits of every
+	// variant; every side must conform exactly and its ledger empty.
+	for _, s := range fleet {
+		auditUntil(t, s, 2*len(variants))
+	}
+	for _, v := range variants {
+		write, _ := analytic.CoordCommitCost(v.String(), 2, 2, false)
+		ro, _ := analytic.CoordCommitCost(v.String(), 2, 0, true)
+		if v == protocol.VariantPaxos {
+			ro = write
 		}
-		rep, _ := s.AuditReport()
-		if rep.Exact != rep.Checked || rep.Checked < len(variants) {
-			t.Fatalf("%s: checked=%d exact=%d", s.cfg.Name, rep.Checked, rep.Exact)
+		c, n := aggregate(coord, v, metrics.RoleCoordinator, "committed")
+		if got, want := (analytic.Triplet{Flows: c.Flows, Writes: c.Writes(), Forced: c.Forced}), write.Add(ro); n != 2 || got != want {
+			t.Errorf("%s coordinator: %d entries spent (%v), want 2 spending (%v)", v, n, got, want)
+		}
+		wantRO := 1
+		if v == protocol.VariantPaxos {
+			wantRO = 0
+		}
+		for _, sub := range fleet[1:] {
+			if _, n := aggregate(sub, v, metrics.RoleReadOnly, "unknown"); n != wantRO {
+				t.Errorf("%s %s: %d read-only entries, want %d", v, sub.cfg.Name, n, wantRO)
+			}
 		}
 	}
+}
+
+func TestServerCommitAllVariantsOverTCP(t *testing.T) {
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
+	commitBothShapes(t, fleet, keys)
 }
 
 // TestServerAuditExactWithDurableWAL reruns the all-variants commit
@@ -106,71 +213,23 @@ func TestServerCommitAllVariantsOverTCP(t *testing.T) {
 // into shared fdatasyncs must not change what the audit counts — a
 // forced write is a forced write whether or not it shared a device
 // flush — so the runtime cost audit must stay exact under all five
-// variants.
+// variants, for the write shape and the read-only one alike.
 func TestServerAuditExactWithDurableWAL(t *testing.T) {
 	dir := t.TempDir()
-	mk := func(name string, subs []string) *Server {
+	fleet, keys := newShardedTrio(t, func(name string) Config {
 		store, err := wal.OpenSegmentStore(filepath.Join(dir, name), wal.WithSegmentFsync(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{
-			Name:          name,
-			Subs:          subs,
+		t.Cleanup(func() { store.Close() })
+		return Config{
 			AuditInterval: -1,
 			Log:           wal.New(store),
 			LiveOptions:   []live.Option{live.WithAdaptiveCommit(2 * time.Millisecond)},
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close(); store.Close() })
-		return s
-	}
-	coord := mk("C", []string{"S1", "S2"})
-	s1 := mk("S1", nil)
-	s2 := mk("S2", nil)
-	coord.RegisterPeer("S1", s1.ProtoAddr())
-	coord.RegisterPeer("S2", s2.ProtoAddr())
-	s1.RegisterPeer("C", coord.ProtoAddr())
-	s1.RegisterPeer("S2", s2.ProtoAddr())
-	s2.RegisterPeer("C", coord.ProtoAddr())
-	s2.RegisterPeer("S1", s1.ProtoAddr())
-
-	ctx := context.Background()
-	seq := 0
-	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos}
-	for _, v := range variants {
-		seq++
-		tx := fmt.Sprintf("C:%d", seq)
-		out, err := coord.Commit(ctx, tx, nil, v)
-		if err != nil || out != live.Committed {
-			t.Fatalf("%s commit = %v, %v", v, out, err)
-		}
-	}
-
-	for _, s := range []*Server{coord, s1, s2} {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			rep := s.AuditNow()
-			s.mu.Lock()
-			checked := s.auditRep.Checked
-			s.mu.Unlock()
-			if !rep.OK() {
-				t.Fatalf("%s: %s", s.cfg.Name, rep)
-			}
-			if checked >= 5 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: only %d entries closed", s.cfg.Name, checked)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		rep, _ := s.AuditReport()
-		if rep.Exact != rep.Checked || rep.Checked < 5 {
-			t.Fatalf("%s: checked=%d exact=%d", s.cfg.Name, rep.Checked, rep.Exact)
-		}
+	})
+	commitBothShapes(t, fleet, keys)
+	for _, s := range fleet {
 		// The durable path really was durable: the segment store saw
 		// physical flushes and the log attributed every force.
 		if ws := s.cfg.Log.Stats(); ws.Forces == 0 || ws.Syncs == 0 {
@@ -201,10 +260,12 @@ func TestServerRefusesUnreadableLog(t *testing.T) {
 }
 
 func TestServerHTTPPlane(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Variant: protocol.VariantPA})
-	if status, cr, _ := postV1(t, coord, `{"tx":"C:1","variant":"pc"}`); status != http.StatusOK || cr.Outcome != "committed" {
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1, Variant: protocol.VariantPA} })
+	coord := fleet[0]
+	if status, cr, _ := postV1(t, coord, commitJSON(t, api.CommitRequest{Tx: "C:1", Variant: "pc", Ops: putOnEveryShard(keys)})); status != http.StatusOK || cr.Outcome != "committed" {
 		t.Fatalf("POST /v1/commit = %d %+v", status, cr)
 	}
+	auditUntil(t, coord, 1)
 
 	if code, body := httpGet(t, coord.HTTPAddr(), "/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
@@ -241,6 +302,36 @@ func TestServerHTTPPlane(t *testing.T) {
 	}
 	if code, _ := httpGet(t, coord.HTTPAddr(), "/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/ = %d", code)
+	}
+
+	// A request naming participants and no ops is fully read-only: its
+	// cost is the coordinator's forced Collecting record and End plus
+	// one vote from each subordinate, and the scrape adds just that.
+	status, cr, _ := postV1(t, coord, `{"tx":"C:2","variant":"pc","participants":["S1","S2"]}`)
+	if status != http.StatusOK || cr.Outcome != "committed" {
+		t.Fatalf("read-only POST /v1/commit = %d %+v", status, cr)
+	}
+	if want := (api.CostSummary{Flows: 4, LogWrites: 2, ForcedWrites: 1}); cr.Cost == nil || *cr.Cost != want {
+		t.Fatalf("read-only cost %+v, want %+v", cr.Cost, want)
+	}
+	auditUntil(t, coord, 2)
+	_, metricsBody = httpGet(t, coord.HTTPAddr(), "/metrics")
+	for _, want := range []string{
+		"twopc_outcomes_total{outcome=\"committed\"} 2",
+		"twopc_cost_total{variant=\"PC\",role=\"coordinator\",outcome=\"committed\",kind=\"flows\"} 6",
+		"twopc_cost_total{variant=\"PC\",role=\"coordinator\",outcome=\"committed\",kind=\"forced_writes\"} 3",
+		"twopc_cost_total{variant=\"PC\",role=\"coordinator\",outcome=\"committed\",kind=\"nonforced_writes\"} 2",
+	} {
+		if !strings.Contains(metricsBody, want) {
+			t.Errorf("/metrics after the read-only commit missing %q\n%s", want, metricsBody)
+		}
+	}
+	for _, sub := range fleet[1:] {
+		auditUntil(t, sub, 2)
+		if _, body := httpGet(t, sub.HTTPAddr(), "/metrics"); !strings.Contains(body,
+			"twopc_cost_total{variant=\"PC\",role=\"readonly\",outcome=\"unknown\",kind=\"flows\"} 1") {
+			t.Errorf("%s /metrics missing its read-only vote\n%s", sub.cfg.Name, body)
+		}
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/live"
+	"repro/internal/metrics"
+	"repro/internal/protocol"
 )
 
 // TestServerStateBoundedByInflightWork runs 20k mixed transactions
@@ -131,6 +133,20 @@ func TestServerStateBoundedByInflightWork(t *testing.T) {
 		rep, audited := s.AuditReport()
 		if !rep.OK() || rep.Exact != rep.Checked || rep.Checked == 0 {
 			t.Errorf("%s: audit %s (checked %d, exact %d, %d transactions)", s.cfg.Name, rep, rep.Checked, rep.Exact, audited)
+		}
+		// A shard whose slice only read voted read-only and left at its
+		// vote: its ledger entry closed there, without an outcome, and
+		// was audited with the rest.
+		if n := s.Registry().CostLedgerSize(); n != 0 {
+			t.Errorf("%s: cost ledger still holds %d entries after drain", s.cfg.Name, n)
+		}
+		readOnly := 0
+		for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC} {
+			_, n := aggregate(s, v, metrics.RoleReadOnly, "unknown")
+			readOnly += n
+		}
+		if readOnly == 0 {
+			t.Errorf("%s: no read-only vote audited", s.cfg.Name)
 		}
 		t.Logf("%s: %d kvstore log records, %d decided, audit %d/%d exact over %d transactions",
 			s.cfg.Name, len(recs), len(s.Participant().Decided()), rep.Exact, rep.Checked, audited)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -149,13 +150,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	// of only gets is read-only (shed last — no forced writes, no
 	// second phase under PA), and the participant count its keys
 	// resolved to is its width (wide fan-out sheds first).
-	readOnly := len(creq.Ops) > 0
-	for _, op := range creq.Ops {
-		if op.Writes() {
-			readOnly = false
-			break
-		}
-	}
+	readOnly := len(creq.Ops) > 0 && !slices.ContainsFunc(creq.Ops, api.Op.Writes)
 	width := len(subs) + 1
 	class := admission.ClassFor(readOnly, width)
 	if err := s.acquire(class, admission.CostOf(class, width)); err != nil {
@@ -240,11 +235,20 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	switch out {
 	case live.Committed:
 		resp.Reads = reads
-		if rc, ok := analytic.CommitCostByRole(v.String(), len(subs)); ok {
-			total := rc.Coordinator
-			for range subs {
-				total = total.Add(rc.Subordinate)
+		// The votes follow from the staged slices: a shard whose slice
+		// has no put or delete votes read-only (kvstore.Prepare), and so
+		// does every node of a request without ops.
+		coordRO, roSubs := true, len(subs)
+		for i, ops := range groups {
+			switch {
+			case !slices.ContainsFunc(ops, api.Op.Writes):
+			case participants[i] == s.cfg.Name:
+				coordRO = false
+			default:
+				roSubs--
 			}
+		}
+		if total, ok := analytic.CommitCostByVotes(v.String(), len(subs), roSubs, coordRO); ok {
 			resp.Cost = &api.CostSummary{Flows: total.Flows, LogWrites: total.Writes, ForcedWrites: total.Forced}
 		}
 	default:

@@ -202,6 +202,23 @@ func TestV1SingleNodeOps(t *testing.T) {
 	if _, ok := cr.Reads["missing"]; ok {
 		t.Fatalf("absent key must be omitted from reads: %+v", cr.Reads)
 	}
+	// Only gets, and no subordinate: the store votes read-only, so the
+	// commit logs nothing at all (§4 Read Only).
+	if cr.Cost == nil || *cr.Cost != (api.CostSummary{}) {
+		t.Fatalf("0-sub all-gets commit cost %+v, want nothing", cr.Cost)
+	}
+	if rep := s.AuditNow(); !rep.OK() || rep.Exact != rep.Checked || rep.Checked != 2 {
+		t.Fatalf("audit after the read: %s", rep)
+	}
+	recs, err := s.cfg.Log.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Tx == "r1" {
+			t.Fatalf("all-gets commit logged %+v", r)
+		}
+	}
 
 	// A generated tx id comes back when the request names none.
 	status, cr, _ = postV1(t, s, `{"ops":[{"key":"z","op":"put","value":"3"}]}`)
@@ -212,6 +229,48 @@ func TestV1SingleNodeOps(t *testing.T) {
 	rep := s.AuditNow()
 	if !rep.OK() || rep.Exact != rep.Checked || rep.Checked == 0 {
 		t.Fatalf("audit after typed ops: %+v", rep)
+	}
+}
+
+// TestV1MixedReadOnlySlices commits on three shards transactions whose
+// slices mix puts with gets only: a shard that only read votes
+// read-only and leaves at its vote. The response's cost is the form
+// for those votes, and every daemon audits its part exactly.
+func TestV1MixedReadOnlySlices(t *testing.T) {
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
+	put := func(n string) api.Op { return api.Op{Key: keys[n], Op: api.OpPut, Value: "v-" + n} }
+	get := func(n string) api.Op { return api.Op{Key: keys[n], Op: api.OpGet} }
+	for i, tc := range []struct {
+		name string
+		ops  []api.Op
+		cost api.CostSummary
+	}{
+		// C and S2 read: one yes-voter. C sends 2 Prepares and one
+		// Commit and forces its commit record; S1 the full subordinate
+		// share; S2 one vote.
+		{"subordinate writes", []api.Op{get("C"), put("S1"), get("S2")}, api.CostSummary{Flows: 6, LogWrites: 5, ForcedWrites: 3}},
+		// Only C writes: no delivery, so C's share is its Prepares,
+		// commit record and End; both subordinates send one vote each.
+		{"coordinator writes", []api.Op{put("C"), get("S1"), get("S2")}, api.CostSummary{Flows: 4, LogWrites: 2, ForcedWrites: 1}},
+		// Nobody writes: Prepares out, votes back, nothing logged.
+		{"all read", []api.Op{get("C"), get("S1"), get("S2")}, api.CostSummary{Flows: 4}},
+	} {
+		status, cr, _ := postV1(t, fleet[0], commitJSON(t, api.CommitRequest{Tx: fmt.Sprintf("mix%d", i), Ops: tc.ops}))
+		if status != http.StatusOK || cr.Outcome != "committed" {
+			t.Fatalf("%s: status %d resp %+v", tc.name, status, cr)
+		}
+		if cr.Cost == nil || *cr.Cost != tc.cost {
+			t.Fatalf("%s: cost %+v, want %+v", tc.name, cr.Cost, tc.cost)
+		}
+	}
+	// The reads see the writes committed before them, and S2's key,
+	// only ever read, is absent.
+	status, cr, _ := postV1(t, fleet[0], commitJSON(t, api.CommitRequest{Tx: "readback", Ops: []api.Op{get("C"), get("S1"), get("S2")}}))
+	if status != http.StatusOK || len(cr.Reads) != 2 || cr.Reads[keys["C"]] != "v-C" || cr.Reads[keys["S1"]] != "v-S1" {
+		t.Fatalf("read-back: status %d resp %+v", status, cr)
+	}
+	for _, s := range fleet {
+		auditUntil(t, s, 4)
 	}
 }
 

@@ -3,8 +3,8 @@
 # race-enabled test suite (including the chaos harness and its safety
 # oracle), the nested perfbench module, a one-iteration benchmark
 # smoke, and short fuzz smokes over the wire/identifier parsers, the
-# Paxos acceptor rules, the log record codec, segment-log recovery and
-# the v1 body codecs.
+# Paxos acceptor rules, the log record codec, segment-log recovery,
+# the kvstore update-set encoder and the v1 body codecs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -72,6 +72,12 @@ echo "== serving-path allocation rung =="
 # commits through the client library, allocs/op and B/op printed.
 go test -run '^$' -bench BenchmarkV1CommitFanout -benchtime 200x -benchmem ./internal/server
 
+echo "== read-mostly allocation rung =="
+# The same three daemons, one put and two gets per commit: the shards
+# that only read vote read-only. forces/commit and flows/commit sit
+# below the fanout rung's.
+go test -run '^$' -bench BenchmarkV1CommitReadMostly -benchtime 200x -benchmem ./internal/server
+
 echo "== wal fsync smoke =="
 # Proves real fdatasyncs reach the device on this filesystem (and
 # that -wal-fsync=false really elides them) before anyone trusts a
@@ -98,6 +104,7 @@ go test -run='^$' -fuzz=FuzzPaxosAcceptor -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzLogRecord -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzSegmentRecover -fuzztime=10s ./internal/wal
+go test -run='^$' -fuzz=FuzzUpdateSet -fuzztime=10s ./internal/kvstore
 # The v1 body codecs against encoding/json; minimizing a new input from
 # the 1 MiB seed would take the whole budget, so minimization is capped.
 go test -run='^$' -fuzz=FuzzV1Bodies -fuzztime=10s -fuzzminimizetime=2s ./internal/api

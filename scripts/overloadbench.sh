@@ -21,6 +21,14 @@
 # lands in the file if the cluster stayed exactly conformant while
 # shedding.
 #
+# The load is protocol-only: each request names the coordinator's
+# -subs tree and carries no ops. Every daemon therefore votes read-only,
+# so each commit is the fully read-only shape (under PA: Prepares out,
+# read-only votes back, nothing logged), admitted as read-write of the
+# tree's width. The committed BENCH_overload.json predates read-only
+# votes on the serving path and was measured on write-shaped commits
+# (every daemon voted yes); rerun this script before comparing with it.
+#
 # Environment knobs:
 #   MULTIPLES          offered-load multiples of capacity (default "0.5 2 5 10";
 #                      keep one point < 1 — it is the p99 baseline)
