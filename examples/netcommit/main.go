@@ -79,6 +79,12 @@ func main() {
 	out, err := coord.Commit(ctx, tx1.String(), []string{"warehouse", "billing"})
 	must(err)
 	fmt.Printf("order 1001: %v over TCP\n", out)
+	// Commit answers at the decision; the acks, which only let the
+	// coordinator forget it, follow. A lock-free peek at a subordinate's
+	// store waits for them (a transactional Get would wait for the lock).
+	for coord.PinnedDecisions() > 0 {
+		time.Sleep(time.Millisecond)
+	}
 	if v, ok := kvW.ReadCommitted("widget"); ok {
 		fmt.Printf("  warehouse sees: widget -> %q\n", v)
 	}

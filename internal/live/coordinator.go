@@ -14,6 +14,20 @@ import (
 // Many Commit calls may run concurrently on one participant; each
 // transaction's state lives in its own table entry.
 //
+// A Committed return means the decision is taken and durable and the
+// outcome is on its way; when Commit returns is the variant's rule
+// (protocol.Decision.Early). Under Basic 2PC, PA and 1PC it returns at
+// the decision: the commit acks only let this node forget it, so a
+// background collector gathers them, and a subordinate may not have
+// applied the commit yet. A transactional read of its writes waits on
+// the locks the subordinate holds until it does; a lock-free peek
+// (kvstore.ReadCommitted) may lag until its ack is in
+// (PinnedDecisions drops to 0). Under PN Commit returns once every ack
+// is in, since they carry heuristic reports it returns as
+// ErrHeuristicDamage; PC commits are not acked, and Paxos Commit
+// returns once an acceptor quorum has learned the decision. Aborts
+// return at the decision under every variant.
+//
 // ctx bounds the whole operation. Cancellation during vote collection
 // aborts the transaction; cancellation after the decision point (or
 // after a last-agent delegation) cannot undo it and returns InDoubt
@@ -27,7 +41,7 @@ func (p *Participant) Commit(ctx context.Context, txName string, subs []string) 
 // only. Subordinates follow the presumption announced on the Prepare,
 // so a single coordinator can serve mixed-variant traffic — the
 // serving daemon uses this to run all six variants over one
-// endpoint.
+// endpoint. A return means what it means for Commit under v.
 func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []string, v protocol.Variant) (Outcome, error) {
 	start := p.sched.Now()
 	out, err := p.runCommit(ctx, txName, subs, v)
@@ -221,13 +235,15 @@ func commitRecord(txName, node string, yes []string, redos [][]byte, d protocol.
 }
 
 // commitPhaseTwo publishes a commit decision, completes the local
-// resources, and delivers the outcome to the yes-voters. The
-// decided-table entry stays pinned while their acknowledgments are
-// outstanding; End is written only once they are all in, and only if
-// this node logged anything: logged says it forced a record before
-// deciding (pre-prepare or delegation). data is the commit record's
-// payload: a logless vote's record is its voters' only redo, so the pin
-// keeps it for outcomes resent to them.
+// resources, and delivers the outcome to the yes-voters. It collects
+// their acknowledgments itself only when d is not Early; otherwise a
+// background collector does, and it returns at once. The decided-table
+// entry stays pinned while acknowledgments are outstanding; End is
+// written only once they are all in, and only if this node logged
+// anything: logged says it forced a record before deciding
+// (pre-prepare or delegation). data is the commit record's payload: a
+// logless vote's record is its voters' only redo, so the pin keeps it
+// for outcomes resent to them.
 func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, data []byte, d protocol.Decision, logged bool) (Outcome, error) {
 	acks := d.Acked && len(yes) > 0
 	p.recordDecision(txName, true, acks)
@@ -239,7 +255,7 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 		p.met.CostOutcome(txName, "committed", len(yes))
 	}
 
-	out := protocol.Message{Type: protocol.MsgCommit, Tx: txName}
+	out := protocol.OutcomeMessage(txName, true)
 	for _, s := range yes {
 		_ = p.send(s, out)
 	}
@@ -256,34 +272,55 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 		p.endCoord(txName, true)
 		return Committed, nil
 	}
-	if d.Redo {
-		// The commit is durable and announced, so ack collection leaves
-		// the caller's critical path: a background collector takes the
-		// registration over and retransmits to stragglers. Voters that
-		// never ack resolve through recovery against the decision
-		// record. The collector gets its own copy of the message, so
-		// only this path pays for the closure.
-		st.detached = true
-		out := out
-		collect := func() {
-			defer p.unregisterCoord(st)
-			if _, err := p.collectAcks(context.Background(), st, txName, yes, out); err == nil {
-				p.endCoord(txName, true)
-			}
+	if !d.Early {
+		// PN: the acks carry heuristic reports to the root, so the
+		// caller waits for them.
+		heur, err := p.collectAcks(ctx, st, txName, yes, out)
+		if err == nil {
+			p.endCoord(txName, true)
 		}
-		if !p.background(collect) {
-			collect() // stopping: it gives up at once
+		if derr := damageError(txName, heur); derr != nil {
+			return Committed, derr
 		}
+		return Committed, err
+	}
+	// The commit is decided, written and announced, and its acks tell
+	// the caller nothing, so their collection leaves the caller's
+	// critical path.
+	if st.detached {
+		// A last-agent resolver: already off the caller's path.
+		p.collectCommitAcks(st, txName, yes)
 		return Committed, nil
 	}
-	heur, err := p.collectAcks(ctx, st, txName, yes, out)
+	// The collector takes the registration over.
+	st.detached = true
+	collect := func() {
+		defer p.unregisterCoord(st)
+		p.collectCommitAcks(st, txName, yes)
+	}
+	if !p.background(collect) {
+		collect() // stopping: it gives up at once
+	}
+	return Committed, nil
+}
+
+// collectCommitAcks collects a commit's acks off the caller's path:
+// it retransmits to stragglers, counts any damage they report on this
+// node's metrics under the reporting node, since no caller hears of
+// it, and writes End on the last ack. (A registry shared with that
+// node has already counted the damage there, and counts it twice.)
+// Voters that never ack resolve through recovery against the decision
+// record.
+func (p *Participant) collectCommitAcks(st *txState, txName string, yes []string) {
+	heur, err := p.collectAcks(context.Background(), st, txName, yes, protocol.OutcomeMessage(txName, true))
+	for _, h := range heur {
+		if h.Damage && p.met != nil {
+			p.met.Damage(h.Node)
+		}
+	}
 	if err == nil {
 		p.endCoord(txName, true)
 	}
-	if derr := damageError(txName, heur); derr != nil {
-		return Committed, derr
-	}
-	return Committed, err
 }
 
 // delegation is what a delegating coordinator holds until its last

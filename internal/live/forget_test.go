@@ -212,13 +212,21 @@ func (s *rawSub) send(to string, m protocol.Message) {
 // driveVirtual advances vc to each armed timer until done closes.
 func driveVirtual(t *testing.T, vc *clock.Virtual, done <-chan struct{}) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	driveVirtualUntil(t, vc, func() bool {
 		select {
 		case <-done:
-			return
+			return true
 		default:
+			return false
 		}
+	})
+}
+
+// driveVirtualUntil advances vc to each armed timer until cond holds.
+func driveVirtualUntil(t *testing.T, vc *clock.Virtual, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatal("never finished under virtual time")
 		}
@@ -246,7 +254,9 @@ func hasTxRecord(t *testing.T, log *wal.Log, tx, kind string) bool {
 }
 
 // unackedPACommit commits one PA transaction whose subordinate's ack
-// never arrives, so the coordinator gives up collecting it.
+// never arrives. Commit returns at the decision; the background
+// collector then retransmits the outcome until it gives up, dropping
+// its table entry and leaving the decision pinned.
 func unackedPACommit(t *testing.T) (c *Participant, sub *rawSub, vc *clock.Virtual, net *netsim.ChanNetwork, tx string) {
 	t.Helper()
 	vc = clock.NewVirtual()
@@ -271,6 +281,7 @@ func unackedPACommit(t *testing.T) (c *Participant, sub *rawSub, vc *clock.Virtu
 	if out != Committed {
 		t.Fatalf("commit = %v", out)
 	}
+	driveVirtualUntil(t, vc, func() bool { return c.StateTableSize() == 0 })
 	if sub.commits.Load() < 2 {
 		t.Fatalf("outcome delivered %d times; the coordinator did not retransmit", sub.commits.Load())
 	}

@@ -21,7 +21,27 @@ import (
 // goroutine count is back where it was before the run — no drainer
 // stays parked on an empty inbox.
 func TestLiveDrainersExitWhenIdle(t *testing.T) {
-	net := netsim.NewChanNetwork()
+	parts, before := commitAmongThree(t, netsim.NewChanNetwork(), []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA,
+		protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC})
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, p := range parts {
+			if p.StateTableSize() != 0 {
+				return false
+			}
+		}
+		// Outbound flushers and background ack collectors are transient
+		// too: wait for them to go as well.
+		return runtime.NumGoroutine() <= before
+	})
+}
+
+// commitAmongThree starts participants A, B and C on net, and has each
+// coordinate 100 transactions with the other two as subordinates,
+// cycling through variants; every commit must succeed. It returns the
+// participants, stopped at cleanup, and the goroutine count taken
+// before the first commit.
+func commitAmongThree(t *testing.T, net *netsim.ChanNetwork, variants []protocol.Variant) (map[string]*Participant, int) {
+	t.Helper()
 	names := []string{"A", "B", "C"}
 	parts := make(map[string]*Participant)
 	for _, n := range names {
@@ -33,12 +53,10 @@ func TestLiveDrainersExitWhenIdle(t *testing.T) {
 			t.Fatal(err)
 		}
 		parts[n] = p
-		defer p.Stop()
+		t.Cleanup(p.Stop)
 	}
 	before := runtime.NumGoroutine()
 
-	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN,
-		protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC}
 	const perCoord = 100
 	var wg sync.WaitGroup
 	errs := make(chan error, len(names)*perCoord)
@@ -61,17 +79,7 @@ func TestLiveDrainersExitWhenIdle(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-
-	waitUntil(t, 5*time.Second, func() bool {
-		for _, p := range parts {
-			if p.StateTableSize() != 0 {
-				return false
-			}
-		}
-		// Outbound flushers and background ack collectors are transient
-		// too: wait for them to go as well.
-		return runtime.NumGoroutine() <= before
-	})
+	return parts, before
 }
 
 // blockingSyncStore blocks every Sync once armed, until released.

@@ -36,6 +36,15 @@ func setupChanTrio(t *testing.T, opts ...Option) (coord, s1, s2 *Participant, kv
 	return coord, s1, s2, kv1, kv2, net
 }
 
+// waitAcked waits until c holds no decision pinned for acks. A commit
+// that is acked only so its coordinator may forget it returns at the
+// decision (protocol.Decision.Early), so a lock-free peek at a
+// subordinate's store can run ahead of the subordinate applying it.
+func waitAcked(t *testing.T, c *Participant) {
+	t.Helper()
+	waitUntil(t, 5*time.Second, func() bool { return c.PinnedDecisions() == 0 })
+}
+
 func TestLiveCommitOverChannels(t *testing.T) {
 	coord, _, _, kv1, kv2, _ := setupChanTrio(t)
 	ctx := context.Background()
@@ -50,6 +59,7 @@ func TestLiveCommitOverChannels(t *testing.T) {
 	if err != nil || out != Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}
+	waitAcked(t, coord)
 	if v, _ := kv1.ReadCommitted("a"); v != "1" {
 		t.Errorf("kv1 a = %q", v)
 	}
@@ -218,6 +228,7 @@ func TestLiveCommitOverTCP(t *testing.T) {
 	if err != nil || out != Committed {
 		t.Fatalf("tcp commit = %v, %v", out, err)
 	}
+	waitAcked(t, coord)
 	if v, _ := kvS.ReadCommitted("k"); v != "over-tcp" {
 		t.Errorf("k = %q", v)
 	}

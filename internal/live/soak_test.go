@@ -142,6 +142,7 @@ func TestLiveAllVariantsCommit(t *testing.T) {
 			if err != nil || out != Committed {
 				t.Fatalf("commit = %v, %v", out, err)
 			}
+			waitAcked(t, coord)
 			if committed, decided := outcomeAt(t, logS, "S", tx.String()); !decided || !committed {
 				// PC subordinates log the commit non-forced; it may sit in
 				// the log buffer. Force by syncing via a fresh record.

@@ -94,16 +94,21 @@ type Round struct {
 // is acknowledged, so the record names the ackers and the owner holds
 // the decision until they are in; a last agent's acker is the
 // coordinator that delegated to it. Redo: the record embeds the logless
-// voters' redo (OnePhaseMeta), their only durable state, so the owner
-// returns once it is forced and collects the acks in the background.
+// voters' redo (OnePhaseMeta), their only durable state. Early: the
+// owner answers its caller once the record is written and the outcome
+// sent, and collects the acks in the background: they only let it
+// forget (End), and carry nothing the caller is told.
 type Decision struct {
-	Write       Write
-	Acked, Redo bool
+	Write              Write
+	Acked, Redo, Early bool
 }
 
 // Decide is the decision owner's record rule. A commit is forced unless
 // the round was read-only (nothing to record) or Paxos Commit's
-// acceptor quorum is the durable decision (lazy). An abort under
+// acceptor quorum is the durable decision (lazy). Its owner answers
+// before the acks (Early) unless they carry heuristic reports to the
+// root (PN): Basic 2PC, PA and 1PC commits are acked only so that the
+// owner may forget, as the paper prices them. An abort under
 // presumed abort (PA, 1PC) writes nothing, the absence of information
 // answering abort — unless the owner forced a record (its delegation
 // record: presumed abort has no pre-prepare record), which a restart
@@ -113,7 +118,8 @@ type Decision struct {
 func (v Variant) Decide(commit bool, rd Round) Decision {
 	r := v.row()
 	if commit {
-		d := Decision{Write: Forced, Acked: r.ackCommit, Redo: r.loglessVote}
+		d := Decision{Write: Forced, Acked: r.ackCommit, Redo: r.loglessVote,
+			Early: r.ackCommit && !r.propagateHeuristics}
 		switch {
 		case rd.ReadOnly:
 			d.Write = NoWrite

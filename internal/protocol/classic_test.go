@@ -5,7 +5,8 @@ import "testing"
 // TestClassicRuleEdges pins the rulebook's answers that the closed
 // forms do not reach: the conditions under which a record is skipped,
 // the never-announced abort, the answer to a repeated delegation, the
-// ack column and the inquiry answer's choice of presumption.
+// ack column, who answers before the commit acks, and the inquiry
+// answer's choice of presumption.
 func TestClassicRuleEdges(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -14,7 +15,7 @@ func TestClassicRuleEdges(t *testing.T) {
 	}{
 		{"read-only commit writes nothing", VariantPN.Decide(true, Round{ReadOnly: true, Logged: true}), Decision{Acked: true}},
 		{"Paxos commit is lazy", VariantPaxos.Decide(true, Round{}), Decision{Write: Lazy}},
-		{"1PC commit embeds the redo", Variant1PC.Decide(true, Round{Voted: true}), Decision{Write: Forced, Acked: true, Redo: true}},
+		{"1PC commit embeds the redo", Variant1PC.Decide(true, Round{Voted: true}), Decision{Write: Forced, Acked: true, Redo: true, Early: true}},
 		{"presumed abort writes nothing", VariantPA.Decide(false, Round{Voted: true}), Decision{}},
 		{"presumed abort after a delegation record is forced", VariantPA.Decide(false, Round{Logged: true, Voted: true}), Decision{Write: Forced}},
 		{"an abort nothing depends on writes nothing", VariantBaseline.Decide(false, Round{}), Decision{Acked: true}},
@@ -51,6 +52,20 @@ func TestClassicRuleEdges(t *testing.T) {
 		for _, commit := range []bool{true, false} {
 			if a, d := v.Apply(commit, true, true).Ack, v.Decide(commit, Round{Voted: true}).Acked; v.Acks(commit) != a || a != d {
 				t.Errorf("%v commit=%v: Acks %v, Apply acks %v, Decide acked %v", v, commit, v.Acks(commit), a, d)
+			}
+		}
+	}
+	// A commit's owner answers before its acks when they carry nothing
+	// the caller is told: everywhere acks exist but PN, whose acks carry
+	// heuristic reports to the root. An abort is never answered early.
+	for v, want := range map[Variant]bool{VariantBaseline: true, VariantPA: true, VariantPN: false,
+		VariantPC: false, VariantPaxos: false, Variant1PC: true} {
+		for _, rd := range []Round{{Voted: true}, {Logged: true, Voted: true}, {ReadOnly: true}} {
+			if got := v.Decide(true, rd).Early; got != want {
+				t.Errorf("%v commit %+v: answered before the acks = %v, want %v", v, rd, got, want)
+			}
+			if v.Decide(false, rd).Early {
+				t.Errorf("%v abort %+v: answered before the acks", v, rd)
 			}
 		}
 	}

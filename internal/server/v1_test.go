@@ -274,6 +274,32 @@ func TestV1MixedReadOnlySlices(t *testing.T) {
 	}
 }
 
+// TestV1ReadYourWrites: a PA or Basic 2PC commit is answered at its
+// decision, before the owning shard has applied it, yet a get that
+// follows at once, on any daemon, reads it: the owner holds the put's
+// write lock until it applies the Commit, so the get's shared lock
+// waits for it.
+func TestV1ReadYourWrites(t *testing.T) {
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
+	k := keys["S1"] // not the coordinator's
+	variants := []string{"PA", "Basic2PC"}
+	for i := 0; i < 200; i++ {
+		want := fmt.Sprint(i)
+		status, cr, _ := postV1(t, fleet[0], commitJSON(t, api.CommitRequest{Tx: fmt.Sprintf("put%d", i),
+			Variant: variants[i%len(variants)], Ops: []api.Op{{Key: k, Op: api.OpPut, Value: want}}}))
+		if status != http.StatusOK || cr.Outcome != "committed" {
+			t.Fatalf("put %d: status %d resp %+v", i, status, cr)
+		}
+		for _, s := range fleet {
+			status, cr, _ := postV1(t, s, commitJSON(t, api.CommitRequest{Tx: fmt.Sprintf("get%d@%s", i, s.cfg.Name),
+				Ops: []api.Op{{Key: k, Op: api.OpGet}}}))
+			if status != http.StatusOK || cr.Reads[k] != want {
+				t.Fatalf("get after put %d through %s: status %d resp %+v", i, s.cfg.Name, status, cr)
+			}
+		}
+	}
+}
+
 // TestV1ShardsDocument: the fleet view a router or client bootstraps
 // from.
 func TestV1ShardsDocument(t *testing.T) {
