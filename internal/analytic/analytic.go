@@ -312,6 +312,29 @@ func AbortCostBoundByRole(variant string, subs int) (RoleCost, bool) {
 	return RoleCost{Coordinator: coord, Subordinate: sub}, true
 }
 
+// VolunteerAbortCost is the per-role spend of an abort whose
+// coordinator sent no Prepare, because each of its subs subordinates
+// had volunteered its vote (§4 Unsolicited Vote; PA and Basic 2PC),
+// and that it tells each of them: the coordinator sends subs Aborts
+// and writes what the variant's abort asks for — nothing under PA, a
+// forced abort record under Basic 2PC — and End. A subordinate that
+// voted yes spent its prepared-then-aborted share, the subordinate
+// abort ceiling: its vote, its forced Prepared, the abort record (lazy
+// and unacknowledged under PA; forced and acknowledged under Basic
+// 2PC) and End.
+func VolunteerAbortCost(variant string, subs int) (RoleCost, bool) {
+	coord := Triplet{Flows: subs, Writes: 2, Forced: 1}
+	switch variant {
+	case "Basic2PC":
+	case "PA":
+		coord.Writes, coord.Forced = 1, 0
+	default:
+		return RoleCost{}, false
+	}
+	rc, _ := AbortCostBoundByRole(variant, subs)
+	return RoleCost{Coordinator: coord, Subordinate: rc.Subordinate}, true
+}
+
 // ReadOnlySubCost is one read-only subordinate's share under any
 // variant: the vote is its only flow and nothing is logged (§4
 // Read-Only).
@@ -320,20 +343,25 @@ func ReadOnlySubCost() Triplet { return Triplet{Flows: 1} }
 // CoordCommitCost is a committing coordinator's share over subs
 // subordinates when only delivered of them voted yes: the others voted
 // read-only and left at their vote, so the coordinator sends them no
-// outcome. ownReadOnly says the coordinator's own resources voted
-// read-only too. With no yes-voter that makes the round read-only: no
-// commit record is written, and End is written only to close a
-// pre-prepare record (PN's Pending, PC's Collecting). Under PA, Basic
-// 2PC and 1PC such a coordinator logs nothing at all (PAReadOnlyAll).
-// Paxos Commit folds read-only votes to yes, so delivered is always
-// subs there and its form is the write form.
-func CoordCommitCost(variant string, subs, delivered int, ownReadOnly bool) (Triplet, bool) {
+// outcome. volunteers of the subs voted before any Prepare reached
+// them (§4 Unsolicited Vote), so the coordinator sends them no Prepare
+// either: each saves it one flow, read-only voter or not (a volunteer
+// sends the same vote flow, so a subordinate's share is unchanged, and
+// the tree sums to UnsolicitedVote). ownReadOnly says the
+// coordinator's own resources voted read-only too. With no yes-voter
+// that makes the round read-only: no commit record is written, and End
+// is written only to close a pre-prepare record (PN's Pending, PC's
+// Collecting). Under PA, Basic 2PC and 1PC such a coordinator logs
+// nothing at all (PAReadOnlyAll). Paxos Commit folds read-only votes
+// to yes, so delivered is always subs there and its form is the write
+// form.
+func CoordCommitCost(variant string, subs, delivered, volunteers int, ownReadOnly bool) (Triplet, bool) {
 	rc, ok := CommitCostByRole(variant, subs)
 	if !ok {
 		return Triplet{}, false
 	}
 	c := rc.Coordinator
-	c.Flows -= subs - delivered
+	c.Flows -= subs - delivered + volunteers
 	if delivered == 0 && ownReadOnly && variant != "PaxosCommit" {
 		c.Writes, c.Forced = 0, 0
 		if variant == "PN" || variant == "PC" {
@@ -345,12 +373,13 @@ func CoordCommitCost(variant string, subs, delivered int, ownReadOnly bool) (Tri
 
 // CommitCostByVotes is a flat tree's whole commit-case spend when the
 // votes are known: subs subordinates of which readOnlySubs voted
-// read-only, and whether the coordinator's own resources did. It sums
-// CoordCommitCost with the subordinates' shares: ReadOnlySubCost for
-// each read-only voter, the variant's subordinate form for the others
+// read-only and volunteers voted unsolicited, and whether the
+// coordinator's own resources voted read-only. It sums CoordCommitCost
+// with the subordinates' shares: ReadOnlySubCost for each read-only
+// voter, the variant's subordinate form for the others
 // (PaxosAcceptorSubCost on the acceptor-subordinates). Under Paxos
 // Commit every vote counts as yes.
-func CommitCostByVotes(variant string, subs, readOnlySubs int, ownReadOnly bool) (Triplet, bool) {
+func CommitCostByVotes(variant string, subs, readOnlySubs, volunteers int, ownReadOnly bool) (Triplet, bool) {
 	rc, ok := CommitCostByRole(variant, subs)
 	if !ok {
 		return Triplet{}, false
@@ -358,7 +387,7 @@ func CommitCostByVotes(variant string, subs, readOnlySubs int, ownReadOnly bool)
 	if variant == "PaxosCommit" {
 		readOnlySubs, ownReadOnly = 0, false
 	}
-	t, _ := CoordCommitCost(variant, subs, subs-readOnlySubs, ownReadOnly)
+	t, _ := CoordCommitCost(variant, subs, subs-readOnlySubs, volunteers, ownReadOnly)
 	for i := 0; i < subs; i++ {
 		switch {
 		case i < readOnlySubs:

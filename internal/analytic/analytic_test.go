@@ -135,6 +135,46 @@ func TestRoleCostsRecombine(t *testing.T) {
 	}
 }
 
+// The per-node forms with m unsolicited voters recombine to §4's
+// Unsolicited Vote row: each volunteer saves its Prepare flow and
+// nothing else, and a read-only volunteer saves it on top of Read
+// Only's savings.
+func TestVolunteerFormsRecombine(t *testing.T) {
+	for _, variant := range []string{"Basic2PC", "PA"} {
+		for subs := 1; subs <= 6; subs++ {
+			for m := 0; m <= subs; m++ {
+				got, ok := CommitCostByVotes(variant, subs, 0, m, false)
+				if want := UnsolicitedVote(subs+1, m); !ok || got != want {
+					t.Errorf("%s subs=%d m=%d: %v, want UnsolicitedVote %v", variant, subs, m, got, want)
+				}
+				for ro := 1; ro <= subs && ro <= m; ro++ {
+					got, _ := CommitCostByVotes(variant, subs, ro, m, false)
+					want := ReadOnly(subs+1, ro)
+					want.Flows -= m
+					if got != want {
+						t.Errorf("%s subs=%d m=%d ro=%d: %v, want ReadOnly less m flows %v", variant, subs, m, ro, got, want)
+					}
+				}
+			}
+			// An abort with no Prepare out stays under the abort
+			// ceiling less the Prepares, the subordinates at it.
+			va, ok := VolunteerAbortCost(variant, subs)
+			ceil, _ := AbortCostBoundByRole(variant, subs)
+			ceil.Coordinator.Flows -= subs
+			if !ok || exceedsTriplet(va.Coordinator, ceil.Coordinator) || va.Subordinate != ceil.Subordinate {
+				t.Errorf("%s subs=%d: volunteer abort %+v against ceiling %+v", variant, subs, va, ceil)
+			}
+		}
+	}
+	if _, ok := VolunteerAbortCost("PN", 2); ok {
+		t.Error("PN takes no volunteer")
+	}
+}
+
+func exceedsTriplet(a, b Triplet) bool {
+	return a.Flows > b.Flows || a.Writes > b.Writes || a.Forced > b.Forced
+}
+
 // The live runtime's PN must never exceed the paper's Table 3 PN
 // accounting — it undercuts it by folding each subordinate's pending
 // state into the Prepared record.

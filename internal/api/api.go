@@ -131,23 +131,46 @@ type CommitResponse struct {
 	Cost *CostSummary `json:"cost,omitempty"`
 }
 
-// StageRequest is the POST /v1/stage body: the coordinator (or a
-// router acting for it) asks a shard owner to apply its slice of a
-// transaction's operations under the transaction's locks, ahead of
-// the Prepare that will arrive over the protocol plane. Abort true
-// instead discards whatever was staged (the transaction never reached
-// phase one).
+// StageRequest is the POST /v1/stage body: the coordinator asks a
+// shard owner to apply its slice of a transaction's operations under
+// the transaction's locks. The slice is the shard's whole part of the
+// transaction, so this is its last work request, and when the
+// transaction's variant allows it (Basic 2PC and PA) the coordinator
+// names itself and the variant: the shard then prepares once the slice
+// is staged and votes in its reply (§4 Unsolicited Vote), and no
+// Prepare follows on the protocol plane. Without them the shard only
+// stages, ahead of the Prepare. Abort true instead discards whatever
+// was staged, for a shard that has not voted (the transaction never
+// reached phase one).
 type StageRequest struct {
-	Tx    string `json:"tx"`
-	Ops   []Op   `json:"ops,omitempty"`
-	Abort bool   `json:"abort,omitempty"`
+	Tx string `json:"tx"`
+	// Coordinator names the transaction's coordinator on the protocol
+	// plane, which the vote is owed to and the outcome will come from;
+	// empty asks for no vote.
+	Coordinator string `json:"coordinator,omitempty"`
+	// Variant is the coordinator's protocol variant, by any name
+	// protocol.ParseVariant takes: the shard prepares under it.
+	Variant string `json:"variant,omitempty"`
+	Ops     []Op   `json:"ops,omitempty"`
+	Abort   bool   `json:"abort,omitempty"`
 }
 
-// StageResponse reports staged reads back to the coordinator.
+// StageResponse reports staged reads back to the coordinator and, when
+// the request asked for it, the shard's vote.
 type StageResponse struct {
-	Tx    string            `json:"tx"`
+	Tx string `json:"tx"`
+	// Vote is VoteYes, VoteReadOnly or VoteNo; empty when none was
+	// asked for.
+	Vote  string            `json:"vote,omitempty"`
 	Reads map[string]string `json:"reads,omitempty"`
 }
+
+// The votes a StageResponse carries.
+const (
+	VoteYes      = "yes"
+	VoteReadOnly = "read-only"
+	VoteNo       = "no"
+)
 
 // ShardMap is the wire form of a fleet's key-ownership map, served by
 // /v1/shards and consumed by routers and shard-aware clients.

@@ -213,6 +213,12 @@ func appendCommitResponse(b []byte, r *CommitResponse) ([]byte, error) {
 
 func appendStageRequest(b []byte, r *StageRequest) []byte {
 	b = AppendString(append(b, `{"tx":`...), r.Tx)
+	if r.Coordinator != "" {
+		b = AppendString(append(b, `,"coordinator":`...), r.Coordinator)
+	}
+	if r.Variant != "" {
+		b = AppendString(append(b, `,"variant":`...), r.Variant)
+	}
 	if len(r.Ops) > 0 {
 		b = appendOps(append(b, `,"ops":`...), r.Ops)
 	}
@@ -224,6 +230,9 @@ func appendStageRequest(b []byte, r *StageRequest) []byte {
 
 func appendStageResponse(b []byte, r *StageResponse) []byte {
 	b = AppendString(append(b, `{"tx":`...), r.Tx)
+	if r.Vote != "" {
+		b = AppendString(append(b, `,"vote":`...), r.Vote)
+	}
 	if len(r.Reads) > 0 {
 		b = appendReads(append(b, `,"reads":`...), r.Reads)
 	}
@@ -489,8 +498,9 @@ func (d *decoder) text(raw []byte, escaped bool) string {
 	return string(raw)
 }
 
-// name reads a string value that is usually an op verb, an outcome or
-// a variant name, and returns the shared constant when it is one.
+// name reads a string value that is usually an op verb, an outcome, a
+// vote or a variant name, and returns the shared constant when it is
+// one.
 func (d *decoder) name() string {
 	raw, escaped := d.rawString()
 	if d.bad || escaped {
@@ -509,6 +519,12 @@ func (d *decoder) name() string {
 		return "aborted"
 	case "in-doubt":
 		return "in-doubt"
+	case VoteYes:
+		return VoteYes
+	case VoteReadOnly:
+		return VoteReadOnly
+	case VoteNo:
+		return VoteNo
 	case "pa":
 		return "pa"
 	case "pn":
@@ -780,12 +796,16 @@ func decodeStageRequest(b []byte, r *StageRequest) bool {
 	var seen uint16
 	d.expect('{')
 	for n := 0; d.more('}', n); n++ {
-		switch d.member(&seen, "tx", "ops", "abort") {
+		switch d.member(&seen, "tx", "coordinator", "variant", "ops", "abort") {
 		case 1:
 			r.Tx = d.str()
 		case 2:
-			r.Ops = d.ops()
+			r.Coordinator = d.str()
 		case 4:
+			r.Variant = d.name()
+		case 8:
+			r.Ops = d.ops()
+		case 16:
 			switch {
 			case d.literal("true"):
 				r.Abort = true
@@ -802,10 +822,12 @@ func decodeStageResponse(b []byte, r *StageResponse) bool {
 	var seen uint16
 	d.expect('{')
 	for n := 0; d.more('}', n); n++ {
-		switch d.member(&seen, "tx", "reads") {
+		switch d.member(&seen, "tx", "vote", "reads") {
 		case 1:
 			r.Tx = d.str()
 		case 2:
+			r.Vote = d.name()
+		case 4:
 			r.Reads = d.reads()
 		}
 	}

@@ -40,8 +40,9 @@ var (
 	commitResponseBody = `{"tx":"A.1760000000000000000.7","outcome":"committed","variant":"PA",` +
 		`"coordinator":"A","participants":["B","C"],"reads":{"k":"v"},"latency_ms":0.512,` +
 		`"cost":{"flows":8,"log_writes":7,"forced_writes":5}}`
-	stageRequestBody  = `{"tx":"A.1760000000000000000.7","ops":[{"key":"k2","op":"put","value":"v2"}]}`
-	stageResponseBody = `{"tx":"A.1760000000000000000.7"}`
+	stageRequestBody = `{"tx":"A.1760000000000000000.7","coordinator":"A","variant":"PA",` +
+		`"ops":[{"key":"k2","op":"put","value":"v2"}]}`
+	stageResponseBody = `{"tx":"A.1760000000000000000.7","vote":"yes"}`
 )
 
 // encodeCase pairs a value with the encoder under test.
@@ -160,10 +161,10 @@ func valuesFrom(s string, lat float64, n int) ([]CommitRequest, []CommitResponse
 				Reads: reads, Abort: at(4), LatencyMS: lat, Cost: cost},
 		}, []StageRequest{
 			{},
-			{Tx: at(0), Ops: ops, Abort: n%2 == 1},
+			{Tx: at(0), Coordinator: at(1), Variant: at(2), Ops: ops, Abort: n%2 == 1},
 		}, []StageResponse{
 			{},
-			{Tx: at(0), Reads: reads},
+			{Tx: at(0), Vote: at(1), Reads: reads},
 		}
 }
 
@@ -177,6 +178,7 @@ func TestV1EncodersMatchMarshal(t *testing.T) {
 		"\b\f\n\r\t|line\u2028sep\u2029|é中😀",
 		"bad\xffutf8|\xed\xa0\x80|\xc3",
 		"get|put|delete|committed|aborted|in-doubt|PA",
+		"yes|read-only|no|Basic2PC",
 	}
 	lats := []float64{0, 0.512, 1e-7, 123456.789, 1e21, 1e20, -3.5e-9, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	for i, s := range strs {
@@ -251,7 +253,7 @@ func TestUnmarshalDeclinedFromZero(t *testing.T) {
 // TestDecodeBodyAllocs holds the fast path's allocations: a 3-put
 // commit request costs its op slice and six strings (the verbs and the
 // variant are shared constants), and a stage response without reads
-// its tx id alone.
+// its tx id alone (the vote is a shared constant).
 func TestDecodeBodyAllocs(t *testing.T) {
 	var rd bytes.Reader
 	for _, c := range []struct {

@@ -10,11 +10,15 @@
 //
 //   - a committed transaction must match the commit form exactly —
 //     every flow and every forced write accounted for, read-only
-//     shapes included (analytic.CoordCommitCost);
+//     shapes and unsolicited votes included (analytic.CoordCommitCost);
 //   - a read-only voter must match its form exactly (one vote, nothing
 //     logged), though it never learns the outcome;
 //   - an aborted transaction must stay at or under the variant's
 //     abort ceiling (abort spend varies with when the abort struck);
+//     a finished node that spent exactly its ceiling — the whole
+//     prepared-then-aborted path, or for a coordinator whose every
+//     subordinate volunteered its vote, the Aborts, the abort record
+//     and End (analytic.VolunteerAbortCost) — matches it exactly;
 //   - an unfinished node is only checked for overruns, since its
 //     remaining records may still be in flight.
 //
@@ -137,11 +141,13 @@ func auditTx(v metrics.TxCostView) Report {
 			} else {
 				rep.Exact++
 			}
-		default:
+		case exceeds(m, exp):
 			// Open or abort-bounded entries: overruns only.
-			if exceeds(m, exp) {
-				rep.Violations = append(rep.Violations, violation(v, nc, m, exp, false))
-			}
+			rep.Violations = append(rep.Violations, violation(v, nc, m, exp, false))
+		case m == exp && nc.Done && v.Outcome != "":
+			// A finished abort that spent its whole form: a subordinate
+			// that prepared, a coordinator that told every volunteer.
+			rep.Exact++
 		}
 	}
 	return rep
@@ -166,14 +172,20 @@ func expectation(v metrics.TxCostView, nc metrics.NodeCostView) (exp analytic.Tr
 			// Read-only voters drop out of phase two: the coordinator
 			// delivers the outcome to fewer members than it prepared,
 			// and with no delivery its own vote decides what it logs.
+			// Volunteers were sent no Prepare.
 			delivered := v.Delivered
 			if delivered < 0 {
 				delivered = v.Subs
 			}
-			exp, formOK := analytic.CoordCommitCost(v.Variant, v.Subs, delivered, v.CoordReadOnly)
+			exp, formOK := analytic.CoordCommitCost(v.Variant, v.Subs, delivered, v.Volunteers, v.CoordReadOnly)
 			return exp, formOK, formOK
 		}
 		rc, formOK := analytic.AbortCostBoundByRole(v.Variant, v.Subs)
+		if vc, ok := analytic.VolunteerAbortCost(v.Variant, v.Subs); ok && v.Volunteers == v.Subs {
+			// No Prepare went out: the abort's form is the Aborts, the
+			// record and End.
+			rc, formOK = vc, true
+		}
 		if !formOK {
 			return analytic.Triplet{}, false, false
 		}

@@ -142,6 +142,35 @@ func TestConformanceAbortUnderCeiling(t *testing.T) {
 	}
 }
 
+// TestConformanceVolunteerAbortExact: an abort whose coordinator sent
+// no Prepare, every subordinate having volunteered, is held to
+// VolunteerAbortCost: a PA coordinator's two Aborts and End and the
+// prepared volunteer's vote, Prepared, Aborted and End match it
+// exactly, and a Prepare on top is an overrun.
+func TestConformanceVolunteerAbortExact(t *testing.T) {
+	r := metrics.New()
+	r.CostBegin("t1", "C", "PA", 2)
+	r.CostVolunteers("t1", 2)
+	r.CostSub("t1", "S1", "PA", false)
+	r.FlowSent("S1", "t1", true, false, true) // the vote, in the stage reply
+	r.TxLogWrite("S1", "t1", true)
+	r.FlowSent("C", "t1", false, false, true) // the Aborts
+	r.FlowSent("C", "t1", false, false, true)
+	r.TxLogWrite("C", "t1", false) // End
+	r.TxLogWrite("S1", "t1", false)
+	r.TxLogWrite("S1", "t1", false)
+	r.CostOutcome("t1", "aborted", -1)
+	r.CostNodeDone("t1", "C")
+	r.CostNodeDone("t1", "S1")
+	if rep := Conformance(r.CostSnapshot()); !rep.OK() || rep.Checked != 2 || rep.Exact != 2 {
+		t.Fatalf("volunteer abort: %s", rep)
+	}
+	r.FlowSent("C", "t1", false, false, true)
+	if rep := Conformance(r.CostSnapshot()); rep.OK() {
+		t.Fatal("a Prepare to a volunteer not flagged")
+	}
+}
+
 func TestConformanceReadOnlySub(t *testing.T) {
 	r := metrics.New()
 	r.CostBegin("t1", "C", "PA", 2)

@@ -29,7 +29,7 @@ func TestLiveConformanceReadOnlyShapes(t *testing.T) {
 			for roSubs := 0; roSubs <= subs; roSubs++ {
 				for _, coordRO := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/subs=%d/ro=%d/coordRO=%v", v, subs, roSubs, coordRO), func(t *testing.T) {
-						checkLiveReadOnlyShape(t, v, subs, roSubs, coordRO)
+						checkLiveVoteShape(t, v, subs, roSubs, 0, coordRO)
 					})
 				}
 			}
@@ -37,7 +37,37 @@ func TestLiveConformanceReadOnlyShapes(t *testing.T) {
 	}
 }
 
-func checkLiveReadOnlyShape(t *testing.T, v protocol.Variant, subs, roSubs int, coordRO bool) {
+// TestLiveConformanceVolunteers commits, under PA and Basic 2PC, the
+// shapes in which m of two subordinates vote unsolicited, m = 0-2, the
+// way the serving path does it (Volunteer, then PostVotes before
+// Commit), with every read-only mix and the coordinator's own resource
+// read-only or updating. Each node's entry matches its form exactly,
+// and the tree spends analytic.UnsolicitedVote(3, m) when every vote
+// is yes (CommitCostByVotes with the read-only voters otherwise).
+func TestLiveConformanceVolunteers(t *testing.T) {
+	const subs = 2
+	for _, v := range []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA} {
+		for m := 0; m <= subs; m++ {
+			for roSubs := 0; roSubs <= subs; roSubs++ {
+				for _, coordRO := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/m=%d/ro=%d/coordRO=%v", v, m, roSubs, coordRO), func(t *testing.T) {
+						got := checkLiveVoteShape(t, v, subs, roSubs, m, coordRO)
+						if want := analytic.UnsolicitedVote(subs+1, m); roSubs == 0 && !coordRO && got != want {
+							t.Fatalf("tree spent (%v), UnsolicitedVote (%v)", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkLiveVoteShape commits one transaction of a coordinator C over
+// subs subordinates, the last roSubs of which vote read-only and the
+// first volunteers of which vote unsolicited, and holds every node's
+// ledger to its form and the tree to CommitCostByVotes. It returns the
+// tree's spend.
+func checkLiveVoteShape(t *testing.T, v protocol.Variant, subs, roSubs, volunteers int, coordRO bool) analytic.Triplet {
 	net := netsim.NewChanNetwork()
 	type node struct {
 		name string
@@ -60,13 +90,24 @@ func checkLiveReadOnlyShape(t *testing.T, v protocol.Variant, subs, roSubs int, 
 		return p
 	}
 	c := mk("C", coordRO)
-	var subNames []string
+	var (
+		subNames []string
+		votes    []live.Vote
+	)
+	tx := protocol.TxID{Origin: "C", Seq: 1}.String()
 	for i := 0; i < subs; i++ {
 		name := fmt.Sprintf("S%d", i+1)
-		mk(name, i < roSubs)
+		s := mk(name, i >= subs-roSubs)
 		subNames = append(subNames, name)
+		if i < volunteers {
+			vote, err := s.Volunteer("C", tx, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			votes = append(votes, live.Vote{From: name, Vote: vote})
+		}
 	}
-	tx := protocol.TxID{Origin: "C", Seq: 1}.String()
+	c.PostVotes(tx, votes)
 	if out, err := c.CommitVariant(context.Background(), tx, subNames, v); err != nil || out != live.Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}
@@ -89,7 +130,7 @@ func checkLiveReadOnlyShape(t *testing.T, v protocol.Variant, subs, roSubs int, 
 
 	// The whole tree logs what the forms say, and a round in which
 	// every vote was read-only under PA or Basic 2PC logs nothing.
-	want, _ := analytic.CommitCostByVotes(v.String(), subs, roSubs, coordRO)
+	want, _ := analytic.CommitCostByVotes(v.String(), subs, roSubs, volunteers, coordRO)
 	var got analytic.Triplet
 	for _, n := range nodes {
 		snap := n.reg.Snapshot().Nodes[n.name]
@@ -103,13 +144,14 @@ func checkLiveReadOnlyShape(t *testing.T, v protocol.Variant, subs, roSubs int, 
 			t.Fatalf("read-only coordinator logged %d records", len(recs))
 		}
 	}
+	return got
 }
 
-// TestLiveReadOnlyVoterRepeatsVoteAsExtra: a read-only voter forgets
-// the transaction at its vote, so a retransmitted Prepare is answered
-// as new, with a second read-only vote. That vote is an extra flow and
-// the voter's entry stays exact, as it must when a coordinator's vote
-// collection retransmits under load.
+// TestLiveReadOnlyVoterRepeatsVoteAsExtra: a read-only voter leaves the
+// transaction at its vote, keeping only the vote, so a retransmitted
+// Prepare is answered from it with a second read-only vote. That vote
+// is an extra flow and the voter's entry stays exact, as it must when a
+// coordinator's vote collection retransmits under load.
 func TestLiveReadOnlyVoterRepeatsVoteAsExtra(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()

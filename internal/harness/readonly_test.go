@@ -62,7 +62,7 @@ func checkReadOnlyShape(t *testing.T, v protocol.Variant, subs, roSubs int, coor
 		return analytic.Triplet{Flows: c.ProtocolPackets, Writes: c.LogWrites, Forced: c.ForcedWrites}
 	}
 
-	want, ok := analytic.CoordCommitCost(v.String(), subs, subs-roSubs, coordRO)
+	want, ok := analytic.CoordCommitCost(v.String(), subs, subs-roSubs, 0, coordRO)
 	if !ok {
 		t.Fatalf("no coordinator form for %s", v)
 	}

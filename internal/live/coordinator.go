@@ -3,9 +3,11 @@ package live
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/protocol"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -138,6 +140,9 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 			return p.abortTx(tx, txName, subs, v, rd), nil
 		}
 	}
+	if votedN > 0 && p.met != nil {
+		p.met.CostVolunteers(txName, votedN)
+	}
 
 	// Phase one: Prepares in parallel to everyone who has not already
 	// volunteered a vote, each announcing the variant's presumption.
@@ -191,6 +196,72 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		return p.delegate(ctx, st, tx, txName, agent, yes, localVote, v)
 	}
 	return p.decideCommit(ctx, st, tx, txName, yes, redos, localVote, v)
+}
+
+// TakesVolunteers reports whether this node, coordinating under v,
+// takes subordinates' votes ahead of Commit (§4 Unsolicited Vote): the
+// variant's rule, and no Last Agent, whose agent must get the
+// delegation instead of a Prepare.
+func (p *Participant) TakesVolunteers(v protocol.Variant) bool {
+	return v.Unsolicited() && !p.lastAgent
+}
+
+// Vote is a subordinate's vote that came back with its reply to the
+// coordinator's last work request (Volunteer).
+type Vote struct {
+	From string
+	Vote protocol.VoteValue
+}
+
+// PostVotes hands this node, as coordinator of txName, the votes its
+// subordinates volunteered in their replies to the last work request.
+// They wait in the transaction's inbox as votes volunteered on the
+// wire do: Commit tallies them and sends their voters no Prepare. Call
+// it before Commit; a transaction that will not reach Commit is aborted
+// with AbortVolunteered instead.
+func (p *Participant) PostVotes(txName string, votes []Vote) {
+	if len(votes) == 0 {
+		return
+	}
+	for _, v := range votes {
+		if p.met != nil {
+			p.met.MessageReceived(p.name)
+		}
+		if p.traceOn {
+			label := protocol.Message{Type: protocol.MsgVote, Vote: v.Vote, Unsolicited: true}.Label()
+			p.trc.Add(trace.Event{Node: p.name, Peer: v.From, Kind: trace.KindReceive, Tx: txName, Detail: label + "(" + txName + ")"})
+		}
+	}
+	sh := p.shardFor(txName)
+	sh.mu.Lock()
+	// A vote ahead of Commit is unsolicited: the entry it waits in is
+	// born coordinated, as route makes it for one on the wire.
+	st := sh.stateLocked(txName)
+	st.isCoord = true
+	st.inbox = slices.Grow(st.inbox, len(votes))
+	var wake chan struct{}
+	for _, v := range votes {
+		m := protocol.Message{Type: protocol.MsgVote, Tx: txName, Vote: v.Vote, Unsolicited: true}
+		_, wake = p.postLocked(st, envelope{from: v.From, msg: m})
+	}
+	sh.mu.Unlock()
+	p.rouse(st, false, wake)
+}
+
+// AbortVolunteered aborts under v a transaction this node coordinates
+// that will not reach Commit, after the subordinates subs volunteered
+// a yes vote (Volunteer) or may have: they are prepared, so the abort
+// reaches them through the protocol, by abortTx's rules: a PA
+// coordinator writes nothing and collects no ack, a Basic 2PC one
+// forces the abort and holds it until each has acked.
+func (p *Participant) AbortVolunteered(txName string, subs []string, v protocol.Variant) {
+	st := p.registerCoord(txName)
+	defer p.unregisterCoord(st)
+	if p.met != nil {
+		p.met.CostBegin(txName, p.name, v.String(), len(subs))
+		p.met.CostVolunteers(txName, len(subs)) // none was sent a Prepare
+	}
+	p.abortTx(protocol.ParseTxID(txName), txName, subs, v, protocol.Round{Voted: true})
 }
 
 // decideCommit takes the commit decision after unanimous yes votes

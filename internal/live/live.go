@@ -545,8 +545,9 @@ func (p *Participant) recordSubDecision(st *txState, committed bool) {
 // publishDecision writes tx's decided-table entry: pinned, or aging
 // (an entry already pinned stays pinned until released). The first
 // recording of each outcome is traced as the node's decision point
-// (the event the oracle orders lock releases against); crashed
-// participants record nothing.
+// (the event the oracle orders lock releases against), but not a
+// read-only vote, which decides nothing; crashed participants record
+// nothing.
 func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 	if p.Crashed() {
 		return
@@ -567,8 +568,8 @@ func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 	if rotated {
 		p.reannounce(sh)
 	}
-	if known && prev.committed() == d.committed() {
-		return // duplicate (e.g. retransmitted outcome)
+	if known && prev.committed() == d.committed() || d.readOnly() {
+		return // duplicate (e.g. retransmitted outcome), or no decision
 	}
 	if p.traceOn {
 		dt := "abort"
@@ -667,6 +668,19 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 		return ErrCrashed
 	}
 	return err
+}
+
+// replied accounts for message m to peer to that the caller carries
+// in a reply of its own rather than this node sending it: traced and
+// counted as sent, and as piggybacked, since it takes no packet. extra
+// marks a repeat, as for sendExtra.
+func (p *Participant) replied(to string, m protocol.Message, extra bool) {
+	if p.traceOn {
+		p.trc.Add(trace.Event{Node: p.name, Peer: to, Kind: trace.KindSend, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
+	}
+	if p.met != nil {
+		p.met.FlowSent(p.name, m.Tx, true, extra, true)
+	}
 }
 
 // countRetry tallies one retransmission.

@@ -257,7 +257,7 @@ func TestLiveUnsolicitedVote(t *testing.T) {
 	defer sub.Stop()
 
 	tx := protocol.TxID{Origin: "C", Seq: 13}
-	if err := sub.UnsolicitedVote("C", tx.String()); err != nil {
+	if err := sub.UnsolicitedVote("C", tx.String(), coord.Variant()); err != nil {
 		t.Fatal(err)
 	}
 	// Let the vote land in the coordinator's inbox for the transaction.

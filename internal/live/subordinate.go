@@ -37,24 +37,45 @@ func (p *Participant) handlePrepare(st *txState, from string, m *protocol.Messag
 		_ = p.sendExtra(from, st.voteMsg)
 		return
 	}
+	_, _ = p.vote(st, from, m.Presume, false, false)
+}
 
-	st.presume = m.Presume
-	vote := p.prepareVote(st, false)
+// vote runs a subordinate's phase one under the coordinator's variant
+// v and hands the vote to the coordinator: sent on the wire, or, when
+// reply is set, left to the caller to carry back in its reply to the
+// coordinator's last work request, where it costs no packet of its
+// own. unsolicited marks a vote no Prepare asked for. A read-only voter
+// is out of the transaction (§4 Read Only): no log record, no phase
+// two; its entry goes once the vote is away, and its kept vote answers
+// what still reaches it. A no-voter knows the outcome. Both are done
+// with the transaction, and so is their accounting.
+func (p *Participant) vote(st *txState, to string, v protocol.Variant, unsolicited, reply bool) (protocol.VoteValue, error) {
+	st.presume = v
+	vote := p.prepareVote(st, unsolicited)
 	if p.met != nil {
-		p.met.CostSub(m.Tx, p.name, m.Presume.String(), vote == protocol.VoteReadOnly)
+		p.met.CostSub(st.id, p.name, v.String(), vote == protocol.VoteReadOnly)
+	}
+	var err error
+	if reply {
+		p.replied(to, st.voteMsg, false)
+	} else {
+		err = p.send(to, st.voteMsg)
 	}
 	if vote == protocol.VoteReadOnly {
-		// Read-only (§4): this subordinate is out of the transaction —
-		// no log record, no phase two. Drop the table entry once the
-		// vote is away.
-		defer p.drop(st)
+		// Kept, aging, so a retransmitted Prepare gets the same vote
+		// without preparing every resource again and opening a second
+		// ledger entry, and an abort sent to every subordinate is
+		// answered without a record (answerDecided).
+		p.publishDecision(st.id, readOnlyDecision(st.presume), false)
+		p.drop(st)
 	}
-	_ = p.send(from, st.voteMsg)
 	if p.met != nil && vote != protocol.VoteYes {
-		// No-voters and read-only voters are out of phase two: their
-		// accounting is final once the vote is away.
-		p.met.CostNodeDone(m.Tx, p.name)
+		if vote == protocol.VoteNo {
+			p.met.CostOutcome(st.id, "aborted", -1)
+		}
+		p.met.CostNodeDone(st.id, p.name)
 	}
+	return vote, err
 }
 
 // handleDelegate runs the last-agent path (§4): the combined
@@ -197,6 +218,8 @@ func (p *Participant) handleInquire(from string, m *protocol.Message) {
 	sh.mu.Unlock()
 	k := protocol.KnowsNothing
 	switch {
+	case known && d.readOnly():
+		// A read-only voter left before the decision.
 	case known && d.committed():
 		k = protocol.KnowsCommit
 	case known:
@@ -209,30 +232,54 @@ func (p *Participant) handleInquire(from string, m *protocol.Message) {
 
 // UnsolicitedVote prepares this participant's resources on its own
 // initiative and sends its vote to the coordinator before any Prepare
-// arrives (§4 Unsolicited Vote). The vote waits in the transaction's
+// arrives (§4 Unsolicited Vote). v is the coordinator's variant, which
+// no Prepare will announce: the prepared record names it, and phase
+// two and recovery follow it. The vote waits in the transaction's
 // inbox at the coordinator, which skips this subordinate's Prepare
 // when Commit runs.
-func (p *Participant) UnsolicitedVote(coordinator, txName string) (err error) {
+func (p *Participant) UnsolicitedVote(coordinator, txName string, v protocol.Variant) error {
+	_, err := p.volunteer(coordinator, txName, v, false)
+	return err
+}
+
+// Volunteer is UnsolicitedVote for a vote that leaves with the reply
+// to the coordinator's last work request instead of on the wire: it
+// prepares under v and returns the vote for the caller to carry back.
+// The coordinator hands it to Commit with PostVotes. The cost ledger
+// counts it as the voter's vote flow, piggybacked: it takes no packet
+// of its own.
+func (p *Participant) Volunteer(coordinator, txName string, v protocol.Variant) (protocol.VoteValue, error) {
+	return p.volunteer(coordinator, txName, v, true)
+}
+
+func (p *Participant) volunteer(coordinator, txName string, v protocol.Variant, reply bool) (vote protocol.VoteValue, err error) {
+	if !v.Unsolicited() {
+		return protocol.VoteNo, fmt.Errorf("live: %v takes no unsolicited vote", v)
+	}
+	if p.Crashed() {
+		return protocol.VoteNo, ErrCrashed
+	}
 	st := p.liveState(txName)
 	if st == nil {
-		return fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
+		return protocol.VoteNo, fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
 	}
 	p.call(st, func() {
 		defer p.retire(st)
 		switch {
 		case st.done:
-			err = fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
+			vote, err = protocol.VoteNo, fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
 		case st.prepared:
-			_ = p.sendExtra(coordinator, st.voteMsg)
+			vote = st.voteMsg.Vote
+			if reply {
+				p.replied(coordinator, st.voteMsg, true)
+			} else {
+				_ = p.sendExtra(coordinator, st.voteMsg)
+			}
 		default:
-			// No Prepare has announced a variant yet; st.presume's zero
-			// value (VariantBaseline) is what phase two will run under,
-			// so it is also what recovery must restore.
-			p.prepareVote(st, true)
-			err = p.send(coordinator, st.voteMsg)
+			vote, err = p.vote(st, coordinator, v, true, reply)
 		}
 	})
-	return err
+	return vote, err
 }
 
 // prepareVote prepares the local resources and sets st.voteMsg,

@@ -99,6 +99,9 @@ type txCost struct {
 	// delivered is how many subordinates the coordinator actually sent
 	// the outcome to (read-only voters drop out); -1 until reported.
 	delivered int
+	// volunteers is how many subordinates voted before the coordinator
+	// sent them a Prepare (§4 Unsolicited Vote), so it sent them none.
+	volunteers int
 	// coordReadOnly: the coordinator's own resources voted read-only.
 	coordReadOnly bool
 	outcome       string // "committed", "aborted", ...; "" while undecided
@@ -139,6 +142,9 @@ type TxCostView struct {
 	Variant   string
 	Subs      int // coordinator-declared subordinate count; -1 unknown
 	Delivered int // outcome deliveries from the coordinator; -1 unknown
+	// Volunteers is how many subordinates voted unsolicited: the
+	// coordinator sent them no Prepare.
+	Volunteers int
 	// CoordReadOnly says the coordinator's own resources voted
 	// read-only: with no delivery it wrote no commit record.
 	CoordReadOnly bool
@@ -324,6 +330,14 @@ func (r *Registry) CostOutcome(tx, outcome string, delivered int) {
 	r.queueIfClosedLocked(tc)
 }
 
+// CostVolunteers records that n of tx's subordinates voted before
+// its coordinator sent them a Prepare (§4 Unsolicited Vote).
+func (r *Registry) CostVolunteers(tx string, n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.txCostLocked(tx).volunteers = n
+}
+
 // CostCoordReadOnly records that tx's coordinator's own resources
 // voted read-only.
 func (r *Registry) CostCoordReadOnly(tx string) {
@@ -427,6 +441,7 @@ func (tc *txCost) view(nodes []NodeCostView) TxCostView {
 		Variant:       tc.variant,
 		Subs:          tc.subs,
 		Delivered:     tc.delivered,
+		Volunteers:    tc.volunteers,
 		CoordReadOnly: tc.coordReadOnly,
 		Outcome:       tc.outcome,
 		Nodes:         nodes,

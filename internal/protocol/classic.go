@@ -74,6 +74,18 @@ func (v Variant) SubPrepare(leaf bool) Prepare {
 // coordinator's own decision record.
 func (v Variant) Delegates() bool { return !v.row().loglessVote }
 
+// Unsolicited reports whether a subordinate may vote before any
+// Prepare reaches it, with its reply to the last work request (§4
+// Unsolicited Vote). Only a classic round whose coordinator forces
+// nothing before a subordinate may prepare allows it: Basic 2PC and
+// PA. PN's Pending and PC's Collecting record must be stable before
+// anyone prepares, a 1PC vote carries its voter's redo, and a Paxos
+// Commit vote is a ballot-0 accept sent to the acceptors.
+func (v Variant) Unsolicited() bool {
+	r := v.row()
+	return v.valid() && v != VariantPaxos && r.prePrepare == "" && !r.loglessVote
+}
+
 // AbortsRepeat says whether a last agent answers abort to a repeated
 // delegation that finds no decision, rather than deciding afresh. Under
 // presumed abort its abort wrote nothing (Decide), so a restart may have

@@ -72,6 +72,14 @@ func TestClassicRuleEdges(t *testing.T) {
 	if Variant1PC.Delegates() || !VariantPA.Delegates() {
 		t.Error("only a logless vote has nothing to delegate")
 	}
+	// A vote may ride the last work reply only where nothing is forced
+	// before a subordinate prepares and the vote is a classic one.
+	for v, want := range map[Variant]bool{VariantBaseline: true, VariantPA: true, VariantPN: false,
+		VariantPC: false, VariantPaxos: false, Variant1PC: false, Variant(99): false} {
+		if got := v.Unsolicited(); got != want {
+			t.Errorf("%v: Unsolicited = %v, want %v", v, got, want)
+		}
+	}
 	if got := Variant1PC.SubPrepare(false); !got.Prepared {
 		t.Error("a cascaded 1PC voter must still force Prepared")
 	}

@@ -152,7 +152,8 @@ func aggregate(s *Server, v protocol.Variant, role metrics.Role, outcome string)
 }
 
 // commitBothShapes commits, under each of the five variants, the
-// write shape (a put on every shard: all three nodes vote yes) and a
+// write shape (a put on every shard: all three nodes vote yes, under
+// PA and Basic 2PC the subordinates in their stage replies) and a
 // protocol-only transaction (no ops: all three vote read-only), then
 // holds every daemon's audit exact over all of them and checks what
 // the read-only commits spent: each subordinate's entry is a read-only
@@ -181,8 +182,12 @@ func commitBothShapes(t *testing.T, fleet []*Server, keys map[string]string) {
 		auditUntil(t, s, 2*len(variants))
 	}
 	for _, v := range variants {
-		write, _ := analytic.CoordCommitCost(v.String(), 2, 2, false)
-		ro, _ := analytic.CoordCommitCost(v.String(), 2, 0, true)
+		volunteers := 0
+		if v.Unsolicited() {
+			volunteers = 2
+		}
+		write, _ := analytic.CoordCommitCost(v.String(), 2, 2, volunteers, false)
+		ro, _ := analytic.CoordCommitCost(v.String(), 2, 0, 0, true)
 		if v == protocol.VariantPaxos {
 			ro = write
 		}

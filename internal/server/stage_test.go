@@ -225,9 +225,9 @@ func TestStageRequestBodyRewindable(t *testing.T) {
 		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
 			Body: io.NopCloser(strings.NewReader(`{"tx":"t","reads":{"k":"v"}}`))}, nil
 	})
-	reads, err := s.stageRemote(context.Background(), "B", api.StageRequest{Tx: "t", Ops: []api.Op{{Key: "k", Op: api.OpGet}}})
-	if err != nil || calls != 1 || reads["k"] != "v" {
-		t.Fatalf("stage: reads %v err %v after %d calls", reads, err, calls)
+	sresp, err := s.stageRemote(context.Background(), "B", api.StageRequest{Tx: "t", Ops: []api.Op{{Key: "k", Op: api.OpGet}}})
+	if err != nil || calls != 1 || sresp.Reads["k"] != "v" {
+		t.Fatalf("stage: reads %v err %v after %d calls", sresp.Reads, err, calls)
 	}
 }
 

@@ -176,8 +176,16 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	// same global order, no two transactions can hold locks on two
 	// shards in opposite orders, so cross-shard deadlock cycles are
 	// impossible and the only cycles left are within one shard's lock
-	// manager, where its detector resolves them.
-	var staged []string
+	// manager, where its detector resolves them. A slice is the whole
+	// of a shard's part, so where the variant allows it a remote shard
+	// votes in its stage reply (§4 Unsolicited Vote), and Commit sends
+	// it no Prepare.
+	volunteer := s.part.TakesVolunteers(v)
+	var (
+		staged   []string // shards holding staged state and no vote
+		prepared []string // shards that voted yes, or may have
+		votes    []live.Vote
+	)
 	abortStaged := func() {
 		for _, n := range staged {
 			if n == s.cfg.Name {
@@ -186,20 +194,45 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 			}
 			s.stageRemote(context.Background(), n, api.StageRequest{Tx: tx, Abort: true})
 		}
+		if len(prepared) > 0 {
+			// A prepared shard keeps its locks until an outcome reaches
+			// it through the protocol.
+			s.part.AbortVolunteered(tx, prepared, v)
+		}
 	}
 	for i, ops := range groups {
 		n := participants[i]
 		var (
 			nodeReads map[string]string
+			vote      protocol.VoteValue
+			voted     bool
 			err       error
 		)
 		if n == s.cfg.Name {
 			nodeReads, err = s.stageLocal(ctx, tx, ops)
 		} else {
-			nodeReads, err = s.stageRemote(ctx, n, api.StageRequest{Tx: tx, Ops: ops})
+			sreq := api.StageRequest{Tx: tx, Ops: ops}
+			if volunteer {
+				sreq.Coordinator, sreq.Variant = s.cfg.Name, v.String()
+			}
+			var sresp api.StageResponse
+			sresp, err = s.stageRemote(ctx, n, sreq)
+			nodeReads = sresp.Reads
+			vote, voted = voteOf(sresp.Vote)
+		}
+		switch {
+		case err != nil && volunteer && n != s.cfg.Name && !errors.As(err, new(*stageRefusal)):
+			// No answer came: the shard may have voted yes.
+			prepared = append(prepared, n)
+		case !voted:
+			staged = append(staged, n) // on a failure, it may hold partial state
+		case vote == protocol.VoteYes:
+			prepared = append(prepared, n)
+		}
+		if voted {
+			votes = append(votes, live.Vote{From: n, Vote: vote})
 		}
 		if err != nil {
-			staged = append(staged, n) // the failing shard may hold partial state
 			abortStaged()
 			var herr *httpError
 			if errors.As(err, &herr) {
@@ -214,7 +247,6 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 				LatencyMS: msSince(start),
 			}, nil
 		}
-		staged = append(staged, n)
 		for k, val := range nodeReads {
 			if reads == nil {
 				reads = make(map[string]string, len(nodeReads))
@@ -223,6 +255,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 		}
 	}
 
+	s.part.PostVotes(tx, votes)
 	out, err := s.part.CommitVariant(ctx, tx, subs, v)
 	resp := &api.CommitResponse{
 		Tx:           tx,
@@ -248,7 +281,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 				roSubs--
 			}
 		}
-		if total, ok := analytic.CommitCostByVotes(v.String(), len(subs), roSubs, coordRO); ok {
+		if total, ok := analytic.CommitCostByVotes(v.String(), len(subs), roSubs, len(votes), coordRO); ok {
 			resp.Cost = &api.CostSummary{Flows: total.Flows, LogWrites: total.Writes, ForcedWrites: total.Forced}
 		}
 	default:
@@ -258,6 +291,36 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	}
 	return resp, nil
 }
+
+// voteOf reads a StageResponse's vote.
+func voteOf(s string) (protocol.VoteValue, bool) {
+	switch s {
+	case api.VoteYes:
+		return protocol.VoteYes, true
+	case api.VoteReadOnly:
+		return protocol.VoteReadOnly, true
+	case api.VoteNo:
+		return protocol.VoteNo, true
+	}
+	return protocol.VoteNo, false
+}
+
+// voteName is vote as a StageResponse carries it.
+func voteName(vote protocol.VoteValue) string {
+	switch vote {
+	case protocol.VoteYes:
+		return api.VoteYes
+	case protocol.VoteReadOnly:
+		return api.VoteReadOnly
+	}
+	return api.VoteNo
+}
+
+// stageRefusal is a /v1/stage call the shard answered with an error
+// status: it discarded the slice and did not vote.
+type stageRefusal struct{ msg string }
+
+func (e *stageRefusal) Error() string { return e.msg }
 
 // msSince is elapsed wall time in milliseconds.
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
@@ -340,41 +403,46 @@ func (p httpPeer) stageRequest(ctx context.Context, body []byte) (*http.Request,
 // Abort requests are best-effort. The call goes straight to the stage
 // transport, which bounds it (see stageTransport): an http.Client
 // would copy the headers for redirects the stage plane never follows.
-func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageRequest) (map[string]string, error) {
+// A shard that answers with an error status gives a *stageRefusal.
+func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageRequest) (api.StageResponse, error) {
+	var sresp api.StageResponse
 	peer, ok := s.peerHTTPOf(node)
 	if !ok {
-		return nil, errUnknownShard("no HTTP address for shard %q", node)
+		return sresp, errUnknownShard("no HTTP address for shard %q", node)
 	}
 	req, err := peer.stageRequest(ctx, api.MarshalStageRequest(&sreq))
 	if err != nil {
-		return nil, err
+		return sresp, err
 	}
 	resp, err := s.httpc.Transport.RoundTrip(req)
 	if err != nil {
-		return nil, fmt.Errorf("stage %s: %w", node, err)
+		return sresp, fmt.Errorf("stage %s: %w", node, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var e api.Error
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("stage %s: %s (%s)", node, e.Error, e.Code)
+			return sresp, &stageRefusal{fmt.Sprintf("stage %s: %s (%s)", node, e.Error, e.Code)}
 		}
-		return nil, fmt.Errorf("stage %s: %s: %s", node, resp.Status, strings.TrimSpace(string(raw)))
+		return sresp, &stageRefusal{fmt.Sprintf("stage %s: %s: %s", node, resp.Status, strings.TrimSpace(string(raw)))}
 	}
-	var sresp api.StageResponse
 	if err := api.DecodeBody(resp.Body, &sresp); err != nil {
-		return nil, fmt.Errorf("stage %s: decode response: %w", node, err)
+		return api.StageResponse{}, fmt.Errorf("stage %s: decode response: %w", node, err)
 	}
-	return sresp.Reads, nil
+	return sresp, nil
 }
 
 // handleStage is POST /v1/stage: the fleet-internal data plane. A
-// coordinator (or router acting for one) delivers the operations this
-// shard owns for a transaction; they are applied under the
-// transaction's locks ahead of the Prepare arriving on the protocol
-// plane. Abort discards staged state for transactions that never
-// reached phase one.
+// coordinator delivers the operations this shard owns for a
+// transaction, and they are applied under the transaction's locks.
+// When the request names the coordinator and its variant, this shard's
+// part is done: it prepares through the participant under that variant
+// (forcing its Prepared record on a yes) and answers with its vote, so
+// no Prepare follows on the protocol plane and the outcome arrives
+// there next (§4 Unsolicited Vote). Otherwise the slice waits for the
+// Prepare. Abort discards staged state for a transaction this shard
+// has not voted in.
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeAPIError(w, &httpError{status: http.StatusMethodNotAllowed, e: api.ErrorOf(api.CodeBadRequest, "POST only")})
@@ -401,17 +469,34 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	var v protocol.Variant
+	if sreq.Coordinator != "" {
+		var ok bool
+		if v, ok = ParseVariant(sreq.Variant); !ok || !v.Unsolicited() {
+			writeAPIError(w, errBadRequest("variant %q takes no vote with the stage reply", sreq.Variant))
+			return
+		}
+	}
+	resp := api.StageResponse{Tx: sreq.Tx}
 	reads, err := s.stageLocal(r.Context(), sreq.Tx, sreq.Ops)
+	if err == nil && sreq.Coordinator != "" {
+		var vote protocol.VoteValue
+		if vote, err = s.part.Volunteer(sreq.Coordinator, sreq.Tx, v); err == nil {
+			resp.Vote = voteName(vote)
+		}
+	}
 	if err != nil {
 		// Lock conflict, deadlock victim, or timeout: the shard could
-		// not take the transaction's locks. The staged remainder is
+		// not take the transaction's locks (or it cannot vote: the
+		// transaction is decided here). The staged remainder is
 		// discarded here; the coordinator aborts the transaction.
 		_ = s.store.Abort(protocol.ParseTxID(sreq.Tx))
 		writeAPIError(w, &httpError{status: http.StatusConflict, e: api.ErrorOf("conflict", "%v", err)})
 		return
 	}
+	resp.Reads = reads
 	w.Header().Set("Content-Type", "application/json")
-	_ = api.WriteStageResponse(w, &api.StageResponse{Tx: sreq.Tx, Reads: reads})
+	_ = api.WriteStageResponse(w, &resp)
 }
 
 // handleShards is GET /v1/shards: the node's fleet view, consumed by

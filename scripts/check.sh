@@ -56,11 +56,14 @@ echo "== per-transaction input order (50 race runs) =="
 # scheduling, hence the repeats.
 go test -race -count=50 -run 'TestLiveLastAgentResolvesDoubt|TestLiveLastAgentBackToBackDelegation' ./internal/live
 
-echo "== answered at the decision (20 race runs) =="
+echo "== answered at the decision, voted with the stage reply (20 race runs) =="
 # PA and Basic 2PC commits return before their acks: a get right after
 # a put still reads it, damage on an off-path ack is still counted, and
-# the background collectors leave nothing behind.
-go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene' ./internal/server ./internal/live
+# the background collectors leave nothing behind. Their shards vote in
+# the /v1/stage reply: no Prepare reaches a volunteer, and one a later
+# stage failure aborts is released through the protocol with nothing
+# left in doubt.
+go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer' ./internal/server ./internal/live
 
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
