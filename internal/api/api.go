@@ -134,22 +134,21 @@ type CommitResponse struct {
 // StageRequest is the POST /v1/stage body: the coordinator asks a
 // shard owner to apply its slice of a transaction's operations under
 // the transaction's locks. The slice is the shard's whole part of the
-// transaction, so this is its last work request, and when the
-// transaction's variant allows it (Basic 2PC and PA) the coordinator
-// names itself and the variant: the shard then prepares once the slice
-// is staged and votes in its reply (§4 Unsolicited Vote), and no
-// Prepare follows on the protocol plane. Without them the shard only
-// stages, ahead of the Prepare. Abort true instead discards whatever
-// was staged, for a shard that has not voted (the transaction never
-// reached phase one).
+// transaction, so this is its last work request. When the transaction's
+// variant allows it (Basic 2PC and PA) and the slice writes, or no
+// other slice is staged after it, the request names the variant: the
+// shard then prepares once the slice is staged and votes in its reply
+// (§4 Unsolicited Vote), and no Prepare follows on the protocol plane.
+// A read-only slice staged ahead of others is not asked: its read-only
+// vote would release its locks while the transaction still takes more
+// elsewhere. Without a variant the shard only stages, ahead of the
+// Prepare. Abort true instead discards whatever was staged, for a shard
+// that has not voted (the transaction never reached phase one).
 type StageRequest struct {
 	Tx string `json:"tx"`
-	// Coordinator names the transaction's coordinator on the protocol
-	// plane, which the vote is owed to and the outcome will come from;
-	// empty asks for no vote.
-	Coordinator string `json:"coordinator,omitempty"`
 	// Variant is the coordinator's protocol variant, by any name
-	// protocol.ParseVariant takes: the shard prepares under it.
+	// protocol.ParseVariant takes: the shard prepares under it and
+	// votes. Empty asks for no vote.
 	Variant string `json:"variant,omitempty"`
 	Ops     []Op   `json:"ops,omitempty"`
 	Abort   bool   `json:"abort,omitempty"`

@@ -213,9 +213,6 @@ func appendCommitResponse(b []byte, r *CommitResponse) ([]byte, error) {
 
 func appendStageRequest(b []byte, r *StageRequest) []byte {
 	b = AppendString(append(b, `{"tx":`...), r.Tx)
-	if r.Coordinator != "" {
-		b = AppendString(append(b, `,"coordinator":`...), r.Coordinator)
-	}
 	if r.Variant != "" {
 		b = AppendString(append(b, `,"variant":`...), r.Variant)
 	}
@@ -796,16 +793,14 @@ func decodeStageRequest(b []byte, r *StageRequest) bool {
 	var seen uint16
 	d.expect('{')
 	for n := 0; d.more('}', n); n++ {
-		switch d.member(&seen, "tx", "coordinator", "variant", "ops", "abort") {
+		switch d.member(&seen, "tx", "variant", "ops", "abort") {
 		case 1:
 			r.Tx = d.str()
 		case 2:
-			r.Coordinator = d.str()
-		case 4:
 			r.Variant = d.name()
-		case 8:
+		case 4:
 			r.Ops = d.ops()
-		case 16:
+		case 8:
 			switch {
 			case d.literal("true"):
 				r.Abort = true

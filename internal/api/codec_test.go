@@ -40,7 +40,7 @@ var (
 	commitResponseBody = `{"tx":"A.1760000000000000000.7","outcome":"committed","variant":"PA",` +
 		`"coordinator":"A","participants":["B","C"],"reads":{"k":"v"},"latency_ms":0.512,` +
 		`"cost":{"flows":8,"log_writes":7,"forced_writes":5}}`
-	stageRequestBody = `{"tx":"A.1760000000000000000.7","coordinator":"A","variant":"PA",` +
+	stageRequestBody = `{"tx":"A.1760000000000000000.7","variant":"PA",` +
 		`"ops":[{"key":"k2","op":"put","value":"v2"}]}`
 	stageResponseBody = `{"tx":"A.1760000000000000000.7","vote":"yes"}`
 )
@@ -161,7 +161,7 @@ func valuesFrom(s string, lat float64, n int) ([]CommitRequest, []CommitResponse
 				Reads: reads, Abort: at(4), LatencyMS: lat, Cost: cost},
 		}, []StageRequest{
 			{},
-			{Tx: at(0), Coordinator: at(1), Variant: at(2), Ops: ops, Abort: n%2 == 1},
+			{Tx: at(0), Variant: at(1), Ops: ops, Abort: n%2 == 1},
 		}, []StageResponse{
 			{},
 			{Tx: at(0), Vote: at(1), Reads: reads},

@@ -100,7 +100,7 @@ func checkLiveVoteShape(t *testing.T, v protocol.Variant, subs, roSubs, voluntee
 		s := mk(name, i >= subs-roSubs)
 		subNames = append(subNames, name)
 		if i < volunteers {
-			vote, err := s.Volunteer("C", tx, v)
+			vote, err := s.Volunteer(tx, v)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -96,8 +96,10 @@ func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, le
 	}
 }
 
-// remembers reports whether tx is live here or in the decided table.
-func (p *Participant) remembers(tx string) bool {
+// Remembers reports whether tx is live here or in the decided table,
+// kept read-only votes included: a transaction name this node must not
+// take up as a new transaction.
+func (p *Participant) Remembers(tx string) bool {
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
 	_, live := sh.txs[tx]
@@ -162,7 +164,7 @@ func (p *Participant) Checkpoint() (kept, dropped int, err error) {
 	kept, dropped, err = p.log.CheckpointAt(func(r wal.Record) bool {
 		// Once crashed, this process image's tables no longer speak for
 		// the log: a successor may already be writing to it.
-		if r.Node == p.name && r.Tx != "" && !p.Crashed() && !p.remembers(r.Tx) {
+		if r.Node == p.name && r.Tx != "" && !p.Crashed() && !p.Remembers(r.Tx) {
 			return false
 		}
 		keptBytes += recordBytes(r)

@@ -233,26 +233,26 @@ func (p *Participant) dispatch(st *txState, env *envelope) {
 
 // answerDecided answers a message for a transaction decided here (d)
 // from that decision alone: a decided transaction must not prepare,
-// lock or log again. A read-only voter repeats its vote to a Prepare
-// and acks an outcome its variant acknowledges (an abort sent to every
-// subordinate), logging nothing. A duplicate delegation repeats the
-// decision, and any other Prepare of an aborted transaction gets a no vote, which is
-// always safe; a committed one can only see a duplicate Prepare, and
-// Paxos Commit has no MsgVote at all (its coordinator resolves through
-// the acceptors). Paxos traffic gets the outcome, a duplicate outcome
-// the ack it is owed, and a reply nothing.
+// lock or log again. A duplicate delegation repeats the decision. A
+// read-only voter repeats its vote to a Prepare and acks an outcome its
+// variant acknowledges (an abort sent to every subordinate), logging
+// nothing. Any other Prepare of an aborted transaction gets a no vote,
+// which is always safe; a committed one can only see a duplicate
+// Prepare, and Paxos Commit has no MsgVote at all (its coordinator
+// resolves through the acceptors). Paxos traffic gets the outcome, a
+// duplicate outcome the ack it is owed, and a reply nothing.
 func (p *Participant) answerDecided(from string, m *protocol.Message, d decision) {
 	commit, decides := decisionOf(m)
 	v, sub := d.subVariant()
 	switch {
+	case m.Type == protocol.MsgPrepare && m.Delegate:
+		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, d.committed()))
 	case d.readOnly() && m.Type == protocol.MsgPrepare:
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteReadOnly})
 	case d.readOnly():
 		if decides && v.Acks(commit) {
 			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 		}
-	case m.Type == protocol.MsgPrepare && m.Delegate:
-		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, d.committed()))
 	case m.Type == protocol.MsgPrepare && !d.committed() && m.Presume != protocol.VariantPaxos:
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
 	case m.Type == protocol.MsgPaxosAccept || m.Type == protocol.MsgPaxosQuery:

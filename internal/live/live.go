@@ -670,13 +670,13 @@ func (p *Participant) sendFlow(to string, m protocol.Message, extra bool) error 
 	return err
 }
 
-// replied accounts for message m to peer to that the caller carries
-// in a reply of its own rather than this node sending it: traced and
-// counted as sent, and as piggybacked, since it takes no packet. extra
-// marks a repeat, as for sendExtra.
-func (p *Participant) replied(to string, m protocol.Message, extra bool) {
+// replied accounts for message m that the caller carries in a reply
+// of its own rather than this node sending it: traced as sent, to no
+// named peer, and counted as sent and piggybacked, since it takes no
+// packet. extra marks a repeat, as for sendExtra.
+func (p *Participant) replied(m protocol.Message, extra bool) {
 	if p.traceOn {
-		p.trc.Add(trace.Event{Node: p.name, Peer: to, Kind: trace.KindSend, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
+		p.trc.Add(trace.Event{Node: p.name, Kind: trace.KindSend, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
 	}
 	if p.met != nil {
 		p.met.FlowSent(p.name, m.Tx, true, extra, true)

@@ -57,7 +57,7 @@ func (p *Participant) vote(st *txState, to string, v protocol.Variant, unsolicit
 	}
 	var err error
 	if reply {
-		p.replied(to, st.voteMsg, false)
+		p.replied(st.voteMsg, false)
 	} else {
 		err = p.send(to, st.voteMsg)
 	}
@@ -247,9 +247,11 @@ func (p *Participant) UnsolicitedVote(coordinator, txName string, v protocol.Var
 // prepares under v and returns the vote for the caller to carry back.
 // The coordinator hands it to Commit with PostVotes. The cost ledger
 // counts it as the voter's vote flow, piggybacked: it takes no packet
-// of its own.
-func (p *Participant) Volunteer(coordinator, txName string, v protocol.Variant) (protocol.VoteValue, error) {
-	return p.volunteer(coordinator, txName, v, true)
+// of its own, and its trace event names no peer. Call it only once
+// the transaction has taken every lock it will take anywhere, or for a
+// slice that writes: a read-only vote releases this node's locks.
+func (p *Participant) Volunteer(txName string, v protocol.Variant) (protocol.VoteValue, error) {
+	return p.volunteer("", txName, v, true)
 }
 
 func (p *Participant) volunteer(coordinator, txName string, v protocol.Variant, reply bool) (vote protocol.VoteValue, err error) {
@@ -271,7 +273,7 @@ func (p *Participant) volunteer(coordinator, txName string, v protocol.Variant, 
 		case st.prepared:
 			vote = st.voteMsg.Vote
 			if reply {
-				p.replied(coordinator, st.voteMsg, true)
+				p.replied(st.voteMsg, true)
 			} else {
 				_ = p.sendExtra(coordinator, st.voteMsg)
 			}

@@ -124,7 +124,8 @@ func (r *countingResource) Prepare(tx protocol.TxID) (protocol.PrepareResult, er
 // vote in the decided table, so a retransmitted Prepare is answered
 // from it, with the same vote as an extra flow, and the resources are
 // not prepared again. The kept vote decides nothing: Decided leaves it
-// out, and an inquiry is answered by presumption.
+// out, an inquiry is answered by presumption, and a delegation gets
+// the abort.
 func TestLiveReadOnlyRepeatAnsweredFromRecord(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()
@@ -169,6 +170,11 @@ func TestLiveReadOnlyRepeatAnsweredFromRecord(t *testing.T) {
 	}
 	if m := ask(protocol.Message{Type: protocol.MsgInquire, Tx: tx, Presume: protocol.VariantPA}); m.Outcome != protocol.OutcomeAbort {
 		t.Fatalf("inquiry answered %+v, want PA's presumption", m)
+	}
+	// A delegation asks for the decision: it gets the abort, not the
+	// kept vote.
+	if m := ask(protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: protocol.VariantBaseline, Delegate: true}); m.Type != protocol.MsgAbort {
+		t.Fatalf("delegation answered %+v, want the abort", m)
 	}
 	// Basic 2PC acks an abort, so the kept vote acks one sent to every
 	// subordinate, logging nothing.

@@ -179,7 +179,12 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	// manager, where its detector resolves them. A slice is the whole
 	// of a shard's part, so where the variant allows it a remote shard
 	// votes in its stage reply (§4 Unsolicited Vote), and Commit sends
-	// it no Prepare.
+	// it no Prepare. Only a slice that writes, or the last one staged,
+	// is asked: a read-only vote releases the shard's locks, and a
+	// transaction that still takes locks elsewhere after releasing some
+	// is no longer two-phase (a later writer could slip in between its
+	// read and its remaining stages). A yes-voter holds every lock
+	// until the outcome.
 	volunteer := s.part.TakesVolunteers(v)
 	var (
 		staged   []string // shards holding staged state and no vote
@@ -204,6 +209,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 		n := participants[i]
 		var (
 			nodeReads map[string]string
+			asked     bool
 			vote      protocol.VoteValue
 			voted     bool
 			err       error
@@ -212,8 +218,8 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 			nodeReads, err = s.stageLocal(ctx, tx, ops)
 		} else {
 			sreq := api.StageRequest{Tx: tx, Ops: ops}
-			if volunteer {
-				sreq.Coordinator, sreq.Variant = s.cfg.Name, v.String()
+			if asked = volunteer && (i == len(groups)-1 || slices.ContainsFunc(ops, api.Op.Writes)); asked {
+				sreq.Variant = v.String()
 			}
 			var sresp api.StageResponse
 			sresp, err = s.stageRemote(ctx, n, sreq)
@@ -221,7 +227,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 			vote, voted = voteOf(sresp.Vote)
 		}
 		switch {
-		case err != nil && volunteer && n != s.cfg.Name && !errors.As(err, new(*stageRefusal)):
+		case err != nil && asked && !errors.As(err, new(*stageRefusal)):
 			// No answer came: the shard may have voted yes.
 			prepared = append(prepared, n)
 		case !voted:
@@ -436,13 +442,16 @@ func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageReq
 // handleStage is POST /v1/stage: the fleet-internal data plane. A
 // coordinator delivers the operations this shard owns for a
 // transaction, and they are applied under the transaction's locks.
-// When the request names the coordinator and its variant, this shard's
-// part is done: it prepares through the participant under that variant
+// When the request names the coordinator's variant, this shard's part
+// is done: it prepares through the participant under that variant
 // (forcing its Prepared record on a yes) and answers with its vote, so
 // no Prepare follows on the protocol plane and the outcome arrives
 // there next (§4 Unsolicited Vote). Otherwise the slice waits for the
 // Prepare. Abort discards staged state for a transaction this shard
-// has not voted in.
+// has not voted in. A transaction name the participant still
+// remembers (live, decided, or a kept read-only vote) is refused with
+// 409 and leaves the store untouched: a client may reuse a name, and
+// taking it up again would stage work no Prepare or outcome reaches.
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeAPIError(w, &httpError{status: http.StatusMethodNotAllowed, e: api.ErrorOf(api.CodeBadRequest, "POST only")})
@@ -455,6 +464,10 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	}
 	if sreq.Tx == "" {
 		writeAPIError(w, errBadRequest("stage needs a tx"))
+		return
+	}
+	if s.part.Remembers(sreq.Tx) {
+		writeAPIError(w, &httpError{status: http.StatusConflict, e: api.ErrorOf("conflict", "transaction %s is already known here", sreq.Tx)})
 		return
 	}
 	if sreq.Abort {
@@ -470,7 +483,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var v protocol.Variant
-	if sreq.Coordinator != "" {
+	if sreq.Variant != "" {
 		var ok bool
 		if v, ok = ParseVariant(sreq.Variant); !ok || !v.Unsolicited() {
 			writeAPIError(w, errBadRequest("variant %q takes no vote with the stage reply", sreq.Variant))
@@ -479,9 +492,9 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := api.StageResponse{Tx: sreq.Tx}
 	reads, err := s.stageLocal(r.Context(), sreq.Tx, sreq.Ops)
-	if err == nil && sreq.Coordinator != "" {
+	if err == nil && sreq.Variant != "" {
 		var vote protocol.VoteValue
-		if vote, err = s.part.Volunteer(sreq.Coordinator, sreq.Tx, v); err == nil {
+		if vote, err = s.part.Volunteer(sreq.Tx, v); err == nil {
 			resp.Vote = voteName(vote)
 		}
 	}

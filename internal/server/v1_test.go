@@ -245,16 +245,19 @@ func TestV1MixedReadOnlySlices(t *testing.T) {
 		ops  []api.Op
 		cost api.CostSummary
 	}{
-		// Under the fleet's Basic 2PC both subordinates vote in their
-		// stage replies, so C sends no Prepare.
+		// Under the fleet's Basic 2PC a subordinate votes in its stage
+		// reply when its slice writes or is staged last (S2): C sends a
+		// Prepare only to S1 when S1 only reads, since a read-only vote
+		// would release S1's locks before S2's are taken.
 		// C and S2 read: one yes-voter. C sends one Commit and forces
 		// its commit record; S1 the full subordinate share; S2 one vote.
 		{"subordinate writes", []api.Op{get("C"), put("S1"), get("S2")}, api.CostSummary{Flows: 4, LogWrites: 5, ForcedWrites: 3}},
-		// Only C writes: no delivery, so C's share is its commit
-		// record and End; both subordinates send one vote each.
-		{"coordinator writes", []api.Op{put("C"), get("S1"), get("S2")}, api.CostSummary{Flows: 2, LogWrites: 2, ForcedWrites: 1}},
-		// Nobody writes: votes back, nothing logged.
-		{"all read", []api.Op{get("C"), get("S1"), get("S2")}, api.CostSummary{Flows: 2}},
+		// Only C writes: no delivery, so C's share is its Prepare to
+		// S1, commit record and End; both subordinates send one vote
+		// each.
+		{"coordinator writes", []api.Op{put("C"), get("S1"), get("S2")}, api.CostSummary{Flows: 3, LogWrites: 2, ForcedWrites: 1}},
+		// Nobody writes: S1's Prepare out, votes back, nothing logged.
+		{"all read", []api.Op{get("C"), get("S1"), get("S2")}, api.CostSummary{Flows: 3}},
 	} {
 		status, cr, _ := postV1(t, fleet[0], commitJSON(t, api.CommitRequest{Tx: fmt.Sprintf("mix%d", i), Ops: tc.ops}))
 		if status != http.StatusOK || cr.Outcome != "committed" {
