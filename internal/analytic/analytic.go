@@ -335,6 +335,25 @@ func VolunteerAbortCost(variant string, subs int) (RoleCost, bool) {
 	return RoleCost{Coordinator: coord, Subordinate: rc.Subordinate}, true
 }
 
+// CoordAbortCost is an aborting coordinator's ceiling over subs
+// subordinates when volunteers of them voted before any Prepare (§4
+// Unsolicited Vote) and told of them were sent the Abort: it sends no
+// Prepare to a volunteer, and no outcome to a read-only voter, which
+// left at its vote (§4 Read Only), so each saves it a flow. With every
+// subordinate a volunteer the form is VolunteerAbortCost's, less the
+// read-only voters' Aborts. Paxos Commit's abort is told to all.
+func CoordAbortCost(variant string, subs, told, volunteers int) (Triplet, bool) {
+	rc, ok := AbortCostBoundByRole(variant, subs)
+	if vc, vok := VolunteerAbortCost(variant, subs); vok && volunteers == subs {
+		rc = vc
+	} else {
+		rc.Coordinator.Flows -= volunteers
+	}
+	c := rc.Coordinator
+	c.Flows -= subs - told
+	return c, ok
+}
+
 // ReadOnlySubCost is one read-only subordinate's share under any
 // variant: the vote is its only flow and nothing is logged (§4
 // Read-Only).

@@ -171,6 +171,40 @@ func TestVolunteerFormsRecombine(t *testing.T) {
 	}
 }
 
+// An aborting coordinator sends a Prepare to each subordinate but its
+// volunteers and an Abort to each but its read-only voters: every
+// Abort told is the ceiling's, every read-only voter takes one off,
+// and a tree of volunteers takes VolunteerAbortCost's form.
+func TestCoordAbortCostDropsReadOnlyVoters(t *testing.T) {
+	for _, variant := range []string{"Basic2PC", "PA", "PN", "PC", "1PC", "PaxosCommit"} {
+		for subs := 1; subs <= 4; subs++ {
+			ceil, _ := AbortCostBoundByRole(variant, subs)
+			if got, ok := CoordAbortCost(variant, subs, subs, 0); !ok || got != ceil.Coordinator {
+				t.Errorf("%s subs=%d: every one told %v, want the ceiling %v", variant, subs, got, ceil.Coordinator)
+			}
+			for ro := 0; ro <= subs; ro++ {
+				want := ceil.Coordinator
+				want.Flows -= ro
+				if got, _ := CoordAbortCost(variant, subs, subs-ro, 0); got != want {
+					t.Errorf("%s subs=%d ro=%d: %v, want %v", variant, subs, ro, got, want)
+				}
+				va, ok := VolunteerAbortCost(variant, subs)
+				if !ok {
+					continue
+				}
+				want = va.Coordinator
+				want.Flows -= ro
+				if got, _ := CoordAbortCost(variant, subs, subs-ro, subs); got != want {
+					t.Errorf("%s subs=%d volunteers ro=%d: %v, want %v", variant, subs, ro, got, want)
+				}
+			}
+		}
+	}
+	if _, ok := CoordAbortCost("nope", 1, 1, 0); ok {
+		t.Error("an unknown variant has a form")
+	}
+}
+
 func exceedsTriplet(a, b Triplet) bool {
 	return a.Flows > b.Flows || a.Writes > b.Writes || a.Forced > b.Forced
 }

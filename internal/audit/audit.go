@@ -15,10 +15,12 @@
 //     logged), though it never learns the outcome;
 //   - an aborted transaction must stay at or under the variant's
 //     abort ceiling (abort spend varies with when the abort struck);
-//     a finished node that spent exactly its ceiling — the whole
-//     prepared-then-aborted path, or for a coordinator whose every
-//     subordinate volunteered its vote, the Aborts, the abort record
-//     and End (analytic.VolunteerAbortCost) — matches it exactly;
+//     a coordinator sends no Prepare to a volunteer and no Abort to
+//     a read-only voter (analytic.CoordAbortCost). A finished node
+//     that spent exactly its ceiling — the whole prepared-then-aborted
+//     path, or for a coordinator whose every subordinate volunteered
+//     its vote, the Aborts, the abort record and End — matches it
+//     exactly;
 //   - an unfinished node is only checked for overruns, since its
 //     remaining records may still be in flight.
 //
@@ -180,16 +182,14 @@ func expectation(v metrics.TxCostView, nc metrics.NodeCostView) (exp analytic.Tr
 			exp, formOK := analytic.CoordCommitCost(v.Variant, v.Subs, delivered, v.Volunteers, v.CoordReadOnly)
 			return exp, formOK, formOK
 		}
-		rc, formOK := analytic.AbortCostBoundByRole(v.Variant, v.Subs)
-		if vc, ok := analytic.VolunteerAbortCost(v.Variant, v.Subs); ok && v.Volunteers == v.Subs {
-			// No Prepare went out: the abort's form is the Aborts, the
-			// record and End.
-			rc, formOK = vc, true
+		// No Prepare went to a volunteer, and no Abort to a read-only
+		// voter.
+		told := v.Delivered
+		if told < 0 {
+			told = v.Subs
 		}
-		if !formOK {
-			return analytic.Triplet{}, false, false
-		}
-		return rc.Coordinator, false, true
+		exp, formOK := analytic.CoordAbortCost(v.Variant, v.Subs, told, v.Volunteers)
+		return exp, false, formOK
 	case metrics.RoleSubordinate, metrics.RoleAcceptorSub:
 		// A subordinate's closed form is membership-independent for the
 		// classic variants, but a Paxos subordinate's flow count is the

@@ -171,6 +171,33 @@ func TestConformanceVolunteerAbortExact(t *testing.T) {
 	}
 }
 
+// TestConformanceAbortSkipsReadOnly: an abort is told only to the
+// subordinates that may be prepared, so a Basic 2PC coordinator that
+// prepared a read-only voter and a yes-voter and told the yes-voter
+// alone spends its ceiling less that Abort, exactly; an Abort to the
+// read-only voter on top is an overrun.
+func TestConformanceAbortSkipsReadOnly(t *testing.T) {
+	r := metrics.New()
+	r.CostBegin("t1", "C", "Basic2PC", 2)
+	r.CostSub("t1", "R", "Basic2PC", true)
+	r.FlowSent("C", "t1", false, false, true) // the Prepares
+	r.FlowSent("C", "t1", false, false, true)
+	r.FlowSent("R", "t1", false, false, true) // the read-only vote
+	r.CostNodeDone("t1", "R")
+	r.FlowSent("C", "t1", false, false, true) // the Abort to the other
+	r.TxLogWrite("C", "t1", true)             // Aborted
+	r.TxLogWrite("C", "t1", false)            // End
+	r.CostOutcome("t1", "aborted", 1)
+	r.CostNodeDone("t1", "C")
+	if rep := Conformance(r.CostSnapshot()); !rep.OK() || rep.Checked != 2 || rep.Exact != 2 {
+		t.Fatalf("abort told past a read-only voter: %s", rep)
+	}
+	r.FlowSent("C", "t1", false, false, true)
+	if rep := Conformance(r.CostSnapshot()); rep.OK() {
+		t.Fatal("an Abort to the read-only voter not flagged")
+	}
+}
+
 func TestConformanceReadOnlySub(t *testing.T) {
 	r := metrics.New()
 	r.CostBegin("t1", "C", "PA", 2)

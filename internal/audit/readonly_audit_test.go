@@ -148,10 +148,13 @@ func checkLiveVoteShape(t *testing.T, v protocol.Variant, subs, roSubs, voluntee
 }
 
 // TestLiveReadOnlyVoterRepeatsVoteAsExtra: a read-only voter leaves the
-// transaction at its vote, keeping only the vote, so a retransmitted
-// Prepare is answered from it with a second read-only vote. That vote
-// is an extra flow and the voter's entry stays exact, as it must when a
-// coordinator's vote collection retransmits under load.
+// transaction at its vote and keeps nothing, so a second Prepare
+// prepares its resources again and is answered with a second read-only
+// vote. While the voter's ledger entry is held, that vote is an extra
+// flow and the entry stays exact, as it must when a coordinator's vote
+// collection retransmits under load. (A retransmission marked Repeat
+// is an extra flow even after the entry is drained:
+// live.TestLiveReadOnlyRepeatPreparesAgain.)
 func TestLiveReadOnlyVoterRepeatsVoteAsExtra(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()

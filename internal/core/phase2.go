@@ -94,7 +94,7 @@ func (n *Node) phase2(c *txCtx) {
 		if !s.prepareSent && !s.voted {
 			continue // never part of this commit operation
 		}
-		if s.voted && s.vote == protocol.VoteReadOnly {
+		if !protocol.HearsOutcome(s.vote, s.voted) {
 			continue // dropped out in phase one
 		}
 		if s.voted && s.vote == protocol.VoteNo {

@@ -96,9 +96,10 @@ func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, le
 	}
 }
 
-// Remembers reports whether tx is live here or in the decided table,
-// kept read-only votes included: a transaction name this node must not
-// take up as a new transaction.
+// Remembers reports whether tx is live here or in the decided table: a
+// transaction name this node must not take up as a new transaction. A
+// read-only voter keeps nothing, so a name this node only voted
+// read-only on is not remembered.
 func (p *Participant) Remembers(tx string) bool {
 	sh := p.shardFor(tx)
 	sh.mu.Lock()

@@ -106,7 +106,10 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// trees are a handful of subordinates, so membership is a linear
 	// scan and the whole structure is two right-sized allocations. A
 	// logless vote's redo payload, kept beside its voter, is a third.
-	voted := make([]bool, len(others))
+	votes := make([]protocol.VoteValue, len(others))
+	for i := range votes {
+		votes[i] = unvoted
+	}
 	votedN := 0
 	yes := make([]string, 0, len(others))
 	var redos [][]byte
@@ -117,10 +120,10 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// and reports whether it is a no.
 	tally := func(env envelope) bool {
 		i := indexOf(others, env.from)
-		if i < 0 || voted[i] || env.msg.Type != protocol.MsgVote {
+		if i < 0 || votes[i] != unvoted || env.msg.Type != protocol.MsgVote {
 			return false
 		}
-		voted[i] = true
+		votes[i] = env.msg.Vote
 		votedN++
 		if env.msg.Vote == protocol.VoteYes {
 			yes = append(yes, others[i])
@@ -130,6 +133,17 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		}
 		return env.msg.Vote == protocol.VoteNo
 	}
+	// abort tells the subordinates that hear the outcome: all but the
+	// read-only voters, and the agent, held out of phase one.
+	abort := func() Outcome {
+		owed := make([]string, 0, len(subs))
+		for i, s := range others {
+			if protocol.HearsOutcome(votes[i], votes[i] != unvoted) {
+				owed = append(owed, s)
+			}
+		}
+		return p.abortTx(tx, txName, append(owed, subs[len(others):]...), v, rd)
+	}
 	// Votes already in the inbox were volunteered before this call (§4
 	// Unsolicited Vote); an unsolicited volunteer forced its own
 	// Prepared record, so it carries no redo.
@@ -137,7 +151,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		if env.work {
 			p.dispatch(st, &env)
 		} else if tally(env) {
-			return p.abortTx(tx, txName, subs, v, rd), nil
+			return abort(), nil
 		}
 	}
 	if votedN > 0 && p.met != nil {
@@ -148,36 +162,38 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	// volunteered a vote, each announcing the variant's presumption.
 	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: v}
 	for i, s := range others {
-		if voted[i] {
+		if votes[i] != unvoted {
 			continue
 		}
 		if err := p.send(s, prep); err != nil {
-			return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: prepare %s: %w", s, err)
+			return abort(), fmt.Errorf("live: prepare %s: %w", s, err)
 		}
 	}
 
 	localVote := p.prepareLocal(tx)
 	if localVote == protocol.VoteNo {
-		return p.abortTx(tx, txName, subs, v, rd), nil
+		return abort(), nil
 	}
 
-	// Collect the remaining votes, retransmitting Prepare to silent
-	// subordinates on the retry policy's backoff schedule.
+	// Collect the remaining votes, retransmitting Prepare, marked
+	// Repeat (handlePrepare), to silent subordinates on the retry
+	// policy's backoff schedule.
 	if votedN < len(others) {
 		alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
 		defer alarm.stop()
+		prep.Repeat = true
 		for votedN < len(others) {
 			switch env, w := p.next(ctx, st, alarm.C()); w {
 			case gotReply:
 				if tally(env) {
-					return p.abortTx(tx, txName, subs, v, rd), nil
+					return abort(), nil
 				}
 			case rang:
 				if alarm.expired() {
-					return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
+					return abort(), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
 				}
 				for i, s := range others {
-					if !voted[i] {
+					if votes[i] == unvoted {
 						_ = p.sendExtra(s, prep)
 						p.countRetry()
 					}
@@ -185,9 +201,9 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 			case crashed:
 				return InDoubt, ErrCrashed
 			case stopping:
-				return p.abortTx(tx, txName, subs, v, rd), fmt.Errorf("live: collecting votes for %s: %w", txName, errStopped)
+				return abort(), fmt.Errorf("live: collecting votes for %s: %w", txName, errStopped)
 			case cancelled:
-				return p.abortTx(tx, txName, subs, v, rd), ctx.Err()
+				return abort(), ctx.Err()
 			}
 		}
 	}
@@ -603,8 +619,9 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 
 // abortTx takes an abort decision on the coordinator's own initiative:
 // log it as the rulebook asks for round rd (nothing under a presumed
-// abort), release local resources, and tell every subordinate
-// best-effort. Prepared subordinates that miss the message resolve
+// abort), release local resources, and tell subs best-effort: the
+// subordinates that hear the outcome (protocol.HearsOutcome), never a
+// read-only voter. Prepared subordinates that miss the message resolve
 // through inquiry and presumption. When aborts are acknowledged the
 // record names subs, and the decided-table entry stays pinned — End
 // unwritten — until every subordinate told has acknowledged.
@@ -622,7 +639,7 @@ func (p *Participant) abortTx(tx protocol.TxID, txName string, subs []string, v 
 	}
 	p.completeResources(tx, false)
 	if p.met != nil {
-		p.met.CostOutcome(txName, "aborted", -1)
+		p.met.CostOutcome(txName, "aborted", len(subs))
 	}
 	ab := protocol.Message{Type: protocol.MsgAbort, Tx: txName}
 	for _, s := range subs {
@@ -644,6 +661,9 @@ func damageError(txName string, heur []protocol.HeuristicReport) error {
 	}
 	return nil
 }
+
+// unvoted marks a subordinate whose vote the coordinator does not have.
+const unvoted protocol.VoteValue = -1
 
 // indexOf finds name in peers (tree-sized, so a linear scan beats a
 // map and allocates nothing).

@@ -77,18 +77,19 @@ func (p *Participant) route(from string, m *protocol.Message) {
 	work := m.Type == protocol.MsgPrepare || m.Type == protocol.MsgPaxosAccept ||
 		m.Type == protocol.MsgPaxosQuery || decides && (st == nil || !st.isCoord)
 	switch {
-	case st == nil && m.Type == protocol.MsgVote && !m.Unsolicited:
+	case st == nil && m.Type == protocol.MsgVote && !m.Unsolicited && protocol.HearsOutcome(m.Vote, true):
 		// A solicited vote for a transaction this node has no memory
 		// of: it sent the Prepare, crashed, and restarted with no
 		// pending record. Nothing can have committed without a durable
 		// decision here, so abort — durably, so later inquiries get the
 		// same answer — rather than resurrecting the transaction as
 		// forever "in progress". The transaction's own variant is
-		// unknown here, so this node's variant's rules apply.
+		// unknown here, so this node's variant's rules apply. A
+		// read-only voter has left: its vote is a reply nobody collects.
 		sh.mu.Unlock()
 		p.abortForgotten(m.Tx, p.variant, protocol.Round{Voted: true}, []string{from})
 		return
-	case st == nil && (work || m.Type == protocol.MsgVote):
+	case st == nil && (work || m.Type == protocol.MsgVote && m.Unsolicited):
 		st = sh.stateLocked(m.Tx)
 		// A vote ahead of Commit is unsolicited (§4): its entry is born
 		// coordinated, and the vote waits there for Commit to read it.
@@ -233,26 +234,18 @@ func (p *Participant) dispatch(st *txState, env *envelope) {
 
 // answerDecided answers a message for a transaction decided here (d)
 // from that decision alone: a decided transaction must not prepare,
-// lock or log again. A duplicate delegation repeats the decision. A
-// read-only voter repeats its vote to a Prepare and acks an outcome its
-// variant acknowledges (an abort sent to every subordinate), logging
-// nothing. Any other Prepare of an aborted transaction gets a no vote,
-// which is always safe; a committed one can only see a duplicate
-// Prepare, and Paxos Commit has no MsgVote at all (its coordinator
-// resolves through the acceptors). Paxos traffic gets the outcome, a
-// duplicate outcome the ack it is owed, and a reply nothing.
+// lock or log again. A duplicate delegation repeats the decision. Any
+// other Prepare of an aborted transaction gets a no vote, which is
+// always safe; a committed one can only see a duplicate Prepare, and
+// Paxos Commit has no MsgVote at all (its coordinator resolves through
+// the acceptors). Paxos traffic gets the outcome, a duplicate outcome
+// the ack it is owed, and a reply nothing.
 func (p *Participant) answerDecided(from string, m *protocol.Message, d decision) {
 	commit, decides := decisionOf(m)
 	v, sub := d.subVariant()
 	switch {
 	case m.Type == protocol.MsgPrepare && m.Delegate:
 		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, d.committed()))
-	case d.readOnly() && m.Type == protocol.MsgPrepare:
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteReadOnly})
-	case d.readOnly():
-		if decides && v.Acks(commit) {
-			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
-		}
 	case m.Type == protocol.MsgPrepare && !d.committed() && m.Presume != protocol.VariantPaxos:
 		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
 	case m.Type == protocol.MsgPaxosAccept || m.Type == protocol.MsgPaxosQuery:

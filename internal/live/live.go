@@ -545,9 +545,8 @@ func (p *Participant) recordSubDecision(st *txState, committed bool) {
 // publishDecision writes tx's decided-table entry: pinned, or aging
 // (an entry already pinned stays pinned until released). The first
 // recording of each outcome is traced as the node's decision point
-// (the event the oracle orders lock releases against), but not a
-// read-only vote, which decides nothing; crashed participants record
-// nothing.
+// (the event the oracle orders lock releases against); crashed
+// participants record nothing.
 func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 	if p.Crashed() {
 		return
@@ -568,8 +567,8 @@ func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 	if rotated {
 		p.reannounce(sh)
 	}
-	if known && prev.committed() == d.committed() || d.readOnly() {
-		return // duplicate (e.g. retransmitted outcome), or no decision
+	if known && prev.committed() == d.committed() {
+		return // duplicate (e.g. retransmitted outcome)
 	}
 	if p.traceOn {
 		dt := "abort"

@@ -173,26 +173,11 @@ func subDecision(committed bool, v protocol.Variant) decision {
 	return coordDecision(committed) | decision(v+1)<<1
 }
 
-// readOnlyVote marks the entry of a read-only voter (readOnlyDecision).
-const readOnlyVote decision = 0x80
-
-// readOnlyDecision is the entry a read-only voter keeps under variant
-// v: it left the transaction at its vote and decided nothing, so the
-// entry answers a retransmitted Prepare with the same vote and records
-// no outcome.
-func readOnlyDecision(v protocol.Variant) decision {
-	return readOnlyVote | subDecision(false, v)
-}
-
 func (d decision) committed() bool { return d&1 != 0 }
 
-func (d decision) readOnly() bool { return d&readOnlyVote != 0 }
-
-// subVariant returns the variant this node applied the outcome, or
-// voted read-only, under as a subordinate; ok is false for a
-// coordinator's entry.
+// subVariant returns the variant this node applied the outcome under
+// as a subordinate; ok is false for a coordinator's entry.
 func (d decision) subVariant() (v protocol.Variant, ok bool) {
-	d &^= readOnlyVote
 	if d>>1 == 0 {
 		return 0, false
 	}
@@ -296,7 +281,7 @@ func (p *Participant) drop(st *txState) {
 }
 
 // forEachDecided calls fn for every decided transaction across all
-// shards — pinned and aging entries alike, read-only votes left out.
+// shards — pinned and aging entries alike.
 // Recovery, inquiry handling, and the chaos harness see a single
 // logical table through this and Decided — the sharding and the
 // generations are invisible above this file.
@@ -311,9 +296,7 @@ func (p *Participant) forEachDecided(fn func(tx string, committed bool)) {
 		}
 		for _, gen := range [...]map[string]decision{sh.young, sh.old} {
 			for tx, d := range gen {
-				if !d.readOnly() { // a read-only voter decided nothing
-					fn(tx, d.committed())
-				}
+				fn(tx, d.committed())
 			}
 		}
 		sh.mu.Unlock()

@@ -37,23 +37,29 @@ func (p *Participant) handlePrepare(st *txState, from string, m *protocol.Messag
 		_ = p.sendExtra(from, st.voteMsg)
 		return
 	}
-	_, _ = p.vote(st, from, m.Presume, false, false)
+	st.presume = m.Presume
+	vote := p.prepareVote(st, false)
+	if m.Repeat && vote == protocol.VoteReadOnly {
+		// A read-only voter keeps nothing, so this vote may repeat one
+		// already ledgered: it is an extra flow and opens no entry. A
+		// yes or a no is kept, so here it is a first vote.
+		_ = p.sendExtra(from, st.voteMsg)
+		p.drop(st)
+		return
+	}
+	_ = p.cast(st, from, vote, false)
 }
 
-// vote runs a subordinate's phase one under the coordinator's variant
-// v and hands the vote to the coordinator: sent on the wire, or, when
-// reply is set, left to the caller to carry back in its reply to the
-// coordinator's last work request, where it costs no packet of its
-// own. unsolicited marks a vote no Prepare asked for. A read-only voter
-// is out of the transaction (§4 Read Only): no log record, no phase
-// two; its entry goes once the vote is away, and its kept vote answers
-// what still reaches it. A no-voter knows the outcome. Both are done
+// cast hands a subordinate's vote to the coordinator: sent on the
+// wire, or, when reply is set, left to the caller to carry back in its
+// reply to the coordinator's last work request, where it costs no
+// packet of its own. A read-only voter is out of the transaction (§4
+// Read Only): no log record, no phase two, nothing kept, and no
+// outcome comes to it. A no-voter knows the outcome. Both are done
 // with the transaction, and so is their accounting.
-func (p *Participant) vote(st *txState, to string, v protocol.Variant, unsolicited, reply bool) (protocol.VoteValue, error) {
-	st.presume = v
-	vote := p.prepareVote(st, unsolicited)
+func (p *Participant) cast(st *txState, to string, vote protocol.VoteValue, reply bool) error {
 	if p.met != nil {
-		p.met.CostSub(st.id, p.name, v.String(), vote == protocol.VoteReadOnly)
+		p.met.CostSub(st.id, p.name, st.presume.String(), vote == protocol.VoteReadOnly)
 	}
 	var err error
 	if reply {
@@ -62,11 +68,6 @@ func (p *Participant) vote(st *txState, to string, v protocol.Variant, unsolicit
 		err = p.send(to, st.voteMsg)
 	}
 	if vote == protocol.VoteReadOnly {
-		// Kept, aging, so a retransmitted Prepare gets the same vote
-		// without preparing every resource again and opening a second
-		// ledger entry, and an abort sent to every subordinate is
-		// answered without a record (answerDecided).
-		p.publishDecision(st.id, readOnlyDecision(st.presume), false)
 		p.drop(st)
 	}
 	if p.met != nil && vote != protocol.VoteYes {
@@ -75,7 +76,7 @@ func (p *Participant) vote(st *txState, to string, v protocol.Variant, unsolicit
 		}
 		p.met.CostNodeDone(st.id, p.name)
 	}
-	return vote, err
+	return err
 }
 
 // handleDelegate runs the last-agent path (§4): the combined
@@ -218,8 +219,6 @@ func (p *Participant) handleInquire(from string, m *protocol.Message) {
 	sh.mu.Unlock()
 	k := protocol.KnowsNothing
 	switch {
-	case known && d.readOnly():
-		// A read-only voter left before the decision.
 	case known && d.committed():
 		k = protocol.KnowsCommit
 	case known:
@@ -278,7 +277,9 @@ func (p *Participant) volunteer(coordinator, txName string, v protocol.Variant, 
 				_ = p.sendExtra(coordinator, st.voteMsg)
 			}
 		default:
-			vote, err = p.vote(st, coordinator, v, true, reply)
+			st.presume = v
+			vote = p.prepareVote(st, true)
+			err = p.cast(st, coordinator, vote, reply)
 		}
 	})
 	return vote, err

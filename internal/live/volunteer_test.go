@@ -109,6 +109,67 @@ func TestLiveVolunteerFollowsCoordinatorVariant(t *testing.T) {
 	}
 }
 
+// TestLiveAbortSkipsReadOnlyVoter: an abort goes only to the
+// subordinates that may be prepared (protocol.HearsOutcome). R votes
+// read-only ahead of Commit and N votes no to its Prepare, so under PA
+// and Basic 2PC the Abort goes to N alone: R receives nothing at all
+// and keeps nothing, the Basic 2PC abort record names N alone and
+// releases its pin on N's ack, and the coordinator's ledger counts one
+// delivery.
+func TestLiveAbortSkipsReadOnlyVoter(t *testing.T) {
+	for seq, v := range []protocol.Variant{protocol.VariantPA, protocol.VariantBaseline} {
+		net := netsim.NewChanNetwork()
+		regs := map[string]*metrics.Registry{}
+		parts := map[string]*Participant{}
+		for name, vote := range map[string]protocol.VoteValue{"C": protocol.VoteYes, "R": protocol.VoteReadOnly, "N": protocol.VoteNo} {
+			regs[name] = metrics.New()
+			parts[name] = NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
+				[]protocol.Resource{protocol.NewStaticResource("r@"+name, protocol.StaticVote(vote))},
+				WithVariant(v), WithMetrics(regs[name]))
+			if err := parts[name].Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(parts[name].Stop)
+		}
+		tx := protocol.TxID{Origin: "C", Seq: uint64(seq + 1)}.String()
+		if err := parts["R"].UnsolicitedVote("C", tx, v); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, 5*time.Second, func() bool {
+			sh := parts["C"].shardFor(tx)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			st := sh.txs[tx]
+			return st != nil && len(st.inbox) == 1
+		})
+		if out, err := parts["C"].Commit(context.Background(), tx, []string{"R", "N"}); out != Aborted || err != nil {
+			t.Fatalf("%v: commit = %v, %v; want aborted by N's no", v, out, err)
+		}
+		waitUntil(t, 5*time.Second, func() bool { return parts["C"].PinnedDecisions() == 0 })
+		if got := regs["R"].Snapshot().Nodes["R"].MessagesReceived; got != 0 {
+			t.Errorf("%v: the read-only voter received %d messages, want none", v, got)
+		}
+		if n := parts["R"].DecidedTableSize(); n != 0 {
+			t.Errorf("%v: the read-only voter keeps %d decided entries", v, n)
+		}
+		if views := regs["C"].CostSnapshot(); len(views) != 1 || views[0].Delivered != 1 {
+			t.Errorf("%v: coordinator ledger %+v, want one abort told to one subordinate", v, views)
+		}
+		if err := parts["C"].Log().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := parts["C"].Log().Records()
+		for _, r := range recs {
+			if r.Kind != protocol.RecAborted {
+				continue
+			}
+			if lr, err := protocol.DecodeLogRecord(r.Kind, r.Data); err != nil || len(lr.Subs) != 1 || lr.Subs[0] != "N" {
+				t.Errorf("%v: abort record names %v (%v), want N alone", v, lr.Subs, err)
+			}
+		}
+	}
+}
+
 // countingResource counts the Prepares it answers.
 type countingResource struct {
 	*protocol.StaticResource
@@ -120,13 +181,16 @@ func (r *countingResource) Prepare(tx protocol.TxID) (protocol.PrepareResult, er
 	return r.StaticResource.Prepare(tx)
 }
 
-// TestLiveReadOnlyRepeatAnsweredFromRecord: a read-only voter keeps its
-// vote in the decided table, so a retransmitted Prepare is answered
-// from it, with the same vote as an extra flow, and the resources are
-// not prepared again. The kept vote decides nothing: Decided leaves it
-// out, an inquiry is answered by presumption, and a delegation gets
-// the abort.
-func TestLiveReadOnlyRepeatAnsweredFromRecord(t *testing.T) {
+// TestLiveReadOnlyRepeatPreparesAgain: a read-only voter keeps nothing
+// of the transaction, so a second Prepare finds nothing: the resource
+// is prepared again and votes read-only again. The coordinator marks a
+// resent Prepare Repeat, and the vote answering it is an extra flow
+// that opens no ledger entry: the ledger holds one entry for the
+// transaction, with one flow and one extra, and once the audit has
+// drained it a third Prepare opens none. Nothing is left in the decided
+// table, and an inquiry gets the presumption. A coordinator with no
+// memory of a transaction tells a read-only voter nothing either.
+func TestLiveReadOnlyRepeatPreparesAgain(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	reg := metrics.New()
 	res := &countingResource{StaticResource: protocol.NewStaticResource("r@S", protocol.StaticVote(protocol.VoteReadOnly))}
@@ -156,35 +220,48 @@ func TestLiveReadOnlyRepeatAnsweredFromRecord(t *testing.T) {
 			t.Fatalf("Prepare %d answered %+v, want a read-only vote", i+1, m)
 		}
 		waitUntil(t, 5*time.Second, func() bool { return s.StateTableSize() == 0 })
+		prep.Repeat = true
 	}
-	if n := res.prepares.Load(); n != 1 {
-		t.Fatalf("resource prepared %d times, want 1", n)
+	if n := res.prepares.Load(); n != 2 {
+		t.Fatalf("resource prepared %d times, want 2", n)
 	}
-	if views := reg.CostSnapshot(); len(views) != 1 {
+	views := reg.CostDrainClosed()
+	if len(views) != 1 {
 		t.Fatalf("ledger %+v, want one entry", views)
 	} else if n := views[0].Node("S"); n.Flows != 1 || n.Extra != 1 {
 		t.Fatalf("read-only voter spent %+v, want 1 flow and 1 extra", n.CostCounters)
 	}
-	if _, ok := s.Decided()[tx]; ok || s.DecidedTableSize() != 1 {
-		t.Fatalf("Decided %v (table %d): the read-only vote must be kept, and decide nothing", s.Decided(), s.DecidedTableSize())
+	if m := ask(prep); m.Type != protocol.MsgVote || m.Vote != protocol.VoteReadOnly {
+		t.Fatalf("Prepare 3 answered %+v, want a read-only vote", m)
+	}
+	waitUntil(t, 5*time.Second, func() bool { return s.StateTableSize() == 0 })
+	if n := reg.CostLedgerSize(); n != 0 {
+		t.Fatalf("a repeat after the drain opened %d ledger entries: %+v", n, reg.CostSnapshot())
+	}
+	if _, ok := s.Decided()[tx]; ok || s.DecidedTableSize() != 0 {
+		t.Fatalf("Decided %v (table %d): a read-only voter keeps nothing", s.Decided(), s.DecidedTableSize())
 	}
 	if m := ask(protocol.Message{Type: protocol.MsgInquire, Tx: tx, Presume: protocol.VariantPA}); m.Outcome != protocol.OutcomeAbort {
 		t.Fatalf("inquiry answered %+v, want PA's presumption", m)
-	}
-	// A delegation asks for the decision: it gets the abort, not the
-	// kept vote.
-	if m := ask(protocol.Message{Type: protocol.MsgPrepare, Tx: tx, Presume: protocol.VariantBaseline, Delegate: true}); m.Type != protocol.MsgAbort {
-		t.Fatalf("delegation answered %+v, want the abort", m)
-	}
-	// Basic 2PC acks an abort, so the kept vote acks one sent to every
-	// subordinate, logging nothing.
-	if m := ask(protocol.Message{Type: protocol.MsgAbort, Tx: tx}); m.Type != protocol.MsgAck {
-		t.Fatalf("abort answered %+v, want an ack", m)
 	}
 	if err := s.Log().Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if recs, _ := s.Log().Records(); len(recs) != 0 {
 		t.Fatalf("read-only voter logged %d records", len(recs))
+	}
+	// As a coordinator with no memory of a transaction, S aborts it on
+	// a yes vote and tells the voter, but a read-only voter has left:
+	// its vote is dropped, and the Abort is the first answer X gets.
+	stray := protocol.TxID{Origin: "S", Seq: 1}.String()
+	if err := x.Send("S", protocol.Packet{From: "X", To: "S", Messages: []protocol.Message{{Type: protocol.MsgVote, Tx: stray, Vote: protocol.VoteReadOnly}}}); err != nil {
+		t.Fatal(err)
+	}
+	yes := protocol.TxID{Origin: "S", Seq: 2}.String()
+	if m := ask(protocol.Message{Type: protocol.MsgVote, Tx: yes, Vote: protocol.VoteYes}); m.Type != protocol.MsgAbort || m.Tx != yes {
+		t.Fatalf("stray votes answered %+v first, want the yes-voter's abort", m)
+	}
+	if _, ok := s.Decided()[stray]; ok || s.StateTableSize() != 0 {
+		t.Fatalf("a stray read-only vote left state: decided %v, %d live", s.Decided(), s.StateTableSize())
 	}
 }

@@ -183,6 +183,17 @@ func (v Variant) Apply(commit, logged, announced bool) Applied {
 	return Applied{Write: Lazy, Ack: !announced}
 }
 
+// HearsOutcome says whether a coordinator sends the outcome, commit or
+// abort, to a subordinate, given its vote when it has one (voted): to
+// each that may be prepared — a yes-voter, or one whose vote it does
+// not have — and never to a read-only voter, which left the
+// transaction at its vote (§4 Read Only) and keeps nothing to apply an
+// outcome to. A no-voter decided the abort itself; the rule tells it,
+// and an engine may leave it out.
+func HearsOutcome(vote VoteValue, voted bool) bool {
+	return !voted || vote != VoteReadOnly
+}
+
 // Acks reports whether the outcome is acknowledged: Decide's Acked, and
 // Apply's Ack for a subordinate that prepared under an announced variant.
 func (v Variant) Acks(commit bool) bool {

@@ -69,6 +69,17 @@ func TestClassicRuleEdges(t *testing.T) {
 			}
 		}
 	}
+	// The outcome goes to whoever may be prepared; a read-only voter
+	// left at its vote.
+	for _, tc := range []struct {
+		vote  VoteValue
+		voted bool
+		want  bool
+	}{{VoteYes, true, true}, {VoteNo, true, true}, {VoteReadOnly, true, false}, {VoteReadOnly, false, true}, {VoteYes, false, true}} {
+		if got := HearsOutcome(tc.vote, tc.voted); got != tc.want {
+			t.Errorf("HearsOutcome(%v, voted %v) = %v, want %v", tc.vote, tc.voted, got, tc.want)
+		}
+	}
 	if Variant1PC.Delegates() || !VariantPA.Delegates() {
 		t.Error("only a logless vote has nothing to delegate")
 	}

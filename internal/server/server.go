@@ -168,7 +168,7 @@ type Server struct {
 	// limiter itself counts rate sheds.
 	shedInflight [admission.NumClasses]atomic.Uint64
 
-	txPrefix  string        // generated tx ids: name.startnanos.
+	txPrefix  string        // generated tx ids: "name.startnanos:"
 	txSeq     atomic.Uint64 // generated-tx-id counter
 	stagedOps atomic.Int64  // operations staged on this shard
 
@@ -286,7 +286,7 @@ func New(cfg Config) (*Server, error) {
 		httpLn:     httpLn,
 		sem:        make(chan struct{}, cfg.MaxInflight),
 		start:      start,
-		txPrefix:   cfg.Name + "." + strconv.FormatInt(start.UnixNano(), 10) + ".",
+		txPrefix:   cfg.Name + "." + strconv.FormatInt(start.UnixNano(), 10) + ":",
 		idle:       make(chan struct{}),
 		costAgg:    make(map[metrics.AggregateCostKey]metrics.CostCounters),
 		costNodes:  make(map[metrics.AggregateCostKey]int),
@@ -365,7 +365,10 @@ func (s *Server) RegisterPeerHTTP(name, baseURL string) {
 func (s *Server) Store() *kvstore.Store { return s.store }
 
 // nextTxID generates a daemon-unique transaction id,
-// "name.startnanos.seq", allocating only the result.
+// "name.startnanos:seq", allocating only the result. It is a
+// protocol.TxID's own form (origin "name.startnanos", sequence seq), so
+// the kvstore's lock owner and log records name the transaction as the
+// protocol log does.
 func (s *Server) nextTxID() string {
 	var buf [64]byte
 	return string(strconv.AppendUint(append(buf[:0], s.txPrefix...), s.txSeq.Add(1), 10))

@@ -449,9 +449,11 @@ func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageReq
 // there next (§4 Unsolicited Vote). Otherwise the slice waits for the
 // Prepare. Abort discards staged state for a transaction this shard
 // has not voted in. A transaction name the participant still
-// remembers (live, decided, or a kept read-only vote) is refused with
-// 409 and leaves the store untouched: a client may reuse a name, and
-// taking it up again would stage work no Prepare or outcome reaches.
+// remembers (live or decided) is refused with 409 and leaves the store
+// untouched: a client may reuse a name, and taking it up again would
+// stage work no Prepare or outcome reaches. A read-only voter keeps
+// nothing, so a name this shard only voted read-only on is taken up
+// again.
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeAPIError(w, &httpError{status: http.StatusMethodNotAllowed, e: api.ErrorOf(api.CodeBadRequest, "POST only")})

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/api"
+	"repro/internal/protocol"
 )
 
 // postV1 posts a raw body to a daemon's /v1/commit and decodes either
@@ -220,9 +221,10 @@ func TestV1SingleNodeOps(t *testing.T) {
 		}
 	}
 
-	// A generated tx id comes back when the request names none.
+	// A generated tx id comes back when the request names none, in a
+	// protocol.TxID's own form.
 	status, cr, _ = postV1(t, s, `{"ops":[{"key":"z","op":"put","value":"3"}]}`)
-	if status != http.StatusOK || cr.Tx == "" {
+	if status != http.StatusOK || cr.Tx == "" || protocol.ParseTxID(cr.Tx).String() != cr.Tx {
 		t.Fatalf("generated tx: status %d resp %+v", status, cr)
 	}
 
@@ -447,6 +449,25 @@ func TestV1ResponseBodiesAsEncoder(t *testing.T) {
 		raw := post(api.PathStage, body)
 		if want := reencode(raw, new(api.StageResponse)); string(raw) != want {
 			t.Errorf("/v1/stage answered\n%s\njson.Encoder writes\n%s", raw, want)
+		}
+	}
+}
+
+// TestGeneratedTxIDParses: a generated transaction id is a
+// protocol.TxID's own form, "name.startnanos:seq", so the kvstore's
+// lock owner and log records name the transaction as the protocol log
+// does, not by a hashed fallback.
+func TestGeneratedTxIDParses(t *testing.T) {
+	s, err := New(Config{Name: "F2", AuditInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	origin := strings.TrimSuffix(s.txPrefix, ":")
+	for seq := uint64(1); seq <= 2; seq++ {
+		id := s.nextTxID()
+		if tx := protocol.ParseTxID(id); tx.String() != id || string(tx.Origin) != origin || tx.Seq != seq {
+			t.Fatalf("generated %q parses to %+v (%q), want origin %q, seq %d", id, tx, tx.String(), origin, seq)
 		}
 	}
 }

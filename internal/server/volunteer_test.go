@@ -2,18 +2,22 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/api"
+	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/router"
+	"repro/internal/wal"
 )
 
 // received and sent are a daemon's protocol message counts, from its
@@ -237,6 +241,126 @@ func TestV1AbortAfterVolunteer(t *testing.T) {
 	}
 }
 
+// gatedStore is an in-memory log store whose Sync waits while its gate
+// is shut: a daemon whose forces stall.
+type gatedStore struct {
+	*wal.MemStore
+	mu   sync.Mutex
+	gate chan struct{} // nil while open
+}
+
+func (g *gatedStore) shut() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedStore) open() {
+	g.mu.Lock()
+	if g.gate != nil {
+		close(g.gate)
+		g.gate = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *gatedStore) Sync() error {
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return g.MemStore.Sync()
+}
+
+// TestV1AbortSkipsReadOnlyShard: a shard whose slice only read votes
+// read-only and leaves at its vote, so when the transaction then
+// aborts no Abort reaches it (protocol.HearsOutcome), and it keeps
+// nothing. Under PN and PC the read-only slice on S1 is staged ahead of
+// a put on S2 and both get a Prepare; S2's Prepared force stalls past
+// the coordinator's vote deadline, so the coordinator aborts with S1's
+// read-only vote in hand and S1 receives its Prepare alone. Under PA
+// and Basic 2PC a read-only slice on S2, staged last, votes in its stage
+// reply, and the coordinator's own slice then fails at its prepare
+// (its store's log write fails), so S2 receives nothing on the
+// protocol plane. Either way the read-only shard's decided table stays
+// empty, no ledger entry stays open, and every daemon's audit is
+// exact.
+func TestV1AbortSkipsReadOnlyShard(t *testing.T) {
+	gated := &gatedStore{MemStore: wal.NewMemStore()}
+	t.Cleanup(gated.open)
+	fleet, keys := newShardedTrio(t, func(name string) Config {
+		c := Config{AuditInterval: -1, StageTimeout: 5 * time.Second}
+		switch name {
+		case "C":
+			c.LiveOptions = []live.Option{live.WithTimeout(300*time.Millisecond, 2*time.Second)}
+		case "S2":
+			c.Log = wal.New(gated)
+		}
+		return c
+	})
+	coord, s1, s2 := fleet[0], fleet[1], fleet[2]
+	for i, v := range []protocol.Variant{protocol.VariantPN, protocol.VariantPC, protocol.VariantPA, protocol.VariantBaseline} {
+		// The read-only shard, its slice first, and what it may
+		// receive: its Prepare.
+		ro, want := s1, 1
+		ops := []api.Op{{Key: keys["S1"], Op: api.OpGet}, {Key: keys["S2"], Op: api.OpPut, Value: "never"}}
+		if v.Unsolicited() {
+			ro, want = s2, 0
+			ops = []api.Op{{Key: keys["C"], Op: api.OpPut, Value: "never"}, {Key: keys["S2"], Op: api.OpGet}}
+		}
+		before, kept := received(ro), ro.part.DecidedTableSize()
+		if v.Unsolicited() {
+			// The coordinator's store fails its next log write: its own
+			// slice's prepare record.
+			coord.Store().Log().Store().(*wal.MemStore).FailNext(errors.New("injected log failure"))
+		} else {
+			gated.shut()
+		}
+		cr, err := coord.runV1(context.Background(), api.CommitRequest{Tx: fmt.Sprintf("doomed%d", i), Variant: v.String(), Ops: ops})
+		gated.open()
+		if err != nil || cr.Outcome != "aborted" {
+			t.Fatalf("%v: %+v, %v; want aborted", v, cr, err)
+		}
+		settle(t, fleet, false)
+
+		if got := received(ro) - before; got != want {
+			t.Errorf("%v: read-only %s received %d messages, want %d: no Abort", v, ro.cfg.Name, got, want)
+		}
+		if n := ro.part.DecidedTableSize() - kept; n != 0 || ro.part.Remembers(cr.Tx) {
+			t.Errorf("%v: read-only %s keeps %d decided entries, remembers %s: %v", v, ro.cfg.Name, n, cr.Tx, ro.part.Remembers(cr.Tx))
+		}
+		for _, s := range fleet {
+			if rep, _ := s.AuditReport(); !rep.OK() || rep.Exact != rep.Checked {
+				t.Fatalf("%v: %s: %s", v, s.cfg.Name, rep)
+			}
+		}
+	}
+}
+
+// TestV1ReadOnlyShardKeepsNothing: a shard that votes read-only in
+// every one of n committed transactions keeps no decided-table entry
+// for any of them, under every classic variant: in its stage reply
+// (PA, Basic 2PC) or to a Prepare (PN, PC).
+func TestV1ReadOnlyShardKeepsNothing(t *testing.T) {
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
+	coord, s1 := fleet[0], fleet[1]
+	const n = 20
+	for i := 0; i < n; i++ {
+		v := []protocol.Variant{protocol.VariantPA, protocol.VariantBaseline, protocol.VariantPN, protocol.VariantPC}[i%4]
+		cr, err := coord.runV1(context.Background(), api.CommitRequest{Tx: fmt.Sprintf("ro%d", i), Variant: v.String(),
+			Ops: []api.Op{{Key: keys["C"], Op: api.OpPut, Value: "v"}, {Key: keys["S1"], Op: api.OpGet}}})
+		if err != nil || cr.Outcome != "committed" {
+			t.Fatalf("%v: %+v, %v", v, cr, err)
+		}
+	}
+	settle(t, fleet, false)
+	if got := s1.part.DecidedTableSize(); got != 0 {
+		t.Fatalf("S1 keeps %d decided entries after %d read-only votes, want 0", got, n)
+	}
+}
+
 // TestV1VolunteerKeepsTwoPhaseLocking runs the write-skew schedule
 // that a read-only vote ahead of a later stage would let through. T1
 // reads x on S1, then writes w and y on S2; a blocker holds w, so T1
@@ -323,22 +447,24 @@ func TestV1VolunteerKeepsTwoPhaseLocking(t *testing.T) {
 }
 
 // TestV1StageRefusesRememberedTx: a client may reuse a transaction
-// name. A shard that still remembers the name (here, its kept
-// read-only vote) refuses the stage with 409, so it stages nothing no
-// Prepare or outcome would reach: the reused transaction aborts, the
-// shard's key stays free, and nothing lingers.
+// name. A shard that still remembers the name (here, its decided
+// commit) refuses the stage with 409, so it stages nothing no Prepare
+// or outcome would reach: the reused transaction aborts, the shard's
+// key stays free, and nothing lingers.
 func TestV1StageRefusesRememberedTx(t *testing.T) {
 	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
 	coord, s1 := fleet[0], fleet[1]
 	status, cr, _ := postV1(t, coord, commitJSON(t, api.CommitRequest{Tx: "dup", Variant: "PA",
-		Ops: []api.Op{{Key: keys["C"], Op: api.OpPut, Value: "1"}, {Key: keys["S1"], Op: api.OpGet}}}))
+		Ops: []api.Op{{Key: keys["C"], Op: api.OpPut, Value: "1"}, {Key: keys["S1"], Op: api.OpPut, Value: "1"}}}))
 	if status != http.StatusOK || cr.Outcome != "committed" {
 		t.Fatalf("first: status %d resp %+v", status, cr)
 	}
+	settle(t, fleet, false)
 	if !s1.part.Remembers("dup") {
-		t.Fatal("S1 keeps no read-only vote for dup")
+		t.Fatal("S1 does not remember its commit of dup")
 	}
-	// PN sends Prepares, so S1 would otherwise answer from the kept vote.
+	// PN sends Prepares, so S1 would otherwise answer from its decided
+	// entry and never prepare the new slice.
 	status, cr, _ = postV1(t, coord, commitJSON(t, api.CommitRequest{Tx: "dup", Variant: "PN",
 		Ops: []api.Op{{Key: keys["C"], Op: api.OpPut, Value: "2"}, {Key: keys["S1"], Op: api.OpPut, Value: "2"}}}))
 	if status != http.StatusOK || cr.Outcome != "aborted" || !strings.Contains(cr.Abort, "staging on S1") {
