@@ -172,6 +172,12 @@ func RunLive(s Schedule) (*RunResult, error) {
 			if !old.Crashed() {
 				continue
 			}
+			// A failpoint crash may still be running on another
+			// goroutine: Crashed reports it before its endpoint closes,
+			// and net.Endpoint would hand the restart that endpoint,
+			// which then closes under it. Crash returns once the first
+			// call has finished.
+			old.Crash()
 			np := old.Restarted(net.Endpoint(name))
 			np.Start()
 			parts[name] = np
