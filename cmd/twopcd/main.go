@@ -4,15 +4,19 @@
 // net/http/pprof — plus an admission limit and graceful drain on
 // SIGTERM/SIGINT.
 //
-// One binary serves both roles. A coordinator names its subordinates
-// and accepts POST /v1/commit; a subordinate just runs the protocol.
-// Peer addresses are static flags, so a three-node cluster is three
-// processes:
+// One binary serves every role. Each daemon owns the keys -shardmap
+// gives it; the one a POST /v1/commit reaches coordinates, stages each
+// owner's slice over its -peer-http /v1/stage, and runs the protocol
+// with the owners as subordinates. Peer addresses are static flags, so
+// a three-node fleet is three processes, each told of the other two:
 //
-//	twopcd -name S1 -listen 127.0.0.1:7101 -http 127.0.0.1:8101
-//	twopcd -name S2 -listen 127.0.0.1:7102 -http 127.0.0.1:8102
+//	twopcd -name S1 -listen 127.0.0.1:7101 -http 127.0.0.1:8101 \
+//	       -shardmap hash:C,S1,S2 -peer C=127.0.0.1:7100 -peer S2=127.0.0.1:7102 \
+//	       -peer-http C=http://127.0.0.1:8100 -peer-http S2=http://127.0.0.1:8102
+//	twopcd -name S2 ...   (likewise)
 //	twopcd -name C  -listen 127.0.0.1:7100 -http 127.0.0.1:8100 \
-//	       -subs S1,S2 -peer S1=127.0.0.1:7101 -peer S2=127.0.0.1:7102 \
+//	       -shardmap hash:C,S1,S2 -peer S1=127.0.0.1:7101 -peer S2=127.0.0.1:7102 \
+//	       -peer-http S1=http://127.0.0.1:8101 -peer-http S2=http://127.0.0.1:8102 \
 //	       -variant pa
 //
 // then drive it with cmd/twopcload, watch /metrics, and SIGTERM to
@@ -54,7 +58,6 @@ func main() {
 	name := flag.String("name", "C", "participant name peers address this daemon by")
 	listen := flag.String("listen", "127.0.0.1:0", "protocol (TCP) listen address")
 	httpAddr := flag.String("http", "127.0.0.1:0", "observability/admin listen address")
-	subs := flag.String("subs", "", "comma-separated default subordinate names (coordinator role)")
 	variantName := flag.String("variant", "pa", "default protocol variant: basic, pa, pn, pc, paxos, 1pc")
 	maxInflight := flag.Int("max-inflight", 256, "admission limit; excess commits are shed with 503")
 	admitRate := flag.Float64("admit-rate", 0, "admission token-bucket refill rate, tokens/sec (read-only = 1 token, read-write = 1/participant; 0 = inflight cap only)")
@@ -107,9 +110,6 @@ func main() {
 	if *backpressure && *admitRate <= 0 {
 		log.Fatalf("twopcd: -backpressure needs -admit-rate > 0 (the controller's ceiling)")
 	}
-	if *subs != "" {
-		cfg.Subs = strings.Split(*subs, ",")
-	}
 	var store *wal.SegmentStore
 	if *walPath != "" {
 		var err error
@@ -132,8 +132,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("twopcd: %v", err)
 	}
-	log.Printf("twopcd %s: protocol on %s, http on %s, variant %s, subs %v",
-		*name, s.ProtoAddr(), s.HTTPAddr(), variant, cfg.Subs)
+	log.Printf("twopcd %s: protocol on %s, http on %s, variant %s, shard map %q",
+		*name, s.ProtoAddr(), s.HTTPAddr(), variant, *shardMap)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -1,9 +1,10 @@
-// Command twopcload drives a twopcd coordinator with open-loop load:
-// transactions arrive at a fixed rate for a fixed duration, and the
-// run ends with a latency histogram and committed throughput.
+// Command twopcload drives a twopcd fleet member (or a twopcrouter)
+// with open-loop load: transactions of typed ops, drawn from -profile,
+// arrive at a fixed rate for a fixed duration, and the run ends with a
+// latency histogram and committed throughput.
 //
 //	twopcload -target http://127.0.0.1:8100 -rate 500 -duration 10s \
-//	          -variant pn -workers 128
+//	          -variant pn -workers 128 -profile uniform:fanout=3
 //
 // -json swaps the human report for a single JSON object (offered /
 // committed / shed counts, commits_per_sec, p50/p95/p99 in ms) so
@@ -42,11 +43,10 @@ func main() {
 	rate := flag.Float64("rate", 200, "open-loop arrival rate, transactions/second")
 	duration := flag.Duration("duration", 10*time.Second, "how long to offer load")
 	variant := flag.String("variant", "", "protocol variant override: basic, pa, pn, pc, paxos, 1pc (empty = daemon default)")
-	subs := flag.String("subs", "", "comma-separated subordinate override, i.e. the transaction tree size")
 	workers := flag.Int("workers", 64, "max concurrently outstanding transactions")
 	jsonOut := flag.Bool("json", false, "emit a single JSON result object instead of the text report")
 	txPrefix := flag.String("tx-prefix", "", "transaction id prefix (default: unique per invocation)")
-	profileSpec := flag.String("profile", "", "typed-ops access profile: uniform, hotkey, read-mostly, with k=v options — e.g. hotkey:s=1.5,keys=500,fanout=3 (empty = protocol-only transactions)")
+	profileSpec := flag.String("profile", "uniform", "typed-ops access profile: uniform, hotkey, read-mostly, with k=v options — e.g. hotkey:s=1.5,keys=500,fanout=3")
 	keys := flag.Int("keys", 0, "profile keyspace size override")
 	fanOut := flag.Int("fanout", 0, "profile ops-per-transaction override (the multi-shard width knob)")
 	zipfS := flag.Float64("zipf-s", 0, "profile zipf skew exponent override (hotkey)")
@@ -71,34 +71,28 @@ func main() {
 			},
 		},
 	}
-	if *subs != "" {
-		committer.Subs = strings.Split(*subs, ",")
+	profile, err := workload.ParseProfile(*profileSpec)
+	if err != nil {
+		log.Fatalf("twopcload: %v", err)
 	}
-
+	if *keys > 0 {
+		profile.Keys = *keys
+	}
+	if *fanOut > 0 {
+		profile.FanOut = *fanOut
+	}
+	if *zipfS > 0 {
+		profile.ZipfS = *zipfS
+	}
+	if !*jsonOut {
+		log.Printf("twopcload: profile %s", profile)
+	}
 	cfg := loadgen.Config{
 		Rate:     *rate,
 		Duration: *duration,
 		Workers:  *workers,
 		TxPrefix: *txPrefix,
-	}
-	if *profileSpec != "" {
-		profile, err := workload.ParseProfile(*profileSpec)
-		if err != nil {
-			log.Fatalf("twopcload: %v", err)
-		}
-		if *keys > 0 {
-			profile.Keys = *keys
-		}
-		if *fanOut > 0 {
-			profile.FanOut = *fanOut
-		}
-		if *zipfS > 0 {
-			profile.ZipfS = *zipfS
-		}
-		cfg.Ops = profile.Generator()
-		if !*jsonOut {
-			log.Printf("twopcload: profile %s", profile)
-		}
+		Ops:      profile.Generator(),
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

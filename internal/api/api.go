@@ -73,24 +73,20 @@ type CommitRequest struct {
 	// variant: any name protocol.ParseVariant takes, such as "basic",
 	// "pa", "pn", "pc", "paxos" or "1pc".
 	Variant string `json:"variant,omitempty"`
-	// Ops are the transaction's typed key operations. When present,
-	// participants are resolved from the fleet shard map (the keys'
-	// owners) and Participants is ignored.
+	// Ops are the transaction's typed key operations, at least one.
+	// The participants are the keys' owners in the fleet shard map.
 	Ops []Op `json:"ops,omitempty"`
-	// Participants names the subordinate set explicitly for
-	// protocol-only transactions that carry no ops.
-	Participants []string `json:"participants,omitempty"`
 }
 
 // Validate rejects malformed requests (taxonomy: 400).
 func (r CommitRequest) Validate() error {
+	if len(r.Ops) == 0 {
+		return fmt.Errorf("no ops: a transaction names at least one key operation")
+	}
 	for i, op := range r.Ops {
 		if err := op.Validate(); err != nil {
 			return fmt.Errorf("ops[%d]: %w", i, err)
 		}
-	}
-	if len(r.Ops) > 0 && len(r.Participants) > 0 {
-		return fmt.Errorf("ops and participants are mutually exclusive: participants are resolved from the shard map when ops are present")
 	}
 	return nil
 }

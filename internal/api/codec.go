@@ -177,9 +177,6 @@ func appendCommitRequest(b []byte, r *CommitRequest) []byte {
 	if len(r.Ops) > 0 {
 		b = appendOps(appendKey(b, `"ops":`), r.Ops)
 	}
-	if len(r.Participants) > 0 {
-		b = appendStrings(appendKey(b, `"participants":`), r.Participants)
-	}
 	return append(b, '}')
 }
 
@@ -744,15 +741,13 @@ func decodeCommitRequest(b []byte, r *CommitRequest) bool {
 	var seen uint16
 	d.expect('{')
 	for n := 0; d.more('}', n); n++ {
-		switch d.member(&seen, "tx", "variant", "ops", "participants") {
+		switch d.member(&seen, "tx", "variant", "ops") {
 		case 1:
 			r.Tx = d.str()
 		case 2:
 			r.Variant = d.name()
 		case 4:
 			r.Ops = d.ops()
-		case 8:
-			r.Participants = d.stringList()
 		}
 	}
 	return d.end()

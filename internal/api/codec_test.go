@@ -154,7 +154,7 @@ func valuesFrom(s string, lat float64, n int) ([]CommitRequest, []CommitResponse
 	}
 	return []CommitRequest{
 			{},
-			{Tx: at(0), Variant: at(1), Ops: ops, Participants: participants},
+			{Tx: at(0), Variant: at(1), Ops: ops},
 		}, []CommitResponse{
 			{},
 			{Tx: at(0), Outcome: at(1), Variant: at(2), Coordinator: at(3), Participants: participants,
@@ -286,7 +286,7 @@ func FuzzV1Bodies(f *testing.F) {
 	for _, body := range append(taxonomyBodies, commitRequestBody, commitResponseBody, stageRequestBody, stageResponseBody) {
 		f.Add([]byte(body), "k|put|v", 0.25, 2)
 	}
-	f.Add([]byte(`{"ops":[{"key":"a","op":"get"}],"participants":[]}`), "<&>|\u2028|\xff", math.Inf(1), 1)
+	f.Add([]byte(`{"ops":[{"key":"a","op":"get"}]}`), "<&>|\u2028|\xff", math.Inf(1), 1)
 	f.Fuzz(func(t *testing.T, body []byte, s string, lat float64, n int) {
 		for _, typ := range []reflect.Type{reflect.TypeOf(CommitRequest{}), reflect.TypeOf(CommitResponse{}),
 			reflect.TypeOf(StageRequest{}), reflect.TypeOf(StageResponse{})} {

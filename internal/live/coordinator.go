@@ -231,10 +231,9 @@ type Vote struct {
 
 // PostVotes hands this node, as coordinator of txName, the votes its
 // subordinates volunteered in their replies to the last work request.
-// They wait in the transaction's inbox as votes volunteered on the
-// wire do: Commit tallies them and sends their voters no Prepare. Call
-// it before Commit; a transaction that will not reach Commit is aborted
-// with AbortVolunteered instead.
+// They wait in the transaction's inbox: Commit tallies them and sends
+// their voters no Prepare. Call it before Commit; a transaction that
+// will not reach Commit is aborted with AbortVolunteered instead.
 func (p *Participant) PostVotes(txName string, votes []Vote) {
 	if len(votes) == 0 {
 		return
@@ -251,7 +250,7 @@ func (p *Participant) PostVotes(txName string, votes []Vote) {
 	sh := p.shardFor(txName)
 	sh.mu.Lock()
 	// A vote ahead of Commit is unsolicited: the entry it waits in is
-	// born coordinated, as route makes it for one on the wire.
+	// born coordinated.
 	st := sh.stateLocked(txName)
 	st.isCoord = true
 	st.inbox = slices.Grow(st.inbox, len(votes))

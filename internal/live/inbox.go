@@ -89,11 +89,8 @@ func (p *Participant) route(from string, m *protocol.Message) {
 		sh.mu.Unlock()
 		p.abortForgotten(m.Tx, p.variant, protocol.Round{Voted: true}, []string{from})
 		return
-	case st == nil && (work || m.Type == protocol.MsgVote && m.Unsolicited):
+	case st == nil && work:
 		st = sh.stateLocked(m.Tx)
-		// A vote ahead of Commit is unsolicited (§4): its entry is born
-		// coordinated, and the vote waits there for Commit to read it.
-		st.isCoord = !work
 	case st == nil:
 		sh.mu.Unlock()
 		return // a reply nobody here collects

@@ -244,33 +244,39 @@ func TestLiveLastAgentVetoAborts(t *testing.T) {
 }
 
 // TestLiveUnsolicitedVote has a subordinate volunteer its vote before
-// Commit runs; the coordinator must skip that Prepare entirely.
+// Commit runs, carried back as a reply (Volunteer, PostVotes); the
+// coordinator must skip that Prepare entirely, and the vote takes no
+// packet of its own.
 func TestLiveUnsolicitedVote(t *testing.T) {
 	net := netsim.NewChanNetwork()
+	creg, sreg := metrics.New(), metrics.New()
 	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
-		[]protocol.Resource{protocol.NewStaticResource("rc")})
+		[]protocol.Resource{protocol.NewStaticResource("rc")}, WithMetrics(creg))
 	sub := NewParticipant("S", net.Endpoint("S"), wal.New(wal.NewMemStore()),
-		[]protocol.Resource{protocol.NewStaticResource("rs")})
+		[]protocol.Resource{protocol.NewStaticResource("rs")}, WithMetrics(sreg))
 	coord.Start()
 	sub.Start()
 	defer coord.Stop()
 	defer sub.Stop()
 
 	tx := protocol.TxID{Origin: "C", Seq: 13}
-	if err := sub.UnsolicitedVote("C", tx.String(), coord.Variant()); err != nil {
-		t.Fatal(err)
+	vote, err := sub.Volunteer(tx.String(), coord.Variant())
+	if err != nil || vote != protocol.VoteYes {
+		t.Fatalf("volunteer = %v, %v", vote, err)
 	}
-	// Let the vote land in the coordinator's inbox for the transaction.
-	waitUntil(t, time.Second, func() bool {
-		sh := coord.shardFor(tx.String())
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		st, ok := sh.txs[tx.String()]
-		return ok && len(st.inbox) == 1
-	})
+	coord.PostVotes(tx.String(), []Vote{{From: "S", Vote: vote}})
 	out, err := coord.Commit(context.Background(), tx.String(), []string{"S"})
 	if err != nil || out != Committed {
 		t.Fatalf("commit = %v, %v", out, err)
+	}
+	if c := ledgerNode(t, creg, tx.String(), "C"); c.Flows != 1 {
+		t.Fatalf("coordinator spent %+v, want its Commit alone: no Prepare to a volunteer", c.CostCounters)
+	}
+	if s := ledgerNode(t, sreg, tx.String(), "S"); s.Flows != 2 || s.Piggybacked != 1 {
+		t.Fatalf("volunteer spent %+v, want its piggybacked vote and its ack", s.CostCounters)
+	}
+	if n := sreg.Snapshot().Nodes["S"]; n.MessagesSent != 2 || n.PacketsSent != 1 {
+		t.Fatalf("volunteer sent %d messages in %d packets, want the vote in the reply and the ack on the wire", n.MessagesSent, n.PacketsSent)
 	}
 }
 

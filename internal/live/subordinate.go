@@ -229,31 +229,19 @@ func (p *Participant) handleInquire(from string, m *protocol.Message) {
 	_ = p.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: protocol.Answer(k, m.Presume, p.variant)})
 }
 
-// UnsolicitedVote prepares this participant's resources on its own
-// initiative and sends its vote to the coordinator before any Prepare
-// arrives (§4 Unsolicited Vote). v is the coordinator's variant, which
-// no Prepare will announce: the prepared record names it, and phase
-// two and recovery follow it. The vote waits in the transaction's
-// inbox at the coordinator, which skips this subordinate's Prepare
-// when Commit runs.
-func (p *Participant) UnsolicitedVote(coordinator, txName string, v protocol.Variant) error {
-	_, err := p.volunteer(coordinator, txName, v, false)
-	return err
-}
-
-// Volunteer is UnsolicitedVote for a vote that leaves with the reply
-// to the coordinator's last work request instead of on the wire: it
-// prepares under v and returns the vote for the caller to carry back.
-// The coordinator hands it to Commit with PostVotes. The cost ledger
-// counts it as the voter's vote flow, piggybacked: it takes no packet
-// of its own, and its trace event names no peer. Call it only once
-// the transaction has taken every lock it will take anywhere, or for a
-// slice that writes: a read-only vote releases this node's locks.
-func (p *Participant) Volunteer(txName string, v protocol.Variant) (protocol.VoteValue, error) {
-	return p.volunteer("", txName, v, true)
-}
-
-func (p *Participant) volunteer(coordinator, txName string, v protocol.Variant, reply bool) (vote protocol.VoteValue, err error) {
+// Volunteer prepares this participant's resources on its own
+// initiative, before any Prepare arrives (§4 Unsolicited Vote), and
+// returns the vote for the caller to carry back with its reply to the
+// coordinator's last work request. v is the coordinator's variant,
+// which no Prepare will announce: the prepared record names it, and
+// phase two and recovery follow it. The coordinator hands the vote to
+// Commit with PostVotes, and Commit skips this subordinate's Prepare.
+// The cost ledger counts it as the voter's vote flow, piggybacked: it
+// takes no packet of its own, and its trace event names no peer. Call
+// it only once the transaction has taken every lock it will take
+// anywhere, or for a slice that writes: a read-only vote releases this
+// node's locks.
+func (p *Participant) Volunteer(txName string, v protocol.Variant) (vote protocol.VoteValue, err error) {
 	if !v.Unsolicited() {
 		return protocol.VoteNo, fmt.Errorf("live: %v takes no unsolicited vote", v)
 	}
@@ -271,15 +259,11 @@ func (p *Participant) volunteer(coordinator, txName string, v protocol.Variant, 
 			vote, err = protocol.VoteNo, fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
 		case st.prepared:
 			vote = st.voteMsg.Vote
-			if reply {
-				p.replied(st.voteMsg, true)
-			} else {
-				_ = p.sendExtra(coordinator, st.voteMsg)
-			}
+			p.replied(st.voteMsg, true)
 		default:
 			st.presume = v
 			vote = p.prepareVote(st, true)
-			err = p.cast(st, coordinator, vote, reply)
+			err = p.cast(st, "", vote, true)
 		}
 	})
 	return vote, err

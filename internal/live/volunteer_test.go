@@ -29,13 +29,13 @@ func ledgerNode(t *testing.T, reg *metrics.Registry, tx, node string) metrics.No
 }
 
 // TestLiveVolunteerFollowsCoordinatorVariant: a subordinate that votes
-// unsolicited under a PA coordinator prepares under PA, though no
-// Prepare ever announces it. When the other subordinate votes no, the
+// unsolicited (Volunteer) under a PA coordinator prepares under PA,
+// though no Prepare ever announces it. When the other subordinate votes no, the
 // volunteer applies the abort by PA's rules: a lazy Aborted record and
 // no ack. Its Prepared record names PA, so a restart would recover
 // under PA too, and its ledger entry is PA's prepared-then-aborted
-// spend exactly: the vote, the forced Prepared, the lazy Aborted and
-// End.
+// spend exactly: the vote, piggybacked on the reply, the forced
+// Prepared, the lazy Aborted and End.
 func TestLiveVolunteerFollowsCoordinatorVariant(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	regs := map[string]*metrics.Registry{}
@@ -56,26 +56,21 @@ func TestLiveVolunteerFollowsCoordinatorVariant(t *testing.T) {
 	mk("N", protocol.VoteNo)
 
 	tx := protocol.TxID{Origin: "C", Seq: 1}.String()
-	if err := parts["V"].UnsolicitedVote("C", tx, protocol.VariantPA); err != nil {
-		t.Fatal(err)
+	vote, err := parts["V"].Volunteer(tx, protocol.VariantPA)
+	if err != nil || vote != protocol.VoteYes {
+		t.Fatalf("volunteer = %v, %v", vote, err)
 	}
-	waitUntil(t, 5*time.Second, func() bool {
-		sh := parts["C"].shardFor(tx)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		st := sh.txs[tx]
-		return st != nil && len(st.inbox) == 1
-	})
+	parts["C"].PostVotes(tx, []Vote{{From: "V", Vote: vote}})
 	if out, err := parts["C"].Commit(context.Background(), tx, []string{"V", "N"}); out != Aborted || err != nil {
 		t.Fatalf("commit = %v, %v; want aborted by N's no", out, err)
 	}
 
 	v := ledgerNode(t, regs["V"], tx, "V")
-	if v.Role != metrics.RoleSubordinate || v.Flows != 1 || v.Extra != 0 || v.Forced != 1 || v.NonForced != 2 {
-		t.Fatalf("volunteer spent %+v as %v, want one vote, a forced Prepared, a lazy Aborted and End", v.CostCounters, v.Role)
+	if v.Role != metrics.RoleSubordinate || v.Flows != 1 || v.Piggybacked != 1 || v.Extra != 0 || v.Forced != 1 || v.NonForced != 2 {
+		t.Fatalf("volunteer spent %+v as %v, want one piggybacked vote, a forced Prepared, a lazy Aborted and End", v.CostCounters, v.Role)
 	}
-	if sent := regs["V"].Snapshot().Nodes["V"].MessagesSent; sent != 1 {
-		t.Fatalf("volunteer sent %d messages, want its vote alone: PA acks no abort", sent)
+	if n := regs["V"].Snapshot().Nodes["V"]; n.MessagesSent != 1 || n.PacketsSent != 0 {
+		t.Fatalf("volunteer sent %d messages in %d packets, want its vote in the reply alone: PA acks no abort", n.MessagesSent, n.PacketsSent)
 	}
 	if err := logs["V"].Sync(); err != nil {
 		t.Fatal(err)
@@ -111,11 +106,11 @@ func TestLiveVolunteerFollowsCoordinatorVariant(t *testing.T) {
 
 // TestLiveAbortSkipsReadOnlyVoter: an abort goes only to the
 // subordinates that may be prepared (protocol.HearsOutcome). R votes
-// read-only ahead of Commit and N votes no to its Prepare, so under PA
-// and Basic 2PC the Abort goes to N alone: R receives nothing at all
-// and keeps nothing, the Basic 2PC abort record names N alone and
-// releases its pin on N's ack, and the coordinator's ledger counts one
-// delivery.
+// read-only ahead of Commit, in a reply (Volunteer), and N votes no to
+// its Prepare, so under PA and Basic 2PC the Abort goes to N alone: R
+// receives nothing at all and keeps nothing, the Basic 2PC abort record
+// names N alone and releases its pin on N's ack, and the coordinator's
+// ledger counts one delivery.
 func TestLiveAbortSkipsReadOnlyVoter(t *testing.T) {
 	for seq, v := range []protocol.Variant{protocol.VariantPA, protocol.VariantBaseline} {
 		net := netsim.NewChanNetwork()
@@ -132,16 +127,14 @@ func TestLiveAbortSkipsReadOnlyVoter(t *testing.T) {
 			t.Cleanup(parts[name].Stop)
 		}
 		tx := protocol.TxID{Origin: "C", Seq: uint64(seq + 1)}.String()
-		if err := parts["R"].UnsolicitedVote("C", tx, v); err != nil {
-			t.Fatal(err)
+		vote, err := parts["R"].Volunteer(tx, v)
+		if err != nil || vote != protocol.VoteReadOnly {
+			t.Fatalf("%v: volunteer = %v, %v", v, vote, err)
 		}
-		waitUntil(t, 5*time.Second, func() bool {
-			sh := parts["C"].shardFor(tx)
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			st := sh.txs[tx]
-			return st != nil && len(st.inbox) == 1
-		})
+		if r := ledgerNode(t, regs["R"], tx, "R"); r.Flows != 1 || r.Piggybacked != 1 || r.Writes() != 0 {
+			t.Errorf("%v: the read-only voter spent %+v, want its piggybacked vote alone", v, r.CostCounters)
+		}
+		parts["C"].PostVotes(tx, []Vote{{From: "R", Vote: vote}})
 		if out, err := parts["C"].Commit(context.Background(), tx, []string{"R", "N"}); out != Aborted || err != nil {
 			t.Fatalf("%v: commit = %v, %v; want aborted by N's no", v, out, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,34 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/router"
 )
+
+// onEveryShard is a Config.Ops generator for the hash-sharded fleet
+// names: arrival seq takes one key on every shard, the op verb(seq)
+// names, from a pool of perShard keys per shard.
+func onEveryShard(t *testing.T, names []string, perShard int, verb func(seq int) api.OpKind) func(seq int) []api.Op {
+	t.Helper()
+	smap, err := router.Parse("hash:" + strings.Join(names, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string][]string) // keys[n]: keys shard n owns
+	for k := 0; len(keys) < len(names) || slices.ContainsFunc(names, func(n string) bool { return len(keys[n]) < perShard }); k++ {
+		key := fmt.Sprintf("k%d", k)
+		if o := smap.Owner(key); len(keys[o]) < perShard {
+			keys[o] = append(keys[o], key)
+		}
+	}
+	return func(seq int) []api.Op {
+		out := make([]api.Op, len(names))
+		for i, n := range names {
+			out[i] = api.Op{Key: keys[n][seq%perShard], Op: verb(seq)}
+			if out[i].Writes() {
+				out[i].Value = "v"
+			}
+		}
+		return out
+	}
+}
 
 // TestLoadgenDaemonEndToEnd is the full serving-path exercise: three
 // sharded daemons on real TCP listeners, the open-loop generator
@@ -25,32 +54,14 @@ import (
 func TestLoadgenDaemonEndToEnd(t *testing.T) {
 	fleet, names := newFleet(t, 3, nil)
 	coord := fleet[0]
-	smap, err := router.Parse("hash:" + strings.Join(names, ","))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const perShard = 256
-	keys := make(map[string][]string) // keys[n]: keys shard n owns
-	for k := 0; len(keys[names[0]]) < perShard || len(keys[names[1]]) < perShard || len(keys[names[2]]) < perShard; k++ {
-		key := fmt.Sprintf("k%d", k)
-		if o := smap.Owner(key); len(keys[o]) < perShard {
-			keys[o] = append(keys[o], key)
-		}
-	}
 	// Every key is used at most once per variant's run, so no arrival
 	// waits for another's locks.
-	ops := func(seq int) []api.Op {
-		out := make([]api.Op, len(names))
-		for i, n := range names {
-			key := keys[n][seq%perShard]
-			if seq%2 == 0 {
-				out[i] = api.Op{Key: key, Op: api.OpPut, Value: "v"}
-			} else {
-				out[i] = api.Op{Key: key, Op: api.OpGet}
-			}
+	ops := onEveryShard(t, names, 256, func(seq int) api.OpKind {
+		if seq%2 == 0 {
+			return api.OpPut
 		}
-		return out
-	}
+		return api.OpGet
+	})
 
 	totalCommitted := 0
 	for _, variant := range []string{"basic", "pa", "pn", "pc", "paxos", "1pc"} {

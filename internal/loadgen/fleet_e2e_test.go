@@ -274,7 +274,7 @@ func TestFleetHotkeyContention(t *testing.T) {
 	// again: a fresh transaction can write every key in the keyspace.
 	c := &loadgen.HTTPCommitter{BaseURL: routerURL, Variant: "pa"}
 	gen := workload.Profile{Kind: workload.KindUniform, Keys: 6, FanOut: 6}.Generator()
-	committed, shed, err := c.CommitOps(context.Background(), "post-storm", gen(1))
+	committed, shed, err := c.Commit(context.Background(), "post-storm", gen(1))
 	if err != nil || shed || !committed {
 		t.Fatalf("post-storm full-keyspace write: committed=%v shed=%v err=%v", committed, shed, err)
 	}
@@ -290,7 +290,7 @@ func TestClientSideRouting(t *testing.T) {
 	gen := workload.Profile{Kind: workload.KindUniform, Keys: 64, FanOut: 4, Seed: 3}.Generator()
 	committedCount := 0
 	for seq := 0; seq < 40; seq++ {
-		committed, shed, err := c.CommitOps(context.Background(), fmt.Sprintf("direct:%d", seq), gen(seq))
+		committed, shed, err := c.Commit(context.Background(), fmt.Sprintf("direct:%d", seq), gen(seq))
 		if err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}

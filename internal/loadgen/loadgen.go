@@ -27,17 +27,10 @@ import (
 
 // Committer submits one transaction and classifies the result.
 type Committer interface {
-	// Commit runs tx to completion. committed reports a commit
-	// outcome; shed reports admission rejection (the 503 path); err
-	// is any other failure.
-	Commit(ctx context.Context, tx string) (committed, shed bool, err error)
-}
-
-// OpsCommitter additionally accepts a typed operation list per
-// transaction; Run uses it when Config.Ops generates one.
-type OpsCommitter interface {
-	Committer
-	CommitOps(ctx context.Context, tx string, ops []api.Op) (committed, shed bool, err error)
+	// Commit runs tx, with its typed operations ops, to completion.
+	// committed reports a commit outcome; shed reports admission
+	// rejection (the 503 path); err is any other failure.
+	Commit(ctx context.Context, tx string, ops []api.Op) (committed, shed bool, err error)
 }
 
 // HTTPCommitter drives a twopcd coordinator (or a twopcrouter) over
@@ -49,10 +42,6 @@ type HTTPCommitter struct {
 	// Variant optionally overrides the daemon's default variant
 	// ("pa", "pn", "pc", "basic").
 	Variant string
-	// Subs optionally overrides the daemon's default subordinate set
-	// for protocol-only transactions (ignored when ops are supplied —
-	// participants then come from the shard map).
-	Subs []string
 	// Client defaults to a keep-alive client with a generous pool.
 	Client *http.Client
 	// Retry, when set, retries sheds and transport failures on the
@@ -78,20 +67,10 @@ func (h *HTTPCommitter) cli() *client.Client {
 	return h.c
 }
 
-// Commit implements Committer: a protocol-only transaction (no ops)
-// via POST /v1/commit.
-func (h *HTTPCommitter) Commit(ctx context.Context, tx string) (bool, bool, error) {
-	return h.commit(ctx, api.CommitRequest{Tx: tx, Participants: h.Subs})
-}
-
-// CommitOps implements OpsCommitter: a typed multi-key transaction
-// whose participants resolve from the fleet's shard map.
-func (h *HTTPCommitter) CommitOps(ctx context.Context, tx string, ops []api.Op) (bool, bool, error) {
-	return h.commit(ctx, api.CommitRequest{Tx: tx, Ops: ops})
-}
-
-func (h *HTTPCommitter) commit(ctx context.Context, req api.CommitRequest) (bool, bool, error) {
-	resp, err := h.cli().Do(ctx, req)
+// Commit implements Committer: a typed multi-key transaction via POST
+// /v1/commit, whose participants resolve from the fleet's shard map.
+func (h *HTTPCommitter) Commit(ctx context.Context, tx string, ops []api.Op) (bool, bool, error) {
+	resp, err := h.cli().Do(ctx, api.CommitRequest{Tx: tx, Ops: ops})
 	if err != nil {
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) && apiErr.Status == http.StatusServiceUnavailable {
@@ -116,9 +95,9 @@ type Config struct {
 	Workers int
 	// TxPrefix namespaces generated transaction ids (default "load").
 	TxPrefix string
-	// Ops, when set, generates each arrival's typed operation list
-	// from its sequence number (see internal/workload for skewed
-	// profiles). Requires the Committer to implement OpsCommitter.
+	// Ops generates each arrival's typed operation list from its
+	// sequence number (see internal/workload for skewed profiles).
+	// Required.
 	Ops func(seq int) []api.Op
 }
 
@@ -253,7 +232,6 @@ func Run(ctx context.Context, c Committer, cfg Config) Result {
 		interval = time.Microsecond
 	}
 
-	oc, _ := c.(OpsCommitter)
 	var (
 		mu  sync.Mutex
 		res Result
@@ -292,15 +270,7 @@ loop:
 			defer wg.Done()
 			defer func() { <-slots }()
 			t0 := time.Now()
-			var (
-				committed, shed bool
-				err             error
-			)
-			if cfg.Ops != nil && oc != nil {
-				committed, shed, err = oc.CommitOps(ctx, tx, cfg.Ops(seq))
-			} else {
-				committed, shed, err = c.Commit(ctx, tx)
-			}
+			committed, shed, err := c.Commit(ctx, tx, cfg.Ops(seq))
 			lat := time.Since(t0)
 			mu.Lock()
 			defer mu.Unlock()

@@ -9,15 +9,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/loadgen"
 )
 
-// committerFunc adapts a function to the Committer interface.
+// committerFunc adapts a function to the Committer interface; it
+// ignores the ops.
 type committerFunc func(ctx context.Context, tx string) (bool, bool, error)
 
-func (f committerFunc) Commit(ctx context.Context, tx string) (bool, bool, error) {
+func (f committerFunc) Commit(ctx context.Context, tx string, _ []api.Op) (bool, bool, error) {
 	return f(ctx, tx)
 }
+
+// oneGet is a Config.Ops generator for committers that ignore the ops.
+func oneGet(int) []api.Op { return []api.Op{{Key: "k", Op: api.OpGet}} }
 
 func TestRunClassifiesOutcomes(t *testing.T) {
 	var n atomic.Int64
@@ -32,7 +37,7 @@ func TestRunClassifiesOutcomes(t *testing.T) {
 		default:
 			return false, false, nil
 		}
-	}), loadgen.Config{Rate: 2000, Duration: 100 * time.Millisecond})
+	}), loadgen.Config{Rate: 2000, Duration: 100 * time.Millisecond, Ops: oneGet})
 	if res.Offered == 0 || res.Sent == 0 {
 		t.Fatalf("no load offered: %+v", res)
 	}
@@ -57,7 +62,7 @@ func TestRunShedsWhenWorkersSaturated(t *testing.T) {
 		res <- loadgen.Run(context.Background(), committerFunc(func(ctx context.Context, tx string) (bool, bool, error) {
 			<-block
 			return true, false, nil
-		}), loadgen.Config{Rate: 1000, Duration: 100 * time.Millisecond, Workers: 2})
+		}), loadgen.Config{Rate: 1000, Duration: 100 * time.Millisecond, Workers: 2, Ops: oneGet})
 	}()
 	time.Sleep(150 * time.Millisecond)
 	close(block)
@@ -76,7 +81,7 @@ func TestRunHonorsContextCancel(t *testing.T) {
 	start := time.Now()
 	loadgen.Run(ctx, committerFunc(func(ctx context.Context, tx string) (bool, bool, error) {
 		return true, false, nil
-	}), loadgen.Config{Rate: 10, Duration: time.Hour})
+	}), loadgen.Config{Rate: 10, Duration: time.Hour, Ops: oneGet})
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("canceled run did not return promptly")
 	}
@@ -86,7 +91,7 @@ func TestResultReportShapes(t *testing.T) {
 	res := loadgen.Run(context.Background(), committerFunc(func(ctx context.Context, tx string) (bool, bool, error) {
 		time.Sleep(time.Millisecond)
 		return true, false, nil
-	}), loadgen.Config{Rate: 500, Duration: 80 * time.Millisecond})
+	}), loadgen.Config{Rate: 500, Duration: 80 * time.Millisecond, Ops: oneGet})
 
 	sum := res.Summary()
 	for _, want := range []string{"commits/sec", "p50", "ms"} {

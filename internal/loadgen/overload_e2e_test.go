@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/loadgen"
 	"repro/internal/server"
 )
@@ -13,7 +14,7 @@ import (
 // arithmetic is then checkable against the schedule alone.
 type instantCommitter struct{}
 
-func (instantCommitter) Commit(context.Context, string) (bool, bool, error) {
+func (instantCommitter) Commit(context.Context, string, []api.Op) (bool, bool, error) {
 	return true, false, nil
 }
 
@@ -21,6 +22,7 @@ func TestRunOverloadPinnedBaseline(t *testing.T) {
 	rep := loadgen.RunOverload(context.Background(), instantCommitter{}, loadgen.Config{
 		Duration: 200 * time.Millisecond,
 		Workers:  16,
+		Ops:      oneGet,
 	}, loadgen.OverloadConfig{
 		BaselineRate: 100,
 		Multiples:    []float64{0.5, 2},
@@ -46,43 +48,31 @@ func TestRunOverloadPinnedBaseline(t *testing.T) {
 	}
 }
 
-// TestOverloadDaemonEndToEnd drives a rate-admission-limited trio far
-// past its admit rate and checks the overload-survival contract: the
-// daemon sheds the excess instead of collapsing, goodput holds near
-// capacity, and the conformance audit stays exact on every node.
+// TestOverloadDaemonEndToEnd drives a rate-admission-limited sharded
+// trio far past its admit rate with write transactions and checks the overload-survival contract: the coordinator sheds the
+// excess instead of collapsing, goodput holds near capacity, and the
+// conformance audit stays exact on every node.
 func TestOverloadDaemonEndToEnd(t *testing.T) {
-	mk := func(cfg server.Config) *server.Server {
-		s, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	fleet, names := newFleet(t, 3, func(i int, cfg *server.Config) {
+		cfg.AuditInterval = -1
+		if i == 0 {
+			cfg.AdmitRate = 300 // the bottleneck the sweep must discover
+			cfg.AdmitBurst = 32
 		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	coord := mk(server.Config{
-		Name:          "C",
-		Subs:          []string{"S1", "S2"},
-		AuditInterval: -1,
-		MaxInflight:   128,
-		AdmitRate:     300, // the bottleneck the sweep must discover
-		AdmitBurst:    32,
 	})
-	s1 := mk(server.Config{Name: "S1", AuditInterval: -1})
-	s2 := mk(server.Config{Name: "S2", AuditInterval: -1})
-	coord.RegisterPeer("S1", s1.ProtoAddr())
-	coord.RegisterPeer("S2", s2.ProtoAddr())
-	s1.RegisterPeer("C", coord.ProtoAddr())
-	s1.RegisterPeer("S2", s2.ProtoAddr())
-	s2.RegisterPeer("C", coord.ProtoAddr())
-	s2.RegisterPeer("S1", s1.ProtoAddr())
+	// A put on every shard: all three nodes vote yes and take part in
+	// every transaction. Keys repeat only 1024 arrivals apart, so the
+	// sheds are the admission's, not the lock manager's.
+	ops := onEveryShard(t, names, 1024, func(int) api.OpKind { return api.OpPut })
 
 	rep := loadgen.RunOverload(context.Background(), &loadgen.HTTPCommitter{
-		BaseURL: "http://" + coord.HTTPAddr(),
+		BaseURL: "http://" + fleet[0].HTTPAddr(),
 		Variant: "pa",
 	}, loadgen.Config{
 		Duration: 400 * time.Millisecond,
 		Workers:  128,
 		TxPrefix: "ovl",
+		Ops:      ops,
 	}, loadgen.OverloadConfig{
 		CalibrateRate: 3000,
 		Multiples:     []float64{5},
@@ -114,19 +104,19 @@ func TestOverloadDaemonEndToEnd(t *testing.T) {
 	// Shedding left no half-tracked transactions behind: every node's
 	// ledger closes and conforms exactly.
 	committed := rep.Calibration.Committed + p.Result.Committed
-	for _, s := range []*server.Server{coord, s1, s2} {
+	for i, s := range fleet {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			rep := s.AuditNow()
 			if !rep.OK() {
-				t.Fatalf("audit violation under overload: %s", rep)
+				t.Fatalf("%s: audit violation under overload: %s", names[i], rep)
 			}
 			full, txs := s.AuditReport()
 			if txs >= committed && full.Exact == full.Checked {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("audited %d/%d txs (report %s)", txs, committed, full)
+				t.Fatalf("%s: audited %d/%d txs (report %s)", names[i], txs, committed, full)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,5 +268,38 @@ func TestRouterRejectsOversizedBody(t *testing.T) {
 	}
 	if rec.Code != http.StatusBadRequest || e.Code != api.CodeBadRequest || e.Error != "request body exceeds 1 MiB" {
 		t.Fatalf("oversized body: status %d error %+v", rec.Code, e)
+	}
+}
+
+// TestRouterRejectsRequestWithoutOps: a request with no ops is refused
+// with 400 before any forward, and one with ops reaches its coordinator.
+func TestRouterRejectsRequestWithoutOps(t *testing.T) {
+	var forwarded atomic.Int32
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		forwarded.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"tx":"t","outcome":"committed","variant":"PA","coordinator":"S1","participants":[],"latency_ms":0}`)
+	}))
+	defer member.Close()
+	m, _ := Parse("hash:S1")
+	r := &Router{pick: PickFirstShard, client: member.Client()}
+	r.adopt(m, map[string]string{"S1": member.URL})
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.PathCommit, strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{`{}`, `{"tx":"t1"}`, `{"participants":["S1"]}`} {
+		rec := post(body)
+		var e api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Code != api.CodeBadRequest {
+			t.Errorf("%s: status %d body %s, want 400 %s", body, rec.Code, rec.Body, api.CodeBadRequest)
+		}
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Fatalf("%d requests without ops were forwarded", n)
+	}
+	if rec := post(`{"ops":[{"key":"k","op":"get"}]}`); rec.Code != http.StatusOK || forwarded.Load() != 1 {
+		t.Fatalf("request with ops: status %d, %d forwarded", rec.Code, forwarded.Load())
 	}
 }

@@ -79,21 +79,9 @@ func (r *Router) handleCommit(w http.ResponseWriter, req *http.Request) {
 	}
 
 	smap := r.Map()
-	var target string
-	switch {
-	case len(creq.Ops) > 0:
-		first, _ := smap.FirstOwner(creq.Ops)
-		participants, _ := smap.Resolve(creq.Ops)
-		target = r.Coordinator(first, participants)
-	case len(creq.Participants) > 0:
-		// Protocol-only request: coordinate at the first named member.
-		target = creq.Participants[0]
-	default:
-		// No ops and no participants: any member can run it; spread by
-		// the pick policy over the whole fleet.
-		nodes := smap.Nodes()
-		target = r.Coordinator(nodes[0], nodes)
-	}
+	first, _ := smap.FirstOwner(creq.Ops)
+	participants, _ := smap.Resolve(creq.Ops)
+	target := r.Coordinator(first, participants)
 	baseURL, ok := r.MemberURL(target)
 	if !ok {
 		writeError(w, http.StatusUnprocessableEntity, api.ErrorOf(api.CodeUnknownShard,

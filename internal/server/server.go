@@ -60,9 +60,6 @@ type Config struct {
 	// added after startup with RegisterPeer (ports are usually
 	// OS-assigned, so wiring happens once every daemon is listening).
 	Peers map[string]string
-	// Subs is the default subordinate set for protocol-only
-	// /v1/commit requests that don't name their own participants.
-	Subs []string
 	// Variant is the default protocol variant for /v1/commit
 	// requests; requests may override it per transaction.
 	Variant protocol.Variant
@@ -113,11 +110,12 @@ type Config struct {
 	AdvertiseHTTP string
 }
 
-// ErrOverloaded is returned by Commit when the admission limit is
-// reached or the daemon is draining.
+// ErrOverloaded is the admission error once a limit is reached; a
+// /v1/commit shed by it answers 503 overloaded.
 var ErrOverloaded = fmt.Errorf("server: admission limit reached")
 
-// ErrDraining is returned by Commit once Drain has begun.
+// ErrDraining is the admission error once Drain has begun; a
+// /v1/commit refused by it answers 503 draining.
 var ErrDraining = fmt.Errorf("server: draining")
 
 // ShedError reports one shed admission decision: which priority class
@@ -172,16 +170,15 @@ type Server struct {
 	txSeq     atomic.Uint64 // generated-tx-id counter
 	stagedOps atomic.Int64  // operations staged on this shard
 
-	mu         sync.Mutex
-	draining   bool
-	inflight   int
-	idle       chan struct{} // closed when draining and inflight hits 0
-	auditRep   audit.Report  // accumulated totals; violations truncated
-	auditTxs   int           // transactions audited
-	costAgg    map[metrics.AggregateCostKey]metrics.CostCounters
-	costNodes  map[metrics.AggregateCostKey]int
-	peerHTTP   map[string]httpPeer // fleet member name -> its HTTP surface
-	knownPeers map[string]bool     // names registered on either plane
+	mu        sync.Mutex
+	draining  bool
+	inflight  int
+	idle      chan struct{} // closed when draining and inflight hits 0
+	auditRep  audit.Report  // accumulated totals; violations truncated
+	auditTxs  int           // transactions audited
+	costAgg   map[metrics.AggregateCostKey]metrics.CostCounters
+	costNodes map[metrics.AggregateCostKey]int
+	peerHTTP  map[string]httpPeer // fleet member name -> its HTTP surface
 
 	stopc  chan struct{}
 	stopMu sync.Once
@@ -275,24 +272,23 @@ func New(cfg Config) (*Server, error) {
 
 	start := time.Now()
 	s := &Server{
-		cfg:        cfg,
-		reg:        reg,
-		trc:        trc,
-		part:       part,
-		ep:         ep,
-		store:      store,
-		smap:       smap,
-		httpc:      &http.Client{Transport: stageTransport(cfg.MaxInflight, cfg.StageTimeout+time.Second)},
-		httpLn:     httpLn,
-		sem:        make(chan struct{}, cfg.MaxInflight),
-		start:      start,
-		txPrefix:   cfg.Name + "." + strconv.FormatInt(start.UnixNano(), 10) + ":",
-		idle:       make(chan struct{}),
-		costAgg:    make(map[metrics.AggregateCostKey]metrics.CostCounters),
-		costNodes:  make(map[metrics.AggregateCostKey]int),
-		peerHTTP:   make(map[string]httpPeer),
-		knownPeers: make(map[string]bool),
-		stopc:      make(chan struct{}),
+		cfg:       cfg,
+		reg:       reg,
+		trc:       trc,
+		part:      part,
+		ep:        ep,
+		store:     store,
+		smap:      smap,
+		httpc:     &http.Client{Transport: stageTransport(cfg.MaxInflight, cfg.StageTimeout+time.Second)},
+		httpLn:    httpLn,
+		sem:       make(chan struct{}, cfg.MaxInflight),
+		start:     start,
+		txPrefix:  cfg.Name + "." + strconv.FormatInt(start.UnixNano(), 10) + ":",
+		idle:      make(chan struct{}),
+		costAgg:   make(map[metrics.AggregateCostKey]metrics.CostCounters),
+		costNodes: make(map[metrics.AggregateCostKey]int),
+		peerHTTP:  make(map[string]httpPeer),
+		stopc:     make(chan struct{}),
 	}
 	// The limiter always exists — with AdmitRate 0 it admits everything
 	// but still labels traffic by class, so /metrics reads the same
@@ -302,15 +298,8 @@ func New(cfg Config) (*Server, error) {
 		s.ctrl = admission.NewController(s.limiter, clock.NewWall(), s.sampleSignals(),
 			admission.ControllerConfig{MaxRate: cfg.AdmitRate, Interval: cfg.BackpressureInterval})
 	}
-	for name := range cfg.Peers {
-		s.knownPeers[name] = true
-	}
 	for name, u := range cfg.PeerHTTP {
 		s.peerHTTP[name] = newHTTPPeer(u)
-		s.knownPeers[name] = true
-	}
-	for _, name := range cfg.Subs {
-		s.knownPeers[name] = true
 	}
 	s.httpSrv = &http.Server{Handler: s.mux()}
 
@@ -345,9 +334,6 @@ func (s *Server) HTTPAddr() string { return s.httpLn.Addr().String() }
 // RegisterPeer tells the protocol endpoint where to dial for a peer.
 func (s *Server) RegisterPeer(name, addr string) {
 	s.ep.Register(name, addr)
-	s.mu.Lock()
-	s.knownPeers[name] = true
-	s.mu.Unlock()
 }
 
 // RegisterPeerHTTP tells the data plane where a fleet member's HTTP
@@ -356,7 +342,6 @@ func (s *Server) RegisterPeerHTTP(name, baseURL string) {
 	p := newHTTPPeer(baseURL)
 	s.mu.Lock()
 	s.peerHTTP[name] = p
-	s.knownPeers[name] = true
 	s.mu.Unlock()
 }
 
@@ -380,13 +365,6 @@ func (s *Server) peerHTTPOf(name string) (httpPeer, bool) {
 	defer s.mu.Unlock()
 	p, ok := s.peerHTTP[name]
 	return p, ok
-}
-
-// knownPeer reports whether name is registered on either plane.
-func (s *Server) knownPeer(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.knownPeers[name]
 }
 
 // selfHTTPURL is the base URL this daemon advertises for itself.
@@ -427,24 +405,6 @@ func (s *Server) sampleSignals() func() admission.Signal {
 			CoalesceDepth: s.part.CoalesceDepth(),
 		}
 	}
-}
-
-// Commit admits and runs one transaction as coordinator, under v,
-// against subs (nil means the configured default set). Admission
-// fails with a ShedError (matching ErrOverloaded) at either limit and
-// ErrDraining during drain. A protocol-only commit carries no ops, so
-// every node votes read-only; it is admitted as read-write with the
-// subordinate tree's width.
-func (s *Server) Commit(ctx context.Context, tx string, subs []string, v protocol.Variant) (live.Outcome, error) {
-	if subs == nil {
-		subs = s.cfg.Subs
-	}
-	class := admission.ClassFor(false, len(subs)+1)
-	if err := s.acquire(class, admission.CostOf(class, len(subs)+1)); err != nil {
-		return live.Aborted, err
-	}
-	defer s.release()
-	return s.part.CommitVariant(ctx, tx, subs, v)
 }
 
 // acquire admits one transaction of the given class and token cost:
@@ -672,7 +632,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
 	v := map[string]any{
 		"name":             s.cfg.Name,
 		"variant":          s.cfg.Variant.String(),
-		"subs":             s.cfg.Subs,
 		"shard_map":        shardMap,
 		"staged_ops":       s.stagedOps.Load(),
 		"uptime_seconds":   time.Since(s.start).Seconds(),

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/analytic"
 	"repro/internal/api"
 	"repro/internal/audit"
@@ -20,37 +21,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/wal"
 )
-
-// newTrio starts a coordinator daemon and two subordinate daemons on
-// real TCP listeners and wires them together.
-func newTrio(t *testing.T, coordCfg Config) (coord, s1, s2 *Server) {
-	t.Helper()
-	mk := func(cfg Config) *Server {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	coordCfg.Name = "C"
-	if coordCfg.Subs == nil {
-		coordCfg.Subs = []string{"S1", "S2"}
-	}
-	coord = mk(coordCfg)
-	s1 = mk(Config{Name: "S1", AuditInterval: -1})
-	s2 = mk(Config{Name: "S2", AuditInterval: -1})
-	// Full mesh: the classic variants only ever talk coordinator <->
-	// subordinate, but Paxos Commit's ballot-0 accepts flow between
-	// acceptor subordinates directly.
-	coord.RegisterPeer("S1", s1.ProtoAddr())
-	coord.RegisterPeer("S2", s2.ProtoAddr())
-	s1.RegisterPeer("C", coord.ProtoAddr())
-	s1.RegisterPeer("S2", s2.ProtoAddr())
-	s2.RegisterPeer("C", coord.ProtoAddr())
-	s2.RegisterPeer("S1", s1.ProtoAddr())
-	return coord, s1, s2
-}
 
 func httpGet(t *testing.T, addr, path string) (int, string) {
 	t.Helper()
@@ -115,6 +85,16 @@ func putOnEveryShard(keys map[string]string) []api.Op {
 	}
 }
 
+// getOnEveryShard is the read-only shape: one get on each of the
+// trio's shards, so every node votes read-only.
+func getOnEveryShard(keys map[string]string) []api.Op {
+	return []api.Op{
+		{Key: keys["C"], Op: api.OpGet},
+		{Key: keys["S1"], Op: api.OpGet},
+		{Key: keys["S2"], Op: api.OpGet},
+	}
+}
+
 // auditUntil audits s until it has audited at least txs transactions,
 // failing on any violation, and returns the final report: every entry
 // of it must match its closed form exactly.
@@ -151,28 +131,32 @@ func aggregate(s *Server, v protocol.Variant, role metrics.Role, outcome string)
 	return s.costAgg[k], s.costNodes[k]
 }
 
-// commitBothShapes commits, under each of the five variants, the
-// write shape (a put on every shard: all three nodes vote yes, under
-// PA and Basic 2PC the subordinates in their stage replies) and a
-// protocol-only transaction (no ops: all three vote read-only), then
-// holds every daemon's audit exact over all of them and checks what
-// the read-only commits spent: each subordinate's entry is a read-only
-// vote, and the coordinator logs nothing under PA and Basic 2PC and
-// only its pre-prepare record and End under PN and PC. Paxos Commit
-// folds read-only votes to yes, so both of its commits take the write
-// form.
+// commitBothShapes commits, under each of the six variants, the write
+// shape (a put on every shard: all three nodes vote yes) and the
+// read-only shape (a get on every shard: all three vote read-only),
+// then holds every daemon's audit exact over all of them and checks
+// what they spent. Under PA and Basic 2PC a subordinate votes in its
+// stage reply when its slice writes or is staged last, so the
+// coordinator sends no Prepare to both subordinates of a write and to
+// S2 of a read. Each subordinate's entry of a read is a read-only
+// vote, and the coordinator of one logs nothing under PA, Basic 2PC
+// and 1PC and only its pre-prepare record and End under PN and PC.
+// Paxos Commit folds read-only votes to yes, so both of its commits
+// take the write form.
 func commitBothShapes(t *testing.T, fleet []*Server, keys map[string]string) {
 	t.Helper()
 	coord := fleet[0]
 	ctx := context.Background()
-	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos}
+	variants := []protocol.Variant{protocol.VariantBaseline, protocol.VariantPA, protocol.VariantPN, protocol.VariantPC, protocol.VariantPaxos, protocol.Variant1PC}
 	for i, v := range variants {
-		resp, herr := coord.runV1(ctx, api.CommitRequest{Tx: fmt.Sprintf("C:w%d", i), Variant: v.String(), Ops: putOnEveryShard(keys)})
-		if herr != nil || resp.Outcome != "committed" {
-			t.Fatalf("%s write commit = %+v, %v", v, resp, herr)
-		}
-		if out, err := coord.Commit(ctx, fmt.Sprintf("C:r%d", i), []string{"S1", "S2"}, v); err != nil || out != live.Committed {
-			t.Fatalf("%s read-only commit = %v, %v", v, out, err)
+		for _, shape := range []struct {
+			tx  string
+			ops []api.Op
+		}{{fmt.Sprintf("C:w%d", i), putOnEveryShard(keys)}, {fmt.Sprintf("C:r%d", i), getOnEveryShard(keys)}} {
+			resp, herr := coord.runV1(ctx, api.CommitRequest{Tx: shape.tx, Variant: v.String(), Ops: shape.ops})
+			if herr != nil || resp.Outcome != "committed" {
+				t.Fatalf("%s commit %s = %+v, %v", v, shape.tx, resp, herr)
+			}
 		}
 	}
 
@@ -182,12 +166,12 @@ func commitBothShapes(t *testing.T, fleet []*Server, keys map[string]string) {
 		auditUntil(t, s, 2*len(variants))
 	}
 	for _, v := range variants {
-		volunteers := 0
+		writeVolunteers, readVolunteers := 0, 0
 		if v.Unsolicited() {
-			volunteers = 2
+			writeVolunteers, readVolunteers = 2, 1
 		}
-		write, _ := analytic.CoordCommitCost(v.String(), 2, 2, volunteers, false)
-		ro, _ := analytic.CoordCommitCost(v.String(), 2, 0, 0, true)
+		write, _ := analytic.CoordCommitCost(v.String(), 2, 2, writeVolunteers, false)
+		ro, _ := analytic.CoordCommitCost(v.String(), 2, 0, readVolunteers, true)
 		if v == protocol.VariantPaxos {
 			ro = write
 		}
@@ -217,7 +201,7 @@ func TestServerCommitAllVariantsOverTCP(t *testing.T) {
 // store through the adaptive group-commit pipeline: batching forces
 // into shared fdatasyncs must not change what the audit counts — a
 // forced write is a forced write whether or not it shared a device
-// flush — so the runtime cost audit must stay exact under all five
+// flush — so the runtime cost audit must stay exact under all six
 // variants, for the write shape and the read-only one alike.
 func TestServerAuditExactWithDurableWAL(t *testing.T) {
 	dir := t.TempDir()
@@ -309,10 +293,10 @@ func TestServerHTTPPlane(t *testing.T) {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
 
-	// A request naming participants and no ops is fully read-only: its
-	// cost is the coordinator's forced Collecting record and End plus
-	// one vote from each subordinate, and the scrape adds just that.
-	status, cr, _ := postV1(t, coord, `{"tx":"C:2","variant":"pc","participants":["S1","S2"]}`)
+	// A get on every shard is fully read-only: its cost is the
+	// coordinator's forced Collecting record and End plus one vote
+	// from each subordinate, and the scrape adds just that.
+	status, cr, _ := postV1(t, coord, commitJSON(t, api.CommitRequest{Tx: "C:2", Variant: "pc", Ops: getOnEveryShard(keys)}))
 	if status != http.StatusOK || cr.Outcome != "committed" {
 		t.Fatalf("read-only POST /v1/commit = %d %+v", status, cr)
 	}
@@ -341,38 +325,43 @@ func TestServerHTTPPlane(t *testing.T) {
 }
 
 func TestServerAdmissionShedsLoad(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1, MaxInflight: 1})
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1, MaxInflight: 1} })
+	coord := fleet[0]
+	req := api.CommitRequest{Tx: "C:9", Variant: "pa", Ops: putOnEveryShard(keys)}
 	// Occupy the only admission slot, then watch the next request shed.
 	coord.sem <- struct{}{}
-	_, err := coord.Commit(context.Background(), "C:9", nil, protocol.VariantPA)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+	_, herr := coord.runV1(context.Background(), req)
+	if herr == nil || herr.status != http.StatusServiceUnavailable || herr.e.Code != api.CodeOverloaded {
+		t.Fatalf("err = %+v, want 503 %s", herr, api.CodeOverloaded)
 	}
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != "inflight" {
-		t.Fatalf("err = %v, want inflight ShedError", err)
+	if herr.retryAfter != shedRetryInflight || coord.shedInflight[admission.ClassNormal].Load() != 1 {
+		t.Fatalf("err = %+v, want one inflight shed", herr)
 	}
-	if status, _, e := postV1(t, coord, `{}`); status != http.StatusServiceUnavailable || e.Code != api.CodeOverloaded {
+	if status, _, e := postV1(t, coord, commitJSON(t, req)); status != http.StatusServiceUnavailable || e.Code != api.CodeOverloaded {
 		t.Fatalf("overloaded /v1/commit = %d %+v, want 503 %s", status, e, api.CodeOverloaded)
 	}
 	<-coord.sem
-	if out, err := coord.Commit(context.Background(), "C:10", nil, protocol.VariantPA); err != nil || out != live.Committed {
-		t.Fatalf("after release: %v, %v", out, err)
+	req.Tx = "C:10"
+	if resp, herr := coord.runV1(context.Background(), req); herr != nil || resp.Outcome != "committed" {
+		t.Fatalf("after release: %+v, %v", resp, herr)
 	}
 }
 
 func TestServerDrain(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1})
-	if out, err := coord.Commit(context.Background(), "C:1", nil, protocol.VariantPA); err != nil || out != live.Committed {
-		t.Fatalf("commit = %v, %v", out, err)
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
+	coord := fleet[0]
+	req := api.CommitRequest{Tx: "C:1", Variant: "pa", Ops: getOnEveryShard(keys)}
+	if resp, herr := coord.runV1(context.Background(), req); herr != nil || resp.Outcome != "committed" {
+		t.Fatalf("commit = %+v, %v", resp, herr)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := coord.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Commit(context.Background(), "C:2", nil, protocol.VariantPA); err != ErrDraining {
-		t.Fatalf("post-drain commit err = %v, want ErrDraining", err)
+	req.Tx = "C:2"
+	if _, herr := coord.runV1(context.Background(), req); herr == nil || herr.e.Code != api.CodeDraining {
+		t.Fatalf("post-drain commit err = %+v, want %s", herr, api.CodeDraining)
 	}
 	if code, body := httpGet(t, coord.HTTPAddr(), "/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
 		t.Fatalf("/healthz during drain = %d %q", code, body)
@@ -385,7 +374,8 @@ func TestServerDrain(t *testing.T) {
 }
 
 func TestServerDrainWaitsForInflight(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1})
+	fleet, _ := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1} })
+	coord := fleet[0]
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	// Occupy one admission slot before the drain starts, mimicking a
@@ -427,9 +417,15 @@ func TestServerDrainWaitsForInflight(t *testing.T) {
 
 func TestServerAuditLatchesHealthRed(t *testing.T) {
 	log := wal.New(wal.NewMemStore())
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1, Log: log})
-	if out, err := coord.Commit(context.Background(), "C:1", nil, protocol.VariantPA); err != nil || out != live.Committed {
-		t.Fatalf("commit = %v, %v", out, err)
+	fleet, keys := newShardedTrio(t, func(name string) Config {
+		if name == "C" {
+			return Config{AuditInterval: -1, Log: log}
+		}
+		return Config{AuditInterval: -1}
+	})
+	coord := fleet[0]
+	if resp, herr := coord.runV1(context.Background(), api.CommitRequest{Tx: "C:1", Variant: "pa", Ops: getOnEveryShard(keys)}); herr != nil || resp.Outcome != "committed" {
+		t.Fatalf("commit = %+v, %v", resp, herr)
 	}
 	// A mis-costed path: force a record the model has no budget for.
 	if _, err := log.Force(wal.Record{Tx: "C:1", Node: "C", Kind: "Spurious"}); err != nil {
@@ -451,11 +447,12 @@ func TestServerAuditLatchesHealthRed(t *testing.T) {
 }
 
 func TestServerTraceRing(t *testing.T) {
-	coord, _, _ := newTrio(t, Config{AuditInterval: -1, TraceRing: 8})
+	fleet, keys := newShardedTrio(t, func(string) Config { return Config{AuditInterval: -1, TraceRing: 8} })
+	coord := fleet[0]
 	for i := 0; i < 5; i++ {
-		tx := fmt.Sprintf("C:%d", i+1)
-		if out, err := coord.Commit(context.Background(), tx, nil, protocol.VariantPA); err != nil || out != live.Committed {
-			t.Fatalf("commit = %v, %v", out, err)
+		req := api.CommitRequest{Tx: fmt.Sprintf("C:%d", i+1), Variant: "pa", Ops: getOnEveryShard(keys)}
+		if resp, herr := coord.runV1(context.Background(), req); herr != nil || resp.Outcome != "committed" {
+			t.Fatalf("commit = %+v, %v", resp, herr)
 		}
 	}
 	events := coord.trc.Events()

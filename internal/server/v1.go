@@ -84,10 +84,10 @@ func decodeRequest(r *http.Request, v any) *httpError {
 }
 
 // runV1 validates, stages, and runs one typed transaction. The error
-// taxonomy: 400 malformed request, 422 a key
-// or named participant resolves to no known shard, 503 shed or
-// draining. A transaction that runs and aborts is not an error — the
-// response reports outcome "aborted" with the reason.
+// taxonomy: 400 malformed request (one without ops included), 422 a
+// key resolves to no known shard, 503 shed or draining. A transaction
+// that runs and aborts is not an error — the response reports outcome
+// "aborted" with the reason.
 func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.CommitResponse, *httpError) {
 	if err := creq.Validate(); err != nil {
 		return nil, errBadRequest("%v", err)
@@ -112,45 +112,28 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 		subs         []string   // the subordinate set (participants minus self)
 		groups       [][]api.Op // groups[i]: the ops participants[i] owns
 	)
-	switch {
-	case len(creq.Ops) > 0:
-		if s.smap != nil {
-			participants, groups = s.smap.Resolve(creq.Ops)
-		} else {
-			// No shard map: this daemon owns the whole keyspace.
-			participants = []string{s.cfg.Name}
-			groups = [][]api.Op{creq.Ops}
+	if s.smap != nil {
+		participants, groups = s.smap.Resolve(creq.Ops)
+	} else {
+		// No shard map: this daemon owns the whole keyspace.
+		participants = []string{s.cfg.Name}
+		groups = [][]api.Op{creq.Ops}
+	}
+	for _, n := range participants {
+		if n == s.cfg.Name {
+			continue
 		}
-		for _, n := range participants {
-			if n == s.cfg.Name {
-				continue
-			}
-			if _, ok := s.peerHTTPOf(n); !ok {
-				return nil, errUnknownShard("shard %q owns keys of this transaction but has no known HTTP address", n)
-			}
-			subs = append(subs, n)
+		if _, ok := s.peerHTTPOf(n); !ok {
+			return nil, errUnknownShard("shard %q owns keys of this transaction but has no known HTTP address", n)
 		}
-	case len(creq.Participants) > 0:
-		for _, n := range creq.Participants {
-			if n == s.cfg.Name {
-				return nil, errBadRequest("participant %q is the coordinator itself", n)
-			}
-			if !s.knownPeer(n) {
-				return nil, errUnknownShard("unknown participant %q: not a registered fleet member", n)
-			}
-		}
-		participants = creq.Participants
-		subs = creq.Participants
-	default:
-		participants = s.cfg.Subs
-		subs = s.cfg.Subs
+		subs = append(subs, n)
 	}
 
 	// Classify the transaction's cost profile for admission: a request
 	// of only gets is read-only (shed last — no forced writes, no
 	// second phase under PA), and the participant count its keys
 	// resolved to is its width (wide fan-out sheds first).
-	readOnly := len(creq.Ops) > 0 && !slices.ContainsFunc(creq.Ops, api.Op.Writes)
+	readOnly := !slices.ContainsFunc(creq.Ops, api.Op.Writes)
 	width := len(subs) + 1
 	class := admission.ClassFor(readOnly, width)
 	if err := s.acquire(class, admission.CostOf(class, width)); err != nil {
@@ -275,8 +258,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 	case live.Committed:
 		resp.Reads = reads
 		// The votes follow from the staged slices: a shard whose slice
-		// has no put or delete votes read-only (kvstore.Prepare), and so
-		// does every node of a request without ops.
+		// has no put or delete votes read-only (kvstore.Prepare).
 		coordRO, roSubs := true, len(subs)
 		for i, ops := range groups {
 			switch {

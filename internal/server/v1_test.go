@@ -55,7 +55,7 @@ func commitJSON(t *testing.T, req api.CommitRequest) string {
 var oversizedBody = `{"tx":"` + strings.Repeat("a", api.MaxBody) + `"}`
 
 // TestV1Taxonomy400 covers every malformed-request shape: broken
-// JSON, invalid ops, mutually exclusive fields, unknown names.
+// JSON, invalid ops, no ops at all, unknown names.
 func TestV1Taxonomy400(t *testing.T) {
 	s, err := New(Config{Name: "A", AuditInterval: -1})
 	if err != nil {
@@ -71,9 +71,10 @@ func TestV1Taxonomy400(t *testing.T) {
 		{"op without key", `{"ops":[{"op":"put","value":"v"}]}`},
 		{"unknown verb", `{"ops":[{"key":"k","op":"incr"}]}`},
 		{"get with value", `{"ops":[{"key":"k","op":"get","value":"v"}]}`},
-		{"ops and participants", `{"ops":[{"key":"k","op":"put","value":"v"}],"participants":["B"]}`},
-		{"unknown variant", `{"variant":"3pc"}`},
-		{"self as participant", `{"participants":["A"]}`},
+		{"unknown variant", `{"variant":"3pc","ops":[{"key":"k","op":"get"}]}`},
+		{"empty body", ``},
+		{"no ops", `{"tx":"t1"}`},
+		{"participants and no ops", `{"participants":["S1"]}`},
 		{"trailing data", `{"tx":"t1"} {"tx":"t2"}`},
 		{"oversized", oversizedBody},
 	}
@@ -93,6 +94,12 @@ func TestV1Taxonomy400(t *testing.T) {
 			t.Errorf("%s: message %q, want the size limit named", c.name, e.Error)
 		}
 	}
+	// A request refused as malformed takes no admission token.
+	for c, counts := range s.AdmissionStats().PerClass {
+		if counts.Admitted != 0 || counts.Shed != 0 {
+			t.Errorf("class %v: %+v after malformed requests, want no admission decision", admission.Class(c), counts)
+		}
+	}
 
 	// GET is not a commit.
 	resp, err := http.Get("http://" + s.HTTPAddr() + api.PathCommit)
@@ -106,7 +113,7 @@ func TestV1Taxonomy400(t *testing.T) {
 }
 
 // TestV1Taxonomy422UnknownShard: keys resolving to members without
-// addresses, and participants that are not fleet members.
+// addresses.
 func TestV1Taxonomy422UnknownShard(t *testing.T) {
 	// Shard map names a member B this daemon has no HTTP address for.
 	s, err := New(Config{Name: "A", ShardMap: "hash:A,B", AuditInterval: -1})
@@ -127,12 +134,6 @@ func TestV1Taxonomy422UnknownShard(t *testing.T) {
 	if e.Code != api.CodeUnknownShard {
 		t.Fatalf("code %q, want %q", e.Code, api.CodeUnknownShard)
 	}
-
-	// An explicit participant nobody registered.
-	status, _, e = postV1(t, s, `{"participants":["Z"]}`)
-	if status != http.StatusUnprocessableEntity || e.Code != api.CodeUnknownShard {
-		t.Fatalf("unknown participant: status %d code %q", status, e.Code)
-	}
 }
 
 // TestV1Taxonomy503 covers both load-shed classes: the admission
@@ -148,7 +149,7 @@ func TestV1Taxonomy503(t *testing.T) {
 	if err := s.acquire(admission.ClassNormal, 1); err != nil {
 		t.Fatal(err)
 	}
-	status, _, e := postV1(t, s, `{"tx":"shed-me"}`)
+	status, _, e := postV1(t, s, `{"tx":"shed-me","ops":[{"key":"k","op":"put","value":"v"}]}`)
 	if status != http.StatusServiceUnavailable || e.Code != api.CodeOverloaded {
 		t.Fatalf("overloaded: status %d code %q", status, e.Code)
 	}
@@ -160,7 +161,7 @@ func TestV1Taxonomy503(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	status, _, e = postV1(t, s, `{"tx":"drained"}`)
+	status, _, e = postV1(t, s, `{"tx":"drained","ops":[{"key":"k","op":"put","value":"v"}]}`)
 	if status != http.StatusServiceUnavailable || e.Code != api.CodeDraining {
 		t.Fatalf("draining: status %d code %q", status, e.Code)
 	}

@@ -1,9 +1,9 @@
 #!/bin/sh
 # overloadbench.sh — the overload-survival runner: boot a three-daemon
-# cluster (coordinator + two subordinates) with priority-aware rate
-# admission and live-signal backpressure on the coordinator, measure
-# its capacity with a saturating open-loop probe, then offer multiples
-# of that capacity and record goodput, shed rate, and p99 per point.
+# sharded fleet (C, which coordinates, and S1, S2) with priority-aware
+# rate admission and live-signal backpressure on the coordinator,
+# measure its capacity with a saturating open-loop probe, then offer
+# multiples of that capacity and record goodput, shed rate, and p99 per point.
 # Writes BENCH_overload.json in the shape scripts/bench.sh writes
 # BENCH_live.json, so cmd/benchdiff can gate it:
 #
@@ -21,13 +21,16 @@
 # lands in the file if the cluster stayed exactly conformant while
 # shedding.
 #
-# The load is protocol-only: each request names the coordinator's
-# -subs tree and carries no ops. Every daemon therefore votes read-only,
-# so each commit is the fully read-only shape (under PA: Prepares out,
-# read-only votes back, nothing logged), admitted as read-write of the
-# tree's width. The committed BENCH_overload.json predates read-only
-# votes on the serving path and was measured on write-shaped commits
-# (every daemon voted yes); rerun this script before comparing with it.
+# The load is typed puts: twopcload's uniform profile over a keyspace
+# of a million, so lock conflicts stay rare. The daemons share the
+# shard map hash:C,S1,S2 and reach each other's /v1/stage over
+# -peer-http; C, which every request reaches, stages each owner's slice
+# and coordinates. Every owner votes yes, so each commit is
+# write-shaped: phase two runs, and admission charges it one token per
+# participant. Sixteen keys per transaction put all but ~0.5% of
+# commits on all three shards, so every commit costs the same: with
+# mixed widths a saturating probe admits the narrow commits first, and
+# the capacity it measures is more than a 5x load sustains.
 #
 # Environment knobs:
 #   MULTIPLES          offered-load multiples of capacity (default "0.5 2 5 10";
@@ -124,16 +127,22 @@ while :; do
     fi
 done
 
-echo "== starting trio (C + S1 + S2, variant $VARIANT, admit-rate $ADMIT_RATE, backpressure on) =="
-"$bindir/twopcd" -name S1 -listen "127.0.0.1:$p_s1" -http "127.0.0.1:$h_s1" \
-    -peer "C=127.0.0.1:$p_c" -peer "S2=127.0.0.1:$p_s2" -audit-interval 500ms &
+echo "== starting trio (C + S1 + S2 on hash:C,S1,S2, variant $VARIANT, admit-rate $ADMIT_RATE, backpressure on) =="
+shardmap=hash:C,S1,S2
+"$bindir/twopcd" -name S1 -listen "127.0.0.1:$p_s1" -http "127.0.0.1:$h_s1" -shardmap "$shardmap" \
+    -peer "C=127.0.0.1:$p_c" -peer "S2=127.0.0.1:$p_s2" \
+    -peer-http "C=http://127.0.0.1:$h_c" -peer-http "S2=http://127.0.0.1:$h_s2" \
+    -audit-interval 500ms &
 pid_s1=$!
-"$bindir/twopcd" -name S2 -listen "127.0.0.1:$p_s2" -http "127.0.0.1:$h_s2" \
-    -peer "C=127.0.0.1:$p_c" -peer "S1=127.0.0.1:$p_s1" -audit-interval 500ms &
+"$bindir/twopcd" -name S2 -listen "127.0.0.1:$p_s2" -http "127.0.0.1:$h_s2" -shardmap "$shardmap" \
+    -peer "C=127.0.0.1:$p_c" -peer "S1=127.0.0.1:$p_s1" \
+    -peer-http "C=http://127.0.0.1:$h_c" -peer-http "S1=http://127.0.0.1:$h_s1" \
+    -audit-interval 500ms &
 pid_s2=$!
-"$bindir/twopcd" -name C -listen "127.0.0.1:$p_c" -http "127.0.0.1:$h_c" \
-    -subs S1,S2 -variant "$VARIANT" \
+"$bindir/twopcd" -name C -listen "127.0.0.1:$p_c" -http "127.0.0.1:$h_c" -shardmap "$shardmap" \
+    -variant "$VARIANT" \
     -peer "S1=127.0.0.1:$p_s1" -peer "S2=127.0.0.1:$p_s2" \
+    -peer-http "S1=http://127.0.0.1:$h_s1" -peer-http "S2=http://127.0.0.1:$h_s2" \
     -admit-rate "$ADMIT_RATE" -admit-burst "$ADMIT_BURST" -backpressure \
     -audit-interval 500ms &
 pid_c=$!
@@ -148,7 +157,7 @@ echo "== overload sweep x{$multiples_csv} ($DURATION per point, $WORKERS workers
 rep=$("$bindir/twopcload" -target "http://127.0.0.1:$h_c" \
     -overload "$multiples_csv" -duration "$DURATION" \
     -calibrate-duration "$CALIBRATE_DURATION" -workers "$WORKERS" \
-    -tx-prefix "ovl-$$" -json)
+    -profile uniform:keys=1000000,fanout=16 -tx-prefix "ovl-$$" -json)
 printf '%s\n' "$rep" | jq .
 
 # The coordinator's own view of the sweep: admit rate after
