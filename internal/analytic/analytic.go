@@ -59,13 +59,6 @@ func PN(n int) Triplet {
 // PACommit equals the baseline in the commit case.
 func PACommit(n int) Triplet { return Basic2PC(n) }
 
-// PAAbortVoteNo is the PA abort-by-NO-vote case of Table 2
-// generalized to n members: prepares go out, one flow (the NO or the
-// unsent acks) comes back per member, nothing is logged.
-func PAAbortVoteNo(n int) Triplet {
-	return Triplet{Flows: 2*(n-1) + (n - 1), Writes: 0, Forced: 0} // prepare+abort out, vote back
-}
-
 // PAReadOnlyAll is the all-read-only PA case: one prepare out and one
 // read-only vote back per subordinate, no logging at all.
 func PAReadOnlyAll(n int) Triplet {

@@ -107,13 +107,17 @@ func TestGroupCommit(t *testing.T) {
 
 // The per-role commit forms must recombine to the whole-tree forms
 // the tables use — the conformance audit depends on both views naming
-// the same spend.
+// the same spend. Under Paxos Commit the subordinates that host an
+// acceptor (all acceptors but the coordinator's) take
+// PaxosAcceptorSubCost instead of the plain share.
 func TestRoleCostsRecombine(t *testing.T) {
 	whole := map[string]func(n int) Triplet{
-		"Basic2PC": Basic2PC,
-		"PA":       PACommit,
-		"PN":       PNLive,
-		"PC":       PC,
+		"Basic2PC":    Basic2PC,
+		"PA":          PACommit,
+		"PN":          PNLive,
+		"PC":          PC,
+		"PaxosCommit": PaxosCommitTotal,
+		"1PC":         OnePhase,
 	}
 	for variant, form := range whole {
 		for subs := 1; subs <= 8; subs++ {
@@ -121,9 +125,17 @@ func TestRoleCostsRecombine(t *testing.T) {
 			if !ok {
 				t.Fatalf("CommitCostByRole(%q) not ok", variant)
 			}
+			accSubs := 0
+			if variant == "PaxosCommit" {
+				accSubs = PaxosAcceptorCount(subs) - 1
+			}
 			total := rc.Coordinator
 			for i := 0; i < subs; i++ {
-				total = total.Add(rc.Subordinate)
+				share := rc.Subordinate
+				if i < accSubs {
+					share = PaxosAcceptorSubCost(PaxosAcceptorCount(subs))
+				}
+				total = total.Add(share)
 			}
 			if want := form(subs + 1); total != want {
 				t.Errorf("%s subs=%d: roles recombine to %v, want %v", variant, subs, total, want)

@@ -43,10 +43,11 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 	n.eng.met.Heuristic(string(n.id), commit)
 	n.logTx(c, protocol.LogRecord{Kind: protocol.RecHeuristic, Coord: string(c.coord), Commit: commit}, true)
 
-	for i, r := range c.resources {
-		if c.resVotes[i].Vote == protocol.VoteReadOnly && n.eng.cfg.Options.ReadOnly {
-			continue
-		}
+	var rs []protocol.Resource
+	if c.localPrepared {
+		rs = n.resources // prepared in this incarnation
+	}
+	for _, r := range rs {
 		if hc, ok := r.(protocol.HeuristicCapable); ok {
 			if err := hc.HeuristicDecide(c.id, commit); err != nil {
 				n.trcApp("heuristic decide on " + r.Name() + ": " + err.Error())

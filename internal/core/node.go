@@ -48,9 +48,6 @@ type Node struct {
 	// done remembers outcomes after local completion (until a
 	// restart) so duplicate deliveries and inquiries answer cheaply.
 	done map[protocol.TxID]Outcome
-
-	// onData, if set, receives application payloads.
-	onData func(tx protocol.TxID, from protocol.NodeID, payload []byte)
 }
 
 // ID returns the node's identifier.
@@ -65,9 +62,6 @@ func (n *Node) AttachResource(r protocol.Resource) { n.resources = append(n.reso
 // records advance the node's virtual time by ForceDelay. The node's
 // own TM log is wired automatically.
 func (n *Node) ObserveLog(l *wal.Log) { n.observeLog(l) }
-
-// OnData installs the application data handler.
-func (n *Node) OnData(fn func(tx protocol.TxID, from protocol.NodeID, payload []byte)) { n.onData = fn }
 
 // Log returns the node's TM log (for sharing with LRMs under the
 // shared-log optimization).

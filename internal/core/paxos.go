@@ -101,7 +101,7 @@ func (n *Node) paxosVoteUpstream(c *txCtx) {
 		// instance to No — either way the transaction cannot commit.
 		px.Vote = protocol.VoteNo
 		n.paxosSendAccept0(c)
-		n.abortLocally(c)
+		n.takeOutcome(c, false, protocol.NoWrite, protocol.LogRecord{})
 		return
 	}
 	// Read-only folds to Yes under Paxos: instances carry only Yes/No

@@ -8,15 +8,6 @@ import (
 	"repro/internal/txerr"
 )
 
-// trigger distinguishes why a subordinate entered phase one.
-type trigger int
-
-const (
-	normalTrigger      trigger = iota // a Prepare message arrived
-	unsolicitedTrigger                // the script called Tx.UnsolicitedVote
-	delegatedTrigger                  // a VoteYes+LastAgent arrived: we own the decision
-)
-
 // handleData processes application data: it establishes the
 // conversation edge, wakes dormant partners, and serves as the
 // implied acknowledgment for completed transactions awaiting one.
@@ -36,9 +27,6 @@ func (n *Node) handleData(from protocol.NodeID, m protocol.Message) {
 	// Any data from a partner is an implied ack for transactions that
 	// were awaiting one from that partner (§4 Last Agent, Figure 6).
 	n.processImpliedAck(from)
-	if n.onData != nil {
-		n.onData(tx, from, m.Payload)
-	}
 }
 
 // processImpliedAck completes transactions at this node that were
@@ -227,19 +215,13 @@ func (n *Node) chooseLastAgent(c *txCtx, members []*subInfo) *subInfo {
 	return la
 }
 
-// prepareLocal drives the node's resource managers through Prepare,
-// folding their votes and attributes into the transaction aggregate.
+// prepareLocal drives the node's resource managers through Prepare
+// (protocol.PrepareAll), folding their vote and attributes into the
+// transaction aggregate.
 func (n *Node) prepareLocal(c *txCtx) {
-	opts := n.eng.cfg.Options
-	for _, r := range n.resources {
-		res, err := r.Prepare(c.id)
-		if err != nil {
-			res = protocol.PrepareResult{Vote: protocol.VoteNo}
-			n.trcApp("resource " + r.Name() + " prepare failed: " + err.Error())
-		}
-		c.resources = append(c.resources, r)
-		c.resVotes = append(c.resVotes, res)
-		c.foldVote(res.Vote, opts.ReadOnly, res.Reliable, res.OKToLeaveOut)
+	if len(n.resources) > 0 {
+		res := protocol.PrepareAll(n.resources, c.id)
+		c.foldVote(res.Vote, n.eng.cfg.Options.ReadOnly, res.Reliable, res.OKToLeaveOut)
 	}
 	c.localPrepared = true
 }
@@ -296,17 +278,18 @@ func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
 	c.haveCoord = true
 	c.coord = from
 	c.longLocksAsked = m.LongLocks
-	n.startSubordinatePhase1(c, normalTrigger)
+	n.startSubordinatePhase1(c, protocol.Asked)
 }
 
 // startSubordinatePhase1 runs phase one at a node that will vote
-// upstream (normal or unsolicited) or owns a delegated decision.
-func (n *Node) startSubordinatePhase1(c *txCtx, trig trigger) {
+// upstream (asked, or volunteering: the script called
+// Tx.UnsolicitedVote) or owns a delegated decision.
+func (n *Node) startSubordinatePhase1(c *txCtx, ask protocol.Ask) {
 	if c.state != stActive {
 		return
 	}
-	c.trigger = trig
-	if trig == unsolicitedTrigger && !c.haveCoord {
+	c.ask = ask
+	if ask == protocol.Volunteered && !c.haveCoord {
 		// The server's coordinator is the partner that brought it
 		// into the transaction.
 		c.coord = c.firstContact
@@ -379,12 +362,14 @@ func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
 func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
 	tx := protocol.ParseTxID(m.Tx)
 	// A repeated delegation asks for the decision: an agent that took
-	// it answers from its state, or from the outcome it remembers.
-	if c, ok := n.txs[tx]; ok && c.decided {
-		n.send(from, protocol.OutcomeMessage(m.Tx, c.decisionCommit))
-		return
-	} else if o, done := n.done[tx]; !ok && done && o != OutcomeUnknown {
-		n.send(from, protocol.OutcomeMessage(m.Tx, o != OutcomeAborted))
+	// it answers from its state, or from the outcome it remembers (Sub's
+	// decided answer); a repeat under presumed abort that finds none
+	// may be asking for an abort a restart erased here.
+	m.Presume = n.eng.cfg.Variant
+	s := n.subOf(tx)
+	step := s.Delegate(&m)
+	if step.Do == protocol.DoReply {
+		n.send(from, step.Msg)
 		return
 	}
 	c := n.ctx(tx)
@@ -394,13 +379,32 @@ func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
 	c.haveCoord = true
 	c.coord = from
 	c.lastAgentAsked = true
-	if m.Vote == protocol.VoteNo || m.Repeat && n.eng.cfg.Variant.AbortsRepeat() {
-		// A delegation never carries No; a repeat under presumed abort
-		// may be asking for an abort a restart erased here.
+	if step.Do == protocol.DoDecide {
 		n.ownDecision(c, false)
 		return
 	}
-	n.startSubordinatePhase1(c, delegatedTrigger)
+	n.startSubordinatePhase1(c, protocol.Asked)
+}
+
+// subOf is the node's view of tx as one subordinate's part
+// (protocol.Sub): a live context, or the outcome it remembers once the
+// context is forgotten. The simulator runs one variant everywhere, and
+// a node holds a prepared state once it has logged a record; it keeps
+// no vote, since its coordinators never resend a Prepare.
+func (n *Node) subOf(tx protocol.TxID) protocol.Sub {
+	s := protocol.Sub{Presume: n.eng.cfg.Variant}
+	if c, ok := n.txs[tx]; ok {
+		s.Prepared, s.Done, s.Committed = c.loggedAny, c.decided, c.decisionCommit
+	} else if o, ok := n.done[tx]; ok && o != OutcomeUnknown {
+		s.Done, s.Committed = true, o != OutcomeAborted
+	}
+	return s
+}
+
+// own is what a simulator node knows beyond its Sub view when an
+// outcome reaches it: its variant, which is surely its coordinator's.
+func (n *Node) own() protocol.Own {
+	return protocol.Own{Variant: n.eng.cfg.Variant, Announced: true}
 }
 
 // checkVotes continues the protocol once every expected vote is in.
@@ -480,29 +484,35 @@ func (c *txCtx) yesSubIDs(exclude protocol.NodeID) []string {
 	return out
 }
 
-// voteUpstream sends this subordinate's vote to its coordinator.
+// voteUpstream casts this subordinate's folded vote — its resources'
+// and its subtree's — to its coordinator, as protocol.Sub.Voted asks.
 func (n *Node) voteUpstream(c *txCtx) {
 	opts := n.eng.cfg.Options
-	cfg := n.eng.cfg
-	msg := protocol.Message{
-		Type:        protocol.MsgVote,
-		Tx:          c.id.String(),
-		Unsolicited: c.trigger == unsolicitedTrigger,
-	}
+	vote := protocol.VoteYes
 	switch {
 	case c.anyNo:
-		// Vote NO and abort the local subtree; the coordinator will
-		// not contact us again (a NO voter needs no outcome message).
-		msg.Vote = protocol.VoteNo
-		n.send(c.coord, msg)
-		n.abortLocally(c)
-		return
+		vote = protocol.VoteNo
 	case c.allReadOnly && opts.ReadOnly:
-		// Read-only: no logging, out of phase two, locks released by
-		// the resources at their vote (§4 Read Only).
-		msg.Vote = protocol.VoteReadOnly
+		vote = protocol.VoteReadOnly
+	}
+	yes := c.yesSubIDs("")
+	s := n.subOf(c.id)
+	step := s.Voted(c.id.String(), vote, len(yes) == 0, c.ask)
+	msg := s.Vote
+	if vote != protocol.VoteNo {
 		msg.Reliable = c.allReliable
 		msg.OKToLeaveOut = c.allLeaveOut
+	}
+	switch step.Then {
+	case protocol.Aborts:
+		// Abort the local subtree; the coordinator will not contact us
+		// again (a NO voter needs no outcome message).
+		n.send(c.coord, msg)
+		n.takeOutcome(c, false, protocol.NoWrite, protocol.LogRecord{})
+		return
+	case protocol.Leaves:
+		// Read-only: no logging, out of phase two, locks released by
+		// the resources at their vote (§4 Read Only).
 		c.votedReadOnly = true
 		n.send(c.coord, msg)
 		n.trcState(c.id, "read-only, released")
@@ -512,25 +522,19 @@ func (n *Node) voteUpstream(c *txCtx) {
 			n.suspendTowards(c.coord)
 		}
 		return
-	default:
-		yes := c.yesSubIDs("")
-		pr := cfg.Variant.SubPrepare(len(yes) == 0)
-		if pr.AgentPending && !c.pnPendingLogged {
-			n.logTx(c, protocol.LogRecord{Kind: protocol.RecAgentPending, Coord: string(c.coord)}, true)
-			c.pnPendingLogged = true
-		}
-		if pr.Prepared {
-			n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Subs: yes}, true)
-		}
-		c.state = stPrepared
-		msg.Vote = protocol.VoteYes
-		msg.Reliable = c.allReliable
-		msg.OKToLeaveOut = c.allLeaveOut
-		c.votedReliable = c.allReliable && opts.VoteReliable
-		n.send(c.coord, msg)
-		n.armHeuristic(c)
-		n.armOutcomeWatch(c)
 	}
+	if step.Force.AgentPending && !c.pnPendingLogged {
+		n.logTx(c, protocol.LogRecord{Kind: protocol.RecAgentPending, Coord: string(c.coord)}, true)
+		c.pnPendingLogged = true
+	}
+	if step.Force.Prepared {
+		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Subs: yes}, true)
+	}
+	c.state = stPrepared
+	c.votedReliable = c.allReliable && opts.VoteReliable
+	n.send(c.coord, msg)
+	n.armHeuristic(c)
+	n.armOutcomeWatch(c)
 }
 
 // armOutcomeWatch bounds how long a prepared subordinate waits for
@@ -587,15 +591,6 @@ func (n *Node) suspendTowards(coord protocol.NodeID) {
 	l.weAreSuspended = true
 	l.dormant = true
 	n.trcApp("suspended (ok-to-leave-out) towards " + string(coord))
-}
-
-// abortLocally aborts resources and downstream partners after this
-// node voted NO; no coordinator interaction remains.
-func (n *Node) abortLocally(c *txCtx) {
-	c.decided = true
-	c.decisionCommit = false
-	n.trcDecision(c, false)
-	n.phase2(c)
 }
 
 func memberIDs(members []*subInfo) []string {

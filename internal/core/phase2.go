@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strconv"
 	"time"
 
@@ -16,11 +15,7 @@ func (n *Node) ownDecision(c *txCtx, commit bool) {
 	if c.decided {
 		return
 	}
-	c.decided = true
-	c.decisionCommit = commit
 	c.state = stDeciding
-	n.trcDecision(c, commit)
-
 	yes := c.yesSubIDs("")
 	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{
 		ReadOnly: c.allReadOnly && n.eng.cfg.Options.ReadOnly,
@@ -33,7 +28,19 @@ func (n *Node) ownDecision(c *txCtx, commit bool) {
 		// it lazily voids every voter's delegated durability (AC3).
 		d.Write = protocol.Lazy
 	}
-	n.logOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: yes})
+	n.takeOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: yes})
+}
+
+// takeOutcome is the tail of every decision at a node — owned,
+// received, reported by its last agent, or taken by voting no: the
+// outcome is traced, its record written as w asks (rec names the
+// coordinator and the yes-voters), and phase two runs.
+func (n *Node) takeOutcome(c *txCtx, commit bool, w protocol.Write, rec protocol.LogRecord) {
+	c.decided = true
+	c.decisionCommit = commit
+	n.trcDecision(c, commit)
+	n.disarmHeuristic(c)
+	n.logOutcome(c, commit, w, rec)
 	n.phase2(c)
 }
 
@@ -52,13 +59,9 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 	if c.decided {
 		return
 	}
-	c.decided = true
-	c.decisionCommit = commit
-	n.trcDecision(c, commit)
-	n.disarmHeuristic(c)
-	a := n.eng.cfg.Variant.Apply(commit, c.loggedAny, true)
-	n.logOutcome(c, commit, a.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs("")})
-	n.phase2(c)
+	s := n.subOf(c.id)
+	step := s.Outcome(c.id.String(), commit, n.own())
+	n.takeOutcome(c, commit, step.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs("")})
 }
 
 // expectsAck reports whether the coordinator waits for an explicit
@@ -146,56 +149,18 @@ func (c *txCtx) awaitsRetriableAcks() bool {
 }
 
 // completeResources drives local resource managers through
-// commit/abort and folds heuristic disagreements into the
-// transaction's status.
+// commit/abort (protocol.CompleteAll) and folds heuristic
+// disagreements into the transaction's status.
 func (n *Node) completeResources(c *txCtx, commit bool) {
-	// Where phase one never ran — an abort overtook the voting phase,
-	// or a restart resumes phase two — the node's resources are driven
-	// to the outcome directly.
-	rs := n.resources
-	if c.localPrepared {
-		rs = c.resources
-	}
-	for i, r := range rs {
-		if c.localPrepared && c.resVotes[i].Vote == protocol.VoteReadOnly && n.eng.cfg.Options.ReadOnly {
-			continue // dropped out at its vote
-		}
-		var err error
-		if commit {
-			err = r.Commit(c.id)
-		} else {
-			err = r.Abort(c.id)
-		}
-		if err != nil {
-			n.noteResourceHeuristic(c, r, commit, err)
+	for _, rep := range protocol.CompleteAll(n.resources, c.id, commit, string(n.id)) {
+		c.status.Heuristics = append(c.status.Heuristics, rep)
+		n.eng.met.Heuristic(rep.Node, rep.Committed)
+		if rep.Damage {
+			n.eng.met.Damage(rep.Node)
+			n.trcApp("HEURISTIC DAMAGE at " + rep.Node)
 		}
 	}
 	n.trcUnlock(c.id, "released")
-}
-
-// noteResourceHeuristic interprets a commit/abort failure as a
-// heuristic conflict when the resource reports one.
-func (n *Node) noteResourceHeuristic(c *txCtx, r protocol.Resource, commit bool, err error) {
-	hc, ok := r.(protocol.HeuristicCapable)
-	if !ok || !errors.Is(err, protocol.ErrHeuristicConflict) {
-		n.trcApp("resource " + r.Name() + " outcome error: " + err.Error())
-		return
-	}
-	taken, tookCommit := hc.HeuristicTaken(c.id)
-	if !taken {
-		return
-	}
-	damage := tookCommit != commit
-	rep := protocol.HeuristicReport{Node: string(n.id), Committed: tookCommit, Damage: damage}
-	c.status.Heuristics = append(c.status.Heuristics, rep)
-	n.eng.met.Heuristic(string(n.id), tookCommit)
-	if damage {
-		n.eng.met.Damage(string(n.id))
-		n.trcApp("HEURISTIC DAMAGE at resource " + r.Name())
-	}
-	if f, ok := r.(interface{ Forget(protocol.TxID) }); ok {
-		f.Forget(c.id)
-	}
 }
 
 // handleOutcomeMsg processes a Commit or Abort arriving from the
@@ -204,21 +169,24 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 	tx := protocol.ParseTxID(m.Tx)
 	c, ok := n.txs[tx]
 	if !ok {
-		// Forgotten or never known: idempotent completion. A logless
-		// voter that restarted knows nothing, and the coordinator's
-		// retransmitted Commit is its durability: it installs the
-		// outcome before acking, since the Ack releases the coordinator's
-		// record. Nodes in n.done (rebuilt from the log) just re-ack.
-		v := n.eng.cfg.Variant
-		if commit && !v.SubPrepare(true).Prepared {
-			if _, known := n.done[tx]; !known {
-				n.logRec(tx, protocol.LogRecord{Kind: protocol.RecCommitted, Coord: string(from)}, false)
-				n.logRec(tx, protocol.LogRecord{Kind: protocol.RecEnd}, false)
-				n.done[tx] = OutcomeCommitted
+		// Forgotten or never known: the outcome remembered in n.done
+		// (rebuilt from the log) is re-acked; otherwise the outcome is
+		// applied as at a node no Prepare reached. A logless voter that
+		// restarted knows nothing, and the coordinator's retransmitted
+		// Commit is its durability: it installs the outcome before
+		// acking, since the Ack releases the coordinator's record.
+		s := n.subOf(tx)
+		step := s.Outcome(m.Tx, commit, n.own())
+		if step.Do == protocol.DoApply && step.Write != protocol.NoWrite {
+			kind, o := protocol.RecAborted, OutcomeAborted
+			if commit {
+				kind, o = protocol.RecCommitted, OutcomeCommitted
 			}
+			n.logRec(tx, protocol.LogRecord{Kind: kind, Coord: string(from)}, step.Write == protocol.Forced)
+			n.logRec(tx, protocol.LogRecord{Kind: protocol.RecEnd}, false)
+			n.done[tx] = o
 		}
-		// Ack if the sender can be waiting for one.
-		if v.Acks(commit) {
+		if step.Do == protocol.DoReply || step.Ack {
 			n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 		}
 		return
@@ -251,7 +219,7 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 	case stCommitting, stCompleted:
 		// Duplicate outcome (coordinator recovery resend): re-ack.
 		if c.ackSent || c.state == stCompleted {
-			if n.eng.cfg.Variant.Acks(commit) {
+			if s := n.subOf(tx); s.Outcome(m.Tx, commit, n.own()).Do == protocol.DoReply {
 				n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: c.status.Heuristics})
 			}
 		}
@@ -264,13 +232,8 @@ func (n *Node) coordinatorOutcome(c *txCtx, commit bool) {
 	if c.decided {
 		return
 	}
-	c.decided = true
-	c.decisionCommit = commit
-	n.trcDecision(c, commit)
-	n.disarmHeuristic(c)
 	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{ReadOnly: c.votedReadOnly, Logged: c.loggedAny})
-	n.logOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs(c.coord)})
-	n.phase2(c)
+	n.takeOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs(c.coord)})
 }
 
 // handleAck processes a subordinate's acknowledgment.
@@ -358,9 +321,10 @@ func (n *Node) checkAcks(c *txCtx) {
 }
 
 // acksUpstream reports whether this subordinate acknowledges its
-// transaction's outcome.
+// transaction's outcome: Apply's ack for an announced variant, which
+// is Acks.
 func (n *Node) acksUpstream(c *txCtx) bool {
-	return n.eng.cfg.Variant.Apply(c.decisionCommit, c.loggedAny, true).Ack
+	return n.eng.cfg.Variant.Acks(c.decisionCommit)
 }
 
 func (n *Node) ackMessage(c *txCtx) protocol.Message {

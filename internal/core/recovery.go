@@ -75,15 +75,7 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 		}
 		// In doubt: voted yes, outcome unknown. Reinstate and inquire
 		// the coordinator.
-		c := n.ctx(tx)
-		c.state = stInDoubt
-		c.loggedAny = true
-		c.coord = protocol.NodeID(l.Prepared.Coord)
-		c.haveCoord = c.coord != ""
-		for _, s := range l.Prepared.Subs {
-			c.sub(protocol.NodeID(s)).voted = true
-			c.sub(protocol.NodeID(s)).vote = protocol.VoteYes
-		}
+		c := n.reinstate(tx, stInDoubt, l.Prepared, "")
 		n.trcState(tx, "in doubt after restart")
 		if c.haveCoord {
 			n.scheduleInquiry(c, 0)
@@ -103,17 +95,7 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 			// made, so abort — and, presuming nothing, drive every
 			// subordinate to the abort and collect their
 			// acknowledgments (they may hold heuristic reports).
-			c := n.ctx(tx)
-			c.loggedAny = true
-			c.coord = protocol.NodeID(l.Pre.Coord)
-			c.haveCoord = c.coord != ""
-			c.isRoot = !c.haveCoord
-			for _, s := range l.Pre.Subs {
-				si := c.sub(protocol.NodeID(s))
-				si.prepareSent = true
-				si.voted = true
-				si.vote = protocol.VoteYes
-			}
+			c := n.reinstate(tx, stActive, l.Pre, "")
 			n.trcState(tx, "PN recovery: aborting phase-one transaction")
 			n.ownDecision(c, false)
 			return
@@ -124,24 +106,32 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 	}
 }
 
+// reinstate rebuilds tx's context in state st from r, a record its log
+// proves: logged, under r's coordinator (a root when r names none),
+// with r's subordinates but except as yes-voters it sent a Prepare.
+func (n *Node) reinstate(tx protocol.TxID, st txState, r *protocol.LogRecord, except protocol.NodeID) *txCtx {
+	c := n.ctx(tx)
+	c.state = st
+	c.loggedAny = true
+	c.coord = protocol.NodeID(r.Coord)
+	c.haveCoord = c.coord != ""
+	c.isRoot = !c.haveCoord
+	for _, s := range r.Subs {
+		if id := protocol.NodeID(s); id != except {
+			si := c.sub(id)
+			si.prepareSent, si.voted, si.vote = true, true, protocol.VoteYes
+		}
+	}
+	return c
+}
+
 // resumeDelegation reinstates a coordinator that delegated to a last
 // agent and crashed before learning the decision: the agent owns the
 // outcome, so the coordinator is in doubt and asks it again by
 // repeating the delegation (armDelegationWatch).
 func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
-	c := n.ctx(tx)
-	c.state = stDelegated
-	c.loggedAny = true
-	c.coord = protocol.NodeID(p.Coord)
-	c.haveCoord = c.coord != ""
-	c.isRoot = !c.haveCoord
 	agent := protocol.NodeID(p.Agent)
-	for _, s := range p.Subs {
-		if id := protocol.NodeID(s); id != agent {
-			c.sub(id).voted = true
-			c.sub(id).vote = protocol.VoteYes
-		}
-	}
+	c := n.reinstate(tx, stDelegated, p, agent)
 	c.sub(agent).isLastAgent = true
 	n.trcState(tx, "restart: delegated to "+p.Agent+", asking again")
 	n.send(agent, n.delegation(c, true))
@@ -195,23 +185,16 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 // record survived: subordinates are re-notified (idempotently), acks
 // re-collected, and — for a subordinate — the ack upstream re-sent.
 func (n *Node) resumeOutcome(tx protocol.TxID, p *protocol.LogRecord, commit bool) {
-	c := n.ctx(tx)
+	c := n.reinstate(tx, stCommitting, p, "")
 	c.decided = true
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
-	c.loggedAny = true
-	c.coord = protocol.NodeID(p.Coord)
-	c.haveCoord = c.coord != ""
-	c.isRoot = !c.haveCoord
-	c.state = stCommitting
 	n.trcState(tx, "restart: resuming phase two")
 
 	out := protocol.OutcomeMessage(tx.String(), commit)
 	for _, sub := range p.Subs {
 		id := protocol.NodeID(sub)
 		s := c.sub(id)
-		s.voted = true
-		s.vote = protocol.VoteYes
 		n.send(id, out)
 		if n.expectsAck(s, commit) {
 			s.ackExpected = true

@@ -69,8 +69,6 @@ type txCtx struct {
 	haveCoord   bool
 	subs        map[protocol.NodeID]*subInfo
 	subOrder    []protocol.NodeID
-	resources   []protocol.Resource
-	resVotes    []protocol.PrepareResult
 	myHeuristic *protocol.HeuristicReport // local unilateral decision, if any
 
 	votesPending int
@@ -110,7 +108,7 @@ type txCtx struct {
 	anyNo             bool
 	localPrepared     bool
 	delegationPlanned bool
-	trigger           trigger
+	ask               protocol.Ask // what asked for this node's vote
 	firstContact      protocol.NodeID
 	firstContactSet   bool
 
@@ -223,7 +221,7 @@ func (t *Tx) UnsolicitedVote(node protocol.NodeID) error {
 	if !ok || (!c.haveCoord && !c.firstContactSet) {
 		return fmt.Errorf("core: %s cannot vote unsolicited for %s: no coordinator known", node, t.id)
 	}
-	n.startSubordinatePhase1(c, unsolicitedTrigger)
+	n.startSubordinatePhase1(c, protocol.Volunteered)
 	t.eng.settle()
 	return nil
 }

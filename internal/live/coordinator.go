@@ -170,7 +170,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		}
 	}
 
-	localVote := p.prepareLocal(tx)
+	localVote := protocol.PrepareAll(p.res, tx).Vote
 	if localVote == protocol.VoteNo {
 		return abort(), nil
 	}
@@ -336,7 +336,7 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 	if acks && d.Redo {
 		p.setPinRedo(txName, data)
 	}
-	p.completeResources(tx, true)
+	p.complete(tx, true)
 	if p.met != nil {
 		p.met.CostOutcome(txName, "committed", len(yes))
 	}
@@ -469,7 +469,7 @@ func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string
 		var err error
 		switch env, w := p.next(ctx, st, alarm.C()); w {
 		case gotReply:
-			if commit, ok := decisionOf(&env.msg); ok && env.from == dl.agent {
+			if commit, ok := protocol.OutcomeOf(&env.msg); ok && env.from == dl.agent {
 				return p.finishDelegation(ctx, st, txName, dl, commit)
 			}
 			continue
@@ -636,7 +636,7 @@ func (p *Participant) abortTx(tx protocol.TxID, txName string, subs []string, v 
 	if acks {
 		p.awaitLateAcks(nil, txName, append([]string(nil), subs...), true)
 	}
-	p.completeResources(tx, false)
+	p.complete(tx, false)
 	if p.met != nil {
 		p.met.CostOutcome(txName, "aborted", len(subs))
 	}

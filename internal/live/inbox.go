@@ -39,7 +39,7 @@ func (p *Participant) route(from string, m *protocol.Message) {
 		p.handleInquire(from, m)
 		return
 	}
-	_, decides := decisionOf(m)
+	_, decides := protocol.OutcomeOf(m)
 	sh := p.shardFor(m.Tx)
 	sh.mu.Lock()
 	var pe pin
@@ -224,37 +224,33 @@ func (p *Participant) dispatch(st *txState, env *envelope) {
 	case protocol.MsgPaxosQuery:
 		p.handlePaxosQuery(st, m)
 	default:
-		commit, _ := decisionOf(m)
+		commit, _ := protocol.OutcomeOf(m)
 		p.applyOutcome(st, env.from, m, commit)
 	}
 }
 
 // answerDecided answers a message for a transaction decided here (d)
-// from that decision alone: a decided transaction must not prepare,
-// lock or log again. A duplicate delegation repeats the decision. Any
-// other Prepare of an aborted transaction gets a no vote, which is
-// always safe; a committed one can only see a duplicate Prepare, and
-// Paxos Commit has no MsgVote at all (its coordinator resolves through
-// the acceptors). Paxos traffic gets the outcome, a duplicate outcome
-// the ack it is owed, and a reply nothing.
+// from that decision alone: Paxos traffic gets the outcome; an
+// outcome for a coordinator's entry comes from the last agent it
+// delegated to, which holds its decision until the ack; anything else
+// is a subordinate's, answered by protocol.Sub.Answer.
 func (p *Participant) answerDecided(from string, m *protocol.Message, d decision) {
-	commit, decides := decisionOf(m)
+	commit, decides := protocol.OutcomeOf(m)
 	v, sub := d.subVariant()
 	switch {
-	case m.Type == protocol.MsgPrepare && m.Delegate:
-		_ = p.sendExtra(from, protocol.OutcomeMessage(m.Tx, d.committed()))
-	case m.Type == protocol.MsgPrepare && !d.committed() && m.Presume != protocol.VariantPaxos:
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteNo})
 	case m.Type == protocol.MsgPaxosAccept || m.Type == protocol.MsgPaxosQuery:
 		if meta, err := protocol.DecodePaxosMeta(m.Payload); err == nil {
 			p.paxosReplyOutcome(meta.Leader, from, m.Tx, d.committed())
 		}
-	case decides && sub:
-		p.reack(from, m.Tx, v, d.committed(), commit)
-	case decides && d.committed() == commit:
-		// A coordinator's entry: the sender is the last agent it
-		// delegated to, holding its decision until this ack.
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
+	case decides && !sub:
+		if d.committed() == commit {
+			_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
+		}
+	default:
+		s := protocol.Sub{Presume: v, Done: true, Committed: d.committed()}
+		if step := s.Answer(m); step.Do == protocol.DoReply {
+			_ = p.sendExtra(from, step.Msg)
+		}
 	}
 }
 
@@ -285,7 +281,7 @@ func (p *Participant) next(ctx context.Context, st *txState, alarm <-chan struct
 				return env, gotReply
 			}
 			p.dispatch(st, &env)
-			if st.done {
+			if st.sub.Done {
 				return envelope{}, resolved
 			}
 			continue

@@ -181,7 +181,7 @@ func TestLiveLastAgentBackToBackDelegation(t *testing.T) {
 		select {
 		case pkt := <-coord.Recv():
 			for _, m := range pkt.Messages {
-				commit, ok := decisionOf(&m)
+				commit, ok := protocol.OutcomeOf(&m)
 				if !ok {
 					continue
 				}

@@ -186,12 +186,9 @@ type txState struct {
 	// the table.
 	gone bool
 
-	// Subordinate side.
-	presume   protocol.Variant // the variant the Prepare announced
-	prepared  bool
-	voteMsg   protocol.Message // the vote we sent, for duplicate Prepares
-	done      bool
-	committed bool
+	// Subordinate side: the Prepare's announced variant, the vote sent
+	// (repeated to a duplicate Prepare) and the outcome.
+	sub protocol.Sub
 
 	// Paxos Commit state (nil for every other variant).
 	pax *protocol.PaxosTx
@@ -539,7 +536,7 @@ func (p *Participant) recordDecision(tx string, committed, pinned bool) {
 // it accepted could let a recovery leader choose a different outcome.
 func (p *Participant) recordSubDecision(st *txState, committed bool) {
 	acceptor := st.pax != nil && st.pax.IsAcceptor()
-	p.publishDecision(st.id, subDecision(committed, st.presume), acceptor)
+	p.publishDecision(st.id, subDecision(committed, st.sub.Presume), acceptor)
 }
 
 // publishDecision writes tx's decided-table entry: pinned, or aging

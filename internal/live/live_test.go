@@ -190,7 +190,7 @@ func (p *Participant) lookup(tx string) (*txState, bool) {
 func inquire(p *Participant, coordinator, txName string) error {
 	m := protocol.Message{Type: protocol.MsgInquire, Tx: txName}
 	if st, ok := p.lookup(txName); ok {
-		p.call(st, func() { m.Presume = st.presume })
+		p.call(st, func() { m.Presume = st.sub.Presume })
 	}
 	return p.send(coordinator, m)
 }

@@ -51,25 +51,6 @@ func (p *Participant) paxos(st *txState) *protocol.PaxosTx {
 	return st.pax
 }
 
-// decisionOf extracts a commit/abort decision from a message that can
-// carry one (an outcome broadcast or a recovery answer).
-func decisionOf(m *protocol.Message) (commit, ok bool) {
-	switch m.Type {
-	case protocol.MsgCommit:
-		return true, true
-	case protocol.MsgAbort:
-		return false, true
-	case protocol.MsgOutcome:
-		switch m.Outcome {
-		case protocol.OutcomeCommit:
-			return true, true
-		case protocol.OutcomeAbort:
-			return false, true
-		}
-	}
-	return false, false
-}
-
 // ---- Coordinator fast path ----
 
 // runPaxosCommit is the coordinator's ballot-0 fast path: no pre-force
@@ -78,7 +59,7 @@ func decisionOf(m *protocol.Message) (commit, ok bool) {
 // to the acceptors at ballot 0 alongside everyone else's.
 func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx protocol.TxID, txName string, subs []string) (Outcome, error) {
 	participants := append([]string{p.name}, subs...)
-	st.presume = protocol.VariantPaxos
+	st.sub.Presume = protocol.VariantPaxos
 	ps := p.paxos(st)
 	ps.Adopt(protocol.PaxosAcceptorSet(p.name, subs), participants)
 	meta := ps.Meta(0, p.name)
@@ -96,7 +77,7 @@ func (p *Participant) runPaxosCommit(ctx context.Context, st *txState, tx protoc
 		}
 	}
 
-	localVote := p.prepareLocal(tx)
+	localVote := protocol.PrepareAll(p.res, tx).Vote
 	if localVote == protocol.VoteNo {
 		return p.paxosCoordFinish(st, tx, txName, subs, false, true, true), nil
 	}
@@ -118,7 +99,7 @@ fast:
 	for {
 		switch env, w := p.next(ctx, st, deadline.C()); w {
 		case gotReply:
-			if commit, ok := decisionOf(&env.msg); ok {
+			if commit, ok := protocol.OutcomeOf(&env.msg); ok {
 				// Another leader, or an acceptor that already knows the
 				// outcome, resolved the transaction for us.
 				return p.paxosCoordFinish(st, tx, txName, subs, commit, true, false), nil
@@ -188,7 +169,7 @@ func (p *Participant) paxosCoordFinish(st *txState, tx protocol.TxID, txName str
 	// The coordinator is always one of the transaction's acceptors:
 	// its entry stays pinned for recovery leaders.
 	p.recordDecision(txName, commit, true)
-	p.completeResources(tx, commit)
+	p.complete(tx, commit)
 	if p.met != nil {
 		p.met.CostOutcome(txName, out.String(), delivered)
 	}
@@ -227,7 +208,7 @@ func (p *Participant) handlePaxosPrepare(st *txState, from string, m *protocol.M
 		return // duplicate Prepare, or membership missing: recovery retries
 	}
 	tx := protocol.ParseTxID(m.Tx)
-	vote := p.prepareLocal(tx)
+	vote := protocol.PrepareAll(p.res, tx).Vote
 	if vote == protocol.VoteReadOnly {
 		// Read-only folds to yes under Paxos: instances carry only
 		// Yes/No and every participant sees phase two.
@@ -248,7 +229,7 @@ func (p *Participant) handlePaxosPrepare(st *txState, from string, m *protocol.M
 		}
 	}
 	if vote == protocol.VoteYes {
-		st.prepared = true
+		st.sub.Prepared = true
 	}
 	ps.Vote = vote
 	p.paxosSendAccept0(st)
@@ -257,8 +238,9 @@ func (p *Participant) handlePaxosPrepare(st *txState, from string, m *protocol.M
 		// on its way to the acceptors, and recovery defaults a free
 		// instance to No — either way the transaction cannot commit.
 		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecAborted})
-		p.completeResources(tx, false)
-		p.finish(st, false)
+		p.complete(tx, false)
+		st.sub.Finish(false)
+		p.recordSubDecision(st, false)
 		_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
 		if p.met != nil {
 			p.met.CostOutcome(m.Tx, "aborted", -1)
@@ -482,7 +464,7 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round 
 		case resolved:
 			// An outcome reached this node as a subordinate and was
 			// applied on the way.
-			return st.committed, true, nil
+			return st.sub.Committed, true, nil
 		case rang:
 			if alarm.expired() {
 				return false, false, fmt.Errorf("live: paxos recovery deadline for %s: %w", st.id, ErrInDoubt)
@@ -525,7 +507,7 @@ func (p *Participant) paxosCollectRound(ctx context.Context, st *txState, round 
 			return commit, true, nil
 		default:
 			// An outcome answering the coordinator this node is.
-			if commit, ok := decisionOf(&env.msg); ok {
+			if commit, ok := protocol.OutcomeOf(&env.msg); ok {
 				return commit, true, nil
 			}
 		}
@@ -541,7 +523,7 @@ func (p *Participant) resolvePaxosInDoubt(ctx context.Context, st *txState, txNa
 	if err != nil {
 		return err
 	}
-	if !st.done {
+	if !st.sub.Done {
 		m := outcomeMsg(txName, commit, nil, "")
 		p.applyOutcome(st, p.name, &m, commit)
 	}

@@ -110,16 +110,16 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 		// waits for is applied in arrival order like any other input.
 		var rerr error
 		p.call(st, func() {
-			if st.done {
+			if st.sub.Done {
 				return
 			}
 			// Reinstate the table entry: a restarted participant has an
 			// empty table, and applyOutcome needs the prepared flag and
 			// presumption to log the answer correctly.
-			if !st.prepared {
+			if !st.sub.Prepared {
 				p.reinstate(st, rec)
 			}
-			if st.presume == protocol.VariantPaxos {
+			if st.sub.Presume == protocol.VariantPaxos {
 				rerr = p.resolvePaxosInDoubt(ctx, st, txName)
 			} else {
 				rerr = p.resolveInDoubt(ctx, st, coordinator, txName)
@@ -138,18 +138,13 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	return inDoubt, nil
 }
 
-// reinstate marks st prepared under the presumption its Prepared
-// record rec announced — none presumes nothing, whose force/ack rules
-// are safe under every variant — and, under Paxos Commit, with the
+// reinstate brings st back in doubt from its Prepared record rec
+// (protocol.Sub.Reinstate) and, under Paxos Commit, with the
 // membership it names: the acceptor set is this node's recovery
 // coordinator, not whoever crashed.
 func (p *Participant) reinstate(st *txState, rec *protocol.LogRecord) {
-	st.prepared = true
-	if rec == nil {
-		return
-	}
-	st.presume = rec.Presume
-	if rec.Paxos != nil {
+	st.sub.Reinstate(rec)
+	if rec != nil && rec.Paxos != nil {
 		p.paxos(st).Adopt(rec.Paxos.Acceptors, rec.Paxos.Participants)
 	}
 }
@@ -192,7 +187,7 @@ func (p *Participant) preparedInMemory() []string {
 	var out []string
 	for _, st := range sts {
 		p.call(st, func() {
-			if st.prepared && !st.done {
+			if st.sub.Prepared && !st.sub.Done {
 				out = append(out, st.id)
 			}
 		})
@@ -213,7 +208,7 @@ func (p *Participant) InDoubtTxs() ([]string, error) {
 // resolveInDoubt drives inquiries for one transaction, as st's
 // consumer, until the answer is applied or the deadline passes.
 func (p *Participant) resolveInDoubt(ctx context.Context, st *txState, coordinator, txName string) error {
-	inq := protocol.Message{Type: protocol.MsgInquire, Tx: txName, Presume: st.presume}
+	inq := protocol.Message{Type: protocol.MsgInquire, Tx: txName, Presume: st.sub.Presume}
 	if err := p.send(coordinator, inq); err != nil {
 		return fmt.Errorf("live: inquiry to %s: %w (%v)", coordinator, ErrInDoubt, err)
 	}

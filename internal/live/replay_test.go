@@ -163,8 +163,8 @@ func TestReplayLegacyLog(t *testing.T) {
 	}
 	sub := p.liveState("B:5")
 	p.call(sub, func() {
-		if !sub.prepared || sub.presume != protocol.VariantPA {
-			t.Errorf("B:5 reinstated prepared=%v presume=%v, want prepared under PA", sub.prepared, sub.presume)
+		if !sub.sub.Prepared || sub.sub.Presume != protocol.VariantPA {
+			t.Errorf("B:5 reinstated prepared=%v presume=%v, want prepared under PA", sub.sub.Prepared, sub.sub.Presume)
 		}
 	})
 

@@ -255,7 +255,7 @@ func (p *Participant) liveState(tx string) *txState {
 // ballot-0 acceptor bundle here is still incomplete: the decision
 // raced ahead of the slowest accept.
 func (st *txState) bundlePending() bool {
-	return st.done && st.committed && st.pax != nil && st.pax.Holds() && !st.pax.Bundled()
+	return st.sub.Done && st.sub.Committed && st.pax != nil && st.pax.Holds() && !st.pax.Bundled()
 }
 
 // retire drops a finished subordinate's table entry; the decided
@@ -264,7 +264,7 @@ func (st *txState) bundlePending() bool {
 // bundle is still incomplete keeps its entry, so the last accept can
 // still force the bundle (handlePaxosAccept retires it then).
 func (p *Participant) retire(st *txState) {
-	if st.done && !st.isCoord && !st.bundlePending() {
+	if st.sub.Done && !st.isCoord && !st.bundlePending() {
 		p.drop(st)
 	}
 }

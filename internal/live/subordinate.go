@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/protocol"
@@ -9,94 +8,105 @@ import (
 	"repro/internal/wal"
 )
 
-// handlePrepare runs a subordinate's phase one for one transaction:
-// prepare local resources, force the prepared record on a yes vote,
-// and answer. The presumption announced on the Prepare is remembered
-// so phase two and recovery follow the coordinator's variant.
+// handlePrepare drives st's subordinate part (protocol.Sub) through a
+// Prepare: the answer from the decision, a delegation, the kept vote
+// again, or phase one here. The presumption announced on the Prepare
+// is remembered so phase two and recovery follow the coordinator's
+// variant.
 func (p *Participant) handlePrepare(st *txState, from string, m *protocol.Message) {
 	defer p.retire(st)
-	if st.done {
-		p.answerDecided(from, m, subDecision(st.committed, st.presume))
-		return
-	}
-	if m.Delegate {
-		p.handleDelegate(st, from, m)
-		return
-	}
-	if m.Presume == protocol.VariantPaxos {
+	if m.Presume == protocol.VariantPaxos && !st.sub.Done && !m.Delegate {
 		// Paxos Commit phase one: the vote is a ballot-0 accept sent to
 		// the acceptor set, not a MsgVote (handled wholly in paxos.go;
 		// duplicate Prepares are screened by the vote-sent flag there).
-		st.presume = m.Presume
+		st.sub.Presume = m.Presume
 		p.handlePaxosPrepare(st, from, m)
 		return
 	}
-	if st.prepared {
-		// Duplicate Prepare (the coordinator retransmitted): repeat the
-		// vote we already sent.
-		_ = p.sendExtra(from, st.voteMsg)
-		return
+	step := st.sub.Prepare(m)
+	switch {
+	case step.Do == protocol.DoReply:
+		_ = p.sendExtra(from, step.Msg)
+	case m.Delegate && step.Do != protocol.DoNothing:
+		p.decide(st, from, step.Do == protocol.DoPrepare)
+	case step.Do == protocol.DoPrepare:
+		ask := protocol.Asked
+		if m.Repeat {
+			ask = protocol.Resent
+		}
+		_, _ = p.vote(st, from, ask)
 	}
-	st.presume = m.Presume
-	vote := p.prepareVote(st, false)
-	if m.Repeat && vote == protocol.VoteReadOnly {
-		// A read-only voter keeps nothing, so this vote may repeat one
-		// already ledgered: it is an extra flow and opens no entry. A
-		// yes or a no is kept, so here it is a first vote.
-		_ = p.sendExtra(from, st.voteMsg)
-		p.drop(st)
-		return
-	}
-	_ = p.cast(st, from, vote, false)
 }
 
-// cast hands a subordinate's vote to the coordinator: sent on the
-// wire, or, when reply is set, left to the caller to carry back in its
-// reply to the coordinator's last work request, where it costs no
-// packet of its own. A read-only voter is out of the transaction (§4
-// Read Only): no log record, no phase two, nothing kept, and no
-// outcome comes to it. A no-voter knows the outcome. Both are done
-// with the transaction, and so is their accounting.
-func (p *Participant) cast(st *txState, to string, vote protocol.VoteValue, reply bool) error {
+// vote prepares the local resources and casts st's vote as
+// protocol.Sub.Voted asks: sent to the coordinator, or, for a
+// volunteer, left to the caller to carry back in its reply to the
+// coordinator's last work request, where it costs no packet of its
+// own. The Prepared record's payload names the presumption, so a
+// restart recovers under the coordinator's variant, not this node's
+// (for PN it stands for AgentPending too). A failed force, like a no,
+// aborts here. A no-voter and a read-only voter are done with the
+// transaction, and so is their accounting, but for the extra vote a
+// resent Prepare drew, which opens no ledger entry.
+func (p *Participant) vote(st *txState, to string, ask protocol.Ask) (protocol.VoteValue, error) {
+	tx := protocol.ParseTxID(st.id)
+	vote := protocol.PrepareAll(p.res, tx).Vote
+	step := st.sub.Voted(st.id, vote, true, ask)
+	if step.Force.Prepared {
+		r := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: st.sub.Presume}
+		if err := p.force(wal.Record{Tx: st.id, Node: p.name, Kind: r.Kind, Data: r.Encode()}); err != nil {
+			vote = protocol.VoteNo
+			step = st.sub.Voted(st.id, vote, true, ask)
+		}
+	}
+	if step.Then == protocol.Aborts {
+		p.recordSubDecision(st, false)
+		p.complete(tx, false)
+	}
+	if step.Redo {
+		st.sub.Vote.Payload = p.redoPayload(tx)
+	}
+	if step.Extra {
+		_ = p.sendExtra(to, st.sub.Vote)
+		p.drop(st)
+		return vote, nil
+	}
 	if p.met != nil {
-		p.met.CostSub(st.id, p.name, st.presume.String(), vote == protocol.VoteReadOnly)
+		p.met.CostSub(st.id, p.name, st.sub.Presume.String(), vote == protocol.VoteReadOnly)
 	}
 	var err error
-	if reply {
-		p.replied(st.voteMsg, false)
+	if ask == protocol.Volunteered {
+		p.replied(st.sub.Vote, false)
 	} else {
-		err = p.send(to, st.voteMsg)
+		err = p.send(to, st.sub.Vote)
 	}
-	if vote == protocol.VoteReadOnly {
+	if step.Then == protocol.Leaves {
 		p.drop(st)
 	}
-	if p.met != nil && vote != protocol.VoteYes {
-		if vote == protocol.VoteNo {
+	if p.met != nil && step.Then != protocol.Stays {
+		if step.Then == protocol.Aborts {
 			p.met.CostOutcome(st.id, "aborted", -1)
 		}
 		p.met.CostNodeDone(st.id, p.name)
 	}
-	return err
+	return vote, err
 }
 
-// handleDelegate runs the last-agent path (§4): the combined
-// "prepare, then you decide" message. The agent prepares (unless
-// AbortsRepeat answers a repeat), decides, writes the decision as the
+// decide runs the last-agent path (§4) for the combined "prepare, then
+// you decide" message: the agent prepares (unless protocol.Sub.Delegate
+// answered a repeat without it), decides, writes the decision as the
 // rulebook asks of a decision owner, applies it, and answers with the
 // outcome. An acknowledged decision is held, End unwritten, until the
 // coordinator acks it: until then the coordinator may ask again.
-func (p *Participant) handleDelegate(st *txState, from string, m *protocol.Message) {
-	st.presume = m.Presume
-	tx := protocol.ParseTxID(m.Tx)
+func (p *Participant) decide(st *txState, from string, prepare bool) {
+	tx := protocol.ParseTxID(st.id)
 	vote := protocol.VoteNo
-	if !m.Repeat || !m.Presume.AbortsRepeat() {
-		vote = p.prepareLocal(tx)
+	if prepare {
+		vote = protocol.PrepareAll(p.res, tx).Vote
 	}
-	rd := protocol.Round{ReadOnly: vote == protocol.VoteReadOnly, Voted: true}
-	commit := vote != protocol.VoteNo
 	for {
-		d := m.Presume.Decide(commit, rd)
-		rec := wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecAborted}
+		commit, d := st.sub.Decide(vote)
+		rec := wal.Record{Tx: st.id, Node: p.name, Kind: protocol.RecAborted}
 		if commit {
 			rec.Kind = protocol.RecCommitted
 		}
@@ -104,61 +114,47 @@ func (p *Participant) handleDelegate(st *txState, from string, m *protocol.Messa
 			rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: []string{from}}.Encode()
 		}
 		if err := p.write(rec, d.Write); err != nil && commit {
-			commit = false // nothing is promised yet: a failed commit force aborts
+			vote = protocol.VoteNo // nothing is promised yet: a failed commit force aborts
 			continue
 		}
-		p.publishDecision(m.Tx, subDecision(commit, st.presume), d.Acked)
-		p.completeResources(tx, commit)
-		p.finish(st, commit)
+		p.publishDecision(st.id, subDecision(commit, st.sub.Presume), d.Acked)
+		p.complete(tx, commit)
+		st.sub.Finish(commit)
 		if d.Acked {
-			p.awaitLateAcks(nil, m.Tx, []string{from}, false)
+			p.awaitLateAcks(nil, st.id, []string{from}, false)
 		} else {
-			_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
+			_ = p.lazy(wal.Record{Tx: st.id, Node: p.name, Kind: protocol.RecEnd})
 		}
-		_ = p.send(from, protocol.OutcomeMessage(m.Tx, commit))
+		_ = p.send(from, protocol.OutcomeMessage(st.id, commit))
 		return
 	}
 }
 
 // applyOutcome runs a subordinate's phase two when the decision
-// arrives (directly, via retransmission, or as a recovery answer):
-// log it per the transaction's presumption, complete resources, and
-// acknowledge if the variant expects it. The entry then retires.
+// arrives (directly, via retransmission, or as a recovery answer), as
+// protocol.Sub.Outcome asks: re-ack a duplicate, or log the outcome,
+// complete the resources and acknowledge. The entry then retires.
 func (p *Participant) applyOutcome(st *txState, from string, m *protocol.Message, commit bool) {
 	defer p.retire(st)
-
-	if !st.done && !st.prepared {
+	own := protocol.Own{Variant: p.variant}
+	if !st.sub.Done && !st.sub.Prepared {
+		// Applying the outcome on a blank entry the decided table already
+		// answers for would double the writes and re-open the cost
+		// ledger: a duplicate delivery, nothing to re-apply.
 		st.sh.mu.Lock()
-		_, known := st.sh.decidedLocked(st.id)
+		_, own.Retired = st.sh.decidedLocked(st.id)
 		st.sh.mu.Unlock()
-		if known {
-			// The outcome table says this transaction was decided and
-			// fully applied here, yet the entry has seen none of it: a
-			// late message resurrected a blank state after retirement.
-			// Applying the outcome again would double the writes and
-			// re-open the cost ledger — a duplicate delivery, nothing to
-			// re-apply.
-			return
-		}
 	}
-
-	if st.done {
-		p.reack(from, m.Tx, st.presume, st.committed, commit)
+	step := st.sub.Outcome(m.Tx, commit, own)
+	switch step.Do {
+	case protocol.DoReply:
+		_ = p.sendExtra(from, step.Msg)
+		return
+	case protocol.DoNothing:
 		return
 	}
-
-	// The variant rules come from the Prepare's announced presumption;
-	// for an outcome with no preceding Prepare (redelivery after this
-	// node forgot, or an abort that overtook the Prepare), fall back to
-	// our configured variant — and record it, so a duplicate of the
-	// outcome is later answered under the rules it was applied under.
-	if !st.prepared {
-		st.presume = p.variant
-	}
-	a := st.presume.Apply(commit, st.prepared, st.prepared)
-
 	tx := protocol.ParseTxID(m.Tx)
-	if commit && len(m.Payload) > 0 && !st.prepared {
+	if commit && step.Unasked && len(m.Payload) > 0 {
 		// A redo-bearing Commit redelivered to a voter with no memory of
 		// the transaction (it crashed after its logless yes vote): the
 		// coordinator's decision record carried our write-set here.
@@ -168,17 +164,15 @@ func (p *Participant) applyOutcome(st *txState, from string, m *protocol.Message
 	if !commit {
 		rec.Kind = protocol.RecAborted
 	}
-	if err := p.write(rec, a.Write); err != nil && a.Write == protocol.Forced {
+	if err := p.write(rec, step.Write); err != nil && step.Write == protocol.Forced {
 		return // stay prepared; a retransmission retries
 	}
 	p.recordSubDecision(st, commit)
-	heur := p.completeResources(tx, commit)
-	p.finish(st, commit)
+	heur := p.complete(tx, commit)
+	st.sub.Finish(commit)
 	_ = p.lazy(wal.Record{Tx: m.Tx, Node: p.name, Kind: protocol.RecEnd})
-	if a.Ack {
-		// An outcome reaching a subordinate that never prepared is
-		// recovery traffic, not one of the paper's flows.
-		_ = p.sendFlow(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: heur}, !st.prepared)
+	if step.Ack {
+		_ = p.sendFlow(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: heur}, step.Unasked)
 	}
 	if p.met != nil {
 		out := "committed"
@@ -192,16 +186,6 @@ func (p *Participant) applyOutcome(st *txState, from string, m *protocol.Message
 		if !st.bundlePending() {
 			p.met.CostNodeDone(m.Tx, p.name)
 		}
-	}
-}
-
-// reack answers a duplicate outcome for a transaction this node
-// has already applied with committed under variant v: the coordinator
-// missed our ack, so send it again if the variant acknowledges this
-// outcome at all.
-func (p *Participant) reack(from, tx string, v protocol.Variant, committed, commit bool) {
-	if committed == commit && v.Acks(commit) {
-		_ = p.sendExtra(from, protocol.Message{Type: protocol.MsgAck, Tx: tx})
 	}
 }
 
@@ -254,100 +238,32 @@ func (p *Participant) Volunteer(txName string, v protocol.Variant) (vote protoco
 	}
 	p.call(st, func() {
 		defer p.retire(st)
-		switch {
-		case st.done:
+		switch step := st.sub.Volunteer(v); step.Do {
+		case protocol.DoNothing:
 			vote, err = protocol.VoteNo, fmt.Errorf("live: unsolicited vote for decided transaction %s", txName)
-		case st.prepared:
-			vote = st.voteMsg.Vote
-			p.replied(st.voteMsg, true)
+		case protocol.DoReply:
+			vote = step.Msg.Vote
+			p.replied(step.Msg, true)
 		default:
-			st.presume = v
-			vote = p.prepareVote(st, true)
-			err = p.cast(st, "", vote, true)
+			vote, err = p.vote(st, "", protocol.Volunteered)
 		}
 	})
 	return vote, err
 }
 
-// prepareVote prepares the local resources and sets st.voteMsg,
-// the vote to send. A yes writes the prepare record the rulebook asks
-// for under st.presume, its payload naming the presumption so a
-// restart recovers under the coordinator's variant, not this node's
-// (for PN it stands for AgentPending too); a logless yes carries its
-// redo instead. A failed force, like a no, aborts here.
-func (p *Participant) prepareVote(st *txState, unsolicited bool) protocol.VoteValue {
-	tx := protocol.ParseTxID(st.id)
-	pr := st.presume.SubPrepare(true)
-	vote := p.prepareLocal(tx)
-	if vote == protocol.VoteYes && pr.Prepared {
-		r := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: st.presume}
-		if err := p.force(wal.Record{Tx: st.id, Node: p.name, Kind: r.Kind, Data: r.Encode()}); err != nil {
-			vote = protocol.VoteNo
-		}
-	}
-	switch vote {
-	case protocol.VoteNo:
-		p.recordSubDecision(st, false)
-		p.completeResources(tx, false)
-		p.finish(st, false)
-	case protocol.VoteYes:
-		st.prepared = true
-	}
-	st.voteMsg = protocol.Message{Type: protocol.MsgVote, Tx: st.id, Vote: vote, Unsolicited: unsolicited}
-	if vote == protocol.VoteYes && !pr.Prepared {
-		st.voteMsg.Payload = p.redoPayload(tx)
-	}
-	return vote
-}
-
-// prepareLocal prepares every local resource and folds their votes:
-// any failure or no means no; all read-only means read-only.
-func (p *Participant) prepareLocal(tx protocol.TxID) protocol.VoteValue {
-	vote := protocol.VoteReadOnly
-	for _, r := range p.res {
-		pr, err := r.Prepare(tx)
-		if err != nil || pr.Vote == protocol.VoteNo {
-			return protocol.VoteNo
-		}
-		if pr.Vote == protocol.VoteYes {
-			vote = protocol.VoteYes
-		}
-	}
-	return vote
-}
-
-// completeResources applies the outcome to every local resource and
-// collects heuristic reports from any that had already completed
-// unilaterally. A crashed participant touches nothing: its resources'
-// fate belongs to the restarted process image.
-func (p *Participant) completeResources(tx protocol.TxID, commit bool) []protocol.HeuristicReport {
+// complete applies the outcome to every local resource
+// (protocol.CompleteAll) and returns the heuristic reports of any that
+// had already completed unilaterally. A crashed participant touches
+// nothing: its resources' fate belongs to the restarted process image.
+func (p *Participant) complete(tx protocol.TxID, commit bool) []protocol.HeuristicReport {
 	if p.Crashed() {
 		return nil
 	}
-	var heur []protocol.HeuristicReport
-	for _, r := range p.res {
-		var err error
-		if commit {
-			err = r.Commit(tx)
-		} else {
-			err = r.Abort(tx)
-		}
-		if err == nil {
-			continue
-		}
-		hc, ok := r.(protocol.HeuristicCapable)
-		if !ok || !errors.Is(err, protocol.ErrHeuristicConflict) {
-			continue
-		}
-		taken, tookCommit := hc.HeuristicTaken(tx)
-		if !taken {
-			continue
-		}
-		damage := tookCommit != commit
-		heur = append(heur, protocol.HeuristicReport{Node: p.name, Committed: tookCommit, Damage: damage})
-		if p.met != nil {
-			p.met.Heuristic(p.name, tookCommit)
-			if damage {
+	heur := protocol.CompleteAll(p.res, tx, commit, p.name)
+	if p.met != nil {
+		for _, h := range heur {
+			p.met.Heuristic(p.name, h.Committed)
+			if h.Damage {
 				p.met.Damage(p.name)
 			}
 		}
@@ -357,16 +273,4 @@ func (p *Participant) completeResources(tx protocol.TxID, commit bool) []protoco
 		p.trc.Add(trace.Event{Node: p.name, Kind: trace.KindUnlock, Tx: txName, Detail: "released(" + txName + ")"})
 	}
 	return heur
-}
-
-// finish marks a transaction decided at this node (the caller has
-// already completed resources), recording the outcome for duplicates
-// and inquiries.
-func (p *Participant) finish(st *txState, commit bool) {
-	if st.done {
-		return
-	}
-	st.done = true
-	st.committed = commit
-	p.recordSubDecision(st, commit)
 }

@@ -139,15 +139,6 @@ func NewChanNetwork(opts ...ChanOption) *ChanNetwork {
 	return n
 }
 
-// SetLoss changes the drop probability at runtime. Chaos schedules use
-// it to end a loss window (e.g. before driving recovery, which must be
-// able to make progress).
-func (n *ChanNetwork) SetLoss(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lossProb = p
-}
-
 // rngFor returns the deterministic RNG for a link, creating it on
 // first use from the network seed and the link name. Callers hold n.mu.
 func (n *ChanNetwork) rngFor(link [2]string) *rand.Rand {

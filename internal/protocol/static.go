@@ -14,7 +14,6 @@ type StaticResource struct {
 	vote         VoteValue
 	reliable     bool
 	okToLeaveOut bool
-	prepareErr   error
 
 	mu        sync.Mutex
 	prepared  map[TxID]bool
@@ -33,11 +32,6 @@ func StaticReliable() StaticOption { return func(r *StaticResource) { r.reliable
 
 // StaticLeaveOut marks the resource OK-to-leave-out (§4 Leave-Out).
 func StaticLeaveOut() StaticOption { return func(r *StaticResource) { r.okToLeaveOut = true } }
-
-// StaticPrepareError makes Prepare fail with err (an implicit NO).
-func StaticPrepareError(err error) StaticOption {
-	return func(r *StaticResource) { r.prepareErr = err }
-}
 
 // NewStaticResource returns a resource named name that votes yes
 // unless configured otherwise.
@@ -60,9 +54,6 @@ func (r *StaticResource) Name() string { return r.name }
 
 // Prepare implements Resource with the configured vote.
 func (r *StaticResource) Prepare(tx TxID) (PrepareResult, error) {
-	if r.prepareErr != nil {
-		return PrepareResult{}, r.prepareErr
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.vote == VoteYes {

@@ -124,15 +124,3 @@ func (r *Router) handleCommit(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
-
-// Loads snapshots the router's outstanding-transaction counters, for
-// tests and /varz-style introspection.
-func (r *Router) Loads() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.loads))
-	for n, c := range r.loads {
-		out[n] = c.Load()
-	}
-	return out
-}
