@@ -61,13 +61,8 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 	// Downstream partners are driven to the same unilateral outcome:
 	// this node owned their view of the transaction.
 	out := protocol.OutcomeMessage(c.id.String(), commit)
-	for _, s := range c.orderedSubs() {
-		if c.haveCoord && s.id == c.coord {
-			continue
-		}
-		if s.voted && s.vote == protocol.VoteYes {
-			n.send(s.id, out)
-		}
+	for _, id := range c.round.Voters() {
+		n.send(protocol.NodeID(id), out)
 	}
 	c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: commit}
 	c.state = stHeurDone

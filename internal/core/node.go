@@ -84,7 +84,7 @@ func (n *Node) observeLog(l *wal.Log) {
 // that the transaction has log presence (so completion knows to write
 // an END record).
 func (n *Node) logTx(c *txCtx, r protocol.LogRecord, force bool) {
-	c.loggedAny = true
+	c.round.Logged = true
 	n.logRec(c.id, r, force)
 }
 

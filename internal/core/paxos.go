@@ -64,16 +64,14 @@ func (n *Node) paxos(c *txCtx) *paxosCtx {
 // to the acceptors at ballot 0 alongside everyone else's.
 func (n *Node) runPaxosPhase1(c *txCtx, members []*subInfo) {
 	c.state = stPreparing
-	subs := make([]string, len(members))
-	for i, s := range members {
-		subs[i] = string(s.id)
-	}
+	subs := memberIDs(members)
 	px := n.paxos(c)
 	px.Adopt(protocol.PaxosAcceptorSet(string(n.id), subs), append([]string{string(n.id)}, subs...))
 	px.round = px.NewRound(0)
 	payload := px.Meta(0, string(n.id)).Encode()
+	c.round.Begin(protocol.VariantPaxos, subs, "")
+	c.round.Ask()
 	for _, s := range members {
-		s.prepareSent = true
 		n.send(s.id, protocol.Message{
 			Type:    protocol.MsgPrepare,
 			Tx:      c.id.String(),
@@ -82,9 +80,9 @@ func (n *Node) runPaxosPhase1(c *txCtx, members []*subInfo) {
 		})
 	}
 	n.prepareLocal(c)
-	px.Vote = protocol.VoteYes
-	if c.anyNo {
-		px.Vote = protocol.VoteNo
+	px.Vote = c.round.Fold()
+	if px.Vote != protocol.VoteNo {
+		px.Vote = protocol.VoteYes
 	}
 	n.paxosSendAccept0(c)
 	n.armPaxosTimer(c, n.eng.cfg.VoteTimeout, "paxos: fast path overdue, starting recovery round for "+c.id.String())
@@ -95,13 +93,13 @@ func (n *Node) runPaxosPhase1(c *txCtx, members []*subInfo) {
 // acceptors instead of to the coordinator alone.
 func (n *Node) paxosVoteUpstream(c *txCtx) {
 	px := n.paxos(c)
-	if c.anyNo {
+	if c.round.Fold() == protocol.VoteNo {
 		// A No voter may abort unilaterally: its instance value No is
 		// on its way to the acceptors, and recovery defaults a free
 		// instance to No — either way the transaction cannot commit.
 		px.Vote = protocol.VoteNo
 		n.paxosSendAccept0(c)
-		n.takeOutcome(c, false, protocol.NoWrite, protocol.LogRecord{})
+		n.takeOutcome(c, false, false, protocol.NoWrite)
 		return
 	}
 	// Read-only folds to Yes under Paxos: instances carry only Yes/No
@@ -297,12 +295,15 @@ func (n *Node) paxosLeaderDecide(c *txCtx, commit bool) {
 	}
 	c.pax.timerGen++ // disarm pending fast-path/recovery timers
 	if c.isRoot {
-		for _, p := range c.pax.Participants[1:] {
-			s := c.sub(protocol.NodeID(p))
-			s.prepareSent = true
-			if commit {
-				s.voted = true
-				s.vote = protocol.VoteYes
+		if c.round.Subs == nil {
+			// Restarted: the round begins again from the membership.
+			c.round.Begin(protocol.VariantPaxos, c.pax.Participants[1:], "")
+			c.round.Ask()
+		}
+		if commit {
+			yes := protocol.Message{Type: protocol.MsgVote, Vote: protocol.VoteYes}
+			for _, p := range c.round.Subs {
+				c.round.Vote(p, &yes)
 			}
 		}
 		n.ownDecision(c, commit)

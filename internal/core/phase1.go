@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/protocol"
@@ -56,38 +57,13 @@ func (n *Node) initiateCommit(tx protocol.TxID, done func(Result)) {
 	n.trcState(tx, "commit-initiated")
 
 	members := n.phase1Members(c)
-	variant := n.eng.cfg.Variant
-	if variant == protocol.VariantPaxos {
+	if n.eng.cfg.Variant == protocol.VariantPaxos {
 		// Paxos Commit: no pre-force — the acceptor quorum, not this
 		// node's log, is the durable decision state.
 		n.runPaxosPhase1(c, members)
 		return
 	}
-	if pre := variant.PrePrepare(); pre != "" && (len(members) > 0 || len(n.resources) > 0) {
-		r := protocol.LogRecord{Kind: pre, Subs: memberIDs(members)}
-		if agent := n.earlyLastAgent(c, members); agent != "" {
-			// Single-partner last-agent case: the pending record also
-			// covers the delegation (delegate forces no Prepared).
-			r.Agent = string(agent)
-			c.pnPendingAgent = agent
-		}
-		n.logTx(c, r, true)
-		c.pnPendingLogged = true
-	}
 	n.runPhase1(c, members)
-}
-
-// earlyLastAgent reports the agent that will receive the delegation
-// when it is already known at initiation time (the single-remote-
-// partner fast path the paper motivates Last Agent with).
-func (n *Node) earlyLastAgent(c *txCtx, members []*subInfo) protocol.NodeID {
-	if !n.eng.cfg.Options.LastAgent || len(members) != 1 {
-		return ""
-	}
-	if c.lastAgentChoice != "" && c.lastAgentChoice != members[0].id {
-		return ""
-	}
-	return members[0].id
 }
 
 // initiateAbort backs the Tx.Abort script call: the whole tree
@@ -98,11 +74,8 @@ func (n *Node) initiateAbort(tx protocol.TxID, done func(Result)) {
 	c.onComplete = done
 	c.startAt = n.localTime
 	n.trcState(tx, "abort-initiated")
-	members := n.phase1Members(c)
-	for _, s := range members {
-		// They never voted; they are notified and (baseline/PN) ack.
-		s.prepareSent = true
-	}
+	// They never voted; they are notified and (baseline/PN) ack.
+	n.begin(c, n.phase1Members(c), "")
 	n.ownDecision(c, false)
 }
 
@@ -118,41 +91,60 @@ func (n *Node) phase1Members(c *txCtx) []*subInfo {
 		}
 	}
 	var out []*subInfo
-	for _, s := range c.orderedSubs() {
-		if c.haveCoord && s.id == c.coord {
-			continue
-		}
-		if l := n.link(s.id); l.dormant && !s.activeInTx {
-			continue // left out
+	for _, id := range c.subOrder { // first-contact order, for deterministic sequences
+		s := c.subs[id]
+		if c.haveCoord && id == c.coord || n.link(id).dormant && !s.activeInTx {
+			continue // the coordinator, or left out
 		}
 		out = append(out, s)
 	}
 	return out
 }
 
-// runPhase1 drives the voting phase at a node that owns (or will
-// own) the decision or must vote upstream: Prepares go out in
-// parallel, local resources prepare synchronously, and checkVotes
-// continues when everything has answered.
-func (n *Node) runPhase1(c *txCtx, members []*subInfo) {
-	c.state = stPreparing
-	la := n.chooseLastAgent(c, members)
+// begin starts c's round (protocol.Coord) over members, agent held out
+// for the delegation, with the votes they volunteered before it.
+func (n *Node) begin(c *txCtx, members []*subInfo, agent protocol.NodeID) protocol.LogRecord {
+	pre := c.round.Begin(n.eng.cfg.Variant, memberIDs(members), string(agent))
 	for _, s := range members {
-		if s.isLastAgent || s.voted {
-			continue
+		if s.early.Type == protocol.MsgVote {
+			c.round.Vote(string(s.id), &s.early)
 		}
-		s.prepareSent = true
-		c.votesPending++
-		n.send(s.id, protocol.Message{
-			Type:      protocol.MsgPrepare,
-			Tx:        c.id.String(),
-			LongLocks: n.eng.cfg.Options.LongLocks,
-		})
 	}
-	if la != nil {
-		c.delegationPlanned = true
+	return pre
+}
+
+// runPhase1 drives the voting phase at a node that owns (or will own)
+// the decision or votes upstream: the pre-prepare record of a node with
+// a subtree (Figure 3), Prepares in parallel, its own resources, then
+// checkVotes.
+func (n *Node) runPhase1(c *txCtx, members []*subInfo) {
+	pre := n.begin(c, members, n.chooseLastAgent(c, members))
+	if pre.Kind != "" && (len(members) > 0 || c.isRoot && len(n.resources) > 0) {
+		if !c.isRoot {
+			pre.Coord = string(c.coord)
+		} else if n.eng.cfg.Options.LastAgent && len(members) == 1 && (c.lastAgentChoice == "" || c.lastAgentChoice == members[0].id) {
+			// Single-partner last-agent case, known at initiation (the
+			// fast path the paper motivates Last Agent with): the pending
+			// record also covers the delegation (delegate forces no
+			// Prepared).
+			pre.Agent = string(members[0].id)
+			c.pnPendingAgent = members[0].id
+		}
+		n.logTx(c, pre, true)
+		c.pnPendingLogged = true
 	}
-	if c.votesPending > 0 {
+	c.state = stPreparing
+	c.round.Ask()
+	for i, id := range c.round.Subs {
+		if c.round.Silent(i) {
+			n.send(protocol.NodeID(id), protocol.Message{
+				Type:      protocol.MsgPrepare,
+				Tx:        c.id.String(),
+				LongLocks: n.eng.cfg.Options.LongLocks,
+			})
+		}
+	}
+	if c.round.Pending() > 0 {
 		n.armVoteTimer(c)
 	}
 	n.prepareLocal(c)
@@ -160,84 +152,66 @@ func (n *Node) runPhase1(c *txCtx, members []*subInfo) {
 }
 
 // armVoteTimer bounds phase one: a subordinate that never answers the
-// Prepare is presumed failed and the transaction aborts.
+// Prepare is presumed failed — its vote a no, so it is not told the
+// abort — and the transaction aborts.
 func (n *Node) armVoteTimer(c *txCtx) {
 	c.voteTimerGen++
 	gen := c.voteTimerGen
 	n.afterTx(c, n.eng.cfg.VoteTimeout, func(at time.Duration) {
-		if c.voteTimerGen != gen || c.state != stPreparing || c.votesPending == 0 {
+		if c.voteTimerGen != gen || c.state != stPreparing || c.round.Pending() == 0 {
 			return
 		}
 		n.eng.arriveAt(n, at)
 		n.trcApp("vote timeout: presuming failed subordinate(s), aborting " + c.id.String())
 		c.abortErr = fmt.Errorf("core: vote collection: %w", txerr.ErrTimeout)
-		for _, s := range c.orderedSubs() {
-			if s.prepareSent && !s.voted {
-				s.voted = true
-				s.vote = protocol.VoteNo
+		no := protocol.Message{Type: protocol.MsgVote, Vote: protocol.VoteNo}
+		for i, id := range c.round.Subs {
+			if c.round.Silent(i) {
+				c.round.Vote(id, &no)
 			}
 		}
-		c.votesPending = 0
-		c.anyNo = true
-		c.allReadOnly = false
 		n.checkVotes(c)
 	})
 }
 
-// chooseLastAgent picks the member that will receive the delegation,
-// if the option is on and this node owns the decision. The designated
-// choice wins; otherwise the last member in contact order (the paper
-// suggests preparing the close partners first and leaving the distant
-// one for the single round trip).
-func (n *Node) chooseLastAgent(c *txCtx, members []*subInfo) *subInfo {
-	if !n.eng.cfg.Options.LastAgent || !n.eng.cfg.Variant.Delegates() || len(members) == 0 {
-		return nil
+// chooseLastAgent picks the member to delegate to, if the option is on
+// and this node owns the decision: the designated one, or else the last
+// in contact order (the paper prepares close partners first and leaves
+// the distant one for the single round trip); none that volunteered.
+func (n *Node) chooseLastAgent(c *txCtx, members []*subInfo) protocol.NodeID {
+	if !n.eng.cfg.Options.LastAgent || len(members) == 0 || !c.isRoot && !c.lastAgentAsked {
+		return ""
 	}
-	if !c.isRoot && !c.lastAgentAsked {
-		return nil // only the decision owner may delegate
-	}
-	var la *subInfo
+	la := members[len(members)-1]
 	if c.lastAgentChoice != "" {
+		la = nil
 		for _, s := range members {
 			if s.id == c.lastAgentChoice {
 				la = s
 			}
 		}
-	} else {
-		la = members[len(members)-1]
 	}
-	if la != nil {
-		if la.voted {
-			return nil // an unsolicited vote already arrived; no delegation needed
-		}
-		la.isLastAgent = true
+	if la == nil || la.early.Type == protocol.MsgVote {
+		return ""
 	}
-	return la
+	return la.id
 }
 
-// prepareLocal drives the node's resource managers through Prepare
-// (protocol.PrepareAll), folding their vote and attributes into the
-// transaction aggregate.
+// prepareLocal prepares the node's resources (protocol.PrepareAll) for
+// the round; with read-only votes off, read-only counts as yes.
 func (n *Node) prepareLocal(c *txCtx) {
+	vote := protocol.VoteReadOnly
 	if len(n.resources) > 0 {
 		res := protocol.PrepareAll(n.resources, c.id)
-		c.foldVote(res.Vote, n.eng.cfg.Options.ReadOnly, res.Reliable, res.OKToLeaveOut)
+		vote = res.Vote
+		c.allReliable = c.allReliable && res.Reliable
+		c.allLeaveOut = c.allLeaveOut && res.OKToLeaveOut
 	}
+	if vote == protocol.VoteReadOnly && !n.eng.cfg.Options.ReadOnly {
+		vote = protocol.VoteYes
+	}
+	c.round.Local(vote)
 	c.localPrepared = true
-}
-
-// foldVote folds one vote — a local resource's or a subordinate's —
-// into the transaction's aggregate. With read-only votes disabled a
-// read-only vote counts as yes: full participation.
-func (c *txCtx) foldVote(v protocol.VoteValue, readOnly, reliable, leaveOut bool) {
-	if v == protocol.VoteNo {
-		c.anyNo = true
-	}
-	if v == protocol.VoteNo || v == protocol.VoteYes || !readOnly {
-		c.allReadOnly = false
-	}
-	c.allReliable = c.allReliable && reliable
-	c.allLeaveOut = c.allLeaveOut && leaveOut
 }
 
 // handlePrepare begins phase one at a subordinate.
@@ -304,11 +278,6 @@ func (n *Node) startSubordinatePhase1(c *txCtx, ask protocol.Ask) {
 		n.paxosVoteUpstream(c)
 		return
 	}
-	if pre := n.eng.cfg.Variant.PrePrepare(); pre != "" && len(members) > 0 {
-		// A cascaded coordinator too (Figure 3).
-		n.logTx(c, protocol.LogRecord{Kind: pre, Coord: string(c.coord), Subs: memberIDs(members)}, true)
-		c.pnPendingLogged = true
-	}
 	n.runPhase1(c, members)
 }
 
@@ -330,8 +299,15 @@ func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
 		return // forgotten transaction: stray vote
 	}
 	s := c.sub(from)
-	if s.voted {
+	switch i := slices.Index(c.round.Subs, string(from)); {
+	case c.state == stActive && s.early.Type == protocol.MsgVote:
 		return // duplicate
+	case c.state == stActive:
+		s.early = m // volunteered before this node's phase one, which takes it
+	case i < 0 || !c.round.Silent(i):
+		return // a duplicate, the agent's, or no member's
+	default:
+		c.round.Vote(string(from), &m)
 	}
 	if m.Unsolicited && !n.eng.cfg.Options.UnsolicitedVote && c.state == stActive {
 		// Receiver not configured for unsolicited votes: note and
@@ -339,18 +315,10 @@ func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
 		// about what coordinators are prepared to exploit).
 		n.trcApp("unexpected unsolicited vote from " + string(from))
 	}
-	s.voted = true
-	s.vote = m.Vote
 	s.reliable = m.Reliable
 	s.okToLeave = m.OKToLeaveOut
-	s.unsolicited = m.Unsolicited
-
-	if c.state == stPreparing && s.prepareSent {
-		c.votesPending--
-	}
-	// A read-only vote with the option off cannot happen in a
-	// homogeneous configuration; it is downgraded defensively.
-	c.foldVote(s.vote, n.eng.cfg.Options.ReadOnly, m.Reliable, m.OKToLeaveOut)
+	c.allReliable = c.allReliable && m.Reliable
+	c.allLeaveOut = c.allLeaveOut && m.OKToLeaveOut
 	if c.state == stPreparing {
 		n.checkVotes(c)
 	}
@@ -394,7 +362,7 @@ func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
 func (n *Node) subOf(tx protocol.TxID) protocol.Sub {
 	s := protocol.Sub{Presume: n.eng.cfg.Variant}
 	if c, ok := n.txs[tx]; ok {
-		s.Prepared, s.Done, s.Committed = c.loggedAny, c.decided, c.decisionCommit
+		s.Prepared, s.Done, s.Committed = c.round.Logged, c.decided, c.decisionCommit
 	} else if o, ok := n.done[tx]; ok && o != OutcomeUnknown {
 		s.Done, s.Committed = true, o != OutcomeAborted
 	}
@@ -407,95 +375,54 @@ func (n *Node) own() protocol.Own {
 	return protocol.Own{Variant: n.eng.cfg.Variant, Announced: true}
 }
 
-// checkVotes continues the protocol once every expected vote is in.
+// checkVotes continues the protocol once every expected vote is in:
+// the simulator acts on a no only then.
 func (n *Node) checkVotes(c *txCtx) {
-	if c.state != stPreparing || !c.localPrepared || c.votesPending > 0 {
+	if c.state != stPreparing || !c.localPrepared || c.round.Pending() > 0 {
 		return
 	}
-	if c.anyNo {
-		if c.isRoot || c.lastAgentAsked {
-			n.ownDecision(c, false)
-		} else {
-			n.voteUpstream(c)
-		}
-		return
-	}
-	if c.delegationPlanned {
+	owner := c.isRoot || c.lastAgentAsked
+	switch next := c.round.Next(); {
+	case next == protocol.NextDelegate:
 		n.delegate(c)
-		return
+	case !owner:
+		n.voteUpstream(c)
+	default:
+		n.ownDecision(c, next == protocol.NextCommit)
 	}
-	if c.isRoot || c.lastAgentAsked {
-		n.ownDecision(c, true)
-		return
-	}
-	n.voteUpstream(c)
 }
 
 // delegate hands the decision to the chosen last agent: the node
-// prepares itself (forcing a prepared record unless it is entirely
-// read-only) and sends its YES vote with the delegation bit.
+// prepares itself (forcing the round's delegation record unless it is
+// entirely read-only) and sends its YES vote with the delegation bit.
 func (n *Node) delegate(c *txCtx) {
-	var la *subInfo
-	for _, s := range c.orderedSubs() {
-		if s.isLastAgent {
-			la = s
-		}
-	}
-	if la == nil {
-		n.ownDecision(c, true)
-		return
-	}
+	agent := protocol.NodeID(c.round.Agent())
 	c.state = stDelegated
-	c.delegationPlanned = false
-	// A read-only initiator delegates with nothing to recover (§4).
-	c.votedReadOnly = c.allReadOnly && n.eng.cfg.Options.ReadOnly
 	// A pre-prepare record naming the agent already covers it.
-	if !c.votedReadOnly && c.pnPendingAgent != la.id {
-		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Agent: string(la.id), Subs: c.yesSubIDs(la.id)}, true)
+	if r := c.round.Delegate(); r.Kind != "" && c.pnPendingAgent != agent {
+		r.Coord = string(c.coord)
+		n.logTx(c, r, true)
 	}
-	n.trcState(c.id, "delegated to "+string(la.id))
-	n.send(la.id, n.delegation(c, false))
+	n.trcState(c.id, "delegated to "+string(agent))
+	n.send(agent, n.delegation(c, false))
 	n.armHeuristic(c) // a delegating coordinator is in doubt like any prepared node
-	n.armDelegationWatch(c, la.id)
+	n.armDelegationWatch(c, agent)
 }
 
-// delegation is c's vote to its last agent, carrying the decision;
+// delegation is c's vote to its last agent, carrying the decision
+// (read-only: the initiator delegates with nothing to recover, §4);
 // repeat marks one sent again because no answer came.
 func (n *Node) delegation(c *txCtx, repeat bool) protocol.Message {
-	m := protocol.Message{Type: protocol.MsgVote, Tx: c.id.String(), LastAgent: true, Repeat: repeat, LongLocks: n.eng.cfg.Options.LongLocks, Vote: protocol.VoteYes}
-	if c.votedReadOnly {
-		m.Vote = protocol.VoteReadOnly
-	}
-	return m
-}
-
-// yesSubIDs lists partners that voted yes (phase-two recipients),
-// excluding the given agent and the coordinator.
-func (c *txCtx) yesSubIDs(exclude protocol.NodeID) []string {
-	var out []string
-	for _, s := range c.orderedSubs() {
-		if s.id == exclude || (c.haveCoord && s.id == c.coord) {
-			continue
-		}
-		if s.voted && s.vote == protocol.VoteYes {
-			out = append(out, string(s.id))
-		}
-	}
-	return out
+	return protocol.Message{Type: protocol.MsgVote, Tx: c.id.String(), LastAgent: true, Repeat: repeat,
+		LongLocks: n.eng.cfg.Options.LongLocks, Vote: c.round.Fold()}
 }
 
 // voteUpstream casts this subordinate's folded vote — its resources'
 // and its subtree's — to its coordinator, as protocol.Sub.Voted asks.
 func (n *Node) voteUpstream(c *txCtx) {
 	opts := n.eng.cfg.Options
-	vote := protocol.VoteYes
-	switch {
-	case c.anyNo:
-		vote = protocol.VoteNo
-	case c.allReadOnly && opts.ReadOnly:
-		vote = protocol.VoteReadOnly
-	}
-	yes := c.yesSubIDs("")
+	vote := c.round.Fold()
+	yes := c.round.Voters()
 	s := n.subOf(c.id)
 	step := s.Voted(c.id.String(), vote, len(yes) == 0, c.ask)
 	msg := s.Vote
@@ -508,12 +435,11 @@ func (n *Node) voteUpstream(c *txCtx) {
 		// Abort the local subtree; the coordinator will not contact us
 		// again (a NO voter needs no outcome message).
 		n.send(c.coord, msg)
-		n.takeOutcome(c, false, protocol.NoWrite, protocol.LogRecord{})
+		n.takeOutcome(c, false, false, protocol.NoWrite)
 		return
 	case protocol.Leaves:
 		// Read-only: no logging, out of phase two, locks released by
-		// the resources at their vote (§4 Read Only).
-		c.votedReadOnly = true
+		// the resources at their vote (§4 Read Only); the context goes.
 		n.send(c.coord, msg)
 		n.trcState(c.id, "read-only, released")
 		n.trcUnlock(c.id, "released")

@@ -10,107 +10,81 @@ import (
 )
 
 // ownDecision is taken by the decision owner — the root coordinator
-// or a delegated last agent — once phase one concludes.
+// or a delegated last agent once phase one concludes, or a delegating
+// coordinator when its last agent reports the decision.
 func (n *Node) ownDecision(c *txCtx, commit bool) {
-	if c.decided {
-		return
+	if !c.decided {
+		n.takeOutcome(c, commit, true, protocol.NoWrite)
 	}
-	c.state = stDeciding
-	yes := c.yesSubIDs("")
-	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{
-		ReadOnly: c.allReadOnly && n.eng.cfg.Options.ReadOnly,
-		Logged:   c.loggedAny,
-		Voted:    c.anyNo || len(yes) > 0,
-	})
-	if d.Redo && d.Write == protocol.Forced && n.eng.cfg.Hooks.OnePhaseLazyDecision {
-		// Injected bug for the chaos oracle: under 1PC the decision
-		// record is the only stable state in the whole tree, so writing
-		// it lazily voids every voter's delegated durability (AC3).
-		d.Write = protocol.Lazy
-	}
-	n.takeOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: yes})
 }
 
 // takeOutcome is the tail of every decision at a node — owned,
-// received, reported by its last agent, or taken by voting no: the
-// outcome is traced, its record written as w asks (rec names the
-// coordinator and the yes-voters), and phase two runs.
-func (n *Node) takeOutcome(c *txCtx, commit bool, w protocol.Write, rec protocol.LogRecord) {
+// received, reported by its last agent, or taken by voting no: its
+// round learns it (protocol.Coord.Decide), the outcome is traced, its
+// record, naming the coordinator and the yes-voters, is written as the
+// owner's rule asks when own and as w asks otherwise, and phase two
+// runs.
+func (n *Node) takeOutcome(c *txCtx, commit, own bool, w protocol.Write) {
+	d := c.round.Decide(commit)
+	if own {
+		w = d.Write
+	}
 	c.decided = true
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
-	n.logOutcome(c, commit, w, rec)
-	n.phase2(c)
+	n.logOutcome(c, commit, w, protocol.LogRecord{Coord: string(c.coord), Subs: d.Yes})
+	n.phase2(c, false)
 }
 
 func (n *Node) trcDecision(c *txCtx, commit bool) {
-	d := "abort"
-	if commit {
-		d = "commit"
-	}
 	n.eng.trc.Add(trace.Event{At: n.localTime, Node: string(n.id), Kind: trace.KindDecision,
-		Tx: c.id.String(), Detail: d + "(" + c.id.String() + ")"})
+		Tx: c.id.String(), Detail: outcomeWord(commit) + "(" + c.id.String() + ")"})
 }
 
 // receivedDecision is taken by a prepared subordinate when the
 // outcome arrives (Commit/Abort message or recovery Outcome reply).
 func (n *Node) receivedDecision(c *txCtx, commit bool) {
-	if c.decided {
-		return
+	if !c.decided {
+		s := n.subOf(c.id)
+		n.takeOutcome(c, commit, false, s.Outcome(c.id.String(), commit, n.own()).Write)
 	}
-	s := n.subOf(c.id)
-	step := s.Outcome(c.id.String(), commit, n.own())
-	n.takeOutcome(c, commit, step.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs("")})
-}
-
-// expectsAck reports whether the coordinator waits for an explicit
-// acknowledgment from sub for this outcome.
-func (n *Node) expectsAck(s *subInfo, commit bool) bool {
-	cfg := n.eng.cfg
-	if !cfg.Variant.Acks(commit) {
-		return false
-	}
-	if commit && cfg.Options.VoteReliable && s.reliable {
-		// A reliable subtree cannot take heuristic decisions worth
-		// reporting; the implied ack suffices (§4 Vote Reliable).
-		return false
-	}
-	return true
 }
 
 // phase2 propagates the decision downstream, completes local
 // resources, notifies the delegating coordinator if this node was the
-// last agent, and begins ack collection.
-func (n *Node) phase2(c *txCtx) {
+// last agent, and begins ack collection; resumed says a restart re-runs
+// it.
+func (n *Node) phase2(c *txCtx, resumed bool) {
 	commit := c.decisionCommit
 	c.state = stCommitting
 	cfg := n.eng.cfg
 	out := protocol.OutcomeMessage(c.id.String(), commit)
-	for _, s := range c.orderedSubs() {
-		if c.haveCoord && s.id == c.coord {
+	r := &c.round
+	agent := r.Agent()
+	for i, id := range r.Subs {
+		if v, voted := r.VoteOf(i); id == agent || voted && v == protocol.VoteNo {
+			// The agent made the decision or never took part; a no-voter
+			// aborted itself when it voted.
+			r.Waive(i)
 			continue
 		}
-		if s.isLastAgent {
-			continue // the agent made the decision; it needs no copy
-		}
-		if !s.prepareSent && !s.voted {
-			continue // never part of this commit operation
-		}
-		if !protocol.HearsOutcome(s.vote, s.voted) {
+		if !r.Tells(i) {
 			continue // dropped out in phase one
 		}
-		if s.voted && s.vote == protocol.VoteNo {
-			continue // aborted itself when it voted no
-		}
+		s := c.sub(protocol.NodeID(id))
 		n.send(s.id, out)
-		if n.expectsAck(s, commit) {
-			s.ackExpected = true
+		switch {
+		case !r.Owes(i):
+		case commit && cfg.Options.VoteReliable && s.reliable:
+			// A reliable subtree cannot take heuristic decisions worth
+			// reporting; the implied ack suffices (§4 Vote Reliable).
+			r.Waive(i)
+		default:
 			// A long-locks subordinate acks on its own schedule (with
 			// the next transaction's data); the coordinator waits in
 			// receive state without re-contacting it.
 			s.longLocks = cfg.Options.LongLocks && commit
-			c.acksPending++
 		}
 	}
 	n.completeResources(c, commit)
@@ -127,7 +101,7 @@ func (n *Node) phase2(c *txCtx) {
 	// Early acknowledgment: a subordinate acks as soon as its own
 	// outcome is logged, before its subtree has acknowledged (§4
 	// Commit Acknowledgment) — when the outcome is acknowledged at all.
-	if cfg.Options.EarlyAck && n.acksUpstream(c) && !c.isRoot && !c.lastAgentAsked && c.haveCoord && !c.votedReadOnly {
+	if (cfg.Options.EarlyAck || resumed) && n.acksUpstream(c) && !c.isRoot && !c.lastAgentAsked && c.haveCoord {
 		n.sendAckUpstream(c)
 	}
 	if c.awaitsRetriableAcks() {
@@ -140,8 +114,8 @@ func (n *Node) phase2(c *txCtx) {
 // subordinate the coordinator should actively re-contact (long-locks
 // subs are excluded: their ack is deliberately deferred).
 func (c *txCtx) awaitsRetriableAcks() bool {
-	for _, s := range c.orderedSubs() {
-		if s.ackExpected && !s.acked && !s.longLocks {
+	for i, id := range c.round.Subs {
+		if c.round.Owes(i) && !c.sub(protocol.NodeID(id)).longLocks {
 			return true
 		}
 	}
@@ -193,7 +167,7 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 	}
 	switch c.state {
 	case stDelegated:
-		n.coordinatorOutcome(c, commit)
+		n.ownDecision(c, commit)
 	case stPrepared, stInDoubt:
 		n.receivedDecision(c, commit)
 	case stHeurDone:
@@ -226,16 +200,6 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 	}
 }
 
-// coordinatorOutcome resumes a delegating coordinator when its last
-// agent reports the decision.
-func (n *Node) coordinatorOutcome(c *txCtx, commit bool) {
-	if c.decided {
-		return
-	}
-	d := n.eng.cfg.Variant.Decide(commit, protocol.Round{ReadOnly: c.votedReadOnly, Logged: c.loggedAny})
-	n.takeOutcome(c, commit, d.Write, protocol.LogRecord{Coord: string(c.coord), Subs: c.yesSubIDs(c.coord)})
-}
-
 // handleAck processes a subordinate's acknowledgment.
 func (n *Node) handleAck(from protocol.NodeID, m protocol.Message) {
 	tx := protocol.ParseTxID(m.Tx)
@@ -243,17 +207,13 @@ func (n *Node) handleAck(from protocol.NodeID, m protocol.Message) {
 	if !ok {
 		return // already complete: stray or duplicate ack
 	}
-	s := c.sub(from)
-	if !s.ackExpected || s.acked {
-		// Unexpected ack (e.g. we gave up on this sub): still merge
-		// damage reports so nothing is silently lost.
-		n.mergeAckStatus(c, m)
-		return
-	}
-	s.acked = true
-	c.acksPending--
+	// An unexpected ack (e.g. we gave up on this sub) still has its
+	// damage reports merged, so nothing is silently lost.
+	counted := c.round.Ack(string(from), &m)
 	n.mergeAckStatus(c, m)
-	n.checkAcks(c)
+	if counted {
+		n.checkAcks(c)
+	}
 }
 
 func (n *Node) mergeAckStatus(c *txCtx, m protocol.Message) {
@@ -271,7 +231,7 @@ func (n *Node) mergeAckStatus(c *txCtx, m protocol.Message) {
 // checkAcks finishes phase two once every expected acknowledgment has
 // arrived.
 func (n *Node) checkAcks(c *txCtx) {
-	if c.state != stCommitting || c.acksPending > 0 {
+	if c.state != stCommitting || c.round.Owed() > 0 {
 		return
 	}
 	c.ackTimerGen++ // disarm retries
@@ -293,13 +253,12 @@ func (n *Node) checkAcks(c *txCtx) {
 		n.writeEndAndForget(c)
 		return
 	}
-	// Subordinate: acknowledge upstream per the ack policy. Read-only
-	// voters are out of phase two entirely, an early ack has already
-	// gone out, and an outcome the variant does not acknowledge closes
-	// out at once.
+	// Subordinate: acknowledge upstream per the ack policy. An early
+	// ack has already gone out, and an outcome the variant does not
+	// acknowledge closes out at once.
 	opts := n.eng.cfg.Options
 	switch {
-	case c.votedReadOnly, c.ackSent, !n.acksUpstream(c):
+	case c.ackSent, !n.acksUpstream(c):
 		n.writeEndAndForget(c)
 	case c.decisionCommit && opts.VoteReliable && c.votedReliable:
 		// Reliable subtree: no explicit ack; the implied ack (next
@@ -385,7 +344,7 @@ func (n *Node) completeApp(c *txCtx, status AckStatus) {
 // and removal from the active table. Leave-out suspension takes
 // effect here, on successful commit.
 func (n *Node) writeEndAndForget(c *txCtx) {
-	if c.loggedAny {
+	if c.round.Logged {
 		n.logRec(c.id, protocol.LogRecord{Kind: protocol.RecEnd}, false)
 	}
 	outcome := OutcomeAborted
@@ -403,11 +362,9 @@ func (n *Node) forget(c *txCtx, outcome Outcome, record bool) {
 	}
 	opts := n.eng.cfg.Options
 	if opts.LeaveOut && c.decided && c.decisionCommit {
-		for _, s := range c.orderedSubs() {
-			if c.haveCoord && s.id == c.coord {
-				continue
-			}
-			if s.voted && s.okToLeave && s.vote != protocol.VoteNo {
+		for i, id := range c.round.Subs {
+			s := c.sub(protocol.NodeID(id))
+			if v, voted := c.round.VoteOf(i); voted && s.okToLeave && v != protocol.VoteNo {
 				l := n.link(s.id)
 				l.dormant = true
 				l.okToLeaveOut = true
@@ -427,7 +384,7 @@ func (n *Node) armAckTimer(c *txCtx) {
 	c.ackTimerGen++
 	gen := c.ackTimerGen
 	n.afterTx(c, n.eng.cfg.AckTimeout, func(at time.Duration) {
-		if c.ackTimerGen == gen && c.state == stCommitting && c.acksPending > 0 {
+		if c.ackTimerGen == gen && c.state == stCommitting && c.round.Owed() > 0 {
 			n.eng.arriveAt(n, at)
 			n.ackTimeout(c)
 		}
@@ -445,8 +402,9 @@ func (n *Node) ackTimeout(c *txCtx) {
 		maxAttempts = 10
 	}
 	failedOnce := false
-	for _, s := range c.orderedSubs() {
-		if !s.ackExpected || s.acked || s.longLocks {
+	for i, id := range c.round.Subs {
+		s := c.sub(protocol.NodeID(id))
+		if !c.round.Owes(i) || s.longLocks {
 			continue
 		}
 		s.attempts++
@@ -456,15 +414,14 @@ func (n *Node) ackTimeout(c *txCtx) {
 		if s.attempts >= maxAttempts {
 			// Operator intervention: stop waiting for this subtree.
 			n.trcApp("giving up on " + string(s.id) + " after " + strconv.Itoa(s.attempts) + " attempts")
-			s.ackExpected = false
-			c.acksPending--
+			c.round.Waive(i)
 			c.status.RecoveryPending = true
 			continue
 		}
 		n.trcApp("re-contacting " + string(s.id) + " (attempt " + strconv.Itoa(s.attempts) + ")")
 		n.send(s.id, out)
 	}
-	if cfg.Options.WaitForOutcome && failedOnce && c.acksPending > 0 {
+	if cfg.Options.WaitForOutcome && failedOnce && c.round.Owed() > 0 {
 		// The single re-contact attempt has failed; give the
 		// application control back with the outcome-pending indication
 		// while recovery continues in the background (§4 Wait For
@@ -475,7 +432,7 @@ func (n *Node) ackTimeout(c *txCtx) {
 			st.RecoveryPending = true
 			n.completeApp(c, st)
 		}
-		if !c.isRoot && c.haveCoord && !c.ackSent && !c.votedReadOnly {
+		if !c.isRoot && c.haveCoord && !c.ackSent {
 			n.sendAckUpstream(c)
 		}
 	}

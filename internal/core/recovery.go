@@ -53,7 +53,7 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 		// detected and reported.
 		c := n.ctx(tx)
 		c.state = stHeurDone
-		c.loggedAny = true
+		c.round.Logged = true
 		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: l.Heuristic.Commit}
 		c.coord = protocol.NodeID(l.Heuristic.Coord)
 		c.haveCoord = c.coord != ""
@@ -108,20 +108,22 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 
 // reinstate rebuilds tx's context in state st from r, a record its log
 // proves: logged, under r's coordinator (a root when r names none),
-// with r's subordinates but except as yes-voters it sent a Prepare.
-func (n *Node) reinstate(tx protocol.TxID, st txState, r *protocol.LogRecord, except protocol.NodeID) *txCtx {
+// with a round whose yes-voters are r's subordinates but agent, which
+// holds the delegation when it is not "".
+func (n *Node) reinstate(tx protocol.TxID, st txState, r *protocol.LogRecord, agent protocol.NodeID) *txCtx {
 	c := n.ctx(tx)
 	c.state = st
-	c.loggedAny = true
+	c.round.Logged = true
 	c.coord = protocol.NodeID(r.Coord)
 	c.haveCoord = c.coord != ""
 	c.isRoot = !c.haveCoord
+	yes := make([]string, 0, len(r.Subs))
 	for _, s := range r.Subs {
-		if id := protocol.NodeID(s); id != except {
-			si := c.sub(id)
-			si.prepareSent, si.voted, si.vote = true, true, protocol.VoteYes
+		if s != string(agent) {
+			yes = append(yes, s)
 		}
 	}
+	c.round.Reinstate(n.eng.cfg.Variant, yes, string(agent))
 	return c
 }
 
@@ -132,7 +134,6 @@ func (n *Node) reinstate(tx protocol.TxID, st txState, r *protocol.LogRecord, ex
 func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
 	agent := protocol.NodeID(p.Agent)
 	c := n.reinstate(tx, stDelegated, p, agent)
-	c.sub(agent).isLastAgent = true
 	n.trcState(tx, "restart: delegated to "+p.Agent+", asking again")
 	n.send(agent, n.delegation(c, true))
 	n.armDelegationWatch(c, agent)
@@ -145,7 +146,7 @@ func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
 // learn the outcome from the acceptor quorum.
 func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 	c := n.ctx(tx)
-	c.loggedAny = true
+	c.round.Logged = true
 	c.state = stInDoubt
 
 	// Membership travels on every durable Paxos record; the first
@@ -182,36 +183,18 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 }
 
 // resumeOutcome re-enters phase two for a transaction whose decision
-// record survived: subordinates are re-notified (idempotently), acks
-// re-collected, and — for a subordinate — the ack upstream re-sent.
+// record survived: subordinates are re-notified (idempotently), local
+// resources re-driven (completed ones treat this as a duplicate), acks
+// re-collected, and — for a subordinate — the ack upstream re-sent at
+// once: its coordinator may still be waiting for it.
 func (n *Node) resumeOutcome(tx protocol.TxID, p *protocol.LogRecord, commit bool) {
 	c := n.reinstate(tx, stCommitting, p, "")
 	c.decided = true
 	c.decisionCommit = commit
 	n.trcDecision(c, commit)
 	n.trcState(tx, "restart: resuming phase two")
-
-	out := protocol.OutcomeMessage(tx.String(), commit)
-	for _, sub := range p.Subs {
-		id := protocol.NodeID(sub)
-		s := c.sub(id)
-		n.send(id, out)
-		if n.expectsAck(s, commit) {
-			s.ackExpected = true
-			c.acksPending++
-		}
-	}
-	// Local resources are re-driven; completed ones treat this as a
-	// duplicate.
-	n.completeResources(c, commit)
-	if !c.isRoot && !c.ackSent && n.acksUpstream(c) {
-		// Our coordinator may still be waiting for our ack.
-		n.sendAckUpstream(c)
-	}
-	if c.acksPending > 0 {
-		n.armAckTimer(c)
-	}
-	n.checkAcks(c)
+	c.round.Decide(commit)
+	n.phase2(c, true)
 }
 
 // scheduleInquiry sends (after delay) a recovery inquiry to the

@@ -15,7 +15,6 @@ const (
 	stPreparing                 // phase one in progress here
 	stPrepared                  // subordinate: voted yes, awaiting outcome
 	stDelegated                 // coordinator: decision handed to last agent
-	stDeciding                  // votes all in, decision being applied
 	stCommitting                // outcome logged, awaiting acknowledgments
 	stCompleted                 // locally done; may still owe/await an implied ack
 	stInDoubt                   // prepared and actively recovering
@@ -27,7 +26,6 @@ var stateNames = map[txState]string{
 	stPreparing:  "preparing",
 	stPrepared:   "prepared",
 	stDelegated:  "delegated",
-	stDeciding:   "deciding",
 	stCommitting: "committing",
 	stCompleted:  "completed",
 	stInDoubt:    "in-doubt",
@@ -42,21 +40,15 @@ func (s txState) String() string {
 }
 
 // subInfo tracks one downstream partner of this node in one
-// transaction.
+// transaction; its vote and ack are the round's (txCtx.round).
 type subInfo struct {
-	id          protocol.NodeID
-	activeInTx  bool // data exchanged this transaction
-	prepareSent bool
-	voted       bool
-	vote        protocol.VoteValue
-	reliable    bool
-	okToLeave   bool
-	unsolicited bool
-	isLastAgent bool
-	ackExpected bool
-	acked       bool
-	longLocks   bool // we asked this sub for the long-locks variation
-	attempts    int  // phase-two re-contact attempts
+	id         protocol.NodeID
+	activeInTx bool             // data exchanged this transaction
+	early      protocol.Message // a vote it volunteered before this node's phase one
+	reliable   bool
+	okToLeave  bool
+	longLocks  bool // we asked this sub for the long-locks variation
+	attempts   int  // phase-two re-contact attempts
 }
 
 // txCtx is the per-node protocol state of one transaction.
@@ -71,14 +63,15 @@ type txCtx struct {
 	subOrder    []protocol.NodeID
 	myHeuristic *protocol.HeuristicReport // local unilateral decision, if any
 
-	votesPending int
-	acksPending  int
+	// round is this node's tally of its subtree (protocol.Coord): the
+	// votes, the decision's recipients and the acks owed. Its Logged
+	// says the node wrote a record for the transaction.
+	round protocol.Coord
 
 	decided        bool
 	decisionCommit bool
 
 	// Vote attributes aggregated from LRMs and subs.
-	allReadOnly bool
 	allReliable bool
 	allLeaveOut bool
 
@@ -87,7 +80,6 @@ type txCtx struct {
 	// Upstream expectations.
 	longLocksAsked  bool // our coordinator wants the long-locks ack
 	lastAgentAsked  bool // we are the last agent: we own the decision
-	votedReadOnly   bool
 	awaitingImplied bool // END deferred until implied ack (or session close)
 	impliedFrom     protocol.NodeID
 
@@ -105,15 +97,12 @@ type txCtx struct {
 	lastAgentChoice protocol.NodeID // script-designated last agent ("" = auto)
 
 	// Phase-one bookkeeping.
-	anyNo             bool
-	localPrepared     bool
-	delegationPlanned bool
-	ask               protocol.Ask // what asked for this node's vote
-	firstContact      protocol.NodeID
-	firstContactSet   bool
+	localPrepared   bool
+	ask             protocol.Ask // what asked for this node's vote
+	firstContact    protocol.NodeID
+	firstContactSet bool
 
 	// Logging bookkeeping.
-	loggedAny       bool
 	pnPendingLogged bool
 	pnPendingAgent  protocol.NodeID
 
@@ -134,7 +123,9 @@ type txCtx struct {
 func (n *Node) ctx(id protocol.TxID) *txCtx {
 	c, ok := n.txs[id]
 	if !ok {
-		c = &txCtx{id: id, subs: make(map[protocol.NodeID]*subInfo), allReadOnly: true, allReliable: true, allLeaveOut: true}
+		c = &txCtx{id: id, subs: make(map[protocol.NodeID]*subInfo), allReliable: true, allLeaveOut: true}
+		c.round.Variant = n.eng.cfg.Variant
+		c.round.OnePhaseLazyDecision = n.eng.cfg.Hooks.OnePhaseLazyDecision
 		n.txs[id] = c
 	}
 	return c
@@ -148,16 +139,6 @@ func (c *txCtx) sub(id protocol.NodeID) *subInfo {
 		c.subOrder = append(c.subOrder, id)
 	}
 	return s
-}
-
-// orderedSubs returns subs in first-contact order for deterministic
-// message sequences.
-func (c *txCtx) orderedSubs() []*subInfo {
-	out := make([]*subInfo, 0, len(c.subOrder))
-	for _, id := range c.subOrder {
-		out = append(out, c.subs[id])
-	}
-	return out
 }
 
 // Tx is a script handle for building and committing one distributed

@@ -53,12 +53,6 @@ type AckStatus struct {
 	RecoveryPending bool
 }
 
-// Merge folds other into s.
-func (s *AckStatus) Merge(other AckStatus) {
-	s.Heuristics = append(s.Heuristics, other.Heuristics...)
-	s.RecoveryPending = s.RecoveryPending || other.RecoveryPending
-}
-
 // Damaged reports whether any heuristic in the subtree disagreed with
 // the outcome.
 func (s AckStatus) Damaged() bool {

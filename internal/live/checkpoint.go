@@ -1,6 +1,8 @@
 package live
 
 import (
+	"slices"
+
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
@@ -77,7 +79,7 @@ func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, le
 		for _, env := range st.inbox[st.head:] {
 			if env.msg.Type != protocol.MsgAck {
 				kept = append(kept, env)
-			} else if i := indexOf(missing, env.from); i >= 0 {
+			} else if i := slices.Index(missing, env.from); i >= 0 {
 				missing = append(missing[:i], missing[i+1:]...)
 			}
 		}

@@ -30,6 +30,9 @@ import (
 // returns once an acceptor quorum has learned the decision. Aborts
 // return at the decision under every variant.
 //
+// subs is read until the commit's acks are in, which may be after
+// Commit returns: the caller must not change it.
+//
 // ctx bounds the whole operation. Cancellation during vote collection
 // aborts the transaction; cancellation after the decision point (or
 // after a last-agent delegation) cannot undo it and returns InDoubt
@@ -60,8 +63,8 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 	tx := protocol.ParseTxID(txName)
 	st := p.registerCoord(txName)
 	defer func() {
-		// A background ack collector (commitPhaseTwo) or last-agent
-		// resolver (delegate) outlives this call as the consumer and
+		// A background ack collector (commit) or last-agent resolver
+		// (awaitAgent) outlives this call as the consumer and
 		// unregisters when it is done.
 		if !st.detached {
 			p.unregisterCoord(st)
@@ -78,122 +81,68 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		return p.runPaxosCommit(ctx, st, tx, txName, subs)
 	}
 
-	// Last Agent (§4): hold the final subordinate out of phase one and
-	// delegate the decision to it once everyone else has voted yes. A
-	// logless vote's durability is the coordinator's own decision
-	// record, so there is nothing to delegate.
+	// The round (protocol.Coord) holds the last subordinate out of
+	// phase one when Last Agent is on and the variant delegates, and
+	// names the record to force before any Prepare leaves.
+	c := &st.coord
+	c.OnePhaseLazyDecision = p.hooks.OnePhaseLazyDecision
 	agent := ""
-	others := subs
-	if p.lastAgent && len(subs) > 0 && v.Delegates() {
+	if p.lastAgent && len(subs) > 0 {
 		agent = subs[len(subs)-1]
-		others = subs[:len(subs)-1]
+	}
+	if pre := c.Begin(v, subs, agent); pre.Kind != "" {
+		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: pre.Kind, Data: pre.Encode()}); err != nil {
+			return p.abort(txName, c, false), fmt.Errorf("live: force %s record: %w", strings.ToLower(pre.Kind), err)
+		}
+		c.Logged = true
 	}
 
-	// PN forces a pending record, PC a collecting record, before any
-	// Prepare leaves: the stable membership list is what lets their
-	// presumptions hold through a coordinator crash.
-	kind := v.PrePrepare()
-	if kind != "" {
-		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: kind, Data: protocol.LogRecord{Kind: kind, Subs: subs}.Encode()}); err != nil {
-			return p.abortTx(tx, txName, subs, v, protocol.Round{}), fmt.Errorf("live: force %s record: %w", strings.ToLower(kind), err)
-		}
-	}
-	// An abort from here on counts as voted: once the Prepares leave,
-	// any subordinate may be prepared.
-	rd := protocol.Round{Logged: kind != "", Voted: true}
-
-	// Vote bookkeeping is tree-sized slices, not maps: transaction
-	// trees are a handful of subordinates, so membership is a linear
-	// scan and the whole structure is two right-sized allocations. A
-	// logless vote's redo payload, kept beside its voter, is a third.
-	votes := make([]protocol.VoteValue, len(others))
-	for i := range votes {
-		votes[i] = unvoted
-	}
-	votedN := 0
-	yes := make([]string, 0, len(others))
-	var redos [][]byte
-	if !v.SubPrepare(true).Prepared {
-		redos = make([][]byte, 0, len(others))
-	}
-	// tally counts a reply if it is a first vote from one of others,
-	// and reports whether it is a no.
-	tally := func(env envelope) bool {
-		i := indexOf(others, env.from)
-		if i < 0 || votes[i] != unvoted || env.msg.Type != protocol.MsgVote {
-			return false
-		}
-		votes[i] = env.msg.Vote
-		votedN++
-		if env.msg.Vote == protocol.VoteYes {
-			yes = append(yes, others[i])
-			if redos != nil {
-				redos = append(redos, env.msg.Payload)
-			}
-		}
-		return env.msg.Vote == protocol.VoteNo
-	}
-	// abort tells the subordinates that hear the outcome: all but the
-	// read-only voters, and the agent, held out of phase one.
-	abort := func() Outcome {
-		owed := make([]string, 0, len(subs))
-		for i, s := range others {
-			if protocol.HearsOutcome(votes[i], votes[i] != unvoted) {
-				owed = append(owed, s)
-			}
-		}
-		return p.abortTx(tx, txName, append(owed, subs[len(others):]...), v, rd)
-	}
 	// Votes already in the inbox were volunteered before this call (§4
-	// Unsolicited Vote); an unsolicited volunteer forced its own
-	// Prepared record, so it carries no redo.
+	// Unsolicited Vote).
+	owed := c.Pending()
 	for env := (envelope{}); p.take(st, false, &env); {
 		if env.work {
 			p.dispatch(st, &env)
-		} else if tally(env) {
-			return abort(), nil
+		} else if c.Vote(env.from, &env.msg) == protocol.NextAbort {
+			return p.abort(txName, c, false), nil
 		}
 	}
-	if votedN > 0 && p.met != nil {
-		p.met.CostVolunteers(txName, votedN)
+	if n := owed - c.Pending(); n > 0 && p.met != nil {
+		p.met.CostVolunteers(txName, n)
 	}
 
 	// Phase one: Prepares in parallel to everyone who has not already
 	// volunteered a vote, each announcing the variant's presumption.
 	prep := protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: v}
-	for i, s := range others {
-		if votes[i] != unvoted {
+	c.Ask()
+	for i, s := range subs {
+		if !c.Silent(i) {
 			continue
 		}
 		if err := p.send(s, prep); err != nil {
-			return abort(), fmt.Errorf("live: prepare %s: %w", s, err)
+			return p.abort(txName, c, false), fmt.Errorf("live: prepare %s: %w", s, err)
 		}
 	}
-
 	localVote := protocol.PrepareAll(p.res, tx).Vote
-	if localVote == protocol.VoteNo {
-		return abort(), nil
-	}
+	next := c.Local(localVote)
 
 	// Collect the remaining votes, retransmitting Prepare, marked
 	// Repeat (handlePrepare), to silent subordinates on the retry
 	// policy's backoff schedule.
-	if votedN < len(others) {
+	if next == protocol.NextCollect {
 		alarm := p.newRetryAlarm(p.voteTimeout, txName, "")
 		defer alarm.stop()
 		prep.Repeat = true
-		for votedN < len(others) {
+		for next == protocol.NextCollect {
 			switch env, w := p.next(ctx, st, alarm.C()); w {
 			case gotReply:
-				if tally(env) {
-					return abort(), nil
-				}
+				next = c.Vote(env.from, &env.msg)
 			case rang:
 				if alarm.expired() {
-					return abort(), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
+					return p.abort(txName, c, false), fmt.Errorf("live: collecting votes for %s: %w", txName, ErrTimeout)
 				}
-				for i, s := range others {
-					if votes[i] == unvoted {
+				for i, s := range subs {
+					if c.Silent(i) {
 						_ = p.sendExtra(s, prep)
 						p.countRetry()
 					}
@@ -201,17 +150,22 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 			case crashed:
 				return InDoubt, ErrCrashed
 			case stopping:
-				return abort(), fmt.Errorf("live: collecting votes for %s: %w", txName, errStopped)
+				return p.abort(txName, c, false), fmt.Errorf("live: collecting votes for %s: %w", txName, errStopped)
 			case cancelled:
-				return abort(), ctx.Err()
+				return p.abort(txName, c, false), ctx.Err()
 			}
 		}
 	}
-
-	if agent != "" {
-		return p.delegate(ctx, st, tx, txName, agent, yes, localVote, v)
+	switch next {
+	case protocol.NextAbort:
+		return p.abort(txName, c, false), nil
+	case protocol.NextDelegate:
+		return p.delegate(ctx, st, txName)
 	}
-	return p.decideCommit(ctx, st, tx, txName, yes, redos, localVote, v)
+	if localVote == protocol.VoteReadOnly && p.met != nil {
+		p.met.CostCoordReadOnly(txName)
+	}
+	return p.commit(ctx, st, txName)
 }
 
 // TakesVolunteers reports whether this node, coordinating under v,
@@ -266,7 +220,7 @@ func (p *Participant) PostVotes(txName string, votes []Vote) {
 // AbortVolunteered aborts under v a transaction this node coordinates
 // that will not reach Commit, after the subordinates subs volunteered
 // a yes vote (Volunteer) or may have: they are prepared, so the abort
-// reaches them through the protocol, by abortTx's rules: a PA
+// reaches them through the protocol, by the round's rules: a PA
 // coordinator writes nothing and collects no ack, a Basic 2PC one
 // forces the abort and holds it until each has acked.
 func (p *Participant) AbortVolunteered(txName string, subs []string, v protocol.Variant) {
@@ -276,77 +230,64 @@ func (p *Participant) AbortVolunteered(txName string, subs []string, v protocol.
 		p.met.CostBegin(txName, p.name, v.String(), len(subs))
 		p.met.CostVolunteers(txName, len(subs)) // none was sent a Prepare
 	}
-	p.abortTx(protocol.ParseTxID(txName), txName, subs, v, protocol.Round{Voted: true})
+	st.coord.Reinstate(v, subs, "")
+	p.abort(txName, &st.coord, false)
 }
 
-// decideCommit takes the commit decision after unanimous yes votes
-// and drives phase two. redos are the logless voters' redo payloads,
-// one per yes-voter (nil unless the variant votes logless).
-func (p *Participant) decideCommit(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, redos [][]byte, localVote protocol.VoteValue, v protocol.Variant) (Outcome, error) {
-	d := v.Decide(true, protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0})
-	if localVote == protocol.VoteReadOnly && p.met != nil {
-		p.met.CostCoordReadOnly(txName)
-	}
+// commit takes the commit decision as the round's owner and runs phase
+// two: the record, the decided table (pinned while acks are owed; a
+// logless vote's record, its voters' only redo, pinned with it), the
+// resources, the outcome, and the acks, collected here only when the
+// decision is not Early and otherwise in the background. End follows
+// the last ack, if this node logged anything.
+func (p *Participant) commit(ctx context.Context, st *txState, txName string) (Outcome, error) {
+	c := &st.coord
+	d := c.Decide(true)
 	var rec wal.Record
 	if d.Write != protocol.NoWrite {
-		rec = commitRecord(txName, p.name, yes, redos, d)
-	}
-	if d.Write == protocol.Forced && d.Redo && p.hooks.OnePhaseLazyDecision {
-		// Injected bug (TestHooks): writing the tree's only durable
-		// record lazily silently voids every voter's delegated
-		// durability. The AC3 oracle must convict this.
-		d.Write = protocol.Lazy
+		r := protocol.LogRecord{Kind: protocol.RecCommitted}
+		switch {
+		case d.Redo:
+			// The only stable state in the tree: every voter's redo.
+			r.OnePhase, r.Subs, r.Redos = true, d.Yes, d.Redos
+		case d.Acked:
+			// A replay without End waits on these acks again.
+			r.Subs = d.Yes
+		}
+		rec = wal.Record{Tx: txName, Node: p.name, Kind: r.Kind, Data: r.Encode()}
 	}
 	if err := p.write(rec, d.Write); err != nil {
-		// The yes-voters sit prepared holding locks; tell them the
-		// abort now rather than leaving them to recovery.
-		return p.abortTx(tx, txName, yes, v, protocol.Round{Voted: true}), fmt.Errorf("live: force commit record: %w", err)
+		if c.Agent() == "" {
+			// The yes-voters sit prepared holding locks; tell them the
+			// abort now rather than leaving them to recovery.
+			return p.abort(txName, c, false), fmt.Errorf("live: force commit record: %w", err)
+		}
+		// The agent's decision is commit regardless; surface the log
+		// failure. No End will follow, so this node's part of the cost
+		// ledger closes here.
+		if p.met != nil {
+			p.met.CostNodeDone(txName, p.name)
+		}
+		return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
 	}
-	return p.commitPhaseTwo(ctx, st, tx, txName, yes, rec.Data, d, v.PrePrepare() != "")
-}
-
-// commitRecord is a coordinator's commit record, as decision d has it.
-// When the outcome is acknowledged it names the yes-voters, whose acks
-// a replay without End waits on again. A logless vote's record also
-// embeds every voter's redo: it is the only stable state in the tree.
-func commitRecord(txName, node string, yes []string, redos [][]byte, d protocol.Decision) wal.Record {
-	r := protocol.LogRecord{Kind: protocol.RecCommitted}
-	switch {
-	case d.Redo:
-		r.OnePhase, r.Subs, r.Redos = true, yes, redos
-	case d.Acked:
-		r.Subs = yes
+	if d.AckAgent {
+		_ = p.sendExtra(c.Agent(), protocol.Message{Type: protocol.MsgAck, Tx: txName})
 	}
-	return wal.Record{Tx: txName, Node: node, Kind: r.Kind, Data: r.Encode()}
-}
-
-// commitPhaseTwo publishes a commit decision, completes the local
-// resources, and delivers the outcome to the yes-voters. It collects
-// their acknowledgments itself only when d is not Early; otherwise a
-// background collector does, and it returns at once. The decided-table
-// entry stays pinned while acknowledgments are outstanding; End is
-// written only once they are all in, and only if this node logged
-// anything: logged says it forced a record before deciding
-// (pre-prepare or delegation). data is the commit record's payload: a
-// logless vote's record is its voters' only redo, so the pin keeps it
-// for outcomes resent to them.
-func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protocol.TxID, txName string, yes []string, data []byte, d protocol.Decision, logged bool) (Outcome, error) {
-	acks := d.Acked && len(yes) > 0
+	acks := c.Owed() > 0
 	p.recordDecision(txName, true, acks)
 	if acks && d.Redo {
-		p.setPinRedo(txName, data)
+		p.setPinRedo(txName, rec.Data)
 	}
-	p.complete(tx, true)
+	p.complete(protocol.ParseTxID(txName), true)
 	if p.met != nil {
-		p.met.CostOutcome(txName, "committed", len(yes))
+		p.met.CostOutcome(txName, "committed", len(d.Yes))
 	}
-
 	out := protocol.OutcomeMessage(txName, true)
-	for _, s := range yes {
+	for _, s := range d.Yes {
 		_ = p.send(s, out)
 	}
 	switch {
-	case !acks && d.Write == protocol.NoWrite && !logged:
+	case !acks && !c.Logged && d.Write == protocol.NoWrite:
 		// A read-only round with nothing forced before it leaves no
 		// record for End to close: it logs nothing at all (§4 Read
 		// Only, analytic.PAReadOnlyAll).
@@ -357,32 +298,29 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 	case !acks:
 		p.endCoord(txName, true)
 		return Committed, nil
-	}
-	if !d.Early {
+	case !d.Early:
 		// PN: the acks carry heuristic reports to the root, so the
 		// caller waits for them.
-		heur, err := p.collectAcks(ctx, st, txName, yes, out)
+		err := p.collectAcks(ctx, st, txName)
 		if err == nil {
 			p.endCoord(txName, true)
 		}
-		if derr := damageError(txName, heur); derr != nil {
+		if derr := damageError(txName, c.Heuristics); derr != nil {
 			return Committed, derr
 		}
 		return Committed, err
+	case st.detached:
+		// A last-agent resolver: already off the caller's path.
+		p.collectCommitAcks(st, txName)
+		return Committed, nil
 	}
 	// The commit is decided, written and announced, and its acks tell
 	// the caller nothing, so their collection leaves the caller's
-	// critical path.
-	if st.detached {
-		// A last-agent resolver: already off the caller's path.
-		p.collectCommitAcks(st, txName, yes)
-		return Committed, nil
-	}
-	// The collector takes the registration over.
+	// critical path; the collector takes the registration over.
 	st.detached = true
 	collect := func() {
 		defer p.unregisterCoord(st)
-		p.collectCommitAcks(st, txName, yes)
+		p.collectCommitAcks(st, txName)
 	}
 	if !p.background(collect) {
 		collect() // stopping: it gives up at once
@@ -390,16 +328,13 @@ func (p *Participant) commitPhaseTwo(ctx context.Context, st *txState, tx protoc
 	return Committed, nil
 }
 
-// collectCommitAcks collects a commit's acks off the caller's path:
-// it retransmits to stragglers, counts any damage they report on this
-// node's metrics under the reporting node, since no caller hears of
-// it, and writes End on the last ack. (A registry shared with that
-// node has already counted the damage there, and counts it twice.)
-// Voters that never ack resolve through recovery against the decision
-// record.
-func (p *Participant) collectCommitAcks(st *txState, txName string, yes []string) {
-	heur, err := p.collectAcks(context.Background(), st, txName, yes, protocol.OutcomeMessage(txName, true))
-	for _, h := range heur {
+// collectCommitAcks collects a commit's acks off the caller's path,
+// counting any damage they report on this node's metrics under the
+// reporting node, since no caller hears of it (a registry shared with
+// that node counts it twice), and writes End on the last one.
+func (p *Participant) collectCommitAcks(st *txState, txName string) {
+	err := p.collectAcks(context.Background(), st, txName)
+	for _, h := range st.coord.Heuristics {
 		if h.Damage && p.met != nil {
 			p.met.Damage(h.Node)
 		}
@@ -409,73 +344,60 @@ func (p *Participant) collectCommitAcks(st *txState, txName string, yes []string
 	}
 }
 
-// delegation is what a delegating coordinator holds until its last
-// agent answers: the agent, the other yes-voters to tell the outcome,
-// the variant, and what it knows as the decision's owner.
-type delegation struct {
-	tx    protocol.TxID
-	agent string
-	yes   []string
-	v     protocol.Variant
-	rd    protocol.Round
-}
-
-// delegate hands the decision to the last agent (§4): it forces the
-// delegation record, sends the combined "prepare, you decide" message,
-// and waits for the answer (awaitAgent).
-func (p *Participant) delegate(ctx context.Context, st *txState, tx protocol.TxID, txName, agent string, yes []string, localVote protocol.VoteValue, v protocol.Variant) (Outcome, error) {
-	dl := &delegation{tx: tx, agent: agent, yes: yes, v: v,
-		rd: protocol.Round{ReadOnly: localVote == protocol.VoteReadOnly && len(yes) == 0, Logged: v.PrePrepare() != "", Voted: true}}
-	// The live pre-prepare record names no agent, so it cannot stand
-	// for the delegation record.
-	if !dl.rd.ReadOnly {
-		r := protocol.LogRecord{Kind: protocol.RecPrepared, Presume: v, Agent: agent, Subs: yes}
-		rec := wal.Record{Tx: txName, Node: p.name, Kind: r.Kind, Data: r.Encode()}
-		if err := p.force(rec); err != nil {
-			return p.abortTx(tx, txName, yes, v, dl.rd), fmt.Errorf("live: force delegation record: %w", err)
+// delegate hands the decision to the last agent (§4): the delegation
+// record (the pre-prepare record names no agent), the combined
+// "prepare, you decide" message, and the wait for its answer.
+func (p *Participant) delegate(ctx context.Context, st *txState, txName string) (Outcome, error) {
+	c := &st.coord
+	if r := c.Delegate(); r.Kind != "" {
+		if err := p.force(wal.Record{Tx: txName, Node: p.name, Kind: r.Kind, Data: r.Encode()}); err != nil {
+			return p.abort(txName, c, false), fmt.Errorf("live: force delegation record: %w", err)
 		}
-		dl.rd.Logged = true
+		c.Logged = true
 	}
-	if err := p.send(agent, dl.message(txName, false)); err != nil {
+	if err := p.send(c.Agent(), delegation(txName, c.Variant, false)); err != nil {
 		if p.Crashed() {
 			// The delegation may be out: the restart asks the agent.
 			return InDoubt, ErrCrashed
 		}
 		// Nothing was delegated; the decision is still ours.
-		return p.abortTx(tx, txName, append(append([]string{}, yes...), agent), v, dl.rd), fmt.Errorf("live: delegate to %s: %w", agent, err)
+		return p.abort(txName, c, false), fmt.Errorf("live: delegate to %s: %w", c.Agent(), err)
 	}
-	return p.awaitAgent(ctx, st, txName, dl, false)
+	return p.awaitAgent(ctx, st, txName, false)
 }
 
-// message is the delegation: a Prepare that hands over the decision;
+// delegation is the last agent's Prepare that hands over the decision;
 // repeat marks one sent again because no answer came.
-func (dl *delegation) message(txName string, repeat bool) protocol.Message {
-	return protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: dl.v, Delegate: true, Repeat: repeat}
+func delegation(txName string, v protocol.Variant, repeat bool) protocol.Message {
+	return protocol.Message{Type: protocol.MsgPrepare, Tx: txName, Presume: v, Delegate: true, Repeat: repeat}
 }
 
-// awaitAgent waits for the last agent's decision, asking again by
-// repeating the delegation on the retry policy's backoff — an agent
-// that decided answers from its decided table, one the delegation
-// never reached decides now — and finishes phase two with it. A
-// delegating coordinator cannot presume: past the vote deadline, or
-// once ctx ends, it stays in doubt, answering inquiries InProgress,
-// while a background resolver that takes st over keeps
-// asking (resolveLater). The resolver is this loop with no deadline.
-func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string, dl *delegation, resolver bool) (Outcome, error) {
-	dm := dl.message(txName, true)
+// awaitAgent waits for the last agent's decision, repeating the
+// delegation on the retry backoff (an agent that decided answers from
+// its decided table), and finishes phase two with it as the owner's.
+// It cannot presume: past the vote deadline, or once ctx ends, it stays
+// in doubt, answering InProgress, while a background resolver — this
+// loop with no deadline — keeps asking (resolveLater).
+func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string, resolver bool) (Outcome, error) {
+	c := &st.coord
+	agent := c.Agent()
+	dm := delegation(txName, c.Variant, true)
 	alarm := p.newRetryAlarm(p.voteTimeout, txName, "/agent")
 	defer func() { alarm.stop() }()
 	for {
 		var err error
 		switch env, w := p.next(ctx, st, alarm.C()); w {
 		case gotReply:
-			if commit, ok := protocol.OutcomeOf(&env.msg); ok && env.from == dl.agent {
-				return p.finishDelegation(ctx, st, txName, dl, commit)
+			switch commit, ok := c.Answer(env.from, &env.msg); {
+			case !ok:
+				continue
+			case commit:
+				return p.commit(ctx, st, txName)
 			}
-			continue
+			return p.abort(txName, c, false), nil
 		case rang:
 			if !alarm.expired() {
-				_ = p.sendExtra(dl.agent, dm)
+				_ = p.sendExtra(agent, dm)
 				p.countRetry()
 				continue
 			}
@@ -483,7 +405,7 @@ func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string
 		case crashed:
 			return InDoubt, ErrCrashed
 		case stopping:
-			return InDoubt, fmt.Errorf("live: stopped awaiting last agent %s for %s: %w", dl.agent, txName, ErrInDoubt)
+			return InDoubt, fmt.Errorf("live: stopped awaiting last agent %s for %s: %w", agent, txName, ErrInDoubt)
 		case cancelled:
 			err = ctx.Err()
 		}
@@ -491,112 +413,58 @@ func (p *Participant) awaitAgent(ctx context.Context, st *txState, txName string
 			if p.met != nil {
 				p.met.InDoubtEntry(p.name)
 			}
-			p.resolveLater(st, txName, dl)
-			return InDoubt, fmt.Errorf("live: awaiting last agent %s for %s: %w (%w)", dl.agent, txName, ErrInDoubt, err)
+			p.resolveLater(st, txName)
+			return InDoubt, fmt.Errorf("live: awaiting last agent %s for %s: %w (%w)", agent, txName, ErrInDoubt, err)
 		}
 		alarm.stop()
 		alarm = p.newRetryAlarm(p.ackTimeout, txName, "/agent")
-		_ = p.sendExtra(dl.agent, dm)
+		_ = p.sendExtra(agent, dm)
 	}
 }
 
 // resolveLater hands st, consumer role and registration, to a
-// background resolver that asks dl's agent until it answers. It runs
+// background resolver that asks its agent until it answers. It runs
 // when Commit stops waiting, and at Start for a delegation record the
 // replay found undecided.
-func (p *Participant) resolveLater(st *txState, txName string, dl *delegation) {
+func (p *Participant) resolveLater(st *txState, txName string) {
 	st.detached = true
 	resolve := func() {
 		defer p.unregisterCoord(st)
-		_ = p.sendExtra(dl.agent, dl.message(txName, true))
-		_, _ = p.awaitAgent(context.Background(), st, txName, dl, true)
+		_ = p.sendExtra(st.coord.Agent(), delegation(txName, st.coord.Variant, true))
+		_, _ = p.awaitAgent(context.Background(), st, txName, true)
 	}
 	if !p.background(resolve) {
 		resolve() // stopping: it gives up at once
 	}
 }
 
-// finishDelegation applies the last agent's decision as the decision
-// owner's: the record the rulebook asks for, the local resources, and
-// the outcome to the other yes-voters, whose acks it then collects.
-// Once the record is written it acknowledges the decision to the agent
-// if the variant acknowledges it, which lets the agent forget it.
-func (p *Participant) finishDelegation(ctx context.Context, st *txState, txName string, dl *delegation, commit bool) (Outcome, error) {
-	ack := func() {
-		if dl.v.Acks(commit) {
-			_ = p.sendExtra(dl.agent, protocol.Message{Type: protocol.MsgAck, Tx: txName})
-		}
-	}
-	if !commit {
-		out := p.abortTx(dl.tx, txName, dl.yes, dl.v, dl.rd)
-		ack()
-		return out, nil
-	}
-	d := dl.v.Decide(true, dl.rd)
-	if err := p.write(commitRecord(txName, p.name, dl.yes, nil, d), d.Write); err != nil {
-		// The global decision is commit regardless; record what we can
-		// and surface the log failure. No End will follow, so this
-		// node's part of the cost ledger closes here.
-		if p.met != nil {
-			p.met.CostNodeDone(txName, p.name)
-		}
-		return Committed, fmt.Errorf("live: force commit record after delegation: %w", err)
-	}
-	ack()
-	return p.commitPhaseTwo(ctx, st, dl.tx, txName, dl.yes, nil, d, dl.rd.Logged)
-}
-
-// collectAcks waits for phase-two acknowledgments from targets,
-// retransmitting the outcome message on the backoff schedule, and
-// folds up any heuristic reports they carry. Subordinates that never
-// ack are counted in doubt; resolving them falls to recovery, and the
-// acks still owed pass to the pinned decided-table entry, which late
+// collectAcks waits for the acks st's round owes, resending the commit
+// on the backoff schedule. Those still owed past the deadline are
+// counted in doubt and pass to the pinned decided entry, which late
 // ones release (awaitLateAcks).
-func (p *Participant) collectAcks(ctx context.Context, st *txState, txName string, targets []string, outMsg protocol.Message) ([]protocol.HeuristicReport, error) {
-	// Ack bookkeeping mirrors vote collection: one tree-sized bool
-	// slice instead of two maps.
-	acked := make([]bool, len(targets))
-	ackedN := 0
-	var heur []protocol.HeuristicReport
-
-	giveUp := func() {
-		missing := make([]string, 0, len(targets)-ackedN)
-		for i, s := range targets {
-			if !acked[i] {
-				missing = append(missing, s)
-			}
-		}
-		p.awaitLateAcks(st, txName, missing, true)
-	}
+func (p *Participant) collectAcks(ctx context.Context, st *txState, txName string) error {
+	c := &st.coord
+	out := protocol.OutcomeMessage(txName, true)
 	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/acks")
 	defer alarm.stop()
-	for ackedN < len(targets) {
+	for c.Owed() > 0 {
 		switch env, w := p.next(ctx, st, alarm.C()); w {
 		case gotReply:
-			i := indexOf(targets, env.from)
-			if i < 0 || acked[i] || env.msg.Type != protocol.MsgAck {
-				continue
-			}
-			acked[i] = true
-			ackedN++
-			heur = append(heur, env.msg.Heuristics...)
+			c.Ack(env.from, &env.msg)
 		case rang:
 			if alarm.expired() {
-				missing := 0
-				for i, s := range targets {
-					if !acked[i] {
-						missing++
-						if p.met != nil {
-							p.met.InDoubtEntry(s)
-						}
+				missing := c.Missing()
+				if p.met != nil {
+					for _, s := range missing {
+						p.met.InDoubtEntry(s)
 					}
 				}
-				giveUp()
-				return heur, fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", missing, len(targets), txName, ErrInDoubt)
+				p.awaitLateAcks(st, txName, missing, true)
+				return fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", len(missing), len(c.Subs), txName, ErrInDoubt)
 			}
-			for i, s := range targets {
-				if !acked[i] {
-					_ = p.sendExtra(s, outMsg)
+			for i, s := range c.Subs {
+				if c.Owes(i) {
+					_ = p.sendExtra(s, out)
 					p.countRetry()
 				}
 			}
@@ -604,48 +472,55 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 			// Shutdown mid-collection (e.g. a background collector
 			// when the participant stops): the outcome is decided and
 			// durable; outstanding deliveries fall to recovery.
-			giveUp()
-			return heur, fmt.Errorf("live: participant stopped with acks outstanding for %s: %w", txName, ErrInDoubt)
+			p.awaitLateAcks(st, txName, c.Missing(), true)
+			return fmt.Errorf("live: participant stopped with acks outstanding for %s: %w", txName, ErrInDoubt)
 		case crashed:
-			return heur, ErrCrashed
+			return ErrCrashed
 		case cancelled:
-			giveUp()
-			return heur, ctx.Err()
+			p.awaitLateAcks(st, txName, c.Missing(), true)
+			return ctx.Err()
 		}
 	}
-	return heur, nil
+	return nil
 }
 
-// abortTx takes an abort decision on the coordinator's own initiative:
-// log it as the rulebook asks for round rd (nothing under a presumed
-// abort), release local resources, and tell subs best-effort: the
-// subordinates that hear the outcome (protocol.HearsOutcome), never a
-// read-only voter. Prepared subordinates that miss the message resolve
-// through inquiry and presumption. When aborts are acknowledged the
-// record names subs, and the decided-table entry stays pinned — End
-// unwritten — until every subordinate told has acknowledged.
-func (p *Participant) abortTx(tx protocol.TxID, txName string, subs []string, v protocol.Variant, rd protocol.Round) Outcome {
-	d := v.Decide(false, rd)
-	acks := d.Acked && len(subs) > 0
+// abort decides abort for round c and runs it: the record (naming
+// those told when aborts are acked, and the decided entry pinned, End
+// unwritten, until each acks), the resources, and the Aborts to those
+// that hear it (protocol.Coord.Tells), best-effort. With recovery set
+// the round is one a crash cut short (an undecided pre-prepare record,
+// or a vote for a forgotten transaction): no resource or ledger, extra
+// flows, and nothing more if the record fails (the next restart retries).
+func (p *Participant) abort(txName string, c *protocol.Coord, recovery bool) Outcome {
+	d := c.Decide(false)
+	owed := c.Missing()
 	rec := wal.Record{Tx: txName, Node: p.name, Kind: protocol.RecAborted}
-	if acks {
-		rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: subs}.Encode()
+	if owed != nil {
+		rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: owed}.Encode()
 	}
-	_ = p.write(rec, d.Write)
-	p.recordDecision(txName, false, acks)
-	if acks {
-		p.awaitLateAcks(nil, txName, append([]string(nil), subs...), true)
+	if err := p.write(rec, d.Write); err != nil && recovery {
+		return Aborted
 	}
-	p.complete(tx, false)
-	if p.met != nil {
-		p.met.CostOutcome(txName, "aborted", len(subs))
+	p.recordDecision(txName, false, owed != nil)
+	if owed != nil {
+		p.awaitLateAcks(nil, txName, owed, !recovery)
 	}
-	ab := protocol.Message{Type: protocol.MsgAbort, Tx: txName}
-	for _, s := range subs {
-		_ = p.send(s, ab)
+	if !recovery {
+		p.complete(protocol.ParseTxID(txName), false)
+		if p.met != nil {
+			p.met.CostOutcome(txName, "aborted", d.Told)
+		}
 	}
-	if !acks {
+	for i, s := range c.Subs {
+		if c.Tells(i) {
+			_ = p.sendFlow(s, protocol.OutcomeMessage(txName, false), recovery)
+		}
+	}
+	if owed == nil && !recovery {
 		p.endCoord(txName, true)
+	}
+	if d.AckAgent {
+		_ = p.sendExtra(c.Agent(), protocol.Message{Type: protocol.MsgAck, Tx: txName})
 	}
 	return Aborted
 }
@@ -659,20 +534,6 @@ func damageError(txName string, heur []protocol.HeuristicReport) error {
 		}
 	}
 	return nil
-}
-
-// unvoted marks a subordinate whose vote the coordinator does not have.
-const unvoted protocol.VoteValue = -1
-
-// indexOf finds name in peers (tree-sized, so a linear scan beats a
-// map and allocates nothing).
-func indexOf(peers []string, name string) int {
-	for i, s := range peers {
-		if s == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // registerCoord enters txName in the table as a transaction this node

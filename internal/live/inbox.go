@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/protocol"
 )
@@ -50,7 +51,7 @@ func (p *Participant) route(from string, m *protocol.Message) {
 		// The coordinator stopped collecting and handed the acks still
 		// owed to the pinned entry (awaitLateAcks): strike the sender,
 		// releasing the entry with the last one.
-		if i := indexOf(pe.waiting, from); i >= 0 {
+		if i := slices.Index(pe.waiting, from); i >= 0 {
 			pe.waiting = append(pe.waiting[:i], pe.waiting[i+1:]...)
 		}
 		done := len(pe.waiting) == 0
@@ -87,7 +88,9 @@ func (p *Participant) route(from string, m *protocol.Message) {
 		// unknown here, so this node's variant's rules apply. A
 		// read-only voter has left: its vote is a reply nobody collects.
 		sh.mu.Unlock()
-		p.abortForgotten(m.Tx, p.variant, protocol.Round{Voted: true}, []string{from})
+		var c protocol.Coord
+		c.Reinstate(p.variant, []string{from}, "")
+		p.abort(m.Tx, &c, true)
 		return
 	case st == nil && work:
 		st = sh.stateLocked(m.Tx)

@@ -189,6 +189,8 @@ type txState struct {
 	// Subordinate side: the Prepare's announced variant, the vote sent
 	// (repeated to a duplicate Prepare) and the outcome.
 	sub protocol.Sub
+	// Coordinator side: the round's votes, decision and acks.
+	coord protocol.Coord
 
 	// Paxos Commit state (nil for every other variant).
 	pax *protocol.PaxosTx
@@ -573,29 +575,6 @@ func (p *Participant) publishDecision(tx string, d decision, pinned bool) {
 			dt = "commit"
 		}
 		p.trc.Add(trace.Event{Node: p.name, Kind: trace.KindDecision, Tx: tx, Detail: dt + "(" + tx + ")"})
-	}
-}
-
-// abortForgotten decides abort for a transaction whose coordination a
-// crash cut short — a restart found its pre-prepare record undecided,
-// or a vote came for it — under v's rules for round rd, and tells owed,
-// the subordinates that may be prepared.
-func (p *Participant) abortForgotten(tx string, v protocol.Variant, rd protocol.Round, owed []string) {
-	d := v.Decide(false, rd)
-	acked := d.Acked && len(owed) > 0
-	rec := wal.Record{Tx: tx, Node: p.name, Kind: protocol.RecAborted}
-	if acked {
-		rec.Data = protocol.LogRecord{Kind: rec.Kind, Subs: owed}.Encode()
-	}
-	if err := p.write(rec, d.Write); err != nil {
-		return // crashed again; the next restart retries
-	}
-	p.recordDecision(tx, false, acked)
-	if acked {
-		p.awaitLateAcks(nil, tx, append([]string(nil), owed...), false)
-	}
-	for _, s := range owed {
-		_ = p.sendExtra(s, protocol.OutcomeMessage(tx, false))
 	}
 }
 

@@ -176,11 +176,7 @@ func (p *Participant) paxosCoordFinish(st *txState, tx protocol.TxID, txName str
 	if broadcast {
 		om := outcomeMsg(txName, commit, nil, "")
 		for _, s := range subs {
-			if firstClass {
-				_ = p.send(s, om)
-			} else {
-				_ = p.sendExtra(s, om)
-			}
+			_ = p.sendFlow(s, om, !firstClass)
 		}
 	}
 	if p.lazy(wal.Record{Tx: txName, Node: p.name, Kind: protocol.RecEnd}) == nil && p.met != nil {

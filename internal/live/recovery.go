@@ -61,13 +61,18 @@ func (p *Participant) resume(l *protocol.TxLog) {
 		}
 	case pr != nil && pr.Agent != "" && !l.Ended:
 		// The last agent owns the outcome: come back in doubt and ask it.
-		p.resolveLater(p.registerCoord(tx), tx, &delegation{tx: protocol.ParseTxID(tx),
-			agent: pr.Agent, yes: pr.Subs, v: pr.Presume, rd: protocol.Round{Logged: true, Voted: true}})
+		st := p.registerCoord(tx)
+		st.coord.Reinstate(pr.Presume, pr.Subs, pr.Agent)
+		st.coord.Logged = true
+		p.resolveLater(st, tx)
 	case l.Pre != nil:
 		// The coordinator crashed mid-collection, so no subordinate can
 		// have received a commit: abort now and tell the membership.
+		var c protocol.Coord
 		v, _ := protocol.VariantByPrePrepare(l.Pre.Kind)
-		p.abortForgotten(tx, v, protocol.Round{Logged: true}, l.Pre.Subs)
+		c.Reinstate(v, l.Pre.Subs, "")
+		c.Logged = true
+		p.abort(tx, &c, true)
 	case l.InDoubt():
 		// Prepared, never decided: in doubt until RecoverInDoubt (or a
 		// retransmitted outcome) settles it, and remembered until then.

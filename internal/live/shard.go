@@ -3,6 +3,7 @@ package live
 import (
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -142,7 +143,7 @@ func outcomeMsg(tx string, committed bool, redo []byte, sub string) protocol.Mes
 	m := protocol.OutcomeMessage(tx, committed)
 	if committed && redo != nil {
 		if meta, err := protocol.DecodeOnePhaseMeta(redo); err == nil {
-			if i := indexOf(meta.Subs, sub); i >= 0 && i < len(meta.Redos) {
+			if i := slices.Index(meta.Subs, sub); i >= 0 && i < len(meta.Redos) {
 				m.Payload = meta.Redos[i]
 			}
 		}

@@ -65,8 +65,10 @@ echo "== answered at the decision, voted with the stage reply (20 race runs) =="
 # left in doubt. A read-only slice staged ahead of another keeps its
 # locks to its Prepare, so a concurrent write-skew schedule stays
 # serializable. An abort is told to no read-only voter, which keeps
-# nothing.
-go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard' ./internal/server ./internal/live
+# nothing. The audit stays exact while the coordinator's round
+# (protocol.Coord) hands over to its background ack collector and
+# last-agent resolver.
+go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers' ./internal/server ./internal/live ./internal/audit
 
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
