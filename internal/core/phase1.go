@@ -425,7 +425,7 @@ func (n *Node) voteUpstream(c *txCtx) {
 	yes := c.round.Voters()
 	s := n.subOf(c.id)
 	step := s.Voted(c.id.String(), vote, len(yes) == 0, c.ask)
-	msg := s.Vote
+	msg := s.Vote()
 	if vote != protocol.VoteNo {
 		msg.Reliable = c.allReliable
 		msg.OKToLeaveOut = c.allLeaveOut

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -55,5 +56,15 @@ func TestLiveCommitAllocFloor(t *testing.T) {
 	t.Logf("%.0f allocs per commit", got)
 	if got > commitAllocFloor {
 		t.Errorf("one PA commit allocates %.0f times, over the floor of %d", got, commitAllocFloor)
+	}
+}
+
+// TestTxStateSizeClass pins a state-table entry to the runtime's
+// 288-byte size class. An entry is only one side of a transaction, yet
+// carries both a subordinate's Sub and a coordinator's Coord, so each
+// must stay small: past 288 bytes every entry allocates the next class.
+func TestTxStateSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(txState{}); got > 288 {
+		t.Fatalf("txState is %d bytes, over the 288-byte size class", got)
 	}
 }

@@ -270,8 +270,8 @@ func BenchmarkLiveParallelMultiSubTCP(b *testing.B) {
 // headline scenario: every participant logs to a real preallocated
 // segment store with real fdatasync, so a PA commit pays its two
 // forced writes (coordinator commit record, subordinate prepare
-// record) against the device. adaptive routes forces through the
-// single-writer pipeline; immediate pays one device sync per force —
+// record) against the device. adaptive combines forces through the
+// group-commit pipeline; immediate pays one device sync per force —
 // the paper's forced-write cost model taken literally.
 func benchParallelMultiSubFsync(b *testing.B, adaptive bool) {
 	const (

@@ -11,9 +11,10 @@ import (
 // enqueues; a flusher goroutine per busy peer drains the queue and
 // ships each batch as one wire packet (Packet.Messages), so messages
 // to the same peer that overlap in time share framing, encoding, and
-// — over TCP — a syscall. It is the wire-level analog of group
-// commit: the first message in a burst pays for the packet, the rest
-// ride along as piggybacked flows.
+// — over TCP — a syscall, which the flusher makes itself: the TCP
+// transport has no writer goroutine of its own. It is the wire-level
+// analog of group commit: the first message in a burst pays for the
+// packet, the rest ride along as piggybacked flows.
 //
 // Flushers are transient: one starts when a peer's queue goes
 // non-empty and exits when it drains, so an idle participant holds no

@@ -64,11 +64,11 @@ func WithLastAgent() Option {
 	return func(p *Participant) { p.lastAgent = true }
 }
 
-// WithAdaptiveCommit installs the adaptive single-writer force
-// pipeline on the participant's log: all forces funnel through one
-// writer goroutine whose batching window widens toward maxWindow
-// under load and collapses to zero when idle, so one fdatasync covers
-// an entire burst without taxing idle-latency. This is the policy the
+// WithAdaptiveCommit installs the adaptive group-commit force
+// pipeline on the participant's log: concurrent forces combine, one
+// forcer leading each flush, under a batching window that widens
+// toward maxWindow under load and collapses to zero when idle, so one
+// fdatasync covers an entire burst without taxing idle-latency. This is the policy the
 // daemon runs with fsync on. Without this option the log keeps its
 // own policy (ImmediateSync unless the caller installed another).
 func WithAdaptiveCommit(maxWindow time.Duration) Option {

@@ -64,10 +64,10 @@ func (p *Participant) vote(st *txState, to string, ask protocol.Ask) (protocol.V
 		p.complete(tx, false)
 	}
 	if step.Redo {
-		st.sub.Vote.Payload = p.redoPayload(tx)
+		st.sub.Redo = p.redoPayload(tx)
 	}
 	if step.Extra {
-		_ = p.sendExtra(to, st.sub.Vote)
+		_ = p.sendExtra(to, st.sub.Vote())
 		p.drop(st)
 		return vote, nil
 	}
@@ -76,9 +76,9 @@ func (p *Participant) vote(st *txState, to string, ask protocol.Ask) (protocol.V
 	}
 	var err error
 	if ask == protocol.Volunteered {
-		p.replied(st.sub.Vote, false)
+		p.replied(st.sub.Vote(), false)
 	} else {
-		err = p.send(to, st.sub.Vote)
+		err = p.send(to, st.sub.Vote())
 	}
 	if step.Then == protocol.Leaves {
 		p.drop(st)

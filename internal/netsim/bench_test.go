@@ -46,9 +46,10 @@ func benchTCPPair(b *testing.B) (*TCPEndpoint, *atomic.Int64) {
 
 // BenchmarkTCPConcurrentSendsOnePeer is the regression benchmark for
 // the send path's critical section: many goroutines sending to the
-// same peer must overlap (senders only enqueue; one writer goroutine
-// owns encode + write). If encode ever moves back under a per-sender
-// lock, this benchmark regresses first.
+// same peer share one connection, and frames encoded while a write is
+// in flight must ride the next write together rather than take a
+// syscall each. If the sends ever serialize on the write, this
+// benchmark regresses first.
 func BenchmarkTCPConcurrentSendsOnePeer(b *testing.B) {
 	b.Run("binary", func(b *testing.B) {
 		a, _ := benchTCPPair(b)

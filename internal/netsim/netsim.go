@@ -32,7 +32,8 @@ type Endpoint interface {
 	Name() string
 	// Send transmits pkt to the named destination. Delivery is
 	// asynchronous and may silently fail under loss or partition —
-	// exactly the failure model 2PC is built for.
+	// exactly the failure model 2PC is built for. A TCP Send may block
+	// until the kernel takes the frame: the sender writes it itself.
 	Send(to string, pkt protocol.Packet) error
 	// Recv returns the channel of inbound packets. It is closed when
 	// the endpoint closes.

@@ -16,14 +16,16 @@ import (
 // are length-prefixed protocol.BinaryCodec frames; the version byte
 // that opens every frame payload is the format guard, so a peer
 // speaking anything else is condemned at its first frame. Connections
-// are dialed lazily per destination and reused; each has a dedicated
-// writer goroutine, so senders only enqueue — encoding happens outside
-// any caller-visible critical section, and frames queued while a write
-// syscall was in flight are flushed together in one syscall.
+// are dialed lazily per destination and reused. The sender writes: a
+// Send encodes its frame into the connection's pending buffer and, if
+// no write is in flight, writes it itself; frames encoded while a
+// write was in flight go out together in the next one, on the writing
+// sender's goroutine. No goroutine exists only to write.
 type TCPEndpoint struct {
-	name string
-	ln   net.Listener
-	in   chan protocol.Packet
+	name  string
+	ln    net.Listener
+	in    chan protocol.Packet
+	codec *protocol.BinaryCodec // encodes; AppendFrame keeps no state
 
 	mu       sync.Mutex
 	peers    map[string]string // name -> address
@@ -31,35 +33,37 @@ type TCPEndpoint struct {
 	accepted map[net.Conn]struct{} // inbound connections, closed on shutdown
 	done     chan struct{}
 	once     sync.Once
-	wg       sync.WaitGroup // per-connection reader and writer goroutines
+	wg       sync.WaitGroup // per-connection reader goroutines
 }
 
-// tcpConn is one cached outbound connection. Senders enqueue packets
-// on q; the connection's writer goroutine owns the codec and the
-// socket, encoding and writing with no lock held. dead is closed when
-// the writer exits (write failure or endpoint shutdown) — a sender
-// that observes it drops the connection from the cache and redials.
+// tcpConn is one cached outbound connection. Frames are encoded into
+// pending under mu and written in FIFO order by whichever sender found
+// no write in flight. dead is set when a write fails or the endpoint
+// closes: a sender that observes it drops the connection from the
+// cache and redials.
 type tcpConn struct {
 	conn net.Conn
-	q    chan protocol.Packet
-	dead chan struct{}
+
+	mu      sync.Mutex
+	taken   sync.Cond // broadcast when a write takes pending, or the connection dies
+	pending []byte    // frames encoded but not yet handed to a write
+	spare   []byte    // the last write's buffer, emptied, for pending to reuse
+	writing bool
+	dead    bool
 }
 
 // maxFrame bounds a frame to keep a corrupted length prefix from
 // allocating unbounded memory.
 const maxFrame = 16 << 20
 
-// maxWriteBatch caps how many bytes of queued frames one writer-loop
-// iteration coalesces into a single Write.
-const maxWriteBatch = 256 << 10
-
-// sendQueueDepth is the per-connection outbound queue. A full queue
-// applies backpressure (Send blocks) rather than dropping.
-const sendQueueDepth = 256
+// maxPending bounds the bytes senders may encode ahead of a write in
+// flight; past it a Send waits for the write to take them, so a peer
+// that stops reading applies backpressure instead of growing memory.
+const maxPending = 256 << 10
 
 // errCondemned stands in for the write error observed by whichever
 // send condemned a cached connection first.
-var errCondemned = errors.New("netsim: cached connection condemned by concurrent send failure")
+var errCondemned = errors.New("netsim: cached connection condemned by a failed write")
 
 // ListenTCP starts an endpoint named name on addr (e.g.
 // "127.0.0.1:0"). The OS-assigned address is available from Addr.
@@ -76,6 +80,7 @@ func ListenTCP(name, addr string) (*TCPEndpoint, error) {
 		conns:    make(map[string]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
+		codec:    protocol.NewBinaryCodec(),
 	}
 	go e.acceptLoop()
 	return e, nil
@@ -161,90 +166,98 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// Send implements Endpoint: it enqueues the packet on a cached per-peer
-// connection's writer, dialing on first use and redialing once if the
-// cached connection has died (the peer restarted, or a concurrent send
-// hit a write error). The writer goroutine encodes and writes
-// asynchronously; a failure there condemns the connection, and the
-// queued packets are lost exactly like packets on the wire — the
-// commit protocol's retries and recovery take over. A second enqueue
-// failure is surfaced to the caller.
+// Send implements Endpoint: it encodes the packet onto a cached
+// per-peer connection, dialing on first use, and writes it unless a
+// write is already in flight there, in which case that write's sender
+// carries the frame and Send returns at once. Send may therefore block
+// until the kernel takes the frame (and every frame queued behind it).
+// A failed write condemns the connection: frames it carried for other
+// senders are lost exactly like packets on the wire, and the commit
+// protocol's retries and recovery take over; the sender's own frame is
+// written once more on a redialed connection. A second failure is
+// surfaced to the caller.
 //
-// Send takes ownership of pkt.Messages: once enqueued, the backing
-// array may be recycled through the codec's message pool, so callers
-// must not reuse it.
+// Send takes ownership of pkt.Messages: once encoded, the backing
+// array is recycled through the codec's message pool, so callers must
+// not reuse it.
 func (e *TCPEndpoint) Send(to string, pkt protocol.Packet) error {
-	select {
-	case <-e.done:
-		return ErrClosed
-	default:
-	}
+	var frame []byte // the encoded packet, once a failed write hands it back
 	for attempt := 0; attempt < 2; attempt++ {
+		select {
+		case <-e.done:
+			return ErrClosed
+		default:
+		}
 		c, err := e.conn(to)
 		if err != nil {
 			return err
 		}
-		select {
-		case c.q <- pkt:
-			return nil
-		case <-c.dead:
-			e.dropConn(to, c)
-		case <-e.done:
-			return ErrClosed
+		if frame, err = e.send(c, pkt, frame); !errors.Is(err, errCondemned) {
+			return err
 		}
+		e.dropConn(to, c)
 	}
 	return fmt.Errorf("netsim: send to %s: %w", to, errCondemned)
 }
 
-// writeLoop drains one connection's queue: the first packet is taken
-// blocking, then every packet already queued is coalesced into the
-// same buffer (up to maxWriteBatch) and the whole batch goes out in
-// one Write. Under per-packet load this degenerates to one frame per
-// syscall; under concurrent senders it is the wire-level analog of
-// group commit.
-func (e *TCPEndpoint) writeLoop(c *tcpConn) {
-	defer e.wg.Done()
-	defer close(c.dead)
-	defer c.conn.Close()
-	codec := protocol.NewBinaryCodec()
-	bufp := protocol.FrameBufPool.Get().(*[]byte)
-	defer protocol.PutFrameBuf(bufp)
-	for {
-		var pkt protocol.Packet
-		select {
-		case pkt = <-c.q:
-		case <-e.done:
-			return
-		}
-		buf, err := codec.AppendFrame((*bufp)[:0], pkt)
+// send appends pkt's frame — or frame, when an earlier attempt encoded
+// it — to c's pending buffer, and writes unless a write is in flight,
+// writing until pending is empty. It returns errCondemned when c is
+// dead, with the frame to resend if it was encoded but never written.
+func (e *TCPEndpoint) send(c *tcpConn, pkt protocol.Packet, frame []byte) ([]byte, error) {
+	c.mu.Lock()
+	for c.writing && len(c.pending) >= maxPending && !c.dead {
+		c.taken.Wait()
+	}
+	if c.dead {
+		c.mu.Unlock()
+		return frame, errCondemned
+	}
+	if frame != nil {
+		c.pending = append(c.pending, frame...)
+	} else {
+		buf, err := e.codec.AppendFrame(c.pending, pkt)
+		c.pending = buf
 		if err != nil {
-			return
+			c.mu.Unlock()
+			return nil, err
 		}
-		// Send hands over ownership of pkt.Messages, so once a packet
-		// is on the wire its backing array goes back to the codec pool.
 		protocol.PutMsgSlice(pkt.Messages)
-		// Batch whatever queued while we were encoding or writing.
-	drain:
-		for len(buf) < maxWriteBatch {
-			select {
-			case pkt = <-c.q:
-				if buf, err = codec.AppendFrame(buf, pkt); err != nil {
-					return
-				}
-				protocol.PutMsgSlice(pkt.Messages)
-			default:
-				break drain
+	}
+	if c.writing {
+		c.mu.Unlock()
+		return nil, nil
+	}
+	// No write in flight means pending held nothing before this frame,
+	// so the first write carries only the caller's own frame.
+	c.writing = true
+	for first := true; len(c.pending) > 0; first = false {
+		out := c.pending
+		c.pending, c.spare = c.spare, nil
+		c.taken.Broadcast()
+		c.mu.Unlock()
+		_, err := c.conn.Write(out)
+		c.mu.Lock()
+		if err != nil {
+			c.dead, c.writing, c.pending = true, false, nil
+			c.taken.Broadcast()
+			c.mu.Unlock()
+			c.conn.Close()
+			if first {
+				return out, errCondemned
 			}
+			return nil, nil
 		}
-		*bufp = buf[:0] // keep the grown capacity for the next iteration
-		if _, err := c.conn.Write(buf); err != nil {
-			return
+		if cap(out) <= protocol.MaxPooledFrameBuf {
+			c.spare = out[:0]
 		}
 	}
+	c.writing = false
+	c.mu.Unlock()
+	return nil, nil
 }
 
-// conn returns the cached connection for to, dialing (and starting its
-// writer) if absent.
+// conn returns the cached connection for to, dialing if absent.
 func (e *TCPEndpoint) conn(to string) (*tcpConn, error) {
 	e.mu.Lock()
 	if c, ok := e.conns[to]; ok {
@@ -260,27 +273,23 @@ func (e *TCPEndpoint) conn(to string) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: dial %s (%s): %w", to, addr, err)
 	}
-	c := &tcpConn{conn: nc, q: make(chan protocol.Packet, sendQueueDepth), dead: make(chan struct{})}
+	c := &tcpConn{conn: nc}
+	c.taken.L = &c.mu
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if cur, ok := e.conns[to]; ok {
 		// Lost a dial race; keep the established one.
-		e.mu.Unlock()
 		nc.Close()
 		return cur, nil
 	}
-	e.conns[to] = c
 	select {
 	case <-e.done:
-		// Closed while dialing: don't start a writer on a dead endpoint.
-		e.mu.Unlock()
+		// Closed while dialing: hand back a dead connection.
 		nc.Close()
-		close(c.dead)
-		return c, nil
+		c.dead = true
 	default:
+		e.conns[to] = c
 	}
-	e.wg.Add(1)
-	e.mu.Unlock()
-	go e.writeLoop(c)
 	return c, nil
 }
 

@@ -17,9 +17,21 @@ import "errors"
 type Sub struct {
 	Presume   Variant // announced by the Prepare (or named by the volunteer, or the node's own)
 	Prepared  bool    // voted yes: holds the prepared state until the outcome
-	Vote      Message // the vote sent, which a resent Prepare gets again
 	Done      bool    // the outcome is applied here
 	Committed bool    // and it was commit
+
+	// The vote sent, which Vote rebuilds: kept in pieces, since a whole
+	// Message would be most of a Sub's size. Redo is the redo a logless
+	// yes carries.
+	volunteered bool
+	vote        VoteValue
+	tx          string
+	Redo        []byte
+}
+
+// Vote is the vote sent, which a resent Prepare gets again.
+func (s *Sub) Vote() Message {
+	return Message{Type: MsgVote, Tx: s.tx, Vote: s.vote, Unsolicited: s.volunteered, Payload: s.Redo}
 }
 
 // Do is what a step asks of its driver first.
@@ -70,7 +82,7 @@ const (
 )
 
 // VoteStep is what a vote asks of its driver: force Force's records (a
-// yes), send s.Vote — carrying the voter's redo when Redo, as an extra
+// yes), send s.Vote() — carrying the voter's redo when Redo, as an extra
 // flow when Extra (a resent Prepare's read-only vote may repeat one
 // already counted) —, then keep, finish or drop the entry.
 type VoteStep struct {
@@ -105,7 +117,7 @@ func (s *Sub) Prepare(m *Message) Step {
 // askUnder is a vote asked for under v: the kept one, or prepare now.
 func (s *Sub) askUnder(v Variant) Step {
 	if s.Prepared {
-		return Step{Do: DoReply, Msg: s.Vote}
+		return Step{Do: DoReply, Msg: s.Vote()}
 	}
 	s.Presume = v
 	return Step{Do: DoPrepare}
@@ -128,7 +140,7 @@ func (s *Sub) Volunteer(v Variant) Step {
 // outcome (HearsOutcome) and keeps nothing. A driver whose force fails
 // calls Voted again with VoteNo.
 func (s *Sub) Voted(tx string, v VoteValue, leaf bool, ask Ask) VoteStep {
-	s.Vote = Message{Type: MsgVote, Tx: tx, Vote: v, Unsolicited: ask == Volunteered}
+	s.tx, s.vote, s.volunteered, s.Redo = tx, v, ask == Volunteered, nil
 	s.Prepared = v == VoteYes
 	switch v {
 	case VoteYes:

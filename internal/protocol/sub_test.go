@@ -62,12 +62,12 @@ func TestSubRound(t *testing.T) {
 			// kept for a resent Prepare, and the entry stays.
 			s, st := voted(t, v, VoteYes)
 			want := VoteStep{Force: Prepare{AgentPending: r.agentPending, Prepared: r.prepared}, Redo: !r.prepared}
-			if st != want || !s.Prepared || s.Done || s.Vote.Type != MsgVote || s.Vote.Vote != VoteYes || s.Vote.Tx != "t" {
+			if st != want || !s.Prepared || s.Done || s.Vote().Type != MsgVote || s.Vote().Vote != VoteYes || s.Vote().Tx != "t" {
 				t.Errorf("yes vote = %+v, sub %+v; want %+v, prepared", st, s, want)
 			}
 			// A resent Prepare after yes repeats the kept vote, off the
 			// flow count, and prepares nothing.
-			if got := s.Prepare(&Message{Type: MsgPrepare, Tx: "t", Presume: v, Repeat: true}); got.Do != DoReply || !reflect.DeepEqual(got.Msg, s.Vote) {
+			if got := s.Prepare(&Message{Type: MsgPrepare, Tx: "t", Presume: v, Repeat: true}); got.Do != DoReply || !reflect.DeepEqual(got.Msg, s.Vote()) {
 				t.Errorf("resent Prepare after yes = %+v, want the kept vote", got)
 			}
 			// The outcome after yes: the variant's record and ack.
@@ -149,10 +149,10 @@ func TestSubRound(t *testing.T) {
 			if got := vol.Volunteer(v); got.Do != DoPrepare || vol.Presume != v {
 				t.Errorf("volunteer = %+v, want DoPrepare under %v", got, v)
 			}
-			if st := vol.Voted("t", VoteYes, true, Volunteered); !vol.Vote.Unsolicited || st.Then != Stays {
-				t.Errorf("volunteered yes = %+v, vote %+v; want an unsolicited vote", st, vol.Vote)
+			if st := vol.Voted("t", VoteYes, true, Volunteered); !vol.Vote().Unsolicited || st.Then != Stays {
+				t.Errorf("volunteered yes = %+v, vote %+v; want an unsolicited vote", st, vol.Vote())
 			}
-			if got := vol.Volunteer(v); got.Do != DoReply || !reflect.DeepEqual(got.Msg, vol.Vote) {
+			if got := vol.Volunteer(v); got.Do != DoReply || !reflect.DeepEqual(got.Msg, vol.Vote()) {
 				t.Errorf("volunteer after yes = %+v, want the kept vote", got)
 			}
 			vol.Finish(true)

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,4 +341,131 @@ func (h *hookedStore) Sync() error {
 		h.beforeSync()
 	}
 	return h.Store.Sync()
+}
+
+// TestPipelineLoneForcerFlushesInline: a lone sequential forcer leads
+// every batch itself — no goroutine is started to serve it, and a force
+// allocates no more than its record's share of the buffers.
+func TestPipelineLoneForcerFlushesInline(t *testing.T) {
+	l := New(NewMemStore()).WithPolicy(NewPipeline(nil, time.Millisecond))
+	defer l.Close()
+	rec := Record{Tx: "t", Node: "N", Kind: "Committed"}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		if _, err := l.Force(rec); err != nil {
+			t.Fatalf("force: %v", err)
+		}
+	}
+	// Goroutines left by earlier tests may exit meanwhile; none may start.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across 1000 lone forces, want no new one", before, after)
+	}
+	if st := l.Stats(); st.Syncs != st.Forces {
+		t.Fatalf("lone forcer: %d syncs for %d forces", st.Syncs, st.Forces)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := l.Force(rec); err != nil {
+			t.Fatalf("force: %v", err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a lone force allocates %.0f times, want at most 1", allocs)
+	}
+}
+
+// openBatchSize reports how many forces have joined the open batch.
+func openBatchSize(p *Pipeline) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.open == nil {
+		return 0
+	}
+	return p.open.n
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestPipelineQueuedForcesShareOneFlush: forces that arrive while a
+// leader is flushing queue as the next batch and are answered together
+// by that batch's one flush.
+func TestPipelineQueuedForcesShareOneFlush(t *testing.T) {
+	release := make(chan struct{})
+	var blocked atomic.Bool
+	entered := make(chan struct{})
+	hs := &hookedStore{Store: NewMemStore(), beforeSync: func() {
+		if blocked.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}}
+	p := NewPipeline(nil, 0)
+	l := New(hs).WithPolicy(p)
+	defer l.Close()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := l.Force(Record{Tx: "leader"})
+		first <- err
+	}()
+	<-entered // the first leader is inside its sync
+	const queued = 6
+	errc := make(chan error, queued)
+	for i := 0; i < queued; i++ {
+		go func(i int) {
+			_, err := l.Force(Record{Tx: fmt.Sprintf("queued%d", i)})
+			errc <- err
+		}(i)
+	}
+	waitFor(t, "the queued forces to join one batch", func() bool { return openBatchSize(p) == queued })
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	for i := 0; i < queued; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("queued force: %v", err)
+		}
+	}
+	if st := l.Stats(); st.Syncs != 2 || p.Batches() != 2 {
+		t.Fatalf("%d syncs in %d batches for 1 leader + %d queued forces, want 2 and 2", st.Syncs, p.Batches(), queued)
+	}
+}
+
+// TestPipelineCrashWhileLeaderLingers: a Crash while a leader lingers
+// for announced stragglers fails the leader and every follower that
+// joined it with ErrClosed.
+func TestPipelineCrashWhileLeaderLingers(t *testing.T) {
+	p := NewPipeline(nil, time.Minute, WithBaseWindow(time.Minute))
+	l := New(NewMemStore()).WithPolicy(p)
+	p.Hint(100) // far more than will arrive: the leader lingers to its deadline
+	const forcers = 4
+	errc := make(chan error, forcers)
+	for i := 0; i < forcers; i++ {
+		go func(i int) {
+			_, err := l.Force(Record{Tx: fmt.Sprintf("f%d", i)})
+			errc <- err
+		}(i)
+	}
+	waitFor(t, "every forcer to join the lingering batch", func() bool { return openBatchSize(p) == forcers })
+	l.Crash()
+	for i := 0; i < forcers; i++ {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("force during crash = %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a forcer is still blocked after the crash")
+		}
+	}
 }

@@ -7,7 +7,7 @@
 // force (or some other log-manager event) hardens them. A system
 // crash loses the buffer but never synced records. Log exposes
 // exactly this model, plus the two log-manager optimizations of §4:
-// group commit (SyncPolicy, and the single-writer force Pipeline) and
+// group commit (SyncPolicy, and the combining force Pipeline) and
 // log sharing between a transaction manager and its local resource
 // managers (a single *Log passed to both; see Stats for how forces
 // are attributed).
@@ -74,7 +74,7 @@ func (s Stats) SyncsPerForce() float64 {
 type Log struct {
 	// flushMu serializes flush end to end (buffer snapshot + store
 	// append + sync) so records reach the store in LSN order even when
-	// several forcers (or Close racing the Pipeline writer) flush
+	// several forcers (or Close racing a Pipeline leader) flush
 	// concurrently. It is always acquired before mu, never inside it.
 	flushMu sync.Mutex
 
@@ -140,8 +140,8 @@ func (l *Log) Append(rec Record) (int64, error) {
 // which may coalesce syncs across writers but never weakens the
 // guarantee).
 //
-// The LSN-coverage contract every policy (and the Pipeline's writer
-// goroutine) upholds: a Force returning nil means a physical sync
+// The LSN-coverage contract every policy (and every Pipeline leader)
+// upholds: a Force returning nil means a physical sync
 // completed that began after rec entered the buffer, i.e.
 // SyncedLSN() >= rec.LSN. Because flush always hardens the entire
 // buffer in LSN order, one sync may cover many concurrent forces —
@@ -159,9 +159,9 @@ type lsnForcer interface {
 	forceLSN(l *Log, lsn int64) error
 }
 
-// policyStopper is implemented by policies that own background
-// goroutines (the Pipeline's single writer); Close and Crash stop
-// them so pending forcers unblock with ErrClosed.
+// policyStopper is implemented by policies that keep forcers waiting
+// (the Pipeline's followers); Close and Crash stop them so pending
+// forcers unblock with ErrClosed.
 type policyStopper interface {
 	stop()
 }
@@ -275,8 +275,8 @@ func (l *Log) SyncedLSN() int64 {
 
 // Crash simulates a system failure: buffered (never-synced) records
 // are lost and the log refuses further writes. The hardened records
-// remain in the store for recovery. A policy with a writer goroutine
-// is stopped; its pending forcers unblock with ErrClosed.
+// remain in the store for recovery. A policy that keeps forcers
+// waiting is stopped; its pending forcers unblock with ErrClosed.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	l.stats.Lost += len(l.buffered)

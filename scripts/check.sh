@@ -56,7 +56,7 @@ echo "== per-transaction input order (50 race runs) =="
 # scheduling, hence the repeats.
 go test -race -count=50 -run 'TestLiveLastAgentResolvesDoubt|TestLiveLastAgentBackToBackDelegation' ./internal/live
 
-echo "== answered at the decision, voted with the stage reply (20 race runs) =="
+echo "== answered at the decision, voted with the stage reply, combined writers (20 race runs) =="
 # PA and Basic 2PC commits return before their acks: a get right after
 # a put still reads it, damage on an off-path ack is still counted, and
 # the background collectors leave nothing behind. Their shards vote in
@@ -67,8 +67,12 @@ echo "== answered at the decision, voted with the stage reply (20 race runs) =="
 # serializable. An abort is told to no read-only voter, which keeps
 # nothing. The audit stays exact while the coordinator's round
 # (protocol.Coord) hands over to its background ack collector and
-# last-agent resolver.
-go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers' ./internal/server ./internal/live ./internal/audit
+# last-agent resolver. The log's forcers and the TCP transport's
+# senders combine on their own goroutines: a lone forcer flushes
+# inline, queued forces share their leader's flush, a crash frees a
+# lingering batch, concurrent senders keep their order, a failed write
+# redials, and Close frees a stalled write.
+go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers|TestPipelineLoneForcerFlushesInline|TestPipelineQueuedForcesShareOneFlush|TestPipelineCrashWhileLeaderLingers|TestTCPConcurrentSendersKeepTheirOrder|TestTCPRedialsRestartedPeer|TestTCPCloseUnblocksStalledSend' ./internal/server ./internal/live ./internal/audit ./internal/wal ./internal/netsim
 
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though

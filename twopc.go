@@ -156,10 +156,10 @@ type (
 	// GroupCommit coalesces concurrent force requests (§4 Group
 	// Commits).
 	GroupCommit = wal.GroupCommit
-	// ForcePipeline is the adaptive single-writer force policy: one
-	// writer goroutine absorbs concurrent forces into shared device
-	// syncs, with a batching window that widens under load and
-	// collapses when idle (DESIGN.md §14).
+	// ForcePipeline is the adaptive group-commit force policy:
+	// concurrent forcers combine into shared device syncs, one of them
+	// leading each flush, with a batching window that widens under
+	// load and collapses when idle (DESIGN.md §14).
 	ForcePipeline = wal.Pipeline
 	// SegmentLog is durable stable storage over fixed-size
 	// preallocated segments with CRC-framed records, torn-tail
@@ -188,7 +188,7 @@ func NewSegmentLog(dir string) (*Log, error) {
 // Log.WithPolicy.
 var NewGroupCommit = wal.NewGroupCommit
 
-// NewForcePipeline returns the adaptive single-writer force policy
+// NewForcePipeline returns the adaptive group-commit force policy
 // (nil scheduler = wall clock); install it with Log.WithPolicy.
 var NewForcePipeline = wal.NewPipeline
 
@@ -293,7 +293,7 @@ var (
 	LiveWithClock = live.WithClock
 	// LiveWithLastAgent enables the §4 Last Agent delegation.
 	LiveWithLastAgent = live.WithLastAgent
-	// LiveWithAdaptiveCommit installs the adaptive single-writer
+	// LiveWithAdaptiveCommit installs the adaptive group-commit
 	// force pipeline on the participant's log (DESIGN.md §14): the
 	// batching window widens toward maxWindow under load and
 	// collapses when idle.
