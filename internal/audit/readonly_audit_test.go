@@ -39,7 +39,7 @@ func TestLiveConformanceReadOnlyShapes(t *testing.T) {
 
 // TestLiveConformanceVolunteers commits, under PA and Basic 2PC, the
 // shapes in which m of two subordinates vote unsolicited, m = 0-2, the
-// way the serving path does it (Volunteer, then PostVotes before
+// way the serving path does it (Volunteer, then the votes handed to
 // Commit), with every read-only mix and the coordinator's own resource
 // read-only or updating. Each node's entry matches its form exactly,
 // and the tree spends analytic.UnsolicitedVote(3, m) when every vote
@@ -107,8 +107,7 @@ func checkLiveVoteShape(t *testing.T, v protocol.Variant, subs, roSubs, voluntee
 			votes = append(votes, live.Vote{From: name, Vote: vote})
 		}
 	}
-	c.PostVotes(tx, votes)
-	if out, err := c.CommitVariant(context.Background(), tx, subNames, v); err != nil || out != live.Committed {
+	if out, err := c.CommitVariant(context.Background(), tx, subNames, v, votes...); err != nil || out != live.Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}
 

@@ -62,6 +62,13 @@ func (rp RetryPolicy) Backoff(seed int64) Backoff {
 	return Backoff{policy: rp.withDefaults(), rng: jitterRand(seed)}
 }
 
+// MinFirstDelay is the shortest delay the policy can draw before a
+// first retransmission: its first delay less the most jitter takes off.
+func (rp RetryPolicy) MinFirstDelay() time.Duration {
+	rp = rp.withDefaults()
+	return time.Duration(float64(min(rp.BaseDelay, rp.MaxDelay)) * (1 - rp.Jitter))
+}
+
 // Backoff walks a RetryPolicy's delay schedule. It is a value with no
 // shared state, so it must not be used from more than one goroutine.
 type Backoff struct {

@@ -41,46 +41,68 @@ type kv struct{ k, v string }
 //
 // A store that owns its log (not shared-log mode) also checkpoints by
 // itself, whenever the bytes it has logged since the last snapshot
-// exceed the snapshot's own size; Checkpoint forces one now.
+// exceed the snapshot's own size: on a goroutine of its own, one at a
+// time, so no commit waits for the snapshot. Checkpoint runs one now,
+// on the caller's goroutine, after any that is running.
 func (s *Store) Checkpoint() (dropped int, err error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	return s.compactLocked()
 }
 
-// maybeCompact runs a checkpoint when the log has grown past the
-// trigger: more bytes logged since the last snapshot than the
-// snapshot holds. Each compaction then costs at most what the log
-// traffic since the previous one cost, so the log stays within about
-// twice the snapshot plus the open transactions' records. Shared-log
-// stores never compact: the log is the transaction manager's, and the
-// store does not force it (§4 Sharing the Log).
-func (s *Store) maybeCompact() {
-	if s.sharedLog {
-		return
-	}
-	if n := s.logBytes.Load(); n <= s.snapBytes.Load() || n <= minCompactBytes {
-		return
-	}
-	if !s.compactMu.TryLock() {
-		return // a compaction is running; it covers this growth
-	}
-	defer s.compactMu.Unlock()
-	// A failure (a crashed or closed log) leaves the log whole; the
-	// next trigger retries.
-	_, _ = s.compactLocked()
+// compactDue reports whether the log has grown past the trigger: more
+// bytes logged since the last snapshot than the snapshot holds. Each
+// compaction then costs at most what the log traffic since the
+// previous one cost, so the log stays within about twice the snapshot
+// plus the open transactions' records. Shared-log stores never
+// compact: the log is the transaction manager's, and the store does
+// not force it (§4 Sharing the Log).
+func (s *Store) compactDue() bool {
+	n := s.logBytes.Load()
+	return !s.sharedLog && n > s.snapBytes.Load() && n > minCompactBytes
 }
 
-// compactLocked is one checkpoint. Caller holds compactMu.
+// maybeCompact starts a checkpoint on a goroutine of its own when one
+// is due and none is running; the running one covers this growth. The
+// goroutine ends with its checkpoint.
+func (s *Store) maybeCompact() {
+	if !s.compactDue() || !s.compacting.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer s.compacting.Store(false)
+		s.compactMu.Lock()
+		defer s.compactMu.Unlock()
+		// A failure (a crashed or closed log) leaves the log whole; the
+		// next trigger retries. A Checkpoint that ran meanwhile may
+		// have made this one unneeded.
+		if s.compactDue() {
+			_, _ = s.compactLocked()
+		}
+	}()
+}
+
+// compactLocked is one checkpoint. Caller holds compactMu. Once the
+// truncate has dropped the previous snapshot record, nothing in the
+// log references that snapshot's encoding any more (a MemStore keeps
+// a record's Data as given), so its buffer encodes the next one.
 func (s *Store) compactLocked() (int, error) {
 	mark, open, pairs, err := s.markSnapshot()
 	if err != nil {
 		return 0, err
 	}
-	if err := s.writeSnapshot(pairs); err != nil {
+	data, err := s.writeSnapshot(pairs)
+	if err != nil {
 		return 0, err
 	}
-	return s.truncateBefore(mark, open)
+	dropped, err := s.truncateBefore(mark, open)
+	if err != nil {
+		// Both snapshot records may still be in the log.
+		s.snapData = data
+		return 0, err
+	}
+	s.snapSpare, s.snapData = s.snapData[:0], data
+	return dropped, nil
 }
 
 // markSnapshot copies the committed state and the open-transaction set
@@ -109,23 +131,32 @@ func (s *Store) markSnapshot() (mark int64, open map[string]bool, pairs []kv, er
 }
 
 // writeSnapshot encodes pairs and forces the snapshot record, then
-// hands the emptied buffer back for the next compaction.
-func (s *Store) writeSnapshot(pairs []kv) error {
-	size := binary.MaxVarintLen64
-	for _, p := range pairs {
-		size += 2*binary.MaxVarintLen64 + len(p.k) + len(p.v)
+// hands the emptied pair buffer back for the next compaction. The
+// encoding goes into the spare buffer when there is one (growing it
+// only if the state outgrew it), or else into one sized for the worst
+// case, so a spare has room for the state's later growth. It returns
+// the encoding, which the record references.
+func (s *Store) writeSnapshot(pairs []kv) ([]byte, error) {
+	data := s.snapSpare
+	if data == nil {
+		size := binary.MaxVarintLen64
+		for _, p := range pairs {
+			size += 2*binary.MaxVarintLen64 + len(p.k) + len(p.v)
+		}
+		data = make([]byte, 0, size)
 	}
-	data := wal.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
+	s.snapSpare = nil // the record references it from here on, even if the force fails
+	data = wal.AppendUvarint(data, uint64(len(pairs)))
 	for _, p := range pairs {
 		data = wal.AppendLenString(wal.AppendLenString(data, p.k), p.v)
 	}
 	clear(pairs)
 	s.snapBuf = pairs[:0]
 	if _, err := s.log.Force(wal.Record{Node: s.name, Kind: recSnapshot, Data: data}); err != nil {
-		return fmt.Errorf("kvstore checkpoint: write snapshot: %w", err)
+		return nil, fmt.Errorf("kvstore checkpoint: write snapshot: %w", err)
 	}
 	s.snapBytes.Store(int64(len(data)))
-	return nil
+	return data, nil
 }
 
 // truncateBefore drops this store's records that precede the mark,

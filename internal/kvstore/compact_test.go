@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,7 @@ func TestSelfCompactionRecoversAndStaysBounded(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	settle(s)
 	if err := log.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +148,24 @@ func TestSelfCompactionRecoversAndStaysBounded(t *testing.T) {
 	}
 }
 
+// settle waits until no self-compaction runs: a Commit that made one
+// due has started it by the time it returns.
+func settle(s *Store) {
+	for s.compacting.Load() {
+		runtime.Gosched()
+	}
+}
+
 // compactNow grows the log past the self-compaction trigger with
 // filler commits on keys of their own, returning the next free
-// transaction number.
+// transaction number once the compaction it set off is done.
 func compactNow(t *testing.T, s *Store, log *wal.Log, seq uint64) uint64 {
 	t.Helper()
 	for {
 		grown := s.logBytes.Load()
 		commitOne(t, s, tx(seq), fmt.Sprintf("fill%d", seq%64), fmt.Sprintf("%0100d", seq))
 		seq++
+		settle(s)
 		if s.logBytes.Load() < grown { // a mark reset the count
 			if countKind(t, log, recSnapshot) != 1 {
 				t.Fatal("compaction left no single snapshot")
@@ -235,7 +246,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.writeSnapshot(pairs); err != nil {
+	if _, err := s.writeSnapshot(pairs); err != nil {
 		t.Fatal(err)
 	}
 	s.compactMu.Unlock()
@@ -276,4 +287,91 @@ func TestSharedLogStoreNeverCompacts(t *testing.T) {
 	if n := countKind(t, log, recSnapshotMark); n != 0 {
 		t.Fatalf("shared-log store compacted %d times", n)
 	}
+}
+
+// blockedSnapshotStore holds every snapshot record's append until
+// release closes, saying on entered that one is waiting.
+type blockedSnapshotStore struct {
+	*wal.MemStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockedSnapshotStore) Append(rec wal.Record) error {
+	if rec.Kind == recSnapshot {
+		select {
+		case b.entered <- struct{}{}:
+		default:
+		}
+		<-b.release
+	}
+	return b.MemStore.Append(rec)
+}
+
+// TestCommitReturnsWhileSnapshotBlocked: the Commit that makes a
+// compaction due returns while the snapshot's log append is blocked,
+// since the snapshot runs on a goroutine of its own; once the append
+// goes through, the compaction finishes and recovery reproduces the
+// store.
+func TestCommitReturnsWhileSnapshotBlocked(t *testing.T) {
+	dev := &blockedSnapshotStore{MemStore: wal.NewMemStore(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	log := wal.New(dev)
+	s := New("db", log, clock.NewVirtual())
+	returned := make(chan error, 1)
+	go func() {
+		for seq := uint64(1); !s.compacting.Load(); seq++ {
+			id := tx(seq)
+			err := s.Put(bg, id, fmt.Sprintf("k%d", seq%64), fmt.Sprintf("%0100d", seq))
+			if err == nil {
+				_, err = s.Prepare(id)
+			}
+			if err == nil {
+				err = s.Commit(id)
+			}
+			if err != nil {
+				returned <- err
+				return
+			}
+		}
+		returned <- nil
+	}()
+	select {
+	case <-dev.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no snapshot append began")
+	}
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the Commit that made the compaction due waits on the snapshot's append")
+	}
+	close(dev.release)
+	settle(s)
+	if n := countKind(t, log, recSnapshot); n != 1 {
+		t.Fatalf("log keeps %d snapshots, want 1", n)
+	}
+	sameState(t, crashAndRecover(t, log), s.Snapshot())
+}
+
+// TestRecoveryAfterBackgroundCompactions runs several self-compactions
+// over a changing state, each encoding into the buffer of the snapshot
+// the one before it truncated, and recovers: the recovered store
+// equals the live one.
+func TestRecoveryAfterBackgroundCompactions(t *testing.T) {
+	s, log := newStore(t)
+	seq := uint64(1)
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 20; i++ {
+			commitOne(t, s, tx(seq), fmt.Sprintf("key%d", i), fmt.Sprintf("r%d-%d", round, i))
+			seq++
+		}
+		seq = compactNow(t, s, log, seq)
+		if round > 0 && cap(s.snapSpare) == 0 {
+			t.Fatalf("compaction %d kept no spare buffer from the snapshot it truncated", round+1)
+		}
+	}
+	sameState(t, crashAndRecover(t, log), s.Snapshot())
 }

@@ -121,12 +121,18 @@ type Store struct {
 
 	// Self-compaction state (see checkpoint.go). logBytes counts the
 	// payload bytes logged since the last snapshot mark, snapBytes is
-	// that snapshot's size; compactMu serializes compactions and
-	// guards snapBuf, the reused state copy.
-	logBytes  atomic.Int64
-	snapBytes atomic.Int64
-	compactMu sync.Mutex
-	snapBuf   []kv
+	// that snapshot's size; compacting says a self-compaction's
+	// goroutine runs. compactMu serializes compactions and guards the
+	// reused buffers: snapBuf, the state copy; snapData, the last
+	// snapshot's encoding, which its record references; and snapSpare,
+	// a former encoding no record references.
+	logBytes   atomic.Int64
+	snapBytes  atomic.Int64
+	compacting atomic.Bool
+	compactMu  sync.Mutex
+	snapBuf    []kv
+	snapData   []byte
+	snapSpare  []byte
 }
 
 // New returns an empty store named name, logging to log and locking

@@ -14,8 +14,8 @@ import (
 // commitAllocFloor is the heap allocations one PA commit costs the
 // three participants of TestLiveCommitAllocFloor together: the
 // coordinator's round, both subordinates' votes and outcomes, and the
-// background collection of the commit acks.
-const commitAllocFloor = 61
+// commit acks, struck off the pinned decided-table entry.
+const commitAllocFloor = 55
 
 // TestLiveCommitAllocFloor counts, sequentially, the allocations of
 // one PA commit by a coordinator with two subordinates over

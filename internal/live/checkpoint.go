@@ -49,24 +49,15 @@ func (p *Participant) releasePin(tx string) {
 	}
 }
 
-// setPinRedo attaches a 1PC decision record's payload to tx's pin, so
-// an outcome resent to a voter carries its redo.
-func (p *Participant) setPinRedo(tx string, redo []byte) {
-	sh := p.shardFor(tx)
-	sh.mu.Lock()
-	if pe, ok := sh.pinned[tx]; ok {
-		pe.redo = redo
-		sh.pinned[tx] = pe
-	}
-	sh.mu.Unlock()
-}
-
-// awaitLateAcks hands the acknowledgments a coordinator is still owed
-// for tx to its pinned decided-table entry: each late ack strikes its
-// sender (route), and the last one writes End and releases the pin.
-// Acks already queued in st's inbox count too, and leave it. missing
-// must be the caller's own copy.
-func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, ledger bool) {
+// awaitAcks hands the acknowledgments a coordinator is still owed for
+// tx, missing (the caller's own copy), to its pinned decided-table
+// entry: each strikes its sender (route), and the last one writes End
+// and releases the pin. Acks already queued in st's inbox count too,
+// and leave it. redo is a 1PC decision record's payload (pin). With
+// resend (an Early commit, before its outcome leaves) the resender
+// sends the outcome again on the retry backoff until the ack deadline.
+func (p *Participant) awaitAcks(st *txState, tx string, missing []string, redo []byte, ledger, resend bool) {
+	now := p.sched.Now()
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
 	pe, ok := sh.pinned[tx]
@@ -87,14 +78,21 @@ func (p *Participant) awaitLateAcks(st *txState, tx string, missing []string, le
 		st.inbox = kept
 	}
 	done := len(missing) == 0
-	pe.waiting, pe.ledger = missing, ledger
+	pe.waiting, pe.redo, pe.ledger = missing, redo, ledger
 	if done {
 		pe.waiting = nil
+	} else if resend {
+		r := resendAt{bo: p.retry.Backoff(p.retrySeedFor(tx, "/acks")), deadline: now + p.ackTimeout}
+		r.due = nextDue(&r.bo, now, r.deadline)
+		sh.resends[tx] = r
+		p.owing.Add(1)
 	}
 	sh.pinned[tx] = pe
 	sh.mu.Unlock()
 	if done {
 		p.endCoord(tx, ledger)
+	} else if resend && p.resending.CompareAndSwap(false, true) && !p.background(p.resendLoop) {
+		p.resending.Store(false)
 	}
 }
 

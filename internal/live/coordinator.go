@@ -3,11 +3,9 @@ package live
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/protocol"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -19,19 +17,19 @@ import (
 // A Committed return means the decision is taken and durable and the
 // outcome is on its way; when Commit returns is the variant's rule
 // (protocol.Decision.Early). Under Basic 2PC, PA and 1PC it returns at
-// the decision: the commit acks only let this node forget it, so a
-// background collector gathers them, and a subordinate may not have
-// applied the commit yet. A transactional read of its writes waits on
-// the locks the subordinate holds until it does; a lock-free peek
-// (kvstore.ReadCommitted) may lag until its ack is in
-// (PinnedDecisions drops to 0). Under PN Commit returns once every ack
-// is in, since they carry heuristic reports it returns as
-// ErrHeuristicDamage; PC commits are not acked, and Paxos Commit
-// returns once an acceptor quorum has learned the decision. Aborts
-// return at the decision under every variant.
+// the decision: the commit acks only let this node forget it, so they
+// are owed to the pinned decided-table entry, which each strikes as it
+// arrives, and a subordinate may not have applied the commit yet. A
+// transactional read of its writes waits on the locks the subordinate
+// holds until it does; a lock-free peek (kvstore.ReadCommitted) may lag
+// until its ack is in (PinnedDecisions drops to 0). Under PN Commit
+// returns once every ack is in, since they carry heuristic reports it
+// returns as ErrHeuristicDamage; PC commits are not acked, and Paxos
+// Commit returns once an acceptor quorum has learned the decision.
+// Aborts return at the decision under every variant.
 //
-// subs is read until the commit's acks are in, which may be after
-// Commit returns: the caller must not change it.
+// subs is read until the decision, which after a last-agent delegation
+// may come after Commit returns: the caller must not change it.
 //
 // ctx bounds the whole operation. Cancellation during vote collection
 // aborts the transaction; cancellation after the decision point (or
@@ -47,9 +45,13 @@ func (p *Participant) Commit(ctx context.Context, txName string, subs []string) 
 // so a single coordinator can serve mixed-variant traffic — the
 // serving daemon uses this to run all six variants over one
 // endpoint. A return means what it means for Commit under v.
-func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []string, v protocol.Variant) (Outcome, error) {
+//
+// votes are those subordinates volunteered with their replies to the
+// last work request (Volunteer): they are tallied first, and their
+// voters get no Prepare.
+func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []string, v protocol.Variant, votes ...Vote) (Outcome, error) {
 	start := p.sched.Now()
-	out, err := p.runCommit(ctx, txName, subs, v)
+	out, err := p.runCommit(ctx, txName, subs, v, votes)
 	if p.met != nil {
 		// The coordinator's cost-ledger entry closes with its End
 		// record (endCoord), once every acknowledgment is in.
@@ -59,13 +61,12 @@ func (p *Participant) CommitVariant(ctx context.Context, txName string, subs []s
 	return out, err
 }
 
-func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v protocol.Variant) (Outcome, error) {
+func (p *Participant) runCommit(ctx context.Context, txName string, subs []string, v protocol.Variant, votes []Vote) (Outcome, error) {
 	tx := protocol.ParseTxID(txName)
 	st := p.registerCoord(txName)
 	defer func() {
-		// A background ack collector (commit) or last-agent resolver
-		// (awaitAgent) outlives this call as the consumer and
-		// unregisters when it is done.
+		// A last-agent resolver (awaitAgent) outlives this call as the
+		// consumer and unregisters when it is done.
 		if !st.detached {
 			p.unregisterCoord(st)
 		}
@@ -97,15 +98,19 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		c.Logged = true
 	}
 
-	// Votes already in the inbox were volunteered before this call (§4
-	// Unsolicited Vote).
-	owed := c.Pending()
-	for env := (envelope{}); p.take(st, false, &env); {
-		if env.work {
-			p.dispatch(st, &env)
-		} else if c.Vote(env.from, &env.msg) == protocol.NextAbort {
-			return p.abort(txName, c, false), nil
+	// The volunteered votes came in with the replies to the last work
+	// request (§4 Unsolicited Vote): all are received, and tallied up to
+	// the first no.
+	owed, next := c.Pending(), protocol.NextCollect
+	for _, vt := range votes {
+		m := protocol.Message{Type: protocol.MsgVote, Tx: txName, Vote: vt.Vote, Unsolicited: true}
+		p.received(vt.From, &m)
+		if next != protocol.NextAbort {
+			next = c.Vote(vt.From, &m)
 		}
+	}
+	if next == protocol.NextAbort {
+		return p.abort(txName, c, false), nil
 	}
 	if n := owed - c.Pending(); n > 0 && p.met != nil {
 		p.met.CostVolunteers(txName, n)
@@ -124,7 +129,7 @@ func (p *Participant) runCommit(ctx context.Context, txName string, subs []strin
 		}
 	}
 	localVote := protocol.PrepareAll(p.res, tx).Vote
-	next := c.Local(localVote)
+	next = c.Local(localVote)
 
 	// Collect the remaining votes, retransmitting Prepare, marked
 	// Repeat (handlePrepare), to silent subordinates on the retry
@@ -183,40 +188,6 @@ type Vote struct {
 	Vote protocol.VoteValue
 }
 
-// PostVotes hands this node, as coordinator of txName, the votes its
-// subordinates volunteered in their replies to the last work request.
-// They wait in the transaction's inbox: Commit tallies them and sends
-// their voters no Prepare. Call it before Commit; a transaction that
-// will not reach Commit is aborted with AbortVolunteered instead.
-func (p *Participant) PostVotes(txName string, votes []Vote) {
-	if len(votes) == 0 {
-		return
-	}
-	for _, v := range votes {
-		if p.met != nil {
-			p.met.MessageReceived(p.name)
-		}
-		if p.traceOn {
-			label := protocol.Message{Type: protocol.MsgVote, Vote: v.Vote, Unsolicited: true}.Label()
-			p.trc.Add(trace.Event{Node: p.name, Peer: v.From, Kind: trace.KindReceive, Tx: txName, Detail: label + "(" + txName + ")"})
-		}
-	}
-	sh := p.shardFor(txName)
-	sh.mu.Lock()
-	// A vote ahead of Commit is unsolicited: the entry it waits in is
-	// born coordinated.
-	st := sh.stateLocked(txName)
-	st.isCoord = true
-	st.inbox = slices.Grow(st.inbox, len(votes))
-	var wake chan struct{}
-	for _, v := range votes {
-		m := protocol.Message{Type: protocol.MsgVote, Tx: txName, Vote: v.Vote, Unsolicited: true}
-		_, wake = p.postLocked(st, envelope{from: v.From, msg: m})
-	}
-	sh.mu.Unlock()
-	p.rouse(st, false, wake)
-}
-
 // AbortVolunteered aborts under v a transaction this node coordinates
 // that will not reach Commit, after the subordinates subs volunteered
 // a yes vote (Volunteer) or may have: they are prepared, so the abort
@@ -238,8 +209,9 @@ func (p *Participant) AbortVolunteered(txName string, subs []string, v protocol.
 // two: the record, the decided table (pinned while acks are owed; a
 // logless vote's record, its voters' only redo, pinned with it), the
 // resources, the outcome, and the acks, collected here only when the
-// decision is not Early and otherwise in the background. End follows
-// the last ack, if this node logged anything.
+// decision is not Early and otherwise owed to the pin before the
+// outcome leaves (awaitAcks). End follows the last ack, if this node
+// logged anything.
 func (p *Participant) commit(ctx context.Context, st *txState, txName string) (Outcome, error) {
 	c := &st.coord
 	d := c.Decide(true)
@@ -275,8 +247,12 @@ func (p *Participant) commit(ctx context.Context, st *txState, txName string) (O
 	}
 	acks := c.Owed() > 0
 	p.recordDecision(txName, true, acks)
-	if acks && d.Redo {
-		p.setPinRedo(txName, rec.Data)
+	if acks && d.Early {
+		var redo []byte // a 1PC record: the resent outcomes carry its redo
+		if d.Redo {
+			redo = rec.Data
+		}
+		p.awaitAcks(nil, txName, c.Missing(), redo, true, true)
 	}
 	p.complete(protocol.ParseTxID(txName), true)
 	if p.met != nil {
@@ -294,10 +270,8 @@ func (p *Participant) commit(ctx context.Context, st *txState, txName string) (O
 		if p.met != nil {
 			p.met.CostNodeDone(txName, p.name)
 		}
-		return Committed, nil
 	case !acks:
 		p.endCoord(txName, true)
-		return Committed, nil
 	case !d.Early:
 		// PN: the acks carry heuristic reports to the root, so the
 		// caller waits for them.
@@ -309,39 +283,9 @@ func (p *Participant) commit(ctx context.Context, st *txState, txName string) (O
 			return Committed, derr
 		}
 		return Committed, err
-	case st.detached:
-		// A last-agent resolver: already off the caller's path.
-		p.collectCommitAcks(st, txName)
-		return Committed, nil
 	}
-	// The commit is decided, written and announced, and its acks tell
-	// the caller nothing, so their collection leaves the caller's
-	// critical path; the collector takes the registration over.
-	st.detached = true
-	collect := func() {
-		defer p.unregisterCoord(st)
-		p.collectCommitAcks(st, txName)
-	}
-	if !p.background(collect) {
-		collect() // stopping: it gives up at once
-	}
+	// Any acks are the pin's: they tell the caller nothing.
 	return Committed, nil
-}
-
-// collectCommitAcks collects a commit's acks off the caller's path,
-// counting any damage they report on this node's metrics under the
-// reporting node, since no caller hears of it (a registry shared with
-// that node counts it twice), and writes End on the last one.
-func (p *Participant) collectCommitAcks(st *txState, txName string) {
-	err := p.collectAcks(context.Background(), st, txName)
-	for _, h := range st.coord.Heuristics {
-		if h.Damage && p.met != nil {
-			p.met.Damage(h.Node)
-		}
-	}
-	if err == nil {
-		p.endCoord(txName, true)
-	}
 }
 
 // delegate hands the decision to the last agent (§4): the delegation
@@ -441,7 +385,7 @@ func (p *Participant) resolveLater(st *txState, txName string) {
 // collectAcks waits for the acks st's round owes, resending the commit
 // on the backoff schedule. Those still owed past the deadline are
 // counted in doubt and pass to the pinned decided entry, which late
-// ones release (awaitLateAcks).
+// ones release (awaitAcks).
 func (p *Participant) collectAcks(ctx context.Context, st *txState, txName string) error {
 	c := &st.coord
 	out := protocol.OutcomeMessage(txName, true)
@@ -459,7 +403,7 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 						p.met.InDoubtEntry(s)
 					}
 				}
-				p.awaitLateAcks(st, txName, missing, true)
+				p.awaitAcks(st, txName, missing, nil, true, false)
 				return fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", len(missing), len(c.Subs), txName, ErrInDoubt)
 			}
 			for i, s := range c.Subs {
@@ -469,15 +413,14 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 				}
 			}
 		case stopping:
-			// Shutdown mid-collection (e.g. a background collector
-			// when the participant stops): the outcome is decided and
+			// Shutdown mid-collection: the outcome is decided and
 			// durable; outstanding deliveries fall to recovery.
-			p.awaitLateAcks(st, txName, c.Missing(), true)
+			p.awaitAcks(st, txName, c.Missing(), nil, true, false)
 			return fmt.Errorf("live: participant stopped with acks outstanding for %s: %w", txName, ErrInDoubt)
 		case crashed:
 			return ErrCrashed
 		case cancelled:
-			p.awaitLateAcks(st, txName, c.Missing(), true)
+			p.awaitAcks(st, txName, c.Missing(), nil, true, false)
 			return ctx.Err()
 		}
 	}
@@ -503,7 +446,7 @@ func (p *Participant) abort(txName string, c *protocol.Coord, recovery bool) Out
 	}
 	p.recordDecision(txName, false, owed != nil)
 	if owed != nil {
-		p.awaitLateAcks(nil, txName, owed, !recovery)
+		p.awaitAcks(nil, txName, owed, nil, !recovery, false)
 	}
 	if !recovery {
 		p.complete(protocol.ParseTxID(txName), false)
@@ -537,10 +480,10 @@ func damageError(txName string, heur []protocol.HeuristicReport) error {
 }
 
 // registerCoord enters txName in the table as a transaction this node
-// coordinates, with the caller as its consumer. An unsolicited vote
-// may have entered it already, to wait in its inbox; no consumer can
-// hold it, since nothing but replies reaches a transaction before its
-// coordinator's Prepares leave (one id is coordinated once at a time).
+// coordinates, with the caller as its consumer. No consumer can hold
+// it already, since nothing but replies reaches a transaction before
+// its coordinator's Prepares leave (one id is coordinated once at a
+// time).
 func (p *Participant) registerCoord(txName string) *txState {
 	sh := p.shardFor(txName)
 	sh.mu.Lock()

@@ -172,6 +172,7 @@ func presumedOutcome(v protocol.Variant) protocol.OutcomeKind {
 type rawSub struct {
 	ep      netsim.Endpoint
 	ack     atomic.Bool
+	drop    atomic.Int64 // commits to ignore before any is acked
 	commits atomic.Int64
 	// horizons is the Horizon each Prepare and Commit announced.
 	mu       sync.Mutex
@@ -194,7 +195,7 @@ func (s *rawSub) serve(stop <-chan struct{}) {
 					s.send(pkt.From, protocol.Message{Type: protocol.MsgVote, Tx: m.Tx, Vote: protocol.VoteYes})
 				case protocol.MsgCommit:
 					s.commits.Add(1)
-					if s.ack.Load() {
+					if s.ack.Load() && s.drop.Add(-1) < 0 {
 						s.send(pkt.From, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx})
 					}
 				}
@@ -254,9 +255,9 @@ func hasTxRecord(t *testing.T, log *wal.Log, tx, kind string) bool {
 }
 
 // unackedPACommit commits one PA transaction whose subordinate's ack
-// never arrives. Commit returns at the decision; the background
-// collector then retransmits the outcome until it gives up, dropping
-// its table entry and leaving the decision pinned.
+// never arrives. Commit returns at the decision, its table entry
+// dropped; the resender then retransmits the outcome until it gives up,
+// leaving the decision pinned.
 func unackedPACommit(t *testing.T) (c *Participant, sub *rawSub, vc *clock.Virtual, net *netsim.ChanNetwork, tx string) {
 	t.Helper()
 	vc = clock.NewVirtual()
@@ -281,7 +282,10 @@ func unackedPACommit(t *testing.T) (c *Participant, sub *rawSub, vc *clock.Virtu
 	if out != Committed {
 		t.Fatalf("commit = %v", out)
 	}
-	driveVirtualUntil(t, vc, func() bool { return c.StateTableSize() == 0 })
+	if c.StateTableSize() != 0 {
+		t.Fatalf("Commit returned with %d table entries, want none", c.StateTableSize())
+	}
+	driveVirtualUntil(t, vc, func() bool { return c.owing.Load() == 0 })
 	if sub.commits.Load() < 2 {
 		t.Fatalf("outcome delivered %d times; the coordinator did not retransmit", sub.commits.Load())
 	}

@@ -48,15 +48,25 @@ func (p *Participant) route(from string, m *protocol.Message) {
 		pe = sh.pinned[m.Tx]
 	}
 	if pe.waiting != nil {
-		// The coordinator stopped collecting and handed the acks still
-		// owed to the pinned entry (awaitLateAcks): strike the sender,
-		// releasing the entry with the last one.
+		// The acks still owed wait on the pinned entry (awaitAcks):
+		// strike the sender, counting any damage it reports, since no
+		// caller hears of it (a registry shared with that node counts
+		// it twice), and release the entry with the last one.
 		if i := slices.Index(pe.waiting, from); i >= 0 {
 			pe.waiting = append(pe.waiting[:i], pe.waiting[i+1:]...)
+			for _, h := range m.Heuristics {
+				if h.Damage && p.met != nil {
+					p.met.Damage(h.Node)
+				}
+			}
 		}
 		done := len(pe.waiting) == 0
 		if done {
 			pe.waiting = nil
+			if _, ok := sh.resends[m.Tx]; ok {
+				delete(sh.resends, m.Tx)
+				p.owing.Add(-1)
+			}
 		}
 		sh.pinned[m.Tx] = pe
 		sh.mu.Unlock()
@@ -104,11 +114,11 @@ func (p *Participant) route(from string, m *protocol.Message) {
 }
 
 // postLocked appends env to st's inbox. A reply is kept only while a
-// consumer, or a coordinator's Commit, may read it. It returns what
-// rouse must do once the caller has released st's shard mutex: start a
-// drainer for work nobody consumes, or wake the consumer.
+// consumer may read it. It returns what rouse must do once the caller
+// has released st's shard mutex: start a drainer for work nobody
+// consumes, or wake the consumer.
 func (p *Participant) postLocked(st *txState, env envelope) (start bool, wake chan struct{}) {
-	if !env.work && (!st.consuming && !st.isCoord || len(st.inbox)-st.head >= inboxLimit) {
+	if !env.work && (!st.consuming || len(st.inbox)-st.head >= inboxLimit) {
 		return false, nil
 	}
 	st.inbox = append(st.inbox, env)

@@ -29,8 +29,8 @@ func TestLiveDrainersExitWhenIdle(t *testing.T) {
 				return false
 			}
 		}
-		// Outbound flushers and background ack collectors are transient
-		// too: wait for them to go as well.
+		// Outbound flushers and the resender are transient too: wait
+		// for them to go as well.
 		return runtime.NumGoroutine() <= before
 	})
 }

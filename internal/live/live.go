@@ -147,6 +147,10 @@ type Participant struct {
 	// peerHorizon is the longest retransmission horizon a peer has
 	// announced to this node (protocol.Message.Horizon), in ns.
 	peerHorizon atomic.Int64
+	// owing counts the pins the resender sends again (awaitAcks), under
+	// their shards' mutexes; resending says it runs (resendLoop).
+	owing     atomic.Int64
+	resending atomic.Bool
 
 	// stopped closes at Stop, under stopMu, which background holds to
 	// add to wg: nothing joins wg once Stop waits on it.
@@ -176,10 +180,8 @@ type txState struct {
 
 	// isCoord marks a transaction this node coordinates: outcomes sent
 	// to it are replies to collect, not work to apply. detached is set,
-	// by the committing goroutine only, when a background goroutine
-	// takes the consumer role over: one collecting the commit acks (a
-	// logless vote's coordinator returns before them), or a delegating
-	// coordinator's resolver asking its silent agent.
+	// by the committing goroutine only, when a delegating coordinator's
+	// resolver takes the consumer role over to ask its silent agent.
 	isCoord  bool
 	detached bool
 	// gone is set, by the consumer, once it has removed the entry from
@@ -326,7 +328,7 @@ func (p *Participant) Start() error {
 }
 
 // Stop shuts the participant down and waits for its receive loop and
-// background collectors. Coalesced messages already enqueued are
+// background goroutines. Coalesced messages already enqueued are
 // flushed to the wire before the endpoint closes. A drainer still
 // working through a transaction's input (blocked in a force, say) is
 // not waited for: it finishes on its own, its sends refused, though
@@ -508,18 +510,23 @@ func (p *Participant) handle(pkt protocol.Packet) {
 		if m.Horizon > 0 {
 			p.notePeerHorizon(m.Horizon)
 		}
-		if p.met != nil {
-			p.met.MessageReceived(p.name)
-		}
-		if p.traceOn {
-			p.trc.Add(trace.Event{Node: p.name, Peer: pkt.From, Kind: trace.KindReceive, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
-		}
+		p.received(pkt.From, m)
 		p.route(pkt.From, m)
 	}
 	// Every inbox holds its own copy of a message, so the packet's
 	// backing array can go back to the codec pool (transports hand over
 	// ownership on delivery).
 	protocol.PutMsgSlice(pkt.Messages)
+}
+
+// received counts and traces m, received from from.
+func (p *Participant) received(from string, m *protocol.Message) {
+	if p.met != nil {
+		p.met.MessageReceived(p.name)
+	}
+	if p.traceOn {
+		p.trc.Add(trace.Event{Node: p.name, Peer: from, Kind: trace.KindReceive, Tx: m.Tx, Detail: m.Label() + "(" + m.Tx + ")"})
+	}
 }
 
 // recordDecision publishes the outcome of a transaction this node

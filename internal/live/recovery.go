@@ -53,8 +53,7 @@ func (p *Participant) resume(l *protocol.TxLog) {
 			if d.OnePhase {
 				redo = d.Encode()
 			}
-			p.awaitLateAcks(nil, tx, append([]string(nil), d.Subs...), false)
-			p.setPinRedo(tx, redo)
+			p.awaitAcks(nil, tx, append([]string(nil), d.Subs...), redo, false, false)
 			for _, s := range d.Subs {
 				_ = p.sendExtra(s, outcomeMsg(tx, committed, redo, s))
 			}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/protocol"
 )
 
@@ -28,23 +29,33 @@ type txShard struct {
 	mu     sync.Mutex
 	txs    map[string]*txState
 	pinned map[string]pin
-	young  map[string]decision
-	old    map[string]decision
-	opened time.Duration // scheduler time the young generation opened
+	// resends holds each resent pin's schedule (awaitAcks), out of the
+	// pin, so the decided-table lookups on a drainer's deep stack copy
+	// no more than they did.
+	resends map[string]resendAt
+	young   map[string]decision
+	old     map[string]decision
+	opened  time.Duration // scheduler time the young generation opened
 }
 
 // pin is a pinned decided-table entry. waiting, when non-nil, lists the
-// subordinates whose acknowledgments release the pin: the coordinator
-// gave up collecting them (or never collected them, for an abort), and
-// late ones still count; each rotation resends them the outcome
-// (reannounce). redo is a 1PC decision record's payload, whose
-// per-voter redo rides on the resent commit. ledger marks a pin whose
-// release also closes this node's cost-ledger entry.
+// subordinates whose acknowledgments release the pin (awaitAcks); each
+// rotation resends them the outcome (reannounce), unless the resender
+// does. redo is a 1PC decision record's payload, whose per-voter redo
+// rides on the resent commit. ledger marks a pin whose release also
+// closes this node's cost-ledger entry.
 type pin struct {
 	d       decision
 	waiting []string
 	redo    []byte
 	ledger  bool
+}
+
+// resendAt is when the resender next sends a pinned commit's outcome
+// again: at due, walking bo, until deadline.
+type resendAt struct {
+	bo            clock.Backoff
+	due, deadline time.Duration
 }
 
 // decidedLocked returns tx's decided-table entry. Caller holds sh.mu.
@@ -111,20 +122,19 @@ func (p *Participant) ageLocked(sh *txShard, tx string, d decision) (rotated boo
 }
 
 // reannounce resends the outcome of every pinned entry in sh that
-// waits on acknowledgments its coordinator stopped collecting. A
+// waits on acknowledgments the resender does not resend. A
 // subordinate that was down when the outcome went out, or whose ack
 // was lost, may never ask; the resent outcome reaches it once it is
 // back, and its ack — a re-ack, or the ack of a subordinate that never
 // prepared — releases the pin. It runs on rotation, so at most once a
 // horizon per shard, and only while the shard sees inserts.
 func (p *Participant) reannounce(sh *txShard) {
-	type resend struct {
-		to string
-		m  protocol.Message
-	}
 	var out []resend
 	sh.mu.Lock()
 	for tx, pe := range sh.pinned {
+		if _, ok := sh.resends[tx]; ok {
+			continue
+		}
 		for _, s := range pe.waiting {
 			out = append(out, resend{s, outcomeMsg(tx, pe.d.committed(), pe.redo, s)})
 		}
@@ -134,6 +144,12 @@ func (p *Participant) reannounce(sh *txShard) {
 		_ = p.sendExtra(r.to, r.m)
 		p.countRetry()
 	}
+}
+
+// resend is an outcome to send again once the shard's mutex is released.
+type resend struct {
+	to string
+	m  protocol.Message
 }
 
 // outcomeMsg is the outcome message for subordinate sub of tx. A 1PC
@@ -213,9 +229,10 @@ func newTxShards(n int) []*txShard {
 	shards := make([]*txShard, p)
 	for i := range shards {
 		shards[i] = &txShard{
-			txs:    make(map[string]*txState),
-			pinned: make(map[string]pin),
-			young:  make(map[string]decision),
+			txs:     make(map[string]*txState),
+			pinned:  make(map[string]pin),
+			resends: make(map[string]resendAt),
+			young:   make(map[string]decision),
 		}
 	}
 	return shards

@@ -244,9 +244,9 @@ func TestLiveLastAgentVetoAborts(t *testing.T) {
 }
 
 // TestLiveUnsolicitedVote has a subordinate volunteer its vote before
-// Commit runs, carried back as a reply (Volunteer, PostVotes); the
-// coordinator must skip that Prepare entirely, and the vote takes no
-// packet of its own.
+// Commit runs, carried back as a reply (Volunteer) and handed to
+// CommitVariant; the coordinator must skip that Prepare entirely, and
+// the vote takes no packet of its own.
 func TestLiveUnsolicitedVote(t *testing.T) {
 	net := netsim.NewChanNetwork()
 	creg, sreg := metrics.New(), metrics.New()
@@ -264,8 +264,7 @@ func TestLiveUnsolicitedVote(t *testing.T) {
 	if err != nil || vote != protocol.VoteYes {
 		t.Fatalf("volunteer = %v, %v", vote, err)
 	}
-	coord.PostVotes(tx.String(), []Vote{{From: "S", Vote: vote}})
-	out, err := coord.Commit(context.Background(), tx.String(), []string{"S"})
+	out, err := coord.CommitVariant(context.Background(), tx.String(), []string{"S"}, coord.Variant(), Vote{From: "S", Vote: vote})
 	if err != nil || out != Committed {
 		t.Fatalf("commit = %v, %v", out, err)
 	}

@@ -121,7 +121,7 @@ func (p *Participant) decide(st *txState, from string, prepare bool) {
 		p.complete(tx, commit)
 		st.sub.Finish(commit)
 		if d.Acked {
-			p.awaitLateAcks(nil, st.id, []string{from}, false)
+			p.awaitAcks(nil, st.id, []string{from}, nil, false, false)
 		} else {
 			_ = p.lazy(wal.Record{Tx: st.id, Node: p.name, Kind: protocol.RecEnd})
 		}
@@ -219,7 +219,7 @@ func (p *Participant) handleInquire(from string, m *protocol.Message) {
 // coordinator's last work request. v is the coordinator's variant,
 // which no Prepare will announce: the prepared record names it, and
 // phase two and recovery follow it. The coordinator hands the vote to
-// Commit with PostVotes, and Commit skips this subordinate's Prepare.
+// CommitVariant, which skips this subordinate's Prepare.
 // The cost ledger counts it as the voter's vote flow, piggybacked: it
 // takes no packet of its own, and its trace event names no peer. Call
 // it only once the transaction has taken every lock it will take

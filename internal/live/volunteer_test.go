@@ -60,8 +60,7 @@ func TestLiveVolunteerFollowsCoordinatorVariant(t *testing.T) {
 	if err != nil || vote != protocol.VoteYes {
 		t.Fatalf("volunteer = %v, %v", vote, err)
 	}
-	parts["C"].PostVotes(tx, []Vote{{From: "V", Vote: vote}})
-	if out, err := parts["C"].Commit(context.Background(), tx, []string{"V", "N"}); out != Aborted || err != nil {
+	if out, err := parts["C"].CommitVariant(context.Background(), tx, []string{"V", "N"}, protocol.VariantPA, Vote{From: "V", Vote: vote}); out != Aborted || err != nil {
 		t.Fatalf("commit = %v, %v; want aborted by N's no", out, err)
 	}
 
@@ -134,8 +133,7 @@ func TestLiveAbortSkipsReadOnlyVoter(t *testing.T) {
 		if r := ledgerNode(t, regs["R"], tx, "R"); r.Flows != 1 || r.Piggybacked != 1 || r.Writes() != 0 {
 			t.Errorf("%v: the read-only voter spent %+v, want its piggybacked vote alone", v, r.CostCounters)
 		}
-		parts["C"].PostVotes(tx, []Vote{{From: "R", Vote: vote}})
-		if out, err := parts["C"].Commit(context.Background(), tx, []string{"R", "N"}); out != Aborted || err != nil {
+		if out, err := parts["C"].CommitVariant(context.Background(), tx, []string{"R", "N"}, v, Vote{From: "R", Vote: vote}); out != Aborted || err != nil {
 			t.Fatalf("%v: commit = %v, %v; want aborted by N's no", v, out, err)
 		}
 		waitUntil(t, 5*time.Second, func() bool { return parts["C"].PinnedDecisions() == 0 })

@@ -108,8 +108,8 @@ type Round struct {
 // coordinator that delegated to it. Redo: the record embeds the logless
 // voters' redo (OnePhaseMeta), their only durable state. Early: the
 // owner answers its caller once the record is written and the outcome
-// sent, and collects the acks in the background: they only let it
-// forget (End), and carry nothing the caller is told.
+// sent, and takes the acks as they come, off the caller's path: they
+// only let it forget (End), and carry nothing the caller is told.
 type Decision struct {
 	Write              Write
 	Acked, Redo, Early bool

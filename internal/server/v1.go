@@ -244,8 +244,7 @@ func (s *Server) runV1(ctx context.Context, creq api.CommitRequest) (*api.Commit
 		}
 	}
 
-	s.part.PostVotes(tx, votes)
-	out, err := s.part.CommitVariant(ctx, tx, subs, v)
+	out, err := s.part.CommitVariant(ctx, tx, subs, v, votes...)
 	resp := &api.CommitResponse{
 		Tx:           tx,
 		Outcome:      out.String(),

@@ -33,28 +33,17 @@ PKGS="${PKGS:-./internal/live ./internal/wal ./internal/lockmgr ./internal/netsi
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-for pkg in $PKGS; do
-    base=$(basename "$pkg")
-    flags=""
-    if [ -n "${CPUPROFILE:-}" ]; then flags="$flags -cpuprofile=${CPUPROFILE}.${base}"; fi
-    if [ -n "${MEMPROFILE:-}" ]; then flags="$flags -memprofile=${MEMPROFILE}.${base}"; fi
-    echo "== $pkg (benchtime=$BENCHTIME, count=$COUNT) =="
-    # shellcheck disable=SC2086  # flags is intentionally word-split
-    out=$(go test -run='^$' -bench="$BENCH" -benchmem -benchtime="$BENCHTIME" -count="$COUNT" $flags "$pkg")
-    printf '%s\n' "$out"
-    printf '%s\n' "$out" >>"$raw"
-done
-
-{
-    echo "{"
-    printf '  "benchtime": "%s",\n' "$BENCHTIME"
-    printf '  "count": %s,\n' "$COUNT"
-    printf '  "go": "%s",\n' "$(go env GOVERSION)"
-    printf '  "benchmarks": {\n'
+# summarize turns go test -bench output into the JSON "benchmarks"
+# entries. A key is the package and the benchmark's name without the
+# -N GOMAXPROCS suffix go test appends on a host with more than one
+# CPU, so runs on any host match BENCH_live.json's keys.
+summarize() {
     awk '
         $1 == "pkg:" { pkg = $2; next }
         /^Benchmark/ {
-            key = pkg "." $1
+            name = $1
+            sub(/-[0-9]+$/, "", name)
+            key = pkg "." name
             if (!(key in runs)) order[n++] = key
             runs[key]++
             val[key, "@iters", runs[key]] = $2
@@ -94,7 +83,39 @@ done
             }
             printf "\n"
         }
-    ' "$raw"
+    ' "$@"
+}
+
+# Check the key rule on a line as a 2-CPU host prints it.
+fake='BenchmarkWALForceFsync/forcers16/adaptive-2   	     100	     12345 ns/op	         0.0625 syncs/force'
+got=$(printf 'pkg: repro/internal/wal\n%s\n' "$fake" | summarize)
+case "$got" in
+*'"repro/internal/wal.BenchmarkWALForceFsync/forcers16/adaptive": {"runs": 1, "iterations": 100, "ns/op": 12345, "syncs/force": 0.0625}'*) ;;
+*)
+    echo "bench.sh: benchmark key check failed, got: $got" >&2
+    exit 1
+    ;;
+esac
+
+for pkg in $PKGS; do
+    base=$(basename "$pkg")
+    flags=""
+    if [ -n "${CPUPROFILE:-}" ]; then flags="$flags -cpuprofile=${CPUPROFILE}.${base}"; fi
+    if [ -n "${MEMPROFILE:-}" ]; then flags="$flags -memprofile=${MEMPROFILE}.${base}"; fi
+    echo "== $pkg (benchtime=$BENCHTIME, count=$COUNT) =="
+    # shellcheck disable=SC2086  # flags is intentionally word-split
+    out=$(go test -run='^$' -bench="$BENCH" -benchmem -benchtime="$BENCHTIME" -count="$COUNT" $flags "$pkg")
+    printf '%s\n' "$out"
+    printf '%s\n' "$out" >>"$raw"
+done
+
+{
+    echo "{"
+    printf '  "benchtime": "%s",\n' "$BENCHTIME"
+    printf '  "count": %s,\n' "$COUNT"
+    printf '  "go": "%s",\n' "$(go env GOVERSION)"
+    printf '  "benchmarks": {\n'
+    summarize "$raw"
     echo "  }"
     echo "}"
 } >"$OUT"

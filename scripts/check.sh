@@ -58,21 +58,25 @@ go test -race -count=50 -run 'TestLiveLastAgentResolvesDoubt|TestLiveLastAgentBa
 
 echo "== answered at the decision, voted with the stage reply, combined writers (20 race runs) =="
 # PA and Basic 2PC commits return before their acks: a get right after
-# a put still reads it, damage on an off-path ack is still counted, and
-# the background collectors leave nothing behind. Their shards vote in
+# a put still reads it, damage on an off-path ack is still counted, the
+# round's table entry retires at the answer with its acks owed to the
+# pinned decided entry (no goroutine per commit), and the participant's
+# resender reaches a subordinate that dropped the first commit. Their shards vote in
 # the /v1/stage reply: no Prepare reaches a volunteer, and one a later
 # stage failure aborts is released through the protocol with nothing
 # left in doubt. A read-only slice staged ahead of another keeps its
 # locks to its Prepare, so a concurrent write-skew schedule stays
 # serializable. An abort is told to no read-only voter, which keeps
 # nothing. The audit stays exact while the coordinator's round
-# (protocol.Coord) hands over to its background ack collector and
-# last-agent resolver. The log's forcers and the TCP transport's
-# senders combine on their own goroutines: a lone forcer flushes
-# inline, queued forces share their leader's flush, a crash frees a
-# lingering batch, concurrent senders keep their order, a failed write
-# redials, and Close frees a stalled write.
-go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers|TestPipelineLoneForcerFlushesInline|TestPipelineQueuedForcesShareOneFlush|TestPipelineCrashWhileLeaderLingers|TestTCPConcurrentSendersKeepTheirOrder|TestTCPRedialsRestartedPeer|TestTCPCloseUnblocksStalledSend' ./internal/server ./internal/live ./internal/audit ./internal/wal ./internal/netsim
+# (protocol.Coord) hands over to its last-agent resolver. The log's
+# forcers and the TCP transport's senders combine on their own
+# goroutines: a lone forcer flushes inline, queued forces share their
+# leader's flush, a crash frees a lingering batch, concurrent senders
+# keep their order, a failed write redials, and Close frees a stalled
+# write. A kvstore commit that makes a compaction due returns while the
+# snapshot is still being written, and recovery after background
+# compactions equals the store.
+go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers|TestPipelineLoneForcerFlushesInline|TestPipelineQueuedForcesShareOneFlush|TestPipelineCrashWhileLeaderLingers|TestTCPConcurrentSendersKeepTheirOrder|TestTCPRedialsRestartedPeer|TestTCPCloseUnblocksStalledSend|TestLiveEarlyCommitRetiresAtAnswer|TestLiveResenderReachesDroppedCommit|TestCommitReturnsWhileSnapshotBlocked|TestRecoveryAfterBackgroundCompactions' ./internal/server ./internal/live ./internal/audit ./internal/wal ./internal/netsim ./internal/kvstore
 
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
