@@ -101,8 +101,8 @@ type Config struct {
 	// with RegisterPeerHTTP.
 	PeerHTTP map[string]string
 	// StageTimeout bounds lock acquisition while staging one shard's
-	// slice of a transaction's operations, and with a second's slack
-	// each of the dial and the wait for the answer of a /v1/stage call.
+	// slice of a transaction's operations, and with a second's slack a
+	// whole /v1/stage call, dial included.
 	// Default 2s.
 	StageTimeout time.Duration
 	// AdvertiseHTTP overrides the HTTP base URL this daemon reports
@@ -279,7 +279,7 @@ func New(cfg Config) (*Server, error) {
 		ep:        ep,
 		store:     store,
 		smap:      smap,
-		httpc:     &http.Client{Transport: stageTransport(cfg.MaxInflight, cfg.StageTimeout+time.Second)},
+		httpc:     &http.Client{Transport: newStageTransport(cfg.MaxInflight, cfg.StageTimeout+time.Second)},
 		httpLn:    httpLn,
 		sem:       make(chan struct{}, cfg.MaxInflight),
 		start:     start,
@@ -484,25 +484,6 @@ func (s *Server) Close() error {
 	_ = s.ep.Close()
 	s.wg.Wait()
 	return nil
-}
-
-// stageTransport is a daemon's own transport for /v1/stage. Every
-// admitted commit may stage on a peer at once, so each peer keeps up
-// to maxInflight idle connections: with http.DefaultTransport's two,
-// every stage beyond the second concurrent one to a peer would close
-// its connection after use and dial a new one next time. bound caps
-// the dial and the wait for a peer's answer, so a call needs no
-// deadline context of its own. Stage bodies are small JSON on a
-// loopback or data-center link: compressing them buys nothing, and
-// asking for it costs a header per call.
-func stageTransport(maxInflight int, bound time.Duration) *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConns = 0 // no fleet-wide cap; the per-peer one bounds it
-	t.MaxIdleConnsPerHost = maxInflight
-	t.DialContext = (&net.Dialer{Timeout: bound, KeepAlive: 30 * time.Second}).DialContext
-	t.ResponseHeaderTimeout = bound
-	t.DisableCompression = true
-	return t
 }
 
 // auditLoop periodically drains the cost ledger and conformance-checks

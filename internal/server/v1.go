@@ -370,11 +370,9 @@ func newHTTPPeer(baseURL string) httpPeer {
 }
 
 // stageRequest copies the peer's template for one stage call with its
-// body. GetBody rewinds the body, so the transport may send it again
-// on a fresh connection. The body is io.NopCloser over a bytes.Reader
-// because net/http writes such a request, header and body, in one
-// write; a reader type it does not know gets its header flushed in a
-// write of its own, and the peer's read of the request in two parts.
+// body. The request has no GetBody: the stage transport never sends a
+// request twice. The body is io.NopCloser over a bytes.Reader, which
+// net/http's own Transport also writes, header and body, in one write.
 func (p httpPeer) stageRequest(ctx context.Context, body []byte) (*http.Request, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -382,14 +380,14 @@ func (p httpPeer) stageRequest(ctx context.Context, body []byte) (*http.Request,
 	req := p.stage.WithContext(ctx)
 	req.ContentLength = int64(len(body))
 	req.Body = io.NopCloser(bytes.NewReader(body))
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	return req, nil
 }
 
 // stageRemote posts one shard slice to the owning daemon's /v1/stage.
 // Abort requests are best-effort. The call goes straight to the stage
-// transport, which bounds it (see stageTransport): an http.Client
-// would copy the headers for redirects the stage plane never follows.
+// transport, which bounds it and does its I/O on this goroutine (see
+// stageTransport): an http.Client would copy the headers for redirects
+// the stage plane never follows.
 // A shard that answers with an error status gives a *stageRefusal.
 func (s *Server) stageRemote(ctx context.Context, node string, sreq api.StageRequest) (api.StageResponse, error) {
 	var sresp api.StageResponse

@@ -75,8 +75,11 @@ echo "== answered at the decision, voted with the stage reply, combined writers 
 # keep their order, a failed write redials, and Close frees a stalled
 # write. A kvstore commit that makes a compaction due returns while the
 # snapshot is still being written, and recovery after background
-# compactions equals the store.
-go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers|TestPipelineLoneForcerFlushesInline|TestPipelineQueuedForcesShareOneFlush|TestPipelineCrashWhileLeaderLingers|TestTCPConcurrentSendersKeepTheirOrder|TestTCPRedialsRestartedPeer|TestTCPCloseUnblocksStalledSend|TestLiveEarlyCommitRetiresAtAnswer|TestLiveResenderReachesDroppedCommit|TestCommitReturnsWhileSnapshotBlocked|TestRecoveryAfterBackgroundCompactions' ./internal/server ./internal/live ./internal/audit ./internal/wal ./internal/netsim ./internal/kvstore
+# compactions equals the store. The stage transport pools its
+# connections with no goroutine each, redials one its peer closed,
+# reuses one after a chunked or 409 reply, drops one a cancel cut, and
+# never sends a request twice.
+go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers|TestPipelineLoneForcerFlushesInline|TestPipelineQueuedForcesShareOneFlush|TestPipelineCrashWhileLeaderLingers|TestTCPConcurrentSendersKeepTheirOrder|TestTCPRedialsRestartedPeer|TestTCPCloseUnblocksStalledSend|TestLiveEarlyCommitRetiresAtAnswer|TestLiveResenderReachesDroppedCommit|TestCommitReturnsWhileSnapshotBlocked|TestRecoveryAfterBackgroundCompactions|TestStageConnectionsReused|TestStageTransport|TestStageRequestNeverResent|TestStageRequestOneWrite' ./internal/server ./internal/live ./internal/audit ./internal/wal ./internal/netsim ./internal/kvstore
 
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
