@@ -26,6 +26,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -88,6 +89,7 @@ type Client struct {
 	smap    *router.ShardMap
 	members map[string]string
 	rng     *rand.Rand
+	urls    map[string]*url.URL // target -> its /v1/commit URL, parsed once
 }
 
 // Option configures a Client.
@@ -158,10 +160,17 @@ func (c *Client) Do(ctx context.Context, req CommitRequest) (*CommitResponse, er
 	attempt := func() (*CommitResponse, error) {
 		rctx, cancel := context.WithTimeout(ctx, c.timeout)
 		defer cancel()
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, target+api.PathCommit, bytes.NewReader(body))
+		u, err := c.commitURL(target)
 		if err != nil {
 			return nil, err
 		}
+		hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, "", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		hreq.URL, hreq.Host = u, u.Host
+		// A fresh header per request: an http.Client with a cookie jar
+		// adds its cookies to it.
 		hreq.Header.Set("Content-Type", "application/json")
 		hresp, err := c.hc.Do(hreq)
 		if err != nil {
@@ -206,6 +215,25 @@ func (c *Client) Do(ctx context.Context, req CommitRequest) (*CommitResponse, er
 		}
 	}
 	return resp, err
+}
+
+// commitURL is target's /v1/commit URL, parsed at its first use and
+// shared by every request after it; the transport only reads it.
+func (c *Client) commitURL(target string) (*url.URL, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if u, ok := c.urls[target]; ok {
+		return u, nil
+	}
+	req, err := http.NewRequest(http.MethodPost, target+api.PathCommit, nil)
+	if err != nil {
+		return nil, err
+	}
+	if c.urls == nil {
+		c.urls = make(map[string]*url.URL)
+	}
+	c.urls[target] = req.URL
+	return req.URL, nil
 }
 
 // errUndecodable marks a 200 whose body did not decode, or did not

@@ -249,3 +249,49 @@ func TestCommitRequestBodyAsMarshal(t *testing.T) {
 		t.Fatalf("sent %s, json.Marshal writes %s", sent, want)
 	}
 }
+
+// clientRoundTrip is a RoundTripper double.
+type clientRoundTrip func(*http.Request) (*http.Response, error)
+
+func (f clientRoundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestCommitURLParsedOnce: two commits to one target share one parsed
+// URL, and each request still carries what the wire always carried:
+// POST to the target's /v1/commit, its Host, a Content-Type header of
+// its own, and the body.
+func TestCommitURLParsedOnce(t *testing.T) {
+	var sent []*http.Request
+	var bodies []string
+	hc := &http.Client{Transport: clientRoundTrip(func(r *http.Request) (*http.Response, error) {
+		raw, _ := io.ReadAll(r.Body)
+		sent, bodies = append(sent, r), append(bodies, string(raw))
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(`{"tx":"t","outcome":"committed"}`))}, nil
+	})}
+	c := New("http://fleet.example:8100/", WithHTTPClient(hc))
+	req := CommitRequest{Tx: "t", Ops: []Op{Put("k", "v")}}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Do(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sent) != 2 || sent[0].URL != sent[1].URL {
+		t.Fatalf("%d requests; each commit parsed its URL anew", len(sent))
+	}
+	want := string(api.MarshalCommitRequest(&req))
+	for i, r := range sent {
+		if r.Method != http.MethodPost || r.URL.String() != "http://fleet.example:8100"+api.PathCommit || r.Host != "fleet.example:8100" {
+			t.Errorf("request %d: %s %s (host %q)", i, r.Method, r.URL, r.Host)
+		}
+		if len(r.Header) != 1 || r.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("request %d: header %v, want Content-Type alone", i, r.Header)
+		}
+		if bodies[i] != want || r.ContentLength != int64(len(want)) {
+			t.Errorf("request %d: body %q (length %d), want %q", i, bodies[i], r.ContentLength, want)
+		}
+	}
+	sent[0].Header.Set("Cookie", "jar=1") // what a cookie jar does to a request
+	if sent[1].Header.Get("Cookie") != "" {
+		t.Error("requests share a header")
+	}
+}
