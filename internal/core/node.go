@@ -217,14 +217,10 @@ func (n *Node) deliver(pkt protocol.Packet) {
 			n.handleInquire(from, m)
 		case protocol.MsgOutcome:
 			n.handleOutcomeReply(from, m)
-		case protocol.MsgPaxosAccept:
-			n.handlePaxosAccept(from, m)
-		case protocol.MsgPaxosAccepted:
-			n.handlePaxosAccepted(from, m)
-		case protocol.MsgPaxosQuery:
-			n.handlePaxosQuery(from, m)
-		case protocol.MsgPaxosPromise:
-			n.handlePaxosPromise(from, m)
+		case protocol.MsgPaxosAccept, protocol.MsgPaxosQuery:
+			n.handlePaxosAcceptor(from, m)
+		case protocol.MsgPaxosAccepted, protocol.MsgPaxosPromise:
+			n.handlePaxosReply(from, m)
 		}
 	}
 }

@@ -219,17 +219,11 @@ func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
 	tx := protocol.ParseTxID(m.Tx)
 	c := n.ctx(tx)
 	c.sub(from) // the coordinator is a partner too
-	if m.Presume == protocol.VariantPaxos {
-		px := n.paxos(c)
-		if meta, err := protocol.DecodePaxosMeta(m.Payload); err == nil {
-			px.Adopt(meta.Acceptors, meta.Participants)
-		}
-		if c.state == stPrepared && !px.VoteSent {
-			// Prepared unsolicited before the acceptor membership was
-			// known: the late Prepare supplies it; vote now.
-			n.paxosSendAccept0(c)
-			return
-		}
+	if m.Presume == protocol.VariantPaxos && n.paxos(c).Asked(&m) && c.state == stPrepared {
+		// Prepared unsolicited before the acceptor membership was
+		// known: the late Prepare supplies it; vote now.
+		n.paxosCast(c, c.pax.Vote)
+		return
 	}
 	if c.state == stPreparing && c.isRoot {
 		if n.eng.cfg.Variant == protocol.VariantPaxos {

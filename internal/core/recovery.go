@@ -64,8 +64,7 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 	case d != nil:
 		n.resumeOutcome(tx, d, d.Kind == protocol.RecCommitted)
 
-	case n.eng.cfg.Variant == protocol.VariantPaxos &&
-		(l.Acceptor || (l.Prepared != nil && l.Prepared.Paxos != nil && len(l.Prepared.Paxos.Acceptors) > 0)):
+	case l.Paxos():
 		n.recoverPaxosTx(tx, l)
 
 	case l.Prepared != nil:
@@ -149,24 +148,12 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 	c.round.Logged = true
 	c.state = stInDoubt
 
-	// Membership travels on every durable Paxos record; the first
-	// record carrying it sticks.
-	px := n.paxos(c)
 	if p := l.Prepared; p != nil {
-		if p.Paxos != nil {
-			px.Adopt(p.Paxos.Acceptors, p.Paxos.Participants)
-		}
 		c.coord = protocol.NodeID(p.Coord)
 		c.haveCoord = c.coord != ""
-		px.Vote = protocol.VoteYes // our Prepared record survived
-	} else {
-		// Crashed before (or without) preparing: the local resources
-		// lost their prepared state, so our own instance can only be
-		// re-proposed as No — unless an acceptor already holds it.
-		px.Vote = protocol.VoteNo
 	}
-	px.VoteSent = true
-	l.RestoreAcceptor(&px.PaxosTx)
+	px := n.paxos(c)
+	l.Restart(&px.PaxosTx)
 	c.isRoot = len(px.Participants) > 0 && px.Participants[0] == px.Self
 
 	n.trcState(tx, "in doubt after restart (paxos)")

@@ -232,10 +232,8 @@ func (p *Participant) dispatch(st *txState, env *envelope) {
 	switch m.Type {
 	case protocol.MsgPrepare:
 		p.handlePrepare(st, env.from, m)
-	case protocol.MsgPaxosAccept:
-		p.handlePaxosAccept(st, env.from, m, d, known)
-	case protocol.MsgPaxosQuery:
-		p.handlePaxosQuery(st, m)
+	case protocol.MsgPaxosAccept, protocol.MsgPaxosQuery:
+		p.handlePaxosAcceptor(st, env.from, m, d, known)
 	default:
 		commit, _ := protocol.OutcomeOf(m)
 		p.applyOutcome(st, env.from, m, commit)
@@ -252,8 +250,9 @@ func (p *Participant) answerDecided(from string, m *protocol.Message, d decision
 	v, sub := d.subVariant()
 	switch {
 	case m.Type == protocol.MsgPaxosAccept || m.Type == protocol.MsgPaxosQuery:
-		if meta, err := protocol.DecodePaxosMeta(m.Payload); err == nil {
-			p.paxosReplyOutcome(meta.Leader, from, m.Tx, d.committed())
+		pm, err := protocol.DecodePaxos(m)
+		if to, r, ok := pm.Answer(p.name, from, m.Tx, d.committed()); err == nil && ok {
+			_ = p.sendExtra(to, r)
 		}
 	case decides && !sub:
 		if d.committed() == commit {
@@ -278,6 +277,18 @@ const (
 	stopping
 	cancelled // ctx ended
 )
+
+// err is what a collection loop returns when next stops it for w: a
+// crash, Stop, or the end of ctx.
+func (w wake) err(ctx context.Context) error {
+	switch w {
+	case crashed:
+		return ErrCrashed
+	case stopping:
+		return errStopped
+	}
+	return ctx.Err()
+}
 
 // next is the one wait of every collection loop, run on st's consumer:
 // it handles the work and local calls it meets on the way, and returns

@@ -68,12 +68,16 @@ func restartPrepared(t *testing.T, self string, payloads map[string][]byte) map[
 	store.Sync()
 	net := netsim.NewChanNetwork()
 	p := NewParticipant(self, net.Endpoint(self), wal.New(store), nil)
-	inDoubt, prepared, err := p.scanInDoubt()
+	inDoubt, logs, err := p.scanInDoubt()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inDoubt) != len(payloads) {
 		t.Fatalf("in doubt after restart: %v, want %d transactions", inDoubt, len(payloads))
+	}
+	prepared := make(map[string]*protocol.LogRecord)
+	for tx, l := range logs {
+		prepared[tx] = l.Prepared
 	}
 	return prepared
 }

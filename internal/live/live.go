@@ -195,7 +195,7 @@ type txState struct {
 	coord protocol.Coord
 
 	// Paxos Commit state (nil for every other variant).
-	pax *protocol.PaxosTx
+	pax *protocol.PaxosLead
 }
 
 // NewParticipant wires a participant to its endpoint, log, and

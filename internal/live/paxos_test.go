@@ -2,10 +2,12 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/audit"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -60,33 +62,45 @@ func crashAfterNth(point string, n int) Option {
 }
 
 // TestLivePaxosCommitExactCosts commits one transaction on a live
-// four-node fleet and requires the runtime conformance audit to match
-// the Paxos Commit closed forms exactly at every node: coordinator
-// {2s+a-1, 3, 1}, acceptor-subordinates {a, 4, 2}, plain subordinate
-// {a, 3, 1}. The audit needs quiescence (the slowest acceptor's
-// bundle may trail the decision), so it polls.
+// fleet and requires the runtime conformance audit to match the Paxos
+// Commit closed forms exactly at every node. Four nodes (a = 3):
+// coordinator {2s+a-1, 3, 1}, acceptor-subordinates {a, 4, 2}, plain
+// subordinate {a, 3, 1}. Two nodes (f = 0, the coordinator the one
+// acceptor): the whole transaction is analytic.PaxosCommitTotal(2). The
+// audit needs quiescence (the slowest acceptor's bundle may trail the
+// decision), so it polls.
 func TestLivePaxosCommitExactCosts(t *testing.T) {
-	parts, _, reg, _ := paxosFleet(t, nil)
-	out, err := parts["C"].Commit(context.Background(), "C:1", []string{"S1", "S2", "S3"})
-	if err != nil || out != Committed {
-		t.Fatalf("commit = %v, %v", out, err)
-	}
-	var rep audit.Report
-	waitUntil(t, 5*time.Second, func() bool {
-		views := reg.CostSnapshot()
-		for _, v := range views {
-			if !v.Closed() {
-				return false
+	for _, subs := range [][]string{{"S1", "S2", "S3"}, {"S1"}} {
+		t.Run(fmt.Sprintf("subs=%d", len(subs)), func(t *testing.T) {
+			parts, _, reg, _ := paxosFleet(t, nil)
+			out, err := parts["C"].Commit(context.Background(), "C:1", subs)
+			if err != nil || out != Committed {
+				t.Fatalf("commit = %v, %v", out, err)
 			}
-		}
-		rep = audit.Conformance(views)
-		return rep.OK() && rep.Exact == 4
-	})
-	if !rep.OK() {
-		t.Fatalf("audit violations:\n%s", rep)
-	}
-	if rep.Exact != 4 {
-		t.Fatalf("audit: %d exact matches, want 4\n%s", rep.Exact, rep)
+			nodes := len(subs) + 1
+			var rep audit.Report
+			var views []metrics.TxCostView
+			waitUntil(t, 5*time.Second, func() bool {
+				views = reg.CostSnapshot()
+				for _, v := range views {
+					if !v.Closed() {
+						return false
+					}
+				}
+				rep = audit.Conformance(views)
+				return rep.OK() && rep.Exact == nodes
+			})
+			if !rep.OK() {
+				t.Fatalf("audit violations:\n%s", rep)
+			}
+			if rep.Exact != nodes {
+				t.Fatalf("audit: %d exact matches, want %d\n%s", rep.Exact, nodes, rep)
+			}
+			want := analytic.PaxosCommitTotal(nodes)
+			if got := views[0].Total(); len(views) != 1 || got.Flows != want.Flows || got.Forced+got.NonForced != want.Writes || got.Forced != want.Forced {
+				t.Fatalf("totals %+v over %d transactions, want %v", got, len(views), want)
+			}
+		})
 	}
 }
 
@@ -406,6 +420,85 @@ func TestLivePaxosAcceptorLedgerWaitsForBundle(t *testing.T) {
 		}
 		rep = audit.Conformance(views)
 		return parts["S2"].StateTableSize() == 0
+	})
+	if !rep.OK() || rep.Exact != 4 {
+		t.Fatalf("audit: %d exact of 4\n%s", rep.Exact, rep)
+	}
+}
+
+// TestLivePaxosCoordinatorWaitsForOwnBundle holds back S3's ballot-0
+// accept to C, so the bundles of S1 and S2, a quorum, reach C before
+// its own bundle is complete. C must not decide until the late accept
+// lets it force its bundle (DESIGN §13, drift item 3): deciding would
+// retire its entry, the late accept would be answered with the outcome,
+// and the audit would find C's forced PaxAccept missing.
+func TestLivePaxosCoordinatorWaitsForOwnBundle(t *testing.T) {
+	var mu sync.Mutex
+	var held []protocol.Message
+	bundles := 0
+	net := netsim.NewChanNetwork(netsim.WithTransform(func(from, to string, m protocol.Message) (protocol.Message, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case from == "S3" && to == "C" && m.Type == protocol.MsgPaxosAccept:
+			held = append(held, m)
+			return m, false
+		case to == "C" && m.Type == protocol.MsgPaxosAccepted:
+			bundles++
+		}
+		return m, true
+	}))
+	reg := metrics.New()
+	parts := map[string]*Participant{}
+	for _, name := range []string{"C", "S1", "S2", "S3"} {
+		p := NewParticipant(name, net.Endpoint(name), wal.New(wal.NewMemStore()),
+			[]protocol.Resource{protocol.NewStaticResource("r" + name)}, WithVariant(protocol.VariantPaxos), WithMetrics(reg),
+			WithTimeout(2*time.Second, 2*time.Second))
+		parts[name] = p
+		p.Start()
+		defer p.Stop()
+	}
+	done := make(chan error, 1)
+	go func() {
+		out, err := parts["C"].Commit(context.Background(), "C:1", []string{"S1", "S2", "S3"})
+		if err == nil && out != Committed {
+			err = fmt.Errorf("outcome %v", out)
+		}
+		done <- err
+	}()
+	waitUntil(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return bundles == 2
+	})
+	// Give C the time to act on the quorum it holds: it must not.
+	select {
+	case err := <-done:
+		t.Fatalf("C decided before its own bundle was forced (%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	mu.Lock()
+	late := held
+	mu.Unlock()
+	if len(late) != 1 {
+		t.Fatalf("held %d accepts from S3 to C, want 1", len(late))
+	}
+	if err := net.Endpoint("X").Send("C", protocol.Packet{From: "S3", To: "C", Messages: late}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	var rep audit.Report
+	waitUntil(t, 5*time.Second, func() bool {
+		views := reg.CostSnapshot()
+		for _, v := range views {
+			if !v.Closed() {
+				return false
+			}
+		}
+		rep = audit.Conformance(views)
+		return rep.OK() && rep.Exact == 4
 	})
 	if !rep.OK() || rep.Exact != 4 {
 		t.Fatalf("audit: %d exact of 4\n%s", rep.Exact, rep)

@@ -72,13 +72,12 @@ func (p *Participant) resume(l *protocol.TxLog) {
 		c.Reinstate(v, l.Pre.Subs, "")
 		c.Logged = true
 		p.abort(tx, &c, true)
-	case l.InDoubt():
+	case l.InDoubt() || d == nil && l.Paxos():
 		// Prepared, never decided: in doubt until RecoverInDoubt (or a
 		// retransmitted outcome) settles it, and remembered until then.
-		p.reinstate(p.liveState(tx), pr)
-	}
-	if d == nil && (len(l.Accepts) > 0 || l.Promise != nil) {
-		l.RestoreAcceptor(p.paxos(p.liveState(tx)))
+		// An undecided Paxos acceptor that never prepared here is
+		// remembered too, for its promises and acceptances.
+		p.reinstate(p.liveState(tx), l)
 	}
 }
 
@@ -93,14 +92,14 @@ func (p *Participant) resume(l *protocol.TxLog) {
 //
 // ctx bounds the whole recovery pass.
 func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([]string, error) {
-	inDoubt, prepared, err := p.scanInDoubt()
+	inDoubt, logs, err := p.scanInDoubt()
 	if err != nil {
 		return nil, err
 	}
 	var unresolved []string
 	for _, txName := range inDoubt {
-		rec := prepared[txName]
-		if rec != nil && rec.Agent != "" {
+		l := logs[txName]
+		if l != nil && l.Prepared.Agent != "" {
 			continue // a delegating coordinator asks its last agent itself
 		}
 		if p.met != nil {
@@ -119,12 +118,13 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 			}
 			// Reinstate the table entry: a restarted participant has an
 			// empty table, and applyOutcome needs the prepared flag and
-			// presumption to log the answer correctly.
-			if !st.sub.Prepared {
-				p.reinstate(st, rec)
+			// presumption to log the answer correctly. A voter missing
+			// from the log is one held prepared in memory.
+			if !st.sub.Prepared && l != nil {
+				p.reinstate(st, l)
 			}
 			if st.sub.Presume == protocol.VariantPaxos {
-				rerr = p.resolvePaxosInDoubt(ctx, st, txName)
+				rerr = p.resolvePaxosInDoubt(ctx, st)
 			} else {
 				rerr = p.resolveInDoubt(ctx, st, coordinator, txName)
 			}
@@ -142,40 +142,45 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 	return inDoubt, nil
 }
 
-// reinstate brings st back in doubt from its Prepared record rec
-// (protocol.Sub.Reinstate) and, under Paxos Commit, with the
-// membership it names: the acceptor set is this node's recovery
-// coordinator, not whoever crashed.
-func (p *Participant) reinstate(st *txState, rec *protocol.LogRecord) {
-	st.sub.Reinstate(rec)
-	if rec != nil && rec.Paxos != nil {
-		p.paxos(st).Adopt(rec.Paxos.Acceptors, rec.Paxos.Participants)
+// reinstate brings st back from what its log l proves: in doubt under
+// the presumption its Prepared record names (protocol.Sub.Reinstate),
+// and, under Paxos Commit, with the membership and acceptor state the
+// records hold and its own instance's value (TxLog.Restart) — the
+// acceptor set is this node's recovery coordinator, not whoever
+// crashed.
+func (p *Participant) reinstate(st *txState, l *protocol.TxLog) {
+	if l.Prepared != nil {
+		st.sub.Reinstate(l.Prepared)
+	}
+	if l.Paxos() {
+		l.Restart(&p.paxos(st).PaxosTx)
 	}
 }
 
 // scanInDoubt returns the transactions this participant prepared but
-// never saw decided, with the Prepared record of each its log holds:
-// the log's in-doubt set (protocol.TxLog.InDoubt), then the voters held
+// never saw decided, with what the log proves of each it holds: the
+// log's in-doubt set (protocol.TxLog.InDoubt), then the voters held
 // prepared only in memory — a logless vote forces no Prepared record,
 // so the log cannot see them, but they are exactly as blocked.
-func (p *Participant) scanInDoubt() (inDoubt []string, prepared map[string]*protocol.LogRecord, err error) {
+func (p *Participant) scanInDoubt() (inDoubt []string, logs map[string]*protocol.TxLog, err error) {
 	recs, err := p.log.Records()
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: reading log: %w", err)
 	}
-	prepared = make(map[string]*protocol.LogRecord)
-	for _, l := range protocol.ReplayLog(recs, p.name) {
-		if l.InDoubt() {
+	logs = make(map[string]*protocol.TxLog)
+	txs := protocol.ReplayLog(recs, p.name)
+	for i := range txs {
+		if l := &txs[i]; l.InDoubt() {
 			inDoubt = append(inDoubt, l.Tx)
-			prepared[l.Tx] = l.Prepared
+			logs[l.Tx] = l
 		}
 	}
 	for _, tx := range p.preparedInMemory() {
-		if prepared[tx] == nil {
+		if logs[tx] == nil {
 			inDoubt = append(inDoubt, tx)
 		}
 	}
-	return inDoubt, prepared, nil
+	return inDoubt, logs, nil
 }
 
 // preparedInMemory lists, sorted, the transactions this participant
@@ -228,12 +233,8 @@ func (p *Participant) resolveInDoubt(ctx context.Context, st *txState, coordinat
 			}
 			_ = p.send(coordinator, inq)
 			p.countRetry()
-		case crashed:
-			return ErrCrashed
-		case stopping:
-			return errStopped
-		case cancelled:
-			return ctx.Err()
+		case crashed, stopping, cancelled:
+			return w.err(ctx)
 		}
 	}
 }

@@ -280,7 +280,7 @@ func (st *txState) bundlePending() bool {
 // table answers for it from here on. Coordinator entries retire in
 // unregisterCoord. A committed transaction whose ballot-0 acceptor
 // bundle is still incomplete keeps its entry, so the last accept can
-// still force the bundle (handlePaxosAccept retires it then).
+// still force the bundle (handlePaxosAcceptor retires it then).
 func (p *Participant) retire(st *txState) {
 	if st.sub.Done && !st.isCoord && !st.bundlePending() {
 		p.drop(st)

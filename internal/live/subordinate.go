@@ -20,7 +20,7 @@ func (p *Participant) handlePrepare(st *txState, from string, m *protocol.Messag
 		// the acceptor set, not a MsgVote (handled wholly in paxos.go;
 		// duplicate Prepares are screened by the vote-sent flag there).
 		st.sub.Presume = m.Presume
-		p.handlePaxosPrepare(st, from, m)
+		p.handlePaxosPrepare(st, m)
 		return
 	}
 	step := st.sub.Prepare(m)
@@ -182,7 +182,7 @@ func (p *Participant) applyOutcome(st *txState, from string, m *protocol.Message
 		p.met.CostOutcome(m.Tx, out, -1)
 		// An acceptor whose ballot-0 bundle is still incomplete has a
 		// forced record and a flow left to spend; its ledger entry
-		// closes when the bundle does (handlePaxosAccept).
+		// closes when the bundle does (handlePaxosAcceptor).
 		if !st.bundlePending() {
 			p.met.CostNodeDone(m.Tx, p.name)
 		}

@@ -2,20 +2,13 @@ package protocol
 
 import "math/bits"
 
-// Paxos Commit's rules (Gray & Lamport, "Consensus on Transaction
-// Commit"), written once for both engines. Each participant's vote is
-// one Paxos instance replicated across 2f+1 acceptors colocated on the
-// transaction's nodes; the coordinator is merely the ballot-0 leader,
-// and once it fails any participant leads a recovery round at a higher
-// ballot.
-//
-// Nothing here has a clock, a network or a log. PaxosTx is one node's
-// state for one transaction (membership, its own instance's vote, its
-// acceptor role); PaxosRound is a leader's tally for one ballot. Each
-// call says what its driver must do — write a record, forced or not,
-// and report its states to the ballot's leader; send a proposal; apply
-// a decision — and the driver (the simulator in internal/core, the
-// runtime in internal/live) does it.
+// Paxos Commit's rules, written once for both engines (the protocol is
+// described in paxoslead.go). Nothing here has a clock, a network or a
+// log. PaxosTx is one node's state for one transaction (membership, its
+// own instance's vote, its acceptor role); PaxosRound is a leader's
+// tally for one ballot. Each call says what its driver must do — write
+// a record, forced or not, and send its reply; send a proposal; apply a
+// decision — and the driver does it.
 
 // PaxosMaxAttempts caps the recovery rounds one leader runs before it
 // leaves the transaction to an operator.
@@ -59,11 +52,15 @@ type PaxosTx struct {
 
 // PaxosStep is what an acceptor asks of its driver: write States at
 // Ballot to the log — forced when Force — and, once written, report
-// them to the ballot's leader.
+// them to the ballot's leader. Take also fills in the record's Kind
+// (Record builds it) and the report, Reply, addressed To the leader.
 type PaxosStep struct {
 	Ballot int
 	States []PaxosInstanceState
 	Force  bool
+	Kind   string
+	To     string
+	Reply  PaxosMsg
 }
 
 // Vote is the wire vote of a report carrying the step's states: No if
@@ -99,6 +96,45 @@ func (t *PaxosTx) Meta(ballot int, leader string) PaxosMeta {
 
 // IsAcceptor reports whether this node is one of the acceptors.
 func (t *PaxosTx) IsAcceptor() bool { return indexOfName(t.Acceptors, t.Self) >= 0 }
+
+// Others lists who hears a decision this node reaches: every other
+// participant. A coordinator's are its subordinates, Participants[1:].
+func (t *PaxosTx) Others() []string {
+	i := indexOfName(t.Participants, t.Self)
+	if i <= 0 {
+		return t.Participants[i+1:]
+	}
+	return append(t.Participants[:i:i], t.Participants[i+1:]...)
+}
+
+// Asked learns the membership a Prepare, m, announces (Adopt) and says
+// whether the participant casts its vote now: not once it has, nor
+// while the membership is unknown or m carries none.
+func (t *PaxosTx) Asked(m *Message) bool {
+	meta, err := DecodePaxosMeta(m.Payload)
+	t.Adopt(meta.Acceptors, meta.Participants)
+	return err == nil && !t.VoteSent && len(t.Acceptors) > 0
+}
+
+// Cast sets this participant's own instance to its vote v, read-only
+// folding to Yes (instances carry only Yes and No, and every
+// participant hears phase two), and returns its ballot-0 accept, to
+// send to every acceptor. ok is false once the vote has gone out, and
+// while the membership is unknown: a late Prepare brings it, and the
+// driver casts Vote again.
+func (t *PaxosTx) Cast(v VoteValue) (accept PaxosMsg, ok bool) {
+	if t.VoteSent {
+		return PaxosMsg{}, false
+	}
+	t.Vote = yesNo(v)
+	if len(t.Acceptors) == 0 {
+		return PaxosMsg{}, false
+	}
+	t.VoteSent = true
+	m := t.Meta(0, t.Participants[0])
+	m.Instance = t.Self
+	return PaxosMsg{Type: MsgPaxosAccept, Vote: t.Vote, Meta: m}, true
+}
 
 // Quorum is f+1 of the 2f+1 acceptors, or QuorumOverride when set.
 func (t *PaxosTx) Quorum() int {
@@ -187,6 +223,32 @@ func (t *PaxosTx) Promise(ballot int) (PaxosStep, bool) {
 	return PaxosStep{Ballot: ballot, States: t.States(), Force: true}, true
 }
 
+// Take is the acceptor's step for m, a PaxosAccept (Accept) or a
+// PaxosQuery (Promise), once the membership m carries is learned
+// (Adopt). The step comes with its record's kind, PaxAccept or
+// PaxPromise, and its report, a PaxosAccepted or a PaxosPromise,
+// addressed to the ballot's leader.
+func (t *PaxosTx) Take(m PaxosMsg) (step PaxosStep, ok bool) {
+	t.Adopt(m.Meta.Acceptors, m.Meta.Participants)
+	kind, reply := RecPaxPromise, MsgPaxosPromise
+	if m.Type == MsgPaxosAccept {
+		kind, reply = RecPaxAccept, MsgPaxosAccepted
+		step, ok = t.Accept(m.Meta.Ballot, m.Meta.Instance, m.Vote)
+	} else {
+		step, ok = t.Promise(m.Meta.Ballot)
+	}
+	if !ok {
+		return step, false
+	}
+	step.Kind, step.To = kind, m.Meta.Leader
+	step.Reply = PaxosMsg{Type: reply, Meta: t.Meta(step.Ballot, step.To)}
+	step.Reply.Meta.States = step.States
+	if reply == MsgPaxosAccepted {
+		step.Reply.Vote = step.Vote()
+	}
+	return step, true
+}
+
 // Restore folds one durable acceptor record back in at restart: a
 // PaxAccept record (accept) or a PaxPromise record at ballot, with the
 // states it carries. The ballot is a promise floor, each instance
@@ -234,11 +296,18 @@ func (t *PaxosTx) complete() bool {
 type PaxosRound struct {
 	Ballot   int
 	tx       *PaxosTx
-	acks     []uint64    // per instance: acceptors (bit = acceptor index) that accepted at Ballot
-	values   []VoteValue // per instance: the value accepted or proposed at Ballot
-	promised uint64      // acceptors that promised Ballot
+	tally    []instanceTally // per instance
+	promised uint64          // acceptors that promised Ballot
 	reports  []PaxosInstanceState
 	proposed bool
+}
+
+// instanceTally is a round's count for one instance: the acceptors
+// (bit = acceptor index) that accepted at the round's ballot, and the
+// value accepted or proposed at it.
+type instanceTally struct {
+	acks  uint64
+	value VoteValue
 }
 
 // NewRound starts this node's tally for ballot.
@@ -246,8 +315,7 @@ func (t *PaxosTx) NewRound(ballot int) *PaxosRound {
 	return &PaxosRound{
 		Ballot:   ballot,
 		tx:       t,
-		acks:     make([]uint64, len(t.Participants)),
-		values:   make([]VoteValue, len(t.Participants)),
+		tally:    make([]instanceTally, len(t.Participants)),
 		proposed: ballot == 0,
 	}
 }
@@ -258,22 +326,22 @@ func (t *PaxosTx) NewRound(ballot int) *PaxosRound {
 // from a non-acceptor, are ignored.
 func (r *PaxosRound) Ack(from string, ballot int, states []PaxosInstanceState) (commit, decided bool) {
 	a := indexOfName(r.tx.Acceptors, from)
-	if ballot != r.Ballot || a < 0 || a >= 64 || len(r.acks) == 0 {
+	if ballot != r.Ballot || a < 0 || a >= 64 || len(r.tally) == 0 {
 		return false, false
 	}
 	for _, s := range states {
 		if i := indexOfName(r.tx.Participants, s.Instance); i >= 0 {
-			r.acks[i] |= 1 << a
-			r.values[i] = yesNo(s.Vote)
+			r.tally[i].acks |= 1 << a
+			r.tally[i].value = yesNo(s.Vote)
 		}
 	}
 	q := r.tx.Quorum()
 	commit = true
-	for i, set := range r.acks {
-		if bits.OnesCount64(set) < q {
+	for _, in := range r.tally {
+		if bits.OnesCount64(in.acks) < q {
 			return false, false
 		}
-		if r.values[i] == VoteNo {
+		if in.value == VoteNo {
 			commit = false
 		}
 	}
@@ -308,7 +376,7 @@ func (r *PaxosRound) Promise(from string, ballot int, states []PaxosInstanceStat
 				v, best = yesNo(s.Vote), s.Ballot
 			}
 		}
-		r.values[i] = v
+		r.tally[i].value = v
 		prop[i] = PaxosInstanceState{Instance: p, Ballot: r.Ballot, Vote: v}
 	}
 	return prop

@@ -223,13 +223,13 @@ func (l *TxLog) InDoubt() bool {
 	return l.Prepared != nil && l.Decision == nil && !l.Ended
 }
 
-// Record is the acceptor record of step, kind PaxAccept or PaxPromise:
-// the membership and the step's states, so a restart rebuilds the
-// acceptor from its log alone (TxLog.RestoreAcceptor).
-func (t *PaxosTx) Record(kind string, step PaxosStep) LogRecord {
+// Record is the acceptor record of step, of its Kind, PaxAccept or
+// PaxPromise: the membership and the step's states, so a restart
+// rebuilds the acceptor from its log alone (TxLog.RestoreAcceptor).
+func (t *PaxosTx) Record(step PaxosStep) LogRecord {
 	m := t.Meta(step.Ballot, "")
 	m.States = step.States
-	return LogRecord{Kind: kind, Paxos: &m}
+	return LogRecord{Kind: step.Kind, Paxos: &m}
 }
 
 // RestoreAcceptor folds the acceptor records into t: every PaxAccept in
@@ -244,6 +244,28 @@ func (l *TxLog) RestoreAcceptor(t *PaxosTx) {
 		t.Adopt(m.Acceptors, m.Participants)
 		t.Restore(false, m.Ballot, m.States)
 	}
+}
+
+// Paxos reports whether the log holds Paxos Commit state to restart
+// from: acceptor records, or a Prepared record naming the membership.
+func (l *TxLog) Paxos() bool {
+	return l.Acceptor || l.Prepared != nil && l.Prepared.Paxos != nil && len(l.Prepared.Paxos.Acceptors) > 0
+}
+
+// Restart brings t back from l after a restart: the membership its
+// records name, its acceptor state (RestoreAcceptor), and its own
+// instance, which it can no longer cast: Yes when its Prepared record
+// survived, else No — its resources lost what they had prepared, unless
+// an acceptor already holds the instance.
+func (l *TxLog) Restart(t *PaxosTx) {
+	if p := l.Prepared; p != nil && p.Paxos != nil {
+		t.Adopt(p.Paxos.Acceptors, p.Paxos.Participants)
+	}
+	t.Vote, t.VoteSent = VoteNo, true
+	if l.Prepared != nil {
+		t.Vote = VoteYes
+	}
+	l.RestoreAcceptor(t)
 }
 
 // ReplayLog folds the records self wrote into one TxLog per

@@ -33,10 +33,10 @@ func TestLogRecordGolden(t *testing.T) {
 		{"aborted ackers", LogRecord{Kind: RecAborted, Subs: []string{"C"}}, "C"},
 		{"1PC redo", LogRecord{Kind: RecCommitted, OnePhase: true, Subs: []string{"S1", "S2"}, Redos: [][]byte{{1, 2}, nil}}, "opc1 s=S1,S2 r=AQI=|"},
 		{"paxos prepared", LogRecord{Kind: RecPrepared, Paxos: &prepare}, "pax1 b=0 l=C a=C,S1,S2 p=C,S1,S2"},
-		{"paxos accept", paxos.Record(RecPaxAccept, PaxosStep{Ballot: 0, States: []PaxosInstanceState{
+		{"paxos accept", paxos.Record(PaxosStep{Kind: RecPaxAccept, Ballot: 0, States: []PaxosInstanceState{
 			{Instance: "C", Ballot: 0, Vote: VoteYes}, {Instance: "S1", Ballot: 0, Vote: VoteNo}}}),
 			"pax1 b=0 a=C,S1,S2 p=C,S1,S2 s=C:0:0|S1:0:1"},
-		{"paxos promise", paxos.Record(RecPaxPromise, PaxosStep{Ballot: 7}), "pax1 b=7 a=C,S1,S2 p=C,S1,S2"},
+		{"paxos promise", paxos.Record(PaxosStep{Kind: RecPaxPromise, Ballot: 7}), "pax1 b=7 a=C,S1,S2 p=C,S1,S2"},
 		{"end", LogRecord{Kind: RecEnd}, ""},
 	}
 	for _, c := range cases {

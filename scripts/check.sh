@@ -81,6 +81,15 @@ echo "== answered at the decision, voted with the stage reply, combined writers 
 # never sends a request twice.
 go test -race -count=20 -run 'TestV1ReadYourWrites|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestV1UnsolicitedVotes|TestV1AbortAfterVolunteer|TestV1VolunteerKeepsTwoPhaseLocking|TestV1AbortSkipsReadOnlyShard|TestLiveConformanceAllVariants|TestLiveConformanceAbortPath|TestLiveConformanceVolunteers|TestPipelineLoneForcerFlushesInline|TestPipelineQueuedForcesShareOneFlush|TestPipelineCrashWhileLeaderLingers|TestTCPConcurrentSendersKeepTheirOrder|TestTCPRedialsRestartedPeer|TestTCPCloseUnblocksStalledSend|TestLiveEarlyCommitRetiresAtAnswer|TestLiveResenderReachesDroppedCommit|TestCommitReturnsWhileSnapshotBlocked|TestRecoveryAfterBackgroundCompactions|TestStageConnectionsReused|TestStageTransport|TestStageRequestNeverResent|TestStageRequestOneWrite' ./internal/server ./internal/live ./internal/audit ./internal/wal ./internal/netsim ./internal/kvstore
 
+echo "== one Paxos Commit leader, both engines (20 race runs) =="
+# protocol.PaxosLead sequences the leader and live drives it from its
+# inbox and retry alarm: the fast path's exact costs (four nodes, and
+# two with the coordinator the one acceptor), the recovery ballots, a
+# free instance chosen No, and the planted acceptor-force and quorum
+# bugs still convicted. Timing shows only under scheduling, hence the
+# repeats.
+go test -race -count=20 -run 'TestLivePaxos|TestPaxosLeadRound|TestChaosLivePaxosRecoveryBallots|TestInjectedAcceptorForceBugLive|TestInjectedQuorumBugLive|TestPaxosFreeInstance' ./internal/live ./internal/check ./internal/protocol
+
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
 # it imports internal packages (server, wal, live, router) directly.
