@@ -398,7 +398,7 @@ func TestHeuristicAtDelegatingCoordinator(t *testing.T) {
 	tx.Send("C", "A", "w")
 
 	// The partition swallows the delegation itself: the coordinator
-	// sits in stDelegated with no answer coming.
+	// sits delegated with no answer coming.
 	eng.Partition("C", "A")
 	p := tx.CommitAsync("C")
 	eng.Drain()

@@ -139,6 +139,36 @@ func TestTable2PAAbortCase(t *testing.T) {
 	counts(t, eng, "S", 1, 0, 0)
 }
 
+// TestOnePhaseAbortedYesVoterWritesNothing pins the simulator's side
+// of a difference between the engines (DESIGN §3): under 1PC a leaf's
+// yes vote is logless, and when another leaf's no aborts the
+// transaction the yes-voter has no record to abort, so it writes
+// none, and neither does the coordinator, which logged nothing either.
+// The runtime's yes-voter writes a lazy Aborted and an End
+// (live.TestLiveLoglessYesVoterAborted).
+func TestOnePhaseAbortedYesVoterWritesNothing(t *testing.T) {
+	eng := NewEngine(Config{Variant: protocol.Variant1PC})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S1").AttachResource(protocol.NewStaticResource("r1"))
+	eng.AddNode("S2").AttachResource(protocol.NewStaticResource("r2", protocol.StaticVote(protocol.VoteNo)))
+	tx := eng.Begin("C")
+	for _, s := range []string{"S1", "S2"} {
+		if err := tx.Send("C", protocol.NodeID(s), "work"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := tx.Commit("C"); res.Outcome != OutcomeAborted {
+		t.Fatalf("outcome = %v, want aborted", res.Outcome)
+	}
+	if o, ok := eng.OutcomeAt("S1", tx.ID()); !ok || o != OutcomeAborted {
+		t.Fatalf("S1 outcome = %v, %v; want aborted", o, ok)
+	}
+	// Data, two Prepares and the Abort to S1; the yes vote; the no vote.
+	counts(t, eng, "C", 2+2+1, 0, 0)
+	counts(t, eng, "S1", 1, 0, 0)
+	counts(t, eng, "S2", 1, 0, 0)
+}
+
 func TestTable2PAReadOnlyCase(t *testing.T) {
 	// Read-only case: 1 flow each (Prepare out, VoteReadOnly back),
 	// no logging anywhere.

@@ -295,8 +295,8 @@ func (e *Engine) OutcomeAt(id protocol.NodeID, tx protocol.TxID) (Outcome, bool)
 	if o, ok := n.done[tx]; ok {
 		return o, true
 	}
-	if c, ok := n.txs[tx]; ok && c.decided {
-		if c.decisionCommit {
+	if c, ok := n.txs[tx]; ok && c.sub.Done {
+		if c.sub.Committed {
 			return OutcomeCommitted, true
 		}
 		return OutcomeAborted, true
@@ -312,7 +312,7 @@ func (e *Engine) InDoubtAt(id protocol.NodeID, tx protocol.TxID) bool {
 		return false
 	}
 	c, ok := n.txs[tx]
-	return ok && (c.state == stPrepared || c.state == stInDoubt || c.state == stDelegated)
+	return ok && c.inDoubt()
 }
 
 // LogRecords returns the durable log records of node.

@@ -22,8 +22,7 @@ func (n *Node) armHeuristic(c *txCtx) {
 		if c.heurTimerGen != gen {
 			return
 		}
-		switch c.state {
-		case stPrepared, stInDoubt, stDelegated:
+		if c.inDoubt() {
 			n.eng.arriveAt(n, at)
 			n.takeHeuristicDecision(c)
 		}
@@ -65,7 +64,6 @@ func (n *Node) takeHeuristicDecision(c *txCtx) {
 		n.send(protocol.NodeID(id), out)
 	}
 	c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: commit}
-	c.state = stHeurDone
 	n.trcUnlock(c.id, "released")
 }
 
@@ -85,8 +83,7 @@ func (n *Node) resolveHeuristic(c *txCtx, commit bool) {
 		n.trcApp("HEURISTIC DAMAGE: decided " + outcomeWord(rep.Committed) + ", outcome " + outcomeWord(commit))
 	}
 	c.status.Heuristics = append(c.status.Heuristics, rep)
-	c.decided = true
-	c.decisionCommit = commit
+	c.sub.Finish(commit)
 	n.trcDecision(c, commit)
 
 	// Acknowledge with the report (aborts under PA are normally not

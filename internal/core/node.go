@@ -173,7 +173,7 @@ func (n *Node) flushLinks() {
 	// the END record can be written (a real system writes it when the
 	// session is deallocated).
 	for _, c := range n.snapshotTxs() {
-		if c.state == stCompleted && c.awaitingImplied {
+		if c.completed() {
 			n.writeEndAndForget(c)
 		}
 	}

@@ -31,7 +31,6 @@ func (n *Node) paxos(c *txCtx) *paxosCtx {
 // acceptor membership, and the coordinator's own instance value goes
 // to the acceptors at ballot 0 alongside everyone else's.
 func (n *Node) runPaxosPhase1(c *txCtx, members []*subInfo) {
-	c.state = stPreparing
 	subs := memberIDs(members)
 	prep := n.paxos(c).Begin(c.id.String(), subs)
 	c.round.Begin(protocol.VariantPaxos, subs, "")
@@ -55,7 +54,7 @@ func (n *Node) paxosVoteUpstream(c *txCtx) {
 	if vote != protocol.VoteNo {
 		membership := n.paxos(c).Meta(0, "")
 		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Paxos: &membership}, true)
-		c.state = stPrepared
+		c.sub.Prepared = true
 	}
 	n.paxosCast(c, vote)
 	if vote == protocol.VoteNo {
@@ -98,12 +97,12 @@ func (n *Node) handlePaxosAcceptor(from protocol.NodeID, m protocol.Message) {
 	if !forgotten {
 		c := n.ctx(tx)
 		n.paxos(c).Adopt(pm.Meta.Acceptors, pm.Meta.Participants)
-		if !c.decided {
+		if !c.sub.Done {
 			n.paxosAcceptor(c, pm)
 			return
 		}
 		o = OutcomeAborted
-		if c.decisionCommit {
+		if c.sub.Committed {
 			o = OutcomeCommitted
 		}
 	}
@@ -138,7 +137,7 @@ func (n *Node) handlePaxosReply(from protocol.NodeID, m protocol.Message) {
 // paxosLead feeds a reply to the round this node leads and does what
 // it asks: the proposal, then the decision.
 func (n *Node) paxosLead(c *txCtx, from protocol.NodeID, m protocol.PaxosMsg) {
-	if c.pax == nil || c.decided {
+	if c.pax == nil || c.sub.Done {
 		return
 	}
 	next := c.pax.Reply(string(from), m)
@@ -193,7 +192,7 @@ func (n *Node) armPaxosTimer(c *txCtx, after time.Duration, note string) {
 	px.timerGen++
 	gen := px.timerGen
 	n.afterTx(c, after, func(at time.Duration) {
-		if px.timerGen != gen || c.decided {
+		if px.timerGen != gen || c.sub.Done {
 			return
 		}
 		n.eng.arriveAt(n, at)
@@ -210,7 +209,7 @@ func (n *Node) armPaxosTimer(c *txCtx, after time.Duration, note string) {
 // crashed acceptors below quorum that later restart).
 func (n *Node) startPaxosRecovery(c *txCtx) {
 	px := c.pax
-	if c.decided || n.crashed || px == nil || len(px.Acceptors) == 0 {
+	if c.sub.Done || n.crashed || px == nil || len(px.Acceptors) == 0 {
 		return
 	}
 	q, ok := px.Timeout()

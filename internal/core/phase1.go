@@ -15,7 +15,7 @@ import (
 func (n *Node) handleData(from protocol.NodeID, m protocol.Message) {
 	tx := protocol.ParseTxID(m.Tx)
 	c := n.ctx(tx)
-	s := c.sub(from)
+	s := c.partner(from)
 	s.activeInTx = true
 	l := n.link(from)
 	l.established = true
@@ -35,7 +35,7 @@ func (n *Node) handleData(from protocol.NodeID, m protocol.Message) {
 // sending more data, that it received our last commit message.
 func (n *Node) processImpliedAck(from protocol.NodeID) {
 	for _, c := range n.snapshotTxs() {
-		if c.state == stCompleted && c.awaitingImplied && c.impliedFrom == from {
+		if c.completed() && c.impliedFrom == from {
 			n.trcApp("implied ack from " + string(from) + " (" + c.id.String() + ")")
 			n.writeEndAndForget(c)
 		}
@@ -45,7 +45,7 @@ func (n *Node) processImpliedAck(from protocol.NodeID) {
 // initiateCommit makes this node the root coordinator of tx's commit.
 func (n *Node) initiateCommit(tx protocol.TxID, done func(Result)) {
 	c := n.ctx(tx)
-	if c.state != stActive {
+	if !c.active() {
 		// A second initiation for the same transaction at the same
 		// node: report failure to the second caller.
 		done(Result{Outcome: OutcomeAborted, Err: ErrIncomplete})
@@ -87,7 +87,7 @@ func (n *Node) initiateAbort(tx protocol.TxID, done func(Result)) {
 func (n *Node) phase1Members(c *txCtx) []*subInfo {
 	for peer, l := range n.links {
 		if l.established && !l.dormant && (!c.haveCoord || peer != c.coord) {
-			c.sub(peer)
+			c.partner(peer)
 		}
 	}
 	var out []*subInfo
@@ -133,7 +133,6 @@ func (n *Node) runPhase1(c *txCtx, members []*subInfo) {
 		n.logTx(c, pre, true)
 		c.pnPendingLogged = true
 	}
-	c.state = stPreparing
 	c.round.Ask()
 	for i, id := range c.round.Subs {
 		if c.round.Silent(i) {
@@ -158,7 +157,7 @@ func (n *Node) armVoteTimer(c *txCtx) {
 	c.voteTimerGen++
 	gen := c.voteTimerGen
 	n.afterTx(c, n.eng.cfg.VoteTimeout, func(at time.Duration) {
-		if c.voteTimerGen != gen || c.state != stPreparing || c.round.Pending() == 0 {
+		if c.voteTimerGen != gen || !c.preparing() || c.round.Pending() == 0 {
 			return
 		}
 		n.eng.arriveAt(n, at)
@@ -218,14 +217,14 @@ func (n *Node) prepareLocal(c *txCtx) {
 func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
 	tx := protocol.ParseTxID(m.Tx)
 	c := n.ctx(tx)
-	c.sub(from) // the coordinator is a partner too
-	if m.Presume == protocol.VariantPaxos && n.paxos(c).Asked(&m) && c.state == stPrepared {
+	c.partner(from) // the coordinator is a partner too
+	if m.Presume == protocol.VariantPaxos && n.paxos(c).Asked(&m) && c.inDoubt() {
 		// Prepared unsolicited before the acceptor membership was
 		// known: the late Prepare supplies it; vote now.
 		n.paxosCast(c, c.pax.Vote)
 		return
 	}
-	if c.state == stPreparing && c.isRoot {
+	if c.isRoot && c.preparing() {
 		if n.eng.cfg.Variant == protocol.VariantPaxos {
 			// Dual initiation under Paxos: neither side may abort
 			// unilaterally (accepts may exist); the quorum rounds
@@ -240,7 +239,7 @@ func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
 		n.ownDecision(c, false)
 		return
 	}
-	if c.state != stActive {
+	if !c.active() {
 		return // duplicate Prepare
 	}
 	c.haveCoord = true
@@ -253,7 +252,7 @@ func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
 // upstream (asked, or volunteering: the script called
 // Tx.UnsolicitedVote) or owns a delegated decision.
 func (n *Node) startSubordinatePhase1(c *txCtx, ask protocol.Ask) {
-	if c.state != stActive {
+	if !c.active() {
 		return
 	}
 	c.ask = ask
@@ -292,18 +291,19 @@ func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
 	if !ok {
 		return // forgotten transaction: stray vote
 	}
-	s := c.sub(from)
+	s := c.partner(from)
+	active := c.active()
 	switch i := slices.Index(c.round.Subs, string(from)); {
-	case c.state == stActive && s.early.Type == protocol.MsgVote:
+	case active && s.early.Type == protocol.MsgVote:
 		return // duplicate
-	case c.state == stActive:
+	case active:
 		s.early = m // volunteered before this node's phase one, which takes it
 	case i < 0 || !c.round.Silent(i):
 		return // a duplicate, the agent's, or no member's
 	default:
 		c.round.Vote(string(from), &m)
 	}
-	if m.Unsolicited && !n.eng.cfg.Options.UnsolicitedVote && c.state == stActive {
+	if m.Unsolicited && !n.eng.cfg.Options.UnsolicitedVote && active {
 		// Receiver not configured for unsolicited votes: note and
 		// accept anyway (the vote is still valid; the option gate is
 		// about what coordinators are prepared to exploit).
@@ -313,9 +313,7 @@ func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
 	s.okToLeave = m.OKToLeaveOut
 	c.allReliable = c.allReliable && m.Reliable
 	c.allLeaveOut = c.allLeaveOut && m.OKToLeaveOut
-	if c.state == stPreparing {
-		n.checkVotes(c)
-	}
+	n.checkVotes(c)
 }
 
 // handleDelegation makes this node the last agent: the sender has
@@ -328,14 +326,17 @@ func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
 	// decided answer); a repeat under presumed abort that finds none
 	// may be asking for an abort a restart erased here.
 	m.Presume = n.eng.cfg.Variant
-	s := n.subOf(tx)
+	s := n.forgotten(tx)
+	if c, ok := n.txs[tx]; ok {
+		s = c.sub
+	}
 	step := s.Delegate(&m)
 	if step.Do == protocol.DoReply {
 		n.send(from, step.Msg)
 		return
 	}
 	c := n.ctx(tx)
-	if c.state != stActive {
+	if !c.active() {
 		return
 	}
 	c.haveCoord = true
@@ -348,31 +349,27 @@ func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
 	n.startSubordinatePhase1(c, protocol.Asked)
 }
 
-// subOf is the node's view of tx as one subordinate's part
-// (protocol.Sub): a live context, or the outcome it remembers once the
-// context is forgotten. The simulator runs one variant everywhere, and
-// a node holds a prepared state once it has logged a record; it keeps
-// no vote, since its coordinators never resend a Prepare.
-func (n *Node) subOf(tx protocol.TxID) protocol.Sub {
+// forgotten is the subordinate part of a transaction the node holds no
+// context for: the outcome it remembers, if any.
+func (n *Node) forgotten(tx protocol.TxID) protocol.Sub {
 	s := protocol.Sub{Presume: n.eng.cfg.Variant}
-	if c, ok := n.txs[tx]; ok {
-		s.Prepared, s.Done, s.Committed = c.round.Logged, c.decided, c.decisionCommit
-	} else if o, ok := n.done[tx]; ok && o != OutcomeUnknown {
-		s.Done, s.Committed = true, o != OutcomeAborted
+	if o, ok := n.done[tx]; ok && o != OutcomeUnknown {
+		s.Finish(o != OutcomeAborted)
 	}
 	return s
 }
 
-// own is what a simulator node knows beyond its Sub view when an
-// outcome reaches it: its variant, which is surely its coordinator's.
-func (n *Node) own() protocol.Own {
-	return protocol.Own{Variant: n.eng.cfg.Variant, Announced: true}
+// own is what a simulator node knows beyond its Sub when an outcome
+// reaches it: its variant, which is surely its coordinator's, and
+// whether it wrote a record for the transaction.
+func (n *Node) own(logged bool) protocol.Own {
+	return protocol.Own{Variant: n.eng.cfg.Variant, Announced: true, Logged: logged}
 }
 
 // checkVotes continues the protocol once every expected vote is in:
 // the simulator acts on a no only then.
 func (n *Node) checkVotes(c *txCtx) {
-	if c.state != stPreparing || !c.localPrepared || c.round.Pending() > 0 {
+	if !c.preparing() || !c.localPrepared || c.round.Pending() > 0 {
 		return
 	}
 	owner := c.isRoot || c.lastAgentAsked
@@ -391,7 +388,6 @@ func (n *Node) checkVotes(c *txCtx) {
 // entirely read-only) and sends its YES vote with the delegation bit.
 func (n *Node) delegate(c *txCtx) {
 	agent := protocol.NodeID(c.round.Agent())
-	c.state = stDelegated
 	// A pre-prepare record naming the agent already covers it.
 	if r := c.round.Delegate(); r.Kind != "" && c.pnPendingAgent != agent {
 		r.Coord = string(c.coord)
@@ -417,9 +413,8 @@ func (n *Node) voteUpstream(c *txCtx) {
 	opts := n.eng.cfg.Options
 	vote := c.round.Fold()
 	yes := c.round.Voters()
-	s := n.subOf(c.id)
-	step := s.Voted(c.id.String(), vote, len(yes) == 0, c.ask)
-	msg := s.Vote()
+	step := c.sub.Voted(c.id.String(), vote, len(yes) == 0, c.ask)
+	msg := c.sub.Vote()
 	if vote != protocol.VoteNo {
 		msg.Reliable = c.allReliable
 		msg.OKToLeaveOut = c.allLeaveOut
@@ -450,7 +445,6 @@ func (n *Node) voteUpstream(c *txCtx) {
 	if step.Force.Prepared {
 		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Subs: yes}, true)
 	}
-	c.state = stPrepared
 	c.votedReliable = c.allReliable && opts.VoteReliable
 	n.send(c.coord, msg)
 	n.armHeuristic(c)
@@ -464,11 +458,10 @@ func (n *Node) voteUpstream(c *txCtx) {
 // subordinates blocked forever: nobody would ever contact them.
 func (n *Node) armOutcomeWatch(c *txCtx) {
 	n.afterTx(c, 2*n.eng.cfg.AckTimeout, func(at time.Duration) {
-		if c.state != stPrepared || c.decided {
+		if !c.inDoubt() {
 			return
 		}
 		n.eng.arriveAt(n, at)
-		c.state = stInDoubt
 		if n.eng.cfg.Variant == protocol.VariantPaxos {
 			// Non-blocking: learn the outcome from the acceptor quorum
 			// instead of inquiring the (possibly dead) coordinator.
@@ -489,7 +482,7 @@ func (n *Node) armOutcomeWatch(c *txCtx) {
 // the latter answering InProgress for good.
 func (n *Node) armDelegationWatch(c *txCtx, agent protocol.NodeID) {
 	n.afterTx(c, 2*n.eng.cfg.AckTimeout, func(at time.Duration) {
-		if c.state != stDelegated || c.decided {
+		if !c.inDoubt() {
 			return
 		}
 		n.eng.arriveAt(n, at)

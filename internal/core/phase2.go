@@ -13,7 +13,7 @@ import (
 // or a delegated last agent once phase one concludes, or a delegating
 // coordinator when its last agent reports the decision.
 func (n *Node) ownDecision(c *txCtx, commit bool) {
-	if !c.decided {
+	if !c.sub.Done {
 		n.takeOutcome(c, commit, true, protocol.NoWrite)
 	}
 }
@@ -29,8 +29,7 @@ func (n *Node) takeOutcome(c *txCtx, commit, own bool, w protocol.Write) {
 	if own {
 		w = d.Write
 	}
-	c.decided = true
-	c.decisionCommit = commit
+	c.sub.Finish(commit)
 	n.trcDecision(c, commit)
 	n.disarmHeuristic(c)
 	n.logOutcome(c, commit, w, protocol.LogRecord{Coord: string(c.coord), Subs: d.Yes})
@@ -45,9 +44,8 @@ func (n *Node) trcDecision(c *txCtx, commit bool) {
 // receivedDecision is taken by a prepared subordinate when the
 // outcome arrives (Commit/Abort message or recovery Outcome reply).
 func (n *Node) receivedDecision(c *txCtx, commit bool) {
-	if !c.decided {
-		s := n.subOf(c.id)
-		n.takeOutcome(c, commit, false, s.Outcome(c.id.String(), commit, n.own()).Write)
+	if !c.sub.Done {
+		n.takeOutcome(c, commit, false, c.sub.Outcome(c.id.String(), commit, n.own(c.round.Logged)).Write)
 	}
 }
 
@@ -56,8 +54,7 @@ func (n *Node) receivedDecision(c *txCtx, commit bool) {
 // last agent, and begins ack collection; resumed says a restart re-runs
 // it.
 func (n *Node) phase2(c *txCtx, resumed bool) {
-	commit := c.decisionCommit
-	c.state = stCommitting
+	commit := c.sub.Committed
 	cfg := n.eng.cfg
 	out := protocol.OutcomeMessage(c.id.String(), commit)
 	r := &c.round
@@ -72,7 +69,7 @@ func (n *Node) phase2(c *txCtx, resumed bool) {
 		if !r.Tells(i) {
 			continue // dropped out in phase one
 		}
-		s := c.sub(protocol.NodeID(id))
+		s := c.partner(protocol.NodeID(id))
 		n.send(s.id, out)
 		switch {
 		case !r.Owes(i):
@@ -101,7 +98,7 @@ func (n *Node) phase2(c *txCtx, resumed bool) {
 	// Early acknowledgment: a subordinate acks as soon as its own
 	// outcome is logged, before its subtree has acknowledged (§4
 	// Commit Acknowledgment) — when the outcome is acknowledged at all.
-	if (cfg.Options.EarlyAck || resumed) && n.acksUpstream(c) && !c.isRoot && !c.lastAgentAsked && c.haveCoord {
+	if (cfg.Options.EarlyAck || resumed) && c.sub.Acks() && !c.isRoot && !c.lastAgentAsked && c.haveCoord {
 		n.sendAckUpstream(c)
 	}
 	if c.awaitsRetriableAcks() {
@@ -115,7 +112,7 @@ func (n *Node) phase2(c *txCtx, resumed bool) {
 // subs are excluded: their ack is deliberately deferred).
 func (c *txCtx) awaitsRetriableAcks() bool {
 	for i, id := range c.round.Subs {
-		if c.round.Owes(i) && !c.sub(protocol.NodeID(id)).longLocks {
+		if c.round.Owes(i) && !c.partner(protocol.NodeID(id)).longLocks {
 			return true
 		}
 	}
@@ -149,8 +146,8 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 		// restarted knows nothing, and the coordinator's retransmitted
 		// Commit is its durability: it installs the outcome before
 		// acking, since the Ack releases the coordinator's record.
-		s := n.subOf(tx)
-		step := s.Outcome(m.Tx, commit, n.own())
+		s := n.forgotten(tx)
+		step := s.Outcome(m.Tx, commit, n.own(false))
 		if step.Do == protocol.DoApply && step.Write != protocol.NoWrite {
 			kind, o := protocol.RecAborted, OutcomeAborted
 			if commit {
@@ -165,38 +162,32 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 		}
 		return
 	}
-	switch c.state {
-	case stDelegated:
-		n.ownDecision(c, commit)
-	case stPrepared, stInDoubt:
-		n.receivedDecision(c, commit)
-	case stHeurDone:
-		n.resolveHeuristic(c, commit)
-	case stPreparing, stActive:
-		if n.eng.cfg.Variant == protocol.VariantPaxos {
-			// A recovery leader resolved the transaction from the
-			// acceptor quorum while this node (possibly the ballot-0
-			// coordinator itself) was still collecting — either outcome
-			// is quorum-backed and final.
-			n.receivedDecision(c, commit)
-			return
-		}
-		if !commit {
-			// An abort can overtake the voting phase (another
-			// participant voted no, or the coordinator timed out).
-			c.haveCoord = true
-			if c.coord == "" {
-				c.coord = from
-			}
-			n.receivedDecision(c, false)
-		}
-	case stCommitting, stCompleted:
+	switch {
+	case c.sub.Done:
 		// Duplicate outcome (coordinator recovery resend): re-ack.
-		if c.ackSent || c.state == stCompleted {
-			if s := n.subOf(tx); s.Outcome(m.Tx, commit, n.own()).Do == protocol.DoReply {
-				n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: c.status.Heuristics})
-			}
+		if (c.ackSent || c.completed()) && c.sub.Outcome(m.Tx, commit, n.own(c.round.Logged)).Do == protocol.DoReply {
+			n.send(from, protocol.Message{Type: protocol.MsgAck, Tx: m.Tx, Heuristics: c.status.Heuristics})
 		}
+	case c.myHeuristic != nil:
+		n.resolveHeuristic(c, commit)
+	case c.round.Delegated():
+		n.ownDecision(c, commit)
+	case c.sub.Prepared:
+		n.receivedDecision(c, commit)
+	case n.eng.cfg.Variant == protocol.VariantPaxos:
+		// A recovery leader resolved the transaction from the acceptor
+		// quorum while this node (possibly the ballot-0 coordinator
+		// itself) was still collecting — either outcome is
+		// quorum-backed and final.
+		n.receivedDecision(c, commit)
+	case !commit:
+		// An abort can overtake the voting phase (another participant
+		// voted no, or the coordinator timed out).
+		c.haveCoord = true
+		if c.coord == "" {
+			c.coord = from
+		}
+		n.receivedDecision(c, false)
 	}
 }
 
@@ -231,7 +222,7 @@ func (n *Node) mergeAckStatus(c *txCtx, m protocol.Message) {
 // checkAcks finishes phase two once every expected acknowledgment has
 // arrived.
 func (n *Node) checkAcks(c *txCtx) {
-	if c.state != stCommitting || c.round.Owed() > 0 {
+	if !c.sub.Done || c.round.Owed() > 0 {
 		return
 	}
 	c.ackTimerGen++ // disarm retries
@@ -242,7 +233,6 @@ func (n *Node) checkAcks(c *txCtx) {
 			n.completeApp(c, c.status)
 		}
 		if c.awaitingImplied {
-			c.state = stCompleted
 			n.trcState(c.id, "completed, awaiting implied ack")
 			return
 		}
@@ -258,16 +248,15 @@ func (n *Node) checkAcks(c *txCtx) {
 	// acknowledge closes out at once.
 	opts := n.eng.cfg.Options
 	switch {
-	case c.ackSent, !n.acksUpstream(c):
+	case c.ackSent, !c.sub.Acks():
 		n.writeEndAndForget(c)
-	case c.decisionCommit && opts.VoteReliable && c.votedReliable:
+	case c.sub.Committed && opts.VoteReliable && c.votedReliable:
 		// Reliable subtree: no explicit ack; the implied ack (next
 		// data, or session close) lets us forget (§4 Vote Reliable).
-		c.state = stCompleted
 		c.awaitingImplied = true
 		c.impliedFrom = c.coord
 		n.trcState(c.id, "reliable: ack implied")
-	case c.decisionCommit && opts.LongLocks && c.longLocksAsked:
+	case c.sub.Committed && opts.LongLocks && c.longLocksAsked:
 		// Long locks: buffer the ack; it rides the first data of the
 		// next transaction (§4 Long Locks, Figure 7).
 		n.defer_(c.coord, n.ackMessage(c))
@@ -277,13 +266,6 @@ func (n *Node) checkAcks(c *txCtx) {
 		n.sendAckUpstream(c)
 		n.writeEndAndForget(c)
 	}
-}
-
-// acksUpstream reports whether this subordinate acknowledges its
-// transaction's outcome: Apply's ack for an announced variant, which
-// is Acks.
-func (n *Node) acksUpstream(c *txCtx) bool {
-	return n.eng.cfg.Variant.Acks(c.decisionCommit)
 }
 
 func (n *Node) ackMessage(c *txCtx) protocol.Message {
@@ -316,7 +298,7 @@ func (n *Node) completeApp(c *txCtx, status AckStatus) {
 	}
 	c.completedApp = true
 	outcome := OutcomeAborted
-	if c.decisionCommit {
+	if c.sub.Committed {
 		outcome = OutcomeCommitted
 	}
 	if status.Damaged() {
@@ -348,7 +330,7 @@ func (n *Node) writeEndAndForget(c *txCtx) {
 		n.logRec(c.id, protocol.LogRecord{Kind: protocol.RecEnd}, false)
 	}
 	outcome := OutcomeAborted
-	if c.decisionCommit {
+	if c.sub.Committed {
 		outcome = OutcomeCommitted
 	}
 	n.forget(c, outcome, true)
@@ -361,9 +343,9 @@ func (n *Node) forget(c *txCtx, outcome Outcome, record bool) {
 		n.done[c.id] = outcome
 	}
 	opts := n.eng.cfg.Options
-	if opts.LeaveOut && c.decided && c.decisionCommit {
+	if opts.LeaveOut && c.sub.Committed {
 		for i, id := range c.round.Subs {
-			s := c.sub(protocol.NodeID(id))
+			s := c.partner(protocol.NodeID(id))
 			if v, voted := c.round.VoteOf(i); voted && s.okToLeave && v != protocol.VoteNo {
 				l := n.link(s.id)
 				l.dormant = true
@@ -373,7 +355,7 @@ func (n *Node) forget(c *txCtx, outcome Outcome, record bool) {
 		}
 	}
 	// A subordinate that promised OK-to-leave-out suspends itself.
-	if opts.LeaveOut && c.haveCoord && c.allLeaveOut && c.decided && c.decisionCommit && !c.isRoot {
+	if opts.LeaveOut && c.haveCoord && c.allLeaveOut && c.sub.Committed && !c.isRoot {
 		n.suspendTowards(c.coord)
 	}
 	delete(n.txs, c.id)
@@ -384,7 +366,7 @@ func (n *Node) armAckTimer(c *txCtx) {
 	c.ackTimerGen++
 	gen := c.ackTimerGen
 	n.afterTx(c, n.eng.cfg.AckTimeout, func(at time.Duration) {
-		if c.ackTimerGen == gen && c.state == stCommitting && c.round.Owed() > 0 {
+		if c.ackTimerGen == gen && c.round.Owed() > 0 {
 			n.eng.arriveAt(n, at)
 			n.ackTimeout(c)
 		}
@@ -396,14 +378,14 @@ func (n *Node) armAckTimer(c *txCtx) {
 // of attempts.
 func (n *Node) ackTimeout(c *txCtx) {
 	cfg := n.eng.cfg
-	out := protocol.OutcomeMessage(c.id.String(), c.decisionCommit)
+	out := protocol.OutcomeMessage(c.id.String(), c.sub.Committed)
 	maxAttempts := cfg.MaxRecoveryAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 10
 	}
 	failedOnce := false
 	for i, id := range c.round.Subs {
-		s := c.sub(protocol.NodeID(id))
+		s := c.partner(protocol.NodeID(id))
 		if !c.round.Owes(i) || s.longLocks {
 			continue
 		}

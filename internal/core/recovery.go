@@ -52,7 +52,6 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 		// still unknown: reinstate and inquire so damage can be
 		// detected and reported.
 		c := n.ctx(tx)
-		c.state = stHeurDone
 		c.round.Logged = true
 		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: l.Heuristic.Commit}
 		c.coord = protocol.NodeID(l.Heuristic.Coord)
@@ -74,7 +73,8 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 		}
 		// In doubt: voted yes, outcome unknown. Reinstate and inquire
 		// the coordinator.
-		c := n.reinstate(tx, stInDoubt, l.Prepared, "")
+		c := n.reinstate(tx, l.Prepared, "")
+		c.sub.Reinstate(l.Prepared)
 		n.trcState(tx, "in doubt after restart")
 		if c.haveCoord {
 			n.scheduleInquiry(c, 0)
@@ -94,7 +94,7 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 			// made, so abort — and, presuming nothing, drive every
 			// subordinate to the abort and collect their
 			// acknowledgments (they may hold heuristic reports).
-			c := n.reinstate(tx, stActive, l.Pre, "")
+			c := n.reinstate(tx, l.Pre, "")
 			n.trcState(tx, "PN recovery: aborting phase-one transaction")
 			n.ownDecision(c, false)
 			return
@@ -105,13 +105,12 @@ func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
 	}
 }
 
-// reinstate rebuilds tx's context in state st from r, a record its log
-// proves: logged, under r's coordinator (a root when r names none),
-// with a round whose yes-voters are r's subordinates but agent, which
-// holds the delegation when it is not "".
-func (n *Node) reinstate(tx protocol.TxID, st txState, r *protocol.LogRecord, agent protocol.NodeID) *txCtx {
+// reinstate rebuilds tx's context from r, a record its log proves:
+// logged, under r's coordinator (a root when r names none), with a
+// round whose yes-voters are r's subordinates but agent, which holds
+// the delegation when it is not "".
+func (n *Node) reinstate(tx protocol.TxID, r *protocol.LogRecord, agent protocol.NodeID) *txCtx {
 	c := n.ctx(tx)
-	c.state = st
 	c.round.Logged = true
 	c.coord = protocol.NodeID(r.Coord)
 	c.haveCoord = c.coord != ""
@@ -132,7 +131,7 @@ func (n *Node) reinstate(tx protocol.TxID, st txState, r *protocol.LogRecord, ag
 // repeating the delegation (armDelegationWatch).
 func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
 	agent := protocol.NodeID(p.Agent)
-	c := n.reinstate(tx, stDelegated, p, agent)
+	c := n.reinstate(tx, p, agent)
 	n.trcState(tx, "restart: delegated to "+p.Agent+", asking again")
 	n.send(agent, n.delegation(c, true))
 	n.armDelegationWatch(c, agent)
@@ -146,7 +145,7 @@ func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
 func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 	c := n.ctx(tx)
 	c.round.Logged = true
-	c.state = stInDoubt
+	c.sub.Reinstate(l.Prepared)
 
 	if p := l.Prepared; p != nil {
 		c.coord = protocol.NodeID(p.Coord)
@@ -175,9 +174,8 @@ func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
 // re-collected, and — for a subordinate — the ack upstream re-sent at
 // once: its coordinator may still be waiting for it.
 func (n *Node) resumeOutcome(tx protocol.TxID, p *protocol.LogRecord, commit bool) {
-	c := n.reinstate(tx, stCommitting, p, "")
-	c.decided = true
-	c.decisionCommit = commit
+	c := n.reinstate(tx, p, "")
+	c.sub.Finish(commit)
 	n.trcDecision(c, commit)
 	n.trcState(tx, "restart: resuming phase two")
 	c.round.Decide(commit)
@@ -194,8 +192,7 @@ func (n *Node) scheduleInquiry(c *txCtx, extraDelay int) {
 		return
 	}
 	n.afterTx(c, cfg.InquireRetry*time.Duration(1+max(extraDelay, 0)), func(at time.Duration) {
-		switch c.state {
-		case stInDoubt, stPrepared, stHeurDone:
+		if (c.sub.Prepared || c.myHeuristic != nil) && !c.sub.Done {
 			n.eng.arriveAt(n, at)
 			n.send(c.coord, protocol.Message{Type: protocol.MsgInquire, Tx: c.id.String()})
 		}
@@ -209,9 +206,9 @@ func (n *Node) handleInquire(from protocol.NodeID, m protocol.Message) {
 	k := protocol.KnowsNothing
 	if c, ok := n.txs[tx]; ok {
 		switch {
-		case !c.decided:
+		case !c.sub.Done:
 			k = protocol.KnowsUndecided
-		case c.decisionCommit:
+		case c.sub.Committed:
 			k = protocol.KnowsCommit
 		default:
 			k = protocol.KnowsAbort
@@ -238,17 +235,13 @@ func (n *Node) handleOutcomeReply(from protocol.NodeID, m protocol.Message) {
 	switch m.Outcome {
 	case protocol.OutcomeCommit, protocol.OutcomeAbort:
 		commit := m.Outcome == protocol.OutcomeCommit
-		switch c.state {
-		case stHeurDone:
+		switch {
+		case c.myHeuristic != nil:
 			n.resolveHeuristic(c, commit)
-		case stInDoubt, stPrepared:
-			n.receivedDecision(c, commit)
-		case stPreparing:
+		case c.sub.Prepared, n.eng.cfg.Variant == protocol.VariantPaxos && c.preparing():
 			// A Paxos coordinator still collecting acceptances can be
 			// resolved by a done participant's outcome short-circuit.
-			if n.eng.cfg.Variant == protocol.VariantPaxos {
-				n.receivedDecision(c, commit)
-			}
+			n.receivedDecision(c, commit)
 		}
 	case protocol.OutcomeInProgress, protocol.OutcomeUnknown:
 		// Ask again later (bounded); heuristic policy may intervene.

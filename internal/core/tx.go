@@ -7,38 +7,6 @@ import (
 	"repro/internal/protocol"
 )
 
-// txState is the TM-level state of one transaction at one node.
-type txState int
-
-const (
-	stActive     txState = iota // data exchanged, 2PC not begun
-	stPreparing                 // phase one in progress here
-	stPrepared                  // subordinate: voted yes, awaiting outcome
-	stDelegated                 // coordinator: decision handed to last agent
-	stCommitting                // outcome logged, awaiting acknowledgments
-	stCompleted                 // locally done; may still owe/await an implied ack
-	stInDoubt                   // prepared and actively recovering
-	stHeurDone                  // completed unilaterally; awaiting the real outcome
-)
-
-var stateNames = map[txState]string{
-	stActive:     "active",
-	stPreparing:  "preparing",
-	stPrepared:   "prepared",
-	stDelegated:  "delegated",
-	stCommitting: "committing",
-	stCompleted:  "completed",
-	stInDoubt:    "in-doubt",
-	stHeurDone:   "heuristic-done",
-}
-
-func (s txState) String() string {
-	if n, ok := stateNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
-
 // subInfo tracks one downstream partner of this node in one
 // transaction; its vote and ack are the round's (txCtx.round).
 type subInfo struct {
@@ -51,10 +19,12 @@ type subInfo struct {
 	attempts   int  // phase-two re-contact attempts
 }
 
-// txCtx is the per-node protocol state of one transaction.
+// txCtx is the per-node protocol state of one transaction. Its phase
+// is read from its round and its sub (active, preparing, inDoubt,
+// completed); myHeuristic marks a unilateral completion awaiting the
+// real outcome.
 type txCtx struct {
-	id    protocol.TxID
-	state txState
+	id protocol.TxID
 
 	isRoot      bool
 	coord       protocol.NodeID // upstream partner ("" while root or unknown)
@@ -67,9 +37,9 @@ type txCtx struct {
 	// votes, the decision's recipients and the acks owed. Its Logged
 	// says the node wrote a record for the transaction.
 	round protocol.Coord
-
-	decided        bool
-	decisionCommit bool
+	// sub is this node's own part (protocol.Sub): prepared once it
+	// votes yes upstream, done once the outcome is taken here.
+	sub protocol.Sub
 
 	// Vote attributes aggregated from LRMs and subs.
 	allReliable bool
@@ -125,13 +95,35 @@ func (n *Node) ctx(id protocol.TxID) *txCtx {
 	if !ok {
 		c = &txCtx{id: id, subs: make(map[protocol.NodeID]*subInfo), allReliable: true, allLeaveOut: true}
 		c.round.Variant = n.eng.cfg.Variant
+		c.sub.Presume = n.eng.cfg.Variant
 		c.round.OnePhaseLazyDecision = n.eng.cfg.Hooks.OnePhaseLazyDecision
 		n.txs[id] = c
 	}
 	return c
 }
 
-func (c *txCtx) sub(id protocol.NodeID) *subInfo {
+// active reports whether c is untouched by the commit protocol here:
+// no phase one opened, no vote, no outcome.
+func (c *txCtx) active() bool {
+	return !c.round.Asked() && !c.sub.Prepared && !c.sub.Done && c.myHeuristic == nil
+}
+
+// preparing reports whether c's phase one is open here.
+func (c *txCtx) preparing() bool {
+	return c.round.Asked() && !c.sub.Prepared && !c.round.Delegated() && !c.sub.Done
+}
+
+// inDoubt reports whether the node holds c prepared, or delegated,
+// with no outcome and no unilateral decision.
+func (c *txCtx) inDoubt() bool {
+	return (c.sub.Prepared || c.round.Delegated()) && !c.sub.Done && c.myHeuristic == nil
+}
+
+// completed reports whether c, decided and acked, awaits only an
+// implied ack.
+func (c *txCtx) completed() bool { return c.awaitingImplied && c.round.Owed() == 0 }
+
+func (c *txCtx) partner(id protocol.NodeID) *subInfo {
 	s, ok := c.subs[id]
 	if !ok {
 		s = &subInfo{id: id}
@@ -179,7 +171,7 @@ func (t *Tx) Send(from, to protocol.NodeID, payload string) error {
 		return fmt.Errorf("%w: %s", ErrCrashed, from)
 	}
 	c := n.ctx(t.id)
-	s := c.sub(to)
+	s := c.partner(to)
 	s.activeInTx = true
 	l := n.link(to)
 	l.established = true

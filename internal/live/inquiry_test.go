@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
@@ -274,4 +275,63 @@ func TestLiveLoglessVoterInDoubt(t *testing.T) {
 		ids, err := sub.InDoubtTxs()
 		return err == nil && len(ids) == 0
 	})
+}
+
+// TestLiveLoglessYesVoterAborted pins the runtime's side of a
+// difference between the engines (DESIGN §3): under 1PC a leaf's yes
+// vote is logless, yet when another leaf's no aborts the transaction
+// the runtime counts the yes-voter as logged and it writes a lazy
+// Aborted and an End; the coordinator, which owes no acks for the
+// abort, writes an End. The simulator's yes-voter writes nothing
+// (core.TestOnePhaseAbortedYesVoterWritesNothing), and
+// analytic.AbortCostBoundByRole's 1PC ceiling is the runtime's pair.
+func TestLiveLoglessYesVoterAborted(t *testing.T) {
+	net := netsim.NewChanNetwork()
+	logs := map[string]*wal.Log{}
+	var parts []*Participant
+	for _, n := range []struct {
+		name string
+		vote protocol.VoteValue
+	}{{"C", protocol.VoteYes}, {"S1", protocol.VoteYes}, {"S2", protocol.VoteNo}} {
+		logs[n.name] = wal.New(wal.NewMemStore())
+		p := NewParticipant(n.name, net.Endpoint(n.name), logs[n.name],
+			[]protocol.Resource{protocol.NewStaticResource("r@"+n.name, protocol.StaticVote(n.vote))},
+			WithVariant(protocol.Variant1PC))
+		p.Start()
+		defer p.Stop()
+		parts = append(parts, p)
+	}
+	tx := protocol.TxID{Origin: "C", Seq: 83}.String()
+	if out, err := parts[0].Commit(context.Background(), tx, []string{"S1", "S2"}); err != nil || out != Aborted {
+		t.Fatalf("commit = %v, %v; want aborted", out, err)
+	}
+	// kinds returns node's records for tx once its End is in, with
+	// whether each was forced.
+	kinds := func(node string) map[string]bool {
+		var got map[string]bool
+		waitUntil(t, 5*time.Second, func() bool {
+			if err := logs[node].Sync(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := logs[node].Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = map[string]bool{}
+			for _, r := range recs {
+				if r.Tx == tx {
+					got[r.Kind] = r.Forced
+				}
+			}
+			_, ended := got[protocol.RecEnd]
+			return ended
+		})
+		return got
+	}
+	if got, want := kinds("S1"), map[string]bool{protocol.RecAborted: false, protocol.RecEnd: false}; !maps.Equal(got, want) {
+		t.Errorf("S1 records (kind: forced) = %v, want %v", got, want)
+	}
+	if got, want := kinds("C"), map[string]bool{protocol.RecEnd: false}; !maps.Equal(got, want) {
+		t.Errorf("C records (kind: forced) = %v, want %v", got, want)
+	}
 }

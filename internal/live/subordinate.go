@@ -136,7 +136,7 @@ func (p *Participant) decide(st *txState, from string, prepare bool) {
 // complete the resources and acknowledge. The entry then retires.
 func (p *Participant) applyOutcome(st *txState, from string, m *protocol.Message, commit bool) {
 	defer p.retire(st)
-	own := protocol.Own{Variant: p.variant}
+	own := protocol.Own{Variant: p.variant, Logged: st.sub.Prepared}
 	if !st.sub.Done && !st.sub.Prepared {
 		// Applying the outcome on a blank entry the decided table already
 		// answers for would double the writes and re-open the cost

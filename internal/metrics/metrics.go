@@ -46,14 +46,13 @@ type Triplet = analytic.Triplet
 type Registry struct {
 	mu        sync.Mutex
 	perNode   map[string]*Counters
-	lockHold  map[string]time.Duration // cumulative lock hold time per node
-	latency   []time.Duration          // ring of the latencyRing most recent commit latencies
-	latNext   int                      // ring slot the next sample overwrites, once full
-	latCount  int                      // commit latencies ever recorded
-	latSum    time.Duration            // and their sum
-	latMax    time.Duration            // and their maximum
-	txOutcome map[string]int           // outcome name -> count
-	costs     map[string]*txCost       // per-transaction cost ledger (cost.go)
+	latency   []time.Duration    // ring of the latencyRing most recent commit latencies
+	latNext   int                // ring slot the next sample overwrites, once full
+	latCount  int                // commit latencies ever recorded
+	latSum    time.Duration      // and their sum
+	latMax    time.Duration      // and their maximum
+	txOutcome map[string]int     // outcome name -> count
+	costs     map[string]*txCost // per-transaction cost ledger (cost.go)
 	costSeq   int
 	costDone  []*txCost // closed ledger entries in close order, for CostDrainClosed
 }
@@ -62,7 +61,6 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		perNode:   make(map[string]*Counters),
-		lockHold:  make(map[string]time.Duration),
 		txOutcome: make(map[string]int),
 	}
 }
@@ -157,16 +155,6 @@ func (r *Registry) InDoubtEntry(node string) {
 	r.node(node).InDoubt++
 }
 
-// LockHold accumulates d of lock-hold time at node.
-func (r *Registry) LockHold(node string, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lockHold[node] += d
-}
-
 // latencyRing is how many recent commit latencies the registry keeps
 // for percentiles: enough for a stable p99, and a scrape copies and
 // sorts no more than this however long the process has run.
@@ -254,13 +242,6 @@ func (r *Registry) TotalPackets() int {
 	return n
 }
 
-// PacketTriplet is Total with Flows replaced by wire packets.
-func (r *Registry) PacketTriplet() Triplet {
-	t := r.Total()
-	t.Flows = r.TotalPackets()
-	return t
-}
-
 // ProtocolTriplet is Total with Flows replaced by protocol packets —
 // the unit the paper's tables count: every standalone commit-protocol
 // transmission is a flow, while messages piggybacked on application
@@ -275,21 +256,6 @@ func (r *Registry) ProtocolTriplet() Triplet {
 		t.Forced += c.ForcedWrites
 	}
 	return t
-}
-
-// LockHoldTime returns the cumulative lock hold time recorded for
-// node; node "" sums all nodes.
-func (r *Registry) LockHoldTime(node string) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if node != "" {
-		return r.lockHold[node]
-	}
-	var sum time.Duration
-	for _, d := range r.lockHold {
-		sum += d
-	}
-	return sum
 }
 
 // Latencies returns a copy of the most recent commit latencies (up to
@@ -337,15 +303,13 @@ func (r *Registry) HeuristicDamageTotal() int {
 // Summary renders a human-readable per-node and total report.
 func (r *Registry) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %8s %8s %8s %8s %10s\n", "participant", "sent", "packets", "logs", "forced", "lock-hold")
+	fmt.Fprintf(&b, "%-14s %8s %8s %8s %8s\n", "participant", "sent", "packets", "logs", "forced")
 	for _, n := range r.Nodes() {
 		c := r.Node(n)
-		fmt.Fprintf(&b, "%-14s %8d %8d %8d %8d %10s\n",
-			n, c.MessagesSent, c.PacketsSent, c.LogWrites, c.ForcedWrites, r.LockHoldTime(n))
+		fmt.Fprintf(&b, "%-14s %8d %8d %8d %8d\n", n, c.MessagesSent, c.PacketsSent, c.LogWrites, c.ForcedWrites)
 	}
 	t := r.Total()
-	fmt.Fprintf(&b, "%-14s %8d %8d %8d %8d %10s\n", "TOTAL",
-		t.Flows, r.TotalPackets(), t.Writes, t.Forced, r.LockHoldTime(""))
+	fmt.Fprintf(&b, "%-14s %8d %8d %8d %8d\n", "TOTAL", t.Flows, r.TotalPackets(), t.Writes, t.Forced)
 	if lat := r.MeanLatency(); lat > 0 {
 		r.mu.Lock()
 		n := r.latCount
@@ -429,23 +393,4 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Latency.P95 = pct(95)
 	s.Latency.P99 = pct(99)
 	return s
-}
-
-// LatencyPercentile returns the p-th percentile (0 < p <= 100) of the
-// most recent commit latencies (up to latencyRing), or zero when none
-// were recorded.
-func (r *Registry) LatencyPercentile(p float64) time.Duration {
-	lats := r.Latencies()
-	if len(lats) == 0 || p <= 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if p >= 100 {
-		return lats[len(lats)-1]
-	}
-	idx := int(p / 100 * float64(len(lats)))
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
 }

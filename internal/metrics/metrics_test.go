@@ -57,38 +57,11 @@ func TestTotalTriplet(t *testing.T) {
 	}
 }
 
-func TestPacketTriplet(t *testing.T) {
-	r := New()
-	r.MessageSent("C", false)
-	r.MessageSent("S", true) // piggybacked
-	pt := r.PacketTriplet()
-	if pt.Flows != 1 {
-		t.Fatalf("PacketTriplet.Flows = %d, want 1", pt.Flows)
-	}
-	if r.Total().Flows != 2 {
-		t.Fatalf("Total.Flows = %d, want 2", r.Total().Flows)
-	}
-}
-
 func TestTripletAdd(t *testing.T) {
 	a := Triplet{Flows: 1, Writes: 2, Forced: 3}
 	b := Triplet{Flows: 10, Writes: 20, Forced: 30}
 	if got := a.Add(b); got != (Triplet{Flows: 11, Writes: 22, Forced: 33}) {
 		t.Fatalf("Add = %+v", got)
-	}
-}
-
-func TestLockHold(t *testing.T) {
-	r := New()
-	r.LockHold("A", 5*time.Millisecond)
-	r.LockHold("A", 3*time.Millisecond)
-	r.LockHold("B", 2*time.Millisecond)
-	r.LockHold("B", -time.Millisecond) // clamped to zero
-	if got := r.LockHoldTime("A"); got != 8*time.Millisecond {
-		t.Fatalf("A lock hold = %v", got)
-	}
-	if got := r.LockHoldTime(""); got != 10*time.Millisecond {
-		t.Fatalf("total lock hold = %v", got)
 	}
 }
 
@@ -165,7 +138,6 @@ func TestConcurrentUse(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				r.MessageSent("N", false)
 				r.LogWrite("N", j%2 == 0)
-				r.LockHold("N", time.Microsecond)
 				r.Latency(time.Microsecond)
 			}
 		}()
@@ -177,25 +149,6 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if len(r.Latencies()) != 1600 {
 		t.Fatalf("latencies = %d", len(r.Latencies()))
-	}
-}
-
-func TestLatencyPercentile(t *testing.T) {
-	r := New()
-	if r.LatencyPercentile(50) != 0 {
-		t.Fatal("empty registry percentile should be 0")
-	}
-	for i := 1; i <= 100; i++ {
-		r.Latency(time.Duration(i) * time.Millisecond)
-	}
-	if got := r.LatencyPercentile(50); got != 51*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := r.LatencyPercentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := r.LatencyPercentile(0); got != 0 {
-		t.Fatalf("p0 = %v", got)
 	}
 }
 
@@ -215,12 +168,12 @@ func TestLatencyRingKeepsRecent(t *testing.T) {
 	if lats[0] != 1001*time.Microsecond || lats[len(lats)-1] != n*time.Microsecond {
 		t.Fatalf("ring holds %v..%v, want the most recent, oldest first", lats[0], lats[len(lats)-1])
 	}
-	if got := r.LatencyPercentile(0.01); got != 1001*time.Microsecond {
-		t.Fatalf("lowest percentile = %v, want the oldest kept sample", got)
-	}
 	s := r.Snapshot().Latency
 	if s.Count != n || s.Max != n*time.Microsecond {
 		t.Fatalf("summary count %d max %v, want %d and %v", s.Count, s.Max, n, time.Duration(n)*time.Microsecond)
+	}
+	if want := (1000 + latencyRing/2 + 1) * time.Microsecond; s.P50 != want {
+		t.Fatalf("p50 = %v, want %v, the median of the kept samples", s.P50, want)
 	}
 	if want := time.Duration(n+1) * time.Microsecond / 2; s.Mean != want || r.MeanLatency() != want {
 		t.Fatalf("mean = %v / %v, want %v over every sample", s.Mean, r.MeanLatency(), want)

@@ -102,6 +102,9 @@ func (c *Coord) Reinstate(v Variant, subs []string, agent string) {
 // may be prepared, and an abort counts as voted.
 func (c *Coord) Ask() { c.asked = true }
 
+// Asked reports whether phase one is open (Ask, or Reinstate).
+func (c *Coord) Asked() bool { return c.asked }
+
 // Silent reports whether member i's vote is still owed: a Prepare, or
 // its resend, goes to it. The agent is never asked; it is delegated to.
 func (c *Coord) Silent(i int) bool { return c.m[i]&mVote == 0 && i+1 != c.agent }
@@ -180,6 +183,10 @@ func (c *Coord) Delegate() LogRecord {
 	}
 	return LogRecord{Kind: RecPrepared, Presume: c.Variant, Agent: c.Agent(), Subs: c.Voters()}
 }
+
+// Delegated reports whether the decision is the agent's (Delegate, or
+// Reinstate naming one).
+func (c *Coord) Delegated() bool { return c.delegated }
 
 // Answer takes m, a reply from from, as the agent's decision: ok says
 // it is one, an outcome from the agent holding the delegation.

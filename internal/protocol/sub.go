@@ -94,12 +94,15 @@ type VoteStep struct {
 // Own is what a subordinate knows beyond its Sub when an outcome
 // reaches it: its own variant, which rules an outcome no Prepare
 // announced; whether that is surely its coordinator's (the simulator
-// runs one variant everywhere, a live node serves any); and whether its
+// runs one variant everywhere, a live node serves any); whether it
+// logged anything for the transaction, which decides whether an abort
+// has something to record (the simulator says whether it wrote a
+// record, the runtime counts any yes vote: DESIGN §3); and whether its
 // decided table already holds the transaction (Retired: a late message
 // resurrected a blank entry after it retired).
 type Own struct {
-	Variant            Variant
-	Announced, Retired bool
+	Variant                    Variant
+	Announced, Logged, Retired bool
 }
 
 // Prepare is the step for a Prepare: the answer from the decision, a
@@ -161,7 +164,7 @@ func (s *Sub) Voted(tx string, v VoteValue, leaf bool, ask Ask) VoteStep {
 func (s *Sub) Outcome(tx string, commit bool, own Own) Step {
 	switch {
 	case s.Done:
-		if s.Committed == commit && s.Presume.Acks(commit) {
+		if s.Committed == commit && s.Acks() {
 			return Step{Do: DoReply, Msg: Message{Type: MsgAck, Tx: tx}}
 		}
 		return Step{}
@@ -173,9 +176,12 @@ func (s *Sub) Outcome(tx string, commit bool, own Own) Step {
 		// the outcome is answered under them.
 		s.Presume = own.Variant
 	}
-	a := s.Presume.Apply(commit, s.Prepared, s.Prepared || own.Announced)
+	a := s.Presume.Apply(commit, own.Logged, s.Prepared || own.Announced)
 	return Step{Do: DoApply, Write: a.Write, Ack: a.Ack, Unasked: !s.Prepared}
 }
+
+// Acks reports whether the outcome applied here is acknowledged.
+func (s *Sub) Acks() bool { return s.Done && s.Presume.Acks(s.Committed) }
 
 // Reinstate brings the subordinate back in doubt after a restart from
 // its Prepared record rec: prepared, under the presumption rec names

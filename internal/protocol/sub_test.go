@@ -70,10 +70,11 @@ func TestSubRound(t *testing.T) {
 			if got := s.Prepare(&Message{Type: MsgPrepare, Tx: "t", Presume: v, Repeat: true}); got.Do != DoReply || !reflect.DeepEqual(got.Msg, s.Vote()) {
 				t.Errorf("resent Prepare after yes = %+v, want the kept vote", got)
 			}
-			// The outcome after yes: the variant's record and ack.
+			// The outcome after yes, logged as the runtime counts it (any
+			// yes): the variant's record and ack.
 			for _, commit := range []bool{true, false} {
 				p := s
-				got := p.Outcome("t", commit, Own{Variant: VariantPA})
+				got := p.Outcome("t", commit, Own{Variant: VariantPA, Logged: true})
 				if got.Do != DoApply || got.Write != r.write(commit) || got.Ack != r.ack(commit) || got.Unasked || p.Presume != v {
 					t.Errorf("outcome commit=%v after yes = %+v (presume %v), want write %v ack %v under %v",
 						commit, got, p.Presume, r.write(commit), r.ack(commit), v)
@@ -88,6 +89,12 @@ func TestSubRound(t *testing.T) {
 				if other := p.Outcome("t", !commit, Own{}); other.Do != DoNothing {
 					t.Errorf("conflicting duplicate commit=%v = %+v, want nothing", !commit, other)
 				}
+			}
+
+			// The simulator says what it wrote: a yes-voter with no record
+			// (a logless 1PC leaf) has no abort to record.
+			if got := s.Outcome("t", false, Own{Variant: v, Announced: true}); got.Do != DoApply || got.Write != NoWrite || got.Ack != r.ackAbort {
+				t.Errorf("abort after an unlogged yes = %+v, want no record, ack %v", got, r.ackAbort)
 			}
 
 			// A no vote: the voter aborts here and is done.

@@ -19,6 +19,9 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== non-test Go lines (information only) =="
+./scripts/loc.sh
+
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
