@@ -72,7 +72,7 @@ func TestManySequentialTransactionsAccumulateMetrics(t *testing.T) {
 	if got := eng.Metrics().Outcomes()["committed"]; got != rounds {
 		t.Fatalf("committed outcomes = %d", got)
 	}
-	if n := len(eng.Metrics().Latencies()); n != rounds {
+	if n := eng.Metrics().Snapshot().Latency.Count; n != rounds {
 		t.Fatalf("latencies recorded = %d", n)
 	}
 }

@@ -296,10 +296,7 @@ func (e *Engine) OutcomeAt(id protocol.NodeID, tx protocol.TxID) (Outcome, bool)
 		return o, true
 	}
 	if c, ok := n.txs[tx]; ok && c.sub.Done {
-		if c.sub.Committed {
-			return OutcomeCommitted, true
-		}
-		return OutcomeAborted, true
+		return outcomeOf(c.sub), true
 	}
 	return OutcomeUnknown, false
 }

@@ -89,7 +89,7 @@ func (n *Node) resolveHeuristic(c *txCtx, commit bool) {
 	// Acknowledge with the report (aborts under PA are normally not
 	// acked, but a heuristic conflict must be surfaced: the paper's
 	// protocols always report damage to the immediate coordinator).
-	if c.haveCoord {
+	if c.coord != "" {
 		m := n.ackMessage(c)
 		if !n.eng.cfg.Variant.HeuristicsToRoot() && rep.Damage {
 			// Without propagation (all but PN), ensure the immediate

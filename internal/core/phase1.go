@@ -21,9 +21,8 @@ func (n *Node) handleData(from protocol.NodeID, m protocol.Message) {
 	l.established = true
 	l.dormant = false
 	l.weAreSuspended = false
-	if !c.firstContactSet {
+	if c.firstContact == "" {
 		c.firstContact = from
-		c.firstContactSet = true
 	}
 	// Any data from a partner is an implied ack for transactions that
 	// were awaiting one from that partner (§4 Last Agent, Figure 6).
@@ -35,7 +34,7 @@ func (n *Node) handleData(from protocol.NodeID, m protocol.Message) {
 // sending more data, that it received our last commit message.
 func (n *Node) processImpliedAck(from protocol.NodeID) {
 	for _, c := range n.snapshotTxs() {
-		if c.completed() && c.impliedFrom == from {
+		if c.completed() && c.coord == from {
 			n.trcApp("implied ack from " + string(from) + " (" + c.id.String() + ")")
 			n.writeEndAndForget(c)
 		}
@@ -86,14 +85,14 @@ func (n *Node) initiateAbort(tx protocol.TxID, done func(Result)) {
 // it was explicitly left out (§4 Leaving Inactive Partners Out).
 func (n *Node) phase1Members(c *txCtx) []*subInfo {
 	for peer, l := range n.links {
-		if l.established && !l.dormant && (!c.haveCoord || peer != c.coord) {
+		if l.established && !l.dormant && peer != c.coord {
 			c.partner(peer)
 		}
 	}
 	var out []*subInfo
 	for _, id := range c.subOrder { // first-contact order, for deterministic sequences
 		s := c.subs[id]
-		if c.haveCoord && id == c.coord || n.link(id).dormant && !s.activeInTx {
+		if id == c.coord || n.link(id).dormant && !s.activeInTx {
 			continue // the coordinator, or left out
 		}
 		out = append(out, s)
@@ -127,7 +126,7 @@ func (n *Node) runPhase1(c *txCtx, members []*subInfo) {
 			// fast path the paper motivates Last Agent with): the pending
 			// record also covers the delegation (delegate forces no
 			// Prepared).
-			pre.Agent = string(members[0].id)
+			pre.Agent, pre.Presume = string(members[0].id), c.round.Variant
 			c.pnPendingAgent = members[0].id
 		}
 		n.logTx(c, pre, true)
@@ -242,7 +241,6 @@ func (n *Node) handlePrepare(from protocol.NodeID, m protocol.Message) {
 	if !c.active() {
 		return // duplicate Prepare
 	}
-	c.haveCoord = true
 	c.coord = from
 	c.longLocksAsked = m.LongLocks
 	n.startSubordinatePhase1(c, protocol.Asked)
@@ -256,11 +254,10 @@ func (n *Node) startSubordinatePhase1(c *txCtx, ask protocol.Ask) {
 		return
 	}
 	c.ask = ask
-	if ask == protocol.Volunteered && !c.haveCoord {
+	if ask == protocol.Volunteered && c.coord == "" {
 		// The server's coordinator is the partner that brought it
 		// into the transaction.
 		c.coord = c.firstContact
-		c.haveCoord = c.firstContactSet
 	}
 	members := n.phase1Members(c)
 	if n.eng.cfg.Variant == protocol.VariantPaxos {
@@ -339,7 +336,6 @@ func (n *Node) handleDelegation(from protocol.NodeID, m protocol.Message) {
 	if !c.active() {
 		return
 	}
-	c.haveCoord = true
 	c.coord = from
 	c.lastAgentAsked = true
 	if step.Do == protocol.DoDecide {
@@ -443,7 +439,7 @@ func (n *Node) voteUpstream(c *txCtx) {
 		c.pnPendingLogged = true
 	}
 	if step.Force.Prepared {
-		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Coord: string(c.coord), Subs: yes}, true)
+		n.logTx(c, protocol.LogRecord{Kind: protocol.RecPrepared, Presume: c.sub.Presume, Coord: string(c.coord), Subs: yes}, true)
 	}
 	c.votedReliable = c.allReliable && opts.VoteReliable
 	n.send(c.coord, msg)

@@ -86,19 +86,18 @@ func (n *Node) phase2(c *txCtx, resumed bool) {
 	}
 	n.completeResources(c, commit)
 
-	if c.lastAgentAsked && c.haveCoord {
+	if c.lastAgentAsked && c.coord != "" {
 		// Last agent: the decision travels upstream; no explicit ack
 		// will come back — the coordinator's next data is the implied
 		// acknowledgment (Figure 6).
 		n.send(c.coord, out)
 		c.awaitingImplied = true
-		c.impliedFrom = c.coord
 	}
 
 	// Early acknowledgment: a subordinate acks as soon as its own
 	// outcome is logged, before its subtree has acknowledged (§4
 	// Commit Acknowledgment) — when the outcome is acknowledged at all.
-	if (cfg.Options.EarlyAck || resumed) && c.sub.Acks() && !c.isRoot && !c.lastAgentAsked && c.haveCoord {
+	if (cfg.Options.EarlyAck || resumed) && c.sub.Acks() && !c.isRoot && !c.lastAgentAsked && c.coord != "" {
 		n.sendAckUpstream(c)
 	}
 	if c.awaitsRetriableAcks() {
@@ -183,7 +182,6 @@ func (n *Node) handleOutcomeMsg(from protocol.NodeID, m protocol.Message, commit
 	case !commit:
 		// An abort can overtake the voting phase (another participant
 		// voted no, or the coordinator timed out).
-		c.haveCoord = true
 		if c.coord == "" {
 			c.coord = from
 		}
@@ -226,7 +224,7 @@ func (n *Node) checkAcks(c *txCtx) {
 		return
 	}
 	c.ackTimerGen++ // disarm retries
-	if c.isRoot || (c.lastAgentAsked && c.haveCoord) {
+	if c.isRoot || c.lastAgentAsked && c.coord != "" {
 		// Decision owner (or the delegating coordinator, handled via
 		// isRoot): complete the application, then forget.
 		if c.isRoot {
@@ -239,7 +237,7 @@ func (n *Node) checkAcks(c *txCtx) {
 		n.writeEndAndForget(c)
 		return
 	}
-	if !c.haveCoord {
+	if c.coord == "" {
 		n.writeEndAndForget(c)
 		return
 	}
@@ -254,7 +252,6 @@ func (n *Node) checkAcks(c *txCtx) {
 		// Reliable subtree: no explicit ack; the implied ack (next
 		// data, or session close) lets us forget (§4 Vote Reliable).
 		c.awaitingImplied = true
-		c.impliedFrom = c.coord
 		n.trcState(c.id, "reliable: ack implied")
 	case c.sub.Committed && opts.LongLocks && c.longLocksAsked:
 		// Long locks: buffer the ack; it rides the first data of the
@@ -297,10 +294,7 @@ func (n *Node) completeApp(c *txCtx, status AckStatus) {
 		return
 	}
 	c.completedApp = true
-	outcome := OutcomeAborted
-	if c.sub.Committed {
-		outcome = OutcomeCommitted
-	}
+	outcome := outcomeOf(c.sub)
 	if status.Damaged() {
 		outcome = OutcomeHeuristicMixed
 	}
@@ -329,11 +323,7 @@ func (n *Node) writeEndAndForget(c *txCtx) {
 	if c.round.Logged {
 		n.logRec(c.id, protocol.LogRecord{Kind: protocol.RecEnd}, false)
 	}
-	outcome := OutcomeAborted
-	if c.sub.Committed {
-		outcome = OutcomeCommitted
-	}
-	n.forget(c, outcome, true)
+	n.forget(c, outcomeOf(c.sub), true)
 }
 
 // forget removes the transaction context, recording the outcome for
@@ -355,7 +345,7 @@ func (n *Node) forget(c *txCtx, outcome Outcome, record bool) {
 		}
 	}
 	// A subordinate that promised OK-to-leave-out suspends itself.
-	if opts.LeaveOut && c.haveCoord && c.allLeaveOut && c.sub.Committed && !c.isRoot {
+	if opts.LeaveOut && c.coord != "" && c.allLeaveOut && c.sub.Committed && !c.isRoot {
 		n.suspendTowards(c.coord)
 	}
 	delete(n.txs, c.id)
@@ -414,7 +404,7 @@ func (n *Node) ackTimeout(c *txCtx) {
 			st.RecoveryPending = true
 			n.completeApp(c, st)
 		}
-		if !c.isRoot && c.haveCoord && !c.ackSent {
+		if !c.isRoot && c.coord != "" && !c.ackSent {
 			n.sendAckUpstream(c)
 		}
 	}

@@ -32,159 +32,77 @@ func (n *Node) restart() {
 	}
 }
 
-// recoverTx reinstates one transaction from what its log proves.
+// recoverTx reinstates one transaction as its log's restart rule says
+// (protocol.TxLog.Comeback) and does the I/O it asks for: timers,
+// inquiries, the redriven outcome, the repeated delegation.
 func (n *Node) recoverTx(tx protocol.TxID, l *protocol.TxLog) {
-	d := l.Decision
-	switch {
-	case l.Ended:
-		// Fully complete; remember the outcome for duplicate traffic.
-		switch {
-		case d == nil:
-			n.done[tx] = OutcomeUnknown
-		case d.Kind == protocol.RecCommitted:
-			n.done[tx] = OutcomeCommitted
-		default:
-			n.done[tx] = OutcomeAborted
-		}
-
-	case l.Heuristic != nil:
-		// A unilateral decision was taken and the real outcome is
-		// still unknown: reinstate and inquire so damage can be
-		// detected and reported.
-		c := n.ctx(tx)
-		c.round.Logged = true
-		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: l.Heuristic.Commit}
-		c.coord = protocol.NodeID(l.Heuristic.Coord)
-		c.haveCoord = c.coord != ""
-		if c.haveCoord {
-			n.scheduleInquiry(c, 0)
-		}
-
-	case d != nil:
-		n.resumeOutcome(tx, d, d.Kind == protocol.RecCommitted)
-
-	case l.Paxos():
-		n.recoverPaxosTx(tx, l)
-
-	case l.Prepared != nil:
-		if l.Prepared.Agent != "" {
-			n.resumeDelegation(tx, l.Prepared)
-			return
-		}
-		// In doubt: voted yes, outcome unknown. Reinstate and inquire
-		// the coordinator.
-		c := n.reinstate(tx, l.Prepared, "")
-		c.sub.Reinstate(l.Prepared)
-		n.trcState(tx, "in doubt after restart")
-		if c.haveCoord {
-			n.scheduleInquiry(c, 0)
-		}
-		n.armHeuristic(c)
-
-	case l.Pre != nil:
-		// PN coordinator (or leaf that crashed between its pending
-		// and prepared forces).
-		if l.Pre.Agent != "" {
-			// The pending record covers a delegation.
-			n.resumeDelegation(tx, l.Pre)
-			return
-		}
-		if len(l.Pre.Subs) > 0 {
-			// Coordinator crashed during phase one: no decision was
-			// made, so abort — and, presuming nothing, drive every
-			// subordinate to the abort and collect their
-			// acknowledgments (they may hold heuristic reports).
-			c := n.reinstate(tx, l.Pre, "")
-			n.trcState(tx, "PN recovery: aborting phase-one transaction")
-			n.ownDecision(c, false)
-			return
-		}
-		// A leaf's AgentPending with no prepared record: the vote
-		// never left, the coordinator will have aborted. Nothing to do.
-		n.done[tx] = OutcomeAborted
-	}
-}
-
-// reinstate rebuilds tx's context from r, a record its log proves:
-// logged, under r's coordinator (a root when r names none), with a
-// round whose yes-voters are r's subordinates but agent, which holds
-// the delegation when it is not "".
-func (n *Node) reinstate(tx protocol.TxID, r *protocol.LogRecord, agent protocol.NodeID) *txCtx {
-	c := n.ctx(tx)
-	c.round.Logged = true
-	c.coord = protocol.NodeID(r.Coord)
-	c.haveCoord = c.coord != ""
-	c.isRoot = !c.haveCoord
-	yes := make([]string, 0, len(r.Subs))
-	for _, s := range r.Subs {
-		if s != string(agent) {
-			yes = append(yes, s)
-		}
-	}
-	c.round.Reinstate(n.eng.cfg.Variant, yes, string(agent))
-	return c
-}
-
-// resumeDelegation reinstates a coordinator that delegated to a last
-// agent and crashed before learning the decision: the agent owns the
-// outcome, so the coordinator is in doubt and asks it again by
-// repeating the delegation (armDelegationWatch).
-func (n *Node) resumeDelegation(tx protocol.TxID, p *protocol.LogRecord) {
-	agent := protocol.NodeID(p.Agent)
-	c := n.reinstate(tx, p, agent)
-	n.trcState(tx, "restart: delegated to "+p.Agent+", asking again")
-	n.send(agent, n.delegation(c, true))
-	n.armDelegationWatch(c, agent)
-}
-
-// recoverPaxosTx reinstates an undecided Paxos Commit transaction from
-// the node's durable acceptor and participant records: the node comes
-// back in doubt, restores its acceptor state (promised ballot and
-// accepted instance values), and leads a staggered recovery round to
-// learn the outcome from the acceptor quorum.
-func (n *Node) recoverPaxosTx(tx protocol.TxID, l *protocol.TxLog) {
-	c := n.ctx(tx)
-	c.round.Logged = true
-	c.sub.Reinstate(l.Prepared)
-
-	if p := l.Prepared; p != nil {
-		c.coord = protocol.NodeID(p.Coord)
-		c.haveCoord = c.coord != ""
-	}
-	px := n.paxos(c)
-	l.Restart(&px.PaxosTx)
-	c.isRoot = len(px.Participants) > 0 && px.Participants[0] == px.Self
-
-	n.trcState(tx, "in doubt after restart (paxos)")
-	if len(px.Acceptors) == 0 {
-		// Degenerate: no membership survived. Fall back to classic
-		// inquiry if a coordinator is known; otherwise an operator must
-		// resolve it.
-		if c.haveCoord {
-			n.scheduleInquiry(c, 0)
-		}
+	b := l.Comeback(n.eng.cfg.Variant)
+	if b.Back == protocol.BackForgotten {
+		n.done[tx] = outcomeOf(b.Sub) // for duplicate traffic
 		return
 	}
-	n.armPaxosTimer(c, n.eng.cfg.InquireRetry, "")
-}
-
-// resumeOutcome re-enters phase two for a transaction whose decision
-// record survived: subordinates are re-notified (idempotently), local
-// resources re-driven (completed ones treat this as a duplicate), acks
-// re-collected, and — for a subordinate — the ack upstream re-sent at
-// once: its coordinator may still be waiting for it.
-func (n *Node) resumeOutcome(tx protocol.TxID, p *protocol.LogRecord, commit bool) {
-	c := n.reinstate(tx, p, "")
-	c.sub.Finish(commit)
-	n.trcDecision(c, commit)
-	n.trcState(tx, "restart: resuming phase two")
-	c.round.Decide(commit)
-	n.phase2(c, true)
+	c := n.ctx(tx)
+	c.round, c.sub = b.Coord, b.Sub
+	c.round.OnePhaseLazyDecision = n.eng.cfg.Hooks.OnePhaseLazyDecision
+	c.coord = protocol.NodeID(b.Upstream)
+	c.isRoot = c.coord == ""
+	switch b.Back {
+	case protocol.BackHeuristic:
+		// A unilateral decision was taken and the real outcome is
+		// still unknown: inquire so damage can be detected and
+		// reported.
+		c.myHeuristic = &protocol.HeuristicReport{Node: string(n.id), Committed: l.Heuristic.Commit}
+		n.scheduleInquiry(c, 0)
+	case protocol.BackRedrive:
+		// Subordinates are re-notified (idempotently), local resources
+		// re-driven (completed ones treat this as a duplicate), acks
+		// re-collected, and a subordinate's ack upstream re-sent at
+		// once: its coordinator may still be waiting for it.
+		n.trcDecision(c, c.sub.Committed)
+		n.trcState(tx, "restart: resuming phase two")
+		n.phase2(c, true)
+	case protocol.BackDelegated:
+		// The agent owns the outcome: ask it again by repeating the
+		// delegation (armDelegationWatch).
+		agent := protocol.NodeID(c.round.Agent())
+		n.trcState(tx, "restart: delegated to "+string(agent)+", asking again")
+		n.send(agent, n.delegation(c, true))
+		n.armDelegationWatch(c, agent)
+	case protocol.BackPaxos:
+		// In doubt — a coordinator too, though it wrote no Prepared
+		// record — with the acceptor state its records hold
+		// (TxLog.Restart), it leads a staggered recovery round to learn
+		// the outcome from the acceptor quorum.
+		c.sub.Prepared = true
+		px := n.paxos(c)
+		l.Restart(&px.PaxosTx)
+		c.isRoot = len(px.Participants) > 0 && px.Participants[0] == px.Self
+		n.trcState(tx, "in doubt after restart (paxos)")
+		if len(px.Acceptors) > 0 {
+			n.armPaxosTimer(c, n.eng.cfg.InquireRetry, "")
+		} else {
+			n.scheduleInquiry(c, 0) // degenerate: no membership survived
+		}
+	case protocol.BackInDoubt:
+		n.trcState(tx, "in doubt after restart")
+		n.scheduleInquiry(c, 0)
+		n.armHeuristic(c)
+	case protocol.BackAbort:
+		// No decision was made, so abort — and, presuming nothing,
+		// drive every subordinate to the abort and collect their
+		// acknowledgments (they may hold heuristic reports).
+		n.trcState(tx, "PN recovery: aborting phase-one transaction")
+		n.ownDecision(c, false)
+	}
 }
 
 // scheduleInquiry sends (after delay) a recovery inquiry to the
-// transaction's coordinator, retrying up to the attempt cap.
+// transaction's coordinator, retrying up to the attempt cap. With no
+// coordinator known, an operator must resolve the transaction.
 func (n *Node) scheduleInquiry(c *txCtx, extraDelay int) {
+	if c.coord == "" {
+		return
+	}
 	cfg := n.eng.cfg
 	c.inquiryAttempts++
 	if c.inquiryAttempts > 8 {
@@ -200,27 +118,17 @@ func (n *Node) scheduleInquiry(c *txCtx, extraDelay int) {
 }
 
 // handleInquire answers a recovery inquiry by the rulebook
-// (protocol.Answer) from local state or the recovered outcome table.
+// (protocol.Answer) from the outcome it holds — the one it remembers
+// (Node.forgotten), else its context's — and then from whether it
+// holds the transaction, as the runtime does.
 func (n *Node) handleInquire(from protocol.NodeID, m protocol.Message) {
 	tx := protocol.ParseTxID(m.Tx)
-	k := protocol.KnowsNothing
-	if c, ok := n.txs[tx]; ok {
-		switch {
-		case !c.sub.Done:
-			k = protocol.KnowsUndecided
-		case c.sub.Committed:
-			k = protocol.KnowsCommit
-		default:
-			k = protocol.KnowsAbort
-		}
-	} else {
-		switch n.done[tx] {
-		case OutcomeCommitted, OutcomeHeuristicMixed:
-			k = protocol.KnowsCommit
-		case OutcomeAborted:
-			k = protocol.KnowsAbort
-		}
+	c, active := n.txs[tx]
+	s := n.forgotten(tx)
+	if active && !s.Done {
+		s = c.sub
 	}
+	k := protocol.Knows(s.Done, s.Committed, active)
 	n.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: protocol.Answer(k, m.Presume, n.eng.cfg.Variant)})
 }
 

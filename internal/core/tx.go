@@ -28,7 +28,6 @@ type txCtx struct {
 
 	isRoot      bool
 	coord       protocol.NodeID // upstream partner ("" while root or unknown)
-	haveCoord   bool
 	subs        map[protocol.NodeID]*subInfo
 	subOrder    []protocol.NodeID
 	myHeuristic *protocol.HeuristicReport // local unilateral decision, if any
@@ -50,8 +49,7 @@ type txCtx struct {
 	// Upstream expectations.
 	longLocksAsked  bool // our coordinator wants the long-locks ack
 	lastAgentAsked  bool // we are the last agent: we own the decision
-	awaitingImplied bool // END deferred until implied ack (or session close)
-	impliedFrom     protocol.NodeID
+	awaitingImplied bool // END deferred until the coordinator's implied ack (or session close)
 
 	// Root bookkeeping.
 	onComplete   func(Result)
@@ -67,10 +65,9 @@ type txCtx struct {
 	lastAgentChoice protocol.NodeID // script-designated last agent ("" = auto)
 
 	// Phase-one bookkeeping.
-	localPrepared   bool
-	ask             protocol.Ask // what asked for this node's vote
-	firstContact    protocol.NodeID
-	firstContactSet bool
+	localPrepared bool
+	ask           protocol.Ask    // what asked for this node's vote
+	firstContact  protocol.NodeID // the partner whose data brought this node in ("" for none)
 
 	// Logging bookkeeping.
 	pnPendingLogged bool
@@ -100,6 +97,17 @@ func (n *Node) ctx(id protocol.TxID) *txCtx {
 		n.txs[id] = c
 	}
 	return c
+}
+
+// outcomeOf is the outcome s took here, OutcomeUnknown while none.
+func outcomeOf(s protocol.Sub) Outcome {
+	switch {
+	case !s.Done:
+		return OutcomeUnknown
+	case s.Committed:
+		return OutcomeCommitted
+	}
+	return OutcomeAborted
 }
 
 // active reports whether c is untouched by the commit protocol here:
@@ -191,7 +199,7 @@ func (t *Tx) UnsolicitedVote(node protocol.NodeID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, node)
 	}
 	c, ok := n.txs[t.id]
-	if !ok || (!c.haveCoord && !c.firstContactSet) {
+	if !ok || c.coord == "" && c.firstContact == "" {
 		return fmt.Errorf("core: %s cannot vote unsolicited for %s: no coordinator known", node, t.id)
 	}
 	n.startSubordinatePhase1(c, protocol.Volunteered)

@@ -23,61 +23,63 @@ func (p *Participant) replayLog() error {
 	return nil
 }
 
-// resume reinstates one transaction from its log. A decision
-// repopulates the decided table, so post-restart inquiries are answered
-// from real state rather than presumption; it is pinned again while it
-// waits on acks (no End) or this node holds acceptor records for it,
-// and ages from the restart otherwise. An undecided Paxos acceptor gets
-// its promises back: without them two recovery leaders could learn
-// different outcomes from it. It runs before the receive loop starts,
-// so no consumer holds the entries it touches.
+// resume reinstates one transaction as its log's restart rule says
+// (protocol.TxLog.Comeback). An outcome repopulates the decided table,
+// so post-restart inquiries are answered from real state rather than
+// presumption; it is pinned again while the members its decision
+// record names owe acks, or while this node holds acceptor records for
+// it, and ages from the restart otherwise. It runs before the receive
+// loop starts, so no consumer holds the entries it touches, and again
+// from RecoverInDoubt, on the consumer of a transaction in doubt.
 func (p *Participant) resume(l *protocol.TxLog) {
-	tx, d, pr := l.Tx, l.Decision, l.Prepared
-	switch {
-	case d != nil && pr != nil && pr.Agent == "":
-		// Keep the presumption, so a duplicate outcome after the
-		// restart is re-acked as the live entry would have been.
-		p.publishDecision(tx, subDecision(d.Kind == protocol.RecCommitted, pr.Presume), l.Acceptor)
-	case d != nil:
-		// Re-announce a decision without End, best-effort, to the
-		// subordinates its record says owe acks; their acks release the
-		// pin. A 1PC decision record is the only stable copy of its
-		// voters' fates AND their redo — a crash between the force and
-		// the acks leaves voters that may hold nothing durable — so the
-		// redo rides along and even amnesiac voters complete.
-		committed := d.Kind == protocol.RecCommitted
-		awaiting := !l.Ended && len(d.Subs) > 0
-		p.recordDecision(tx, committed, awaiting || l.Acceptor)
-		if awaiting {
-			var redo []byte
-			if d.OnePhase {
-				redo = d.Encode()
-			}
-			p.awaitAcks(nil, tx, append([]string(nil), d.Subs...), redo, false, false)
-			for _, s := range d.Subs {
-				_ = p.sendExtra(s, outcomeMsg(tx, committed, redo, s))
-			}
+	tx := l.Tx
+	switch b := l.Comeback(p.variant); b.Back {
+	case protocol.BackForgotten, protocol.BackRedrive:
+		if !b.Sub.Done {
+			return // the log proves no outcome
 		}
-	case pr != nil && pr.Agent != "" && !l.Ended:
+		// A subordinate's entry keeps its presumption, so a duplicate
+		// outcome after the restart is re-acked as the live entry would
+		// have been.
+		d := coordDecision(b.Sub.Committed)
+		if b.Sub.Prepared {
+			d = subDecision(b.Sub.Committed, b.Sub.Presume)
+		}
+		owed := b.Coord.Subs
+		p.publishDecision(tx, d, len(owed) > 0 || l.Acceptor)
+		if len(owed) == 0 {
+			return
+		}
+		// Re-announce the decision, best-effort, to the members its
+		// record names; their acks release the pin. A 1PC decision
+		// record is the only stable copy of its voters' fates AND their
+		// redo, so the redo rides along and even amnesiac voters
+		// complete.
+		p.awaitAcks(nil, tx, append([]string(nil), owed...), b.Redo, false, false)
+		for _, s := range owed {
+			_ = p.sendExtra(s, outcomeMsg(tx, b.Sub.Committed, b.Redo, s))
+		}
+	case protocol.BackDelegated:
 		// The last agent owns the outcome: come back in doubt and ask it.
 		st := p.registerCoord(tx)
-		st.coord.Reinstate(pr.Presume, pr.Subs, pr.Agent)
-		st.coord.Logged = true
+		st.coord = b.Coord
 		p.resolveLater(st, tx)
-	case l.Pre != nil:
+	case protocol.BackAbort:
 		// The coordinator crashed mid-collection, so no subordinate can
 		// have received a commit: abort now and tell the membership.
-		var c protocol.Coord
-		v, _ := protocol.VariantByPrePrepare(l.Pre.Kind)
-		c.Reinstate(v, l.Pre.Subs, "")
-		c.Logged = true
-		p.abort(tx, &c, true)
-	case l.InDoubt() || d == nil && l.Paxos():
+		p.abort(tx, &b.Coord, true)
+	case protocol.BackInDoubt, protocol.BackPaxos:
 		// Prepared, never decided: in doubt until RecoverInDoubt (or a
 		// retransmitted outcome) settles it, and remembered until then.
 		// An undecided Paxos acceptor that never prepared here is
-		// remembered too, for its promises and acceptances.
-		p.reinstate(p.liveState(tx), l)
+		// remembered too, with the membership and acceptor state its
+		// records hold and its own instance's value (TxLog.Restart): the
+		// acceptor set is this node's recovery coordinator.
+		st := p.liveState(tx)
+		st.sub = b.Sub
+		if b.Back == protocol.BackPaxos {
+			l.Restart(&p.paxos(st).PaxosTx)
+		}
 	}
 }
 
@@ -121,7 +123,7 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 			// presumption to log the answer correctly. A voter missing
 			// from the log is one held prepared in memory.
 			if !st.sub.Prepared && l != nil {
-				p.reinstate(st, l)
+				p.resume(l)
 			}
 			if st.sub.Presume == protocol.VariantPaxos {
 				rerr = p.resolvePaxosInDoubt(ctx, st)
@@ -140,21 +142,6 @@ func (p *Participant) RecoverInDoubt(ctx context.Context, coordinator string) ([
 		return inDoubt, fmt.Errorf("live: %d of %d transactions still unresolved after inquiry (%v): %w", len(unresolved), len(inDoubt), unresolved, ErrInDoubt)
 	}
 	return inDoubt, nil
-}
-
-// reinstate brings st back from what its log l proves: in doubt under
-// the presumption its Prepared record names (protocol.Sub.Reinstate),
-// and, under Paxos Commit, with the membership and acceptor state the
-// records hold and its own instance's value (TxLog.Restart) — the
-// acceptor set is this node's recovery coordinator, not whoever
-// crashed.
-func (p *Participant) reinstate(st *txState, l *protocol.TxLog) {
-	if l.Prepared != nil {
-		st.sub.Reinstate(l.Prepared)
-	}
-	if l.Paxos() {
-		l.Restart(&p.paxos(st).PaxosTx)
-	}
 }
 
 // scanInDoubt returns the transactions this participant prepared but

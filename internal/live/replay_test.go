@@ -41,6 +41,14 @@ func TestReplayLegacyLog(t *testing.T) {
 		// manager's: neither is this participant's memory.
 		{Tx: "C:7", Node: "S1", Kind: "Prepared", Data: []byte("PresumeAbort")},
 		{Tx: "C:8", Node: "C", Kind: "LRMUpdate", Data: []byte("k=v")},
+		// A PN and a PC coordinator whose every subordinate voted
+		// read-only: the pre-prepare record, then End, and no decision
+		// record, since a read-only round writes none. The caller was
+		// told committed; the restart must not abort them.
+		{Tx: "C:9", Node: "C", Kind: "Pending", Data: []byte("S1,S2")},
+		{Tx: "C:9", Node: "C", Kind: "End"},
+		{Tx: "C:10", Node: "C", Kind: "Collecting", Data: []byte("S1,S2")},
+		{Tx: "C:10", Node: "C", Kind: "End"},
 	} {
 		r.Forced = true
 		if err := store.Append(r); err != nil {
@@ -123,6 +131,20 @@ func TestReplayLegacyLog(t *testing.T) {
 	if !reflect.DeepEqual(seen, want) {
 		t.Errorf("sent %v, want %v", seen, want)
 	}
+	// Nothing else follows: the resume actions sent what they owe at
+	// Start, so a stray message (an Abort of C:9 or C:10) is in flight
+	// by now.
+	grace := time.After(200 * time.Millisecond)
+	for drained := false; !drained; {
+		select {
+		case s := <-got:
+			if s.m.Tx != "C:2" { // the agent may be asked again
+				t.Errorf("unexpected message to %s: %+v", s.to, s.m)
+			}
+		case <-grace:
+			drained = true
+		}
+	}
 
 	pinned := func(tx string) (committed, known, isPinned bool) {
 		sh := p.shardFor(tx)
@@ -143,6 +165,8 @@ func TestReplayLegacyLog(t *testing.T) {
 		{"B:5", false, false, false},
 		{"C:6", true, true, false}, // End: it ages
 		{"C:7", false, false, false},
+		{"C:9", false, false, false}, // forgotten: End proves it finished
+		{"C:10", false, false, false},
 	} {
 		committed, known, isPinned := pinned(c.tx)
 		if committed != c.committed || known != c.known || isPinned != c.pinned {
@@ -190,6 +214,9 @@ func TestReplayLegacyLog(t *testing.T) {
 	for i, r := range recs {
 		if r.Tx == "C:1" && r.Kind == protocol.RecAborted {
 			abort = &recs[i]
+		}
+		if (r.Tx == "C:9" || r.Tx == "C:10") && r.Kind == protocol.RecAborted {
+			t.Errorf("%s: the restart wrote %+v after its End", r.Tx, r)
 		}
 	}
 	if abort == nil || string(abort.Data) != "S1,S2" || !abort.Forced {

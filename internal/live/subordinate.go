@@ -201,15 +201,7 @@ func (p *Participant) handleInquire(from string, m *protocol.Message) {
 	d, known := sh.decidedLocked(m.Tx)
 	_, active := sh.txs[m.Tx]
 	sh.mu.Unlock()
-	k := protocol.KnowsNothing
-	switch {
-	case known && d.committed():
-		k = protocol.KnowsCommit
-	case known:
-		k = protocol.KnowsAbort
-	case active:
-		k = protocol.KnowsUndecided
-	}
+	k := protocol.Knows(known, d.committed(), active)
 	_ = p.send(from, protocol.Message{Type: protocol.MsgOutcome, Tx: m.Tx, Outcome: protocol.Answer(k, m.Presume, p.variant)})
 }
 

@@ -258,14 +258,6 @@ func (r *Registry) ProtocolTriplet() Triplet {
 	return t
 }
 
-// Latencies returns a copy of the most recent commit latencies (up to
-// latencyRing of them), oldest first.
-func (r *Registry) Latencies() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recentLatenciesLocked()
-}
-
 // MeanLatency returns the average latency of every commit recorded, or
 // zero when no transactions completed.
 func (r *Registry) MeanLatency() time.Duration {

@@ -75,9 +75,16 @@ func TestLatency(t *testing.T) {
 	if got := r.MeanLatency(); got != 15*time.Millisecond {
 		t.Fatalf("mean latency = %v, want 15ms", got)
 	}
-	if n := len(r.Latencies()); n != 2 {
+	if n := len(recentLatencies(r)); n != 2 {
 		t.Fatalf("latency count = %d", n)
 	}
+}
+
+// recentLatencies copies r's latency ring, oldest sample first.
+func recentLatencies(r *Registry) []time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.recentLatenciesLocked()
 }
 
 func TestOutcomesAndHeuristics(t *testing.T) {
@@ -147,8 +154,8 @@ func TestConcurrentUse(t *testing.T) {
 	if c.MessagesSent != 1600 || c.LogWrites != 1600 || c.ForcedWrites != 800 {
 		t.Fatalf("concurrent counters wrong: %+v", c)
 	}
-	if len(r.Latencies()) != 1600 {
-		t.Fatalf("latencies = %d", len(r.Latencies()))
+	if n := len(recentLatencies(r)); n != 1600 {
+		t.Fatalf("latencies = %d", n)
 	}
 }
 
@@ -161,7 +168,7 @@ func TestLatencyRingKeepsRecent(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		r.Latency(time.Duration(i) * time.Microsecond)
 	}
-	lats := r.Latencies()
+	lats := recentLatencies(r)
 	if len(lats) != latencyRing {
 		t.Fatalf("kept %d samples, want %d", len(lats), latencyRing)
 	}

@@ -219,6 +219,21 @@ const (
 	KnowsAbort
 )
 
+// Knows is what an inquiry finds at a node: the outcome it holds
+// (decided, commit) before anything else, then whether it holds the
+// transaction live (active).
+func Knows(decided, commit, active bool) Knowledge {
+	switch {
+	case decided && commit:
+		return KnowsCommit
+	case decided:
+		return KnowsAbort
+	case active:
+		return KnowsUndecided
+	}
+	return KnowsNothing
+}
+
 // Answer is the inquiry rule. A known outcome answers itself; a live,
 // undecided transaction InProgress, since a presumption would race its
 // decision (a delegating coordinator's agent may still be deciding).

@@ -83,11 +83,11 @@ func (c *Coord) Begin(v Variant, subs []string, agent string) LogRecord {
 }
 
 // Reinstate brings a round back from a restart's record: subs, taken
-// as yes-voters (any may be prepared), and the agent holding the
+// as yes-voters (any may be prepared) but for agent, which holds the
 // delegation ("" for none). Its own vote counts as yes.
 func (c *Coord) Reinstate(v Variant, subs []string, agent string) {
 	if agent != "" {
-		subs = append(subs[:len(subs):len(subs)], agent)
+		subs = append(slices.DeleteFunc(slices.Clone(subs), func(s string) bool { return s == agent }), agent)
 	}
 	c.Begin(v, subs, agent)
 	c.asked, c.local, c.localYes, c.delegated = true, true, true, agent != ""

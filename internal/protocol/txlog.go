@@ -268,6 +268,102 @@ func (l *TxLog) Restart(t *PaxosTx) {
 	l.RestoreAcceptor(t)
 }
 
+// Back is what a restarted node comes back as for one transaction
+// (TxLog.Comeback): the presumptions' restart rules, as one table.
+type Back uint8
+
+// The seven answers, in the order Comeback checks them.
+const (
+	// BackForgotten: nothing is left to do. Sub is finished when the
+	// log proves an outcome.
+	BackForgotten Back = iota
+	// BackHeuristic: a unilateral outcome awaits the real one, which
+	// the node asks of Upstream (simulator only).
+	BackHeuristic
+	// BackRedrive: a decision. Coord is decided over the members its
+	// record names, each told again, and Redo is a 1PC record's
+	// payload; Sub is finished, and prepared when the node voted yes.
+	BackRedrive
+	// BackDelegated: a coordinator that delegated asks Coord.Agent()
+	// again.
+	BackDelegated
+	// BackPaxos: Paxos Commit state, for TxLog.Restart.
+	BackPaxos
+	// BackInDoubt: Sub is prepared again and asks Upstream; Coord holds
+	// the yes-voters of its subtree.
+	BackInDoubt
+	// BackAbort: a pre-prepare record with no decision: Coord aborts
+	// the membership it names.
+	BackAbort
+)
+
+// Comeback is one transaction's restart: what comes back (Back), and
+// the round and the subordinate part it comes back with, reinstated.
+type Comeback struct {
+	Back  Back
+	Coord Coord // Logged, under the node's variant unless its record names one
+	Sub   Sub
+	// Upstream is the node's coordinator as its record names it (the
+	// simulator's records name it, the runtime's do not).
+	Upstream string
+	Redo     []byte
+}
+
+// Comeback is what the node whose log l is comes back as, under its
+// own variant v. The first case that holds decides:
+//
+//	End                         forgotten, with the outcome the log proves
+//	Heuristic                   ask for the real outcome
+//	Committed or Aborted        redrive the decision to the members it names
+//	a delegation                ask the agent again
+//	Paxos records               TxLog.Restart
+//	Prepared                    in doubt: ask the coordinator
+//	a pre-prepare's membership  abort it; none (a leaf's AgentPending): forgotten as aborted
+func (l *TxLog) Comeback(v Variant) Comeback {
+	d, pr := l.Decision, l.Prepared
+	b := Comeback{Back: BackRedrive, Coord: Coord{Variant: v, Logged: true}, Sub: Sub{Presume: v}}
+	if pr != nil && pr.Agent == "" {
+		b.Sub.Reinstate(pr)
+	}
+	switch {
+	case l.Ended:
+		b.Back = BackForgotten
+		if d != nil {
+			b.Sub.Finish(d.Kind == RecCommitted)
+		}
+	case l.Heuristic != nil:
+		b.Back, b.Upstream = BackHeuristic, l.Heuristic.Coord
+	case d != nil:
+		commit := d.Kind == RecCommitted
+		b.Upstream = d.Coord
+		b.Coord.Reinstate(v, d.Subs, "")
+		b.Coord.Decide(commit)
+		b.Sub.Finish(commit)
+		if d.OnePhase {
+			b.Redo = d.Encode()
+		}
+	case pr != nil && pr.Agent != "":
+		b.Back, b.Upstream = BackDelegated, pr.Coord
+		b.Coord.Reinstate(pr.Presume, pr.Subs, pr.Agent)
+	case l.Paxos():
+		b.Back = BackPaxos
+		if pr != nil {
+			b.Upstream = pr.Coord
+		}
+	case pr != nil:
+		b.Back, b.Upstream = BackInDoubt, pr.Coord
+		b.Coord.Reinstate(v, pr.Subs, "")
+	case l.Pre != nil && len(l.Pre.Subs) > 0:
+		pv, _ := VariantByPrePrepare(l.Pre.Kind)
+		b.Back, b.Upstream = BackAbort, l.Pre.Coord
+		b.Coord.Reinstate(pv, l.Pre.Subs, "")
+	default:
+		b.Back = BackForgotten
+		b.Sub.Finish(false)
+	}
+	return b
+}
+
 // ReplayLog folds the records self wrote into one TxLog per
 // transaction, in the order each transaction first appears. It is the
 // one reader of the transaction manager's log: both engines restart
@@ -293,6 +389,9 @@ func ReplayLog(recs []wal.Record, self string) []TxLog {
 		switch rec.Kind {
 		case RecPending, RecCollecting, RecAgentPending:
 			l.Pre = &r
+			if r.Agent != "" {
+				l.Prepared = &r // the simulator's single-partner delegation
+			}
 		case RecPrepared:
 			l.Prepared = &r
 		case RecCommitted:

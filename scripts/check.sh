@@ -93,6 +93,15 @@ echo "== one Paxos Commit leader, both engines (20 race runs) =="
 # repeats.
 go test -race -count=20 -run 'TestLivePaxos|TestPaxosLeadRound|TestChaosLivePaxosRecoveryBallots|TestInjectedAcceptorForceBugLive|TestInjectedQuorumBugLive|TestPaxosFreeInstance' ./internal/live ./internal/check ./internal/protocol
 
+echo "== one restart rule, both engines (20 race runs) =="
+# protocol.TxLog.Comeback is the classic restart for both engines: the
+# table of crash points crossed with the six variants, run on each
+# engine from the same log records, and the runtime's replay of the
+# record forms on disk. A live restart sends its redrives and repeated
+# delegations from background goroutines, so an ordering bug shows only
+# under scheduling, hence the repeats.
+go test -race -count=20 -run 'TestRestartTable|TestReplayLegacyLog' ./internal/check ./internal/live
+
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
 # it imports internal packages (server, wal, live, router) directly.
