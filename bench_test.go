@@ -100,7 +100,7 @@ func benchUnsolicited(b *testing.B) {
 	var t float64
 	for i := 0; i < b.N; i++ {
 		eng := core.NewEngine(core.Config{Variant: protocol.VariantPA,
-			Options: core.Options{ReadOnly: true, UnsolicitedVote: true}})
+			Options: core.Options{ReadOnly: true}})
 		eng.DisableTrace()
 		eng.AddNode("C").AttachResource(updater("rc"))
 		eng.AddNode("S").AttachResource(updater("rs"))

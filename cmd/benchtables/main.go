@@ -171,7 +171,7 @@ func evidenceLastAgent() string {
 
 func evidenceUnsolicited() string {
 	eng := core.NewEngine(core.Config{Variant: protocol.VariantPA,
-		Options: core.Options{ReadOnly: true, UnsolicitedVote: true}})
+		Options: core.Options{ReadOnly: true}})
 	eng.DisableTrace()
 	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))

@@ -49,6 +49,7 @@ func main() {
 	// The presumed variants run with read-only votes on, as the paper's
 	// PA and PN rows do.
 	cfg.Options.ReadOnly = v == protocol.VariantPA || v == protocol.VariantPN || v == protocol.VariantPC
+	unsolicited := false
 	for _, o := range strings.Split(*opts, ",") {
 		switch strings.TrimSpace(strings.ToLower(o)) {
 		case "":
@@ -59,7 +60,7 @@ func main() {
 		case "lastagent":
 			cfg.Options.LastAgent = true
 		case "unsolicited":
-			cfg.Options.UnsolicitedVote = true
+			unsolicited = true
 		case "votereliable":
 			cfg.Options.VoteReliable = true
 		case "longlocks":
@@ -87,6 +88,7 @@ func main() {
 	}
 	root.AttachResource(protocol.NewStaticResource("r@" + string(tree.Root)))
 	nodeParent := map[protocol.NodeID]protocol.NodeID{}
+	hasChild := map[protocol.NodeID]bool{}
 	for _, m := range tree.Members {
 		var nopts []core.NodeOption
 		if heurPolicy.Enabled() {
@@ -104,12 +106,24 @@ func main() {
 		}
 		node.AttachResource(protocol.NewStaticResource("r@"+string(m.ID), ropts...))
 		nodeParent[m.ID] = m.Parent
+		hasChild[m.Parent] = true
 	}
 
 	tx := eng.Begin(tree.Root)
 	for _, m := range tree.Members {
 		if err := tx.Send(m.Parent, m.ID, "work"); err != nil {
 			fail("send: %v", err)
+		}
+	}
+	if unsolicited {
+		// Each leaf prepares on its own initiative and votes before any
+		// Prepare reaches it (§4 Unsolicited Vote).
+		for _, m := range tree.Members {
+			if !hasChild[m.ID] {
+				if err := tx.UnsolicitedVote(m.ID); err != nil {
+					fail("unsolicited vote: %v", err)
+				}
+			}
 		}
 	}
 

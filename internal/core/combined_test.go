@@ -13,7 +13,7 @@ import (
 func TestReadOnlyPlusUnsolicited(t *testing.T) {
 	// An unsolicited voter whose resources are all read-only sends a
 	// read-only vote spontaneously: one flow total for that member.
-	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, UnsolicitedVote: true}})
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
 	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs", protocol.StaticVote(protocol.VoteReadOnly)))
 	tx := eng.Begin("C")
@@ -34,7 +34,7 @@ func TestUnsolicitedVotePreemptsDelegation(t *testing.T) {
 	// If the would-be last agent has already voted unsolicited, no
 	// delegation happens: the coordinator decides normally.
 	eng := NewEngine(Config{Variant: protocol.VariantPA,
-		Options: Options{ReadOnly: true, UnsolicitedVote: true, LastAgent: true}})
+		Options: Options{ReadOnly: true, LastAgent: true}})
 	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")

@@ -26,11 +26,6 @@ type Options struct {
 	// unprepared subordinate, collapsing its message exchange to a
 	// single round trip (§4 Last Agent).
 	LastAgent bool
-	// UnsolicitedVote lets a server prepare on its own initiative and
-	// vote before any Prepare arrives (§4 Unsolicited Vote). The
-	// trigger is the Tx.UnsolicitedVote script call; this option
-	// makes the coordinator accept such votes.
-	UnsolicitedVote bool
 	// VoteReliable enables the reliable-resource handling of §4 Vote
 	// Reliable: subordinates whose whole subtree voted reliable skip
 	// the explicit commit acknowledgment (an implied ack suffices)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/trace"
 )
 
 // twoNode builds the canonical Table 2 configuration: a coordinator C
@@ -289,6 +291,43 @@ func TestDualInitiationAborts(t *testing.T) {
 	}
 	if ra.Outcome != OutcomeAborted {
 		t.Errorf("A outcome = %v, want aborted", ra.Outcome)
+	}
+}
+
+// TestAbortAtFirstNo: the root acts on the first no, as the runtime
+// does (protocol.NextAbort). S1 votes no while S2, behind a slow link,
+// is still silent: the transaction aborts at once, well before the vote
+// timeout, and S2 is sent the Abort before it has even voted.
+func TestAbortAtFirstNo(t *testing.T) {
+	const slow = time.Second
+	eng := NewEngine(Config{Variant: protocol.VariantPA, VoteTimeout: 10 * slow})
+	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
+	eng.AddNode("S1").AttachResource(protocol.NewStaticResource("r1", protocol.StaticVote(protocol.VoteNo)))
+	eng.AddNode("S2").AttachResource(protocol.NewStaticResource("r2"))
+	eng.SetLatency("C", "S2", slow)
+	tx := eng.Begin("C")
+	for _, s := range []protocol.NodeID{"S1", "S2"} {
+		if err := tx.Send("C", s, "work"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := tx.Commit("C")
+	if res.Outcome != OutcomeAborted || res.Latency >= slow {
+		t.Fatalf("outcome %v after %v, want aborted well within S2's %v link", res.Outcome, res.Latency, slow)
+	}
+	eng.Drain()
+	var abortAt, voteAt time.Duration = -1, -1
+	for _, e := range eng.Trace().Events() {
+		switch {
+		case e.Kind != trace.KindSend:
+		case e.Node == "C" && e.Peer == "S2" && e.Detail == "Abort("+tx.ID().String()+")":
+			abortAt = e.At
+		case e.Node == "S2" && e.Peer == "C" && e.Detail == "VoteYes("+tx.ID().String()+")":
+			voteAt = e.At
+		}
+	}
+	if abortAt < 0 || voteAt >= 0 && abortAt >= voteAt {
+		t.Fatalf("C sent S2 the Abort at %v, S2 voted at %v: want the Abort sent before the vote", abortAt, voteAt)
 	}
 }
 

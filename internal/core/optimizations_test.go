@@ -288,7 +288,7 @@ func (r *votesNoOnce) Prepare(tx protocol.TxID) (protocol.PrepareResult, error) 
 // --- Unsolicited Vote (§4) -------------------------------------------------
 
 func TestUnsolicitedVote(t *testing.T) {
-	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true, UnsolicitedVote: true}})
+	eng := NewEngine(Config{Variant: protocol.VariantPA, Options: Options{ReadOnly: true}})
 	eng.AddNode("C").AttachResource(protocol.NewStaticResource("rc"))
 	eng.AddNode("S").AttachResource(protocol.NewStaticResource("rs"))
 	tx := eng.Begin("C")

@@ -300,12 +300,6 @@ func (n *Node) handleVote(from protocol.NodeID, m protocol.Message) {
 	default:
 		c.round.Vote(string(from), &m)
 	}
-	if m.Unsolicited && !n.eng.cfg.Options.UnsolicitedVote && active {
-		// Receiver not configured for unsolicited votes: note and
-		// accept anyway (the vote is still valid; the option gate is
-		// about what coordinators are prepared to exploit).
-		n.trcApp("unexpected unsolicited vote from " + string(from))
-	}
 	s.reliable = m.Reliable
 	s.okToLeave = m.OKToLeaveOut
 	c.allReliable = c.allReliable && m.Reliable
@@ -362,14 +356,15 @@ func (n *Node) own(logged bool) protocol.Own {
 	return protocol.Own{Variant: n.eng.cfg.Variant, Announced: true, Logged: logged}
 }
 
-// checkVotes continues the protocol once every expected vote is in:
-// the simulator acts on a no only then.
+// checkVotes continues the protocol at the first no, or once every
+// expected vote is in.
 func (n *Node) checkVotes(c *txCtx) {
-	if !c.preparing() || !c.localPrepared || c.round.Pending() > 0 {
+	if !c.preparing() || !c.localPrepared {
 		return
 	}
 	owner := c.isRoot || c.lastAgentAsked
 	switch next := c.round.Next(); {
+	case next == protocol.NextCollect: // a vote is still owed
 	case next == protocol.NextDelegate:
 		n.delegate(c)
 	case !owner:

@@ -50,20 +50,31 @@ func TestQuickAtomicityAcrossOptionMixes(t *testing.T) {
 		variant := protocol.Variant(int(variantRaw) % 4)
 		n := 2 + int(nRaw%8)
 		opts := Options{
-			ReadOnly:        optBits&1 != 0 || variant != protocol.VariantBaseline,
-			LastAgent:       optBits&2 != 0,
-			UnsolicitedVote: optBits&4 != 0,
-			VoteReliable:    optBits&8 != 0,
-			EarlyAck:        optBits&16 != 0,
-			WaitForOutcome:  optBits&32 != 0,
+			ReadOnly:       optBits&1 != 0 || variant != protocol.VariantBaseline,
+			LastAgent:      optBits&2 != 0,
+			VoteReliable:   optBits&8 != 0,
+			EarlyAck:       optBits&16 != 0,
+			WaitForOutcome: optBits&32 != 0,
 		}
 		eng := NewEngine(Config{Variant: variant, Options: opts})
 		eng.DisableTrace()
 		edges := buildRandomTree(eng, rng, n, 0.3)
 		tx := eng.Begin("N00")
+		inner := map[protocol.NodeID]bool{}
 		for _, e := range edges {
 			if err := tx.Send(e.parent, e.child, "w"); err != nil {
 				return false
+			}
+			inner[e.parent] = true
+		}
+		if optBits&4 != 0 {
+			// Some leaves vote unsolicited (§4 Unsolicited Vote).
+			for _, e := range edges {
+				if !inner[e.child] && rng.Intn(2) == 0 {
+					if err := tx.UnsolicitedVote(e.child); err != nil {
+						return false
+					}
+				}
 			}
 		}
 		res := tx.Commit("N00")

@@ -272,3 +272,54 @@ func TestNoInformationInquiryAnswersFromRow(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartedIntermediateAcksAtOnce: in a cascaded C→S1→S2 tree, S1
+// crashes once its Committed record is forced and restarts. Its
+// coordinator may still be waiting, so the restarted S1 acks C at once
+// rather than after its subtree: the Ack leaves before any ack from S2
+// reaches S1.
+func TestRestartedIntermediateAcksAtOnce(t *testing.T) {
+	const slow = 50 * time.Millisecond
+	eng := NewEngine(Config{Variant: protocol.VariantPA, VoteTimeout: time.Second, AckTimeout: time.Second})
+	for _, id := range []protocol.NodeID{"C", "S1", "S2"} {
+		eng.AddNode(id).AttachResource(protocol.NewStaticResource("r@" + string(id)))
+	}
+	eng.SetLatency("S1", "S2", slow)
+	tx := eng.Begin("C")
+	if err := tx.Send("C", "S1", "w"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Send("S1", "S2", "w"); err != nil {
+		t.Fatal(err)
+	}
+	p := tx.CommitAsync("C")
+	for logged := false; !logged; {
+		for _, r := range eng.LogRecords("S1") {
+			logged = logged || r.Kind == protocol.RecCommitted
+		}
+		if !logged && !eng.Step() {
+			t.Fatal("S1 never logged its outcome")
+		}
+	}
+	eng.Crash("S1")
+	eng.Restart("S1", time.Millisecond)
+	eng.Drain()
+	if r, done := p.Result(); !done || r.Outcome != OutcomeCommitted {
+		t.Fatalf("result = %+v done=%v", r, done)
+	}
+
+	ack := "Ack(" + tx.ID().String() + ")"
+	ackC, ackS2 := time.Duration(-1), time.Duration(-1)
+	for _, e := range eng.Trace().Events() {
+		switch {
+		case e.Kind != trace.KindSend || e.Detail != ack:
+		case e.Node == "S1" && e.Peer == "C" && ackC < 0:
+			ackC = e.At
+		case e.Node == "S2" && e.Peer == "S1" && ackS2 < 0:
+			ackS2 = e.At
+		}
+	}
+	if ackC < 0 || ackS2 < 0 || ackC >= ackS2+slow {
+		t.Fatalf("S1 acked C at %v, S2's first ack reached S1 at %v: want S1's ack first", ackC, ackS2+slow)
+	}
+}

@@ -192,7 +192,7 @@ func Table2() ([]Row, error) {
 
 	if err := add("PA + Unsolicited Vote", analytic.UnsolicitedVote(2, 1),
 		scenario{
-			cfg:         core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
+			cfg:         core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
 			n:           2,
 			resource:    func(i int) protocol.Resource { return updating(fmt.Sprintf("r%d", i)) },
 			unsolicited: func(i int) bool { return true },
@@ -320,7 +320,7 @@ func Table3(n, m int) ([]Row, error) {
 	rows[len(rows)-1].Paper = analytic.LeaveOut(n, m)
 
 	if err := add("PA & Unsolicited Vote", analytic.UnsolicitedVote(n, m), scenario{
-		cfg:         core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
+		cfg:         core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
 		n:           n,
 		resource:    upd,
 		unsolicited: opt,

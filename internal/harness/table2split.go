@@ -119,7 +119,7 @@ func Table2Split() ([]SplitRow, error) {
 			note: "single round trip; coordinator pays the extra force",
 		},
 		{
-			name: "PA + Unsolicited Vote", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true, UnsolicitedVote: true}},
+			name: "PA + Unsolicited Vote", cfg: core.Config{Variant: protocol.VariantPA, Options: core.Options{ReadOnly: true}},
 			coord: upd("rc"), sub: upd("rs"), unsolicited: true,
 			paperC: RoleCost{1, 2, 1}, paperS: RoleCost{2, 3, 2},
 			note: "no Prepare flow",

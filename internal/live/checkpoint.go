@@ -1,8 +1,6 @@
 package live
 
 import (
-	"slices"
-
 	"repro/internal/protocol"
 	"repro/internal/wal"
 )
@@ -49,14 +47,13 @@ func (p *Participant) releasePin(tx string) {
 	}
 }
 
-// awaitAcks hands the acknowledgments a coordinator is still owed for
-// tx, missing (the caller's own copy), to its pinned decided-table
-// entry: each strikes its sender (route), and the last one writes End
-// and releases the pin. Acks already queued in st's inbox count too,
-// and leave it. redo is a 1PC decision record's payload (pin). With
-// resend (an Early commit, before its outcome leaves) the resender
-// sends the outcome again on the retry backoff until the ack deadline.
-func (p *Participant) awaitAcks(st *txState, tx string, missing []string, redo []byte, ledger, resend bool) {
+// awaitAcks registers the acknowledgments a coordinator is owed for
+// tx, missing (the caller's own copy), with its pinned decided-table
+// entry, before the outcome leaves: each strikes its sender (route),
+// and the last one writes End and releases the pin. redo is a 1PC
+// decision record's payload (pin). The resender (resendLoop) sends the
+// outcome again on the retry backoff until the ack deadline.
+func (p *Participant) awaitAcks(tx string, missing []string, redo []byte, ledger bool) {
 	now := p.sched.Now()
 	sh := p.shardFor(tx)
 	sh.mu.Lock()
@@ -65,33 +62,16 @@ func (p *Participant) awaitAcks(st *txState, tx string, missing []string, redo [
 		sh.mu.Unlock()
 		return
 	}
-	if st != nil {
-		kept := st.inbox[:st.head]
-		for _, env := range st.inbox[st.head:] {
-			if env.msg.Type != protocol.MsgAck {
-				kept = append(kept, env)
-			} else if i := slices.Index(missing, env.from); i >= 0 {
-				missing = append(missing[:i], missing[i+1:]...)
-			}
-		}
-		clear(st.inbox[len(kept):])
-		st.inbox = kept
-	}
-	done := len(missing) == 0
 	pe.waiting, pe.redo, pe.ledger = missing, redo, ledger
-	if done {
-		pe.waiting = nil
-	} else if resend {
-		r := resendAt{bo: p.retry.Backoff(p.retrySeedFor(tx, "/acks")), deadline: now + p.ackTimeout}
-		r.due = nextDue(&r.bo, now, r.deadline)
-		sh.resends[tx] = r
+	sh.pinned[tx] = pe
+	if _, ok := sh.resends[tx]; !ok {
 		p.owing.Add(1)
 	}
-	sh.pinned[tx] = pe
+	r := resendAt{bo: p.retry.Backoff(p.retrySeedFor(tx, "/acks")), deadline: now + p.ackTimeout}
+	r.due = nextDue(&r.bo, now, r.deadline)
+	sh.resends[tx] = r
 	sh.mu.Unlock()
-	if done {
-		p.endCoord(tx, ledger)
-	} else if resend && p.resending.CompareAndSwap(false, true) && !p.background(p.resendLoop) {
+	if p.resending.CompareAndSwap(false, true) && !p.background(p.resendLoop) {
 		p.resending.Store(false)
 	}
 }

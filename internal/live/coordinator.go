@@ -208,10 +208,10 @@ func (p *Participant) AbortVolunteered(txName string, subs []string, v protocol.
 // commit takes the commit decision as the round's owner and runs phase
 // two: the record, the decided table (pinned while acks are owed; a
 // logless vote's record, its voters' only redo, pinned with it), the
-// resources, the outcome, and the acks, collected here only when the
-// decision is not Early and otherwise owed to the pin before the
-// outcome leaves (awaitAcks). End follows the last ack, if this node
-// logged anything.
+// resources, the outcome, and the acks, owed to the pin before the
+// outcome leaves (awaitAcks) and read here too only when the decision
+// is not Early. End follows the last ack, if this node logged
+// anything.
 func (p *Participant) commit(ctx context.Context, st *txState, txName string) (Outcome, error) {
 	c := &st.coord
 	d := c.Decide(true)
@@ -247,12 +247,19 @@ func (p *Participant) commit(ctx context.Context, st *txState, txName string) (O
 	}
 	acks := c.Owed() > 0
 	p.recordDecision(txName, true, acks)
-	if acks && d.Early {
+	if acks {
+		if !d.Early {
+			// PN: the acks carry heuristic reports to the caller, who
+			// reads them as they strike the pin (collectAcks).
+			st.sh.mu.Lock()
+			st.collecting = true
+			st.sh.mu.Unlock()
+		}
 		var redo []byte // a 1PC record: the resent outcomes carry its redo
 		if d.Redo {
 			redo = rec.Data
 		}
-		p.awaitAcks(nil, txName, c.Missing(), redo, true, true)
+		p.awaitAcks(txName, c.Missing(), redo, true)
 	}
 	p.complete(protocol.ParseTxID(txName), true)
 	if p.met != nil {
@@ -273,12 +280,7 @@ func (p *Participant) commit(ctx context.Context, st *txState, txName string) (O
 	case !acks:
 		p.endCoord(txName, true)
 	case !d.Early:
-		// PN: the acks carry heuristic reports to the root, so the
-		// caller waits for them.
 		err := p.collectAcks(ctx, st, txName)
-		if err == nil {
-			p.endCoord(txName, true)
-		}
 		if derr := damageError(txName, c.Heuristics); derr != nil {
 			return Committed, derr
 		}
@@ -382,46 +384,24 @@ func (p *Participant) resolveLater(st *txState, txName string) {
 	}
 }
 
-// collectAcks waits for the acks st's round owes, resending the commit
-// on the backoff schedule. Those still owed past the deadline are
-// counted in doubt and pass to the pinned decided entry, which late
-// ones release (awaitAcks).
+// collectAcks waits until the ack deadline for the acks st's round
+// owes, reading each for its heuristic reports once it has struck the
+// pin (route), whose resender sends the outcome again meanwhile and
+// counts those still owed at its deadline in doubt.
 func (p *Participant) collectAcks(ctx context.Context, st *txState, txName string) error {
 	c := &st.coord
-	out := protocol.OutcomeMessage(txName, true)
-	alarm := p.newRetryAlarm(p.ackTimeout, txName, "/acks")
-	defer alarm.stop()
+	t := p.sched.NewTimer(p.ackTimeout)
+	defer t.Stop()
 	for c.Owed() > 0 {
-		switch env, w := p.next(ctx, st, alarm.C()); w {
+		switch env, w := p.next(ctx, st, t.C()); w {
 		case gotReply:
 			c.Ack(env.from, &env.msg)
 		case rang:
-			if alarm.expired() {
-				missing := c.Missing()
-				if p.met != nil {
-					for _, s := range missing {
-						p.met.InDoubtEntry(s)
-					}
-				}
-				p.awaitAcks(st, txName, missing, nil, true, false)
-				return fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", len(missing), len(c.Subs), txName, ErrInDoubt)
-			}
-			for i, s := range c.Subs {
-				if c.Owes(i) {
-					_ = p.sendExtra(s, out)
-					p.countRetry()
-				}
-			}
+			return fmt.Errorf("live: %d/%d acks outstanding for %s; delivery falls to recovery: %w", c.Owed(), len(c.Subs), txName, ErrInDoubt)
 		case stopping:
-			// Shutdown mid-collection: the outcome is decided and
-			// durable; outstanding deliveries fall to recovery.
-			p.awaitAcks(st, txName, c.Missing(), nil, true, false)
 			return fmt.Errorf("live: participant stopped with acks outstanding for %s: %w", txName, ErrInDoubt)
-		case crashed:
-			return ErrCrashed
-		case cancelled:
-			p.awaitAcks(st, txName, c.Missing(), nil, true, false)
-			return ctx.Err()
+		case crashed, cancelled:
+			return w.err(ctx)
 		}
 	}
 	return nil
@@ -429,8 +409,8 @@ func (p *Participant) collectAcks(ctx context.Context, st *txState, txName strin
 
 // abort decides abort for round c and runs it: the record (naming
 // those told when aborts are acked, and the decided entry pinned, End
-// unwritten, until each acks), the resources, and the Aborts to those
-// that hear it (protocol.Coord.Tells), best-effort. With recovery set
+// unwritten, until each acks: awaitAcks), the resources, and the
+// Aborts to those that hear it (protocol.Coord.Tells). With recovery set
 // the round is one a crash cut short (an undecided pre-prepare record,
 // or a vote for a forgotten transaction): no resource or ledger, extra
 // flows, and nothing more if the record fails (the next restart retries).
@@ -446,7 +426,7 @@ func (p *Participant) abort(txName string, c *protocol.Coord, recovery bool) Out
 	}
 	p.recordDecision(txName, false, owed != nil)
 	if owed != nil {
-		p.awaitAcks(nil, txName, owed, nil, !recovery, false)
+		p.awaitAcks(txName, owed, nil, !recovery)
 	}
 	if !recovery {
 		p.complete(protocol.ParseTxID(txName), false)

@@ -638,8 +638,8 @@ func TestCoordinatorAnnouncesHorizon(t *testing.T) {
 // TestForgetReleasesAbortsAfterSubordinateRestart: under PN a
 // subordinate is killed mid-load, so every later transaction aborts on
 // the vote timeout and its abort stays pinned, waiting on the dead
-// subordinate's ack. Once the subordinate is back, the next rotation
-// resends the aborts; it acknowledges them (it never prepared), the
+// subordinate's ack, past the resender's deadline. Once the subordinate
+// is back, the next rotation resends the aborts; it acknowledges them (it never prepared), the
 // pins release, and after two more horizons a checkpoint leaves a log
 // whose replay holds only what is still remembered.
 func TestForgetReleasesAbortsAfterSubordinateRestart(t *testing.T) {
@@ -674,6 +674,9 @@ func TestForgetReleasesAbortsAfterSubordinateRestart(t *testing.T) {
 	s2.Start()
 	f.parts["S2"] = s2
 	vc.Advance(forgetHorizon)
+	// The resender sent the aborts again until their ack deadline,
+	// while S2 was down, and has given up on them by now.
+	waitUntil(t, 5*time.Second, func() bool { return c.owing.Load() == 0 })
 	f.commitOne(t, 100) // its release rotates C's table, which resends the aborts
 	waitUntil(t, 5*time.Second, func() bool { return c.PinnedDecisions() == 0 })
 

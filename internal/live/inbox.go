@@ -48,31 +48,7 @@ func (p *Participant) route(from string, m *protocol.Message) {
 		pe = sh.pinned[m.Tx]
 	}
 	if pe.waiting != nil {
-		// The acks still owed wait on the pinned entry (awaitAcks):
-		// strike the sender, counting any damage it reports, since no
-		// caller hears of it (a registry shared with that node counts
-		// it twice), and release the entry with the last one.
-		if i := slices.Index(pe.waiting, from); i >= 0 {
-			pe.waiting = append(pe.waiting[:i], pe.waiting[i+1:]...)
-			for _, h := range m.Heuristics {
-				if h.Damage && p.met != nil {
-					p.met.Damage(h.Node)
-				}
-			}
-		}
-		done := len(pe.waiting) == 0
-		if done {
-			pe.waiting = nil
-			if _, ok := sh.resends[m.Tx]; ok {
-				delete(sh.resends, m.Tx)
-				p.owing.Add(-1)
-			}
-		}
-		sh.pinned[m.Tx] = pe
-		sh.mu.Unlock()
-		if done {
-			p.endCoord(m.Tx, pe.ledger)
-		}
+		p.strikeLocked(sh, pe, from, m)
 		return
 	}
 	st := sh.txs[m.Tx]
@@ -111,6 +87,49 @@ func (p *Participant) route(from string, m *protocol.Message) {
 	start, wake := p.postLocked(st, envelope{from: from, msg: *m, work: work})
 	sh.mu.Unlock()
 	p.rouse(st, start, wake)
+}
+
+// strikeLocked strikes from off the acks m.Tx's pinned entry pe waits
+// on (awaitAcks), and releases the entry with the last one. A PN
+// commit's collector reads each struck ack after that for its
+// heuristic reports (collectAcks); otherwise no caller hears of the
+// damage it reports, so it is counted here (a registry shared with
+// that node counts it twice). Caller holds sh.mu, which it releases.
+func (p *Participant) strikeLocked(sh *txShard, pe pin, from string, m *protocol.Message) {
+	i := slices.Index(pe.waiting, from)
+	if i >= 0 {
+		pe.waiting = append(pe.waiting[:i], pe.waiting[i+1:]...)
+	}
+	done := len(pe.waiting) == 0
+	if done {
+		pe.waiting = nil
+		if _, ok := sh.resends[m.Tx]; ok {
+			delete(sh.resends, m.Tx)
+			p.owing.Add(-1)
+		}
+	}
+	sh.pinned[m.Tx] = pe
+	st := sh.txs[m.Tx]
+	if i < 0 || st == nil || !st.collecting {
+		st = nil
+	}
+	sh.mu.Unlock()
+	if i >= 0 && st == nil && p.met != nil {
+		for _, h := range m.Heuristics {
+			if h.Damage {
+				p.met.Damage(h.Node)
+			}
+		}
+	}
+	if done {
+		p.endCoord(m.Tx, pe.ledger)
+	}
+	if st != nil {
+		sh.mu.Lock()
+		start, wake := p.postLocked(st, envelope{from: from, msg: *m})
+		sh.mu.Unlock()
+		p.rouse(st, start, wake)
+	}
 }
 
 // postLocked appends env to st's inbox. A reply is kept only while a

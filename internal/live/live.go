@@ -163,10 +163,10 @@ type Participant struct {
 }
 
 // txState is the per-transaction entry in a participant's state
-// table. The inbox fields and isCoord are guarded by the shard mutex;
-// everything else belongs to the transaction's consumer (inbox.go), so
-// it needs no lock of its own, and transactions never serialize on
-// each other.
+// table. The inbox fields, isCoord and collecting are guarded by the
+// shard mutex; everything else belongs to the transaction's consumer
+// (inbox.go), so it needs no lock of its own, and transactions never
+// serialize on each other.
 type txState struct {
 	id string
 	sh *txShard // the shard the entry hashes to
@@ -182,8 +182,11 @@ type txState struct {
 	// to it are replies to collect, not work to apply. detached is set,
 	// by the committing goroutine only, when a delegating coordinator's
 	// resolver takes the consumer role over to ask its silent agent.
-	isCoord  bool
-	detached bool
+	// collecting marks a coordinator whose caller reads the acks after
+	// they strike the pin (a PN commit: collectAcks).
+	isCoord    bool
+	detached   bool
+	collecting bool
 	// gone is set, by the consumer, once it has removed the entry from
 	// the table.
 	gone bool

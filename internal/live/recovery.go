@@ -50,12 +50,11 @@ func (p *Participant) resume(l *protocol.TxLog) {
 		if len(owed) == 0 {
 			return
 		}
-		// Re-announce the decision, best-effort, to the members its
-		// record names; their acks release the pin. A 1PC decision
-		// record is the only stable copy of its voters' fates AND their
-		// redo, so the redo rides along and even amnesiac voters
-		// complete.
-		p.awaitAcks(nil, tx, append([]string(nil), owed...), b.Redo, false, false)
+		// Re-announce the decision to the members its record names;
+		// their acks release the pin. A 1PC decision record is the only
+		// stable copy of its voters' fates AND their redo, so the redo
+		// rides along and even amnesiac voters complete.
+		p.awaitAcks(tx, append([]string(nil), owed...), b.Redo, false)
 		for _, s := range owed {
 			_ = p.sendExtra(s, outcomeMsg(tx, b.Sub.Committed, b.Redo, s))
 		}

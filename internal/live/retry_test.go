@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -173,10 +172,10 @@ func TestJitterBoundsAndAllocs(t *testing.T) {
 // the retransmission machinery must deliver the commit.
 func TestRetransmitUnderVirtualClock(t *testing.T) {
 	vc := clock.NewVirtual()
-	// Drop the first packet C sends to S (the Prepare); everything
-	// afterwards is reliable.
-	net := netsim.NewChanNetwork()
-	coord := NewParticipant("C", dropFirst(net.Endpoint("C"), "S"), wal.New(wal.NewMemStore()),
+	// Drop the first Prepare C sends to S; everything afterwards is
+	// reliable.
+	net := netsim.NewChanNetwork(netsim.WithTransform(dropFirstOf("C", "S", protocol.MsgPrepare)))
+	coord := NewParticipant("C", net.Endpoint("C"), wal.New(wal.NewMemStore()),
 		[]protocol.Resource{protocol.NewStaticResource("rc")},
 		WithClock(vc),
 		WithTimeout(10*time.Second, 10*time.Second),
@@ -292,30 +291,4 @@ func TestCommitCancelledByContext(t *testing.T) {
 	if out != Aborted {
 		t.Fatalf("out = %v, want aborted", out)
 	}
-}
-
-// dropFirstEndpoint wraps an Endpoint and swallows the first packet
-// sent to a chosen peer.
-type dropFirstEndpoint struct {
-	netsim.Endpoint
-	mu      sync.Mutex
-	victim  string
-	dropped bool
-}
-
-func dropFirst(ep netsim.Endpoint, victim string) netsim.Endpoint {
-	return &dropFirstEndpoint{Endpoint: ep, victim: victim}
-}
-
-func (d *dropFirstEndpoint) Send(to string, pkt protocol.Packet) error {
-	d.mu.Lock()
-	drop := to == d.victim && !d.dropped
-	if drop {
-		d.dropped = true
-	}
-	d.mu.Unlock()
-	if drop {
-		return nil
-	}
-	return d.Endpoint.Send(to, pkt)
 }

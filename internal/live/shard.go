@@ -39,11 +39,11 @@ type txShard struct {
 }
 
 // pin is a pinned decided-table entry. waiting, when non-nil, lists the
-// subordinates whose acknowledgments release the pin (awaitAcks); each
-// rotation resends them the outcome (reannounce), unless the resender
-// does. redo is a 1PC decision record's payload, whose per-voter redo
-// rides on the resent commit. ledger marks a pin whose release also
-// closes this node's cost-ledger entry.
+// subordinates whose acknowledgments release the pin (awaitAcks); the
+// resender sends them the outcome again until the ack deadline, and
+// each rotation after it (reannounce). redo is a 1PC decision record's
+// payload, whose per-voter redo rides on the resent commit. ledger
+// marks a pin whose release also closes this node's cost-ledger entry.
 type pin struct {
 	d       decision
 	waiting []string
@@ -122,7 +122,7 @@ func (p *Participant) ageLocked(sh *txShard, tx string, d decision) (rotated boo
 }
 
 // reannounce resends the outcome of every pinned entry in sh that
-// waits on acknowledgments the resender does not resend. A
+// still waits on acknowledgments past the resender's ack deadline. A
 // subordinate that was down when the outcome went out, or whose ack
 // was lost, may never ask; the resent outcome reaches it once it is
 // back, and its ack — a re-ack, or the ack of a subordinate that never

@@ -121,7 +121,7 @@ func (p *Participant) decide(st *txState, from string, prepare bool) {
 		p.complete(tx, commit)
 		st.sub.Finish(commit)
 		if d.Acked {
-			p.awaitAcks(nil, st.id, []string{from}, nil, false, false)
+			p.awaitAcks(st.id, []string{from}, nil, false)
 		} else {
 			_ = p.lazy(wal.Record{Tx: st.id, Node: p.name, Kind: protocol.RecEnd})
 		}

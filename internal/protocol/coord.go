@@ -50,7 +50,7 @@ type Next uint8
 // The four answers.
 const (
 	NextCollect  Next = iota // a vote, or the coordinator's own, is still owed
-	NextAbort                // a no is in (a driver may wait for the rest first)
+	NextAbort                // a no is in
 	NextDelegate             // every vote is yes or read-only and an agent is held out
 	NextCommit               // every vote is yes or read-only
 )

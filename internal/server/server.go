@@ -157,7 +157,6 @@ type Server struct {
 	httpLn  net.Listener
 	httpSrv *http.Server
 
-	sem     chan struct{}
 	start   time.Time
 	limiter *admission.Limiter
 	ctrl    *admission.Controller // nil unless Backpressure
@@ -281,7 +280,6 @@ func New(cfg Config) (*Server, error) {
 		smap:      smap,
 		httpc:     &http.Client{Transport: newStageTransport(cfg.MaxInflight, cfg.StageTimeout+time.Second)},
 		httpLn:    httpLn,
-		sem:       make(chan struct{}, cfg.MaxInflight),
 		start:     start,
 		txPrefix:  cfg.Name + "." + strconv.FormatInt(start.UnixNano(), 10) + ":",
 		idle:      make(chan struct{}),
@@ -421,9 +419,7 @@ func (s *Server) acquire(class admission.Class, cost float64) error {
 	if ok, retry := s.limiter.Admit(class, cost); !ok {
 		return &ShedError{Class: class, Reason: "rate", RetryAfter: retry}
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
+	if s.inflight >= s.cfg.MaxInflight {
 		s.shedInflight[class].Add(1)
 		return &ShedError{Class: class, Reason: "inflight", RetryAfter: shedRetryInflight}
 	}
@@ -433,7 +429,6 @@ func (s *Server) acquire(class admission.Class, cost float64) error {
 
 // release returns an admission slot and signals drain idleness.
 func (s *Server) release() {
-	<-s.sem
 	s.mu.Lock()
 	s.inflight--
 	if s.draining && s.inflight == 0 {

@@ -329,7 +329,9 @@ func TestServerAdmissionShedsLoad(t *testing.T) {
 	coord := fleet[0]
 	req := api.CommitRequest{Tx: "C:9", Variant: "pa", Ops: putOnEveryShard(keys)}
 	// Occupy the only admission slot, then watch the next request shed.
-	coord.sem <- struct{}{}
+	coord.mu.Lock()
+	coord.inflight++
+	coord.mu.Unlock()
 	_, herr := coord.runV1(context.Background(), req)
 	if herr == nil || herr.status != http.StatusServiceUnavailable || herr.e.Code != api.CodeOverloaded {
 		t.Fatalf("err = %+v, want 503 %s", herr, api.CodeOverloaded)
@@ -340,7 +342,7 @@ func TestServerAdmissionShedsLoad(t *testing.T) {
 	if status, _, e := postV1(t, coord, commitJSON(t, req)); status != http.StatusServiceUnavailable || e.Code != api.CodeOverloaded {
 		t.Fatalf("overloaded /v1/commit = %d %+v, want 503 %s", status, e, api.CodeOverloaded)
 	}
-	<-coord.sem
+	coord.release()
 	req.Tx = "C:10"
 	if resp, herr := coord.runV1(context.Background(), req); herr != nil || resp.Outcome != "committed" {
 		t.Fatalf("after release: %+v, %v", resp, herr)
@@ -381,18 +383,11 @@ func TestServerDrainWaitsForInflight(t *testing.T) {
 	// Occupy one admission slot before the drain starts, mimicking a
 	// commit mid-flight.
 	coord.mu.Lock()
-	coord.sem <- struct{}{}
 	coord.inflight++
 	coord.mu.Unlock()
 	go func() {
 		<-release
-		coord.mu.Lock()
-		<-coord.sem
-		coord.inflight--
-		if coord.draining && coord.inflight == 0 {
-			close(coord.idle)
-		}
-		coord.mu.Unlock()
+		coord.release()
 	}()
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

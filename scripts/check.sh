@@ -102,6 +102,15 @@ echo "== one restart rule, both engines (20 race runs) =="
 # under scheduling, hence the repeats.
 go test -race -count=20 -run 'TestRestartTable|TestReplayLegacyLog' ./internal/check ./internal/live
 
+echo "== one resend path for owed acks (20 race runs) =="
+# Every acknowledged outcome (an Early or PN commit, an acked abort, a
+# restart's redrive, a last agent's decision) is owed to its pinned
+# decided-table entry, and the one resender sends it again until the
+# ack deadline. A lost first copy and the ack that races the resend
+# show only under scheduling, hence the repeats. TestForgetSoak, which
+# takes ~30 s under -race, runs once in the race step above.
+go test -race -count=20 -run 'TestLiveResenderReaches|TestForget|TestLiveOffPathAckDamage|TestLiveEarlyAnswerHygiene|TestReplayLegacyLog|TestLiveLastAgentResolvesDoubt|TestLiveCrashPointSweep' -skip 'TestForgetSoak' ./internal/live ./internal/check
+
 echo "== perfbench module (vet + test) =="
 # perfbench is a nested module: the root go vet/test skip it, though
 # it imports internal packages (server, wal, live, router) directly.
